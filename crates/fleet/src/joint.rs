@@ -1,0 +1,1082 @@
+//! The one joint-LP core: block assembly, warm-basis cache and solve
+//! path shared by the instant [`FleetPlanner`](crate::FleetPlanner) and
+//! the slotted [`SchedulePlanner`](crate::SchedulePlanner).
+//!
+//! Both planners are *policy* layers — who is offered, in what order,
+//! what happens to a refused or displaced flow — over the same loop:
+//! edit a block-angular LP a little, re-solve it warm, hand every flow
+//! its block of `x`. The core is parameterised by data only: a
+//! [`TimeGrid`] of `S` slots, and per flow a [`Member`] carrying its
+//! window (length `L`) and buffer allowance. The instant planner runs
+//! it over a private one-slot grid with [`SlotWindow::instant`]`(0)`
+//! windows, where `λ·L ≡ λ` and `1/L ≡ 1` exactly in IEEE arithmetic, so
+//! the LP degenerates — row for row, bit for bit — to the instant joint
+//! LP (see the formulations in the two planners' module docs).
+//!
+//! # Layout
+//!
+//! The `S·K` shared capacity rows come first, **ring-indexed** (`row(s,
+//! k) = (s mod S)·K + k`): a surviving slot's rows never move when the
+//! horizon advances, and an expired slot's rows are recycled in place
+//! by the slot that takes over its ring position. Then one group of
+//! rows per block, in placement order: optional cost row, optional
+//! floor row, the `L` balance equalities (`Σx = 1` when `L = 1`), the
+//! buffer caps. A block's columns are its `L·n` window-slot-major
+//! assignment columns followed by its carry columns.
+//!
+//! # Maintained, not rebuilt
+//!
+//! Admitting a flow appends its block or takes over a compatible
+//! tombstoned one in place; departing **tombstones** the block (balance
+//! RHS `1/L → 0`, floor and cap RHS relaxed to 0, objective and
+//! capacity-row segments zeroed), which forces the block to zero
+//! *without changing the LP's shape* — so the warm-basis cache keyed on
+//! that shape keeps applying across churn and across
+//! [`SchedulePlanner::advance_to`](crate::SchedulePlanner::advance_to).
+//! Only the aggregate-rate-dependent segments are rewritten per solve,
+//! recomputed fresh from the per-flow models (never by scaling running
+//! values), so coefficients are a pure function of the current
+//! membership: history cannot leak into the numerics, which keeps trace
+//! replay and warm-vs-cold comparisons bit-identical. A rejected
+//! candidate is rolled back exactly. [`JointCore::forget`] drops the
+//! assembly; the next solve re-places the members in admission order —
+//! what a wholesale coefficient change (link dynamics), the instant
+//! planner's tombstone compaction, and `FleetConfig::incremental =
+//! false` (forget before *every* solve) all reduce to.
+//!
+//! A new row or column kind of the joint LP is added here, once.
+
+use crate::error::FleetError;
+use crate::flow::{FlowId, FlowRequest};
+use crate::planner::{FleetConfig, FleetObjective};
+use crate::schedule::{SlotWindow, TimeGrid};
+use dmc_core::{Planner, Scenario, ScenarioModel, ScenarioPath, WarmStats};
+use dmc_lp::{Basis, ConstraintKind, Problem, SolveError, SolveStatus, SolverOptions, Workspace};
+use dmc_sim::LinkChange;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
+use std::sync::Arc;
+
+/// One shared path's mutable state (the base description plus the link
+/// dynamics applied so far).
+#[derive(Debug, Clone)]
+pub(crate) struct SharedPath {
+    base: ScenarioPath,
+    pub(crate) bandwidth: f64,
+    loss: f64,
+    failed: bool,
+}
+
+impl SharedPath {
+    fn effective(&self) -> Result<ScenarioPath, FleetError> {
+        let loss = if self.failed { 1.0 } else { self.loss };
+        ScenarioPath::new(
+            self.bandwidth,
+            Arc::clone(self.base.delay()),
+            loss,
+            self.base.cost(),
+        )
+        .map_err(FleetError::Spec)
+    }
+}
+
+/// One flow as the joint LP sees it: its demand, the slots it may be
+/// served in, its buffer allowance and its coefficient model.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Member<'a> {
+    pub(crate) id: FlowId,
+    pub(crate) flow: &'a FlowRequest,
+    pub(crate) window: SlotWindow,
+    pub(crate) buffer: f64,
+    pub(crate) model: &'a ScenarioModel,
+}
+
+impl<'a> Member<'a> {
+    /// A flow served wholly inside slot 0 — the instant planner's case.
+    pub(crate) fn instant(id: FlowId, flow: &'a FlowRequest, model: &'a ScenarioModel) -> Self {
+        Member {
+            id,
+            flow,
+            window: SlotWindow::instant(0),
+            buffer: 0.0,
+            model,
+        }
+    }
+
+    /// Number of carry (store-and-forward buffer) variables: one per
+    /// interior slot boundary when buffering is enabled, none for
+    /// single-slot windows or a zero buffer.
+    fn carry_vars(&self) -> usize {
+        if self.buffer > 0.0 {
+            self.window.len() - 1
+        } else {
+            0
+        }
+    }
+}
+
+/// The flow-local index of global path `k` under an optional path subset
+/// (`None` = the identity mapping: the flow's model covers every shared
+/// path), or `None` when the flow does not use the path at all.
+pub(crate) fn local_path_index(subset: Option<&[usize]>, k: usize) -> Option<usize> {
+    match subset {
+        None => Some(k),
+        Some(s) => s.binary_search(&k).ok(),
+    }
+}
+
+/// Re-admission order after a capacity loss: highest priority first,
+/// admission order within ties.
+pub(crate) fn readmission_order(a: (&FlowRequest, FlowId), b: (&FlowRequest, FlowId)) -> Ordering {
+    b.0.priority()
+        .partial_cmp(&a.0.priority())
+        .expect("priorities are finite")
+        .then(a.1.cmp(&b.1))
+}
+
+/// Largest per-flow block the planners will model: a flow over `k`
+/// paths with `m` transmissions has `(k + 1)^m` path combinations, so an
+/// unchecked `m` from outside the program can exhaust memory or
+/// overflow the count itself.
+const MAX_FLOW_COMBOS: usize = 1 << 16;
+
+/// Rejects a flow whose combination count `(n_paths + 1)^transmissions`
+/// overflows or exceeds [`MAX_FLOW_COMBOS`].
+pub(crate) fn check_combos(n_paths: usize, transmissions: usize) -> Result<(), FleetError> {
+    let combos = u32::try_from(transmissions)
+        .ok()
+        .and_then(|m| (n_paths + 1).checked_pow(m));
+    match combos {
+        Some(c) if c <= MAX_FLOW_COMBOS => Ok(()),
+        _ => Err(FleetError::Invalid(format!(
+            "{transmissions} transmissions over {n_paths} paths need more than \
+             {MAX_FLOW_COMBOS} path combinations"
+        ))),
+    }
+}
+
+/// Cache key for joint warm-start bases: the shape of the assembled joint
+/// LP, mirroring the single-flow planner's cache. Two joint problems of
+/// equal shape can exchange bases — basis feasibility depends only on the
+/// coefficients, which the solver re-checks on every warm start — so a
+/// departure that returns the fleet to a previously seen shape (the
+/// churn pattern, or any tombstoning depart) re-enters phase 2 directly.
+/// The row-kind pattern is folded into an FNV-1a hash so fleets of any
+/// size (the 64-flow joint LP has well over 128 rows) stay cacheable; a
+/// hash collision can at worst hand the solver a basis it validates and
+/// rejects, falling back to a cold solve.
+///
+/// The hash also tags each row with whether its RHS is exactly zero. A
+/// tombstoned block and its revived re-occupation share the LP's
+/// *shape* — that is the point of tombstoning — but their optimal bases
+/// are mutually infeasible (`Σx = 0` vs `Σx = 1`); keying on the
+/// zero-RHS pattern gives each churn phase its own cache entry, so
+/// steady-state churn alternates between two entries that both keep
+/// hitting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct JointShapeKey {
+    n_vars: usize,
+    n_rows: usize,
+    kind_hash: u64,
+}
+
+impl JointShapeKey {
+    fn of(problem: &Problem) -> Self {
+        let mut kind_hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for c in problem.constraints() {
+            let kind: u64 = match c.kind() {
+                ConstraintKind::LessEq => 1,
+                ConstraintKind::Eq => 2,
+            };
+            // dmc-lint: allow(float-exact) shape-key tag: structurally-zero RHS (tombstoned rows, quality floors) is written bitwise as 0.0, never computed
+            let tag = kind * 2 + u64::from(c.rhs() == 0.0);
+            kind_hash ^= tag;
+            kind_hash = kind_hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        JointShapeKey {
+            n_vars: problem.num_vars(),
+            n_rows: problem.num_constraints(),
+            kind_hash,
+        }
+    }
+}
+
+/// Bound on cached joint shapes; a fleet cycling through more shapes than
+/// this restarts its cache (churn touches one shape per admitted count).
+const MAX_CACHED_SHAPES: usize = 64;
+
+/// One flow's block in the assembly: `L·n` assignment columns
+/// (window-slot-major) plus `carry` buffer columns, its optional
+/// cost/floor rows, its `L` balance rows and `carry` cap rows. A
+/// tombstoned (inactive) slot keeps its rows and columns, so departures
+/// never change the LP's shape; a later flow with the same width, window
+/// length, buffering, row pattern and window *ring phase* (the capacity
+/// rows a block touches are baked into its coefficients) takes the slot
+/// over in place.
+#[derive(Debug, Clone)]
+struct Slot {
+    cols: Range<usize>,
+    window: SlotWindow,
+    n_combos: usize,
+    carry: usize,
+    cost_row: Option<usize>,
+    floor_row: Option<usize>,
+    /// First of the `window.len()` balance rows (contiguous).
+    balance_start: usize,
+    /// First of the `carry` buffer-cap rows (contiguous, after balance).
+    cap_start: usize,
+    active: bool,
+}
+
+impl Slot {
+    /// Column offset of window-slot `i`'s assignment segment.
+    fn combo_start(&self, i: usize) -> usize {
+        self.cols.start + i * self.n_combos
+    }
+}
+
+/// How a tentative placement got its slot (so a rejected candidate can
+/// be rolled back exactly).
+#[derive(Debug, Clone, Copy)]
+enum Placement {
+    /// A brand-new block was appended; these were the sizes before.
+    Appended { prev_vars: usize, prev_rows: usize },
+    /// An existing tombstoned slot was re-activated in place.
+    Reused,
+}
+
+/// The incrementally maintained joint LP (see the module docs for the
+/// layout and the tombstone contract).
+#[derive(Debug)]
+struct Assembly {
+    problem: Problem,
+    horizon: usize,
+    n_paths: usize,
+    slots: Vec<Slot>,
+    /// Which slot each placed flow occupies.
+    slot_of: BTreeMap<FlowId, usize>,
+    /// Scratch for coefficient segments.
+    seg: Vec<f64>,
+}
+
+impl Assembly {
+    fn new(horizon: usize, n_paths: usize) -> Self {
+        Assembly {
+            problem: Problem::maximize(Vec::new()),
+            horizon,
+            n_paths,
+            slots: Vec::new(),
+            slot_of: BTreeMap::new(),
+            seg: Vec::new(),
+        }
+    }
+
+    /// The ring position of a slot: `slot mod S`.
+    fn ring(&self, slot: u64) -> usize {
+        (slot % self.horizon as u64) as usize
+    }
+
+    /// The capacity row of `(slot, path)`.
+    fn cap_row(&self, slot: u64, path: usize) -> usize {
+        self.ring(slot) * self.n_paths + path
+    }
+
+    /// Writes the scratch segment into `row` from column `start` and
+    /// sets the row's RHS.
+    fn patch_row(&mut self, row: usize, start: usize, rhs: f64) {
+        self.problem
+            .set_row_range(row, start, &self.seg)
+            .expect("segment fits the block it was sized for");
+        self.set_rhs(row, rhs);
+    }
+
+    fn set_rhs(&mut self, row: usize, rhs: f64) {
+        self.problem
+            .set_rhs(row, rhs)
+            .expect("row index recorded at placement stays in range");
+    }
+
+    /// Places a flow's block — reusing a compatible tombstone in place,
+    /// else appending (adding the `S·K` shared capacity rows first if
+    /// this is the very first block). Objective and capacity-row
+    /// segments are left to [`Assembly::rescale`], which every solve
+    /// runs anyway.
+    fn place(&mut self, m: &Member<'_>) -> Placement {
+        let n = m.model.num_combos();
+        let len = m.window.len();
+        let carry = m.carry_vars();
+        let width = len * n + carry;
+        let g = 1.0 / len as f64;
+        let has_cost = m.flow.cost_budget().is_finite();
+        let has_floor = m.flow.min_quality() > 0.0;
+        let ring = self.ring(m.window.start());
+        let reusable = self.slots.iter().position(|s| {
+            !s.active
+                && s.n_combos == n
+                && s.window.len() == len
+                && s.carry == carry
+                && self.ring(s.window.start()) == ring
+                && s.cost_row.is_some() == has_cost
+                && s.floor_row.is_some() == has_floor
+        });
+        if let Some(idx) = reusable {
+            let slot = self.slots[idx].clone();
+            if let Some(row) = slot.cost_row {
+                self.seg.clear();
+                for _ in 0..len {
+                    self.seg.extend_from_slice(m.model.cost_coeffs());
+                }
+                self.seg.resize(width, 0.0);
+                let budget = m.flow.cost_budget() / m.flow.data_rate();
+                self.patch_row(row, slot.cols.start, budget);
+            }
+            if let Some(row) = slot.floor_row {
+                // `add_ge` stores the row negated; patch it the same way.
+                self.seg.clear();
+                for _ in 0..len {
+                    self.seg.extend(m.model.quality_coeffs().iter().map(|p| -p));
+                }
+                self.seg.resize(width, 0.0);
+                self.patch_row(row, slot.cols.start, -m.flow.min_quality());
+            }
+            for i in 0..len {
+                self.set_rhs(slot.balance_start + i, g);
+            }
+            for i in 0..carry {
+                self.set_rhs(slot.cap_start + i, m.buffer * g);
+            }
+            self.slots[idx].active = true;
+            self.slots[idx].window = m.window;
+            self.slot_of.insert(m.id, idx);
+            return Placement::Reused;
+        }
+
+        // Append a fresh block.
+        let prev_vars = self.problem.num_vars();
+        let prev_rows = self.problem.num_constraints();
+        self.seg.clear();
+        self.seg.resize(width, 0.0);
+        let cols = self
+            .problem
+            .append_block(&self.seg)
+            .expect("nonempty block");
+        if prev_rows == 0 {
+            // First block: create the S·K ring-indexed capacity rows
+            // (coefficients and RHS are rescale's job).
+            for _ in 0..self.horizon * self.n_paths {
+                self.problem
+                    .add_le_sparse(&[], 1.0)
+                    .expect("empty shared row");
+            }
+        }
+        let in_every_slot = |per_slot: Vec<(usize, f64)>| -> Vec<(usize, f64)> {
+            let shifted = |i| {
+                per_slot
+                    .iter()
+                    .map(move |&(j, v)| (cols.start + i * n + j, v))
+            };
+            (0..len).flat_map(shifted).collect()
+        };
+        let cost_row = has_cost.then(|| {
+            let entries = in_every_slot(m.model.cost_triplets().collect());
+            self.problem
+                .add_le_sparse(&entries, m.flow.cost_budget() / m.flow.data_rate())
+                .expect("valid cost row");
+            self.problem.num_constraints() - 1
+        });
+        let floor_row = has_floor.then(|| {
+            let entries = in_every_slot(m.model.quality_triplets().collect());
+            self.problem
+                .add_ge_sparse(&entries, m.flow.min_quality())
+                .expect("valid floor row");
+            self.problem.num_constraints() - 1
+        });
+        let balance_start = self.problem.num_constraints();
+        let carry_base = cols.start + len * n;
+        for i in 0..len {
+            let mut entries: Vec<(usize, f64)> =
+                (0..n).map(|j| (cols.start + i * n + j, 1.0)).collect();
+            // Sparse rows want ascending columns: carry-in (slot
+            // boundary i-1) sits below carry-out (boundary i).
+            if carry > 0 && i >= 1 {
+                entries.push((carry_base + i - 1, -1.0));
+            }
+            if i < carry {
+                entries.push((carry_base + i, 1.0));
+            }
+            self.problem
+                .add_eq_sparse(&entries, g)
+                .expect("valid balance row");
+        }
+        let cap_start = self.problem.num_constraints();
+        for i in 0..carry {
+            self.problem
+                .add_le_sparse(&[(carry_base + i, 1.0)], m.buffer * g)
+                .expect("valid buffer cap row");
+        }
+        self.slots.push(Slot {
+            cols,
+            window: m.window,
+            n_combos: n,
+            carry,
+            cost_row,
+            floor_row,
+            balance_start,
+            cap_start,
+            active: true,
+        });
+        self.slot_of.insert(m.id, self.slots.len() - 1);
+        Placement::Appended {
+            prev_vars,
+            prev_rows,
+        }
+    }
+
+    /// Tombstones a flow's slot: objective and capacity-row segments
+    /// zeroed, every balance RHS `1/L → 0` (with the floor and cap RHS
+    /// relaxed to 0), which forces every variable of the block to zero —
+    /// the balance rows telescope to `Σx = 0` — while preserving the
+    /// LP's shape, so the cached basis of this shape keeps working. A
+    /// flow the assembly does not hold is a no-op.
+    fn deactivate(&mut self, id: FlowId) {
+        let Some(idx) = self.slot_of.remove(&id) else {
+            return;
+        };
+        let slot = self.slots[idx].clone();
+        self.seg.clear();
+        self.seg.resize(slot.cols.len(), 0.0);
+        self.problem
+            .set_objective_range(slot.cols.start, &self.seg)
+            .expect("objective segment fits");
+        for (i, s) in slot.window.slots().enumerate() {
+            for k in 0..self.n_paths {
+                let row = self.cap_row(s, k);
+                self.problem
+                    .set_row_range(row, slot.combo_start(i), &self.seg[..slot.n_combos])
+                    .expect("shared segment fits");
+            }
+        }
+        // The balance rows and the caps after them are contiguous.
+        for row in (slot.balance_start..slot.cap_start + slot.carry).chain(slot.floor_row) {
+            self.set_rhs(row, 0.0);
+        }
+        self.slots[idx].active = false;
+    }
+
+    /// Rolls a tentative placement back. Appended placements **must** be
+    /// rolled back in reverse order of placement — truncating a block
+    /// from the middle would shift every later slot's rows and columns
+    /// under the slot table — so anything else is a checked error (a
+    /// release build must not sail past it and corrupt the assembly);
+    /// the core forgets the assembly when it fires.
+    fn rollback(&mut self, id: FlowId, placement: Placement) -> Result<(), FleetError> {
+        match placement {
+            Placement::Appended {
+                prev_vars,
+                prev_rows,
+            } => {
+                let idx = self.slot_of.get(&id).copied();
+                if idx.map(|i| i + 1) != Some(self.slots.len()) {
+                    return Err(FleetError::Invalid(format!(
+                        "rollback out of order: {id} holds slot {idx:?}, not the last of {} slots",
+                        self.slots.len()
+                    )));
+                }
+                self.problem.truncate_rows(prev_rows);
+                self.problem.truncate_vars(prev_vars);
+                self.slots.pop();
+                self.slot_of.remove(&id);
+            }
+            Placement::Reused => self.deactivate(id),
+        }
+        Ok(())
+    }
+
+    /// Recomputes every Λ-dependent coefficient from the given
+    /// membership (`Λ = Σ_f λ_f·L_f`): per-block objective segments
+    /// `w·(λ_f·L_f/Λ)·p_f`, per-(slot, path) capacity segments
+    /// `(λ_f·L_f/Λ)·usage_f`, and the capacity RHS `b_k(s)/Λ` — zero for
+    /// maintenance slots. A flow restricted to a path subset
+    /// ([`FlowRequest::with_paths`]) consumes nothing on the paths it
+    /// does not use: its segment in those rows is structurally zero.
+    fn rescale<'a>(
+        &mut self,
+        objective: FleetObjective,
+        grid: &TimeGrid,
+        paths: &[SharedPath],
+        maintenance: &BTreeSet<(u64, usize)>,
+        members: impl Iterator<Item = &'a Member<'a>> + Clone,
+    ) {
+        let lambda_vol: f64 = members
+            .clone()
+            .map(|m| m.flow.data_rate() * m.window.len() as f64)
+            .sum();
+        for m in members {
+            let slot = self.slots[self.slot_of[&m.id]].clone();
+            let len = m.window.len();
+            let w = match objective {
+                FleetObjective::WeightedFair => m.flow.priority(),
+                FleetObjective::MaxAdmitted | FleetObjective::MaxTotalQuality => 1.0,
+            };
+            let share = m.flow.data_rate() * len as f64 / lambda_vol;
+            self.seg.clear();
+            for _ in 0..len {
+                let scaled = m.model.quality_coeffs().iter().map(|p| w * share * p);
+                self.seg.extend(scaled);
+            }
+            self.seg.resize(slot.cols.len(), 0.0);
+            self.problem
+                .set_objective_range(slot.cols.start, &self.seg)
+                .expect("objective segment fits");
+            for k in 0..paths.len() {
+                self.seg.clear();
+                match local_path_index(m.flow.paths(), k) {
+                    Some(lk) => {
+                        let scaled = m.model.usage_coeffs(lk).iter().map(|u| share * u);
+                        self.seg.extend(scaled);
+                    }
+                    None => self.seg.resize(slot.n_combos, 0.0),
+                }
+                for (i, s) in m.window.slots().enumerate() {
+                    let row = self.cap_row(s, k);
+                    self.problem
+                        .set_row_range(row, slot.combo_start(i), &self.seg)
+                        .expect("shared segment fits");
+                }
+            }
+        }
+        for s in grid.origin()..grid.end() {
+            for (k, path) in paths.iter().enumerate() {
+                let rhs = if maintenance.contains(&(s, k)) {
+                    0.0
+                } else {
+                    path.bandwidth / lambda_vol
+                };
+                self.set_rhs(self.cap_row(s, k), rhs);
+            }
+        }
+    }
+}
+
+/// The joint-LP core one planner owns: the shared paths and grid, the
+/// per-flow model builder, the maintained [`Assembly`], the shape-keyed
+/// warm-basis cache and the solver scratch.
+#[derive(Debug)]
+pub(crate) struct JointCore {
+    pub(crate) config: FleetConfig,
+    pub(crate) grid: TimeGrid,
+    pub(crate) paths: Vec<SharedPath>,
+    /// Zero-capacity (slot, path) pairs — scheduled maintenance.
+    pub(crate) maintenance: BTreeSet<(u64, usize)>,
+    /// Builds per-flow coefficient models (never solves).
+    flow_planner: Planner,
+    /// Joint-LP scratch memory, reused across solves.
+    workspace: Workspace,
+    // dmc-lint: allow(det-unordered-map) key-lookup-only cache: get/insert/contains_key/len/clear, never iterated, so key order cannot reach results
+    warm_bases: HashMap<JointShapeKey, Basis>,
+    warm_attempts: u64,
+    warm_hits: u64,
+    /// Cold re-solves forced by a warm-start anomaly (singular basis or
+    /// pivot-cap abort on the warm path).
+    warm_anomalies: u64,
+    /// `None` until the first solve and after [`JointCore::forget`].
+    assembly: Option<Assembly>,
+    /// Objective value of the last successful joint solve (0 when empty).
+    last_objective: f64,
+}
+
+impl JointCore {
+    /// A core over `paths` and `grid`. Rejects an empty path set and
+    /// paths whose delay distribution has a non-finite mean. If
+    /// `config.planner.solver.obs` is disabled, `config.obs` is
+    /// propagated into it so the `lp.*` metrics land in the same
+    /// snapshot.
+    pub(crate) fn new(
+        paths: Vec<ScenarioPath>,
+        grid: TimeGrid,
+        mut config: FleetConfig,
+    ) -> Result<Self, FleetError> {
+        if paths.is_empty() {
+            return Err(FleetError::Invalid(
+                "a fleet needs at least one shared path".into(),
+            ));
+        }
+        if let Some(k) = paths.iter().position(|p| !p.delay().mean().is_finite()) {
+            return Err(FleetError::Invalid(format!(
+                "shared path {k} has a non-finite mean delay"
+            )));
+        }
+        if config.obs.is_enabled() && !config.planner.solver.obs.is_enabled() {
+            config.planner.solver.obs = config.obs.clone();
+        }
+        let shared = |p: ScenarioPath| SharedPath {
+            bandwidth: p.bandwidth(),
+            loss: p.loss(),
+            failed: false,
+            base: p,
+        };
+        Ok(JointCore {
+            flow_planner: Planner::with_config(config.planner.clone()),
+            config,
+            grid,
+            paths: paths.into_iter().map(shared).collect(),
+            maintenance: BTreeSet::new(),
+            workspace: Workspace::new(),
+            // dmc-lint: allow(det-unordered-map) constructor of the key-lookup-only warm-basis cache above
+            warm_bases: HashMap::new(),
+            warm_attempts: 0,
+            warm_hits: 0,
+            warm_anomalies: 0,
+            assembly: None,
+            last_objective: 0.0,
+        })
+    }
+
+    /// Validates and applies one link change to a shared path. A failed
+    /// path plans as loss 1; a [`LinkChange::SetLoss`] plans against the
+    /// model's stationary loss rate. The caller rebuilds its flows'
+    /// models and [forgets](JointCore::forget) the assembly.
+    pub(crate) fn apply_link_change(
+        &mut self,
+        path: usize,
+        change: &LinkChange,
+    ) -> Result<(), FleetError> {
+        let n_paths = self.paths.len();
+        let Some(shared) = self.paths.get_mut(path) else {
+            return Err(FleetError::Invalid(format!(
+                "path index {path} out of range ({n_paths} shared paths)"
+            )));
+        };
+        match change {
+            LinkChange::Fail => shared.failed = true,
+            LinkChange::Recover => shared.failed = false,
+            LinkChange::SetBandwidth(bps) => {
+                if !(*bps > 0.0) || !bps.is_finite() {
+                    return Err(FleetError::Invalid(format!(
+                        "bandwidth must be finite and > 0, got {bps}"
+                    )));
+                }
+                shared.bandwidth = *bps;
+            }
+            LinkChange::SetLoss(model) => {
+                model.validate().map_err(FleetError::Invalid)?;
+                shared.loss = model.stationary_loss();
+            }
+        }
+        Ok(())
+    }
+
+    /// The effective shared paths (failed paths appear with loss 1).
+    pub(crate) fn shared_paths(&self) -> Result<Vec<ScenarioPath>, FleetError> {
+        self.paths.iter().map(SharedPath::effective).collect()
+    }
+
+    /// Builds a flow's scenario/model against the current shared paths
+    /// (restricted to the flow's declared subset when
+    /// [`FlowRequest::with_paths`] was used).
+    pub(crate) fn flow_model(
+        &mut self,
+        request: &FlowRequest,
+    ) -> Result<ScenarioModel, FleetError> {
+        let effective = self.shared_paths()?;
+        let flow_paths = match request.paths() {
+            Some(subset) => {
+                if let Some(&bad) = subset.iter().find(|&&k| k >= effective.len()) {
+                    return Err(FleetError::Invalid(format!(
+                        "flow path index {bad} out of range ({} shared paths)",
+                        effective.len()
+                    )));
+                }
+                subset.iter().map(|&k| effective[k].clone()).collect()
+            }
+            None => effective,
+        };
+        check_combos(flow_paths.len(), request.transmissions())?;
+        let mut builder = Scenario::builder()
+            .paths(flow_paths)
+            .data_rate(request.data_rate())
+            .lifetime(request.lifetime())
+            .transmissions(request.transmissions());
+        if request.cost_budget().is_finite() {
+            builder = builder.cost_budget(request.cost_budget());
+        }
+        let scenario = builder.build().map_err(FleetError::Spec)?;
+        Ok(self.flow_planner.model(&scenario))
+    }
+
+    /// Tombstones a placed flow's block (a no-op for unknown flows).
+    pub(crate) fn deactivate(&mut self, id: FlowId) {
+        if let Some(assembly) = self.assembly.as_mut() {
+            assembly.deactivate(id);
+        }
+    }
+
+    /// Drops the assembly; the next solve re-places its members in the
+    /// order given (keeps the layout deterministic after wholesale
+    /// coefficient changes, and compacts tombstones away).
+    pub(crate) fn forget(&mut self) {
+        self.assembly = None;
+    }
+
+    /// `(all, tombstoned)` slot counts of the current assembly.
+    pub(crate) fn slot_counts(&self) -> (usize, usize) {
+        self.assembly.as_ref().map_or((0, 0), |a| {
+            let dead = a.slots.iter().filter(|s| !s.active).count();
+            (a.slots.len(), dead)
+        })
+    }
+
+    /// Solves the joint LP over `members` (already admitted, in
+    /// admission order) plus tentative `extras`, returning each flow's
+    /// raw block of `x` — members first, then extras, both in order.
+    /// With no flows at all there is nothing to solve.
+    ///
+    /// On *any* error — infeasibility included — the extras' placements
+    /// are rolled back, so a rejected candidate leaves no trace.
+    pub(crate) fn solve(
+        &mut self,
+        members: &[Member<'_>],
+        extras: &[Member<'_>],
+    ) -> Result<Vec<Vec<f64>>, SolveError> {
+        if members.is_empty() && extras.is_empty() {
+            self.last_objective = 0.0;
+            return Ok(Vec::new());
+        }
+        if !self.config.incremental {
+            // The differential baseline: nothing survives between solves.
+            self.forget();
+        }
+        let mut assembly = self.assembly.take().unwrap_or_else(|| {
+            let mut fresh = Assembly::new(self.grid.horizon(), self.paths.len());
+            for m in members {
+                fresh.place(m);
+            }
+            fresh
+        });
+        let placements: Vec<Placement> = extras.iter().map(|m| assembly.place(m)).collect();
+        let everyone = members.iter().chain(extras);
+        assembly.rescale(
+            self.config.objective,
+            &self.grid,
+            &self.paths,
+            &self.maintenance,
+            everyone.clone(),
+        );
+        match self.solve_joint_problem(&assembly.problem) {
+            Ok(solution) => {
+                let x = solution.into_x();
+                self.last_objective = assembly.problem.objective_value(&x);
+                let blocks = everyone
+                    .map(|m| x[assembly.slots[assembly.slot_of[&m.id]].cols.clone()].to_vec())
+                    .collect();
+                self.assembly = Some(assembly);
+                Ok(blocks)
+            }
+            Err(e) => {
+                // Reverse order, so appended blocks truncate cleanly. An
+                // inconsistent rollback forgets the assembly rather than
+                // patch shifted row indices in place.
+                let clean = extras
+                    .iter()
+                    .zip(placements)
+                    .rev()
+                    .all(|(m, p)| assembly.rollback(m.id, p).is_ok());
+                self.assembly = clean.then_some(assembly);
+                Err(e)
+            }
+        }
+    }
+
+    /// Solves an assembled joint problem with the shape-keyed warm-start
+    /// cache.
+    fn solve_joint_problem(&mut self, problem: &Problem) -> Result<dmc_lp::Solution, SolveError> {
+        let opts = SolverOptions {
+            backend: self.config.joint_backend,
+            ..self.config.planner.solver.clone()
+        };
+        let obs = &self.config.obs;
+        let key = self
+            .config
+            .planner
+            .warm_start
+            .then(|| JointShapeKey::of(problem));
+        let solution = match key.and_then(|k| self.warm_bases.get(&k)) {
+            Some(basis) => {
+                self.warm_attempts += 1;
+                match problem.solve_warm_with(&opts, &mut self.workspace, basis) {
+                    Ok(s) => {
+                        if s.used_warm_start() {
+                            self.warm_hits += 1;
+                            obs.counter("fleet.warm_hits").inc();
+                        } else {
+                            obs.counter("fleet.warm_misses").inc();
+                        }
+                        s
+                    }
+                    Err(e) if SolveStatus::of_error(&e).is_anomaly() => {
+                        // A singular/stale basis or a pivot-cap abort on
+                        // the warm path is a numerical anomaly, not a
+                        // verdict about the problem: drop the offending
+                        // basis and re-solve cold. The incumbents keep
+                        // their last-known-good plans unless the cold
+                        // solve succeeds (plans are only refreshed from a
+                        // successful solution).
+                        self.warm_anomalies += 1;
+                        obs.counter("fleet.warm_anomalies").inc();
+                        obs.counter("fleet.warm_misses").inc();
+                        if let Some(k) = key {
+                            self.warm_bases.remove(&k);
+                        }
+                        problem.solve_with(&opts, &mut self.workspace)?
+                    }
+                    Err(e) => {
+                        obs.counter("fleet.warm_misses").inc();
+                        return Err(e);
+                    }
+                }
+            }
+            None => problem.solve_with(&opts, &mut self.workspace)?,
+        };
+        if let (Some(k), Some(basis)) = (key, solution.basis()) {
+            if self.warm_bases.len() >= MAX_CACHED_SHAPES && !self.warm_bases.contains_key(&k) {
+                self.warm_bases.clear();
+            }
+            self.warm_bases.insert(k, basis.clone());
+        }
+        // The decomposition path replays the feasibility certificate in
+        // debug builds (and in release when [`FleetConfig::certify`] is
+        // set): every per-flow plan descends from this x, so a bogus
+        // vertex here would silently corrupt the whole fleet.
+        if cfg!(debug_assertions) || self.config.certify {
+            solution
+                .certify(problem)
+                .expect("joint LP solution failed its feasibility certificate");
+        }
+        Ok(solution)
+    }
+
+    /// Objective value of the last successful joint solve (0 when empty).
+    pub(crate) fn objective_value(&self) -> f64 {
+        self.last_objective
+    }
+
+    /// Warm-start cache counters of the joint solves.
+    pub(crate) fn warm_stats(&self) -> WarmStats {
+        WarmStats {
+            hits: self.warm_hits,
+            misses: self.warm_attempts - self.warm_hits,
+        }
+    }
+
+    /// Cold re-solves forced by a warm-start anomaly.
+    pub(crate) fn warm_anomalies(&self) -> u64 {
+        self.warm_anomalies
+    }
+
+    /// Number of joint-LP shapes with a cached warm-start basis.
+    pub(crate) fn cached_bases(&self) -> usize {
+        self.warm_bases.len()
+    }
+
+    /// Drops all cached joint bases (subsequent solves start cold).
+    pub(crate) fn clear_warm_cache(&mut self) {
+        self.warm_bases.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The dense from-scratch oracle for the instant (`S = 1`, `L = 1`,
+    /// no carry) joint LP — the pre-incremental assembly, kept to pin
+    /// what a freshly placed [`Assembly`] must equal.
+    ///
+    /// Row order matters twice over: with one floor-free flow the
+    /// sequence — shared capacity rows first (one per path, like the
+    /// single-flow planner), then the flow's cost/floor rows and its
+    /// `Σx = 1` — is exactly the row order of `Planner::plan(_,
+    /// MaxQuality)` (single-flow parity), and with many flows the
+    /// per-flow rows are grouped *per flow* in admission order, which is
+    /// precisely the layout the assembly maintains.
+    fn assemble_joint(
+        objective: FleetObjective,
+        paths: &[SharedPath],
+        entries: &[Member<'_>],
+    ) -> Problem {
+        let lambda_tot: f64 = entries.iter().map(|e| e.flow.data_rate()).sum();
+        let total_vars: usize = entries.iter().map(|e| e.model.num_combos()).sum();
+        let mut c = Vec::with_capacity(total_vars);
+        for e in entries {
+            let w = match objective {
+                FleetObjective::WeightedFair => e.flow.priority(),
+                FleetObjective::MaxAdmitted | FleetObjective::MaxTotalQuality => 1.0,
+            };
+            let share = e.flow.data_rate() / lambda_tot;
+            c.extend(e.model.quality_coeffs().iter().map(|p| w * share * p));
+        }
+        let mut lp = Problem::maximize(c);
+        // Shared capacity rows: Σ_f (λ_f/Λ)·usage_f,k · x^f ≤ b_k/Λ. A flow
+        // restricted to a path subset has a structurally zero segment in the
+        // rows of the paths it does not use.
+        for (k, path) in paths.iter().enumerate() {
+            let mut row = Vec::with_capacity(total_vars);
+            for e in entries {
+                let share = e.flow.data_rate() / lambda_tot;
+                match local_path_index(e.flow.paths(), k) {
+                    Some(lk) => row.extend(e.model.usage_coeffs(lk).iter().map(|u| share * u)),
+                    None => row.extend(std::iter::repeat_n(0.0, e.model.num_combos())),
+                }
+            }
+            lp.add_le(row, path.bandwidth / lambda_tot)
+                .expect("dimensions match");
+        }
+        // Per-flow blocks: cost budget, quality floor, Σx = 1 — grouped per
+        // flow, like the assembly appends them.
+        let mut offset = 0;
+        let mut block_starts = Vec::with_capacity(entries.len());
+        for e in entries {
+            let n = e.model.num_combos();
+            block_starts.push(offset);
+            if e.flow.cost_budget().is_finite() {
+                let mut row = vec![0.0; total_vars];
+                row[offset..offset + n].copy_from_slice(e.model.cost_coeffs());
+                lp.add_le(row, e.flow.cost_budget() / e.flow.data_rate())
+                    .expect("dimensions match");
+            }
+            if e.flow.min_quality() > 0.0 {
+                let mut row = vec![0.0; total_vars];
+                row[offset..offset + n].copy_from_slice(e.model.quality_coeffs());
+                lp.add_ge(row, e.flow.min_quality())
+                    .expect("dimensions match");
+            }
+            let mut row = vec![0.0; total_vars];
+            for v in &mut row[offset..offset + n] {
+                *v = 1.0;
+            }
+            lp.add_eq(row, 1.0).expect("dimensions match");
+            offset += n;
+        }
+        lp.set_block_starts(block_starts)
+            .expect("block starts are sorted and in range");
+        lp
+    }
+
+    fn core(horizon: usize, objective: FleetObjective) -> JointCore {
+        JointCore::new(
+            vec![
+                ScenarioPath::constant(80e6, 0.450, 0.2).unwrap(),
+                ScenarioPath::constant(20e6, 0.150, 0.0).unwrap(),
+                ScenarioPath::constant(30e6, 0.250, 0.05).unwrap(),
+            ],
+            TimeGrid::new(1.0, horizon).unwrap(),
+            FleetConfig {
+                objective,
+                ..FleetConfig::default()
+            },
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn a_freshly_placed_assembly_equals_the_dense_oracle() {
+        for objective in [FleetObjective::MaxAdmitted, FleetObjective::WeightedFair] {
+            let mut core = core(1, objective);
+            // Floor only; cost + floor + priority; path-restricted and
+            // narrow (m = 1); plain best effort.
+            let requests = [
+                FlowRequest::new(30e6, 0.8).unwrap().with_min_quality(0.8),
+                FlowRequest::new(15e6, 1.0)
+                    .unwrap()
+                    .with_min_quality(0.5)
+                    .with_cost_budget(2.0)
+                    .with_priority(3.0),
+                FlowRequest::new(12e6, 0.6)
+                    .unwrap()
+                    .with_paths(vec![1, 2])
+                    .with_transmissions(1),
+                FlowRequest::new(20e6, 0.6).unwrap(),
+            ];
+            let models: Vec<ScenarioModel> = requests
+                .iter()
+                .map(|r| core.flow_model(r).unwrap())
+                .collect();
+            let members: Vec<Member<'_>> = requests
+                .iter()
+                .zip(&models)
+                .enumerate()
+                .map(|(i, (r, m))| Member::instant(FlowId::new(i as u64), r, m))
+                .collect();
+            let mut assembly = Assembly::new(1, core.paths.len());
+            for m in &members {
+                assembly.place(m);
+            }
+            assembly.rescale(
+                objective,
+                &core.grid,
+                &core.paths,
+                &core.maintenance,
+                members.iter(),
+            );
+            let oracle = assemble_joint(objective, &core.paths, &members);
+            // Objective, every constraint's coefficients, support, kind and
+            // RHS, and the block starts.
+            assert_eq!(assembly.problem, oracle, "{objective:?}");
+            // And the core's own solve builds exactly that problem.
+            core.solve(&[], &members)
+                .expect("the mixed fleet is feasible");
+            let solved = core.assembly.as_ref().expect("kept after a solve");
+            assert_eq!(solved.problem, oracle, "{objective:?}");
+        }
+    }
+
+    #[test]
+    fn out_of_order_rollback_is_a_checked_error() {
+        let mut core = core(1, FleetObjective::MaxAdmitted);
+        let req_a = FlowRequest::new(10e6, 0.5).unwrap();
+        let req_b = FlowRequest::new(20e6, 0.7).unwrap();
+        let model_a = core.flow_model(&req_a).unwrap();
+        let model_b = core.flow_model(&req_b).unwrap();
+        let a = Member::instant(FlowId::new(0), &req_a, &model_a);
+        let b = Member::instant(FlowId::new(1), &req_b, &model_b);
+        let mut assembly = Assembly::new(1, 3);
+        let place_a = assembly.place(&a);
+        let place_b = assembly.place(&b);
+        // Rolling the *first* appended block back while the second still
+        // exists would truncate the wrong rows; it must fail loudly (it
+        // was a debug_assert before, so release builds corrupted the
+        // assembly silently).
+        assert!(matches!(
+            assembly.rollback(a.id, place_a),
+            Err(FleetError::Invalid(_))
+        ));
+        // Reverse placement order unwinds cleanly.
+        assert!(assembly.rollback(b.id, place_b).is_ok());
+        assert!(assembly.rollback(a.id, place_a).is_ok());
+        assert!(assembly.slots.is_empty());
+    }
+
+    #[test]
+    fn tombstoned_blocks_are_reused_across_churn() {
+        let mut core = core(4, FleetObjective::MaxAdmitted);
+        let request = FlowRequest::new(20e6, 0.8).unwrap();
+        let model = core.flow_model(&request).unwrap();
+        let windowed = |id| Member {
+            window: SlotWindow::new(1, 3).unwrap(),
+            ..Member::instant(FlowId::new(id), &request, &model)
+        };
+        let num_vars = |core: &JointCore| core.assembly.as_ref().unwrap().problem.num_vars();
+        core.solve(&[], &[windowed(0)]).expect("offer");
+        let vars_before = num_vars(&core);
+        core.deactivate(FlowId::new(0));
+        assert_eq!(core.slot_counts(), (1, 1));
+        core.solve(&[], &[windowed(1)]).expect("offer");
+        assert_eq!(
+            vars_before,
+            num_vars(&core),
+            "an equivalent flow must take the tombstoned block over in place"
+        );
+        assert_eq!(core.slot_counts(), (1, 0));
+    }
+}

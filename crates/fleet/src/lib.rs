@@ -18,11 +18,13 @@
 //! * per-flow coefficients come from
 //!   [`dmc_core::Planner::model`] — the same Eq. 12/28 code both delay
 //!   regimes already use;
-//! * the joint LP is a plain [`dmc_lp::Problem`], solved by the revised
-//!   backend with **warm starts**: the optimal basis is cached per joint
-//!   shape, so churn (a departure returning the fleet to a
-//!   previously-seen shape, a link retune keeping the shape) re-enters
-//!   phase 2 directly — see the `fleet_admission` benchmark;
+//! * the joint LP is a plain [`dmc_lp::Problem`], maintained in place
+//!   by one core shared by both planners (`joint.rs`) and solved by the
+//!   block-structured sparse backend ([`FleetConfig::joint_backend`])
+//!   with **warm starts**: the optimal basis is cached per joint shape,
+//!   so churn (a departure returning the fleet to a previously-seen
+//!   shape, a link retune keeping the shape) re-enters phase 2 directly
+//!   — see the `fleet_admission` benchmark;
 //! * the joint solution is **decomposed back into ordinary per-flow
 //!   [`dmc_core::Plan`]s** via [`dmc_core::ScenarioModel::plan_for`], so
 //!   `run_plan`, `DmcSender::from_plan` and `AdaptiveSender` consume
@@ -76,6 +78,7 @@
 
 mod error;
 mod flow;
+mod joint;
 mod planner;
 mod schedule;
 pub mod service;

@@ -47,37 +47,21 @@
 //! their original ids — or definitively rejected within a bounded number
 //! of events ([`FleetPlanner::SHED_HORIZON`]).
 //!
-//! # Incremental assembly
-//!
-//! The joint LP is block-angular — per-flow blocks coupled only by the
-//! shared capacity rows — and by default it is **maintained, not
-//! rebuilt**: admitting a flow appends its block (columns plus its cost/
-//! floor/`Σx = 1` rows) or takes over a compatible tombstoned slot in
-//! place; departing tombstones the block (`Σx = 1` → `Σx = 0`, objective
-//! and shared-row segments zeroed), which forces the block to zero
-//! *without changing the LP's shape*, so the warm-start cache keyed on
-//! that shape keeps applying. Only the aggregate-rate-dependent segments
-//! are rewritten per solve — recomputed fresh from the per-flow models,
-//! never by scaling running values, so coefficients are a pure function
-//! of the current membership. Tombstones are compacted away once they
-//! outnumber the active flows. The assembled problem carries its block
-//! boundaries, and the joint solves run on
-//! [`dmc_lp::Backend::Sparse`], the block-structured solver built for
-//! exactly this shape ([`FleetConfig::joint_backend`],
-//! [`FleetConfig::incremental`] restore the old rebuild-per-solve path).
+//! The LP itself — block layout, tombstoning, Λ-rescaling, the warm
+//! cache — is maintained by the joint core this planner shares with
+//! [`SchedulePlanner`](crate::SchedulePlanner) (`joint.rs`), run here
+//! over a one-slot grid; what lives in this module is the *policy*:
+//! batch admission with its greedy fallback, the shed queue and its
+//! backoff, and compaction of tombstones once they outnumber the
+//! active flows.
 
 use crate::error::FleetError;
 use crate::flow::{FlowId, FlowRequest};
-use dmc_core::{
-    Objective, Plan, Planner, PlannerConfig, Scenario, ScenarioModel, ScenarioPath, WarmStats,
-};
-use dmc_lp::{
-    Backend, Basis, ConstraintKind, Problem, SolveError, SolveStatus, SolverOptions, Workspace,
-};
+use crate::joint::{readmission_order, JointCore, Member};
+use crate::schedule::TimeGrid;
+use dmc_core::{Objective, Plan, PlannerConfig, ScenarioModel, ScenarioPath, WarmStats};
+use dmc_lp::{Backend, SolveError};
 use dmc_sim::LinkChange;
-use std::collections::HashMap;
-use std::ops::Range;
-use std::sync::Arc;
 
 /// What the joint LP optimizes across admitted flows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -114,9 +98,11 @@ pub struct FleetConfig {
     /// tombstones the block (its `Σx` row drops to 0, forcing the block
     /// to zero without changing the LP's shape — so the cached basis
     /// stays applicable), and only coefficient segments touched by the
-    /// aggregate-rate rescaling are rewritten. With `false` the joint
-    /// [`Problem`] is rebuilt from scratch on every solve (the pre-sparse
-    /// behavior, kept as the differential baseline — see
+    /// aggregate-rate rescaling are rewritten. `false` means one thing,
+    /// for both planners: the assembly is forgotten before every solve
+    /// and the members re-placed in admission order — the same
+    /// [`Problem`](dmc_lp::Problem) a from-scratch build produces, kept
+    /// as the differential baseline (see
     /// `tests/incremental_vs_rebuild.rs`).
     pub incremental: bool,
     /// Replay the feasibility certificate ([`dmc_lp::Solution::certify`])
@@ -185,105 +171,26 @@ impl AdmissionDecision {
     }
 }
 
-/// One shared path's mutable state (the base description plus the link
-/// dynamics applied so far). Shared with the slotted
-/// [`SchedulePlanner`](crate::SchedulePlanner), which tracks link
-/// dynamics the same way.
-#[derive(Debug, Clone)]
-pub(crate) struct SharedPath {
-    pub(crate) base: ScenarioPath,
-    pub(crate) bandwidth: f64,
-    pub(crate) loss: f64,
-    pub(crate) failed: bool,
-}
-
-impl SharedPath {
-    pub(crate) fn from_scenario(p: ScenarioPath) -> Self {
-        SharedPath {
-            bandwidth: p.bandwidth(),
-            loss: p.loss(),
-            failed: false,
-            base: p,
-        }
-    }
-
-    pub(crate) fn effective(&self) -> Result<ScenarioPath, FleetError> {
-        let loss = if self.failed { 1.0 } else { self.loss };
-        ScenarioPath::new(
-            self.bandwidth,
-            Arc::clone(self.base.delay()),
-            loss,
-            self.base.cost(),
-        )
-        .map_err(FleetError::Spec)
-    }
-}
-
 /// One admitted flow: its request, its model against the current shared
-/// paths, its block slot in the incremental joint assembly, and its
-/// slice of the current joint allocation.
+/// paths, and its slice of the current joint allocation.
 #[derive(Debug)]
 struct FlowState {
     id: FlowId,
     request: FlowRequest,
     model: ScenarioModel,
     plan: Plan,
-    /// Index into the assembly's slots (unused on the rebuild path).
-    slot: usize,
 }
 
-/// Cache key for joint warm-start bases: the shape of the assembled joint
-/// LP, mirroring the single-flow planner's cache. Two joint problems of
-/// equal shape can exchange bases — basis feasibility depends only on the
-/// coefficients, which the solver re-checks on every warm start — so a
-/// departure that returns the fleet to a previously seen shape (the
-/// churn pattern, or any tombstoning depart) re-enters phase 2 directly.
-/// The row-kind pattern is folded into an FNV-1a hash so fleets of any
-/// size (the 64-flow joint LP has well over 128 rows) stay cacheable; a
-/// hash collision can at worst hand the solver a basis it validates and
-/// rejects, falling back to a cold solve.
-///
-/// The hash also tags each row with whether its RHS is exactly zero.
-/// On the incremental path a tombstoned block and its revived
-/// re-occupation share the LP's *shape* — that is the point of
-/// tombstoning — but their optimal bases are mutually infeasible
-/// (`Σx = 0` vs `Σx = 1`); keying on the zero-RHS pattern gives each
-/// churn phase its own cache entry, so steady-state churn alternates
-/// between two entries that both keep hitting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct JointShapeKey {
-    n_vars: usize,
-    n_rows: usize,
-    kind_hash: u64,
+/// The admitted flows as the joint core sees them, in admission order.
+fn members(flows: &[FlowState]) -> Vec<Member<'_>> {
+    flows
+        .iter()
+        .map(|f| Member::instant(f.id, &f.request, &f.model))
+        .collect()
 }
 
-impl JointShapeKey {
-    pub(crate) fn of(problem: &Problem) -> Self {
-        let mut kind_hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for c in problem.constraints() {
-            let kind: u64 = match c.kind() {
-                ConstraintKind::LessEq => 1,
-                ConstraintKind::Eq => 2,
-            };
-            // dmc-lint: allow(float-exact) shape-key tag: structurally-zero RHS (tombstoned rows, quality floors) is written bitwise as 0.0, never computed
-            let tag = kind * 2 + u64::from(c.rhs() == 0.0);
-            kind_hash ^= tag;
-            kind_hash = kind_hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        JointShapeKey {
-            n_vars: problem.num_vars(),
-            n_rows: problem.num_constraints(),
-            kind_hash,
-        }
-    }
-}
-
-/// Bound on cached joint shapes; a fleet cycling through more shapes than
-/// this restarts its cache (churn touches one shape per admitted count).
-pub(crate) const MAX_CACHED_SHAPES: usize = 64;
-
-/// Compact the incremental assembly once it holds at least this many
-/// slots *and* tombstoned slots outnumber the active ones.
+/// Compact the joint assembly once it holds at least this many slots
+/// *and* tombstoned slots outnumber the active ones.
 const COMPACT_MIN_SLOTS: usize = 8;
 
 /// Cap on the capacity-event backoff between re-admission attempts of a
@@ -310,295 +217,6 @@ struct ShedFlow {
     attempts: u32,
     /// Capacity events to skip before the next attempt.
     skip: u32,
-}
-
-/// One per-flow block of the incremental joint LP: its column range and
-/// the rows that belong to it. A tombstoned (inactive) slot keeps its
-/// rows and columns — its `Σx` row's RHS is 0, forcing the whole block
-/// to zero — so departures never change the LP's shape; a later flow
-/// with the same width and row pattern takes the slot over in place.
-#[derive(Debug, Clone)]
-struct Slot {
-    cols: Range<usize>,
-    eq_row: usize,
-    cost_row: Option<usize>,
-    floor_row: Option<usize>,
-    active: bool,
-}
-
-/// How a tentative placement got its slot (so a rejected candidate can
-/// be rolled back exactly).
-#[derive(Debug, Clone, Copy)]
-enum Placement {
-    /// A brand-new block was appended; these were the sizes before.
-    Appended { prev_vars: usize, prev_rows: usize },
-    /// An existing tombstoned slot was re-activated in place.
-    Reused,
-}
-
-/// The incrementally maintained joint LP.
-///
-/// Row layout: the `K` shared capacity rows first (one per path), then
-/// per-slot rows in slot order — optional cost row, optional floor row,
-/// the `Σx = 1` equality — exactly the order [`assemble_joint`] emits
-/// for a fresh fleet, so a freshly populated incremental assembly and a
-/// from-scratch rebuild produce the *same* [`Problem`].
-///
-/// Membership changes move the aggregate rate `Λ`, which scales the
-/// objective, the shared rows and their RHS. [`JointAssembly::rescale`]
-/// recomputes those segments **from the per-flow models with fresh
-/// arithmetic** (never by multiplying running values), so the
-/// coefficients are a pure function of the current membership — history
-/// (the order of past arrivals and departures) cannot leak into the
-/// numerics, which is what keeps trace replay and warm-vs-cold
-/// comparisons bit-identical.
-#[derive(Debug)]
-struct JointAssembly {
-    problem: Problem,
-    slots: Vec<Slot>,
-    /// Scratch for scaled coefficient segments.
-    seg: Vec<f64>,
-}
-
-impl JointAssembly {
-    fn new() -> Self {
-        JointAssembly {
-            problem: Problem::maximize(Vec::new()),
-            slots: Vec::new(),
-            seg: Vec::new(),
-        }
-    }
-
-    /// Finds a compatible tombstoned slot for a flow of this width/row
-    /// pattern.
-    fn reusable_slot(&self, width: usize, has_cost: bool, has_floor: bool) -> Option<usize> {
-        self.slots.iter().position(|s| {
-            !s.active
-                && s.cols.len() == width
-                && s.cost_row.is_some() == has_cost
-                && s.floor_row.is_some() == has_floor
-        })
-    }
-
-    /// Places a flow's block — reusing a compatible tombstoned slot in
-    /// place, else appending a new block (adding the shared capacity
-    /// rows first if this is the very first block). Objective and
-    /// shared-row segments are left to [`JointAssembly::rescale`], which
-    /// every solve runs anyway.
-    fn place(
-        &mut self,
-        n_paths: usize,
-        request: &FlowRequest,
-        model: &ScenarioModel,
-    ) -> (usize, Placement) {
-        let width = model.num_combos();
-        let has_cost = request.cost_budget().is_finite();
-        let has_floor = request.min_quality() > 0.0;
-        if let Some(idx) = self.reusable_slot(width, has_cost, has_floor) {
-            let slot = self.slots[idx].clone();
-            let start = slot.cols.start;
-            if let Some(row) = slot.cost_row {
-                self.seg.clear();
-                self.seg.extend_from_slice(model.cost_coeffs());
-                let seg = std::mem::take(&mut self.seg);
-                self.problem
-                    .set_row_range(row, start, &seg)
-                    .expect("cost segment fits");
-                self.problem
-                    .set_rhs(row, request.cost_budget() / request.data_rate())
-                    .expect("row index recorded at assembly stays in range");
-                self.seg = seg;
-            }
-            if let Some(row) = slot.floor_row {
-                // `add_ge` stores the row negated; patch it the same way.
-                self.seg.clear();
-                self.seg.extend(model.quality_coeffs().iter().map(|p| -p));
-                let seg = std::mem::take(&mut self.seg);
-                self.problem
-                    .set_row_range(row, start, &seg)
-                    .expect("floor segment fits");
-                self.problem
-                    .set_rhs(row, -request.min_quality())
-                    .expect("row index recorded at assembly stays in range");
-                self.seg = seg;
-            }
-            self.problem
-                .set_rhs(slot.eq_row, 1.0)
-                .expect("Σx row exists");
-            self.slots[idx].active = true;
-            return (idx, Placement::Reused);
-        }
-
-        // Append a fresh block.
-        let prev_vars = self.problem.num_vars();
-        let prev_rows = self.problem.num_constraints();
-        self.seg.clear();
-        self.seg.resize(width, 0.0);
-        let seg = std::mem::take(&mut self.seg);
-        let cols = self.problem.append_block(&seg).expect("nonempty block");
-        self.seg = seg;
-        if prev_rows == 0 {
-            // First block: create the shared capacity rows (coefficients
-            // and RHS are rescale's job).
-            for _ in 0..n_paths {
-                self.problem
-                    .add_le_sparse(&[], 1.0)
-                    .expect("empty shared row");
-            }
-        }
-        let cost_row = has_cost.then(|| {
-            let entries: Vec<(usize, f64)> = model
-                .cost_triplets()
-                .map(|(j, v)| (cols.start + j, v))
-                .collect();
-            self.problem
-                .add_le_sparse(&entries, request.cost_budget() / request.data_rate())
-                .expect("valid cost row");
-            self.problem.num_constraints() - 1
-        });
-        let floor_row = has_floor.then(|| {
-            let entries: Vec<(usize, f64)> = model
-                .quality_triplets()
-                .map(|(j, v)| (cols.start + j, v))
-                .collect();
-            self.problem
-                .add_ge_sparse(&entries, request.min_quality())
-                .expect("valid floor row");
-            self.problem.num_constraints() - 1
-        });
-        let ones: Vec<(usize, f64)> = cols.clone().map(|j| (j, 1.0)).collect();
-        self.problem
-            .add_eq_sparse(&ones, 1.0)
-            .expect("valid Σx row");
-        let eq_row = self.problem.num_constraints() - 1;
-        self.slots.push(Slot {
-            cols,
-            eq_row,
-            cost_row,
-            floor_row,
-            active: true,
-        });
-        (
-            self.slots.len() - 1,
-            Placement::Appended {
-                prev_vars,
-                prev_rows,
-            },
-        )
-    }
-
-    /// Tombstones a slot: the block's objective and shared-row segments
-    /// drop to zero and its `Σx = 1` becomes `Σx = 0` (any floor row is
-    /// relaxed to 0), forcing every variable of the block to zero while
-    /// preserving the LP's shape — the cached basis of this shape keeps
-    /// working.
-    fn deactivate(&mut self, n_paths: usize, idx: usize) {
-        let slot = self.slots[idx].clone();
-        self.seg.clear();
-        self.seg.resize(slot.cols.len(), 0.0);
-        let seg = std::mem::take(&mut self.seg);
-        self.problem
-            .set_objective_range(slot.cols.start, &seg)
-            .expect("objective segment fits");
-        for k in 0..n_paths {
-            self.problem
-                .set_row_range(k, slot.cols.start, &seg)
-                .expect("shared segment fits");
-        }
-        self.seg = seg;
-        self.problem
-            .set_rhs(slot.eq_row, 0.0)
-            .expect("Σx row exists");
-        if let Some(row) = slot.floor_row {
-            self.problem.set_rhs(row, 0.0).expect("floor row exists");
-        }
-        self.slots[idx].active = false;
-    }
-
-    /// Rolls a tentative placement back. Appended placements **must** be
-    /// rolled back in reverse order of placement — truncating a block
-    /// from the middle would shift every later slot's rows and columns
-    /// under the slot table. That used to be a `debug_assert`, which a
-    /// release build would sail past and silently corrupt the assembly;
-    /// it is a checked error now, and callers fall back to rebuilding the
-    /// assembly from the admitted flows when it fires.
-    fn rollback(
-        &mut self,
-        n_paths: usize,
-        idx: usize,
-        placement: Placement,
-    ) -> Result<(), FleetError> {
-        match placement {
-            Placement::Appended {
-                prev_vars,
-                prev_rows,
-            } => {
-                if idx + 1 != self.slots.len() {
-                    return Err(FleetError::Invalid(format!(
-                        "rollback out of order: appended slot {idx} is not the last of {} slots",
-                        self.slots.len()
-                    )));
-                }
-                self.problem.truncate_rows(prev_rows);
-                self.problem.truncate_vars(prev_vars);
-                self.slots.pop();
-            }
-            Placement::Reused => self.deactivate(n_paths, idx),
-        }
-        Ok(())
-    }
-
-    /// Recomputes every Λ-dependent coefficient from the given membership
-    /// (active flows plus tentative candidates): per-block objective
-    /// segments `w·(λ_f/Λ)·p_f`, shared-row segments `(λ_f/Λ)·usage_f`
-    /// and the shared RHS `b_k/Λ` — the same arithmetic as
-    /// [`assemble_joint`], applied to the same slots every time. A flow
-    /// restricted to a path subset ([`FlowRequest::with_paths`]) consumes
-    /// nothing on the paths it does not use: its segment in those shared
-    /// rows is structurally zero.
-    fn rescale(
-        &mut self,
-        objective: FleetObjective,
-        paths: &[SharedPath],
-        members: &[(usize, &FlowRequest, &ScenarioModel)],
-    ) {
-        let lambda_tot: f64 = members.iter().map(|(_, r, _)| r.data_rate()).sum();
-        let mut seg = std::mem::take(&mut self.seg);
-        for &(slot_idx, r, m) in members {
-            let start = self.slots[slot_idx].cols.start;
-            let w = match objective {
-                FleetObjective::WeightedFair => r.priority(),
-                FleetObjective::MaxAdmitted | FleetObjective::MaxTotalQuality => 1.0,
-            };
-            let share = r.data_rate() / lambda_tot;
-            seg.clear();
-            seg.extend(m.quality_coeffs().iter().map(|p| w * share * p));
-            self.problem
-                .set_objective_range(start, &seg)
-                .expect("objective segment fits");
-            for (k, _) in paths.iter().enumerate() {
-                seg.clear();
-                match local_path_index(r.paths(), k) {
-                    Some(lk) => seg.extend(m.usage_coeffs(lk).iter().map(|u| share * u)),
-                    None => seg.resize(m.num_combos(), 0.0),
-                }
-                self.problem
-                    .set_row_range(k, start, &seg)
-                    .expect("shared segment fits");
-            }
-        }
-        for (k, path) in paths.iter().enumerate() {
-            self.problem
-                .set_rhs(k, path.bandwidth / lambda_tot)
-                .expect("shared row exists");
-        }
-        self.seg = seg;
-    }
-
-    /// Number of tombstoned slots.
-    fn inactive_slots(&self) -> usize {
-        self.slots.iter().filter(|s| !s.active).count()
-    }
 }
 
 /// The multi-tenant flow service: owns the shared paths, admits flows,
@@ -634,31 +252,16 @@ impl JointAssembly {
 /// ```
 #[derive(Debug)]
 pub struct FleetPlanner {
-    config: FleetConfig,
-    paths: Vec<SharedPath>,
+    /// The joint LP, over a private one-slot grid.
+    core: JointCore,
     flows: Vec<FlowState>,
     next_id: u64,
-    /// Builds per-flow coefficient models (never solves).
-    flow_planner: Planner,
-    /// Joint-LP scratch memory, reused across solves.
-    workspace: Workspace,
-    // dmc-lint: allow(det-unordered-map) key-lookup-only cache: get/insert/contains_key/len/clear, never iterated, so key order cannot reach results
-    warm_bases: HashMap<JointShapeKey, Basis>,
-    warm_attempts: u64,
-    warm_hits: u64,
-    /// Cold re-solves forced by a warm-start anomaly (singular basis or
-    /// pivot-cap abort on the warm path).
-    warm_anomalies: u64,
     /// Flows displaced by capacity losses, awaiting re-admission.
     shed: Vec<ShedFlow>,
     /// Flows that exhausted their re-admission attempts (cumulative).
     shed_rejected: Vec<FlowId>,
     /// Flows revived from the shed queue (cumulative, in revival order).
     revived: Vec<FlowId>,
-    /// The incrementally maintained joint LP
-    /// ([`FleetConfig::incremental`]); `None` until the first offer and
-    /// after structural resets (link changes that force re-admission).
-    assembly: Option<JointAssembly>,
 }
 
 impl FleetPlanner {
@@ -669,39 +272,14 @@ impl FleetPlanner {
     /// Rejects an empty path set and paths whose delay distribution has a
     /// non-finite mean.
     pub fn new(paths: Vec<ScenarioPath>, config: FleetConfig) -> Result<Self, FleetError> {
-        if paths.is_empty() {
-            return Err(FleetError::Invalid(
-                "a fleet needs at least one shared path".into(),
-            ));
-        }
-        for (k, p) in paths.iter().enumerate() {
-            if !p.delay().mean().is_finite() {
-                return Err(FleetError::Invalid(format!(
-                    "shared path {k} has a non-finite mean delay"
-                )));
-            }
-        }
-        let mut config = config;
-        if config.obs.is_enabled() && !config.planner.solver.obs.is_enabled() {
-            config.planner.solver.obs = config.obs.clone();
-        }
-        let flow_planner = Planner::with_config(config.planner.clone());
+        let instant = TimeGrid::new(1.0, 1)?;
         Ok(FleetPlanner {
-            config,
-            paths: paths.into_iter().map(SharedPath::from_scenario).collect(),
+            core: JointCore::new(paths, instant, config)?,
             flows: Vec::new(),
             next_id: 0,
-            flow_planner,
-            workspace: Workspace::new(),
-            // dmc-lint: allow(det-unordered-map) constructor of the key-lookup-only warm-basis cache above
-            warm_bases: HashMap::new(),
-            warm_attempts: 0,
-            warm_hits: 0,
-            warm_anomalies: 0,
             shed: Vec::new(),
             shed_rejected: Vec::new(),
             revived: Vec::new(),
-            assembly: None,
         })
     }
 
@@ -718,7 +296,7 @@ impl FleetPlanner {
 
     /// The active configuration.
     pub fn config(&self) -> &FleetConfig {
-        &self.config
+        &self.core.config
     }
 
     /// Offers one flow for admission.
@@ -736,7 +314,7 @@ impl FleetPlanner {
     pub fn offer(&mut self, request: FlowRequest) -> Result<AdmissionDecision, FleetError> {
         let id = FlowId::new(self.next_id);
         self.next_id += 1;
-        let model = self.flow_model(&request)?;
+        let model = self.core.flow_model(&request)?;
         self.admit_candidate(id, request, model)
     }
 
@@ -763,35 +341,24 @@ impl FleetPlanner {
         for request in requests {
             let id = FlowId::new(self.next_id);
             self.next_id += 1;
-            let model = self.flow_model(&request)?;
+            let model = self.core.flow_model(&request)?;
             candidates.push((id, request, model));
         }
         // Fast path: the whole batch in one solve.
-        let extras: Vec<(&FlowRequest, &ScenarioModel)> =
-            candidates.iter().map(|(_, r, m)| (r, m)).collect();
-        match self.solve_entries(&extras) {
-            Ok((mut segments, slots)) => {
+        let extras: Vec<Member<'_>> = candidates
+            .iter()
+            .map(|(id, r, m)| Member::instant(*id, r, m))
+            .collect();
+        match self.core.solve(&members(&self.flows), &extras) {
+            Ok(mut segments) => {
                 let candidate_segments = segments.split_off(self.flows.len());
                 self.refresh_plans(segments);
                 let mut decisions = Vec::with_capacity(candidates.len());
-                for (((id, request, model), seg), slot) in
-                    candidates.into_iter().zip(candidate_segments).zip(slots)
-                {
-                    let plan = model.plan_for(Objective::MaxQuality, seg);
-                    let predicted_quality = plan.quality();
-                    self.flows.push(FlowState {
-                        id,
-                        request,
-                        model,
-                        plan,
-                        slot,
-                    });
-                    decisions.push(AdmissionDecision::Admitted {
-                        id,
-                        predicted_quality,
-                    });
+                for ((id, request, model), seg) in candidates.into_iter().zip(candidate_segments) {
+                    decisions.push(self.commit(id, request, model, seg));
                 }
-                self.config
+                self.core
+                    .config
                     .obs
                     .counter("fleet.admits")
                     .add(decisions.len() as u64);
@@ -800,7 +367,7 @@ impl FleetPlanner {
             Err(SolveError::Infeasible { .. }) => {
                 // Greedy fallback; sort by deadline in MaxAdmitted mode.
                 let mut order: Vec<usize> = (0..candidates.len()).collect();
-                if self.config.objective == FleetObjective::MaxAdmitted {
+                if self.core.config.objective == FleetObjective::MaxAdmitted {
                     order.sort_by(|&a, &b| {
                         candidates[a]
                             .1
@@ -848,25 +415,16 @@ impl FleetPlanner {
     pub fn depart(&mut self, id: FlowId) -> Result<Plan, FleetError> {
         let Some(idx) = self.flows.iter().position(|f| f.id == id) else {
             if let Some(pos) = self.shed.iter().position(|s| s.id == id) {
-                self.config.obs.counter("fleet.departs").inc();
-                self.config.obs.gauge("fleet.shed_queue").sub(1);
+                self.core.config.obs.counter("fleet.departs").inc();
+                self.core.config.obs.gauge("fleet.shed_queue").sub(1);
                 return Ok(self.shed.remove(pos).plan);
             }
             return Err(FleetError::UnknownFlow(id));
         };
-        self.config.obs.counter("fleet.departs").inc();
+        self.core.config.obs.counter("fleet.departs").inc();
         let departed = self.flows.remove(idx);
-        if self.config.incremental {
-            if let Some(a) = self.assembly.as_mut() {
-                a.deactivate(self.paths.len(), departed.slot);
-            }
-            self.maybe_compact();
-        }
-        if !self.flows.is_empty() {
-            let (segments, _) = self.solve_entries(&[]).map_err(FleetError::Solve)?;
-            self.refresh_plans(segments);
-        }
-        self.revive_shed()?;
+        self.core.deactivate(id);
+        self.settle_after_departures()?;
         Ok(departed.plan)
     }
 
@@ -899,14 +457,9 @@ impl FleetPlanner {
         let mut removed_admitted = false;
         for &id in ids {
             if let Some(idx) = self.flows.iter().position(|f| f.id == id) {
-                let departed = self.flows.remove(idx);
-                if self.config.incremental {
-                    if let Some(a) = self.assembly.as_mut() {
-                        a.deactivate(self.paths.len(), departed.slot);
-                    }
-                }
+                plans.push(self.flows.remove(idx).plan);
+                self.core.deactivate(id);
                 removed_admitted = true;
-                plans.push(departed.plan);
             } else {
                 let pos = self
                     .shed
@@ -917,29 +470,25 @@ impl FleetPlanner {
             }
         }
         if removed_admitted {
-            if self.config.incremental {
-                self.maybe_compact();
-            }
-            if !self.flows.is_empty() {
-                let (segments, _) = self.solve_entries(&[]).map_err(FleetError::Solve)?;
-                self.refresh_plans(segments);
-            }
-            self.revive_shed()?;
+            self.settle_after_departures()?;
         }
         Ok(plans)
     }
 
-    /// Rebuilds the incremental assembly from the active flows (in
-    /// admission order) once tombstones outnumber them, bounding the
-    /// zombie-block overhead of a long-churning fleet.
-    fn maybe_compact(&mut self) {
-        let Some(a) = self.assembly.as_ref() else {
-            return;
-        };
-        if a.slots.len() < COMPACT_MIN_SLOTS || a.inactive_slots() <= self.flows.len() {
-            return;
+    /// After admitted flows left: compacts the assembly once tombstones
+    /// outnumber the survivors (bounding the zombie-block overhead of a
+    /// long-churning fleet), re-solves for the survivors, and gives the
+    /// shed queue its re-admission sweep.
+    fn settle_after_departures(&mut self) -> Result<(), FleetError> {
+        let (slots, tombstoned) = self.core.slot_counts();
+        if slots >= COMPACT_MIN_SLOTS && tombstoned > self.flows.len() {
+            self.core.forget();
         }
-        self.rebuild_assembly();
+        if !self.flows.is_empty() {
+            let segments = self.solve_members().map_err(FleetError::Solve)?;
+            self.refresh_plans(segments);
+        }
+        self.revive_shed()
     }
 
     /// Applies one link change to a shared path (reusing the
@@ -967,28 +516,7 @@ impl FleetPlanner {
         path: usize,
         change: &LinkChange,
     ) -> Result<Vec<FlowId>, FleetError> {
-        let Some(shared) = self.paths.get_mut(path) else {
-            return Err(FleetError::Invalid(format!(
-                "path index {path} out of range ({} shared paths)",
-                self.paths.len()
-            )));
-        };
-        match change {
-            LinkChange::Fail => shared.failed = true,
-            LinkChange::Recover => shared.failed = false,
-            LinkChange::SetBandwidth(bps) => {
-                if !(*bps > 0.0) || !bps.is_finite() {
-                    return Err(FleetError::Invalid(format!(
-                        "bandwidth must be finite and > 0, got {bps}"
-                    )));
-                }
-                shared.bandwidth = *bps;
-            }
-            LinkChange::SetLoss(model) => {
-                model.validate().map_err(FleetError::Invalid)?;
-                shared.loss = model.stationary_loss();
-            }
-        }
+        self.core.apply_link_change(path, change)?;
         // Resettle the incumbents first (their models must match the new
         // paths before any joint solve), then give the previously shed
         // flows their re-admission sweep, and only then enqueue the newly
@@ -997,14 +525,9 @@ impl FleetPlanner {
         let newly_shed = self.resettle()?;
         self.revive_shed()?;
         let ids: Vec<FlowId> = newly_shed.iter().map(|s| s.id).collect();
-        self.config
-            .obs
-            .counter("fleet.sheds")
-            .add(newly_shed.len() as u64);
-        self.config
-            .obs
-            .gauge("fleet.shed_queue")
-            .add(newly_shed.len() as i64);
+        let obs = &self.core.config.obs;
+        obs.counter("fleet.sheds").add(newly_shed.len() as u64);
+        obs.gauge("fleet.shed_queue").add(newly_shed.len() as i64);
         self.shed.extend(newly_shed);
         Ok(ids)
     }
@@ -1062,7 +585,7 @@ impl FleetPlanner {
     /// [`FleetConfig::obs`]; this accessor stays per-planner (a shared
     /// registry aggregates across planners and replays).
     pub fn warm_anomalies(&self) -> u64 {
-        self.warm_anomalies
+        self.core.warm_anomalies()
     }
 
     /// Number of admitted flows.
@@ -1105,7 +628,7 @@ impl FleetPlanner {
     ///
     /// Never fails in practice (paths were validated on entry).
     pub fn shared_paths(&self) -> Result<Vec<ScenarioPath>, FleetError> {
-        self.paths.iter().map(SharedPath::effective).collect()
+        self.core.shared_paths()
     }
 
     /// Per-path utilization: the admitted flows' summed send rates over
@@ -1114,7 +637,7 @@ impl FleetPlanner {
     /// subset contributes only to the paths it uses (its plan's send
     /// rates are indexed by its own subset).
     pub fn utilization(&self) -> Vec<f64> {
-        let mut util = vec![0.0; self.paths.len()];
+        let mut util = vec![0.0; self.core.paths.len()];
         for f in &self.flows {
             match f.request.paths() {
                 None => {
@@ -1129,7 +652,7 @@ impl FleetPlanner {
                 }
             }
         }
-        for (u, p) in util.iter_mut().zip(&self.paths) {
+        for (u, p) in util.iter_mut().zip(&self.core.paths) {
             *u /= p.bandwidth;
         }
         util
@@ -1162,49 +685,46 @@ impl FleetPlanner {
     /// [`FleetConfig::obs`] when that registry is enabled; prefer the
     /// registry for exported telemetry.
     pub fn warm_stats(&self) -> WarmStats {
-        WarmStats {
-            hits: self.warm_hits,
-            misses: self.warm_attempts - self.warm_hits,
-        }
+        self.core.warm_stats()
     }
 
     /// Number of joint-LP shapes with a cached warm-start basis.
     pub fn cached_bases(&self) -> usize {
-        self.warm_bases.len()
+        self.core.cached_bases()
     }
 
     /// Drops all cached joint bases (subsequent solves start cold).
     pub fn clear_warm_cache(&mut self) {
-        self.warm_bases.clear();
+        self.core.clear_warm_cache();
     }
 
-    /// Builds the candidate's per-flow scenario/model against the current
-    /// shared paths (restricted to the flow's declared subset when
-    /// [`FlowRequest::with_paths`] was used).
-    fn flow_model(&mut self, request: &FlowRequest) -> Result<ScenarioModel, FleetError> {
-        let effective = self.shared_paths()?;
-        let flow_paths = match request.paths() {
-            Some(subset) => {
-                if let Some(&bad) = subset.iter().find(|&&k| k >= effective.len()) {
-                    return Err(FleetError::Invalid(format!(
-                        "flow path index {bad} out of range ({} shared paths)",
-                        effective.len()
-                    )));
-                }
-                subset.iter().map(|&k| effective[k].clone()).collect()
-            }
-            None => effective,
-        };
-        let mut builder = Scenario::builder()
-            .paths(flow_paths)
-            .data_rate(request.data_rate())
-            .lifetime(request.lifetime())
-            .transmissions(request.transmissions());
-        if request.cost_budget().is_finite() {
-            builder = builder.cost_budget(request.cost_budget());
+    /// Re-solves the joint LP over the admitted flows, returning one
+    /// assignment segment per flow in admission order.
+    fn solve_members(&mut self) -> Result<Vec<Vec<f64>>, SolveError> {
+        self.core.solve(&members(&self.flows), &[])
+    }
+
+    /// Admits a candidate the joint LP just proved feasible, with its
+    /// segment of that solution.
+    fn commit(
+        &mut self,
+        id: FlowId,
+        request: FlowRequest,
+        model: ScenarioModel,
+        seg: Vec<f64>,
+    ) -> AdmissionDecision {
+        let plan = model.plan_for(Objective::MaxQuality, seg);
+        let predicted_quality = plan.quality();
+        self.flows.push(FlowState {
+            id,
+            request,
+            model,
+            plan,
+        });
+        AdmissionDecision::Admitted {
+            id,
+            predicted_quality,
         }
-        let scenario = builder.build().map_err(FleetError::Spec)?;
-        Ok(self.flow_planner.model(&scenario))
     }
 
     /// Tentatively solves the joint LP with `id`'s candidate added;
@@ -1216,28 +736,16 @@ impl FleetPlanner {
         request: FlowRequest,
         model: ScenarioModel,
     ) -> Result<AdmissionDecision, FleetError> {
-        let extra = [(&request, &model)];
-        match self.solve_entries(&extra) {
-            Ok((mut segments, slots)) => {
+        let extra = [Member::instant(id, &request, &model)];
+        match self.core.solve(&members(&self.flows), &extra) {
+            Ok(mut segments) => {
                 let seg = segments.pop().expect("candidate segment");
                 self.refresh_plans(segments);
-                let plan = model.plan_for(Objective::MaxQuality, seg);
-                let predicted_quality = plan.quality();
-                self.flows.push(FlowState {
-                    id,
-                    request,
-                    model,
-                    plan,
-                    slot: slots[0],
-                });
-                self.config.obs.counter("fleet.admits").inc();
-                Ok(AdmissionDecision::Admitted {
-                    id,
-                    predicted_quality,
-                })
+                self.core.config.obs.counter("fleet.admits").inc();
+                Ok(self.commit(id, request, model, seg))
             }
             Err(SolveError::Infeasible { .. }) => {
-                self.config.obs.counter("fleet.refusals").inc();
+                self.core.config.obs.counter("fleet.refusals").inc();
                 Ok(AdmissionDecision::Rejected {
                     id,
                     reason: "the remaining shared capacity cannot meet this flow's quality \
@@ -1255,34 +763,25 @@ impl FleetPlanner {
     /// ties — so equal-priority fleets shed exactly as they always did)
     /// and returns the displaced flows for the caller to enqueue.
     fn resettle(&mut self) -> Result<Vec<ShedFlow>, FleetError> {
-        for i in 0..self.flows.len() {
-            let request = self.flows[i].request.clone();
-            self.flows[i].model = self.flow_model(&request)?;
+        for f in &mut self.flows {
+            f.model = self.core.flow_model(&f.request)?;
         }
         if self.flows.is_empty() {
             return Ok(Vec::new());
         }
-        if self.config.incremental {
-            // The per-flow coefficients changed wholesale; rebuild the
-            // assembly from the new models (shape usually unchanged, so
-            // the cached basis of the shape still applies).
-            self.rebuild_assembly();
-        }
-        match self.solve_entries(&[]) {
-            Ok((segments, _)) => {
+        // The per-flow coefficients changed wholesale; re-place the
+        // blocks from the new models (shape usually unchanged, so the
+        // cached basis of the shape still applies).
+        self.core.forget();
+        match self.solve_members() {
+            Ok(segments) => {
                 self.refresh_plans(segments);
                 Ok(Vec::new())
             }
             Err(SolveError::Infeasible { .. }) => {
                 let mut survivors = std::mem::take(&mut self.flows);
-                self.assembly = None;
-                survivors.sort_by(|a, b| {
-                    b.request
-                        .priority()
-                        .partial_cmp(&a.request.priority())
-                        .expect("priorities are finite")
-                        .then(a.id.cmp(&b.id))
-                });
+                self.core.forget();
+                survivors.sort_by(|a, b| readmission_order((&a.request, a.id), (&b.request, b.id)));
                 let mut shed = Vec::new();
                 for f in survivors {
                     let request = f.request.clone();
@@ -1316,13 +815,8 @@ impl FleetPlanner {
         if self.shed.is_empty() {
             return Ok(());
         }
-        self.shed.sort_by(|a, b| {
-            b.request
-                .priority()
-                .partial_cmp(&a.request.priority())
-                .expect("priorities are finite")
-                .then(a.id.cmp(&b.id))
-        });
+        self.shed
+            .sort_by(|a, b| readmission_order((&a.request, a.id), (&b.request, b.id)));
         let queue = std::mem::take(&mut self.shed);
         for mut s in queue {
             if s.skip > 0 {
@@ -1330,18 +824,18 @@ impl FleetPlanner {
                 self.shed.push(s);
                 continue;
             }
-            let model = self.flow_model(&s.request)?;
+            let model = self.core.flow_model(&s.request)?;
             match self.admit_candidate(s.id, s.request.clone(), model)? {
                 AdmissionDecision::Admitted { .. } => {
-                    self.config.obs.counter("fleet.revives").inc();
-                    self.config.obs.gauge("fleet.shed_queue").sub(1);
+                    self.core.config.obs.counter("fleet.revives").inc();
+                    self.core.config.obs.gauge("fleet.shed_queue").sub(1);
                     self.revived.push(s.id);
                 }
                 AdmissionDecision::Rejected { .. } => {
                     s.attempts += 1;
                     if s.attempts >= Self::MAX_SHED_ATTEMPTS {
-                        self.config.obs.counter("fleet.shed_rejects").inc();
-                        self.config.obs.gauge("fleet.shed_queue").sub(1);
+                        self.core.config.obs.counter("fleet.shed_rejects").inc();
+                        self.core.config.obs.gauge("fleet.shed_queue").sub(1);
                         self.shed_rejected.push(s.id);
                     } else {
                         s.skip = ((1u32 << s.attempts) - 1).min(SHED_SKIP_CAP);
@@ -1353,17 +847,6 @@ impl FleetPlanner {
         Ok(())
     }
 
-    /// Re-places every active flow into a fresh assembly (keeps slot
-    /// layout deterministic after wholesale model changes).
-    fn rebuild_assembly(&mut self) {
-        let mut fresh = JointAssembly::new();
-        for f in &mut self.flows {
-            let (slot, _) = fresh.place(self.paths.len(), &f.request, &f.model);
-            f.slot = slot;
-        }
-        self.assembly = Some(fresh);
-    }
-
     /// Re-packages a fresh joint solution's segments into the admitted
     /// flows' plans (in admission order).
     fn refresh_plans(&mut self, segments: Vec<Vec<f64>>) {
@@ -1372,289 +855,6 @@ impl FleetPlanner {
             f.plan = f.model.plan_for(Objective::MaxQuality, seg);
         }
     }
-
-    /// Solver options for the joint LP: the shared planner options with
-    /// the joint backend swapped in.
-    fn joint_opts(&self) -> SolverOptions {
-        SolverOptions {
-            backend: self.config.joint_backend,
-            ..self.config.planner.solver.clone()
-        }
-    }
-
-    /// Solves an assembled joint problem with the shape-keyed warm-start
-    /// cache (shared by the incremental and rebuild paths).
-    fn solve_joint_problem(&mut self, problem: &Problem) -> Result<dmc_lp::Solution, SolveError> {
-        let opts = self.joint_opts();
-        let key = self
-            .config
-            .planner
-            .warm_start
-            .then(|| JointShapeKey::of(problem));
-        let solution = match key.and_then(|k| self.warm_bases.get(&k)) {
-            Some(basis) => {
-                self.warm_attempts += 1;
-                match problem.solve_warm_with(&opts, &mut self.workspace, basis) {
-                    Ok(s) => {
-                        if s.used_warm_start() {
-                            self.warm_hits += 1;
-                            self.config.obs.counter("fleet.warm_hits").inc();
-                        } else {
-                            self.config.obs.counter("fleet.warm_misses").inc();
-                        }
-                        s
-                    }
-                    Err(e) if SolveStatus::of_error(&e).is_anomaly() => {
-                        // A singular/stale basis or a pivot-cap abort on
-                        // the warm path is a numerical anomaly, not a
-                        // verdict about the problem: drop the offending
-                        // basis and re-solve cold. The incumbents keep
-                        // their last-known-good plans unless the cold
-                        // solve succeeds (plans are only refreshed from a
-                        // successful solution).
-                        self.warm_anomalies += 1;
-                        self.config.obs.counter("fleet.warm_anomalies").inc();
-                        self.config.obs.counter("fleet.warm_misses").inc();
-                        if let Some(k) = key {
-                            self.warm_bases.remove(&k);
-                        }
-                        problem.solve_with(&opts, &mut self.workspace)?
-                    }
-                    Err(e) => {
-                        self.config.obs.counter("fleet.warm_misses").inc();
-                        return Err(e);
-                    }
-                }
-            }
-            None => problem.solve_with(&opts, &mut self.workspace)?,
-        };
-        if let (Some(k), Some(basis)) = (key, solution.basis()) {
-            if self.warm_bases.len() >= MAX_CACHED_SHAPES && !self.warm_bases.contains_key(&k) {
-                self.warm_bases.clear();
-            }
-            self.warm_bases.insert(k, basis.clone());
-        }
-        // The decomposition path replays the feasibility certificate in
-        // debug builds (and in release when [`FleetConfig::certify`] is
-        // set): every per-flow plan descends from this x, so a bogus
-        // vertex here would silently corrupt the whole fleet.
-        if cfg!(debug_assertions) || self.config.certify {
-            solution
-                .certify(problem)
-                .expect("joint LP solution failed its feasibility certificate");
-        }
-        Ok(solution)
-    }
-
-    /// Assembles and solves the joint LP over the admitted flows plus
-    /// `extras`, returning one assignment segment per flow (admitted
-    /// first, then extras, both in order) and the block slot each extra
-    /// ended up in. With no flows at all there is nothing to solve.
-    ///
-    /// On *any* error — infeasibility included — the incremental
-    /// assembly is rolled back to the admitted flows, so a rejected
-    /// candidate leaves no trace.
-    fn solve_entries(
-        &mut self,
-        extras: &[(&FlowRequest, &ScenarioModel)],
-    ) -> Result<(Vec<Vec<f64>>, Vec<usize>), SolveError> {
-        if self.flows.is_empty() && extras.is_empty() {
-            return Ok((Vec::new(), Vec::new()));
-        }
-        if self.config.incremental {
-            self.solve_incremental(extras)
-        } else {
-            self.solve_rebuild(extras)
-        }
-    }
-
-    /// The incremental path: place extras into the maintained assembly,
-    /// rescale the Λ-dependent segments, solve in place.
-    fn solve_incremental(
-        &mut self,
-        extras: &[(&FlowRequest, &ScenarioModel)],
-    ) -> Result<(Vec<Vec<f64>>, Vec<usize>), SolveError> {
-        let n_paths = self.paths.len();
-        let mut assembly = self.assembly.take().unwrap_or_else(JointAssembly::new);
-        let mut placements: Vec<(usize, Placement)> = Vec::with_capacity(extras.len());
-        for (r, m) in extras {
-            placements.push(assembly.place(n_paths, r, m));
-        }
-        let members: Vec<(usize, &FlowRequest, &ScenarioModel)> = self
-            .flows
-            .iter()
-            .map(|f| (f.slot, &f.request, &f.model))
-            .chain(
-                placements
-                    .iter()
-                    .zip(extras)
-                    .map(|(&(slot, _), &(r, m))| (slot, r, m)),
-            )
-            .collect();
-        assembly.rescale(self.config.objective, &self.paths, &members);
-        drop(members);
-        let outcome = self.solve_joint_problem(&assembly.problem);
-        match outcome {
-            Ok(solution) => {
-                let x = solution.into_x();
-                let segments = self
-                    .flows
-                    .iter()
-                    .map(|f| f.slot)
-                    .chain(placements.iter().map(|&(slot, _)| slot))
-                    .map(|slot| x[assembly.slots[slot].cols.clone()].to_vec())
-                    .collect();
-                let slots = placements.into_iter().map(|(slot, _)| slot).collect();
-                self.assembly = Some(assembly);
-                Ok((segments, slots))
-            }
-            Err(e) => {
-                // Roll the tentative placements back (reverse order, so
-                // appended blocks truncate cleanly) and restore the
-                // incumbents' scaling. If the rollback sequence is ever
-                // inconsistent (a checked error since the two-phase
-                // service path, not a debug_assert), the assembly is
-                // rebuilt from the admitted flows instead of being
-                // patched in place with shifted row indices.
-                let clean = placements
-                    .iter()
-                    .rev()
-                    .all(|&(slot, placement)| assembly.rollback(n_paths, slot, placement).is_ok());
-                if clean {
-                    if !self.flows.is_empty() {
-                        let members: Vec<(usize, &FlowRequest, &ScenarioModel)> = self
-                            .flows
-                            .iter()
-                            .map(|f| (f.slot, &f.request, &f.model))
-                            .collect();
-                        assembly.rescale(self.config.objective, &self.paths, &members);
-                    }
-                    self.assembly = Some(assembly);
-                } else {
-                    self.rebuild_assembly();
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// The rebuild path ([`FleetConfig::incremental`] = `false`): the
-    /// pre-sparse behavior of assembling a fresh joint [`Problem`] per
-    /// solve, kept as the differential baseline.
-    fn solve_rebuild(
-        &mut self,
-        extras: &[(&FlowRequest, &ScenarioModel)],
-    ) -> Result<(Vec<Vec<f64>>, Vec<usize>), SolveError> {
-        let (problem, combos) = {
-            let entries: Vec<(&FlowRequest, &ScenarioModel)> = self
-                .flows
-                .iter()
-                .map(|f| (&f.request, &f.model))
-                .chain(extras.iter().copied())
-                .collect();
-            let combos: Vec<usize> = entries.iter().map(|(_, m)| m.num_combos()).collect();
-            (
-                assemble_joint(self.config.objective, &self.paths, &entries),
-                combos,
-            )
-        };
-        let solution = self.solve_joint_problem(&problem)?;
-        let x = solution.into_x();
-        let mut segments = Vec::with_capacity(combos.len());
-        let mut offset = 0;
-        for c in &combos {
-            segments.push(x[offset..offset + c].to_vec());
-            offset += c;
-        }
-        debug_assert_eq!(offset, x.len());
-        // Slot indices are not meaningful on this path; extras get their
-        // entry order.
-        let slots = (self.flows.len()..combos.len()).collect();
-        Ok((segments, slots))
-    }
-}
-
-/// Assembles the joint LP from scratch (see the module docs for the
-/// formulation; the rebuild path and the differential tests use this).
-///
-/// Row order matters twice over: with one floor-free flow the sequence —
-/// shared capacity rows first (one per path, like the single-flow
-/// planner), then the flow's cost/floor rows and its `Σx = 1` — is
-/// exactly the row order of `Planner::plan(_, MaxQuality)` (single-flow
-/// parity), and with many flows the per-flow rows are grouped *per flow*
-/// in admission order, which is precisely the layout the incremental
-/// [`JointAssembly`] maintains — a freshly populated fleet produces the
-/// same [`Problem`] on both paths.
-/// The flow-local index of global path `k` under an optional path subset
-/// (`None` = the identity mapping: the flow's model covers every shared
-/// path), or `None` when the flow does not use the path at all.
-pub(crate) fn local_path_index(subset: Option<&[usize]>, k: usize) -> Option<usize> {
-    match subset {
-        None => Some(k),
-        Some(s) => s.binary_search(&k).ok(),
-    }
-}
-
-fn assemble_joint(
-    objective: FleetObjective,
-    paths: &[SharedPath],
-    entries: &[(&FlowRequest, &ScenarioModel)],
-) -> Problem {
-    let lambda_tot: f64 = entries.iter().map(|(r, _)| r.data_rate()).sum();
-    let total_vars: usize = entries.iter().map(|(_, m)| m.num_combos()).sum();
-    let mut c = Vec::with_capacity(total_vars);
-    for (r, m) in entries {
-        let w = match objective {
-            FleetObjective::WeightedFair => r.priority(),
-            FleetObjective::MaxAdmitted | FleetObjective::MaxTotalQuality => 1.0,
-        };
-        let share = r.data_rate() / lambda_tot;
-        c.extend(m.quality_coeffs().iter().map(|p| w * share * p));
-    }
-    let mut lp = Problem::maximize(c);
-    // Shared capacity rows: Σ_f (λ_f/Λ)·usage_f,k · x^f ≤ b_k/Λ. A flow
-    // restricted to a path subset has a structurally zero segment in the
-    // rows of the paths it does not use.
-    for (k, path) in paths.iter().enumerate() {
-        let mut row = Vec::with_capacity(total_vars);
-        for (r, m) in entries {
-            let share = r.data_rate() / lambda_tot;
-            match local_path_index(r.paths(), k) {
-                Some(lk) => row.extend(m.usage_coeffs(lk).iter().map(|u| share * u)),
-                None => row.extend(std::iter::repeat_n(0.0, m.num_combos())),
-            }
-        }
-        lp.add_le(row, path.bandwidth / lambda_tot)
-            .expect("dimensions match");
-    }
-    // Per-flow blocks: cost budget, quality floor, Σx = 1 — grouped per
-    // flow, like the incremental assembly appends them.
-    let mut offset = 0;
-    let mut block_starts = Vec::with_capacity(entries.len());
-    for (r, m) in entries {
-        let n = m.num_combos();
-        block_starts.push(offset);
-        if r.cost_budget().is_finite() {
-            let mut row = vec![0.0; total_vars];
-            row[offset..offset + n].copy_from_slice(m.cost_coeffs());
-            lp.add_le(row, r.cost_budget() / r.data_rate())
-                .expect("dimensions match");
-        }
-        if r.min_quality() > 0.0 {
-            let mut row = vec![0.0; total_vars];
-            row[offset..offset + n].copy_from_slice(m.quality_coeffs());
-            lp.add_ge(row, r.min_quality()).expect("dimensions match");
-        }
-        let mut row = vec![0.0; total_vars];
-        for v in &mut row[offset..offset + n] {
-            *v = 1.0;
-        }
-        lp.add_eq(row, 1.0).expect("dimensions match");
-        offset += n;
-    }
-    lp.set_block_starts(block_starts)
-        .expect("block starts are sorted and in range");
-    lp
 }
 
 #[cfg(test)]
@@ -1887,30 +1087,6 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_rollback_is_a_checked_error() {
-        let mut fleet = fleet();
-        let req_a = FlowRequest::new(10e6, 0.5).unwrap();
-        let req_b = FlowRequest::new(20e6, 0.7).unwrap();
-        let model_a = fleet.flow_model(&req_a).unwrap();
-        let model_b = fleet.flow_model(&req_b).unwrap();
-        let mut assembly = JointAssembly::new();
-        let (slot_a, place_a) = assembly.place(2, &req_a, &model_a);
-        let (slot_b, place_b) = assembly.place(2, &req_b, &model_b);
-        // Rolling the *first* appended block back while the second still
-        // exists would truncate the wrong rows; it must fail loudly (it
-        // was a debug_assert before, so release builds corrupted the
-        // assembly silently).
-        assert!(matches!(
-            assembly.rollback(2, slot_a, place_a),
-            Err(FleetError::Invalid(_))
-        ));
-        // Reverse placement order unwinds cleanly.
-        assert!(assembly.rollback(2, slot_b, place_b).is_ok());
-        assert!(assembly.rollback(2, slot_a, place_a).is_ok());
-        assert!(assembly.slots.is_empty());
-    }
-
-    #[test]
     fn partial_batch_failure_rolls_back_and_admits_what_fits() {
         let mut fleet = fleet();
         // The whole batch cannot fit (two 60 Mbps flows at 90 % on
@@ -2047,8 +1223,8 @@ mod tests {
         assert!(fleet.cached_bases() > 0);
         let cached_before = fleet.cached_bases();
         let plan_a = fleet.plan_of(a.id()).unwrap().clone();
-        let budget = fleet.config.planner.solver.max_iterations;
-        fleet.config.planner.solver.max_iterations = 1;
+        let budget = fleet.core.config.planner.solver.max_iterations;
+        fleet.core.config.planner.solver.max_iterations = 1;
         let err = fleet
             .apply_link_change(0, &LinkChange::SetBandwidth(5e6))
             .unwrap_err();
@@ -2064,7 +1240,7 @@ mod tests {
             plan_a.strategy().x()
         );
         // With the budget restored the fleet resettles cleanly.
-        fleet.config.planner.solver.max_iterations = budget;
+        fleet.core.config.planner.solver.max_iterations = budget;
         let shed = fleet
             .apply_link_change(0, &LinkChange::SetBandwidth(80e6))
             .unwrap();

@@ -35,25 +35,22 @@
 //! ([`SchedulePlanner::set_maintenance`]).
 //!
 //! With `S = 1` and every window a single slot, each reduction is exact
-//! in floating point (`λ·1.0 ≡ λ`, `1.0/1.0 ≡ 1.0`), and the assembly
-//! emits the *same* `Problem` mutation sequence as the instant planner —
-//! so a single-slot horizon reproduces [`crate::FleetPlanner`] **bit for
-//! bit** (`tests/schedule_parity.rs`).
+//! in floating point (`λ·1.0 ≡ λ`, `1.0/1.0 ≡ 1.0`) and this is the
+//! instant joint LP — which is how [`crate::FleetPlanner`] runs: the
+//! same core over a one-slot grid, so a single-slot horizon reproduces
+//! it **bit for bit** (`tests/schedule_parity.rs`).
 //!
-//! # Incremental machinery, reused
+//! # One LP core, shared
 //!
-//! A (flow × window) block is just another
-//! [`append_block`](dmc_lp::Problem::append_block): the shared rows are
-//! the `S·K` per-slot capacity rows, **ring-indexed** (`row(s, k) =
-//! (s mod S)·K + k`) so a slot's row index never moves as the horizon
-//! advances. Departures and expiries tombstone the block exactly like
-//! the instant assembly (balance RHS `1/L → 0` forces the block to
-//! zero without changing the LP's shape), so the shape-keyed warm-basis
-//! cache keeps hitting across [`SchedulePlanner::advance_to`]: expired
-//! slots' rows are recycled in place for the new tail slots, and a new
-//! arrival with the same width/window-ring pattern takes a tombstoned
-//! slot over in place. That is what the `schedule_horizon` bench
-//! measures against a rebuild-per-solve baseline.
+//! The LP itself — ring-indexed capacity rows, block layout,
+//! tombstoning, Λ-rescaling, the shape-keyed warm-basis cache — is the
+//! joint core this planner shares with the instant
+//! [`FleetPlanner`](crate::FleetPlanner) (`joint.rs`). What lives here
+//! is the *policy* of the time axis: the reservation slide, the horizon
+//! advance ([`SchedulePlanner::advance_to`] — expired windows tombstone,
+//! so the LP's shape and its cached basis survive the slide, which is
+//! what the `schedule_horizon` bench measures against a
+//! rebuild-per-solve baseline) and maintenance windows.
 //!
 //! # Advance reservations
 //!
@@ -67,17 +64,12 @@
 
 use crate::error::FleetError;
 use crate::flow::{FlowId, FlowRequest};
-use crate::planner::{
-    local_path_index, FleetConfig, FleetObjective, JointShapeKey, SharedPath, MAX_CACHED_SHAPES,
-};
-use dmc_core::{Objective, Plan, Planner, Scenario, ScenarioModel, ScenarioPath, WarmStats};
-use dmc_lp::{Basis, Problem, SolveError, SolveStatus, SolverOptions, Workspace};
+use crate::joint::{local_path_index, readmission_order, JointCore, Member};
+use crate::planner::FleetConfig;
+use dmc_core::{Objective, Plan, ScenarioModel, ScenarioPath, WarmStats};
+use dmc_lp::SolveError;
 use dmc_sim::LinkChange;
-use std::collections::BTreeSet;
-// dmc-lint: allow(det-unordered-map) key-lookup-only warm-basis cache (get/insert/contains_key/len/clear, never iterated), mirroring FleetPlanner's
-use std::collections::HashMap;
 use std::fmt;
-use std::ops::Range;
 
 /// A slotted scheduling horizon: `horizon` slots of `slot_width`
 /// seconds each, starting at absolute slot number `origin`.
@@ -165,14 +157,6 @@ impl TimeGrid {
     /// Whether a whole window is inside the current horizon.
     pub fn contains_window(&self, window: &SlotWindow) -> bool {
         window.start() >= self.origin && window.end() <= self.end()
-    }
-
-    /// The capacity-row ring position of a slot: rows are laid out
-    /// `(slot mod horizon)·K + k`, so a surviving slot's rows never move
-    /// when the horizon advances and an expired slot's rows are recycled
-    /// in place by the slot that takes over its ring position.
-    pub(crate) fn ring(&self, slot: u64) -> usize {
-        (slot % self.horizon as u64) as usize
     }
 
     fn advanced_to(mut self, new_origin: u64) -> Self {
@@ -447,7 +431,7 @@ impl ScheduleShuffle {
 }
 
 /// One scheduled flow: its (possibly slid or truncated) request, model,
-/// per-slot allocation and aggregate plan, plus its block slot.
+/// per-slot allocation and aggregate plan.
 #[derive(Debug)]
 struct SchedFlowState {
     id: FlowId,
@@ -460,391 +444,6 @@ struct SchedFlowState {
     slot_x: Vec<Vec<f64>>,
     /// Largest buffer level the allocation uses (0 without buffering).
     peak_carry: f64,
-    /// Index into the assembly's slot table.
-    slot: usize,
-}
-
-/// One flow's block in the time-expanded assembly: `L·n` assignment
-/// columns (window-slot-major) plus `carry` buffer columns, its
-/// optional cost/floor rows, its `L` balance rows and `carry` cap rows.
-/// Tombstoning zeroes the balance/floor/cap RHS — forcing the whole
-/// block to zero without changing the LP's shape — and a later flow
-/// with the same width, window length, buffering and window *ring
-/// phase* takes the slot over in place.
-#[derive(Debug, Clone)]
-struct SchedSlot {
-    cols: Range<usize>,
-    window: SlotWindow,
-    n_combos: usize,
-    carry: usize,
-    cost_row: Option<usize>,
-    floor_row: Option<usize>,
-    /// First of the `window.len()` balance rows (contiguous).
-    balance_start: usize,
-    /// First of the `carry` buffer-cap rows (contiguous, after balance).
-    cap_start: usize,
-    active: bool,
-}
-
-impl SchedSlot {
-    /// Column offset of window-slot `i`'s assignment segment.
-    fn combo_start(&self, i: usize) -> usize {
-        self.cols.start + i * self.n_combos
-    }
-}
-
-/// How a tentative placement got its slot (mirrors the instant
-/// assembly's rollback contract).
-#[derive(Debug, Clone, Copy)]
-enum Placement {
-    Appended { prev_vars: usize, prev_rows: usize },
-    Reused,
-}
-
-/// The incrementally maintained time-expanded joint LP.
-///
-/// Row layout: the `S·K` ring-indexed per-slot capacity rows first,
-/// then per-block rows in slot order — optional cost row, optional
-/// floor row, the `L` balance equalities, the `carry` buffer caps. At
-/// `S = 1`, `L = 1`, no buffering, this is exactly the instant
-/// assembly's layout.
-#[derive(Debug)]
-struct SchedAssembly {
-    problem: Problem,
-    slots: Vec<SchedSlot>,
-    seg: Vec<f64>,
-}
-
-impl SchedAssembly {
-    fn new() -> Self {
-        SchedAssembly {
-            problem: Problem::maximize(Vec::new()),
-            slots: Vec::new(),
-            seg: Vec::new(),
-        }
-    }
-
-    /// A compatible tombstoned slot: same assignment width, window
-    /// length, buffering, row pattern *and ring phase* (the capacity
-    /// rows a block touches are baked into its coefficients, so only a
-    /// window hitting the same rings can take the block over).
-    fn reusable_slot(&self, grid: &TimeGrid, req: &ScheduleRequest, n: usize) -> Option<usize> {
-        let window = req.window();
-        let carry = carry_vars(req);
-        let has_cost = req.flow().cost_budget().is_finite();
-        let has_floor = req.flow().min_quality() > 0.0;
-        self.slots.iter().position(|s| {
-            !s.active
-                && s.n_combos == n
-                && s.window.len() == window.len()
-                && s.carry == carry
-                && grid.ring(s.window.start()) == grid.ring(window.start())
-                && s.cost_row.is_some() == has_cost
-                && s.floor_row.is_some() == has_floor
-        })
-    }
-
-    /// Places a flow's block — reusing a compatible tombstone in place,
-    /// else appending (adding the `S·K` shared capacity rows first if
-    /// this is the very first block). Objective and shared-row segments
-    /// are left to [`SchedAssembly::rescale`], which every solve runs.
-    fn place(
-        &mut self,
-        grid: &TimeGrid,
-        n_paths: usize,
-        req: &ScheduleRequest,
-        model: &ScenarioModel,
-    ) -> (usize, Placement) {
-        let n = model.num_combos();
-        let window = req.window();
-        let len = window.len();
-        let carry = carry_vars(req);
-        let g = 1.0 / len as f64;
-        if let Some(idx) = self.reusable_slot(grid, req, n) {
-            let slot = self.slots[idx].clone();
-            if let Some(row) = slot.cost_row {
-                self.seg.clear();
-                for _ in 0..len {
-                    self.seg.extend_from_slice(model.cost_coeffs());
-                }
-                self.seg.resize(len * n + carry, 0.0);
-                let seg = std::mem::take(&mut self.seg);
-                self.problem
-                    .set_row_range(row, slot.cols.start, &seg)
-                    .expect("cost segment fits");
-                self.problem
-                    .set_rhs(row, req.flow().cost_budget() / req.flow().data_rate())
-                    .expect("row index recorded at assembly stays in range");
-                self.seg = seg;
-            }
-            if let Some(row) = slot.floor_row {
-                // `add_ge` stores the row negated; patch it the same way.
-                self.seg.clear();
-                for _ in 0..len {
-                    self.seg.extend(model.quality_coeffs().iter().map(|p| -p));
-                }
-                self.seg.resize(len * n + carry, 0.0);
-                let seg = std::mem::take(&mut self.seg);
-                self.problem
-                    .set_row_range(row, slot.cols.start, &seg)
-                    .expect("floor segment fits");
-                self.problem
-                    .set_rhs(row, -req.flow().min_quality())
-                    .expect("row index recorded at assembly stays in range");
-                self.seg = seg;
-            }
-            for i in 0..len {
-                self.problem
-                    .set_rhs(slot.balance_start + i, g)
-                    .expect("balance row exists");
-            }
-            for i in 0..carry {
-                self.problem
-                    .set_rhs(slot.cap_start + i, req.buffer() * g)
-                    .expect("cap row exists");
-            }
-            self.slots[idx].active = true;
-            self.slots[idx].window = window;
-            return (idx, Placement::Reused);
-        }
-
-        // Append a fresh block.
-        let prev_vars = self.problem.num_vars();
-        let prev_rows = self.problem.num_constraints();
-        let width = len * n + carry;
-        self.seg.clear();
-        self.seg.resize(width, 0.0);
-        let seg = std::mem::take(&mut self.seg);
-        let cols = self.problem.append_block(&seg).expect("nonempty block");
-        self.seg = seg;
-        if prev_rows == 0 {
-            // First block: create the S·K ring-indexed capacity rows
-            // (coefficients and RHS are rescale's job).
-            for _ in 0..grid.horizon() * n_paths {
-                self.problem
-                    .add_le_sparse(&[], 1.0)
-                    .expect("empty shared row");
-            }
-        }
-        let cost_row = req.flow().cost_budget().is_finite().then(|| {
-            let mut entries: Vec<(usize, f64)> = Vec::new();
-            for i in 0..len {
-                entries.extend(
-                    model
-                        .cost_triplets()
-                        .map(|(j, v)| (cols.start + i * n + j, v)),
-                );
-            }
-            self.problem
-                .add_le_sparse(&entries, req.flow().cost_budget() / req.flow().data_rate())
-                .expect("valid cost row");
-            self.problem.num_constraints() - 1
-        });
-        let floor_row = (req.flow().min_quality() > 0.0).then(|| {
-            let mut entries: Vec<(usize, f64)> = Vec::new();
-            for i in 0..len {
-                entries.extend(
-                    model
-                        .quality_triplets()
-                        .map(|(j, v)| (cols.start + i * n + j, v)),
-                );
-            }
-            self.problem
-                .add_ge_sparse(&entries, req.flow().min_quality())
-                .expect("valid floor row");
-            self.problem.num_constraints() - 1
-        });
-        let balance_start = self.problem.num_constraints();
-        for i in 0..len {
-            let mut entries: Vec<(usize, f64)> =
-                (0..n).map(|j| (cols.start + i * n + j, 1.0)).collect();
-            if carry > 0 {
-                // Sparse rows want ascending columns: carry-in (slot
-                // boundary i-1) sits below carry-out (boundary i).
-                let carry_base = cols.start + len * n;
-                if i >= 1 {
-                    entries.push((carry_base + i - 1, -1.0));
-                }
-                if i < carry {
-                    entries.push((carry_base + i, 1.0));
-                }
-            }
-            self.problem
-                .add_eq_sparse(&entries, g)
-                .expect("valid balance row");
-        }
-        let cap_start = self.problem.num_constraints();
-        for i in 0..carry {
-            self.problem
-                .add_le_sparse(&[(cols.start + len * n + i, 1.0)], req.buffer() * g)
-                .expect("valid buffer cap row");
-        }
-        self.slots.push(SchedSlot {
-            cols,
-            window,
-            n_combos: n,
-            carry,
-            cost_row,
-            floor_row,
-            balance_start,
-            cap_start,
-            active: true,
-        });
-        (
-            self.slots.len() - 1,
-            Placement::Appended {
-                prev_vars,
-                prev_rows,
-            },
-        )
-    }
-
-    /// Tombstones a slot: objective and capacity-row segments zeroed,
-    /// every balance RHS `1/L → 0` (with the floor and cap RHS relaxed
-    /// to 0), which forces every variable of the block to zero — the
-    /// balance rows telescope to `Σx = 0` — while preserving the LP's
-    /// shape, so the cached basis of this shape keeps working.
-    fn deactivate(&mut self, grid: &TimeGrid, n_paths: usize, idx: usize) {
-        let slot = self.slots[idx].clone();
-        self.seg.clear();
-        self.seg.resize(slot.cols.len(), 0.0);
-        let seg = std::mem::take(&mut self.seg);
-        self.problem
-            .set_objective_range(slot.cols.start, &seg)
-            .expect("objective segment fits");
-        for (i, s) in slot.window.slots().enumerate() {
-            for k in 0..n_paths {
-                self.problem
-                    .set_row_range(
-                        grid.ring(s) * n_paths + k,
-                        slot.combo_start(i),
-                        &seg[..slot.n_combos],
-                    )
-                    .expect("shared segment fits");
-            }
-        }
-        self.seg = seg;
-        for i in 0..slot.window.len() {
-            self.problem
-                .set_rhs(slot.balance_start + i, 0.0)
-                .expect("balance row exists");
-        }
-        if let Some(row) = slot.floor_row {
-            self.problem.set_rhs(row, 0.0).expect("floor row exists");
-        }
-        for i in 0..slot.carry {
-            self.problem
-                .set_rhs(slot.cap_start + i, 0.0)
-                .expect("cap row exists");
-        }
-        self.slots[idx].active = false;
-    }
-
-    /// Rolls a tentative placement back; appended placements must be
-    /// rolled back in reverse order (same contract as the instant
-    /// assembly — a middle truncation would shift later slots' indices).
-    fn rollback(
-        &mut self,
-        grid: &TimeGrid,
-        n_paths: usize,
-        idx: usize,
-        placement: Placement,
-    ) -> Result<(), FleetError> {
-        match placement {
-            Placement::Appended {
-                prev_vars,
-                prev_rows,
-            } => {
-                if idx + 1 != self.slots.len() {
-                    return Err(FleetError::Invalid(format!(
-                        "rollback out of order: appended slot {idx} is not the last of {} slots",
-                        self.slots.len()
-                    )));
-                }
-                self.problem.truncate_rows(prev_rows);
-                self.problem.truncate_vars(prev_vars);
-                self.slots.pop();
-            }
-            Placement::Reused => self.deactivate(grid, n_paths, idx),
-        }
-        Ok(())
-    }
-
-    /// Recomputes every Λ-dependent coefficient from the given
-    /// membership with fresh arithmetic (never by scaling running
-    /// values), exactly like the instant assembly: per-block objective
-    /// segments `w·(λ_f·L_f/Λ)·p_f`, per-(slot, path) capacity segments
-    /// `(λ_f·L_f/Λ)·usage_f`, and the capacity RHS `b_k(s)/Λ` — zero
-    /// for maintenance slots.
-    fn rescale(
-        &mut self,
-        objective: FleetObjective,
-        grid: &TimeGrid,
-        paths: &[SharedPath],
-        maintenance: &BTreeSet<(u64, usize)>,
-        members: &[(usize, &ScheduleRequest, &ScenarioModel)],
-    ) {
-        let lambda_vol: f64 = members
-            .iter()
-            .map(|(_, r, _)| r.flow().data_rate() * r.window().len() as f64)
-            .sum();
-        let mut seg = std::mem::take(&mut self.seg);
-        for &(slot_idx, r, m) in members {
-            let slot = self.slots[slot_idx].clone();
-            let start = slot.cols.start;
-            let n = m.num_combos();
-            let len = r.window().len();
-            let w = match objective {
-                FleetObjective::WeightedFair => r.flow().priority(),
-                FleetObjective::MaxAdmitted | FleetObjective::MaxTotalQuality => 1.0,
-            };
-            let share = r.flow().data_rate() * len as f64 / lambda_vol;
-            seg.clear();
-            for _ in 0..len {
-                seg.extend(m.quality_coeffs().iter().map(|p| w * share * p));
-            }
-            seg.resize(slot.cols.len(), 0.0);
-            self.problem
-                .set_objective_range(start, &seg)
-                .expect("objective segment fits");
-            for k in 0..paths.len() {
-                for (i, s) in r.window().slots().enumerate() {
-                    seg.clear();
-                    match local_path_index(r.flow().paths(), k) {
-                        Some(lk) => seg.extend(m.usage_coeffs(lk).iter().map(|u| share * u)),
-                        None => seg.resize(n, 0.0),
-                    }
-                    self.problem
-                        .set_row_range(grid.ring(s) * paths.len() + k, slot.combo_start(i), &seg)
-                        .expect("shared segment fits");
-                }
-            }
-        }
-        for s in grid.origin()..grid.end() {
-            for (k, path) in paths.iter().enumerate() {
-                let rhs = if maintenance.contains(&(s, k)) {
-                    0.0
-                } else {
-                    path.bandwidth / lambda_vol
-                };
-                self.problem
-                    .set_rhs(grid.ring(s) * paths.len() + k, rhs)
-                    .expect("shared row exists");
-            }
-        }
-        self.seg = seg;
-    }
-}
-
-/// Number of carry (store-and-forward buffer) variables a request needs:
-/// one per interior slot boundary when buffering is enabled, none for
-/// single-slot windows or a zero buffer.
-fn carry_vars(req: &ScheduleRequest) -> usize {
-    if req.buffer() > 0.0 && req.window().len() > 1 {
-        req.window().len() - 1
-    } else {
-        0
-    }
 }
 
 /// The slotted fleet planner: admission control and joint allocation
@@ -878,24 +477,10 @@ fn carry_vars(req: &ScheduleRequest) -> usize {
 /// ```
 #[derive(Debug)]
 pub struct SchedulePlanner {
-    config: FleetConfig,
-    grid: TimeGrid,
-    paths: Vec<SharedPath>,
+    /// The joint LP, over this planner's horizon.
+    core: JointCore,
     flows: Vec<SchedFlowState>,
     next_id: u64,
-    /// Builds per-flow coefficient models (never solves).
-    flow_planner: Planner,
-    workspace: Workspace,
-    // dmc-lint: allow(det-unordered-map) key-lookup-only cache: get/insert/contains_key/len/clear, never iterated, so key order cannot reach results
-    warm_bases: HashMap<JointShapeKey, Basis>,
-    warm_attempts: u64,
-    warm_hits: u64,
-    warm_anomalies: u64,
-    /// Zero-capacity (slot, path) pairs — scheduled maintenance.
-    maintenance: BTreeSet<(u64, usize)>,
-    assembly: Option<SchedAssembly>,
-    /// Objective value of the last successful joint solve (0 when empty).
-    last_objective: f64,
 }
 
 impl SchedulePlanner {
@@ -910,50 +495,21 @@ impl SchedulePlanner {
         grid: TimeGrid,
         config: FleetConfig,
     ) -> Result<Self, FleetError> {
-        if paths.is_empty() {
-            return Err(FleetError::Invalid(
-                "a fleet needs at least one shared path".into(),
-            ));
-        }
-        for (k, p) in paths.iter().enumerate() {
-            if !p.delay().mean().is_finite() {
-                return Err(FleetError::Invalid(format!(
-                    "shared path {k} has a non-finite mean delay"
-                )));
-            }
-        }
-        let mut config = config;
-        if config.obs.is_enabled() && !config.planner.solver.obs.is_enabled() {
-            config.planner.solver.obs = config.obs.clone();
-        }
-        let flow_planner = Planner::with_config(config.planner.clone());
         Ok(SchedulePlanner {
-            config,
-            grid,
-            paths: paths.into_iter().map(SharedPath::from_scenario).collect(),
+            core: JointCore::new(paths, grid, config)?,
             flows: Vec::new(),
             next_id: 0,
-            flow_planner,
-            workspace: Workspace::new(),
-            // dmc-lint: allow(det-unordered-map) constructor of the key-lookup-only warm-basis cache above
-            warm_bases: HashMap::new(),
-            warm_attempts: 0,
-            warm_hits: 0,
-            warm_anomalies: 0,
-            maintenance: BTreeSet::new(),
-            assembly: None,
-            last_objective: 0.0,
         })
     }
 
     /// The active configuration.
     pub fn config(&self) -> &FleetConfig {
-        &self.config
+        &self.core.config
     }
 
     /// The current horizon.
     pub fn grid(&self) -> &TimeGrid {
-        &self.grid
+        &self.core.grid
     }
 
     /// Offers one windowed flow.
@@ -971,20 +527,21 @@ impl SchedulePlanner {
     ///
     /// Invalid windows/scenarios and non-infeasibility solver failures.
     pub fn offer(&mut self, request: ScheduleRequest) -> Result<ScheduleDecision, FleetError> {
-        if !self.grid.contains_window(&request.window()) {
+        let grid = self.core.grid;
+        if !grid.contains_window(&request.window()) {
             return Err(FleetError::Invalid(format!(
                 "window {} is outside the horizon [{}, {})",
                 request.window(),
-                self.grid.origin(),
-                self.grid.end()
+                grid.origin(),
+                grid.end()
             )));
         }
         let id = FlowId::new(self.next_id);
         self.next_id += 1;
-        let model = self.flow_model(request.flow())?;
+        let model = self.core.flow_model(request.flow())?;
         match self.try_admit(id, &request, &model)? {
             Some(q) => {
-                self.config.obs.counter("fleet.admits").inc();
+                self.core.config.obs.counter("fleet.admits").inc();
                 Ok(ScheduleDecision::Scheduled {
                     id,
                     window: request.window(),
@@ -993,28 +550,25 @@ impl SchedulePlanner {
             }
             None => {
                 let requested = request.window();
-                let len = requested.len() as u64;
-                let mut start = requested.start() + 1;
-                while start + len <= self.grid.end() {
-                    let slid = request.shifted_to(start);
-                    if let Some(q) = self.try_admit(id, &slid, &model)? {
-                        self.config.obs.counter("fleet.reservations").inc();
-                        return Ok(ScheduleDecision::Reserved {
+                let later = request.shifted_to(requested.start() + 1);
+                match self.slide_into_horizon(id, &later, &model)? {
+                    Some((window, predicted_quality)) => Ok(ScheduleDecision::Reserved {
+                        id,
+                        requested,
+                        window,
+                        predicted_quality,
+                    }),
+                    None => {
+                        self.core.config.obs.counter("fleet.refusals").inc();
+                        Ok(ScheduleDecision::Rejected {
                             id,
-                            requested,
-                            window: slid.window(),
-                            predicted_quality: q,
-                        });
+                            reason: "no window of the requested width inside the horizon can \
+                                     meet this flow's quality floor alongside every scheduled \
+                                     flow's"
+                                .into(),
+                        })
                     }
-                    start += 1;
                 }
-                self.config.obs.counter("fleet.refusals").inc();
-                Ok(ScheduleDecision::Rejected {
-                    id,
-                    reason: "no window of the requested width inside the horizon can meet \
-                             this flow's quality floor alongside every scheduled flow's"
-                        .into(),
-                })
             }
         }
     }
@@ -1028,12 +582,9 @@ impl SchedulePlanner {
         let Some(pos) = self.flows.iter().position(|f| f.id == id) else {
             return Err(FleetError::UnknownFlow(id));
         };
-        let f = self.flows.remove(pos);
-        if let Some(assembly) = self.assembly.as_mut() {
-            assembly.deactivate(&self.grid, self.paths.len(), f.slot);
-        }
-        self.resolve_members()?;
-        Ok(())
+        self.flows.remove(pos);
+        self.core.deactivate(id);
+        self.resolve_members()
     }
 
     /// Advances the horizon so `new_origin` becomes its first slot.
@@ -1052,18 +603,18 @@ impl SchedulePlanner {
     /// Rejects a `new_origin` before the current origin; forwards
     /// solver failures.
     pub fn advance_to(&mut self, new_origin: u64) -> Result<ScheduleAdvance, FleetError> {
-        if new_origin < self.grid.origin() {
+        if new_origin < self.core.grid.origin() {
             return Err(FleetError::Invalid(format!(
                 "cannot advance backwards: origin {} to {new_origin}",
-                self.grid.origin()
+                self.core.grid.origin()
             )));
         }
-        if new_origin == self.grid.origin() {
+        if new_origin == self.core.grid.origin() {
             return Ok(ScheduleAdvance::default());
         }
         let mut out = ScheduleAdvance::default();
-        self.grid = self.grid.advanced_to(new_origin);
-        self.maintenance.retain(|&(s, _)| s >= new_origin);
+        self.core.grid = self.core.grid.advanced_to(new_origin);
+        self.core.maintenance.retain(|&(s, _)| s >= new_origin);
 
         // Completed flows leave; straddling flows are truncated (and
         // re-placed — their window length changed, so their block does
@@ -1073,9 +624,7 @@ impl SchedulePlanner {
         for f in std::mem::take(&mut self.flows) {
             if f.request.window().end() <= new_origin {
                 out.completed.push(f.id);
-                if let Some(assembly) = self.assembly.as_mut() {
-                    assembly.deactivate(&self.grid, self.paths.len(), f.slot);
-                }
+                self.core.deactivate(f.id);
             } else if f.request.window().start() < new_origin {
                 truncate.push(f);
             } else {
@@ -1084,18 +633,16 @@ impl SchedulePlanner {
         }
         self.flows = keep;
         for f in truncate {
-            if let Some(assembly) = self.assembly.as_mut() {
-                assembly.deactivate(&self.grid, self.paths.len(), f.slot);
-            }
+            self.core.deactivate(f.id);
             let truncated = ScheduleRequest {
                 window: SlotWindow::new(new_origin, f.request.window().end())
                     .expect("straddling window keeps at least one slot past the new origin"),
-                ..f.request.clone()
+                ..f.request
             };
             match self.try_admit(f.id, &truncated, &f.model)? {
                 Some(_) => out.truncated.push(f.id),
                 None => match self.slide_into_horizon(f.id, &truncated, &f.model)? {
-                    Some(window) => out.rescheduled.push((f.id, window)),
+                    Some((window, _)) => out.rescheduled.push((f.id, window)),
                     None => out.dropped.push(f.id),
                 },
             }
@@ -1122,19 +669,19 @@ impl SchedulePlanner {
         slot: u64,
         path: usize,
     ) -> Result<ScheduleShuffle, FleetError> {
-        if path >= self.paths.len() {
+        if path >= self.core.paths.len() {
             return Err(FleetError::Invalid(format!(
                 "path index {path} out of range ({} shared paths)",
-                self.paths.len()
+                self.core.paths.len()
             )));
         }
-        if slot < self.grid.origin() {
+        if slot < self.core.grid.origin() {
             return Err(FleetError::Invalid(format!(
                 "maintenance slot {slot} is before the horizon origin {}",
-                self.grid.origin()
+                self.core.grid.origin()
             )));
         }
-        self.maintenance.insert((slot, path));
+        self.core.maintenance.insert((slot, path));
         self.settle_all()
     }
 
@@ -1144,7 +691,7 @@ impl SchedulePlanner {
     ///
     /// Forwards solver failures from the re-solve.
     pub fn clear_maintenance(&mut self, slot: u64, path: usize) -> Result<(), FleetError> {
-        if self.maintenance.remove(&(slot, path)) {
+        if self.core.maintenance.remove(&(slot, path)) {
             self.resolve_members()?;
         }
         Ok(())
@@ -1152,7 +699,7 @@ impl SchedulePlanner {
 
     /// The declared maintenance windows, sorted by (slot, path).
     pub fn maintenance(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
-        self.maintenance.iter().copied()
+        self.core.maintenance.iter().copied()
     }
 
     /// Applies a link change ([`dmc_sim::LinkChange`] vocabulary) to a
@@ -1171,36 +718,14 @@ impl SchedulePlanner {
         path: usize,
         change: &LinkChange,
     ) -> Result<ScheduleShuffle, FleetError> {
-        let Some(shared) = self.paths.get_mut(path) else {
-            return Err(FleetError::Invalid(format!(
-                "path index {path} out of range ({} shared paths)",
-                self.paths.len()
-            )));
-        };
-        match change {
-            LinkChange::Fail => shared.failed = true,
-            LinkChange::Recover => shared.failed = false,
-            LinkChange::SetBandwidth(bps) => {
-                if !(*bps > 0.0) || !bps.is_finite() {
-                    return Err(FleetError::Invalid(format!(
-                        "bandwidth must be finite and > 0, got {bps}"
-                    )));
-                }
-                shared.bandwidth = *bps;
-            }
-            LinkChange::SetLoss(model) => {
-                model.validate().map_err(FleetError::Invalid)?;
-                shared.loss = model.stationary_loss();
-            }
+        self.core.apply_link_change(path, change)?;
+        for f in &mut self.flows {
+            f.model = self.core.flow_model(f.request.flow())?;
         }
-        for i in 0..self.flows.len() {
-            let flow = self.flows[i].request.flow().clone();
-            self.flows[i].model = self.flow_model(&flow)?;
-        }
-        // Coefficients changed wholesale: rebuild the assembly from the
+        // Coefficients changed wholesale: re-place the blocks from the
         // new models (shape usually unchanged, so the cached basis of
         // the shape still applies), then settle.
-        self.assembly = None;
+        self.core.forget();
         self.settle_all()
     }
 
@@ -1263,14 +788,16 @@ impl SchedulePlanner {
     /// fraction of path `k`'s capacity consumed in slot `origin + i`
     /// (0 for maintenance slots, whose capacity is zero).
     pub fn utilization(&self) -> Vec<Vec<f64>> {
-        let mut out = vec![vec![0.0; self.paths.len()]; self.grid.horizon()];
+        let grid = &self.core.grid;
+        let paths = &self.core.paths;
+        let mut out = vec![vec![0.0; paths.len()]; grid.horizon()];
         for f in &self.flows {
             let vol = f.request.flow().data_rate() * f.request.window().len() as f64;
             for (i, s) in f.request.window().slots().enumerate() {
-                let Some(rel) = s.checked_sub(self.grid.origin()) else {
+                let Some(rel) = s.checked_sub(grid.origin()) else {
                     continue;
                 };
-                for (k, _) in self.paths.iter().enumerate() {
+                for (k, _) in paths.iter().enumerate() {
                     if let Some(lk) = local_path_index(f.request.flow().paths(), k) {
                         let used: f64 = f
                             .model
@@ -1284,9 +811,9 @@ impl SchedulePlanner {
                 }
             }
         }
-        for (i, s) in (self.grid.origin()..self.grid.end()).enumerate() {
-            for (k, path) in self.paths.iter().enumerate() {
-                if self.maintenance.contains(&(s, k)) {
+        for (i, s) in (grid.origin()..grid.end()).enumerate() {
+            for (k, path) in paths.iter().enumerate() {
+                if self.core.maintenance.contains(&(s, k)) {
                     out[i][k] = 0.0;
                 } else {
                     out[i][k] /= path.bandwidth;
@@ -1321,20 +848,17 @@ impl SchedulePlanner {
     /// compare, since per-flow splits can differ at degenerate
     /// vertices).
     pub fn objective_value(&self) -> f64 {
-        self.last_objective
+        self.core.objective_value()
     }
 
     /// Warm-start statistics of the joint solves.
     pub fn warm_stats(&self) -> WarmStats {
-        WarmStats {
-            hits: self.warm_hits,
-            misses: self.warm_attempts - self.warm_hits,
-        }
+        self.core.warm_stats()
     }
 
     /// Cold re-solves forced by a warm-start anomaly.
     pub fn warm_anomalies(&self) -> u64 {
-        self.warm_anomalies
+        self.core.warm_anomalies()
     }
 
     /// Effective shared paths (base description + link dynamics so far).
@@ -1343,35 +867,19 @@ impl SchedulePlanner {
     ///
     /// A path whose effective parameters no longer validate.
     pub fn shared_paths(&self) -> Result<Vec<ScenarioPath>, FleetError> {
-        self.paths.iter().map(SharedPath::effective).collect()
+        self.core.shared_paths()
     }
 
-    /// Builds the candidate's per-flow model against the current shared
-    /// paths (same contract as the instant planner's).
-    fn flow_model(&mut self, request: &FlowRequest) -> Result<ScenarioModel, FleetError> {
-        let effective = self.shared_paths()?;
-        let flow_paths = match request.paths() {
-            Some(subset) => {
-                if let Some(&bad) = subset.iter().find(|&&k| k >= effective.len()) {
-                    return Err(FleetError::Invalid(format!(
-                        "flow path index {bad} out of range ({} shared paths)",
-                        effective.len()
-                    )));
-                }
-                subset.iter().map(|&k| effective[k].clone()).collect()
-            }
-            None => effective,
-        };
-        let mut builder = Scenario::builder()
-            .paths(flow_paths)
-            .data_rate(request.data_rate())
-            .lifetime(request.lifetime())
-            .transmissions(request.transmissions());
-        if request.cost_budget().is_finite() {
-            builder = builder.cost_budget(request.cost_budget());
-        }
-        let scenario = builder.build().map_err(FleetError::Spec)?;
-        Ok(self.flow_planner.model(&scenario))
+    /// Solves the joint LP over the scheduled flows (admission order)
+    /// plus an optional candidate, returning each flow's raw block of
+    /// `x`, candidate last.
+    fn solve(&mut self, extra: Option<Member<'_>>) -> Result<Vec<Vec<f64>>, SolveError> {
+        let members: Vec<Member<'_>> = self
+            .flows
+            .iter()
+            .map(|f| member(f.id, &f.request, &f.model))
+            .collect();
+        self.core.solve(&members, extra.as_slice())
     }
 
     /// Tentatively admits `id` at the request's window: commits and
@@ -1383,23 +891,24 @@ impl SchedulePlanner {
         request: &ScheduleRequest,
         model: &ScenarioModel,
     ) -> Result<Option<f64>, FleetError> {
-        match self.solve_with_extra(Some((request, model))) {
-            Ok(segments) => {
-                let mut segments = segments;
-                let candidate = segments.pop().expect("candidate segment present");
-                let slot = candidate.0;
-                self.refresh_plans(segments);
-                let state = self.decompose(id, request.clone(), model.clone(), slot, candidate.1);
-                if state.peak_carry > 0.0 {
-                    self.config.obs.counter("fleet.carryover").inc();
+        match self.solve(Some(member(id, request, model))) {
+            Ok(mut blocks) => {
+                let raw = blocks.pop().expect("candidate block present");
+                self.refresh_plans(blocks);
+                let (plan, slot_x, peak_carry) = decompose(model, request.window().len(), raw);
+                if peak_carry > 0.0 {
+                    self.core.config.obs.counter("fleet.carryover").inc();
                 }
-                self.flows.push(state);
-                let q = self
-                    .flows
-                    .last()
-                    .map(|f| f.plan.quality())
-                    .expect("flow just pushed");
-                Ok(Some(q))
+                let quality = plan.quality();
+                self.flows.push(SchedFlowState {
+                    id,
+                    request: request.clone(),
+                    model: model.clone(),
+                    plan,
+                    slot_x,
+                    peak_carry,
+                });
+                Ok(Some(quality))
             }
             Err(SolveError::Infeasible { .. }) => Ok(None),
             Err(e) => Err(FleetError::Solve(e)),
@@ -1407,20 +916,21 @@ impl SchedulePlanner {
     }
 
     /// The reservation slide: earliest feasible same-width window at or
-    /// after the request's start. The request itself is tried first.
+    /// after the request's start (the request itself is tried first),
+    /// with its predicted quality.
     fn slide_into_horizon(
         &mut self,
         id: FlowId,
         request: &ScheduleRequest,
         model: &ScenarioModel,
-    ) -> Result<Option<SlotWindow>, FleetError> {
+    ) -> Result<Option<(SlotWindow, f64)>, FleetError> {
         let len = request.window().len() as u64;
-        let mut start = request.window().start().max(self.grid.origin());
-        while start + len <= self.grid.end() {
+        let mut start = request.window().start().max(self.core.grid.origin());
+        while start + len <= self.core.grid.end() {
             let slid = request.shifted_to(start);
-            if self.try_admit(id, &slid, model)?.is_some() {
-                self.config.obs.counter("fleet.reservations").inc();
-                return Ok(Some(slid.window()));
+            if let Some(quality) = self.try_admit(id, &slid, model)? {
+                self.core.config.obs.counter("fleet.reservations").inc();
+                return Ok(Some((slid.window(), quality)));
             }
             start += 1;
         }
@@ -1431,9 +941,9 @@ impl SchedulePlanner {
     /// every plan. Infeasibility is an invariant breach here — callers
     /// that can face it use [`SchedulePlanner::settle_all`] instead.
     fn resolve_members(&mut self) -> Result<(), FleetError> {
-        match self.solve_with_extra(None) {
-            Ok(segments) => {
-                self.refresh_plans(segments);
+        match self.solve(None) {
+            Ok(blocks) => {
+                self.refresh_plans(blocks);
                 Ok(())
             }
             Err(SolveError::Infeasible { .. }) => Err(FleetError::Invalid(
@@ -1449,32 +959,21 @@ impl SchedulePlanner {
     /// slide before dropping it.
     fn settle_all(&mut self) -> Result<ScheduleShuffle, FleetError> {
         let mut out = ScheduleShuffle::default();
-        if self.flows.is_empty() {
-            // The joint optimum of an empty membership is 0 — keep the
-            // reported objective honest when an advance clears the fleet.
-            self.last_objective = 0.0;
-            return Ok(out);
-        }
-        match self.solve_with_extra(None) {
-            Ok(segments) => {
-                self.refresh_plans(segments);
+        match self.solve(None) {
+            Ok(blocks) => {
+                self.refresh_plans(blocks);
                 Ok(out)
             }
             Err(SolveError::Infeasible { .. }) => {
                 let mut survivors = std::mem::take(&mut self.flows);
-                self.assembly = None;
+                self.core.forget();
                 survivors.sort_by(|a, b| {
-                    b.request
-                        .flow()
-                        .priority()
-                        .partial_cmp(&a.request.flow().priority())
-                        .expect("priorities are finite")
-                        .then(a.id.cmp(&b.id))
+                    readmission_order((a.request.flow(), a.id), (b.request.flow(), b.id))
                 });
                 for f in survivors {
                     let original = f.request.window();
                     match self.slide_into_horizon(f.id, &f.request, &f.model)? {
-                        Some(window) if window != original => {
+                        Some((window, _)) if window != original => {
                             out.rescheduled.push((f.id, window));
                         }
                         Some(_) => {}
@@ -1487,186 +986,45 @@ impl SchedulePlanner {
         }
     }
 
-    /// Assembles and solves the joint LP over the scheduled flows plus
-    /// an optional candidate, returning `(slot, raw block x)` per flow —
-    /// members first (admission order), candidate last. Any error rolls
-    /// the candidate's placement back, leaving the incumbents untouched.
-    #[allow(clippy::type_complexity)]
-    fn solve_with_extra(
-        &mut self,
-        extra: Option<(&ScheduleRequest, &ScenarioModel)>,
-    ) -> Result<Vec<(usize, Vec<f64>)>, SolveError> {
-        if self.flows.is_empty() && extra.is_none() {
-            self.last_objective = 0.0;
-            return Ok(Vec::new());
-        }
-        let n_paths = self.paths.len();
-        if !self.config.incremental {
-            // Differential baseline: rebuild the assembly from scratch
-            // on every solve (the pre-incremental behavior).
-            self.assembly = None;
-        }
-        if self.assembly.is_none() {
-            let mut fresh = SchedAssembly::new();
-            for f in &mut self.flows {
-                let (slot, _) = fresh.place(&self.grid, n_paths, &f.request, &f.model);
-                f.slot = slot;
-            }
-            self.assembly = Some(fresh);
-        }
-        let mut assembly = self.assembly.take().expect("assembly ensured above");
-        let placement = extra.map(|(r, m)| assembly.place(&self.grid, n_paths, r, m));
-        let members: Vec<(usize, &ScheduleRequest, &ScenarioModel)> = self
-            .flows
-            .iter()
-            .map(|f| (f.slot, &f.request, &f.model))
-            .chain(
-                placement
-                    .iter()
-                    .zip(extra.iter())
-                    .map(|(&(slot, _), &(r, m))| (slot, r, m)),
-            )
-            .collect();
-        assembly.rescale(
-            self.config.objective,
-            &self.grid,
-            &self.paths,
-            &self.maintenance,
-            &members,
-        );
-        drop(members);
-        match self.solve_joint_problem(&assembly.problem) {
-            Ok(solution) => {
-                let x = solution.into_x();
-                self.last_objective = assembly.problem.objective_value(&x);
-                let out = self
-                    .flows
-                    .iter()
-                    .map(|f| f.slot)
-                    .chain(placement.iter().map(|&(slot, _)| slot))
-                    .map(|slot| (slot, x[assembly.slots[slot].cols.clone()].to_vec()))
-                    .collect();
-                self.assembly = Some(assembly);
-                Ok(out)
-            }
-            Err(e) => {
-                let clean = placement
-                    .into_iter()
-                    .all(|(slot, p)| assembly.rollback(&self.grid, n_paths, slot, p).is_ok());
-                if clean {
-                    self.assembly = Some(assembly);
-                } else {
-                    // Inconsistent rollback: rebuild lazily on the next
-                    // solve rather than patch shifted indices in place.
-                    self.assembly = None;
-                }
-                Err(e)
-            }
+    /// Re-packages a fresh joint solution's member blocks into the
+    /// scheduled flows' plans (admission order), in place.
+    fn refresh_plans(&mut self, blocks: Vec<Vec<f64>>) {
+        debug_assert_eq!(blocks.len(), self.flows.len());
+        for (f, raw) in self.flows.iter_mut().zip(blocks) {
+            (f.plan, f.slot_x, f.peak_carry) = decompose(&f.model, f.request.window().len(), raw);
         }
     }
+}
 
-    /// Solves an assembled problem with the shape-keyed warm-start
-    /// cache (the instant planner's logic, applied to the slotted LP).
-    fn solve_joint_problem(&mut self, problem: &Problem) -> Result<dmc_lp::Solution, SolveError> {
-        let opts = SolverOptions {
-            backend: self.config.joint_backend,
-            ..self.config.planner.solver.clone()
-        };
-        let key = self
-            .config
-            .planner
-            .warm_start
-            .then(|| JointShapeKey::of(problem));
-        let solution = match key.and_then(|k| self.warm_bases.get(&k)) {
-            Some(basis) => {
-                self.warm_attempts += 1;
-                match problem.solve_warm_with(&opts, &mut self.workspace, basis) {
-                    Ok(s) => {
-                        if s.used_warm_start() {
-                            self.warm_hits += 1;
-                            self.config.obs.counter("fleet.warm_hits").inc();
-                        } else {
-                            self.config.obs.counter("fleet.warm_misses").inc();
-                        }
-                        s
-                    }
-                    Err(e) if SolveStatus::of_error(&e).is_anomaly() => {
-                        self.warm_anomalies += 1;
-                        self.config.obs.counter("fleet.warm_anomalies").inc();
-                        self.config.obs.counter("fleet.warm_misses").inc();
-                        if let Some(k) = key {
-                            self.warm_bases.remove(&k);
-                        }
-                        problem.solve_with(&opts, &mut self.workspace)?
-                    }
-                    Err(e) => {
-                        self.config.obs.counter("fleet.warm_misses").inc();
-                        return Err(e);
-                    }
-                }
-            }
-            None => problem.solve_with(&opts, &mut self.workspace)?,
-        };
-        if let (Some(k), Some(basis)) = (key, solution.basis()) {
-            if self.warm_bases.len() >= MAX_CACHED_SHAPES && !self.warm_bases.contains_key(&k) {
-                self.warm_bases.clear();
-            }
-            self.warm_bases.insert(k, basis.clone());
-        }
-        if cfg!(debug_assertions) || self.config.certify {
-            solution
-                .certify(problem)
-                .expect("joint LP solution failed its feasibility certificate");
-        }
-        Ok(solution)
+/// A scheduled (or candidate) flow as the joint core sees it.
+fn member<'a>(id: FlowId, request: &'a ScheduleRequest, model: &'a ScenarioModel) -> Member<'a> {
+    Member {
+        id,
+        flow: request.flow(),
+        window: request.window(),
+        buffer: request.buffer(),
+        model,
     }
+}
 
-    /// Splits a block's raw solution into per-slot segments, the
-    /// aggregate assignment (slot-summed, fed to `plan_for` exactly
-    /// like the instant planner's), and the peak carry level.
-    fn decompose(
-        &self,
-        id: FlowId,
-        request: ScheduleRequest,
-        model: ScenarioModel,
-        slot: usize,
-        raw: Vec<f64>,
-    ) -> SchedFlowState {
-        let n = model.num_combos();
-        let len = request.window().len();
-        let mut slot_x: Vec<Vec<f64>> = Vec::with_capacity(len);
-        for i in 0..len {
-            slot_x.push(raw[i * n..(i + 1) * n].to_vec());
-        }
-        let mut total = slot_x[0].clone();
-        for seg in &slot_x[1..] {
-            for (t, v) in total.iter_mut().zip(seg) {
-                *t += v;
-            }
-        }
-        let peak_carry = raw[len * n..].iter().copied().fold(0.0, f64::max);
-        let plan = model.plan_for(Objective::MaxQuality, total);
-        SchedFlowState {
-            id,
-            request,
-            model,
-            plan,
-            slot_x,
-            peak_carry,
-            slot,
+/// Splits a block's raw solution into the aggregate plan (slot-summed
+/// assignment, fed to `plan_for` exactly like the instant planner's),
+/// the per-slot segments, and the peak carry level.
+fn decompose(model: &ScenarioModel, len: usize, raw: Vec<f64>) -> (Plan, Vec<Vec<f64>>, f64) {
+    let n = model.num_combos();
+    let slot_x: Vec<Vec<f64>> = raw[..len * n].chunks(n).map(<[f64]>::to_vec).collect();
+    let mut total = slot_x[0].clone();
+    for seg in &slot_x[1..] {
+        for (t, v) in total.iter_mut().zip(seg) {
+            *t += v;
         }
     }
-
-    /// Re-packages a fresh joint solution's member segments into the
-    /// scheduled flows' plans (admission order).
-    fn refresh_plans(&mut self, segments: Vec<(usize, Vec<f64>)>) {
-        debug_assert_eq!(segments.len(), self.flows.len());
-        for (i, (slot, raw)) in segments.into_iter().enumerate() {
-            let f = &self.flows[i];
-            let state = self.decompose(f.id, f.request.clone(), f.model.clone(), slot, raw);
-            self.flows[i] = state;
-        }
-    }
+    let peak_carry = raw[len * n..].iter().copied().fold(0.0, f64::max);
+    (
+        model.plan_for(Objective::MaxQuality, total),
+        slot_x,
+        peak_carry,
+    )
 }
 
 #[cfg(test)]
@@ -1932,26 +1290,5 @@ mod tests {
         // The truncated flow's demand renormalizes over two slots.
         let per_slot = s.slot_quality_of(d.id()).expect("scheduled");
         assert_eq!(per_slot.len(), 2);
-    }
-
-    #[test]
-    fn tombstoned_blocks_are_reused_across_churn() {
-        let mut s = sched(4);
-        let mk = || {
-            ScheduleRequest::new(
-                FlowRequest::new(20e6, 0.8).expect("valid flow"),
-                SlotWindow::new(1, 3).expect("valid"),
-            )
-        };
-        let a = s.offer(mk()).expect("offer");
-        let vars_before = s.assembly.as_ref().expect("assembled").problem.num_vars();
-        s.depart(a.id()).expect("depart");
-        let b = s.offer(mk()).expect("offer");
-        assert!(b.is_scheduled());
-        let vars_after = s.assembly.as_ref().expect("assembled").problem.num_vars();
-        assert_eq!(
-            vars_before, vars_after,
-            "an equivalent flow must take the tombstoned block over in place"
-        );
     }
 }

@@ -7,6 +7,7 @@ use dmc_proto::wire::{DecisionFrame, DepartFrame, LinkChangeFrame, OfferFrame, V
 use super::router::{FleetService, ServiceEvent};
 use crate::error::FleetError;
 use crate::flow::FlowRequest;
+use crate::joint::check_combos;
 
 impl FleetService {
     /// Feeds one encoded control-plane frame to the service.
@@ -17,8 +18,9 @@ impl FleetService {
     /// lost one), or a link change with invalid parameters.
     ///
     /// An [`OfferFrame`] whose *parameters* are semantically invalid
-    /// (non-positive rate, floor outside `[0, 1]`, zero transmissions,
-    /// out-of-range path mask…) still consumes a seq and is answered at
+    /// (non-positive rate, floor outside `[0, 1]`, zero or absurdly many
+    /// transmissions, out-of-range path mask…) still consumes a seq and
+    /// is answered at
     /// the next [`FleetService::tick_frames`] with a
     /// [`Verdict::Invalid`] decision, so the client can tell "malformed
     /// request" from "lost frame".
@@ -142,12 +144,32 @@ impl FleetService {
             }
             request = request.with_paths(paths);
         }
+        // A flow's model has `(paths + 1)^transmissions` columns, and
+        // `transmissions` is a raw byte off the wire: bound the widest
+        // leg (a flow is modelled per region, over the paths it names
+        // there) before anything is allocated for it.
+        let regions = self.region_map();
+        let widest_leg = match request.paths() {
+            Some(named) => named
+                .iter()
+                .map(|&k| {
+                    let same_region = |&&j: &&usize| regions.region_of(j) == regions.region_of(k);
+                    named.iter().filter(same_region).count()
+                })
+                .max(),
+            None => (0..regions.num_regions())
+                .map(|r| regions.region_paths(r).len())
+                .max(),
+        };
+        check_combos(widest_leg.unwrap_or(0), request.transmissions())
+            .map_err(|e| e.to_string())?;
         Ok(request)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use crate::{FleetError, FlowRequest};
     use dmc_core::ScenarioPath;
     use dmc_proto::wire::{DecisionFrame, LinkChangeFrame, OfferFrame, Verdict};
     use dmc_sim::LinkChange;
@@ -155,12 +177,16 @@ mod tests {
     use crate::service::{FleetService, ServiceConfig};
 
     fn two_path_service() -> FleetService {
+        grouped_service(&[])
+    }
+
+    fn grouped_service(groups: &[Vec<usize>]) -> FleetService {
         FleetService::new(
             vec![
                 ScenarioPath::constant(50e6, 0.200, 0.1).unwrap(),
                 ScenarioPath::constant(20e6, 0.100, 0.0).unwrap(),
             ],
-            &[],
+            groups,
             ServiceConfig {
                 workers: 1,
                 ..ServiceConfig::default()
@@ -231,5 +257,38 @@ mod tests {
         assert_eq!(service.handle_frame(&corrupt[..10]), None);
         assert_eq!(service.handle_frame(&[]), None);
         assert_eq!(service.submissions(), before);
+    }
+
+    #[test]
+    fn absurd_transmission_counts_are_invalid_not_fatal() {
+        // `transmissions` is a raw byte of the frame and the model has
+        // `(paths + 1)^m` columns: 3^24 columns used to abort on
+        // allocation, 3^255 overflowed the count itself.
+        let mut service = grouped_service(&[vec![0, 1]]);
+        for (tag, transmissions) in [(1, 24), (2, 255)] {
+            let mut hostile = offer(tag, 10e6, &[0, 1]);
+            hostile.transmissions = transmissions;
+            assert!(service.handle_frame(&hostile.encode()).is_some());
+        }
+        assert_eq!(
+            service.submissions(),
+            2,
+            "each hostile offer consumed a seq"
+        );
+        service.handle_frame(&offer(3, 10e6, &[0, 1]).encode());
+        let (frames, _) = service.tick_frames().unwrap();
+        let verdicts: Vec<Verdict> = frames
+            .iter()
+            .map(|f| DecisionFrame::decode(f).unwrap().verdict)
+            .collect();
+        assert_eq!(
+            verdicts,
+            [Verdict::Invalid, Verdict::Invalid, Verdict::Admitted]
+        );
+        // The typed path skips the wire check; the planner's own model
+        // builder must refuse the same request with an error.
+        let typed = FlowRequest::new(10e6, 0.8).unwrap().with_transmissions(24);
+        service.submit(typed).unwrap();
+        assert!(matches!(service.tick(), Err(FleetError::Invalid(_))));
     }
 }
