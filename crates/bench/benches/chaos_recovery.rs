@@ -4,9 +4,11 @@
 //! * `outage_cycle` — a correlated two-link failure sheds the floored
 //!   bulk into the re-admission queue, recovery revives it: four
 //!   priority-ordered re-settles (two shed sweeps, two revival sweeps)
-//!   per iteration. `warm` runs the default warm-start cache — after the
-//!   first cycle every post-fault LP shape has a cached basis; `cold`
-//!   disables it and pays two-phase simplex from scratch each time.
+//!   per iteration. `warm` carries the incumbent basis (the default):
+//!   each link change re-places the blocks and starts cold, every
+//!   re-admission and revival after it starts from the basis of the
+//!   flows already back; `cold` pays two-phase simplex from scratch
+//!   each time.
 //! * `certified_cycle` — the same cycle with [`FleetConfig::certify`]
 //!   on: every joint solution re-verified against its constraint system,
 //!   the chaos harness's always-on configuration. Bounds the price of

@@ -1,11 +1,12 @@
 //! Fleet admission/allocation hot paths:
 //!
 //! * `churn_resolve` — the steady-state pattern of a long-lived fleet:
-//!   one flow departs and an equivalent one arrives. Every re-solve
-//!   lands on a joint-LP *shape* the fleet has seen before, so the
-//!   warm-start cache re-enters phase 2 from the cached basis
-//!   (`warm`) instead of running two-phase simplex from scratch per
-//!   arrival (`cold`, `warm_start = false`).
+//!   one flow departs and an equivalent one arrives. The arrival takes
+//!   the tombstoned block over and starts from the survivors' carried
+//!   basis (`warm`) instead of running two-phase simplex from scratch
+//!   (`cold`, `warm_start = false`); the re-solve after the departure
+//!   is cold either way until the solver re-optimises a relaxed LP
+//!   dually (ROADMAP, LP engine).
 //! * `admission_8flows` — batched arrivals vs. one-at-a-time: the batch
 //!   fast path admits all eight flows with a **single** joint solve when
 //!   they are collectively feasible, vs. eight incremental solves of

@@ -5,8 +5,8 @@
 //! the tail of the horizon.
 //!
 //! * `incremental` — the default pipeline: ring-indexed capacity rows
-//!   are recycled in place, expired blocks are tombstoned (shape
-//!   preserved, so the warm-basis cache keeps hitting), and the
+//!   are recycled in place, expired blocks are tombstoned (no row or
+//!   column moves, so the carried basis stays addressable), and the
 //!   replacement flow reuses a tombstoned slot when one matches.
 //! * `rebuild` — the differential baseline (`incremental = false`):
 //!   the whole time-expanded assembly is rebuilt from scratch on every

@@ -241,7 +241,7 @@ pub struct Planner {
     // Warm-start state: last optimal basis per problem shape, plus
     // counters for observability (benchmarks, tests).
     // dmc-lint: allow(det-unordered-map) key-lookup-only cache: get/insert/contains_key/len/clear, never iterated, so key order cannot reach results
-    warm_bases: HashMap<ShapeKey, Basis>,
+    shape_bases: HashMap<ShapeKey, Basis>,
     warm_attempts: u64,
     warm_hits: u64,
 }
@@ -435,7 +435,7 @@ impl Planner {
         } else {
             None
         };
-        let solution = match key.and_then(|k| self.warm_bases.get(&k)) {
+        let solution = match key.and_then(|k| self.shape_bases.get(&k)) {
             Some(basis) => {
                 self.warm_attempts += 1;
                 // Mirror hit/miss into the telemetry registry (no-op when
@@ -464,10 +464,10 @@ impl Planner {
             None => problem.solve_with(&self.config.solver, &mut self.workspace)?,
         };
         if let (Some(k), Some(basis)) = (key, solution.basis()) {
-            if self.warm_bases.len() >= MAX_CACHED_SHAPES && !self.warm_bases.contains_key(&k) {
-                self.warm_bases.clear();
+            if self.shape_bases.len() >= MAX_CACHED_SHAPES && !self.shape_bases.contains_key(&k) {
+                self.shape_bases.clear();
             }
-            self.warm_bases.insert(k, basis.clone());
+            self.shape_bases.insert(k, basis.clone());
         }
         Ok(solution)
     }
@@ -497,12 +497,12 @@ impl Planner {
 
     /// Number of problem shapes with a cached warm-start basis.
     pub fn cached_bases(&self) -> usize {
-        self.warm_bases.len()
+        self.shape_bases.len()
     }
 
     /// Drops all cached warm-start bases (subsequent solves start cold).
     pub fn clear_warm_cache(&mut self) {
-        self.warm_bases.clear();
+        self.shape_bases.clear();
     }
 
     /// Loads a deterministic scenario's paths into the reusable

@@ -1,4 +1,4 @@
-//! The one joint-LP core: block assembly, warm-basis cache and solve
+//! The one joint-LP core: block assembly, carried basis and solve
 //! path shared by the instant [`FleetPlanner`](crate::FleetPlanner) and
 //! the slotted [`SchedulePlanner`](crate::SchedulePlanner).
 //!
@@ -30,19 +30,40 @@
 //! tombstoned one in place; departing **tombstones** the block (balance
 //! RHS `1/L → 0`, floor and cap RHS relaxed to 0, objective and
 //! capacity-row segments zeroed), which forces the block to zero
-//! *without changing the LP's shape* — so the warm-basis cache keyed on
-//! that shape keeps applying across churn and across
+//! *without moving a row or a column* — across churn and across
 //! [`SchedulePlanner::advance_to`](crate::SchedulePlanner::advance_to).
 //! Only the aggregate-rate-dependent segments are rewritten per solve,
 //! recomputed fresh from the per-flow models (never by scaling running
 //! values), so coefficients are a pure function of the current
 //! membership: history cannot leak into the numerics, which keeps trace
 //! replay and warm-vs-cold comparisons bit-identical. A rejected
-//! candidate is rolled back exactly. [`JointCore::forget`] drops the
-//! assembly; the next solve re-places the members in admission order —
-//! what a wholesale coefficient change (link dynamics), the instant
-//! planner's tombstone compaction, and `FleetConfig::incremental =
-//! false` (forget before *every* solve) all reduce to.
+//! candidate is rolled back exactly.
+//!
+//! The **basis** of the last successful solve is part of the assembly
+//! and is edited in step with the LP, so every solve starts from the
+//! incumbents' optimal vertex instead of re-deriving it: an appended
+//! block's rows enter on their starting logicals (its columns start
+//! nonbasic, so the incumbents' basic values do not move and phase 1
+//! runs over the candidate's few artificials only); a taken-over
+//! tombstone's rows are reset to theirs and its columns leave (exact: a
+//! dead block's columns are zero outside its own rows, so its sub-basis
+//! is block-diagonal); rolling an appended candidate back truncates the
+//! basis to what it was. The solver validates what it is handed —
+//! infeasible after a departure freed capacity, it is set aside for one
+//! cold solve; a numerical anomaly on the warm path drops it and
+//! retries cold — and phase 3's canonical vertex makes the answer a
+//! function of the problem, not of where the pivoting started (bitwise
+//! on the instant plane; on large time-expanded LPs ties below the
+//! solver's tolerance can leave the per-flow split — never an
+//! admission or the joint optimum — path-dependent; see
+//! `tests/carried_basis_stateful.rs`).
+//!
+//! [`JointCore::forget`] drops the assembly, basis included; the next
+//! solve re-places the members in admission order — what a wholesale
+//! coefficient change (link dynamics), the instant planner's tombstone
+//! compaction, and `FleetConfig::incremental = false` (forget before
+//! *every* solve) all reduce to. `PlannerConfig::warm_start = false`
+//! keeps the assembly and carries no basis.
 //!
 //! A new row or column kind of the joint LP is added here, once.
 
@@ -51,10 +72,10 @@ use crate::flow::{FlowId, FlowRequest};
 use crate::planner::{FleetConfig, FleetObjective};
 use crate::schedule::{SlotWindow, TimeGrid};
 use dmc_core::{Planner, Scenario, ScenarioModel, ScenarioPath, WarmStats};
-use dmc_lp::{Basis, ConstraintKind, Problem, SolveError, SolveStatus, SolverOptions, Workspace};
+use dmc_lp::{Basis, Problem, SolveError, SolveStatus, SolverOptions, Workspace};
 use dmc_sim::LinkChange;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -156,61 +177,11 @@ pub(crate) fn check_combos(n_paths: usize, transmissions: usize) -> Result<(), F
     }
 }
 
-/// Cache key for joint warm-start bases: the shape of the assembled joint
-/// LP, mirroring the single-flow planner's cache. Two joint problems of
-/// equal shape can exchange bases — basis feasibility depends only on the
-/// coefficients, which the solver re-checks on every warm start — so a
-/// departure that returns the fleet to a previously seen shape (the
-/// churn pattern, or any tombstoning depart) re-enters phase 2 directly.
-/// The row-kind pattern is folded into an FNV-1a hash so fleets of any
-/// size (the 64-flow joint LP has well over 128 rows) stay cacheable; a
-/// hash collision can at worst hand the solver a basis it validates and
-/// rejects, falling back to a cold solve.
-///
-/// The hash also tags each row with whether its RHS is exactly zero. A
-/// tombstoned block and its revived re-occupation share the LP's
-/// *shape* — that is the point of tombstoning — but their optimal bases
-/// are mutually infeasible (`Σx = 0` vs `Σx = 1`); keying on the
-/// zero-RHS pattern gives each churn phase its own cache entry, so
-/// steady-state churn alternates between two entries that both keep
-/// hitting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct JointShapeKey {
-    n_vars: usize,
-    n_rows: usize,
-    kind_hash: u64,
-}
-
-impl JointShapeKey {
-    fn of(problem: &Problem) -> Self {
-        let mut kind_hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for c in problem.constraints() {
-            let kind: u64 = match c.kind() {
-                ConstraintKind::LessEq => 1,
-                ConstraintKind::Eq => 2,
-            };
-            // dmc-lint: allow(float-exact) shape-key tag: structurally-zero RHS (tombstoned rows, quality floors) is written bitwise as 0.0, never computed
-            let tag = kind * 2 + u64::from(c.rhs() == 0.0);
-            kind_hash ^= tag;
-            kind_hash = kind_hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        JointShapeKey {
-            n_vars: problem.num_vars(),
-            n_rows: problem.num_constraints(),
-            kind_hash,
-        }
-    }
-}
-
-/// Bound on cached joint shapes; a fleet cycling through more shapes than
-/// this restarts its cache (churn touches one shape per admitted count).
-const MAX_CACHED_SHAPES: usize = 64;
-
 /// One flow's block in the assembly: `L·n` assignment columns
 /// (window-slot-major) plus `carry` buffer columns, its optional
 /// cost/floor rows, its `L` balance rows and `carry` cap rows. A
 /// tombstoned (inactive) slot keeps its rows and columns, so departures
-/// never change the LP's shape; a later flow with the same width, window
+/// never move anything; a later flow with the same width, window
 /// length, buffering, row pattern and window *ring phase* (the capacity
 /// rows a block touches are baked into its coefficients) takes the slot
 /// over in place.
@@ -234,6 +205,12 @@ impl Slot {
     fn combo_start(&self, i: usize) -> usize {
         self.cols.start + i * self.n_combos
     }
+
+    /// The rows whose RHS a tombstone zeroes: balance rows, the buffer
+    /// caps after them (contiguous), and the floor row.
+    fn forced_rows(&self) -> impl Iterator<Item = usize> {
+        (self.balance_start..self.cap_start + self.carry).chain(self.floor_row)
+    }
 }
 
 /// How a tentative placement got its slot (so a rejected candidate can
@@ -256,6 +233,10 @@ struct Assembly {
     slots: Vec<Slot>,
     /// Which slot each placed flow occupies.
     slot_of: BTreeMap<FlowId, usize>,
+    /// Basis of the last successful solve, edited in step with
+    /// `problem` (`None` before the first one, after an anomaly, and
+    /// always with warm starts off).
+    basis: Option<Basis>,
     /// Scratch for coefficient segments.
     seg: Vec<f64>,
 }
@@ -268,6 +249,7 @@ impl Assembly {
             n_paths,
             slots: Vec::new(),
             slot_of: BTreeMap::new(),
+            basis: None,
             seg: Vec::new(),
         }
     }
@@ -345,6 +327,9 @@ impl Assembly {
             }
             for i in 0..carry {
                 self.set_rhs(slot.cap_start + i, m.buffer * g);
+            }
+            if let Some(basis) = &mut self.basis {
+                basis.release(slot.forced_rows().chain(slot.cost_row), slot.cols.clone());
             }
             self.slots[idx].active = true;
             self.slots[idx].window = m.window;
@@ -427,6 +412,9 @@ impl Assembly {
             active: true,
         });
         self.slot_of.insert(m.id, self.slots.len() - 1);
+        if let Some(basis) = &mut self.basis {
+            basis.extend_logical(self.problem.num_constraints());
+        }
         Placement::Appended {
             prev_vars,
             prev_rows,
@@ -436,9 +424,10 @@ impl Assembly {
     /// Tombstones a flow's slot: objective and capacity-row segments
     /// zeroed, every balance RHS `1/L → 0` (with the floor and cap RHS
     /// relaxed to 0), which forces every variable of the block to zero —
-    /// the balance rows telescope to `Σx = 0` — while preserving the
-    /// LP's shape, so the cached basis of this shape keeps working. A
-    /// flow the assembly does not hold is a no-op.
+    /// the balance rows telescope to `Σx = 0` — while every row and
+    /// column stays where it is (the carried basis is left alone: the
+    /// next solve validates it). A flow the assembly does not hold is a
+    /// no-op.
     fn deactivate(&mut self, id: FlowId) {
         let Some(idx) = self.slot_of.remove(&id) else {
             return;
@@ -457,8 +446,7 @@ impl Assembly {
                     .expect("shared segment fits");
             }
         }
-        // The balance rows and the caps after them are contiguous.
-        for row in (slot.balance_start..slot.cap_start + slot.carry).chain(slot.floor_row) {
+        for row in slot.forced_rows() {
             self.set_rhs(row, 0.0);
         }
         self.slots[idx].active = false;
@@ -485,6 +473,9 @@ impl Assembly {
                 }
                 self.problem.truncate_rows(prev_rows);
                 self.problem.truncate_vars(prev_vars);
+                if let Some(basis) = &mut self.basis {
+                    basis.truncate(prev_rows);
+                }
                 self.slots.pop();
                 self.slot_of.remove(&id);
             }
@@ -560,8 +551,8 @@ impl Assembly {
 }
 
 /// The joint-LP core one planner owns: the shared paths and grid, the
-/// per-flow model builder, the maintained [`Assembly`], the shape-keyed
-/// warm-basis cache and the solver scratch.
+/// per-flow model builder, the maintained [`Assembly`] (LP and carried
+/// basis) and the solver scratch.
 #[derive(Debug)]
 pub(crate) struct JointCore {
     pub(crate) config: FleetConfig,
@@ -573,9 +564,9 @@ pub(crate) struct JointCore {
     flow_planner: Planner,
     /// Joint-LP scratch memory, reused across solves.
     workspace: Workspace,
-    // dmc-lint: allow(det-unordered-map) key-lookup-only cache: get/insert/contains_key/len/clear, never iterated, so key order cannot reach results
-    warm_bases: HashMap<JointShapeKey, Basis>,
+    /// Solves that had a carried basis to start from.
     warm_attempts: u64,
+    /// Those that did start from it (refusals reached warm included).
     warm_hits: u64,
     /// Cold re-solves forced by a warm-start anomaly (singular basis or
     /// pivot-cap abort on the warm path).
@@ -623,8 +614,6 @@ impl JointCore {
             paths: paths.into_iter().map(shared).collect(),
             maintenance: BTreeSet::new(),
             workspace: Workspace::new(),
-            // dmc-lint: allow(det-unordered-map) constructor of the key-lookup-only warm-basis cache above
-            warm_bases: HashMap::new(),
             warm_attempts: 0,
             warm_hits: 0,
             warm_anomalies: 0,
@@ -712,9 +701,10 @@ impl JointCore {
         }
     }
 
-    /// Drops the assembly; the next solve re-places its members in the
-    /// order given (keeps the layout deterministic after wholesale
-    /// coefficient changes, and compacts tombstones away).
+    /// Drops the assembly and the basis carried with it; the next solve
+    /// re-places its members in the order given (keeps the layout
+    /// deterministic after wholesale coefficient changes, and compacts
+    /// tombstones away) and starts cold.
     pub(crate) fn forget(&mut self) {
         self.assembly = None;
     }
@@ -763,7 +753,7 @@ impl JointCore {
             &self.maintenance,
             everyone.clone(),
         );
-        match self.solve_joint_problem(&assembly.problem) {
+        match self.solve_joint_problem(&assembly.problem, &mut assembly.basis) {
             Ok(solution) => {
                 let x = solution.into_x();
                 self.last_objective = assembly.problem.objective_value(&x);
@@ -788,62 +778,56 @@ impl JointCore {
         }
     }
 
-    /// Solves an assembled joint problem with the shape-keyed warm-start
-    /// cache.
-    fn solve_joint_problem(&mut self, problem: &Problem) -> Result<dmc_lp::Solution, SolveError> {
+    /// Solves an assembled joint problem from the carried `basis` (cold
+    /// without one) and, on success, replaces it with the new optimum's.
+    /// On a verdict (`Infeasible`) it is left as handed in, for the
+    /// caller's rollback to undo its edits.
+    fn solve_joint_problem(
+        &mut self,
+        problem: &Problem,
+        basis: &mut Option<Basis>,
+    ) -> Result<dmc_lp::Solution, SolveError> {
         let opts = SolverOptions {
             backend: self.config.joint_backend,
             ..self.config.planner.solver.clone()
         };
         let obs = &self.config.obs;
-        let key = self
-            .config
-            .planner
-            .warm_start
-            .then(|| JointShapeKey::of(problem));
-        let solution = match key.and_then(|k| self.warm_bases.get(&k)) {
-            Some(basis) => {
+        let warm_start = self.config.planner.warm_start;
+        let carried = basis.take().filter(|_| warm_start);
+        let mut solution = match &carried {
+            Some(start) => {
                 self.warm_attempts += 1;
-                match problem.solve_warm_with(&opts, &mut self.workspace, basis) {
-                    Ok(s) => {
-                        if s.used_warm_start() {
-                            self.warm_hits += 1;
-                            obs.counter("fleet.warm_hits").inc();
-                        } else {
-                            obs.counter("fleet.warm_misses").inc();
-                        }
-                        s
-                    }
+                let result = problem.solve_warm_with(&opts, &mut self.workspace, start);
+                // Asked of the workspace, not the `Solution`: a refusal
+                // reached from the incumbents' vertex is a warm solve.
+                if self.workspace.started_warm() {
+                    self.warm_hits += 1;
+                    obs.counter("fleet.warm_hits").inc();
+                } else {
+                    obs.counter("fleet.warm_misses").inc();
+                }
+                match result {
                     Err(e) if SolveStatus::of_error(&e).is_anomaly() => {
-                        // A singular/stale basis or a pivot-cap abort on
-                        // the warm path is a numerical anomaly, not a
-                        // verdict about the problem: drop the offending
+                        // A singular basis or a pivot-cap abort on the
+                        // warm path is a numerical anomaly, not a
+                        // verdict about the problem: drop the incumbent
                         // basis and re-solve cold. The incumbents keep
                         // their last-known-good plans unless the cold
                         // solve succeeds (plans are only refreshed from a
                         // successful solution).
                         self.warm_anomalies += 1;
                         obs.counter("fleet.warm_anomalies").inc();
-                        obs.counter("fleet.warm_misses").inc();
-                        if let Some(k) = key {
-                            self.warm_bases.remove(&k);
-                        }
                         problem.solve_with(&opts, &mut self.workspace)?
                     }
                     Err(e) => {
-                        obs.counter("fleet.warm_misses").inc();
+                        *basis = carried;
                         return Err(e);
                     }
+                    Ok(s) => s,
                 }
             }
             None => problem.solve_with(&opts, &mut self.workspace)?,
         };
-        if let (Some(k), Some(basis)) = (key, solution.basis()) {
-            if self.warm_bases.len() >= MAX_CACHED_SHAPES && !self.warm_bases.contains_key(&k) {
-                self.warm_bases.clear();
-            }
-            self.warm_bases.insert(k, basis.clone());
-        }
         // The decomposition path replays the feasibility certificate in
         // debug builds (and in release when [`FleetConfig::certify`] is
         // set): every per-flow plan descends from this x, so a bogus
@@ -853,6 +837,9 @@ impl JointCore {
                 .certify(problem)
                 .expect("joint LP solution failed its feasibility certificate");
         }
+        if warm_start {
+            *basis = solution.take_basis();
+        }
         Ok(solution)
     }
 
@@ -861,7 +848,8 @@ impl JointCore {
         self.last_objective
     }
 
-    /// Warm-start cache counters of the joint solves.
+    /// Warm-start counters of the joint solves: of those that had a
+    /// carried basis, how many started from it.
     pub(crate) fn warm_stats(&self) -> WarmStats {
         WarmStats {
             hits: self.warm_hits,
@@ -874,14 +862,16 @@ impl JointCore {
         self.warm_anomalies
     }
 
-    /// Number of joint-LP shapes with a cached warm-start basis.
+    /// Whether a basis is being carried (0 or 1).
     pub(crate) fn cached_bases(&self) -> usize {
-        self.warm_bases.len()
+        usize::from(self.assembly.as_ref().is_some_and(|a| a.basis.is_some()))
     }
 
-    /// Drops all cached joint bases (subsequent solves start cold).
+    /// Drops the carried basis (the next solve starts cold).
     pub(crate) fn clear_warm_cache(&mut self) {
-        self.warm_bases.clear();
+        if let Some(assembly) = self.assembly.as_mut() {
+            assembly.basis = None;
+        }
     }
 }
 

@@ -21,10 +21,10 @@
 //! * the joint LP is a plain [`dmc_lp::Problem`], maintained in place
 //!   by one core shared by both planners (`joint.rs`) and solved by the
 //!   block-structured sparse backend ([`FleetConfig::joint_backend`])
-//!   with **warm starts**: the optimal basis is cached per joint shape,
-//!   so churn (a departure returning the fleet to a previously-seen
-//!   shape, a link retune keeping the shape) re-enters phase 2 directly
-//!   — see the `fleet_admission` benchmark;
+//!   with **warm starts**: the basis of the last optimum is carried
+//!   with the LP and edited in step with it, so an admission, a refusal
+//!   or a revive starts from the incumbents' vertex and pivots only for
+//!   the candidate — see the `fleet_admission` benchmark;
 //! * the joint solution is **decomposed back into ordinary per-flow
 //!   [`dmc_core::Plan`]s** via [`dmc_core::ScenarioModel::plan_for`], so
 //!   `run_plan`, `DmcSender::from_plan` and `AdaptiveSender` consume

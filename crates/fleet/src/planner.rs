@@ -37,8 +37,9 @@
 //! quality floor added — the DDCCast rule: accept a transfer only when
 //! the remaining shared capacity can still meet every accepted deadline.
 //! Rejected flows leave the incumbents' allocation untouched. Departures
-//! and link changes re-solve the smaller/changed LP (warm-started from
-//! the cached basis of the same joint shape); a link change that makes
+//! and link changes re-solve the smaller/changed LP (a departure from
+//! the carried basis when it is still feasible, a link change cold); a
+//! link change that makes
 //! the floors collectively infeasible triggers deterministic re-admission
 //! highest priority first (admission order within ties), **shedding**
 //! exactly the flows that no longer fit into a re-admission queue: each
@@ -96,8 +97,8 @@ pub struct FleetConfig {
     /// Maintain the joint LP incrementally (default `true`): admitting a
     /// flow appends (or reuses) its assignment block in place, departing
     /// tombstones the block (its `Σx` row drops to 0, forcing the block
-    /// to zero without changing the LP's shape — so the cached basis
-    /// stays applicable), and only coefficient segments touched by the
+    /// to zero without moving a row or column), the basis of the last
+    /// optimum is edited alongside, and only coefficient segments touched by the
     /// aggregate-rate rescaling are rewritten. `false` means one thing,
     /// for both planners: the assembly is forgotten before every solve
     /// and the members re-placed in admission order — the same
@@ -394,8 +395,9 @@ impl FleetPlanner {
     }
 
     /// Removes an admitted flow and re-solves the joint allocation for
-    /// the survivors (warm-started from the cached basis of the smaller
-    /// shape when available). Returns the departing flow's last plan.
+    /// the survivors (from the carried basis when the freed capacity
+    /// leaves it feasible, cold otherwise). Returns the departing flow's
+    /// last plan.
     ///
     /// The re-solve only ever *relaxes* the problem, so every surviving
     /// flow keeps meeting its floor (the `admission_invariants` test pins
@@ -677,8 +679,10 @@ impl FleetPlanner {
         self.total_goodput() / lambda_tot
     }
 
-    /// Warm-start cache counters of the joint solves (same semantics as
-    /// [`dmc_core::Planner::warm_stats`]).
+    /// Warm-start counters of the joint solves: of the solves that had a
+    /// carried basis to start from, `hits` started from it — whether
+    /// they ended in an admission or a refusal — and `misses` found it
+    /// infeasible and restarted cold.
     ///
     /// MIGRATION: the same events are mirrored onto the `dmc_obs`
     /// counters `fleet.warm_hits` / `fleet.warm_misses` of
@@ -688,12 +692,14 @@ impl FleetPlanner {
         self.core.warm_stats()
     }
 
-    /// Number of joint-LP shapes with a cached warm-start basis.
+    /// Whether the joint LP currently carries the basis of its last
+    /// optimum: 1, or 0 (before the first solve, after a link change,
+    /// compaction or anomaly, and always with warm starts off).
     pub fn cached_bases(&self) -> usize {
         self.core.cached_bases()
     }
 
-    /// Drops all cached joint bases (subsequent solves start cold).
+    /// Drops the carried basis (the next solve starts cold).
     pub fn clear_warm_cache(&mut self) {
         self.core.clear_warm_cache();
     }
@@ -770,8 +776,7 @@ impl FleetPlanner {
             return Ok(Vec::new());
         }
         // The per-flow coefficients changed wholesale; re-place the
-        // blocks from the new models (shape usually unchanged, so the
-        // cached basis of the shape still applies).
+        // blocks from the new models and start cold.
         self.core.forget();
         match self.solve_members() {
             Ok(segments) => {
@@ -1207,44 +1212,45 @@ mod tests {
 
     #[test]
     fn warm_anomaly_drops_the_basis_and_never_panics() {
-        // Admit two flows so the joint shape has a cached basis, then
-        // strangle the pivot budget: the next resettle's warm attempt
-        // aborts on the iteration cap (an anomaly), the fallback drops
-        // the cached basis and retries cold — which also aborts, so the
-        // operation fails with an error, not a panic, and the incumbents
-        // keep their last-known-good plans. Restoring the budget heals
-        // the fleet on the next event.
+        // Admit two flows so the assembly carries a basis, then strangle
+        // the pivot budget: the next offer's solve from that basis aborts
+        // on the iteration cap (an anomaly), the fallback drops the
+        // incumbent basis and retries cold — which also aborts, so the
+        // operation fails with an error, not a panic, the candidate is
+        // rolled back and the incumbents keep their last-known-good
+        // plans. Restoring the budget heals the fleet on the next event.
         let mut fleet = fleet();
         let a = fleet
             .offer(FlowRequest::new(40e6, 0.8).unwrap().with_min_quality(0.7))
             .unwrap();
         let b = fleet.offer(FlowRequest::new(10e6, 0.8).unwrap()).unwrap();
         assert!(a.is_admitted() && b.is_admitted());
-        assert!(fleet.cached_bases() > 0);
-        let cached_before = fleet.cached_bases();
+        assert_eq!(fleet.cached_bases(), 1);
         let plan_a = fleet.plan_of(a.id()).unwrap().clone();
         let budget = fleet.core.config.planner.solver.max_iterations;
         fleet.core.config.planner.solver.max_iterations = 1;
-        let err = fleet
-            .apply_link_change(0, &LinkChange::SetBandwidth(5e6))
-            .unwrap_err();
+        let candidate = || FlowRequest::new(20e6, 0.8).unwrap().with_min_quality(0.5);
+        let err = fleet.offer(candidate()).unwrap_err();
         assert!(matches!(
             err,
             FleetError::Solve(SolveError::IterationLimit { .. })
         ));
         assert_eq!(fleet.warm_anomalies(), 1);
-        assert_eq!(fleet.cached_bases(), cached_before - 1);
-        // Last-known-good plans survived the failed solve.
+        assert_eq!(fleet.cached_bases(), 0);
+        // The solve *started* from the incumbent basis, so it is a hit —
+        // and the failed candidate left no trace.
+        assert_eq!(fleet.warm_stats(), WarmStats { hits: 2, misses: 0 });
+        assert_eq!(fleet.num_flows(), 2);
         assert_eq!(
             fleet.plan_of(a.id()).unwrap().strategy().x(),
             plan_a.strategy().x()
         );
-        // With the budget restored the fleet resettles cleanly.
+        // With the budget restored the same offer goes through (cold: the
+        // basis is gone) and the fleet carries a basis again.
         fleet.core.config.planner.solver.max_iterations = budget;
-        let shed = fleet
-            .apply_link_change(0, &LinkChange::SetBandwidth(80e6))
-            .unwrap();
-        assert!(shed.is_empty());
+        assert!(fleet.offer(candidate()).unwrap().is_admitted());
+        assert_eq!(fleet.warm_stats(), WarmStats { hits: 2, misses: 0 });
+        assert_eq!(fleet.cached_bases(), 1);
         assert!(fleet.plan_of(a.id()).unwrap().quality() >= 0.7 - 1e-9);
     }
 
@@ -1347,11 +1353,10 @@ mod tests {
 
     #[test]
     fn departure_tombstones_and_readmission_reuses_the_slot() {
-        // Steady-state churn: depart + equivalent arrival, twice. The
-        // first cycle populates the cache entries of the two LP variants
-        // (slot tombstoned / slot revived — same shape, distinguished by
-        // the zero-RHS tag in the shape key); from the second cycle on
-        // every solve re-enters phase 2 from its variant's basis.
+        // Steady-state churn: depart + equivalent arrival, twice. Each
+        // arrival takes the tombstoned block over in place and starts
+        // from the survivors' basis, the block's rows back on their
+        // logicals.
         let mut fleet = fleet();
         let mut current = fleet
             .offer(FlowRequest::new(30e6, 0.8).unwrap().with_min_quality(0.6))
@@ -1365,8 +1370,8 @@ mod tests {
             assert!(current.is_admitted());
         }
         assert!(
-            fleet.warm_stats().hits >= 2,
-            "churn cycles 2+ should warm-start both solves: {}",
+            fleet.warm_stats().hits >= 3,
+            "the second offer and both re-arrivals start warm: {}",
             fleet.warm_stats()
         );
         assert_eq!(fleet.num_flows(), 2);
@@ -1444,11 +1449,17 @@ mod tests {
 
     #[test]
     fn churn_warm_starts_and_matches_cold_bit_for_bit() {
+        // Append, refuse (rollback), depart (tombstone), take over: every
+        // edit the carried basis goes through.
         let churn = |fleet: &mut FleetPlanner| {
             let a = fleet
                 .offer(FlowRequest::new(40e6, 0.8).unwrap().with_min_quality(0.7))
                 .unwrap();
             let _b = fleet.offer(FlowRequest::new(30e6, 0.6).unwrap()).unwrap();
+            let refused = fleet
+                .offer(FlowRequest::new(90e6, 0.8).unwrap().with_min_quality(0.95))
+                .unwrap();
+            assert!(!refused.is_admitted());
             fleet.depart(a.id()).unwrap();
             let _c = fleet
                 .offer(FlowRequest::new(40e6, 0.8).unwrap().with_min_quality(0.7))
@@ -1456,11 +1467,14 @@ mod tests {
         };
         let mut warm = fleet();
         churn(&mut warm);
+        // The second offer, the refusal and the take-over start from the
+        // incumbents' basis; only the first offer has none to start from.
         assert!(
-            warm.warm_stats().hits > 0,
+            warm.warm_stats().hits >= 3,
             "churn re-solves never warm-started: {}",
             warm.warm_stats()
         );
+        assert_eq!(warm.cached_bases(), 1);
         let mut cold = FleetPlanner::new(
             table3_paths(),
             FleetConfig {
@@ -1475,6 +1489,7 @@ mod tests {
         churn(&mut cold);
         assert_eq!(cold.warm_stats(), WarmStats::default());
         assert_eq!(cold.cached_bases(), 0);
+        assert_eq!(warm.core.objective_value(), cold.core.objective_value());
         for ((ida, pa), (idb, pb)) in warm.plans().zip(cold.plans()) {
             assert_eq!(ida, idb);
             assert_eq!(pa.strategy().x(), pb.strategy().x(), "{ida}");

@@ -43,12 +43,12 @@
 //! # One LP core, shared
 //!
 //! The LP itself — ring-indexed capacity rows, block layout,
-//! tombstoning, Λ-rescaling, the shape-keyed warm-basis cache — is the
+//! tombstoning, Λ-rescaling, the carried basis — is the
 //! joint core this planner shares with the instant
 //! [`FleetPlanner`](crate::FleetPlanner) (`joint.rs`). What lives here
 //! is the *policy* of the time axis: the reservation slide, the horizon
 //! advance ([`SchedulePlanner::advance_to`] — expired windows tombstone,
-//! so the LP's shape and its cached basis survive the slide, which is
+//! so no row or column moves in the slide, which is
 //! what the `schedule_horizon` bench measures against a
 //! rebuild-per-solve baseline) and maintenance windows.
 //!
@@ -595,8 +595,8 @@ impl SchedulePlanner {
     /// shorter window) — and if the truncated window no longer fits,
     /// they get the reservation slide before being dropped. Expired
     /// slots' capacity rows are recycled in place (ring indexing), so
-    /// the LP's shape — and with it the warm-basis cache — survives the
-    /// advance; the `schedule_horizon` bench pins the payoff.
+    /// no row or column moves and the carried basis stays addressable
+    /// across the advance; the `schedule_horizon` bench pins the payoff.
     ///
     /// # Errors
     ///
@@ -723,8 +723,7 @@ impl SchedulePlanner {
             f.model = self.core.flow_model(f.request.flow())?;
         }
         // Coefficients changed wholesale: re-place the blocks from the
-        // new models (shape usually unchanged, so the cached basis of
-        // the shape still applies), then settle.
+        // new models (cold), then settle.
         self.core.forget();
         self.settle_all()
     }
@@ -851,7 +850,8 @@ impl SchedulePlanner {
         self.core.objective_value()
     }
 
-    /// Warm-start statistics of the joint solves.
+    /// Warm-start counters of the joint solves (see
+    /// [`FleetPlanner::warm_stats`](crate::FleetPlanner::warm_stats)).
     pub fn warm_stats(&self) -> WarmStats {
         self.core.warm_stats()
     }

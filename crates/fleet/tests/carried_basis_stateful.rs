@@ -1,0 +1,279 @@
+//! Stateful differential test of the carried basis: seeded random
+//! operation sequences against two planners that differ only in
+//! `PlannerConfig::warm_start` — one carries the incumbent basis
+//! through every edit of the joint LP, the other solves cold every time
+//! — and must agree at **every step** on every decision, every
+//! shed/revive/reject list and every plan.
+//!
+//! This is ROADMAP's "any operation sequence matches a from-scratch
+//! reference", scoped to the basis: where the pivoting starts may
+//! change how many pivots a solve takes, never what it answers.
+//!
+//! On the instant plane "agree" is **bitwise**. On the reservation
+//! plane everything discrete is exact (verdicts, ids, windows, who
+//! moved, who fell out) and the joint optimum agrees to 1e-9, but the
+//! per-flow split is not compared — as in every differential test of
+//! that plane (`SchedulePlanner::objective_value`): a time-expanded
+//! optimum is not always unique. A flow whose window spans two slots
+//! with spare capacity can be served in either, and two flows of equal
+//! lifetime can trade capacity, at the same objective *and* — to within
+//! the solver's 1e-9 pivot tolerance — the same secondary weight: the
+//! index jitter that should break the tie is `1e-6 / columns` per
+//! column, under the tolerance from ~600 columns up. Two pivot paths
+//! then stop on different, equally optimal vertices (seeds 5 and 15 of
+//! the schedule script do, at 570–680 columns, secondary objectives
+//! 1e-11 apart). That is a property of phase 3, not of the carried
+//! basis — see ROADMAP's LP-engine item.
+
+use dmc_core::{Plan, PlannerConfig, ScenarioPath, WarmStats};
+use dmc_fleet::{
+    FleetConfig, FleetPlanner, FlowId, FlowRequest, ScheduleDecision, SchedulePlanner,
+    ScheduleRequest, SlotWindow, TimeGrid,
+};
+use dmc_sim::LinkChange;
+
+/// SplitMix64 — the scripts' only entropy source.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[lo, hi)`.
+    fn range(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * ((self.next() >> 11) as f64 / (1u64 << 53) as f64)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+const BANDWIDTHS: [f64; 4] = [80e6, 20e6, 30e6, 40e6];
+
+fn paths() -> Vec<ScenarioPath> {
+    let delay_loss = [(0.450, 0.2), (0.150, 0.0), (0.250, 0.05), (0.350, 0.1)];
+    BANDWIDTHS
+        .iter()
+        .zip(delay_loss)
+        .map(|(&bw, (delay, loss))| ScenarioPath::constant(bw, delay, loss).unwrap())
+        .collect()
+}
+
+fn config(warm_start: bool) -> FleetConfig {
+    FleetConfig {
+        planner: PlannerConfig {
+            warm_start,
+            ..PlannerConfig::default()
+        },
+        ..FleetConfig::default()
+    }
+}
+
+/// A seeded request: 6–30 Mbps, a floor two times in three, sometimes a
+/// budget, a priority, a path subset or a single transmission — so
+/// blocks differ in width and row pattern and tombstones are only
+/// sometimes reusable.
+fn seeded_request(rng: &mut Rng) -> FlowRequest {
+    let mut r = FlowRequest::new(rng.range(6e6, 30e6), rng.range(0.4, 1.2)).unwrap();
+    if rng.below(3) > 0 {
+        r = r.with_min_quality(rng.range(0.3, 0.9));
+    }
+    if rng.below(4) == 0 {
+        r = r.with_cost_budget(rng.range(1.0, 4.0));
+    }
+    if rng.below(3) == 0 {
+        r = r.with_priority(rng.range(1.0, 6.0));
+    }
+    if rng.below(4) == 0 {
+        let first = rng.below(3);
+        r = r.with_paths(vec![first, first + 1]);
+    }
+    if rng.below(5) == 0 {
+        r = r.with_transmissions(1);
+    }
+    r
+}
+
+fn seeded_link_change(rng: &mut Rng) -> (usize, LinkChange) {
+    let path = rng.below(BANDWIDTHS.len());
+    let change = match rng.below(4) {
+        0 => LinkChange::Fail,
+        1 => LinkChange::Recover,
+        _ => LinkChange::SetBandwidth(BANDWIDTHS[path] * rng.range(0.3, 1.2)),
+    };
+    (path, change)
+}
+
+fn plan_bits(plan: &Plan) -> (Vec<u64>, u64) {
+    let x = plan.strategy().x().iter().map(|v| v.to_bits()).collect();
+    (x, plan.quality().to_bits())
+}
+
+/// Everything observable about an instant planner, plans down to bits.
+fn instant_state(fleet: &mut FleetPlanner) -> String {
+    let plans: Vec<(FlowId, (Vec<u64>, u64))> = fleet
+        .plans()
+        .map(|(id, plan)| (id, plan_bits(plan)))
+        .collect();
+    format!(
+        "{plans:?} shed {:?} revived {:?} rejected {:?}",
+        fleet.shed_flows(),
+        fleet.drain_revived(),
+        fleet.drain_shed_rejected()
+    )
+}
+
+#[test]
+fn instant_planner_warm_and_cold_agree_at_every_step() {
+    let mut hits = 0;
+    let mut refusals = 0;
+    for seed in 1..=6u64 {
+        let mut rng = Rng(seed.wrapping_mul(0xA24B_AED4_963E_E407));
+        let mut warm = FleetPlanner::new(paths(), config(true)).unwrap();
+        let mut cold = FleetPlanner::new(paths(), config(false)).unwrap();
+        for step in 0..70 {
+            let ctx = format!("seed {seed} step {step}");
+            match rng.below(10) {
+                0..=4 => {
+                    let batch: Vec<FlowRequest> = (0..1 + rng.below(4))
+                        .map(|_| seeded_request(&mut rng))
+                        .collect();
+                    let w = warm.offer_batch(batch.clone()).unwrap();
+                    let c = cold.offer_batch(batch).unwrap();
+                    refusals += w.iter().filter(|d| !d.is_admitted()).count();
+                    assert_eq!(format!("{w:?}"), format!("{c:?}"), "{ctx}: decisions");
+                }
+                5..=7 => {
+                    // Live and shed ids alike, one to three of them.
+                    let mut known = warm.flow_ids();
+                    known.extend(warm.shed_flows());
+                    let mut leaving = Vec::new();
+                    for _ in 0..(1 + rng.below(3)).min(known.len()) {
+                        leaving.push(known.swap_remove(rng.below(known.len())));
+                    }
+                    let w = warm.depart_batch(&leaving).unwrap();
+                    let c = cold.depart_batch(&leaving).unwrap();
+                    let (w, c): (Vec<_>, Vec<_>) = (
+                        w.iter().map(plan_bits).collect(),
+                        c.iter().map(plan_bits).collect(),
+                    );
+                    assert_eq!(w, c, "{ctx}: departing plans");
+                }
+                _ => {
+                    let (path, change) = seeded_link_change(&mut rng);
+                    let w = warm.apply_link_change(path, &change).unwrap();
+                    let c = cold.apply_link_change(path, &change).unwrap();
+                    assert_eq!(w, c, "{ctx}: newly shed after {change:?} on path {path}");
+                }
+            }
+            assert_eq!(instant_state(&mut warm), instant_state(&mut cold), "{ctx}");
+        }
+        assert_eq!(cold.warm_stats(), WarmStats::default());
+        assert_eq!(cold.cached_bases(), 0);
+        assert_eq!(warm.warm_anomalies(), 0);
+        hits += warm.warm_stats().hits;
+    }
+    // The scripts do exercise what they are for.
+    assert!(refusals > 20, "only {refusals} refusals");
+    assert!(hits > 200, "only {hits} solves started warm");
+}
+
+/// What is comparable about a schedule planner: who holds which
+/// window, exactly, and the joint optimum.
+fn schedule_state(sched: &SchedulePlanner) -> (String, [f64; 2]) {
+    let windows: Vec<_> = sched
+        .flow_ids()
+        .into_iter()
+        .map(|id| (id, sched.window_of(id)))
+        .collect();
+    let optimum = [sched.objective_value(), sched.aggregate_quality()];
+    (format!("{windows:?}"), optimum)
+}
+
+/// A decision without its `predicted_quality` (a per-flow split — see
+/// the module docs): the id, the granted window if any, and how far it
+/// was slid from the requested one.
+fn discrete(decision: &ScheduleDecision) -> (FlowId, Option<SlotWindow>, bool, u64) {
+    (
+        decision.id(),
+        decision.window(),
+        decision.is_reserved(),
+        decision.opens_in(),
+    )
+}
+
+#[test]
+fn schedule_planner_warm_and_cold_agree_at_every_step() {
+    const HORIZON: u64 = 6;
+    let mut hits = 0;
+    let mut reserved = 0;
+    for seed in 1..=5u64 {
+        let mut rng = Rng(seed.wrapping_mul(0x9FB2_1C65_1E98_DF25));
+        let grid = TimeGrid::new(0.5, HORIZON as usize).unwrap();
+        let mut warm = SchedulePlanner::new(paths(), grid, config(true)).unwrap();
+        let mut cold = SchedulePlanner::new(paths(), grid, config(false)).unwrap();
+        for step in 0..60 {
+            let ctx = format!("seed {seed} step {step}");
+            let origin = warm.grid().origin();
+            match rng.below(10) {
+                0..=5 => {
+                    let start = origin + rng.below(HORIZON as usize - 1) as u64;
+                    let len = 1 + rng.below(3.min((origin + HORIZON - start) as usize)) as u64;
+                    let window = SlotWindow::new(start, start + len).unwrap();
+                    let mut request = ScheduleRequest::new(seeded_request(&mut rng), window);
+                    if rng.below(3) == 0 {
+                        request = request.with_buffer(rng.range(0.2, 1.0));
+                    }
+                    let w = warm.offer(request.clone()).unwrap();
+                    let c = cold.offer(request).unwrap();
+                    reserved += usize::from(w.is_reserved());
+                    assert_eq!(discrete(&w), discrete(&c), "{ctx}: decision");
+                }
+                6 => {
+                    let ids = warm.flow_ids();
+                    if !ids.is_empty() {
+                        let id = ids[rng.below(ids.len())];
+                        warm.depart(id).unwrap();
+                        cold.depart(id).unwrap();
+                    }
+                }
+                7 => {
+                    let to = origin + 1 + rng.below(2) as u64;
+                    let w = warm.advance_to(to).unwrap();
+                    let c = cold.advance_to(to).unwrap();
+                    assert_eq!(format!("{w:?}"), format!("{c:?}"), "{ctx}: advance");
+                }
+                8 => {
+                    let slot = origin + rng.below(HORIZON as usize) as u64;
+                    let path = rng.below(BANDWIDTHS.len());
+                    let w = warm.set_maintenance(slot, path).unwrap();
+                    let c = cold.set_maintenance(slot, path).unwrap();
+                    assert_eq!(format!("{w:?}"), format!("{c:?}"), "{ctx}: maintenance");
+                }
+                _ => {
+                    let (path, change) = seeded_link_change(&mut rng);
+                    let w = warm.apply_link_change(path, &change).unwrap();
+                    let c = cold.apply_link_change(path, &change).unwrap();
+                    assert_eq!(format!("{w:?}"), format!("{c:?}"), "{ctx}: {change:?}");
+                }
+            }
+            let (w, w_opt) = schedule_state(&warm);
+            let (c, c_opt) = schedule_state(&cold);
+            assert_eq!(w, c, "{ctx}: windows");
+            for (w, c) in w_opt.iter().zip(c_opt) {
+                assert!((w - c).abs() <= 1e-9, "{ctx}: optimum {w} vs {c}");
+            }
+        }
+        assert_eq!(cold.warm_stats(), WarmStats::default());
+        assert_eq!(warm.warm_anomalies(), 0);
+        hits += warm.warm_stats().hits;
+    }
+    assert!(reserved > 5, "only {reserved} reservations");
+    assert!(hits > 200, "only {hits} solves started warm");
+}

@@ -16,11 +16,10 @@
 //!   bulk pricing runs as vectorized row passes and per-column accesses
 //!   gather `m` strided elements. A pivot costs `O(m²)` plus the columns
 //!   actually priced instead of the dense tableau's `O(m·n)` rewrite (see
-//!   `BENCH_lp.json`). This is also the only backend that honors **warm
-//!   starts**: [`Solution::basis`] exposes the optimal basis and
-//!   [`Problem::solve_warm`] re-enters phase 2 from it, which is what
-//!   makes λ/δ parameter sweeps and an adaptive sender's periodic
-//!   re-solves cheap.
+//!   `BENCH_lp.json`). It honors **warm starts**: [`Solution::basis`]
+//!   exposes the optimal basis and [`Problem::solve_warm`] re-enters
+//!   phase 2 from it, which is what makes λ/δ parameter sweeps and an
+//!   adaptive sender's periodic re-solves cheap.
 //! * [`Backend::DenseTableau`]: the original two-phase dense-tableau
 //!   simplex. Simpler and hard to beat below ~50 variables; kept as the
 //!   reference oracle the other backends are differentially tested
@@ -32,8 +31,13 @@
 //!   whose refactorization pivots block-local rows first (elimination
 //!   confined to the coupling rows plus the basic columns of active
 //!   blocks), sparse eta-file FTRAN/BTRAN, and partial pricing sectioned
-//!   along [`Problem::block_starts`]. Same canonicalization and warm-start
-//!   contract as the revised backend.
+//!   along [`Problem::block_starts`]. Same canonicalization as the
+//!   revised backend, and a wider warm-start contract: the [`Basis`] may
+//!   have been edited in step with the problem (rows appended on their
+//!   logicals, a recycled block released), in which case phase 1 runs
+//!   *from* it over the few artificials it names, and a basis left
+//!   singular by a coefficient edit is repaired instead of discarded —
+//!   the fleet's re-solve-after-a-small-edit loop.
 //!
 //! Both backends share the anti-cycling scheme (automatic switch to
 //! Bland's rule after a run of degenerate pivots) and produce identical
@@ -110,7 +114,9 @@
 //! * Returns dual values (shadow prices) for every constraint row, enabling
 //!   sensitivity analysis on bandwidth/cost bounds (paper §IX-C).
 //! * A stale warm basis can never corrupt a result: it is validated and,
-//!   if unusable, the solver falls back to the cold path.
+//!   if unusable, the solver falls back to the cold path
+//!   (`lp.warm_rejected_infeasible` / `lp.warm_rejected_singular` count
+//!   why, `lp.warm_repairs` how often a repair saved it).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,7 +2,7 @@
 
 use crate::error::{ProblemError, SolveError};
 use crate::revised;
-use crate::simplex::{self, Backend, SolverOptions, Workspace};
+use crate::simplex::{self, Backend, SolverOptions, WarmStart, Workspace};
 use crate::solution::{Basis, Solution};
 use crate::sparse;
 
@@ -476,12 +476,10 @@ impl Problem {
     /// columns can later be reclaimed in place by a same-shape arrival
     /// (see [`Problem::append_block`]).
     ///
-    /// Callers that key warm-start basis caches on problem shape must
-    /// fold exactly the rhs's **zero-ness** (`rhs == 0.0`), never its
-    /// magnitude, into the key: retuning a capacity row's rhs keeps the
-    /// cached basis reusable, while tombstoning/reviving a block flips
-    /// the tag and correctly maps to a different cached basis. This is
-    /// what `dmc-fleet`'s joint assemblies do.
+    /// A caller that carries a [`Basis`] across these edits leaves it
+    /// alone on deactivation and hands the block's rows and columns back
+    /// to their logicals when a new arrival reclaims them
+    /// ([`Basis::release`]) — what `dmc-fleet`'s joint assembly does.
     ///
     /// # Errors
     ///
@@ -599,20 +597,30 @@ impl Problem {
         self.dispatch(options, workspace, None)
     }
 
-    /// Solves the problem warm-started from a prior optimal [`Basis`]
-    /// (obtained via [`Solution::basis`] on a related problem — same
-    /// variable and row counts, typically a parameter sweep or an
-    /// adaptive re-solve where only objective/RHS coefficients moved).
+    /// Solves the problem warm-started from a [`Basis`] — a prior
+    /// optimal one (obtained via [`Solution::basis`] on a related
+    /// problem: a parameter sweep or adaptive re-solve where only
+    /// coefficients moved), or one the caller edited in step with the
+    /// problem ([`Basis::extend_logical`], [`Basis::release`],
+    /// [`Basis::truncate`]) as rows and columns came and went. The
+    /// basis must have one slot per row of *this* problem.
     ///
-    /// When the basis is still primal feasible the solver skips phase 1
-    /// and re-enters phase 2 directly
-    /// ([`Solution::used_warm_start`] reports `true`); a stale basis —
-    /// wrong shape, singular, or infeasible under the new RHS — silently
-    /// falls back to the cold two-phase path, so `solve_warm` never
-    /// returns a worse outcome than [`Problem::solve`].
+    /// The solver starts from the basis when it is primal feasible
+    /// ([`Solution::used_warm_start`] reports `true`): straight into
+    /// phase 2 when it names no artificial, otherwise through a phase 1
+    /// that runs *from that basis* over the few artificials its
+    /// [`BasisVar::Logical`](crate::BasisVar::Logical) slots name. A
+    /// basis that factors singular after a coefficient edit is repaired
+    /// by [`Backend::Sparse`] (dependent columns dropped, the rows they
+    /// leave take their logicals). A stale basis — wrong shape, a
+    /// duplicate column, infeasible under the new RHS — silently falls
+    /// back to the cold two-phase path, so `solve_warm` never returns a
+    /// worse outcome than [`Problem::solve`], and phase 3 walks to the
+    /// same canonical vertex either way.
     ///
-    /// Only [`Backend::Revised`] honors the hint; the dense oracle
-    /// ignores it and solves cold.
+    /// [`Backend::Revised`] honors exported bases only (any
+    /// `Logical` slot is a clean cold solve); the dense oracle ignores
+    /// the hint altogether.
     ///
     /// # Errors
     ///
@@ -646,6 +654,7 @@ impl Problem {
         workspace: &mut Workspace,
         warm: Option<&Basis>,
     ) -> Result<Solution, SolveError> {
+        workspace.last_warm = WarmStart::Cold;
         if self.objective.is_empty() {
             return Err(ProblemError::Empty.into());
         }
@@ -665,6 +674,13 @@ impl Problem {
             Backend::Revised => revised::solve(self, options, workspace, warm),
             Backend::Sparse => sparse::solve(self, options, workspace, warm),
         };
+        let stats = match options.backend {
+            Backend::DenseTableau => None,
+            Backend::Revised => Some(&workspace.revised.stats),
+            Backend::Sparse => Some(&workspace.sparse.stats),
+        };
+        let warm_start = stats.map_or(WarmStart::Cold, |s| s.warm);
+        workspace.last_warm = warm_start;
         if obs.is_enabled() {
             obs.counter("lp.solves").inc();
             if warm.is_some() {
@@ -675,17 +691,21 @@ impl Problem {
                     let pivots = s.iterations() as u64;
                     obs.counter("lp.pivots").add(pivots);
                     obs.advance(pivots);
-                    if s.used_warm_start() {
-                        obs.counter("lp.warm_used").inc();
-                    }
                 }
                 Err(_) => obs.counter("lp.errors").inc(),
             }
-            let stats = match options.backend {
-                Backend::DenseTableau => None,
-                Backend::Revised => Some(&workspace.revised.stats),
-                Backend::Sparse => Some(&workspace.sparse.stats),
-            };
+            // Counted from the stats, not the `Solution`: a refusal
+            // (`Infeasible`) reached from the caller's basis was warm.
+            match warm_start {
+                WarmStart::Cold => {}
+                WarmStart::Used => obs.counter("lp.warm_used").inc(),
+                WarmStart::Repaired => {
+                    obs.counter("lp.warm_used").inc();
+                    obs.counter("lp.warm_repairs").inc();
+                }
+                WarmStart::Infeasible => obs.counter("lp.warm_rejected_infeasible").inc(),
+                WarmStart::Singular => obs.counter("lp.warm_rejected_singular").inc(),
+            }
             if let Some(stats) = stats {
                 obs.counter("lp.refactorizations")
                     .add(stats.refactorizations);

@@ -55,7 +55,7 @@
 
 use crate::error::SolveError;
 use crate::problem::{Constraint, ConstraintKind, Problem};
-use crate::simplex::{PivotRule, SolverOptions, Workspace};
+use crate::simplex::{PivotRule, SolverOptions, WarmStart, Workspace};
 use crate::solution::{Basis, BasisVar, Solution};
 
 /// Etas accumulated before the basis is refactorized from scratch.
@@ -639,7 +639,9 @@ fn install_initial_basis(ws: &mut RevisedWorkspace, dims: &Dims) {
 
 /// Validates and installs a caller-provided warm [`Basis`]; returns
 /// `true` when the basis is well-formed, nonsingular and primal feasible
-/// (in which case `x_basic` is loaded and phase 1 can be skipped).
+/// (in which case `x_basic` is loaded and phase 1 can be skipped), and
+/// records its fate in `ws.stats.warm`. This backend only re-enters
+/// phase 2: a basis naming a [`BasisVar::Logical`] is declined whole.
 fn try_warm_basis(
     rows: &[Constraint],
     ws: &mut RevisedWorkspace,
@@ -657,27 +659,31 @@ fn try_warm_basis(
         let c = match *slot {
             BasisVar::Structural(j) if j < dims.n => j,
             BasisVar::Slack(r) if r < dims.m && ws.slack_col[r] != NONE_COL => ws.slack_col[r],
-            _ => return false,
+            BasisVar::Structural(_) | BasisVar::Slack(_) | BasisVar::Logical(_) => return false,
         };
         if ws.in_basis[c] {
-            return false; // duplicate
+            ws.stats.warm = WarmStart::Singular; // duplicate column
+            return false;
         }
         ws.basis.push(c);
         ws.in_basis[c] = true;
     }
     if !factor(rows, ws, dims) {
-        return false; // singular under the new coefficients
+        ws.stats.warm = WarmStart::Singular; // under the new coefficients
+        return false;
     }
     ws.x_basic.clear();
     ws.x_basic.extend_from_slice(&ws.b);
     let xb: &mut [f64] = &mut ws.x_basic;
     lu_solve(&ws.lu, &ws.lu_piv, dims.m, xb);
     if ws.x_basic.iter().any(|&v| v < -tol) {
-        return false; // primal infeasible for the new RHS
+        ws.stats.warm = WarmStart::Infeasible; // for the new RHS
+        return false;
     }
     for v in &mut ws.x_basic {
         *v = v.max(0.0);
     }
+    ws.stats.warm = WarmStart::Used;
     true
 }
 
@@ -1252,8 +1258,7 @@ fn export_basis(ws: &RevisedWorkspace, dims: &Dims) -> Option<Basis> {
         if c < dims.n {
             slots.push(BasisVar::Structural(c));
         } else if c < dims.art_start {
-            let row = ws.slack_col.iter().position(|&s| s == c)?;
-            slots.push(BasisVar::Slack(row));
+            slots.push(BasisVar::Slack(ws.logical_row[c - dims.n]));
         } else {
             return None;
         }
@@ -1477,6 +1482,27 @@ mod tests {
         let warm = big.solve_warm(&o, &basis).unwrap();
         assert!(!warm.used_warm_start());
         assert!((warm.objective() - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn an_edited_basis_is_declined_whole_never_mis_mapped() {
+        // `Logical` rows are the sparse backend's vocabulary: here the
+        // whole basis is a clean cold solve, the same bits as one.
+        let o = opts();
+        let mut p = Problem::maximize(vec![1.0, 2.0]);
+        p.add_le(vec![1.0, 0.0], 1.0).unwrap();
+        p.add_le(vec![0.0, 1.0], 1.0).unwrap();
+        let mut basis = p.solve(&o).unwrap().take_basis().expect("exportable");
+        let cols = p.append_block(&[3.0]).unwrap();
+        p.add_eq_sparse(&[(cols.start, 1.0)], 1.0).unwrap();
+        basis.extend_logical(p.num_constraints());
+        let mut ws = Workspace::new();
+        let warm = p.solve_warm_with(&o, &mut ws, &basis).unwrap();
+        let cold = p.solve(&o).unwrap();
+        assert!(!warm.used_warm_start() && !ws.started_warm());
+        assert_eq!(warm.x(), cold.x());
+        assert_eq!(warm.x(), [1.0, 1.0, 1.0]);
+        assert_eq!(warm.duals(), cold.duals());
     }
 
     #[test]

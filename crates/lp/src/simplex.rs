@@ -118,6 +118,35 @@ pub(crate) struct SolveStats {
     /// Whether phase 1 exited as soon as the last artificial left the
     /// basis, skipping the final pricing wrap.
     pub(crate) phase1_early_exit: bool,
+    /// What became of the caller's warm basis — known before the solve
+    /// ends, so an `Infeasible` reached from it still counts as warm.
+    pub(crate) warm: WarmStart,
+}
+
+/// The fate of a caller-provided warm basis in one solve.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WarmStart {
+    /// None offered, or not a basis of this problem's shape.
+    #[default]
+    Cold,
+    /// The solve started from it as given.
+    Used,
+    /// The solve started from it after dependent columns were dropped
+    /// and the rows they left took their logicals.
+    Repaired,
+    /// Rejected: primal infeasible under the new right-hand side (the
+    /// dual-simplex case — see ROADMAP).
+    Infeasible,
+    /// Rejected: singular (a duplicate column, or a singular
+    /// factorization in a backend that does not repair).
+    Singular,
+}
+
+impl WarmStart {
+    /// Whether the solve started from the caller's basis.
+    pub(crate) fn started(self) -> bool {
+        matches!(self, WarmStart::Used | WarmStart::Repaired)
+    }
 }
 
 impl SolveStats {
@@ -126,6 +155,7 @@ impl SolveStats {
         self.refactorizations = 0;
         self.eta_lengths.clear();
         self.phase1_early_exit = false;
+        self.warm = WarmStart::Cold;
     }
 }
 
@@ -167,6 +197,8 @@ pub struct Workspace {
     pub(crate) revised: crate::revised::RevisedWorkspace,
     /// Buffers of the sparse backend ([`Backend::Sparse`]).
     pub(crate) sparse: crate::sparse::SparseWorkspace,
+    /// Fate of the warm basis in the last solve through this workspace.
+    pub(crate) last_warm: WarmStart,
 }
 
 impl Workspace {
@@ -174,6 +206,14 @@ impl Workspace {
     /// are retained afterwards.
     pub fn new() -> Self {
         Workspace::default()
+    }
+
+    /// Whether the last solve through this workspace started from the
+    /// caller's warm basis — [`Solution::used_warm_start`], but also
+    /// answered when that solve ended in an error (a refusal reached
+    /// warm is still a warm solve).
+    pub fn started_warm(&self) -> bool {
+        self.last_warm.started()
     }
 
     /// Current tableau capacity in `f64` slots (diagnostic; useful to

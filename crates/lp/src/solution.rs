@@ -3,6 +3,7 @@
 
 use crate::problem::Problem;
 use std::fmt;
+use std::ops::Range;
 
 /// One basic variable of a simplex [`Basis`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -11,16 +12,26 @@ pub enum BasisVar {
     Structural(usize),
     /// The slack of an inequality row, by *original row* index.
     Slack(usize),
+    /// The *starting logical* of a row, by original row index: the
+    /// column a cold solve would start the row on — its artificial where
+    /// the row has one (equalities, rows whose right-hand side flips
+    /// sign under normalization), its slack otherwise. Never exported by
+    /// a solve; written by [`Basis::extend_logical`] and
+    /// [`Basis::release`] to say "nothing covers this row yet".
+    Logical(usize),
 }
 
 /// The basis of an optimal vertex: which variable is basic in each
 /// constraint row, in row order.
 ///
 /// Obtained from [`crate::Solution::basis`] and fed to
-/// [`crate::Problem::solve_warm`] to re-enter phase 2 directly on a
-/// related problem (same variable and row counts, e.g. a parameter sweep
-/// or an adaptive re-solve where only objective/RHS coefficients moved).
-/// Artificial variables are never part of an exposed basis.
+/// [`crate::Problem::solve_warm`] to restart on a related problem: a
+/// parameter sweep or adaptive re-solve where only coefficients moved,
+/// or — edited in step with the problem by [`Basis::extend_logical`],
+/// [`Basis::release`] and [`Basis::truncate`] — the same problem with
+/// rows and columns appended, recycled or removed. An exported basis
+/// never names an artificial variable; an edited one may, through
+/// [`BasisVar::Logical`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Basis {
     slots: Vec<BasisVar>,
@@ -29,6 +40,43 @@ pub struct Basis {
 impl Basis {
     pub(crate) fn new(slots: Vec<BasisVar>) -> Self {
         Basis { slots }
+    }
+
+    /// Grows the basis to `rows` rows, the edit that goes with appending
+    /// constraints (and any number of columns, which start nonbasic):
+    /// each new row enters on its [starting logical](BasisVar::Logical).
+    /// The old rows' basic values are unchanged when the new columns are
+    /// zero in them or stay nonbasic, so the extended basis is as primal
+    /// feasible as the old one was. No-op when `rows` is not larger.
+    pub fn extend_logical(&mut self, rows: usize) {
+        let old = self.slots.len();
+        self.slots.extend((old..rows).map(BasisVar::Logical));
+    }
+
+    /// Drops every row with index ≥ `rows` — the undo of
+    /// [`Basis::extend_logical`] when the appended rows are truncated
+    /// from the problem again.
+    pub fn truncate(&mut self, rows: usize) {
+        self.slots.truncate(rows);
+    }
+
+    /// Hands a recycled block back to its logicals: each of `rows` goes
+    /// to its [starting logical](BasisVar::Logical), and so does every
+    /// row whose basic variable is a structural column in `cols` (those
+    /// columns leave the basis). Exact when the block is dead — columns
+    /// zero outside `rows`, so its sub-basis is block-diagonal; otherwise
+    /// the solver's validation and repair decide what survives.
+    pub fn release(&mut self, rows: impl IntoIterator<Item = usize>, cols: Range<usize>) {
+        for (r, slot) in self.slots.iter_mut().enumerate() {
+            if matches!(*slot, BasisVar::Structural(j) if cols.contains(&j)) {
+                *slot = BasisVar::Logical(r);
+            }
+        }
+        for r in rows {
+            if let Some(slot) = self.slots.get_mut(r) {
+                *slot = BasisVar::Logical(r);
+            }
+        }
     }
 
     /// The basic variable of each constraint row, in row order.
@@ -57,6 +105,7 @@ impl fmt::Display for Basis {
             match s {
                 BasisVar::Structural(j) => write!(f, "x{j}")?,
                 BasisVar::Slack(r) => write!(f, "s{r}")?,
+                BasisVar::Logical(r) => write!(f, "l{r}")?,
             }
         }
         write!(f, "]")
@@ -132,11 +181,19 @@ impl Solution {
         self.basis.as_ref()
     }
 
-    /// Whether this solve actually re-entered phase 2 from a caller-
-    /// provided warm basis (`false` for cold solves and for warm attempts
-    /// that fell back to phase 1).
+    /// Whether this solve started from the caller-provided warm basis
+    /// (`false` for cold solves and for warm attempts that were rejected
+    /// and restarted from the all-logical basis). Starting warm does not
+    /// mean phase 1 was skipped: a basis that names artificials
+    /// ([`BasisVar::Logical`]) runs phase 1 *from* it, over those few.
     pub fn used_warm_start(&self) -> bool {
         self.warm
+    }
+
+    /// Moves the optimal basis out (see [`Solution::basis`]), for callers
+    /// that carry it into the next solve without a copy.
+    pub fn take_basis(&mut self) -> Option<Basis> {
+        self.basis.take()
     }
 
     /// Consumes the solution and returns the variable vector.

@@ -48,7 +48,7 @@
 
 use crate::error::SolveError;
 use crate::problem::{Constraint, ConstraintKind, Problem};
-use crate::simplex::{PivotRule, SolverOptions, Workspace};
+use crate::simplex::{PivotRule, SolverOptions, WarmStart, Workspace};
 use crate::solution::{Basis, BasisVar, Solution};
 
 /// Iteration etas accumulated beyond the factorization before the basis
@@ -145,7 +145,6 @@ struct Dims {
     n: usize,
     art_start: usize,
     ncols: usize,
-    n_art: usize,
 }
 
 /// Entry point used by `Problem::{solve, solve_with, solve_warm}` when
@@ -167,44 +166,46 @@ pub(crate) fn solve(
     let mut y2 = vec![0.0; dims.m];
     let mut d = vec![0.0; dims.m];
 
-    // ---- Warm start: try to re-enter phase 2 directly -------------------
+    // ---- Start: the caller's basis if it stands, the logicals if not ----
     let warm_ok = warm.is_some_and(|basis| try_warm_basis(ws, &dims, basis, tol));
-
     if !warm_ok {
         install_initial_basis(ws, &dims);
-        if !factor(ws, &dims) {
+        if !factor(ws, &dims, false) {
             return Err(SolveError::Singular);
         }
         load_x_basic(ws, dims.m);
+    }
 
-        // ---- Phase 1: drive artificials to zero -------------------------
-        if dims.n_art > 0 {
-            ws.cost.clear();
-            ws.cost.resize(dims.ncols, 0.0);
-            for r in 0..dims.m {
-                if ws.art_col[r] != NONE_COL {
-                    ws.cost[ws.art_col[r]] = -1.0; // maximize −Σ artificials
-                }
+    // ---- Phase 1: drive the basic artificials to zero -------------------
+    // Every artificial on a cold start; on a warm one only those the
+    // caller's basis names (rows appended or recycled since it was
+    // optimal), and none at all when it names none.
+    if ws.basis.iter().any(|&c| c >= dims.art_start) {
+        ws.cost.clear();
+        ws.cost.resize(dims.ncols, 0.0);
+        for r in 0..dims.m {
+            if ws.art_col[r] != NONE_COL {
+                ws.cost[ws.art_col[r]] = -1.0; // maximize −Σ artificials
             }
-            run_phase(
-                rows,
-                ws,
-                &dims,
-                options,
-                Phase::One,
-                &mut y,
-                &mut d,
-                &mut iterations,
-            )?;
-            let residual: f64 = (0..dims.m)
-                .filter(|&i| ws.basis[i] >= dims.art_start)
-                .map(|i| ws.x_basic[i].max(0.0))
-                .sum();
-            if residual > tol.max(1e-7) {
-                return Err(SolveError::Infeasible { residual });
-            }
-            drive_out_artificials(ws, &dims, tol, &mut y, &mut d, &mut iterations);
         }
+        run_phase(
+            rows,
+            ws,
+            &dims,
+            options,
+            Phase::One,
+            &mut y,
+            &mut d,
+            &mut iterations,
+        )?;
+        let residual: f64 = (0..dims.m)
+            .filter(|&i| ws.basis[i] >= dims.art_start)
+            .map(|i| ws.x_basic[i].max(0.0))
+            .sum();
+        if residual > tol.max(1e-7) {
+            return Err(SolveError::Infeasible { residual });
+        }
+        drive_out_artificials(ws, &dims, tol, &mut y, &mut d, &mut iterations);
     }
 
     // ---- Phase 2: user objective ----------------------------------------
@@ -238,7 +239,7 @@ pub(crate) fn solve(
     // The factorization order depends only on the basis *set* and the
     // problem, so any pivot path (warm or cold) reaching the same basis
     // yields bit-identical primal values, objective and duals.
-    if !factor(ws, &dims) {
+    if !factor(ws, &dims, false) {
         return Err(SolveError::Singular);
     }
     load_x_basic(ws, dims.m);
@@ -437,7 +438,6 @@ fn build(problem: &Problem, ws: &mut SparseWorkspace) -> Dims {
         n,
         art_start,
         ncols,
-        n_art,
     }
 }
 
@@ -497,25 +497,35 @@ fn load_x_basic(ws: &mut SparseWorkspace, m: usize) {
     ws.x_basic = xb;
 }
 
-/// Slack basis where available, artificial basis elsewhere (`B = I`).
+/// The column a cold solve starts row `r` on: its artificial where it
+/// has one, its slack otherwise.
+fn starting_logical(ws: &SparseWorkspace, r: usize) -> usize {
+    let c = if ws.art_col[r] != NONE_COL {
+        ws.art_col[r]
+    } else {
+        ws.slack_col[r]
+    };
+    debug_assert_ne!(c, NONE_COL);
+    c
+}
+
+/// Every row on its starting logical (`B = I` up to sign).
 fn install_initial_basis(ws: &mut SparseWorkspace, dims: &Dims) {
     ws.basis.clear();
     ws.in_basis.clear();
     ws.in_basis.resize(dims.ncols, false);
     for r in 0..dims.m {
-        let c = if ws.art_col[r] != NONE_COL {
-            ws.art_col[r]
-        } else {
-            ws.slack_col[r]
-        };
-        debug_assert_ne!(c, NONE_COL);
+        let c = starting_logical(ws, r);
         ws.basis.push(c);
         ws.in_basis[c] = true;
     }
 }
 
 /// Validates and installs a caller-provided warm [`Basis`]; returns
-/// `true` when it is well-formed, nonsingular and primal feasible.
+/// `true` when the solve can start from it — well-formed, nonsingular
+/// (after repair if need be) and primal feasible — and records its fate
+/// in `ws.stats.warm` either way. The basis may name artificials
+/// ([`BasisVar::Logical`]); the caller runs phase 1 over those.
 fn try_warm_basis(ws: &mut SparseWorkspace, dims: &Dims, basis: &Basis, tol: f64) -> bool {
     if basis.len() != dims.m {
         return false;
@@ -527,24 +537,27 @@ fn try_warm_basis(ws: &mut SparseWorkspace, dims: &Dims, basis: &Basis, tol: f64
         let c = match *slot {
             BasisVar::Structural(j) if j < dims.n => j,
             BasisVar::Slack(r) if r < dims.m && ws.slack_col[r] != NONE_COL => ws.slack_col[r],
+            BasisVar::Logical(r) if r < dims.m => starting_logical(ws, r),
             _ => return false,
         };
         if ws.in_basis[c] {
-            return false; // duplicate
+            ws.stats.warm = WarmStart::Singular; // duplicate column
+            return false;
         }
         ws.basis.push(c);
         ws.in_basis[c] = true;
     }
-    if !factor(ws, dims) {
-        return false; // singular under the new coefficients
-    }
+    ws.stats.warm = WarmStart::Used; // `factor` downgrades it to `Repaired`
+    let repaired = factor(ws, dims, true);
+    debug_assert!(repaired, "a repairing factorization always completes");
     ws.x_basic.clear();
     ws.x_basic.extend_from_slice(&ws.b);
     let mut xb = std::mem::take(&mut ws.x_basic);
     ftran(ws, &mut xb);
     ws.x_basic = xb;
     if ws.x_basic.iter().any(|&v| v < -tol) {
-        return false; // primal infeasible for the new RHS
+        ws.stats.warm = WarmStart::Infeasible; // for the new RHS
+        return false;
     }
     for v in &mut ws.x_basic {
         *v = v.max(0.0);
@@ -555,14 +568,17 @@ fn try_warm_basis(ws: &mut SparseWorkspace, dims: &Dims, basis: &Basis, tol: f64
 /// Sparse product-form factorization of the current basis, built in
 /// block order; clears the eta file and re-permutes `ws.basis` so slot
 /// `k` holds the column pivoted at row `k`. Returns `false` on a
-/// numerically singular basis.
+/// numerically singular basis — unless `repair` is set (a warm basis
+/// whose coefficients were edited under it): then a column with no
+/// pivot left is dropped as dependent, every row left unpivoted takes
+/// its starting logical, and the result is a nonsingular basis again.
 ///
 /// The pivot ordering is a function of the basis *set* only (logical
 /// singletons by row, then structural columns grouped by block in column
 /// order, deferrals appended in that same order), so two solves landing
 /// on the same final basis factorize identically — the keystone of the
 /// bit-identical warm/cold guarantee.
-fn factor(ws: &mut SparseWorkspace, dims: &Dims) -> bool {
+fn factor(ws: &mut SparseWorkspace, dims: &Dims, repair: bool) -> bool {
     let m = dims.m;
     ws.stats.refactorizations += 1;
     ws.stats
@@ -613,8 +629,12 @@ fn factor(ws: &mut SparseWorkspace, dims: &Dims) -> bool {
     let mut ok = true;
     for &col in &deferred {
         if !eliminate_column(ws, dims, col, false) {
-            ok = false;
-            break;
+            if !repair {
+                ok = false;
+                break;
+            }
+            ws.in_basis[col] = false;
+            ws.stats.warm = WarmStart::Repaired;
         }
     }
     deferred.clear();
@@ -623,6 +643,19 @@ fn factor(ws: &mut SparseWorkspace, dims: &Dims) -> bool {
     ws.order = order;
     if !ok {
         return false;
+    }
+    for r in 0..m {
+        if !ws.pivoted[r] {
+            // Only reachable under `repair`. Neither logical of an
+            // unpivoted row is basic (a basic one pivots on its own row
+            // or was just dropped), and a singleton on an unpivoted row
+            // passes through the etas built so far unchanged.
+            let c = starting_logical(ws, r);
+            debug_assert!(!ws.in_basis[c]);
+            ws.in_basis[c] = true;
+            let placed = eliminate_column(ws, dims, c, false);
+            debug_assert!(placed);
+        }
     }
     debug_assert!(ws.pivoted.iter().all(|&p| p));
     std::mem::swap(&mut ws.basis, &mut ws.new_basis);
@@ -993,7 +1026,7 @@ fn pivot(ws: &mut SparseWorkspace, dims: &Dims, q: usize, r: usize, d: &[f64], t
     ws.eta_ptr.push(ws.eta_rows.len());
 
     if ws.eta_pivot.len() - ws.factor_etas >= REFACTOR_INTERVAL {
-        if !factor(ws, dims) {
+        if !factor(ws, dims, false) {
             return false;
         }
         // Recompute basic values from scratch to shed accumulated drift
@@ -1335,8 +1368,7 @@ fn export_basis(ws: &SparseWorkspace, dims: &Dims) -> Option<Basis> {
         if c < dims.n {
             slots.push(BasisVar::Structural(c));
         } else if c < dims.art_start {
-            let row = ws.slack_col.iter().position(|&s| s == c)?;
-            slots.push(BasisVar::Slack(row));
+            slots.push(BasisVar::Slack(ws.logical_row[c - dims.n]));
         } else {
             return None;
         }
@@ -1347,6 +1379,7 @@ fn export_basis(ws: &SparseWorkspace, dims: &Dims) -> Option<Basis> {
 #[cfg(test)]
 mod tests {
     use crate::{Backend, PivotRule, Problem, SolveError, SolverOptions, Workspace};
+    use dmc_obs::Obs;
 
     fn opts() -> SolverOptions {
         SolverOptions {
@@ -1648,5 +1681,149 @@ mod tests {
             assert!(cold.x()[j].abs() <= 1e-12, "zombie var x[{j}] nonzero");
         }
         assert!(p.max_violation(cold.x()) < 1e-7);
+    }
+
+    /// Appends one fleet-shaped block to `p` — `width` columns, a floor
+    /// row `Σ c_j x_j ≥ floor` and a `Σx = 1` row — with its segment of
+    /// the two coupling rows filled in.
+    fn append_block(p: &mut Problem, width: usize, floor: f64) {
+        let obj: Vec<f64> = (0..width).map(|j| 0.4 + 0.1 * j as f64).collect();
+        let cols = p.append_block(&obj).unwrap();
+        for k in 0..2usize {
+            let seg: Vec<f64> = (0..width).map(|j| 0.2 + 0.1 * (j + k) as f64).collect();
+            p.set_row_range(k, cols.start, &seg).unwrap();
+        }
+        let floor_row: Vec<(usize, f64)> = cols.clone().zip(obj).collect();
+        p.add_ge_sparse(&floor_row, floor).unwrap();
+        let ones: Vec<(usize, f64)> = cols.map(|j| (j, 1.0)).collect();
+        p.add_eq_sparse(&ones, 1.0).unwrap();
+    }
+
+    #[test]
+    fn phase_one_runs_from_a_partly_artificial_basis() {
+        // The fleet's admission edit: a block is appended to a solved LP
+        // and the incumbent basis grows by the new rows' logicals — two
+        // artificials (floor, Σx = 1) among 14 rows already at their
+        // optimum. Phase 1 starts there, not from the all-artificial
+        // basis, and the answer is the cold solve's bit for bit.
+        let obs = Obs::enabled();
+        let o = SolverOptions {
+            obs: obs.clone(),
+            ..opts()
+        };
+        let mut ws = Workspace::new();
+        let mut p = block_angular(12, 9);
+        let mut basis = p
+            .solve_with(&o, &mut ws)
+            .unwrap()
+            .take_basis()
+            .expect("exportable");
+        append_block(&mut p, 4, 0.45);
+        basis.extend_logical(p.num_constraints());
+        assert_eq!(basis.len(), 16);
+        let warm = p.solve_warm_with(&o, &mut ws, &basis).unwrap();
+        assert!(warm.used_warm_start() && ws.started_warm());
+        let cold = p.solve(&opts()).unwrap();
+        assert_eq!(warm.x(), cold.x());
+        assert_eq!(warm.objective(), cold.objective());
+        assert_eq!(warm.duals(), cold.duals());
+        assert!(
+            2 * warm.iterations() < cold.iterations(),
+            "warm {} vs cold {} pivots",
+            warm.iterations(),
+            cold.iterations()
+        );
+        // A candidate whose floor cannot be met is refused *from* the
+        // incumbent basis: the verdict is phase 1's, reached warm, and
+        // counted as such although no `Solution` came back.
+        p.truncate_rows(14);
+        p.truncate_vars(12 * 9);
+        append_block(&mut p, 4, 0.9);
+        let refused = p.solve_warm_with(&o, &mut ws, &basis);
+        assert!(matches!(refused, Err(SolveError::Infeasible { .. })));
+        assert!(ws.started_warm());
+        assert!(matches!(
+            p.solve(&opts()),
+            Err(SolveError::Infeasible { .. })
+        ));
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("lp.warm_attempts"), Some(2));
+        assert_eq!(snap.counter("lp.warm_used"), Some(2));
+        assert_eq!(snap.counter("lp.warm_repairs"), None);
+    }
+
+    #[test]
+    fn released_rows_restart_on_their_logicals() {
+        // The take-over edit: a tombstoned block's rows go back to their
+        // logicals and its columns leave the basis, then the block is
+        // rewritten for a new occupant.
+        let o = opts();
+        let mut p = block_angular(6, 5);
+        let dead = 2usize;
+        p.set_rhs(2 + dead, 0.0).unwrap();
+        p.set_objective_range(dead * 5, &[0.0; 5]).unwrap();
+        p.set_row_range(0, dead * 5, &[0.0; 5]).unwrap();
+        p.set_row_range(1, dead * 5, &[0.0; 5]).unwrap();
+        let mut basis = p.solve(&o).unwrap().take_basis().expect("exportable");
+        p.set_rhs(2 + dead, 1.0).unwrap();
+        p.set_objective_range(dead * 5, &[0.9, 0.5, 0.7, 0.6, 0.8])
+            .unwrap();
+        p.set_row_range(0, dead * 5, &[0.3, 0.1, 0.2, 0.4, 0.5])
+            .unwrap();
+        p.set_row_range(1, dead * 5, &[0.2, 0.6, 0.1, 0.3, 0.2])
+            .unwrap();
+        basis.release([2 + dead], dead * 5..(dead + 1) * 5);
+        let warm = p.solve_warm(&o, &basis).unwrap();
+        let cold = p.solve(&o).unwrap();
+        assert!(warm.used_warm_start());
+        assert_eq!(warm.x(), cold.x());
+        assert_eq!(warm.duals(), cold.duals());
+        assert!(warm.iterations() < cold.iterations());
+    }
+
+    #[test]
+    fn singular_warm_basis_is_repaired_not_discarded() {
+        let obs = Obs::enabled();
+        let o = SolverOptions {
+            obs: obs.clone(),
+            ..opts()
+        };
+        let build = |second: [f64; 2]| {
+            let mut p = Problem::maximize(vec![2.0, 1.0]);
+            p.add_le(vec![1.0, 0.0], 1.0).unwrap();
+            p.add_le(second.to_vec(), 1.0).unwrap();
+            p.add_le(vec![1.0, 1.0], 3.0).unwrap();
+            p
+        };
+        // Optimal basis {x0, x1, s2}. Rewriting row 1 from `x1 ≤ 1` to
+        // `x0 ≤ 1` leaves x1's column equal to s2's: singular.
+        let before = build([0.0, 1.0]).solve(&o).unwrap();
+        assert_eq!(before.x(), [1.0, 1.0]);
+        let basis = before.basis().expect("exportable").clone();
+        let edited = build([1.0, 0.0]);
+        let mut ws = Workspace::new();
+        let warm = edited.solve_warm_with(&o, &mut ws, &basis).unwrap();
+        let cold = edited.solve(&opts()).unwrap();
+        assert!(warm.used_warm_start() && ws.started_warm());
+        assert_eq!(warm.x(), cold.x());
+        assert_eq!(warm.x(), [1.0, 2.0]);
+        assert_eq!(warm.objective(), cold.objective());
+        assert_eq!(warm.duals(), cold.duals());
+        // The edit vocabulary, down to every row on its logical — which
+        // is the cold start spelled out, and a warm start all the same.
+        let mut logicals = basis.clone();
+        logicals.release([0], 0..0);
+        assert_eq!(logicals.to_string(), "[l0, x1, s2]");
+        logicals.release([], 1..2);
+        logicals.truncate(2);
+        logicals.extend_logical(3);
+        assert_eq!(logicals.to_string(), "[l0, l1, l2]");
+        let spelled_out = edited.solve_warm_with(&o, &mut ws, &logicals).unwrap();
+        assert!(spelled_out.used_warm_start());
+        assert_eq!(spelled_out.x(), cold.x());
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("lp.warm_repairs"), Some(1));
+        assert_eq!(snap.counter("lp.warm_rejected_singular"), None);
+        assert_eq!(snap.counter("lp.warm_rejected_infeasible"), None);
     }
 }

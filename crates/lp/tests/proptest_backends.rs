@@ -14,10 +14,16 @@
 //! capacity rows over everything) with declared block boundaries, and
 //! additionally run warm-started churn sequences (tombstone a block,
 //! revive it) asserting sparse warm ≡ sparse cold **bitwise** and both
-//! ≡ dense to 1e-9.
+//! ≡ dense to 1e-9. The edit-script property goes further: the LP is
+//! grown and shrunk the way the fleet's assembly does it (append a
+//! block, tombstone one, take a tombstone over, retune a capacity or a
+//! floor, truncate the last block) while one [`Basis`] is carried and
+//! edited in step, and every solve from it must equal the cold solve of
+//! the same problem bit for bit.
 
-use dmc_lp::{Backend, Problem, SolveError, SolverOptions};
+use dmc_lp::{Backend, Basis, Problem, SolveError, SolverOptions};
 use proptest::prelude::*;
+use std::ops::Range;
 
 fn dense_opts() -> SolverOptions {
     SolverOptions {
@@ -157,6 +163,191 @@ fn build_block_angular(
             .unwrap();
     }
     p
+}
+
+/// Where one block of an [`EditedLp`] lives.
+struct Block {
+    cols: Range<usize>,
+    /// Stored negated (`add_ge`), like the fleet's floor rows.
+    floor_row: Option<usize>,
+    eq_row: usize,
+    alive: bool,
+}
+
+impl Block {
+    fn rows(&self) -> impl Iterator<Item = usize> {
+        self.floor_row.into_iter().chain([self.eq_row])
+    }
+}
+
+/// A block-angular LP under the fleet assembly's edits, with the basis
+/// of its last optimum carried alongside and edited in step.
+struct EditedLp {
+    p: Problem,
+    couplings: usize,
+    blocks: Vec<Block>,
+    basis: Option<Basis>,
+    seed: u64,
+}
+
+impl EditedLp {
+    fn new(couplings: usize, seed: u64) -> Self {
+        let mut lp = EditedLp {
+            p: Problem::maximize(Vec::new()),
+            couplings,
+            blocks: Vec::new(),
+            basis: None,
+            seed,
+        };
+        lp.append();
+        lp
+    }
+
+    fn pick(&mut self, n: usize) -> usize {
+        (mix(&mut self.seed) * n as f64) as usize % n.max(1)
+    }
+
+    /// Writes a fresh occupant into `cols` (objective, coupling segments)
+    /// and returns its floor coefficients and a floor it can meet alone.
+    fn occupy(&mut self, cols: Range<usize>) -> (Vec<f64>, f64) {
+        let c: Vec<f64> = cols.clone().map(|_| 0.2 + mix(&mut self.seed)).collect();
+        self.p.set_objective_range(cols.start, &c).unwrap();
+        for k in 0..self.couplings {
+            let seg: Vec<f64> = cols.clone().map(|_| 0.05 + mix(&mut self.seed)).collect();
+            self.p.set_row_range(k, cols.start, &seg).unwrap();
+        }
+        let best = c.iter().fold(0.0f64, |a, &b| a.max(b));
+        let floor = best * 0.9 * mix(&mut self.seed);
+        (c, floor)
+    }
+
+    fn append(&mut self) {
+        let width = 2 + self.pick(4);
+        let cols = self.p.append_block(&vec![0.0; width]).unwrap();
+        if self.blocks.is_empty() {
+            for _ in 0..self.couplings {
+                let rhs = 1.0 + 2.0 * mix(&mut self.seed);
+                self.p.add_le_sparse(&[], rhs).unwrap();
+            }
+        }
+        let (c, floor) = self.occupy(cols.clone());
+        let floor_row = (self.pick(2) == 1).then(|| {
+            let entries: Vec<(usize, f64)> = cols.clone().zip(c).collect();
+            self.p.add_ge_sparse(&entries, floor).unwrap();
+            self.p.num_constraints() - 1
+        });
+        let ones: Vec<(usize, f64)> = cols.clone().map(|j| (j, 1.0)).collect();
+        self.p.add_eq_sparse(&ones, 1.0).unwrap();
+        let eq_row = self.p.num_constraints() - 1;
+        self.blocks.push(Block {
+            cols,
+            floor_row,
+            eq_row,
+            alive: true,
+        });
+        if let Some(basis) = &mut self.basis {
+            basis.extend_logical(self.p.num_constraints());
+        }
+    }
+
+    fn tombstone(&mut self, i: usize) {
+        let zeros = vec![0.0; self.blocks[i].cols.len()];
+        let start = self.blocks[i].cols.start;
+        self.p.set_objective_range(start, &zeros).unwrap();
+        for k in 0..self.couplings {
+            self.p.set_row_range(k, start, &zeros).unwrap();
+        }
+        for row in self.blocks[i].rows() {
+            self.p.set_rhs(row, 0.0).unwrap();
+        }
+        self.blocks[i].alive = false; // the carried basis is left alone
+    }
+
+    fn take_over(&mut self, i: usize) {
+        let cols = self.blocks[i].cols.clone();
+        let (c, floor) = self.occupy(cols.clone());
+        if let Some(row) = self.blocks[i].floor_row {
+            let negated: Vec<f64> = c.iter().map(|v| -v).collect();
+            self.p.set_row_range(row, cols.start, &negated).unwrap();
+            self.p.set_rhs(row, -floor).unwrap();
+        }
+        self.p.set_rhs(self.blocks[i].eq_row, 1.0).unwrap();
+        if let Some(basis) = &mut self.basis {
+            basis.release(self.blocks[i].rows(), cols);
+        }
+        self.blocks[i].alive = true;
+    }
+
+    /// Removes the last block, rows and columns. The carried basis is
+    /// truncated with it; if a later optimum made one of the removed
+    /// columns basic in a surviving row, the solver must decline the
+    /// basis, not mis-map it.
+    fn truncate(&mut self) {
+        let last = self.blocks.pop().expect("called with ≥ 2 blocks");
+        let first_row = last.floor_row.unwrap_or(last.eq_row);
+        self.p.truncate_rows(first_row);
+        self.p.truncate_vars(last.cols.start);
+        if let Some(basis) = &mut self.basis {
+            basis.truncate(first_row);
+        }
+    }
+
+    fn retune(&mut self) {
+        let k = self.pick(self.couplings);
+        let rhs = self.p.constraints()[k].rhs() * (0.5 + mix(&mut self.seed));
+        self.p.set_rhs(k, rhs).unwrap();
+        let floors: Vec<usize> = self
+            .blocks
+            .iter()
+            .filter(|b| b.alive)
+            .filter_map(|b| b.floor_row)
+            .collect();
+        if !floors.is_empty() {
+            let row = floors[self.pick(floors.len())];
+            let rhs = self.p.constraints()[row].rhs() * (0.5 + mix(&mut self.seed));
+            self.p.set_rhs(row, rhs).unwrap();
+        }
+    }
+
+    /// One random edit, mirrored on the carried basis. Returns the block
+    /// it brought to life, if any — the candidate a refusal rolls back.
+    fn edit(&mut self) -> Option<usize> {
+        let dead: Vec<usize> = (0..self.blocks.len())
+            .filter(|&i| !self.blocks[i].alive)
+            .collect();
+        let alive: Vec<usize> = (0..self.blocks.len())
+            .filter(|&i| self.blocks[i].alive)
+            .collect();
+        match self.pick(6) {
+            0 | 1 => {
+                self.append();
+                return Some(self.blocks.len() - 1);
+            }
+            2 if alive.len() > 1 => {
+                let i = alive[self.pick(alive.len())];
+                self.tombstone(i);
+            }
+            3 if !dead.is_empty() => {
+                let i = dead[self.pick(dead.len())];
+                self.take_over(i);
+                return Some(i);
+            }
+            4 if self.blocks.len() > 1 => self.truncate(),
+            _ => self.retune(),
+        }
+        None
+    }
+
+    /// The fleet's rollback of a refused candidate: an appended block is
+    /// truncated (the basis with it, back to what it was), a taken-over
+    /// tombstone is tombstoned again.
+    fn roll_back(&mut self, candidate: usize) {
+        if candidate + 1 == self.blocks.len() && candidate > 0 {
+            self.truncate();
+        } else if self.blocks.iter().filter(|b| b.alive).count() > 1 {
+            self.tombstone(candidate);
+        }
+    }
 }
 
 proptest! {
@@ -339,6 +530,49 @@ proptest! {
                 Err(_) => {
                     prop_assert!(p.solve(&dense_opts()).is_err(), "outcome class mismatch");
                     basis = None;
+                }
+            }
+        }
+    }
+
+    /// Random edit scripts over a block-angular LP, the incumbent basis
+    /// carried through every edit: the solve from it and the cold solve
+    /// of the same problem agree **bit for bit** on `x`, objective and
+    /// duals, or both report infeasibility.
+    #[test]
+    fn edit_scripts_from_the_carried_basis_equal_cold(
+        couplings in 1usize..4,
+        steps in 4usize..28,
+        seed in any::<u64>(),
+    ) {
+        let sparse = sparse_opts();
+        let mut lp = EditedLp::new(couplings, seed);
+        for step in 0..steps {
+            let candidate = if step > 0 { lp.edit() } else { None };
+            let cold = lp.p.solve(&sparse);
+            let warm = match &lp.basis {
+                Some(basis) => lp.p.solve_warm(&sparse, basis),
+                None => lp.p.solve(&sparse),
+            };
+            match (warm, cold) {
+                (Ok(mut warm), Ok(cold)) => {
+                    prop_assert_eq!(warm.x(), cold.x(), "step {}: x", step);
+                    prop_assert_eq!(warm.objective(), cold.objective(), "step {}", step);
+                    prop_assert_eq!(warm.duals(), cold.duals(), "step {}: duals", step);
+                    prop_assert!(lp.p.max_violation(warm.x()) < 1e-7);
+                    // What the fleet does: the new optimum's basis is the
+                    // one carried on (none if an artificial stayed basic).
+                    lp.basis = warm.take_basis();
+                }
+                (Err(SolveError::Infeasible { .. }), Err(SolveError::Infeasible { .. })) => {
+                    // A refusal: the candidate (if that is what broke it)
+                    // is rolled back and the carried basis kept.
+                    if let Some(candidate) = candidate {
+                        lp.roll_back(candidate);
+                    }
+                }
+                (warm, cold) => {
+                    prop_assert!(false, "step {step}: outcome class mismatch: {warm:?} vs {cold:?}");
                 }
             }
         }

@@ -8,7 +8,7 @@
 //! `Plan`, which we verify by simulation on the flow's allocated slice.
 //! Then a link fails mid-session: flows that no longer fit are shed into
 //! the re-admission queue (lowest priority first), everyone else is
-//! re-planned, warm-started from cached bases — and recovery revives the
+//! re-planned — and recovery revives the
 //! shed flows under their original ids.
 //!
 //! Run: `cargo run --example fleet --release`
@@ -117,7 +117,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fleet.depart(d.id())?;
     }
     println!(
-        "\nafter 8 arrive/depart cycles: {} (bases cached per joint-LP shape)",
+        "\nafter 8 arrive/depart cycles: {} (each arrival starts from the incumbents' basis)",
         fleet.warm_stats()
     );
     Ok(())
