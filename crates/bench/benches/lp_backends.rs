@@ -24,7 +24,7 @@
 #![forbid(unsafe_code)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dmc_core::{DeterministicModel, Objective, Planner, PlannerConfig};
+use dmc_core::{Objective, Planner, PlannerConfig, Scenario};
 use dmc_experiments::figure4::synthetic_network;
 use dmc_experiments::scenarios;
 use dmc_lp::{Backend, Basis, Problem, SolverOptions, Workspace};
@@ -51,19 +51,25 @@ fn sparse_opts() -> SolverOptions {
     }
 }
 
+fn quality_lp(scenario: &Scenario) -> Problem {
+    Planner::new()
+        .model(scenario)
+        .problem(Objective::MaxQuality)
+}
+
 /// The quality LPs of the 20-point Table III λ sweep.
 fn table3_sweep_problems() -> Vec<Problem> {
     (1..=20)
         .map(|i| {
-            let net = scenarios::table3_model(i as f64 * 7.5 * 1e6, 0.800);
-            DeterministicModel::new(&net, 2, true).quality_lp()
+            let scenario = scenarios::table3_model_scenario(i as f64 * 7.5 * 1e6, 0.800);
+            quality_lp(&scenario)
         })
         .collect()
 }
 
 /// The 729-variable quality LP of the synthetic 8-path, m = 3 scenario.
 fn synthetic_729_problem() -> Problem {
-    DeterministicModel::new(&synthetic_network(8), 3, true).quality_lp()
+    quality_lp(&Scenario::from_network(&synthetic_network(8)).with_transmissions(3))
 }
 
 fn solve_all(problems: &[Problem], opts: &SolverOptions, ws: &mut Workspace) -> f64 {

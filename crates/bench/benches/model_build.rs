@@ -4,7 +4,7 @@
 #![forbid(unsafe_code)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dmc_core::DeterministicModel;
+use dmc_core::{Planner, Scenario};
 use dmc_experiments::figure4::synthetic_network;
 use std::hint::black_box;
 
@@ -16,8 +16,10 @@ fn model_build(c: &mut Criterion) {
                 BenchmarkId::new(format!("{m}_transmissions"), n),
                 &(n, m),
                 |b, &(n, m)| {
-                    let net = synthetic_network(n);
-                    b.iter(|| black_box(DeterministicModel::new(&net, m, true)));
+                    let scenario =
+                        Scenario::from_network(&synthetic_network(n)).with_transmissions(m);
+                    let mut planner = Planner::new();
+                    b.iter(|| black_box(planner.model(&scenario)));
                 },
             );
         }

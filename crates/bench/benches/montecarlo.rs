@@ -10,7 +10,7 @@
 #![forbid(unsafe_code)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dmc_core::{Objective, Planner, Scenario};
+use dmc_core::{Objective, Planner};
 use dmc_experiments::montecarlo::{run_plan_trials, MonteCarloConfig};
 use dmc_experiments::runner::{RunConfig, TrueNetwork};
 use dmc_experiments::scenarios;
@@ -23,12 +23,11 @@ fn trial_throughput(c: &mut Criterion) {
     group.sample_size(10);
 
     // Solve the plan once — the engine shares it across trials.
-    let measured = scenarios::table3_true(90e6, 0.8);
-    let scenario = Scenario::from_network(&measured);
+    let scenario = scenarios::table3_scenario(90e6, 0.8);
     let plan = Planner::new()
         .plan_with_margin(&scenario, scenarios::QUEUE_MARGIN_S, Objective::MaxQuality)
         .expect("feasible");
-    let truth = TrueNetwork::deterministic(&measured);
+    let truth = TrueNetwork::from_scenario(&scenario);
     let mut cfg = RunConfig::default();
     cfg.messages = 2_000;
 

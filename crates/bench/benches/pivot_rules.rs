@@ -5,7 +5,7 @@
 #![forbid(unsafe_code)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dmc_core::{DeterministicModel, PivotRule, SolverOptions};
+use dmc_core::{Objective, PivotRule, Planner, Scenario, SolverOptions};
 use dmc_experiments::figure4::synthetic_network;
 use std::hint::black_box;
 
@@ -18,11 +18,14 @@ fn pivot_rules(c: &mut Criterion) {
     ] {
         for n in [4usize, 8] {
             group.bench_with_input(BenchmarkId::new(name, n), &n, |b, &n| {
-                let net = synthetic_network(n);
-                let model = DeterministicModel::new(&net, 3, true);
+                let scenario = Scenario::from_network(&synthetic_network(n)).with_transmissions(3);
+                let model = Planner::new().model(&scenario);
                 let mut opts = SolverOptions::default();
                 opts.pivot_rule = rule;
-                b.iter(|| black_box(&model).solve_quality(&opts).expect("feasible"));
+                b.iter(|| {
+                    let lp = black_box(&model).problem(Objective::MaxQuality);
+                    lp.solve(&opts).expect("feasible")
+                });
             });
         }
     }

@@ -1,12 +1,10 @@
 //! Does planner workspace reuse pay? A 20-point λ sweep over the Table
-//! III scenario, solved three ways:
+//! III scenario, solved two ways:
 //!
 //! * `planner_reused` — one `Planner` across the sweep: the LP tableau,
 //!   basis and coefficient buffers are allocated once and reused;
 //! * `planner_fresh` — a new `Planner` per solve: every point pays the
-//!   allocation cost (what a naive caller would write);
-//! * `legacy_fresh` — the pre-pipeline `optimal_strategy` free function,
-//!   which rebuilds a `DeterministicModel` and a fresh tableau per call.
+//!   allocation cost (what a naive caller would write).
 //!
 //! The measured numbers are recorded in `BENCH_planner.json`
 //! (regenerate with `CRITERION_OUTPUT_JSON=1 cargo bench -p dmc-bench
@@ -16,7 +14,7 @@
 #![forbid(unsafe_code)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dmc_core::{optimal_strategy, ModelConfig, Objective, Planner, Scenario, ScenarioPath};
+use dmc_core::{Objective, Planner, Scenario, ScenarioPath};
 use dmc_experiments::figure4::synthetic_network;
 use dmc_experiments::scenarios;
 use std::hint::black_box;
@@ -54,19 +52,6 @@ fn table3_sweep(c: &mut Criterion) {
                     .plan(&base.with_data_rate(l * 1e6), Objective::MaxQuality)
                     .expect("feasible");
                 total += plan.quality();
-            }
-            black_box(total)
-        });
-    });
-
-    group.bench_function("legacy_fresh", |b| {
-        let cfg = ModelConfig::default();
-        b.iter(|| {
-            let mut total = 0.0;
-            for &l in &points {
-                let net = scenarios::table3_model(l * 1e6, 0.800);
-                let s = optimal_strategy(&net, &cfg).expect("feasible");
-                total += s.quality();
             }
             black_box(total)
         });

@@ -4,10 +4,16 @@
 #![forbid(unsafe_code)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dmc_core::{ComboScheduler, RandomScheduler};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use dmc_core::{SchedulePolicy, Scheduler};
 use std::hint::black_box;
+
+fn algorithm1(x: Vec<f64>) -> Scheduler {
+    Scheduler::new(x, SchedulePolicy::Deficit).expect("valid")
+}
+
+fn weighted_random(x: Vec<f64>, seed: u64) -> Scheduler {
+    Scheduler::new(x, SchedulePolicy::WeightedRandom { seed }).expect("valid")
+}
 
 fn target(k: usize) -> Vec<f64> {
     // A spread of shares like a solved strategy: geometric weights.
@@ -21,13 +27,12 @@ fn selection_throughput(c: &mut Criterion) {
     for k in [9usize, 121, 1331] {
         // k = (n+1)^m for n=2,10 paths at m=2 and n=10 at m=3.
         group.bench_with_input(BenchmarkId::new("algorithm1", k), &k, |b, &k| {
-            let mut s = ComboScheduler::new(target(k)).expect("valid");
+            let mut s = algorithm1(target(k));
             b.iter(|| black_box(s.next_combo()));
         });
         group.bench_with_input(BenchmarkId::new("weighted_random", k), &k, |b, &k| {
-            let s = RandomScheduler::new(target(k)).expect("valid");
-            let mut rng = StdRng::seed_from_u64(1);
-            b.iter(|| black_box(s.next_combo(&mut rng)));
+            let mut s = weighted_random(target(k), 1);
+            b.iter(|| black_box(s.next_combo()));
         });
     }
     group.finish();
@@ -41,7 +46,7 @@ fn convergence_error(c: &mut Criterion) {
     let x = target(16);
     group.bench_function("algorithm1_max_dev", |b| {
         b.iter(|| {
-            let mut s = ComboScheduler::new(x.clone()).expect("valid");
+            let mut s = algorithm1(x.clone());
             for _ in 0..10_000 {
                 s.next_combo();
             }
@@ -50,18 +55,11 @@ fn convergence_error(c: &mut Criterion) {
     });
     group.bench_function("weighted_random_max_dev", |b| {
         b.iter(|| {
-            let s = RandomScheduler::new(x.clone()).expect("valid");
-            let mut rng = StdRng::seed_from_u64(7);
-            let mut counts = vec![0u64; x.len()];
+            let mut s = weighted_random(x.clone(), 7);
             for _ in 0..10_000 {
-                counts[s.next_combo(&mut rng)] += 1;
+                s.next_combo();
             }
-            let dev = counts
-                .iter()
-                .zip(&x)
-                .map(|(&c, &xi)| (c as f64 / 10_000.0 - xi).abs())
-                .fold(0.0f64, f64::max);
-            black_box(dev)
+            black_box(s.max_deviation())
         });
     });
     group.finish();

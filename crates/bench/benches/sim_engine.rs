@@ -4,8 +4,8 @@
 #![forbid(unsafe_code)]
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use dmc_core::ModelConfig;
-use dmc_experiments::runner::{run_measured, RunConfig, TrueNetwork};
+use dmc_core::{Objective, Planner};
+use dmc_experiments::runner::{run_plan, RunConfig, TrueNetwork};
 use dmc_experiments::scenarios;
 use std::hint::black_box;
 
@@ -15,19 +15,19 @@ fn full_stack(c: &mut Criterion) {
     group.throughput(Throughput::Elements(messages));
     group.sample_size(10);
     group.bench_function("experiment1_5k_messages", |b| {
-        let measured = scenarios::table3_true(90e6, 0.8);
-        let truth = TrueNetwork::deterministic(&measured);
+        let measured = scenarios::table3_scenario(90e6, 0.8);
+        let truth = TrueNetwork::from_scenario(&measured);
         let mut cfg = RunConfig::default();
         cfg.messages = messages;
         b.iter(|| {
-            let out = run_measured(
-                black_box(&measured),
-                scenarios::QUEUE_MARGIN_S,
-                &truth,
-                &ModelConfig::default(),
-                &cfg,
-            )
-            .expect("run");
+            let plan = Planner::new()
+                .plan_with_margin(
+                    black_box(&measured),
+                    scenarios::QUEUE_MARGIN_S,
+                    Objective::MaxQuality,
+                )
+                .expect("feasible");
+            let out = run_plan(&plan, &truth, &cfg).expect("run");
             black_box(out.quality)
         });
     });

@@ -6,7 +6,7 @@
 #![forbid(unsafe_code)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dmc_core::{DeterministicModel, SolverOptions};
+use dmc_core::{Objective, Planner, Scenario};
 use dmc_experiments::figure4::synthetic_network;
 use std::hint::black_box;
 
@@ -18,11 +18,13 @@ fn solve_times(c: &mut Criterion) {
                 BenchmarkId::new(format!("{m}_transmissions"), n),
                 &(n, m),
                 |b, &(n, m)| {
-                    let net = synthetic_network(n);
-                    let opts = SolverOptions::default();
+                    let scenario =
+                        Scenario::from_network(&synthetic_network(n)).with_transmissions(m);
+                    // A fresh planner per iteration: build + cold solve.
                     b.iter(|| {
-                        let model = DeterministicModel::new(black_box(&net), m, true);
-                        model.solve_quality(&opts).expect("feasible")
+                        Planner::new()
+                            .plan(black_box(&scenario), Objective::MaxQuality)
+                            .expect("feasible")
                     });
                 },
             );

@@ -5,21 +5,23 @@
 #![forbid(unsafe_code)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dmc_core::{RandomDelayConfig, RandomDelayModel};
+use dmc_core::{Planner, PlannerConfig};
 use dmc_experiments::scenarios;
 use std::hint::black_box;
 
 fn timeout_grid(c: &mut Criterion) {
     let mut group = c.benchmark_group("timeout_optimization");
-    let net = scenarios::table5(90e6, 0.750);
+    let scenario = scenarios::table5_scenario(90e6, 0.750);
     for step_ms in [4.0f64, 2.0, 1.0, 0.5, 0.25] {
         group.bench_with_input(
             BenchmarkId::new("grid_step_ms", format!("{step_ms}")),
             &step_ms,
             |b, &step_ms| {
-                let mut cfg = RandomDelayConfig::default();
-                cfg.grid_step = step_ms / 1e3;
-                b.iter(|| black_box(RandomDelayModel::new(&net, &cfg)));
+                let mut planner = Planner::with_config(PlannerConfig {
+                    grid_step: step_ms / 1e3,
+                    ..PlannerConfig::default()
+                });
+                b.iter(|| black_box(planner.model(&scenario)));
             },
         );
     }

@@ -1,4 +1,4 @@
-//! Assembly of the deterministic linear program (paper §V, Eq. 10–18).
+//! Coefficients of the deterministic linear program (paper §V, Eq. 10–18).
 //!
 //! For every path combination `l` the model needs three quantities:
 //!
@@ -20,10 +20,7 @@
 //! later stages of the combination are never attempted.
 
 use crate::combo::{ComboTable, Slot};
-use crate::network::NetworkSpec;
 use crate::path::PathSpec;
-use crate::strategy::Strategy;
-use dmc_lp::{Problem, SolveError, SolverOptions};
 
 /// Slack added to deadline comparisons so exact boundary sums
 /// (e.g. 450 + 150 + 150 = 750 ms vs δ = 750 ms) are not lost to
@@ -110,203 +107,37 @@ pub(crate) fn fill_deterministic_coeffs(
     }
 }
 
-/// The deterministic model of §V: precomputed coefficients for every
-/// combination, ready to be assembled into quality-maximization
-/// (Eq. 10) or cost-minimization (Eq. 20) linear programs.
-#[derive(Debug, Clone)]
-pub struct DeterministicModel {
-    net: NetworkSpec,
-    table: ComboTable,
-    p: Vec<f64>,
-    usage: Vec<Vec<f64>>, // usage[k][l]
-    cost: Vec<f64>,
-}
-
-impl DeterministicModel {
-    /// Builds the model for `transmissions` stages (`m ≥ 1`; the paper's
-    /// base model is `m = 2`: one transmission + one retransmission).
-    /// `blackhole` adds the virtual drop path of Eq. 19, which keeps the
-    /// LP feasible when `λ` exceeds network capacity.
-    pub fn new(net: &NetworkSpec, transmissions: usize, blackhole: bool) -> Self {
-        let table = ComboTable::new(net.num_paths(), transmissions, blackhole);
-        let n = net.num_paths();
-        let mut p = Vec::new();
-        let mut usage = vec![Vec::new(); n];
-        let mut cost = Vec::new();
-        fill_deterministic_coeffs(
-            net.paths(),
-            net.min_delay(),
-            net.lifetime(),
-            &table,
-            &mut p,
-            &mut usage,
-            &mut cost,
-        );
-        DeterministicModel {
-            net: net.clone(),
-            table,
-            p,
-            usage,
-            cost,
-        }
-    }
-
-    /// The combination table (index ↔ stage-sequence bijection).
-    pub fn table(&self) -> &ComboTable {
-        &self.table
-    }
-
-    /// In-time delivery probability `p_l` per combination (Eq. 12).
-    pub fn quality_coeffs(&self) -> &[f64] {
-        &self.p
-    }
-
-    /// Expected cost per bit per combination (Eq. 16 divided by `λ`).
-    pub fn cost_coeffs(&self) -> &[f64] {
-        &self.cost
-    }
-
-    /// Expected transmissions of real path `k` per unit data, per
-    /// combination (row `k` of Eq. 15 divided by `λ`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k ≥ num_paths`.
-    pub fn usage_coeffs(&self, k: usize) -> &[f64] {
-        &self.usage[k]
-    }
-
-    /// The scenario this model was built for.
-    pub fn network(&self) -> &NetworkSpec {
-        &self.net
-    }
-
-    /// Assembles the quality-maximization LP (Eq. 10):
-    /// `max p·x` s.t. bandwidth rows, optional cost row, `Σx = 1`, `x ≥ 0`.
-    ///
-    /// Rows are expressed per unit of `λ` (both sides of Eq. 3 and Eq. 7
-    /// divided by `λ`), which keeps coefficients well-scaled.
-    pub fn quality_lp(&self) -> Problem {
-        let mut lp = Problem::maximize(self.p.clone());
-        self.push_capacity_rows(&mut lp);
-        let ones = vec![1.0; self.table.num_combos()];
-        lp.add_eq(ones, 1.0).expect("dimensions match");
-        lp
-    }
-
-    /// Assembles the cost-minimization LP (Eq. 20–23): `min cost·x`
-    /// s.t. bandwidth rows, quality `≥ min_quality`, `Σx = 1`, `x ≥ 0`.
-    pub fn min_cost_lp(&self, min_quality: f64) -> Problem {
-        let mut lp = Problem::minimize(self.cost.clone());
-        self.push_capacity_rows_no_budget(&mut lp);
-        lp.add_ge(self.p.clone(), min_quality)
-            .expect("p has exactly one coefficient per path");
-        let ones = vec![1.0; self.table.num_combos()];
-        lp.add_eq(ones, 1.0).expect("dimensions match");
-        lp
-    }
-
-    fn push_capacity_rows(&self, lp: &mut Problem) {
-        self.push_capacity_rows_no_budget(lp);
-        // Cost row (Eq. 7): only when the budget binds anything.
-        if self.net.cost_budget().is_finite() {
-            lp.add_le(
-                self.cost.clone(),
-                self.net.cost_budget() / self.net.data_rate(),
-            )
-            .expect("dimensions match");
-        }
-    }
-
-    fn push_capacity_rows_no_budget(&self, lp: &mut Problem) {
-        for k in 0..self.net.num_paths() {
-            let b = self.net.paths()[k].bandwidth();
-            lp.add_le(self.usage[k].clone(), b / self.net.data_rate())
-                .expect("dimensions match");
-        }
-    }
-
-    /// Solves for the quality-optimal strategy.
-    ///
-    /// # Errors
-    ///
-    /// Forwards solver failures. With the blackhole enabled the LP is
-    /// always feasible, so errors indicate a solver-level problem.
-    pub fn solve_quality(&self, options: &SolverOptions) -> Result<Strategy, SolveError> {
-        let lp = self.quality_lp();
-        let sol = lp.solve(options)?;
-        Ok(self.strategy_from_x(sol.into_x()))
-    }
-
-    /// Solves for the cheapest strategy with quality at least
-    /// `min_quality`.
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::Infeasible`] when the requested quality is not
-    /// achievable at all (no budget constraint is applied here; cost is
-    /// the objective).
-    pub fn solve_min_cost(
-        &self,
-        min_quality: f64,
-        options: &SolverOptions,
-    ) -> Result<Strategy, SolveError> {
-        let lp = self.min_cost_lp(min_quality);
-        let sol = lp.solve(options)?;
-        Ok(self.strategy_from_x(sol.into_x()))
-    }
-
-    /// Packages an assignment vector into a [`Strategy`] with its
-    /// predicted metrics (Eq. 2, 6, 7).
-    pub fn strategy_from_x(&self, x: Vec<f64>) -> Strategy {
-        let quality: f64 = self.p.iter().zip(&x).map(|(p, v)| p * v).sum();
-        let lambda = self.net.data_rate();
-        let send_rates: Vec<f64> = (0..self.net.num_paths())
-            .map(|k| {
-                lambda
-                    * self.usage[k]
-                        .iter()
-                        .zip(&x)
-                        .map(|(u, v)| u * v)
-                        .sum::<f64>()
-            })
-            .collect();
-        let cost_rate = lambda * self.cost.iter().zip(&x).map(|(c, v)| c * v).sum::<f64>();
-        Strategy::new(
-            self.table.clone(),
-            x,
-            lambda,
-            quality,
-            cost_rate,
-            send_rates,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::NetworkSpec;
-    use dmc_lp::SolverOptions;
+    use crate::{Objective, Plan, Planner, PlannerConfig, Scenario, ScenarioPath};
 
     /// The paper's Table III paths with the +50 ms queueing margin applied
     /// (450/150 ms), exactly as used to produce Table IV.
-    pub(crate) fn table3_network(lambda: f64, delta: f64) -> NetworkSpec {
-        NetworkSpec::builder()
-            .path(PathSpec::new(80e6, 0.450, 0.2).unwrap())
-            .path(PathSpec::new(20e6, 0.150, 0.0).unwrap())
+    fn table3_paths() -> [PathSpec; 2] {
+        [
+            PathSpec::new(80e6, 0.450, 0.2).unwrap(),
+            PathSpec::new(20e6, 0.150, 0.0).unwrap(),
+        ]
+    }
+
+    fn table3_scenario(lambda: f64, delta: f64) -> Scenario {
+        Scenario::builder()
+            .paths(table3_paths().iter().map(ScenarioPath::from_spec))
             .data_rate(lambda)
             .lifetime(delta)
             .build()
             .unwrap()
     }
 
-    fn q(lambda: f64, delta: f64) -> f64 {
-        let model = DeterministicModel::new(&table3_network(lambda, delta), 2, true);
-        model
-            .solve_quality(&SolverOptions::default())
+    fn solve(scenario: &Scenario) -> Plan {
+        Planner::new()
+            .plan(scenario, Objective::MaxQuality)
             .unwrap()
-            .quality()
+    }
+
+    fn q(lambda: f64, delta: f64) -> f64 {
+        solve(&table3_scenario(lambda, delta)).quality()
     }
 
     #[test]
@@ -359,20 +190,18 @@ mod tests {
         // §II: 10 Mbps data over (10 Mbps, 600 ms, 10%) + (1 Mbps, 200 ms,
         // 0%), lifetime 1 s: initial transmission on the big path,
         // retransmissions on the small one → 100%.
-        let net = NetworkSpec::builder()
-            .path(PathSpec::new(10e6, 0.600, 0.10).unwrap())
-            .path(PathSpec::new(1e6, 0.200, 0.0).unwrap())
+        let scenario = Scenario::builder()
+            .path(ScenarioPath::constant(10e6, 0.600, 0.10).unwrap())
+            .path(ScenarioPath::constant(1e6, 0.200, 0.0).unwrap())
             .data_rate(10e6)
             .lifetime(1.0)
             .build()
             .unwrap();
-        let model = DeterministicModel::new(&net, 2, true);
-        let s = model.solve_quality(&SolverOptions::default()).unwrap();
+        let s = solve(&scenario);
         assert!((s.quality() - 1.0).abs() < 1e-9, "Q = {}", s.quality());
         // Neither path alone can do it.
         for k in 0..2 {
-            let single = DeterministicModel::new(&net.restricted_to_path(k), 2, true);
-            let sq = single.solve_quality(&SolverOptions::default()).unwrap();
+            let sq = solve(&scenario.restricted_to_path(k));
             assert!(
                 sq.quality() < 1.0 - 1e-9,
                 "path {k} alone reached {}",
@@ -385,11 +214,10 @@ mod tests {
     fn combo_coeffs_match_eq12_and_eq15() {
         // Two paths, blackhole-free table, m = 2; verify against the
         // paper's closed forms.
-        let net = table3_network(90e6, 0.8);
-        let dmin = net.min_delay();
-        let paths = net.paths();
+        let paths = table3_paths();
+        let dmin = 0.150;
         // Combo (path0, path1): i=1, j=2 in paper numbering.
-        let c = combo_coeffs(paths, dmin, 0.8, &[Slot::Path(0), Slot::Path(1)]);
+        let c = combo_coeffs(&paths, dmin, 0.8, &[Slot::Path(0), Slot::Path(1)]);
         // d_i + dmin + d_j = .45+.15+.15 = .75 ≤ .8 → p = 1 − τ_i·τ_j = 1.
         assert!((c.p - 1.0).abs() < 1e-12);
         // usage on path0 = 1, on path1 = τ_0 = 0.2 (Eq. 15).
@@ -397,12 +225,12 @@ mod tests {
         assert!((c.usage[1] - 0.2).abs() < 1e-12);
         // Combo (path0, path0): arrival of retrans = .45+.15+.45 = 1.05 > .8
         // → p = 1 − τ_0 = 0.8; usage path0 = 1 + τ_0.
-        let c = combo_coeffs(paths, dmin, 0.8, &[Slot::Path(0), Slot::Path(0)]);
+        let c = combo_coeffs(&paths, dmin, 0.8, &[Slot::Path(0), Slot::Path(0)]);
         assert!((c.p - 0.8).abs() < 1e-12);
         assert!((c.usage[0] - 1.2).abs() < 1e-12);
         // Blackhole absorbs: (blackhole, path1) delivers nothing and uses
         // nothing.
-        let c = combo_coeffs(paths, dmin, 0.8, &[Slot::Blackhole, Slot::Path(1)]);
+        let c = combo_coeffs(&paths, dmin, 0.8, &[Slot::Blackhole, Slot::Path(1)]);
         assert_eq!(c.p, 0.0);
         assert_eq!(c.usage, vec![0.0, 0.0]);
         assert_eq!(c.cost, 0.0);
@@ -412,23 +240,16 @@ mod tests {
     fn boundary_deadline_is_inclusive() {
         // d_i + dmin + d_j = exactly δ must count (Eq. 12 uses ≤), even
         // though 0.45 + 0.15 + 0.15 > 0.75 in floating point.
-        let net = table3_network(90e6, 0.75);
-        let c = combo_coeffs(net.paths(), 0.15, 0.75, &[Slot::Path(0), Slot::Path(1)]);
+        let c = combo_coeffs(&table3_paths(), 0.15, 0.75, &[Slot::Path(0), Slot::Path(1)]);
         assert!((c.p - 1.0).abs() < 1e-12, "p = {}", c.p);
     }
 
     #[test]
     fn three_transmissions_dominate_two() {
         // More retransmission stages can only help quality.
-        let net = table3_network(90e6, 1.5);
-        let q2 = DeterministicModel::new(&net, 2, true)
-            .solve_quality(&SolverOptions::default())
-            .unwrap()
-            .quality();
-        let q3 = DeterministicModel::new(&net, 3, true)
-            .solve_quality(&SolverOptions::default())
-            .unwrap()
-            .quality();
+        let scenario = table3_scenario(90e6, 1.5);
+        let q2 = solve(&scenario.with_transmissions(2)).quality();
+        let q3 = solve(&scenario.with_transmissions(3)).quality();
         assert!(q3 >= q2 - 1e-9, "q3 {q3} < q2 {q2}");
     }
 
@@ -438,11 +259,9 @@ mod tests {
         // everything fits on path 2 losslessly → Q = 1; with λ = 90 the
         // best is 0.8·(80/90·…): path0 delivers (1−τ)=0.8 of its 80 Mbps
         // share, path1 delivers its 20 Mbps → (0.8·70 + 20)/90.
-        let model = DeterministicModel::new(&table3_network(20e6, 0.8), 1, true);
-        let s = model.solve_quality(&SolverOptions::default()).unwrap();
+        let s = solve(&table3_scenario(20e6, 0.8).with_transmissions(1));
         assert!((s.quality() - 1.0).abs() < 1e-9);
-        let model = DeterministicModel::new(&table3_network(90e6, 0.8), 1, true);
-        let s = model.solve_quality(&SolverOptions::default()).unwrap();
+        let s = solve(&table3_scenario(90e6, 0.8).with_transmissions(1));
         let want = (0.8 * 70e6 + 20e6) / 90e6;
         assert!((s.quality() - want).abs() < 1e-9, "Q = {}", s.quality());
     }
@@ -451,16 +270,15 @@ mod tests {
     fn cost_budget_binds() {
         // Make path 0 expensive and bound the budget so only path 1 is
         // affordable.
-        let net = NetworkSpec::builder()
-            .path(PathSpec::with_cost(80e6, 0.450, 0.2, 1.0).unwrap())
-            .path(PathSpec::with_cost(20e6, 0.150, 0.0, 0.0).unwrap())
+        let scenario = Scenario::builder()
+            .path(ScenarioPath::constant_with_cost(80e6, 0.450, 0.2, 1.0).unwrap())
+            .path(ScenarioPath::constant_with_cost(20e6, 0.150, 0.0, 0.0).unwrap())
             .data_rate(90e6)
             .lifetime(0.8)
             .cost_budget(1.0) // at cost 1/bit, one bit/s of path-0 budget
             .build()
             .unwrap();
-        let model = DeterministicModel::new(&net, 2, true);
-        let s = model.solve_quality(&SolverOptions::default()).unwrap();
+        let s = solve(&scenario);
         // Path 1 can carry 20 of 90 Mbps → Q ≈ 2/9.
         assert!(
             (s.quality() - 2.0 / 9.0).abs() < 1e-6,
@@ -472,24 +290,24 @@ mod tests {
 
     #[test]
     fn min_cost_meets_quality_floor() {
-        let net = NetworkSpec::builder()
-            .path(PathSpec::with_cost(80e6, 0.450, 0.2, 2e-9).unwrap())
-            .path(PathSpec::with_cost(20e6, 0.150, 0.0, 1e-9).unwrap())
+        let scenario = Scenario::builder()
+            .path(ScenarioPath::constant_with_cost(80e6, 0.450, 0.2, 2e-9).unwrap())
+            .path(ScenarioPath::constant_with_cost(20e6, 0.150, 0.0, 1e-9).unwrap())
             .data_rate(90e6)
             .lifetime(0.8)
             .build()
             .unwrap();
-        let model = DeterministicModel::new(&net, 2, true);
-        let s = model
-            .solve_min_cost(0.9, &SolverOptions::default())
+        let mut planner = Planner::new();
+        let s = planner
+            .plan(&scenario, Objective::MinCost { min_quality: 0.9 })
             .unwrap();
         assert!(s.quality() >= 0.9 - 1e-9, "Q = {}", s.quality());
         // Cheaper than the quality-optimal strategy's cost or equal quality
         // at lower cost: sanity only — cost must be positive and finite.
         assert!(s.cost_rate() > 0.0 && s.cost_rate().is_finite());
         // Infeasible floor is reported.
-        assert!(model
-            .solve_min_cost(0.99, &SolverOptions::default())
+        assert!(planner
+            .plan(&scenario, Objective::MinCost { min_quality: 0.99 })
             .is_err());
     }
 
@@ -497,11 +315,15 @@ mod tests {
     fn blackhole_disabled_infeasible_when_overloaded() {
         // Without the blackhole, Σx = 1 cannot be satisfied when λ exceeds
         // what the bandwidth rows admit.
-        let net = table3_network(200e6, 0.8);
-        let model = DeterministicModel::new(&net, 2, false);
-        assert!(model.solve_quality(&SolverOptions::default()).is_err());
+        let scenario = table3_scenario(200e6, 0.8);
+        let mut bare = Planner::with_config(PlannerConfig {
+            blackhole: false,
+            ..PlannerConfig::default()
+        });
+        assert!(bare.plan(&scenario, Objective::MaxQuality).is_err());
         // With the blackhole it is always feasible.
-        let model = DeterministicModel::new(&net, 2, true);
-        assert!(model.solve_quality(&SolverOptions::default()).is_ok());
+        assert!(Planner::new()
+            .plan(&scenario, Objective::MaxQuality)
+            .is_ok());
     }
 }

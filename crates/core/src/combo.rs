@@ -10,6 +10,8 @@
 //! **least-significant digit = first transmission** (Eq. 13:
 //! `i = l mod n`, `j = ⌊l/n⌋`).
 
+use crate::path::SpecError;
+
 /// One transmission slot: the blackhole (drop) or a real path.
 ///
 /// Real paths are identified by their 0-based index into
@@ -49,15 +51,39 @@ pub struct ComboTable {
 }
 
 impl ComboTable {
+    /// Largest combination count any planner will model. The count is
+    /// `num_slots ^ transmissions`, so an unchecked `m` can exhaust memory
+    /// or overflow the count itself; every table, single-flow or fleet,
+    /// is held to this one bound.
+    pub const MAX_COMBOS: usize = 1 << 16;
+
+    /// `(n_paths + blackhole) ^ transmissions` when it neither overflows
+    /// nor exceeds [`ComboTable::MAX_COMBOS`].
+    pub fn checked_num_combos(
+        n_paths: usize,
+        transmissions: usize,
+        blackhole: bool,
+    ) -> Option<usize> {
+        let m = u32::try_from(transmissions).ok()?;
+        (n_paths + usize::from(blackhole))
+            .checked_pow(m)
+            .filter(|&combos| combos <= Self::MAX_COMBOS)
+    }
+
     /// Creates the table for `n_paths` real paths and `transmissions`
     /// stages, optionally including the blackhole slot.
     ///
     /// # Panics
     ///
-    /// Panics if `n_paths == 0` or `transmissions == 0`.
+    /// Panics if `n_paths == 0`, `transmissions == 0`, or the combination
+    /// count exceeds [`ComboTable::MAX_COMBOS`].
     pub fn new(n_paths: usize, transmissions: usize, blackhole: bool) -> Self {
         assert!(n_paths > 0, "need at least one path");
         assert!(transmissions > 0, "need at least one transmission");
+        assert!(
+            Self::checked_num_combos(n_paths, transmissions, blackhole).is_some(),
+            "combination count exceeds ComboTable::MAX_COMBOS"
+        );
         ComboTable {
             n_paths,
             blackhole,
@@ -171,6 +197,23 @@ impl ComboTable {
     }
 }
 
+/// The typed form of [`ComboTable::new`]'s size bound, for scenarios that
+/// reach a planner from outside the program.
+pub(crate) fn check_combos(
+    n_paths: usize,
+    transmissions: usize,
+    blackhole: bool,
+) -> Result<(), SpecError> {
+    match ComboTable::checked_num_combos(n_paths, transmissions, blackhole) {
+        Some(_) => Ok(()),
+        None => Err(SpecError(format!(
+            "{transmissions} transmissions over {n_paths} paths need more than {} path \
+             combinations",
+            ComboTable::MAX_COMBOS
+        ))),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,6 +276,17 @@ mod tests {
         // variable count is (n+1)^m.
         assert_eq!(ComboTable::new(10, 2, true).num_combos(), 121);
         assert_eq!(ComboTable::new(10, 3, true).num_combos(), 1331);
+    }
+
+    #[test]
+    fn oversized_counts_are_refused_not_computed() {
+        assert_eq!(ComboTable::checked_num_combos(2, 2, true), Some(9));
+        assert_eq!(ComboTable::checked_num_combos(255, 2, true), Some(1 << 16));
+        assert_eq!(ComboTable::checked_num_combos(2, 24, true), None); // 3^24 > 2^16
+        assert_eq!(ComboTable::checked_num_combos(2, 255, true), None); // overflows usize
+        assert_eq!(ComboTable::checked_num_combos(2, usize::MAX, true), None);
+        assert!(check_combos(2, 3, true).is_ok());
+        assert!(check_combos(2, 24, true).is_err());
     }
 
     #[test]

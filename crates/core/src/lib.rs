@@ -70,25 +70,10 @@
 //! of a constant and the planner optimizes the Eq. 34 retransmission
 //! timeouts automatically.
 //!
-//! # MIGRATION (old split API → unified pipeline)
-//!
-//! The historical names remain available as thin shims so existing code
-//! keeps compiling, but new code should use the pipeline:
-//!
-//! | Legacy | Unified |
-//! |---|---|
-//! | `NetworkSpec` + `PathSpec` | [`Scenario`] + [`ScenarioPath::constant`] |
-//! | `RandomNetworkSpec` + `RandomPath` | [`Scenario`] + [`ScenarioPath::new`] |
-//! | `optimal_strategy(&net, &cfg)` | `planner.plan(&scenario, Objective::MaxQuality)` |
-//! | `min_cost_strategy(&net, q, &cfg)` | `planner.plan(&scenario, Objective::MinCost { min_quality: q })` |
-//! | `RandomDelayModel::solve_quality` | `planner.plan(&scenario, Objective::MaxQuality)` |
-//! | `ModelConfig { transmissions, .. }` | `Scenario::builder().transmissions(m)` + [`PlannerConfig`] |
-//! | `RandomDelayModel::timeout(i, j)` | [`Plan::timeout`] |
-//! | `ComboScheduler` / `RandomScheduler` | [`Scheduler`] (via [`Plan::scheduler`]) |
-//! | hand-built `TimeoutPlan` (dmc-proto) | [`Plan::schedule`] → `TimeoutPlan::from_plan` |
-//!
-//! `Scenario::from_network` / `Scenario::from_random` convert the legacy
-//! spec types in one call.
+//! [`NetworkSpec`] / [`PathSpec`] are the all-constant-delay estimate
+//! type: what `dmc_proto::AdaptiveSender` refits from its RTT and loss
+//! estimators and the sensitivity experiments perturb.
+//! [`Scenario::from_network`] feeds one to the pipeline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -102,23 +87,16 @@ mod planner;
 mod random_delay;
 mod scenario;
 mod scheduler;
-mod solve;
 mod strategy;
 
-pub use builder::DeterministicModel;
 pub use combo::{ComboTable, Slot};
 pub use network::{NetworkSpec, NetworkSpecBuilder};
 pub use path::{PathSpec, SpecError};
 pub use plan::{Plan, StageTimeoutSpec, TimeoutSchedule};
 pub use planner::{Objective, PlanError, Planner, PlannerConfig, ScenarioModel, WarmStats};
-pub use random_delay::{
-    PlateauRule, RandomDelayConfig, RandomDelayModel, RandomNetworkSpec, RandomPath,
-};
+pub use random_delay::PlateauRule;
 pub use scenario::{Scenario, ScenarioBuilder, ScenarioPath};
-pub use scheduler::{ComboScheduler, RandomScheduler, SchedulePolicy, Scheduler};
-pub use solve::{
-    min_cost_strategy, optimal_strategy, single_path_quality, ModelConfig, ModelError,
-};
+pub use scheduler::{SchedulePolicy, Scheduler};
 pub use strategy::{approx_fraction, CrossEvaluation, Strategy};
 
 // Re-export the solver option types callers need to tune solving.

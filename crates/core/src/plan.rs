@@ -1,13 +1,10 @@
 //! The [`Plan`]: everything a sender needs, produced in one shot by a
 //! [`Planner`](crate::Planner).
 //!
-//! The historical API made callers assemble a sender by hand: solve a
-//! strategy, derive a `TimeoutPlan` from the right network description
-//! (a different one per delay regime!), build a scheduler, then wire a
-//! `SenderConfig`. A `Plan` bundles all of it — the solved [`Strategy`],
-//! a regime-independent [`TimeoutSchedule`], the acknowledgment path and
-//! a ready [`Scheduler`] — so every consumer (protocol, experiments,
-//! examples) constructs senders the same way.
+//! A `Plan` bundles the solved [`Strategy`], a regime-independent
+//! [`TimeoutSchedule`], the acknowledgment path and a ready
+//! [`Scheduler`], so every consumer (protocol, experiments, examples)
+//! constructs senders the same way.
 
 use crate::combo::{ComboTable, Slot};
 use crate::path::PathSpec;
@@ -189,8 +186,8 @@ impl Plan {
     /// is real path `j`; `None` when no retransmission can meet the
     /// deadline.
     pub fn timeout(&self, i: usize, j: usize) -> Option<f64> {
-        // Combo-index math shared with the random model; detect-only
-        // timers are filtered out (their delay is not the paper's t_{i,j}).
+        // Detect-only timers are filtered out (their delay is not the
+        // paper's t_{i,j}).
         let l = pairwise_combo_index(self.strategy.table(), i, j)?;
         self.schedule
             .stage(l, 0)

@@ -1,12 +1,13 @@
 //! The unified front door: [`Scenario`] + [`Objective`] → [`Planner`] →
 //! [`Plan`].
 //!
-//! One `Planner` replaces the historical split between
-//! `optimal_strategy`/`min_cost_strategy` (deterministic, §V/§VI-A) and
-//! `RandomDelayModel::solve_quality` (random delays, §VI-B): it inspects
+//! One `Planner` covers both of the paper's delay regimes: it inspects
 //! the scenario's delay distributions and routes constant delays through
-//! the exact Eq. 12 coefficients, anything else through the discretized
-//! Eq. 28/34 machinery — same optimum either way, one API.
+//! the exact Eq. 12 coefficients (§V), anything else through the
+//! discretized Eq. 28/34 machinery (§VI-B). Either fill feeds the same
+//! LP assembly and the same strategy packaging — the two functions
+//! [`ScenarioModel`] also runs, so a fleet decomposition is the
+//! planner's arithmetic by construction.
 //!
 //! The planner **owns its scratch memory**: the LP workspace
 //! ([`dmc_lp::Workspace`]) and the model coefficient buffers are reused
@@ -25,7 +26,7 @@
 //! solve automatically; results are bit-identical either way.
 
 use crate::builder::fill_deterministic_coeffs;
-use crate::combo::ComboTable;
+use crate::combo::{check_combos, ComboTable};
 use crate::path::{PathSpec, SpecError};
 use crate::plan::{Plan, TimeoutSchedule};
 use crate::random_delay::{fill_random_coeffs, PlateauRule};
@@ -154,7 +155,8 @@ pub struct PlannerConfig {
     /// only objective/RHS coefficients, so the cached basis usually lets
     /// the LP skip phase 1 and most pivots; a stale basis falls back to a
     /// cold solve inside the solver, so results are identical either way.
-    /// Only effective with [`dmc_lp::Backend::Revised`].
+    /// Effective with the backends that export a basis
+    /// ([`dmc_lp::Backend::Revised`] and [`dmc_lp::Backend::Sparse`]).
     pub warm_start: bool,
 }
 
@@ -289,9 +291,16 @@ impl Planner {
         self.validate(scenario, objective)?;
         let (table, schedule, ack_path) = self.fill_buffers(scenario);
 
-        let problem = self.assemble_lp(scenario, objective, &table);
+        let problem = assemble_lp(scenario, objective, &self.p, &self.usage, &self.cost);
         let solution = self.solve_lp(&problem)?;
-        let strategy = self.package_strategy(scenario, &table, solution.into_x());
+        let strategy = package_strategy(
+            scenario.data_rate(),
+            &table,
+            &self.p,
+            &self.usage,
+            &self.cost,
+            solution.into_x(),
+        );
 
         Ok(Plan {
             scenario: scenario.clone(),
@@ -356,9 +365,17 @@ impl Planner {
     /// [`ScenarioModel::plan_for`].
     ///
     /// The coefficients are computed by exactly the code path
-    /// [`Planner::plan`] uses, so an LP assembled from a `ScenarioModel`
-    /// the way [`Planner::plan`] assembles its own reproduces
-    /// [`Planner::plan`]'s answers bit for bit.
+    /// [`Planner::plan`] uses, and [`ScenarioModel::problem`] /
+    /// [`ScenarioModel::plan_for`] are the functions [`Planner::plan`]
+    /// assembles and packages with, so solving the former and feeding the
+    /// `x` to the latter reproduces [`Planner::plan`] bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scenario's combination count exceeds
+    /// [`ComboTable::MAX_COMBOS`] (only reachable through
+    /// [`Scenario::with_transmissions`]; [`Planner::plan`] reports the
+    /// same condition as a [`PlanError::Spec`]).
     pub fn model(&mut self, scenario: &Scenario) -> ScenarioModel {
         let (table, schedule, ack_path) = self.fill_buffers(scenario);
         ScenarioModel {
@@ -475,24 +492,15 @@ impl Planner {
     /// Warm-start cache counters: how many solves re-entered phase 2 from
     /// a cached basis ([`WarmStats::hits`]) and how many consulted a
     /// cached basis that had gone stale ([`WarmStats::misses`]).
-    /// Diagnostic counters for benches and tests.
-    ///
-    /// MIGRATION: the same events are mirrored onto the `dmc_obs`
-    /// counters `planner.warm_hits` / `planner.warm_misses` of
-    /// `config.solver.obs` when that registry is enabled. This accessor
-    /// stays per-planner (a registry shared across planners or replays
-    /// aggregates instead); prefer the registry for exported telemetry.
+    /// Per-planner diagnostic counters for benches and tests; the same
+    /// events are mirrored onto the `dmc_obs` counters
+    /// `planner.warm_hits` / `planner.warm_misses` of `config.solver.obs`
+    /// when that registry is enabled.
     pub fn warm_stats(&self) -> WarmStats {
         WarmStats {
             hits: self.warm_hits,
             misses: self.warm_attempts - self.warm_hits,
         }
-    }
-
-    /// The pre-[`WarmStats`] counter shape: `(attempts, hits)`.
-    #[deprecated(note = "use `warm_stats()`, which returns a named `WarmStats { hits, misses }`")]
-    pub fn warm_stats_tuple(&self) -> (u64, u64) {
-        (self.warm_attempts, self.warm_hits)
     }
 
     /// Number of problem shapes with a cached warm-start basis.
@@ -524,6 +532,11 @@ impl Planner {
     }
 
     fn validate(&self, scenario: &Scenario, objective: Objective) -> Result<(), PlanError> {
+        check_combos(
+            scenario.num_paths(),
+            scenario.transmissions(),
+            self.config.blackhole,
+        )?;
         match objective {
             Objective::MaxQuality => Ok(()),
             Objective::MaxQualityUnderBudget => {
@@ -546,59 +559,66 @@ impl Planner {
             }
         }
     }
+}
 
-    /// Assembles the LP for the requested objective from the filled
-    /// coefficient buffers.
-    fn assemble_lp(
-        &self,
-        scenario: &Scenario,
-        objective: Objective,
-        table: &ComboTable,
-    ) -> Problem {
-        let lambda = scenario.data_rate();
-        match objective {
-            Objective::MaxQuality | Objective::MaxQualityUnderBudget => {
-                let mut lp = Problem::maximize(self.p.clone());
-                for (k, usage) in self.usage.iter().enumerate() {
-                    lp.add_le(usage.clone(), scenario.paths()[k].bandwidth() / lambda)
-                        .expect("dimensions match");
-                }
-                if scenario.cost_budget().is_finite() {
-                    lp.add_le(self.cost.clone(), scenario.cost_budget() / lambda)
-                        .expect("dimensions match");
-                }
-                lp.add_eq(vec![1.0; table.num_combos()], 1.0)
-                    .expect("dimensions match");
-                lp
-            }
-            Objective::MinCost { min_quality } => {
-                let mut lp = Problem::minimize(self.cost.clone());
-                for (k, usage) in self.usage.iter().enumerate() {
-                    lp.add_le(usage.clone(), scenario.paths()[k].bandwidth() / lambda)
-                        .expect("dimensions match");
-                }
-                lp.add_ge(self.p.clone(), min_quality)
-                    .expect("p has exactly one coefficient per path");
-                lp.add_eq(vec![1.0; table.num_combos()], 1.0)
-                    .expect("dimensions match");
-                lp
-            }
+/// The paper's LP over filled coefficient vectors: Eq. 10 (`max p·x`;
+/// the Eq. 7 cost row when the scenario carries a finite budget) or its
+/// min-cost variant Eq. 20–23 (`min cost·x`, quality floor), under the
+/// per-path bandwidth rows (Eq. 3) and `Σx = 1`. Rows are per unit of
+/// `λ`, which keeps coefficients well-scaled.
+///
+/// The only place the crate builds a [`Problem`]: [`Planner::plan`] calls
+/// it on its reused buffers, [`ScenarioModel::problem`] on its owned
+/// copies.
+fn assemble_lp(
+    scenario: &Scenario,
+    objective: Objective,
+    p: &[f64],
+    usage: &[Vec<f64>],
+    cost: &[f64],
+) -> Problem {
+    const DIMS: &str = "one coefficient per combination";
+    let lambda = scenario.data_rate();
+    let mut lp = match objective {
+        Objective::MaxQuality | Objective::MaxQualityUnderBudget => Problem::maximize(p.to_vec()),
+        Objective::MinCost { .. } => Problem::minimize(cost.to_vec()),
+    };
+    for (path, usage) in scenario.paths().iter().zip(usage) {
+        lp.add_le(usage.clone(), path.bandwidth() / lambda)
+            .expect(DIMS);
+    }
+    match objective {
+        Objective::MinCost { min_quality } => {
+            lp.add_ge(p.to_vec(), min_quality).expect(DIMS);
         }
+        _ if scenario.cost_budget().is_finite() => {
+            lp.add_le(cost.to_vec(), scenario.cost_budget() / lambda)
+                .expect(DIMS);
+        }
+        _ => {}
     }
+    lp.add_eq(vec![1.0; p.len()], 1.0).expect(DIMS);
+    lp
+}
 
-    /// Packages an assignment into a [`Strategy`] with predicted metrics
-    /// (Eq. 2, 6, 7).
-    fn package_strategy(&self, scenario: &Scenario, table: &ComboTable, x: Vec<f64>) -> Strategy {
-        let lambda = scenario.data_rate();
-        let quality: f64 = self.p.iter().zip(&x).map(|(p, v)| p * v).sum();
-        let send_rates: Vec<f64> = self
-            .usage
-            .iter()
-            .map(|usage| lambda * usage.iter().zip(&x).map(|(u, v)| u * v).sum::<f64>())
-            .collect();
-        let cost_rate = lambda * self.cost.iter().zip(&x).map(|(c, v)| c * v).sum::<f64>();
-        Strategy::new(table.clone(), x, lambda, quality, cost_rate, send_rates)
-    }
+/// Packages an assignment into a [`Strategy`] with its predicted metrics
+/// (Eq. 2, 6, 7). The only caller of `Strategy::new`, shared by
+/// [`Planner::plan`] and [`ScenarioModel::plan_for`].
+fn package_strategy(
+    lambda: f64,
+    table: &ComboTable,
+    p: &[f64],
+    usage: &[Vec<f64>],
+    cost: &[f64],
+    x: Vec<f64>,
+) -> Strategy {
+    let quality: f64 = p.iter().zip(&x).map(|(p, v)| p * v).sum();
+    let send_rates: Vec<f64> = usage
+        .iter()
+        .map(|usage| lambda * usage.iter().zip(&x).map(|(u, v)| u * v).sum::<f64>())
+        .collect();
+    let cost_rate = lambda * cost.iter().zip(&x).map(|(c, v)| c * v).sum::<f64>();
+    Strategy::new(table.clone(), x, lambda, quality, cost_rate, send_rates)
 }
 
 /// The unsolved model of one scenario, produced by [`Planner::model`]:
@@ -695,11 +715,18 @@ impl ScenarioModel {
         nonzeros(&self.cost)
     }
 
-    /// Packages an assignment vector into a full [`Plan`], computing the
-    /// predicted metrics (Eq. 2, 6, 7) exactly as [`Planner::plan`] does —
-    /// same coefficient vectors, same summation order — so feeding the `x`
-    /// of a planner solve through here reproduces the planner's plan bit
-    /// for bit.
+    /// The scenario's LP for `objective` ([`Objective::MaxQuality`] honors
+    /// a finite scenario budget as the Eq. 7 cost row), unsolved — the
+    /// same assembly [`Planner::plan`] solves, for callers that bring
+    /// their own solver settings (backend and pivot-rule benches).
+    pub fn problem(&self, objective: Objective) -> Problem {
+        assemble_lp(&self.scenario, objective, &self.p, &self.usage, &self.cost)
+    }
+
+    /// Packages an assignment vector into a full [`Plan`] through the
+    /// packaging function [`Planner::plan`] uses, so feeding the `x` of a
+    /// planner solve through here reproduces the planner's plan bit for
+    /// bit.
     ///
     /// `objective` is recorded on the plan as the objective `x` was solved
     /// for; this method does not solve anything itself.
@@ -713,21 +740,13 @@ impl ScenarioModel {
             self.table.num_combos(),
             "assignment length does not match the combination table"
         );
-        let lambda = self.scenario.data_rate();
-        let quality: f64 = self.p.iter().zip(&x).map(|(p, v)| p * v).sum();
-        let send_rates: Vec<f64> = self
-            .usage
-            .iter()
-            .map(|usage| lambda * usage.iter().zip(&x).map(|(u, v)| u * v).sum::<f64>())
-            .collect();
-        let cost_rate = lambda * self.cost.iter().zip(&x).map(|(c, v)| c * v).sum::<f64>();
-        let strategy = Strategy::new(
-            self.table.clone(),
+        let strategy = package_strategy(
+            self.scenario.data_rate(),
+            &self.table,
+            &self.p,
+            &self.usage,
+            &self.cost,
             x,
-            lambda,
-            quality,
-            cost_rate,
-            send_rates,
         );
         Plan {
             scenario: self.scenario.clone(),
@@ -752,8 +771,6 @@ fn nonzeros(v: &[f64]) -> impl Iterator<Item = (usize, f64)> + '_ {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solve::{min_cost_strategy, optimal_strategy, ModelConfig};
-    use crate::{NetworkSpec, RandomDelayConfig, RandomDelayModel, RandomNetworkSpec};
     use dmc_stats::ShiftedGamma;
     use std::sync::Arc;
 
@@ -767,12 +784,13 @@ mod tests {
             .unwrap()
     }
 
-    fn table3_network(lambda: f64, delta: f64) -> NetworkSpec {
-        NetworkSpec::builder()
-            .path(crate::PathSpec::new(80e6, 0.450, 0.2).unwrap())
-            .path(crate::PathSpec::new(20e6, 0.150, 0.0).unwrap())
-            .data_rate(lambda)
-            .lifetime(delta)
+    /// Table III with per-bit prices, for the cost objectives.
+    fn costed_table3() -> Scenario {
+        Scenario::builder()
+            .path(ScenarioPath::constant_with_cost(80e6, 0.450, 0.2, 3e-9).unwrap())
+            .path(ScenarioPath::constant_with_cost(20e6, 0.150, 0.0, 1e-9).unwrap())
+            .data_rate(90e6)
+            .lifetime(0.8)
             .build()
             .unwrap()
     }
@@ -803,37 +821,90 @@ mod tests {
             .unwrap()
     }
 
+    fn quality(scenario: &Scenario) -> f64 {
+        Planner::new()
+            .plan(scenario, Objective::MaxQuality)
+            .unwrap()
+            .quality()
+    }
+
     #[test]
-    fn deterministic_plan_matches_legacy_exactly() {
-        let mut planner = Planner::new();
-        for (lambda, delta) in [(10e6, 0.8), (90e6, 0.8), (120e6, 0.8), (90e6, 0.45)] {
-            let plan = planner
-                .plan(&table3_scenario(lambda, delta), Objective::MaxQuality)
-                .unwrap();
-            let legacy =
-                optimal_strategy(&table3_network(lambda, delta), &ModelConfig::default()).unwrap();
-            assert_eq!(plan.strategy().x(), legacy.x(), "λ={lambda} δ={delta}");
-            assert_eq!(plan.quality(), legacy.quality());
-            assert_eq!(plan.send_rates(), legacy.send_rates());
+    fn multipath_beats_both_single_paths() {
+        // Figure 2's headline: the multipath optimum dominates each
+        // single-path optimum across the sweep.
+        for lambda in [10e6, 40e6, 90e6, 120e6] {
+            let scenario = table3_scenario(lambda, 0.8);
+            let multi = quality(&scenario);
+            let p1 = quality(&scenario.restricted_to_path(0));
+            let p2 = quality(&scenario.restricted_to_path(1));
+            assert!(
+                multi >= p1 - 1e-9 && multi >= p2 - 1e-9,
+                "λ={lambda}: multi {multi} vs single {p1}/{p2}"
+            );
         }
     }
 
     #[test]
-    fn random_plan_matches_legacy_model() {
-        let scenario = table5_scenario();
+    fn single_path_theory_values() {
+        // At λ=90, δ=800: path 1 alone can deliver at most
+        // (1−τ)·80/90 = 0.7111 (its retransmissions can't return in time:
+        // 450+150… single path ⇒ dmin = 450 ⇒ 450·2+450 > 800).
+        let scenario = table3_scenario(90e6, 0.8);
+        let p1 = quality(&scenario.restricted_to_path(0));
+        assert!((p1 - 0.8 * 80.0 / 90.0).abs() < 1e-9, "p1 = {p1}");
+        // Path 2 alone: capacity-bound to 20/90.
+        let p2 = quality(&scenario.restricted_to_path(1));
+        assert!((p2 - 20.0 / 90.0).abs() < 1e-9, "p2 = {p2}");
+    }
+
+    #[test]
+    fn quality_monotone_in_lifetime_and_rate() {
+        let mut prev = 0.0;
+        for delta in [0.2, 0.4, 0.6, 0.8, 1.0, 1.2] {
+            let q = quality(&table3_scenario(90e6, delta));
+            assert!(q >= prev - 1e-9, "δ={delta}: {q} < {prev}");
+            prev = q;
+        }
+        let mut prev = 1.0;
+        for lambda in [20e6, 60e6, 100e6, 140e6] {
+            let q = quality(&table3_scenario(lambda, 0.8));
+            assert!(q <= prev + 1e-9, "λ={lambda}: {q} > {prev}");
+            prev = q;
+        }
+    }
+
+    #[test]
+    fn min_cost_vs_quality_duality() {
+        // Minimizing cost at the quality the quality-max strategy achieves
+        // must not cost more than that strategy.
+        let scenario = costed_table3();
         let mut planner = Planner::new();
-        let plan = planner.plan(&scenario, Objective::MaxQuality).unwrap();
-        let legacy_net = RandomNetworkSpec::new(scenario.paths().to_vec(), 90e6, 0.750).unwrap();
-        let model = RandomDelayModel::new(&legacy_net, &RandomDelayConfig::default());
-        let legacy = model.solve_quality(&SolverOptions::default()).unwrap();
-        assert_eq!(plan.strategy().x(), legacy.x());
-        assert_eq!(plan.quality(), legacy.quality());
-        assert_eq!(plan.ack_path(), model.ack_path());
-        // Pairwise timeouts agree too.
-        for i in 0..2 {
-            for j in 0..2 {
-                assert_eq!(plan.timeout(i, j), model.timeout(i, j), "t({i},{j})");
-            }
+        let qmax = planner.plan(&scenario, Objective::MaxQuality).unwrap();
+        let floor = qmax.quality() - 1e-9;
+        let cheap = planner
+            .plan(&scenario, Objective::MinCost { min_quality: floor })
+            .unwrap();
+        assert!(cheap.cost_rate() <= qmax.cost_rate() + 1e-6);
+        assert!(cheap.quality() >= qmax.quality() - 1e-6);
+    }
+
+    #[test]
+    fn oversized_transmission_counts_are_typed_errors() {
+        // (2 + 1)^24 combinations is a 2 TB allocation, (2 + 1)^255
+        // overflows the count itself: both used to abort the process.
+        for m in [24, 255] {
+            let built = Scenario::builder()
+                .paths(table3_scenario(90e6, 0.8).paths().to_vec())
+                .data_rate(90e6)
+                .lifetime(0.8)
+                .transmissions(m)
+                .build();
+            assert!(built.is_err(), "m={m}: build() accepted");
+            let unchecked = table3_scenario(90e6, 0.8).with_transmissions(m);
+            let err = Planner::new()
+                .plan(&unchecked, Objective::MaxQuality)
+                .unwrap_err();
+            assert!(matches!(err, PlanError::Spec(_)), "m={m}: {err}");
         }
     }
 
@@ -858,22 +929,13 @@ mod tests {
     }
 
     #[test]
-    fn min_cost_objective_matches_legacy() {
-        let scenario = Scenario::builder()
-            .path(ScenarioPath::constant_with_cost(80e6, 0.450, 0.2, 3e-9).unwrap())
-            .path(ScenarioPath::constant_with_cost(20e6, 0.150, 0.0, 1e-9).unwrap())
-            .data_rate(90e6)
-            .lifetime(0.8)
-            .build()
-            .unwrap();
-        let net = scenario.to_network_spec().unwrap();
+    fn min_cost_floor_must_be_reachable_and_in_range() {
+        let scenario = costed_table3();
         let mut planner = Planner::new();
         let plan = planner
             .plan(&scenario, Objective::MinCost { min_quality: 0.9 })
             .unwrap();
-        let legacy = min_cost_strategy(&net, 0.9, &ModelConfig::default()).unwrap();
-        assert_eq!(plan.strategy().x(), legacy.x());
-        assert_eq!(plan.cost_rate(), legacy.cost_rate());
+        assert!(plan.quality() >= 0.9 - 1e-9);
         // Unreachable floor is an LP infeasibility.
         assert!(matches!(
             planner.plan(&scenario, Objective::MinCost { min_quality: 0.99 }),
@@ -888,8 +950,8 @@ mod tests {
 
     #[test]
     fn min_cost_works_for_random_scenarios_too() {
-        // New capability: the legacy API had no random-delay min-cost
-        // entry point; the planner solves it with the same coefficients.
+        // The min-cost objective is regime-independent: same assembly over
+        // the Eq. 28 coefficients.
         let base = table5_scenario();
         let costed = base
             .with_path_replaced(
@@ -943,8 +1005,7 @@ mod tests {
         let plan = planner
             .plan(&budgeted, Objective::MaxQualityUnderBudget)
             .unwrap();
-        // Path 0 unaffordable → path-1-only quality 2/9 (cf. the legacy
-        // cost_budget_binds test).
+        // Path 0 unaffordable → path-1-only quality 2/9.
         assert!(
             (plan.quality() - 2.0 / 9.0).abs() < 1e-6,
             "{}",
@@ -992,12 +1053,8 @@ mod tests {
         for m in 1..=3 {
             let s = table3_scenario(90e6, 1.5).with_transmissions(m);
             let plan = planner.plan(&s, Objective::MaxQuality).unwrap();
-            let legacy = optimal_strategy(
-                &table3_network(90e6, 1.5),
-                &ModelConfig::with_transmissions(m),
-            )
-            .unwrap();
-            assert_eq!(plan.strategy().x(), legacy.x(), "m={m}");
+            let cold = Planner::new().plan(&s, Objective::MaxQuality).unwrap();
+            assert_eq!(plan.strategy().x(), cold.strategy().x(), "m={m}");
         }
         let random = planner
             .plan(&table5_scenario(), Objective::MaxQuality)
@@ -1018,15 +1075,21 @@ mod tests {
 
     #[test]
     fn model_plan_for_reproduces_plan_bit_for_bit() {
-        // Deterministic and random regimes: re-packaging the planner's own
-        // x through ScenarioModel::plan_for must reproduce the plan
-        // exactly (the fleet decomposition path relies on this).
+        // Deterministic and random regimes: solving ScenarioModel::problem
+        // cold and packaging through ScenarioModel::plan_for must
+        // reproduce the plan exactly (the fleet decomposition path relies
+        // on this).
         let mut planner = Planner::new();
         for scenario in [table3_scenario(90e6, 0.8), table5_scenario()] {
             let plan = planner.plan(&scenario, Objective::MaxQuality).unwrap();
             let model = planner.model(&scenario);
             assert_eq!(model.num_combos(), plan.strategy().x().len());
-            let repack = model.plan_for(Objective::MaxQuality, plan.strategy().x().to_vec());
+            let x = model
+                .problem(Objective::MaxQuality)
+                .solve(&SolverOptions::default())
+                .unwrap()
+                .into_x();
+            let repack = model.plan_for(Objective::MaxQuality, x);
             assert_eq!(repack.strategy().x(), plan.strategy().x());
             assert_eq!(repack.quality(), plan.quality());
             assert_eq!(repack.cost_rate(), plan.cost_rate());
@@ -1062,7 +1125,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_stats_struct_and_tuple_shim_agree() {
+    fn warm_stats_count_hits_and_attempts() {
         let mut planner = Planner::new();
         for lambda in [60e6, 80e6, 100e6] {
             planner
@@ -1072,15 +1135,13 @@ mod tests {
         let stats = planner.warm_stats();
         assert!(stats.hits > 0, "sweep never warm-started");
         assert_eq!(stats.attempts(), stats.hits + stats.misses);
-        #[allow(deprecated)]
-        let (attempts, hits) = planner.warm_stats_tuple();
-        assert_eq!(attempts, stats.attempts());
-        assert_eq!(hits, stats.hits);
         assert!(format!("{stats}").contains("warm hit"));
     }
 
     #[test]
     fn blackhole_disabled_reports_infeasible() {
+        let e = PlanError::from(SpecError("boom".into()));
+        assert!(!format!("{e}").is_empty());
         let mut planner = Planner::with_config(PlannerConfig {
             blackhole: false,
             ..PlannerConfig::default()

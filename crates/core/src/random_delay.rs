@@ -23,106 +23,14 @@
 //! `P(T_s + d_{i_s} ≤ δ)` and is reached with probability
 //! `Π_{u<s} P(retrans_u)` (Eq. 27).
 //!
-//! The preferred entry point is the unified
-//! [`Planner`](crate::Planner) pipeline, which routes any
-//! [`Scenario`](crate::Scenario) with non-constant delays through the
-//! same coefficient computation implemented here.
+//! [`Planner`](crate::Planner) routes any [`Scenario`](crate::Scenario)
+//! with a non-constant delay through the coefficient fill implemented
+//! here.
 
 use crate::combo::{ComboTable, Slot};
-use crate::path::SpecError;
 use crate::scenario::ScenarioPath;
-use crate::strategy::Strategy;
-use dmc_lp::{Problem, SolveError, SolverOptions};
 use dmc_stats::{Delay, DiscreteDist};
 use std::sync::Arc;
-
-/// A path whose one-way delay is a random variable (Eq. 24).
-///
-/// Legacy alias: the unified [`ScenarioPath`] carries a delay
-/// distribution for *both* regimes (a constant distribution is the
-/// deterministic case), so the split type is no longer needed.
-pub type RandomPath = ScenarioPath;
-
-/// A scenario with random path delays.
-///
-/// Legacy type: prefer [`Scenario`](crate::Scenario), which subsumes this
-/// and [`NetworkSpec`](crate::NetworkSpec); `Scenario::from_random`
-/// converts.
-#[derive(Debug, Clone)]
-pub struct RandomNetworkSpec {
-    paths: Vec<RandomPath>,
-    data_rate: f64,
-    lifetime: f64,
-    cost_budget: f64,
-}
-
-impl RandomNetworkSpec {
-    /// Creates a scenario; same validation as
-    /// [`NetworkSpec`](crate::NetworkSpec).
-    ///
-    /// # Errors
-    ///
-    /// Requires at least one path, positive finite `λ` and `δ`.
-    pub fn new(paths: Vec<RandomPath>, data_rate: f64, lifetime: f64) -> Result<Self, SpecError> {
-        if paths.is_empty() {
-            return Err(SpecError("at least one path is required".into()));
-        }
-        if !(data_rate > 0.0) || !data_rate.is_finite() {
-            return Err(SpecError(format!(
-                "data rate must be finite and > 0, got {data_rate}"
-            )));
-        }
-        if !(lifetime > 0.0) || !lifetime.is_finite() {
-            return Err(SpecError(format!(
-                "lifetime must be finite and > 0, got {lifetime}"
-            )));
-        }
-        Ok(RandomNetworkSpec {
-            paths,
-            data_rate,
-            lifetime,
-            cost_budget: f64::INFINITY,
-        })
-    }
-
-    /// Sets the cost budget `µ` per second.
-    ///
-    /// # Errors
-    ///
-    /// Rejects non-positive budgets.
-    pub fn with_cost_budget(mut self, per_second: f64) -> Result<Self, SpecError> {
-        if !(per_second > 0.0) {
-            return Err(SpecError(format!("budget must be > 0, got {per_second}")));
-        }
-        self.cost_budget = per_second;
-        Ok(self)
-    }
-
-    /// The paths.
-    pub fn paths(&self) -> &[RandomPath] {
-        &self.paths
-    }
-
-    /// Data rate `λ` bits/second.
-    pub fn data_rate(&self) -> f64 {
-        self.data_rate
-    }
-
-    /// Lifetime `δ` seconds.
-    pub fn lifetime(&self) -> f64 {
-        self.lifetime
-    }
-
-    /// Cost budget `µ` per second (∞ if unset).
-    pub fn cost_budget(&self) -> f64 {
-        self.cost_budget
-    }
-
-    /// The acknowledgment path (Eq. 25): smallest *expected* delay.
-    pub fn ack_path(&self) -> usize {
-        ack_path_of(&self.paths)
-    }
-}
 
 /// Index of the path with the smallest expected delay (Eq. 25).
 pub(crate) fn ack_path_of(paths: &[ScenarioPath]) -> usize {
@@ -146,31 +54,6 @@ pub enum PlateauRule {
     Midpoint,
     /// Latest maximizing timeout (give the ack every chance).
     Last,
-}
-
-/// Configuration of the random-delay model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RandomDelayConfig {
-    /// Discretization grid step in seconds (default 1 ms, the paper's
-    /// reporting granularity).
-    pub grid_step: f64,
-    /// Number of transmissions `m` (default 2, the paper's presentation).
-    pub transmissions: usize,
-    /// Include the blackhole slot (default true).
-    pub blackhole: bool,
-    /// Plateau tie-break for Eq. 34 (default midpoint).
-    pub plateau: PlateauRule,
-}
-
-impl Default for RandomDelayConfig {
-    fn default() -> Self {
-        RandomDelayConfig {
-            grid_step: 1e-3,
-            transmissions: 2,
-            blackhole: true,
-            plateau: PlateauRule::Midpoint,
-        }
-    }
 }
 
 /// The per-combination coefficients of the random-delay LP, written into
@@ -297,171 +180,9 @@ pub(crate) fn fill_random_coeffs(
     }
 }
 
-/// The assembled random-delay model: per-combination delivery
-/// probabilities, bandwidth/cost usage, and per-stage optimal timeouts.
-#[derive(Debug, Clone)]
-pub struct RandomDelayModel {
-    table: ComboTable,
-    ack_path: usize,
-    data_rate: f64,
-    lifetime: f64,
-    cost_budget: f64,
-    bandwidths: Vec<f64>,
-    p: Vec<f64>,
-    usage: Vec<Vec<f64>>,
-    cost: Vec<f64>,
-    /// `stage_timeouts[l][s]`: timeout armed after sending stage `s` of
-    /// combination `l`; `None` when no retransmission is scheduled
-    /// (last stage, next stage is the blackhole, or no timeout can meet
-    /// the deadline — the paper's "t₁,₁ is not defined" case).
-    stage_timeouts: Vec<Vec<Option<f64>>>,
-}
-
-impl RandomDelayModel {
-    /// Builds the model: discretizes delays, optimizes every stage timeout
-    /// (Eq. 34) and assembles the LP coefficients (Eq. 28–30).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.grid_step ≤ 0` or `config.transmissions == 0`.
-    pub fn new(net: &RandomNetworkSpec, config: &RandomDelayConfig) -> Self {
-        let n = net.paths.len();
-        let table = ComboTable::new(n, config.transmissions, config.blackhole);
-        let ack_path = net.ack_path();
-        let mut p = Vec::new();
-        let mut usage = vec![Vec::new(); n];
-        let mut cost = Vec::new();
-        let mut stage_timeouts = Vec::new();
-        fill_random_coeffs(
-            &net.paths,
-            net.lifetime,
-            config.grid_step,
-            config.plateau,
-            &table,
-            ack_path,
-            &mut p,
-            &mut usage,
-            &mut cost,
-            &mut stage_timeouts,
-        );
-
-        RandomDelayModel {
-            table,
-            ack_path,
-            data_rate: net.data_rate,
-            lifetime: net.lifetime,
-            cost_budget: net.cost_budget,
-            bandwidths: net.paths.iter().map(ScenarioPath::bandwidth).collect(),
-            p,
-            usage,
-            cost,
-            stage_timeouts,
-        }
-    }
-
-    /// The combination table.
-    pub fn table(&self) -> &ComboTable {
-        &self.table
-    }
-
-    /// The acknowledgment path (Eq. 25), 0-based.
-    pub fn ack_path(&self) -> usize {
-        self.ack_path
-    }
-
-    /// In-time delivery probability per combination (Eq. 28).
-    pub fn quality_coeffs(&self) -> &[f64] {
-        &self.p
-    }
-
-    /// Per-stage timeouts of a combination; see
-    /// [`RandomDelayModel::timeout`] for the paper's pairwise `t_{i,j}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l` is out of range.
-    pub fn stage_timeouts(&self, l: usize) -> &[Option<f64>] {
-        &self.stage_timeouts[l]
-    }
-
-    /// The paper's `t_{i,j}` (Eq. 26): the timeout armed after first
-    /// sending on real path `i` (0-based) when the retransmission path is
-    /// real path `j`. `None` when no timeout can meet the deadline.
-    ///
-    /// Only meaningful for `transmissions ≥ 2`.
-    pub fn timeout(&self, i: usize, j: usize) -> Option<f64> {
-        let l = pairwise_combo_index(&self.table, i, j)?;
-        self.stage_timeouts[l].first().copied().flatten()
-    }
-
-    /// Assembles the quality-maximization LP with the random-delay
-    /// coefficients (Eq. 28–30 replacing Eq. 12/15/16).
-    pub fn quality_lp(&self) -> Problem {
-        let mut lp = Problem::maximize(self.p.clone());
-        for k in 0..self.bandwidths.len() {
-            lp.add_le(self.usage[k].clone(), self.bandwidths[k] / self.data_rate)
-                .expect("dimensions match");
-        }
-        if self.cost_budget.is_finite() {
-            lp.add_le(self.cost.clone(), self.cost_budget / self.data_rate)
-                .expect("dimensions match");
-        }
-        let ones = vec![1.0; self.table.num_combos()];
-        lp.add_eq(ones, 1.0).expect("dimensions match");
-        lp
-    }
-
-    /// Solves for the quality-optimal strategy.
-    ///
-    /// # Errors
-    ///
-    /// Forwards solver failures (with the blackhole enabled the LP is
-    /// always feasible).
-    pub fn solve_quality(&self, options: &SolverOptions) -> Result<Strategy, SolveError> {
-        let sol = self.quality_lp().solve(options)?;
-        let x = sol.into_x();
-        let quality: f64 = self.p.iter().zip(&x).map(|(p, v)| p * v).sum();
-        let send_rates: Vec<f64> = (0..self.bandwidths.len())
-            .map(|k| {
-                self.data_rate
-                    * self.usage[k]
-                        .iter()
-                        .zip(&x)
-                        .map(|(u, v)| u * v)
-                        .sum::<f64>()
-            })
-            .collect();
-        let cost_rate = self.data_rate * self.cost.iter().zip(&x).map(|(c, v)| c * v).sum::<f64>();
-        Ok(Strategy::new(
-            self.table.clone(),
-            x,
-            self.data_rate,
-            quality,
-            cost_rate,
-            send_rates,
-        ))
-    }
-
-    /// Expected quality of an arbitrary well-formed assignment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` has the wrong length.
-    pub fn expected_quality(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.p.len());
-        self.p.iter().zip(x).map(|(p, v)| p * v).sum()
-    }
-
-    /// The scenario lifetime `δ`.
-    pub fn lifetime(&self) -> f64 {
-        self.lifetime
-    }
-}
-
 /// The combination index encoding the paper's `t_{i,j}` lookup: first
 /// transmission on path `i`, retransmission on path `j`, remaining
-/// stages absorbed (shared by [`RandomDelayModel::timeout`] and
-/// [`Plan::timeout`](crate::Plan::timeout)).
+/// stages absorbed ([`Plan::timeout`](crate::Plan::timeout)).
 pub(crate) fn pairwise_combo_index(table: &ComboTable, i: usize, j: usize) -> Option<usize> {
     let mut slots = vec![Slot::Blackhole; table.transmissions()];
     if !table.has_blackhole() {
@@ -547,35 +268,55 @@ fn optimize_timeout(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmc_stats::{ConstantDelay, ShiftedGamma};
+    use crate::{Objective, Plan, Planner, PlannerConfig, Scenario};
+    use dmc_stats::{ConstantDelay, ShiftedGamma, UniformDelay};
 
     /// The paper's Table V network (Experiment 2).
-    fn table5_network() -> RandomNetworkSpec {
-        let p1 = RandomPath::new(
+    fn table5_scenario() -> Scenario {
+        let p1 = ScenarioPath::new(
             80e6,
             Arc::new(ShiftedGamma::new(10.0, 0.004, 0.400).unwrap()),
             0.2,
             0.0,
         )
         .unwrap();
-        let p2 = RandomPath::new(
+        let p2 = ScenarioPath::new(
             20e6,
             Arc::new(ShiftedGamma::new(5.0, 0.002, 0.100).unwrap()),
             0.0,
             0.0,
         )
         .unwrap();
-        RandomNetworkSpec::new(vec![p1, p2], 90e6, 0.750).unwrap()
+        Scenario::builder()
+            .path(p1)
+            .path(p2)
+            .data_rate(90e6)
+            .lifetime(0.750)
+            .build()
+            .unwrap()
+    }
+
+    /// A delay that is constant in all but name: 1 ns wide, so the planner
+    /// takes the random branch.
+    fn nearly_constant(bandwidth: f64, delay: f64, loss: f64, cost: f64) -> ScenarioPath {
+        let jitter = Arc::new(UniformDelay::new(delay, delay + 1e-9));
+        ScenarioPath::new(bandwidth, jitter, loss, cost).unwrap()
+    }
+
+    fn solve(scenario: &Scenario) -> Plan {
+        Planner::new()
+            .plan(scenario, Objective::MaxQuality)
+            .unwrap()
     }
 
     #[test]
     fn ack_path_is_lowest_expected_delay() {
-        assert_eq!(table5_network().ack_path(), 1);
+        assert_eq!(table5_scenario().ack_path(), 1);
     }
 
     #[test]
     fn experiment2_timeouts_near_paper_values() {
-        let model = RandomDelayModel::new(&table5_network(), &RandomDelayConfig::default());
+        let model = solve(&table5_scenario());
         // t(1,2): paper reports 615 ms. The product has a narrow peak; any
         // maximizer lands within a few ms of it.
         let t12 = model.timeout(0, 1).expect("t(1,2) defined");
@@ -606,8 +347,8 @@ mod tests {
 
     #[test]
     fn experiment2_expected_quality_matches_paper() {
-        let model = RandomDelayModel::new(&table5_network(), &RandomDelayConfig::default());
-        let s = model.solve_quality(&SolverOptions::default()).unwrap();
+        let plan = solve(&table5_scenario());
+        let s = plan.strategy();
         // Paper: expected quality 93.3% (93,332 of 100,000 in simulation).
         assert!(
             (s.quality() - 0.9333).abs() < 0.005,
@@ -622,13 +363,17 @@ mod tests {
 
     #[test]
     fn constant_delays_reduce_to_deterministic_model() {
-        // With constant delays the random model must reproduce the
-        // deterministic coefficients (Eq. 28 → Eq. 12).
-        let p1 = RandomPath::new(80e6, Arc::new(ConstantDelay::new(0.450)), 0.2, 0.0).unwrap();
-        let p2 = RandomPath::new(20e6, Arc::new(ConstantDelay::new(0.150)), 0.0, 0.0).unwrap();
-        let net = RandomNetworkSpec::new(vec![p1, p2], 90e6, 0.8).unwrap();
-        let model = RandomDelayModel::new(&net, &RandomDelayConfig::default());
-        let s = model.solve_quality(&SolverOptions::default()).unwrap();
+        // With (all but) constant delays the random branch must reproduce
+        // the deterministic optimum (Eq. 28 → Eq. 12).
+        let scenario = Scenario::builder()
+            .path(nearly_constant(80e6, 0.450, 0.2, 0.0))
+            .path(nearly_constant(20e6, 0.150, 0.0, 0.0))
+            .data_rate(90e6)
+            .lifetime(0.8)
+            .build()
+            .unwrap();
+        assert!(!scenario.is_deterministic());
+        let s = solve(&scenario);
         assert!(
             (s.quality() - 42.0 / 45.0).abs() < 1e-6,
             "Q = {}",
@@ -638,41 +383,56 @@ mod tests {
 
     #[test]
     fn plateau_rules_are_ordered() {
-        let net = table5_network();
-        let mut cfg = RandomDelayConfig::default();
-        cfg.plateau = PlateauRule::First;
-        let first = RandomDelayModel::new(&net, &cfg).timeout(1, 1).unwrap();
-        cfg.plateau = PlateauRule::Midpoint;
-        let mid = RandomDelayModel::new(&net, &cfg).timeout(1, 1).unwrap();
-        cfg.plateau = PlateauRule::Last;
-        let last = RandomDelayModel::new(&net, &cfg).timeout(1, 1).unwrap();
+        let scenario = table5_scenario();
+        let t22 = |plateau| {
+            Planner::with_config(PlannerConfig {
+                plateau,
+                ..PlannerConfig::default()
+            })
+            .plan(&scenario, Objective::MaxQuality)
+            .unwrap()
+            .timeout(1, 1)
+            .unwrap()
+        };
+        let first = t22(PlateauRule::First);
+        let mid = t22(PlateauRule::Midpoint);
+        let last = t22(PlateauRule::Last);
         assert!(first <= mid && mid <= last, "{first} {mid} {last}");
     }
 
     #[test]
     fn validation_errors() {
         let good = Arc::new(ConstantDelay::new(0.1));
-        assert!(RandomPath::new(0.0, good.clone(), 0.0, 0.0).is_err());
-        assert!(RandomPath::new(1e6, good.clone(), 1.5, 0.0).is_err());
-        assert!(RandomPath::new(1e6, good.clone(), 0.0, -1.0).is_err());
+        assert!(ScenarioPath::new(0.0, good.clone(), 0.0, 0.0).is_err());
+        assert!(ScenarioPath::new(1e6, good.clone(), 1.5, 0.0).is_err());
+        assert!(ScenarioPath::new(1e6, good.clone(), 0.0, -1.0).is_err());
         let inf = Arc::new(ConstantDelay::new(f64::INFINITY));
-        assert!(RandomPath::new(1e6, inf, 0.0, 0.0).is_err());
-        let p = RandomPath::new(1e6, good, 0.0, 0.0).unwrap();
-        assert!(RandomNetworkSpec::new(vec![], 1e6, 1.0).is_err());
-        assert!(RandomNetworkSpec::new(vec![p.clone()], 0.0, 1.0).is_err());
-        assert!(RandomNetworkSpec::new(vec![p], 1e6, 0.0).is_err());
+        assert!(ScenarioPath::new(1e6, inf, 0.0, 0.0).is_err());
+        let p = ScenarioPath::new(1e6, good, 0.0, 0.0).unwrap();
+        let with = |paths: Vec<ScenarioPath>, lambda, delta| {
+            Scenario::builder()
+                .paths(paths)
+                .data_rate(lambda)
+                .lifetime(delta)
+                .build()
+        };
+        assert!(with(vec![], 1e6, 1.0).is_err());
+        assert!(with(vec![p.clone()], 0.0, 1.0).is_err());
+        assert!(with(vec![p], 1e6, 0.0).is_err());
     }
 
     #[test]
     fn cost_budget_row_present() {
-        let p1 = RandomPath::new(80e6, Arc::new(ConstantDelay::new(0.450)), 0.2, 1.0).unwrap();
-        let p2 = RandomPath::new(20e6, Arc::new(ConstantDelay::new(0.150)), 0.0, 0.0).unwrap();
-        let net = RandomNetworkSpec::new(vec![p1, p2], 90e6, 0.8)
-            .unwrap()
-            .with_cost_budget(1.0)
+        let scenario = Scenario::builder()
+            .path(nearly_constant(80e6, 0.450, 0.2, 1.0))
+            .path(nearly_constant(20e6, 0.150, 0.0, 0.0))
+            .data_rate(90e6)
+            .lifetime(0.8)
+            .cost_budget(1.0)
+            .build()
             .unwrap();
-        let model = RandomDelayModel::new(&net, &RandomDelayConfig::default());
-        let s = model.solve_quality(&SolverOptions::default()).unwrap();
+        assert!(!scenario.is_deterministic());
+        let s = solve(&scenario);
         // Path 0 unaffordable → only path 1's 20 Mbps of 90 → Q ≈ 2/9.
         assert!(
             (s.quality() - 2.0 / 9.0).abs() < 1e-6,

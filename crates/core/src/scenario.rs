@@ -1,16 +1,16 @@
 //! The unified scenario description: one type for both the deterministic
 //! model (§V) and the random-delay extension (§VI-B).
 //!
-//! The paper presents one optimization problem in two delay regimes; the
-//! historical API mirrored that split (`NetworkSpec` vs
-//! `RandomNetworkSpec`). A [`Scenario`] subsumes both: every path carries
-//! a *delay distribution* ([`dmc_stats::Delay`]), and a constant
-//! distribution **is** the deterministic case — [`Planner`] detects it
-//! and uses the exact closed-form coefficients of Eq. 12 instead of the
-//! discretized Eq. 28/34 machinery.
+//! The paper presents one optimization problem in two delay regimes. A
+//! [`Scenario`] covers both: every path carries a *delay distribution*
+//! ([`dmc_stats::Delay`]), and a constant distribution **is** the
+//! deterministic case — [`Planner`] detects it and uses the exact
+//! closed-form coefficients of Eq. 12 instead of the discretized
+//! Eq. 28/34 machinery.
 //!
 //! [`Planner`]: crate::Planner
 
+use crate::combo::check_combos;
 use crate::path::{PathSpec, SpecError};
 use dmc_stats::{ConstantDelay, Delay};
 use std::sync::Arc;
@@ -20,8 +20,6 @@ use std::sync::Arc;
 ///
 /// A path whose delay distribution is constant is a deterministic path
 /// (§V); any other distribution puts the scenario in the §VI-B regime.
-/// The legacy name [`RandomPath`](crate::RandomPath) is an alias of this
-/// type.
 #[derive(Debug, Clone)]
 pub struct ScenarioPath {
     bandwidth: f64,
@@ -163,16 +161,16 @@ impl ScenarioPath {
 /// data rate `λ`, lifetime `δ`, cost budget `µ` and the number of
 /// transmissions `m` per data unit.
 ///
-/// Subsumes the legacy [`NetworkSpec`](crate::NetworkSpec) (all delays
-/// constant) and [`RandomNetworkSpec`](crate::RandomNetworkSpec); feed it
-/// to a [`Planner`](crate::Planner) with an
+/// Feed it to a [`Planner`](crate::Planner) with an
 /// [`Objective`](crate::Objective) to obtain a [`Plan`](crate::Plan).
+/// [`NetworkSpec`](crate::NetworkSpec), the all-constant-delay estimate
+/// an adaptive sender refits, converts with [`Scenario::from_network`].
 ///
 /// ```
 /// use dmc_core::{Scenario, ScenarioPath};
 ///
 /// # fn main() -> Result<(), dmc_core::SpecError> {
-/// // The paper's Figure 1 scenario, now through the unified builder.
+/// // The paper's Figure 1 scenario.
 /// let scenario = Scenario::builder()
 ///     .path(ScenarioPath::constant(10e6, 0.600, 0.10)?)
 ///     .path(ScenarioPath::constant(1e6, 0.200, 0.0)?)
@@ -204,18 +202,6 @@ impl Scenario {
     pub fn from_network(net: &crate::NetworkSpec) -> Self {
         Scenario {
             paths: net.paths().iter().map(ScenarioPath::from_spec).collect(),
-            data_rate: net.data_rate(),
-            lifetime: net.lifetime(),
-            cost_budget: net.cost_budget(),
-            transmissions: 2,
-        }
-    }
-
-    /// Converts a legacy [`RandomNetworkSpec`](crate::RandomNetworkSpec)
-    /// (with the paper-default `m = 2` transmissions).
-    pub fn from_random(net: &crate::RandomNetworkSpec) -> Self {
-        Scenario {
-            paths: net.paths().to_vec(),
             data_rate: net.data_rate(),
             lifetime: net.lifetime(),
             cost_budget: net.cost_budget(),
@@ -330,11 +316,15 @@ impl Scenario {
         c
     }
 
-    /// Returns a copy with a different transmission count `m`.
+    /// Returns a copy with a different transmission count `m`. The
+    /// combination count is not checked here: [`Planner::plan`] reports
+    /// an `m` too large to model as a typed error.
     ///
     /// # Panics
     ///
     /// Panics if `m == 0`.
+    ///
+    /// [`Planner::plan`]: crate::Planner::plan
     #[must_use]
     pub fn with_transmissions(&self, m: usize) -> Self {
         assert!(m > 0, "need at least one transmission");
@@ -372,12 +362,6 @@ impl Scenario {
 impl From<&crate::NetworkSpec> for Scenario {
     fn from(net: &crate::NetworkSpec) -> Self {
         Scenario::from_network(net)
-    }
-}
-
-impl From<&crate::RandomNetworkSpec> for Scenario {
-    fn from(net: &crate::RandomNetworkSpec) -> Self {
-        Scenario::from_random(net)
     }
 }
 
@@ -435,9 +419,11 @@ impl ScenarioBuilder {
     /// # Errors
     ///
     /// Requires at least one path, a positive finite `λ` and `δ`, a
-    /// positive (possibly infinite) `µ`, `m ≥ 1`, and at least one path
-    /// whose delay distribution has a finite mean (otherwise no data can
-    /// ever arrive).
+    /// positive (possibly infinite) `µ`, `m ≥ 1` with at most
+    /// [`ComboTable::MAX_COMBOS`](crate::ComboTable::MAX_COMBOS) path
+    /// combinations (blackhole included), and at least one path whose
+    /// delay distribution has a finite mean (otherwise no data can ever
+    /// arrive).
     pub fn build(self) -> Result<Scenario, SpecError> {
         if self.paths.is_empty() {
             return Err(SpecError("at least one path is required".into()));
@@ -468,6 +454,7 @@ impl ScenarioBuilder {
         if transmissions == 0 {
             return Err(SpecError("at least one transmission is required".into()));
         }
+        check_combos(self.paths.len(), transmissions, true)?;
         if self.paths.iter().all(|p| !p.delay().mean().is_finite()) {
             return Err(SpecError(
                 "all paths have infinite delay; no data can arrive".into(),

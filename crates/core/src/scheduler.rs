@@ -9,141 +9,8 @@
 //! distribution within one packet of the target — much tighter than
 //! weighted random sampling (see the `scheduler` bench for the ablation).
 
-use rand::Rng;
-
-/// Deficit-based combination selector (paper Algorithm 1).
-///
-/// ```
-/// use dmc_core::ComboScheduler;
-///
-/// let mut sched = ComboScheduler::new(vec![0.75, 0.25]).unwrap();
-/// let picks: Vec<usize> = (0..4).map(|_| sched.next_combo()).collect();
-/// assert_eq!(picks.iter().filter(|&&c| c == 0).count(), 3);
-/// assert_eq!(picks.iter().filter(|&&c| c == 1).count(), 1);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct ComboScheduler {
-    x: Vec<f64>,
-    assigned: Vec<u64>,
-    total: u64,
-}
-
-impl ComboScheduler {
-    /// Creates a scheduler for target distribution `x` (must be
-    /// non-negative and sum to 1 within `1e-6`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a descriptive message for empty, negative or non-normalized
-    /// input.
-    pub fn new(x: Vec<f64>) -> Result<Self, String> {
-        if x.is_empty() {
-            return Err("empty distribution".into());
-        }
-        if x.iter().any(|&v| !v.is_finite() || v < -1e-12) {
-            return Err("distribution entries must be finite and ≥ 0".into());
-        }
-        let total: f64 = x.iter().sum();
-        if (total - 1.0).abs() > 1e-6 {
-            return Err(format!("distribution sums to {total}, expected 1"));
-        }
-        let len = x.len();
-        Ok(ComboScheduler {
-            x,
-            assigned: vec![0; len],
-            total: 0,
-        })
-    }
-
-    /// Selects the combination for the next packet (Algorithm 1's
-    /// `selectPathCombination`).
-    pub fn next_combo(&mut self) -> usize {
-        let res = if self.total == 0 {
-            // First packet: the combination with the largest share.
-            argmax(&self.x)
-        } else {
-            // The combination lagging most behind its target share.
-            // Zero-share combinations are skipped: their deficit can never
-            // go negative, so they could only win exact ties — and
-            // selecting them (e.g. the blackhole) would be wrong.
-            let total = self.total as f64;
-            let mut best = usize::MAX;
-            let mut best_deficit = f64::INFINITY;
-            for (i, (&a, &xi)) in self.assigned.iter().zip(&self.x).enumerate() {
-                if xi <= 0.0 {
-                    continue;
-                }
-                let deficit = a as f64 / total - xi;
-                if deficit < best_deficit - 1e-15 {
-                    best_deficit = deficit;
-                    best = i;
-                }
-            }
-            debug_assert!(best != usize::MAX, "distribution sums to 1");
-            best
-        };
-        self.assigned[res] += 1;
-        self.total += 1;
-        res
-    }
-
-    /// Packets assigned per combination so far.
-    pub fn assigned(&self) -> &[u64] {
-        &self.assigned
-    }
-
-    /// Total packets assigned so far.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Target distribution.
-    pub fn target(&self) -> &[f64] {
-        &self.x
-    }
-
-    /// Largest deviation `|assigned_i/total − x_i|` of the empirical
-    /// distribution from the target (0 when nothing assigned yet).
-    pub fn max_deviation(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let total = self.total as f64;
-        self.assigned
-            .iter()
-            .zip(&self.x)
-            .map(|(&a, &xi)| (a as f64 / total - xi).abs())
-            .fold(0.0, f64::max)
-    }
-
-    /// Replaces the target distribution while keeping history, so an
-    /// adaptive sender can re-solve mid-stream and converge smoothly to
-    /// the new solution.
-    ///
-    /// # Errors
-    ///
-    /// Same validation as [`ComboScheduler::new`]; the new distribution
-    /// must have the same length.
-    pub fn retarget(&mut self, x: Vec<f64>) -> Result<(), String> {
-        if x.len() != self.x.len() {
-            return Err(format!(
-                "new distribution has {} entries, expected {}",
-                x.len(),
-                self.x.len()
-            ));
-        }
-        let fresh = ComboScheduler::new(x)?;
-        self.x = fresh.x;
-        Ok(())
-    }
-
-    /// Forgets assignment history (e.g. after a long pause when the old
-    /// empirical distribution no longer matters).
-    pub fn reset_history(&mut self) {
-        self.assigned.iter_mut().for_each(|a| *a = 0);
-        self.total = 0;
-    }
-}
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// How a [`Scheduler`] maps the solved fractions to whole packets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -160,9 +27,9 @@ pub enum SchedulePolicy {
     },
 }
 
-/// The unified per-packet combination selector, merging the historical
-/// [`ComboScheduler`] (Algorithm 1) and [`RandomScheduler`] (weighted
-/// random) behind one type — pick the behavior with [`SchedulePolicy`].
+/// The per-packet combination selector: Algorithm 1's deficit rule or,
+/// for the ablation, weighted random sampling — pick the behavior with
+/// [`SchedulePolicy`].
 ///
 /// Obtain one from [`Plan::scheduler`](crate::Plan::scheduler), or build
 /// it directly from an assignment vector:
@@ -173,22 +40,58 @@ pub enum SchedulePolicy {
 /// let mut sched = Scheduler::new(vec![0.75, 0.25], SchedulePolicy::Deficit).unwrap();
 /// let picks: Vec<usize> = (0..4).map(|_| sched.next_combo()).collect();
 /// assert_eq!(picks.iter().filter(|&&c| c == 0).count(), 3);
+/// assert_eq!(picks.iter().filter(|&&c| c == 1).count(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Scheduler {
-    imp: SchedulerImpl,
+    x: Vec<f64>,
+    assigned: Vec<u64>,
+    total: u64,
+    /// `Some` under [`SchedulePolicy::WeightedRandom`].
+    sampler: Option<WeightedSampler>,
 }
 
+/// I.i.d. weighted random assignment: converges to the target only as
+/// `O(1/√N)` versus Algorithm 1's `O(1/N)`; the difference is what makes
+/// Algorithm 1 track the LP solution "in the long run" (paper §VII,
+/// Experiment 2) with short-horizon traffic too.
 #[derive(Debug, Clone)]
-enum SchedulerImpl {
-    Deficit(ComboScheduler),
-    Weighted {
-        x: Vec<f64>,
-        sampler: RandomScheduler,
-        rng: rand::rngs::StdRng,
-        assigned: Vec<u64>,
-        total: u64,
-    },
+struct WeightedSampler {
+    cumulative: Vec<f64>,
+    rng: StdRng,
+}
+
+impl WeightedSampler {
+    fn retarget(&mut self, x: &[f64]) {
+        let mut acc = 0.0;
+        self.cumulative.clear();
+        self.cumulative.extend(x.iter().map(|v| {
+            acc += v;
+            acc
+        }));
+    }
+
+    fn next_combo(&mut self) -> usize {
+        let u: f64 = self.rng.random();
+        self.cumulative
+            .partition_point(|&c| c < u)
+            .min(self.cumulative.len() - 1)
+    }
+}
+
+/// `x` must be non-empty, non-negative and sum to 1 within `1e-6`.
+fn validate(x: &[f64]) -> Result<(), String> {
+    if x.is_empty() {
+        return Err("empty distribution".into());
+    }
+    if x.iter().any(|&v| !v.is_finite() || v < -1e-12) {
+        return Err("distribution entries must be finite and ≥ 0".into());
+    }
+    let total: f64 = x.iter().sum();
+    if (total - 1.0).abs() > 1e-6 {
+        return Err(format!("distribution sums to {total}, expected 1"));
+    }
+    Ok(())
 }
 
 impl Scheduler {
@@ -200,125 +103,117 @@ impl Scheduler {
     /// Returns a descriptive message for empty, negative or
     /// non-normalized input.
     pub fn new(x: Vec<f64>, policy: SchedulePolicy) -> Result<Self, String> {
-        let imp = match policy {
-            SchedulePolicy::Deficit => SchedulerImpl::Deficit(ComboScheduler::new(x)?),
+        validate(&x)?;
+        let sampler = match policy {
+            SchedulePolicy::Deficit => None,
             SchedulePolicy::WeightedRandom { seed } => {
-                use rand::SeedableRng;
-                let sampler = RandomScheduler::new(x.clone())?;
-                let len = x.len();
-                SchedulerImpl::Weighted {
-                    x,
-                    sampler,
-                    rng: rand::rngs::StdRng::seed_from_u64(seed),
-                    assigned: vec![0; len],
-                    total: 0,
-                }
+                let mut sampler = WeightedSampler {
+                    cumulative: Vec::with_capacity(x.len()),
+                    rng: StdRng::seed_from_u64(seed),
+                };
+                sampler.retarget(&x);
+                Some(sampler)
             }
         };
-        Ok(Scheduler { imp })
+        Ok(Scheduler {
+            assigned: vec![0; x.len()],
+            x,
+            total: 0,
+            sampler,
+        })
     }
 
-    /// Selects the combination for the next packet.
+    /// Selects the combination for the next packet (under
+    /// [`SchedulePolicy::Deficit`], Algorithm 1's `selectPathCombination`).
     pub fn next_combo(&mut self) -> usize {
-        match &mut self.imp {
-            SchedulerImpl::Deficit(s) => s.next_combo(),
-            SchedulerImpl::Weighted {
-                sampler,
-                rng,
-                assigned,
-                total,
-                ..
-            } => {
-                let combo = sampler.next_combo(rng);
-                assigned[combo] += 1;
-                *total += 1;
-                combo
+        let res = match &mut self.sampler {
+            Some(sampler) => sampler.next_combo(),
+            // First packet: the combination with the largest share.
+            None if self.total == 0 => argmax(&self.x),
+            None => {
+                // The combination lagging most behind its target share.
+                // Zero-share combinations are skipped: their deficit can never
+                // go negative, so they could only win exact ties — and
+                // selecting them (e.g. the blackhole) would be wrong.
+                let total = self.total as f64;
+                let mut best = usize::MAX;
+                let mut best_deficit = f64::INFINITY;
+                for (i, (&a, &xi)) in self.assigned.iter().zip(&self.x).enumerate() {
+                    if xi <= 0.0 {
+                        continue;
+                    }
+                    let deficit = a as f64 / total - xi;
+                    if deficit < best_deficit - 1e-15 {
+                        best_deficit = deficit;
+                        best = i;
+                    }
+                }
+                debug_assert!(best != usize::MAX, "distribution sums to 1");
+                best
             }
-        }
+        };
+        self.assigned[res] += 1;
+        self.total += 1;
+        res
     }
 
     /// Target distribution.
     pub fn target(&self) -> &[f64] {
-        match &self.imp {
-            SchedulerImpl::Deficit(s) => s.target(),
-            SchedulerImpl::Weighted { x, .. } => x,
-        }
+        &self.x
     }
 
     /// Packets assigned per combination so far.
     pub fn assigned(&self) -> &[u64] {
-        match &self.imp {
-            SchedulerImpl::Deficit(s) => s.assigned(),
-            SchedulerImpl::Weighted { assigned, .. } => assigned,
-        }
+        &self.assigned
     }
 
     /// Total packets assigned so far.
     pub fn total(&self) -> u64 {
-        match &self.imp {
-            SchedulerImpl::Deficit(s) => s.total(),
-            SchedulerImpl::Weighted { total, .. } => *total,
-        }
+        self.total
     }
 
-    /// Largest deviation of the empirical distribution from the target
-    /// (0 when nothing assigned yet).
+    /// Largest deviation `|assigned_i/total − x_i|` of the empirical
+    /// distribution from the target (0 when nothing assigned yet).
     pub fn max_deviation(&self) -> f64 {
-        match &self.imp {
-            SchedulerImpl::Deficit(s) => s.max_deviation(),
-            SchedulerImpl::Weighted {
-                x, assigned, total, ..
-            } => {
-                if *total == 0 {
-                    return 0.0;
-                }
-                let total = *total as f64;
-                assigned
-                    .iter()
-                    .zip(x)
-                    .map(|(&a, &xi)| (a as f64 / total - xi).abs())
-                    .fold(0.0, f64::max)
-            }
+        if self.total == 0 {
+            return 0.0;
         }
+        let total = self.total as f64;
+        self.assigned
+            .iter()
+            .zip(&self.x)
+            .map(|(&a, &xi)| (a as f64 / total - xi).abs())
+            .fold(0.0, f64::max)
     }
 
     /// Replaces the target distribution (same length) while keeping
-    /// history — the adaptive re-solve hook.
+    /// history, so an adaptive sender can re-solve mid-stream and
+    /// converge smoothly to the new solution.
     ///
     /// # Errors
     ///
     /// Same validation as [`Scheduler::new`], plus a length check.
     pub fn retarget(&mut self, x: Vec<f64>) -> Result<(), String> {
-        match &mut self.imp {
-            SchedulerImpl::Deficit(s) => s.retarget(x),
-            SchedulerImpl::Weighted {
-                x: target, sampler, ..
-            } => {
-                if x.len() != target.len() {
-                    return Err(format!(
-                        "new distribution has {} entries, expected {}",
-                        x.len(),
-                        target.len()
-                    ));
-                }
-                *sampler = RandomScheduler::new(x.clone())?;
-                *target = x;
-                Ok(())
-            }
+        if x.len() != self.x.len() {
+            return Err(format!(
+                "new distribution has {} entries, expected {}",
+                x.len(),
+                self.x.len()
+            ));
         }
+        validate(&x)?;
+        if let Some(sampler) = &mut self.sampler {
+            sampler.retarget(&x);
+        }
+        self.x = x;
+        Ok(())
     }
 
-    /// Forgets assignment history.
+    /// Forgets assignment history (e.g. after a long pause when the old
+    /// empirical distribution no longer matters).
     pub fn reset_history(&mut self) {
-        match &mut self.imp {
-            SchedulerImpl::Deficit(s) => s.reset_history(),
-            SchedulerImpl::Weighted {
-                assigned, total, ..
-            } => {
-                assigned.iter_mut().for_each(|a| *a = 0);
-                *total = 0;
-            }
-        }
+        self.assigned.iter_mut().for_each(|a| *a = 0);
+        self.total = 0;
     }
 }
 
@@ -332,70 +227,32 @@ fn argmax(xs: &[f64]) -> usize {
     best
 }
 
-/// Baseline for the ablation study: i.i.d. weighted random assignment.
-///
-/// Converges to the target distribution only as `O(1/√N)` versus
-/// Algorithm 1's `O(1/N)`; the difference is what makes Algorithm 1 track
-/// the LP solution "in the long run" (paper §VII, Experiment 2) with
-/// short-horizon traffic too.
-#[derive(Debug, Clone)]
-pub struct RandomScheduler {
-    cumulative: Vec<f64>,
-}
-
-impl RandomScheduler {
-    /// Creates the sampler; same validation as [`ComboScheduler::new`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ComboScheduler::new`].
-    pub fn new(x: Vec<f64>) -> Result<Self, String> {
-        // Reuse validation.
-        let _ = ComboScheduler::new(x.clone())?;
-        let mut acc = 0.0;
-        let cumulative = x
-            .iter()
-            .map(|v| {
-                acc += v;
-                acc
-            })
-            .collect();
-        Ok(RandomScheduler { cumulative })
-    }
-
-    /// Samples a combination.
-    pub fn next_combo<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.random();
-        self.cumulative
-            .partition_point(|&c| c < u)
-            .min(self.cumulative.len() - 1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+
+    fn deficit(x: Vec<f64>) -> Result<Scheduler, String> {
+        Scheduler::new(x, SchedulePolicy::Deficit)
+    }
 
     #[test]
     fn validation() {
-        assert!(ComboScheduler::new(vec![]).is_err());
-        assert!(ComboScheduler::new(vec![0.5, 0.6]).is_err());
-        assert!(ComboScheduler::new(vec![-0.1, 1.1]).is_err());
-        assert!(ComboScheduler::new(vec![f64::NAN, 1.0]).is_err());
-        assert!(ComboScheduler::new(vec![0.5, 0.5]).is_ok());
+        assert!(deficit(vec![]).is_err());
+        assert!(deficit(vec![0.5, 0.6]).is_err());
+        assert!(deficit(vec![-0.1, 1.1]).is_err());
+        assert!(deficit(vec![f64::NAN, 1.0]).is_err());
+        assert!(deficit(vec![0.5, 0.5]).is_ok());
     }
 
     #[test]
     fn first_pick_is_argmax() {
-        let mut s = ComboScheduler::new(vec![0.2, 0.5, 0.3]).unwrap();
+        let mut s = deficit(vec![0.2, 0.5, 0.3]).unwrap();
         assert_eq!(s.next_combo(), 1);
     }
 
     #[test]
     fn exact_quarters() {
-        let mut s = ComboScheduler::new(vec![0.25, 0.75]).unwrap();
+        let mut s = deficit(vec![0.25, 0.75]).unwrap();
         let picks: Vec<usize> = (0..8).map(|_| s.next_combo()).collect();
         assert_eq!(picks.iter().filter(|&&c| c == 0).count(), 2);
         assert_eq!(picks.iter().filter(|&&c| c == 1).count(), 6);
@@ -407,7 +264,7 @@ mod tests {
         // Algorithm 1's deficit rule keeps every combination within one
         // packet of its target share at all times.
         let x = vec![4.0 / 25.0, 4.0 / 5.0, 1.0 / 25.0]; // Table IV λ=100 row
-        let mut s = ComboScheduler::new(x.clone()).unwrap();
+        let mut s = deficit(x.clone()).unwrap();
         for step in 1..=5_000u64 {
             s.next_combo();
             let bound = (x.len() as f64) / step as f64;
@@ -421,7 +278,7 @@ mod tests {
 
     #[test]
     fn zero_entries_never_selected() {
-        let mut s = ComboScheduler::new(vec![0.0, 1.0, 0.0]).unwrap();
+        let mut s = deficit(vec![0.0, 1.0, 0.0]).unwrap();
         for _ in 0..100 {
             assert_eq!(s.next_combo(), 1);
         }
@@ -429,11 +286,12 @@ mod tests {
 
     #[test]
     fn retarget_keeps_history_and_converges() {
-        let mut s = ComboScheduler::new(vec![1.0, 0.0]).unwrap();
+        let mut s = deficit(vec![1.0, 0.0]).unwrap();
         for _ in 0..100 {
             s.next_combo();
         }
         s.retarget(vec![0.0, 1.0]).unwrap();
+        assert_eq!(s.target(), &[0.0, 1.0]);
         for _ in 0..900 {
             s.next_combo();
         }
@@ -446,7 +304,7 @@ mod tests {
 
     #[test]
     fn reset_history() {
-        let mut s = ComboScheduler::new(vec![0.5, 0.5]).unwrap();
+        let mut s = deficit(vec![0.5, 0.5]).unwrap();
         s.next_combo();
         s.reset_history();
         assert_eq!(s.total(), 0);
@@ -454,24 +312,7 @@ mod tests {
     }
 
     #[test]
-    fn unified_scheduler_deficit_matches_combo_scheduler() {
-        let x = vec![0.25, 0.75];
-        let mut unified = Scheduler::new(x.clone(), SchedulePolicy::Deficit).unwrap();
-        let mut legacy = ComboScheduler::new(x).unwrap();
-        for _ in 0..200 {
-            assert_eq!(unified.next_combo(), legacy.next_combo());
-        }
-        assert_eq!(unified.assigned(), legacy.assigned());
-        assert_eq!(unified.total(), 200);
-        assert!(unified.max_deviation() <= legacy.max_deviation() + 1e-15);
-        unified.retarget(vec![0.5, 0.5]).unwrap();
-        unified.reset_history();
-        assert_eq!(unified.total(), 0);
-        assert_eq!(unified.target(), &[0.5, 0.5]);
-    }
-
-    #[test]
-    fn unified_scheduler_weighted_is_seeded_and_tracked() {
+    fn weighted_scheduler_is_seeded_and_tracked() {
         let x = vec![0.6, 0.3, 0.1];
         let mk = || Scheduler::new(x.clone(), SchedulePolicy::WeightedRandom { seed: 9 }).unwrap();
         let (mut a, mut b) = (mk(), mk());
@@ -494,25 +335,17 @@ mod tests {
     fn random_baseline_is_looser_than_algorithm1() {
         let x = vec![0.6, 0.3, 0.1];
         let n = 2_000;
-        let mut det = ComboScheduler::new(x.clone()).unwrap();
+        let mut det = deficit(x.clone()).unwrap();
+        let mut random = Scheduler::new(x, SchedulePolicy::WeightedRandom { seed: 5 }).unwrap();
         for _ in 0..n {
             det.next_combo();
+            random.next_combo();
         }
-        let rand_sched = RandomScheduler::new(x.clone()).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut counts = [0u64; 3];
-        for _ in 0..n {
-            counts[rand_sched.next_combo(&mut rng)] += 1;
-        }
-        let rand_dev = counts
-            .iter()
-            .zip(&x)
-            .map(|(&c, &xi)| (c as f64 / n as f64 - xi).abs())
-            .fold(0.0, f64::max);
         assert!(
-            det.max_deviation() < rand_dev,
-            "algorithm 1 {} should beat random {rand_dev}",
-            det.max_deviation()
+            det.max_deviation() < random.max_deviation(),
+            "algorithm 1 {} should beat random {}",
+            det.max_deviation(),
+            random.max_deviation()
         );
         assert!(det.max_deviation() <= 3.0 / n as f64);
     }

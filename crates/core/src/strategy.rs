@@ -235,9 +235,8 @@ pub fn approx_fraction(v: f64, max_denom: u64) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::DeterministicModel;
     use crate::path::PathSpec;
-    use dmc_lp::SolverOptions;
+    use crate::{Objective, Planner, Scenario};
 
     fn net(lambda: f64, delta: f64) -> NetworkSpec {
         NetworkSpec::builder()
@@ -249,10 +248,15 @@ mod tests {
             .unwrap()
     }
 
-    fn solve(lambda: f64, delta: f64) -> Strategy {
-        DeterministicModel::new(&net(lambda, delta), 2, true)
-            .solve_quality(&SolverOptions::default())
+    fn solve_net(net: &NetworkSpec) -> Strategy {
+        Planner::new()
+            .plan(&Scenario::from_network(net), Objective::MaxQuality)
             .unwrap()
+            .into_strategy()
+    }
+
+    fn solve(lambda: f64, delta: f64) -> Strategy {
+        solve_net(&net(lambda, delta))
     }
 
     #[test]
@@ -325,9 +329,7 @@ mod tests {
         // prediction but stays above the single-path floor.
         let believed =
             net(90e6, 0.8).with_path_replaced(0, PathSpec::new(160e6, 0.450, 0.2).unwrap());
-        let s = DeterministicModel::new(&believed, 2, true)
-            .solve_quality(&SolverOptions::default())
-            .unwrap();
+        let s = solve_net(&believed);
         let eval = s.evaluate_under(&net(90e6, 0.8));
         assert!(eval.quality < s.quality() - 0.01);
         assert!(eval.quality > 0.2);
@@ -340,9 +342,7 @@ mod tests {
         // itself is honest (evaluation equals prediction).
         let believed =
             net(90e6, 0.8).with_path_replaced(0, PathSpec::new(40e6, 0.450, 0.2).unwrap());
-        let s = DeterministicModel::new(&believed, 2, true)
-            .solve_quality(&SolverOptions::default())
-            .unwrap();
+        let s = solve_net(&believed);
         let eval = s.evaluate_under(&net(90e6, 0.8));
         assert!(eval.quality < 42.0 / 45.0 - 0.05);
         assert!((eval.quality - s.quality()).abs() < 1e-6);

@@ -1,10 +1,23 @@
 //! Property-based tests on the model's invariants.
 
 use dmc_core::{
-    optimal_strategy, ComboScheduler, DeterministicModel, ModelConfig, NetworkSpec, PathSpec,
-    SolverOptions,
+    NetworkSpec, Objective, PathSpec, Plan, Planner, Scenario, SchedulePolicy, Scheduler,
 };
 use proptest::prelude::*;
+
+/// The quality-optimal plan of `net` with `m` transmissions.
+fn optimum(net: &NetworkSpec, m: usize) -> Plan {
+    Planner::new()
+        .plan(
+            &Scenario::from_network(net).with_transmissions(m),
+            Objective::MaxQuality,
+        )
+        .expect("blackhole keeps it feasible")
+}
+
+fn quality(net: &NetworkSpec) -> f64 {
+    optimum(net, 2).quality()
+}
 
 /// Strategy for a random but valid path.
 fn arb_path() -> impl Strategy<Value = PathSpec> {
@@ -40,8 +53,8 @@ proptest! {
     /// optimum of *any* scenario.
     #[test]
     fn optimal_strategy_invariants(net in arb_network(), m in 1usize..4) {
-        let cfg = ModelConfig { transmissions: m, ..Default::default() };
-        let s = optimal_strategy(&net, &cfg).expect("blackhole keeps it feasible");
+        let plan = optimum(&net, m);
+        let s = plan.strategy();
         prop_assert!(s.is_well_formed(1e-7));
         prop_assert!(s.quality() >= -1e-9 && s.quality() <= 1.0 + 1e-9,
             "Q = {}", s.quality());
@@ -55,21 +68,17 @@ proptest! {
     /// Quality is monotone in lifetime and antitone in data rate.
     #[test]
     fn quality_monotonicity(net in arb_network()) {
-        let cfg = ModelConfig::default();
-        let q = optimal_strategy(&net, &cfg).unwrap().quality();
-        let longer = net.with_lifetime(net.lifetime() * 1.5);
-        let q_longer = optimal_strategy(&longer, &cfg).unwrap().quality();
+        let q = quality(&net);
+        let q_longer = quality(&net.with_lifetime(net.lifetime() * 1.5));
         prop_assert!(q_longer >= q - 1e-7, "longer lifetime reduced Q: {q} → {q_longer}");
-        let faster = net.with_data_rate(net.data_rate() * 1.5);
-        let q_faster = optimal_strategy(&faster, &cfg).unwrap().quality();
+        let q_faster = quality(&net.with_data_rate(net.data_rate() * 1.5));
         prop_assert!(q_faster <= q + 1e-7, "higher rate raised Q: {q} → {q_faster}");
     }
 
     /// Adding a path never lowers the optimal quality.
     #[test]
     fn extra_path_never_hurts(net in arb_network(), extra in arb_path()) {
-        let cfg = ModelConfig::default();
-        let q = optimal_strategy(&net, &cfg).unwrap().quality();
+        let q = quality(&net);
         let bigger = NetworkSpec::builder()
             .paths(net.paths().iter().copied())
             .path(extra)
@@ -77,17 +86,16 @@ proptest! {
             .lifetime(net.lifetime())
             .build()
             .unwrap();
-        let q_bigger = optimal_strategy(&bigger, &cfg).unwrap().quality();
+        let q_bigger = quality(&bigger);
         prop_assert!(q_bigger >= q - 1e-7, "extra path reduced Q: {q} → {q_bigger}");
     }
 
     /// The multipath optimum dominates every single-path optimum.
     #[test]
     fn multipath_dominates_each_path(net in arb_network()) {
-        let cfg = ModelConfig::default();
-        let multi = optimal_strategy(&net, &cfg).unwrap().quality();
+        let multi = quality(&net);
         for k in 0..net.num_paths() {
-            let single = dmc_core::single_path_quality(&net, k, &cfg).unwrap();
+            let single = quality(&net.restricted_to_path(k));
             prop_assert!(multi >= single - 1e-7,
                 "path {k} alone ({single}) beat multipath ({multi})");
         }
@@ -97,7 +105,7 @@ proptest! {
     /// metrics (the analytic cross-evaluator is consistent).
     #[test]
     fn self_evaluation_consistency(net in arb_network()) {
-        let s = optimal_strategy(&net, &ModelConfig::default()).unwrap();
+        let s = optimum(&net, 2).into_strategy();
         let eval = s.evaluate_under(&net);
         prop_assert!((eval.quality - s.quality()).abs() < 1e-6,
             "self-eval {} vs predicted {}", eval.quality, s.quality());
@@ -107,8 +115,9 @@ proptest! {
     /// target for every prefix.
     #[test]
     fn algorithm1_tracks_any_solution(net in arb_network(), n_packets in 100u64..2_000) {
-        let s = optimal_strategy(&net, &ModelConfig::default()).unwrap();
-        let mut sched = ComboScheduler::new(s.x().to_vec()).expect("valid x");
+        let s = optimum(&net, 2).into_strategy();
+        let mut sched =
+            Scheduler::new(s.x().to_vec(), SchedulePolicy::Deficit).expect("valid x");
         for _ in 0..n_packets {
             sched.next_combo();
         }
@@ -121,11 +130,13 @@ proptest! {
     /// beats it.
     #[test]
     fn no_feasible_point_beats_optimum(net in arb_network(), seed in any::<u64>()) {
-        let model = DeterministicModel::new(&net, 2, true);
-        let s = model.solve_quality(&SolverOptions::default()).unwrap();
+        let mut planner = Planner::new();
+        let scenario = Scenario::from_network(&net);
+        let s = planner.plan(&scenario, Objective::MaxQuality).unwrap();
+        let model = planner.model(&scenario);
         // Random candidate: Dirichlet-ish weights over combos, then scale
         // down until capacity-feasible.
-        let ncombos = s.x().len();
+        let ncombos = model.num_combos();
         let mut state = seed.wrapping_add(1);
         let mut w: Vec<f64> = (0..ncombos).map(|_| {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);

@@ -31,9 +31,9 @@
 //! trial order, so the aggregate report is thread-count independent.
 
 use crate::montecarlo::{run_trials_parallel, trial_seed, MonteCarloConfig};
-use crate::runner::{run_measured, RunConfig, RunOutcome, TrueNetwork};
+use crate::runner::{run_plan, RunConfig, RunOutcome, TrueNetwork};
 use crate::scenarios;
-use dmc_core::{ModelConfig, ScenarioPath};
+use dmc_core::{Objective, Planner, ScenarioPath};
 use dmc_fleet::{
     FleetConfig, FleetEvent, FleetPlanner, FleetSnapshot, FleetTrace, FlowId, FlowRequest,
     TraceEvent,
@@ -489,20 +489,17 @@ pub fn proto_chaos_run_obs(
     messages: u64,
     obs: &dmc_obs::Obs,
 ) -> Result<RunOutcome, String> {
-    let measured = scenarios::table3_true(60e6, 0.8);
-    let truth = TrueNetwork::deterministic(&measured);
+    let measured = scenarios::table3_scenario(60e6, 0.8);
+    let truth = TrueNetwork::from_scenario(&measured);
     let mut cfg = RunConfig::default();
     cfg.messages = messages;
     cfg.seed = trial_seed(seed, 1);
     cfg.faults = Some(proto_fault_plan(trial_seed(seed, 2)));
     cfg.obs = obs.clone();
-    run_measured(
-        &measured,
-        scenarios::QUEUE_MARGIN_S,
-        &truth,
-        &ModelConfig::default(),
-        &cfg,
-    )
+    let plan = Planner::new()
+        .plan_with_margin(&measured, scenarios::QUEUE_MARGIN_S, Objective::MaxQuality)
+        .map_err(|e| e.to_string())?;
+    run_plan(&plan, &truth, &cfg)
 }
 
 /// Convenience: the priority each arrival in `trace` asked for, keyed by

@@ -40,7 +40,7 @@ pub fn run_mc(cfg: &RunConfig, mc: &MonteCarloConfig) -> Result<Experiment2Resul
     let plan = Planner::new()
         .plan(&scenario, Objective::MaxQuality)
         .map_err(|e| e.to_string())?;
-    let true_net = TrueNetwork::from_random(&scenarios::table5(90e6, 0.750)).over_provisioned(1.5);
+    let true_net = TrueNetwork::from_scenario(&scenario).over_provisioned(1.5);
     let report = run_plan_trials(&plan, &true_net, cfg, mc)?;
     Ok(Experiment2Result {
         t12: plan.timeout(0, 1),

@@ -10,7 +10,7 @@
 use crate::montecarlo::{run_plan_trials, MonteCarloConfig};
 use crate::runner::{RunConfig, TrueNetwork};
 use crate::scenarios;
-use dmc_core::{ModelConfig, Objective, Planner, Scenario};
+use dmc_core::{Objective, Planner};
 use dmc_stats::TrialStats;
 
 /// One point of a Figure 2 sweep.
@@ -52,15 +52,13 @@ fn point(
         .expect("figure-2 scenarios are feasible by construction")
         .quality();
     // The Experiment-1 split: plan against measured + margin, run on the
-    // raw measured truth (same construction as `run_measured_with`, but
-    // the plan is solved once and shared by every trial).
-    let measured = scenarios::table3_true(lambda, delta);
-    let scenario =
-        Scenario::from_network(&measured).with_transmissions(ModelConfig::default().transmissions);
+    // raw measured truth (the plan is solved once and shared by every
+    // trial).
+    let measured = scenarios::table3_scenario(lambda, delta);
     let plan = planner
-        .plan_with_margin(&scenario, scenarios::QUEUE_MARGIN_S, Objective::MaxQuality)
+        .plan_with_margin(&measured, scenarios::QUEUE_MARGIN_S, Objective::MaxQuality)
         .expect("figure-2 scenarios are feasible by construction");
-    let truth = TrueNetwork::deterministic(&measured);
+    let truth = TrueNetwork::from_scenario(&measured);
     let report = run_plan_trials(&plan, &truth, cfg, mc)
         .expect("figure-2 plan/network pairs are valid for the runner");
     Figure2Point {

@@ -9,7 +9,7 @@
 use crate::montecarlo::{run_plan_trials, MonteCarloConfig};
 use crate::runner::{RunConfig, TrueNetwork};
 use crate::scenarios;
-use dmc_core::{ModelConfig, NetworkSpec, Objective, Planner, Scenario};
+use dmc_core::{NetworkSpec, Objective, Planner, Scenario};
 use dmc_stats::TrialStats;
 
 /// Which metric Figure 3 perturbs.
@@ -63,15 +63,14 @@ pub fn curve_mc(
     // with slightly perturbed coefficients, so each warm-starts from the
     // previous point's optimal basis.
     let mut planner = Planner::new();
-    let truth = TrueNetwork::deterministic(&scenarios::table3_true(90e6, 0.800));
+    let truth = TrueNetwork::from_scenario(&scenarios::table3_scenario(90e6, 0.800));
     errors
         .iter()
         .map(|&error| {
             // The error contaminates the sender's *measurement*; the LP's
             // conservative margin is applied on top, as in Experiment 1.
             let believed = perturb(&scenarios::table3_true(90e6, 0.800), metric, path, error);
-            let scenario = Scenario::from_network(&believed)
-                .with_transmissions(ModelConfig::default().transmissions);
+            let scenario = Scenario::from_network(&believed);
             let trials = planner
                 .plan_with_margin(&scenario, scenarios::QUEUE_MARGIN_S, Objective::MaxQuality)
                 .map_err(|e| e.to_string())

@@ -3,7 +3,7 @@
 //! benches in `dmc-bench` measure the same thing rigorously; this module
 //! produces the paper-style table quickly.)
 
-use dmc_core::{DeterministicModel, NetworkSpec, PathSpec, SolverOptions};
+use dmc_core::{NetworkSpec, Objective, PathSpec, Planner, PlannerConfig, Scenario, SolverOptions};
 use std::time::Instant;
 
 /// One measured point.
@@ -55,19 +55,23 @@ pub fn measure(n: usize, m: usize, runs: usize) -> TimingPoint {
 /// registry adds a few atomic increments per solve to the timed region,
 /// so compare timings only against runs with the same telemetry setting.
 pub fn measure_obs(n: usize, m: usize, runs: usize, obs: &dmc_obs::Obs) -> TimingPoint {
-    let net = synthetic_network(n);
-    let opts = SolverOptions {
-        obs: obs.clone(),
-        ..SolverOptions::default()
+    let scenario = Scenario::from_network(&synthetic_network(n)).with_transmissions(m);
+    let config = PlannerConfig {
+        solver: SolverOptions {
+            obs: obs.clone(),
+            ..SolverOptions::default()
+        },
+        ..PlannerConfig::default()
     };
-    // Warm-up (page in, branch predictors).
-    let model = DeterministicModel::new(&net, m, true);
-    let _ = model.solve_quality(&opts);
-    // dmc-lint: allow(det-wallclock) figure 4 measures wall-clock solve time by design; timings are reported, never fed back into planning
+    // A fresh planner per run: build + cold solve, nothing carried over.
+    let build_and_solve = || {
+        let _ = Planner::with_config(config.clone()).plan(&scenario, Objective::MaxQuality);
+    };
+    build_and_solve(); // warm-up (page in, branch predictors)
+                       // dmc-lint: allow(det-wallclock) figure 4 measures wall-clock solve time by design; timings are reported, never fed back into planning
     let start = Instant::now();
     for _ in 0..runs {
-        let model = DeterministicModel::new(&net, m, true);
-        let _ = model.solve_quality(&opts);
+        build_and_solve();
     }
     let seconds = start.elapsed().as_secs_f64() / runs as f64;
     TimingPoint {
@@ -118,9 +122,12 @@ mod tests {
     #[test]
     fn synthetic_networks_solve_at_every_size() {
         for n in 2..=10 {
-            let net = synthetic_network(n);
-            let model = DeterministicModel::new(&net, 2, true);
-            let s = model.solve_quality(&SolverOptions::default()).unwrap();
+            let s = Planner::new()
+                .plan(
+                    &Scenario::from_network(&synthetic_network(n)),
+                    Objective::MaxQuality,
+                )
+                .unwrap();
             assert!(s.quality() > 0.0 && s.quality() <= 1.0 + 1e-9, "n={n}");
         }
     }

@@ -236,7 +236,7 @@ pub fn run_plan_trials(
 mod tests {
     use super::*;
     use crate::scenarios;
-    use dmc_core::{Objective, Planner, Scenario};
+    use dmc_core::{Objective, Planner};
 
     #[test]
     fn seed_stream_is_pure_and_spread() {
@@ -307,11 +307,11 @@ mod tests {
         // measured delays (inflating both would push retransmissions past
         // the deadline and sink the simulated quality).
         let mut planner = Planner::new();
-        let scenario = Scenario::from_network(&scenarios::table3_true(90e6, 0.8));
+        let scenario = scenarios::table3_scenario(90e6, 0.8);
         let plan = planner
             .plan_with_margin(&scenario, scenarios::QUEUE_MARGIN_S, Objective::MaxQuality)
             .unwrap();
-        let truth = TrueNetwork::deterministic(&scenarios::table3_true(90e6, 0.8));
+        let truth = TrueNetwork::from_scenario(&scenario);
         let mut cfg = RunConfig::default();
         cfg.messages = 1_500;
         let run = |trials| {

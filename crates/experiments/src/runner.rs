@@ -1,22 +1,17 @@
 //! Wires the protocol into the simulator and measures communication
 //! quality — the paper's experimental loop (§VII-A).
 //!
-//! Every entry point routes through the `Scenario` → [`Planner`] →
-//! [`Plan`] pipeline and builds its sender from the plan; the legacy
-//! [`run_strategy`] remains for callers that assembled the pieces by
-//! hand.
+//! [`run_plan`] takes a solved [`Plan`] (from `Scenario` → `Planner`) and
+//! builds its sender from it.
 
-use dmc_core::{
-    ModelConfig, NetworkSpec, Objective, Plan, Planner, PlannerConfig, RandomDelayConfig,
-    RandomNetworkSpec, Scenario, Strategy,
-};
+use dmc_core::{Plan, Scenario, Strategy};
 use dmc_proto::{
     DmcReceiver, DmcSender, ReceiverConfig, ReceiverStats, SenderConfig, SenderStats, TimeoutPlan,
 };
 use dmc_sim::{
     Dir, Dynamics, FaultPlan, FaultStats, LinkConfig, LossModel, SimDuration, TwoHostSim,
 };
-use dmc_stats::{ConstantDelay, Delay};
+use dmc_stats::Delay;
 use std::sync::Arc;
 
 /// The *actual* network the simulation runs on (as opposed to the model
@@ -45,41 +40,11 @@ impl TrueNetwork {
         TrueNetwork { links }
     }
 
-    /// True links from a deterministic scenario (constant delays).
-    pub fn deterministic(net: &NetworkSpec) -> Self {
-        TrueNetwork {
-            links: net
-                .paths()
-                .iter()
-                .map(|p| TrueLink {
-                    bandwidth: p.bandwidth(),
-                    delay: Arc::new(ConstantDelay::new(p.delay())),
-                    loss: p.loss().into(),
-                })
-                .collect(),
-        }
-    }
-
-    /// True links from a unified [`Scenario`] (either regime: the delay
+    /// True links from a [`Scenario`] (either regime: the delay
     /// distributions are shared with the simulator links).
     pub fn from_scenario(scenario: &Scenario) -> Self {
         TrueNetwork {
             links: scenario
-                .paths()
-                .iter()
-                .map(|p| TrueLink {
-                    bandwidth: p.bandwidth(),
-                    delay: Arc::clone(p.delay()),
-                    loss: p.loss().into(),
-                })
-                .collect(),
-        }
-    }
-
-    /// True links from a random-delay scenario.
-    pub fn from_random(net: &RandomNetworkSpec) -> Self {
-        TrueNetwork {
-            links: net
                 .paths()
                 .iter()
                 .map(|p| TrueLink {
@@ -234,29 +199,11 @@ pub fn run_plan(
     )
 }
 
-/// Maps the legacy [`ModelConfig`] solver knobs onto a [`Planner`].
-fn planner_from_model_config(model_cfg: &ModelConfig) -> Planner {
-    Planner::with_config(PlannerConfig {
-        blackhole: model_cfg.blackhole,
-        solver: model_cfg.solver.clone(),
-        ..PlannerConfig::default()
-    })
-}
-
-/// Runs an already-solved strategy on a true network.
-///
-/// `lambda` is the generation rate, `lifetime` the receiver's deadline,
-/// `ack_path` the reverse path acknowledgments use.
-///
-/// Legacy shim: prefer [`run_plan`], which extracts all of these from a
-/// [`Plan`].
-///
-/// # Errors
-///
-/// Returns a message when the topology construction fails (mismatched
-/// path counts, invalid link parameters).
+/// The body of [`run_plan`]: `lambda` is the generation rate, `lifetime`
+/// the receiver's deadline, `ack_path` the reverse path acknowledgments
+/// use.
 #[allow(clippy::too_many_arguments)]
-pub fn run_strategy(
+fn run_strategy(
     strategy: Strategy,
     timeouts: TimeoutPlan,
     true_net: &TrueNetwork,
@@ -322,193 +269,29 @@ pub fn run_strategy(
     })
 }
 
-/// Solves the deterministic model for `model_net` (what the sender
-/// *believes*) and runs it on `true_net`. Retransmission timeouts are
-/// derived from the same believed delays.
-///
-/// # Errors
-///
-/// Forwards model/solver and topology errors as strings.
-pub fn run_deterministic(
-    model_net: &NetworkSpec,
-    true_net: &TrueNetwork,
-    model_cfg: &ModelConfig,
-    cfg: &RunConfig,
-) -> Result<RunOutcome, String> {
-    let mut planner = planner_from_model_config(model_cfg);
-    run_deterministic_with(
-        &mut planner,
-        model_net,
-        model_cfg.transmissions,
-        true_net,
-        cfg,
-    )
-}
-
-/// [`run_deterministic`] through a caller-owned [`Planner`].
-///
-/// Sweeps that solve many same-shaped models (Figure 2/3 curves, Table IV
-/// rows with simulation) should hold one planner across all points: its
-/// LP workspace is reused and each point warm-starts from the previous
-/// point's optimal basis.
-///
-/// # Errors
-///
-/// Forwards model/solver and topology errors as strings.
-pub fn run_deterministic_with(
-    planner: &mut Planner,
-    model_net: &NetworkSpec,
-    transmissions: usize,
-    true_net: &TrueNetwork,
-    cfg: &RunConfig,
-) -> Result<RunOutcome, String> {
-    let scenario = Scenario::from_network(model_net).with_transmissions(transmissions);
-    let plan = planner
-        .plan(&scenario, Objective::MaxQuality)
-        .map_err(|e| e.to_string())?;
-    run_plan(&plan, true_net, cfg)
-}
-
-/// The paper's Experiment 1/3 procedure, which splits the sender's
-/// knowledge in two:
-///
-/// * the **LP model** uses *conservatively inflated* delays
-///   (`measured + margin`) so boundary combinations don't miss the
-///   deadline by a few milliseconds of queueing ("we conservatively set
-///   delays to 450 and 150 ms in our model");
-/// * the **retransmission timeouts** use the *measured* delays
-///   (`t_i = d_i + d_min + extra`, the paper's 100 ms rule) — inflating
-///   them too would push retransmissions past the deadline.
-///
-/// `measured` is the sender's belief of the raw characteristics (in the
-/// sensitivity experiments it carries the injected estimation error).
-///
-/// # Errors
-///
-/// Forwards model/solver and topology errors as strings.
-pub fn run_measured(
-    measured: &NetworkSpec,
-    margin_s: f64,
-    true_net: &TrueNetwork,
-    model_cfg: &ModelConfig,
-    cfg: &RunConfig,
-) -> Result<RunOutcome, String> {
-    let mut planner = planner_from_model_config(model_cfg);
-    run_measured_with(
-        &mut planner,
-        measured,
-        margin_s,
-        model_cfg.transmissions,
-        true_net,
-        cfg,
-    )
-}
-
-/// [`run_measured`] through a caller-owned [`Planner`] (see
-/// [`run_deterministic_with`] for why sweeps want this: workspace reuse
-/// plus warm-started LP solves across the sweep points).
-///
-/// # Errors
-///
-/// Forwards model/solver and topology errors as strings.
-pub fn run_measured_with(
-    planner: &mut Planner,
-    measured: &NetworkSpec,
-    margin_s: f64,
-    transmissions: usize,
-    true_net: &TrueNetwork,
-    cfg: &RunConfig,
-) -> Result<RunOutcome, String> {
-    let scenario = Scenario::from_network(measured).with_transmissions(transmissions);
-    let plan = planner
-        .plan_with_margin(&scenario, margin_s, Objective::MaxQuality)
-        .map_err(|e| e.to_string())?;
-    run_plan(&plan, true_net, cfg)
-}
-
-/// Solves the random-delay model and runs it on the matching gamma-delay
-/// links (Experiment 2). Timeouts come from Eq. 34 with no extra slack —
-/// the optimization already accounts for the delay distribution.
-///
-/// # Errors
-///
-/// Forwards model/solver and topology errors as strings.
-pub fn run_random_delay(
-    net: &RandomNetworkSpec,
-    rd_cfg: &RandomDelayConfig,
-    over_provision: f64,
-    cfg: &RunConfig,
-) -> Result<RunOutcome, String> {
-    let scenario = Scenario::from_random(net).with_transmissions(rd_cfg.transmissions);
-    let mut planner = Planner::with_config(PlannerConfig {
-        blackhole: rd_cfg.blackhole,
-        grid_step: rd_cfg.grid_step,
-        plateau: rd_cfg.plateau,
-        ..PlannerConfig::default()
-    });
-    let plan = planner
-        .plan(&scenario, Objective::MaxQuality)
-        .map_err(|e| e.to_string())?;
-    let true_net = TrueNetwork::from_random(net).over_provisioned(over_provision);
-    run_plan(&plan, &true_net, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenarios;
-    use dmc_core::optimal_strategy;
+    use dmc_core::{Objective, Planner};
 
-    #[test]
-    fn plan_pipeline_matches_legacy_strategy_wiring() {
-        // run_plan and the legacy run_strategy hand-wiring must produce
-        // identical simulations (same strategy, timeouts, seed).
-        let model = scenarios::table3_model(60e6, 0.8);
-        let truth = TrueNetwork::deterministic(&model);
-        let mut cfg = RunConfig::default();
-        cfg.messages = 2_000;
-
-        let legacy = {
-            let strategy = optimal_strategy(&model, &ModelConfig::default()).unwrap();
-            let timeouts = TimeoutPlan::deterministic(&model, strategy.table(), cfg.rto_extra);
-            run_strategy(
-                strategy,
-                timeouts,
-                &truth,
-                model.data_rate(),
-                model.lifetime(),
-                model.min_delay_path(),
-                &cfg,
-            )
-            .unwrap()
-        };
-        let planned = {
-            let plan = Planner::new()
-                .plan(&Scenario::from_network(&model), Objective::MaxQuality)
-                .unwrap();
-            run_plan(&plan, &truth, &cfg).unwrap()
-        };
-        assert_eq!(planned.sender, legacy.sender);
-        assert_eq!(planned.receiver, legacy.receiver);
-        assert_eq!(planned.quality, legacy.quality);
-        assert_eq!(planned.predicted_quality, legacy.predicted_quality);
+    /// The paper's Experiment-1 procedure on `measured`: LP on delays
+    /// inflated by the queueing margin, timeouts from the measured ones.
+    fn run_with_margin(measured: &Scenario, truth: &TrueNetwork, cfg: &RunConfig) -> RunOutcome {
+        let plan = Planner::new()
+            .plan_with_margin(measured, scenarios::QUEUE_MARGIN_S, Objective::MaxQuality)
+            .unwrap();
+        run_plan(&plan, truth, cfg).unwrap()
     }
 
     #[test]
     fn experiment1_point_tracks_theory() {
         // λ = 60 Mbps, δ = 800 ms: theory says Q = 1.0 (Table IV).
-        let measured = scenarios::table3_true(60e6, 0.8);
-        let truth = TrueNetwork::deterministic(&measured);
+        let measured = scenarios::table3_scenario(60e6, 0.8);
+        let truth = TrueNetwork::from_scenario(&measured);
         let mut cfg = RunConfig::default();
         cfg.messages = 5_000;
-        let out = run_measured(
-            &measured,
-            scenarios::QUEUE_MARGIN_S,
-            &truth,
-            &ModelConfig::default(),
-            &cfg,
-        )
-        .unwrap();
+        let out = run_with_margin(&measured, &truth, &cfg);
         assert!((out.predicted_quality - 1.0).abs() < 1e-9);
         assert!(out.quality > 0.99, "sim quality {}", out.quality);
     }
@@ -517,18 +300,11 @@ mod tests {
     fn overloaded_point_matches_lower_theory() {
         // λ = 120 Mbps: theory says 70 % (Table IV); the blackhole absorbs
         // the rest at the source.
-        let measured = scenarios::table3_true(120e6, 0.8);
-        let truth = TrueNetwork::deterministic(&measured);
+        let measured = scenarios::table3_scenario(120e6, 0.8);
+        let truth = TrueNetwork::from_scenario(&measured);
         let mut cfg = RunConfig::default();
         cfg.messages = 5_000;
-        let out = run_measured(
-            &measured,
-            scenarios::QUEUE_MARGIN_S,
-            &truth,
-            &ModelConfig::default(),
-            &cfg,
-        )
-        .unwrap();
+        let out = run_with_margin(&measured, &truth, &cfg);
         assert!((out.predicted_quality - 0.70).abs() < 1e-9);
         assert!(
             (out.quality - 0.70).abs() < 0.02,
@@ -547,26 +323,15 @@ mod tests {
         // the per-message retransmit budget more often, so it must not
         // exceed the i.i.d. result by more than noise.
         use dmc_sim::GilbertElliott;
-        let measured = scenarios::table3_true(60e6, 0.8);
-        let truth = TrueNetwork::deterministic(&measured);
+        let measured = scenarios::table3_scenario(60e6, 0.8);
+        let truth = TrueNetwork::from_scenario(&measured);
         let ge = GilbertElliott::classic(0.05, 0.2).unwrap();
         assert!((ge.stationary_loss() - 0.2).abs() < 1e-12);
         let bursty_truth = truth.clone().with_loss_model(0, ge.into());
         let mut cfg = RunConfig::default();
         cfg.messages = 8_000;
-        let run = |truth: &TrueNetwork| {
-            run_measured(
-                &measured,
-                scenarios::QUEUE_MARGIN_S,
-                truth,
-                &ModelConfig::default(),
-                &cfg,
-            )
-            .unwrap()
-            .quality
-        };
-        let q_iid = run(&truth);
-        let q_bursty = run(&bursty_truth);
+        let q_iid = run_with_margin(&measured, &truth, &cfg).quality;
+        let q_bursty = run_with_margin(&measured, &bursty_truth, &cfg).quality;
         assert!(q_iid > 0.99, "i.i.d. baseline {q_iid}");
         assert!(
             q_bursty > 0.9 && q_bursty <= q_iid + 0.005,
@@ -576,20 +341,9 @@ mod tests {
 
     #[test]
     fn strategy_path_count_must_match() {
-        let model = scenarios::table3_model(60e6, 0.8);
-        let strategy = optimal_strategy(&model, &ModelConfig::default()).unwrap();
-        let timeouts =
-            TimeoutPlan::deterministic(&model, strategy.table(), SimDuration::from_millis(100));
-        let single = TrueNetwork::deterministic(&model.restricted_to_path(0));
-        assert!(run_strategy(
-            strategy,
-            timeouts,
-            &single,
-            60e6,
-            0.8,
-            0,
-            &RunConfig::default()
-        )
-        .is_err());
+        let model = scenarios::table3_model_scenario(60e6, 0.8);
+        let plan = Planner::new().plan(&model, Objective::MaxQuality).unwrap();
+        let single = TrueNetwork::from_scenario(&model.restricted_to_path(0));
+        assert!(run_plan(&plan, &single, &RunConfig::default()).is_err());
     }
 }

@@ -1,8 +1,8 @@
-//! The paper's evaluation scenarios (Tables III and V, Figure 1), in
-//! both the unified [`Scenario`] form (preferred) and the legacy
-//! spec types.
+//! The paper's evaluation scenarios (Tables III and V, Figure 1), as
+//! [`Scenario`]s and — for the deterministic ones, which the sensitivity
+//! experiments perturb — as [`NetworkSpec`] estimates.
 
-use dmc_core::{NetworkSpec, PathSpec, RandomNetworkSpec, RandomPath, Scenario};
+use dmc_core::{NetworkSpec, PathSpec, Scenario, ScenarioPath};
 use dmc_stats::ShiftedGamma;
 use std::sync::Arc;
 
@@ -49,35 +49,6 @@ pub fn table3_model(lambda_bps: f64, lifetime_s: f64) -> NetworkSpec {
         .expect("valid scenario")
 }
 
-/// Table V: the random-delay scenario of Experiment 2 (shifted-gamma
-/// delays; λ = 90 Mbps, δ = 750 ms unless overridden).
-///
-/// # Panics
-///
-/// Panics only if the hard-coded constants were edited into invalidity.
-pub fn table5(lambda_bps: f64, lifetime_s: f64) -> RandomNetworkSpec {
-    let p1 = RandomPath::new(
-        80e6,
-        Arc::new(
-            ShiftedGamma::new(10.0, 0.004, 0.400).expect("literal scenario parameters are valid"),
-        ),
-        0.2,
-        0.0,
-    )
-    .expect("literal scenario parameters are valid");
-    let p2 = RandomPath::new(
-        20e6,
-        Arc::new(
-            ShiftedGamma::new(5.0, 0.002, 0.100).expect("literal scenario parameters are valid"),
-        ),
-        0.0,
-        0.0,
-    )
-    .expect("literal scenario parameters are valid");
-    RandomNetworkSpec::new(vec![p1, p2], lambda_bps, lifetime_s)
-        .expect("literal scenario parameters are valid")
-}
-
 /// Figure 1's motivating scenario: 10 Mbps/600 ms/10 % + 1 Mbps/200 ms/0 %,
 /// λ = 10 Mbps, δ = 1 s.
 ///
@@ -94,7 +65,7 @@ pub fn figure1() -> NetworkSpec {
         .expect("valid scenario")
 }
 
-/// Table III as a unified [`Scenario`] with the *true* (raw) delays —
+/// Table III as a [`Scenario`] with the *true* (raw) delays —
 /// feed to [`Planner::plan_with_margin`](dmc_core::Planner::plan_with_margin)
 /// with [`QUEUE_MARGIN_S`] to reproduce the paper's Experiment-1 split.
 ///
@@ -105,7 +76,7 @@ pub fn table3_scenario(lambda_bps: f64, lifetime_s: f64) -> Scenario {
     Scenario::from_network(&table3_true(lambda_bps, lifetime_s))
 }
 
-/// Table III as a unified [`Scenario`] with the +50 ms model margin
+/// Table III as a [`Scenario`] with the +50 ms model margin
 /// already applied (what Table IV is solved from).
 ///
 /// # Panics
@@ -115,17 +86,28 @@ pub fn table3_model_scenario(lambda_bps: f64, lifetime_s: f64) -> Scenario {
     Scenario::from_network(&table3_model(lambda_bps, lifetime_s))
 }
 
-/// Table V as a unified [`Scenario`] (shifted-gamma delays): the same
-/// planner pipeline solves it, no separate random-delay API needed.
+/// Table V: the random-delay scenario of Experiment 2 (shifted-gamma
+/// delays; λ = 90 Mbps, δ = 750 ms unless overridden).
 ///
 /// # Panics
 ///
 /// Panics only if the hard-coded constants were edited into invalidity.
 pub fn table5_scenario(lambda_bps: f64, lifetime_s: f64) -> Scenario {
-    Scenario::from_random(&table5(lambda_bps, lifetime_s))
+    const VALID: &str = "literal scenario parameters are valid";
+    let gamma = |bandwidth, shape, scale, shift, loss| {
+        let delay = ShiftedGamma::new(shape, scale, shift).expect(VALID);
+        ScenarioPath::new(bandwidth, Arc::new(delay), loss, 0.0).expect(VALID)
+    };
+    Scenario::builder()
+        .path(gamma(80e6, 10.0, 0.004, 0.400, 0.2))
+        .path(gamma(20e6, 5.0, 0.002, 0.100, 0.0))
+        .data_rate(lambda_bps)
+        .lifetime(lifetime_s)
+        .build()
+        .expect(VALID)
 }
 
-/// Figure 1's motivating scenario as a unified [`Scenario`].
+/// Figure 1's motivating scenario as a [`Scenario`].
 ///
 /// # Panics
 ///
@@ -139,7 +121,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn unified_scenarios_mirror_legacy_specs() {
+    fn scenarios_mirror_their_specs() {
         let s = table3_scenario(90e6, 0.8);
         assert!(s.is_deterministic());
         assert_eq!(s.paths()[0].bandwidth(), 80e6);
@@ -161,7 +143,7 @@ mod tests {
         let m = table3_model(90e6, 0.8);
         assert!((m.paths()[0].delay() - 0.450).abs() < 1e-12);
         assert!((m.paths()[1].delay() - 0.150).abs() < 1e-12);
-        let five = table5(90e6, 0.75);
+        let five = table5_scenario(90e6, 0.75);
         assert_eq!(five.ack_path(), 1);
         assert_eq!(five.paths()[0].bandwidth(), 80e6);
         let f1 = figure1();

@@ -71,7 +71,7 @@ use crate::error::FleetError;
 use crate::flow::{FlowId, FlowRequest};
 use crate::planner::{FleetConfig, FleetObjective};
 use crate::schedule::{SlotWindow, TimeGrid};
-use dmc_core::{Planner, Scenario, ScenarioModel, ScenarioPath, WarmStats};
+use dmc_core::{ComboTable, Planner, Scenario, ScenarioModel, ScenarioPath, WarmStats};
 use dmc_lp::{Basis, Problem, SolveError, SolveStatus, SolverOptions, Workspace};
 use dmc_sim::LinkChange;
 use std::cmp::Ordering;
@@ -156,23 +156,16 @@ pub(crate) fn readmission_order(a: (&FlowRequest, FlowId), b: (&FlowRequest, Flo
         .then(a.1.cmp(&b.1))
 }
 
-/// Largest per-flow block the planners will model: a flow over `k`
-/// paths with `m` transmissions has `(k + 1)^m` path combinations, so an
-/// unchecked `m` from outside the program can exhaust memory or
-/// overflow the count itself.
-const MAX_FLOW_COMBOS: usize = 1 << 16;
-
 /// Rejects a flow whose combination count `(n_paths + 1)^transmissions`
-/// overflows or exceeds [`MAX_FLOW_COMBOS`].
+/// overflows or exceeds [`ComboTable::MAX_COMBOS`]: an unchecked `m` from
+/// outside the program can exhaust memory or overflow the count itself.
 pub(crate) fn check_combos(n_paths: usize, transmissions: usize) -> Result<(), FleetError> {
-    let combos = u32::try_from(transmissions)
-        .ok()
-        .and_then(|m| (n_paths + 1).checked_pow(m));
-    match combos {
-        Some(c) if c <= MAX_FLOW_COMBOS => Ok(()),
-        _ => Err(FleetError::Invalid(format!(
+    match ComboTable::checked_num_combos(n_paths, transmissions, true) {
+        Some(_) => Ok(()),
+        None => Err(FleetError::Invalid(format!(
             "{transmissions} transmissions over {n_paths} paths need more than \
-             {MAX_FLOW_COMBOS} path combinations"
+             {} path combinations",
+            ComboTable::MAX_COMBOS
         ))),
     }
 }

@@ -6,7 +6,7 @@ use crate::notice::{NoticeGuard, NoticeSeq};
 use crate::sender::{DmcSender, SenderConfig, TimeoutPlan, RESERVED_KEY_BASE};
 use crate::wire::{NoticeKind, PathNotice};
 use dmc_core::{
-    ModelConfig, NetworkSpec, Objective, PathSpec, Plan, Planner, PlannerConfig, Scenario,
+    NetworkSpec, Objective, PathSpec, Plan, Planner, PlannerConfig, Scenario, SolverOptions,
 };
 use dmc_sim::{Agent, Packet, SimApi, SimDuration};
 
@@ -92,9 +92,15 @@ pub struct AdaptiveConfig {
     pub prior: NetworkSpec,
     /// How often to re-estimate and re-solve.
     pub interval: SimDuration,
-    /// Model options for re-solving (mapped onto the internal
-    /// [`Planner`]'s configuration).
-    pub model: ModelConfig,
+    /// Number of transmissions `m` per data unit in the re-solved model
+    /// (the paper's base model is 2: one transmission + one
+    /// retransmission).
+    pub transmissions: usize,
+    /// Include the blackhole path in the re-solved model (`true` keeps
+    /// the LP feasible under overload, Eq. 19).
+    pub blackhole: bool,
+    /// LP solver options of the internal [`Planner`].
+    pub solver: SolverOptions,
     /// Slack added to re-derived retransmission timeouts.
     pub rto_extra: SimDuration,
     /// Minimum RTT samples on a path before its delay estimate replaces
@@ -159,8 +165,8 @@ impl AdaptiveSender {
     /// Wraps a sender configuration with the adaptive loop.
     pub fn new(sender: SenderConfig, config: AdaptiveConfig) -> Self {
         let planner = Planner::with_config(PlannerConfig {
-            blackhole: config.model.blackhole,
-            solver: config.model.solver.clone(),
+            blackhole: config.blackhole,
+            solver: config.solver.clone(),
             ..PlannerConfig::default()
         });
         let num_paths = config.prior.num_paths();
@@ -463,8 +469,7 @@ impl AdaptiveSender {
     /// rung 1, so feasibility returning restores the configured floor.
     fn resolve(&mut self, now_ns: u64) {
         let est = self.estimated_network();
-        let scenario =
-            Scenario::from_network(&est).with_transmissions(self.config.model.transmissions);
+        let scenario = Scenario::from_network(&est).with_transmissions(self.config.transmissions);
         let objective = match self.config.quality_floor {
             Some(floor) => Objective::MinCost { min_quality: floor },
             None => Objective::MaxQuality,
@@ -503,7 +508,7 @@ impl AdaptiveSender {
                 solo = solo.with_path_replaced(k, dead.unwrap_or(p));
             }
             let solo_scenario =
-                Scenario::from_network(&solo).with_transmissions(self.config.model.transmissions);
+                Scenario::from_network(&solo).with_transmissions(self.config.transmissions);
             if self.try_retarget(&solo_scenario, Objective::MaxQuality) {
                 self.resolves += 1;
                 self.push_ladder(now_ns, LadderRung::SinglePath { path });
@@ -593,7 +598,9 @@ mod tests {
                     AdaptiveConfig {
                         prior: prior.clone(),
                         interval: SimDuration::from_millis(250),
-                        model: ModelConfig::default(),
+                        transmissions: 2,
+                        blackhole: true,
+                        solver: SolverOptions::default(),
                         rto_extra: SimDuration::from_millis(50),
                         min_samples: 30,
                         quality_floor: None,
@@ -668,7 +675,9 @@ mod tests {
                 AdaptiveConfig {
                     prior: prior.clone(),
                     interval: SimDuration::from_millis(500),
-                    model: ModelConfig::default(),
+                    transmissions: 2,
+                    blackhole: true,
+                    solver: SolverOptions::default(),
                     rto_extra: SimDuration::from_millis(50),
                     min_samples: 30,
                     quality_floor: None,
@@ -801,7 +810,9 @@ mod tests {
         let config = AdaptiveConfig {
             prior: two_path_prior(),
             interval: SimDuration::from_millis(250),
-            model: ModelConfig::default(),
+            transmissions: 2,
+            blackhole: true,
+            solver: SolverOptions::default(),
             rto_extra: SimDuration::from_millis(50),
             min_samples: 30,
             quality_floor: None,
@@ -831,7 +842,9 @@ mod tests {
         let config = AdaptiveConfig {
             prior: two_path_prior(),
             interval: SimDuration::from_millis(250),
-            model: ModelConfig::default(),
+            transmissions: 2,
+            blackhole: true,
+            solver: SolverOptions::default(),
             rto_extra: SimDuration::from_millis(50),
             min_samples: 1_000_000, // pin estimates to the prior
             quality_floor: Some(0.8),
@@ -875,10 +888,9 @@ mod tests {
         let config = AdaptiveConfig {
             prior: prior.clone(),
             interval: SimDuration::from_millis(250),
-            model: ModelConfig {
-                blackhole: false,
-                ..ModelConfig::default()
-            },
+            transmissions: 2,
+            blackhole: false,
+            solver: SolverOptions::default(),
             rto_extra: SimDuration::from_millis(50),
             min_samples: 1_000_000,
             quality_floor: None,

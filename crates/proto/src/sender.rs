@@ -4,7 +4,7 @@
 
 use crate::estimator::{LossEstimator, RttEstimator};
 use crate::wire::{Ack, DataHeader};
-use dmc_core::{ComboTable, NetworkSpec, Plan, RandomDelayModel, SchedulePolicy, Slot, Strategy};
+use dmc_core::{Plan, SchedulePolicy, Slot, Strategy};
 use dmc_sim::{Agent, Packet, SimApi, SimDuration, SimTime};
 use std::collections::{BTreeMap, HashMap};
 
@@ -49,41 +49,11 @@ pub struct TimeoutPlan {
 }
 
 impl TimeoutPlan {
-    /// The paper's deterministic rule (Eq. 4 + §VII Exp. 1): stage `s` on
-    /// path `i` arms `t = d_i + d_min + extra`, where `extra` absorbs
-    /// queueing jitter (the paper uses 100 ms). Stages not followed by a
-    /// real path get a detect-only timer with the same delay.
-    ///
-    /// Legacy shim: prefer [`TimeoutPlan::from_plan`], whose schedule the
-    /// planner derives with the same rule.
-    pub fn deterministic(net: &NetworkSpec, table: &ComboTable, extra: SimDuration) -> Self {
-        let dmin = net.min_delay();
-        let per_combo = table
-            .iter()
-            .map(|(_, slots)| {
-                let mut v = vec![None; slots.len()];
-                for s in 0..slots.len() {
-                    let Slot::Path(i) = slots[s] else { break };
-                    let t = net.paths()[i].delay() + dmin;
-                    if t.is_finite() {
-                        let retransmit = matches!(slots.get(s + 1), Some(Slot::Path(_)));
-                        v[s] = Some(StageTimeout {
-                            delay: SimDuration::from_secs_f64(t) + extra,
-                            retransmit,
-                        });
-                    }
-                }
-                v
-            })
-            .collect();
-        TimeoutPlan { per_combo }
-    }
-
-    /// Timeouts from a solved [`Plan`]'s unified schedule plus `extra`
-    /// slack — the pipeline entry point covering both delay regimes
-    /// (deterministic plans carry Eq. 4 timers, random-delay plans carry
-    /// Eq. 34 optima with detect-only timers where no retransmission can
-    /// meet the deadline).
+    /// Timeouts from a solved [`Plan`]'s schedule plus `extra` slack (the
+    /// paper's Exp. 1 adds 100 ms to absorb queueing jitter).
+    /// Deterministic plans carry Eq. 4 timers (`t = d_i + d_min`),
+    /// random-delay plans carry Eq. 34 optima; stages no retransmission
+    /// can follow in time get a detect-only timer.
     pub fn from_plan(plan: &Plan, extra: SimDuration) -> Self {
         let schedule = plan.schedule();
         let per_combo = (0..schedule.num_combos())
@@ -96,40 +66,6 @@ impl TimeoutPlan {
                             delay: SimDuration::from_secs_f64(spec.delay) + extra,
                             retransmit: spec.retransmit,
                         })
-                    })
-                    .collect()
-            })
-            .collect();
-        TimeoutPlan { per_combo }
-    }
-
-    /// Timeouts from the random-delay model (Eq. 34 optima) plus `extra`
-    /// slack. Stages whose timeout is undefined in the model (no
-    /// retransmission can meet the deadline) get a detect-only timer of
-    /// `lifetime + extra`.
-    ///
-    /// Legacy shim: prefer [`TimeoutPlan::from_plan`].
-    pub fn from_random_model(model: &RandomDelayModel, extra: SimDuration) -> Self {
-        let detect = SimDuration::from_secs_f64(model.lifetime()) + extra;
-        let table = model.table();
-        let per_combo = (0..table.num_combos())
-            .map(|l| {
-                let slots = table.slots_of(l);
-                model
-                    .stage_timeouts(l)
-                    .iter()
-                    .enumerate()
-                    .map(|(s, t)| match t {
-                        Some(secs) => Some(StageTimeout {
-                            delay: SimDuration::from_secs_f64(*secs) + extra,
-                            retransmit: true,
-                        }),
-                        None => {
-                            matches!(slots.get(s), Some(Slot::Path(_))).then_some(StageTimeout {
-                                delay: detect,
-                                retransmit: false,
-                            })
-                        }
                     })
                     .collect()
             })
@@ -601,7 +537,7 @@ impl Agent for DmcSender {
 mod tests {
     use super::*;
     use crate::receiver::{DmcReceiver, ReceiverConfig};
-    use dmc_core::{optimal_strategy, ModelConfig, PathSpec};
+    use dmc_core::{NetworkSpec, Objective, PathSpec, Planner, Scenario};
     use dmc_sim::{LinkConfig, TwoHostSim};
     use dmc_stats::ConstantDelay;
     use std::sync::Arc;
@@ -613,6 +549,14 @@ mod tests {
             loss: loss.into(),
             queue_capacity_bytes: 1 << 22,
         }
+    }
+
+    /// The quality-optimal sender for the believed network `model_net`.
+    fn sender_config(model_net: &NetworkSpec, extra: SimDuration, messages: u64) -> SenderConfig {
+        let plan = Planner::new()
+            .plan(&Scenario::from_network(model_net), Objective::MaxQuality)
+            .unwrap();
+        SenderConfig::from_plan(&plan, extra, messages)
     }
 
     fn figure1_net() -> NetworkSpec {
@@ -635,10 +579,11 @@ mod tests {
             .lifetime(1.5)
             .build()
             .unwrap();
-        let strategy = optimal_strategy(&model_net, &ModelConfig::default()).unwrap();
-        let timeouts =
-            TimeoutPlan::deterministic(&model_net, strategy.table(), SimDuration::from_millis(100));
-        let sender = DmcSender::new(SenderConfig::new(strategy, timeouts, 8e6, messages));
+        let sender = DmcSender::new(sender_config(
+            &model_net,
+            SimDuration::from_millis(100),
+            messages,
+        ));
         let receiver = DmcReceiver::new(ReceiverConfig::new(
             SimDuration::from_secs_f64(1.5),
             1, // lowest-delay path
@@ -686,10 +631,11 @@ mod tests {
     fn rtt_estimators_learn_path_delays() {
         let (_, _) = run_figure1(100, 1); // warm-up unused; below re-runs
         let model_net = figure1_net();
-        let strategy = optimal_strategy(&model_net, &ModelConfig::default()).unwrap();
-        let timeouts =
-            TimeoutPlan::deterministic(&model_net, strategy.table(), SimDuration::from_millis(100));
-        let sender = DmcSender::new(SenderConfig::new(strategy, timeouts, 8e6, 500));
+        let sender = DmcSender::new(sender_config(
+            &model_net,
+            SimDuration::from_millis(100),
+            500,
+        ));
         let receiver = DmcReceiver::new(ReceiverConfig::new(SimDuration::from_secs_f64(1.5), 1));
         let mut sim = TwoHostSim::new(
             vec![link(10e6, 0.600, 0.0), link(1e6, 0.200, 0.0)],
@@ -717,10 +663,11 @@ mod tests {
         let _ = s;
         // Re-run with direct access.
         let model_net = figure1_net();
-        let strategy = optimal_strategy(&model_net, &ModelConfig::default()).unwrap();
-        let timeouts =
-            TimeoutPlan::deterministic(&model_net, strategy.table(), SimDuration::from_millis(100));
-        let sender = DmcSender::new(SenderConfig::new(strategy, timeouts, 8e6, 2_000));
+        let sender = DmcSender::new(sender_config(
+            &model_net,
+            SimDuration::from_millis(100),
+            2_000,
+        ));
         let receiver = DmcReceiver::new(ReceiverConfig::new(SimDuration::from_secs_f64(1.5), 1));
         let mut sim = TwoHostSim::new(
             vec![link(10e6, 0.600, 0.10), link(1e6, 0.200, 0.0)],
@@ -746,14 +693,8 @@ mod tests {
         // never be retransmitted within the lifetime.
         let run = |fast: Option<u32>| {
             let model_net = figure1_net();
-            let strategy = optimal_strategy(&model_net, &ModelConfig::default()).unwrap();
             // Deliberately broken timeouts: huge extra.
-            let timeouts = TimeoutPlan::deterministic(
-                &model_net,
-                strategy.table(),
-                SimDuration::from_secs_f64(10.0),
-            );
-            let mut cfg = SenderConfig::new(strategy, timeouts, 8e6, 3_000);
+            let mut cfg = sender_config(&model_net, SimDuration::from_secs_f64(10.0), 3_000);
             cfg.fast_retransmit = fast;
             let sender = DmcSender::new(cfg);
             let receiver =

@@ -3,8 +3,8 @@
 //! packets before their retransmission timers fire, so ack loss causes
 //! neither data loss nor a spurious-retransmission storm.
 
-use dmc_core::{optimal_strategy, ModelConfig, NetworkSpec, PathSpec};
-use dmc_proto::{DmcReceiver, DmcSender, ReceiverConfig, SenderConfig, TimeoutPlan};
+use dmc_core::{Objective, Planner, Scenario, ScenarioPath};
+use dmc_proto::{DmcReceiver, DmcSender, ReceiverConfig, SenderConfig};
 use dmc_sim::{Dir, LinkConfig, SimDuration, TwoHostSim};
 use dmc_stats::ConstantDelay;
 use std::sync::Arc;
@@ -21,16 +21,21 @@ fn link(bw: f64, delay: f64, loss: f64) -> LinkConfig {
 /// λ = 18 Mbps forces real traffic onto the lossy 20 Mbps path (path 2's
 /// 10 Mbps can't carry it alone), so genuine retransmissions exist.
 fn run(ack_loss: f64, messages: u64) -> (f64, u64, u64) {
-    let net = NetworkSpec::builder()
-        .path(PathSpec::new(20e6, 0.100, 0.05).unwrap())
-        .path(PathSpec::new(10e6, 0.050, 0.0).unwrap())
+    let scenario = Scenario::builder()
+        .path(ScenarioPath::constant(20e6, 0.100, 0.05).unwrap())
+        .path(ScenarioPath::constant(10e6, 0.050, 0.0).unwrap())
         .data_rate(18e6)
         .lifetime(0.8)
         .build()
         .unwrap();
-    let strategy = optimal_strategy(&net, &ModelConfig::default()).unwrap();
-    let timeouts = TimeoutPlan::deterministic(&net, strategy.table(), SimDuration::from_millis(50));
-    let sender = DmcSender::new(SenderConfig::new(strategy, timeouts, 18e6, messages));
+    let plan = Planner::new()
+        .plan(&scenario, Objective::MaxQuality)
+        .unwrap();
+    let sender = DmcSender::new(SenderConfig::from_plan(
+        &plan,
+        SimDuration::from_millis(50),
+        messages,
+    ));
     let receiver = DmcReceiver::new(ReceiverConfig::new(SimDuration::from_secs_f64(0.8), 1));
     // Forward links as specified; the *reverse* ack path loses `ack_loss`.
     let mut sim = TwoHostSim::new(

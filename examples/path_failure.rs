@@ -71,7 +71,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         AdaptiveConfig {
             prior: believed.clone(),
             interval: SimDuration::from_millis(500),
-            model: ModelConfig::default(),
+            transmissions: 2,
+            blackhole: true,
+            solver: SolverOptions::default(),
             rto_extra,
             min_samples: 30,
             quality_floor: None,

@@ -62,25 +62,12 @@
 //! [`ShiftedGamma`](stats::ShiftedGamma) distribution and the planner
 //! optimizes the Eq. 34 retransmission timeouts automatically.
 //!
-//! # MIGRATION
+//! Many flows sharing the same paths go through
+//! [`fleet::FleetPlanner`] (admission control + one joint LP whose
+//! capacity rows are shared) or, sharded into capacity regions behind
+//! wire frames, [`fleet::FleetService`].
 //!
-//! The pre-pipeline names remain available as thin shims. Mapping:
-//!
-//! | Legacy | Unified |
-//! |---|---|
-//! | `NetworkSpec`/`PathSpec` + `optimal_strategy` | `Scenario`/`ScenarioPath::constant` + `Planner::plan(_, Objective::MaxQuality)` |
-//! | `min_cost_strategy(&net, q, &cfg)` | `Objective::MinCost { min_quality: q }` |
-//! | `RandomNetworkSpec`/`RandomPath` + `RandomDelayModel` | `Scenario`/`ScenarioPath::new` through the same `Planner` |
-//! | `single_path_quality(&net, k, &cfg)` | `planner.plan(&scenario.restricted_to_path(k), _)` |
-//! | `ComboScheduler::new(x)` / `RandomScheduler` | `plan.scheduler()` / `Scheduler::new(x, SchedulePolicy::…)` |
-//! | `TimeoutPlan::deterministic` / `from_random_model` | `TimeoutPlan::from_plan(&plan, extra)` |
-//! | hand-built `SenderConfig::new(strategy, timeouts, λ, n)` | `SenderConfig::from_plan(&plan, extra, n)` |
-//! | `experiments::runner::run_strategy(…6 args…)` | `experiments::runner::run_plan(&plan, &truth, &cfg)` |
-//! | one `Planner` per flow, each assuming it owns the `Scenario` | [`dmc_fleet::FleetPlanner`] — admission control + one joint LP whose capacity rows are shared across all concurrent flows (multi-flow use) |
-//! | one `FleetPlanner` serializing every offer/depart | [`dmc_fleet::FleetService`] — capacity-region sharding (one planner + warm-basis cache per shard), batched worker ticks, two-phase spanning admission, and a checksummed wire front end (`dmc_proto::wire` offer/decision/depart/link frames) |
-//!
-//! See `crates/core/src/lib.rs` for the model-level table,
-//! `EXPERIMENTS.md` for the paper-vs-measured record, and
+//! See `EXPERIMENTS.md` for the paper-vs-measured record and
 //! `ARCHITECTURE.md` for the crate dependency map, the data-flow
 //! diagrams, the determinism rules, and "where to add X" pointers
 //! (its crate table is kept in lockstep with the workspace by the
@@ -100,17 +87,10 @@ pub use dmc_stats as stats;
 
 /// The most common imports in one place.
 pub mod prelude {
-    // The unified pipeline (preferred).
     pub use dmc_core::{
-        Objective, Plan, PlanError, Planner, PlannerConfig, Scenario, ScenarioBuilder,
-        ScenarioPath, SchedulePolicy, Scheduler, StageTimeoutSpec, TimeoutSchedule,
-    };
-    // Legacy model names (kept for migration; see the crate docs).
-    pub use dmc_core::{
-        min_cost_strategy, optimal_strategy, single_path_quality, ComboScheduler, ComboTable,
-        DeterministicModel, ModelConfig, ModelError, NetworkSpec, PathSpec, PlateauRule,
-        RandomDelayConfig, RandomDelayModel, RandomNetworkSpec, RandomPath, Slot, SolverOptions,
-        Strategy,
+        ComboTable, NetworkSpec, Objective, PathSpec, Plan, PlanError, Planner, PlannerConfig,
+        PlateauRule, Scenario, ScenarioBuilder, ScenarioPath, SchedulePolicy, Scheduler, Slot,
+        SolverOptions, StageTimeoutSpec, Strategy, TimeoutSchedule,
     };
     pub use dmc_fleet::{
         AdmissionDecision, FleetConfig, FleetEvent, FleetObjective, FleetPlanner, FleetSnapshot,

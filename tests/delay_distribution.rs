@@ -14,11 +14,8 @@ fn simulated_delays_follow_the_configured_gamma() {
     // propagation is the gamma spec; links are over-provisioned so
     // queueing does not contaminate the distribution (the paper does the
     // same in Exp. 2).
-    let net = scenarios::table5(90e6, 0.750);
-    let rd_cfg = RandomDelayConfig::default();
-    let model = RandomDelayModel::new(&net, &rd_cfg);
-    let strategy = model.solve_quality(&SolverOptions::default()).unwrap();
-    let timeouts = TimeoutPlan::from_random_model(&model, SimDuration::ZERO);
+    let net = scenarios::table5_scenario(90e6, 0.750);
+    let model = Planner::new().plan(&net, Objective::MaxQuality).unwrap();
     let mk_links = || -> Vec<LinkConfig> {
         net.paths()
             .iter()
@@ -30,7 +27,7 @@ fn simulated_delays_follow_the_configured_gamma() {
             })
             .collect()
     };
-    let sender = DmcSender::new(SenderConfig::new(strategy, timeouts, 90e6, 20_000));
+    let sender = DmcSender::new(SenderConfig::from_plan(&model, SimDuration::ZERO, 20_000));
     let receiver = DmcReceiver::new(ReceiverConfig::new(
         SimDuration::from_secs_f64(0.750),
         model.ack_path(),

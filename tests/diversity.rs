@@ -3,33 +3,35 @@
 
 use deadline_multipath::prelude::*;
 
-fn q(paths: [PathSpec; 2], lambda: f64, delta: f64) -> f64 {
-    let net = NetworkSpec::builder()
+fn path(bandwidth: f64, delay: f64, loss: f64) -> ScenarioPath {
+    ScenarioPath::constant(bandwidth, delay, loss).unwrap()
+}
+
+fn optimum<const N: usize>(paths: [ScenarioPath; N], lambda: f64, delta: f64) -> Plan {
+    let scenario = Scenario::builder()
         .paths(paths)
         .data_rate(lambda)
         .lifetime(delta)
         .build()
         .unwrap();
-    optimal_strategy(&net, &ModelConfig::default())
+    Planner::new()
+        .plan(&scenario, Objective::MaxQuality)
         .unwrap()
-        .quality()
+}
+
+fn q(paths: [ScenarioPath; 2], lambda: f64, delta: f64) -> f64 {
+    optimum(paths, lambda, delta).quality()
 }
 
 #[test]
 fn diverse_pair_dominates_uniform_pair_at_tight_deadlines() {
-    let diverse = [
-        PathSpec::new(80e6, 0.450, 0.2).unwrap(),
-        PathSpec::new(20e6, 0.150, 0.0).unwrap(),
-    ];
+    let diverse = [path(80e6, 0.450, 0.2), path(20e6, 0.150, 0.0)];
     // Same total bandwidth, bandwidth-weighted delay/loss.
-    let uniform = [
-        PathSpec::new(50e6, 0.390, 0.16).unwrap(),
-        PathSpec::new(50e6, 0.390, 0.16).unwrap(),
-    ];
+    let uniform = [path(50e6, 0.390, 0.16), path(50e6, 0.390, 0.16)];
     let mut diverse_wins = 0;
     for delta_ms in [300.0, 450.0, 600.0, 750.0, 900.0, 1050.0] {
-        let qd = q(diverse, 90e6, delta_ms / 1e3);
-        let qu = q(uniform, 90e6, delta_ms / 1e3);
+        let qd = q(diverse.clone(), 90e6, delta_ms / 1e3);
+        let qu = q(uniform.clone(), 90e6, delta_ms / 1e3);
         if qd > qu + 1e-9 {
             diverse_wins += 1;
         }
@@ -49,14 +51,8 @@ fn low_latency_path_specializes_in_retransmissions() {
     // In the diverse optimum at δ=800 ms, retransmissions ride the clean
     // fast path: the x[1→2] style combinations carry weight, while
     // x[2→1] (fast first, slow rescue) is pointless.
-    let net = NetworkSpec::builder()
-        .path(PathSpec::new(80e6, 0.450, 0.2).unwrap())
-        .path(PathSpec::new(20e6, 0.150, 0.0).unwrap())
-        .data_rate(90e6)
-        .lifetime(0.8)
-        .build()
-        .unwrap();
-    let s = optimal_strategy(&net, &ModelConfig::default()).unwrap();
+    let plan = optimum([path(80e6, 0.450, 0.2), path(20e6, 0.150, 0.0)], 90e6, 0.8);
+    let s = plan.strategy();
     // All path-1-first traffic that plans a retransmission plans it on
     // path 2 (never back on the 450 ms path: it cannot return in time).
     let retrans_on_slow = s.fraction(&[Slot::Path(0), Slot::Path(0)]);
@@ -69,23 +65,13 @@ fn low_latency_path_specializes_in_retransmissions() {
 fn three_diverse_paths_beat_two() {
     // Extension: adding a third, complementary mid-latency path can only
     // help, and strictly helps when capacity binds.
-    let two = NetworkSpec::builder()
-        .path(PathSpec::new(80e6, 0.450, 0.2).unwrap())
-        .path(PathSpec::new(20e6, 0.150, 0.0).unwrap())
-        .data_rate(130e6)
-        .lifetime(0.8)
-        .build()
-        .unwrap();
-    let three = NetworkSpec::builder()
-        .path(PathSpec::new(80e6, 0.450, 0.2).unwrap())
-        .path(PathSpec::new(20e6, 0.150, 0.0).unwrap())
-        .path(PathSpec::new(30e6, 0.250, 0.05).unwrap())
-        .data_rate(130e6)
-        .lifetime(0.8)
-        .build()
-        .unwrap();
-    let cfg = ModelConfig::default();
-    let q2 = optimal_strategy(&two, &cfg).unwrap().quality();
-    let q3 = optimal_strategy(&three, &cfg).unwrap().quality();
+    let two = [path(80e6, 0.450, 0.2), path(20e6, 0.150, 0.0)];
+    let three = [
+        path(80e6, 0.450, 0.2),
+        path(20e6, 0.150, 0.0),
+        path(30e6, 0.250, 0.05),
+    ];
+    let q2 = optimum(two, 130e6, 0.8).quality();
+    let q3 = optimum(three, 130e6, 0.8).quality();
     assert!(q3 > q2 + 0.05, "q2={q2} q3={q3}");
 }

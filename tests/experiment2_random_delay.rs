@@ -41,9 +41,9 @@ fn gamma_jitter_requires_eq34_timeouts() {
     // timeout placement matters.
     use deadline_multipath::experiments::scenarios;
     use deadline_multipath::prelude::*;
-    let net = scenarios::table5(90e6, 0.620);
-    let model = RandomDelayModel::new(&net, &RandomDelayConfig::default());
-    let s = model.solve_quality(&SolverOptions::default()).unwrap();
+    let net = scenarios::table5_scenario(90e6, 0.620);
+    let model = Planner::new().plan(&net, Objective::MaxQuality).unwrap();
+    let s = model.strategy();
     // With δ = 620 ms there is no time for path-1 retransmissions at all
     // (ack ≈ 550 + rescue 110 > 620); the model must discover this and
     // quality drops to the no-path1-retransmission regime.

@@ -14,13 +14,11 @@ use deadline_multipath::experiments::scenarios;
 use deadline_multipath::prelude::*;
 
 fn table5_plan_and_truth() -> (Plan, TrueNetwork) {
+    let scenario = scenarios::table5_scenario(90e6, 0.750);
     let plan = Planner::new()
-        .plan(
-            &scenarios::table5_scenario(90e6, 0.750),
-            Objective::MaxQuality,
-        )
+        .plan(&scenario, Objective::MaxQuality)
         .expect("feasible");
-    let truth = TrueNetwork::from_random(&scenarios::table5(90e6, 0.750)).over_provisioned(1.5);
+    let truth = TrueNetwork::from_scenario(&scenario).over_provisioned(1.5);
     (plan, truth)
 }
 

@@ -1,8 +1,8 @@
 //! Golden pins for the single-flow planner (tier-1): the paper's own
 //! scenarios through `Scenario → Planner → Plan`, each plan hashed down
-//! to a literal recorded while the pre-`Planner` entry points
-//! (`optimal_strategy`, `min_cost_strategy`, `RandomDelayModel`) still
-//! existed and hashed identically. Any refactor of the coefficient
+//! to a literal recorded while the pre-`Planner` entry points (the free
+//! solve functions and the per-regime model types) still existed and
+//! hashed identically. Any refactor of the coefficient
 //! fills, the LP assembly or the strategy packaging must leave every
 //! literal below untouched — same vertex, same bits.
 //!
@@ -158,109 +158,4 @@ fn margin_plan_is_pinned() {
         .plan_with_margin(&measured, scenarios::QUEUE_MARGIN_S, Objective::MaxQuality)
         .unwrap();
     pin(&plan, TABLE3_MARGIN, "Table III, measured delays + margin");
-}
-
-// ---- legacy half: deleted together with the entry points it calls ----
-
-fn strategy_hash(s: &Strategy) -> u64 {
-    let mut h = Fnv::new();
-    h.strategy(s);
-    h.0
-}
-
-#[test]
-fn legacy_deterministic_entry_points_hash_identically() {
-    let mut planner = Planner::new();
-    for (lambda, delta, m, _, what) in TABLE3_POINTS {
-        let net = scenarios::table3_model(lambda, delta);
-        let plan = planner
-            .plan(
-                &Scenario::from_network(&net).with_transmissions(m),
-                Objective::MaxQuality,
-            )
-            .unwrap();
-        let legacy = optimal_strategy(&net, &ModelConfig::with_transmissions(m)).unwrap();
-        assert_eq!(
-            strategy_hash(&legacy),
-            strategy_hash(plan.strategy()),
-            "{what}"
-        );
-        assert_eq!(
-            TimeoutPlan::deterministic(&net, legacy.table(), SimDuration::ZERO),
-            TimeoutPlan::from_plan(&plan, SimDuration::ZERO),
-            "{what}"
-        );
-    }
-}
-
-#[test]
-fn legacy_costed_entry_points_hash_identically() {
-    let mut planner = Planner::new();
-    let net = costed_table3().to_network_spec().unwrap();
-    let plan = planner
-        .plan(&costed_table3(), Objective::MinCost { min_quality: 0.9 })
-        .unwrap();
-    let legacy = min_cost_strategy(&net, 0.9, &ModelConfig::default()).unwrap();
-    assert_eq!(strategy_hash(&legacy), strategy_hash(plan.strategy()));
-
-    let budgeted = costed_table3().with_cost_budget(COSTED_BUDGET_PER_S);
-    let plan = planner
-        .plan(&budgeted, Objective::MaxQualityUnderBudget)
-        .unwrap();
-    let legacy = optimal_strategy(
-        &budgeted.to_network_spec().unwrap(),
-        &ModelConfig::default(),
-    )
-    .unwrap();
-    assert_eq!(strategy_hash(&legacy), strategy_hash(plan.strategy()));
-}
-
-#[test]
-fn legacy_random_delay_model_hashes_identically() {
-    let net = scenarios::table5(90e6, 0.75);
-    for (plateau, _, what) in PLATEAUS {
-        let plan = plateau_planner(plateau)
-            .plan(&Scenario::from_random(&net), Objective::MaxQuality)
-            .unwrap();
-        let model = RandomDelayModel::new(
-            &net,
-            &RandomDelayConfig {
-                plateau,
-                ..RandomDelayConfig::default()
-            },
-        );
-        let legacy = model.solve_quality(&SolverOptions::default()).unwrap();
-        assert_eq!(
-            strategy_hash(&legacy),
-            strategy_hash(plan.strategy()),
-            "{what}"
-        );
-        assert_eq!(
-            TimeoutPlan::from_random_model(&model, SimDuration::ZERO),
-            TimeoutPlan::from_plan(&plan, SimDuration::ZERO),
-            "{what}"
-        );
-        assert_eq!(model.ack_path(), plan.ack_path(), "{what}");
-    }
-}
-
-#[test]
-fn legacy_margin_split_hashes_identically() {
-    // The pre-`plan_with_margin` procedure: solve the inflated model,
-    // derive the timeouts from the measured delays.
-    let measured = scenarios::table3_true(90e6, 0.8);
-    let plan = Planner::new()
-        .plan_with_margin(
-            &Scenario::from_network(&measured),
-            scenarios::QUEUE_MARGIN_S,
-            Objective::MaxQuality,
-        )
-        .unwrap();
-    let legacy =
-        optimal_strategy(&scenarios::table3_model(90e6, 0.8), &ModelConfig::default()).unwrap();
-    assert_eq!(strategy_hash(&legacy), strategy_hash(plan.strategy()));
-    assert_eq!(
-        TimeoutPlan::deterministic(&measured, legacy.table(), SimDuration::ZERO),
-        TimeoutPlan::from_plan(&plan, SimDuration::ZERO)
-    );
 }

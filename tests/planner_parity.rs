@@ -1,9 +1,12 @@
-//! The unified `Scenario` → `Planner` → `Plan` pipeline must agree with
-//! the legacy split entry points on the paper's scenarios — to 1e-9 —
-//! and must never panic on any valid scenario.
+//! `Planner::plan` (reused buffers, warm-started LP) must agree with the
+//! model path the fleet layer decomposes through — `Planner::model` →
+//! `ScenarioModel::problem` solved cold → `ScenarioModel::plan_for` — on
+//! the paper's scenarios, to 1e-9, and the pipeline must never panic on
+//! any valid scenario.
 
 use deadline_multipath::experiments::scenarios;
 use deadline_multipath::prelude::*;
+use deadline_multipath::stats::UniformDelay;
 use proptest::prelude::*;
 // Explicit import wins over both globs: `Strategy` here is proptest's
 // trait (dmc-core's `Strategy` struct is only used through `Plan`).
@@ -12,95 +15,99 @@ use std::sync::Arc;
 
 const TOL: f64 = 1e-9;
 
-/// Planner vs. `optimal_strategy` on the paper's Table III scenarios
-/// (the full Table IV sweep, both halves).
+/// The model path: owned coefficient copies, a cold solve, the shared
+/// packaging.
+fn plan_via_model(scenario: &Scenario, objective: Objective) -> Plan {
+    let model = Planner::new().model(scenario);
+    let x = model
+        .problem(objective)
+        .solve(&SolverOptions::default())
+        .expect("feasible")
+        .into_x();
+    model.plan_for(objective, x)
+}
+
+/// Planner vs. the model path on the paper's Table III scenarios (the
+/// full Table IV sweep, both halves).
 #[test]
 fn deterministic_parity_on_table3() {
     let mut planner = Planner::new();
-    let cfg = ModelConfig::default();
     let lambdas = [10e6, 20e6, 40e6, 60e6, 80e6, 90e6, 100e6, 120e6, 140e6];
     let deltas = [
         0.150, 0.400, 0.450, 0.700, 0.750, 0.800, 1.000, 1.050, 1.500,
     ];
     for &lambda in &lambdas {
         for &delta in &deltas {
-            let net = scenarios::table3_model(lambda, delta);
-            let legacy = optimal_strategy(&net, &cfg).expect("feasible");
+            let scenario = scenarios::table3_model_scenario(lambda, delta);
+            let model = plan_via_model(&scenario, Objective::MaxQuality);
             let plan = planner
-                .plan(&Scenario::from_network(&net), Objective::MaxQuality)
+                .plan(&scenario, Objective::MaxQuality)
                 .expect("feasible");
             assert!(
-                (plan.quality() - legacy.quality()).abs() < TOL,
-                "λ={lambda} δ={delta}: plan {} vs legacy {}",
+                (plan.quality() - model.quality()).abs() < TOL,
+                "λ={lambda} δ={delta}: plan {} vs model path {}",
                 plan.quality(),
-                legacy.quality()
+                model.quality()
             );
             assert!(
-                (plan.cost_rate() - legacy.cost_rate()).abs() < TOL,
+                (plan.cost_rate() - model.cost_rate()).abs() < TOL,
                 "λ={lambda} δ={delta}: cost mismatch"
             );
-            for (a, b) in plan.send_rates().iter().zip(legacy.send_rates()) {
+            for (a, b) in plan.send_rates().iter().zip(model.send_rates()) {
                 assert!((a - b).abs() < TOL * lambda, "λ={lambda} δ={delta}: rates");
             }
-            for (a, b) in plan.strategy().x().iter().zip(legacy.x()) {
+            for (a, b) in plan.strategy().x().iter().zip(model.strategy().x()) {
                 assert!((a - b).abs() < TOL, "λ={lambda} δ={delta}: x mismatch");
             }
         }
     }
 }
 
-/// Planner vs. `min_cost_strategy` on a costed Table III network.
+/// Planner vs. the model path under `MinCost` on a costed Table III
+/// network.
 #[test]
 fn min_cost_parity() {
-    let net = NetworkSpec::builder()
-        .path(PathSpec::with_cost(80e6, 0.450, 0.2, 3e-9).unwrap())
-        .path(PathSpec::with_cost(20e6, 0.150, 0.0, 1e-9).unwrap())
+    let scenario = Scenario::builder()
+        .path(ScenarioPath::constant_with_cost(80e6, 0.450, 0.2, 3e-9).unwrap())
+        .path(ScenarioPath::constant_with_cost(20e6, 0.150, 0.0, 1e-9).unwrap())
         .data_rate(90e6)
         .lifetime(0.8)
         .build()
         .unwrap();
     let mut planner = Planner::new();
-    let cfg = ModelConfig::default();
     for floor in [0.3, 0.5, 0.7, 0.9, 42.0 / 45.0] {
-        let legacy = min_cost_strategy(&net, floor, &cfg).expect("achievable");
-        let plan = planner
-            .plan(
-                &Scenario::from_network(&net),
-                Objective::MinCost { min_quality: floor },
-            )
-            .expect("achievable");
+        let objective = Objective::MinCost { min_quality: floor };
+        let model = plan_via_model(&scenario, objective);
+        let plan = planner.plan(&scenario, objective).expect("achievable");
         assert!(
-            (plan.cost_rate() - legacy.cost_rate()).abs() < TOL,
-            "floor {floor}: plan cost {} vs legacy {}",
+            (plan.cost_rate() - model.cost_rate()).abs() < TOL,
+            "floor {floor}: plan cost {} vs model path {}",
             plan.cost_rate(),
-            legacy.cost_rate()
+            model.cost_rate()
         );
         assert!(
-            (plan.quality() - legacy.quality()).abs() < TOL,
+            (plan.quality() - model.quality()).abs() < TOL,
             "floor {floor}"
         );
     }
 }
 
-/// Planner vs. `RandomDelayModel` on the paper's Table V scenario
+/// Planner vs. the model path on the paper's Table V scenario
 /// (Experiment 2), including the Eq. 34 pairwise timeouts.
 #[test]
 fn random_delay_parity_on_table5() {
     let mut planner = Planner::new();
     for (lambda, delta) in [(90e6, 0.750), (90e6, 0.620), (60e6, 0.900)] {
-        let net = scenarios::table5(lambda, delta);
-        let model = RandomDelayModel::new(&net, &RandomDelayConfig::default());
-        let legacy = model.solve_quality(&SolverOptions::default()).expect("ok");
-        let plan = planner
-            .plan(&Scenario::from_random(&net), Objective::MaxQuality)
-            .expect("ok");
+        let scenario = scenarios::table5_scenario(lambda, delta);
+        let model = plan_via_model(&scenario, Objective::MaxQuality);
+        let plan = planner.plan(&scenario, Objective::MaxQuality).expect("ok");
         assert!(
-            (plan.quality() - legacy.quality()).abs() < TOL,
-            "λ={lambda} δ={delta}: plan {} vs legacy {}",
+            (plan.quality() - model.quality()).abs() < TOL,
+            "λ={lambda} δ={delta}: plan {} vs model path {}",
             plan.quality(),
-            legacy.quality()
+            model.quality()
         );
-        for (a, b) in plan.strategy().x().iter().zip(legacy.x()) {
+        for (a, b) in plan.strategy().x().iter().zip(model.strategy().x()) {
             assert!((a - b).abs() < TOL, "λ={lambda} δ={delta}: x mismatch");
         }
         assert_eq!(plan.ack_path(), model.ack_path());
@@ -117,35 +124,35 @@ fn random_delay_parity_on_table5() {
     }
 }
 
-/// A constant-delay scenario routed through the *random* model (wrapping
-/// every delay in a distribution) and through the deterministic branch
+/// A constant-delay scenario routed through the *random* branch (every
+/// delay a 1 ns wide distribution) and through the deterministic branch
 /// must agree — the regimes are one model.
 #[test]
 fn constant_distributions_match_deterministic_branch() {
     let mut planner = Planner::new();
-    let det = Scenario::builder()
-        .path(ScenarioPath::constant(80e6, 0.450, 0.2).unwrap())
-        .path(ScenarioPath::constant(20e6, 0.150, 0.0).unwrap())
+    let det = scenarios::table3_model_scenario(90e6, 0.8);
+    assert!(det.is_deterministic());
+    let plan = planner.plan(&det, Objective::MaxQuality).unwrap();
+    let nearly = |p: &ScenarioPath| {
+        let d = p.constant_delay().unwrap();
+        let jitter = Arc::new(UniformDelay::new(d, d + 1e-9));
+        ScenarioPath::new(p.bandwidth(), jitter, p.loss(), p.cost()).unwrap()
+    };
+    let random = Scenario::builder()
+        .paths(det.paths().iter().map(nearly))
         .data_rate(90e6)
         .lifetime(0.8)
         .build()
         .unwrap();
-    assert!(det.is_deterministic());
-    let plan = planner.plan(&det, Objective::MaxQuality).unwrap();
-    // Same network through the legacy random-delay API.
-    let p1 = RandomPath::new(80e6, Arc::new(ConstantDelay::new(0.450)), 0.2, 0.0).unwrap();
-    let p2 = RandomPath::new(20e6, Arc::new(ConstantDelay::new(0.150)), 0.0, 0.0).unwrap();
-    let net = RandomNetworkSpec::new(vec![p1, p2], 90e6, 0.8).unwrap();
-    let legacy = RandomDelayModel::new(&net, &RandomDelayConfig::default())
-        .solve_quality(&SolverOptions::default())
-        .unwrap();
+    assert!(!random.is_deterministic());
+    let random_plan = planner.plan(&random, Objective::MaxQuality).unwrap();
     // The random branch discretizes, so agreement is to the grid's
     // accuracy rather than 1e-9.
     assert!(
-        (plan.quality() - legacy.quality()).abs() < 1e-6,
+        (plan.quality() - random_plan.quality()).abs() < 1e-6,
         "det {} vs random-branch {}",
         plan.quality(),
-        legacy.quality()
+        random_plan.quality()
     );
 }
 
@@ -160,7 +167,7 @@ fn warm_sweep_matches_cold_bit_for_bit_on_table3() {
     let deltas = [0.150, 0.450, 0.750, 0.800, 1.050, 1.500];
     for &lambda in &lambdas {
         for &delta in &deltas {
-            let scenario = Scenario::from_network(&scenarios::table3_model(lambda, delta));
+            let scenario = scenarios::table3_model_scenario(lambda, delta);
             let swept = warm
                 .plan(&scenario, Objective::MaxQuality)
                 .expect("feasible");
@@ -192,7 +199,7 @@ fn warm_sweep_matches_cold_bit_for_bit_on_table3() {
 fn warm_sweep_matches_cold_bit_for_bit_on_table5() {
     let mut warm = Planner::new();
     for lambda in [60e6, 75e6, 90e6, 100e6] {
-        let scenario = Scenario::from_random(&scenarios::table5(lambda, 0.750));
+        let scenario = scenarios::table5_scenario(lambda, 0.750);
         let swept = warm.plan(&scenario, Objective::MaxQuality).expect("ok");
         let cold = Planner::new()
             .plan(&scenario, Objective::MaxQuality)

@@ -5,6 +5,14 @@
 use deadline_multipath::experiments::{scenarios, table4};
 use deadline_multipath::prelude::*;
 
+/// Optimal quality of `scenario` with `m` transmissions.
+fn quality_with(scenario: &Scenario, m: usize) -> f64 {
+    Planner::new()
+        .plan(&scenario.with_transmissions(m), Objective::MaxQuality)
+        .unwrap()
+        .quality()
+}
+
 #[test]
 fn every_table4_row_reproduces() {
     for &(lambda_mbps, want) in table4::PAPER_TOP {
@@ -28,9 +36,9 @@ fn every_table4_row_reproduces() {
 #[test]
 fn solutions_satisfy_model_invariants() {
     for lambda in [10e6, 60e6, 100e6, 140e6] {
-        let net = scenarios::table3_model(lambda, 0.8);
-        let s = optimal_strategy(&net, &ModelConfig::default()).unwrap();
-        assert!(s.is_well_formed(1e-9), "Σx ≠ 1 at λ={lambda}");
+        let net = scenarios::table3_model_scenario(lambda, 0.8);
+        let s = Planner::new().plan(&net, Objective::MaxQuality).unwrap();
+        assert!(s.strategy().is_well_formed(1e-9), "Σx ≠ 1 at λ={lambda}");
         assert!(
             s.quality() >= -1e-12 && s.quality() <= 1.0 + 1e-9,
             "Q out of range at λ={lambda}"
@@ -62,13 +70,9 @@ fn more_retransmissions_never_hurt_and_saturate() {
     // monotone in m, and for the Table III network at δ = 800 ms a third
     // transmission cannot help (no time for two round trips), so m=2 and
     // m=3 agree.
-    let net = scenarios::table3_model(90e6, 0.8);
-    let q2 = optimal_strategy(&net, &ModelConfig::with_transmissions(2))
-        .unwrap()
-        .quality();
-    let q3 = optimal_strategy(&net, &ModelConfig::with_transmissions(3))
-        .unwrap()
-        .quality();
+    let net = scenarios::table3_model_scenario(90e6, 0.8);
+    let q2 = quality_with(&net, 2);
+    let q3 = quality_with(&net, 3);
     assert!(q3 >= q2 - 1e-9);
     assert!((q3 - q2).abs() < 1e-9, "q2={q2} q3={q3}");
     // A third transmission helps only when *loss* (not bandwidth) binds:
@@ -76,19 +80,15 @@ fn more_retransmissions_never_hurt_and_saturate() {
     // p = 1, and when bandwidth binds the retransmission exchange rate is
     // identical at every m. With both paths lossy and ample capacity,
     // m = 3 strictly wins: 1 − τ² → 1 − τ³.
-    let lossy = NetworkSpec::builder()
-        .path(PathSpec::new(80e6, 0.100, 0.3).unwrap())
-        .path(PathSpec::new(20e6, 0.050, 0.3).unwrap())
+    let lossy = Scenario::builder()
+        .path(ScenarioPath::constant(80e6, 0.100, 0.3).unwrap())
+        .path(ScenarioPath::constant(20e6, 0.050, 0.3).unwrap())
         .data_rate(10e6)
         .lifetime(1.0)
         .build()
         .unwrap();
-    let q2 = optimal_strategy(&lossy, &ModelConfig::with_transmissions(2))
-        .unwrap()
-        .quality();
-    let q3 = optimal_strategy(&lossy, &ModelConfig::with_transmissions(3))
-        .unwrap()
-        .quality();
+    let q2 = quality_with(&lossy, 2);
+    let q3 = quality_with(&lossy, 3);
     assert!((q2 - 0.91).abs() < 1e-9, "q2 = {q2}");
     assert!((q3 - 0.973).abs() < 1e-9, "q3 = {q3}");
 }
