@@ -72,17 +72,6 @@ impl NetworkSpec {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// Index (0-based) of the lowest-delay path — the ack path.
-    pub fn min_delay_path(&self) -> usize {
-        let mut best = 0;
-        for (i, p) in self.paths.iter().enumerate() {
-            if p.delay() < self.paths[best].delay() {
-                best = i;
-            }
-        }
-        best
-    }
-
     /// Total bandwidth across paths, bits/second.
     pub fn total_bandwidth(&self) -> f64 {
         self.paths.iter().map(PathSpec::bandwidth).sum()
@@ -252,7 +241,6 @@ mod tests {
             .unwrap();
         assert_eq!(net.num_paths(), 2);
         assert_eq!(net.min_delay(), 0.150);
-        assert_eq!(net.min_delay_path(), 1);
         assert_eq!(net.total_bandwidth(), 100e6);
         assert_eq!(net.cost_budget(), f64::INFINITY);
     }

@@ -281,6 +281,8 @@ impl Planner {
     ///
     /// # Errors
     ///
+    /// * [`PlanError::Spec`] when the scenario has more path combinations
+    ///   than [`ComboTable::MAX_COMBOS`];
     /// * [`PlanError::Unsupported`] when the objective does not fit the
     ///   scenario (budget objective without a budget, quality floor
     ///   outside `[0, 1]`);
@@ -1139,9 +1141,15 @@ mod tests {
     }
 
     #[test]
-    fn blackhole_disabled_reports_infeasible() {
+    fn error_types_are_displayable() {
         let e = PlanError::from(SpecError("boom".into()));
         assert!(!format!("{e}").is_empty());
+        let e = PlanError::Unsupported("no budget".into());
+        assert!(format!("{e}").contains("no budget"));
+    }
+
+    #[test]
+    fn blackhole_disabled_reports_infeasible() {
         let mut planner = Planner::with_config(PlannerConfig {
             blackhole: false,
             ..PlannerConfig::default()

@@ -312,7 +312,7 @@ mod tests {
     }
 
     #[test]
-    fn weighted_scheduler_is_seeded_and_tracked() {
+    fn unified_scheduler_weighted_is_seeded_and_tracked() {
         let x = vec![0.6, 0.3, 0.1];
         let mk = || Scheduler::new(x.clone(), SchedulePolicy::WeightedRandom { seed: 9 }).unwrap();
         let (mut a, mut b) = (mk(), mk());

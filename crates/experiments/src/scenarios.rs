@@ -121,7 +121,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scenarios_mirror_their_specs() {
+    fn unified_scenarios_mirror_legacy_specs() {
         let s = table3_scenario(90e6, 0.8);
         assert!(s.is_deterministic());
         assert_eq!(s.paths()[0].bandwidth(), 80e6);

@@ -6,7 +6,7 @@
 //! ecosystem is thin, and the paper's problems have a very particular
 //! shape — one variable per path×retransmission combination (`(n+1)^m`,
 //! hundreds to thousands) but only a handful of rows (bandwidth, cost,
-//! quality, `Σx = 1`) — so this crate implements two exact primal simplex
+//! quality, `Σx = 1`) — so this crate implements three exact primal simplex
 //! backends tuned for exactly that shape:
 //!
 //! * [`Backend::Revised`] (the default): revised simplex with a
@@ -39,12 +39,12 @@
 //!   singular by a coefficient edit is repaired instead of discarded —
 //!   the fleet's re-solve-after-a-small-edit loop.
 //!
-//! Both backends share the anti-cycling scheme (automatic switch to
-//! Bland's rule after a run of degenerate pivots) and produce identical
-//! objectives, primal points and duals to 1e-9. The revised backend
-//! additionally canonicalizes its answer across alternate optima, so its
-//! result is a pure function of the problem — warm and cold solves of the
-//! same problem report bit-identical vertices.
+//! All three share the anti-cycling scheme (automatic switch to Bland's
+//! rule after a run of degenerate pivots) and produce identical
+//! objectives, primal points and duals to 1e-9. The revised and sparse
+//! backends additionally canonicalize their answer across alternate
+//! optima, so it is a pure function of the problem — warm and cold solves
+//! of the same problem report bit-identical vertices.
 //!
 //! # Problem form
 //!
