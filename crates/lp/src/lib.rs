@@ -121,6 +121,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod driver;
 mod error;
 mod problem;
 mod revised;

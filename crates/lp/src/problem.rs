@@ -1,10 +1,9 @@
 //! Problem representation: dense objective plus inequality/equality rows.
 
+use crate::driver;
 use crate::error::{ProblemError, SolveError};
-use crate::revised;
 use crate::simplex::{self, Backend, SolverOptions, WarmStart, Workspace};
 use crate::solution::{Basis, Solution};
-use crate::sparse;
 
 /// Whether a [`Constraint`] is `≤` or `=`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -671,14 +670,19 @@ impl Problem {
         });
         let result = match options.backend {
             Backend::DenseTableau => simplex::solve(self, options, workspace),
-            Backend::Revised => revised::solve(self, options, workspace, warm),
-            Backend::Sparse => sparse::solve(self, options, workspace, warm),
+            Backend::Revised => {
+                let Workspace {
+                    driver, revised, ..
+                } = workspace;
+                driver::solve(self, options, driver, revised, warm)
+            }
+            Backend::Sparse => {
+                let Workspace { driver, sparse, .. } = workspace;
+                driver::solve(self, options, driver, sparse, warm)
+            }
         };
-        let stats = match options.backend {
-            Backend::DenseTableau => None,
-            Backend::Revised => Some(&workspace.revised.stats),
-            Backend::Sparse => Some(&workspace.sparse.stats),
-        };
+        // The dense tableau leaves the driver's stats untouched (stale).
+        let stats = (options.backend != Backend::DenseTableau).then_some(&workspace.driver.stats);
         let warm_start = stats.map_or(WarmStart::Cold, |s| s.warm);
         workspace.last_warm = warm_start;
         if obs.is_enabled() {

@@ -106,9 +106,9 @@ impl Default for SolverOptions {
     }
 }
 
-/// Per-solve instrumentation filled in by the revised/sparse backends and
-/// published to [`SolverOptions::obs`] by the dispatcher — the kernels
-/// themselves never touch the registry.
+/// Per-solve instrumentation filled in by the revised-simplex driver and
+/// its kernels and published to [`SolverOptions::obs`] by the dispatcher —
+/// the solver itself never touches the registry.
 #[derive(Debug, Default)]
 pub(crate) struct SolveStats {
     /// Basis (re)factorizations, the cold-start build included.
@@ -193,10 +193,12 @@ pub struct Workspace {
     cost: Vec<f64>,
     /// Per-original-row normalization metadata.
     row_info: Vec<RowInfo>,
-    /// Buffers of the revised backend ([`Backend::Revised`]).
-    pub(crate) revised: crate::revised::RevisedWorkspace,
-    /// Buffers of the sparse backend ([`Backend::Sparse`]).
-    pub(crate) sparse: crate::sparse::SparseWorkspace,
+    /// Buffers of the revised-simplex driver, shared by its two kernels.
+    pub(crate) driver: crate::driver::DriverState,
+    /// Factors of the dense-LU kernel ([`Backend::Revised`]).
+    pub(crate) revised: crate::revised::DenseLu,
+    /// View and factors of the sparse kernel ([`Backend::Sparse`]).
+    pub(crate) sparse: crate::sparse::BlockPfi,
     /// Fate of the warm basis in the last solve through this workspace.
     pub(crate) last_warm: WarmStart,
 }
