@@ -1,15 +1,20 @@
-//! Dense tableau vs. revised simplex vs. warm-started revised simplex on
-//! the paper's LP shapes.
+//! The backend matrix: dense tableau, the revised driver on its dense-LU
+//! kernel and on its sparse kernel, cold and warm, on the paper's LP
+//! shapes and on a fleet-shaped block-angular one.
 //!
-//! Three benchmark subjects:
+//! Subjects on the single-flow instances:
 //!
 //! * `dense` — `Backend::DenseTableau`, the original two-phase tableau;
 //! * `revised` — `Backend::Revised`, cold (two-phase) solves;
+//! * `sparse` — `Backend::Sparse`, cold, on the same dense problems: the
+//!   side of the size/sparsity line where the sparse kernel must *not*
+//!   be expected to win (CI gates `revised ≤ sparse` on the 729-variable
+//!   instance as a same-run ratio);
 //! * `warm_revised` — `Backend::Revised` with each solve warm-started
 //!   from the previous solve's optimal basis (`Problem::solve_warm_with`),
 //!   the pattern the `Planner` and `AdaptiveSender` use.
 //!
-//! Two instances:
+//! Two single-flow instances:
 //!
 //! * the 20-point Table III λ sweep (9 variables × 3 rows each — small;
 //!   the dense tableau is competitive here), and
@@ -103,11 +108,12 @@ fn table3_sweep(c: &mut Criterion) {
         let mut ws = Workspace::new();
         b.iter(|| black_box(solve_all(&problems, &opts, &mut ws)));
     });
-    group.bench_function("revised", |b| {
-        let opts = revised_opts();
-        let mut ws = Workspace::new();
-        b.iter(|| black_box(solve_all(&problems, &opts, &mut ws)));
-    });
+    for (name, opts) in [("revised", revised_opts()), ("sparse", sparse_opts())] {
+        group.bench_function(name, |b| {
+            let mut ws = Workspace::new();
+            b.iter(|| black_box(solve_all(&problems, &opts, &mut ws)));
+        });
+    }
     group.bench_function("warm_revised", |b| {
         let opts = revised_opts();
         let mut ws = Workspace::new();
@@ -132,18 +138,19 @@ fn synthetic_729(c: &mut Criterion) {
             )
         });
     });
-    group.bench_with_input(BenchmarkId::new("revised", 729), &(), |b, ()| {
-        let opts = revised_opts();
-        let mut ws = Workspace::new();
-        b.iter(|| {
-            black_box(
-                problem
-                    .solve_with(&opts, &mut ws)
-                    .expect("feasible")
-                    .objective(),
-            )
+    for (name, opts) in [("revised", revised_opts()), ("sparse", sparse_opts())] {
+        group.bench_with_input(BenchmarkId::new(name, 729), &(), |b, ()| {
+            let mut ws = Workspace::new();
+            b.iter(|| {
+                black_box(
+                    problem
+                        .solve_with(&opts, &mut ws)
+                        .expect("feasible")
+                        .objective(),
+                )
+            });
         });
-    });
+    }
     // The adaptive-sender pattern: re-solve from the last optimal basis
     // (here its own — re-entering phase 2 verifies optimality in one
     // pricing pass instead of re-pivoting from scratch).
@@ -170,40 +177,44 @@ fn synthetic_729(c: &mut Criterion) {
 
 fn planner_warm_sweep(c: &mut Criterion) {
     // End-to-end check that the Planner-level cache pays: the same 20-pt
-    // sweep through Planner::plan with the warm cache on and off.
+    // sweep through Planner::plan with the warm cache on and off, and on
+    // the sparse kernel (what moving the Planner onto it would cost).
     let mut group = c.benchmark_group("lp_backends/planner_table3_sweep");
     let base = scenarios::table3_model_scenario(90e6, 0.800);
     let points: Vec<f64> = (1..=20).map(|i| i as f64 * 7.5e6).collect();
 
-    group.bench_function("warm_cache_on", |b| {
-        let mut planner = Planner::new();
-        b.iter(|| {
-            let mut total = 0.0;
-            for &l in &points {
-                total += planner
-                    .plan(&base.with_data_rate(l), Objective::MaxQuality)
-                    .expect("feasible")
-                    .quality();
-            }
-            black_box(total)
+    let subjects = [
+        ("warm_cache_on", PlannerConfig::default()),
+        (
+            "warm_cache_off",
+            PlannerConfig {
+                warm_start: false,
+                ..PlannerConfig::default()
+            },
+        ),
+        (
+            "warm_cache_on_sparse",
+            PlannerConfig {
+                solver: sparse_opts(),
+                ..PlannerConfig::default()
+            },
+        ),
+    ];
+    for (name, config) in subjects {
+        group.bench_function(name, |b| {
+            let mut planner = Planner::with_config(config.clone());
+            b.iter(|| {
+                let mut total = 0.0;
+                for &l in &points {
+                    total += planner
+                        .plan(&base.with_data_rate(l), Objective::MaxQuality)
+                        .expect("feasible")
+                        .quality();
+                }
+                black_box(total)
+            });
         });
-    });
-    group.bench_function("warm_cache_off", |b| {
-        let mut planner = Planner::with_config(PlannerConfig {
-            warm_start: false,
-            ..PlannerConfig::default()
-        });
-        b.iter(|| {
-            let mut total = 0.0;
-            for &l in &points {
-                total += planner
-                    .plan(&base.with_data_rate(l), Objective::MaxQuality)
-                    .expect("feasible")
-                    .quality();
-            }
-            black_box(total)
-        });
-    });
+    }
     group.finish();
 }
 
@@ -258,9 +269,9 @@ fn block_angular_problem(blocks: usize) -> Problem {
 }
 
 /// The fleet-scale instance: 64 blocks → 576 variables, 146 rows. This
-/// is where the dense backends' `O(m³)` refactorizations and `O(m·n)`
-/// pricing bite, and where the block-structured sparse backend must
-/// clear the issue's ≥ 2x bar.
+/// is where the dense-LU kernel's `O(m³)` refactorizations and `O(m·n)`
+/// pricing bite — the side of the line where the sparse kernel must win
+/// (CI gates `sparse_cold ≤ revised_cold` as a same-run ratio).
 fn block_angular_64(c: &mut Criterion) {
     let mut group = c.benchmark_group("lp_backends/block_angular_64flow");
     let problem = block_angular_problem(64);
