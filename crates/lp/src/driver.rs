@@ -380,7 +380,11 @@ pub(crate) fn solve<K: Kernel>(
     // ---- Extraction from a fresh factorization of the final basis -------
     // Refactorizing here makes the result a function of the final basis
     // alone: any pivot path (warm or cold) reaching the same basis yields
-    // bit-identical primal values, objective and duals.
+    // bit-identical primal values, objective and duals. "The same basis"
+    // is a *set* — two paths fill the slots in different orders, and a
+    // kernel that factors in slot order would carry that order into the
+    // last bits — so the slots are put in ascending column order first.
+    state.basis.sort_unstable();
     if !kernel.factor(rows, state, false) {
         return Err(SolveError::Singular);
     }

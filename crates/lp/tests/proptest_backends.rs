@@ -413,36 +413,64 @@ proptest! {
 
     /// Warm-starting from the previous point of a RHS sweep must agree
     /// with the dense oracle at every point (warm results are still
-    /// exact optima, not approximations).
+    /// exact optima, not approximations) — and, on both kernels, with
+    /// the cold solve of the same problem **bit for bit** in `x`,
+    /// objective and duals: two pivot paths reach the same basis set in
+    /// different slot orders, and the extraction must not see the order.
+    /// Paper-shaped: several capacity rows over every column plus
+    /// `Σx = 1`.
     #[test]
-    fn warm_sweep_agrees_with_dense(n in 2usize..20, seed in any::<u64>()) {
+    fn warm_sweep_agrees_with_dense(
+        n in 3usize..40,
+        caps in 2usize..6,
+        seed in any::<u64>(),
+    ) {
         let mut seed = seed;
         let pvec: Vec<f64> = (0..n).map(|_| mix(&mut seed)).collect();
-        let usage: Vec<f64> = (0..n).map(|_| 0.2 + mix(&mut seed)).collect();
-        // Start just above the minimum feasible capacity (all mass on the
-        // cheapest column), so every sweep point is feasible.
-        let min_usage = usage.iter().cloned().fold(f64::INFINITY, f64::min);
-        let mut basis = None;
+        let usage: Vec<Vec<f64>> = (0..caps)
+            .map(|_| (0..n).map(|_| 0.2 + mix(&mut seed)).collect())
+            .collect();
+        let pace: Vec<f64> = (0..caps).map(|_| 0.05 + 0.25 * mix(&mut seed)).collect();
+        // All mass on column 0 fits every capacity at every sweep point,
+        // so each point is feasible.
+        let mut bases: [Option<Basis>; 2] = [None, None];
         for step in 0..6 {
-            let rhs = min_usage + 0.05 + 0.25 * step as f64;
             let mut p = Problem::maximize(pvec.clone());
-            p.add_le(usage.clone(), rhs).unwrap();
-            p.add_eq(vec![1.0; n], 1.0).unwrap();
-            let revised = match &basis {
-                Some(b) => p.solve_warm(&revised_opts(), b).unwrap(),
-                None => p.solve(&revised_opts()).unwrap(),
-            };
-            let dense = p.solve(&dense_opts()).unwrap();
-            prop_assert!(
-                (revised.objective() - dense.objective()).abs() < 1e-9,
-                "step {step}: warm {} vs dense {}",
-                revised.objective(),
-                dense.objective()
-            );
-            for (j, (a, b)) in revised.x().iter().zip(dense.x()).enumerate() {
-                prop_assert!((a - b).abs() < 1e-9, "step {step} x[{j}]: {a} vs {b}");
+            for (row, pace) in usage.iter().zip(&pace) {
+                p.add_le(row.clone(), row[0] + 0.05 + pace * step as f64).unwrap();
             }
-            basis = revised.basis().cloned();
+            p.add_eq(vec![1.0; n], 1.0).unwrap();
+            let dense = p.solve(&dense_opts()).unwrap();
+            for (opts, basis) in [revised_opts(), sparse_opts()].iter().zip(&mut bases) {
+                let warm = match basis.as_ref() {
+                    Some(b) => p.solve_warm(opts, b).unwrap(),
+                    None => p.solve(opts).unwrap(),
+                };
+                let backend = opts.backend;
+                prop_assert!(
+                    (warm.objective() - dense.objective()).abs() < 1e-9,
+                    "{backend:?} step {step}: warm {} vs dense {}",
+                    warm.objective(),
+                    dense.objective()
+                );
+                for (j, (a, b)) in warm.x().iter().zip(dense.x()).enumerate() {
+                    prop_assert!(
+                        (a - b).abs() < 1e-9,
+                        "{backend:?} step {step} x[{j}]: {a} vs {b}"
+                    );
+                }
+                let cold = p.solve(opts).unwrap();
+                prop_assert_eq!(warm.x(), cold.x(), "{:?} step {}", backend, step);
+                prop_assert_eq!(
+                    warm.objective().to_bits(),
+                    cold.objective().to_bits(),
+                    "{:?} step {}",
+                    backend,
+                    step
+                );
+                prop_assert_eq!(warm.duals(), cold.duals(), "{:?} step {}", backend, step);
+                *basis = warm.basis().cloned();
+            }
         }
     }
 

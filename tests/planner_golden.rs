@@ -14,16 +14,16 @@ use deadline_multipath::experiments::scenarios;
 use deadline_multipath::prelude::*;
 
 const TABLE3_10_800: u64 = 0xaf6a_5f7e_b0f3_072e;
-const TABLE3_90_800: u64 = 0x59fb_c928_53a4_f91c;
-const TABLE3_120_800: u64 = 0xab81_1e83_46dd_cc27;
+const TABLE3_90_800: u64 = 0x34f8_6317_8fbe_4332;
+const TABLE3_120_800: u64 = 0x166b_f3ea_e774_0ab0;
 const TABLE3_90_450: u64 = 0xf320_42ba_32e1_bacf;
-const TABLE3_90_800_M3: u64 = 0x7b5e_a75e_8abd_8a8f;
-const COSTED_MIN_COST: u64 = 0x85e1_1198_c7e3_19b9;
+const TABLE3_90_800_M3: u64 = 0x1233_9cf9_5382_8712;
+const COSTED_MIN_COST: u64 = 0x6ec0_edac_13fc_48d4;
 const COSTED_BUDGET: u64 = 0x66dc_d415_48c4_c51d;
-const TABLE5_FIRST: u64 = 0x6991_9e3b_243a_35d3;
+const TABLE5_FIRST: u64 = 0x9314_9a93_7eed_b276;
 const TABLE5_MIDPOINT: u64 = 0xf478_05f5_6871_82c3;
 const TABLE5_LAST: u64 = 0x410e_fc05_c662_e6f9;
-const TABLE3_MARGIN: u64 = 0x0c28_eae2_cf56_d6fc;
+const TABLE3_MARGIN: u64 = 0x9d9b_60ea_1dfd_d44e;
 
 /// FNV-1a 64 accumulator.
 struct Fnv(u64);
