@@ -302,12 +302,12 @@ pub(crate) fn solve<K: Kernel>(
     state.face_fresh = false;
     let (m, n, art_start) = (state.lay.m, state.lay.n, state.lay.art_start);
     let tol = options.tolerance;
-    let mut iterations = 0usize;
-
-    // Per-solve dense scratch (length m — negligible next to the matrix).
-    let mut y = vec![0.0; m];
-    let mut y2 = vec![0.0; m];
-    let mut d = vec![0.0; m];
+    let mut scratch = Scratch {
+        y: vec![0.0; m],
+        y2: vec![0.0; m],
+        d: vec![0.0; m],
+        iterations: 0,
+    };
 
     // ---- Start: the caller's basis if it stands, the logicals if not ----
     let warm_ok = warm.is_some_and(|basis| try_warm_basis(rows, state, kernel, basis, tol));
@@ -331,16 +331,7 @@ pub(crate) fn solve<K: Kernel>(
                 state.cost[c] = -1.0; // maximize −Σ artificials
             }
         }
-        let scratch = (&mut y[..], &mut d[..]);
-        run_phase(
-            rows,
-            state,
-            kernel,
-            options,
-            Phase::One,
-            scratch,
-            &mut iterations,
-        )?;
+        run_phase(rows, state, kernel, options, Phase::One, &mut scratch)?;
         let residual: f64 = (0..m)
             .filter(|&i| state.basis[i] >= art_start)
             .map(|i| state.x_basic[i].max(0.0))
@@ -348,34 +339,17 @@ pub(crate) fn solve<K: Kernel>(
         if residual > tol.max(1e-7) {
             return Err(SolveError::Infeasible { residual });
         }
-        let scratch = (&mut y[..], &mut d[..]);
-        drive_out_artificials(rows, state, kernel, tol, scratch, &mut iterations);
+        drive_out_artificials(rows, state, kernel, tol, &mut scratch);
     }
 
     // ---- Phase 2: user objective ----------------------------------------
     state.cost.clear();
     state.cost.resize(state.lay.ncols, 0.0);
     state.cost[..n].copy_from_slice(&problem.objective);
-    let scratch = (&mut y[..], &mut d[..]);
-    run_phase(
-        rows,
-        state,
-        kernel,
-        options,
-        Phase::Two,
-        scratch,
-        &mut iterations,
-    )?;
+    run_phase(rows, state, kernel, options, Phase::Two, &mut scratch)?;
 
     // ---- Phase 3: canonicalize over the optimal face --------------------
-    canonicalize(
-        rows,
-        state,
-        kernel,
-        options,
-        [&mut y[..], &mut y2[..], &mut d[..]],
-        &mut iterations,
-    );
+    canonicalize(rows, state, kernel, options, &mut scratch);
 
     // ---- Extraction from a fresh factorization of the final basis -------
     // Refactorizing here makes the result a function of the final basis
@@ -405,10 +379,11 @@ pub(crate) fn solve<K: Kernel>(
 
     // Duals: y = c_B·B⁻¹ in the normalized row space, un-normalized per
     // row (the same sign/scale algebra as the dense tableau).
+    let y = &mut scratch.y;
     for (yi, &b) in y.iter_mut().zip(&state.basis) {
         *yi = state.cost[b];
     }
-    kernel.btran(&mut y);
+    kernel.btran(y);
     let mut duals = vec![0.0; m];
     for (dual, (&yr, &f)) in duals.iter_mut().zip(y.iter().zip(&state.lay.row_factor)) {
         let mut v = yr * f;
@@ -422,7 +397,7 @@ pub(crate) fn solve<K: Kernel>(
         x,
         objective,
         duals,
-        iterations,
+        scratch.iterations,
         export_basis(state),
         warm_ok,
     ))
@@ -503,6 +478,19 @@ fn fill_rc<K: Kernel>(
         let l = j - lay.n;
         *rc = weight[j] - y[lay.logical_row[l]] * lay.logical_val[l];
     }
+}
+
+/// Per-solve dense scratch (length `m` — negligible next to the matrix)
+/// and the pivot counter, threaded through the phases.
+struct Scratch {
+    /// Duals of the running phase (and the unit-row probe of
+    /// [`drive_out_artificials`]).
+    y: Vec<f64>,
+    /// Secondary duals of the canonicalization phase.
+    y2: Vec<f64>,
+    /// Entering direction.
+    d: Vec<f64>,
+    iterations: usize,
 }
 
 /// Pricing mode for one iteration.
@@ -684,14 +672,18 @@ fn install_initial_basis(state: &mut DriverState) {
 }
 
 /// Loads `x_basic = B⁻¹ b` from the current factorization, clamping the
-/// tiny negatives roundoff produces.
-fn load_x_basic<K: Kernel>(state: &mut DriverState, kernel: &K) {
+/// tiny negatives roundoff produces; returns the smallest value it saw
+/// before clamping (how infeasible the basis is for `b`).
+fn load_x_basic<K: Kernel>(state: &mut DriverState, kernel: &K) -> f64 {
     state.x_basic.clear();
     state.x_basic.extend_from_slice(&state.lay.b);
     kernel.ftran(&mut state.x_basic);
+    let mut least = 0.0f64;
     for v in &mut state.x_basic {
+        least = least.min(*v);
         *v = v.max(0.0);
     }
+    least
 }
 
 /// Validates and installs a caller-provided warm [`Basis`]; returns
@@ -733,15 +725,9 @@ fn try_warm_basis<K: Kernel>(
         state.stats.warm = WarmStart::Singular; // under the new coefficients
         return false;
     }
-    state.x_basic.clear();
-    state.x_basic.extend_from_slice(&state.lay.b);
-    kernel.ftran(&mut state.x_basic);
-    if state.x_basic.iter().any(|&v| v < -tol) {
+    if load_x_basic(state, kernel) < -tol {
         state.stats.warm = WarmStart::Infeasible; // for the new RHS
         return false;
-    }
-    for v in &mut state.x_basic {
-        *v = v.max(0.0);
     }
     true
 }
@@ -797,9 +783,11 @@ fn run_phase<K: Kernel>(
     kernel: &mut K,
     options: &SolverOptions,
     phase: Phase,
-    (y, d): (&mut [f64], &mut [f64]),
-    iterations: &mut usize,
+    scratch: &mut Scratch,
 ) -> Result<(), SolveError> {
+    let Scratch {
+        y, d, iterations, ..
+    } = scratch;
     let tol = options.tolerance;
     let art_start = state.lay.art_start;
     let collect_face = phase == Phase::Two;
@@ -874,9 +862,14 @@ fn drive_out_artificials<K: Kernel>(
     state: &mut DriverState,
     kernel: &mut K,
     tol: f64,
-    (e, d): (&mut [f64], &mut [f64]),
-    iterations: &mut usize,
+    scratch: &mut Scratch,
 ) {
+    let Scratch {
+        y: e,
+        d,
+        iterations,
+        ..
+    } = scratch;
     let art_start = state.lay.art_start;
     let pivot_tol = tol.max(1e-10);
     for r in 0..state.lay.m {
@@ -1009,9 +1002,14 @@ fn canonicalize<K: Kernel>(
     state: &mut DriverState,
     kernel: &mut K,
     options: &SolverOptions,
-    [y, y2, d]: [&mut [f64]; 3],
-    iterations: &mut usize,
+    scratch: &mut Scratch,
 ) {
+    let Scratch {
+        y,
+        y2,
+        d,
+        iterations,
+    } = scratch;
     let tol = options.tolerance;
     let (n, art_start) = (state.lay.n, state.lay.art_start);
     if !state.face_fresh {

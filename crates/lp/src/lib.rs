@@ -6,45 +6,76 @@
 //! ecosystem is thin, and the paper's problems have a very particular
 //! shape — one variable per path×retransmission combination (`(n+1)^m`,
 //! hundreds to thousands) but only a handful of rows (bandwidth, cost,
-//! quality, `Σx = 1`) — so this crate implements three exact primal simplex
-//! backends tuned for exactly that shape:
+//! quality, `Σx = 1`) — so this crate is **one revised-simplex driver over
+//! two basis kernels, plus the dense tableau as the differential oracle**:
 //!
-//! * [`Backend::Revised`] (the default): revised simplex with a
-//!   product-form (eta-file) basis inverse refactorized every ~64 pivots
-//!   and **partial candidate-list pricing**. The constraint matrix is
-//!   used in place (normalization absorbed into per-row multipliers);
-//!   bulk pricing runs as vectorized row passes and per-column accesses
-//!   gather `m` strided elements. A pivot costs `O(m²)` plus the columns
-//!   actually priced instead of the dense tableau's `O(m·n)` rewrite (see
-//!   `BENCH_lp.json`). It honors **warm starts**: [`Solution::basis`]
-//!   exposes the optimal basis and [`Problem::solve_warm`] re-enters
-//!   phase 2 from it, which is what makes λ/δ parameter sweeps and an
-//!   adaptive sender's periodic re-solves cheap.
+//! * The **driver** (`driver.rs`) is the algorithm, once: row
+//!   normalization absorbed into per-row multipliers (the matrix is never
+//!   copied), warm-basis validation, phase 1 *from the current basis*,
+//!   phase 2 with **partial candidate-list pricing**, the ratio test with
+//!   its Bland fallback, a product-form eta file refactorized every 64
+//!   pivots, and a phase 3 that canonicalizes the answer across alternate
+//!   optima. It honors **warm starts**: [`Solution::basis`] exposes the
+//!   optimal basis and [`Problem::solve_warm`] starts from it, which is
+//!   what makes λ/δ parameter sweeps, an adaptive sender's periodic
+//!   re-solves and the fleet's admit/depart edits cheap. The kernel is a
+//!   generic parameter — dispatch is static.
+//! * [`Backend::Revised`] (the default) runs the driver on the **dense-LU
+//!   kernel** (`revised.rs`): the problem's own row-major rows used in
+//!   place, bulk pricing as vectorized row passes, per-column accesses
+//!   gathering `m` strided elements, a dense LU of the basis. A pivot
+//!   costs `O(m²)` plus the columns actually priced instead of the dense
+//!   tableau's `O(m·n)` rewrite. Its LU neither repairs a singular basis
+//!   nor factors in an order fixed by the basis set, so it accepts
+//!   exported bases only (a [`BasisVar::Logical`] slot is a clean cold
+//!   solve).
+//! * [`Backend::Sparse`] runs it on the **block-ordered sparse kernel**
+//!   (`sparse.rs`) for the fleet layer's block-angular joint LPs (one
+//!   assignment block per admitted flow, coupled only through the shared
+//!   capacity rows): CSC columns + per-row nonzero lists, a sparse
+//!   product-form basis inverse whose refactorization pivots block-local
+//!   rows first (elimination confined to the coupling rows plus the basic
+//!   columns of active blocks), sparse eta-file FTRAN/BTRAN, and pricing
+//!   sections laid along [`Problem::block_starts`]. It has the wider
+//!   warm-start contract: the [`Basis`] may have been edited in step with
+//!   the problem (rows appended on their logicals, a recycled block
+//!   released), in which case phase 1 runs *from* it over the few
+//!   artificials it names, and a basis left singular by a coefficient
+//!   edit is repaired instead of discarded — the fleet's
+//!   re-solve-after-a-small-edit loop.
 //! * [`Backend::DenseTableau`]: the original two-phase dense-tableau
 //!   simplex. Simpler and hard to beat below ~50 variables; kept as the
-//!   reference oracle the other backends are differentially tested
-//!   against (`tests/proptest_backends.rs`).
-//! * [`Backend::Sparse`]: block-structured sparse revised simplex for the
-//!   fleet layer's block-angular joint LPs (one assignment block per
-//!   admitted flow, coupled only through the shared capacity rows). CSC
-//!   columns + per-row nonzero lists, a sparse product-form basis inverse
-//!   whose refactorization pivots block-local rows first (elimination
-//!   confined to the coupling rows plus the basic columns of active
-//!   blocks), sparse eta-file FTRAN/BTRAN, and partial pricing sectioned
-//!   along [`Problem::block_starts`]. Same canonicalization as the
-//!   revised backend, and a wider warm-start contract: the [`Basis`] may
-//!   have been edited in step with the problem (rows appended on their
-//!   logicals, a recycled block released), in which case phase 1 runs
-//!   *from* it over the few artificials it names, and a basis left
-//!   singular by a coefficient edit is repaired instead of discarded —
-//!   the fleet's re-solve-after-a-small-edit loop.
+//!   reference oracle the driver is differentially tested against
+//!   (`tests/proptest_backends.rs`).
 //!
-//! All three share the anti-cycling scheme (automatic switch to Bland's
+//! **Why two kernels** (measured, nproc = 2, virtualised Xeon @ 2.1 GHz,
+//! 2026-10-01, rustc 1.95.0). Each wins on its side of a size/sparsity
+//! line, and the end-to-end `benchmark/` has workloads on both sides.
+//! The single-flow LPs are dense — every column meets every capacity row
+//! — so the sparse kernel's per-solve CSC assembly and index chasing buy
+//! nothing the in-place row passes do not already give: with
+//! `Backend::Sparse` made the default, `flow_replan` reads `op_p50_us`
+//! 6.47–8.48 (median 6.72) against 5.66–6.23 (5.84) and `ops_per_s`
+//! 14.1 k against 15.0 k over six alternating 15 s runs, and the traced
+//! solve itself `lp.solve_us.det2` 2.64–3.29 against 2.01–2.44, `det6m3`
+//! 23.1–29.5 against 14.5–17.6, `rand2` 3.78–5.30 against 2.78–3.73 at
+//! identical pivot counts (3.07 per solve; `lp_backends`: 729 columns ×
+//! 9 rows cold, 40.5 µs vs 27.2 µs). The joint LPs are block-angular
+//! with `m` in the hundreds, where a dense LU is cubic and an edited
+//! basis must be declined: with `Backend::Revised` as the fleet's joint
+//! backend `svc_contended` reads `ops_per_s` 153 against 1 907 and
+//! `op_p50_us` 53.5 ms against 3.9 ms over four alternating runs
+//! (`lp_backends`: 64 blocks, 576 columns × 146 rows cold, 4.27 ms vs
+//! 0.59 ms). CI gates both `lp_backends` ratios within one
+//! run; if either ever fails, that kernel has lost its reason to exist.
+//!
+//! All backends share the anti-cycling scheme (automatic switch to Bland's
 //! rule after a run of degenerate pivots) and produce identical
-//! objectives, primal points and duals to 1e-9. The revised and sparse
-//! backends additionally canonicalize their answer across alternate
-//! optima, so it is a pure function of the problem — warm and cold solves
-//! of the same problem report bit-identical vertices.
+//! objectives, primal points and duals to 1e-9. The driver additionally
+//! canonicalizes its answer across alternate optima and extracts it from
+//! a fresh, order-independent factorization of the final basis, so it is
+//! a pure function of the problem — warm and cold solves of the same
+//! problem report bit-identical vertices, objectives and duals.
 //!
 //! # Problem form
 //!

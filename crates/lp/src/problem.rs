@@ -273,7 +273,8 @@ impl Problem {
     ///
     /// # Errors
     ///
-    /// [`ProblemError::OutOfRange`] on unsorted/duplicate/out-of-range
+    /// [`ProblemError::OutOfRange`] on an out-of-range column,
+    /// [`ProblemError::UnsortedSparseColumn`] on unsorted or duplicate
     /// columns, [`ProblemError::NonFiniteCoefficient`] on NaN/∞.
     pub fn add_le_sparse(
         &mut self,

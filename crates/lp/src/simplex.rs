@@ -17,11 +17,11 @@ use crate::solution::{Basis, BasisVar, Solution};
 
 /// Pivot-column selection rule.
 ///
-/// For the [`Backend::Revised`] backend the rules map onto pricing
-/// strategies: `Dantzig` prices every column each iteration, `Bland`
-/// takes the first improving column, and `Adaptive` uses partial
-/// (sectioned candidate-list) pricing with the same automatic Bland
-/// fallback on degeneracy.
+/// For the revised driver ([`Backend::Revised`], [`Backend::Sparse`]) the
+/// rules map onto pricing strategies: `Dantzig` prices every column each
+/// iteration, `Bland` takes the first improving column, and `Adaptive`
+/// uses partial (sectioned candidate-list) pricing with the same
+/// automatic Bland fallback on degeneracy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PivotRule {
     /// Most-negative reduced cost. Fast in practice; can cycle on
@@ -37,33 +37,41 @@ pub enum PivotRule {
 }
 
 /// Which simplex implementation [`Problem::solve`] runs.
+///
+/// `Revised` and `Sparse` are the same revised-simplex driver (phases,
+/// partial pricing, ratio test, canonicalization, warm starts) on two
+/// basis kernels; they differ only in how the matrix is stored and `B⁻¹`
+/// is represented, and each is the faster one on its side of the
+/// size/sparsity line (see the crate docs for the measurements).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
     /// Two-phase primal simplex on a dense row-major tableau. Every pivot
     /// rewrites the whole tableau (`O(m·n)`), which is robust and simple —
-    /// kept as the reference oracle the revised backend is differentially
+    /// kept as the reference oracle the revised driver is differentially
     /// tested against.
     DenseTableau,
-    /// Revised simplex with a dense-LU basis inverse, a product-form
-    /// (eta-file) update and partial pricing. The matrix is used in place
-    /// (row-major); a pivot costs `O(m²)` plus the columns actually
+    /// Revised simplex on the **dense-LU kernel**: a dense LU of the
+    /// basis plus a product-form (eta-file) update, the matrix used in
+    /// place (row-major). A pivot costs `O(m²)` plus the columns actually
     /// priced, which wins decisively on the paper's few-rows/many-columns
-    /// LPs; honors warm starts ([`Problem::solve_warm`]). The default.
+    /// LPs; honors warm starts ([`Problem::solve_warm`]) from exported
+    /// bases. The default.
     #[default]
     Revised,
-    /// Block-structured **sparse** revised simplex: CSC columns plus
-    /// per-row nonzero lists, a sparse product-form basis inverse whose
-    /// refactorization pivots block-local rows first (so elimination work
-    /// and fill stay confined to the coupling rows plus the basic columns
-    /// of active blocks), sparse eta-file FTRAN/BTRAN, and partial
+    /// Revised simplex on the **block-ordered sparse kernel**: CSC columns
+    /// plus per-row nonzero lists, a sparse product-form basis inverse
+    /// whose refactorization pivots block-local rows first (so elimination
+    /// work and fill stay confined to the coupling rows plus the basic
+    /// columns of active blocks), sparse eta-file FTRAN/BTRAN, and partial
     /// pricing sectioned along the declared block boundaries
     /// ([`Problem::block_starts`]). Built for the fleet layer's
     /// block-angular joint admission LPs — per-flow assignment blocks
     /// coupled only by the shared capacity rows — where it replaces the
-    /// dense backends' `O(m³)` refactorizations and `O(m·n)` pricing with
-    /// work proportional to the nonzeros. Honors warm starts, and
-    /// canonicalizes its reported vertex exactly like
-    /// [`Backend::Revised`], so warm and cold solves are bit-identical.
+    /// dense kernel's `O(m³)` refactorizations and `O(m·n)` pricing with
+    /// work proportional to the nonzeros. Honors warm starts, including
+    /// from a basis edited in step with the problem, and reports the same
+    /// canonical vertex as [`Backend::Revised`], so warm and cold solves
+    /// are bit-identical.
     Sparse,
 }
 
@@ -458,7 +466,7 @@ pub(crate) fn solve(
         if residual > tol.max(1e-7) {
             return Err(SolveError::Infeasible { residual });
         }
-        drive_out_artificials(&mut tab, art_start, tol);
+        purge_artificials(&mut tab, art_start, tol);
     }
 
     // ---- Phase 2: user objective ---------------------------------------
@@ -626,7 +634,7 @@ fn iterate(
 ///
 /// `art_start` is the first artificial column; slacks and structural
 /// variables live below it.
-fn drive_out_artificials(tab: &mut Tableau<'_>, art_start: usize, tol: f64) {
+fn purge_artificials(tab: &mut Tableau<'_>, art_start: usize, tol: f64) {
     let mut r = 0;
     while r < tab.rows {
         if tab.basis[r] >= art_start {

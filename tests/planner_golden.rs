@@ -4,7 +4,11 @@
 //! solve functions and the per-regime model types) still existed and
 //! hashed identically. Any refactor of the coefficient
 //! fills, the LP assembly or the strategy packaging must leave every
-//! literal below untouched — same vertex, same bits.
+//! literal below untouched — same vertex, same bits. (Six of the eleven
+//! were re-recorded once since, same vertices, last bits of `x`: when
+//! `dmc-lp`'s extraction stopped depending on the order the basis slots
+//! were filled in, which is what makes a warm and a cold `Planner` agree
+//! bit for bit.)
 //!
 //! Hashed per plan (FNV-1a 64 over little-endian bit patterns): `x`,
 //! `quality`, `send_rates`, `cost_rate`, then every stage of the
