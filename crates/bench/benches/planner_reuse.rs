@@ -8,7 +8,8 @@
 //!
 //! The measured numbers are recorded in `BENCH_planner.json`
 //! (regenerate with `CRITERION_OUTPUT_JSON=1 cargo bench -p dmc-bench
-//! --bench planner_reuse`). A larger synthetic scenario (8 paths,
+//! --bench planner_reuse`); CI gates `planner_reused ≤ planner_fresh` on
+//! the Table III sweep within one run, not the recorded medians. A larger synthetic scenario (8 paths,
 //! m = 3 → 729 LP variables) shows the gap growing with problem size.
 
 #![forbid(unsafe_code)]

@@ -9,11 +9,11 @@
 //! Usage:
 //!
 //! ```text
-//! CRITERION_OUTPUT_JSON=1 cargo bench -p dmc-bench --bench lp_backends \
-//!     --bench fleet_admission --bench planner_reuse | tee bench_current.txt
+//! CRITERION_OUTPUT_JSON=1 cargo bench -p dmc-bench --bench fleet_admission \
+//!     --bench chaos_recovery | tee bench_current.txt
 //! cargo run -p dmc-bench --bin bench_check -- \
 //!     --current bench_current.txt \
-//!     BENCH_lp.json BENCH_fleet.json BENCH_planner.json
+//!     BENCH_fleet.json BENCH_chaos.json
 //! ```
 //!
 //! The current-run file is whatever the criterion stub printed: the JSON

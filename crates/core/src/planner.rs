@@ -238,6 +238,8 @@ pub struct Planner {
     p: Vec<f64>,
     cost: Vec<f64>,
     usage: Vec<Vec<f64>>,
+    /// The `Σx = 1` row: `1.0`s only, resized to the combination count.
+    ones: Vec<f64>,
     stage_timeouts: Vec<Vec<Option<f64>>>,
     det_paths: Vec<PathSpec>,
     // Warm-start state: last optimal basis per problem shape, plus
@@ -293,7 +295,15 @@ impl Planner {
         self.validate(scenario, objective)?;
         let (table, schedule, ack_path) = self.fill_buffers(scenario);
 
-        let problem = assemble_lp(scenario, objective, &self.p, &self.usage, &self.cost);
+        self.ones.resize(self.p.len(), 1.0);
+        let problem = assemble_lp(
+            scenario,
+            objective,
+            &self.p,
+            &self.usage,
+            &self.cost,
+            &self.ones,
+        );
         let solution = self.solve_lp(&problem)?;
         let strategy = package_strategy(
             scenario.data_rate(),
@@ -571,13 +581,15 @@ impl Planner {
 ///
 /// The only place the crate builds a [`Problem`]: [`Planner::plan`] calls
 /// it on its reused buffers, [`ScenarioModel::problem`] on its owned
-/// copies.
+/// copies. The rows are read from the slices as they are; `ones` is the
+/// `Σx = 1` row, one `1.0` per combination.
 fn assemble_lp(
     scenario: &Scenario,
     objective: Objective,
     p: &[f64],
     usage: &[Vec<f64>],
     cost: &[f64],
+    ones: &[f64],
 ) -> Problem {
     const DIMS: &str = "one coefficient per combination";
     let lambda = scenario.data_rate();
@@ -586,20 +598,19 @@ fn assemble_lp(
         Objective::MinCost { .. } => Problem::minimize(cost.to_vec()),
     };
     for (path, usage) in scenario.paths().iter().zip(usage) {
-        lp.add_le(usage.clone(), path.bandwidth() / lambda)
-            .expect(DIMS);
+        lp.add_le(usage, path.bandwidth() / lambda).expect(DIMS);
     }
     match objective {
         Objective::MinCost { min_quality } => {
-            lp.add_ge(p.to_vec(), min_quality).expect(DIMS);
+            lp.add_ge(p, min_quality).expect(DIMS);
         }
         _ if scenario.cost_budget().is_finite() => {
-            lp.add_le(cost.to_vec(), scenario.cost_budget() / lambda)
+            lp.add_le(cost, scenario.cost_budget() / lambda)
                 .expect(DIMS);
         }
         _ => {}
     }
-    lp.add_eq(vec![1.0; p.len()], 1.0).expect(DIMS);
+    lp.add_eq(ones, 1.0).expect(DIMS);
     lp
 }
 
@@ -722,7 +733,15 @@ impl ScenarioModel {
     /// same assembly [`Planner::plan`] solves, for callers that bring
     /// their own solver settings (backend and pivot-rule benches).
     pub fn problem(&self, objective: Objective) -> Problem {
-        assemble_lp(&self.scenario, objective, &self.p, &self.usage, &self.cost)
+        let ones = vec![1.0; self.p.len()];
+        assemble_lp(
+            &self.scenario,
+            objective,
+            &self.p,
+            &self.usage,
+            &self.cost,
+            &ones,
+        )
     }
 
     /// Packages an assignment vector into a full [`Plan`] through the

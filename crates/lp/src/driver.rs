@@ -13,7 +13,8 @@
 //!
 //! * **Row normalization without a copy.** Row equilibration and sign
 //!   flips are absorbed into per-row multipliers ([`Layout::row_factor`]),
-//!   so no normalized matrix is ever materialized. Slack and artificial
+//!   so no normalized matrix is ever materialized: whatever view a kernel
+//!   builds holds the raw coefficients. Slack and artificial
 //!   singletons are laid out after the structural columns
 //!   (`structural | slacks | artificials`).
 //! * **Product form.** Each pivot appends one eta to the kernel's file
@@ -89,10 +90,12 @@ const NONE_COL: usize = usize::MAX;
 /// representation of `B⁻¹`. Dispatch is static — [`solve`] is
 /// monomorphized per kernel.
 ///
-/// `rows` is always the problem's constraint list; `row_factor` the
-/// per-row normalization multipliers of the current [`Layout`]. Column
-/// arguments are structural (`j < n`) unless stated otherwise — the
-/// driver handles the logical singletons itself.
+/// `row_factor` is the per-row normalization multipliers of the current
+/// [`Layout`]. Column arguments are structural (`j < n`) unless stated
+/// otherwise — the driver handles the logical singletons itself. A kernel
+/// answers from the view it built in [`Kernel::prepare`]; only the bulk
+/// pricing pass is handed the problem's rows again, for the kernel that
+/// streams them as they are stored.
 pub(crate) trait Kernel {
     /// Whether a warm basis may name [`BasisVar::Logical`] slots. A kernel
     /// that neither repairs a singular basis nor factors in an order fixed
@@ -100,19 +103,16 @@ pub(crate) trait Kernel {
     /// (a clean cold solve).
     const WARM_LOGICALS: bool;
 
-    /// Largest coefficient magnitude of `row` (its equilibration scale
-    /// before the right-hand side joins in).
-    fn row_abs_max(row: &Constraint) -> f64;
-
     /// Builds the per-solve matrix view and fills `sections` with the
     /// pricing sections over `0..lay.art_start`, in scan order.
     fn prepare(&mut self, problem: &Problem, lay: &Layout, sections: &mut Vec<(usize, usize)>);
 
     /// Writes the normalized column `j` into `out` (all `m` entries).
-    fn gather_col(&self, rows: &[Constraint], row_factor: &[f64], j: usize, out: &mut [f64]);
+    fn gather_col(&self, row_factor: &[f64], j: usize, out: &mut [f64]);
 
     /// `out[j] = weight[j] − Σᵣ y[r]·row_factor[r]·A[r][j]` for `j` in
-    /// `cols` — the bulk reduced-cost fill.
+    /// `cols` — the bulk reduced-cost fill. `rows` is the problem's
+    /// constraint list.
     fn fill_rc(
         &self,
         rows: &[Constraint],
@@ -124,11 +124,11 @@ pub(crate) trait Kernel {
     );
 
     /// `Σᵣ yf[r]·A[r][j]` over the raw coefficients of column `j`.
-    fn col_dot(&self, rows: &[Constraint], yf: &[f64], j: usize) -> f64;
+    fn col_dot(&self, yf: &[f64], j: usize) -> f64;
 
     /// `out[j] = Σᵣ |row_factor[r]|·|A[r][j]|` for every structural column
     /// (`out` arrives zeroed), accumulated in ascending row order.
-    fn col_mass(&self, rows: &[Constraint], row_factor: &[f64], out: &mut [f64]);
+    fn col_mass(&self, row_factor: &[f64], out: &mut [f64]);
 
     /// Factorizes the basis in `state.basis`, clearing the eta file and
     /// recording the refactorization in `state.stats`; may re-permute the
@@ -136,7 +136,7 @@ pub(crate) trait Kernel {
     /// `repair` a kernel able to do so instead drops dependent columns,
     /// puts the rows they leave on their starting logicals and marks the
     /// warm start [`WarmStart::Repaired`].
-    fn factor(&mut self, rows: &[Constraint], state: &mut DriverState, repair: bool) -> bool;
+    fn factor(&mut self, state: &mut DriverState, repair: bool) -> bool;
 
     /// FTRAN: `v ← B⁻¹ v`.
     fn ftran(&self, v: &mut [f64]);
@@ -151,8 +151,8 @@ pub(crate) trait Kernel {
     fn iteration_etas(&self) -> usize;
 }
 
-/// Row normalization and column layout of one solve; the matrix itself
-/// stays in the problem's row storage.
+/// Row normalization and column layout of one solve; the coefficients
+/// themselves are the kernel's business.
 #[derive(Debug, Default)]
 pub(crate) struct Layout {
     /// Rows.
@@ -179,7 +179,7 @@ pub(crate) struct Layout {
 
 impl Layout {
     /// Computes the normalization and the layout for `problem`.
-    fn build<K: Kernel>(&mut self, problem: &Problem) {
+    fn build(&mut self, problem: &Problem) {
         let n = problem.num_vars();
         self.row_factor.clear();
         self.slack_col.clear();
@@ -193,7 +193,7 @@ impl Layout {
         for c in problem.constraints() {
             // Identical normalization arithmetic to the dense tableau:
             // scale by the row max, negate rows with negative RHS.
-            let scale = K::row_abs_max(c).max(c.rhs().abs()).max(1e-300);
+            let scale = c.abs_max().max(c.rhs().abs()).max(1e-300);
             let negated = c.rhs() / scale < 0.0;
             if c.kind() == ConstraintKind::LessEq {
                 n_slack += 1;
@@ -296,7 +296,7 @@ pub(crate) fn solve<K: Kernel>(
 ) -> Result<Solution, SolveError> {
     state.stats.reset();
     let rows = problem.constraints();
-    state.lay.build::<K>(problem);
+    state.lay.build(problem);
     state.sections.clear();
     kernel.prepare(problem, &state.lay, &mut state.sections);
     state.face_fresh = false;
@@ -310,10 +310,10 @@ pub(crate) fn solve<K: Kernel>(
     };
 
     // ---- Start: the caller's basis if it stands, the logicals if not ----
-    let warm_ok = warm.is_some_and(|basis| try_warm_basis(rows, state, kernel, basis, tol));
+    let warm_ok = warm.is_some_and(|basis| try_warm_basis(state, kernel, basis, tol));
     if !warm_ok {
         install_initial_basis(state);
-        if !kernel.factor(rows, state, false) {
+        if !kernel.factor(state, false) {
             return Err(SolveError::Singular);
         }
         load_x_basic(state, kernel);
@@ -339,7 +339,7 @@ pub(crate) fn solve<K: Kernel>(
         if residual > tol.max(1e-7) {
             return Err(SolveError::Infeasible { residual });
         }
-        drive_out_artificials(rows, state, kernel, tol, &mut scratch);
+        drive_out_artificials(state, kernel, tol, &mut scratch);
     }
 
     // ---- Phase 2: user objective ----------------------------------------
@@ -359,7 +359,7 @@ pub(crate) fn solve<K: Kernel>(
     // kernel that factors in slot order would carry that order into the
     // last bits — so the slots are put in ascending column order first.
     state.basis.sort_unstable();
-    if !kernel.factor(rows, state, false) {
+    if !kernel.factor(state, false) {
         return Err(SolveError::Singular);
     }
     load_x_basic(state, kernel);
@@ -416,9 +416,9 @@ pub(crate) fn uniform_sections(art_start: usize, sections: &mut Vec<(usize, usiz
 }
 
 /// Gathers (normalized) column `j`, structural or logical, into `out`.
-fn gather_col<K: Kernel>(rows: &[Constraint], lay: &Layout, kernel: &K, j: usize, out: &mut [f64]) {
+fn gather_col<K: Kernel>(lay: &Layout, kernel: &K, j: usize, out: &mut [f64]) {
     if j < lay.n {
-        kernel.gather_col(rows, &lay.row_factor, j, out);
+        kernel.gather_col(&lay.row_factor, j, out);
     } else {
         out.fill(0.0);
         let l = j - lay.n;
@@ -438,16 +438,9 @@ fn premultiply(buf: &mut Vec<f64>, y: &[f64], row_factor: &[f64]) {
 /// through [`fill_rc`] instead). `yf` is `y` premultiplied by the row
 /// factors.
 #[inline]
-fn col_dot<K: Kernel>(
-    rows: &[Constraint],
-    lay: &Layout,
-    kernel: &K,
-    yf: &[f64],
-    y: &[f64],
-    j: usize,
-) -> f64 {
+fn col_dot<K: Kernel>(lay: &Layout, kernel: &K, yf: &[f64], y: &[f64], j: usize) -> f64 {
     if j < lay.n {
-        kernel.col_dot(rows, yf, j)
+        kernel.col_dot(yf, j)
     } else {
         let l = j - lay.n;
         y[lay.logical_row[l]] * lay.logical_val[l]
@@ -547,7 +540,7 @@ fn price<K: Kernel>(
             if state.in_basis[j] {
                 continue;
             }
-            let rc = state.cost[j] - col_dot(rows, &state.lay, kernel, &state.yf, y, j);
+            let rc = state.cost[j] - col_dot(&state.lay, kernel, &state.yf, y, j);
             if rc > best {
                 best = rc;
                 pick = Some(j);
@@ -693,7 +686,6 @@ fn load_x_basic<K: Kernel>(state: &mut DriverState, kernel: &K) -> f64 {
 /// accepts them the basis may name artificials ([`BasisVar::Logical`]);
 /// the caller runs phase 1 over those.
 fn try_warm_basis<K: Kernel>(
-    rows: &[Constraint],
     state: &mut DriverState,
     kernel: &mut K,
     basis: &Basis,
@@ -721,7 +713,7 @@ fn try_warm_basis<K: Kernel>(
         state.in_basis[c] = true;
     }
     state.stats.warm = WarmStart::Used; // `factor` may downgrade it to `Repaired`
-    if !kernel.factor(rows, state, true) {
+    if !kernel.factor(state, true) {
         state.stats.warm = WarmStart::Singular; // under the new coefficients
         return false;
     }
@@ -738,7 +730,6 @@ fn try_warm_basis<K: Kernel>(
 /// refactorization found the basis numerically singular — the factors are
 /// then unusable and the caller must stop iterating.
 fn pivot<K: Kernel>(
-    rows: &[Constraint],
     state: &mut DriverState,
     kernel: &mut K,
     (q, r): (usize, usize),
@@ -759,7 +750,7 @@ fn pivot<K: Kernel>(
 
     kernel.push_eta(r, d);
     if kernel.iteration_etas() >= REFACTOR_INTERVAL {
-        if !kernel.factor(rows, state, false) {
+        if !kernel.factor(state, false) {
             return false;
         }
         // Recompute the basic values from scratch to shed accumulated
@@ -822,7 +813,7 @@ fn run_phase<K: Kernel>(
         let Some(q) = price(rows, state, kernel, y, tol, mode, collect_face) else {
             return Ok(()); // optimal
         };
-        gather_col(rows, &state.lay, kernel, q, d);
+        gather_col(&state.lay, kernel, q, d);
         kernel.ftran(d);
         let Some((r, step)) = ratio_test(state, d, tol) else {
             return Err(SolveError::Unbounded);
@@ -833,7 +824,7 @@ fn run_phase<K: Kernel>(
             degenerate_run = 0;
         }
         let leaving_art = state.basis[r] >= art_start;
-        if !pivot(rows, state, kernel, (q, r), d, step) {
+        if !pivot(state, kernel, (q, r), d, step) {
             return Err(SolveError::Singular);
         }
         *iterations += 1;
@@ -858,7 +849,6 @@ fn run_phase<K: Kernel>(
 /// zero and — its row being a combination of the others — never moves
 /// again.
 fn drive_out_artificials<K: Kernel>(
-    rows: &[Constraint],
     state: &mut DriverState,
     kernel: &mut K,
     tol: f64,
@@ -883,17 +873,16 @@ fn drive_out_artificials<K: Kernel>(
         kernel.btran(e);
         premultiply(&mut state.yf, e, &state.lay.row_factor);
         let entering = (0..art_start).find(|&j| {
-            !state.in_basis[j]
-                && col_dot(rows, &state.lay, kernel, &state.yf, e, j).abs() > pivot_tol
+            !state.in_basis[j] && col_dot(&state.lay, kernel, &state.yf, e, j).abs() > pivot_tol
         });
         if let Some(q) = entering {
-            gather_col(rows, &state.lay, kernel, q, d);
+            gather_col(&state.lay, kernel, q, d);
             kernel.ftran(d);
             if d[r].abs() <= SINGULAR_TOL {
                 continue; // numerically vanished; treat as dependent
             }
             let step = state.x_basic[r] / d[r];
-            if !pivot(rows, state, kernel, (q, r), d, step) {
+            if !pivot(state, kernel, (q, r), d, step) {
                 // Refactorization broke down; stop driving out — the
                 // remaining artificials stay basic at zero and the final
                 // extraction refactorizes from scratch anyway.
@@ -1023,7 +1012,7 @@ fn canonicalize<K: Kernel>(
         state.face.clear();
         for j in 0..art_start {
             if !state.in_basis[j]
-                && (state.cost[j] - col_dot(rows, &state.lay, kernel, &state.yf, y, j)).abs() <= tol
+                && (state.cost[j] - col_dot(&state.lay, kernel, &state.yf, y, j)).abs() <= tol
             {
                 state.face.push(j);
             }
@@ -1037,7 +1026,7 @@ fn canonicalize<K: Kernel>(
     // mass — with a tiny deterministic jitter for strictness.
     state.w2.clear();
     state.w2.resize(art_start, 0.0);
-    kernel.col_mass(rows, &state.lay.row_factor, &mut state.w2[..n]);
+    kernel.col_mass(&state.lay.row_factor, &mut state.w2[..n]);
     for (w, v) in state.w2[n..].iter_mut().zip(&state.lay.logical_val) {
         *w = v.abs();
     }
@@ -1070,7 +1059,7 @@ fn canonicalize<K: Kernel>(
                 if state.in_basis[j] {
                     continue;
                 }
-                let rc2j = state.w2[j] - col_dot(rows, &state.lay, kernel, &state.yf, y2, j);
+                let rc2j = state.w2[j] - col_dot(&state.lay, kernel, &state.yf, y2, j);
                 if rc2j > best {
                     best = rc2j;
                     pick = Some(j);
@@ -1093,7 +1082,7 @@ fn canonicalize<K: Kernel>(
         let Some(q) = pick else {
             break; // canonical vertex reached
         };
-        gather_col(rows, &state.lay, kernel, q, d);
+        gather_col(&state.lay, kernel, q, d);
         kernel.ftran(d);
         let Some((r, step)) = ratio_test(state, d, tol) else {
             break; // face unbounded in the secondary direction: keep x
@@ -1106,7 +1095,7 @@ fn canonicalize<K: Kernel>(
         // The leaving variable keeps zero reduced cost (it left on a
         // zero-rc pivot), so it joins the face.
         let leaving = state.basis[r];
-        let pivot_ok = pivot(rows, state, kernel, (q, r), d, step);
+        let pivot_ok = pivot(state, kernel, (q, r), d, step);
         *iterations += 1;
         if leaving < art_start && !state.face.contains(&leaving) {
             state.face.push(leaving);

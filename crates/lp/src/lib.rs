@@ -10,8 +10,8 @@
 //! two basis kernels, plus the dense tableau as the differential oracle**:
 //!
 //! * The **driver** (`driver.rs`) is the algorithm, once: row
-//!   normalization absorbed into per-row multipliers (the matrix is never
-//!   copied), warm-basis validation, phase 1 *from the current basis*,
+//!   normalization absorbed into per-row multipliers (no normalized
+//!   matrix is ever written), warm-basis validation, phase 1 *from the current basis*,
 //!   phase 2 with **partial candidate-list pricing**, the ratio test with
 //!   its Bland fallback, a product-form eta file refactorized every 64
 //!   pivots, and a phase 3 that canonicalizes the answer across alternate
@@ -21,8 +21,9 @@
 //!   re-solves and the fleet's admit/depart edits cheap. The kernel is a
 //!   generic parameter — dispatch is static.
 //! * [`Backend::Revised`] (the default) runs the driver on the **dense-LU
-//!   kernel** (`revised.rs`): the problem's own row-major rows used in
-//!   place, bulk pricing as vectorized row passes, per-column accesses
+//!   kernel** (`revised.rs`): a row-major dense copy of the matrix,
+//!   scattered from the rows' nonzeros at the start of each solve, bulk
+//!   pricing as vectorized row passes over it, per-column accesses
 //!   gathering `m` strided elements, a dense LU of the basis. A pivot
 //!   costs `O(m²)` plus the columns actually priced instead of the dense
 //!   tableau's `O(m·n)` rewrite. Its LU neither repairs a singular basis
@@ -32,7 +33,8 @@
 //! * [`Backend::Sparse`] runs it on the **block-ordered sparse kernel**
 //!   (`sparse.rs`) for the fleet layer's block-angular joint LPs (one
 //!   assignment block per admitted flow, coupled only through the shared
-//!   capacity rows): CSC columns + per-row nonzero lists, a sparse
+//!   capacity rows): a CSC copy assembled per solve beside the rows' own
+//!   `(column, value)` pairs, which pricing streams as stored, a sparse
 //!   product-form basis inverse whose refactorization pivots block-local
 //!   rows first (elimination confined to the coupling rows plus the basic
 //!   columns of active blocks), sparse eta-file FTRAN/BTRAN, and pricing
@@ -53,7 +55,7 @@
 //! line, and the end-to-end `benchmark/` has workloads on both sides.
 //! The single-flow LPs are dense — every column meets every capacity row
 //! — so the sparse kernel's per-solve CSC assembly and index chasing buy
-//! nothing the in-place row passes do not already give: with
+//! nothing the dense row passes do not already give: with
 //! `Backend::Sparse` made the default, `flow_replan` reads `op_p50_us`
 //! 6.47–8.48 (median 6.72) against 5.66–6.23 (5.84) and `ops_per_s`
 //! 14.1 k against 15.0 k over six alternating 15 s runs, and the traced

@@ -1,4 +1,5 @@
-//! Problem representation: dense objective plus inequality/equality rows.
+//! Problem representation: a dense objective plus inequality/equality rows
+//! stored by their nonzeros.
 
 use crate::driver;
 use crate::error::{ProblemError, SolveError};
@@ -14,35 +15,35 @@ pub enum ConstraintKind {
     Eq,
 }
 
-/// A single dense constraint row.
+/// A single constraint row, stored as its nonzeros only: the strictly
+/// increasing column indices ([`Constraint::support`]) and the
+/// coefficient at each ([`Constraint::values`]).
 ///
-/// Alongside the dense coefficient vector the row carries its *support*
-/// — the sorted list of nonzero column indices — maintained on every
-/// construction and mutation, so the sparse backend can stream rows
-/// without re-scanning for zeros per solve.
+/// An exact zero is never stored — every constructor and mutator drops
+/// it — so a row costs 12 bytes per nonzero whatever the variable count,
+/// appending variables touches no row, and `==` on the storage is `==` on
+/// the matrix. The two readers that want dense rows (the dense-LU kernel,
+/// the tableau oracle) scatter the entries into their own buffer per solve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Constraint {
-    pub(crate) coeffs: Vec<f64>,
+    /// Sorted column indices of the nonzero coefficients.
+    pub(crate) cols: Vec<u32>,
+    /// The coefficient at each of `cols`.
+    pub(crate) vals: Vec<f64>,
     pub(crate) rhs: f64,
     pub(crate) kind: ConstraintKind,
-    /// Sorted column indices of the nonzero coefficients.
-    pub(crate) support: Vec<u32>,
 }
 
 impl Constraint {
-    fn new(coeffs: Vec<f64>, rhs: f64, kind: ConstraintKind) -> Self {
-        let support = compute_support(&coeffs);
-        Constraint {
-            coeffs,
-            rhs,
-            kind,
-            support,
-        }
+    /// Sorted column indices of the nonzero coefficients (the row's
+    /// sparsity pattern).
+    pub fn support(&self) -> &[u32] {
+        &self.cols
     }
 
-    /// The row coefficients.
-    pub fn coeffs(&self) -> &[f64] {
-        &self.coeffs
+    /// The nonzero coefficients, in the order of [`Constraint::support`].
+    pub fn values(&self) -> &[f64] {
+        &self.vals
     }
 
     /// The right-hand side.
@@ -55,20 +56,30 @@ impl Constraint {
         self.kind
     }
 
-    /// Sorted column indices of the nonzero coefficients (the row's
-    /// sparsity pattern, kept current across incremental mutation).
-    pub fn support(&self) -> &[u32] {
-        &self.support
-    }
-
     /// Number of nonzero coefficients.
     pub fn nnz(&self) -> usize {
-        self.support.len()
+        self.cols.len()
+    }
+
+    /// The `(column, coefficient)` pairs in column order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.cols
+            .iter()
+            .zip(&self.vals)
+            .map(|(&j, &v)| (j as usize, v))
+    }
+
+    /// Largest coefficient magnitude (0 for an empty row).
+    pub(crate) fn abs_max(&self) -> f64 {
+        self.vals.iter().fold(0.0, |acc, v| acc.max(v.abs()))
     }
 
     /// Evaluates `coeffs · x - rhs` (positive means violated for `≤` rows).
     pub fn violation(&self, x: &[f64]) -> f64 {
-        let lhs: f64 = self.coeffs.iter().zip(x).map(|(a, v)| a * v).sum();
+        let lhs: f64 = self
+            .entries()
+            .filter_map(|(j, a)| x.get(j).map(|v| a * v))
+            .sum();
         match self.kind {
             ConstraintKind::LessEq => lhs - self.rhs,
             ConstraintKind::Eq => (lhs - self.rhs).abs(),
@@ -76,18 +87,8 @@ impl Constraint {
     }
 }
 
-/// Sorted nonzero column indices of a dense coefficient row.
-fn compute_support(coeffs: &[f64]) -> Vec<u32> {
-    coeffs
-        .iter()
-        .enumerate()
-        // dmc-lint: allow(float-exact) exact-zero sparsity filter: a stored 0.0 means structurally absent, not approximately small
-        .filter(|(_, &v)| v != 0.0)
-        .map(|(j, _)| j as u32)
-        .collect()
-}
-
-/// A dense linear program over non-negative variables.
+/// A linear program over non-negative variables: a dense objective and
+/// rows stored by their nonzeros ([`Constraint`]).
 ///
 /// See the [crate-level documentation](crate) for the problem form and a
 /// worked example.
@@ -97,15 +98,15 @@ fn compute_support(coeffs: &[f64]) -> Vec<u32> {
 /// Callers that maintain one long-lived LP across small shape changes —
 /// the fleet layer's joint admission LP grows a per-flow block on every
 /// admitted flow — can mutate a `Problem` in place instead of rebuilding
-/// it: [`Problem::append_block`] adds variables (zero-extending every
-/// existing row), the `add_*_sparse` constructors add rows from nonzero
-/// entries, and [`Problem::set_row_range`] / [`Problem::set_rhs`] /
-/// [`Problem::set_objective_range`] patch coefficients while keeping each
-/// row's sparsity [`Constraint::support`] current. The recorded block
-/// boundaries ([`Problem::block_starts`]) tell the sparse backend which
-/// columns belong together: rows whose support stays inside one block are
-/// *local* rows, rows spanning blocks are *coupling* rows, and the
-/// factorization/pricing exploit that split.
+/// it: [`Problem::append_block`] adds variables (no row is touched: a row
+/// holds nothing for a column it is zero in), the `add_*_sparse`
+/// constructors add rows from nonzero entries, and
+/// [`Problem::set_row_range`] / [`Problem::set_rhs`] /
+/// [`Problem::set_objective_range`] patch coefficients in place. The
+/// recorded block boundaries ([`Problem::block_starts`]) tell the sparse
+/// backend which columns belong together: rows whose support stays inside
+/// one block are *local* rows, rows spanning blocks are *coupling* rows,
+/// and the factorization/pricing exploit that split.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Problem {
     /// Objective coefficients, always stored in *maximization* sense.
@@ -172,71 +173,23 @@ impl Problem {
         self.minimize
     }
 
-    fn check_row(&self, coeffs: &[f64], rhs: f64) -> Result<(), ProblemError> {
-        if self.objective.is_empty() {
-            return Err(ProblemError::Empty);
-        }
-        if coeffs.len() != self.objective.len() {
-            return Err(ProblemError::DimensionMismatch {
-                expected: self.objective.len(),
-                found: coeffs.len(),
-            });
-        }
-        if !rhs.is_finite() || coeffs.iter().any(|c| !c.is_finite()) {
-            return Err(ProblemError::NonFiniteCoefficient);
-        }
-        Ok(())
-    }
-
-    /// Adds an inequality `coeffs · x ≤ rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProblemError::DimensionMismatch`] if `coeffs` has the wrong
-    /// length and [`ProblemError::NonFiniteCoefficient`] on NaN/∞ input.
-    pub fn add_le(&mut self, coeffs: Vec<f64>, rhs: f64) -> Result<&mut Self, ProblemError> {
-        self.check_row(&coeffs, rhs)?;
-        self.constraints
-            .push(Constraint::new(coeffs, rhs, ConstraintKind::LessEq));
-        Ok(self)
-    }
-
-    /// Adds an inequality `coeffs · x ≥ rhs` (stored as `-coeffs · x ≤ -rhs`).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Problem::add_le`].
-    pub fn add_ge(&mut self, coeffs: Vec<f64>, rhs: f64) -> Result<&mut Self, ProblemError> {
-        self.check_row(&coeffs, rhs)?;
-        self.constraints.push(Constraint::new(
-            coeffs.into_iter().map(|c| -c).collect(),
-            -rhs,
-            ConstraintKind::LessEq,
-        ));
-        Ok(self)
-    }
-
-    /// Adds an equality `coeffs · x = rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Problem::add_le`].
-    pub fn add_eq(&mut self, coeffs: Vec<f64>, rhs: f64) -> Result<&mut Self, ProblemError> {
-        self.check_row(&coeffs, rhs)?;
-        self.constraints
-            .push(Constraint::new(coeffs, rhs, ConstraintKind::Eq));
-        Ok(self)
-    }
-
-    /// Validates a sparse entry list: sorted strictly increasing column
-    /// indices, all in range, all values finite, finite rhs.
-    fn check_sparse(&self, entries: &[(usize, f64)], rhs: f64) -> Result<(), ProblemError> {
-        if self.objective.is_empty() {
-            return Err(ProblemError::Empty);
-        }
+    /// The one place a row is created: validates `entries` — `(column,
+    /// value)` pairs with strictly increasing in-range columns and finite
+    /// values — and stores the nonzero ones (negated for `≥`, with the
+    /// right-hand side). The problem is unchanged on error.
+    fn push_row(
+        &mut self,
+        entries: impl Iterator<Item = (usize, f64)> + Clone,
+        rhs: f64,
+        kind: ConstraintKind,
+        negate: bool,
+    ) -> Result<&mut Self, ProblemError> {
         let n = self.objective.len();
+        if n == 0 {
+            return Err(ProblemError::Empty);
+        }
         let mut last: Option<usize> = None;
-        for &(j, v) in entries {
+        for (j, v) in entries.clone() {
             if j >= n {
                 return Err(ProblemError::OutOfRange {
                     what: "sparse entry column",
@@ -255,21 +208,77 @@ impl Problem {
         if !rhs.is_finite() {
             return Err(ProblemError::NonFiniteCoefficient);
         }
-        Ok(())
+        let sign = if negate { -1.0 } else { 1.0 };
+        // dmc-lint: allow(float-exact) exact-zero sparsity filter: a 0.0 coefficient is structurally absent, not approximately small
+        let nonzero = entries.filter(|&(_, v)| v != 0.0);
+        // Sized exactly: a row holds what it stores and no more.
+        let nnz = nonzero.clone().count();
+        let (mut cols, mut vals) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+        for (j, v) in nonzero {
+            cols.push(j as u32);
+            vals.push(sign * v);
+        }
+        self.constraints.push(Constraint {
+            cols,
+            vals,
+            rhs: sign * rhs,
+            kind,
+        });
+        Ok(self)
     }
 
-    /// Expands sorted sparse entries into a dense row (zero-filled).
-    fn densify(&self, entries: &[(usize, f64)], negate: bool) -> Vec<f64> {
-        let mut coeffs = vec![0.0; self.objective.len()];
-        for &(j, v) in entries {
-            coeffs[j] = if negate { -v } else { v };
+    /// [`Problem::push_row`] for a dense row, one coefficient per variable
+    /// (a problem without variables is left to it: `Empty`, whatever the row).
+    fn push_dense(
+        &mut self,
+        coeffs: &[f64],
+        rhs: f64,
+        kind: ConstraintKind,
+        negate: bool,
+    ) -> Result<&mut Self, ProblemError> {
+        let n = self.objective.len();
+        if n != 0 && coeffs.len() != n {
+            return Err(ProblemError::DimensionMismatch {
+                expected: n,
+                found: coeffs.len(),
+            });
         }
-        coeffs
+        self.push_row(coeffs.iter().copied().enumerate(), rhs, kind, negate)
+    }
+
+    /// Adds an inequality `row · x ≤ rhs` from a dense row (a `Vec<f64>`
+    /// or a slice: it is read, not kept).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProblemError::DimensionMismatch`] if `row` has the wrong
+    /// length and [`ProblemError::NonFiniteCoefficient`] on NaN/∞ input.
+    pub fn add_le(&mut self, row: impl AsRef<[f64]>, rhs: f64) -> Result<&mut Self, ProblemError> {
+        self.push_dense(row.as_ref(), rhs, ConstraintKind::LessEq, false)
+    }
+
+    /// Adds an inequality `row · x ≥ rhs` (stored as `-row · x ≤ -rhs`).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Problem::add_le`].
+    pub fn add_ge(&mut self, row: impl AsRef<[f64]>, rhs: f64) -> Result<&mut Self, ProblemError> {
+        self.push_dense(row.as_ref(), rhs, ConstraintKind::LessEq, true)
+    }
+
+    /// Adds an equality `row · x = rhs`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Problem::add_le`].
+    pub fn add_eq(&mut self, row: impl AsRef<[f64]>, rhs: f64) -> Result<&mut Self, ProblemError> {
+        self.push_dense(row.as_ref(), rhs, ConstraintKind::Eq, false)
     }
 
     /// Adds `entries · x ≤ rhs` from sorted sparse `(column, value)`
-    /// entries (equivalent to [`Problem::add_le`] on the zero-filled dense
-    /// row, without materializing the zeros at the call site).
+    /// entries (the same row [`Problem::add_le`] stores for the
+    /// zero-filled dense one, without materializing the zeros at the call
+    /// site).
     ///
     /// # Errors
     ///
@@ -281,11 +290,7 @@ impl Problem {
         entries: &[(usize, f64)],
         rhs: f64,
     ) -> Result<&mut Self, ProblemError> {
-        self.check_sparse(entries, rhs)?;
-        let coeffs = self.densify(entries, false);
-        self.constraints
-            .push(Constraint::new(coeffs, rhs, ConstraintKind::LessEq));
-        Ok(self)
+        self.push_row(entries.iter().copied(), rhs, ConstraintKind::LessEq, false)
     }
 
     /// Adds `entries · x ≥ rhs` from sorted sparse entries (stored
@@ -299,11 +304,7 @@ impl Problem {
         entries: &[(usize, f64)],
         rhs: f64,
     ) -> Result<&mut Self, ProblemError> {
-        self.check_sparse(entries, rhs)?;
-        let coeffs = self.densify(entries, true);
-        self.constraints
-            .push(Constraint::new(coeffs, -rhs, ConstraintKind::LessEq));
-        Ok(self)
+        self.push_row(entries.iter().copied(), rhs, ConstraintKind::LessEq, true)
     }
 
     /// Adds `entries · x = rhs` from sorted sparse entries.
@@ -316,18 +317,13 @@ impl Problem {
         entries: &[(usize, f64)],
         rhs: f64,
     ) -> Result<&mut Self, ProblemError> {
-        self.check_sparse(entries, rhs)?;
-        let coeffs = self.densify(entries, false);
-        self.constraints
-            .push(Constraint::new(coeffs, rhs, ConstraintKind::Eq));
-        Ok(self)
+        self.push_row(entries.iter().copied(), rhs, ConstraintKind::Eq, false)
     }
 
-    /// Appends `objective.len()` new variables as a **new block**:
-    /// existing rows are zero-extended, the objective grows by the given
-    /// coefficients (maximization sense of the problem as created), and a
-    /// block boundary is recorded at the old variable count. Returns the
-    /// new columns' index range.
+    /// Appends `objective.len()` new variables as a **new block**: the
+    /// objective grows by the given coefficients (maximization sense of
+    /// the problem as created) and a block boundary is recorded at the old
+    /// variable count; no row is touched. Returns the new columns' range.
     ///
     /// Incremental callers **tombstone rather than remove** departed
     /// blocks (set the block's `Σx = 1` row to `Σx = 0` via
@@ -358,9 +354,6 @@ impl Problem {
             self.objective.extend(objective.iter().map(|c| -c));
         } else {
             self.objective.extend_from_slice(objective);
-        }
-        for c in &mut self.constraints {
-            c.coeffs.resize(self.objective.len(), 0.0);
         }
         if self.block_starts.is_empty() && start > 0 {
             // Declaring structure on a previously unstructured problem:
@@ -410,7 +403,10 @@ impl Problem {
     }
 
     /// Overwrites the stored coefficients of row `row` over the column
-    /// range `start..start + vals.len()`, updating the row's support.
+    /// range `start..start + vals.len()`; exact zeros in `vals` leave the
+    /// row's support. Writing as many nonzeros as the range held — every
+    /// rescale of a block's segment after the first — moves nothing and
+    /// allocates nothing.
     ///
     /// The values are written **as stored**: a row added with
     /// [`Problem::add_ge`] is stored negated, and callers patching such a
@@ -434,31 +430,18 @@ impl Problem {
                 limit: m,
             });
         }
-        let n = self.objective.len();
-        let end = start + vals.len();
-        if end > n {
-            return Err(ProblemError::OutOfRange {
-                what: "column range end",
-                index: end,
-                limit: n,
-            });
-        }
-        if vals.iter().any(|v| !v.is_finite()) {
-            return Err(ProblemError::NonFiniteCoefficient);
-        }
+        let end = range_end(start, vals, self.objective.len(), "column range end")?;
         let c = &mut self.constraints[row];
-        c.coeffs[start..end].copy_from_slice(vals);
-        // Splice the support: keep entries outside the range, rebuild the
-        // inside from the new values.
-        let lo = c.support.partition_point(|&j| (j as usize) < start);
-        let hi = c.support.partition_point(|&j| (j as usize) < end);
+        let lo = c.cols.partition_point(|&j| (j as usize) < start);
+        let hi = c.cols.partition_point(|&j| (j as usize) < end);
         let fresh = vals
             .iter()
             .enumerate()
-            // dmc-lint: allow(float-exact) exact-zero sparsity filter: a stored 0.0 means structurally absent, not approximately small
-            .filter(|(_, &v)| v != 0.0)
-            .map(|(o, _)| (start + o) as u32);
-        c.support.splice(lo..hi, fresh);
+            // dmc-lint: allow(float-exact) exact-zero sparsity filter: a 0.0 coefficient is structurally absent, not approximately small
+            .filter(|(_, &v)| v != 0.0);
+        c.cols
+            .splice(lo..hi, fresh.clone().map(|(o, _)| (start + o) as u32));
+        c.vals.splice(lo..hi, fresh.map(|(_, &v)| v));
         Ok(self)
     }
 
@@ -512,18 +495,7 @@ impl Problem {
         start: usize,
         vals: &[f64],
     ) -> Result<&mut Self, ProblemError> {
-        let n = self.objective.len();
-        let end = start + vals.len();
-        if end > n {
-            return Err(ProblemError::OutOfRange {
-                what: "objective range end",
-                index: end,
-                limit: n,
-            });
-        }
-        if vals.iter().any(|v| !v.is_finite()) {
-            return Err(ProblemError::NonFiniteCoefficient);
-        }
+        let end = range_end(start, vals, self.objective.len(), "objective range end")?;
         if self.minimize {
             for (slot, &v) in self.objective[start..end].iter_mut().zip(vals) {
                 *slot = -v;
@@ -536,17 +508,18 @@ impl Problem {
 
     /// Drops every variable with index ≥ `n` (undoing
     /// [`Problem::append_block`]s): truncates the objective, every row's
-    /// coefficients and support, and the block boundaries. No-op when `n`
-    /// is not smaller than the current variable count.
+    /// entries past `n` — the one mutator that visits every row — and the
+    /// block boundaries. No-op when `n` is not smaller than the current
+    /// variable count.
     pub fn truncate_vars(&mut self, n: usize) {
         if n >= self.objective.len() {
             return;
         }
         self.objective.truncate(n);
         for c in &mut self.constraints {
-            c.coeffs.truncate(n);
-            let keep = c.support.partition_point(|&j| (j as usize) < n);
-            c.support.truncate(keep);
+            let keep = c.cols.partition_point(|&j| (j as usize) < n);
+            c.cols.truncate(keep);
+            c.vals.truncate(keep);
         }
         let keep = self.block_starts.partition_point(|&s| s < n.max(1));
         self.block_starts.truncate(keep);
@@ -753,6 +726,28 @@ impl Problem {
     }
 }
 
+/// `start + vals.len()` as the end of a patched range over `limit`
+/// entries: in range (no overflow) and every value finite.
+fn range_end(
+    start: usize,
+    vals: &[f64],
+    limit: usize,
+    what: &'static str,
+) -> Result<usize, ProblemError> {
+    let end = start.checked_add(vals.len()).filter(|&end| end <= limit);
+    let Some(end) = end else {
+        return Err(ProblemError::OutOfRange {
+            what,
+            index: start.saturating_add(vals.len()),
+            limit,
+        });
+    };
+    if vals.iter().any(|v| !v.is_finite()) {
+        return Err(ProblemError::NonFiniteCoefficient);
+    }
+    Ok(end)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -788,7 +783,8 @@ mod tests {
         let mut p = Problem::maximize(vec![1.0]);
         p.add_ge(vec![2.0], 4.0).unwrap();
         let c = &p.constraints()[0];
-        assert_eq!(c.coeffs(), &[-2.0]);
+        assert_eq!(c.support(), [0]);
+        assert_eq!(c.values(), [-2.0]);
         assert_eq!(c.rhs(), -4.0);
         assert_eq!(c.kind(), ConstraintKind::LessEq);
     }
@@ -813,6 +809,32 @@ mod tests {
         assert_eq!(dense, sparse);
         assert_eq!(sparse.constraints()[0].support(), &[1, 3]);
         assert_eq!(sparse.constraints()[0].nnz(), 2);
+    }
+
+    #[test]
+    fn a_range_past_usize_max_is_out_of_range_not_a_panic() {
+        let mut p = Problem::maximize(vec![1.0; 3]);
+        p.add_le(vec![1.0, 0.0, 2.0], 1.0).unwrap();
+        let before = p.clone();
+        for start in [usize::MAX, usize::MAX - 1, 2] {
+            assert!(matches!(
+                p.set_row_range(0, start, &[1.0, 1.0]).unwrap_err(),
+                ProblemError::OutOfRange {
+                    what: "column range end",
+                    limit: 3,
+                    ..
+                }
+            ));
+            assert!(matches!(
+                p.set_objective_range(start, &[1.0, 1.0]).unwrap_err(),
+                ProblemError::OutOfRange {
+                    what: "objective range end",
+                    limit: 3,
+                    ..
+                }
+            ));
+        }
+        assert_eq!(p, before);
     }
 
     #[test]

@@ -5,13 +5,14 @@
 //! handful of rows (bandwidth, cost, quality, Σx = 1), hundreds of columns,
 //! every column meeting nearly every row:
 //!
-//! * **The matrix is used in place.** Bulk pricing streams the problem's
-//!   own row-major coefficient rows (`m` vectorized axpy passes per
-//!   scan), while the occasional per-column access — the entering
-//!   column's FTRAN, basis factorization — gathers `m` strided elements.
-//!   With `m` at most a dozen and dense rows this beats both a dense
-//!   tableau and index-chasing sparse storage: there is no per-solve view
-//!   to assemble at all.
+//! * **A row-major dense copy per solve.** The problem stores its rows by
+//!   their nonzeros; [`Kernel::prepare`] scatters the raw coefficients
+//!   into one `m × n` buffer the workspace keeps. Bulk pricing streams
+//!   its rows (`m` vectorized axpy passes per scan), while the occasional
+//!   per-column access — the entering column's FTRAN, basis factorization
+//!   — gathers `m` strided elements. With `m` at most a dozen and dense
+//!   rows this beats both a dense tableau and index-chasing sparse
+//!   storage, and the copy is one pass over `m · n` values.
 //! * **Dense LU + dense eta file.** `B_0⁻¹` is a dense LU factorization
 //!   (partial pivoting) of the basis matrix in *slot order*, `O(m³)`; each
 //!   pivot appends one dense `m`-vector eta. Cheap at `m ≤ 12`, cubic in
@@ -31,6 +32,10 @@ use crate::problem::{Constraint, Problem};
 /// [`Workspace`](crate::Workspace).
 #[derive(Debug, Default)]
 pub(crate) struct DenseLu {
+    /// The raw coefficient matrix, row-major `m × n`.
+    a: Vec<f64>,
+    /// Structural columns: the row stride of `a`, never 0 in a solve.
+    n: usize,
     /// Rows of the factored basis.
     m: usize,
     // --- dense LU of the basis matrix (row-major m×m) ---
@@ -44,21 +49,25 @@ pub(crate) struct DenseLu {
 impl Kernel for DenseLu {
     const WARM_LOGICALS: bool = false;
 
-    fn row_abs_max(row: &Constraint) -> f64 {
-        row.coeffs().iter().fold(0.0, |acc, v| acc.max(v.abs()))
-    }
-
-    /// Nothing to assemble — the rows are used in place. Sections are
+    /// Scatters the rows' nonzeros into the dense copy. Sections are
     /// uniform.
-    fn prepare(&mut self, _: &Problem, lay: &Layout, sections: &mut Vec<(usize, usize)>) {
+    fn prepare(&mut self, problem: &Problem, lay: &Layout, sections: &mut Vec<(usize, usize)>) {
+        self.n = lay.n;
+        self.a.clear();
+        self.a.resize(lay.m * lay.n, 0.0);
+        for (row, c) in self.a.chunks_exact_mut(lay.n).zip(problem.constraints()) {
+            for (j, v) in c.entries() {
+                row[j] = v;
+            }
+        }
         uniform_sections(lay.art_start, sections);
     }
 
-    /// `m` strided reads from the original rows; rare enough (one per
-    /// pivot) that no column-major copy pays for itself.
-    fn gather_col(&self, rows: &[Constraint], row_factor: &[f64], j: usize, out: &mut [f64]) {
-        for ((o, c), f) in out.iter_mut().zip(rows).zip(row_factor) {
-            *o = c.coeffs()[j] * f;
+    /// `m` strided reads; rare enough (one per pivot) that no
+    /// column-major copy pays for itself.
+    fn gather_col(&self, row_factor: &[f64], j: usize, out: &mut [f64]) {
+        for (r, (o, f)) in out.iter_mut().zip(row_factor).enumerate() {
+            *o = self.a[r * self.n + j] * f;
         }
     }
 
@@ -66,7 +75,7 @@ impl Kernel for DenseLu {
     /// pricing cheap despite `n` being large.
     fn fill_rc(
         &self,
-        rows: &[Constraint],
+        _: &[Constraint],
         row_factor: &[f64],
         weight: &[f64],
         y: &[f64],
@@ -75,11 +84,11 @@ impl Kernel for DenseLu {
     ) {
         let out = &mut out[cols.clone()];
         out.copy_from_slice(&weight[cols.clone()]);
-        for (r, c) in rows.iter().enumerate() {
+        for (r, row) in self.a.chunks_exact(self.n).enumerate() {
             let mult = y[r] * row_factor[r];
             // dmc-lint: allow(float-exact) axpy skip: an exactly-zero multiplier contributes nothing; a tolerance here would change results
             if mult != 0.0 {
-                for (acc, &v) in out.iter_mut().zip(&c.coeffs()[cols.clone()]) {
+                for (acc, &v) in out.iter_mut().zip(&row[cols.clone()]) {
                     *acc -= mult * v;
                 }
             }
@@ -87,19 +96,19 @@ impl Kernel for DenseLu {
     }
 
     #[inline]
-    fn col_dot(&self, rows: &[Constraint], yf: &[f64], j: usize) -> f64 {
+    fn col_dot(&self, yf: &[f64], j: usize) -> f64 {
         let mut dot = 0.0;
-        for (r, c) in rows.iter().enumerate() {
-            dot += yf[r] * c.coeffs()[j];
+        for (r, y) in yf.iter().enumerate() {
+            dot += y * self.a[r * self.n + j];
         }
         dot
     }
 
     /// One vectorized `|A|` pass per row, like the pricing fills.
-    fn col_mass(&self, rows: &[Constraint], row_factor: &[f64], out: &mut [f64]) {
-        for (c, f) in rows.iter().zip(row_factor) {
+    fn col_mass(&self, row_factor: &[f64], out: &mut [f64]) {
+        for (row, f) in self.a.chunks_exact(self.n).zip(row_factor) {
             let fac = f.abs();
-            for (acc, &v) in out.iter_mut().zip(c.coeffs()) {
+            for (acc, &v) in out.iter_mut().zip(row) {
                 *acc += fac * v.abs();
             }
         }
@@ -108,7 +117,7 @@ impl Kernel for DenseLu {
     /// Dense LU factorization (partial pivoting) of the basis matrix in
     /// slot order; `repair` is not supported (a singular basis is
     /// reported as such).
-    fn factor(&mut self, rows: &[Constraint], state: &mut DriverState, _repair: bool) -> bool {
+    fn factor(&mut self, state: &mut DriverState, _repair: bool) -> bool {
         let lay = &state.lay;
         let m = lay.m;
         state.stats.refactorizations += 1;
@@ -123,8 +132,8 @@ impl Kernel for DenseLu {
         self.lu_piv.resize(m, 0);
         for (k, &bcol) in state.basis.iter().enumerate() {
             if bcol < lay.n {
-                for (r, c) in rows.iter().enumerate() {
-                    lu[r * m + k] = c.coeffs()[bcol] * lay.row_factor[r];
+                for (r, &f) in lay.row_factor.iter().enumerate() {
+                    lu[r * m + k] = self.a[r * lay.n + bcol] * f;
                 }
             } else {
                 let l = bcol - lay.n;

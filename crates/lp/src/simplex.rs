@@ -51,15 +51,15 @@ pub enum Backend {
     /// tested against.
     DenseTableau,
     /// Revised simplex on the **dense-LU kernel**: a dense LU of the
-    /// basis plus a product-form (eta-file) update, the matrix used in
-    /// place (row-major). A pivot costs `O(m²)` plus the columns actually
-    /// priced, which wins decisively on the paper's few-rows/many-columns
-    /// LPs; honors warm starts ([`Problem::solve_warm`]) from exported
-    /// bases. The default.
+    /// basis plus a product-form (eta-file) update, over a row-major dense
+    /// copy of the matrix made per solve. A pivot costs `O(m²)` plus the
+    /// columns actually priced, which wins decisively on the paper's
+    /// few-rows/many-columns LPs; honors warm starts
+    /// ([`Problem::solve_warm`]) from exported bases. The default.
     #[default]
     Revised,
     /// Revised simplex on the **block-ordered sparse kernel**: CSC columns
-    /// plus per-row nonzero lists, a sparse product-form basis inverse
+    /// plus the rows' own nonzero lists, a sparse product-form basis inverse
     /// whose refactorization pivots block-local rows first (so elimination
     /// work and fill stay confined to the coupling rows plus the basic
     /// columns of active blocks), sparse eta-file FTRAN/BTRAN, and partial
@@ -376,11 +376,7 @@ pub(crate) fn solve(
     let mut n_slack = 0usize;
     let mut n_art = 0usize;
     for c in problem.constraints() {
-        let scale = c
-            .coeffs()
-            .iter()
-            .fold(c.rhs().abs(), |acc, v| acc.max(v.abs()))
-            .max(1e-300);
+        let scale = c.abs_max().max(c.rhs().abs()).max(1e-300);
         let negated = c.rhs() / scale < 0.0;
         if c.kind() == ConstraintKind::LessEq {
             n_slack += 1;
@@ -417,9 +413,9 @@ pub(crate) fn solve(
     for (r, c) in problem.constraints().iter().enumerate() {
         let info = &mut ws.row_info[r];
         let sign = if info.negated { -1.0 } else { 1.0 };
-        // Identical arithmetic to the pre-workspace solver (divide, then
-        // negate): keeps results bit-for-bit stable across the refactor.
-        for (j, &v) in c.coeffs().iter().enumerate() {
+        // The row's nonzeros, scattered into the zeroed tableau (divide,
+        // then negate).
+        for (j, v) in c.entries() {
             let mut val = v / info.scale;
             if info.negated {
                 val = -val;

@@ -243,10 +243,7 @@ impl Solution {
             }
         }
         for (i, c) in problem.constraints().iter().enumerate() {
-            let scale = c
-                .coeffs()
-                .iter()
-                .fold(c.rhs().abs().max(1.0), |m, a| m.max(a.abs()));
+            let scale = c.abs_max().max(c.rhs().abs()).max(1.0);
             let violation = c.violation(&self.x);
             if violation > TOL * scale {
                 return Err(format!(

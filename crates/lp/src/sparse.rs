@@ -11,12 +11,12 @@
 //! exactly where a fleet needs admission cheapest. This kernel exploits
 //! the structure instead:
 //!
-//! * **Sparse storage, both orientations.** Each [`Constraint`] carries
-//!   its sorted nonzero support; per solve the kernel assembles a CSC
-//!   view (column pointers + row indices) over the same coefficients, so
-//!   pricing streams rows by their nonzeros and column operations
-//!   (FTRAN of the entering column, factorization) gather only actual
-//!   entries.
+//! * **Sparse storage, both orientations.** A [`Constraint`] *is* its
+//!   sorted `(column, value)` pairs; per solve the kernel assembles the
+//!   other orientation, a CSC copy (column pointers + row indices +
+//!   values), so pricing streams the rows' pairs as they are stored and
+//!   column operations (FTRAN of the entering column, factorization)
+//!   gather only actual entries.
 //! * **Sparse product-form basis inverse.** The basis "factorization" is
 //!   itself an eta file: one sparse Gauss–Jordan eta per basic column,
 //!   built in *block order* — logical singletons first, then each block's
@@ -96,14 +96,6 @@ pub(crate) struct BlockPfi {
 impl Kernel for BlockPfi {
     const WARM_LOGICALS: bool = true;
 
-    /// Zeros cannot be the running max, so folding the support only is
-    /// exact.
-    fn row_abs_max(row: &Constraint) -> f64 {
-        row.support()
-            .iter()
-            .fold(0.0, |acc, &j| acc.max(row.coeffs()[j as usize].abs()))
-    }
-
     /// Assembles the CSC view, classifies rows and columns by block and
     /// lays the pricing sections along the block boundaries.
     fn prepare(&mut self, problem: &Problem, lay: &Layout, sections: &mut Vec<(usize, usize)>) {
@@ -127,11 +119,11 @@ impl Kernel for BlockPfi {
         self.col_vals.resize(nnz, 0.0);
         let mut fill = self.col_ptr.clone(); // next free slot per column
         for (r, c) in problem.constraints().iter().enumerate() {
-            for &j in c.support() {
-                let slot = fill[j as usize];
-                fill[j as usize] += 1;
+            for (j, v) in c.entries() {
+                let slot = fill[j];
+                fill[j] += 1;
                 self.col_rows[slot] = r as u32;
-                self.col_vals[slot] = c.coeffs()[j as usize];
+                self.col_vals[slot] = v;
             }
         }
 
@@ -198,7 +190,7 @@ impl Kernel for BlockPfi {
     }
 
     /// Scatters the column's actual nonzeros through the CSC view.
-    fn gather_col(&self, _: &[Constraint], row_factor: &[f64], j: usize, out: &mut [f64]) {
+    fn gather_col(&self, row_factor: &[f64], j: usize, out: &mut [f64]) {
         out.fill(0.0);
         for idx in self.col_ptr[j]..self.col_ptr[j + 1] {
             let r = self.col_rows[idx] as usize;
@@ -224,19 +216,19 @@ impl Kernel for BlockPfi {
             if mult != 0.0 {
                 let sup = c.support();
                 let start = sup.partition_point(|&j| (j as usize) < cols.start);
-                for &j in &sup[start..] {
+                for (&j, &v) in sup[start..].iter().zip(&c.values()[start..]) {
                     let j = j as usize;
                     if j >= cols.end {
                         break;
                     }
-                    out[j] -= mult * c.coeffs()[j];
+                    out[j] -= mult * v;
                 }
             }
         }
     }
 
     #[inline]
-    fn col_dot(&self, _: &[Constraint], yf: &[f64], j: usize) -> f64 {
+    fn col_dot(&self, yf: &[f64], j: usize) -> f64 {
         let mut dot = 0.0;
         for idx in self.col_ptr[j]..self.col_ptr[j + 1] {
             dot += yf[self.col_rows[idx] as usize] * self.col_vals[idx];
@@ -244,7 +236,7 @@ impl Kernel for BlockPfi {
         dot
     }
 
-    fn col_mass(&self, _: &[Constraint], row_factor: &[f64], out: &mut [f64]) {
+    fn col_mass(&self, row_factor: &[f64], out: &mut [f64]) {
         for (j, mass) in out.iter_mut().enumerate() {
             for idx in self.col_ptr[j]..self.col_ptr[j + 1] {
                 *mass += row_factor[self.col_rows[idx] as usize].abs() * self.col_vals[idx].abs();
@@ -264,7 +256,7 @@ impl Kernel for BlockPfi {
     /// column order, deferrals appended in that same order), so two solves
     /// landing on the same final basis factorize identically — the
     /// keystone of the bit-identical warm/cold guarantee.
-    fn factor(&mut self, _: &[Constraint], state: &mut DriverState, repair: bool) -> bool {
+    fn factor(&mut self, state: &mut DriverState, repair: bool) -> bool {
         let lay = &state.lay;
         let m = lay.m;
         state.stats.refactorizations += 1;
@@ -729,7 +721,7 @@ mod tests {
         let build = |second: [f64; 2]| {
             let mut p = Problem::maximize(vec![2.0, 1.0]);
             p.add_le(vec![1.0, 0.0], 1.0).unwrap();
-            p.add_le(second.to_vec(), 1.0).unwrap();
+            p.add_le(second, 1.0).unwrap();
             p.add_le(vec![1.0, 1.0], 3.0).unwrap();
             p
         };
