@@ -1,17 +1,45 @@
-//! The one joint-LP core: block assembly, carried basis and solve
-//! path shared by the instant [`FleetPlanner`](crate::FleetPlanner) and
-//! the slotted [`SchedulePlanner`](crate::SchedulePlanner).
+//! The one joint-LP core: the roster of resident flows, the block
+//! assembly, the carried basis and the solve path shared by the instant
+//! [`FleetPlanner`](crate::FleetPlanner) and the slotted
+//! [`SchedulePlanner`](crate::SchedulePlanner).
 //!
 //! Both planners are *policy* layers — who is offered, in what order,
 //! what happens to a refused or displaced flow — over the same loop:
 //! edit a block-angular LP a little, re-solve it warm, hand every flow
 //! its block of `x`. The core is parameterised by data only: a
-//! [`TimeGrid`] of `S` slots, and per flow a [`Member`] carrying its
-//! window (length `L`) and buffer allowance. The instant planner runs
-//! it over a private one-slot grid with [`SlotWindow::instant`]`(0)`
-//! windows, where `λ·L ≡ λ` and `1/L ≡ 1` exactly in IEEE arithmetic, so
-//! the LP degenerates — row for row, bit for bit — to the instant joint
-//! LP (see the formulations in the two planners' module docs).
+//! [`TimeGrid`] of `S` slots, and per flow a [`Member`] whose request
+//! carries its window (length `L`) and buffer allowance. The instant
+//! planner runs it over a private one-slot grid with
+//! [`SlotWindow::instant`]`(0)` windows, where `λ·L ≡ λ` and `1/L ≡ 1`
+//! exactly in IEEE arithmetic, so the LP degenerates — row for row, bit
+//! for bit — to the instant joint LP (see the formulations in the two
+//! planners' module docs).
+//!
+//! # The roster
+//!
+//! *Who is in the LP* is kept here, once: [`JointCore`] owns the
+//! residents in admission order — each an owned [`Member`] (id, request,
+//! model) with its current [`Plan`] and raw block of `x` — and the id
+//! counter. A planner never holds a flow the LP also holds. It offers a
+//! candidate **by value** ([`JointCore::admit`], or a whole batch in one
+//! solve with [`JointCore::admit_all`]): on success the candidate is the
+//! newest resident, on infeasibility it is **handed back** intact — to
+//! be dropped, queued, or offered again at another window — and the LP
+//! is as it was. [`JointCore::remove`] takes a resident off the roster
+//! and tombstones its block in one step; [`JointCore::resolve`]
+//! re-solves for whoever is left; [`JointCore::remodel`] rebuilds the
+//! models after a link change; [`JointCore::evict_all`] empties the
+//! roster in re-admission order for a one-by-one re-settle. The solve
+//! itself is private, and every successful one refreshes every
+//! resident's block and plan in the pass that slices `x`.
+//!
+//! The invariant this buys, by construction: **a block is live in the
+//! assembly iff its flow is on the roster or is a candidate of the
+//! solve in progress**. No planner can test a flow against the load of
+//! one that has, for the moment, left: a flow that is to be offered
+//! again (a straddler of `SchedulePlanner::advance_to`, a re-settled
+//! fleet) is first removed, and removal tombstones. A `debug_assert!`
+//! at the top of the solve checks it, so every stateful test does.
 //!
 //! # Layout
 //!
@@ -59,19 +87,22 @@
 //! `tests/carried_basis_stateful.rs`).
 //!
 //! [`JointCore::forget`] drops the assembly, basis included; the next
-//! solve re-places the members in admission order — what a wholesale
+//! solve re-places the residents in admission order — what a wholesale
 //! coefficient change (link dynamics), the instant planner's tombstone
 //! compaction, and `FleetConfig::incremental = false` (forget before
 //! *every* solve) all reduce to. `PlannerConfig::warm_start = false`
 //! keeps the assembly and carries no basis.
 //!
-//! A new row or column kind of the joint LP is added here, once.
+//! A new row or column kind of the joint LP, or a new piece of per-flow
+//! state, is added here, once.
 
 use crate::error::FleetError;
 use crate::flow::{FlowId, FlowRequest};
 use crate::planner::{FleetConfig, FleetObjective};
-use crate::schedule::{SlotWindow, TimeGrid};
-use dmc_core::{ComboTable, Planner, Scenario, ScenarioModel, ScenarioPath, WarmStats};
+use crate::schedule::{ScheduleRequest, SlotWindow, TimeGrid};
+use dmc_core::{
+    ComboTable, Objective, Plan, Planner, Scenario, ScenarioModel, ScenarioPath, WarmStats,
+};
 use dmc_lp::{Basis, Problem, SolveError, SolveStatus, SolverOptions, Workspace};
 use dmc_sim::LinkChange;
 use std::cmp::Ordering;
@@ -102,38 +133,68 @@ impl SharedPath {
     }
 }
 
-/// One flow as the joint LP sees it: its demand, the slots it may be
-/// served in, its buffer allowance and its coefficient model.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Member<'a> {
+/// One flow as the joint LP sees it, **owned**: its id, its demand with
+/// the slots it may be served in and its buffer allowance (an instant
+/// flow is [`SlotWindow::instant`]`(0)` with buffer 0), and its
+/// coefficient model. A candidate is offered to the core by value: it
+/// joins the roster when the LP takes it and is handed back when not.
+#[derive(Debug)]
+pub(crate) struct Member {
     pub(crate) id: FlowId,
-    pub(crate) flow: &'a FlowRequest,
-    pub(crate) window: SlotWindow,
-    pub(crate) buffer: f64,
-    pub(crate) model: &'a ScenarioModel,
+    pub(crate) request: ScheduleRequest,
+    pub(crate) model: ScenarioModel,
 }
 
-impl<'a> Member<'a> {
-    /// A flow served wholly inside slot 0 — the instant planner's case.
-    pub(crate) fn instant(id: FlowId, flow: &'a FlowRequest, model: &'a ScenarioModel) -> Self {
-        Member {
-            id,
-            flow,
-            window: SlotWindow::instant(0),
-            buffer: 0.0,
-            model,
-        }
+impl Member {
+    pub(crate) fn flow(&self) -> &FlowRequest {
+        self.request.flow()
+    }
+
+    pub(crate) fn window(&self) -> SlotWindow {
+        self.request.window()
     }
 
     /// Number of carry (store-and-forward buffer) variables: one per
     /// interior slot boundary when buffering is enabled, none for
     /// single-slot windows or a zero buffer.
     fn carry_vars(&self) -> usize {
-        if self.buffer > 0.0 {
-            self.window.len() - 1
+        if self.request.buffer() > 0.0 {
+            self.window().len() - 1
         } else {
             0
         }
+    }
+}
+
+/// One resident of the roster: an admitted member, its slice of the
+/// current joint allocation and the raw block of `x` that slice was cut
+/// from. Every successful solve refreshes both, for every resident.
+#[derive(Debug)]
+pub(crate) struct Resident {
+    pub(crate) member: Member,
+    /// The aggregate plan over the window (the slot-summed assignment
+    /// vector through [`ScenarioModel::plan_for`]).
+    pub(crate) plan: Plan,
+    /// `L·n` assignment values, window-slot-major, then the carry levels.
+    block: Vec<f64>,
+}
+
+impl Resident {
+    fn assigned(&self) -> usize {
+        self.member.window().len() * self.member.model.num_combos()
+    }
+
+    /// Per-window-slot assignment segments (`x^{f,s}`, slot-ascending).
+    pub(crate) fn slot_x(&self) -> impl Iterator<Item = &[f64]> {
+        self.block[..self.assigned()].chunks(self.member.model.num_combos())
+    }
+
+    /// Largest buffer level the allocation uses (0 without buffering).
+    pub(crate) fn peak_carry(&self) -> f64 {
+        self.block[self.assigned()..]
+            .iter()
+            .copied()
+            .fold(0.0, f64::max)
     }
 }
 
@@ -277,15 +338,15 @@ impl Assembly {
     /// this is the very first block). Objective and capacity-row
     /// segments are left to [`Assembly::rescale`], which every solve
     /// runs anyway.
-    fn place(&mut self, m: &Member<'_>) -> Placement {
+    fn place(&mut self, m: &Member) -> Placement {
         let n = m.model.num_combos();
-        let len = m.window.len();
+        let len = m.window().len();
         let carry = m.carry_vars();
         let width = len * n + carry;
         let g = 1.0 / len as f64;
-        let has_cost = m.flow.cost_budget().is_finite();
-        let has_floor = m.flow.min_quality() > 0.0;
-        let ring = self.ring(m.window.start());
+        let has_cost = m.flow().cost_budget().is_finite();
+        let has_floor = m.flow().min_quality() > 0.0;
+        let ring = self.ring(m.window().start());
         let reusable = self.slots.iter().position(|s| {
             !s.active
                 && s.n_combos == n
@@ -303,7 +364,7 @@ impl Assembly {
                     self.seg.extend_from_slice(m.model.cost_coeffs());
                 }
                 self.seg.resize(width, 0.0);
-                let budget = m.flow.cost_budget() / m.flow.data_rate();
+                let budget = m.flow().cost_budget() / m.flow().data_rate();
                 self.patch_row(row, slot.cols.start, budget);
             }
             if let Some(row) = slot.floor_row {
@@ -313,19 +374,19 @@ impl Assembly {
                     self.seg.extend(m.model.quality_coeffs().iter().map(|p| -p));
                 }
                 self.seg.resize(width, 0.0);
-                self.patch_row(row, slot.cols.start, -m.flow.min_quality());
+                self.patch_row(row, slot.cols.start, -m.flow().min_quality());
             }
             for i in 0..len {
                 self.set_rhs(slot.balance_start + i, g);
             }
             for i in 0..carry {
-                self.set_rhs(slot.cap_start + i, m.buffer * g);
+                self.set_rhs(slot.cap_start + i, m.request.buffer() * g);
             }
             if let Some(basis) = &mut self.basis {
                 basis.release(slot.forced_rows().chain(slot.cost_row), slot.cols.clone());
             }
             self.slots[idx].active = true;
-            self.slots[idx].window = m.window;
+            self.slots[idx].window = m.window();
             self.slot_of.insert(m.id, idx);
             return Placement::Reused;
         }
@@ -359,14 +420,14 @@ impl Assembly {
         let cost_row = has_cost.then(|| {
             let entries = in_every_slot(m.model.cost_triplets().collect());
             self.problem
-                .add_le_sparse(&entries, m.flow.cost_budget() / m.flow.data_rate())
+                .add_le_sparse(&entries, m.flow().cost_budget() / m.flow().data_rate())
                 .expect("valid cost row");
             self.problem.num_constraints() - 1
         });
         let floor_row = has_floor.then(|| {
             let entries = in_every_slot(m.model.quality_triplets().collect());
             self.problem
-                .add_ge_sparse(&entries, m.flow.min_quality())
+                .add_ge_sparse(&entries, m.flow().min_quality())
                 .expect("valid floor row");
             self.problem.num_constraints() - 1
         });
@@ -390,12 +451,12 @@ impl Assembly {
         let cap_start = self.problem.num_constraints();
         for i in 0..carry {
             self.problem
-                .add_le_sparse(&[(carry_base + i, 1.0)], m.buffer * g)
+                .add_le_sparse(&[(carry_base + i, 1.0)], m.request.buffer() * g)
                 .expect("valid buffer cap row");
         }
         self.slots.push(Slot {
             cols,
-            window: m.window,
+            window: m.window(),
             n_combos: n,
             carry,
             cost_row,
@@ -490,20 +551,20 @@ impl Assembly {
         grid: &TimeGrid,
         paths: &[SharedPath],
         maintenance: &BTreeSet<(u64, usize)>,
-        members: impl Iterator<Item = &'a Member<'a>> + Clone,
+        members: impl Iterator<Item = &'a Member> + Clone,
     ) {
         let lambda_vol: f64 = members
             .clone()
-            .map(|m| m.flow.data_rate() * m.window.len() as f64)
+            .map(|m| m.flow().data_rate() * m.window().len() as f64)
             .sum();
         for m in members {
             let slot = self.slots[self.slot_of[&m.id]].clone();
-            let len = m.window.len();
+            let len = m.window().len();
             let w = match objective {
-                FleetObjective::WeightedFair => m.flow.priority(),
+                FleetObjective::WeightedFair => m.flow().priority(),
                 FleetObjective::MaxAdmitted | FleetObjective::MaxTotalQuality => 1.0,
             };
-            let share = m.flow.data_rate() * len as f64 / lambda_vol;
+            let share = m.flow().data_rate() * len as f64 / lambda_vol;
             self.seg.clear();
             for _ in 0..len {
                 let scaled = m.model.quality_coeffs().iter().map(|p| w * share * p);
@@ -515,14 +576,14 @@ impl Assembly {
                 .expect("objective segment fits");
             for k in 0..paths.len() {
                 self.seg.clear();
-                match local_path_index(m.flow.paths(), k) {
+                match local_path_index(m.flow().paths(), k) {
                     Some(lk) => {
                         let scaled = m.model.usage_coeffs(lk).iter().map(|u| share * u);
                         self.seg.extend(scaled);
                     }
                     None => self.seg.resize(slot.n_combos, 0.0),
                 }
-                for (i, s) in m.window.slots().enumerate() {
+                for (i, s) in m.window().slots().enumerate() {
                     let row = self.cap_row(s, k);
                     self.problem
                         .set_row_range(row, slot.combo_start(i), &self.seg)
@@ -544,11 +605,15 @@ impl Assembly {
 }
 
 /// The joint-LP core one planner owns: the shared paths and grid, the
-/// per-flow model builder, the maintained [`Assembly`] (LP and carried
-/// basis) and the solver scratch.
+/// roster of resident flows, the per-flow model builder, the maintained
+/// [`Assembly`] (LP and carried basis) and the solver scratch.
 #[derive(Debug)]
 pub(crate) struct JointCore {
     pub(crate) config: FleetConfig,
+    /// The roster — who is in the LP — in admission order.
+    flows: Vec<Resident>,
+    /// The next [`FlowId`] an offer consumes.
+    next_id: u64,
     pub(crate) grid: TimeGrid,
     pub(crate) paths: Vec<SharedPath>,
     /// Zero-capacity (slot, path) pairs — scheduled maintenance.
@@ -603,6 +668,8 @@ impl JointCore {
         Ok(JointCore {
             flow_planner: Planner::with_config(config.planner.clone()),
             config,
+            flows: Vec::new(),
+            next_id: 0,
             grid,
             paths: paths.into_iter().map(shared).collect(),
             maintenance: BTreeSet::new(),
@@ -687,15 +754,100 @@ impl JointCore {
         Ok(self.flow_planner.model(&scenario))
     }
 
-    /// Tombstones a placed flow's block (a no-op for unknown flows).
-    pub(crate) fn deactivate(&mut self, id: FlowId) {
-        if let Some(assembly) = self.assembly.as_mut() {
-            assembly.deactivate(id);
+    /// Consumes the next flow id (ids are offer-ordered).
+    pub(crate) fn next_id(&mut self) -> FlowId {
+        self.next_id += 1;
+        FlowId::new(self.next_id - 1)
+    }
+
+    /// The residents, in admission order.
+    pub(crate) fn residents(&self) -> &[Resident] {
+        &self.flows
+    }
+
+    /// The residents' ids, in admission order.
+    pub(crate) fn ids(&self) -> Vec<FlowId> {
+        self.flows.iter().map(|r| r.member.id).collect()
+    }
+
+    /// The resident with this id, if any.
+    pub(crate) fn resident(&self, id: FlowId) -> Option<&Resident> {
+        self.flows.iter().find(|r| r.member.id == id)
+    }
+
+    /// Offers one candidate: it becomes the last resident (its predicted
+    /// quality is returned) or, when no allocation meets every floor
+    /// with it, is handed back with the LP and the incumbents untouched.
+    pub(crate) fn admit(&mut self, member: Member) -> Result<Result<f64, Member>, FleetError> {
+        let verdict = self.admit_all(vec![member])?;
+        Ok(verdict
+            .map(|qualities| qualities[0])
+            .map_err(|mut back| back.pop().expect("the one candidate comes back")))
+    }
+
+    /// Offers a batch in **one** solve: all become residents, in order
+    /// (their predicted qualities are returned), or none does and the
+    /// batch is handed back.
+    pub(crate) fn admit_all(
+        &mut self,
+        batch: Vec<Member>,
+    ) -> Result<Result<Vec<f64>, Vec<Member>>, FleetError> {
+        let incumbents = self.flows.len();
+        match self.solve(batch) {
+            Ok(()) => Ok(Ok(self.flows[incumbents..]
+                .iter()
+                .map(|r| r.plan.quality())
+                .collect())),
+            Err((SolveError::Infeasible { .. }, back)) => Ok(Err(back)),
+            Err((e, _)) => Err(FleetError::Solve(e)),
         }
     }
 
+    /// Takes a flow off the roster and tombstones its block. The caller
+    /// re-solves once it has removed everyone who leaves.
+    pub(crate) fn remove(&mut self, id: FlowId) -> Option<Resident> {
+        let pos = self.flows.iter().position(|r| r.member.id == id)?;
+        if let Some(assembly) = self.assembly.as_mut() {
+            assembly.deactivate(id);
+        }
+        Some(self.flows.remove(pos))
+    }
+
+    /// Re-solves over the residents alone and refreshes their plans.
+    pub(crate) fn resolve(&mut self) -> Result<(), SolveError> {
+        self.solve(Vec::new()).map_err(|(e, _)| e)
+    }
+
+    /// Rebuilds every resident's model against the current shared paths.
+    /// The caller [forgets](JointCore::forget) the assembly built from
+    /// the old ones.
+    pub(crate) fn remodel(&mut self) -> Result<(), FleetError> {
+        let mut flows = std::mem::take(&mut self.flows);
+        let rebuilt = flows.iter_mut().try_for_each(|r| {
+            r.member.model = self.flow_model(r.member.flow())?;
+            Ok(())
+        });
+        self.flows = flows;
+        rebuilt
+    }
+
+    /// Empties the roster and forgets the assembly; the evicted come
+    /// back in re-admission order — highest priority first, admission
+    /// order within ties — for the caller to offer again one by one.
+    pub(crate) fn evict_all(&mut self) -> Vec<Resident> {
+        self.forget();
+        let mut evicted = std::mem::take(&mut self.flows);
+        evicted.sort_by(|a, b| {
+            readmission_order(
+                (a.member.flow(), a.member.id),
+                (b.member.flow(), b.member.id),
+            )
+        });
+        evicted
+    }
+
     /// Drops the assembly and the basis carried with it; the next solve
-    /// re-places its members in the order given (keeps the layout
+    /// re-places the residents in admission order (keeps the layout
     /// deterministic after wholesale coefficient changes, and compacts
     /// tombstones away) and starts cold.
     pub(crate) fn forget(&mut self) {
@@ -710,21 +862,25 @@ impl JointCore {
         })
     }
 
-    /// Solves the joint LP over `members` (already admitted, in
-    /// admission order) plus tentative `extras`, returning each flow's
-    /// raw block of `x` — members first, then extras, both in order.
-    /// With no flows at all there is nothing to solve.
+    /// Solves the joint LP over the roster plus the tentative `extras`.
+    /// On success every resident's block and plan are refreshed from the
+    /// new `x` and the extras join the roster, in order; with no flows
+    /// at all there is nothing to solve.
     ///
     /// On *any* error — infeasibility included — the extras' placements
-    /// are rolled back, so a rejected candidate leaves no trace.
-    pub(crate) fn solve(
-        &mut self,
-        members: &[Member<'_>],
-        extras: &[Member<'_>],
-    ) -> Result<Vec<Vec<f64>>, SolveError> {
-        if members.is_empty() && extras.is_empty() {
+    /// are rolled back and the extras handed back, so a refused
+    /// candidate leaves no trace.
+    fn solve(&mut self, extras: Vec<Member>) -> Result<(), (SolveError, Vec<Member>)> {
+        debug_assert!(
+            self.assembly.as_ref().is_none_or(|a| {
+                let resident = |r: &Resident| a.slot_of.contains_key(&r.member.id);
+                a.slot_of.len() == self.flows.len() && self.flows.iter().all(resident)
+            }),
+            "the assembly's live blocks are not the roster's"
+        );
+        if self.flows.is_empty() && extras.is_empty() {
             self.last_objective = 0.0;
-            return Ok(Vec::new());
+            return Ok(());
         }
         if !self.config.incremental {
             // The differential baseline: nothing survives between solves.
@@ -732,29 +888,54 @@ impl JointCore {
         }
         let mut assembly = self.assembly.take().unwrap_or_else(|| {
             let mut fresh = Assembly::new(self.grid.horizon(), self.paths.len());
-            for m in members {
-                fresh.place(m);
+            for r in &self.flows {
+                fresh.place(&r.member);
             }
             fresh
         });
         let placements: Vec<Placement> = extras.iter().map(|m| assembly.place(m)).collect();
-        let everyone = members.iter().chain(extras);
         assembly.rescale(
             self.config.objective,
             &self.grid,
             &self.paths,
             &self.maintenance,
-            everyone.clone(),
+            self.flows.iter().map(|r| &r.member).chain(&extras),
         );
         match self.solve_joint_problem(&assembly.problem, &mut assembly.basis) {
             Ok(solution) => {
                 let x = solution.into_x();
                 self.last_objective = assembly.problem.objective_value(&x);
-                let blocks = everyone
-                    .map(|m| x[assembly.slots[assembly.slot_of[&m.id]].cols.clone()].to_vec())
-                    .collect();
+                // A flow's slice: its raw block (into the buffer it
+                // already has), and the plan of the block's slot-summed
+                // assignment (for `L = 1` the sum *is* the block).
+                let slice = |m: &Member, block: &mut Vec<f64>| {
+                    block.clear();
+                    block.extend_from_slice(
+                        &x[assembly.slots[assembly.slot_of[&m.id]].cols.clone()],
+                    );
+                    let n = m.model.num_combos();
+                    let mut total = block[..n].to_vec();
+                    for seg in block[n..m.window().len() * n].chunks(n) {
+                        for (t, v) in total.iter_mut().zip(seg) {
+                            *t += v;
+                        }
+                    }
+                    m.model.plan_for(Objective::MaxQuality, total)
+                };
+                for r in &mut self.flows {
+                    r.plan = slice(&r.member, &mut r.block);
+                }
+                for member in extras {
+                    let mut block = Vec::new();
+                    let plan = slice(&member, &mut block);
+                    self.flows.push(Resident {
+                        member,
+                        plan,
+                        block,
+                    });
+                }
                 self.assembly = Some(assembly);
-                Ok(blocks)
+                Ok(())
             }
             Err(e) => {
                 // Reverse order, so appended blocks truncate cleanly. An
@@ -766,7 +947,7 @@ impl JointCore {
                     .rev()
                     .all(|(m, p)| assembly.rollback(m.id, p).is_ok());
                 self.assembly = clean.then_some(assembly);
-                Err(e)
+                Err((e, extras))
             }
         }
     }
@@ -886,17 +1067,17 @@ mod tests {
     fn assemble_joint(
         objective: FleetObjective,
         paths: &[SharedPath],
-        entries: &[Member<'_>],
+        entries: &[Member],
     ) -> Problem {
-        let lambda_tot: f64 = entries.iter().map(|e| e.flow.data_rate()).sum();
+        let lambda_tot: f64 = entries.iter().map(|e| e.flow().data_rate()).sum();
         let total_vars: usize = entries.iter().map(|e| e.model.num_combos()).sum();
         let mut c = Vec::with_capacity(total_vars);
         for e in entries {
             let w = match objective {
-                FleetObjective::WeightedFair => e.flow.priority(),
+                FleetObjective::WeightedFair => e.flow().priority(),
                 FleetObjective::MaxAdmitted | FleetObjective::MaxTotalQuality => 1.0,
             };
-            let share = e.flow.data_rate() / lambda_tot;
+            let share = e.flow().data_rate() / lambda_tot;
             c.extend(e.model.quality_coeffs().iter().map(|p| w * share * p));
         }
         let mut lp = Problem::maximize(c);
@@ -906,8 +1087,8 @@ mod tests {
         for (k, path) in paths.iter().enumerate() {
             let mut row = Vec::with_capacity(total_vars);
             for e in entries {
-                let share = e.flow.data_rate() / lambda_tot;
-                match local_path_index(e.flow.paths(), k) {
+                let share = e.flow().data_rate() / lambda_tot;
+                match local_path_index(e.flow().paths(), k) {
                     Some(lk) => row.extend(e.model.usage_coeffs(lk).iter().map(|u| share * u)),
                     None => row.extend(std::iter::repeat_n(0.0, e.model.num_combos())),
                 }
@@ -922,16 +1103,16 @@ mod tests {
         for e in entries {
             let n = e.model.num_combos();
             block_starts.push(offset);
-            if e.flow.cost_budget().is_finite() {
+            if e.flow().cost_budget().is_finite() {
                 let mut row = vec![0.0; total_vars];
                 row[offset..offset + n].copy_from_slice(e.model.cost_coeffs());
-                lp.add_le(row, e.flow.cost_budget() / e.flow.data_rate())
+                lp.add_le(row, e.flow().cost_budget() / e.flow().data_rate())
                     .expect("dimensions match");
             }
-            if e.flow.min_quality() > 0.0 {
+            if e.flow().min_quality() > 0.0 {
                 let mut row = vec![0.0; total_vars];
                 row[offset..offset + n].copy_from_slice(e.model.quality_coeffs());
-                lp.add_ge(row, e.flow.min_quality())
+                lp.add_ge(row, e.flow().min_quality())
                     .expect("dimensions match");
             }
             let mut row = vec![0.0; total_vars];
@@ -944,6 +1125,15 @@ mod tests {
         lp.set_block_starts(block_starts)
             .expect("block starts are sorted and in range");
         lp
+    }
+
+    /// A candidate over `window`, with the next id and a fresh model.
+    fn candidate(core: &mut JointCore, flow: FlowRequest, window: SlotWindow) -> Member {
+        Member {
+            id: core.next_id(),
+            model: core.flow_model(&flow).unwrap(),
+            request: ScheduleRequest::new(flow, window),
+        }
     }
 
     fn core(horizon: usize, objective: FleetObjective) -> JointCore {
@@ -981,15 +1171,9 @@ mod tests {
                     .with_transmissions(1),
                 FlowRequest::new(20e6, 0.6).unwrap(),
             ];
-            let models: Vec<ScenarioModel> = requests
-                .iter()
-                .map(|r| core.flow_model(r).unwrap())
-                .collect();
-            let members: Vec<Member<'_>> = requests
-                .iter()
-                .zip(&models)
-                .enumerate()
-                .map(|(i, (r, m))| Member::instant(FlowId::new(i as u64), r, m))
+            let members: Vec<Member> = requests
+                .into_iter()
+                .map(|r| candidate(&mut core, r, SlotWindow::instant(0)))
                 .collect();
             let mut assembly = Assembly::new(1, core.paths.len());
             for m in &members {
@@ -1007,8 +1191,8 @@ mod tests {
             // RHS, and the block starts.
             assert_eq!(assembly.problem, oracle, "{objective:?}");
             // And the core's own solve builds exactly that problem.
-            core.solve(&[], &members)
-                .expect("the mixed fleet is feasible");
+            let admitted = core.admit_all(members).expect("solves");
+            assert!(admitted.is_ok(), "the mixed fleet is feasible");
             let solved = core.assembly.as_ref().expect("kept after a solve");
             assert_eq!(solved.problem, oracle, "{objective:?}");
         }
@@ -1017,12 +1201,9 @@ mod tests {
     #[test]
     fn out_of_order_rollback_is_a_checked_error() {
         let mut core = core(1, FleetObjective::MaxAdmitted);
-        let req_a = FlowRequest::new(10e6, 0.5).unwrap();
-        let req_b = FlowRequest::new(20e6, 0.7).unwrap();
-        let model_a = core.flow_model(&req_a).unwrap();
-        let model_b = core.flow_model(&req_b).unwrap();
-        let a = Member::instant(FlowId::new(0), &req_a, &model_a);
-        let b = Member::instant(FlowId::new(1), &req_b, &model_b);
+        let now = SlotWindow::instant(0);
+        let a = candidate(&mut core, FlowRequest::new(10e6, 0.5).unwrap(), now);
+        let b = candidate(&mut core, FlowRequest::new(20e6, 0.7).unwrap(), now);
         let mut assembly = Assembly::new(1, 3);
         let place_a = assembly.place(&a);
         let place_b = assembly.place(&b);
@@ -1043,23 +1224,73 @@ mod tests {
     #[test]
     fn tombstoned_blocks_are_reused_across_churn() {
         let mut core = core(4, FleetObjective::MaxAdmitted);
-        let request = FlowRequest::new(20e6, 0.8).unwrap();
-        let model = core.flow_model(&request).unwrap();
-        let windowed = |id| Member {
-            window: SlotWindow::new(1, 3).unwrap(),
-            ..Member::instant(FlowId::new(id), &request, &model)
+        let windowed = |core: &mut JointCore| {
+            let request = FlowRequest::new(20e6, 0.8).unwrap();
+            candidate(core, request, SlotWindow::new(1, 3).unwrap())
         };
         let num_vars = |core: &JointCore| core.assembly.as_ref().unwrap().problem.num_vars();
-        core.solve(&[], &[windowed(0)]).expect("offer");
+        let first = windowed(&mut core);
+        assert!(core.admit(first).expect("offer").is_ok());
         let vars_before = num_vars(&core);
-        core.deactivate(FlowId::new(0));
+        assert!(core.remove(FlowId::new(0)).is_some());
         assert_eq!(core.slot_counts(), (1, 1));
-        core.solve(&[], &[windowed(1)]).expect("offer");
+        let second = windowed(&mut core);
+        assert!(core.admit(second).expect("offer").is_ok());
         assert_eq!(
             vars_before,
             num_vars(&core),
             "an equivalent flow must take the tombstoned block over in place"
         );
         assert_eq!(core.slot_counts(), (1, 0));
+    }
+
+    #[test]
+    fn the_roster_and_the_assembly_move_together() {
+        let mut core = core(1, FleetObjective::MaxAdmitted);
+        let now = SlotWindow::instant(0);
+        let strict = |rate: f64| {
+            let flow = FlowRequest::new(rate, 0.8).unwrap();
+            flow.with_min_quality(0.9)
+        };
+        let ids = |core: &JointCore| -> Vec<u64> { core.ids().iter().map(FlowId::index).collect() };
+        // Admit: the candidate becomes the last resident, with its plan.
+        let a = candidate(&mut core, strict(70e6), now);
+        let q = core.admit(a).expect("solves").expect("fits alone");
+        assert_eq!(q, core.resident(FlowId::new(0)).unwrap().plan.quality());
+        assert_eq!((ids(&core), core.slot_counts()), (vec![0], (1, 0)));
+        // A refused candidate comes back intact and leaves no block.
+        let b = candidate(&mut core, strict(70e6).with_priority(2.0), now);
+        let (flow_b, combos_b) = (b.flow().clone(), b.model.num_combos());
+        let back = core.admit(b).expect("solves").expect_err("does not fit");
+        assert_eq!((back.id, back.flow()), (FlowId::new(1), &flow_b));
+        assert_eq!(back.model.num_combos(), combos_b);
+        assert_eq!((ids(&core), core.slot_counts()), (vec![0], (1, 0)));
+        // A batch is refused whole, in the order it was offered — the
+        // one member that would have fitted alone included.
+        let small = candidate(&mut core, strict(10e6), now);
+        let batch = core.admit_all(vec![small, back]).expect("solves");
+        let batch = batch.expect_err("the pair does not fit");
+        let offered: Vec<u64> = batch.iter().map(|m| m.id.index()).collect();
+        assert_eq!(offered, [2, 1]);
+        assert_eq!((ids(&core), core.slot_counts()), (vec![0], (1, 0)));
+        // Remove: off the roster, the block a tombstone, once.
+        let a = core.remove(FlowId::new(0)).expect("resident");
+        assert!(core.remove(FlowId::new(0)).is_none());
+        assert_eq!((ids(&core), core.slot_counts()), (vec![], (1, 1)));
+        core.resolve().expect("nothing left to solve");
+        // The refused pair fits now; the strict flow takes the tombstone.
+        assert!(core.admit_all(batch).expect("solves").is_ok());
+        assert_eq!((ids(&core), core.slot_counts()), (vec![2, 1], (2, 0)));
+        // Evict: everyone comes back, priority first, and the assembly
+        // is forgotten; re-admitted one by one they are residents again.
+        let evicted = core.evict_all();
+        let order: Vec<u64> = evicted.iter().map(|r| r.member.id.index()).collect();
+        assert_eq!(order, [1, 2]);
+        assert_eq!((ids(&core), core.slot_counts()), (vec![], (0, 0)));
+        for resident in evicted {
+            assert!(core.admit(resident.member).expect("solves").is_ok());
+        }
+        assert!(core.admit(a.member).expect("solves").is_err());
+        assert_eq!((ids(&core), core.slot_counts()), (vec![1, 2], (2, 0)));
     }
 }

@@ -25,6 +25,9 @@
 //!   with the LP and edited in step with it, so an admission, a refusal
 //!   or a revive starts from the incumbents' vertex and pivots only for
 //!   the candidate — see the `fleet_admission` benchmark;
+//! * that core also owns the **roster** of admitted flows (request,
+//!   model, plan), so a planner holds policy and nothing per flow: it
+//!   offers candidates by value and gets the refused ones back;
 //! * the joint solution is **decomposed back into ordinary per-flow
 //!   [`dmc_core::Plan`]s** via [`dmc_core::ScenarioModel::plan_for`], so
 //!   `run_plan`, `DmcSender::from_plan` and `AdaptiveSender` consume

@@ -48,19 +48,22 @@
 //! their original ids — or definitively rejected within a bounded number
 //! of events ([`FleetPlanner::SHED_HORIZON`]).
 //!
-//! The LP itself — block layout, tombstoning, Λ-rescaling, the warm
-//! cache — is maintained by the joint core this planner shares with
+//! The LP itself — block layout, tombstoning, Λ-rescaling, the carried
+//! basis — **and the roster of admitted flows** (id, request, model,
+//! plan) are kept by the joint core this planner shares with
 //! [`SchedulePlanner`](crate::SchedulePlanner) (`joint.rs`), run here
-//! over a one-slot grid; what lives in this module is the *policy*:
+//! over a one-slot grid. This planner holds no admitted flow of its own:
+//! it offers candidates to the core by value and gets the refused ones
+//! back. What lives in this module is the *policy* and nothing else:
 //! batch admission with its greedy fallback, the shed queue and its
-//! backoff, and compaction of tombstones once they outnumber the
-//! active flows.
+//! backoff, compaction of tombstones once they outnumber the active
+//! flows, and the `fleet.*` admission counters.
 
 use crate::error::FleetError;
 use crate::flow::{FlowId, FlowRequest};
 use crate::joint::{readmission_order, JointCore, Member};
-use crate::schedule::TimeGrid;
-use dmc_core::{Objective, Plan, PlannerConfig, ScenarioModel, ScenarioPath, WarmStats};
+use crate::schedule::{ScheduleRequest, SlotWindow, TimeGrid};
+use dmc_core::{Plan, PlannerConfig, ScenarioPath, WarmStats};
 use dmc_lp::{Backend, SolveError};
 use dmc_sim::LinkChange;
 
@@ -172,24 +175,6 @@ impl AdmissionDecision {
     }
 }
 
-/// One admitted flow: its request, its model against the current shared
-/// paths, and its slice of the current joint allocation.
-#[derive(Debug)]
-struct FlowState {
-    id: FlowId,
-    request: FlowRequest,
-    model: ScenarioModel,
-    plan: Plan,
-}
-
-/// The admitted flows as the joint core sees them, in admission order.
-fn members(flows: &[FlowState]) -> Vec<Member<'_>> {
-    flows
-        .iter()
-        .map(|f| Member::instant(f.id, &f.request, &f.model))
-        .collect()
-}
-
 /// Compact the joint assembly once it holds at least this many slots
 /// *and* tombstoned slots outnumber the active ones.
 const COMPACT_MIN_SLOTS: usize = 8;
@@ -207,10 +192,12 @@ const SHED_SKIP_CAP: u32 = 7;
 /// [`FleetPlanner::MAX_SHED_ATTEMPTS`] failures it is definitively
 /// rejected — so every shed flow leaves the queue within
 /// [`FleetPlanner::SHED_HORIZON`] capacity events.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ShedFlow {
     id: FlowId,
-    request: FlowRequest,
+    /// The flow's request, in the instant window every flow of this
+    /// planner is served in.
+    request: ScheduleRequest,
     /// The plan the flow held when it was shed (returned if the tenant
     /// withdraws the flow while it waits).
     plan: Plan,
@@ -253,10 +240,9 @@ struct ShedFlow {
 /// ```
 #[derive(Debug)]
 pub struct FleetPlanner {
-    /// The joint LP, over a private one-slot grid.
+    /// The joint LP and the roster of admitted flows, over a private
+    /// one-slot grid.
     core: JointCore,
-    flows: Vec<FlowState>,
-    next_id: u64,
     /// Flows displaced by capacity losses, awaiting re-admission.
     shed: Vec<ShedFlow>,
     /// Flows that exhausted their re-admission attempts (cumulative).
@@ -276,8 +262,6 @@ impl FleetPlanner {
         let instant = TimeGrid::new(1.0, 1)?;
         Ok(FleetPlanner {
             core: JointCore::new(paths, instant, config)?,
-            flows: Vec::new(),
-            next_id: 0,
             shed: Vec::new(),
             shed_rejected: Vec::new(),
             revived: Vec::new(),
@@ -313,10 +297,9 @@ impl FleetPlanner {
     /// that cannot be met is a [`AdmissionDecision::Rejected`], not an
     /// error.
     pub fn offer(&mut self, request: FlowRequest) -> Result<AdmissionDecision, FleetError> {
-        let id = FlowId::new(self.next_id);
-        self.next_id += 1;
-        let model = self.core.flow_model(&request)?;
-        self.admit_candidate(id, request, model)
+        let candidate = self.candidate(request)?;
+        let id = candidate.id;
+        Ok(decision(id, self.admit(candidate)?))
     }
 
     /// Offers a batch of flows.
@@ -338,59 +321,37 @@ impl FleetPlanner {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
-        let mut candidates = Vec::with_capacity(requests.len());
+        let mut batch = Vec::with_capacity(requests.len());
         for request in requests {
-            let id = FlowId::new(self.next_id);
-            self.next_id += 1;
-            let model = self.core.flow_model(&request)?;
-            candidates.push((id, request, model));
+            batch.push(self.candidate(request)?);
         }
+        let ids: Vec<FlowId> = batch.iter().map(|m| m.id).collect();
         // Fast path: the whole batch in one solve.
-        let extras: Vec<Member<'_>> = candidates
-            .iter()
-            .map(|(id, r, m)| Member::instant(*id, r, m))
-            .collect();
-        match self.core.solve(&members(&self.flows), &extras) {
-            Ok(mut segments) => {
-                let candidate_segments = segments.split_off(self.flows.len());
-                self.refresh_plans(segments);
-                let mut decisions = Vec::with_capacity(candidates.len());
-                for ((id, request, model), seg) in candidates.into_iter().zip(candidate_segments) {
-                    decisions.push(self.commit(id, request, model, seg));
-                }
-                self.core
-                    .config
-                    .obs
-                    .counter("fleet.admits")
-                    .add(decisions.len() as u64);
-                Ok(decisions)
+        match self.core.admit_all(batch)? {
+            Ok(qualities) => {
+                let obs = &self.core.config.obs;
+                obs.counter("fleet.admits").add(ids.len() as u64);
+                let verdicts = ids.into_iter().zip(qualities);
+                Ok(verdicts.map(|(id, q)| decision(id, Ok(q))).collect())
             }
-            Err(SolveError::Infeasible { .. }) => {
-                // Greedy fallback; sort by deadline in MaxAdmitted mode.
-                let mut order: Vec<usize> = (0..candidates.len()).collect();
+            Err(mut batch) => {
+                // Greedy fallback; by deadline in MaxAdmitted mode (the
+                // sort is stable: arrival order within ties).
                 if self.core.config.objective == FleetObjective::MaxAdmitted {
-                    order.sort_by(|&a, &b| {
-                        candidates[a]
-                            .1
-                            .lifetime()
-                            .partial_cmp(&candidates[b].1.lifetime())
-                            .expect("finite lifetimes")
-                            .then(a.cmp(&b))
+                    batch.sort_by(|a, b| {
+                        let (a, b) = (a.flow().lifetime(), b.flow().lifetime());
+                        a.partial_cmp(&b).expect("finite lifetimes")
                     });
                 }
-                let mut decisions: Vec<Option<AdmissionDecision>> = vec![None; candidates.len()];
-                let mut taken: Vec<Option<(FlowId, FlowRequest, ScenarioModel)>> =
-                    candidates.into_iter().map(Some).collect();
-                for i in order {
-                    let (id, request, model) = taken[i].take().expect("visited once");
-                    decisions[i] = Some(self.admit_candidate(id, request, model)?);
+                let mut decisions = Vec::with_capacity(batch.len());
+                for candidate in batch {
+                    let id = candidate.id;
+                    decisions.push(decision(id, self.admit(candidate)?));
                 }
-                Ok(decisions
-                    .into_iter()
-                    .map(|d| d.expect("every decision slot was filled by the loop above"))
-                    .collect())
+                // Back to input order, which is id order.
+                decisions.sort_by_key(AdmissionDecision::id);
+                Ok(decisions)
             }
-            Err(e) => Err(FleetError::Solve(e)),
         }
     }
 
@@ -410,24 +371,15 @@ impl FleetPlanner {
     /// A departure frees capacity, so it also runs one re-admission sweep
     /// over the shed queue (see [`FleetPlanner::shed_flows`]).
     ///
+    /// This is [`FleetPlanner::depart_batch`] with one id.
+    ///
     /// # Errors
     ///
     /// [`FleetError::UnknownFlow`] for ids never admitted or already
     /// gone.
     pub fn depart(&mut self, id: FlowId) -> Result<Plan, FleetError> {
-        let Some(idx) = self.flows.iter().position(|f| f.id == id) else {
-            if let Some(pos) = self.shed.iter().position(|s| s.id == id) {
-                self.core.config.obs.counter("fleet.departs").inc();
-                self.core.config.obs.gauge("fleet.shed_queue").sub(1);
-                return Ok(self.shed.remove(pos).plan);
-            }
-            return Err(FleetError::UnknownFlow(id));
-        };
-        self.core.config.obs.counter("fleet.departs").inc();
-        let departed = self.flows.remove(idx);
-        self.core.deactivate(id);
-        self.settle_after_departures()?;
-        Ok(departed.plan)
+        let mut plans = self.depart_batch(&[id])?;
+        Ok(plans.pop().expect("one plan per departed id"))
     }
 
     /// Removes a batch of flows with **one** joint re-solve and **one**
@@ -449,18 +401,18 @@ impl FleetPlanner {
         }
         let mut seen = std::collections::BTreeSet::new();
         for &id in ids {
-            let known =
-                self.flows.iter().any(|f| f.id == id) || self.shed.iter().any(|s| s.id == id);
+            let known = self.core.resident(id).is_some() || self.shed.iter().any(|s| s.id == id);
             if !known || !seen.insert(id) {
                 return Err(FleetError::UnknownFlow(id));
             }
         }
+        let obs = &self.core.config.obs;
+        obs.counter("fleet.departs").add(ids.len() as u64);
         let mut plans = Vec::with_capacity(ids.len());
         let mut removed_admitted = false;
         for &id in ids {
-            if let Some(idx) = self.flows.iter().position(|f| f.id == id) {
-                plans.push(self.flows.remove(idx).plan);
-                self.core.deactivate(id);
+            if let Some(resident) = self.core.remove(id) {
+                plans.push(resident.plan);
                 removed_admitted = true;
             } else {
                 let pos = self
@@ -469,6 +421,7 @@ impl FleetPlanner {
                     .position(|s| s.id == id)
                     .expect("validated as known above");
                 plans.push(self.shed.remove(pos).plan);
+                self.core.config.obs.gauge("fleet.shed_queue").sub(1);
             }
         }
         if removed_admitted {
@@ -483,13 +436,10 @@ impl FleetPlanner {
     /// shed queue its re-admission sweep.
     fn settle_after_departures(&mut self) -> Result<(), FleetError> {
         let (slots, tombstoned) = self.core.slot_counts();
-        if slots >= COMPACT_MIN_SLOTS && tombstoned > self.flows.len() {
+        if slots >= COMPACT_MIN_SLOTS && tombstoned > self.num_flows() {
             self.core.forget();
         }
-        if !self.flows.is_empty() {
-            let segments = self.solve_members().map_err(FleetError::Solve)?;
-            self.refresh_plans(segments);
-        }
+        self.core.resolve().map_err(FleetError::Solve)?;
         self.revive_shed()
     }
 
@@ -592,17 +542,17 @@ impl FleetPlanner {
 
     /// Number of admitted flows.
     pub fn num_flows(&self) -> usize {
-        self.flows.len()
+        self.core.residents().len()
     }
 
     /// Whether no flow is admitted.
     pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
+        self.core.residents().is_empty()
     }
 
     /// Ids of the admitted flows, in admission order.
     pub fn flow_ids(&self) -> Vec<FlowId> {
-        self.flows.iter().map(|f| f.id).collect()
+        self.core.ids()
     }
 
     /// The current plan of an admitted flow — an ordinary single-flow
@@ -610,17 +560,17 @@ impl FleetPlanner {
     /// capacity), so `run_plan`, `DmcSender::from_plan` and
     /// `AdaptiveSender` consume it unchanged.
     pub fn plan_of(&self, id: FlowId) -> Option<&Plan> {
-        self.flows.iter().find(|f| f.id == id).map(|f| &f.plan)
+        self.core.resident(id).map(|r| &r.plan)
     }
 
     /// The admitted request behind a flow id.
     pub fn request_of(&self, id: FlowId) -> Option<&FlowRequest> {
-        self.flows.iter().find(|f| f.id == id).map(|f| &f.request)
+        self.core.resident(id).map(|r| r.member.flow())
     }
 
     /// `(id, plan)` for every admitted flow, in admission order.
     pub fn plans(&self) -> impl Iterator<Item = (FlowId, &Plan)> {
-        self.flows.iter().map(|f| (f.id, &f.plan))
+        self.core.residents().iter().map(|r| (r.member.id, &r.plan))
     }
 
     /// The effective shared paths the joint LP currently plans against
@@ -640,15 +590,15 @@ impl FleetPlanner {
     /// rates are indexed by its own subset).
     pub fn utilization(&self) -> Vec<f64> {
         let mut util = vec![0.0; self.core.paths.len()];
-        for f in &self.flows {
-            match f.request.paths() {
+        for r in self.core.residents() {
+            match r.member.flow().paths() {
                 None => {
-                    for (u, rate) in util.iter_mut().zip(f.plan.send_rates()) {
+                    for (u, rate) in util.iter_mut().zip(r.plan.send_rates()) {
                         *u += rate;
                     }
                 }
                 Some(subset) => {
-                    for (&k, rate) in subset.iter().zip(f.plan.send_rates()) {
+                    for (&k, rate) in subset.iter().zip(r.plan.send_rates()) {
                         util[k] += rate;
                     }
                 }
@@ -663,16 +613,17 @@ impl FleetPlanner {
     /// Aggregate in-time goodput of the admitted flows, bits/second
     /// (`Σ_f λ_f Q_f`).
     pub fn total_goodput(&self) -> f64 {
-        self.flows
-            .iter()
-            .map(|f| f.request.data_rate() * f.plan.quality())
+        let residents = self.core.residents().iter();
+        residents
+            .map(|r| r.member.flow().data_rate() * r.plan.quality())
             .sum()
     }
 
     /// Rate-weighted mean quality of the admitted flows (the joint LP's
     /// `MaxTotalQuality` objective value; 0 with no flows).
     pub fn aggregate_quality(&self) -> f64 {
-        let lambda_tot: f64 = self.flows.iter().map(|f| f.request.data_rate()).sum();
+        let residents = self.core.residents().iter();
+        let lambda_tot: f64 = residents.map(|r| r.member.flow().data_rate()).sum();
         if lambda_tot <= 0.0 {
             return 0.0;
         }
@@ -704,63 +655,26 @@ impl FleetPlanner {
         self.core.clear_warm_cache();
     }
 
-    /// Re-solves the joint LP over the admitted flows, returning one
-    /// assignment segment per flow in admission order.
-    fn solve_members(&mut self) -> Result<Vec<Vec<f64>>, SolveError> {
-        self.core.solve(&members(&self.flows), &[])
+    /// Gives a request the next flow id and its model against the
+    /// current shared paths.
+    fn candidate(&mut self, request: FlowRequest) -> Result<Member, FleetError> {
+        let id = self.core.next_id();
+        let model = self.core.flow_model(&request)?;
+        let request = ScheduleRequest::new(request, SlotWindow::instant(0));
+        Ok(Member { id, request, model })
     }
 
-    /// Admits a candidate the joint LP just proved feasible, with its
-    /// segment of that solution.
-    fn commit(
-        &mut self,
-        id: FlowId,
-        request: FlowRequest,
-        model: ScenarioModel,
-        seg: Vec<f64>,
-    ) -> AdmissionDecision {
-        let plan = model.plan_for(Objective::MaxQuality, seg);
-        let predicted_quality = plan.quality();
-        self.flows.push(FlowState {
-            id,
-            request,
-            model,
-            plan,
-        });
-        AdmissionDecision::Admitted {
-            id,
-            predicted_quality,
-        }
-    }
-
-    /// Tentatively solves the joint LP with `id`'s candidate added;
-    /// commits on success, leaves the incumbents untouched on
-    /// infeasibility.
-    fn admit_candidate(
-        &mut self,
-        id: FlowId,
-        request: FlowRequest,
-        model: ScenarioModel,
-    ) -> Result<AdmissionDecision, FleetError> {
-        let extra = [Member::instant(id, &request, &model)];
-        match self.core.solve(&members(&self.flows), &extra) {
-            Ok(mut segments) => {
-                let seg = segments.pop().expect("candidate segment");
-                self.refresh_plans(segments);
-                self.core.config.obs.counter("fleet.admits").inc();
-                Ok(self.commit(id, request, model, seg))
-            }
-            Err(SolveError::Infeasible { .. }) => {
-                self.core.config.obs.counter("fleet.refusals").inc();
-                Ok(AdmissionDecision::Rejected {
-                    id,
-                    reason: "the remaining shared capacity cannot meet this flow's quality \
-                             floor alongside every admitted flow's"
-                        .into(),
-                })
-            }
-            Err(e) => Err(FleetError::Solve(e)),
-        }
+    /// One counted admission attempt — a first offer, a revive or a
+    /// re-settle alike: the candidate joins the fleet (its predicted
+    /// quality) or comes back, the incumbents untouched.
+    fn admit(&mut self, candidate: Member) -> Result<Result<f64, Member>, FleetError> {
+        let verdict = self.core.admit(candidate)?;
+        let outcome = match verdict {
+            Ok(_) => "fleet.admits",
+            Err(_) => "fleet.refusals",
+        };
+        self.core.config.obs.counter(outcome).inc();
+        Ok(verdict)
     }
 
     /// Rebuilds every flow's model against the changed paths and
@@ -769,36 +683,26 @@ impl FleetPlanner {
     /// ties — so equal-priority fleets shed exactly as they always did)
     /// and returns the displaced flows for the caller to enqueue.
     fn resettle(&mut self) -> Result<Vec<ShedFlow>, FleetError> {
-        for f in &mut self.flows {
-            f.model = self.core.flow_model(&f.request)?;
-        }
-        if self.flows.is_empty() {
+        self.core.remodel()?;
+        if self.is_empty() {
             return Ok(Vec::new());
         }
         // The per-flow coefficients changed wholesale; re-place the
         // blocks from the new models and start cold.
         self.core.forget();
-        match self.solve_members() {
-            Ok(segments) => {
-                self.refresh_plans(segments);
-                Ok(Vec::new())
-            }
+        match self.core.resolve() {
+            Ok(()) => Ok(Vec::new()),
             Err(SolveError::Infeasible { .. }) => {
-                let mut survivors = std::mem::take(&mut self.flows);
-                self.core.forget();
-                survivors.sort_by(|a, b| readmission_order((&a.request, a.id), (&b.request, b.id)));
                 let mut shed = Vec::new();
-                for f in survivors {
-                    let request = f.request.clone();
-                    match self.admit_candidate(f.id, f.request, f.model)? {
-                        AdmissionDecision::Admitted { .. } => {}
-                        AdmissionDecision::Rejected { id, .. } => shed.push(ShedFlow {
-                            id,
-                            request,
-                            plan: f.plan,
+                for evicted in self.core.evict_all() {
+                    if let Err(refused) = self.admit(evicted.member)? {
+                        shed.push(ShedFlow {
+                            id: refused.id,
+                            request: refused.request,
+                            plan: evicted.plan,
                             attempts: 0,
                             skip: 0,
-                        }),
+                        });
                     }
                 }
                 Ok(shed)
@@ -821,7 +725,7 @@ impl FleetPlanner {
             return Ok(());
         }
         self.shed
-            .sort_by(|a, b| readmission_order((&a.request, a.id), (&b.request, b.id)));
+            .sort_by(|a, b| readmission_order((a.request.flow(), a.id), (b.request.flow(), b.id)));
         let queue = std::mem::take(&mut self.shed);
         for mut s in queue {
             if s.skip > 0 {
@@ -829,14 +733,16 @@ impl FleetPlanner {
                 self.shed.push(s);
                 continue;
             }
-            let model = self.core.flow_model(&s.request)?;
-            match self.admit_candidate(s.id, s.request.clone(), model)? {
-                AdmissionDecision::Admitted { .. } => {
+            let model = self.core.flow_model(s.request.flow())?;
+            let (id, request) = (s.id, s.request);
+            match self.admit(Member { id, request, model })? {
+                Ok(_) => {
                     self.core.config.obs.counter("fleet.revives").inc();
                     self.core.config.obs.gauge("fleet.shed_queue").sub(1);
                     self.revived.push(s.id);
                 }
-                AdmissionDecision::Rejected { .. } => {
+                Err(refused) => {
+                    s.request = refused.request;
                     s.attempts += 1;
                     if s.attempts >= Self::MAX_SHED_ATTEMPTS {
                         self.core.config.obs.counter("fleet.shed_rejects").inc();
@@ -851,14 +757,22 @@ impl FleetPlanner {
         }
         Ok(())
     }
+}
 
-    /// Re-packages a fresh joint solution's segments into the admitted
-    /// flows' plans (in admission order).
-    fn refresh_plans(&mut self, segments: Vec<Vec<f64>>) {
-        debug_assert_eq!(segments.len(), self.flows.len());
-        for (f, seg) in self.flows.iter_mut().zip(segments) {
-            f.plan = f.model.plan_for(Objective::MaxQuality, seg);
-        }
+/// The public verdict on flow `id`: its predicted quality, or — the
+/// candidate came back — the refusal.
+fn decision(id: FlowId, verdict: Result<f64, Member>) -> AdmissionDecision {
+    match verdict {
+        Ok(predicted_quality) => AdmissionDecision::Admitted {
+            id,
+            predicted_quality,
+        },
+        Err(_) => AdmissionDecision::Rejected {
+            id,
+            reason: "the remaining shared capacity cannot meet this flow's quality \
+                     floor alongside every admitted flow's"
+                .into(),
+        },
     }
 }
 
@@ -1173,6 +1087,41 @@ mod tests {
         ));
         assert_eq!(batched.num_flows(), 2);
         assert!(batched.depart_batch(&[]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn every_departure_is_counted_once_whichever_door_it_takes() {
+        let obs = dmc_obs::Obs::enabled();
+        let config = FleetConfig {
+            obs: obs.clone(),
+            ..FleetConfig::default()
+        };
+        let mut fleet = FleetPlanner::new(table3_paths(), config).unwrap();
+        let big = fleet
+            .offer(FlowRequest::new(60e6, 0.8).unwrap().with_min_quality(0.9))
+            .unwrap();
+        let ids: Vec<FlowId> = (0..3)
+            .map(|_| {
+                fleet
+                    .offer(FlowRequest::new(5e6, 0.8).unwrap())
+                    .unwrap()
+                    .id()
+            })
+            .collect();
+        fleet.depart(ids[0]).unwrap();
+        fleet.depart_batch(&[ids[1], ids[2]]).unwrap();
+        assert_eq!(obs.snapshot().counter("fleet.departs"), Some(3));
+        // A refused batch counts nothing.
+        assert!(fleet.depart_batch(&[big.id(), ids[0]]).is_err());
+        assert_eq!(obs.snapshot().counter("fleet.departs"), Some(3));
+        // A shed flow withdrawn through the batch door leaves the queue
+        // gauge where the queue is: empty.
+        fleet.apply_link_change(0, &LinkChange::Fail).unwrap();
+        assert_eq!(fleet.shed_flows(), vec![big.id()]);
+        assert_eq!(obs.snapshot().gauge("fleet.shed_queue"), Some(1));
+        fleet.depart_batch(&[big.id()]).unwrap();
+        assert_eq!(obs.snapshot().gauge("fleet.shed_queue"), Some(0));
+        assert_eq!(obs.snapshot().counter("fleet.departs"), Some(4));
     }
 
     #[test]

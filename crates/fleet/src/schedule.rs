@@ -43,14 +43,19 @@
 //! # One LP core, shared
 //!
 //! The LP itself — ring-indexed capacity rows, block layout,
-//! tombstoning, Λ-rescaling, the carried basis — is the
-//! joint core this planner shares with the instant
-//! [`FleetPlanner`](crate::FleetPlanner) (`joint.rs`). What lives here
-//! is the *policy* of the time axis: the reservation slide, the horizon
-//! advance ([`SchedulePlanner::advance_to`] — expired windows tombstone,
-//! so no row or column moves in the slide, which is
-//! what the `schedule_horizon` bench measures against a
-//! rebuild-per-solve baseline) and maintenance windows.
+//! tombstoning, Λ-rescaling, the carried basis — **and the roster of
+//! scheduled flows** (id, request at its current window, model, plan,
+//! per-slot allocation) are the joint core this planner shares with the
+//! instant [`FleetPlanner`](crate::FleetPlanner) (`joint.rs`). This
+//! planner holds no scheduled flow of its own: it offers candidates to
+//! the core by value, gets the refused ones back and offers them again
+//! one slot later. What lives here is the *policy* of the time axis and
+//! nothing else: the reservation slide, the horizon advance
+//! ([`SchedulePlanner::advance_to`] — expired and straddling flows all
+//! leave before the straddlers are re-admitted, truncated; their blocks
+//! tombstone, so no row or column moves in the slide, which is what the
+//! `schedule_horizon` bench measures against a rebuild-per-solve
+//! baseline) and maintenance windows.
 //!
 //! # Advance reservations
 //!
@@ -64,9 +69,9 @@
 
 use crate::error::FleetError;
 use crate::flow::{FlowId, FlowRequest};
-use crate::joint::{local_path_index, readmission_order, JointCore, Member};
+use crate::joint::{local_path_index, JointCore, Member, Resident};
 use crate::planner::FleetConfig;
-use dmc_core::{Objective, Plan, ScenarioModel, ScenarioPath, WarmStats};
+use dmc_core::{Plan, ScenarioPath, WarmStats};
 use dmc_lp::SolveError;
 use dmc_sim::LinkChange;
 use std::fmt;
@@ -292,13 +297,6 @@ impl ScheduleRequest {
     pub fn buffer(&self) -> f64 {
         self.buffer
     }
-
-    fn shifted_to(&self, start: u64) -> ScheduleRequest {
-        ScheduleRequest {
-            window: self.window.shifted_to(start),
-            ..self.clone()
-        }
-    }
 }
 
 /// Outcome of one [`SchedulePlanner::offer`].
@@ -430,22 +428,6 @@ impl ScheduleShuffle {
     }
 }
 
-/// One scheduled flow: its (possibly slid or truncated) request, model,
-/// per-slot allocation and aggregate plan.
-#[derive(Debug)]
-struct SchedFlowState {
-    id: FlowId,
-    request: ScheduleRequest,
-    model: ScenarioModel,
-    /// Aggregate plan over the window (decomposed exactly like the
-    /// instant planner's, from the slot-summed assignment vector).
-    plan: Plan,
-    /// Per-window-slot assignment segments (`x^{f,s}`, slot-ascending).
-    slot_x: Vec<Vec<f64>>,
-    /// Largest buffer level the allocation uses (0 without buffering).
-    peak_carry: f64,
-}
-
 /// The slotted fleet planner: admission control and joint allocation
 /// over a [`TimeGrid`] horizon, with advance reservations,
 /// store-and-forward buffering and maintenance windows.
@@ -477,10 +459,9 @@ struct SchedFlowState {
 /// ```
 #[derive(Debug)]
 pub struct SchedulePlanner {
-    /// The joint LP, over this planner's horizon.
+    /// The joint LP and the roster of scheduled flows (each with its
+    /// possibly slid or truncated request), over this planner's horizon.
     core: JointCore,
-    flows: Vec<SchedFlowState>,
-    next_id: u64,
 }
 
 impl SchedulePlanner {
@@ -497,8 +478,6 @@ impl SchedulePlanner {
     ) -> Result<Self, FleetError> {
         Ok(SchedulePlanner {
             core: JointCore::new(paths, grid, config)?,
-            flows: Vec::new(),
-            next_id: 0,
         })
     }
 
@@ -536,22 +515,21 @@ impl SchedulePlanner {
                 grid.end()
             )));
         }
-        let id = FlowId::new(self.next_id);
-        self.next_id += 1;
+        let id = self.core.next_id();
         let model = self.core.flow_model(request.flow())?;
-        match self.try_admit(id, &request, &model)? {
-            Some(q) => {
+        let requested = request.window();
+        match self.try_admit(Member { id, request, model })? {
+            Ok(predicted_quality) => {
                 self.core.config.obs.counter("fleet.admits").inc();
                 Ok(ScheduleDecision::Scheduled {
                     id,
-                    window: request.window(),
-                    predicted_quality: q,
+                    window: requested,
+                    predicted_quality,
                 })
             }
-            None => {
-                let requested = request.window();
-                let later = request.shifted_to(requested.start() + 1);
-                match self.slide_into_horizon(id, &later, &model)? {
+            Err(mut refused) => {
+                refused.request.window = requested.shifted_to(requested.start() + 1);
+                match self.slide_into_horizon(refused)? {
                     Some((window, predicted_quality)) => Ok(ScheduleDecision::Reserved {
                         id,
                         requested,
@@ -579,11 +557,9 @@ impl SchedulePlanner {
     ///
     /// Unknown ids.
     pub fn depart(&mut self, id: FlowId) -> Result<(), FleetError> {
-        let Some(pos) = self.flows.iter().position(|f| f.id == id) else {
+        if self.core.remove(id).is_none() {
             return Err(FleetError::UnknownFlow(id));
-        };
-        self.flows.remove(pos);
-        self.core.deactivate(id);
+        }
         self.resolve_members()
     }
 
@@ -616,34 +592,34 @@ impl SchedulePlanner {
         self.core.grid = self.core.grid.advanced_to(new_origin);
         self.core.maintenance.retain(|&(s, _)| s >= new_origin);
 
-        // Completed flows leave; straddling flows are truncated (and
-        // re-placed — their window length changed, so their block does
-        // too).
-        let mut keep = Vec::with_capacity(self.flows.len());
-        let mut truncate = Vec::new();
-        for f in std::mem::take(&mut self.flows) {
-            if f.request.window().end() <= new_origin {
-                out.completed.push(f.id);
-                self.core.deactivate(f.id);
-            } else if f.request.window().start() < new_origin {
-                truncate.push(f);
+        // Completed flows leave, and so does every straddling flow — all
+        // of them, before the first is offered again: a straddler is
+        // re-admitted at its truncated window (its window length
+        // changed, so its block does too), in admission order, against
+        // the flows that are really there.
+        let residents = self.core.residents().iter();
+        let begun: Vec<FlowId> = residents
+            .filter(|r| r.member.window().start() < new_origin)
+            .map(|r| r.member.id)
+            .collect();
+        let mut straddlers = Vec::new();
+        for id in begun {
+            let left = self.core.remove(id).expect("listed as resident above");
+            if left.member.window().end() <= new_origin {
+                out.completed.push(id);
             } else {
-                keep.push(f);
+                straddlers.push(left.member);
             }
         }
-        self.flows = keep;
-        for f in truncate {
-            self.core.deactivate(f.id);
-            let truncated = ScheduleRequest {
-                window: SlotWindow::new(new_origin, f.request.window().end())
-                    .expect("straddling window keeps at least one slot past the new origin"),
-                ..f.request
-            };
-            match self.try_admit(f.id, &truncated, &f.model)? {
-                Some(_) => out.truncated.push(f.id),
-                None => match self.slide_into_horizon(f.id, &truncated, &f.model)? {
-                    Some((window, _)) => out.rescheduled.push((f.id, window)),
-                    None => out.dropped.push(f.id),
+        for mut straddler in straddlers {
+            let id = straddler.id;
+            straddler.request.window = SlotWindow::new(new_origin, straddler.window().end())
+                .expect("straddling window keeps at least one slot past the new origin");
+            match self.try_admit(straddler)? {
+                Ok(_) => out.truncated.push(id),
+                Err(refused) => match self.slide_into_horizon(refused)? {
+                    Some((window, _)) => out.rescheduled.push((id, window)),
+                    None => out.dropped.push(id),
                 },
             }
         }
@@ -719,9 +695,7 @@ impl SchedulePlanner {
         change: &LinkChange,
     ) -> Result<ScheduleShuffle, FleetError> {
         self.core.apply_link_change(path, change)?;
-        for f in &mut self.flows {
-            f.model = self.core.flow_model(f.request.flow())?;
-        }
+        self.core.remodel()?;
         // Coefficients changed wholesale: re-place the blocks from the
         // new models (cold), then settle.
         self.core.forget();
@@ -730,43 +704,40 @@ impl SchedulePlanner {
 
     /// Number of scheduled flows (including reservations).
     pub fn num_flows(&self) -> usize {
-        self.flows.len()
+        self.core.residents().len()
     }
 
     /// Whether nothing is scheduled.
     pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
+        self.core.residents().is_empty()
     }
 
     /// Scheduled flow ids, in admission order.
     pub fn flow_ids(&self) -> Vec<FlowId> {
-        self.flows.iter().map(|f| f.id).collect()
+        self.core.ids()
     }
 
     /// The granted window of a scheduled flow.
     pub fn window_of(&self, id: FlowId) -> Option<SlotWindow> {
-        self.flows
-            .iter()
-            .find(|f| f.id == id)
-            .map(|f| f.request.window())
+        self.core.resident(id).map(|r| r.member.window())
     }
 
     /// The aggregate per-flow plan (slot-summed assignment decomposed
     /// exactly like the instant planner's).
     pub fn plan_of(&self, id: FlowId) -> Option<&Plan> {
-        self.flows.iter().find(|f| f.id == id).map(|f| &f.plan)
+        self.core.resident(id).map(|r| &r.plan)
     }
 
     /// Per-window-slot delivered-quality profile of a flow: entry `i`
     /// is the in-time fraction served in the window's `i`-th slot
     /// (summing to the plan's quality).
     pub fn slot_quality_of(&self, id: FlowId) -> Option<Vec<f64>> {
-        let f = self.flows.iter().find(|f| f.id == id)?;
+        let r = self.core.resident(id)?;
         Some(
-            f.slot_x
-                .iter()
+            r.slot_x()
                 .map(|seg| {
-                    f.model
+                    r.member
+                        .model
                         .quality_coeffs()
                         .iter()
                         .zip(seg)
@@ -780,7 +751,7 @@ impl SchedulePlanner {
     /// The largest store-and-forward buffer level a flow's allocation
     /// uses, as a fraction of its window volume (0 without buffering).
     pub fn peak_carry_of(&self, id: FlowId) -> Option<f64> {
-        self.flows.iter().find(|f| f.id == id).map(|f| f.peak_carry)
+        self.core.resident(id).map(Resident::peak_carry)
     }
 
     /// Per-slot, per-path utilization of the horizon: `out[i][k]` is the
@@ -790,19 +761,20 @@ impl SchedulePlanner {
         let grid = &self.core.grid;
         let paths = &self.core.paths;
         let mut out = vec![vec![0.0; paths.len()]; grid.horizon()];
-        for f in &self.flows {
-            let vol = f.request.flow().data_rate() * f.request.window().len() as f64;
-            for (i, s) in f.request.window().slots().enumerate() {
+        for r in self.core.residents() {
+            let m = &r.member;
+            let vol = m.flow().data_rate() * m.window().len() as f64;
+            for (s, slot_x) in m.window().slots().zip(r.slot_x()) {
                 let Some(rel) = s.checked_sub(grid.origin()) else {
                     continue;
                 };
                 for (k, _) in paths.iter().enumerate() {
-                    if let Some(lk) = local_path_index(f.request.flow().paths(), k) {
-                        let used: f64 = f
+                    if let Some(lk) = local_path_index(m.flow().paths(), k) {
+                        let used: f64 = m
                             .model
                             .usage_coeffs(lk)
                             .iter()
-                            .zip(&f.slot_x[i])
+                            .zip(slot_x)
                             .map(|(u, x)| u * x)
                             .sum();
                         out[rel as usize][k] += vol * used;
@@ -824,22 +796,14 @@ impl SchedulePlanner {
 
     /// Volume-weighted mean predicted quality of the scheduled flows.
     pub fn aggregate_quality(&self) -> f64 {
-        let vol: f64 = self
-            .flows
-            .iter()
-            .map(|f| f.request.flow().data_rate() * f.request.window().len() as f64)
-            .sum();
+        let volume = |r: &Resident| r.member.flow().data_rate() * r.member.window().len() as f64;
+        let vol: f64 = self.core.residents().iter().map(volume).sum();
         // dmc-lint: allow(float-exact) vol is a sum of validated positive rates; it is exactly 0.0 iff the fleet is empty
         if vol == 0.0 {
             return 0.0;
         }
-        self.flows
-            .iter()
-            .map(|f| {
-                f.request.flow().data_rate() * f.request.window().len() as f64 * f.plan.quality()
-            })
-            .sum::<f64>()
-            / vol
+        let residents = self.core.residents().iter();
+        residents.map(|r| volume(r) * r.plan.quality()).sum::<f64>() / vol
     }
 
     /// Objective value of the last successful joint solve (the unique
@@ -870,67 +834,35 @@ impl SchedulePlanner {
         self.core.shared_paths()
     }
 
-    /// Solves the joint LP over the scheduled flows (admission order)
-    /// plus an optional candidate, returning each flow's raw block of
-    /// `x`, candidate last.
-    fn solve(&mut self, extra: Option<Member<'_>>) -> Result<Vec<Vec<f64>>, SolveError> {
-        let members: Vec<Member<'_>> = self
-            .flows
-            .iter()
-            .map(|f| member(f.id, &f.request, &f.model))
-            .collect();
-        self.core.solve(&members, extra.as_slice())
-    }
-
-    /// Tentatively admits `id` at the request's window: commits and
-    /// returns the predicted quality on feasibility, rolls back and
-    /// returns `None` on infeasibility.
-    fn try_admit(
-        &mut self,
-        id: FlowId,
-        request: &ScheduleRequest,
-        model: &ScenarioModel,
-    ) -> Result<Option<f64>, FleetError> {
-        match self.solve(Some(member(id, request, model))) {
-            Ok(mut blocks) => {
-                let raw = blocks.pop().expect("candidate block present");
-                self.refresh_plans(blocks);
-                let (plan, slot_x, peak_carry) = decompose(model, request.window().len(), raw);
-                if peak_carry > 0.0 {
-                    self.core.config.obs.counter("fleet.carryover").inc();
-                }
-                let quality = plan.quality();
-                self.flows.push(SchedFlowState {
-                    id,
-                    request: request.clone(),
-                    model: model.clone(),
-                    plan,
-                    slot_x,
-                    peak_carry,
-                });
-                Ok(Some(quality))
-            }
-            Err(SolveError::Infeasible { .. }) => Ok(None),
-            Err(e) => Err(FleetError::Solve(e)),
+    /// Offers `candidate` to the joint LP at its request's window: it
+    /// joins the schedule (its predicted quality) or comes back.
+    fn try_admit(&mut self, candidate: Member) -> Result<Result<f64, Member>, FleetError> {
+        let verdict = self.core.admit(candidate)?;
+        let newest = self.core.residents().last();
+        if verdict.is_ok() && newest.is_some_and(|r| r.peak_carry() > 0.0) {
+            self.core.config.obs.counter("fleet.carryover").inc();
         }
+        Ok(verdict)
     }
 
     /// The reservation slide: earliest feasible same-width window at or
-    /// after the request's start (the request itself is tried first),
-    /// with its predicted quality.
+    /// after the candidate's start (its own window is tried first), with
+    /// its predicted quality.
     fn slide_into_horizon(
         &mut self,
-        id: FlowId,
-        request: &ScheduleRequest,
-        model: &ScenarioModel,
+        mut candidate: Member,
     ) -> Result<Option<(SlotWindow, f64)>, FleetError> {
-        let len = request.window().len() as u64;
-        let mut start = request.window().start().max(self.core.grid.origin());
+        let len = candidate.window().len() as u64;
+        let mut start = candidate.window().start().max(self.core.grid.origin());
         while start + len <= self.core.grid.end() {
-            let slid = request.shifted_to(start);
-            if let Some(quality) = self.try_admit(id, &slid, model)? {
-                self.core.config.obs.counter("fleet.reservations").inc();
-                return Ok(Some((slid.window(), quality)));
+            let window = candidate.window().shifted_to(start);
+            candidate.request.window = window;
+            match self.try_admit(candidate)? {
+                Ok(quality) => {
+                    self.core.config.obs.counter("fleet.reservations").inc();
+                    return Ok(Some((window, quality)));
+                }
+                Err(refused) => candidate = refused,
             }
             start += 1;
         }
@@ -941,16 +873,12 @@ impl SchedulePlanner {
     /// every plan. Infeasibility is an invariant breach here — callers
     /// that can face it use [`SchedulePlanner::settle_all`] instead.
     fn resolve_members(&mut self) -> Result<(), FleetError> {
-        match self.solve(None) {
-            Ok(blocks) => {
-                self.refresh_plans(blocks);
-                Ok(())
+        self.core.resolve().map_err(|e| match e {
+            SolveError::Infeasible { .. } => {
+                FleetError::Invalid("removing capacity demand made the joint LP infeasible".into())
             }
-            Err(SolveError::Infeasible { .. }) => Err(FleetError::Invalid(
-                "removing capacity demand made the joint LP infeasible".into(),
-            )),
-            Err(e) => Err(FleetError::Solve(e)),
-        }
+            e => FleetError::Solve(e),
+        })
     }
 
     /// Re-solves the whole membership; on collective infeasibility,
@@ -959,25 +887,17 @@ impl SchedulePlanner {
     /// slide before dropping it.
     fn settle_all(&mut self) -> Result<ScheduleShuffle, FleetError> {
         let mut out = ScheduleShuffle::default();
-        match self.solve(None) {
-            Ok(blocks) => {
-                self.refresh_plans(blocks);
-                Ok(out)
-            }
+        match self.core.resolve() {
+            Ok(()) => Ok(out),
             Err(SolveError::Infeasible { .. }) => {
-                let mut survivors = std::mem::take(&mut self.flows);
-                self.core.forget();
-                survivors.sort_by(|a, b| {
-                    readmission_order((a.request.flow(), a.id), (b.request.flow(), b.id))
-                });
-                for f in survivors {
-                    let original = f.request.window();
-                    match self.slide_into_horizon(f.id, &f.request, &f.model)? {
+                for evicted in self.core.evict_all() {
+                    let (id, original) = (evicted.member.id, evicted.member.window());
+                    match self.slide_into_horizon(evicted.member)? {
                         Some((window, _)) if window != original => {
-                            out.rescheduled.push((f.id, window));
+                            out.rescheduled.push((id, window));
                         }
                         Some(_) => {}
-                        None => out.dropped.push(f.id),
+                        None => out.dropped.push(id),
                     }
                 }
                 Ok(out)
@@ -985,46 +905,6 @@ impl SchedulePlanner {
             Err(e) => Err(FleetError::Solve(e)),
         }
     }
-
-    /// Re-packages a fresh joint solution's member blocks into the
-    /// scheduled flows' plans (admission order), in place.
-    fn refresh_plans(&mut self, blocks: Vec<Vec<f64>>) {
-        debug_assert_eq!(blocks.len(), self.flows.len());
-        for (f, raw) in self.flows.iter_mut().zip(blocks) {
-            (f.plan, f.slot_x, f.peak_carry) = decompose(&f.model, f.request.window().len(), raw);
-        }
-    }
-}
-
-/// A scheduled (or candidate) flow as the joint core sees it.
-fn member<'a>(id: FlowId, request: &'a ScheduleRequest, model: &'a ScenarioModel) -> Member<'a> {
-    Member {
-        id,
-        flow: request.flow(),
-        window: request.window(),
-        buffer: request.buffer(),
-        model,
-    }
-}
-
-/// Splits a block's raw solution into the aggregate plan (slot-summed
-/// assignment, fed to `plan_for` exactly like the instant planner's),
-/// the per-slot segments, and the peak carry level.
-fn decompose(model: &ScenarioModel, len: usize, raw: Vec<f64>) -> (Plan, Vec<Vec<f64>>, f64) {
-    let n = model.num_combos();
-    let slot_x: Vec<Vec<f64>> = raw[..len * n].chunks(n).map(<[f64]>::to_vec).collect();
-    let mut total = slot_x[0].clone();
-    for seg in &slot_x[1..] {
-        for (t, v) in total.iter_mut().zip(seg) {
-            *t += v;
-        }
-    }
-    let peak_carry = raw[len * n..].iter().copied().fold(0.0, f64::max);
-    (
-        model.plan_for(Objective::MaxQuality, total),
-        slot_x,
-        peak_carry,
-    )
 }
 
 #[cfg(test)]

@@ -218,6 +218,7 @@ fn schedule_planner_warm_and_cold_agree_at_every_step() {
         let grid = TimeGrid::new(0.5, HORIZON as usize).unwrap();
         let mut warm = SchedulePlanner::new(paths(), grid, config(true)).unwrap();
         let mut cold = SchedulePlanner::new(paths(), grid, config(false)).unwrap();
+        let mut crowded_slides = 0;
         for step in 0..60 {
             let ctx = format!("seed {seed} step {step}");
             let origin = warm.grid().origin();
@@ -245,6 +246,12 @@ fn schedule_planner_warm_and_cold_agree_at_every_step() {
                 }
                 7 => {
                     let to = origin + 1 + rng.below(2) as u64;
+                    let straddles = |id: &FlowId| {
+                        let w = warm.window_of(*id).unwrap();
+                        w.start() < to && to < w.end()
+                    };
+                    let straddlers = warm.flow_ids().into_iter().filter(straddles).count();
+                    crowded_slides += usize::from(straddlers >= 2);
                     let w = warm.advance_to(to).unwrap();
                     let c = cold.advance_to(to).unwrap();
                     assert_eq!(format!("{w:?}"), format!("{c:?}"), "{ctx}: advance");
@@ -273,6 +280,14 @@ fn schedule_planner_warm_and_cold_agree_at_every_step() {
         assert_eq!(cold.warm_stats(), WarmStats::default());
         assert_eq!(warm.warm_anomalies(), 0);
         hits += warm.warm_stats().hits;
+        // Windows run to three slots so that slides with several
+        // straddlers happen: all of them leave the LP before the first
+        // is offered again, which the core's roster assertion checks at
+        // every solve of this (debug) run.
+        assert!(
+            crowded_slides > 0,
+            "seed {seed}: no slide had two straddlers"
+        );
     }
     assert!(reserved > 5, "only {reserved} reservations");
     assert!(hits > 200, "only {hits} solves started warm");

@@ -15,6 +15,9 @@
 //! 4. **Advance ≡ fresh rebuild** (proptest): advancing the grid under
 //!    tombstoned expired slots and re-solving equals a fresh build of
 //!    the truncated horizon to 1e-9 on the joint objective.
+//! 5. **A slide tests no straddler against phantom load**: every flow
+//!    whose window straddles the new origin has left the LP before the
+//!    first of them is offered again at its truncated window.
 
 use dmc_core::ScenarioPath;
 use dmc_fleet::{
@@ -239,6 +242,38 @@ fn a_refused_now_flow_reserves_and_certifies_when_its_window_opens() {
         "the opened window still meets the floor: {}",
         plan.quality()
     );
+}
+
+#[test]
+fn straddlers_are_readmitted_against_each_other_only() {
+    // Slot 4 is under maintenance on both paths, and at the slide it
+    // takes over the ring rows of the expiring slot 0. A straddler that
+    // was still live in the LP at its old window [0, 2) while the other
+    // one was re-admitted would sit in those zero-capacity rows: the
+    // other one would be refused although the pair fits [1, 2).
+    let mut fleet = SchedulePlanner::new(
+        shared_paths(),
+        TimeGrid::new(1.0, 4).expect("valid grid"),
+        FleetConfig::default(),
+    )
+    .expect("valid fleet");
+    let offer = |fleet: &mut SchedulePlanner| {
+        let flow = FlowRequest::new(20e6, 0.8).expect("valid");
+        let window = SlotWindow::new(0, 2).expect("valid window");
+        let decision = fleet
+            .offer(ScheduleRequest::new(flow.with_min_quality(0.9), window))
+            .expect("offer runs");
+        assert!(decision.is_scheduled(), "{decision:?}");
+        decision.id()
+    };
+    // Declared before the flows arrive, so nothing is re-settled.
+    fleet.set_maintenance(4, 0).expect("beyond the horizon");
+    fleet.set_maintenance(4, 1).expect("beyond the horizon");
+    let (a, b) = (offer(&mut fleet), offer(&mut fleet));
+    let advance = fleet.advance_to(1).expect("advance runs");
+    assert_eq!(advance.truncated, vec![a, b], "{advance:?}");
+    assert!(advance.rescheduled.is_empty() && advance.dropped.is_empty());
+    assert!(advance.completed.is_empty());
 }
 
 // ---------------------------------------------------------------------
