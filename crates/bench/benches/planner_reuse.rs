@@ -1,10 +1,11 @@
 //! Does planner workspace reuse pay? A 20-point λ sweep over the Table
 //! III scenario, solved two ways:
 //!
-//! * `planner_reused` — one `Planner` across the sweep: the LP tableau,
-//!   basis and coefficient buffers are allocated once and reused;
+//! * `planner_reused` — one `Planner` across the sweep: the LP workspace
+//!   is allocated once and every point after the first starts from the
+//!   cached basis of its shape;
 //! * `planner_fresh` — a new `Planner` per solve: every point pays the
-//!   allocation cost (what a naive caller would write).
+//!   allocation and a cold solve (what a naive caller would write).
 //!
 //! The measured numbers are recorded in `BENCH_planner.json`
 //! (regenerate with `CRITERION_OUTPUT_JSON=1 cargo bench -p dmc-bench

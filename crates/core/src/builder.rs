@@ -72,8 +72,8 @@ pub(crate) fn combo_coeffs(
 }
 
 /// Writes the per-combination deterministic coefficients (Eq. 12/15/16)
-/// into caller-owned buffers, so the [`Planner`](crate::Planner) can
-/// reuse its allocations across solves.
+/// into the vectors of the model [`Planner::model`](crate::Planner::model)
+/// is building.
 ///
 /// `usage` must arrive with one inner vector per path (cleared and
 /// refilled here); `p`/`cost` are cleared and refilled.

@@ -27,11 +27,21 @@
 //! * [`Objective`] — [`MaxQuality`](Objective::MaxQuality) (Eq. 10),
 //!   [`MinCost`](Objective::MinCost) (Eq. 20–23) or
 //!   [`MaxQualityUnderBudget`](Objective::MaxQualityUnderBudget);
-//! * [`Planner`] — owns a reusable LP workspace and coefficient buffers,
-//!   so sweeps and re-solves don't re-allocate;
+//! * [`Planner`] — owns a reusable LP workspace and the warm-start
+//!   bases, so sweeps and re-solves skip phase 1 and don't re-allocate
+//!   the factorization;
 //! * [`Plan`] — the solved [`Strategy`], a per-stage [`TimeoutSchedule`]
 //!   (Eq. 4 / Eq. 34), the ack path, and a ready [`Scheduler`]
 //!   (Algorithm 1).
+//!
+//! Inside, [`Planner::plan`] is one chain with no second copy:
+//! [`Planner::model`] (the Eq. 12 / Eq. 28 coefficients and the Eq. 4 /
+//! Eq. 34 timeouts, as a [`ScenarioModel`]) →
+//! [`ScenarioModel::problem`] (the LP of Eq. 10) → solve →
+//! [`ScenarioModel::plan_for`]. `dmc_fleet` takes the same first and last
+//! step around its joint LP. The model owns its coefficient vectors; the
+//! scenario, combination table, timeout schedule and ack path are held
+//! once, behind an `Arc` the model and every plan packaged from it share.
 //!
 //! # Quick start
 //!

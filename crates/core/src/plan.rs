@@ -5,6 +5,12 @@
 //! [`TimeoutSchedule`], the acknowledgment path and a ready
 //! [`Scheduler`], so every consumer (protocol, experiments, examples)
 //! constructs senders the same way.
+//!
+//! Only the strategy is the plan's own. The scenario, combination table,
+//! timeout schedule and ack path do not depend on the solve: they are
+//! declared once, in [`SharedModel`], and the
+//! [`ScenarioModel`](crate::ScenarioModel) that derived them and every
+//! plan packaged from it hold the same `Arc`.
 
 use crate::combo::{ComboTable, Slot};
 use crate::path::PathSpec;
@@ -13,6 +19,7 @@ use crate::scenario::Scenario;
 use crate::scheduler::{SchedulePolicy, Scheduler};
 use crate::strategy::Strategy;
 use crate::Objective;
+use std::sync::Arc;
 
 /// The timer a sender arms after transmitting one stage of a combination.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -121,24 +128,34 @@ impl TimeoutSchedule {
     }
 }
 
+/// The solve-independent half of a flow's model: what
+/// [`Planner::model`](crate::Planner::model) derives from a scenario
+/// before any LP runs, and no solve changes.
+#[derive(Debug, Clone)]
+pub(crate) struct SharedModel {
+    pub(crate) scenario: Scenario,
+    pub(crate) table: ComboTable,
+    pub(crate) schedule: TimeoutSchedule,
+    pub(crate) ack_path: usize,
+}
+
 /// A fully solved sending plan: the one artifact the rest of the system
 /// consumes.
 ///
 /// Produced by [`Planner::plan`](crate::Planner::plan); see the
-/// crate-level quick start for the end-to-end flow.
+/// crate-level quick start for the end-to-end flow. Cloning a plan copies
+/// its strategy and shares the rest.
 #[derive(Debug, Clone)]
 pub struct Plan {
-    pub(crate) scenario: Scenario,
+    pub(crate) shared: Arc<SharedModel>,
     pub(crate) objective: Objective,
     pub(crate) strategy: Strategy,
-    pub(crate) schedule: TimeoutSchedule,
-    pub(crate) ack_path: usize,
 }
 
 impl Plan {
     /// The scenario this plan was solved for.
     pub fn scenario(&self) -> &Scenario {
-        &self.scenario
+        &self.shared.scenario
     }
 
     /// The objective this plan optimizes.
@@ -158,12 +175,12 @@ impl Plan {
 
     /// The per-stage retransmission-timeout schedule.
     pub fn schedule(&self) -> &TimeoutSchedule {
-        &self.schedule
+        &self.shared.schedule
     }
 
     /// The acknowledgment path (Eq. 25 / Eq. 1), 0-based.
     pub fn ack_path(&self) -> usize {
-        self.ack_path
+        self.shared.ack_path
     }
 
     /// Predicted communication quality `Q` (Eq. 6).
@@ -189,7 +206,7 @@ impl Plan {
         // Detect-only timers are filtered out (their delay is not the
         // paper's t_{i,j}).
         let l = pairwise_combo_index(self.strategy.table(), i, j)?;
-        self.schedule
+        self.schedule()
             .stage(l, 0)
             .and_then(|t| t.retransmit.then_some(t.delay))
     }
@@ -212,5 +229,18 @@ impl Plan {
     /// Never in practice; see [`Plan::scheduler`].
     pub fn scheduler_with(&self, policy: SchedulePolicy) -> Scheduler {
         Scheduler::new(self.strategy.x().to_vec(), policy).expect("planner emits a valid x")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Plans cross the Monte-Carlo pool's threads and are cloned per trial;
+    /// the shared model part must not cost them that.
+    #[test]
+    fn plan_is_send_sync_clone() {
+        fn assert_traits<T: Send + Sync + Clone>() {}
+        assert_traits::<Plan>();
     }
 }

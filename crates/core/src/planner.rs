@@ -5,16 +5,24 @@
 //! the scenario's delay distributions and routes constant delays through
 //! the exact Eq. 12 coefficients (§V), anything else through the
 //! discretized Eq. 28/34 machinery (§VI-B). Either fill feeds the same
-//! LP assembly and the same strategy packaging — the two functions
-//! [`ScenarioModel`] also runs, so a fleet decomposition is the
-//! planner's arithmetic by construction.
+//! LP assembly and the same strategy packaging.
 //!
-//! The planner **owns its scratch memory**: the LP workspace
-//! ([`dmc_lp::Workspace`]) and the model coefficient buffers are reused
-//! across [`Planner::plan`] calls, so parameter sweeps (λ/δ curves, the
-//! experiments crate) and periodic re-solves (`AdaptiveSender`) stop
-//! paying a fresh allocation per solve — see the `planner_reuse`
-//! benchmark.
+//! There is **one pipeline**: [`Planner::plan`] is [`Planner::model`] →
+//! [`ScenarioModel::problem`] → the planner's warm-started solve →
+//! [`ScenarioModel::plan_for`]. The fleet layer runs the same first and
+//! last step around its own joint LP, so a fleet decomposition is the
+//! planner's arithmetic by construction. A [`ScenarioModel`] owns its
+//! coefficient vectors and shares the solve-independent rest (scenario,
+//! combination table, timeout schedule, ack path) with every [`Plan`]
+//! packaged from it.
+//!
+//! The planner **owns its solver memory**: the LP workspace
+//! ([`dmc_lp::Workspace`]) is reused across [`Planner::plan`] calls, so
+//! parameter sweeps (λ/δ curves, the experiments crate) and periodic
+//! re-solves (`AdaptiveSender`) do not re-allocate the factorization —
+//! see the `planner_reuse` benchmark. A model that `plan` built and
+//! consumed leaves its coefficient vectors behind as the next model's
+//! capacity (measured: 0.25 µs of a 4.8 µs nine-combination re-plan).
 //!
 //! It also **warm-starts the LP**: the optimal basis of every solve is
 //! cached per problem shape and fed to
@@ -28,13 +36,14 @@
 use crate::builder::fill_deterministic_coeffs;
 use crate::combo::{check_combos, ComboTable};
 use crate::path::{PathSpec, SpecError};
-use crate::plan::{Plan, TimeoutSchedule};
+use crate::plan::{Plan, SharedModel, TimeoutSchedule};
 use crate::random_delay::{fill_random_coeffs, PlateauRule};
 use crate::scenario::{Scenario, ScenarioPath};
 use crate::strategy::Strategy;
 use dmc_lp::{Basis, ConstraintKind, Problem, Solution, SolveError, SolverOptions, Workspace};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// What the LP optimizes (the paper's three solve modes).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -211,8 +220,7 @@ impl ShapeKey {
 const MAX_CACHED_SHAPES: usize = 32;
 
 /// The planning engine: turns ([`Scenario`], [`Objective`]) into a
-/// [`Plan`], reusing its LP workspace and coefficient buffers across
-/// calls.
+/// [`Plan`], reusing its LP workspace and warm-start bases across calls.
 ///
 /// ```
 /// use dmc_core::{Objective, Planner, Scenario, ScenarioPath};
@@ -234,14 +242,12 @@ const MAX_CACHED_SHAPES: usize = 32;
 pub struct Planner {
     config: PlannerConfig,
     workspace: Workspace,
-    // Reused coefficient buffers (cleared and refilled per plan).
-    p: Vec<f64>,
-    cost: Vec<f64>,
-    usage: Vec<Vec<f64>>,
-    /// The `Σx = 1` row: `1.0`s only, resized to the combination count.
-    ones: Vec<f64>,
+    // Fill-time scratch of `model` (cleared and refilled per model).
     stage_timeouts: Vec<Vec<Option<f64>>>,
     det_paths: Vec<PathSpec>,
+    /// The `(p, usage, cost)` vectors of the model the last `plan`
+    /// consumed: capacity for the next model, never read.
+    spare: (Vec<f64>, Vec<Vec<f64>>, Vec<f64>),
     // Warm-start state: last optimal basis per problem shape, plus
     // counters for observability (benchmarks, tests).
     // dmc-lint: allow(det-unordered-map) key-lookup-only cache: get/insert/contains_key/len/clear, never iterated, so key order cannot reach results
@@ -269,11 +275,6 @@ impl Planner {
         &self.config
     }
 
-    /// Mutable access to the configuration (applies to subsequent plans).
-    pub fn config_mut(&mut self) -> &mut PlannerConfig {
-        &mut self.config
-    }
-
     /// Solves `scenario` for `objective` and packages the result.
     ///
     /// Deterministic scenarios (every delay constant) use the exact
@@ -293,76 +294,11 @@ impl Planner {
     ///   [`SolveError::Infeasible`]).
     pub fn plan(&mut self, scenario: &Scenario, objective: Objective) -> Result<Plan, PlanError> {
         self.validate(scenario, objective)?;
-        let (table, schedule, ack_path) = self.fill_buffers(scenario);
-
-        self.ones.resize(self.p.len(), 1.0);
-        let problem = assemble_lp(
-            scenario,
-            objective,
-            &self.p,
-            &self.usage,
-            &self.cost,
-            &self.ones,
-        );
-        let solution = self.solve_lp(&problem)?;
-        let strategy = package_strategy(
-            scenario.data_rate(),
-            &table,
-            &self.p,
-            &self.usage,
-            &self.cost,
-            solution.into_x(),
-        );
-
-        Ok(Plan {
-            scenario: scenario.clone(),
-            objective,
-            strategy,
-            schedule,
-            ack_path,
-        })
-    }
-
-    /// Fills the planner's coefficient buffers (`p`, `usage`, `cost`) for
-    /// `scenario` and returns the combo table, timeout schedule and ack
-    /// path — the regime dispatch shared by [`Planner::plan`] and
-    /// [`Planner::model`].
-    fn fill_buffers(&mut self, scenario: &Scenario) -> (ComboTable, TimeoutSchedule, usize) {
-        let n = scenario.num_paths();
-        let table = ComboTable::new(n, scenario.transmissions(), self.config.blackhole);
-        if self.usage.len() != n {
-            self.usage.resize_with(n, Vec::new);
-        }
-        let ack_path = scenario.ack_path();
-
-        let schedule = if scenario.is_deterministic() {
-            let dmin = self.load_det_paths(scenario);
-            fill_deterministic_coeffs(
-                &self.det_paths,
-                dmin,
-                scenario.lifetime(),
-                &table,
-                &mut self.p,
-                &mut self.usage,
-                &mut self.cost,
-            );
-            TimeoutSchedule::deterministic(&self.det_paths, dmin, &table)
-        } else {
-            fill_random_coeffs(
-                scenario.paths(),
-                scenario.lifetime(),
-                self.config.grid_step,
-                self.config.plateau,
-                &table,
-                ack_path,
-                &mut self.p,
-                &mut self.usage,
-                &mut self.cost,
-                &mut self.stage_timeouts,
-            );
-            TimeoutSchedule::from_stage_timeouts(&self.stage_timeouts, &table, scenario.lifetime())
-        };
-        (table, schedule, ack_path)
+        let model = self.model(scenario);
+        let solved = self.solve_lp(&model.problem(objective));
+        let plan = solved.map(|solution| model.plan_for(objective, solution.into_x()));
+        self.spare = (model.p, model.usage, model.cost);
+        Ok(plan?)
     }
 
     /// Builds the *unsolved* model of a scenario: the Eq. 12/28 coefficient
@@ -376,11 +312,10 @@ impl Planner {
     /// joint solution back into ordinary per-flow [`Plan`]s via
     /// [`ScenarioModel::plan_for`].
     ///
-    /// The coefficients are computed by exactly the code path
-    /// [`Planner::plan`] uses, and [`ScenarioModel::problem`] /
-    /// [`ScenarioModel::plan_for`] are the functions [`Planner::plan`]
-    /// assembles and packages with, so solving the former and feeding the
-    /// `x` to the latter reproduces [`Planner::plan`] bit for bit.
+    /// [`Planner::plan`] is this method, [`ScenarioModel::problem`], a
+    /// solve and [`ScenarioModel::plan_for`], so solving the problem and
+    /// feeding the `x` to `plan_for` reproduces [`Planner::plan`] bit for
+    /// bit.
     ///
     /// # Panics
     ///
@@ -389,15 +324,49 @@ impl Planner {
     /// [`Scenario::with_transmissions`]; [`Planner::plan`] reports the
     /// same condition as a [`PlanError::Spec`]).
     pub fn model(&mut self, scenario: &Scenario) -> ScenarioModel {
-        let (table, schedule, ack_path) = self.fill_buffers(scenario);
+        let n = scenario.num_paths();
+        let table = ComboTable::new(n, scenario.transmissions(), self.config.blackhole);
+        let ack_path = scenario.ack_path();
+        let (mut p, mut usage, mut cost) = std::mem::take(&mut self.spare);
+        usage.resize_with(n, Vec::new);
+
+        let schedule = if scenario.is_deterministic() {
+            let dmin = self.load_det_paths(scenario);
+            fill_deterministic_coeffs(
+                &self.det_paths,
+                dmin,
+                scenario.lifetime(),
+                &table,
+                &mut p,
+                &mut usage,
+                &mut cost,
+            );
+            TimeoutSchedule::deterministic(&self.det_paths, dmin, &table)
+        } else {
+            fill_random_coeffs(
+                scenario.paths(),
+                scenario.lifetime(),
+                self.config.grid_step,
+                self.config.plateau,
+                &table,
+                ack_path,
+                &mut p,
+                &mut usage,
+                &mut cost,
+                &mut self.stage_timeouts,
+            );
+            TimeoutSchedule::from_stage_timeouts(&self.stage_timeouts, &table, scenario.lifetime())
+        };
         ScenarioModel {
-            scenario: scenario.clone(),
-            table,
-            schedule,
-            ack_path,
-            p: self.p.clone(),
-            usage: self.usage.clone(),
-            cost: self.cost.clone(),
+            shared: Arc::new(SharedModel {
+                scenario: scenario.clone(),
+                table,
+                schedule,
+                ack_path,
+            }),
+            p,
+            usage,
+            cost,
         }
     }
 
@@ -443,11 +412,13 @@ impl Planner {
             inflated = inflated.with_path_replaced(k, slow);
         }
         let mut plan = self.plan(&inflated, objective)?;
-        // Swap the timeout schedule back to the measured delays.
+        // Swap the timeout schedule back to the measured delays. The model
+        // `plan` built is gone, so this plan is the shared part's only
+        // holder and `make_mut` copies nothing.
         let dmin = self.load_det_paths(measured);
-        plan.schedule =
-            TimeoutSchedule::deterministic(&self.det_paths, dmin, plan.strategy.table());
-        plan.scenario = measured.clone();
+        let shared = Arc::make_mut(&mut plan.shared);
+        shared.schedule = TimeoutSchedule::deterministic(&self.det_paths, dmin, &shared.table);
+        shared.scenario = measured.clone();
         Ok(plan)
     }
 
@@ -573,81 +544,76 @@ impl Planner {
     }
 }
 
-/// The paper's LP over filled coefficient vectors: Eq. 10 (`max p·x`;
+/// The paper's LP over a model's coefficient vectors: Eq. 10 (`max p·x`;
 /// the Eq. 7 cost row when the scenario carries a finite budget) or its
 /// min-cost variant Eq. 20–23 (`min cost·x`, quality floor), under the
 /// per-path bandwidth rows (Eq. 3) and `Σx = 1`. Rows are per unit of
 /// `λ`, which keeps coefficients well-scaled.
 ///
-/// The only place the crate builds a [`Problem`]: [`Planner::plan`] calls
-/// it on its reused buffers, [`ScenarioModel::problem`] on its owned
-/// copies. The rows are read from the slices as they are; `ones` is the
-/// `Σx = 1` row, one `1.0` per combination.
-fn assemble_lp(
-    scenario: &Scenario,
-    objective: Objective,
-    p: &[f64],
-    usage: &[Vec<f64>],
-    cost: &[f64],
-    ones: &[f64],
-) -> Problem {
+/// The only place the crate builds a [`Problem`], called from
+/// [`ScenarioModel::problem`] alone.
+fn assemble_lp(model: &ScenarioModel, objective: Objective) -> Problem {
     const DIMS: &str = "one coefficient per combination";
+    let scenario = model.scenario();
     let lambda = scenario.data_rate();
     let mut lp = match objective {
-        Objective::MaxQuality | Objective::MaxQualityUnderBudget => Problem::maximize(p.to_vec()),
-        Objective::MinCost { .. } => Problem::minimize(cost.to_vec()),
+        Objective::MaxQuality | Objective::MaxQualityUnderBudget => {
+            Problem::maximize(model.p.clone())
+        }
+        Objective::MinCost { .. } => Problem::minimize(model.cost.clone()),
     };
-    for (path, usage) in scenario.paths().iter().zip(usage) {
+    for (path, usage) in scenario.paths().iter().zip(&model.usage) {
         lp.add_le(usage, path.bandwidth() / lambda).expect(DIMS);
     }
     match objective {
         Objective::MinCost { min_quality } => {
-            lp.add_ge(p, min_quality).expect(DIMS);
+            lp.add_ge(&model.p, min_quality).expect(DIMS);
         }
         _ if scenario.cost_budget().is_finite() => {
-            lp.add_le(cost, scenario.cost_budget() / lambda)
+            lp.add_le(&model.cost, scenario.cost_budget() / lambda)
                 .expect(DIMS);
         }
         _ => {}
     }
-    lp.add_eq(ones, 1.0).expect(DIMS);
+    lp.add_eq(vec![1.0; model.p.len()], 1.0).expect(DIMS);
     lp
 }
 
 /// Packages an assignment into a [`Strategy`] with its predicted metrics
-/// (Eq. 2, 6, 7). The only caller of `Strategy::new`, shared by
-/// [`Planner::plan`] and [`ScenarioModel::plan_for`].
-fn package_strategy(
-    lambda: f64,
-    table: &ComboTable,
-    p: &[f64],
-    usage: &[Vec<f64>],
-    cost: &[f64],
-    x: Vec<f64>,
-) -> Strategy {
-    let quality: f64 = p.iter().zip(&x).map(|(p, v)| p * v).sum();
-    let send_rates: Vec<f64> = usage
+/// (Eq. 2, 6, 7). The only caller of `Strategy::new`, called from
+/// [`ScenarioModel::plan_for`] alone.
+fn package_strategy(model: &ScenarioModel, x: Vec<f64>) -> Strategy {
+    let lambda = model.scenario().data_rate();
+    let dot = |coeffs: &[f64]| coeffs.iter().zip(&x).map(|(c, v)| c * v).sum::<f64>();
+    let quality = dot(&model.p);
+    let send_rates: Vec<f64> = model
+        .usage
         .iter()
-        .map(|usage| lambda * usage.iter().zip(&x).map(|(u, v)| u * v).sum::<f64>())
+        .map(|usage| lambda * dot(usage))
         .collect();
-    let cost_rate = lambda * cost.iter().zip(&x).map(|(c, v)| c * v).sum::<f64>();
-    Strategy::new(table.clone(), x, lambda, quality, cost_rate, send_rates)
+    let cost_rate = lambda * dot(&model.cost);
+    Strategy::new(
+        model.table().clone(),
+        x,
+        lambda,
+        quality,
+        cost_rate,
+        send_rates,
+    )
 }
 
 /// The unsolved model of one scenario, produced by [`Planner::model`]:
-/// everything [`Planner::plan`] derives *before* the LP solve, owned and
-/// detached from the planner's scratch buffers.
+/// everything [`Planner::plan`] derives *before* the LP solve.
 ///
-/// Consumers assemble their own LP from the coefficient vectors (the
-/// fleet layer concatenates several models into one joint LP with shared
-/// capacity rows) and package an assignment back into a [`Plan`] with
-/// [`ScenarioModel::plan_for`].
+/// It owns the coefficient vectors and shares the rest — scenario,
+/// combination table, timeout schedule, ack path — with every [`Plan`]
+/// it packages. Consumers assemble their own LP from the coefficient
+/// vectors (the fleet layer concatenates several models into one joint LP
+/// with shared capacity rows) and package an assignment back into a
+/// [`Plan`] with [`ScenarioModel::plan_for`].
 #[derive(Debug, Clone)]
 pub struct ScenarioModel {
-    scenario: Scenario,
-    table: ComboTable,
-    schedule: TimeoutSchedule,
-    ack_path: usize,
+    shared: Arc<SharedModel>,
     p: Vec<f64>,
     usage: Vec<Vec<f64>>,
     cost: Vec<f64>,
@@ -656,27 +622,27 @@ pub struct ScenarioModel {
 impl ScenarioModel {
     /// The scenario this model was built for.
     pub fn scenario(&self) -> &Scenario {
-        &self.scenario
+        &self.shared.scenario
     }
 
     /// The combination table (LP variable ↔ stage-sequence bijection).
     pub fn table(&self) -> &ComboTable {
-        &self.table
+        &self.shared.table
     }
 
     /// Number of LP variables (`table().num_combos()`).
     pub fn num_combos(&self) -> usize {
-        self.table.num_combos()
+        self.shared.table.num_combos()
     }
 
     /// The per-stage retransmission-timeout schedule (Eq. 4 / Eq. 34).
     pub fn schedule(&self) -> &TimeoutSchedule {
-        &self.schedule
+        &self.shared.schedule
     }
 
     /// The acknowledgment path (Eq. 25 / Eq. 1), 0-based.
     pub fn ack_path(&self) -> usize {
-        self.ack_path
+        self.shared.ack_path
     }
 
     /// In-time delivery probability `p_l` per combination (Eq. 12/28).
@@ -730,24 +696,17 @@ impl ScenarioModel {
 
     /// The scenario's LP for `objective` ([`Objective::MaxQuality`] honors
     /// a finite scenario budget as the Eq. 7 cost row), unsolved — the
-    /// same assembly [`Planner::plan`] solves, for callers that bring
-    /// their own solver settings (backend and pivot-rule benches).
+    /// problem [`Planner::plan`] solves, for callers that bring their own
+    /// solver settings (backend and pivot-rule benches).
     pub fn problem(&self, objective: Objective) -> Problem {
-        let ones = vec![1.0; self.p.len()];
-        assemble_lp(
-            &self.scenario,
-            objective,
-            &self.p,
-            &self.usage,
-            &self.cost,
-            &ones,
-        )
+        assemble_lp(self, objective)
     }
 
-    /// Packages an assignment vector into a full [`Plan`] through the
-    /// packaging function [`Planner::plan`] uses, so feeding the `x` of a
-    /// planner solve through here reproduces the planner's plan bit for
-    /// bit.
+    /// Packages an assignment vector into a full [`Plan`] — the last step
+    /// of [`Planner::plan`], so feeding the `x` of a planner solve through
+    /// here reproduces the planner's plan bit for bit. The plan shares
+    /// this model's scenario, table and timeout schedule; nothing is
+    /// copied.
     ///
     /// `objective` is recorded on the plan as the objective `x` was solved
     /// for; this method does not solve anything itself.
@@ -758,23 +717,13 @@ impl ScenarioModel {
     pub fn plan_for(&self, objective: Objective, x: Vec<f64>) -> Plan {
         assert_eq!(
             x.len(),
-            self.table.num_combos(),
+            self.num_combos(),
             "assignment length does not match the combination table"
         );
-        let strategy = package_strategy(
-            self.scenario.data_rate(),
-            &self.table,
-            &self.p,
-            &self.usage,
-            &self.cost,
-            x,
-        );
         Plan {
-            scenario: self.scenario.clone(),
+            shared: Arc::clone(&self.shared),
             objective,
-            strategy,
-            schedule: self.schedule.clone(),
-            ack_path: self.ack_path,
+            strategy: package_strategy(self, x),
         }
     }
 }

@@ -57,8 +57,9 @@ pub enum PlateauRule {
 }
 
 /// The per-combination coefficients of the random-delay LP, written into
-/// caller-owned buffers so a [`Planner`](crate::Planner) can reuse its
-/// allocations across solves.
+/// the vectors of the model [`Planner::model`](crate::Planner::model) is
+/// building; `stage_timeouts` is the planner's scratch, turned into the
+/// model's timeout schedule afterwards.
 ///
 /// `usage` must arrive with one inner vector per path (cleared/overwritten
 /// here); the other buffers are cleared and refilled.

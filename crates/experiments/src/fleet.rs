@@ -255,11 +255,6 @@ pub fn load_sweep_mc_n(
         .collect()
 }
 
-/// [`load_sweep_mc`] with one trial seeded from `cfg.seed`.
-pub fn load_sweep(loads: &[f64], cfg: &RunConfig) -> Vec<FleetPoint> {
-    load_sweep_mc(loads, cfg, &MonteCarloConfig::single(cfg.seed))
-}
-
 /// Renders the sweep as a markdown table; with multiple trials per point
 /// a `±95 % CI` column (Student-t half-width, percentage points) follows
 /// the simulated delivery column.

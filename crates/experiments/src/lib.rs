@@ -44,12 +44,6 @@ pub mod schedule;
 pub mod service;
 pub mod table4;
 
-/// Reads the `MESSAGES` environment override for simulation length
-/// (legacy shim: [`parse_args`] subsumes it and adds the CLI flags).
-pub fn messages_from_env(default: u64) -> u64 {
-    env_parse("MESSAGES", default)
-}
-
 /// Shared command-line/environment knobs of the experiment binaries.
 #[derive(Debug, Clone)]
 pub struct RunArgs {

@@ -291,15 +291,16 @@ impl FleetPlanner {
     /// to the new joint allocation. A rejection leaves the incumbents'
     /// allocation untouched.
     ///
+    /// This is [`FleetPlanner::offer_batch`] with one request.
+    ///
     /// # Errors
     ///
     /// Invalid scenarios and non-infeasibility solver failures; a floor
     /// that cannot be met is a [`AdmissionDecision::Rejected`], not an
     /// error.
     pub fn offer(&mut self, request: FlowRequest) -> Result<AdmissionDecision, FleetError> {
-        let candidate = self.candidate(request)?;
-        let id = candidate.id;
-        Ok(decision(id, self.admit(candidate)?))
+        let mut decisions = self.offer_batch(vec![request])?;
+        Ok(decisions.pop().expect("one decision per offered flow"))
     }
 
     /// Offers a batch of flows.
@@ -308,8 +309,9 @@ impl FleetPlanner {
     /// if that is infeasible does it fall back to greedy per-flow
     /// admission — deadline-ordered (earliest deadline first, the
     /// DDCCast/ALAP flavor) under [`FleetObjective::MaxAdmitted`], in
-    /// arrival order otherwise. Ids are assigned in input order either
-    /// way, and decisions are returned in input order.
+    /// arrival order otherwise. A batch of one has no fallback: the solve
+    /// that refused the batch refused the flow. Ids are assigned in input
+    /// order either way, and decisions are returned in input order.
     ///
     /// # Errors
     ///
@@ -333,6 +335,10 @@ impl FleetPlanner {
                 obs.counter("fleet.admits").add(ids.len() as u64);
                 let verdicts = ids.into_iter().zip(qualities);
                 Ok(verdicts.map(|(id, q)| decision(id, Ok(q))).collect())
+            }
+            Err(batch) if batch.len() == 1 => {
+                self.core.config.obs.counter("fleet.refusals").inc();
+                Ok(batch.into_iter().map(|m| decision(m.id, Err(m))).collect())
             }
             Err(mut batch) => {
                 // Greedy fallback; by deadline in MaxAdmitted mode (the
@@ -563,11 +569,6 @@ impl FleetPlanner {
         self.core.resident(id).map(|r| &r.plan)
     }
 
-    /// The admitted request behind a flow id.
-    pub fn request_of(&self, id: FlowId) -> Option<&FlowRequest> {
-        self.core.resident(id).map(|r| r.member.flow())
-    }
-
     /// `(id, plan)` for every admitted flow, in admission order.
     pub fn plans(&self) -> impl Iterator<Item = (FlowId, &Plan)> {
         self.core.residents().iter().map(|r| (r.member.id, &r.plan))
@@ -664,9 +665,9 @@ impl FleetPlanner {
         Ok(Member { id, request, model })
     }
 
-    /// One counted admission attempt — a first offer, a revive or a
-    /// re-settle alike: the candidate joins the fleet (its predicted
-    /// quality) or comes back, the incumbents untouched.
+    /// One counted admission attempt — an offer of the greedy fallback,
+    /// a revive or a re-settle alike: the candidate joins the fleet (its
+    /// predicted quality) or comes back, the incumbents untouched.
     fn admit(&mut self, candidate: Member) -> Result<Result<f64, Member>, FleetError> {
         let verdict = self.core.admit(candidate)?;
         let outcome = match verdict {
@@ -841,6 +842,33 @@ mod tests {
         assert!(c.is_admitted());
         for (_, plan) in fleet.plans() {
             assert!(plan.quality() >= 0.5 - 1e-9);
+        }
+    }
+
+    #[test]
+    fn a_refused_flow_costs_one_solve_whichever_door_it_takes() {
+        // A batch of one that the whole-batch solve refuses used to fall
+        // into the greedy pass and solve the identical LP a second time.
+        let hopeless = || FlowRequest::new(60e6, 0.8).unwrap().with_min_quality(0.9);
+        let doors: [fn(&mut FleetPlanner, FlowRequest) -> AdmissionDecision; 2] = [
+            |fleet, r| fleet.offer(r).unwrap(),
+            |fleet, r| fleet.offer_batch(vec![r]).unwrap().remove(0),
+        ];
+        for door in doors {
+            let obs = dmc_obs::Obs::enabled();
+            let config = FleetConfig {
+                obs: obs.clone(),
+                ..FleetConfig::default()
+            };
+            let mut fleet = FleetPlanner::new(table3_paths(), config).unwrap();
+            assert!(fleet.offer(hopeless()).unwrap().is_admitted());
+            let before = obs.snapshot();
+            assert!(!door(&mut fleet, hopeless()).is_admitted());
+            let after = obs.snapshot();
+            let moved = |name| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
+            assert_eq!(moved("lp.solves"), 1);
+            assert_eq!(moved("fleet.refusals"), 1);
+            assert_eq!(moved("fleet.admits"), 0);
         }
     }
 

@@ -149,11 +149,6 @@ impl TimeGrid {
         Ok((at_s / self.slot_width).floor() as u64)
     }
 
-    /// Wall-clock start of a slot, in seconds.
-    pub fn start_of(&self, slot: u64) -> f64 {
-        slot as f64 * self.slot_width
-    }
-
     /// Whether `slot` is inside the current horizon.
     pub fn contains(&self, slot: u64) -> bool {
         slot >= self.origin && slot < self.end()
@@ -164,9 +159,21 @@ impl TimeGrid {
         window.start() >= self.origin && window.end() <= self.end()
     }
 
-    fn advanced_to(mut self, new_origin: u64) -> Self {
+    /// The grid slid to `new_origin`. Every slot sum of the planner rests
+    /// on what is checked here: the horizon's end, and the one slot past
+    /// it that a reservation slide names before giving up, fit in `u64`.
+    fn advanced_to(mut self, new_origin: u64) -> Result<Self, FleetError> {
+        let past_end = new_origin
+            .checked_add(self.horizon as u64)
+            .and_then(|end| end.checked_add(1));
+        if past_end.is_none() {
+            return Err(FleetError::Invalid(format!(
+                "origin {new_origin} leaves no room for a {}-slot horizon",
+                self.horizon
+            )));
+        }
         self.origin = new_origin;
-        self
+        Ok(self)
     }
 }
 
@@ -197,10 +204,14 @@ impl SlotWindow {
     /// The degenerate window whose release and deadline land in the same
     /// slot — the whole demand must be served inside `slot`. On a
     /// single-slot grid this reproduces the instant joint LP bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is `u64::MAX` (the window's end is one past it).
     pub fn instant(slot: u64) -> Self {
         SlotWindow {
             start: slot,
-            end: slot + 1,
+            end: slot.checked_add(1).expect("slot window end fits in u64"),
         }
     }
 
@@ -226,10 +237,15 @@ impl SlotWindow {
     }
 
     /// The same-width window starting at `start` instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shifted window's end does not fit in `u64`.
     pub fn shifted_to(&self, start: u64) -> SlotWindow {
+        let end = start.checked_add(self.end - self.start);
         SlotWindow {
             start,
-            end: start + (self.end - self.start),
+            end: end.expect("slot window end fits in u64"),
         }
     }
 
@@ -576,8 +592,9 @@ impl SchedulePlanner {
     ///
     /// # Errors
     ///
-    /// Rejects a `new_origin` before the current origin; forwards
-    /// solver failures.
+    /// Rejects a `new_origin` before the current origin, or so late that
+    /// the horizon's slot numbers would overflow; forwards solver
+    /// failures.
     pub fn advance_to(&mut self, new_origin: u64) -> Result<ScheduleAdvance, FleetError> {
         if new_origin < self.core.grid.origin() {
             return Err(FleetError::Invalid(format!(
@@ -589,7 +606,7 @@ impl SchedulePlanner {
             return Ok(ScheduleAdvance::default());
         }
         let mut out = ScheduleAdvance::default();
-        self.core.grid = self.core.grid.advanced_to(new_origin);
+        self.core.grid = self.core.grid.advanced_to(new_origin)?;
         self.core.maintenance.retain(|&(s, _)| s >= new_origin);
 
         // Completed flows leave, and so does every straddling flow — all
@@ -854,7 +871,10 @@ impl SchedulePlanner {
     ) -> Result<Option<(SlotWindow, f64)>, FleetError> {
         let len = candidate.window().len() as u64;
         let mut start = candidate.window().start().max(self.core.grid.origin());
-        while start + len <= self.core.grid.end() {
+        while start
+            .checked_add(len)
+            .is_some_and(|end| end <= self.core.grid.end())
+        {
             let window = candidate.window().shifted_to(start);
             candidate.request.window = window;
             match self.try_admit(candidate)? {
@@ -945,6 +965,46 @@ mod tests {
         assert_eq!(format!("{w}"), "[1, 4)");
         assert!(g.contains_window(&w));
         assert!(!g.contains_window(&SlotWindow::new(2, 5).expect("valid")));
+    }
+
+    #[test]
+    fn an_origin_too_late_for_its_horizon_is_refused() {
+        // Both used to succeed, and the next offer overflowed in
+        // `TimeGrid::end` (u64::MAX) or in the one-slot slide past the
+        // horizon (u64::MAX − 4: the end fits, the slide does not).
+        let mut s = sched(4);
+        for origin in [u64::MAX, u64::MAX - 4] {
+            assert!(matches!(s.advance_to(origin), Err(FleetError::Invalid(_))));
+            assert_eq!(s.grid().origin(), 0, "a refused advance moves nothing");
+        }
+        // The latest origin that fits plans to its very last slot: the
+        // hog fills the horizon, the second flow is refused there and its
+        // slide runs off the end.
+        let origin = u64::MAX - 5;
+        s.advance_to(origin).expect("horizon and slide fit");
+        let strict = |rate| {
+            FlowRequest::new(rate, 0.8)
+                .expect("valid flow")
+                .with_min_quality(0.9)
+        };
+        let all = SlotWindow::new(origin, s.grid().end()).expect("valid");
+        let hog = s.offer(ScheduleRequest::new(strict(90e6), all));
+        assert!(hog.expect("offer").is_scheduled());
+        let last = SlotWindow::instant(s.grid().end() - 1);
+        let late = s.offer(ScheduleRequest::new(strict(60e6), last));
+        assert!(!late.expect("offer").is_admitted());
+    }
+
+    #[test]
+    #[should_panic(expected = "slot window end fits in u64")]
+    fn an_instant_window_at_the_last_slot_number_panics_as_documented() {
+        let _ = SlotWindow::instant(u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "slot window end fits in u64")]
+    fn shifting_a_window_past_the_last_slot_number_panics_as_documented() {
+        let _ = SlotWindow::new(0, 2).expect("valid").shifted_to(u64::MAX);
     }
 
     #[test]

@@ -405,11 +405,6 @@ impl FleetService {
         &self.regions
     }
 
-    /// Number of shards (= capacity regions).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Number of shared paths.
     pub fn num_paths(&self) -> usize {
         self.path_bandwidth.len()
@@ -465,13 +460,6 @@ impl FleetService {
                 .collect(),
             None => Vec::new(),
         }
-    }
-
-    /// The configured reservation grid, `None` when windowed offers are
-    /// disabled. (The live per-shard grids advance their origin through
-    /// [`FleetService::advance_to`]; this is the construction-time grid.)
-    pub fn schedule_grid(&self) -> Option<TimeGrid> {
-        self.grid
     }
 
     /// Offers a windowed request to the slotted reservation plane,

@@ -245,7 +245,7 @@ impl SchedulePlanner {
                     let width = self.grid().slot_width();
                     let len = ((request.lifetime() / width).ceil() as u64).max(1);
                     let start = slot.max(self.grid().origin());
-                    let end = (start + len).min(self.grid().end());
+                    let end = start.saturating_add(len).min(self.grid().end());
                     let window = SlotWindow::new(start, end)
                         .expect("the horizon always extends past its origin slot");
                     let offer = self.offer(ScheduleRequest::new(request.clone(), window))?;
@@ -366,6 +366,29 @@ mod tests {
         // flow#0 already completed: its departure is a recorded no-op.
         assert_eq!(snaps[3].departed, None);
         assert_eq!(snaps[4].departed, None);
+    }
+
+    #[test]
+    fn slotted_replay_of_absurd_times_is_a_typed_error_not_an_overflow() {
+        let slotted = || {
+            let grid = TimeGrid::new(1.0, 8).unwrap();
+            SchedulePlanner::new(paths(), grid, FleetConfig::default()).unwrap()
+        };
+        // t = 1e30 s saturates the slot number: no horizon fits there.
+        let far = FleetTrace::new()
+            .arrive(1e30, FlowRequest::new(1e6, 0.5).unwrap())
+            .unwrap();
+        assert!(matches!(
+            slotted().replay(&far),
+            Err(FleetError::Invalid(_))
+        ));
+        // A lifetime of 1e30 slots past slot 1 is clamped to the horizon.
+        let long = FleetTrace::new()
+            .arrive(1.0, FlowRequest::new(1e6, 1e30).unwrap())
+            .unwrap();
+        let snaps = slotted().replay(&long).unwrap();
+        let window = snaps[0].decision.as_ref().unwrap().window();
+        assert_eq!(window, Some(SlotWindow::new(1, 9).unwrap()));
     }
 
     #[test]

@@ -524,6 +524,19 @@ fn windowed_offers_ride_the_reservation_plane() {
     assert_eq!(advances.len(), 1);
     assert_eq!(advances[0].completed, vec![decision.id()]);
     assert_eq!(svc.windowed_flows(), vec![0]);
+
+    // An origin whose horizon would overflow the slot numbers is refused
+    // whole (it used to succeed and abort the next windowed offer).
+    assert!(matches!(
+        svc.advance_to(u64::MAX),
+        Err(dmc_fleet::FleetError::Invalid(_))
+    ));
+    let next = ScheduleRequest::new(
+        FlowRequest::new(30e6, 0.8).expect("valid request"),
+        SlotWindow::new(2, 4).expect("valid window"),
+    );
+    let (_, again) = svc.offer_windowed(next).expect("still serving");
+    assert!(again.is_scheduled());
 }
 
 #[test]

@@ -168,11 +168,6 @@ impl Problem {
         }
     }
 
-    /// Whether this problem was created with [`Problem::minimize`].
-    pub fn is_minimize(&self) -> bool {
-        self.minimize
-    }
-
     /// The one place a row is created: validates `entries` — `(column,
     /// value)` pairs with strictly increasing in-range columns and finite
     /// values — and stores the nonzero ones (negated for `≥`, with the

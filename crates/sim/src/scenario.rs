@@ -130,16 +130,6 @@ impl Dynamics {
             .event(Dir::Backward, path, up_at_s, LinkChange::Recover)
     }
 
-    /// Permanently fails both directions of path `path` at `down_at_s`.
-    ///
-    /// # Errors
-    ///
-    /// Rejects invalid times.
-    pub fn path_failure_permanent(self, path: usize, down_at_s: f64) -> Result<Self, String> {
-        self.event(Dir::Forward, path, down_at_s, LinkChange::Fail)?
-            .event(Dir::Backward, path, down_at_s, LinkChange::Fail)
-    }
-
     /// Sets the directed link's bandwidth to `bps` at `at_s` seconds.
     ///
     /// # Errors

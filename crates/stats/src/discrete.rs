@@ -92,11 +92,6 @@ impl DiscreteDist {
         &self.pmf
     }
 
-    /// Largest grid point carrying mass (seconds).
-    pub fn support_end(&self) -> f64 {
-        self.offset + self.step * (self.pmf.len().saturating_sub(1)) as f64
-    }
-
     /// `P(X ≤ t)`.
     pub fn cdf(&self, t: f64) -> f64 {
         if t < self.offset {

@@ -1,8 +1,10 @@
-//! `Planner::plan` (reused buffers, warm-started LP) must agree with the
-//! model path the fleet layer decomposes through — `Planner::model` →
-//! `ScenarioModel::problem` solved cold → `ScenarioModel::plan_for` — on
-//! the paper's scenarios, to 1e-9, and the pipeline must never panic on
-//! any valid scenario.
+//! There is one pipeline: `Planner::plan` *is* `Planner::model` →
+//! `ScenarioModel::problem` → solve → `ScenarioModel::plan_for`, the
+//! steps the fleet layer runs around its joint LP. This file is its
+//! regression: a fresh planner equals those steps taken by hand **to the
+//! bit**, a warm-swept planner (cached bases) agrees with them to 1e-9 on
+//! the paper's scenarios and with cold planners bit for bit on the
+//! sweeps, and the pipeline never panics on any valid scenario.
 
 use deadline_multipath::experiments::scenarios;
 use deadline_multipath::prelude::*;
@@ -15,8 +17,7 @@ use std::sync::Arc;
 
 const TOL: f64 = 1e-9;
 
-/// The model path: owned coefficient copies, a cold solve, the shared
-/// packaging.
+/// The pipeline's steps taken by hand, with a cold solve.
 fn plan_via_model(scenario: &Scenario, objective: Objective) -> Plan {
     let model = Planner::new().model(scenario);
     let x = model
@@ -25,6 +26,40 @@ fn plan_via_model(scenario: &Scenario, objective: Objective) -> Plan {
         .expect("feasible")
         .into_x();
     model.plan_for(objective, x)
+}
+
+/// A fresh `Planner::plan` and the hand-run steps are the same arithmetic
+/// on the same problem from the same cold start: every bit of `x`, the
+/// quality and every stage timeout agrees, in both regimes.
+#[test]
+fn fresh_plan_equals_the_hand_run_steps_bit_for_bit() {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let timeouts = |plan: &Plan| -> Vec<Option<(u64, bool)>> {
+        (0..plan.schedule().num_combos())
+            .flat_map(|l| plan.schedule().stages(l).to_vec())
+            .map(|t| t.map(|t| (t.delay.to_bits(), t.retransmit)))
+            .collect()
+    };
+    for (regime, scenario) in [
+        ("deterministic", scenarios::table3_model_scenario(90e6, 0.8)),
+        ("random", scenarios::table5_scenario(90e6, 0.750)),
+    ] {
+        let plan = Planner::new()
+            .plan(&scenario, Objective::MaxQuality)
+            .expect("feasible");
+        let by_hand = plan_via_model(&scenario, Objective::MaxQuality);
+        assert_eq!(
+            bits(plan.strategy().x()),
+            bits(by_hand.strategy().x()),
+            "{regime}: x"
+        );
+        assert_eq!(
+            plan.quality().to_bits(),
+            by_hand.quality().to_bits(),
+            "{regime}: quality"
+        );
+        assert_eq!(timeouts(&plan), timeouts(&by_hand), "{regime}: timeouts");
+    }
 }
 
 /// Planner vs. the model path on the paper's Table III scenarios (the
