@@ -15,36 +15,76 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-/// FNV-1a (32-bit) over a frame with its checksum field zeroed.
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811C_9DC5;
-    for &b in bytes {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
+/// One frame type's envelope: the magic byte that tags it, its fixed
+/// length and where its checksum sits (offset and width, 2 or 4 bytes).
+/// Sealing and opening are written here, once; a frame type keeps only
+/// its field list.
+struct Frame {
+    magic: u8,
+    len: usize,
+    sum_at: usize,
+    sum_len: usize,
+}
+
+impl Frame {
+    const fn new(magic: u8, len: usize, sum_at: usize, sum_len: usize) -> Self {
+        Frame {
+            magic,
+            len,
+            sum_at,
+            sum_len,
+        }
     }
-    h
+
+    /// FNV-1a over `frame` with its checksum field read as zeros,
+    /// little-endian; a two-byte field holds the 16-bit fold.
+    fn checksum(&self, frame: &[u8]) -> [u8; 4] {
+        let fnv1a = |h: u32, bytes: &[u8]| {
+            let step = |h: u32, &b: &u8| (h ^ u32::from(b)).wrapping_mul(0x0100_0193);
+            bytes.iter().fold(h, step)
+        };
+        let head = fnv1a(0x811C_9DC5, &frame[..self.sum_at]);
+        let zeroed = fnv1a(head, &[0; 4][..self.sum_len]);
+        let h = fnv1a(zeroed, &frame[self.sum_at + self.sum_len..]);
+        let folded = if self.sum_len == 2 { h ^ (h >> 16) } else { h };
+        folded.to_le_bytes()
+    }
+
+    /// The magic, then whatever `fields` writes (the checksum field
+    /// included, as zeros), sealed with the checksum.
+    fn seal(&self, fields: impl FnOnce(&mut BytesMut)) -> Bytes {
+        let mut b = BytesMut::with_capacity(self.len);
+        b.put_u8(self.magic);
+        fields(&mut b);
+        debug_assert_eq!(b.len(), self.len);
+        let sum = self.checksum(&b);
+        b[self.sum_at..][..self.sum_len].copy_from_slice(&sum[..self.sum_len]);
+        b.freeze()
+    }
+
+    /// The frame's bytes after the magic, or `None` on truncation, wrong
+    /// magic or a bad checksum.
+    fn open<'a>(&self, buf: &'a [u8]) -> Option<&'a [u8]> {
+        let frame = buf.get(..self.len).filter(|f| f[0] == self.magic)?;
+        let sum = self.checksum(frame);
+        (frame[self.sum_at..][..self.sum_len] == sum[..self.sum_len]).then_some(&frame[1..])
+    }
 }
 
-/// FNV-1a folded to 16 bits (for frames with only two spare bytes).
-fn fnv1a_16(bytes: &[u8]) -> u16 {
-    let c = fnv1a(bytes);
-    (c ^ (c >> 16)) as u16
-}
-
-/// Magic byte tagging data packets.
-const DATA_MAGIC: u8 = 0xD7;
-/// Magic byte tagging acknowledgments.
-const ACK_MAGIC: u8 = 0xA3;
-/// Magic byte tagging path-state notifications.
-const NOTICE_MAGIC: u8 = 0x5E;
-/// Magic byte tagging fleet-service admission offers.
-const OFFER_MAGIC: u8 = 0x0F;
-/// Magic byte tagging fleet-service admission decisions.
-const DECISION_MAGIC: u8 = 0xDC;
-/// Magic byte tagging fleet-service flow departures.
-const DEPART_MAGIC: u8 = 0xDD;
-/// Magic byte tagging fleet-service link-change commands.
-const LINK_MAGIC: u8 = 0x17;
+/// Data packets.
+const DATA: Frame = Frame::new(0xD7, DATA_HEADER_BYTES, 4, 4);
+/// Acknowledgments.
+const ACK: Frame = Frame::new(0xA3, Ack::WIRE_BYTES, 2, 2);
+/// Path-state notifications.
+const NOTICE: Frame = Frame::new(0x5E, PathNotice::WIRE_BYTES, 4, 4);
+/// Fleet-service admission offers.
+const OFFER: Frame = Frame::new(0x0F, OfferFrame::WIRE_BYTES, 2, 2);
+/// Fleet-service admission decisions.
+const DECISION: Frame = Frame::new(0xDC, DecisionFrame::WIRE_BYTES, 2, 2);
+/// Fleet-service flow departures.
+const DEPART: Frame = Frame::new(0xDD, DepartFrame::WIRE_BYTES, 2, 2);
+/// Fleet-service link-change commands.
+const LINK: Frame = Frame::new(0x17, LinkChangeFrame::WIRE_BYTES, 4, 4);
 
 /// Size of the serialized [`DataHeader`] in bytes.
 pub const DATA_HEADER_BYTES: usize = 32;
@@ -72,39 +112,24 @@ pub struct DataHeader {
 impl DataHeader {
     /// Serializes to exactly [`DATA_HEADER_BYTES`] bytes.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(DATA_HEADER_BYTES);
-        b.put_u8(DATA_MAGIC);
-        b.put_u8(self.path);
-        b.put_u8(self.stage);
-        b.put_u8(0); // reserved
-        b.put_u32_le(0); // checksum placeholder
-        b.put_u64_le(self.seq);
-        b.put_u64_le(self.created_ns);
-        b.put_u64_le(self.sent_ns);
-        debug_assert_eq!(b.len(), DATA_HEADER_BYTES);
-        let sum = fnv1a(&b);
-        b[4..8].copy_from_slice(&sum.to_le_bytes());
-        b.freeze()
+        DATA.seal(|b| {
+            b.put_u8(self.path);
+            b.put_u8(self.stage);
+            b.put_u8(0); // reserved
+            b.put_u32_le(0); // checksum
+            b.put_u64_le(self.seq);
+            b.put_u64_le(self.created_ns);
+            b.put_u64_le(self.sent_ns);
+        })
     }
 
     /// Parses a header; `None` on wrong magic, bad checksum, or
     /// truncation.
-    pub fn decode(mut buf: &[u8]) -> Option<Self> {
-        if buf.len() < DATA_HEADER_BYTES || buf[0] != DATA_MAGIC {
-            return None;
-        }
-        let mut frame = [0u8; DATA_HEADER_BYTES];
-        frame.copy_from_slice(&buf[..DATA_HEADER_BYTES]);
-        let stored = u32::from_le_bytes([frame[4], frame[5], frame[6], frame[7]]);
-        frame[4..8].fill(0);
-        if fnv1a(&frame) != stored {
-            return None;
-        }
-        buf.advance(1);
+    pub fn decode(buf: &[u8]) -> Option<Self> {
+        let mut buf = DATA.open(buf)?;
         let path = buf.get_u8();
         let stage = buf.get_u8();
-        buf.advance(1);
-        buf.advance(4);
+        buf.advance(1 + 4); // reserved, checksum
         let seq = buf.get_u64_le();
         let created_ns = buf.get_u64_le();
         let sent_ns = buf.get_u64_le();
@@ -184,36 +209,22 @@ impl Ack {
 
     /// Serializes to exactly [`Ack::WIRE_BYTES`] bytes.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(Self::WIRE_BYTES);
-        b.put_u8(ACK_MAGIC);
-        b.put_u8(self.echo_path);
-        b.put_u16_le(0); // checksum placeholder
-        b.put_u64_le(self.just_received);
-        b.put_u64_le(self.echo_sent_ns);
-        b.put_u64_le(self.window_start);
-        b.put_slice(&self.bitmap);
-        debug_assert_eq!(b.len(), Self::WIRE_BYTES);
-        let sum = fnv1a_16(&b);
-        b[2..4].copy_from_slice(&sum.to_le_bytes());
-        b.freeze()
+        ACK.seal(|b| {
+            b.put_u8(self.echo_path);
+            b.put_u16_le(0); // checksum
+            b.put_u64_le(self.just_received);
+            b.put_u64_le(self.echo_sent_ns);
+            b.put_u64_le(self.window_start);
+            b.put_slice(&self.bitmap);
+        })
     }
 
     /// Parses an ack; `None` on wrong magic, bad checksum, or
     /// truncation.
-    pub fn decode(mut buf: &[u8]) -> Option<Self> {
-        if buf.len() < Self::WIRE_BYTES || buf[0] != ACK_MAGIC {
-            return None;
-        }
-        let mut frame = [0u8; Self::WIRE_BYTES];
-        frame.copy_from_slice(&buf[..Self::WIRE_BYTES]);
-        let stored = u16::from_le_bytes([frame[2], frame[3]]);
-        frame[2..4].fill(0);
-        if fnv1a_16(&frame) != stored {
-            return None;
-        }
-        buf.advance(1);
+    pub fn decode(buf: &[u8]) -> Option<Self> {
+        let mut buf = ACK.open(buf)?;
         let echo_path = buf.get_u8();
-        buf.advance(2);
+        buf.advance(2); // checksum
         let just_received = buf.get_u64_le();
         let echo_sent_ns = buf.get_u64_le();
         let window_start = buf.get_u64_le();
@@ -263,33 +274,19 @@ impl PathNotice {
 
     /// Serializes to exactly [`PathNotice::WIRE_BYTES`] bytes.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(Self::WIRE_BYTES);
-        b.put_u8(NOTICE_MAGIC);
-        b.put_u8(self.path);
-        b.put_u8(self.kind as u8);
-        b.put_u8(self.seq);
-        b.put_u32_le(0); // checksum placeholder
-        b.put_u64_le(self.at_ns);
-        debug_assert_eq!(b.len(), Self::WIRE_BYTES);
-        let sum = fnv1a(&b);
-        b[4..8].copy_from_slice(&sum.to_le_bytes());
-        b.freeze()
+        NOTICE.seal(|b| {
+            b.put_u8(self.path);
+            b.put_u8(self.kind as u8);
+            b.put_u8(self.seq);
+            b.put_u32_le(0); // checksum
+            b.put_u64_le(self.at_ns);
+        })
     }
 
     /// Parses a notice; `None` on wrong magic, unknown kind, bad
     /// checksum, or truncation.
-    pub fn decode(mut buf: &[u8]) -> Option<Self> {
-        if buf.len() < Self::WIRE_BYTES || buf[0] != NOTICE_MAGIC {
-            return None;
-        }
-        let mut frame = [0u8; Self::WIRE_BYTES];
-        frame.copy_from_slice(&buf[..Self::WIRE_BYTES]);
-        let stored = u32::from_le_bytes([frame[4], frame[5], frame[6], frame[7]]);
-        frame[4..8].fill(0);
-        if fnv1a(&frame) != stored {
-            return None;
-        }
-        buf.advance(1);
+    pub fn decode(buf: &[u8]) -> Option<Self> {
+        let mut buf = NOTICE.open(buf)?;
         let path = buf.get_u8();
         let kind = match buf.get_u8() {
             0 => NoticeKind::Down,
@@ -297,7 +294,7 @@ impl PathNotice {
             _ => return None,
         };
         let seq = buf.get_u8();
-        buf.advance(4);
+        buf.advance(4); // checksum
         let at_ns = buf.get_u64_le();
         Some(PathNotice {
             path,
@@ -375,40 +372,26 @@ impl OfferFrame {
 
     /// Serializes to exactly [`OfferFrame::WIRE_BYTES`] bytes.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(Self::WIRE_BYTES);
-        b.put_u8(OFFER_MAGIC);
-        b.put_u8(self.transmissions);
-        b.put_u16_le(0); // checksum placeholder
-        b.put_u64_le(self.seq);
-        b.put_u64_le(self.data_rate.to_bits());
-        b.put_u64_le(self.lifetime.to_bits());
-        b.put_u64_le(self.min_quality.to_bits());
-        b.put_u64_le(self.cost_budget.to_bits());
-        b.put_u64_le(self.priority.to_bits());
-        b.put_u64_le(self.path_mask[0]);
-        b.put_u64_le(self.path_mask[1]);
-        debug_assert_eq!(b.len(), Self::WIRE_BYTES);
-        let sum = fnv1a_16(&b);
-        b[2..4].copy_from_slice(&sum.to_le_bytes());
-        b.freeze()
+        OFFER.seal(|b| {
+            b.put_u8(self.transmissions);
+            b.put_u16_le(0); // checksum
+            b.put_u64_le(self.seq);
+            b.put_u64_le(self.data_rate.to_bits());
+            b.put_u64_le(self.lifetime.to_bits());
+            b.put_u64_le(self.min_quality.to_bits());
+            b.put_u64_le(self.cost_budget.to_bits());
+            b.put_u64_le(self.priority.to_bits());
+            b.put_u64_le(self.path_mask[0]);
+            b.put_u64_le(self.path_mask[1]);
+        })
     }
 
     /// Parses an offer; `None` on wrong magic, bad checksum, or
     /// truncation.
-    pub fn decode(mut buf: &[u8]) -> Option<Self> {
-        if buf.len() < Self::WIRE_BYTES || buf[0] != OFFER_MAGIC {
-            return None;
-        }
-        let mut frame = [0u8; Self::WIRE_BYTES];
-        frame.copy_from_slice(&buf[..Self::WIRE_BYTES]);
-        let stored = u16::from_le_bytes([frame[2], frame[3]]);
-        frame[2..4].fill(0);
-        if fnv1a_16(&frame) != stored {
-            return None;
-        }
-        buf.advance(1);
+    pub fn decode(buf: &[u8]) -> Option<Self> {
+        let mut buf = OFFER.open(buf)?;
         let transmissions = buf.get_u8();
-        buf.advance(2);
+        buf.advance(2); // checksum
         let seq = buf.get_u64_le();
         let data_rate = f64::from_bits(buf.get_u64_le());
         let lifetime = f64::from_bits(buf.get_u64_le());
@@ -464,40 +447,26 @@ impl DecisionFrame {
 
     /// Serializes to exactly [`DecisionFrame::WIRE_BYTES`] bytes.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(Self::WIRE_BYTES);
-        b.put_u8(DECISION_MAGIC);
-        b.put_u8(self.verdict as u8);
-        b.put_u16_le(0); // checksum placeholder
-        b.put_u64_le(self.seq);
-        b.put_u64_le(self.flow);
-        b.put_u64_le(self.predicted_quality.to_bits());
-        debug_assert_eq!(b.len(), Self::WIRE_BYTES);
-        let sum = fnv1a_16(&b);
-        b[2..4].copy_from_slice(&sum.to_le_bytes());
-        b.freeze()
+        DECISION.seal(|b| {
+            b.put_u8(self.verdict as u8);
+            b.put_u16_le(0); // checksum
+            b.put_u64_le(self.seq);
+            b.put_u64_le(self.flow);
+            b.put_u64_le(self.predicted_quality.to_bits());
+        })
     }
 
     /// Parses a decision; `None` on wrong magic, unknown verdict, bad
     /// checksum, or truncation.
-    pub fn decode(mut buf: &[u8]) -> Option<Self> {
-        if buf.len() < Self::WIRE_BYTES || buf[0] != DECISION_MAGIC {
-            return None;
-        }
-        let mut frame = [0u8; Self::WIRE_BYTES];
-        frame.copy_from_slice(&buf[..Self::WIRE_BYTES]);
-        let stored = u16::from_le_bytes([frame[2], frame[3]]);
-        frame[2..4].fill(0);
-        if fnv1a_16(&frame) != stored {
-            return None;
-        }
-        buf.advance(1);
+    pub fn decode(buf: &[u8]) -> Option<Self> {
+        let mut buf = DECISION.open(buf)?;
         let verdict = match buf.get_u8() {
             0 => Verdict::Rejected,
             1 => Verdict::Admitted,
             2 => Verdict::Invalid,
             _ => return None,
         };
-        buf.advance(2);
+        buf.advance(2); // checksum
         let seq = buf.get_u64_le();
         let flow = buf.get_u64_le();
         let predicted_quality = f64::from_bits(buf.get_u64_le());
@@ -527,34 +496,19 @@ impl DepartFrame {
 
     /// Serializes to exactly [`DepartFrame::WIRE_BYTES`] bytes.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(Self::WIRE_BYTES);
-        b.put_u8(DEPART_MAGIC);
-        b.put_u8(0); // reserved
-        b.put_u16_le(0); // checksum placeholder
-        b.put_u64_le(self.seq);
-        b.put_u64_le(self.flow);
-        debug_assert_eq!(b.len(), Self::WIRE_BYTES);
-        let sum = fnv1a_16(&b);
-        b[2..4].copy_from_slice(&sum.to_le_bytes());
-        b.freeze()
+        DEPART.seal(|b| {
+            b.put_u8(0); // reserved
+            b.put_u16_le(0); // checksum
+            b.put_u64_le(self.seq);
+            b.put_u64_le(self.flow);
+        })
     }
 
     /// Parses a departure; `None` on wrong magic, bad checksum, or
     /// truncation.
-    pub fn decode(mut buf: &[u8]) -> Option<Self> {
-        if buf.len() < Self::WIRE_BYTES || buf[0] != DEPART_MAGIC {
-            return None;
-        }
-        let mut frame = [0u8; Self::WIRE_BYTES];
-        frame.copy_from_slice(&buf[..Self::WIRE_BYTES]);
-        let stored = u16::from_le_bytes([frame[2], frame[3]]);
-        frame[2..4].fill(0);
-        if fnv1a_16(&frame) != stored {
-            return None;
-        }
-        buf.advance(1);
-        buf.advance(1);
-        buf.advance(2);
+    pub fn decode(buf: &[u8]) -> Option<Self> {
+        let mut buf = DEPART.open(buf)?;
+        buf.advance(1 + 2); // reserved, checksum
         let seq = buf.get_u64_le();
         let flow = buf.get_u64_le();
         Some(DepartFrame { seq, flow })
@@ -629,33 +583,19 @@ impl LinkChangeFrame {
 
     /// Serializes to exactly [`LinkChangeFrame::WIRE_BYTES`] bytes.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(Self::WIRE_BYTES);
-        b.put_u8(LINK_MAGIC);
-        b.put_u8(self.kind as u8);
-        b.put_u16_le(self.path);
-        b.put_u32_le(0); // checksum placeholder
-        b.put_u64_le(self.seq);
-        b.put_u64_le(self.value.to_bits());
-        debug_assert_eq!(b.len(), Self::WIRE_BYTES);
-        let sum = fnv1a(&b);
-        b[4..8].copy_from_slice(&sum.to_le_bytes());
-        b.freeze()
+        LINK.seal(|b| {
+            b.put_u8(self.kind as u8);
+            b.put_u16_le(self.path);
+            b.put_u32_le(0); // checksum
+            b.put_u64_le(self.seq);
+            b.put_u64_le(self.value.to_bits());
+        })
     }
 
     /// Parses a link change; `None` on wrong magic, unknown kind, bad
     /// checksum, or truncation.
-    pub fn decode(mut buf: &[u8]) -> Option<Self> {
-        if buf.len() < Self::WIRE_BYTES || buf[0] != LINK_MAGIC {
-            return None;
-        }
-        let mut frame = [0u8; Self::WIRE_BYTES];
-        frame.copy_from_slice(&buf[..Self::WIRE_BYTES]);
-        let stored = u32::from_le_bytes([frame[4], frame[5], frame[6], frame[7]]);
-        frame[4..8].fill(0);
-        if fnv1a(&frame) != stored {
-            return None;
-        }
-        buf.advance(1);
+    pub fn decode(buf: &[u8]) -> Option<Self> {
+        let mut buf = LINK.open(buf)?;
         let kind = match buf.get_u8() {
             0 => LinkChangeKind::Fail,
             1 => LinkChangeKind::Recover,
@@ -664,7 +604,7 @@ impl LinkChangeFrame {
             _ => return None,
         };
         let path = buf.get_u16_le();
-        buf.advance(4);
+        buf.advance(4); // checksum
         let seq = buf.get_u64_le();
         let value = f64::from_bits(buf.get_u64_le());
         Some(LinkChangeFrame {
@@ -983,7 +923,7 @@ mod tests {
         let wire = a.encode();
         assert_eq!(Ack::decode(&wire[..Ack::WIRE_BYTES - 1]), None);
         let mut bad = wire.to_vec();
-        bad[0] = DATA_MAGIC;
+        bad[0] = DATA.magic;
         assert_eq!(Ack::decode(&bad), None);
     }
 }
