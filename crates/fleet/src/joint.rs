@@ -27,9 +27,9 @@
 //! be dropped, queued, or offered again at another window — and the LP
 //! is as it was. [`JointCore::remove`] takes a resident off the roster
 //! and tombstones its block in one step; [`JointCore::resolve`]
-//! re-solves for whoever is left; [`JointCore::remodel`] rebuilds the
-//! models after a link change; [`JointCore::evict_all`] empties the
-//! roster in re-admission order for a one-by-one re-settle. The solve
+//! re-solves for whoever is left; [`JointCore::apply_link_change`] is a
+//! link change, whole; [`JointCore::evict_all`] empties the roster in
+//! re-admission order for a one-by-one re-settle. The solve
 //! itself is private, and every successful one refreshes every
 //! resident's block and plan in the pass that slices `x`.
 //!
@@ -86,12 +86,16 @@
 //! admission or the joint optimum — path-dependent; see
 //! `tests/carried_basis_stateful.rs`).
 //!
-//! [`JointCore::forget`] drops the assembly, basis included; the next
-//! solve re-places the residents in admission order — what a wholesale
-//! coefficient change (link dynamics), the instant planner's tombstone
-//! compaction, and `FleetConfig::incremental = false` (forget before
-//! *every* solve) all reduce to. `PlannerConfig::warm_start = false`
-//! keeps the assembly and carries no basis.
+//! **When the assembly (basis included) is dropped is decided here and
+//! nowhere else**: on a link change (every model changed), on
+//! [`JointCore::evict_all`], and — compaction — at the top of any solve
+//! that finds at least [`COMPACT_MIN_SLOTS`] slots per slot of the
+//! horizon with tombstones outnumbering the residents, on both planes
+//! alike (neither churn nor a sliding horizon grows the LP without
+//! bound). The next solve re-places the residents in admission order and
+//! starts cold.
+//! `FleetConfig::incremental = false` drops it before *every* solve;
+//! `PlannerConfig::warm_start = false` keeps it and carries no basis.
 //!
 //! A new row or column kind of the joint LP, or a new piece of per-flow
 //! state, is added here, once.
@@ -231,6 +235,31 @@ pub(crate) fn check_combos(n_paths: usize, transmissions: usize) -> Result<(), F
     }
 }
 
+/// Rejects a rate, bandwidth, budget or weight the joint LP cannot scale.
+/// Its coefficients are quotients of these (`µ_f/λ_f`, `b_k/Λ`) over a
+/// sum of them (`Λ = Σ λ_f·L_f`): with each within `√f64::MAX` of 1 no
+/// quotient and no sum overflows, whatever the membership — so what fails
+/// is an invalid request, not an `∞` coefficient (a panic) or a zero
+/// share (a false admission) met mid-solve.
+pub(crate) fn check_scale(what: &str, value: f64) -> Result<(), FleetError> {
+    let top = f64::MAX.sqrt();
+    if (1.0 / top..=top).contains(&value) {
+        return Ok(());
+    }
+    let reason = format!("{what} {value} is not within 1e±154, the range the joint LP can scale");
+    Err(FleetError::Invalid(reason))
+}
+
+/// [`check_scale`] for everything a request brings into the LP.
+pub(crate) fn check_request_scale(request: &FlowRequest) -> Result<(), FleetError> {
+    check_scale("flow data rate", request.data_rate())?;
+    check_scale("priority", request.priority())?;
+    if request.cost_budget().is_finite() {
+        check_scale("cost budget", request.cost_budget())?;
+    }
+    Ok(())
+}
+
 /// One flow's block in the assembly: `L·n` assignment columns
 /// (window-slot-major) plus `carry` buffer columns, its optional
 /// cost/floor rows, its `L` balance rows and `carry` cap rows. A
@@ -276,6 +305,11 @@ enum Placement {
     /// An existing tombstoned slot was re-activated in place.
     Reused,
 }
+
+/// Compaction: the assembly is dropped once it holds at least this many
+/// slots per slot of the horizon (a tombstone is only ever taken over at
+/// its own ring phase) *and* tombstones outnumber the residents.
+pub(crate) const COMPACT_MIN_SLOTS: usize = 8;
 
 /// The incrementally maintained joint LP (see the module docs for the
 /// layout and the tombstone contract).
@@ -511,7 +545,7 @@ impl Assembly {
     /// from the middle would shift every later slot's rows and columns
     /// under the slot table — so anything else is a checked error (a
     /// release build must not sail past it and corrupt the assembly);
-    /// the core forgets the assembly when it fires.
+    /// the core drops the assembly when it fires.
     fn rollback(&mut self, id: FlowId, placement: Placement) -> Result<(), FleetError> {
         match placement {
             Placement::Appended {
@@ -629,7 +663,7 @@ pub(crate) struct JointCore {
     /// Cold re-solves forced by a warm-start anomaly (singular basis or
     /// pivot-cap abort on the warm path).
     warm_anomalies: u64,
-    /// `None` until the first solve and after [`JointCore::forget`].
+    /// `None` until the first solve and whenever the core has dropped it.
     assembly: Option<Assembly>,
     /// Objective value of the last successful joint solve (0 when empty).
     last_objective: f64,
@@ -656,6 +690,8 @@ impl JointCore {
                 "shared path {k} has a non-finite mean delay"
             )));
         }
+        let bandwidth = |p: &ScenarioPath| check_scale("bandwidth", p.bandwidth());
+        paths.iter().try_for_each(bandwidth)?;
         if config.obs.is_enabled() && !config.planner.solver.obs.is_enabled() {
             config.planner.solver.obs = config.obs.clone();
         }
@@ -682,10 +718,11 @@ impl JointCore {
         })
     }
 
-    /// Validates and applies one link change to a shared path. A failed
-    /// path plans as loss 1; a [`LinkChange::SetLoss`] plans against the
-    /// model's stationary loss rate. The caller rebuilds its flows'
-    /// models and [forgets](JointCore::forget) the assembly.
+    /// A link change, whole: validates it, applies it to the shared path,
+    /// rebuilds every resident's model against the changed paths and
+    /// forgets the assembly built from the old ones. A failed path plans
+    /// as loss 1; a [`LinkChange::SetLoss`] plans against the model's
+    /// stationary loss rate.
     pub(crate) fn apply_link_change(
         &mut self,
         path: usize,
@@ -701,11 +738,7 @@ impl JointCore {
             LinkChange::Fail => shared.failed = true,
             LinkChange::Recover => shared.failed = false,
             LinkChange::SetBandwidth(bps) => {
-                if !(*bps > 0.0) || !bps.is_finite() {
-                    return Err(FleetError::Invalid(format!(
-                        "bandwidth must be finite and > 0, got {bps}"
-                    )));
-                }
+                check_scale("bandwidth", *bps)?;
                 shared.bandwidth = *bps;
             }
             LinkChange::SetLoss(model) => {
@@ -713,7 +746,14 @@ impl JointCore {
                 shared.loss = model.stationary_loss();
             }
         }
-        Ok(())
+        self.assembly = None;
+        let mut flows = std::mem::take(&mut self.flows);
+        let rebuilt = flows.iter_mut().try_for_each(|r| {
+            r.member.model = self.flow_model(r.member.flow())?;
+            Ok(())
+        });
+        self.flows = flows;
+        rebuilt
     }
 
     /// The effective shared paths (failed paths appear with loss 1).
@@ -742,6 +782,7 @@ impl JointCore {
             None => effective,
         };
         check_combos(flow_paths.len(), request.transmissions())?;
+        check_request_scale(request)?;
         let mut builder = Scenario::builder()
             .paths(flow_paths)
             .data_rate(request.data_rate())
@@ -818,24 +859,11 @@ impl JointCore {
         self.solve(Vec::new()).map_err(|(e, _)| e)
     }
 
-    /// Rebuilds every resident's model against the current shared paths.
-    /// The caller [forgets](JointCore::forget) the assembly built from
-    /// the old ones.
-    pub(crate) fn remodel(&mut self) -> Result<(), FleetError> {
-        let mut flows = std::mem::take(&mut self.flows);
-        let rebuilt = flows.iter_mut().try_for_each(|r| {
-            r.member.model = self.flow_model(r.member.flow())?;
-            Ok(())
-        });
-        self.flows = flows;
-        rebuilt
-    }
-
-    /// Empties the roster and forgets the assembly; the evicted come
+    /// Empties the roster and drops the assembly; the evicted come
     /// back in re-admission order — highest priority first, admission
     /// order within ties — for the caller to offer again one by one.
     pub(crate) fn evict_all(&mut self) -> Vec<Resident> {
-        self.forget();
+        self.assembly = None;
         let mut evicted = std::mem::take(&mut self.flows);
         evicted.sort_by(|a, b| {
             readmission_order(
@@ -846,20 +874,10 @@ impl JointCore {
         evicted
     }
 
-    /// Drops the assembly and the basis carried with it; the next solve
-    /// re-places the residents in admission order (keeps the layout
-    /// deterministic after wholesale coefficient changes, and compacts
-    /// tombstones away) and starts cold.
-    pub(crate) fn forget(&mut self) {
-        self.assembly = None;
-    }
-
     /// `(all, tombstoned)` slot counts of the current assembly.
     pub(crate) fn slot_counts(&self) -> (usize, usize) {
-        self.assembly.as_ref().map_or((0, 0), |a| {
-            let dead = a.slots.iter().filter(|s| !s.active).count();
-            (a.slots.len(), dead)
-        })
+        let assembly = self.assembly.as_ref();
+        assembly.map_or((0, 0), |a| (a.slots.len(), a.slots.len() - a.slot_of.len()))
     }
 
     /// Solves the joint LP over the roster plus the tentative `extras`.
@@ -878,13 +896,16 @@ impl JointCore {
             }),
             "the assembly's live blocks are not the roster's"
         );
+        // Compaction; the differential baseline keeps nothing at all.
+        let (slots, tombstoned) = self.slot_counts();
+        let floor = COMPACT_MIN_SLOTS * self.grid.horizon();
+        let crowded = slots >= floor && tombstoned > self.flows.len();
+        if crowded || !self.config.incremental {
+            self.assembly = None;
+        }
         if self.flows.is_empty() && extras.is_empty() {
             self.last_objective = 0.0;
             return Ok(());
-        }
-        if !self.config.incremental {
-            // The differential baseline: nothing survives between solves.
-            self.forget();
         }
         let mut assembly = self.assembly.take().unwrap_or_else(|| {
             let mut fresh = Assembly::new(self.grid.horizon(), self.paths.len());
@@ -935,11 +956,15 @@ impl JointCore {
                     });
                 }
                 self.assembly = Some(assembly);
+                debug_assert!(
+                    self.slot_counts().0 <= 2 * self.flows.len() + floor,
+                    "compaction let tombstones pile up"
+                );
                 Ok(())
             }
             Err(e) => {
                 // Reverse order, so appended blocks truncate cleanly. An
-                // inconsistent rollback forgets the assembly rather than
+                // inconsistent rollback drops the assembly rather than
                 // patch shifted row indices in place.
                 let clean = extras
                     .iter()

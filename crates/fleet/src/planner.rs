@@ -49,15 +49,15 @@
 //! of events ([`FleetPlanner::SHED_HORIZON`]).
 //!
 //! The LP itself — block layout, tombstoning, Λ-rescaling, the carried
-//! basis — **and the roster of admitted flows** (id, request, model,
-//! plan) are kept by the joint core this planner shares with
+//! basis, when all of it is dropped and rebuilt (link changes,
+//! compaction) — **and the roster of admitted flows** (id, request,
+//! model, plan) are kept by the joint core this planner shares with
 //! [`SchedulePlanner`](crate::SchedulePlanner) (`joint.rs`), run here
 //! over a one-slot grid. This planner holds no admitted flow of its own:
 //! it offers candidates to the core by value and gets the refused ones
 //! back. What lives in this module is the *policy* and nothing else:
 //! batch admission with its greedy fallback, the shed queue and its
-//! backoff, compaction of tombstones once they outnumber the active
-//! flows, and the `fleet.*` admission counters.
+//! backoff, and the `fleet.*` admission counters.
 
 use crate::error::FleetError;
 use crate::flow::{FlowId, FlowRequest};
@@ -174,10 +174,6 @@ impl AdmissionDecision {
         }
     }
 }
-
-/// Compact the joint assembly once it holds at least this many slots
-/// *and* tombstoned slots outnumber the active ones.
-const COMPACT_MIN_SLOTS: usize = 8;
 
 /// Cap on the capacity-event backoff between re-admission attempts of a
 /// shed flow (`2^MAX_SHED_ATTEMPTS-1 - 1`, so the total horizon telescopes
@@ -431,22 +427,10 @@ impl FleetPlanner {
             }
         }
         if removed_admitted {
-            self.settle_after_departures()?;
+            self.core.resolve().map_err(FleetError::Solve)?;
+            self.revive_shed()?;
         }
         Ok(plans)
-    }
-
-    /// After admitted flows left: compacts the assembly once tombstones
-    /// outnumber the survivors (bounding the zombie-block overhead of a
-    /// long-churning fleet), re-solves for the survivors, and gives the
-    /// shed queue its re-admission sweep.
-    fn settle_after_departures(&mut self) -> Result<(), FleetError> {
-        let (slots, tombstoned) = self.core.slot_counts();
-        if slots >= COMPACT_MIN_SLOTS && tombstoned > self.num_flows() {
-            self.core.forget();
-        }
-        self.core.resolve().map_err(FleetError::Solve)?;
-        self.revive_shed()
     }
 
     /// Applies one link change to a shared path (reusing the
@@ -475,8 +459,7 @@ impl FleetPlanner {
         change: &LinkChange,
     ) -> Result<Vec<FlowId>, FleetError> {
         self.core.apply_link_change(path, change)?;
-        // Resettle the incumbents first (their models must match the new
-        // paths before any joint solve), then give the previously shed
+        // Resettle the incumbents first, then give the previously shed
         // flows their re-admission sweep, and only then enqueue the newly
         // shed ones — the event that displaced them is no occasion to
         // retry them.
@@ -678,19 +661,12 @@ impl FleetPlanner {
         Ok(verdict)
     }
 
-    /// Rebuilds every flow's model against the changed paths and
-    /// re-solves; on collective infeasibility, re-admits greedily highest
-    /// priority first ([`FlowRequest::priority`], admission order within
-    /// ties — so equal-priority fleets shed exactly as they always did)
-    /// and returns the displaced flows for the caller to enqueue.
+    /// Re-solves after a link change; on collective infeasibility,
+    /// re-admits greedily highest priority first
+    /// ([`FlowRequest::priority`], admission order within ties — so
+    /// equal-priority fleets shed exactly as they always did) and returns
+    /// the displaced flows for the caller to enqueue.
     fn resettle(&mut self) -> Result<Vec<ShedFlow>, FleetError> {
-        self.core.remodel()?;
-        if self.is_empty() {
-            return Ok(Vec::new());
-        }
-        // The per-flow coefficients changed wholesale; re-place the
-        // blocks from the new models and start cold.
-        self.core.forget();
         match self.core.resolve() {
             Ok(()) => Ok(Vec::new()),
             Err(SolveError::Infeasible { .. }) => {

@@ -43,10 +43,11 @@
 //! # One LP core, shared
 //!
 //! The LP itself — ring-indexed capacity rows, block layout,
-//! tombstoning, Λ-rescaling, the carried basis — **and the roster of
-//! scheduled flows** (id, request at its current window, model, plan,
-//! per-slot allocation) are the joint core this planner shares with the
-//! instant [`FleetPlanner`](crate::FleetPlanner) (`joint.rs`). This
+//! tombstoning, Λ-rescaling, the carried basis, when it is all dropped
+//! and rebuilt (link changes, compaction) — **and the roster of flows**
+//! (id, request at its current window, model, plan, per-slot allocation)
+//! are the joint core this planner shares with the instant
+//! [`FleetPlanner`](crate::FleetPlanner) (`joint.rs`). This
 //! planner holds no scheduled flow of its own: it offers candidates to
 //! the core by value, gets the refused ones back and offers them again
 //! one slot later. What lives here is the *policy* of the time axis and
@@ -712,10 +713,6 @@ impl SchedulePlanner {
         change: &LinkChange,
     ) -> Result<ScheduleShuffle, FleetError> {
         self.core.apply_link_change(path, change)?;
-        self.core.remodel()?;
-        // Coefficients changed wholesale: re-place the blocks from the
-        // new models (cold), then settle.
-        self.core.forget();
         self.settle_all()
     }
 
@@ -1230,5 +1227,112 @@ mod tests {
         // The truncated flow's demand renormalizes over two slots.
         let per_slot = s.slot_quality_of(d.id()).expect("scheduled");
         assert_eq!(per_slot.len(), 2);
+    }
+
+    /// Slots the assembly may hold with `s`'s flows resident: the bound
+    /// the core's compaction rule keeps.
+    fn slot_bound(s: &SchedulePlanner) -> usize {
+        2 * s.num_flows() + crate::joint::COMPACT_MIN_SLOTS * s.grid().horizon()
+    }
+
+    #[test]
+    fn a_sliding_horizon_keeps_the_assembly_bounded_and_matches_cold_solves() {
+        // The `sched_horizon` script: slide one slot, offer two 2-slot
+        // windows, one in three buffered. Every completed flow leaves a
+        // tombstone; with no compaction rule on this plane the assembly
+        // grew without bound (past 100 slots here, for 8–13 residents).
+        let cold_config = FleetConfig {
+            planner: dmc_core::PlannerConfig {
+                warm_start: false,
+                ..dmc_core::PlannerConfig::default()
+            },
+            ..FleetConfig::default()
+        };
+        let grid = TimeGrid::new(0.5, 8).expect("valid grid");
+        let mut warm = SchedulePlanner::new(paths(), grid, FleetConfig::default()).expect("valid");
+        let mut cold = SchedulePlanner::new(paths(), grid, cold_config).expect("valid");
+        let mut state = 0x5C4E_u64;
+        let mut draw = |n: u64| {
+            // SplitMix64.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        };
+        for origin in 1..=300 {
+            let (w, c) = (warm.advance_to(origin), cold.advance_to(origin));
+            let (w, c) = (w.expect("advance"), c.expect("advance"));
+            assert_eq!(
+                (w.completed, w.truncated, w.rescheduled, w.dropped),
+                (c.completed, c.truncated, c.rescheduled, c.dropped),
+                "advance to {origin}"
+            );
+            assert!(warm.core.slot_counts().0 <= slot_bound(&warm), "{origin}");
+            for _ in 0..2 {
+                let floor = [0.0, 0.8, 0.9, 0.95][draw(4) as usize];
+                let rate = 10e6 + draw(22) as f64 * 1e6;
+                let flow = FlowRequest::new(rate, 0.3 + draw(10) as f64 * 0.09)
+                    .expect("valid flow")
+                    .with_min_quality(floor);
+                let start = origin + draw(7);
+                let window = SlotWindow::new(start, start + 2).expect("valid");
+                let buffer = if draw(3) == 0 { 0.5 } else { 0.0 };
+                let request = ScheduleRequest::new(flow, window).with_buffer(buffer);
+                let w = warm.offer(request.clone()).expect("offer");
+                let c = cold.offer(request).expect("offer");
+                assert_eq!((w.id(), w.window()), (c.id(), c.window()), "{origin}");
+                assert!(warm.core.slot_counts().0 <= slot_bound(&warm), "{origin}");
+            }
+        }
+        assert_eq!(warm.flow_ids(), cold.flow_ids());
+        for id in warm.flow_ids() {
+            assert_eq!(warm.window_of(id), cold.window_of(id), "{id}");
+        }
+        assert!((warm.objective_value() - cold.objective_value()).abs() <= 1e-9);
+    }
+
+    #[test]
+    fn heavy_churn_compacts_and_matches_a_fresh_schedule() {
+        // The slotted twin of the instant planner's churn test: admit and
+        // withdraw transients of varying widths, windows and buffering
+        // until tombstones outnumber the survivors; the core compacts,
+        // and the survivors' allocation matches a fresh planner's.
+        let keeper = |rate, start, end| {
+            let flow = FlowRequest::new(rate, 0.8).expect("valid flow");
+            let window = SlotWindow::new(start, end).expect("valid");
+            ScheduleRequest::new(flow.with_min_quality(0.5), window)
+        };
+        let mut churned = sched(4);
+        let keep_a = churned.offer(keeper(25e6, 0, 3)).expect("offer");
+        let mut transients = Vec::new();
+        for i in 0..36u64 {
+            let mut flow =
+                FlowRequest::new(1e6 + i as f64 * 1e5, 0.5 + 0.01 * i as f64).expect("valid flow");
+            if i % 3 == 0 {
+                flow = flow.with_transmissions(1); // narrower block
+            }
+            let window = SlotWindow::new(i % 3, i % 3 + 1 + i % 2).expect("valid");
+            let request = ScheduleRequest::new(flow, window).with_buffer(0.5 * (i % 2) as f64);
+            transients.push(churned.offer(request).expect("offer"));
+        }
+        let keep_b = churned.offer(keeper(15e6, 1, 4)).expect("offer");
+        assert_eq!(churned.core.slot_counts(), (38, 0));
+        for t in &transients {
+            churned.depart(t.id()).expect("depart");
+        }
+        // Compacted at the twentieth departure (20 tombstones > 18
+        // residents, 38 slots ≥ the 4-slot horizon's floor of 32); the
+        // last sixteen tombstones stay under it.
+        assert_eq!(churned.core.slot_counts(), (18, 16));
+        let mut fresh = sched(4);
+        let fa = fresh.offer(keeper(25e6, 0, 3)).expect("offer");
+        let fb = fresh.offer(keeper(15e6, 1, 4)).expect("offer");
+        assert!((churned.objective_value() - fresh.objective_value()).abs() <= 1e-9);
+        for (churned_id, fresh_id) in [(keep_a.id(), fa.id()), (keep_b.id(), fb.id())] {
+            let pc = churned.plan_of(churned_id).expect("scheduled");
+            let pf = fresh.plan_of(fresh_id).expect("scheduled");
+            assert!((pc.quality() - pf.quality()).abs() <= 1e-9, "{churned_id}");
+        }
     }
 }

@@ -11,6 +11,7 @@ use super::resolved_workers_with;
 use super::shard::{Shard, ShardOp};
 use crate::error::FleetError;
 use crate::flow::{FlowId, FlowRequest};
+use crate::joint::{check_request_scale, check_scale};
 use crate::planner::{AdmissionDecision, FleetConfig};
 use crate::schedule::{ScheduleAdvance, ScheduleDecision, ScheduleRequest, TimeGrid};
 
@@ -298,11 +299,7 @@ impl FleetService {
         }
         match &change {
             LinkChange::SetBandwidth(bps) => {
-                if !(*bps > 0.0) || !bps.is_finite() {
-                    return Err(FleetError::Invalid(format!(
-                        "bandwidth must be finite and > 0, got {bps}"
-                    )));
-                }
+                check_scale("bandwidth", *bps)?;
                 self.path_bandwidth[path] = *bps;
             }
             LinkChange::SetLoss(model) => model.validate().map_err(FleetError::Invalid)?,
@@ -433,8 +430,10 @@ impl FleetService {
         self.shards.iter().map(Shard::num_flows).sum()
     }
 
-    /// Aggregate allocated send rate per global path, bits/second,
-    /// summed over every shard's admitted flows.
+    /// Per global path, the fraction of its live bandwidth the admitted
+    /// flows' send rates take up — each shard's
+    /// [`FleetPlanner::utilization`](crate::FleetPlanner::utilization)
+    /// under the path's global index (≤ 1 within solver tolerance).
     pub fn utilization(&self) -> Vec<f64> {
         let mut util = vec![0.0; self.path_bandwidth.len()];
         for shard in &self.shards {
@@ -686,6 +685,11 @@ impl FleetService {
                 f64::INFINITY
             };
             let leg_request = request.scaled_to(rate, budget, Some(leg.local_paths.clone()));
+            // A share too thin for the LP to scale refuses the flow.
+            if check_request_scale(&leg_request).is_err() {
+                refused = true;
+                break;
+            }
             match self.shards[leg.shard].offer_local(leg_request)? {
                 AdmissionDecision::Admitted {
                     id,
@@ -747,14 +751,17 @@ impl FleetService {
                 return Ok(());
             }
         };
+        // A leg may already be gone — its shard gave up on it, or the
+        // whole flow departed, earlier in this tick (`prune_owners` runs
+        // when the tick ends).
+        let mut found = false;
         for (shard, local) in legs {
-            self.shards[shard].depart_local(seq, local, events)?;
+            if self.shards[shard].owns(flow) {
+                self.shards[shard].depart_local(seq, local, events)?;
+                found = true;
+            }
         }
-        events.push(ServiceEvent::Departed {
-            seq,
-            flow,
-            found: true,
-        });
+        events.push(ServiceEvent::Departed { seq, flow, found });
         Ok(())
     }
 

@@ -231,7 +231,10 @@ impl Shard {
             .record(departs.len() as u64);
         let mut known = Vec::new();
         for &(seq, flow) in departs {
-            match self.to_local.get(&flow) {
+            // A departure repeated within the tick (a retransmitted
+            // frame) finds its flow already leaving.
+            let leaving = known.iter().any(|&(_, leaving, _)| leaving == flow);
+            match self.to_local.get(&flow).filter(|_| !leaving) {
                 Some(&local) => known.push((seq, flow, local)),
                 None => self.out.push(ServiceEvent::Departed {
                     seq,

@@ -7,7 +7,7 @@ use dmc_proto::wire::{DecisionFrame, DepartFrame, LinkChangeFrame, OfferFrame, V
 use super::router::{FleetService, ServiceEvent};
 use crate::error::FleetError;
 use crate::flow::FlowRequest;
-use crate::joint::check_combos;
+use crate::joint::{check_combos, check_request_scale};
 
 impl FleetService {
     /// Feeds one encoded control-plane frame to the service.
@@ -19,9 +19,9 @@ impl FleetService {
     ///
     /// An [`OfferFrame`] whose *parameters* are semantically invalid
     /// (non-positive rate, floor outside `[0, 1]`, zero or absurdly many
-    /// transmissions, out-of-range path mask…) still consumes a seq and
-    /// is answered at
-    /// the next [`FleetService::tick_frames`] with a
+    /// transmissions, out-of-range path mask, a rate, budget or priority
+    /// of a magnitude the joint LP cannot scale…) still consumes a seq
+    /// and is answered at the next [`FleetService::tick_frames`] with a
     /// [`Verdict::Invalid`] decision, so the client can tell "malformed
     /// request" from "lost frame".
     pub fn handle_frame(&mut self, frame: &[u8]) -> Option<u64> {
@@ -144,6 +144,7 @@ impl FleetService {
             }
             request = request.with_paths(paths);
         }
+        check_request_scale(&request).map_err(|e| e.to_string())?;
         // A flow's model has `(paths + 1)^transmissions` columns, and
         // `transmissions` is a raw byte off the wire: bound the widest
         // leg (a flow is modelled per region, over the paths it names
@@ -289,6 +290,49 @@ mod tests {
         // builder must refuse the same request with an error.
         let typed = FlowRequest::new(10e6, 0.8).unwrap().with_transmissions(24);
         service.submit(typed).unwrap();
+        assert!(matches!(service.tick(), Err(FleetError::Invalid(_))));
+    }
+
+    #[test]
+    fn numbers_that_overflow_the_lp_are_invalid_not_a_panic_or_an_admission() {
+        // `µ/λ` is the cost row's bound, `b/Λ` a capacity row's and
+        // `λ/Λ` a flow's share of them: a rate or budget that drives one
+        // to ∞ used to abort the service on a non-finite coefficient, and
+        // two rates whose sum is ∞ were both admitted on a zero share.
+        let costed = |bps, delay| ScenarioPath::constant_with_cost(bps, delay, 0.0, 1e-9).unwrap();
+        let paths = vec![costed(50e6, 0.2), costed(20e6, 0.1)];
+        let config = ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        };
+        let mut service = FleetService::new(paths, &[vec![0, 1]], config).unwrap();
+        let hostile = [
+            (1e-310, 1.0),
+            (1e-3, 1e308),
+            (1e308, f64::INFINITY),
+            (1e308, f64::INFINITY),
+            (1e-310, f64::INFINITY),
+        ];
+        for (tag, (data_rate, cost_budget)) in hostile.into_iter().enumerate() {
+            let frame = OfferFrame {
+                data_rate,
+                cost_budget,
+                ..offer(tag as u64, 10e6, &[])
+            };
+            assert!(service.handle_frame(&frame.encode()).is_some());
+        }
+        let wide = LinkChangeFrame::from_change(9, 0, &LinkChange::SetBandwidth(1e300));
+        assert_eq!(service.handle_frame(&wide.encode()), None);
+        let (frames, _) = service.tick_frames().unwrap();
+        assert_eq!(frames.len(), hostile.len());
+        for frame in &frames {
+            let decision = DecisionFrame::decode(frame).unwrap();
+            assert_eq!(decision.verdict, Verdict::Invalid, "offer {}", decision.seq);
+        }
+        // The typed path meets the same refusal in the planner.
+        service
+            .submit(FlowRequest::new(1e-310, 0.8).unwrap().with_cost_budget(1.0))
+            .unwrap();
         assert!(matches!(service.tick(), Err(FleetError::Invalid(_))));
     }
 }
