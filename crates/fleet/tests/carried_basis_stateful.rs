@@ -131,7 +131,7 @@ fn instant_state(fleet: &mut FleetPlanner) -> String {
 
 #[test]
 fn instant_planner_warm_and_cold_agree_at_every_step() {
-    let mut hits = 0;
+    let (mut hits, mut misses) = (0, 0);
     let mut refusals = 0;
     for seed in 1..=6u64 {
         let mut rng = Rng(seed.wrapping_mul(0xA24B_AED4_963E_E407));
@@ -178,10 +178,18 @@ fn instant_planner_warm_and_cold_agree_at_every_step() {
         assert_eq!(cold.cached_bases(), 0);
         assert_eq!(warm.warm_anomalies(), 0);
         hits += warm.warm_stats().hits;
+        misses += warm.warm_stats().misses;
     }
     // The scripts do exercise what they are for.
     assert!(refusals > 20, "only {refusals} refusals");
     assert!(hits > 200, "only {hits} solves started warm");
+    // A departure frees capacity under the carried basis; the solver's
+    // dual phase restores it where it stands. Every such re-solve going
+    // cold again would show here as a miss per departure.
+    assert!(
+        20 * misses <= hits,
+        "{misses} re-solves went cold against {hits} that started warm"
+    );
 }
 
 /// What is comparable about a schedule planner: who holds which

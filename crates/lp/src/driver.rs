@@ -35,10 +35,16 @@
 //!   and checked for primal feasibility; when it stands the solve starts
 //!   from it — straight into phase 2 when it names no artificial,
 //!   otherwise through a phase 1 that runs *from that basis* over the few
-//!   artificials it names. A basis of the wrong shape, with a duplicate
-//!   column, singular beyond what the kernel repairs, or infeasible under
-//!   the new right-hand side falls back to the cold two-phase path; its
-//!   fate is recorded as a [`WarmStart`].
+//!   artificials it names. A basis the new right-hand side made primal
+//!   infeasible (a departure freed capacity under it) is first walked
+//!   back to feasibility where it stands by a **dual-simplex phase**
+//!   ([`restore_feasibility`]). That phase restores feasibility and
+//!   nothing else — it may leave reduced costs of the wrong sign, because
+//!   phase 2 runs from wherever it stops and proves optimality as it does
+//!   for every other start. A basis of the wrong shape, with a duplicate
+//!   column, singular beyond what the kernel repairs, or one the dual
+//!   phase gave up on falls back to the cold two-phase path; its fate is
+//!   recorded as a [`WarmStart`].
 //!
 //! # Determinism and the canonical vertex
 //!
@@ -310,13 +316,14 @@ pub(crate) fn solve<K: Kernel>(
     };
 
     // ---- Start: the caller's basis if it stands, the logicals if not ----
-    let warm_ok = warm.is_some_and(|basis| try_warm_basis(state, kernel, basis, tol));
+    let warm_ok =
+        warm.is_some_and(|basis| try_warm_basis(problem, state, kernel, basis, tol, &mut scratch));
     if !warm_ok {
         install_initial_basis(state);
         if !kernel.factor(state, false) {
             return Err(SolveError::Singular);
         }
-        load_x_basic(state, kernel);
+        load_x_basic(state, kernel, true);
     }
 
     // ---- Phase 1: drive the basic artificials to zero -------------------
@@ -343,9 +350,7 @@ pub(crate) fn solve<K: Kernel>(
     }
 
     // ---- Phase 2: user objective ----------------------------------------
-    state.cost.clear();
-    state.cost.resize(state.lay.ncols, 0.0);
-    state.cost[..n].copy_from_slice(&problem.objective);
+    load_objective(state, problem);
     run_phase(rows, state, kernel, options, Phase::Two, &mut scratch)?;
 
     // ---- Phase 3: canonicalize over the optimal face --------------------
@@ -362,7 +367,7 @@ pub(crate) fn solve<K: Kernel>(
     if !kernel.factor(state, false) {
         return Err(SolveError::Singular);
     }
-    load_x_basic(state, kernel);
+    load_x_basic(state, kernel, true);
 
     let mut x = vec![0.0; n];
     for (&bcol, &v) in state.basis.iter().zip(&state.x_basic) {
@@ -664,32 +669,46 @@ fn install_initial_basis(state: &mut DriverState) {
     }
 }
 
-/// Loads `x_basic = B⁻¹ b` from the current factorization, clamping the
-/// tiny negatives roundoff produces; returns the smallest value it saw
-/// before clamping (how infeasible the basis is for `b`).
-fn load_x_basic<K: Kernel>(state: &mut DriverState, kernel: &K) -> f64 {
+/// Loads `x_basic = B⁻¹ b` from the current factorization and returns its
+/// smallest value (how infeasible the basis is for `b`). With `clamp` the
+/// tiny negatives roundoff produces are raised to zero, which is what the
+/// primal phases want; the dual phase's negatives are its state.
+fn load_x_basic<K: Kernel>(state: &mut DriverState, kernel: &K, clamp: bool) -> f64 {
     state.x_basic.clear();
     state.x_basic.extend_from_slice(&state.lay.b);
     kernel.ftran(&mut state.x_basic);
     let mut least = 0.0f64;
     for v in &mut state.x_basic {
         least = least.min(*v);
-        *v = v.max(0.0);
+        if clamp {
+            *v = v.max(0.0);
+        }
     }
     least
 }
 
+/// Puts the user objective in `state.cost` (zero on every logical).
+fn load_objective(state: &mut DriverState, problem: &Problem) {
+    state.cost.clear();
+    state.cost.resize(state.lay.ncols, 0.0);
+    state.cost[..state.lay.n].copy_from_slice(&problem.objective);
+}
+
 /// Validates and installs a caller-provided warm [`Basis`]; returns
 /// `true` when the solve can start from it — well-formed, nonsingular
-/// (after repair where the kernel repairs) and primal feasible — and
-/// records its fate in `state.stats.warm` either way. Where the kernel
-/// accepts them the basis may name artificials ([`BasisVar::Logical`]);
-/// the caller runs phase 1 over those.
+/// (after repair where the kernel repairs) and primal feasible, as given
+/// or after [`restore_feasibility`] pivoted it there — and records its
+/// fate in `state.stats.warm` either way ([`WarmStart::Infeasible`]: the
+/// dual phase gave up). Where the kernel accepts them the basis may name
+/// artificials ([`BasisVar::Logical`]); the caller runs phase 1 over
+/// those.
 fn try_warm_basis<K: Kernel>(
+    problem: &Problem,
     state: &mut DriverState,
     kernel: &mut K,
     basis: &Basis,
     tol: f64,
+    scratch: &mut Scratch,
 ) -> bool {
     let lay = &state.lay;
     if basis.len() != lay.m {
@@ -717,15 +736,140 @@ fn try_warm_basis<K: Kernel>(
         state.stats.warm = WarmStart::Singular; // under the new coefficients
         return false;
     }
-    if load_x_basic(state, kernel) < -tol {
-        state.stats.warm = WarmStart::Infeasible; // for the new RHS
+    if load_x_basic(state, kernel, false) < -tol
+        && !restore_feasibility(problem, state, kernel, tol, scratch)
+    {
+        state.stats.warm = WarmStart::Infeasible; // for the new RHS, and not restored
         return false;
+    }
+    for v in &mut state.x_basic {
+        *v = v.max(0.0);
     }
     true
 }
 
+/// The dual-simplex phase: from a factored basis whose `B⁻¹b` has entries
+/// below `−tol` (the right-hand side moved under a carried basis), pivots
+/// until every basic value is `≥ −tol`. Returns `false` — the caller
+/// then starts cold — when a negative row has no column to pivot on
+/// (which, were the reduced costs all of the right sign, would prove the
+/// problem infeasible; phase 1 gets to say so), when a pivot element
+/// vanishes, when a due refactorization fails, or when `2m + 16` pivots
+/// did not suffice.
+///
+/// The leaving row is the most negative basic value. The entering column
+/// is a nonbasic one with `α_rj < 0` (row `r` of `B⁻¹A`), chosen by the
+/// ratio test that keeps reduced costs of the right sign where they are,
+/// `min max(−rc_j, 0)/|α_rj|`, in its two-pass form: of the columns whose
+/// ratio is within the smallest `(max(−rc_j, 0) + tol)/|α_rj|`, the one
+/// with the largest `|α_rj|`, then the lowest index. On these LPs most
+/// ratios tie near zero (the carried basis was optimal, its face is
+/// wide), and picking the exact minimum among them pivots on elements of
+/// 1e-9 — a few dozen such pivots and `x_basic` no longer describes the
+/// basis. Columns whose reduced cost already has the wrong sign (a
+/// tombstoned block's, after its objective was zeroed) count as ratio 0:
+/// this phase only restores primal feasibility, and phase 2 starts from
+/// the basis it leaves and proves optimality there.
+///
+/// `x_basic` is not clamped until the caller does so after the phase, and
+/// the phase ends on `B⁻¹b` recomputed from the factors, not on the
+/// values its own updates carried there.
+fn restore_feasibility<K: Kernel>(
+    problem: &Problem,
+    state: &mut DriverState,
+    kernel: &mut K,
+    tol: f64,
+    scratch: &mut Scratch,
+) -> bool {
+    let Scratch {
+        y,
+        y2: rho,
+        d,
+        iterations,
+    } = scratch;
+    let rows = problem.constraints();
+    let (m, art_start) = (state.lay.m, state.lay.art_start);
+    load_objective(state, problem);
+    // Zero weights turn a bulk reduced-cost fill into `−ρᵀA`;
+    // canonicalization refills `w2` before it reads it.
+    state.w2.clear();
+    state.w2.resize(art_start, 0.0);
+    if state.rc.len() < art_start {
+        state.rc.resize(art_start, 0.0);
+    }
+    if state.face_queue.rc2.len() < art_start {
+        state.face_queue.rc2.resize(art_start, 0.0);
+    }
+    let budget = 2 * m + 16;
+    for spent in 0..=budget {
+        let mut r = least_row(&state.x_basic);
+        if state.x_basic[r] >= -tol {
+            if load_x_basic(state, kernel, false) >= -tol {
+                return true;
+            }
+            r = least_row(&state.x_basic);
+        }
+        if spent == budget {
+            break;
+        }
+        rho.fill(0.0);
+        rho[r] = 1.0;
+        kernel.btran(rho);
+        let (lay, neg_alpha) = (&state.lay, &mut state.face_queue.rc2);
+        fill_rc(rows, lay, kernel, &state.w2, rho, 0..art_start, neg_alpha);
+        for (yi, &b) in y.iter_mut().zip(&state.basis) {
+            *yi = state.cost[b];
+        }
+        kernel.btran(y);
+        let rc = &mut state.rc;
+        fill_rc(rows, lay, kernel, &state.cost, y, 0..art_start, rc);
+        // `−α_rj` and `max(−rc_j, 0)` of the columns that may enter.
+        let eligible = || {
+            (neg_alpha.iter().zip(rc.iter()).enumerate().take(art_start))
+                .filter(|&(j, (&a, _))| a > tol && !state.in_basis[j])
+                .map(|(j, (&a, &rc))| (j, a, (-rc).max(0.0)))
+        };
+        let bound = eligible().fold(f64::INFINITY, |t, (_, a, gap)| t.min((gap + tol) / a));
+        let mut pick = None;
+        let mut best_alpha = 0.0f64;
+        for (j, a, gap) in eligible() {
+            if gap <= bound * a && a > best_alpha {
+                best_alpha = a;
+                pick = Some(j);
+            }
+        }
+        let Some(q) = pick else {
+            break;
+        };
+        gather_col(lay, kernel, q, d);
+        kernel.ftran(d);
+        if d[r] > -SINGULAR_TOL {
+            break;
+        }
+        let step = state.x_basic[r] / d[r];
+        if !pivot(state, kernel, (q, r), d, step, false) {
+            break;
+        }
+        *iterations += 1;
+        state.stats.dual_pivots += 1;
+    }
+    false
+}
+
+/// The row of the smallest basic value (the first of equals).
+fn least_row(x_basic: &[f64]) -> usize {
+    let mut r = 0usize;
+    for (i, &v) in x_basic.iter().enumerate() {
+        if v < x_basic[r] {
+            r = i;
+        }
+    }
+    r
+}
+
 /// Applies the pivot `(entering q, leaving row r, direction d, step t)`:
-/// updates the basic values, appends the eta and refactorizes when the
+/// updates the basic values (clamped at zero with `clamp`, as
+/// [`load_x_basic`] does), appends the eta and refactorizes when the
 /// iteration-eta budget is spent. Returns `false` when a due
 /// refactorization found the basis numerically singular — the factors are
 /// then unusable and the caller must stop iterating.
@@ -735,10 +879,12 @@ fn pivot<K: Kernel>(
     (q, r): (usize, usize),
     d: &[f64],
     t: f64,
+    clamp: bool,
 ) -> bool {
+    let floor = if clamp { 0.0 } else { f64::NEG_INFINITY };
     for (i, (xb, &di)) in state.x_basic.iter_mut().zip(d).enumerate() {
         if i != r {
-            *xb = (*xb - t * di).max(0.0);
+            *xb = (*xb - t * di).max(floor);
         }
     }
     state.x_basic[r] = t;
@@ -755,7 +901,7 @@ fn pivot<K: Kernel>(
         }
         // Recompute the basic values from scratch to shed accumulated
         // floating-point drift (and to follow a slot re-permutation).
-        load_x_basic(state, kernel);
+        load_x_basic(state, kernel, clamp);
     }
     true
 }
@@ -824,7 +970,7 @@ fn run_phase<K: Kernel>(
             degenerate_run = 0;
         }
         let leaving_art = state.basis[r] >= art_start;
-        if !pivot(state, kernel, (q, r), d, step) {
+        if !pivot(state, kernel, (q, r), d, step, true) {
             return Err(SolveError::Singular);
         }
         *iterations += 1;
@@ -882,7 +1028,7 @@ fn drive_out_artificials<K: Kernel>(
                 continue; // numerically vanished; treat as dependent
             }
             let step = state.x_basic[r] / d[r];
-            if !pivot(state, kernel, (q, r), d, step) {
+            if !pivot(state, kernel, (q, r), d, step, true) {
                 // Refactorization broke down; stop driving out — the
                 // remaining artificials stay basic at zero and the final
                 // extraction refactorizes from scratch anyway.
@@ -1095,7 +1241,7 @@ fn canonicalize<K: Kernel>(
         // The leaving variable keeps zero reduced cost (it left on a
         // zero-rc pivot), so it joins the face.
         let leaving = state.basis[r];
-        let pivot_ok = pivot(state, kernel, (q, r), d, step);
+        let pivot_ok = pivot(state, kernel, (q, r), d, step, true);
         *iterations += 1;
         if leaving < art_start && !state.face.contains(&leaving) {
             state.face.push(leaving);
@@ -1131,7 +1277,7 @@ fn export_basis(state: &DriverState) -> Option<Basis> {
 /// test module (so a failure names the kernel that broke).
 #[cfg(test)]
 pub(crate) mod contract {
-    use crate::{Backend, PivotRule, Problem, SolveError, SolverOptions, Workspace};
+    use crate::{Backend, Basis, PivotRule, Problem, SolveError, SolverOptions, Workspace};
 
     fn opts(backend: Backend) -> SolverOptions {
         SolverOptions {
@@ -1167,6 +1313,9 @@ pub(crate) mod contract {
                 eta_refactorization_survives_many_pivots,
                 warm_start_skips_phase_one_and_matches_cold_bitwise,
                 infeasible_warm_basis_falls_back_to_phase_one,
+                infeasible_warm_basis_is_restored_by_dual_pivots,
+                dual_phase_gives_up_on_an_infeasible_problem,
+                dual_phase_ends_on_degenerate_ties,
                 wrong_shape_warm_basis_falls_back,
                 workspace_reuse_is_equivalent_to_fresh_solves,
                 workspace_survives_error_outcomes,
@@ -1335,28 +1484,156 @@ pub(crate) mod contract {
         assert!(warm.iterations() <= cold.iterations());
     }
 
-    pub(crate) fn infeasible_warm_basis_falls_back_to_phase_one(backend: Backend) {
-        let o = opts(backend);
-        // Unique optimum x=10, y=2: basis {x, y, slack of the y-row}, with
-        // the x-bound row binding (its slack nonbasic).
+    /// The carried basis of the RHS-edit tests below: unique optimum
+    /// x=10, y=2, basis {x, y, slack of the y-row}, with the x-bound row
+    /// binding (its slack nonbasic).
+    fn loose_basis(o: &SolverOptions) -> Basis {
         let mut loose = Problem::maximize(vec![2.0, 1.0]);
         loose.add_le(vec![1.0, 0.0], 10.0).unwrap();
         loose.add_le(vec![0.0, 1.0], 10.0).unwrap();
         loose.add_eq(vec![1.0, 1.0], 12.0).unwrap();
-        let basis = loose.solve(&o).unwrap().basis().unwrap().clone();
+        loose.solve(o).unwrap().basis().unwrap().clone()
+    }
+
+    /// The id is from when such a basis was thrown away for a cold
+    /// two-phase solve; it now starts the solve, after the dual phase.
+    pub(crate) fn infeasible_warm_basis_falls_back_to_phase_one(backend: Backend) {
+        let o = opts(backend);
+        let basis = loose_basis(&o);
         // New RHS: the carried basis forces x = 2 (binding x-row), hence
-        // y = 1 − 2 < 0 — primal infeasible, so the solver must fall back
-        // to phase 1. The problem itself is feasible (x=1, y=0).
+        // y = 1 − 2 < 0 — primal infeasible, so the dual phase pivots y
+        // out before phase 2. The problem itself is feasible (x=1, y=0).
         let mut tight = Problem::maximize(vec![2.0, 1.0]);
         tight.add_le(vec![1.0, 0.0], 2.0).unwrap();
         tight.add_le(vec![0.0, 1.0], 2.0).unwrap();
         tight.add_eq(vec![1.0, 1.0], 1.0).unwrap();
         let warm = tight.solve_warm(&o, &basis).unwrap();
         let cold = tight.solve(&o).unwrap();
-        assert!(!warm.used_warm_start(), "stale basis must fall back");
+        assert!(warm.used_warm_start(), "stale basis must be restored");
         assert_eq!(warm.x(), cold.x());
         assert_eq!(warm.objective(), cold.objective());
         assert!((warm.objective() - 2.0).abs() < 1e-9);
+    }
+
+    /// A block-angular LP in the exact fleet shape: per-block `Σx = 1`
+    /// rows, two coupling capacity rows over everything.
+    pub(crate) fn block_angular(blocks: usize, width: usize) -> Problem {
+        let n = blocks * width;
+        let mut c = Vec::with_capacity(n);
+        for j in 0..n {
+            c.push(0.3 + 0.6 * ((j as f64 * 0.7389).sin() * 0.5 + 0.5));
+        }
+        let mut p = Problem::maximize(c);
+        for k in 0..2usize {
+            let row: Vec<f64> = (0..n)
+                .map(|j| 0.1 + ((j + 7 * k) as f64 * 0.4243).cos().abs())
+                .collect();
+            p.add_le(row, 0.4 * blocks as f64 + k as f64 * 0.2).unwrap();
+        }
+        for f in 0..blocks {
+            let mut row = vec![0.0; n];
+            for v in &mut row[f * width..(f + 1) * width] {
+                *v = 1.0;
+            }
+            p.add_eq(row, 1.0).unwrap();
+        }
+        p.set_block_starts((0..blocks).map(|f| f * width).collect())
+            .unwrap();
+        p
+    }
+
+    pub(crate) fn infeasible_warm_basis_is_restored_by_dual_pivots(backend: Backend) {
+        // The fleet's departure: a block's Σx row drops to 0 and its
+        // objective is zeroed under a basis that has both capacity rows
+        // binding, so the capacity it frees drives a survivor negative.
+        let o = opts(backend);
+        let full = block_angular(6, 5);
+        let basis = full.solve(&o).unwrap().take_basis().expect("exportable");
+        let mut restored = 0;
+        for dead in 0..6usize {
+            let mut p = full.clone();
+            p.set_rhs(2 + dead, 0.0).unwrap();
+            p.set_objective_range(dead * 5, &[0.0; 5]).unwrap();
+            let mut ws = Workspace::new();
+            let warm = p.solve_warm_with(&o, &mut ws, &basis).unwrap();
+            let dual_pivots = ws.driver.stats.dual_pivots;
+            let cold = p.solve(&o).unwrap();
+            assert!(warm.used_warm_start() && ws.started_warm(), "block {dead}");
+            assert_eq!(warm.x(), cold.x(), "block {dead}");
+            assert_eq!(warm.objective(), cold.objective());
+            assert_eq!(warm.duals(), cold.duals());
+            assert!(warm.iterations() <= cold.iterations());
+            assert!(dual_pivots as usize <= warm.iterations());
+            restored += usize::from(dual_pivots >= 1);
+        }
+        assert!(restored >= 1, "no departure left the basis infeasible");
+    }
+
+    pub(crate) fn dual_phase_gives_up_on_an_infeasible_problem(backend: Backend) {
+        let o = opts(backend);
+        let basis = loose_basis(&o);
+        // The carried basis says x = 2, y = 3, slack of the y-row −1; its
+        // row of `B⁻¹A` offers no column to pivot on, and indeed no point
+        // has x + y = 5 under these bounds.
+        let mut none = Problem::maximize(vec![2.0, 1.0]);
+        none.add_le(vec![1.0, 0.0], 2.0).unwrap();
+        none.add_le(vec![0.0, 1.0], 2.0).unwrap();
+        none.add_eq(vec![1.0, 1.0], 5.0).unwrap();
+        let mut ws = Workspace::new();
+        assert!(matches!(
+            none.solve_warm_with(&o, &mut ws, &basis),
+            Err(SolveError::Infeasible { .. })
+        ));
+        assert!(!ws.started_warm());
+        assert!(matches!(none.solve(&o), Err(SolveError::Infeasible { .. })));
+        let mut good = Problem::maximize(vec![3.0, 2.0]);
+        good.add_le(vec![1.0, 1.0], 4.0).unwrap();
+        let s = good.solve_with(&o, &mut ws).unwrap();
+        assert!((s.objective() - 12.0).abs() < 1e-9);
+    }
+
+    pub(crate) fn dual_phase_ends_on_degenerate_ties(backend: Backend) {
+        // Columns: x_i and a duplicate x_i' per row i, then z, then w and
+        // its duplicate w'. Rows: x_i + x_i' + z = b (k of them), then
+        // z + w + w' ≤ 1. With b = 2 the optimum has z = 1 and every
+        // x_i = 1 basic; at b = 0.5 that basis puts all k of them at −0.5,
+        // and the first negative row ties w, w' and the slack in the
+        // ratio test.
+        let o = opts(backend);
+        let k = 6usize;
+        let build = |b: f64| {
+            let mut c = Vec::new();
+            for i in 0..k {
+                c.extend([0.2 + 0.01 * i as f64; 2]);
+            }
+            c.extend([5.0, 0.0, 0.0]);
+            let mut p = Problem::maximize(c);
+            for i in 0..k {
+                p.add_eq_sparse(&[(2 * i, 1.0), (2 * i + 1, 1.0), (2 * k, 1.0)], b)
+                    .unwrap();
+            }
+            p.add_le_sparse(&[(2 * k, 1.0), (2 * k + 1, 1.0), (2 * k + 2, 1.0)], 1.0)
+                .unwrap();
+            p
+        };
+        let basis = build(2.0)
+            .solve(&o)
+            .unwrap()
+            .take_basis()
+            .expect("exportable");
+        let tight = build(0.5);
+        let mut ws = Workspace::new();
+        let warm = tight.solve_warm_with(&o, &mut ws, &basis).unwrap();
+        let dual_pivots = ws.driver.stats.dual_pivots as usize;
+        let cold = tight.solve(&o).unwrap();
+        assert!(
+            (1..=2 * (k + 1) + 16).contains(&dual_pivots),
+            "{dual_pivots}"
+        );
+        assert_eq!(warm.x(), cold.x());
+        assert_eq!(warm.objective(), cold.objective());
+        assert_eq!(warm.duals(), cold.duals());
+        assert!((warm.objective() - 2.5).abs() < 1e-9);
     }
 
     pub(crate) fn wrong_shape_warm_basis_falls_back(backend: Backend) {

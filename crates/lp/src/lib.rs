@@ -148,8 +148,10 @@
 //!   sensitivity analysis on bandwidth/cost bounds (paper §IX-C).
 //! * A stale warm basis can never corrupt a result: it is validated and,
 //!   if unusable, the solver falls back to the cold path
-//!   (`lp.warm_rejected_infeasible` / `lp.warm_rejected_singular` count
-//!   why, `lp.warm_repairs` how often a repair saved it).
+//!   (`lp.warm_rejected_infeasible` — the dual phase gave up on a basis
+//!   the new right-hand side made infeasible — and
+//!   `lp.warm_rejected_singular` count why, `lp.warm_repairs` and
+//!   `lp.dual_pivots` how often a repair or a dual pivot saved it).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -578,13 +578,18 @@ impl Problem {
     /// phase 2 when it names no artificial, otherwise through a phase 1
     /// that runs *from that basis* over the few artificials its
     /// [`BasisVar::Logical`](crate::BasisVar::Logical) slots name. A
-    /// basis that factors singular after a coefficient edit is repaired
-    /// by [`Backend::Sparse`] (dependent columns dropped, the rows they
-    /// leave take their logicals). A stale basis — wrong shape, a
-    /// duplicate column, infeasible under the new RHS — silently falls
-    /// back to the cold two-phase path, so `solve_warm` never returns a
-    /// worse outcome than [`Problem::solve`], and phase 3 walks to the
-    /// same canonical vertex either way.
+    /// basis the new right-hand side made primal infeasible is first
+    /// restored where it stands by a few dual-simplex pivots (the
+    /// re-solve after capacity was freed); those restore feasibility
+    /// only and may leave reduced costs of the wrong sign, which phase 2
+    /// clears as it proves optimality. A basis that factors singular
+    /// after a coefficient edit is repaired by [`Backend::Sparse`]
+    /// (dependent columns dropped, the rows they leave take their
+    /// logicals). A stale basis — wrong shape, a duplicate column, or
+    /// one the dual pivots could not restore — silently falls back to
+    /// the cold two-phase path, so `solve_warm` never returns a worse
+    /// outcome than [`Problem::solve`], and phase 3 walks to the same
+    /// canonical vertex either way.
     ///
     /// [`Backend::Revised`] honors exported bases only (any
     /// `Logical` slot is a clean cold solve); the dense oracle ignores
@@ -664,6 +669,10 @@ impl Problem {
                     let pivots = s.iterations() as u64;
                     obs.counter("lp.pivots").add(pivots);
                     obs.advance(pivots);
+                    // A part of `pivots`, so counted where they are.
+                    if let Some(stats) = stats.filter(|s| s.dual_pivots > 0) {
+                        obs.counter("lp.dual_pivots").add(stats.dual_pivots);
+                    }
                 }
                 Err(_) => obs.counter("lp.errors").inc(),
             }

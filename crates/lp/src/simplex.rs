@@ -94,10 +94,11 @@ pub struct SolverOptions {
     pub backend: Backend,
     /// Telemetry registry (default [`dmc_obs::Obs::disabled`]: every
     /// recording is a no-op branch). When enabled, each solve records
-    /// `lp.solves`, `lp.pivots`, `lp.refactorizations`,
-    /// `lp.phase1_early_exits`, warm-start counters, the `lp.eta_len`
-    /// histogram, and a per-backend `lp.solve.*` span; the logical clock
-    /// advances by one tick per pivot.
+    /// `lp.solves`, `lp.pivots` (`lp.dual_pivots` of them in the dual
+    /// phase), `lp.refactorizations`, `lp.phase1_early_exits`, warm-start
+    /// counters, the `lp.eta_len` histogram, and a per-backend
+    /// `lp.solve.*` span; the logical clock advances by one tick per
+    /// pivot.
     pub obs: dmc_obs::Obs,
 }
 
@@ -126,6 +127,9 @@ pub(crate) struct SolveStats {
     /// Whether phase 1 exited as soon as the last artificial left the
     /// basis, skipping the final pricing wrap.
     pub(crate) phase1_early_exit: bool,
+    /// Pivots of the dual phase that walks an infeasible warm basis back
+    /// to feasibility (counted in the solve's iterations too).
+    pub(crate) dual_pivots: u64,
     /// What became of the caller's warm basis — known before the solve
     /// ends, so an `Infeasible` reached from it still counts as warm.
     pub(crate) warm: WarmStart,
@@ -142,8 +146,8 @@ pub(crate) enum WarmStart {
     /// The solve started from it after dependent columns were dropped
     /// and the rows they left took their logicals.
     Repaired,
-    /// Rejected: primal infeasible under the new right-hand side (the
-    /// dual-simplex case — see ROADMAP).
+    /// Rejected: primal infeasible under the new right-hand side, and
+    /// the dual phase gave up on restoring it.
     Infeasible,
     /// Rejected: singular (a duplicate column, or a singular
     /// factorization in a backend that does not repair).
@@ -163,6 +167,7 @@ impl SolveStats {
         self.refactorizations = 0;
         self.eta_lengths.clear();
         self.phase1_early_exit = false;
+        self.dual_pivots = 0;
         self.warm = WarmStart::Cold;
     }
 }

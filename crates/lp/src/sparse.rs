@@ -516,6 +516,7 @@ impl BlockPfi {
 
 #[cfg(test)]
 mod tests {
+    use crate::driver::contract::block_angular;
     use crate::{Backend, Problem, SolveError, SolverOptions, Workspace};
     use dmc_obs::Obs;
 
@@ -526,33 +527,6 @@ mod tests {
             backend: Backend::Sparse,
             ..SolverOptions::default()
         }
-    }
-
-    /// A block-angular LP in the exact fleet shape: per-block `Σx = 1`
-    /// and floor rows, two coupling capacity rows over everything.
-    fn block_angular(blocks: usize, width: usize) -> Problem {
-        let n = blocks * width;
-        let mut c = Vec::with_capacity(n);
-        for j in 0..n {
-            c.push(0.3 + 0.6 * ((j as f64 * 0.7389).sin() * 0.5 + 0.5));
-        }
-        let mut p = Problem::maximize(c);
-        for k in 0..2usize {
-            let row: Vec<f64> = (0..n)
-                .map(|j| 0.1 + ((j + 7 * k) as f64 * 0.4243).cos().abs())
-                .collect();
-            p.add_le(row, 0.4 * blocks as f64 + k as f64 * 0.2).unwrap();
-        }
-        for f in 0..blocks {
-            let mut row = vec![0.0; n];
-            for v in &mut row[f * width..(f + 1) * width] {
-                *v = 1.0;
-            }
-            p.add_eq(row, 1.0).unwrap();
-        }
-        p.set_block_starts((0..blocks).map(|f| f * width).collect())
-            .unwrap();
-        p
     }
 
     #[test]
@@ -755,5 +729,33 @@ mod tests {
         assert_eq!(snap.counter("lp.warm_repairs"), Some(1));
         assert_eq!(snap.counter("lp.warm_rejected_singular"), None);
         assert_eq!(snap.counter("lp.warm_rejected_infeasible"), None);
+    }
+
+    #[test]
+    fn a_restored_basis_counts_as_a_warm_start() {
+        // A departure that frees capacity under the carried basis: the
+        // dual phase restores it, and the telemetry says warm, with the
+        // dual pivots a part of the solve's pivots.
+        let obs = Obs::enabled();
+        let mut p = block_angular(6, 5);
+        let basis = p.solve(&opts()).unwrap().take_basis().expect("exportable");
+        let dead = 3usize;
+        p.set_rhs(2 + dead, 0.0).unwrap();
+        p.set_objective_range(dead * 5, &[0.0; 5]).unwrap();
+        let o = SolverOptions {
+            obs: obs.clone(),
+            ..opts()
+        };
+        let warm = p.solve_warm(&o, &basis).unwrap();
+        assert!(warm.used_warm_start());
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("lp.warm_attempts"), Some(1));
+        assert_eq!(snap.counter("lp.warm_used"), Some(1));
+        assert_eq!(snap.counter("lp.warm_rejected_infeasible"), None);
+        let dual = snap
+            .counter("lp.dual_pivots")
+            .expect("the basis was infeasible");
+        assert!(dual >= 1 && Some(dual) <= snap.counter("lp.pivots"));
+        assert_eq!(snap.counter("lp.pivots"), Some(warm.iterations() as u64));
     }
 }

@@ -309,9 +309,8 @@ impl EditedLp {
         }
     }
 
-    /// One random edit, mirrored on the carried basis. Returns the block
-    /// it brought to life, if any — the candidate a refusal rolls back.
-    fn edit(&mut self) -> Option<usize> {
+    /// One random edit, mirrored on the carried basis.
+    fn edit(&mut self) -> Edit {
         let dead: Vec<usize> = (0..self.blocks.len())
             .filter(|&i| !self.blocks[i].alive)
             .collect();
@@ -321,21 +320,27 @@ impl EditedLp {
         match self.pick(6) {
             0 | 1 => {
                 self.append();
-                return Some(self.blocks.len() - 1);
+                Edit::Candidate(self.blocks.len() - 1)
             }
             2 if alive.len() > 1 => {
                 let i = alive[self.pick(alive.len())];
                 self.tombstone(i);
+                Edit::InPlace
             }
             3 if !dead.is_empty() => {
                 let i = dead[self.pick(dead.len())];
                 self.take_over(i);
-                return Some(i);
+                Edit::Candidate(i)
             }
-            4 if self.blocks.len() > 1 => self.truncate(),
-            _ => self.retune(),
+            4 if self.blocks.len() > 1 => {
+                self.truncate();
+                Edit::Truncated
+            }
+            _ => {
+                self.retune();
+                Edit::InPlace
+            }
         }
-        None
     }
 
     /// The fleet's rollback of a refused candidate: an appended block is
@@ -348,6 +353,60 @@ impl EditedLp {
             self.tombstone(candidate);
         }
     }
+}
+
+/// What [`EditedLp::edit`] did.
+#[derive(Clone, Copy, PartialEq)]
+enum Edit {
+    /// Brought this block to life — the candidate a refusal rolls back.
+    Candidate(usize),
+    /// A tombstone or a retune: the carried basis keeps its shape and its
+    /// columns, and what can make it infeasible is the right-hand side.
+    InPlace,
+    /// Removed the last block.
+    Truncated,
+}
+
+/// The departure re-solve starts from the carried basis: where a
+/// tombstone or a retune leaves it primal infeasible the solver's dual
+/// phase restores it, so nearly every such step whose problem is feasible
+/// reports a warm start (before the dual phase, nearly none did). The
+/// bit-equality of those solves with cold ones is
+/// `edit_scripts_from_the_carried_basis_equal_cold`'s.
+#[test]
+fn in_place_edits_re_solve_from_the_carried_basis() {
+    let sparse = sparse_opts();
+    let (mut in_place, mut warm_started) = (0, 0);
+    for seed in 1..=40u64 {
+        let mut lp = EditedLp::new(1 + seed as usize % 3, seed);
+        lp.basis = lp.p.solve(&sparse).unwrap().take_basis();
+        for _ in 0..24 {
+            let edit = lp.edit();
+            let solved = match &lp.basis {
+                Some(basis) => lp.p.solve_warm(&sparse, basis),
+                None => lp.p.solve(&sparse),
+            };
+            match solved {
+                Ok(mut s) => {
+                    if edit == Edit::InPlace && lp.basis.is_some() {
+                        in_place += 1;
+                        warm_started += usize::from(s.used_warm_start());
+                    }
+                    lp.basis = s.take_basis();
+                }
+                Err(_) => {
+                    if let Edit::Candidate(candidate) = edit {
+                        lp.roll_back(candidate);
+                    }
+                }
+            }
+        }
+    }
+    assert!(in_place > 200, "only {in_place} in-place edits");
+    assert!(
+        100 * warm_started >= 95 * in_place,
+        "{warm_started} of {in_place} in-place edits re-solved warm"
+    );
 }
 
 proptest! {
@@ -576,7 +635,7 @@ proptest! {
         let sparse = sparse_opts();
         let mut lp = EditedLp::new(couplings, seed);
         for step in 0..steps {
-            let candidate = if step > 0 { lp.edit() } else { None };
+            let edit = (step > 0).then(|| lp.edit());
             let cold = lp.p.solve(&sparse);
             let warm = match &lp.basis {
                 Some(basis) => lp.p.solve_warm(&sparse, basis),
@@ -595,7 +654,7 @@ proptest! {
                 (Err(SolveError::Infeasible { .. }), Err(SolveError::Infeasible { .. })) => {
                     // A refusal: the candidate (if that is what broke it)
                     // is rolled back and the carried basis kept.
-                    if let Some(candidate) = candidate {
+                    if let Some(Edit::Candidate(candidate)) = edit {
                         lp.roll_back(candidate);
                     }
                 }
