@@ -4,9 +4,9 @@
 //!   one flow departs and an equivalent one arrives. The arrival takes
 //!   the tombstoned block over and starts from the survivors' carried
 //!   basis (`warm`) instead of running two-phase simplex from scratch
-//!   (`cold`, `warm_start = false`); the re-solve after the departure
-//!   is cold either way until the solver re-optimises a relaxed LP
-//!   dually (ROADMAP, LP engine).
+//!   (`cold`, `warm_start = false`); so does the re-solve after the
+//!   departure, which the solver's dual phase walks back to feasibility
+//!   where the freed capacity left the carried basis infeasible.
 //! * `admission_8flows` — batched arrivals vs. one-at-a-time: the batch
 //!   fast path admits all eight flows with a **single** joint solve when
 //!   they are collectively feasible, vs. eight incremental solves of
@@ -20,7 +20,6 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dmc_core::{PlannerConfig, ScenarioPath};
 use dmc_fleet::{FleetConfig, FleetPlanner, FlowRequest};
-use dmc_lp::Backend;
 use std::hint::black_box;
 
 fn shared_paths() -> Vec<ScenarioPath> {
@@ -126,15 +125,18 @@ fn admission_8flows(c: &mut Criterion) {
     group.finish();
 }
 
-/// The fleet-scale subjects behind the issue's acceptance bar: at 64
-/// admitted flows, one steady-state churn cycle (depart + equivalent
-/// arrival, i.e. two joint solves) through
+/// The fleet-scale subjects: at 64 admitted flows, one steady-state
+/// churn cycle (depart + equivalent arrival, i.e. two joint solves), and
+/// the admission of all 64 from empty, through
 ///
-/// * `incremental_sparse` — the default pipeline: tombstoning/slot-reuse
-///   incremental assembly + the block-structured sparse backend;
-/// * `rebuild_revised` — the pre-sparse pipeline: joint `Problem`
-///   rebuilt from scratch per solve + the revised backend's dense-LU
-///   refactorizations.
+/// * `incremental` — the default: tombstoning/slot-reuse incremental
+///   assembly carrying its basis across edits;
+/// * `rebuild` — the joint `Problem` rebuilt from scratch per solve
+///   (`FleetConfig::incremental = false`), cold.
+///
+/// Both solve on the sparse kernel (the joint LP declares its blocks).
+/// What the dense-LU kernel would cost on this shape is `lp_backends`'
+/// `block_angular_64flow` pair.
 fn fleet64_paths() -> Vec<ScenarioPath> {
     vec![
         ScenarioPath::constant(80e6, 0.450, 0.2).expect("valid"),
@@ -159,10 +161,9 @@ fn fleet64_requests() -> Vec<FlowRequest> {
         .collect()
 }
 
-fn fleet64_config(incremental: bool, joint_backend: Backend) -> FleetConfig {
+fn fleet64_config(incremental: bool) -> FleetConfig {
     FleetConfig {
         incremental,
-        joint_backend,
         ..FleetConfig::default()
     }
 }
@@ -174,14 +175,10 @@ fn churn_cycle_64(c: &mut Criterion) {
             .expect("valid")
             .with_min_quality(0.2)
     };
-    for (name, incremental, backend) in [
-        ("incremental_sparse", true, Backend::Sparse),
-        ("rebuild_revised", false, Backend::Revised),
-    ] {
+    for (name, incremental) in [("incremental", true), ("rebuild", false)] {
         group.bench_function(name, |b| {
             let mut fleet =
-                FleetPlanner::new(fleet64_paths(), fleet64_config(incremental, backend))
-                    .expect("valid");
+                FleetPlanner::new(fleet64_paths(), fleet64_config(incremental)).expect("valid");
             let decisions = fleet.offer_batch(fleet64_requests()).expect("batch");
             assert!(
                 decisions.iter().all(|d| d.is_admitted()),
@@ -205,15 +202,11 @@ fn churn_cycle_64(c: &mut Criterion) {
 /// proves the whole set feasible with one joint solve on each pipeline.
 fn admission_64flows(c: &mut Criterion) {
     let mut group = c.benchmark_group("fleet_admission/admission_64flows");
-    for (name, incremental, backend) in [
-        ("incremental_sparse", true, Backend::Sparse),
-        ("rebuild_revised", false, Backend::Revised),
-    ] {
+    for (name, incremental) in [("incremental", true), ("rebuild", false)] {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let mut fleet =
-                    FleetPlanner::new(fleet64_paths(), fleet64_config(incremental, backend))
-                        .expect("valid");
+                    FleetPlanner::new(fleet64_paths(), fleet64_config(incremental)).expect("valid");
                 let decisions = fleet.offer_batch(fleet64_requests()).expect("batch");
                 assert!(decisions.iter().all(|d| d.is_admitted()));
                 black_box(fleet.aggregate_quality())

@@ -3,7 +3,6 @@
 //! The benches live under `benches/`:
 //!
 //! * `solve_times` — Figure 4: LP build+solve vs. paths × transmissions;
-//! * `pivot_rules` — Dantzig/Bland/adaptive simplex pivoting ablation;
 //! * `scheduler` — Algorithm 1 vs. weighted-random assignment;
 //! * `sim_engine` — full-stack simulation throughput;
 //! * `model_build` — matrix assembly cost in isolation;

@@ -110,4 +110,4 @@ pub use scheduler::{SchedulePolicy, Scheduler};
 pub use strategy::{approx_fraction, CrossEvaluation, Strategy};
 
 // Re-export the solver option types callers need to tune solving.
-pub use dmc_lp::{PivotRule, SolveError, SolverOptions, Workspace};
+pub use dmc_lp::{SolveError, SolverOptions, Workspace};

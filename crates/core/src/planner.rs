@@ -164,8 +164,8 @@ pub struct PlannerConfig {
     /// only objective/RHS coefficients, so the cached basis usually lets
     /// the LP skip phase 1 and most pivots; a stale basis falls back to a
     /// cold solve inside the solver, so results are identical either way.
-    /// Effective with the backends that export a basis
-    /// ([`dmc_lp::Backend::Revised`] and [`dmc_lp::Backend::Sparse`]).
+    /// Effective with the backend that exports a basis
+    /// ([`dmc_lp::Backend::Revised`], the default).
     pub warm_start: bool,
 }
 
@@ -697,7 +697,7 @@ impl ScenarioModel {
     /// The scenario's LP for `objective` ([`Objective::MaxQuality`] honors
     /// a finite scenario budget as the Eq. 7 cost row), unsolved — the
     /// problem [`Planner::plan`] solves, for callers that bring their own
-    /// solver settings (backend and pivot-rule benches).
+    /// solver settings (the backend benches).
     pub fn problem(&self, objective: Objective) -> Problem {
         assemble_lp(self, objective)
     }

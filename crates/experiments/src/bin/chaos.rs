@@ -41,12 +41,11 @@ fn main() {
     );
 
     println!("# Fleet chaos: correlated outage, shed/backoff/revive, certified solves\n");
-    let outcomes = chaos::fleet_chaos_mc_obs(&mc, args.flows, &obs);
+    let outcomes = chaos::fleet_chaos_mc(&mc, args.flows, &obs);
     println!("{}", chaos::render(&outcomes));
 
     println!("\n# Proto chaos: corruption + duplication + bounded reordering (Table III)\n");
-    let out =
-        chaos::proto_chaos_run_obs(mc.base_seed, args.messages, &obs).expect("proto chaos run");
+    let out = chaos::proto_chaos_run(mc.base_seed, args.messages, &obs).expect("proto chaos run");
     let inj = out.faults_injected;
     println!(
         "- injected: {} corrupted, {} duplicated, {} reordered frame(s)",
@@ -84,8 +83,8 @@ fn main() {
                 threads: workers,
                 base_seed: mc.base_seed,
             };
-            let _ = chaos::fleet_chaos_mc_obs(&mc2, args.flows, &again);
-            let _ = chaos::proto_chaos_run_obs(mc.base_seed, args.messages, &again)
+            let _ = chaos::fleet_chaos_mc(&mc2, args.flows, &again);
+            let _ = chaos::proto_chaos_run(mc.base_seed, args.messages, &again)
                 .expect("proto chaos replay");
             let got = again.snapshot().fnv_hash();
             if got != hash {

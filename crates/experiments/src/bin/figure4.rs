@@ -15,7 +15,7 @@ fn main() {
     eprintln!("averaging over {runs} runs per point (set --runs/RUNS to change)…");
     println!("# Figure 4 — model build + solve time (paper: log-scale ms, 2.8 GHz i5)\n");
     let mut wall = WallProfiler::new();
-    let pts = figure4::sweep_obs(runs, &obs);
+    let pts = figure4::sweep(runs, &obs);
     wall.mark("sweep");
     println!("{}", figure4::render(&pts));
     println!(

@@ -24,7 +24,7 @@ fn main() {
     println!("# Fleet service: sharded admission over wire frames\n");
     let obs = args.obs();
     let (outcome, snapshot) =
-        service::run_service_script_obs(args.seed, flows, args.shards, args.threads, &obs);
+        service::run_service_script(args.seed, flows, args.shards, args.threads, &obs);
     println!("{}", service::render(&outcome));
 
     println!("# Worker-count determinism (1 vs 4 workers)\n");

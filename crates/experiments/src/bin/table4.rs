@@ -13,13 +13,13 @@ fn main() {
     println!("# Table IV — optimal solutions for the Table III network\n");
     println!("## Top: δ = 800 ms, data rate λ swept\n");
     let lambdas: Vec<f64> = table4::PAPER_TOP.iter().map(|(l, _)| *l).collect();
-    let rows = table4::top_obs(&lambdas, &obs);
+    let rows = table4::top(&lambdas, &obs);
     println!("{}", table4::render(&rows, "λ (Mbps)", 1e-6));
     println!("paper qualities: 100, 100, 100, 100, 100, 84, 70, 60 (%)\n");
 
     println!("## Bottom: λ = 90 Mbps, lifetime δ swept\n");
     let deltas: Vec<f64> = table4::PAPER_BOTTOM.iter().map(|(d, _)| *d).collect();
-    let rows = table4::bottom_obs(&deltas, &obs);
+    let rows = table4::bottom(&deltas, &obs);
     println!("{}", table4::render(&rows, "δ (ms)", 1e3));
     println!("paper qualities: 22.2, 22.2, 84.4, 84.4, 93.3, 93.3, 93.3 (%)");
     println!("\nNote: the LP optimum is degenerate at several operating points;");

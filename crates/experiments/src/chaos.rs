@@ -151,20 +151,12 @@ pub fn chaos_trace(seed: u64, flows: u64) -> FleetTrace {
 /// its constraint system (release builds included) and a violation
 /// panics instead of propagating silently.
 ///
-/// # Errors
-///
-/// Forwards planner construction/replay errors as strings.
-pub fn chaos_replay(seed: u64, flows: u64) -> Result<(Vec<FleetSnapshot>, FleetPlanner), String> {
-    chaos_replay_obs(seed, flows, &dmc_obs::Obs::disabled())
-}
-
-/// [`chaos_replay`] with the planner's telemetry (`fleet.*`, `lp.*`)
-/// recorded into `obs`.
+/// The planner's telemetry (`fleet.*`, `lp.*`) is recorded into `obs`.
 ///
 /// # Errors
 ///
 /// Forwards planner construction/replay errors as strings.
-pub fn chaos_replay_obs(
+pub fn chaos_replay(
     seed: u64,
     flows: u64,
     obs: &dmc_obs::Obs,
@@ -308,16 +300,9 @@ pub struct FleetChaosOutcome {
 /// (fresh planners), demands bitwise-identical trace hashes, and checks
 /// the capacity and bounded-re-admission invariants.
 ///
-/// # Errors
-///
-/// Forwards planner construction/replay errors as strings.
-pub fn fleet_chaos_trial(seed: u64, flows: u64) -> Result<FleetChaosOutcome, String> {
-    fleet_chaos_trial_obs(seed, flows, &dmc_obs::Obs::disabled())
-}
-
-/// [`fleet_chaos_trial`] with the **first** replay's telemetry recorded
-/// into `obs` (the verification replay stays unrecorded, so counter
-/// deltas describe exactly one run of the script). With an enabled
+/// The **first** replay's telemetry is recorded into `obs` (the
+/// verification replay stays unrecorded, so counter deltas describe
+/// exactly one run of the script). With an enabled
 /// registry the trial gains a third invariant class: the telemetry
 /// deltas over the replay ([`dmc_obs::Obs::diff`] against the
 /// pre-replay snapshot) must agree with the ground truth the planner's
@@ -329,14 +314,14 @@ pub fn fleet_chaos_trial(seed: u64, flows: u64) -> Result<FleetChaosOutcome, Str
 /// # Errors
 ///
 /// Forwards planner construction/replay errors as strings.
-pub fn fleet_chaos_trial_obs(
+pub fn fleet_chaos_trial(
     seed: u64,
     flows: u64,
     obs: &dmc_obs::Obs,
 ) -> Result<FleetChaosOutcome, String> {
     let before = obs.snapshot();
-    let (snaps, fleet) = chaos_replay_obs(seed, flows, obs)?;
-    let (snaps2, fleet2) = chaos_replay(seed, flows)?;
+    let (snaps, fleet) = chaos_replay(seed, flows, obs)?;
+    let (snaps2, fleet2) = chaos_replay(seed, flows, &dmc_obs::Obs::disabled())?;
     let trace = chaos_trace(seed, flows);
     let hash = trace_hash(&snaps, &fleet);
     let mut violations = check_invariants(&trace, &snaps, &fleet);
@@ -378,15 +363,7 @@ pub fn fleet_chaos_trial_obs(
 /// Runs `mc.trials` fleet-chaos trials through the parallel Monte-Carlo
 /// engine (results folded in trial order: thread-count independent).
 ///
-/// # Panics
-///
-/// Panics if a trial fails outright (planner construction — not
-/// reachable from the library's own scenario set).
-pub fn fleet_chaos_mc(mc: &MonteCarloConfig, flows: u64) -> Vec<FleetChaosOutcome> {
-    fleet_chaos_mc_obs(mc, flows, &dmc_obs::Obs::disabled())
-}
-
-/// [`fleet_chaos_mc`] with telemetry. Each trial records into its own
+/// Each trial records its telemetry into its own
 /// [`dmc_obs::Obs::fork`] (trials run on arbitrary worker threads; span
 /// and warning order inside a shared registry would depend on
 /// scheduling), and the forks' snapshots are absorbed into `obs` in
@@ -397,14 +374,14 @@ pub fn fleet_chaos_mc(mc: &MonteCarloConfig, flows: u64) -> Vec<FleetChaosOutcom
 ///
 /// Panics if a trial fails outright (planner construction — not
 /// reachable from the library's own scenario set).
-pub fn fleet_chaos_mc_obs(
+pub fn fleet_chaos_mc(
     mc: &MonteCarloConfig,
     flows: u64,
     obs: &dmc_obs::Obs,
 ) -> Vec<FleetChaosOutcome> {
     run_trials_parallel(mc, |_trial, seed| {
         let fork = obs.fork();
-        let outcome = fleet_chaos_trial_obs(seed, flows, &fork);
+        let outcome = fleet_chaos_trial(seed, flows, &fork);
         (outcome, fork.snapshot())
     })
     .into_iter()
@@ -469,26 +446,13 @@ pub fn proto_fault_plan(seed: u64) -> FaultPlan {
 /// under [`proto_fault_plan`]: corrupted frames are rejected by the wire
 /// checksum (surfacing as `receiver.malformed`), duplicates are
 /// discarded by the dedup window, and the protocol's retransmission
-/// machinery recovers the losses.
+/// machinery recovers the losses. The run's telemetry (`proto.tx.*`,
+/// `proto.rx.*`, `sim.*`, `runner.runs`) is recorded into `obs`.
 ///
 /// # Errors
 ///
 /// Forwards model/solver and topology errors as strings.
-pub fn proto_chaos_run(seed: u64, messages: u64) -> Result<RunOutcome, String> {
-    proto_chaos_run_obs(seed, messages, &dmc_obs::Obs::disabled())
-}
-
-/// [`proto_chaos_run`] with the run's telemetry (`proto.tx.*`,
-/// `proto.rx.*`, `sim.*`, `runner.runs`) recorded into `obs`.
-///
-/// # Errors
-///
-/// Forwards model/solver and topology errors as strings.
-pub fn proto_chaos_run_obs(
-    seed: u64,
-    messages: u64,
-    obs: &dmc_obs::Obs,
-) -> Result<RunOutcome, String> {
+pub fn proto_chaos_run(seed: u64, messages: u64, obs: &dmc_obs::Obs) -> Result<RunOutcome, String> {
     let measured = scenarios::table3_scenario(60e6, 0.8);
     let truth = TrueNetwork::from_scenario(&measured);
     let mut cfg = RunConfig::default();
@@ -544,7 +508,7 @@ mod tests {
     #[test]
     fn fleet_chaos_trials_hold_all_invariants() {
         for seed in [1u64, 0xC0FFEE, 0xD15EA5E] {
-            let o = fleet_chaos_trial(seed, CHAOS_FLOWS).unwrap();
+            let o = fleet_chaos_trial(seed, CHAOS_FLOWS, &dmc_obs::Obs::disabled()).unwrap();
             assert!(
                 o.violations.is_empty(),
                 "seed {seed:#x}: {:?}",
@@ -570,6 +534,7 @@ mod tests {
                     base_seed: 42,
                 },
                 CHAOS_FLOWS,
+                &dmc_obs::Obs::disabled(),
             )
         };
         let (seq, par) = (run(1), run(4));
@@ -589,7 +554,7 @@ mod tests {
     fn chaos_telemetry_reproduces_bitwise_across_thread_counts() {
         let run = |threads| {
             let obs = dmc_obs::Obs::enabled();
-            let outcomes = fleet_chaos_mc_obs(
+            let outcomes = fleet_chaos_mc(
                 &MonteCarloConfig {
                     trials: 3,
                     threads,
@@ -624,7 +589,7 @@ mod tests {
     fn check_invariants_flags_a_capacity_breach() {
         // Forge a snapshot claiming 2× allocation on path 0: the checker
         // must catch it (guards against the checker rotting into a no-op).
-        let (mut snaps, fleet) = chaos_replay(3, 4).unwrap();
+        let (mut snaps, fleet) = chaos_replay(3, 4, &dmc_obs::Obs::disabled()).unwrap();
         let trace = chaos_trace(3, 4);
         assert!(check_invariants(&trace, &snaps, &fleet).is_empty());
         snaps[0].utilization[0] = 2.0;
@@ -635,7 +600,8 @@ mod tests {
 
     #[test]
     fn proto_chaos_detects_corruption_and_discards_duplicates() {
-        let out = proto_chaos_run(11, 3_000).unwrap();
+        let off = dmc_obs::Obs::disabled();
+        let out = proto_chaos_run(11, 3_000, &off).unwrap();
         let inj = out.faults_injected;
         assert!(inj.corrupted > 0 && inj.duplicated > 0 && inj.reordered > 0);
         // Every corrupted frame that arrived was caught by the checksum —
@@ -650,7 +616,7 @@ mod tests {
         // The retransmission machinery absorbs the 2 % corruption rate.
         assert!(out.quality > 0.9, "quality {}", out.quality);
         // Bitwise reproducible from the seed.
-        let again = proto_chaos_run(11, 3_000).unwrap();
+        let again = proto_chaos_run(11, 3_000, &off).unwrap();
         assert_eq!(out.sender, again.sender);
         assert_eq!(out.receiver, again.receiver);
         assert_eq!(out.faults_injected, again.faults_injected);

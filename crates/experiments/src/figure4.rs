@@ -46,15 +46,11 @@ pub fn synthetic_network(n: usize) -> NetworkSpec {
 }
 
 /// Measures mean build+solve time for `n` paths and `m` transmissions
-/// over `runs` repetitions (the paper averages 100 runs).
-pub fn measure(n: usize, m: usize, runs: usize) -> TimingPoint {
-    measure_obs(n, m, runs, &dmc_obs::Obs::disabled())
-}
-
-/// [`measure`] with the LP solves recorded into `obs`. An *enabled*
-/// registry adds a few atomic increments per solve to the timed region,
-/// so compare timings only against runs with the same telemetry setting.
-pub fn measure_obs(n: usize, m: usize, runs: usize, obs: &dmc_obs::Obs) -> TimingPoint {
+/// over `runs` repetitions (the paper averages 100 runs), with the LP
+/// solves recorded into `obs`. An *enabled* registry adds a few atomic
+/// increments per solve to the timed region, so compare timings only
+/// against runs with the same telemetry setting.
+pub fn measure(n: usize, m: usize, runs: usize, obs: &dmc_obs::Obs) -> TimingPoint {
     let scenario = Scenario::from_network(&synthetic_network(n)).with_transmissions(m);
     let config = PlannerConfig {
         solver: SolverOptions {
@@ -82,18 +78,13 @@ pub fn measure_obs(n: usize, m: usize, runs: usize, obs: &dmc_obs::Obs) -> Timin
     }
 }
 
-/// The paper's sweep: 2–10 paths × {2, 3} transmissions.
-pub fn sweep(runs: usize) -> Vec<TimingPoint> {
-    sweep_obs(runs, &dmc_obs::Obs::disabled())
-}
-
-/// [`sweep`] with the LP solves recorded into `obs` (see [`measure_obs`]
-/// for the timing caveat).
-pub fn sweep_obs(runs: usize, obs: &dmc_obs::Obs) -> Vec<TimingPoint> {
+/// The paper's sweep: 2–10 paths × {2, 3} transmissions, the LP solves
+/// recorded into `obs` (see [`measure`] for the timing caveat).
+pub fn sweep(runs: usize, obs: &dmc_obs::Obs) -> Vec<TimingPoint> {
     let mut out = Vec::new();
     for &m in &[2usize, 3] {
         for n in 2..=10 {
-            out.push(measure_obs(n, m, runs, obs));
+            out.push(measure(n, m, runs, obs));
         }
     }
     out
@@ -136,8 +127,9 @@ mod tests {
     fn timing_grows_with_problem_size() {
         // Sanity, not a benchmark: 3 transmissions at n=8 must cost more
         // than 2 transmissions at n=2, and both must complete quickly.
-        let small = measure(2, 2, 3);
-        let large = measure(8, 3, 3);
+        let off = dmc_obs::Obs::disabled();
+        let small = measure(2, 2, 3, &off);
+        let large = measure(8, 3, 3, &off);
         assert!(large.seconds > small.seconds);
         assert_eq!(small.variables, 9);
         assert_eq!(large.variables, 729);

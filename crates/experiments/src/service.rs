@@ -105,16 +105,11 @@ impl Script {
 
 /// Replays the seeded script of `flows` offers against a fresh
 /// `shards`-region service with `workers` tick threads (0 = resolve via
-/// `DMC_THREADS`), entirely over wire frames.
-pub fn run_service_script(seed: u64, flows: u64, shards: usize, workers: usize) -> ServiceOutcome {
-    run_service_script_obs(seed, flows, shards, workers, &dmc_obs::Obs::disabled()).0
-}
-
-/// [`run_service_script`] with the service's telemetry wired to `obs`;
-/// additionally returns the service's merged
+/// `DMC_THREADS`), entirely over wire frames, with the service's
+/// telemetry wired to `obs`. Returns the outcome and the service's merged
 /// [`obs_snapshot`](FleetService::obs_snapshot) (parent registry plus
 /// every shard fork, deterministic at any worker count).
-pub fn run_service_script_obs(
+pub fn run_service_script(
     seed: u64,
     flows: u64,
     shards: usize,
@@ -285,8 +280,9 @@ pub fn run_service_script_obs(
 /// Runs the same script at 1 and 4 workers and returns the common
 /// decision hash, or an error describing the divergence.
 pub fn determinism_check(seed: u64, flows: u64, shards: usize) -> Result<u64, String> {
-    let sequential = run_service_script(seed, flows, shards, 1);
-    let parallel = run_service_script(seed, flows, shards, 4);
+    let run =
+        |workers| run_service_script(seed, flows, shards, workers, &dmc_obs::Obs::disabled()).0;
+    let (sequential, parallel) = (run(1), run(4));
     if sequential.decision_hash != parallel.decision_hash {
         return Err(format!(
             "decision hashes diverge across worker counts: {:#x} (1 worker) vs {:#x} (4 workers)",
@@ -322,8 +318,9 @@ mod tests {
 
     #[test]
     fn script_is_deterministic_and_worker_invariant() {
-        let a = run_service_script(0xFEED, 48, 4, 1);
-        let b = run_service_script(0xFEED, 48, 4, 4);
+        let run =
+            |seed, workers| run_service_script(seed, 48, 4, workers, &dmc_obs::Obs::disabled()).0;
+        let (a, b) = (run(0xFEED, 1), run(0xFEED, 4));
         assert_eq!(a.decision_hash, b.decision_hash);
         assert_eq!(
             a,
@@ -338,7 +335,7 @@ mod tests {
         assert!(a.frames_dropped > 0, "script exercises corrupted frames");
         assert!(a.capacity_events > 0, "script exercises link changes");
         // Different seed, different stream.
-        let c = run_service_script(0xBEEF, 48, 4, 1);
+        let c = run(0xBEEF, 1);
         assert_ne!(a.decision_hash, c.decision_hash);
     }
 }

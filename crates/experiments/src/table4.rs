@@ -60,22 +60,14 @@ pub const PAPER_BOTTOM: &[(f64, f64)] = &[
     (1050.0, 0.9333333333333333),
 ];
 
-/// Computes the top half: δ = 800 ms, λ swept (Mbps).
+/// Computes the top half: δ = 800 ms, λ swept (Mbps), with the
+/// planner's LP solves recorded into `obs` (`lp.solves`, `lp.pivots`,
+/// warm-start counters, per-kernel spans).
 ///
 /// # Panics
 ///
 /// Panics if the LP solver fails on these (always-feasible) scenarios.
-pub fn top(lambdas_mbps: &[f64]) -> Vec<Table4Row> {
-    top_obs(lambdas_mbps, &dmc_obs::Obs::disabled())
-}
-
-/// [`top`] with the planner's LP solves recorded into `obs`
-/// (`lp.solves`, `lp.pivots`, warm-start counters, per-backend spans).
-///
-/// # Panics
-///
-/// Panics if the LP solver fails on these (always-feasible) scenarios.
-pub fn top_obs(lambdas_mbps: &[f64], obs: &dmc_obs::Obs) -> Vec<Table4Row> {
+pub fn top(lambdas_mbps: &[f64], obs: &dmc_obs::Obs) -> Vec<Table4Row> {
     let mut planner = planner_with_obs(obs);
     let base = scenarios::table3_model_scenario(90e6, 0.800);
     lambdas_mbps
@@ -90,22 +82,13 @@ pub fn top_obs(lambdas_mbps: &[f64], obs: &dmc_obs::Obs) -> Vec<Table4Row> {
         .collect()
 }
 
-/// Computes the bottom half: λ = 90 Mbps, δ swept (ms).
+/// Computes the bottom half: λ = 90 Mbps, δ swept (ms), with the LP
+/// solves recorded into `obs` (see [`top`]).
 ///
 /// # Panics
 ///
 /// Panics if the LP solver fails on these (always-feasible) scenarios.
-pub fn bottom(deltas_ms: &[f64]) -> Vec<Table4Row> {
-    bottom_obs(deltas_ms, &dmc_obs::Obs::disabled())
-}
-
-/// [`bottom`] with the planner's LP solves recorded into `obs` (see
-/// [`top_obs`]).
-///
-/// # Panics
-///
-/// Panics if the LP solver fails on these (always-feasible) scenarios.
-pub fn bottom_obs(deltas_ms: &[f64], obs: &dmc_obs::Obs) -> Vec<Table4Row> {
+pub fn bottom(deltas_ms: &[f64], obs: &dmc_obs::Obs) -> Vec<Table4Row> {
     let mut planner = planner_with_obs(obs);
     let base = scenarios::table3_model_scenario(90e6, 0.800);
     deltas_ms
@@ -149,7 +132,8 @@ mod tests {
     #[test]
     fn top_half_matches_paper() {
         let lambdas: Vec<f64> = PAPER_TOP.iter().map(|(l, _)| *l).collect();
-        for (row, &(l, want)) in top(&lambdas).iter().zip(PAPER_TOP) {
+        let rows = top(&lambdas, &dmc_obs::Obs::disabled());
+        for (row, &(l, want)) in rows.iter().zip(PAPER_TOP) {
             assert!(
                 (row.quality() - want).abs() < 1e-9,
                 "λ={l} Mbps: Q={}, paper {want}",
@@ -161,7 +145,8 @@ mod tests {
     #[test]
     fn bottom_half_matches_paper() {
         let deltas: Vec<f64> = PAPER_BOTTOM.iter().map(|(d, _)| *d).collect();
-        for (row, &(d, want)) in bottom(&deltas).iter().zip(PAPER_BOTTOM) {
+        let rows = bottom(&deltas, &dmc_obs::Obs::disabled());
+        for (row, &(d, want)) in rows.iter().zip(PAPER_BOTTOM) {
             assert!(
                 (row.quality() - want).abs() < 1e-9,
                 "δ={d} ms: Q={}, paper {want}",
@@ -172,7 +157,7 @@ mod tests {
 
     #[test]
     fn render_contains_quality_column() {
-        let rows = top(&[40.0]);
+        let rows = top(&[40.0], &dmc_obs::Obs::disabled());
         let text = render(&rows, "rate (Mbps)", 1e-6);
         assert!(text.contains("100.0%"), "{text}");
     }

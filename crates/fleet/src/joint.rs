@@ -77,10 +77,11 @@
 //! dead block's columns are zero outside its own rows, so its sub-basis
 //! is block-diagonal); rolling an appended candidate back truncates the
 //! basis to what it was. The solver validates what it is handed —
-//! infeasible after a departure freed capacity, it is set aside for one
-//! cold solve; a numerical anomaly on the warm path drops it and
-//! retries cold — and phase 3's canonical vertex makes the answer a
-//! function of the problem, not of where the pivoting started (bitwise
+//! infeasible after a departure freed capacity, it is walked back to
+//! feasibility by the solver's dual phase; a numerical anomaly on the
+//! warm path drops it and retries cold — and phase 3's canonical vertex
+//! makes the answer a function of the problem, not of where the
+//! pivoting started (bitwise
 //! on the instant plane; on large time-expanded LPs ties below the
 //! solver's tolerance can leave the per-flow split — never an
 //! admission or the joint optimum — path-dependent; see
@@ -107,7 +108,7 @@ use crate::schedule::{ScheduleRequest, SlotWindow, TimeGrid};
 use dmc_core::{
     ComboTable, Objective, Plan, Planner, Scenario, ScenarioModel, ScenarioPath, WarmStats,
 };
-use dmc_lp::{Basis, Problem, SolveError, SolveStatus, SolverOptions, Workspace};
+use dmc_lp::{Basis, Problem, SolveError, SolveStatus, Workspace};
 use dmc_sim::LinkChange;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
@@ -986,17 +987,14 @@ impl JointCore {
         problem: &Problem,
         basis: &mut Option<Basis>,
     ) -> Result<dmc_lp::Solution, SolveError> {
-        let opts = SolverOptions {
-            backend: self.config.joint_backend,
-            ..self.config.planner.solver.clone()
-        };
+        let opts = &self.config.planner.solver;
         let obs = &self.config.obs;
         let warm_start = self.config.planner.warm_start;
         let carried = basis.take().filter(|_| warm_start);
         let mut solution = match &carried {
             Some(start) => {
                 self.warm_attempts += 1;
-                let result = problem.solve_warm_with(&opts, &mut self.workspace, start);
+                let result = problem.solve_warm_with(opts, &mut self.workspace, start);
                 // Asked of the workspace, not the `Solution`: a refusal
                 // reached from the incumbents' vertex is a warm solve.
                 if self.workspace.started_warm() {
@@ -1016,7 +1014,7 @@ impl JointCore {
                         // successful solution).
                         self.warm_anomalies += 1;
                         obs.counter("fleet.warm_anomalies").inc();
-                        problem.solve_with(&opts, &mut self.workspace)?
+                        problem.solve_with(opts, &mut self.workspace)?
                     }
                     Err(e) => {
                         *basis = carried;
@@ -1025,7 +1023,7 @@ impl JointCore {
                     Ok(s) => s,
                 }
             }
-            None => problem.solve_with(&opts, &mut self.workspace)?,
+            None => problem.solve_with(opts, &mut self.workspace)?,
         };
         // The decomposition path replays the feasibility certificate in
         // debug builds (and in release when [`FleetConfig::certify`] is

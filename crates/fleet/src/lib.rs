@@ -19,10 +19,11 @@
 //!   [`dmc_core::Planner::model`] — the same Eq. 12/28 code both delay
 //!   regimes already use;
 //! * the joint LP is a plain [`dmc_lp::Problem`], maintained in place
-//!   by one core shared by both planners (`joint.rs`) and solved by the
-//!   block-structured sparse backend ([`FleetConfig::joint_backend`])
-//!   with **warm starts**: the basis of the last optimum is carried
-//!   with the LP and edited in step with it, so an admission, a refusal
+//!   by one core shared by both planners (`joint.rs`); it declares its
+//!   per-flow blocks, so the solver runs it on its block-structured
+//!   sparse kernel, with **warm starts**: the basis of the last optimum
+//!   is carried with the LP and edited in step with it, so an admission,
+//!   a refusal
 //!   or a revive starts from the incumbents' vertex and pivots only for
 //!   the candidate — see the `fleet_admission` benchmark;
 //! * that core also owns the **roster** of admitted flows (request,

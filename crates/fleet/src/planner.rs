@@ -38,11 +38,12 @@
 //! the remaining shared capacity can still meet every accepted deadline.
 //! Rejected flows leave the incumbents' allocation untouched. Departures
 //! and link changes re-solve the smaller/changed LP (a departure from
-//! the carried basis when it is still feasible, a link change cold); a
-//! link change that makes
-//! the floors collectively infeasible triggers deterministic re-admission
-//! highest priority first (admission order within ties), **shedding**
-//! exactly the flows that no longer fit into a re-admission queue: each
+//! the carried basis, which the solver's dual phase restores where the
+//! freed capacity left it infeasible; a link change cold); a link change
+//! that makes the floors collectively infeasible triggers deterministic
+//! re-admission highest priority first (admission order within ties),
+//! **shedding** exactly the flows that no longer fit into a re-admission
+//! queue: each
 //! subsequent capacity event (link change or departure) retries them
 //! under capped exponential backoff until they are revived — keeping
 //! their original ids — or definitively rejected within a bounded number
@@ -64,7 +65,7 @@ use crate::flow::{FlowId, FlowRequest};
 use crate::joint::{readmission_order, JointCore, Member};
 use crate::schedule::{ScheduleRequest, SlotWindow, TimeGrid};
 use dmc_core::{Plan, PlannerConfig, ScenarioPath, WarmStats};
-use dmc_lp::{Backend, SolveError};
+use dmc_lp::SolveError;
 use dmc_sim::LinkChange;
 
 /// What the joint LP optimizes across admitted flows.
@@ -91,12 +92,9 @@ pub struct FleetConfig {
     pub objective: FleetObjective,
     /// Model/solver knobs shared by every per-flow model and joint solve
     /// (blackhole, discretization grid, solver options, `warm_start`).
+    /// The joint LP declares its per-flow blocks, so the default solver
+    /// runs it on its block-structured sparse kernel.
     pub planner: PlannerConfig,
-    /// LP backend for the **joint** solves (default
-    /// [`Backend::Sparse`], the block-structured solver built for the
-    /// joint LP's block-angular shape). Per-flow model construction and
-    /// any single-flow planning keep using `planner.solver.backend`.
-    pub joint_backend: Backend,
     /// Maintain the joint LP incrementally (default `true`): admitting a
     /// flow appends (or reuses) its assignment block in place, departing
     /// tombstones the block (its `Σx` row drops to 0, forcing the block
@@ -131,7 +129,6 @@ impl Default for FleetConfig {
         FleetConfig {
             objective: FleetObjective::default(),
             planner: PlannerConfig::default(),
-            joint_backend: Backend::Sparse,
             incremental: true,
             certify: false,
             obs: dmc_obs::Obs::disabled(),
@@ -358,9 +355,9 @@ impl FleetPlanner {
     }
 
     /// Removes an admitted flow and re-solves the joint allocation for
-    /// the survivors (from the carried basis when the freed capacity
-    /// leaves it feasible, cold otherwise). Returns the departing flow's
-    /// last plan.
+    /// the survivors from the carried basis (where the freed capacity
+    /// leaves it infeasible the solver's dual phase restores it first).
+    /// Returns the departing flow's last plan.
     ///
     /// The re-solve only ever *relaxes* the problem, so every surviving
     /// flow keeps meeting its floor (the `admission_invariants` test pins

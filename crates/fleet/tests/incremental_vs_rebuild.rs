@@ -1,17 +1,18 @@
-//! Differential testing of the fleet's two assembly/solve paths: the
-//! default **incremental + sparse** pipeline against the pre-sparse
-//! **rebuild-per-solve** baseline (with both the revised and the dense
-//! backends), over admission, rejection, departure (tombstoning and slot
-//! reuse), compaction and link-change resettles.
+//! Differential testing of the fleet's two assembly paths: the default
+//! **incremental** assembly against the **rebuild-per-solve** baseline,
+//! each warm and cold, on the solver's one kernel for the joint LP (the
+//! sparse one: the joint LP declares its blocks), with the dense tableau
+//! as the oracle, over admission, rejection, departure (tombstoning and
+//! slot reuse), compaction and link-change resettles.
 //!
 //! Contract: every configuration must admit/reject the *same* flows and
 //! agree on every admitted plan's allocation, quality, cost and send
 //! rates to 1e-9. On a freshly populated fleet (no churn yet) the
 //! incremental assembly produces the *identical* `Problem` the rebuild
-//! path assembles, so with the same backend the plans match **bitwise**
+//! path assembles, so with the same solver the plans match **bitwise**
 //! — pinned here as the structural anchor.
 
-use dmc_core::{PlannerConfig, ScenarioPath};
+use dmc_core::{PlannerConfig, ScenarioPath, SolverOptions};
 use dmc_fleet::{FleetConfig, FleetPlanner, FlowRequest};
 use dmc_lp::Backend;
 use dmc_sim::LinkChange;
@@ -27,12 +28,15 @@ fn shared_paths() -> Vec<ScenarioPath> {
     ]
 }
 
-fn config(incremental: bool, joint_backend: Backend, warm: bool) -> FleetConfig {
+fn config(incremental: bool, backend: Backend, warm: bool) -> FleetConfig {
     FleetConfig {
         incremental,
-        joint_backend,
         planner: PlannerConfig {
             warm_start: warm,
+            solver: SolverOptions {
+                backend,
+                ..SolverOptions::default()
+            },
             ..PlannerConfig::default()
         },
         ..FleetConfig::default()
@@ -151,13 +155,9 @@ fn churn_script_agrees_across_all_configurations() {
     let script = churn_script();
     let baseline = replay(config(false, Backend::Revised, true), &script);
     for (name, cfg) in [
-        ("incremental+sparse", config(true, Backend::Sparse, true)),
-        (
-            "incremental+sparse/cold",
-            config(true, Backend::Sparse, false),
-        ),
-        ("incremental+revised", config(true, Backend::Revised, true)),
-        ("rebuild+sparse", config(false, Backend::Sparse, true)),
+        ("incremental", config(true, Backend::Revised, true)),
+        ("incremental/cold", config(true, Backend::Revised, false)),
+        ("rebuild/cold", config(false, Backend::Revised, false)),
     ] {
         let other = replay(cfg, &script);
         assert_replays_agree(&script, baseline.clone(), other, name);
@@ -180,7 +180,7 @@ fn churn_script_agrees_across_all_configurations() {
 #[test]
 fn fresh_population_is_bitwise_identical_across_assembly_paths() {
     // Without churn the incremental assembly builds the very same
-    // Problem the rebuild path does, so with the same backend the final
+    // Problem the rebuild path does, so with the same solver the final
     // joint solve — and every decomposed plan — matches bit for bit.
     let script: Vec<Action> = vec![
         Action::Offer(FlowRequest::new(30e6, 0.8).unwrap().with_min_quality(0.7)),
@@ -192,7 +192,7 @@ fn fresh_population_is_bitwise_identical_across_assembly_paths() {
                 .with_cost_budget(1.0),
         ),
     ];
-    for backend in [Backend::Revised, Backend::Sparse, Backend::DenseTableau] {
+    for backend in [Backend::Revised, Backend::DenseTableau] {
         let incremental = replay(config(true, backend, false), &script);
         let rebuild = replay(config(false, backend, false), &script);
         assert_eq!(incremental.0, rebuild.0, "{backend:?}: outcomes");
@@ -247,17 +247,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Arbitrary churn sequences (offers with random floors/budgets/
-    /// widths, departures, bandwidth changes): the default incremental+
-    /// sparse pipeline — warm *and* cold — agrees with the rebuild+
-    /// revised baseline on every admission outcome and every plan.
+    /// widths, departures, bandwidth changes): the default incremental
+    /// assembly — warm *and* cold — agrees with the rebuild baseline on
+    /// every admission outcome and every plan.
     #[test]
     fn random_churn_sequences_agree(script in proptest::collection::vec(arb_action(), 1..14)) {
         let baseline = replay(config(false, Backend::Revised, true), &script);
-        let warm = replay(config(true, Backend::Sparse, true), &script);
-        let cold = replay(config(true, Backend::Sparse, false), &script);
-        assert_replays_agree(&script, baseline.clone(), warm.clone(), "incremental+sparse warm");
-        assert_replays_agree(&script, baseline, cold.clone(), "incremental+sparse cold");
-        // Warm vs cold within the sparse incremental path: bitwise.
+        let warm = replay(config(true, Backend::Revised, true), &script);
+        let cold = replay(config(true, Backend::Revised, false), &script);
+        assert_replays_agree(&script, baseline.clone(), warm.clone(), "incremental warm");
+        assert_replays_agree(&script, baseline, cold.clone(), "incremental cold");
+        // Warm vs cold within the incremental path: bitwise.
         prop_assert_eq!(warm.0, cold.0);
         for ((ida, xa, qa, ca, sa), (idb, xb, qb, cb, sb)) in warm.1.iter().zip(&cold.1) {
             prop_assert_eq!(ida, idb);

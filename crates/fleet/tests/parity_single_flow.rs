@@ -4,16 +4,17 @@
 //!
 //! With one floor-free flow the joint LP is row-for-row the single-flow
 //! planner's LP (same coefficients, same row order, same scaling — `λ/Λ`
-//! is exactly 1.0). Under the *legacy* configuration (rebuild assembly +
-//! the revised backend, i.e. the same solver `Planner::plan` uses) the
-//! canonical vertex therefore agrees **bit for bit**, which
-//! [`legacy_config_matches_bit_for_bit`] pins. The default fleet now
-//! routes joint solves through the block-structured sparse backend,
-//! whose factorization order differs — same canonical vertex, last-bit
-//! arithmetic differences — so the default-path tests assert the 1e-9
-//! contract everywhere (fixed cases and the proptest alike).
+//! is exactly 1.0). Solved by the same solver the two therefore agree
+//! **bit for bit**, which [`legacy_config_matches_bit_for_bit`] pins with
+//! both on the dense tableau (the *legacy* configuration: rebuild
+//! assembly, and the one solver that reads no block declaration). The
+//! default solver runs the joint LP — it declares its block — on the
+//! sparse kernel and the planner's on the dense LU, whose factorization
+//! orders differ — same canonical vertex, last-bit arithmetic
+//! differences — so the default-path tests assert the 1e-9 contract
+//! everywhere (fixed cases and the proptest alike).
 
-use dmc_core::{Objective, Plan, Planner, Scenario, ScenarioPath};
+use dmc_core::{Objective, Plan, Planner, PlannerConfig, Scenario, ScenarioPath, SolverOptions};
 use dmc_fleet::{AdmissionDecision, FleetConfig, FleetPlanner, FlowRequest};
 use dmc_lp::Backend;
 use dmc_stats::ShiftedGamma;
@@ -23,11 +24,22 @@ use std::sync::Arc;
 
 const TOL: f64 = 1e-9;
 
-/// The pre-sparse fleet configuration: rebuild the joint LP per solve
-/// and solve it with the same revised backend `Planner::plan` uses.
+/// Planner settings with the dense tableau as the solver.
+fn tableau() -> PlannerConfig {
+    PlannerConfig {
+        solver: SolverOptions {
+            backend: Backend::DenseTableau,
+            ..SolverOptions::default()
+        },
+        ..PlannerConfig::default()
+    }
+}
+
+/// The legacy fleet configuration: rebuild the joint LP per solve and
+/// solve it on the dense tableau, like a [`tableau`] `Planner`.
 fn legacy_config() -> FleetConfig {
     FleetConfig {
-        joint_backend: Backend::Revised,
+        planner: tableau(),
         incremental: false,
         ..FleetConfig::default()
     }
@@ -133,10 +145,9 @@ fn table3_sweep_matches_default_path() {
 
 #[test]
 fn legacy_config_matches_bit_for_bit() {
-    // Identical LPs solved by the identical backend ⇒ identical
-    // canonical vertices, bit for bit — a stronger statement than the
-    // 1e-9 bar, preserved on the rebuild+revised configuration.
-    let mut planner = Planner::new();
+    // Identical LPs solved by the identical solver ⇒ identical vertices,
+    // bit for bit — a stronger statement than the 1e-9 bar.
+    let mut planner = Planner::with_config(tableau());
     for lambda in [10e6, 60e6, 90e6, 120e6] {
         for delta in [0.45, 0.8, 1.5] {
             let scenario = Scenario::builder()
@@ -172,7 +183,10 @@ fn budgeted_flow_matches() {
         .unwrap();
     let fleet = fleet_plan(&scenario);
     assert_plans_match(&fleet, &solo, "budgeted");
-    // And the legacy configuration still agrees bitwise.
+    // And the legacy configuration agrees bitwise with a tableau planner.
+    let solo = Planner::with_config(tableau())
+        .plan(&scenario, Objective::MaxQuality)
+        .unwrap();
     let legacy = fleet_plan_with(&scenario, legacy_config());
     assert_eq!(legacy.strategy().x(), solo.strategy().x());
     assert_eq!(legacy.cost_rate(), solo.cost_rate());

@@ -27,10 +27,10 @@
 //!   candidates until the bank runs dry, so most iterations touch a few
 //!   dozen columns instead of all `n`. Optimality still requires a clean
 //!   full wrap. The kernel chooses the sections (uniform chunks, or
-//!   aligned to declared blocks). [`PivotRule::Dantzig`] forces full
-//!   pricing and [`PivotRule::Bland`] first-index pricing; the default
-//!   [`PivotRule::Adaptive`] uses the candidate list with the usual Bland
-//!   fallback after a run of degenerate pivots.
+//!   aligned to declared blocks). After
+//!   [`DEGENERATE_SWITCH`](crate::simplex::DEGENERATE_SWITCH) degenerate
+//!   pivots in a row pricing falls back to Bland's first improving
+//!   column, which cannot cycle.
 //! * **Warm starts.** A caller-provided [`Basis`] is validated, factored
 //!   and checked for primal feasibility; when it stands the solve starts
 //!   from it — straight into phase 2 when it names no artificial,
@@ -68,7 +68,7 @@ use std::ops::Range;
 
 use crate::error::SolveError;
 use crate::problem::{Constraint, ConstraintKind, Problem};
-use crate::simplex::{PivotRule, SolveStats, SolverOptions, WarmStart};
+use crate::simplex::{SolveStats, SolverOptions, WarmStart, TOLERANCE};
 use crate::solution::{Basis, BasisVar, Solution};
 
 /// Iteration etas accumulated before the basis is refactorized from
@@ -290,15 +290,19 @@ pub(crate) struct DriverState {
     pub(crate) stats: SolveStats,
 }
 
-/// Entry point used by `Problem::{solve, solve_with, solve_warm}` for the
-/// [`Backend::Revised`](crate::Backend::Revised) and
-/// [`Backend::Sparse`](crate::Backend::Sparse) kernels.
+/// Entry point used by `Problem::{solve, solve_with, solve_warm}` for
+/// [`Backend::Revised`](crate::Backend::Revised), on the kernel the
+/// problem's shape picked. Pricing turns to Bland's rule after
+/// `bland_after` degenerate pivots in a row
+/// ([`DEGENERATE_SWITCH`](crate::simplex::DEGENERATE_SWITCH) outside
+/// tests).
 pub(crate) fn solve<K: Kernel>(
     problem: &Problem,
     options: &SolverOptions,
     state: &mut DriverState,
     kernel: &mut K,
     warm: Option<&Basis>,
+    bland_after: usize,
 ) -> Result<Solution, SolveError> {
     state.stats.reset();
     let rows = problem.constraints();
@@ -307,17 +311,17 @@ pub(crate) fn solve<K: Kernel>(
     kernel.prepare(problem, &state.lay, &mut state.sections);
     state.face_fresh = false;
     let (m, n, art_start) = (state.lay.m, state.lay.n, state.lay.art_start);
-    let tol = options.tolerance;
     let mut scratch = Scratch {
         y: vec![0.0; m],
         y2: vec![0.0; m],
         d: vec![0.0; m],
         iterations: 0,
+        bland_after,
     };
 
     // ---- Start: the caller's basis if it stands, the logicals if not ----
     let warm_ok =
-        warm.is_some_and(|basis| try_warm_basis(problem, state, kernel, basis, tol, &mut scratch));
+        warm.is_some_and(|basis| try_warm_basis(problem, state, kernel, basis, &mut scratch));
     if !warm_ok {
         install_initial_basis(state);
         if !kernel.factor(state, false) {
@@ -343,10 +347,10 @@ pub(crate) fn solve<K: Kernel>(
             .filter(|&i| state.basis[i] >= art_start)
             .map(|i| state.x_basic[i].max(0.0))
             .sum();
-        if residual > tol.max(1e-7) {
+        if residual > TOLERANCE.max(1e-7) {
             return Err(SolveError::Infeasible { residual });
         }
-        drive_out_artificials(state, kernel, tol, &mut scratch);
+        drive_out_artificials(state, kernel, &mut scratch);
     }
 
     // ---- Phase 2: user objective ----------------------------------------
@@ -478,8 +482,8 @@ fn fill_rc<K: Kernel>(
     }
 }
 
-/// Per-solve dense scratch (length `m` — negligible next to the matrix)
-/// and the pivot counter, threaded through the phases.
+/// Per-solve dense scratch (length `m` — negligible next to the matrix),
+/// the pivot counter and the Bland threshold, threaded through the phases.
 struct Scratch {
     /// Duals of the running phase (and the unit-row probe of
     /// [`drive_out_artificials`]).
@@ -489,6 +493,9 @@ struct Scratch {
     /// Entering direction.
     d: Vec<f64>,
     iterations: usize,
+    /// Degenerate pivots in a row after which pricing turns to Bland's
+    /// rule.
+    bland_after: usize,
 }
 
 /// Pricing mode for one iteration.
@@ -496,8 +503,6 @@ struct Scratch {
 enum Pricing {
     /// First improving column (anti-cycling).
     Bland,
-    /// Full Dantzig scan: most positive reduced cost.
-    Full,
     /// Candidate list backed by sectioned partial scans.
     Partial,
 }
@@ -526,10 +531,10 @@ fn price<K: Kernel>(
     state: &mut DriverState,
     kernel: &K,
     y: &[f64],
-    tol: f64,
     mode: Pricing,
     collect_face: bool,
 ) -> Option<usize> {
+    let tol = TOLERANCE;
     let enter_limit = state.lay.art_start;
     if enter_limit == 0 {
         state.face.clear();
@@ -558,7 +563,7 @@ fn price<K: Kernel>(
     }
 
     // Section scan from the cursor (Partial) or from the first section
-    // (Bland/Full), driven by bulk rc fills; a clean full wrap visits
+    // (Bland), driven by bulk rc fills; a clean full wrap visits
     // every column exactly once.
     let (face, rc_buf, candidates) = (&mut state.face, &mut state.rc, &mut state.candidates);
     if rc_buf.len() < enter_limit {
@@ -626,7 +631,8 @@ fn price<K: Kernel>(
 /// nonzero direction component so they cannot turn positive.
 ///
 /// Returns `None` when the direction is unbounded.
-fn ratio_test(state: &DriverState, d: &[f64], tol: f64) -> Option<(usize, f64)> {
+fn ratio_test(state: &DriverState, d: &[f64]) -> Option<(usize, f64)> {
+    let tol = TOLERANCE;
     let art_start = state.lay.art_start;
     let mut leave: Option<usize> = None;
     let mut best_ratio = f64::INFINITY;
@@ -707,7 +713,6 @@ fn try_warm_basis<K: Kernel>(
     state: &mut DriverState,
     kernel: &mut K,
     basis: &Basis,
-    tol: f64,
     scratch: &mut Scratch,
 ) -> bool {
     let lay = &state.lay;
@@ -736,8 +741,8 @@ fn try_warm_basis<K: Kernel>(
         state.stats.warm = WarmStart::Singular; // under the new coefficients
         return false;
     }
-    if load_x_basic(state, kernel, false) < -tol
-        && !restore_feasibility(problem, state, kernel, tol, scratch)
+    if load_x_basic(state, kernel, false) < -TOLERANCE
+        && !restore_feasibility(problem, state, kernel, scratch)
     {
         state.stats.warm = WarmStart::Infeasible; // for the new RHS, and not restored
         return false;
@@ -778,14 +783,15 @@ fn restore_feasibility<K: Kernel>(
     problem: &Problem,
     state: &mut DriverState,
     kernel: &mut K,
-    tol: f64,
     scratch: &mut Scratch,
 ) -> bool {
+    let tol = TOLERANCE;
     let Scratch {
         y,
         y2: rho,
         d,
         iterations,
+        ..
     } = scratch;
     let rows = problem.constraints();
     let (m, art_start) = (state.lay.m, state.lay.art_start);
@@ -923,9 +929,12 @@ fn run_phase<K: Kernel>(
     scratch: &mut Scratch,
 ) -> Result<(), SolveError> {
     let Scratch {
-        y, d, iterations, ..
+        y,
+        d,
+        iterations,
+        bland_after,
+        ..
     } = scratch;
-    let tol = options.tolerance;
     let art_start = state.lay.art_start;
     let collect_face = phase == Phase::Two;
     let mut degenerate_run = 0usize;
@@ -941,30 +950,24 @@ fn run_phase<K: Kernel>(
         return Ok(());
     }
     for _ in 0..options.max_iterations {
-        let mode = match options.pivot_rule {
-            PivotRule::Bland => Pricing::Bland,
-            PivotRule::Dantzig => Pricing::Full,
-            PivotRule::Adaptive => {
-                if degenerate_run >= options.degenerate_switch {
-                    Pricing::Bland
-                } else {
-                    Pricing::Partial
-                }
-            }
+        let mode = if degenerate_run >= *bland_after {
+            Pricing::Bland
+        } else {
+            Pricing::Partial
         };
         for (yi, &b) in y.iter_mut().zip(&state.basis) {
             *yi = state.cost[b];
         }
         kernel.btran(y);
-        let Some(q) = price(rows, state, kernel, y, tol, mode, collect_face) else {
+        let Some(q) = price(rows, state, kernel, y, mode, collect_face) else {
             return Ok(()); // optimal
         };
         gather_col(&state.lay, kernel, q, d);
         kernel.ftran(d);
-        let Some((r, step)) = ratio_test(state, d, tol) else {
+        let Some((r, step)) = ratio_test(state, d) else {
             return Err(SolveError::Unbounded);
         };
-        if step.abs() <= tol {
+        if step.abs() <= TOLERANCE {
             degenerate_run += 1;
         } else {
             degenerate_run = 0;
@@ -997,7 +1000,6 @@ fn run_phase<K: Kernel>(
 fn drive_out_artificials<K: Kernel>(
     state: &mut DriverState,
     kernel: &mut K,
-    tol: f64,
     scratch: &mut Scratch,
 ) {
     let Scratch {
@@ -1007,7 +1009,7 @@ fn drive_out_artificials<K: Kernel>(
         ..
     } = scratch;
     let art_start = state.lay.art_start;
-    let pivot_tol = tol.max(1e-10);
+    let pivot_tol = TOLERANCE.max(1e-10);
     for r in 0..state.lay.m {
         if state.basis[r] < art_start {
             continue;
@@ -1061,7 +1063,6 @@ impl FaceQueue {
         state: &DriverState,
         kernel: &K,
         y2: &[f64],
-        tol: f64,
     ) {
         let art_start = state.lay.art_start;
         let (w2, rc2) = (&state.w2, &mut self.rc2);
@@ -1077,7 +1078,7 @@ impl FaceQueue {
         self.table.clear();
         self.table.resize(cap, (0, u32::MAX));
         for &j in &state.face {
-            if state.in_basis[j] || rc2[j] <= tol {
+            if state.in_basis[j] || rc2[j] <= TOLERANCE {
                 continue;
             }
             let key = (w2[j] - rc2[j]).to_bits().max(1);
@@ -1144,8 +1145,9 @@ fn canonicalize<K: Kernel>(
         y2,
         d,
         iterations,
+        bland_after,
     } = scratch;
-    let tol = options.tolerance;
+    let tol = TOLERANCE;
     let (n, art_start) = (state.lay.n, state.lay.art_start);
     if !state.face_fresh {
         // Fallback (phase 2 normally ends on an optimality wrap that
@@ -1194,7 +1196,7 @@ fn canonicalize<K: Kernel>(
             *y2i = if b < art_start { state.w2[b] } else { 0.0 };
         }
         kernel.btran(y2);
-        let bland = degenerate_run >= options.degenerate_switch;
+        let bland = degenerate_run >= *bland_after;
         let mut pick: Option<usize> = None;
         let mut best = tol;
         if !stale {
@@ -1213,7 +1215,7 @@ fn canonicalize<K: Kernel>(
             }
         }
         if pick.is_none() {
-            fq.refill(rows, state, kernel, y2, tol);
+            fq.refill(rows, state, kernel, y2);
             stale = false;
             for &(j, rc2j) in &fq.queue {
                 if rc2j > best {
@@ -1230,7 +1232,7 @@ fn canonicalize<K: Kernel>(
         };
         gather_col(&state.lay, kernel, q, d);
         kernel.ftran(d);
-        let Some((r, step)) = ratio_test(state, d, tol) else {
+        let Some((r, step)) = ratio_test(state, d) else {
             break; // face unbounded in the secondary direction: keep x
         };
         if step.abs() <= tol {
@@ -1272,33 +1274,56 @@ fn export_basis(state: &DriverState) -> Option<Basis> {
 }
 
 /// What every kernel must do, written once: each function below is one
-/// unit test of the driver, parameterized by the backend it runs on, and
+/// unit test of the driver, parameterized by the kernel it runs on, and
 /// [`contract_tests`] instantiates the whole table inside a kernel's own
 /// test module (so a failure names the kernel that broke).
 #[cfg(test)]
 pub(crate) mod contract {
-    use crate::{Backend, Basis, PivotRule, Problem, SolveError, SolverOptions, Workspace};
+    use crate::simplex::DEGENERATE_SWITCH;
+    use crate::{Basis, Problem, SolveError, SolverOptions, Workspace};
 
-    fn opts(backend: Backend) -> SolverOptions {
-        SolverOptions {
-            backend,
-            ..SolverOptions::default()
+    /// The kernel a contract runs on. [`crate::Backend::Revised`] picks
+    /// it from the problem, so a contract states it by declaring its
+    /// problems' blocks (sparse) or clearing them (dense LU).
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) enum Side {
+        DenseLu,
+        Sparse,
+    }
+
+    impl Side {
+        /// `p` as this kernel is picked for: its blocks declared for the
+        /// sparse kernel — one block when it declares none, which the
+        /// kernel treats exactly as no declaration — or cleared for the
+        /// dense LU.
+        pub(crate) fn on(self, mut p: Problem) -> Problem {
+            let starts = match self {
+                Side::DenseLu => Vec::new(),
+                Side::Sparse if p.block_starts().is_empty() => vec![0],
+                Side::Sparse => return p,
+            };
+            p.set_block_starts(starts).expect("valid block starts");
+            p
         }
     }
 
-    /// Expands to one `#[test]` per contract function, run on `$backend`.
+    fn opts() -> SolverOptions {
+        SolverOptions::default()
+    }
+
+    /// Expands to one `#[test]` per contract function, run on `$side`.
     macro_rules! contract_tests {
-        ($backend:expr; $($name:ident),* $(,)?) => {
+        ($side:expr; $($name:ident),* $(,)?) => {
             $(
                 #[test]
                 fn $name() {
-                    $crate::driver::contract::$name($backend)
+                    $crate::driver::contract::$name($side)
                 }
             )*
         };
-        ($backend:expr) => {
+        ($side:expr) => {
             $crate::driver::contract::contract_tests!(
-                $backend;
+                $side;
                 simple_maximize,
                 equality_constraint,
                 minimize_works,
@@ -1326,12 +1351,12 @@ pub(crate) mod contract {
     }
     pub(crate) use contract_tests;
 
-    pub(crate) fn simple_maximize(backend: Backend) {
+    pub(crate) fn simple_maximize(side: Side) {
         // max 3x + 2y ; x + y <= 4 ; x + 3y <= 6 → x=4,y=0, obj 12
         let mut p = Problem::maximize(vec![3.0, 2.0]);
         p.add_le(vec![1.0, 1.0], 4.0).unwrap();
         p.add_le(vec![1.0, 3.0], 6.0).unwrap();
-        let s = p.solve(&opts(backend)).unwrap();
+        let s = side.on(p).solve(&opts()).unwrap();
         assert!((s.objective() - 12.0).abs() < 1e-9);
         assert!((s.x()[0] - 4.0).abs() < 1e-9);
         assert!(s.x()[1].abs() < 1e-9);
@@ -1339,74 +1364,78 @@ pub(crate) mod contract {
         assert!(!s.used_warm_start());
     }
 
-    pub(crate) fn equality_constraint(backend: Backend) {
+    pub(crate) fn equality_constraint(side: Side) {
         // max x + 2y ; x + y = 1 ; y <= 0.6 → x=0.4, y=0.6, obj 1.6
         let mut p = Problem::maximize(vec![1.0, 2.0]);
         p.add_eq(vec![1.0, 1.0], 1.0).unwrap();
         p.add_le(vec![0.0, 1.0], 0.6).unwrap();
-        let s = p.solve(&opts(backend)).unwrap();
+        let s = side.on(p).solve(&opts()).unwrap();
         assert!((s.objective() - 1.6).abs() < 1e-9);
         assert!((s.x()[0] - 0.4).abs() < 1e-9);
         assert!((s.x()[1] - 0.6).abs() < 1e-9);
     }
 
-    pub(crate) fn minimize_works(backend: Backend) {
+    pub(crate) fn minimize_works(side: Side) {
         let mut p = Problem::minimize(vec![2.0, 3.0]);
         p.add_ge(vec![1.0, 1.0], 2.0).unwrap();
-        let s = p.solve(&opts(backend)).unwrap();
+        let s = side.on(p).solve(&opts()).unwrap();
         assert!((s.objective() - 4.0).abs() < 1e-9);
         assert!((s.x()[0] - 2.0).abs() < 1e-9);
     }
 
-    pub(crate) fn infeasible_detected(backend: Backend) {
+    pub(crate) fn infeasible_detected(side: Side) {
         let mut p = Problem::maximize(vec![1.0]);
         p.add_le(vec![1.0], 1.0).unwrap();
         p.add_ge(vec![1.0], 2.0).unwrap();
-        match p.solve(&opts(backend)) {
+        match side.on(p).solve(&opts()) {
             Err(SolveError::Infeasible { residual }) => assert!(residual > 0.0),
             other => panic!("expected infeasible, got {other:?}"),
         }
     }
 
-    pub(crate) fn unbounded_detected(backend: Backend) {
+    pub(crate) fn unbounded_detected(side: Side) {
         let mut p = Problem::maximize(vec![1.0, 0.0]);
         p.add_le(vec![0.0, 1.0], 1.0).unwrap();
         assert!(matches!(
-            p.solve(&opts(backend)),
+            side.on(p).solve(&opts()),
             Err(SolveError::Unbounded)
         ));
     }
 
-    pub(crate) fn beale_cycling_guard_all_rules(backend: Backend) {
-        for rule in [PivotRule::Adaptive, PivotRule::Bland, PivotRule::Dantzig] {
+    /// The one pricing rule, at its default switch and with Bland's rule
+    /// from the first pivot: Beale's LP never runs [`DEGENERATE_SWITCH`]
+    /// degenerate pivots here, so only the second run reaches Bland.
+    pub(crate) fn beale_cycling_guard_all_rules(side: Side) {
+        for bland_after in [DEGENERATE_SWITCH, 0] {
             let mut p = Problem::maximize(vec![0.75, -150.0, 0.02, -6.0]);
             p.add_le(vec![0.25, -60.0, -1.0 / 25.0, 9.0], 0.0).unwrap();
             p.add_le(vec![0.5, -90.0, -1.0 / 50.0, 3.0], 0.0).unwrap();
             p.add_le(vec![0.0, 0.0, 1.0, 0.0], 1.0).unwrap();
-            let mut o = opts(backend);
-            o.pivot_rule = rule;
-            let s = p.solve(&o).unwrap();
-            assert!((s.objective() - 0.05).abs() < 1e-9, "{rule:?}");
+            let s = side
+                .on(p)
+                .dispatch(&opts(), &mut Workspace::new(), None, bland_after)
+                .unwrap();
+            assert!((s.objective() - 0.05).abs() < 1e-9, "{bland_after}");
         }
     }
 
-    pub(crate) fn redundant_equality_rows_are_handled(backend: Backend) {
+    pub(crate) fn redundant_equality_rows_are_handled(side: Side) {
         let mut p = Problem::maximize(vec![1.0, 1.0]);
         p.add_eq(vec![1.0, 1.0], 1.0).unwrap();
         p.add_eq(vec![2.0, 2.0], 2.0).unwrap();
-        let s = p.solve(&opts(backend)).unwrap();
+        let s = side.on(p).solve(&opts()).unwrap();
         assert!((s.objective() - 1.0).abs() < 1e-9);
         // An artificial stays basic for the dependent row, so no basis is
         // exported.
         assert!(s.basis().is_none());
     }
 
-    pub(crate) fn duals_match_known_shadow_prices(backend: Backend) {
+    pub(crate) fn duals_match_known_shadow_prices(side: Side) {
         let mut p = Problem::maximize(vec![3.0, 5.0]);
         p.add_le(vec![1.0, 0.0], 4.0).unwrap();
         p.add_le(vec![0.0, 2.0], 12.0).unwrap();
         p.add_le(vec![3.0, 2.0], 18.0).unwrap();
-        let s = p.solve(&opts(backend)).unwrap();
+        let s = side.on(p).solve(&opts()).unwrap();
         assert!((s.objective() - 36.0).abs() < 1e-9);
         let d = s.duals();
         assert!(d[0].abs() < 1e-9, "dual0 {}", d[0]);
@@ -1414,32 +1443,32 @@ pub(crate) mod contract {
         assert!((d[2] - 1.0).abs() < 1e-9, "dual2 {}", d[2]);
     }
 
-    pub(crate) fn badly_scaled_rows_are_equilibrated(backend: Backend) {
+    pub(crate) fn badly_scaled_rows_are_equilibrated(side: Side) {
         let mut p = Problem::maximize(vec![3.0, 2.0]);
         p.add_le(vec![1e8, 1e8], 4e8).unwrap();
         p.add_le(vec![1e8, 3e8], 6e8).unwrap();
-        let s = p.solve(&opts(backend)).unwrap();
+        let s = side.on(p).solve(&opts()).unwrap();
         assert!((s.objective() - 12.0).abs() < 1e-6);
         assert!((s.x()[0] - 4.0).abs() < 1e-6);
     }
 
-    pub(crate) fn negative_rhs_le_becomes_feasible_via_artificials(backend: Backend) {
+    pub(crate) fn negative_rhs_le_becomes_feasible_via_artificials(side: Side) {
         let mut p = Problem::maximize(vec![1.0, 0.0]);
         p.add_le(vec![1.0, -1.0], -1.0).unwrap();
         p.add_le(vec![0.0, 1.0], 3.0).unwrap();
-        let s = p.solve(&opts(backend)).unwrap();
+        let s = side.on(p).solve(&opts()).unwrap();
         assert!((s.objective() - 2.0).abs() < 1e-9);
         assert!((s.x()[1] - 3.0).abs() < 1e-9);
     }
 
-    pub(crate) fn zero_rhs_equality(backend: Backend) {
+    pub(crate) fn zero_rhs_equality(side: Side) {
         let mut p = Problem::maximize(vec![5.0, 7.0]);
         p.add_eq(vec![1.0, 1.0], 0.0).unwrap();
-        let s = p.solve(&opts(backend)).unwrap();
+        let s = side.on(p).solve(&opts()).unwrap();
         assert!(s.objective().abs() < 1e-9);
     }
 
-    pub(crate) fn eta_refactorization_survives_many_pivots(backend: Backend) {
+    pub(crate) fn eta_refactorization_survives_many_pivots(side: Side) {
         // A problem needing well over REFACTOR_INTERVAL pivots: a long
         // assignment chain forces the solver through many bases.
         let n = 120usize;
@@ -1453,7 +1482,8 @@ pub(crate) mod contract {
             row[2 * i + 1] = 1.0;
             p.add_le(row, 1.0 + i as f64 * 0.01).unwrap();
         }
-        let s = p.solve(&opts(backend)).unwrap();
+        let p = side.on(p);
+        let s = p.solve(&opts()).unwrap();
         assert!(p.max_violation(s.x()) < 1e-7);
         // Optimum: each pair contributes its bound times its best cost.
         let mut want = 0.0;
@@ -1463,14 +1493,14 @@ pub(crate) mod contract {
         assert!((s.objective() - want).abs() < 1e-7, "{}", s.objective());
     }
 
-    pub(crate) fn warm_start_skips_phase_one_and_matches_cold_bitwise(backend: Backend) {
-        let o = opts(backend);
+    pub(crate) fn warm_start_skips_phase_one_and_matches_cold_bitwise(side: Side) {
+        let o = opts();
         let make = |rhs: f64| {
             let mut p = Problem::maximize(vec![3.0, 2.0]);
             p.add_le(vec![1.0, 1.0], rhs).unwrap();
             p.add_le(vec![1.0, 3.0], rhs + 2.0).unwrap();
             p.add_eq(vec![1.0, 1.0], rhs).unwrap();
-            p
+            side.on(p)
         };
         let first = make(4.0).solve(&o).unwrap();
         let basis = first.basis().expect("exportable basis").clone();
@@ -1487,19 +1517,24 @@ pub(crate) mod contract {
     /// The carried basis of the RHS-edit tests below: unique optimum
     /// x=10, y=2, basis {x, y, slack of the y-row}, with the x-bound row
     /// binding (its slack nonbasic).
-    fn loose_basis(o: &SolverOptions) -> Basis {
+    fn loose_basis(side: Side) -> Basis {
         let mut loose = Problem::maximize(vec![2.0, 1.0]);
         loose.add_le(vec![1.0, 0.0], 10.0).unwrap();
         loose.add_le(vec![0.0, 1.0], 10.0).unwrap();
         loose.add_eq(vec![1.0, 1.0], 12.0).unwrap();
-        loose.solve(o).unwrap().basis().unwrap().clone()
+        side.on(loose)
+            .solve(&opts())
+            .unwrap()
+            .basis()
+            .unwrap()
+            .clone()
     }
 
     /// The id is from when such a basis was thrown away for a cold
     /// two-phase solve; it now starts the solve, after the dual phase.
-    pub(crate) fn infeasible_warm_basis_falls_back_to_phase_one(backend: Backend) {
-        let o = opts(backend);
-        let basis = loose_basis(&o);
+    pub(crate) fn infeasible_warm_basis_falls_back_to_phase_one(side: Side) {
+        let o = opts();
+        let basis = loose_basis(side);
         // New RHS: the carried basis forces x = 2 (binding x-row), hence
         // y = 1 − 2 < 0 — primal infeasible, so the dual phase pivots y
         // out before phase 2. The problem itself is feasible (x=1, y=0).
@@ -1507,6 +1542,7 @@ pub(crate) mod contract {
         tight.add_le(vec![1.0, 0.0], 2.0).unwrap();
         tight.add_le(vec![0.0, 1.0], 2.0).unwrap();
         tight.add_eq(vec![1.0, 1.0], 1.0).unwrap();
+        let tight = side.on(tight);
         let warm = tight.solve_warm(&o, &basis).unwrap();
         let cold = tight.solve(&o).unwrap();
         assert!(warm.used_warm_start(), "stale basis must be restored");
@@ -1516,7 +1552,8 @@ pub(crate) mod contract {
     }
 
     /// A block-angular LP in the exact fleet shape: per-block `Σx = 1`
-    /// rows, two coupling capacity rows over everything.
+    /// rows, two coupling capacity rows over everything, the blocks
+    /// declared.
     pub(crate) fn block_angular(blocks: usize, width: usize) -> Problem {
         let n = blocks * width;
         let mut c = Vec::with_capacity(n);
@@ -1542,12 +1579,12 @@ pub(crate) mod contract {
         p
     }
 
-    pub(crate) fn infeasible_warm_basis_is_restored_by_dual_pivots(backend: Backend) {
+    pub(crate) fn infeasible_warm_basis_is_restored_by_dual_pivots(side: Side) {
         // The fleet's departure: a block's Σx row drops to 0 and its
         // objective is zeroed under a basis that has both capacity rows
         // binding, so the capacity it frees drives a survivor negative.
-        let o = opts(backend);
-        let full = block_angular(6, 5);
+        let o = opts();
+        let full = side.on(block_angular(6, 5));
         let basis = full.solve(&o).unwrap().take_basis().expect("exportable");
         let mut restored = 0;
         for dead in 0..6usize {
@@ -1569,9 +1606,9 @@ pub(crate) mod contract {
         assert!(restored >= 1, "no departure left the basis infeasible");
     }
 
-    pub(crate) fn dual_phase_gives_up_on_an_infeasible_problem(backend: Backend) {
-        let o = opts(backend);
-        let basis = loose_basis(&o);
+    pub(crate) fn dual_phase_gives_up_on_an_infeasible_problem(side: Side) {
+        let o = opts();
+        let basis = loose_basis(side);
         // The carried basis says x = 2, y = 3, slack of the y-row −1; its
         // row of `B⁻¹A` offers no column to pivot on, and indeed no point
         // has x + y = 5 under these bounds.
@@ -1579,6 +1616,7 @@ pub(crate) mod contract {
         none.add_le(vec![1.0, 0.0], 2.0).unwrap();
         none.add_le(vec![0.0, 1.0], 2.0).unwrap();
         none.add_eq(vec![1.0, 1.0], 5.0).unwrap();
+        let none = side.on(none);
         let mut ws = Workspace::new();
         assert!(matches!(
             none.solve_warm_with(&o, &mut ws, &basis),
@@ -1588,18 +1626,18 @@ pub(crate) mod contract {
         assert!(matches!(none.solve(&o), Err(SolveError::Infeasible { .. })));
         let mut good = Problem::maximize(vec![3.0, 2.0]);
         good.add_le(vec![1.0, 1.0], 4.0).unwrap();
-        let s = good.solve_with(&o, &mut ws).unwrap();
+        let s = side.on(good).solve_with(&o, &mut ws).unwrap();
         assert!((s.objective() - 12.0).abs() < 1e-9);
     }
 
-    pub(crate) fn dual_phase_ends_on_degenerate_ties(backend: Backend) {
+    pub(crate) fn dual_phase_ends_on_degenerate_ties(side: Side) {
         // Columns: x_i and a duplicate x_i' per row i, then z, then w and
         // its duplicate w'. Rows: x_i + x_i' + z = b (k of them), then
         // z + w + w' ≤ 1. With b = 2 the optimum has z = 1 and every
         // x_i = 1 basic; at b = 0.5 that basis puts all k of them at −0.5,
         // and the first negative row ties w, w' and the slack in the
         // ratio test.
-        let o = opts(backend);
+        let o = opts();
         let k = 6usize;
         let build = |b: f64| {
             let mut c = Vec::new();
@@ -1614,7 +1652,7 @@ pub(crate) mod contract {
             }
             p.add_le_sparse(&[(2 * k, 1.0), (2 * k + 1, 1.0), (2 * k + 2, 1.0)], 1.0)
                 .unwrap();
-            p
+            side.on(p)
         };
         let basis = build(2.0)
             .solve(&o)
@@ -1636,21 +1674,21 @@ pub(crate) mod contract {
         assert!((warm.objective() - 2.5).abs() < 1e-9);
     }
 
-    pub(crate) fn wrong_shape_warm_basis_falls_back(backend: Backend) {
-        let o = opts(backend);
+    pub(crate) fn wrong_shape_warm_basis_falls_back(side: Side) {
+        let o = opts();
         let mut small = Problem::maximize(vec![1.0]);
         small.add_le(vec![1.0], 1.0).unwrap();
-        let basis = small.solve(&o).unwrap().basis().unwrap().clone();
+        let basis = side.on(small).solve(&o).unwrap().basis().unwrap().clone();
         let mut big = Problem::maximize(vec![1.0, 2.0]);
         big.add_le(vec![1.0, 0.0], 1.0).unwrap();
         big.add_le(vec![0.0, 1.0], 1.0).unwrap();
-        let warm = big.solve_warm(&o, &basis).unwrap();
+        let warm = side.on(big).solve_warm(&o, &basis).unwrap();
         assert!(!warm.used_warm_start());
         assert!((warm.objective() - 3.0).abs() < 1e-9);
     }
 
-    pub(crate) fn workspace_reuse_is_equivalent_to_fresh_solves(backend: Backend) {
-        let o = opts(backend);
+    pub(crate) fn workspace_reuse_is_equivalent_to_fresh_solves(side: Side) {
+        let o = opts();
         let mut ws = Workspace::new();
         let shapes: &[(usize, usize)] = &[(3, 2), (8, 5), (2, 1), (6, 9)];
         for &(n, m) in shapes {
@@ -1660,6 +1698,7 @@ pub(crate) mod contract {
                 p.add_le(row, 2.0 + i as f64).unwrap();
             }
             p.add_eq(vec![1.0; n], 1.0).unwrap();
+            let p = side.on(p);
             let fresh = p.solve(&o).unwrap();
             let reused = p.solve_with(&o, &mut ws).unwrap();
             assert_eq!(fresh.x(), reused.x(), "n={n} m={m}");
@@ -1668,29 +1707,29 @@ pub(crate) mod contract {
         }
     }
 
-    pub(crate) fn workspace_survives_error_outcomes(backend: Backend) {
-        let o = opts(backend);
+    pub(crate) fn workspace_survives_error_outcomes(side: Side) {
+        let o = opts();
         let mut ws = Workspace::new();
         let mut bad = Problem::maximize(vec![1.0]);
         bad.add_le(vec![1.0], 1.0).unwrap();
         bad.add_ge(vec![1.0], 2.0).unwrap();
         assert!(matches!(
-            bad.solve_with(&o, &mut ws),
+            side.on(bad).solve_with(&o, &mut ws),
             Err(SolveError::Infeasible { .. })
         ));
         let mut unbounded = Problem::maximize(vec![1.0, 0.0]);
         unbounded.add_le(vec![0.0, 1.0], 1.0).unwrap();
         assert!(matches!(
-            unbounded.solve_with(&o, &mut ws),
+            side.on(unbounded).solve_with(&o, &mut ws),
             Err(SolveError::Unbounded)
         ));
         let mut good = Problem::maximize(vec![3.0, 2.0]);
         good.add_le(vec![1.0, 1.0], 4.0).unwrap();
-        let s = good.solve_with(&o, &mut ws).unwrap();
+        let s = side.on(good).solve_with(&o, &mut ws).unwrap();
         assert!((s.objective() - 12.0).abs() < 1e-9);
     }
 
-    pub(crate) fn many_rows_solve_without_panicking(backend: Backend) {
+    pub(crate) fn many_rows_solve_without_panicking(side: Side) {
         // Regression: per-row scratch buffers must not be capped at a
         // fixed stack size — a 71-row LP (> 64) through the default
         // backend used to panic. Transportation-style structure keeps it
@@ -1703,26 +1742,24 @@ pub(crate) mod contract {
             p.add_le(row, 1.0 + (j % 3) as f64).unwrap();
         }
         p.add_eq(vec![1.0; n], 5.0).unwrap(); // 71 rows total
-        let s = p.solve(&opts(backend)).unwrap();
+        let p = side.on(p);
+        let s = p.solve(&opts()).unwrap();
         assert!(p.max_violation(s.x()) < 1e-7);
         assert!(s.objective() > 0.0);
         // And the warm path over the same shape.
         let basis = s.basis().expect("basis").clone();
-        let warm = p.solve_warm(&opts(backend), &basis).unwrap();
+        let warm = p.solve_warm(&opts(), &basis).unwrap();
         assert_eq!(warm.x(), s.x());
         assert!(warm.used_warm_start());
     }
 
-    pub(crate) fn no_constraint_rows(backend: Backend) {
+    pub(crate) fn no_constraint_rows(side: Side) {
         // Zero rows: x = 0 is optimal for a non-positive objective and
         // unbounded otherwise.
-        let p = Problem::minimize(vec![1.0, 2.0]);
-        let s = p.solve(&opts(backend)).unwrap();
+        let p = side.on(Problem::minimize(vec![1.0, 2.0]));
+        let s = p.solve(&opts()).unwrap();
         assert!(s.objective().abs() < 1e-12);
-        let p = Problem::maximize(vec![1.0]);
-        assert!(matches!(
-            p.solve(&opts(backend)),
-            Err(SolveError::Unbounded)
-        ));
+        let p = side.on(Problem::maximize(vec![1.0]));
+        assert!(matches!(p.solve(&opts()), Err(SolveError::Unbounded)));
     }
 }

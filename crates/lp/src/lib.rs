@@ -20,21 +20,25 @@
 //!   what makes λ/δ parameter sweeps, an adaptive sender's periodic
 //!   re-solves and the fleet's admit/depart edits cheap. The kernel is a
 //!   generic parameter — dispatch is static.
-//! * [`Backend::Revised`] (the default) runs the driver on the **dense-LU
-//!   kernel** (`revised.rs`): a row-major dense copy of the matrix,
-//!   scattered from the rows' nonzeros at the start of each solve, bulk
-//!   pricing as vectorized row passes over it, per-column accesses
-//!   gathering `m` strided elements, a dense LU of the basis. A pivot
+//! * [`Backend::Revised`] (the default) runs the driver on the kernel the
+//!   problem calls for; nothing else selects it. A problem that declares
+//!   no block structure ([`Problem::block_starts`] empty — every
+//!   single-flow LP) runs on the **dense-LU kernel** (`revised.rs`): a
+//!   row-major dense copy of the matrix, scattered from the rows'
+//!   nonzeros at the start of each solve, bulk pricing as vectorized row
+//!   passes over it, per-column accesses gathering `m` strided elements,
+//!   a dense LU of the basis. A pivot
 //!   costs `O(m²)` plus the columns actually priced instead of the dense
 //!   tableau's `O(m·n)` rewrite. Its LU neither repairs a singular basis
 //!   nor factors in an order fixed by the basis set, so it accepts
 //!   exported bases only (a [`BasisVar::Logical`] slot is a clean cold
 //!   solve).
-//! * [`Backend::Sparse`] runs it on the **block-ordered sparse kernel**
-//!   (`sparse.rs`) for the fleet layer's block-angular joint LPs (one
-//!   assignment block per admitted flow, coupled only through the shared
-//!   capacity rows): a CSC copy assembled per solve beside the rows' own
-//!   `(column, value)` pairs, which pricing streams as stored, a sparse
+//! * A problem that declares blocks ([`Problem::append_block`] does — the
+//!   fleet layer's block-angular joint LPs, one assignment block per
+//!   admitted flow, coupled only through the shared capacity rows) runs
+//!   on the **block-ordered sparse kernel** (`sparse.rs`): a CSC copy
+//!   assembled per solve beside the rows' own `(column, value)` pairs,
+//!   which pricing streams as stored, a sparse
 //!   product-form basis inverse whose refactorization pivots block-local
 //!   rows first (elimination confined to the coupling rows plus the basic
 //!   columns of active blocks), sparse eta-file FTRAN/BTRAN, and pricing
@@ -50,22 +54,23 @@
 //!   reference oracle the driver is differentially tested against
 //!   (`tests/proptest_backends.rs`).
 //!
-//! **Why two kernels** (measured, nproc = 2, virtualised Xeon @ 2.1 GHz,
-//! 2026-10-01, rustc 1.95.0). Each wins on its side of a size/sparsity
-//! line, and the end-to-end `benchmark/` has workloads on both sides.
-//! The single-flow LPs are dense — every column meets every capacity row
-//! — so the sparse kernel's per-solve CSC assembly and index chasing buy
-//! nothing the dense row passes do not already give: with
-//! `Backend::Sparse` made the default, `flow_replan` reads `op_p50_us`
-//! 6.47–8.48 (median 6.72) against 5.66–6.23 (5.84) and `ops_per_s`
+//! **Why two kernels, and why the problem picks** (measured, nproc = 2,
+//! virtualised Xeon @ 2.1 GHz, 2026-10-01, rustc 1.95.0). Each wins on
+//! its side of a size/sparsity line, declared block structure is which
+//! side a problem is on, and the end-to-end `benchmark/` has workloads on
+//! both sides. The single-flow LPs are dense — every column meets every
+//! capacity row — so the sparse kernel's per-solve CSC assembly and index
+//! chasing buy nothing the dense row passes do not already give: with
+//! the sparse kernel under the single-flow planner, `flow_replan` reads
+//! `op_p50_us` 6.47–8.48 (median 6.72) against 5.66–6.23 (5.84) and `ops_per_s`
 //! 14.1 k against 15.0 k over six alternating 15 s runs, and the traced
 //! solve itself `lp.solve_us.det2` 2.64–3.29 against 2.01–2.44, `det6m3`
 //! 23.1–29.5 against 14.5–17.6, `rand2` 3.78–5.30 against 2.78–3.73 at
 //! identical pivot counts (3.07 per solve; `lp_backends`: 729 columns ×
 //! 9 rows cold, 40.5 µs vs 27.2 µs). The joint LPs are block-angular
 //! with `m` in the hundreds, where a dense LU is cubic and an edited
-//! basis must be declined: with `Backend::Revised` as the fleet's joint
-//! backend `svc_contended` reads `ops_per_s` 153 against 1 907 and
+//! basis must be declined: with the dense LU under the fleet's joint
+//! LPs `svc_contended` reads `ops_per_s` 153 against 1 907 and
 //! `op_p50_us` 53.5 ms against 3.9 ms over four alternating runs
 //! (`lp_backends`: 64 blocks, 576 columns × 146 rows cold, 4.27 ms vs
 //! 0.59 ms). CI gates both `lp_backends` ratios within one
@@ -166,5 +171,5 @@ mod sparse;
 
 pub use error::{ProblemError, SolveError, SolveStatus};
 pub use problem::{Constraint, ConstraintKind, Problem};
-pub use simplex::{Backend, PivotRule, SolverOptions, Workspace};
+pub use simplex::{Backend, SolverOptions, Workspace};
 pub use solution::{Basis, BasisVar, Solution};

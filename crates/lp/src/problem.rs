@@ -3,7 +3,7 @@
 
 use crate::driver;
 use crate::error::{ProblemError, SolveError};
-use crate::simplex::{self, Backend, SolverOptions, WarmStart, Workspace};
+use crate::simplex::{self, Backend, SolverOptions, WarmStart, Workspace, DEGENERATE_SWITCH};
 use crate::solution::{Basis, Solution};
 
 /// Whether a [`Constraint`] is `≤` or `=`.
@@ -101,12 +101,12 @@ impl Constraint {
 /// it: [`Problem::append_block`] adds variables (no row is touched: a row
 /// holds nothing for a column it is zero in), the `add_*_sparse`
 /// constructors add rows from nonzero entries, and
-/// [`Problem::set_row_range`] / [`Problem::set_rhs`] /
-/// [`Problem::set_objective_range`] patch coefficients in place. The
-/// recorded block boundaries ([`Problem::block_starts`]) tell the sparse
-/// backend which columns belong together: rows whose support stays inside
-/// one block are *local* rows, rows spanning blocks are *coupling* rows,
-/// and the factorization/pricing exploit that split.
+/// [`Problem::set_row_range`] / [`Problem::set_objective_range`] patch
+/// coefficients in place. Recorded block boundaries
+/// ([`Problem::block_starts`]) put [`Backend::Revised`] on its sparse
+/// kernel and tell it which columns belong together: rows whose support
+/// stays inside one block are *local* rows, rows spanning blocks are
+/// *coupling* rows, and the factorization/pricing exploit that split.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Problem {
     /// Objective coefficients, always stored in *maximization* sense.
@@ -369,7 +369,9 @@ impl Problem {
     }
 
     /// Declared block boundaries (start column per block, first 0);
-    /// empty when no structure was declared.
+    /// empty when no structure was declared. Non-empty boundaries run
+    /// [`Backend::Revised`] on its sparse kernel, empty ones on its dense
+    /// LU.
     pub fn block_starts(&self) -> &[usize] {
         &self.block_starts
     }
@@ -562,7 +564,7 @@ impl Problem {
         options: &SolverOptions,
         workspace: &mut Workspace,
     ) -> Result<Solution, SolveError> {
-        self.dispatch(options, workspace, None)
+        self.dispatch(options, workspace, None, DEGENERATE_SWITCH)
     }
 
     /// Solves the problem warm-started from a [`Basis`] — a prior
@@ -583,7 +585,7 @@ impl Problem {
     /// re-solve after capacity was freed); those restore feasibility
     /// only and may leave reduced costs of the wrong sign, which phase 2
     /// clears as it proves optimality. A basis that factors singular
-    /// after a coefficient edit is repaired by [`Backend::Sparse`]
+    /// after a coefficient edit is repaired by the sparse kernel
     /// (dependent columns dropped, the rows they leave take their
     /// logicals). A stale basis — wrong shape, a duplicate column, or
     /// one the dual pivots could not restore — silently falls back to
@@ -591,9 +593,9 @@ impl Problem {
     /// outcome than [`Problem::solve`], and phase 3 walks to the same
     /// canonical vertex either way.
     ///
-    /// [`Backend::Revised`] honors exported bases only (any
-    /// `Logical` slot is a clean cold solve); the dense oracle ignores
-    /// the hint altogether.
+    /// The dense-LU kernel (a problem without declared blocks) honors
+    /// exported bases only (any `Logical` slot is a clean cold solve);
+    /// the dense oracle ignores the hint altogether.
     ///
     /// # Errors
     ///
@@ -617,15 +619,22 @@ impl Problem {
         workspace: &mut Workspace,
         basis: &Basis,
     ) -> Result<Solution, SolveError> {
-        self.dispatch(options, workspace, Some(basis))
+        self.dispatch(options, workspace, Some(basis), DEGENERATE_SWITCH)
     }
 
-    /// Validates and routes to the configured [`Backend`].
-    fn dispatch(
+    /// Validates and routes to the configured [`Backend`] and, for
+    /// [`Backend::Revised`], to the kernel this problem's shape calls for:
+    /// the sparse one when it declares blocks (every joint LP the fleet
+    /// assembles), the dense LU when it does not (every single-flow LP).
+    /// Pricing turns to Bland's rule after `bland_after` degenerate
+    /// pivots in a row — [`DEGENERATE_SWITCH`] everywhere but the tests
+    /// that reach Bland's rule directly.
+    pub(crate) fn dispatch(
         &self,
         options: &SolverOptions,
         workspace: &mut Workspace,
         warm: Option<&Basis>,
+        bland_after: usize,
     ) -> Result<Solution, SolveError> {
         workspace.last_warm = WarmStart::Cold;
         if self.objective.is_empty() {
@@ -635,24 +644,25 @@ impl Problem {
             return Err(ProblemError::NonFiniteCoefficient.into());
         }
         let obs = &options.obs;
+        let blocks = !self.block_starts.is_empty();
         // The span closes after the pivot-count advance below, so its
         // tick extent equals this solve's pivots.
         let span = obs.span(match options.backend {
             Backend::DenseTableau => "lp.solve.dense",
+            Backend::Revised if blocks => "lp.solve.sparse",
             Backend::Revised => "lp.solve.revised",
-            Backend::Sparse => "lp.solve.sparse",
         });
         let result = match options.backend {
-            Backend::DenseTableau => simplex::solve(self, options, workspace),
+            Backend::DenseTableau => simplex::solve(self, options, workspace, bland_after),
+            Backend::Revised if blocks => {
+                let Workspace { driver, sparse, .. } = workspace;
+                driver::solve(self, options, driver, sparse, warm, bland_after)
+            }
             Backend::Revised => {
                 let Workspace {
                     driver, revised, ..
                 } = workspace;
-                driver::solve(self, options, driver, revised, warm)
-            }
-            Backend::Sparse => {
-                let Workspace { driver, sparse, .. } = workspace;
-                driver::solve(self, options, driver, sparse, warm)
+                driver::solve(self, options, driver, revised, warm, bland_after)
             }
         };
         // The dense tableau leaves the driver's stats untouched (stale).

@@ -1,4 +1,5 @@
-//! The dense-LU basis kernel of [`Backend::Revised`](crate::Backend).
+//! The dense-LU basis kernel: what [`Backend::Revised`](crate::Backend)
+//! runs a problem on that declares no block structure.
 //!
 //! The simplex method itself is [`crate::driver`]; this file is the
 //! storage and factorization it runs on for the paper's own LPs — a
@@ -272,28 +273,23 @@ fn lu_solve_t(lu: &[f64], piv: &[usize], m: usize, v: &mut [f64]) {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Backend, Problem, SolverOptions, Workspace};
+    use crate::driver::contract::Side;
+    use crate::{Problem, SolverOptions, Workspace};
 
-    crate::driver::contract::contract_tests!(Backend::Revised);
-
-    fn opts() -> SolverOptions {
-        SolverOptions {
-            backend: Backend::Revised,
-            ..SolverOptions::default()
-        }
-    }
+    crate::driver::contract::contract_tests!(Side::DenseLu);
 
     #[test]
     fn an_edited_basis_is_declined_whole_never_mis_mapped() {
-        // `Logical` rows are the sparse backend's vocabulary: here the
+        // `Logical` rows are the sparse kernel's vocabulary: here the
         // whole basis is a clean cold solve, the same bits as one.
-        let o = opts();
+        let o = SolverOptions::default();
         let mut p = Problem::maximize(vec![1.0, 2.0]);
         p.add_le(vec![1.0, 0.0], 1.0).unwrap();
         p.add_le(vec![0.0, 1.0], 1.0).unwrap();
         let mut basis = p.solve(&o).unwrap().take_basis().expect("exportable");
         let cols = p.append_block(&[3.0]).unwrap();
         p.add_eq_sparse(&[(cols.start, 1.0)], 1.0).unwrap();
+        let p = Side::DenseLu.on(p);
         basis.extend_logical(p.num_constraints());
         let mut ws = Workspace::new();
         let warm = p.solve_warm_with(&o, &mut ws, &basis).unwrap();

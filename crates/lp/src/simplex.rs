@@ -3,8 +3,8 @@
 //! Phase 1 minimizes the sum of artificial variables to find a basic
 //! feasible solution; phase 2 optimizes the user objective. Redundant rows
 //! discovered at the end of phase 1 are dropped. Anti-cycling is handled by
-//! switching from Dantzig to Bland pivoting after a run of degenerate
-//! pivots (see [`PivotRule`]).
+//! switching from Dantzig to Bland pivoting after [`DEGENERATE_SWITCH`]
+//! degenerate pivots in a row.
 //!
 //! All scratch memory (the tableau, basis, objective rows and row
 //! metadata) lives in a [`Workspace`] so repeated solves — λ/δ sweeps, an
@@ -15,34 +15,16 @@ use crate::error::SolveError;
 use crate::problem::{ConstraintKind, Problem};
 use crate::solution::{Basis, BasisVar, Solution};
 
-/// Pivot-column selection rule.
-///
-/// For the revised driver ([`Backend::Revised`], [`Backend::Sparse`]) the
-/// rules map onto pricing strategies: `Dantzig` prices every column each
-/// iteration, `Bland` takes the first improving column, and `Adaptive`
-/// uses partial (sectioned candidate-list) pricing with the same
-/// automatic Bland fallback on degeneracy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PivotRule {
-    /// Most-negative reduced cost. Fast in practice; can cycle on
-    /// degenerate problems.
-    Dantzig,
-    /// Smallest-index improving column (Bland). Guaranteed to terminate;
-    /// slower.
-    Bland,
-    /// Dantzig, switching to Bland after a run of degenerate pivots.
-    /// This is the default and combines speed with guaranteed termination.
-    #[default]
-    Adaptive,
-}
+/// Feasibility/optimality tolerance of every backend. Rows are
+/// equilibrated (scaled by their largest coefficient) before solving, so
+/// it is meaningful regardless of input scale.
+pub(crate) const TOLERANCE: f64 = 1e-9;
+
+/// Consecutive degenerate pivots after which pricing falls back to
+/// Bland's rule, which cannot cycle.
+pub(crate) const DEGENERATE_SWITCH: usize = 64;
 
 /// Which simplex implementation [`Problem::solve`] runs.
-///
-/// `Revised` and `Sparse` are the same revised-simplex driver (phases,
-/// partial pricing, ratio test, canonicalization, warm starts) on two
-/// basis kernels; they differ only in how the matrix is stored and `B⁻¹`
-/// is represented, and each is the faster one on its side of the
-/// size/sparsity line (see the crate docs for the measurements).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
     /// Two-phase primal simplex on a dense row-major tableau. Every pivot
@@ -50,65 +32,42 @@ pub enum Backend {
     /// kept as the reference oracle the revised driver is differentially
     /// tested against.
     DenseTableau,
-    /// Revised simplex on the **dense-LU kernel**: a dense LU of the
-    /// basis plus a product-form (eta-file) update, over a row-major dense
-    /// copy of the matrix made per solve. A pivot costs `O(m²)` plus the
-    /// columns actually priced, which wins decisively on the paper's
-    /// few-rows/many-columns LPs; honors warm starts
-    /// ([`Problem::solve_warm`]) from exported bases. The default.
+    /// The revised-simplex driver (phases, partial pricing, ratio test,
+    /// canonicalization, warm starts) on the basis kernel the problem
+    /// calls for: the **block-ordered sparse kernel** when it declares
+    /// blocks ([`Problem::block_starts`] non-empty, as
+    /// [`Problem::append_block`] leaves it — the fleet layer's
+    /// block-angular joint LPs), the **dense-LU kernel** otherwise (every
+    /// single-flow LP). Each is the faster one on its side of that line
+    /// (the crate docs say how they work and what was measured); only the
+    /// sparse one accepts a basis edited in step with the problem and
+    /// repairs one left singular. Both report the same canonical vertex,
+    /// so warm and cold solves are bit-identical. The default.
     #[default]
     Revised,
-    /// Revised simplex on the **block-ordered sparse kernel**: CSC columns
-    /// plus the rows' own nonzero lists, a sparse product-form basis inverse
-    /// whose refactorization pivots block-local rows first (so elimination
-    /// work and fill stay confined to the coupling rows plus the basic
-    /// columns of active blocks), sparse eta-file FTRAN/BTRAN, and partial
-    /// pricing sectioned along the declared block boundaries
-    /// ([`Problem::block_starts`]). Built for the fleet layer's
-    /// block-angular joint admission LPs — per-flow assignment blocks
-    /// coupled only by the shared capacity rows — where it replaces the
-    /// dense kernel's `O(m³)` refactorizations and `O(m·n)` pricing with
-    /// work proportional to the nonzeros. Honors warm starts, including
-    /// from a basis edited in step with the problem, and reports the same
-    /// canonical vertex as [`Backend::Revised`], so warm and cold solves
-    /// are bit-identical.
-    Sparse,
 }
 
 /// Tuning knobs for [`Problem::solve`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverOptions {
-    /// Feasibility/optimality tolerance (default `1e-9`).
-    ///
-    /// Rows are equilibrated (scaled by their largest coefficient) before
-    /// solving, so this tolerance is meaningful regardless of input scale.
-    pub tolerance: f64,
     /// Hard cap on pivot iterations per phase (default `50_000`).
     pub max_iterations: usize,
-    /// Pivot-column selection rule (default [`PivotRule::Adaptive`]).
-    pub pivot_rule: PivotRule,
-    /// Number of consecutive degenerate pivots before [`PivotRule::Adaptive`]
-    /// falls back to Bland's rule (default `64`).
-    pub degenerate_switch: usize,
     /// Simplex implementation (default [`Backend::Revised`]).
     pub backend: Backend,
     /// Telemetry registry (default [`dmc_obs::Obs::disabled`]: every
     /// recording is a no-op branch). When enabled, each solve records
     /// `lp.solves`, `lp.pivots` (`lp.dual_pivots` of them in the dual
     /// phase), `lp.refactorizations`, `lp.phase1_early_exits`, warm-start
-    /// counters, the `lp.eta_len` histogram, and a per-backend
-    /// `lp.solve.*` span; the logical clock advances by one tick per
-    /// pivot.
+    /// counters, the `lp.eta_len` histogram, and a per-kernel
+    /// `lp.solve.*` span (`dense`, `revised` for the dense LU, `sparse`);
+    /// the logical clock advances by one tick per pivot.
     pub obs: dmc_obs::Obs,
 }
 
 impl Default for SolverOptions {
     fn default() -> Self {
         SolverOptions {
-            tolerance: 1e-9,
             max_iterations: 50_000,
-            pivot_rule: PivotRule::Adaptive,
-            degenerate_switch: 64,
             backend: Backend::default(),
             obs: dmc_obs::Obs::disabled(),
         }
@@ -208,9 +167,9 @@ pub struct Workspace {
     row_info: Vec<RowInfo>,
     /// Buffers of the revised-simplex driver, shared by its two kernels.
     pub(crate) driver: crate::driver::DriverState,
-    /// Factors of the dense-LU kernel ([`Backend::Revised`]).
+    /// Factors of the dense-LU kernel.
     pub(crate) revised: crate::revised::DenseLu,
-    /// View and factors of the sparse kernel ([`Backend::Sparse`]).
+    /// View and factors of the sparse kernel.
     pub(crate) sparse: crate::sparse::BlockPfi,
     /// Fate of the warm basis in the last solve through this workspace.
     pub(crate) last_warm: WarmStart,
@@ -362,13 +321,15 @@ struct RowInfo {
     scale: f64,
 }
 
-/// Entry point used by [`Problem::solve`] / [`Problem::solve_with`].
+/// Entry point used by [`Problem::solve`] / [`Problem::solve_with`]:
+/// Bland's rule takes over after `bland_after` degenerate pivots in a row
+/// ([`DEGENERATE_SWITCH`] outside tests).
 pub(crate) fn solve(
     problem: &Problem,
     options: &SolverOptions,
     ws: &mut Workspace,
+    bland_after: usize,
 ) -> Result<Solution, SolveError> {
-    let tol = options.tolerance;
     let m = problem.num_constraints();
     let n = problem.num_vars();
 
@@ -462,12 +423,12 @@ pub(crate) fn solve(
             *c = -1.0; // maximize −Σ artificials
         }
         tab.install_objective(&ws.cost);
-        iterate(&mut tab, options, cols, &mut iterations)?;
+        iterate(&mut tab, options, cols, &mut iterations, bland_after)?;
         let residual = -tab.rhs_obj();
-        if residual > tol.max(1e-7) {
+        if residual > TOLERANCE.max(1e-7) {
             return Err(SolveError::Infeasible { residual });
         }
-        purge_artificials(&mut tab, art_start, tol);
+        purge_artificials(&mut tab, art_start);
     }
 
     // ---- Phase 2: user objective ---------------------------------------
@@ -479,7 +440,7 @@ pub(crate) fn solve(
     ws.cost[..n].copy_from_slice(&problem.objective);
     tab.install_objective(&ws.cost);
     // Artificials must never re-enter.
-    iterate(&mut tab, options, art_start, &mut iterations)?;
+    iterate(&mut tab, options, art_start, &mut iterations, bland_after)?;
 
     // ---- Extract primal solution ---------------------------------------
     let mut x = vec![0.0; n];
@@ -557,21 +518,19 @@ pub(crate) fn solve(
 /// Runs simplex iterations until optimality on the current objective row.
 ///
 /// `enter_limit` caps which columns may enter the basis (used to lock out
-/// artificial columns during phase 2).
+/// artificial columns during phase 2). Dantzig's rule picks the entering
+/// column until `bland_after` degenerate pivots in a row, Bland's after.
 fn iterate(
     tab: &mut Tableau<'_>,
     options: &SolverOptions,
     enter_limit: usize,
     iterations: &mut usize,
+    bland_after: usize,
 ) -> Result<(), SolveError> {
-    let tol = options.tolerance;
+    let tol = TOLERANCE;
     let mut degenerate_run = 0usize;
     for _ in 0..options.max_iterations {
-        let use_bland = match options.pivot_rule {
-            PivotRule::Bland => true,
-            PivotRule::Dantzig => false,
-            PivotRule::Adaptive => degenerate_run >= options.degenerate_switch,
-        };
+        let use_bland = degenerate_run >= bland_after;
 
         // --- entering column ---
         // Price off a contiguous slice of the objective row: one bounds
@@ -635,7 +594,7 @@ fn iterate(
 ///
 /// `art_start` is the first artificial column; slacks and structural
 /// variables live below it.
-fn purge_artificials(tab: &mut Tableau<'_>, art_start: usize, tol: f64) {
+fn purge_artificials(tab: &mut Tableau<'_>, art_start: usize) {
     let mut r = 0;
     while r < tab.rows {
         if tab.basis[r] >= art_start {
@@ -644,7 +603,7 @@ fn purge_artificials(tab: &mut Tableau<'_>, art_start: usize, tol: f64) {
             // and preserves feasibility regardless of sign).
             let mut pivot_col = None;
             for j in 0..art_start {
-                if tab.at(r, j).abs() > tol.max(1e-10) {
+                if tab.at(r, j).abs() > TOLERANCE.max(1e-10) {
                     pivot_col = Some(j);
                     break;
                 }
@@ -745,13 +704,13 @@ mod tests {
 
     #[test]
     fn bland_rule_terminates_on_beale() {
+        // Beale's LP never runs `DEGENERATE_SWITCH` degenerate pivots
+        // here, so Bland's rule is engaged from the first pivot.
         let mut p = Problem::maximize(vec![0.75, -150.0, 0.02, -6.0]);
         p.add_le(vec![0.25, -60.0, -1.0 / 25.0, 9.0], 0.0).unwrap();
         p.add_le(vec![0.5, -90.0, -1.0 / 50.0, 3.0], 0.0).unwrap();
         p.add_le(vec![0.0, 0.0, 1.0, 0.0], 1.0).unwrap();
-        let mut o = opts();
-        o.pivot_rule = PivotRule::Bland;
-        let s = p.solve(&o).unwrap();
+        let s = solve(&p, &opts(), &mut Workspace::new(), 0).unwrap();
         assert!((s.objective() - 0.05).abs() < 1e-9);
     }
 

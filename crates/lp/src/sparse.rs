@@ -1,5 +1,6 @@
-//! The block-ordered sparse product-form kernel of
-//! [`Backend::Sparse`](crate::Backend).
+//! The block-ordered sparse product-form kernel: what
+//! [`Backend::Revised`](crate::Backend) runs a problem on that declares
+//! block structure ([`Problem::block_starts`]).
 //!
 //! The simplex method itself is [`crate::driver`]; this file is the
 //! storage and factorization it runs on for the fleet layer's joint
@@ -516,30 +517,24 @@ impl BlockPfi {
 
 #[cfg(test)]
 mod tests {
-    use crate::driver::contract::block_angular;
-    use crate::{Backend, Problem, SolveError, SolverOptions, Workspace};
+    use crate::driver::contract::{block_angular, Side};
+    use crate::{Problem, SolveError, SolverOptions, Workspace};
     use dmc_obs::Obs;
 
-    crate::driver::contract::contract_tests!(Backend::Sparse);
+    crate::driver::contract::contract_tests!(Side::Sparse);
 
     fn opts() -> SolverOptions {
-        SolverOptions {
-            backend: Backend::Sparse,
-            ..SolverOptions::default()
-        }
+        SolverOptions::default()
     }
 
     #[test]
     fn block_angular_matches_revised_backend() {
+        // The id is from when the dense LU was a backend of its own; it is
+        // now the same LP with its declaration cleared.
         for (blocks, width) in [(1usize, 9usize), (4, 9), (16, 5), (24, 9)] {
             let p = block_angular(blocks, width);
             let sparse = p.solve(&opts()).unwrap();
-            let revised = p
-                .solve(&SolverOptions {
-                    backend: Backend::Revised,
-                    ..SolverOptions::default()
-                })
-                .unwrap();
+            let revised = Side::DenseLu.on(p.clone()).solve(&opts()).unwrap();
             assert!(
                 (sparse.objective() - revised.objective()).abs() < 1e-9,
                 "{blocks}x{width}: {} vs {}",
@@ -697,7 +692,7 @@ mod tests {
             p.add_le(vec![1.0, 0.0], 1.0).unwrap();
             p.add_le(second, 1.0).unwrap();
             p.add_le(vec![1.0, 1.0], 3.0).unwrap();
-            p
+            Side::Sparse.on(p)
         };
         // Optimal basis {x0, x1, s2}. Rewriting row 1 from `x1 ≤ 1` to
         // `x0 ≤ 1` leaves x1's column equal to s2's: singular.

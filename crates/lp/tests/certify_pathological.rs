@@ -2,8 +2,8 @@
 //! unbounded problems, degenerate zero-capacity rows, zero rows, and the
 //! tombstoned (`Σx = 0`) blocks the fleet's incremental assembly
 //! produces — the certificate must accept exactly the genuinely feasible
-//! points and reject everything else with a usable message, on every
-//! backend.
+//! points and reject everything else with a usable message, on the
+//! tableau and on both kernels of the revised driver.
 //!
 //! Forged candidate points are produced by a *pinning solve* (an LP
 //! whose equality rows fix `x = v` exactly), so the `Solution` under
@@ -12,11 +12,27 @@
 
 use dmc_lp::{Backend, Problem, Solution, SolveError, SolverOptions};
 
-fn all_backends() -> [SolverOptions; 3] {
-    [Backend::DenseTableau, Backend::Revised, Backend::Sparse].map(|backend| SolverOptions {
-        backend,
+/// `p` solved by every solver: the tableau, and [`Backend::Revised`] on
+/// its dense LU (the declaration cleared) and on its sparse kernel
+/// (declared — one block when `p` declares none, which the kernel treats
+/// as no declaration).
+fn solve_all(p: &Problem) -> [Result<Solution, SolveError>; 3] {
+    let tableau = SolverOptions {
+        backend: Backend::DenseTableau,
         ..SolverOptions::default()
-    })
+    };
+    let mut dense_lu = p.clone();
+    dense_lu.set_block_starts(Vec::new()).unwrap();
+    let mut sparse = p.clone();
+    if sparse.block_starts().is_empty() {
+        sparse.set_block_starts(vec![0]).unwrap();
+    }
+    let opts = SolverOptions::default();
+    [
+        p.solve(&tableau),
+        dense_lu.solve(&opts),
+        sparse.solve(&opts),
+    ]
 }
 
 /// A `Solution` whose `x` is (up to solver roundoff) the given point,
@@ -39,8 +55,8 @@ fn infeasible_problems_never_yield_a_certifiable_point() {
     let mut p = Problem::maximize(vec![1.0]);
     p.add_le(vec![1.0], 1.0).unwrap();
     p.add_ge(vec![1.0], 2.0).unwrap();
-    for opts in all_backends() {
-        assert!(matches!(p.solve(&opts), Err(SolveError::Infeasible { .. })));
+    for result in solve_all(&p) {
+        assert!(matches!(result, Err(SolveError::Infeasible { .. })));
     }
     for x in [0.0, 1.0, 1.5, 2.0, 3.0] {
         let err = pinned(&[x]).certify(&p).unwrap_err();
@@ -56,8 +72,8 @@ fn unbounded_problems_still_certify_feasible_points() {
     // still certify against it.
     let mut p = Problem::maximize(vec![1.0, 0.0]);
     p.add_le(vec![0.0, 1.0], 1.0).unwrap();
-    for opts in all_backends() {
-        assert!(matches!(p.solve(&opts), Err(SolveError::Unbounded)));
+    for result in solve_all(&p) {
+        assert!(matches!(result, Err(SolveError::Unbounded)));
     }
     let mut bounded = Problem::maximize(vec![1.0, 0.0]);
     bounded.add_le(vec![0.0, 1.0], 1.0).unwrap();
@@ -77,8 +93,8 @@ fn zero_capacity_rows_pin_their_variables() {
     p.add_le(vec![1.0, 0.0], 0.0).unwrap(); // dead path: x0 ≤ 0
     p.add_le(vec![0.0, 1.0], 1.0).unwrap();
     p.add_eq(vec![1.0, 1.0], 1.0).unwrap();
-    for opts in all_backends() {
-        let s = p.solve(&opts).unwrap();
+    for result in solve_all(&p) {
+        let s = result.unwrap();
         s.certify(&p).expect("solver optimum certifies");
         assert!(s.x()[0].abs() <= 1e-9, "dead-path mass: {}", s.x()[0]);
         assert!((s.x()[1] - 1.0).abs() <= 1e-9);
@@ -94,19 +110,16 @@ fn all_zero_rows_certify_by_rhs_sign() {
     let mut sat = Problem::maximize(vec![1.0]);
     sat.add_le(vec![0.0], 0.0).unwrap(); // 0 ≤ 0: vacuous
     sat.add_le(vec![1.0], 2.0).unwrap();
-    for opts in all_backends() {
-        let s = sat.solve(&opts).unwrap();
+    for result in solve_all(&sat) {
+        let s = result.unwrap();
         s.certify(&sat).expect("vacuous zero row certifies");
         assert!((s.objective() - 2.0).abs() < 1e-9);
     }
     let mut unsat = Problem::maximize(vec![1.0]);
     unsat.add_ge(vec![0.0], 1.0).unwrap(); // 0 ≥ 1: impossible
     unsat.add_le(vec![1.0], 2.0).unwrap();
-    for opts in all_backends() {
-        assert!(matches!(
-            unsat.solve(&opts),
-            Err(SolveError::Infeasible { .. })
-        ));
+    for result in solve_all(&unsat) {
+        assert!(matches!(result, Err(SolveError::Infeasible { .. })));
     }
     assert!(pinned(&[0.0]).certify(&unsat).is_err());
 }
@@ -121,8 +134,8 @@ fn tombstoned_blocks_certify_only_at_zero() {
     p.add_eq(vec![1.0, 1.0, 0.0, 0.0], 0.0).unwrap(); // tombstoned block
     p.add_eq(vec![0.0, 0.0, 1.0, 1.0], 1.0).unwrap(); // live block
     p.set_block_starts(vec![0, 2]).unwrap();
-    for opts in all_backends() {
-        let s = p.solve(&opts).unwrap();
+    for result in solve_all(&p) {
+        let s = result.unwrap();
         s.certify(&p).expect("tombstoned optimum certifies");
         assert!(s.x()[0].abs() <= 1e-9 && s.x()[1].abs() <= 1e-9);
     }

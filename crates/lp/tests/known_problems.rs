@@ -2,7 +2,7 @@
 //! corner cases the multipath models also hit (degeneracy, redundancy,
 //! equality constraints, unbounded rays, alternate optima).
 
-use dmc_lp::{PivotRule, Problem, SolveError, SolverOptions};
+use dmc_lp::{Problem, SolveError, SolverOptions};
 
 fn opts() -> SolverOptions {
     SolverOptions::default()
@@ -62,12 +62,8 @@ fn klee_minty_3d_terminates_quickly() {
     p.add_le(vec![1.0, 0.0, 0.0], 1.0).unwrap();
     p.add_le(vec![20.0, 1.0, 0.0], 100.0).unwrap();
     p.add_le(vec![200.0, 20.0, 1.0], 10_000.0).unwrap();
-    for rule in [PivotRule::Dantzig, PivotRule::Bland, PivotRule::Adaptive] {
-        let mut o = opts();
-        o.pivot_rule = rule;
-        let s = p.solve(&o).unwrap();
-        assert!((s.objective() - 10_000.0).abs() < 1e-6, "{rule:?}");
-    }
+    let s = p.solve(&opts()).unwrap();
+    assert!((s.objective() - 10_000.0).abs() < 1e-6);
 }
 
 #[test]

@@ -12,12 +12,19 @@ fn sample_problem() -> Problem {
     p
 }
 
+/// The kernel is the problem's to pick: the same LP is recorded under
+/// `lp.solve.sparse` when it declares its blocks and under
+/// `lp.solve.revised` (the dense LU) when it does not, and both kernels
+/// agree to 1e-9.
 #[test]
 fn solve_records_counters_and_span() {
-    for (backend, span_name) in [
-        (Backend::DenseTableau, "lp.solve.dense"),
-        (Backend::Revised, "lp.solve.revised"),
-        (Backend::Sparse, "lp.solve.sparse"),
+    let mut declared = sample_problem();
+    declared.set_block_starts(vec![0]).expect("one block");
+    let mut kernels = Vec::new();
+    for (backend, problem, span_name) in [
+        (Backend::DenseTableau, sample_problem(), "lp.solve.dense"),
+        (Backend::Revised, sample_problem(), "lp.solve.revised"),
+        (Backend::Revised, declared, "lp.solve.sparse"),
     ] {
         let obs = Obs::enabled();
         let opts = SolverOptions {
@@ -25,9 +32,7 @@ fn solve_records_counters_and_span() {
             obs: obs.clone(),
             ..SolverOptions::default()
         };
-        let s = sample_problem()
-            .solve(&opts)
-            .expect("sample LP is feasible");
+        let s = problem.solve(&opts).expect("sample LP is feasible");
         let snap = obs.snapshot();
         assert_eq!(snap.counter("lp.solves"), Some(1), "{span_name}");
         assert_eq!(
@@ -45,7 +50,16 @@ fn solve_records_counters_and_span() {
                 "cold start factorizes at least once"
             );
             assert!(snap.histogram("lp.eta_len").is_some());
+            kernels.push(s);
         }
+        assert_eq!(snap.spans.len(), 1, "{span_name}: one kernel per solve");
+    }
+    let [dense_lu, sparse] = &kernels[..] else {
+        panic!("two kernel solves");
+    };
+    assert!((dense_lu.objective() - sparse.objective()).abs() < 1e-9);
+    for (a, b) in dense_lu.x().iter().zip(sparse.x()) {
+        assert!((a - b).abs() < 1e-9, "{a} vs {b}");
     }
 }
 

@@ -1,11 +1,12 @@
-//! Differential testing: the revised and sparse backends against the
-//! dense oracle.
+//! Differential testing: the revised driver on both of its kernels
+//! against the dense oracle.
 //!
 //! Random LPs — feasible by construction, infeasible by construction,
 //! unbounded by construction, and unconstrained-outcome mixes — must
-//! produce the same outcome class from [`Backend::Revised`],
-//! [`Backend::Sparse`] and [`Backend::DenseTableau`], and on success
-//! agree on objective, primal point and duals to 1e-9. Coefficients are
+//! produce the same outcome class from [`Backend::DenseTableau`] and from
+//! [`Backend::Revised`] on each kernel (the problem picks it: cleared of
+//! block declarations, the dense LU; declared, the sparse one), and on
+//! success agree on objective, primal point and duals to 1e-9. Coefficients are
 //! drawn from continuous distributions, so optima (and duals) are unique
 //! almost surely and the pointwise comparison is meaningful.
 //!
@@ -32,18 +33,17 @@ fn dense_opts() -> SolverOptions {
     }
 }
 
-fn revised_opts() -> SolverOptions {
-    SolverOptions {
-        backend: Backend::Revised,
-        ..SolverOptions::default()
+/// `p` once per kernel of [`Backend::Revised`], named: its block
+/// declaration cleared (dense LU), and declared — as one block when it
+/// declares none, which the sparse kernel treats as no declaration.
+fn on_both_kernels(p: &Problem) -> [(&'static str, Problem); 2] {
+    let mut dense_lu = p.clone();
+    dense_lu.set_block_starts(Vec::new()).unwrap();
+    let mut sparse = p.clone();
+    if sparse.block_starts().is_empty() {
+        sparse.set_block_starts(vec![0]).unwrap();
     }
-}
-
-fn sparse_opts() -> SolverOptions {
-    SolverOptions {
-        backend: Backend::Sparse,
-        ..SolverOptions::default()
-    }
+    [("dense LU", dense_lu), ("sparse", sparse)]
 }
 
 /// Deterministic pseudo-random f64 in [0, 1) from a seed counter
@@ -85,8 +85,8 @@ fn build_feasible_lp(n: usize, m: usize, with_eq: bool, seed0: u64) -> Problem {
 
 fn assert_backends_agree(p: &Problem) -> Result<(), TestCaseError> {
     let dense = p.solve(&dense_opts());
-    for (name, opts) in [("revised", revised_opts()), ("sparse", sparse_opts())] {
-        let other = p.solve(&opts);
+    for (name, q) in on_both_kernels(p) {
+        let other = q.solve(&SolverOptions::default());
         match (&dense, &other) {
             (Ok(d), Ok(r)) => {
                 prop_assert!(
@@ -375,16 +375,16 @@ enum Edit {
 /// `edit_scripts_from_the_carried_basis_equal_cold`'s.
 #[test]
 fn in_place_edits_re_solve_from_the_carried_basis() {
-    let sparse = sparse_opts();
+    let opts = SolverOptions::default();
     let (mut in_place, mut warm_started) = (0, 0);
     for seed in 1..=40u64 {
         let mut lp = EditedLp::new(1 + seed as usize % 3, seed);
-        lp.basis = lp.p.solve(&sparse).unwrap().take_basis();
+        lp.basis = lp.p.solve(&opts).unwrap().take_basis();
         for _ in 0..24 {
             let edit = lp.edit();
             let solved = match &lp.basis {
-                Some(basis) => lp.p.solve_warm(&sparse, basis),
-                None => lp.p.solve(&sparse),
+                Some(basis) => lp.p.solve_warm(&opts, basis),
+                None => lp.p.solve(&opts),
             };
             match solved {
                 Ok(mut s) => {
@@ -413,7 +413,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Feasible bounded LPs (with and without an equality row): identical
-    /// optima from both backends.
+    /// optima from the oracle and both kernels.
     #[test]
     fn feasible_lps_agree(
         n in 1usize..8,
@@ -426,7 +426,7 @@ proptest! {
     }
 
     /// Infeasible-by-construction LPs (`a·x ≤ t` and `a·x ≥ t + gap`):
-    /// both backends must report infeasibility.
+    /// every solver must report infeasibility.
     #[test]
     fn infeasible_lps_agree(n in 1usize..6, seed in any::<u64>(), gap in 0.5f64..5.0) {
         let mut seed = seed;
@@ -439,7 +439,7 @@ proptest! {
     }
 
     /// Unbounded-by-construction LPs (one variable unconstrained above
-    /// with positive objective): both backends must report unboundedness.
+    /// with positive objective): every solver must report unboundedness.
     #[test]
     fn unbounded_lps_agree(n in 2usize..6, seed in any::<u64>()) {
         let mut seed = seed;
@@ -500,42 +500,42 @@ proptest! {
             }
             p.add_eq(vec![1.0; n], 1.0).unwrap();
             let dense = p.solve(&dense_opts()).unwrap();
-            for (opts, basis) in [revised_opts(), sparse_opts()].iter().zip(&mut bases) {
+            let opts = SolverOptions::default();
+            for ((kernel, q), basis) in on_both_kernels(&p).into_iter().zip(&mut bases) {
                 let warm = match basis.as_ref() {
-                    Some(b) => p.solve_warm(opts, b).unwrap(),
-                    None => p.solve(opts).unwrap(),
+                    Some(b) => q.solve_warm(&opts, b).unwrap(),
+                    None => q.solve(&opts).unwrap(),
                 };
-                let backend = opts.backend;
                 prop_assert!(
                     (warm.objective() - dense.objective()).abs() < 1e-9,
-                    "{backend:?} step {step}: warm {} vs dense {}",
+                    "{kernel} step {step}: warm {} vs dense {}",
                     warm.objective(),
                     dense.objective()
                 );
                 for (j, (a, b)) in warm.x().iter().zip(dense.x()).enumerate() {
                     prop_assert!(
                         (a - b).abs() < 1e-9,
-                        "{backend:?} step {step} x[{j}]: {a} vs {b}"
+                        "{kernel} step {step} x[{j}]: {a} vs {b}"
                     );
                 }
-                let cold = p.solve(opts).unwrap();
-                prop_assert_eq!(warm.x(), cold.x(), "{:?} step {}", backend, step);
+                let cold = q.solve(&opts).unwrap();
+                prop_assert_eq!(warm.x(), cold.x(), "{} step {}", kernel, step);
                 prop_assert_eq!(
                     warm.objective().to_bits(),
                     cold.objective().to_bits(),
-                    "{:?} step {}",
-                    backend,
+                    "{} step {}",
+                    kernel,
                     step
                 );
-                prop_assert_eq!(warm.duals(), cold.duals(), "{:?} step {}", backend, step);
+                prop_assert_eq!(warm.duals(), cold.duals(), "{} step {}", kernel, step);
                 *basis = warm.basis().cloned();
             }
         }
     }
 
-    /// Random block-angular fleet LPs: all three backends agree to 1e-9,
-    /// with and without declared block boundaries (declaring structure
-    /// changes pivot orders, never answers).
+    /// Random block-angular fleet LPs: the oracle and both kernels agree
+    /// to 1e-9, the sparse kernel with the block boundaries declared or
+    /// as one block (the boundaries change pivot orders, never answers).
     #[test]
     fn block_angular_lps_agree(
         blocks in 1usize..10,
@@ -587,12 +587,12 @@ proptest! {
             .set_objective_range(victim * width, &objective[victim * width..(victim + 1) * width])
             .unwrap();
 
-        let sparse = sparse_opts();
+        let opts = SolverOptions::default();
         let mut basis = None;
         for (step, p) in [&base, &tombstoned, &revived].into_iter().enumerate() {
-            let cold = p.solve(&sparse);
+            let cold = p.solve(&opts);
             let warm = match (&basis, &cold) {
-                (Some(b), Ok(_)) => Some(p.solve_warm(&sparse, b).unwrap()),
+                (Some(b), Ok(_)) => Some(p.solve_warm(&opts, b).unwrap()),
                 _ => None,
             };
             match cold {
@@ -632,14 +632,14 @@ proptest! {
         steps in 4usize..28,
         seed in any::<u64>(),
     ) {
-        let sparse = sparse_opts();
+        let opts = SolverOptions::default();
         let mut lp = EditedLp::new(couplings, seed);
         for step in 0..steps {
             let edit = (step > 0).then(|| lp.edit());
-            let cold = lp.p.solve(&sparse);
+            let cold = lp.p.solve(&opts);
             let warm = match &lp.basis {
-                Some(basis) => lp.p.solve_warm(&sparse, basis),
-                None => lp.p.solve(&sparse),
+                Some(basis) => lp.p.solve_warm(&opts, basis),
+                None => lp.p.solve(&opts),
             };
             match (warm, cold) {
                 (Ok(mut warm), Ok(cold)) => {

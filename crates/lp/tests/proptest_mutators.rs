@@ -10,8 +10,9 @@
 //! `add_le` / `add_ge` / `add_eq` and asserts the two are `==` — equal
 //! storage, since a row never holds a zero. At the end the script bounds
 //! the LP and retunes every right-hand side around one interior point,
-//! and both are solved: [`Backend::Revised`] and [`Backend::Sparse`] must
-//! return the same bits from either, and agree with the
+//! and both are solved: [`Backend::Revised`] on either kernel — the
+//! sparse one as declared, the dense LU with the declaration cleared —
+//! must return the same bits from either, and agree with the
 //! [`Backend::DenseTableau`] oracle to 1e-9.
 
 use dmc_lp::{Backend, ConstraintKind, Problem, SolverOptions};
@@ -243,11 +244,12 @@ impl Script {
     }
 }
 
-fn opts(backend: Backend) -> SolverOptions {
-    SolverOptions {
-        backend,
-        ..SolverOptions::default()
-    }
+/// `p` with its block declaration cleared: [`Backend::Revised`] runs it
+/// on the dense LU.
+fn undeclared(p: &Problem) -> Problem {
+    let mut p = p.clone();
+    p.set_block_starts(Vec::new()).unwrap();
+    p
 }
 
 proptest! {
@@ -263,25 +265,31 @@ proptest! {
         script.make_solvable();
         let (edited, rebuilt) = (&script.p, script.rebuilt());
         prop_assert_eq!(edited, &rebuilt);
-        let dense = edited.solve(&opts(Backend::DenseTableau)).unwrap();
-        for backend in [Backend::Revised, Backend::Sparse] {
-            let (a, b) = (
-                edited.solve(&opts(backend)).unwrap(),
-                rebuilt.solve(&opts(backend)).unwrap(),
-            );
-            prop_assert_eq!(a.x(), b.x(), "{:?}: x", backend);
+        let oracle = SolverOptions {
+            backend: Backend::DenseTableau,
+            ..SolverOptions::default()
+        };
+        let dense = edited.solve(&oracle).unwrap();
+        let opts = SolverOptions::default();
+        // The script's problem always declares its blocks: sparse kernel.
+        for (kernel, edited, rebuilt) in [
+            ("sparse", edited.clone(), rebuilt.clone()),
+            ("dense LU", undeclared(edited), undeclared(&rebuilt)),
+        ] {
+            let (a, b) = (edited.solve(&opts).unwrap(), rebuilt.solve(&opts).unwrap());
+            prop_assert_eq!(a.x(), b.x(), "{}: x", kernel);
             prop_assert_eq!(a.objective().to_bits(), b.objective().to_bits());
-            prop_assert_eq!(a.duals(), b.duals(), "{:?}: duals", backend);
+            prop_assert_eq!(a.duals(), b.duals(), "{}: duals", kernel);
             prop_assert!(
                 (a.objective() - dense.objective()).abs() < 1e-9,
-                "{backend:?} {} vs dense {}",
+                "{kernel} {} vs dense {}",
                 a.objective(),
                 dense.objective()
             );
             for (j, (x, d)) in a.x().iter().zip(dense.x()).enumerate() {
-                prop_assert!((x - d).abs() < 1e-9, "{backend:?} x[{j}]: {x} vs dense {d}");
+                prop_assert!((x - d).abs() < 1e-9, "{kernel} x[{j}]: {x} vs dense {d}");
             }
-            a.certify(edited).map_err(TestCaseError)?;
+            a.certify(&edited).map_err(TestCaseError)?;
         }
     }
 }

@@ -11,6 +11,7 @@
 use deadline_multipath::experiments::chaos::{
     self, chaos_paths, check_invariants, trace_hash, trace_priorities,
 };
+use deadline_multipath::obs::Obs;
 use deadline_multipath::prelude::*;
 use deadline_multipath::sim::LinkChange;
 
@@ -129,12 +130,13 @@ fn seeded_chaos_script_holds_every_invariant() {
     // The fully seeded script (arrivals, retune, outage, recovery and the
     // trailing horizon all derived from the seed) — the driver's per-trial
     // body, pinned here as tier-1.
-    let outcome = chaos::fleet_chaos_trial(0xACCE55, 6).unwrap();
+    let off = Obs::disabled();
+    let outcome = chaos::fleet_chaos_trial(0xACCE55, 6, &off).unwrap();
     assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
     assert!(outcome.shed > 0);
     assert!(outcome.revived + outcome.rejected > 0);
     // Same seed ⇒ same trace hash, end to end.
-    let again = chaos::fleet_chaos_trial(0xACCE55, 6).unwrap();
+    let again = chaos::fleet_chaos_trial(0xACCE55, 6, &off).unwrap();
     assert_eq!(outcome.hash, again.hash);
 }
 
@@ -144,13 +146,14 @@ fn corruption_and_duplication_never_forge_a_delivery() {
     // bounded reordering. The checksum rejects every corrupted frame that
     // arrives, the dedup window absorbs duplicates, and the run is a pure
     // function of its seed.
-    let out = chaos::proto_chaos_run(0xACCE55, 2_000).unwrap();
+    let off = Obs::disabled();
+    let out = chaos::proto_chaos_run(0xACCE55, 2_000, &off).unwrap();
     let inj = out.faults_injected;
     assert!(inj.corrupted > 0 && inj.duplicated > 0);
     assert!(out.receiver.malformed > 0);
     assert!(out.receiver.malformed <= inj.corrupted + inj.duplicated);
     assert!(out.quality > 0.9, "quality {}", out.quality);
-    let again = chaos::proto_chaos_run(0xACCE55, 2_000).unwrap();
+    let again = chaos::proto_chaos_run(0xACCE55, 2_000, &off).unwrap();
     assert_eq!(out.sender, again.sender);
     assert_eq!(out.receiver, again.receiver);
     assert_eq!(out.faults_injected, again.faults_injected);

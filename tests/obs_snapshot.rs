@@ -77,12 +77,12 @@ fn chaos_snapshot(threads: usize) -> Snapshot {
         threads,
         base_seed: 0xDEAD_BEEF,
     };
-    let outcomes = chaos::fleet_chaos_mc_obs(&mc, chaos::CHAOS_FLOWS, &obs);
+    let outcomes = chaos::fleet_chaos_mc(&mc, chaos::CHAOS_FLOWS, &obs);
     assert!(
         outcomes.iter().all(|o| o.violations.is_empty()),
         "chaos invariants (incl. the telemetry cross-check) must hold"
     );
-    chaos::proto_chaos_run_obs(mc.base_seed, 1_500, &obs).expect("proto chaos run succeeds");
+    chaos::proto_chaos_run(mc.base_seed, 1_500, &obs).expect("proto chaos run succeeds");
     obs.snapshot()
 }
 

@@ -3,6 +3,7 @@
 //! solutions.
 
 use deadline_multipath::experiments::{scenarios, table4};
+use deadline_multipath::obs::Obs;
 use deadline_multipath::prelude::*;
 
 /// Optimal quality of `scenario` with `m` transmissions.
@@ -16,7 +17,7 @@ fn quality_with(scenario: &Scenario, m: usize) -> f64 {
 #[test]
 fn every_table4_row_reproduces() {
     for &(lambda_mbps, want) in table4::PAPER_TOP {
-        let rows = table4::top(&[lambda_mbps]);
+        let rows = table4::top(&[lambda_mbps], &Obs::disabled());
         let got = rows[0].quality();
         assert!(
             (got - want).abs() < 1e-9,
@@ -24,7 +25,7 @@ fn every_table4_row_reproduces() {
         );
     }
     for &(delta_ms, want) in table4::PAPER_BOTTOM {
-        let rows = table4::bottom(&[delta_ms]);
+        let rows = table4::bottom(&[delta_ms], &Obs::disabled());
         let got = rows[0].quality();
         assert!(
             (got - want).abs() < 1e-9,
@@ -57,7 +58,7 @@ fn band_boundaries_are_sharp() {
     // The quality bands of Table IV (bottom) switch exactly at the
     // combination-arrival boundaries: 450 ms (path-1 direct) and 750 ms
     // (path-1 + retransmit-on-2).
-    let q = |delta_ms: f64| table4::bottom(&[delta_ms])[0].quality();
+    let q = |delta_ms: f64| table4::bottom(&[delta_ms], &Obs::disabled())[0].quality();
     assert!((q(449.0) - 2.0 / 9.0).abs() < 1e-9);
     assert!((q(450.0) - 0.8444444444444444).abs() < 1e-9);
     assert!((q(749.0) - 0.8444444444444444).abs() < 1e-9);
