@@ -544,11 +544,13 @@ impl Planner {
     }
 }
 
-/// The paper's LP over a model's coefficient vectors: Eq. 10 (`max p·x`;
-/// the Eq. 7 cost row when the scenario carries a finite budget) or its
-/// min-cost variant Eq. 20–23 (`min cost·x`, quality floor), under the
-/// per-path bandwidth rows (Eq. 3) and `Σx = 1`. Rows are per unit of
-/// `λ`, which keeps coefficients well-scaled.
+/// The paper's LP over a model's coefficient vectors: Eq. 10 (`max λ·p·x`,
+/// the in-time rate; the Eq. 7 cost row when the scenario carries a
+/// finite budget) or its min-cost variant Eq. 20–23 (`min cost·x`,
+/// quality floor), under `Σx = 1` and the per-path bandwidth rows of
+/// Eq. 3 in bit/s, `λ·usage_k·x ≤ b_k` — the units the fleet's joint LP
+/// is written in, so a one-flow fleet is this LP row for row. The solver
+/// equilibrates every row and scales the objective itself.
 ///
 /// The only place the crate builds a [`Problem`], called from
 /// [`ScenarioModel::problem`] alone.
@@ -558,12 +560,15 @@ fn assemble_lp(model: &ScenarioModel, objective: Objective) -> Problem {
     let lambda = scenario.data_rate();
     let mut lp = match objective {
         Objective::MaxQuality | Objective::MaxQualityUnderBudget => {
-            Problem::maximize(model.p.clone())
+            Problem::maximize(model.p.iter().map(|p| lambda * p).collect())
         }
         Objective::MinCost { .. } => Problem::minimize(model.cost.clone()),
     };
+    let mut row = Vec::with_capacity(model.p.len());
     for (path, usage) in scenario.paths().iter().zip(&model.usage) {
-        lp.add_le(usage, path.bandwidth() / lambda).expect(DIMS);
+        row.clear();
+        row.extend(usage.iter().map(|u| lambda * u));
+        lp.add_le(&row, path.bandwidth()).expect(DIMS);
     }
     match objective {
         Objective::MinCost { min_quality } => {

@@ -60,12 +60,12 @@
 //! capacity-row segments zeroed), which forces the block to zero
 //! *without moving a row or a column* — across churn and across
 //! [`SchedulePlanner::advance_to`](crate::SchedulePlanner::advance_to).
-//! Only the aggregate-rate-dependent segments are rewritten per solve,
-//! recomputed fresh from the per-flow models (never by scaling running
-//! values), so coefficients are a pure function of the current
-//! membership: history cannot leak into the numerics, which keeps trace
-//! replay and warm-vs-cold comparisons bit-identical. A rejected
-//! candidate is rolled back exactly.
+//! Every coefficient of a block — capacity segments in bit/s, objective
+//! weighted by the flow's own volume `λ_f·L_f` — is a function of that
+//! flow alone and is written once, when the block is placed: an edit
+//! touches its own columns and nothing else. History cannot leak into
+//! the numerics, which keeps trace replay and warm-vs-cold comparisons
+//! bit-identical. A rejected candidate is rolled back exactly.
 //!
 //! The **basis** of the last successful solve is part of the assembly
 //! and is edited in step with the LP, so every solve starts from the
@@ -108,7 +108,7 @@ use crate::schedule::{ScheduleRequest, SlotWindow, TimeGrid};
 use dmc_core::{
     ComboTable, Objective, Plan, Planner, Scenario, ScenarioModel, ScenarioPath, WarmStats,
 };
-use dmc_lp::{Basis, Problem, SolveError, SolveStatus, Workspace};
+use dmc_lp::{Basis, Problem, SolveError, SolveStatus, Workspace, TOLERANCE};
 use dmc_sim::LinkChange;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
@@ -141,12 +141,16 @@ impl SharedPath {
 /// One flow as the joint LP sees it, **owned**: its id, its demand with
 /// the slots it may be served in and its buffer allowance (an instant
 /// flow is [`SlotWindow::instant`]`(0)` with buffer 0), and its
-/// coefficient model. A candidate is offered to the core by value: it
+/// coefficient model over the shared paths it may use. A candidate is
+/// built by [`JointCore::member`] and offered to the core by value: it
 /// joins the roster when the LP takes it and is handed back when not.
 #[derive(Debug)]
 pub(crate) struct Member {
     pub(crate) id: FlowId,
     pub(crate) request: ScheduleRequest,
+    /// The shared paths the model covers (`None`: all), sorted: those the
+    /// request names that the door rule of [`JointCore::member`] kept.
+    pub(crate) paths: Option<Vec<usize>>,
     pub(crate) model: ScenarioModel,
 }
 
@@ -237,11 +241,11 @@ pub(crate) fn check_combos(n_paths: usize, transmissions: usize) -> Result<(), F
 }
 
 /// Rejects a rate, bandwidth, budget or weight the joint LP cannot scale.
-/// Its coefficients are quotients of these (`µ_f/λ_f`, `b_k/Λ`) over a
-/// sum of them (`Λ = Σ λ_f·L_f`): with each within `√f64::MAX` of 1 no
-/// quotient and no sum overflows, whatever the membership — so what fails
-/// is an invalid request, not an `∞` coefficient (a panic) or a zero
-/// share (a false admission) met mid-solve.
+/// Its coefficients are products and quotients of two of these
+/// (`λ_f·usage`, `w_f·λ_f·L_f·p_f`, `µ_f/λ_f`): with each within
+/// `√f64::MAX` of 1 none overflows or underflows to zero — so what fails
+/// is an invalid request, not an `∞` coefficient (a panic) or a zero one
+/// (a false admission) met mid-solve.
 pub(crate) fn check_scale(what: &str, value: f64) -> Result<(), FleetError> {
     let top = f64::MAX.sqrt();
     if (1.0 / top..=top).contains(&value) {
@@ -251,10 +255,13 @@ pub(crate) fn check_scale(what: &str, value: f64) -> Result<(), FleetError> {
     Err(FleetError::Invalid(reason))
 }
 
-/// [`check_scale`] for everything a request brings into the LP.
+/// [`check_scale`] for everything a request brings into the LP, its
+/// priority-weighted rate included.
 pub(crate) fn check_request_scale(request: &FlowRequest) -> Result<(), FleetError> {
     check_scale("flow data rate", request.data_rate())?;
     check_scale("priority", request.priority())?;
+    let weighted = request.priority() * request.data_rate();
+    check_scale("priority-weighted rate", weighted)?;
     if request.cost_budget().is_finite() {
         check_scale("cost budget", request.cost_budget())?;
     }
@@ -317,6 +324,8 @@ pub(crate) const COMPACT_MIN_SLOTS: usize = 8;
 #[derive(Debug)]
 struct Assembly {
     problem: Problem,
+    /// What a flow's objective segment is weighted by, besides its volume.
+    objective: FleetObjective,
     horizon: usize,
     n_paths: usize,
     slots: Vec<Slot>,
@@ -331,9 +340,10 @@ struct Assembly {
 }
 
 impl Assembly {
-    fn new(horizon: usize, n_paths: usize) -> Self {
+    fn new(objective: FleetObjective, horizon: usize, n_paths: usize) -> Self {
         Assembly {
             problem: Problem::maximize(Vec::new()),
+            objective,
             horizon,
             n_paths,
             slots: Vec::new(),
@@ -353,6 +363,16 @@ impl Assembly {
         self.ring(slot) * self.n_paths + path
     }
 
+    /// Fills the scratch with a segment of `m`'s block: `per_slot` in
+    /// every window slot, zero on the carry columns.
+    fn tile(&mut self, m: &Member, per_slot: impl Iterator<Item = f64> + Clone) {
+        self.seg.clear();
+        for _ in 0..m.window().len() {
+            self.seg.extend(per_slot.clone());
+        }
+        self.seg.resize(self.seg.len() + m.carry_vars(), 0.0);
+    }
+
     /// Writes the scratch segment into `row` from column `start` and
     /// sets the row's RHS.
     fn patch_row(&mut self, row: usize, start: usize, rhs: f64) {
@@ -368,17 +388,17 @@ impl Assembly {
             .expect("row index recorded at placement stays in range");
     }
 
-    /// Places a flow's block — reusing a compatible tombstone in place,
-    /// else appending (adding the `S·K` shared capacity rows first if
-    /// this is the very first block). Objective and capacity-row
-    /// segments are left to [`Assembly::rescale`], which every solve
-    /// runs anyway.
+    /// Places a flow's block — taking a compatible tombstone over in
+    /// place, else appending (with the `S·K` shared capacity rows if it is
+    /// the first) — and writes every coefficient the flow has, its
+    /// objective segment `w·λ·L·p` and its `λ·L·usage_k` segment in the
+    /// capacity rows of its window and [`Member::paths`] included.
     fn place(&mut self, m: &Member) -> Placement {
         let n = m.model.num_combos();
         let len = m.window().len();
         let carry = m.carry_vars();
-        let width = len * n + carry;
         let g = 1.0 / len as f64;
+        let volume = m.flow().data_rate() * len as f64;
         let has_cost = m.flow().cost_budget().is_finite();
         let has_floor = m.flow().min_quality() > 0.0;
         let ring = self.ring(m.window().start());
@@ -391,24 +411,24 @@ impl Assembly {
                 && s.cost_row.is_some() == has_cost
                 && s.floor_row.is_some() == has_floor
         });
-        if let Some(idx) = reusable {
+        let weight = match self.objective {
+            FleetObjective::WeightedFair => m.flow().priority(),
+            FleetObjective::MaxAdmitted | FleetObjective::MaxTotalQuality => 1.0,
+        } * volume;
+        self.tile(m, m.model.quality_coeffs().iter().map(|p| weight * p));
+        let placement = if let Some(idx) = reusable {
             let slot = self.slots[idx].clone();
+            self.problem
+                .set_objective_range(slot.cols.start, &self.seg)
+                .expect("objective segment fits");
             if let Some(row) = slot.cost_row {
-                self.seg.clear();
-                for _ in 0..len {
-                    self.seg.extend_from_slice(m.model.cost_coeffs());
-                }
-                self.seg.resize(width, 0.0);
+                self.tile(m, m.model.cost_coeffs().iter().copied());
                 let budget = m.flow().cost_budget() / m.flow().data_rate();
                 self.patch_row(row, slot.cols.start, budget);
             }
             if let Some(row) = slot.floor_row {
                 // `add_ge` stores the row negated; patch it the same way.
-                self.seg.clear();
-                for _ in 0..len {
-                    self.seg.extend(m.model.quality_coeffs().iter().map(|p| -p));
-                }
-                self.seg.resize(width, 0.0);
+                self.tile(m, m.model.quality_coeffs().iter().map(|p| -p));
                 self.patch_row(row, slot.cols.start, -m.flow().min_quality());
             }
             for i in 0..len {
@@ -423,91 +443,102 @@ impl Assembly {
             self.slots[idx].active = true;
             self.slots[idx].window = m.window();
             self.slot_of.insert(m.id, idx);
-            return Placement::Reused;
-        }
-
-        // Append a fresh block.
-        let prev_vars = self.problem.num_vars();
-        let prev_rows = self.problem.num_constraints();
-        self.seg.clear();
-        self.seg.resize(width, 0.0);
-        let cols = self
-            .problem
-            .append_block(&self.seg)
-            .expect("nonempty block");
-        if prev_rows == 0 {
-            // First block: create the S·K ring-indexed capacity rows
-            // (coefficients and RHS are rescale's job).
-            for _ in 0..self.horizon * self.n_paths {
-                self.problem
-                    .add_le_sparse(&[], 1.0)
-                    .expect("empty shared row");
+            Placement::Reused
+        } else {
+            let prev_vars = self.problem.num_vars();
+            let prev_rows = self.problem.num_constraints();
+            let cols = self
+                .problem
+                .append_block(&self.seg)
+                .expect("nonempty block");
+            if prev_rows == 0 {
+                // First block: create the S·K ring-indexed capacity rows
+                // (their right-hand sides are `bound_capacity`'s).
+                for _ in 0..self.horizon * self.n_paths {
+                    self.problem
+                        .add_le_sparse(&[], 0.0)
+                        .expect("empty shared row");
+                }
             }
-        }
-        let in_every_slot = |per_slot: Vec<(usize, f64)>| -> Vec<(usize, f64)> {
-            let shifted = |i| {
-                per_slot
-                    .iter()
-                    .map(move |&(j, v)| (cols.start + i * n + j, v))
+            let in_every_slot = |per_slot: Vec<(usize, f64)>| -> Vec<(usize, f64)> {
+                let shifted = |i| {
+                    per_slot
+                        .iter()
+                        .map(move |&(j, v)| (cols.start + i * n + j, v))
+                };
+                (0..len).flat_map(shifted).collect()
             };
-            (0..len).flat_map(shifted).collect()
+            let cost_row = has_cost.then(|| {
+                let entries = in_every_slot(m.model.cost_triplets().collect());
+                self.problem
+                    .add_le_sparse(&entries, m.flow().cost_budget() / m.flow().data_rate())
+                    .expect("valid cost row");
+                self.problem.num_constraints() - 1
+            });
+            let floor_row = has_floor.then(|| {
+                let entries = in_every_slot(m.model.quality_triplets().collect());
+                self.problem
+                    .add_ge_sparse(&entries, m.flow().min_quality())
+                    .expect("valid floor row");
+                self.problem.num_constraints() - 1
+            });
+            let balance_start = self.problem.num_constraints();
+            let carry_base = cols.start + len * n;
+            for i in 0..len {
+                let mut entries: Vec<(usize, f64)> =
+                    (0..n).map(|j| (cols.start + i * n + j, 1.0)).collect();
+                // Sparse rows want ascending columns: carry-in (slot
+                // boundary i-1) sits below carry-out (boundary i).
+                if carry > 0 && i >= 1 {
+                    entries.push((carry_base + i - 1, -1.0));
+                }
+                if i < carry {
+                    entries.push((carry_base + i, 1.0));
+                }
+                self.problem
+                    .add_eq_sparse(&entries, g)
+                    .expect("valid balance row");
+            }
+            let cap_start = self.problem.num_constraints();
+            for i in 0..carry {
+                self.problem
+                    .add_le_sparse(&[(carry_base + i, 1.0)], m.request.buffer() * g)
+                    .expect("valid buffer cap row");
+            }
+            self.slots.push(Slot {
+                cols,
+                window: m.window(),
+                n_combos: n,
+                carry,
+                cost_row,
+                floor_row,
+                balance_start,
+                cap_start,
+                active: true,
+            });
+            self.slot_of.insert(m.id, self.slots.len() - 1);
+            if let Some(basis) = &mut self.basis {
+                basis.extend_logical(self.problem.num_constraints());
+            }
+            Placement::Appended {
+                prev_vars,
+                prev_rows,
+            }
         };
-        let cost_row = has_cost.then(|| {
-            let entries = in_every_slot(m.model.cost_triplets().collect());
-            self.problem
-                .add_le_sparse(&entries, m.flow().cost_budget() / m.flow().data_rate())
-                .expect("valid cost row");
-            self.problem.num_constraints() - 1
-        });
-        let floor_row = has_floor.then(|| {
-            let entries = in_every_slot(m.model.quality_triplets().collect());
-            self.problem
-                .add_ge_sparse(&entries, m.flow().min_quality())
-                .expect("valid floor row");
-            self.problem.num_constraints() - 1
-        });
-        let balance_start = self.problem.num_constraints();
-        let carry_base = cols.start + len * n;
-        for i in 0..len {
-            let mut entries: Vec<(usize, f64)> =
-                (0..n).map(|j| (cols.start + i * n + j, 1.0)).collect();
-            // Sparse rows want ascending columns: carry-in (slot
-            // boundary i-1) sits below carry-out (boundary i).
-            if carry > 0 && i >= 1 {
-                entries.push((carry_base + i - 1, -1.0));
+        let start = self.slots[self.slot_of[&m.id]].cols.start;
+        let used = |k| local_path_index(m.paths.as_deref(), k).map(|lk| (k, lk));
+        for (k, lk) in (0..self.n_paths).filter_map(used) {
+            self.seg.clear();
+            let weighted = m.model.usage_coeffs(lk).iter().map(|u| volume * u);
+            self.seg.extend(weighted);
+            for (i, s) in m.window().slots().enumerate() {
+                let row = self.cap_row(s, k);
+                self.problem
+                    .set_row_range(row, start + i * n, &self.seg)
+                    .expect("shared segment fits");
             }
-            if i < carry {
-                entries.push((carry_base + i, 1.0));
-            }
-            self.problem
-                .add_eq_sparse(&entries, g)
-                .expect("valid balance row");
         }
-        let cap_start = self.problem.num_constraints();
-        for i in 0..carry {
-            self.problem
-                .add_le_sparse(&[(carry_base + i, 1.0)], m.request.buffer() * g)
-                .expect("valid buffer cap row");
-        }
-        self.slots.push(Slot {
-            cols,
-            window: m.window(),
-            n_combos: n,
-            carry,
-            cost_row,
-            floor_row,
-            balance_start,
-            cap_start,
-            active: true,
-        });
-        self.slot_of.insert(m.id, self.slots.len() - 1);
-        if let Some(basis) = &mut self.basis {
-            basis.extend_logical(self.problem.num_constraints());
-        }
-        Placement::Appended {
-            prev_vars,
-            prev_rows,
-        }
+        placement
     }
 
     /// Tombstones a flow's slot: objective and capacity-row segments
@@ -573,67 +604,18 @@ impl Assembly {
         Ok(())
     }
 
-    /// Recomputes every Λ-dependent coefficient from the given
-    /// membership (`Λ = Σ_f λ_f·L_f`): per-block objective segments
-    /// `w·(λ_f·L_f/Λ)·p_f`, per-(slot, path) capacity segments
-    /// `(λ_f·L_f/Λ)·usage_f`, and the capacity RHS `b_k(s)/Λ` — zero for
-    /// maintenance slots. A flow restricted to a path subset
-    /// ([`FlowRequest::with_paths`]) consumes nothing on the paths it
-    /// does not use: its segment in those rows is structurally zero.
-    fn rescale<'a>(
+    /// Writes every capacity row's right-hand side: `b_k(s)` for each slot
+    /// `s` of the grid and path `k`, zero in a maintenance window.
+    fn bound_capacity(
         &mut self,
-        objective: FleetObjective,
         grid: &TimeGrid,
         paths: &[SharedPath],
         maintenance: &BTreeSet<(u64, usize)>,
-        members: impl Iterator<Item = &'a Member> + Clone,
     ) {
-        let lambda_vol: f64 = members
-            .clone()
-            .map(|m| m.flow().data_rate() * m.window().len() as f64)
-            .sum();
-        for m in members {
-            let slot = self.slots[self.slot_of[&m.id]].clone();
-            let len = m.window().len();
-            let w = match objective {
-                FleetObjective::WeightedFair => m.flow().priority(),
-                FleetObjective::MaxAdmitted | FleetObjective::MaxTotalQuality => 1.0,
-            };
-            let share = m.flow().data_rate() * len as f64 / lambda_vol;
-            self.seg.clear();
-            for _ in 0..len {
-                let scaled = m.model.quality_coeffs().iter().map(|p| w * share * p);
-                self.seg.extend(scaled);
-            }
-            self.seg.resize(slot.cols.len(), 0.0);
-            self.problem
-                .set_objective_range(slot.cols.start, &self.seg)
-                .expect("objective segment fits");
-            for k in 0..paths.len() {
-                self.seg.clear();
-                match local_path_index(m.flow().paths(), k) {
-                    Some(lk) => {
-                        let scaled = m.model.usage_coeffs(lk).iter().map(|u| share * u);
-                        self.seg.extend(scaled);
-                    }
-                    None => self.seg.resize(slot.n_combos, 0.0),
-                }
-                for (i, s) in m.window().slots().enumerate() {
-                    let row = self.cap_row(s, k);
-                    self.problem
-                        .set_row_range(row, slot.combo_start(i), &self.seg)
-                        .expect("shared segment fits");
-                }
-            }
-        }
         for s in grid.origin()..grid.end() {
             for (k, path) in paths.iter().enumerate() {
-                let rhs = if maintenance.contains(&(s, k)) {
-                    0.0
-                } else {
-                    path.bandwidth / lambda_vol
-                };
-                self.set_rhs(self.cap_row(s, k), rhs);
+                let open = !maintenance.contains(&(s, k));
+                self.set_rhs(self.cap_row(s, k), if open { path.bandwidth } else { 0.0 });
             }
         }
     }
@@ -750,7 +732,7 @@ impl JointCore {
         self.assembly = None;
         let mut flows = std::mem::take(&mut self.flows);
         let rebuilt = flows.iter_mut().try_for_each(|r| {
-            r.member.model = self.flow_model(r.member.flow())?;
+            r.member = self.member(r.member.id, r.member.request.clone())?;
             Ok(())
         });
         self.flows = flows;
@@ -762,38 +744,53 @@ impl JointCore {
         self.paths.iter().map(SharedPath::effective).collect()
     }
 
-    /// Builds a flow's scenario/model against the current shared paths
-    /// (restricted to the flow's declared subset when
-    /// [`FlowRequest::with_paths`] was used).
-    pub(crate) fn flow_model(
+    /// A candidate: `request` under `id`, modelled over the shared paths it
+    /// names less those the door rule leaves out — a path of bandwidth
+    /// `b_k < λ_f·`[`TOLERANCE`] carries at most a tolerance-sized fraction
+    /// of the flow, whose coefficient would push every other one in its
+    /// capacity row under the solver's tolerance. With no path left the
+    /// flow plans on the blackhole alone, over one stand-in (the first
+    /// path it names, failed) in no capacity row: refused with a floor,
+    /// admitted at quality 0 without.
+    pub(crate) fn member(
         &mut self,
-        request: &FlowRequest,
-    ) -> Result<ScenarioModel, FleetError> {
-        let effective = self.shared_paths()?;
-        let flow_paths = match request.paths() {
-            Some(subset) => {
-                if let Some(&bad) = subset.iter().find(|&&k| k >= effective.len()) {
-                    return Err(FleetError::Invalid(format!(
-                        "flow path index {bad} out of range ({} shared paths)",
-                        effective.len()
-                    )));
-                }
-                subset.iter().map(|&k| effective[k].clone()).collect()
-            }
-            None => effective,
-        };
-        check_combos(flow_paths.len(), request.transmissions())?;
-        check_request_scale(request)?;
+        id: FlowId,
+        request: ScheduleRequest,
+    ) -> Result<Member, FleetError> {
+        let flow = request.flow();
+        let n = self.paths.len();
+        if let Some(&bad) = flow.paths().and_then(|s| s.iter().find(|&&k| k >= n)) {
+            return Err(FleetError::Invalid(format!(
+                "flow path index {bad} out of range ({n} shared paths)"
+            )));
+        }
+        check_combos(flow.paths().map_or(n, <[usize]>::len), flow.transmissions())?;
+        check_request_scale(flow)?;
+        let all: Vec<usize> = (0..n).collect();
+        let named = flow.paths().unwrap_or(&all);
+        let carries = |k: &usize| flow.data_rate() * TOLERANCE <= self.paths[*k].bandwidth;
+        let usable: Vec<usize> = named.iter().copied().filter(carries).collect();
+        let mut chosen: Vec<SharedPath> = usable.iter().map(|&k| self.paths[k].clone()).collect();
+        if chosen.is_empty() {
+            chosen.push(self.paths[named[0]].clone());
+            chosen[0].failed = true;
+        }
+        let flow_paths: Result<Vec<_>, _> = chosen.iter().map(SharedPath::effective).collect();
         let mut builder = Scenario::builder()
-            .paths(flow_paths)
-            .data_rate(request.data_rate())
-            .lifetime(request.lifetime())
-            .transmissions(request.transmissions());
-        if request.cost_budget().is_finite() {
-            builder = builder.cost_budget(request.cost_budget());
+            .paths(flow_paths?)
+            .data_rate(flow.data_rate())
+            .lifetime(flow.lifetime())
+            .transmissions(flow.transmissions());
+        if flow.cost_budget().is_finite() {
+            builder = builder.cost_budget(flow.cost_budget());
         }
         let scenario = builder.build().map_err(FleetError::Spec)?;
-        Ok(self.flow_planner.model(&scenario))
+        Ok(Member {
+            id,
+            paths: (flow.paths().is_some() || usable.len() < n).then_some(usable),
+            model: self.flow_planner.model(&scenario),
+            request,
+        })
     }
 
     /// Consumes the next flow id (ids are offer-ordered).
@@ -909,20 +906,15 @@ impl JointCore {
             return Ok(());
         }
         let mut assembly = self.assembly.take().unwrap_or_else(|| {
-            let mut fresh = Assembly::new(self.grid.horizon(), self.paths.len());
+            let objective = self.config.objective;
+            let mut fresh = Assembly::new(objective, self.grid.horizon(), self.paths.len());
             for r in &self.flows {
                 fresh.place(&r.member);
             }
             fresh
         });
         let placements: Vec<Placement> = extras.iter().map(|m| assembly.place(m)).collect();
-        assembly.rescale(
-            self.config.objective,
-            &self.grid,
-            &self.paths,
-            &self.maintenance,
-            self.flows.iter().map(|r| &r.member).chain(&extras),
-        );
+        assembly.bound_capacity(&self.grid, &self.paths, &self.maintenance);
         match self.solve_joint_problem(&assembly.problem, &mut assembly.basis) {
             Ok(solution) => {
                 let x = solution.into_x();
@@ -1092,7 +1084,6 @@ mod tests {
         paths: &[SharedPath],
         entries: &[Member],
     ) -> Problem {
-        let lambda_tot: f64 = entries.iter().map(|e| e.flow().data_rate()).sum();
         let total_vars: usize = entries.iter().map(|e| e.model.num_combos()).sum();
         let mut c = Vec::with_capacity(total_vars);
         for e in entries {
@@ -1100,24 +1091,23 @@ mod tests {
                 FleetObjective::WeightedFair => e.flow().priority(),
                 FleetObjective::MaxAdmitted | FleetObjective::MaxTotalQuality => 1.0,
             };
-            let share = e.flow().data_rate() / lambda_tot;
-            c.extend(e.model.quality_coeffs().iter().map(|p| w * share * p));
+            let weight = w * e.flow().data_rate();
+            c.extend(e.model.quality_coeffs().iter().map(|p| weight * p));
         }
         let mut lp = Problem::maximize(c);
-        // Shared capacity rows: Σ_f (λ_f/Λ)·usage_f,k · x^f ≤ b_k/Λ. A flow
-        // restricted to a path subset has a structurally zero segment in the
-        // rows of the paths it does not use.
+        // Shared capacity rows in bit/s: Σ_f λ_f·usage_f,k · x^f ≤ b_k. A
+        // flow restricted to a path subset has a structurally zero segment
+        // in the rows of the paths it does not use.
         for (k, path) in paths.iter().enumerate() {
             let mut row = Vec::with_capacity(total_vars);
             for e in entries {
-                let share = e.flow().data_rate() / lambda_tot;
-                match local_path_index(e.flow().paths(), k) {
-                    Some(lk) => row.extend(e.model.usage_coeffs(lk).iter().map(|u| share * u)),
+                let rate = e.flow().data_rate();
+                match local_path_index(e.paths.as_deref(), k) {
+                    Some(lk) => row.extend(e.model.usage_coeffs(lk).iter().map(|u| rate * u)),
                     None => row.extend(std::iter::repeat_n(0.0, e.model.num_combos())),
                 }
             }
-            lp.add_le(row, path.bandwidth / lambda_tot)
-                .expect("dimensions match");
+            lp.add_le(row, path.bandwidth).expect("dimensions match");
         }
         // Per-flow blocks: cost budget, quality floor, Σx = 1 — grouped per
         // flow, like the assembly appends them.
@@ -1152,11 +1142,8 @@ mod tests {
 
     /// A candidate over `window`, with the next id and a fresh model.
     fn candidate(core: &mut JointCore, flow: FlowRequest, window: SlotWindow) -> Member {
-        Member {
-            id: core.next_id(),
-            model: core.flow_model(&flow).unwrap(),
-            request: ScheduleRequest::new(flow, window),
-        }
+        let id = core.next_id();
+        core.member(id, ScheduleRequest::new(flow, window)).unwrap()
     }
 
     fn core(horizon: usize, objective: FleetObjective) -> JointCore {
@@ -1198,17 +1185,11 @@ mod tests {
                 .into_iter()
                 .map(|r| candidate(&mut core, r, SlotWindow::instant(0)))
                 .collect();
-            let mut assembly = Assembly::new(1, core.paths.len());
+            let mut assembly = Assembly::new(objective, 1, core.paths.len());
             for m in &members {
                 assembly.place(m);
             }
-            assembly.rescale(
-                objective,
-                &core.grid,
-                &core.paths,
-                &core.maintenance,
-                members.iter(),
-            );
+            assembly.bound_capacity(&core.grid, &core.paths, &core.maintenance);
             let oracle = assemble_joint(objective, &core.paths, &members);
             // Objective, every constraint's coefficients, support, kind and
             // RHS, and the block starts.
@@ -1227,7 +1208,7 @@ mod tests {
         let now = SlotWindow::instant(0);
         let a = candidate(&mut core, FlowRequest::new(10e6, 0.5).unwrap(), now);
         let b = candidate(&mut core, FlowRequest::new(20e6, 0.7).unwrap(), now);
-        let mut assembly = Assembly::new(1, 3);
+        let mut assembly = Assembly::new(FleetObjective::MaxAdmitted, 1, 3);
         let place_a = assembly.place(&a);
         let place_b = assembly.place(&b);
         // Rolling the *first* appended block back while the second still
@@ -1315,5 +1296,128 @@ mod tests {
         }
         assert!(core.admit(a.member).expect("solves").is_err());
         assert_eq!((ids(&core), core.slot_counts()), (vec![1, 2], (2, 0)));
+    }
+
+    /// Every column's coefficients as bits — its objective entry, then
+    /// its `(row, value)` entries in row order — and every capacity row's
+    /// right-hand side.
+    type Coefficients = (Vec<(u64, Vec<(usize, u64)>)>, Vec<u64>);
+
+    fn coefficients(core: &JointCore) -> Coefficients {
+        let problem = &core.assembly.as_ref().expect("assembled").problem;
+        let objective = problem.objective().into_iter();
+        let mut columns: Vec<_> = objective.map(|c| (c.to_bits(), Vec::new())).collect();
+        for (i, row) in problem.constraints().iter().enumerate() {
+            for (&j, v) in row.support().iter().zip(row.values()) {
+                columns[j as usize].1.push((i, v.to_bits()));
+            }
+        }
+        let capacity = &problem.constraints()[..core.grid.horizon() * core.paths.len()];
+        let rhs = capacity.iter().map(|c| c.rhs().to_bits()).collect();
+        (columns, rhs)
+    }
+
+    /// Every column both snapshots hold outside `own`, and every capacity
+    /// right-hand side, kept its bits.
+    #[track_caller]
+    fn assert_only_edited(before: &Coefficients, after: &Coefficients, own: Range<usize>) {
+        assert_eq!(before.1, after.1, "a capacity right-hand side moved");
+        let shared = before.0.len().min(after.0.len());
+        for j in (0..shared).filter(|j| !own.contains(j)) {
+            assert_eq!(before.0[j], after.0[j], "column {j} moved");
+        }
+    }
+
+    #[test]
+    fn an_admission_edits_only_its_own_columns() {
+        let mut core = core(3, FleetObjective::WeightedFair);
+        let window = |start, end| SlotWindow::new(start, end).unwrap();
+        let cols_of = |core: &JointCore, id: FlowId| {
+            let assembly = core.assembly.as_ref().unwrap();
+            assembly.slots[assembly.slot_of[&id]].cols.clone()
+        };
+        let costed = |rate: f64, floor: f64| {
+            let flow = FlowRequest::new(rate, 0.8).unwrap().with_cost_budget(2.0);
+            flow.with_min_quality(floor)
+        };
+        let residents = [
+            (
+                FlowRequest::new(30e6, 0.8).unwrap().with_min_quality(0.5),
+                window(0, 2),
+            ),
+            (costed(20e6, 0.3).with_priority(2.0), window(1, 3)),
+            (
+                FlowRequest::new(10e6, 0.6).unwrap().with_paths(vec![1, 2]),
+                SlotWindow::instant(0),
+            ),
+        ];
+        for (flow, window) in residents {
+            let member = candidate(&mut core, flow, window);
+            assert!(core.admit(member).expect("solves").is_ok());
+        }
+        // An appended block, buffered over the whole horizon.
+        let before = coefficients(&core);
+        let flow = FlowRequest::new(15e6, 0.8).unwrap();
+        let member = candidate(&mut core, flow, window(0, 3));
+        let member = Member {
+            request: member.request.with_buffer(0.5),
+            ..member
+        };
+        let id = member.id;
+        assert!(core.admit(member).expect("solves").is_ok());
+        assert_only_edited(&before, &coefficients(&core), cols_of(&core, id));
+        // A refused append is truncated away: nothing moved at all.
+        let before = coefficients(&core);
+        let hopeless = FlowRequest::new(500e6, 0.8).unwrap().with_min_quality(1.0);
+        let member = candidate(&mut core, hopeless.with_transmissions(1), window(2, 3));
+        assert!(core.admit(member).expect("solves").is_err());
+        assert_eq!(before, coefficients(&core));
+        // A departure tombstones the leaver's block and nothing else.
+        let before = coefficients(&core);
+        let own = cols_of(&core, FlowId::new(1));
+        assert!(core.remove(FlowId::new(1)).is_some());
+        assert_only_edited(&before, &coefficients(&core), own.clone());
+        // A refused take-over of that tombstone, then an accepted one.
+        let before = coefficients(&core);
+        let member = candidate(&mut core, costed(500e6, 1.0), window(1, 3));
+        assert!(core.admit(member).expect("solves").is_err());
+        assert_only_edited(&before, &coefficients(&core), own.clone());
+        let before = coefficients(&core);
+        let member = candidate(&mut core, costed(25e6, 0.2), window(1, 3));
+        let id = member.id;
+        assert!(core.admit(member).expect("solves").is_ok());
+        assert_eq!(cols_of(&core, id), own, "the tombstone is taken over");
+        assert_only_edited(&before, &coefficients(&core), own);
+    }
+
+    #[test]
+    fn a_flow_no_path_can_carry_plans_on_the_blackhole_alone() {
+        let mut core = core(1, FleetObjective::MaxAdmitted);
+        let now = SlotWindow::instant(0);
+        let flow = |rate: f64, floor: f64| {
+            let request = FlowRequest::new(rate, 0.8).unwrap();
+            request.with_min_quality(floor)
+        };
+        // 5e16 bit/s is more than 1e9 times the 20 and 30 Mbit/s paths,
+        // not the 80 Mbit/s one.
+        let wide = candidate(&mut core, flow(5e16, 0.0), now);
+        assert_eq!(wide.paths.as_deref(), Some(&[0][..]));
+        // A giant no path can carry: with a floor it is refused; without
+        // one it is admitted, delivers nothing and takes no capacity.
+        let strict_giant = candidate(&mut core, flow(3e74, 0.1), now);
+        assert_eq!(strict_giant.paths.as_deref(), Some(&[][..]));
+        assert!(core.admit(strict_giant).expect("solves").is_err());
+        let giant = candidate(&mut core, flow(3e74, 0.0), now);
+        assert_eq!(core.admit(giant).expect("solves").ok(), Some(0.0));
+        // Beside it the capacity rows still bind: of two strict 70 Mbit/s
+        // flows only one fits.
+        let first = candidate(&mut core, flow(70e6, 0.9), now);
+        assert!(core.admit(first).expect("solves").is_ok());
+        let second = candidate(&mut core, flow(70e6, 0.9), now);
+        assert!(core.admit(second).expect("solves").is_err());
+        // And its departure leaves a feasible fleet.
+        assert!(core.remove(FlowId::new(2)).is_some());
+        core.resolve().expect("the survivors still fit");
+        assert_eq!(core.ids(), [FlowId::new(3)]);
     }
 }

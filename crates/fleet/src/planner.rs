@@ -3,26 +3,34 @@
 //!
 //! # The joint LP
 //!
-//! A single-flow [`Planner`](dmc_core::Planner) solves (Eq. 10, per unit
-//! of `λ`):
+//! A single-flow [`Planner`](dmc_core::Planner) solves (Eq. 10, with the
+//! Eq. 3 bandwidth rows in bit/s):
 //!
 //! ```text
-//! max p·x   s.t.  usage_k·x ≤ b_k/λ  (per path),  Σx = 1,  x ≥ 0
+//! max λ·p·x   s.t.  λ·usage_k·x ≤ b_k  (per path),  Σx = 1,  x ≥ 0
 //! ```
 //!
 //! The fleet generalizes it to `F` concurrent flows by concatenating the
 //! per-flow assignment vectors into one variable block `x = (x¹ … x^F)`
-//! and **sharing the capacity rows** (everything scaled by the aggregate
-//! rate `Λ = Σ_f λ_f` so coefficients stay O(1)):
+//! and **sharing the capacity rows**, in the same units — so every
+//! coefficient of a flow's block is its own, and an admission or a
+//! departure edits that block alone:
 //!
 //! ```text
-//! max  Σ_f w_f (λ_f/Λ) p_f·x^f
-//! s.t. Σ_f (λ_f/Λ) usage_{f,k}·x^f ≤ b_k/Λ          (shared, per path k)
+//! max  Σ_f w_f λ_f p_f·x^f
+//! s.t. Σ_f λ_f usage_{f,k}·x^f ≤ b_k                (shared, per path k)
 //!      cost_f·x^f ≤ µ_f/λ_f                         (per budgeted flow)
 //!      p_f·x^f ≥ q_f                                (per flow with a floor)
 //!      Σ x^f = 1                                    (per flow)
 //!      x ≥ 0
 //! ```
+//!
+//! A path of bandwidth below `1e-9·λ_f` — the solver's tolerance — could
+//! carry no more than a tolerance-sized fraction of flow `f`, and would
+//! swamp every other flow's coefficient in its row; it is left out of
+//! the flow's block when the flow is offered (a flow left with no path
+//! plans on the blackhole alone: refused with a floor, admitted at
+//! quality 0 without one).
 //!
 //! With one flow this degenerates — row for row, bit for bit — to the
 //! single-flow planner's LP, which is what the
@@ -49,7 +57,7 @@
 //! their original ids — or definitively rejected within a bounded number
 //! of events ([`FleetPlanner::SHED_HORIZON`]).
 //!
-//! The LP itself — block layout, tombstoning, Λ-rescaling, the carried
+//! The LP itself — block layout, tombstoning, the door rule, the carried
 //! basis, when all of it is dropped and rebuilt (link changes,
 //! compaction) — **and the roster of admitted flows** (id, request,
 //! model, plan) are kept by the joint core this planner shares with
@@ -76,12 +84,12 @@ pub enum FleetObjective {
     /// maximize rate-weighted total quality over the admitted set.
     #[default]
     MaxAdmitted,
-    /// Maximize rate-weighted total quality `Σ_f (λ_f/Λ) Q_f` (aggregate
-    /// in-time goodput fraction). Admission is still floor-feasibility
+    /// Maximize rate-weighted total quality `Σ_f λ_f Q_f` (aggregate
+    /// in-time goodput, bit/s). Admission is still floor-feasibility
     /// based; batches keep arrival order.
     MaxTotalQuality,
-    /// Maximize priority-weighted quality `Σ_f w_f (λ_f/Λ) Q_f`, where
-    /// `w_f` is [`FlowRequest::priority`].
+    /// Maximize priority-weighted goodput `Σ_f w_f λ_f Q_f`, where `w_f`
+    /// is [`FlowRequest::priority`].
     WeightedFair,
 }
 
@@ -99,8 +107,8 @@ pub struct FleetConfig {
     /// flow appends (or reuses) its assignment block in place, departing
     /// tombstones the block (its `Σx` row drops to 0, forcing the block
     /// to zero without moving a row or column), the basis of the last
-    /// optimum is edited alongside, and only coefficient segments touched by the
-    /// aggregate-rate rescaling are rewritten. `false` means one thing,
+    /// optimum is edited alongside, and no other flow's coefficient is
+    /// rewritten. `false` means one thing,
     /// for both planners: the assembly is forgotten before every solve
     /// and the members re-placed in admission order — the same
     /// [`Problem`](dmc_lp::Problem) a from-scratch build produces, kept
@@ -572,7 +580,7 @@ impl FleetPlanner {
     pub fn utilization(&self) -> Vec<f64> {
         let mut util = vec![0.0; self.core.paths.len()];
         for r in self.core.residents() {
-            match r.member.flow().paths() {
+            match r.member.paths.as_deref() {
                 None => {
                     for (u, rate) in util.iter_mut().zip(r.plan.send_rates()) {
                         *u += rate;
@@ -601,7 +609,8 @@ impl FleetPlanner {
     }
 
     /// Rate-weighted mean quality of the admitted flows (the joint LP's
-    /// `MaxTotalQuality` objective value; 0 with no flows).
+    /// `MaxTotalQuality` objective value, [`FleetPlanner::total_goodput`],
+    /// over the total rate; 0 with no flows).
     pub fn aggregate_quality(&self) -> f64 {
         let residents = self.core.residents().iter();
         let lambda_tot: f64 = residents.map(|r| r.member.flow().data_rate()).sum();
@@ -640,9 +649,8 @@ impl FleetPlanner {
     /// current shared paths.
     fn candidate(&mut self, request: FlowRequest) -> Result<Member, FleetError> {
         let id = self.core.next_id();
-        let model = self.core.flow_model(&request)?;
         let request = ScheduleRequest::new(request, SlotWindow::instant(0));
-        Ok(Member { id, request, model })
+        self.core.member(id, request)
     }
 
     /// One counted admission attempt — an offer of the greedy fallback,
@@ -707,9 +715,8 @@ impl FleetPlanner {
                 self.shed.push(s);
                 continue;
             }
-            let model = self.core.flow_model(s.request.flow())?;
-            let (id, request) = (s.id, s.request);
-            match self.admit(Member { id, request, model })? {
+            let candidate = self.core.member(s.id, s.request)?;
+            match self.admit(candidate)? {
                 Ok(_) => {
                     self.core.config.obs.counter("fleet.revives").inc();
                     self.core.config.obs.gauge("fleet.shed_queue").sub(1);

@@ -16,8 +16,8 @@
 //! boundary after the `i`-th window slot (store-and-forward):
 //!
 //! ```text
-//! max  Σ_f w_f (λ_f·L_f/Λ) p_f·Σ_s x^{f,s}
-//! s.t. Σ_f (λ_f·L_f/Λ) usage_{f,k}·x^{f,s} ≤ b_k(s)/Λ   (per slot s, path k)
+//! max  Σ_f w_f λ_f·L_f p_f·Σ_s x^{f,s}
+//! s.t. Σ_f λ_f·L_f usage_{f,k}·x^{f,s} ≤ b_k(s)        (per slot s, path k)
 //!      cost_f·Σ_s x^{f,s} ≤ µ_f/λ_f                     (per budgeted flow)
 //!      p_f·Σ_s x^{f,s} ≥ q_f                            (per flow with a floor)
 //!      Σ_j x^{f,s_i}_j + c^f_i − c^f_{i−1} = 1/L_f      (balance, per window slot)
@@ -25,13 +25,14 @@
 //!      x, c ≥ 0
 //! ```
 //!
-//! `Λ = Σ_f λ_f·L_f` is the aggregate *volume* rate, so coefficients
-//! stay O(1) like the instant LP's. The balance rows say a slot's
-//! generation (`1/L_f` of the window volume) is either served now or
-//! buffered into the next slot — never served *before* it is generated
-//! — and the missing `c` terms at the window edges (`c_{−1} = c_{L−1} =
-//! 0`) force the buffer empty at both ends. `b_k(s)` is the path's live
-//! bandwidth, or **zero during a maintenance window**
+//! `λ_f·L_f` is flow `f`'s *volume* rate, so the capacity rows are in
+//! bit/s like the instant LP's and every coefficient of a flow's block is
+//! its own: an offer or a departure edits that block alone. The balance
+//! rows say a slot's generation (`1/L_f` of the window volume) is either
+//! served now or buffered into the next slot — never served *before* it
+//! is generated — and the missing `c` terms at the window edges (`c_{−1}
+//! = c_{L−1} = 0`) force the buffer empty at both ends. `b_k(s)` is the
+//! path's live bandwidth, or **zero during a maintenance window**
 //! ([`SchedulePlanner::set_maintenance`]).
 //!
 //! With `S = 1` and every window a single slot, each reduction is exact
@@ -43,7 +44,7 @@
 //! # One LP core, shared
 //!
 //! The LP itself — ring-indexed capacity rows, block layout,
-//! tombstoning, Λ-rescaling, the carried basis, when it is all dropped
+//! tombstoning, the door rule, the carried basis, when it is all dropped
 //! and rebuilt (link changes, compaction) — **and the roster of flows**
 //! (id, request at its current window, model, plan, per-slot allocation)
 //! are the joint core this planner shares with the instant
@@ -533,9 +534,9 @@ impl SchedulePlanner {
             )));
         }
         let id = self.core.next_id();
-        let model = self.core.flow_model(request.flow())?;
         let requested = request.window();
-        match self.try_admit(Member { id, request, model })? {
+        let candidate = self.core.member(id, request)?;
+        match self.try_admit(candidate)? {
             Ok(predicted_quality) => {
                 self.core.config.obs.counter("fleet.admits").inc();
                 Ok(ScheduleDecision::Scheduled {
@@ -783,7 +784,7 @@ impl SchedulePlanner {
                     continue;
                 };
                 for (k, _) in paths.iter().enumerate() {
-                    if let Some(lk) = local_path_index(m.flow().paths(), k) {
+                    if let Some(lk) = local_path_index(m.paths.as_deref(), k) {
                         let used: f64 = m
                             .model
                             .usage_coeffs(lk)

@@ -295,10 +295,10 @@ mod tests {
 
     #[test]
     fn numbers_that_overflow_the_lp_are_invalid_not_a_panic_or_an_admission() {
-        // `µ/λ` is the cost row's bound, `b/Λ` a capacity row's and
-        // `λ/Λ` a flow's share of them: a rate or budget that drives one
-        // to ∞ used to abort the service on a non-finite coefficient, and
-        // two rates whose sum is ∞ were both admitted on a zero share.
+        // `µ/λ` is the cost row's bound and `λ·usage` a flow's capacity
+        // coefficient: a rate or budget that drives one to ∞ or to 0 is
+        // invalid — not a non-finite coefficient that aborts the service,
+        // nor a zero one that admits the flow for free.
         let costed = |bps, delay| ScenarioPath::constant_with_cost(bps, delay, 0.0, 1e-9).unwrap();
         let paths = vec![costed(50e6, 0.2), costed(20e6, 0.1)];
         let config = ServiceConfig {

@@ -3,8 +3,9 @@
 //! timeouts) to `Planner::plan` on the same `Scenario`.
 //!
 //! With one floor-free flow the joint LP is row-for-row the single-flow
-//! planner's LP (same coefficients, same row order, same scaling — `λ/Λ`
-//! is exactly 1.0). Solved by the same solver the two therefore agree
+//! planner's LP (same coefficients in the same units — `λ·p` in the
+//! objective, `λ·usage_k ≤ b_k` per path — and the same row order).
+//! Solved by the same solver the two therefore agree
 //! **bit for bit**, which [`legacy_config_matches_bit_for_bit`] pins with
 //! both on the dense tableau (the *legacy* configuration: rebuild
 //! assembly, and the one solver that reads no block declaration). The

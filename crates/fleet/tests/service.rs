@@ -5,9 +5,10 @@
 //!    offers and departures that respects the partition, the sharded
 //!    service admits/rejects exactly the flows a single monolithic
 //!    [`FleetPlanner`] admits, and every admitted plan agrees to 1e-9
-//!    (the joint LP's capacity rows are scaled by the *aggregate* rate Λ,
-//!    so the parity exercises Λ-rescaling invariance: each shard solves
-//!    with its region's Λ, the monolith with the global one).
+//!    (the capacity rows are in bit/s, so a region's rows are the
+//!    monolith's rows for its paths; what differs is the other regions'
+//!    blocks beside them and the objective's scale, which the solver
+//!    takes from the largest coefficient of each problem).
 //! 2. **Two-phase spanning admission**: a flow whose path set spans
 //!    regions is split by live-bandwidth share and reserved leg by leg;
 //!    any refusal rolls the reserved legs back completely.

@@ -68,7 +68,7 @@ use std::ops::Range;
 
 use crate::error::SolveError;
 use crate::problem::{Constraint, ConstraintKind, Problem};
-use crate::simplex::{SolveStats, SolverOptions, WarmStart, TOLERANCE};
+use crate::simplex::{objective_scale, SolveStats, SolverOptions, WarmStart, TOLERANCE};
 use crate::solution::{Basis, BasisVar, Solution};
 
 /// Iteration etas accumulated before the basis is refactorized from
@@ -266,6 +266,8 @@ pub(crate) struct DriverState {
     x_basic: Vec<f64>,
     /// Cost vector over all columns for the running phase.
     cost: Vec<f64>,
+    /// What phase 2's `cost` was divided by ([`objective_scale`]).
+    obj_scale: f64,
     /// Reduced-cost scratch for bulk pricing passes.
     rc: Vec<f64>,
     /// Rotating partial-pricing cursor (a section index).
@@ -387,7 +389,8 @@ pub(crate) fn solve<K: Kernel>(
     };
 
     // Duals: y = c_B·B⁻¹ in the normalized row space, un-normalized per
-    // row (the same sign/scale algebra as the dense tableau).
+    // row and by the objective's scale (the same algebra as the dense
+    // tableau).
     let y = &mut scratch.y;
     for (yi, &b) in y.iter_mut().zip(&state.basis) {
         *yi = state.cost[b];
@@ -395,7 +398,7 @@ pub(crate) fn solve<K: Kernel>(
     kernel.btran(y);
     let mut duals = vec![0.0; m];
     for (dual, (&yr, &f)) in duals.iter_mut().zip(y.iter().zip(&state.lay.row_factor)) {
-        let mut v = yr * f;
+        let mut v = yr * f * state.obj_scale;
         if problem.minimize {
             v = -v;
         }
@@ -693,11 +696,15 @@ fn load_x_basic<K: Kernel>(state: &mut DriverState, kernel: &K, clamp: bool) -> 
     least
 }
 
-/// Puts the user objective in `state.cost` (zero on every logical).
+/// Puts the user objective, divided by its
+/// [`objective_scale`], in `state.cost` (zero on every logical).
 fn load_objective(state: &mut DriverState, problem: &Problem) {
     state.cost.clear();
     state.cost.resize(state.lay.ncols, 0.0);
-    state.cost[..state.lay.n].copy_from_slice(&problem.objective);
+    state.obj_scale = objective_scale(&problem.objective);
+    for (c, &v) in state.cost.iter_mut().zip(&problem.objective) {
+        *c = v / state.obj_scale;
+    }
 }
 
 /// Validates and installs a caller-provided warm [`Basis`]; returns

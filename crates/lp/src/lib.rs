@@ -171,5 +171,5 @@ mod sparse;
 
 pub use error::{ProblemError, SolveError, SolveStatus};
 pub use problem::{Constraint, ConstraintKind, Problem};
-pub use simplex::{Backend, SolverOptions, Workspace};
+pub use simplex::{Backend, SolverOptions, Workspace, TOLERANCE};
 pub use solution::{Basis, BasisVar, Solution};

@@ -401,9 +401,9 @@ impl Problem {
 
     /// Overwrites the stored coefficients of row `row` over the column
     /// range `start..start + vals.len()`; exact zeros in `vals` leave the
-    /// row's support. Writing as many nonzeros as the range held — every
-    /// rescale of a block's segment after the first — moves nothing and
-    /// allocates nothing.
+    /// row's support. Writing as many nonzeros as the range held — a
+    /// tombstoned block's segment taken over by a flow of its shape —
+    /// moves nothing and allocates nothing.
     ///
     /// The values are written **as stored**: a row added with
     /// [`Problem::add_ge`] is stored negated, and callers patching such a

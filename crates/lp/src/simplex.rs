@@ -16,13 +16,31 @@ use crate::problem::{ConstraintKind, Problem};
 use crate::solution::{Basis, BasisVar, Solution};
 
 /// Feasibility/optimality tolerance of every backend. Rows are
-/// equilibrated (scaled by their largest coefficient) before solving, so
-/// it is meaningful regardless of input scale.
-pub(crate) const TOLERANCE: f64 = 1e-9;
+/// equilibrated (scaled by their largest coefficient) and the objective
+/// is divided by the power of two at or below its largest coefficient
+/// before solving, so it is meaningful regardless of input scale.
+pub const TOLERANCE: f64 = 1e-9;
 
 /// Consecutive degenerate pivots after which pricing falls back to
 /// Bland's rule, which cannot cycle.
 pub(crate) const DEGENERATE_SWITCH: usize = 64;
+
+/// The power of two at or below the objective's largest magnitude (1
+/// for an all-zero or subnormal objective). Phase 2 prices `c / scale`,
+/// so reduced costs are compared with [`TOLERANCE`] on the same footing
+/// at any objective scale, and the duals are multiplied back by it.
+/// Dividing by a power of two is exact: the pivot sequence, `x` and the
+/// basis of a problem do not change when its objective is scaled by
+/// `2^k`, and its duals scale by exactly `2^k`.
+pub(crate) fn objective_scale(objective: &[f64]) -> f64 {
+    let top = objective.iter().fold(0.0f64, |m, c| m.max(c.abs()));
+    if top.is_normal() {
+        // Clearing the mantissa leaves 2^⌊log₂ top⌋.
+        f64::from_bits(top.to_bits() & 0xFFF0_0000_0000_0000)
+    } else {
+        1.0
+    }
+}
 
 /// Which simplex implementation [`Problem::solve`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -435,9 +453,12 @@ pub(crate) fn solve(
     ws.cost.clear();
     ws.cost.resize(cols, 0.0);
     // Internal objective is always maximization (Problem negates for min).
-    // Structural costs are scaled like the rows were NOT: structural
-    // variables are untouched by row equilibration, so plain copy works.
-    ws.cost[..n].copy_from_slice(&problem.objective);
+    // Structural costs are untouched by row equilibration; they are
+    // divided by the objective's power-of-two scale only.
+    let obj_scale = objective_scale(&problem.objective);
+    for (c, &v) in ws.cost[..n].iter_mut().zip(&problem.objective) {
+        *c = v / obj_scale;
+    }
     tab.install_objective(&ws.cost);
     // Artificials must never re-enter.
     iterate(&mut tab, options, art_start, &mut iterations, bland_after)?;
@@ -462,7 +483,7 @@ pub(crate) fn solve(
     // For row i with slack column s: y_i = obj_row[s] (phase-2 cost of the
     // slack is 0). For equality rows the artificial column plays the same
     // role. Negated rows flip the dual's sign; equilibration divides it by
-    // the row scale.
+    // the row scale, and the objective's scale multiplies it back.
     let mut duals = vec![0.0; m];
     for (orig, info) in ws.row_info.iter().enumerate() {
         // For inequality rows the slack column's sign (−1 on negated rows)
@@ -478,7 +499,7 @@ pub(crate) fn solve(
         if flip {
             y = -y;
         }
-        y /= info.scale;
+        y = y / info.scale * obj_scale;
         // In the caller's sense: for minimization the internal objective was
         // negated, so duals flip too.
         if problem.minimize {

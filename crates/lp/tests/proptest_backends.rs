@@ -21,6 +21,12 @@
 //! floor, truncate the last block) while one [`Basis`] is carried and
 //! edited in step, and every solve from it must equal the cold solve of
 //! the same problem bit for bit.
+//!
+//! Two properties pin the objective scale every backend applies (the
+//! objective divided by the power of two at or below its largest
+//! entry): an objective scaled by `2^k` solves to the same bits with
+//! duals `2^k` times as large, and objectives of ~1e7 — the fleet's
+//! rate-weighted ones — still agree across backends.
 
 use dmc_lp::{Backend, Basis, Problem, SolveError, SolverOptions};
 use proptest::prelude::*;
@@ -618,6 +624,76 @@ proptest! {
                     prop_assert!(p.solve(&dense_opts()).is_err(), "outcome class mismatch");
                     basis = None;
                 }
+            }
+        }
+    }
+
+    /// The solver prices the objective divided by the power of two at or
+    /// below its largest entry, so scaling it by `2^k` changes nothing
+    /// but the answer's units: on every backend `x` and the basis are
+    /// bit-identical, and the objective and the duals are exactly `2^k`
+    /// times as large.
+    #[test]
+    fn objectives_scaled_by_a_power_of_two_solve_identically(
+        n in 1usize..8,
+        m in 1usize..9,
+        with_eq in any::<bool>(),
+        k in -60i32..60,
+        seed in any::<u64>(),
+    ) {
+        let p = build_feasible_lp(n, m, with_eq, seed);
+        let factor = 2f64.powi(k);
+        let mut scaled = p.clone();
+        let c: Vec<f64> = p.objective().iter().map(|c| c * factor).collect();
+        scaled.set_objective_range(0, &c).unwrap();
+        let [dense_lu, sparse] = on_both_kernels(&p);
+        let [scaled_lu, scaled_sparse] = on_both_kernels(&scaled);
+        let runs = [
+            ("tableau", dense_opts(), p.clone(), scaled.clone()),
+            ("dense LU", SolverOptions::default(), dense_lu.1, scaled_lu.1),
+            ("sparse", SolverOptions::default(), sparse.1, scaled_sparse.1),
+        ];
+        for (name, opts, base, scaled) in runs {
+            let (a, b) = (base.solve(&opts).unwrap(), scaled.solve(&opts).unwrap());
+            prop_assert_eq!(a.x(), b.x(), "{} 2^{}: x", name, k);
+            prop_assert_eq!(a.basis(), b.basis(), "{} 2^{}: basis", name, k);
+            prop_assert_eq!(a.objective() * factor, b.objective(), "{} 2^{}", name, k);
+            let duals: Vec<f64> = a.duals().iter().map(|y| y * factor).collect();
+            prop_assert_eq!(&duals[..], b.duals(), "{} 2^{}: duals", name, k);
+        }
+    }
+
+    /// Objectives of the magnitude the fleet's volume weights produce
+    /// (`λ·p` with `λ` of 1e6…1e8 bit/s): the oracle and both kernels
+    /// still agree on `x` to 1e-9, and on the objective and duals to
+    /// 1e-9 of that magnitude.
+    #[test]
+    fn rate_weighted_objectives_agree(
+        n in 2usize..40,
+        rows in 1usize..6,
+        rate in 1e6f64..1e8,
+        seed in any::<u64>(),
+    ) {
+        let mut seed = seed;
+        let c: Vec<f64> = (0..n).map(|_| rate * mix(&mut seed)).collect();
+        let mut p = Problem::maximize(c);
+        // All mass on column 0 fits every row, so each LP is feasible.
+        for _ in 0..rows {
+            let usage: Vec<f64> = (0..n).map(|_| rate * mix(&mut seed) * 2.0).collect();
+            let rhs = usage[0] + rate * (0.05 + mix(&mut seed));
+            p.add_le(usage, rhs).unwrap();
+        }
+        p.add_eq(vec![1.0; n], 1.0).unwrap();
+        let dense = p.solve(&dense_opts()).unwrap();
+        for (name, q) in on_both_kernels(&p) {
+            let r = q.solve(&SolverOptions::default()).unwrap();
+            let close = |a: f64, b: f64, scale: f64| (a - b).abs() <= 1e-9 * scale;
+            prop_assert!(close(dense.objective(), r.objective(), rate), "{name}: objective");
+            for (j, (a, b)) in dense.x().iter().zip(r.x()).enumerate() {
+                prop_assert!(close(*a, *b, 1.0), "{name}: x[{j}] = {a} vs {b}");
+            }
+            for (i, (a, b)) in dense.duals().iter().zip(r.duals()).enumerate() {
+                prop_assert!(close(*a, *b, rate), "{name}: dual[{i}] = {a} vs {b}");
             }
         }
     }

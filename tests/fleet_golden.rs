@@ -3,6 +3,10 @@
 //! `SchedulePlanner` were rebased onto the shared joint core. Any
 //! refactor of the assembly, the warm cache or the solve path must
 //! leave every literal below untouched — same verdicts, same bits.
+//! (Three were re-recorded once, with every verdict unchanged, when the
+//! joint LP moved to the paper's units — capacity rows in bit/s, each
+//! objective segment weighted by its flow's volume: predicted qualities
+//! and plans moved in their last bits.)
 //!
 //! * **Instant plane** — a gridded [`FleetService`] over three 2-path
 //!   regions: plain (region-spanning), path-restricted and explicitly
@@ -25,10 +29,10 @@ use deadline_multipath::model::ScenarioPath;
 use deadline_multipath::sim::LinkChange;
 
 const SERVICE_DECISION_HASH: u64 = 0xaeef_22fb_3a60_1647;
-const SERVICE_PLAN_BITS: u64 = 0xa9bc_f587_5b09_aeb5;
+const SERVICE_PLAN_BITS: u64 = 0xbffc_6ebf_fcfa_4609;
 const SERVICE_WINDOWED: u64 = 0x134e_4ab6_4fb5_7e79;
-const BARE_SCHEDULE_EVENTS: u64 = 0x225c_c631_d5bb_1d27;
-const BARE_SCHEDULE_PLAN_BITS: u64 = 0x21a1_0563_204c_e7f9;
+const BARE_SCHEDULE_EVENTS: u64 = 0x51cc_98cf_c4cd_e2d6;
+const BARE_SCHEDULE_PLAN_BITS: u64 = 0xc710_c73a_f5ef_bbc7;
 
 /// FNV-1a 64 accumulator.
 struct Fnv(u64);

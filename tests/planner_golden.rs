@@ -8,7 +8,9 @@
 //! were re-recorded once since, same vertices, last bits of `x`: when
 //! `dmc-lp`'s extraction stopped depending on the order the basis slots
 //! were filled in, which is what makes a warm and a cold `Planner` agree
-//! bit for bit.)
+//! bit for bit. One more, `TABLE3_90_800_M3`, same vertex, when the LP's
+//! objective became `λ·p` and its bandwidth rows `λ·usage ≤ b`, the
+//! fleet's units.)
 //!
 //! Hashed per plan (FNV-1a 64 over little-endian bit patterns): `x`,
 //! `quality`, `send_rates`, `cost_rate`, then every stage of the
@@ -21,7 +23,7 @@ const TABLE3_10_800: u64 = 0xaf6a_5f7e_b0f3_072e;
 const TABLE3_90_800: u64 = 0x34f8_6317_8fbe_4332;
 const TABLE3_120_800: u64 = 0x166b_f3ea_e774_0ab0;
 const TABLE3_90_450: u64 = 0xf320_42ba_32e1_bacf;
-const TABLE3_90_800_M3: u64 = 0x1233_9cf9_5382_8712;
+const TABLE3_90_800_M3: u64 = 0x8332_6089_2a92_b374;
 const COSTED_MIN_COST: u64 = 0x6ec0_edac_13fc_48d4;
 const COSTED_BUDGET: u64 = 0x66dc_d415_48c4_c51d;
 const TABLE5_FIRST: u64 = 0x9314_9a93_7eed_b276;
