@@ -1,12 +1,9 @@
 //! Criterion benchmark crate for deadline-multipath.
 //!
-//! The benches live under `benches/`:
-//!
-//! * `solve_times` — Figure 4: LP build+solve vs. paths × transmissions;
-//! * `scheduler` — Algorithm 1 vs. weighted-random assignment;
-//! * `sim_engine` — full-stack simulation throughput;
-//! * `model_build` — matrix assembly cost in isolation;
-//! * `timeout_opt` — Eq.-34 grid-resolution ablation.
+//! The benches live under `benches/`. CI runs all seven in one
+//! invocation and gates ratios of subjects measured in that run
+//! (`.github/workflows/ci.yml`, "Bench gates"); the `BENCH_*.json` files
+//! at the repository root are dated records of them.
 //!
 //! Run with `cargo bench -p dmc-bench`.
 

@@ -62,7 +62,8 @@
 //! assignments, the one sending less traffic builds smaller queues. The
 //! final solution is then extracted from a fresh factorization of the
 //! final basis, so identical bases yield bit-identical results regardless
-//! of the pivot path taken.
+//! of the pivot path taken; a solve that made no pivot since a clean
+//! factorization of that basis already holds those factors and keeps them.
 
 use std::ops::Range;
 
@@ -155,6 +156,12 @@ pub(crate) trait Kernel {
 
     /// Etas appended by [`Kernel::push_eta`] since the last factorization.
     fn iteration_etas(&self) -> usize;
+
+    /// Whether the factors in hand are the ones [`Kernel::factor`] would
+    /// build from `basis` with its slots sorted ascending: a factorization
+    /// that completed without a repair, no iteration eta since, and the
+    /// slot order that kernel's factors depend on.
+    fn factors_sorted(&self, basis: &[usize]) -> bool;
 }
 
 /// Row normalization and column layout of one solve; the coefficients
@@ -185,7 +192,7 @@ pub(crate) struct Layout {
 
 impl Layout {
     /// Computes the normalization and the layout for `problem`.
-    fn build(&mut self, problem: &Problem) {
+    pub(crate) fn build(&mut self, problem: &Problem) {
         let n = problem.num_vars();
         self.row_factor.clear();
         self.slack_col.clear();
@@ -369,9 +376,13 @@ pub(crate) fn solve<K: Kernel>(
     // is a *set* — two paths fill the slots in different orders, and a
     // kernel that factors in slot order would carry that order into the
     // last bits — so the slots are put in ascending column order first.
-    state.basis.sort_unstable();
-    if !kernel.factor(state, false) {
-        return Err(SolveError::Singular);
+    // A solve that made no pivot since its last clean factorization holds
+    // those very factors already, and keeps them.
+    if !kernel.factors_sorted(&state.basis) {
+        state.basis.sort_unstable();
+        if !kernel.factor(state, false) {
+            return Err(SolveError::Singular);
+        }
     }
     load_x_basic(state, kernel, true);
 

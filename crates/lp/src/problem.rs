@@ -701,6 +701,10 @@ impl Problem {
             if let Some(stats) = stats {
                 obs.counter("lp.refactorizations")
                     .add(stats.refactorizations);
+                if stats.factor_eta_visits > 0 {
+                    obs.counter("lp.factor_eta_visits")
+                        .add(stats.factor_eta_visits);
+                }
                 if stats.phase1_early_exit {
                     obs.counter("lp.phase1_early_exits").inc();
                 }

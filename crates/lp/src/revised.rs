@@ -42,6 +42,9 @@ pub(crate) struct DenseLu {
     // --- dense LU of the basis matrix (row-major m×m) ---
     lu: Vec<f64>,
     lu_piv: Vec<usize>,
+    /// Whether the last factorization completed (a singular basis
+    /// leaves a partial LU).
+    factored: bool,
     // --- eta file: one row index + m-vector per pivot since refactor ---
     eta_rows: Vec<usize>,
     eta_data: Vec<f64>,
@@ -126,6 +129,7 @@ impl Kernel for DenseLu {
         self.eta_rows.clear();
         self.eta_data.clear();
         self.m = m;
+        self.factored = false;
         let lu = &mut self.lu;
         lu.clear();
         lu.resize(m * m, 0.0);
@@ -174,6 +178,7 @@ impl Kernel for DenseLu {
                 }
             }
         }
+        self.factored = true;
         true
     }
 
@@ -225,6 +230,12 @@ impl Kernel for DenseLu {
     fn iteration_etas(&self) -> usize {
         self.eta_rows.len()
     }
+
+    /// The LU is of the slots in their order: it stands for the sorted
+    /// basis only if they are sorted already.
+    fn factors_sorted(&self, basis: &[usize]) -> bool {
+        self.factored && self.eta_rows.is_empty() && basis.is_sorted()
+    }
 }
 
 /// Solves `B₀ z = v` in place using the LU factors (`PA = LU` layout:
@@ -274,9 +285,31 @@ fn lu_solve_t(lu: &[f64], piv: &[usize], m: usize, v: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use crate::driver::contract::Side;
-    use crate::{Problem, SolverOptions, Workspace};
+    use crate::{Basis, BasisVar, Problem, SolverOptions, Workspace};
 
     crate::driver::contract::contract_tests!(Side::DenseLu);
+
+    #[test]
+    fn an_optimal_warm_basis_in_unsorted_slots_is_refactorized_sorted() {
+        // The LU is of the slots in their order, so a warm basis that is
+        // optimal as given still gets the extraction's sorted
+        // factorization: the same basis, slot for slot, as a cold solve.
+        let mut p = Problem::maximize(vec![3.0, 2.0]);
+        p.add_le(vec![1.0, 1.0], 4.0).unwrap();
+        p.add_le(vec![1.0, 3.0], 6.0).unwrap();
+        let p = Side::DenseLu.on(p);
+        let cold = p.solve(&SolverOptions::default()).unwrap();
+        let unsorted = Basis::new(vec![BasisVar::Slack(1), BasisVar::Structural(0)]);
+        let warm = p.solve_warm(&SolverOptions::default(), &unsorted).unwrap();
+        assert!(warm.used_warm_start());
+        assert_eq!(warm.iterations(), 0);
+        assert_eq!(warm.x(), cold.x());
+        assert_eq!(
+            warm.basis().unwrap().slots(),
+            [BasisVar::Structural(0), BasisVar::Slack(1)]
+        );
+        assert_eq!(warm.basis().unwrap().slots(), cold.basis().unwrap().slots());
+    }
 
     #[test]
     fn an_edited_basis_is_declined_whole_never_mis_mapped() {

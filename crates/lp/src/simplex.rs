@@ -75,8 +75,11 @@ pub struct SolverOptions {
     /// Telemetry registry (default [`dmc_obs::Obs::disabled`]: every
     /// recording is a no-op branch). When enabled, each solve records
     /// `lp.solves`, `lp.pivots` (`lp.dual_pivots` of them in the dual
-    /// phase), `lp.refactorizations`, `lp.phase1_early_exits`, warm-start
-    /// counters, the `lp.eta_len` histogram, and a per-kernel
+    /// phase), `lp.refactorizations`, `lp.factor_eta_visits` (etas the
+    /// sparse kernel's factorizations examined, a deterministic work
+    /// count), `lp.phase1_early_exits`, warm-start counters, the
+    /// `lp.eta_len` histogram (iteration etas each refactorization
+    /// discarded), and a per-kernel
     /// `lp.solve.*` span (`dense`, `revised` for the dense LU, `sparse`);
     /// the logical clock advances by one tick per pivot.
     pub obs: dmc_obs::Obs,
@@ -99,8 +102,11 @@ impl Default for SolverOptions {
 pub(crate) struct SolveStats {
     /// Basis (re)factorizations, the cold-start build included.
     pub(crate) refactorizations: u64,
-    /// Eta-file length observed at each refactorization.
+    /// Iteration etas each refactorization discarded.
     pub(crate) eta_lengths: Vec<u64>,
+    /// Etas the factorizations examined while eliminating basic columns
+    /// (the sparse kernel's; the dense LU has none).
+    pub(crate) factor_eta_visits: u64,
     /// Whether phase 1 exited as soon as the last artificial left the
     /// basis, skipping the final pricing wrap.
     pub(crate) phase1_early_exit: bool,
@@ -143,6 +149,7 @@ impl SolveStats {
     pub(crate) fn reset(&mut self) {
         self.refactorizations = 0;
         self.eta_lengths.clear();
+        self.factor_eta_visits = 0;
         self.phase1_early_exit = false;
         self.dual_pivots = 0;
         self.warm = WarmStart::Cold;

@@ -26,9 +26,17 @@
 //!   rows. A block column's eliminated vector only ever touches its own
 //!   block's rows plus the coupling rows, so elimination work and fill
 //!   stay confined to the coupling rows plus the basic columns of active
-//!   blocks instead of the full `m×m` matrix. Iteration pivots append
-//!   further sparse etas to the same file; FTRAN applies it forward,
-//!   BTRAN backward, each skipping etas whose pivot entry is zero.
+//!   blocks instead of the full `m×m` matrix. Elimination is hypersparse
+//!   (Gilbert–Peierls reach): each factor eta pivots on its own row, so a
+//!   column visits only the etas of the rows it reaches — its own
+//!   nonzeros, then each row an applied eta fills in — in file order,
+//!   instead of testing every eta built so far. The etas it skips are
+//!   exactly those whose pivot entry is zero, which the full scan would
+//!   skip as well, and rows still join the eta in the order they are
+//!   first reached, so the file (and every FTRAN, BTRAN and solution bit
+//!   read from it) is the full scan's. Iteration pivots append further
+//!   sparse etas to the same file; FTRAN applies it forward, BTRAN
+//!   backward, each skipping etas whose pivot entry is zero.
 //! * **Block-aligned pricing sections.** The sections handed to the
 //!   driver follow the declared block boundaries
 //!   ([`Problem::block_starts`]), so a pricing chunk scans per-flow blocks
@@ -47,6 +55,8 @@
 //! and index chasing buy nothing there); its value is proportional to the
 //! sparsity it is given.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::ops::Range;
 
 use crate::driver::{uniform_sections, DriverState, Kernel, Layout, MIN_SECTION, SINGULAR_TOL};
@@ -60,6 +70,9 @@ const LOCAL_PIVOT_THRESHOLD: f64 = 0.01;
 
 /// Sentinel block id for coupling rows (support spans several blocks).
 const COUPLING: u32 = u32::MAX;
+
+/// Sentinel eta index for a row no factor eta has pivoted on yet.
+const NO_ETA: u32 = u32::MAX;
 
 /// Matrix view, eta file and factorization scratch of the sparse kernel,
 /// owned by [`Workspace`](crate::Workspace).
@@ -84,10 +97,21 @@ pub(crate) struct BlockPfi {
     /// Number of etas belonging to the current factorization (iteration
     /// etas beyond this count trigger a refactorization).
     factor_etas: usize,
+    /// Whether the factor etas are a complete factorization of the basis
+    /// set as it stands, built without a repair
+    /// ([`Kernel::factors_sorted`]).
+    set_factored: bool,
     // --- factorization scratch ---
     work: Vec<f64>,
     touched: Vec<u32>,
     mark: Vec<bool>,
+    /// The factor eta that pivoted on each row ([`NO_ETA`] until one
+    /// does).
+    row_eta: Vec<u32>,
+    /// Etas the column in elimination has reached and not yet passed.
+    pending: BinaryHeap<Reverse<u32>>,
+    /// Etas examined by the current factorization.
+    eta_visits: u64,
     order: Vec<usize>,
     deferred: Vec<usize>,
     new_basis: Vec<usize>,
@@ -258,87 +282,7 @@ impl Kernel for BlockPfi {
     /// landing on the same final basis factorize identically — the
     /// keystone of the bit-identical warm/cold guarantee.
     fn factor(&mut self, state: &mut DriverState, repair: bool) -> bool {
-        let lay = &state.lay;
-        let m = lay.m;
-        state.stats.refactorizations += 1;
-        state
-            .stats
-            .eta_lengths
-            .push(self.eta_ptr.len().saturating_sub(1) as u64);
-        self.eta_pivot.clear();
-        self.eta_pivot_val.clear();
-        self.eta_rows.clear();
-        self.eta_vals.clear();
-        self.eta_ptr.clear();
-        self.eta_ptr.push(0);
-        self.factor_etas = 0;
-        if m == 0 {
-            return true;
-        }
-        debug_assert_eq!(state.basis.len(), m);
-
-        self.pivoted.clear();
-        self.pivoted.resize(m, false);
-        self.new_basis.clear();
-        self.new_basis.resize(m, usize::MAX);
-        self.work.clear();
-        self.work.resize(m, 0.0);
-        self.mark.clear();
-        self.mark.resize(m, false);
-        self.touched.clear();
-
-        // Deterministic block-local elimination order.
-        let mut order = std::mem::take(&mut self.order);
-        order.clear();
-        order.extend_from_slice(&state.basis);
-        order.sort_unstable_by_key(|&c| {
-            if c >= lay.n {
-                (0u8, lay.logical_row[c - lay.n], c)
-            } else {
-                (1u8, self.col_block[c] as usize, c)
-            }
-        });
-
-        let mut deferred = std::mem::take(&mut self.deferred);
-        deferred.clear();
-        for &col in &order {
-            if !self.eliminate_column(lay, col, true) {
-                deferred.push(col);
-            }
-        }
-        let mut ok = true;
-        for &col in &deferred {
-            if !self.eliminate_column(lay, col, false) {
-                if !repair {
-                    ok = false;
-                    break;
-                }
-                state.in_basis[col] = false;
-                state.stats.warm = WarmStart::Repaired;
-            }
-        }
-        self.deferred = deferred;
-        self.order = order;
-        if !ok {
-            return false;
-        }
-        for r in 0..m {
-            if !self.pivoted[r] {
-                // Only reachable under `repair`. Neither logical of an
-                // unpivoted row is basic (a basic one pivots on its own row
-                // or was just dropped), and a singleton on an unpivoted row
-                // passes through the etas built so far unchanged.
-                let c = lay.starting_logical(r);
-                debug_assert!(!state.in_basis[c]);
-                state.in_basis[c] = true;
-                let placed = self.eliminate_column(lay, c, false);
-                debug_assert!(placed);
-            }
-        }
-        debug_assert!(self.pivoted.iter().all(|&p| p));
-        std::mem::swap(&mut state.basis, &mut self.new_basis);
-        self.factor_etas = self.eta_pivot.len();
-        true
+        self.factor_with(state, repair, Self::eliminate_column)
     }
 
     /// The sparse eta file applied in append order, skipping etas whose
@@ -386,57 +330,197 @@ impl Kernel for BlockPfi {
     fn iteration_etas(&self) -> usize {
         self.eta_pivot.len() - self.factor_etas
     }
+
+    /// The factorization is a function of the basis set, and it ordered
+    /// the slots itself: it stands for the sorted basis whenever it
+    /// completed unrepaired and no pivot followed.
+    fn factors_sorted(&self, _basis: &[usize]) -> bool {
+        self.set_factored && self.iteration_etas() == 0
+    }
 }
 
 impl BlockPfi {
+    /// [`Kernel::factor`] with its elimination step passed in:
+    /// [`BlockPfi::eliminate_column`], or the full-scan oracle the tests
+    /// hold it to.
+    fn factor_with(
+        &mut self,
+        state: &mut DriverState,
+        repair: bool,
+        eliminate: impl Fn(&mut Self, &Layout, usize, bool) -> bool,
+    ) -> bool {
+        let lay = &state.lay;
+        let m = lay.m;
+        state.stats.refactorizations += 1;
+        state.stats.eta_lengths.push(self.iteration_etas() as u64);
+        self.eta_pivot.clear();
+        self.eta_pivot_val.clear();
+        self.eta_rows.clear();
+        self.eta_vals.clear();
+        self.eta_ptr.clear();
+        self.eta_ptr.push(0);
+        self.factor_etas = 0;
+        self.set_factored = m == 0;
+        if m == 0 {
+            return true;
+        }
+        debug_assert_eq!(state.basis.len(), m);
+
+        self.pivoted.clear();
+        self.pivoted.resize(m, false);
+        self.new_basis.clear();
+        self.new_basis.resize(m, usize::MAX);
+        self.work.clear();
+        self.work.resize(m, 0.0);
+        self.mark.clear();
+        self.mark.resize(m, false);
+        self.row_eta.clear();
+        self.row_eta.resize(m, NO_ETA);
+        self.eta_visits = 0;
+
+        // Deterministic block-local elimination order.
+        let mut order = std::mem::take(&mut self.order);
+        order.clear();
+        order.extend_from_slice(&state.basis);
+        order.sort_unstable_by_key(|&c| {
+            if c >= lay.n {
+                (0u8, lay.logical_row[c - lay.n], c)
+            } else {
+                (1u8, self.col_block[c] as usize, c)
+            }
+        });
+
+        let mut deferred = std::mem::take(&mut self.deferred);
+        deferred.clear();
+        for &col in &order {
+            if !eliminate(self, lay, col, true) {
+                deferred.push(col);
+            }
+        }
+        let (mut ok, mut repaired) = (true, false);
+        for &col in &deferred {
+            if !eliminate(self, lay, col, false) {
+                if !repair {
+                    ok = false;
+                    break;
+                }
+                state.in_basis[col] = false;
+                state.stats.warm = WarmStart::Repaired;
+                repaired = true;
+            }
+        }
+        self.deferred = deferred;
+        self.order = order;
+        if ok {
+            for r in 0..m {
+                if !self.pivoted[r] {
+                    // Only reachable under `repair`. Neither logical of an
+                    // unpivoted row is basic (a basic one pivots on its own
+                    // row or was just dropped), and a singleton on an
+                    // unpivoted row passes through the etas built so far
+                    // unchanged.
+                    let c = lay.starting_logical(r);
+                    debug_assert!(!state.in_basis[c]);
+                    state.in_basis[c] = true;
+                    let placed = eliminate(self, lay, c, false);
+                    debug_assert!(placed);
+                }
+            }
+            debug_assert!(self.pivoted.iter().all(|&p| p));
+            std::mem::swap(&mut state.basis, &mut self.new_basis);
+        }
+        // A singular basis leaves a partial file: factor etas all the same.
+        self.factor_etas = self.eta_pivot.len();
+        self.set_factored = ok && !repaired;
+        state.stats.factor_eta_visits += self.eta_visits;
+        ok
+    }
+
     /// One factorization step: FTRANs column `col` through the etas built so
-    /// far and pivots it at the best eligible row. With `local_only` the
-    /// pivot must sit on the column's home rows (its own block for
-    /// structural columns, its own row for logicals) *and* pass the
-    /// threshold test against the best pivot anywhere; otherwise any
-    /// unpivoted row qualifies. Returns `false` when no acceptable pivot
-    /// exists (the caller defers or declares the basis singular).
+    /// far and pivots it at the best eligible row (see
+    /// [`BlockPfi::place_pivot`]). Only the etas the column *reaches* are
+    /// visited, in file order: those pivoting on a row of its own
+    /// nonzeros, joined by the eta of each row an applied eta fills in
+    /// when that eta comes later in the file. Any other eta would find its
+    /// pivot entry zero and change nothing, so the work vector, the order
+    /// of `touched` and the eta this step appends are the full scan's bit
+    /// for bit.
     fn eliminate_column(&mut self, lay: &Layout, col: usize, local_only: bool) -> bool {
-        // Gather the column and apply the existing etas, tracking touched
-        // rows so the dense work vector is cleared in O(nnz).
-        let mut work = std::mem::take(&mut self.work);
-        let mut touched = std::mem::take(&mut self.touched);
-        touched.clear();
+        self.load_column(lay, col);
+        // `touched[..queued]` have had their etas queued; an eta before
+        // `next` has been passed.
+        let (mut queued, mut next) = (0usize, 0u32);
+        loop {
+            for &t in &self.touched[queued..] {
+                let k = self.row_eta[t as usize];
+                if k != NO_ETA && k >= next {
+                    self.pending.push(Reverse(k));
+                }
+            }
+            queued = self.touched.len();
+            let Some(Reverse(k)) = self.pending.pop() else {
+                break;
+            };
+            self.apply_eta(k as usize);
+            next = k + 1;
+        }
+        self.place_pivot(lay, col, local_only)
+    }
+
+    /// Scatters column `col` (structural or logical, normalized) into the
+    /// work vector, its rows into `touched`.
+    fn load_column(&mut self, lay: &Layout, col: usize) {
+        self.touched.clear();
         if col < lay.n {
             for idx in self.col_ptr[col]..self.col_ptr[col + 1] {
                 let r = self.col_rows[idx] as usize;
-                work[r] = self.col_vals[idx] * lay.row_factor[r];
-                if !self.mark[r] {
-                    self.mark[r] = true;
-                    touched.push(r as u32);
-                }
+                self.work[r] = self.col_vals[idx] * lay.row_factor[r];
+                self.touch(r);
             }
         } else {
             let l = col - lay.n;
             let r = lay.logical_row[l];
-            work[r] = lay.logical_val[l];
-            if !self.mark[r] {
-                self.mark[r] = true;
-                touched.push(r as u32);
-            }
+            self.work[r] = lay.logical_val[l];
+            self.touch(r);
         }
-        for k in 0..self.eta_pivot.len() {
-            let r = self.eta_pivot[k] as usize;
-            let vr = work[r];
-            // dmc-lint: allow(float-exact) eta transform skip: an exactly-zero pivot component leaves the vector unchanged
-            if vr != 0.0 {
-                for idx in self.eta_ptr[k]..self.eta_ptr[k + 1] {
-                    let i = self.eta_rows[idx] as usize;
-                    work[i] += self.eta_vals[idx] * vr;
-                    if !self.mark[i] {
-                        self.mark[i] = true;
-                        touched.push(i as u32);
-                    }
-                }
-                work[r] = self.eta_pivot_val[k] * vr;
-            }
-        }
+    }
 
+    /// Applies factor eta `k` to the work vector unless its pivot entry is
+    /// zero, appending the rows it reaches first to `touched`.
+    fn apply_eta(&mut self, k: usize) {
+        self.eta_visits += 1;
+        let r = self.eta_pivot[k] as usize;
+        let vr = self.work[r];
+        // dmc-lint: allow(float-exact) eta transform skip: an exactly-zero pivot component leaves the vector unchanged
+        if vr != 0.0 {
+            for idx in self.eta_ptr[k]..self.eta_ptr[k + 1] {
+                let i = self.eta_rows[idx] as usize;
+                self.work[i] += self.eta_vals[idx] * vr;
+                self.touch(i);
+            }
+            self.work[r] = self.eta_pivot_val[k] * vr;
+        }
+    }
+
+    /// Records row `r` in `touched` the first time it is reached, so the
+    /// work vector is cleared in `O(nnz)`.
+    #[inline]
+    fn touch(&mut self, r: usize) {
+        if !self.mark[r] {
+            self.mark[r] = true;
+            self.touched.push(r as u32);
+        }
+    }
+
+    /// Pivots the eliminated column in the work vector at the best eligible
+    /// row and clears the work vector. With `local_only` the pivot must
+    /// sit on the column's home rows (its own block for structural
+    /// columns, its own row for logicals) *and* pass the threshold test
+    /// against the best pivot anywhere; otherwise any unpivoted row
+    /// qualifies. Returns `false` when no acceptable pivot exists (the
+    /// caller defers or declares the basis singular).
+    fn place_pivot(&mut self, lay: &Layout, col: usize, local_only: bool) -> bool {
+        let (work, touched) = (&mut self.work, &self.touched);
         // Pick the pivot row: best local vs. best anywhere, lowest row index
         // breaking ties deterministically.
         let home = if col < lay.n {
@@ -453,7 +537,7 @@ impl BlockPfi {
         let mut best_local = 0.0f64;
         let mut local_row = usize::MAX;
         let mut any_row = usize::MAX;
-        for &t in &touched {
+        for &t in touched {
             let r = t as usize;
             if self.pivoted[r] {
                 continue;
@@ -490,9 +574,10 @@ impl BlockPfi {
         let accepted = pivot_row != usize::MAX;
         if accepted {
             let inv = 1.0 / work[pivot_row];
+            self.row_eta[pivot_row] = self.eta_pivot.len() as u32;
             self.eta_pivot.push(pivot_row as u32);
             self.eta_pivot_val.push(inv);
-            for &t in &touched {
+            for &t in touched {
                 let i = t as usize;
                 // dmc-lint: allow(float-exact) elimination skip: an exactly-zero work entry produces no fill
                 if i != pivot_row && work[i] != 0.0 {
@@ -505,26 +590,225 @@ impl BlockPfi {
             self.new_basis[pivot_row] = col;
         }
         // Clear the work vector for the next column.
-        for &t in &touched {
+        for &t in touched {
             work[t as usize] = 0.0;
             self.mark[t as usize] = false;
         }
-        self.work = work;
-        self.touched = touched;
         accepted
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::BlockPfi;
     use crate::driver::contract::{block_angular, Side};
-    use crate::{Problem, SolveError, SolverOptions, Workspace};
+    use crate::driver::{DriverState, Kernel, Layout};
+    use crate::simplex::WarmStart;
+    use crate::{Basis, BasisVar, Problem, SolveError, SolverOptions, Workspace};
     use dmc_obs::Obs;
 
     crate::driver::contract::contract_tests!(Side::Sparse);
 
     fn opts() -> SolverOptions {
         SolverOptions::default()
+    }
+
+    /// The full-scan elimination step, the oracle `eliminate_column` is
+    /// held to: every eta built so far, in file order, tested for a zero
+    /// pivot entry.
+    fn eliminate_full_scan(pfi: &mut BlockPfi, lay: &Layout, col: usize, local_only: bool) -> bool {
+        pfi.load_column(lay, col);
+        for k in 0..pfi.eta_pivot.len() {
+            pfi.apply_eta(k);
+        }
+        pfi.place_pivot(lay, col, local_only)
+    }
+
+    type Eliminate = fn(&mut BlockPfi, &Layout, usize, bool) -> bool;
+
+    /// Factors the basis `cols` (driver column indices) of `p` on a fresh
+    /// kernel with `eliminate`; returns the kernel, the state and whether
+    /// the basis factored.
+    fn factor_by(
+        p: &Problem,
+        cols: &[usize],
+        repair: bool,
+        eliminate: Eliminate,
+    ) -> (BlockPfi, DriverState, bool) {
+        let mut state = DriverState::default();
+        state.lay.build(p);
+        let mut pfi = BlockPfi::default();
+        pfi.prepare(p, &state.lay, &mut Vec::new());
+        state.basis = cols.to_vec();
+        state.in_basis = vec![false; state.lay.n + state.lay.logical_row.len()];
+        for &c in cols {
+            state.in_basis[c] = true;
+        }
+        let ok = pfi.factor_with(&mut state, repair, eliminate);
+        (pfi, state, ok)
+    }
+
+    /// The eta file, values as bits: pivot rows, pivot values, entry
+    /// offsets, entry rows, entry values.
+    type EtaFile = (Vec<u32>, Vec<u64>, Vec<usize>, Vec<u32>, Vec<u64>);
+
+    fn eta_file(pfi: &BlockPfi) -> EtaFile {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        (
+            pfi.eta_pivot.clone(),
+            bits(&pfi.eta_pivot_val),
+            pfi.eta_ptr.clone(),
+            pfi.eta_rows.clone(),
+            bits(&pfi.eta_vals),
+        )
+    }
+
+    /// SplitMix64: the seeded stream of the oracle test.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// A random block-angular LP: 1–3 coupling `≤` rows over a random
+    /// subset of every block's columns, and per block a `Σx = 1` row, a
+    /// floor row half the time, and 2–5 columns. Block 0's last column
+    /// duplicates the one before it, so a basis holding both is singular.
+    fn random_block_lp(rng: &mut Rng) -> Problem {
+        let blocks = 3 + rng.below(6);
+        let widths: Vec<usize> = (0..blocks).map(|_| 2 + rng.below(4)).collect();
+        let starts: Vec<usize> = widths
+            .iter()
+            .scan(0, |at, &w| {
+                *at += w;
+                Some(*at - w)
+            })
+            .collect();
+        let n: usize = widths.iter().sum();
+        let coupling: Vec<Vec<f64>> = (0..1 + rng.below(3))
+            .map(|_| {
+                let mut row: Vec<f64> = (0..n)
+                    .map(|_| {
+                        if rng.below(10) < 7 {
+                            0.1 + rng.unit()
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect();
+                row[widths[0] - 1] = row[widths[0] - 2];
+                row
+            })
+            .collect();
+        let mut p = Problem::maximize((0..n).map(|_| 0.2 + rng.unit()).collect());
+        for row in &coupling {
+            p.add_le(row, 0.3 * blocks as f64 + rng.unit()).unwrap();
+        }
+        for (f, (&lo, &w)) in starts.iter().zip(&widths).enumerate() {
+            let cols = lo..lo + w;
+            p.add_eq_sparse(&cols.clone().map(|j| (j, 1.0)).collect::<Vec<_>>(), 1.0)
+                .unwrap();
+            if rng.below(2) == 0 {
+                let mut floor: Vec<(usize, f64)> = cols.map(|j| (j, 0.2 + rng.unit())).collect();
+                if f == 0 {
+                    floor[w - 1].1 = floor[w - 2].1;
+                }
+                p.add_ge_sparse(&floor, 0.3).unwrap();
+            }
+        }
+        p.set_block_starts(starts).unwrap();
+        p
+    }
+
+    /// Reach against the full scan on random bases of random
+    /// block-angular LPs, with and without repair: the same verdict, the
+    /// same basis, and the same eta file bit for bit, in fewer visits.
+    /// The bases cover columns deferred to the coupling rows and a
+    /// dependent column dropped by `repair`.
+    #[test]
+    fn reach_builds_the_full_scans_eta_file() {
+        let mut rng = Rng(0x5EED);
+        let (mut deferred, mut dependent) = (0, 0);
+        for trial in 0..300 {
+            let p = random_block_lp(&mut rng);
+            let mut lay = Layout::default();
+            lay.build(&p);
+            let (m, n) = (lay.m, lay.n);
+            let ncols = n + lay.logical_row.len();
+            // Mostly structural columns, so blocks hold more basic
+            // columns than local rows; half the time both duplicates.
+            let mut keyed: Vec<(bool, u64, usize)> = (0..ncols)
+                .map(|c| (c >= n && rng.below(4) != 0, rng.next(), c))
+                .collect();
+            keyed.sort_unstable();
+            let mut pool: Vec<usize> = keyed.into_iter().map(|(.., c)| c).collect();
+            let widths0 = p.block_starts()[1];
+            if trial % 2 == 0 {
+                pool.retain(|&c| c != widths0 - 1 && c != widths0 - 2);
+                pool.splice(0..0, [widths0 - 2, widths0 - 1]);
+            }
+            let cols = &pool[..m];
+            for repair in [true, false] {
+                let (reach, reach_state, ok) =
+                    factor_by(&p, cols, repair, BlockPfi::eliminate_column);
+                let (full, full_state, full_ok) = factor_by(&p, cols, repair, eliminate_full_scan);
+                assert_eq!(ok, full_ok, "trial {trial}");
+                assert_eq!(eta_file(&reach), eta_file(&full), "trial {trial}");
+                assert_eq!(reach_state.basis, full_state.basis, "trial {trial}");
+                assert_eq!(reach_state.in_basis, full_state.in_basis);
+                assert!(reach.eta_visits <= full.eta_visits);
+                if ok && repair {
+                    deferred += usize::from(!reach.deferred.is_empty());
+                    let both = cols.contains(&(widths0 - 2)) && cols.contains(&(widths0 - 1));
+                    dependent += usize::from(both && reach_state.stats.warm == WarmStart::Repaired);
+                }
+            }
+        }
+        assert!(deferred >= 30, "{deferred} bases reached the deferred pass");
+        assert!(dependent >= 30, "{dependent} bases dropped a duplicate");
+    }
+
+    /// `lp.factor_eta_visits` on `block_angular`'s optimal basis, re-solved
+    /// warm (one factorization, kept for the extraction): doubling the
+    /// blocks roughly doubles it, where the full scan's count is
+    /// quadratic.
+    #[test]
+    fn factor_work_is_linear_in_the_blocks() {
+        let visits = |blocks: usize| {
+            let p = block_angular(blocks, 9);
+            let basis = p.solve(&opts()).unwrap().take_basis().unwrap();
+            let obs = Obs::enabled();
+            let o = SolverOptions {
+                obs: obs.clone(),
+                ..opts()
+            };
+            let mut ws = Workspace::new();
+            let warm = p.solve_warm_with(&o, &mut ws, &basis).unwrap();
+            assert_eq!(warm.iterations(), 0);
+            let snap = obs.snapshot();
+            assert_eq!(snap.counter("lp.refactorizations"), Some(1));
+            let (full, ..) = factor_by(&p, &ws.driver.basis, false, eliminate_full_scan);
+            let reach = snap.counter("lp.factor_eta_visits").unwrap();
+            (reach as f64, full.eta_visits as f64)
+        };
+        let (reach_32, full_32) = visits(32);
+        let (reach_64, full_64) = visits(64);
+        assert!(reach_64 < 2.5 * reach_32, "{reach_32} → {reach_64}");
+        assert!(full_64 > 3.5 * full_32, "{full_32} → {full_64}");
     }
 
     #[test]
@@ -724,6 +1008,39 @@ mod tests {
         assert_eq!(snap.counter("lp.warm_repairs"), Some(1));
         assert_eq!(snap.counter("lp.warm_rejected_singular"), None);
         assert_eq!(snap.counter("lp.warm_rejected_infeasible"), None);
+    }
+
+    /// A repaired factorization is not the one the basis set would get
+    /// (the logical that replaced the dropped column was eliminated last),
+    /// so the extraction refactorizes even when no pivot followed.
+    #[test]
+    fn a_repaired_basis_is_refactorized_for_the_extraction() {
+        // Basis {x0, x1, s2} with x1's column equal to s2's: the repair
+        // drops x1 and row 1 takes its slack, and {x0, s1, s2} is optimal.
+        let mut p = Problem::maximize(vec![2.0, -1.0]);
+        p.add_le(vec![1.0, 0.0], 1.0).unwrap();
+        p.add_le(vec![1.0, 0.0], 1.0).unwrap();
+        p.add_le(vec![0.0, 1.0], 3.0).unwrap();
+        let p = Side::Sparse.on(p);
+        let basis = Basis::new(vec![
+            BasisVar::Structural(0),
+            BasisVar::Structural(1),
+            BasisVar::Slack(2),
+        ]);
+        let obs = Obs::enabled();
+        let o = SolverOptions {
+            obs: obs.clone(),
+            ..opts()
+        };
+        let warm = p.solve_warm(&o, &basis).unwrap();
+        let cold = p.solve(&opts()).unwrap();
+        assert!(warm.used_warm_start());
+        assert_eq!(warm.iterations(), 0);
+        assert_eq!(warm.x(), cold.x());
+        assert_eq!(warm.duals(), cold.duals());
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("lp.warm_repairs"), Some(1));
+        assert_eq!(snap.counter("lp.refactorizations"), Some(2));
     }
 
     #[test]

@@ -90,6 +90,72 @@ fn warm_start_counters_and_unchanged_numerics() {
     assert_eq!(snap.counter("lp.warm_used"), Some(1));
 }
 
+/// `p` on the sparse kernel (blocks declared) or the dense LU (none).
+fn on_kernel(mut p: Problem, sparse: bool) -> Problem {
+    p.set_block_starts(if sparse { vec![0] } else { Vec::new() })
+        .expect("valid block starts");
+    p
+}
+
+/// `lp.eta_len` records the iteration etas each refactorization discards,
+/// on both kernels. A re-solve from the optimal basis never refactorizes
+/// mid-solve (nor, with no pivot, for its extraction) and records 0 —
+/// not the factor etas the previous solve left in the file.
+#[test]
+fn eta_len_without_a_mid_solve_refactorization_is_zero() {
+    for sparse in [false, true] {
+        let p = on_kernel(sample_problem(), sparse);
+        let mut ws = Workspace::new();
+        let cold = p
+            .solve_with(&SolverOptions::default(), &mut ws)
+            .expect("cold solve");
+        let obs = Obs::enabled();
+        let opts = SolverOptions {
+            obs: obs.clone(),
+            ..SolverOptions::default()
+        };
+        let basis = cold.basis().expect("optimal basis exported");
+        let warm = p
+            .solve_warm_with(&opts, &mut ws, basis)
+            .expect("warm solve");
+        assert_eq!(warm.iterations(), 0);
+        assert_eq!(warm.x(), cold.x());
+        let snap = obs.snapshot();
+        let eta_len = snap.histogram("lp.eta_len").expect("recorded");
+        assert_eq!(eta_len.max, 0, "sparse: {sparse}");
+        assert_eq!(snap.counter("lp.refactorizations"), Some(1));
+    }
+}
+
+/// A solve past the refactorization interval records each mid-solve
+/// refactorization at exactly the interval, 64, on both kernels.
+#[test]
+fn eta_len_past_the_refactorization_interval_is_64() {
+    let n = 200usize;
+    let mut p = Problem::maximize(
+        (0..n)
+            .map(|j| 1.0 + (j as f64 * 0.37).sin().abs())
+            .collect(),
+    );
+    for i in 0..n / 2 {
+        p.add_le_sparse(&[(2 * i, 1.0), (2 * i + 1, 1.0)], 1.0 + i as f64 * 0.01)
+            .expect("valid row");
+    }
+    for sparse in [false, true] {
+        let obs = Obs::enabled();
+        let opts = SolverOptions {
+            obs: obs.clone(),
+            ..SolverOptions::default()
+        };
+        let s = on_kernel(p.clone(), sparse).solve(&opts).expect("feasible");
+        assert!(s.iterations() > 64, "{}", s.iterations());
+        let snap = obs.snapshot();
+        let eta_len = snap.histogram("lp.eta_len").expect("recorded");
+        assert_eq!(eta_len.max, 64, "sparse: {sparse}");
+        assert!(eta_len.count >= 3, "cold build, one mid-solve, extraction");
+    }
+}
+
 #[test]
 fn infeasible_solves_count_as_errors() {
     let obs = Obs::enabled();
