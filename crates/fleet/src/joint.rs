@@ -30,8 +30,27 @@
 //! re-solves for whoever is left; [`JointCore::apply_link_change`] is a
 //! link change, whole; [`JointCore::evict_all`] empties the roster in
 //! re-admission order for a one-by-one re-settle. The solve
-//! itself is private, and every successful one refreshes every
-//! resident's block and plan in the pass that slices `x`.
+//! itself is private, and every successful optimal one refreshes the
+//! block and plan of every resident whose slice of `x` moved, in the
+//! pass that slices it.
+//!
+//! # Two goals
+//!
+//! An admission verdict is only whether every floor can still be met —
+//! a feasibility question, which phase 1 of the solver decides alone
+//! ([`Problem::find_feasible_with`]); the optimum matters only for the
+//! plans handed out. So an offer is made with a [`Goal`]:
+//! [`Goal::Optimal`] solves to the optimum and refreshes the plans, as
+//! a single offer must; [`Goal::Feasible`] stops at the first feasible
+//! vertex, refreshes no plan, and gives the candidate a plan cut from
+//! that vertex. The planners' greedy sequences (a batch's one-by-one
+//! fallback, a re-settle after a link change, a revival sweep, a
+//! schedule's slides) admit on verdicts and then call
+//! [`JointCore::refresh`] once: one optimal solve for the final roster,
+//! before the public call returns, so no caller sees a plan the roster
+//! has outgrown. The core knows when one is due — after a feasibility
+//! admission, a removal, an eviction or a link change, until the next
+//! optimal solve.
 //!
 //! The invariant this buys, by construction: **a block is live in the
 //! assembly iff its flow is on the roster or is a candidate of the
@@ -177,18 +196,64 @@ impl Member {
 
 /// One resident of the roster: an admitted member, its slice of the
 /// current joint allocation and the raw block of `x` that slice was cut
-/// from. Every successful solve refreshes both, for every resident.
+/// from. Every successful optimal solve refreshes both, for every
+/// resident whose block moved.
 #[derive(Debug)]
 pub(crate) struct Resident {
     pub(crate) member: Member,
-    /// The aggregate plan over the window (the slot-summed assignment
-    /// vector through [`ScenarioModel::plan_for`]).
+    /// The aggregate plan over the window: [`Resident::plan_for`] of
+    /// `block`.
     pub(crate) plan: Plan,
-    /// `L·n` assignment values, window-slot-major, then the carry levels.
+    /// `L·n` assignment values, window-slot-major, then the carry levels;
+    /// always of the member's shape, so that `plan` is
+    /// [`Resident::plan_for`] of it at every moment.
     block: Vec<f64>,
 }
 
 impl Resident {
+    /// A member's plan for `block`: the slot-summed assignment vector
+    /// through [`ScenarioModel::plan_for`] (for `L = 1` the sum *is* the
+    /// block). A pure function of the model and the block.
+    fn plan_for(m: &Member, block: &[f64]) -> Plan {
+        let n = m.model.num_combos();
+        let mut total = block[..n].to_vec();
+        for seg in block[n..m.window().len() * n].chunks(n) {
+            for (t, v) in total.iter_mut().zip(seg) {
+                *t += v;
+            }
+        }
+        m.model.plan_for(Objective::MaxQuality, total)
+    }
+
+    /// Moves the resident to `fresh`, its slice of a new joint `x`. The
+    /// plan is rebuilt only when the block moved: `plan_for` is a pure
+    /// function of the model and the block, so an equal block, bit for
+    /// bit, has the plan already.
+    fn refresh_from(&mut self, fresh: &[f64]) {
+        let bits = |v: &f64| v.to_bits();
+        if !self.block.iter().map(bits).eq(fresh.iter().map(bits)) {
+            self.block.clear();
+            self.block.extend_from_slice(fresh);
+            self.plan = Resident::plan_for(&self.member, &self.block);
+        }
+    }
+
+    /// Moves the resident to `member`, its own rebuild against changed
+    /// paths, and rebuilds the plan from the block it holds — zeroed to
+    /// the new shape where the door rule dropped or restored a path. The
+    /// plan stays `plan_for` of the block, so the skip in
+    /// [`Resident::refresh_from`] stays sound, and a re-solve that fails
+    /// leaves a plan against the new model.
+    fn remodel(&mut self, member: Member) {
+        self.member = member;
+        let len = self.assigned() + self.member.carry_vars();
+        if self.block.len() != len {
+            self.block.clear();
+            self.block.resize(len, 0.0);
+        }
+        self.plan = Resident::plan_for(&self.member, &self.block);
+    }
+
     fn assigned(&self) -> usize {
         self.member.window().len() * self.member.model.num_combos()
     }
@@ -621,6 +686,16 @@ impl Assembly {
     }
 }
 
+/// What an offer asks the joint LP for (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Goal {
+    /// The optimum: every resident's plan is refreshed from it.
+    Optimal,
+    /// A verdict: the first feasible vertex, no incumbent's plan moves,
+    /// and a [`JointCore::refresh`] is due.
+    Feasible,
+}
+
 /// The joint-LP core one planner owns: the shared paths and grid, the
 /// roster of resident flows, the per-flow model builder, the maintained
 /// [`Assembly`] (LP and carried basis) and the solver scratch.
@@ -648,8 +723,12 @@ pub(crate) struct JointCore {
     warm_anomalies: u64,
     /// `None` until the first solve and whenever the core has dropped it.
     assembly: Option<Assembly>,
-    /// Objective value of the last successful joint solve (0 when empty).
+    /// Objective value of the last successful optimal solve (0 when
+    /// empty).
     last_objective: f64,
+    /// Whether the roster or its models changed since the last optimal
+    /// solve, so plans and `last_objective` may not describe it.
+    stale: bool,
 }
 
 impl JointCore {
@@ -698,13 +777,17 @@ impl JointCore {
             warm_anomalies: 0,
             assembly: None,
             last_objective: 0.0,
+            stale: false,
         })
     }
 
     /// A link change, whole: validates it, applies it to the shared path,
     /// rebuilds every resident's model against the changed paths and
-    /// forgets the assembly built from the old ones. A failed path plans
-    /// as loss 1; a [`LinkChange::SetLoss`] plans against the model's
+    /// forgets the assembly built from the old ones. Every plan is
+    /// rebuilt against its new model on the spot, so a plan the next
+    /// solve leaves standing (its block did not move) is already current,
+    /// and so is every plan when that solve fails. A failed path plans as
+    /// loss 1; a [`LinkChange::SetLoss`] plans against the model's
     /// stationary loss rate.
     pub(crate) fn apply_link_change(
         &mut self,
@@ -730,9 +813,10 @@ impl JointCore {
             }
         }
         self.assembly = None;
+        self.stale = true;
         let mut flows = std::mem::take(&mut self.flows);
         let rebuilt = flows.iter_mut().try_for_each(|r| {
-            r.member = self.member(r.member.id, r.member.request.clone())?;
+            r.remodel(self.member(r.member.id, r.member.request.clone())?);
             Ok(())
         });
         self.flows = flows;
@@ -814,29 +898,27 @@ impl JointCore {
         self.flows.iter().find(|r| r.member.id == id)
     }
 
-    /// Offers one candidate: it becomes the last resident (its predicted
-    /// quality is returned) or, when no allocation meets every floor
-    /// with it, is handed back with the LP and the incumbents untouched.
-    pub(crate) fn admit(&mut self, member: Member) -> Result<Result<f64, Member>, FleetError> {
-        let verdict = self.admit_all(vec![member])?;
-        Ok(verdict
-            .map(|qualities| qualities[0])
-            .map_err(|mut back| back.pop().expect("the one candidate comes back")))
+    /// Offers one candidate for `goal`: it becomes the last resident or,
+    /// when no allocation meets every floor with it, is handed back with
+    /// the LP and the incumbents untouched.
+    pub(crate) fn admit(
+        &mut self,
+        member: Member,
+        goal: Goal,
+    ) -> Result<Result<(), Member>, FleetError> {
+        let verdict = self.admit_all(vec![member], goal)?;
+        Ok(verdict.map_err(|mut back| back.pop().expect("the one candidate comes back")))
     }
 
-    /// Offers a batch in **one** solve: all become residents, in order
-    /// (their predicted qualities are returned), or none does and the
-    /// batch is handed back.
+    /// Offers a batch in **one** solve for `goal`: all become residents,
+    /// in order, or none does and the batch is handed back.
     pub(crate) fn admit_all(
         &mut self,
         batch: Vec<Member>,
-    ) -> Result<Result<Vec<f64>, Vec<Member>>, FleetError> {
-        let incumbents = self.flows.len();
-        match self.solve(batch) {
-            Ok(()) => Ok(Ok(self.flows[incumbents..]
-                .iter()
-                .map(|r| r.plan.quality())
-                .collect())),
+        goal: Goal,
+    ) -> Result<Result<(), Vec<Member>>, FleetError> {
+        match self.solve(batch, goal) {
+            Ok(()) => Ok(Ok(())),
             Err((SolveError::Infeasible { .. }, back)) => Ok(Err(back)),
             Err((e, _)) => Err(FleetError::Solve(e)),
         }
@@ -849,12 +931,23 @@ impl JointCore {
         if let Some(assembly) = self.assembly.as_mut() {
             assembly.deactivate(id);
         }
+        self.stale = true;
         Some(self.flows.remove(pos))
     }
 
     /// Re-solves over the residents alone and refreshes their plans.
     pub(crate) fn resolve(&mut self) -> Result<(), SolveError> {
-        self.solve(Vec::new()).map_err(|(e, _)| e)
+        self.solve(Vec::new(), Goal::Optimal).map_err(|(e, _)| e)
+    }
+
+    /// Ends a sequence of feasibility admissions (and removals): one
+    /// optimal solve for the roster as it now stands, if it changed since
+    /// the last one, so every plan describes it again.
+    pub(crate) fn refresh(&mut self) -> Result<(), SolveError> {
+        if self.stale {
+            self.resolve()?;
+        }
+        Ok(())
     }
 
     /// Empties the roster and drops the assembly; the evicted come
@@ -862,6 +955,7 @@ impl JointCore {
     /// order within ties — for the caller to offer again one by one.
     pub(crate) fn evict_all(&mut self) -> Vec<Resident> {
         self.assembly = None;
+        self.stale = true;
         let mut evicted = std::mem::take(&mut self.flows);
         evicted.sort_by(|a, b| {
             readmission_order(
@@ -878,15 +972,17 @@ impl JointCore {
         assembly.map_or((0, 0), |a| (a.slots.len(), a.slots.len() - a.slot_of.len()))
     }
 
-    /// Solves the joint LP over the roster plus the tentative `extras`.
-    /// On success every resident's block and plan are refreshed from the
-    /// new `x` and the extras join the roster, in order; with no flows
-    /// at all there is nothing to solve.
+    /// Solves the joint LP over the roster plus the tentative `extras`,
+    /// for `goal`. On success the extras join the roster, in order, each
+    /// with its slice of the new `x` and the plan of that slice; an
+    /// optimal solve also moves every resident to its new slice and
+    /// clears the staleness a feasibility solve sets. With no flows at
+    /// all there is nothing to solve.
     ///
     /// On *any* error — infeasibility included — the extras' placements
     /// are rolled back and the extras handed back, so a refused
     /// candidate leaves no trace.
-    fn solve(&mut self, extras: Vec<Member>) -> Result<(), (SolveError, Vec<Member>)> {
+    fn solve(&mut self, extras: Vec<Member>, goal: Goal) -> Result<(), (SolveError, Vec<Member>)> {
         debug_assert!(
             self.assembly.as_ref().is_none_or(|a| {
                 let resident = |r: &Resident| a.slot_of.contains_key(&r.member.id);
@@ -903,6 +999,7 @@ impl JointCore {
         }
         if self.flows.is_empty() && extras.is_empty() {
             self.last_objective = 0.0;
+            self.stale = false;
             return Ok(());
         }
         let mut assembly = self.assembly.take().unwrap_or_else(|| {
@@ -915,33 +1012,20 @@ impl JointCore {
         });
         let placements: Vec<Placement> = extras.iter().map(|m| assembly.place(m)).collect();
         assembly.bound_capacity(&self.grid, &self.paths, &self.maintenance);
-        match self.solve_joint_problem(&assembly.problem, &mut assembly.basis) {
+        match self.solve_joint_problem(&assembly.problem, &mut assembly.basis, goal) {
             Ok(solution) => {
                 let x = solution.into_x();
-                self.last_objective = assembly.problem.objective_value(&x);
-                // A flow's slice: its raw block (into the buffer it
-                // already has), and the plan of the block's slot-summed
-                // assignment (for `L = 1` the sum *is* the block).
-                let slice = |m: &Member, block: &mut Vec<f64>| {
-                    block.clear();
-                    block.extend_from_slice(
-                        &x[assembly.slots[assembly.slot_of[&m.id]].cols.clone()],
-                    );
-                    let n = m.model.num_combos();
-                    let mut total = block[..n].to_vec();
-                    for seg in block[n..m.window().len() * n].chunks(n) {
-                        for (t, v) in total.iter_mut().zip(seg) {
-                            *t += v;
-                        }
+                let slice = |id: FlowId| &x[assembly.slots[assembly.slot_of[&id]].cols.clone()];
+                if goal == Goal::Optimal {
+                    self.last_objective = assembly.problem.objective_value(&x);
+                    for r in &mut self.flows {
+                        r.refresh_from(slice(r.member.id));
                     }
-                    m.model.plan_for(Objective::MaxQuality, total)
-                };
-                for r in &mut self.flows {
-                    r.plan = slice(&r.member, &mut r.block);
                 }
+                self.stale = goal == Goal::Feasible;
                 for member in extras {
-                    let mut block = Vec::new();
-                    let plan = slice(&member, &mut block);
+                    let block = slice(member.id).to_vec();
+                    let plan = Resident::plan_for(&member, &block);
                     self.flows.push(Resident {
                         member,
                         plan,
@@ -970,23 +1054,29 @@ impl JointCore {
         }
     }
 
-    /// Solves an assembled joint problem from the carried `basis` (cold
-    /// without one) and, on success, replaces it with the new optimum's.
-    /// On a verdict (`Infeasible`) it is left as handed in, for the
-    /// caller's rollback to undo its edits.
+    /// Solves an assembled joint problem for `goal` from the carried
+    /// `basis` (cold without one) and, on success, replaces it with the
+    /// basis of the vertex found. On a verdict (`Infeasible`) it is left
+    /// as handed in, for the caller's rollback to undo its edits.
     fn solve_joint_problem(
         &mut self,
         problem: &Problem,
         basis: &mut Option<Basis>,
+        goal: Goal,
     ) -> Result<dmc_lp::Solution, SolveError> {
         let opts = &self.config.planner.solver;
         let obs = &self.config.obs;
         let warm_start = self.config.planner.warm_start;
+        let run = |workspace: &mut Workspace, start: Option<&Basis>| match (goal, start) {
+            (Goal::Feasible, _) => problem.find_feasible_with(opts, workspace, start),
+            (Goal::Optimal, Some(start)) => problem.solve_warm_with(opts, workspace, start),
+            (Goal::Optimal, None) => problem.solve_with(opts, workspace),
+        };
         let carried = basis.take().filter(|_| warm_start);
         let mut solution = match &carried {
             Some(start) => {
                 self.warm_attempts += 1;
-                let result = problem.solve_warm_with(opts, &mut self.workspace, start);
+                let result = run(&mut self.workspace, Some(start));
                 // Asked of the workspace, not the `Solution`: a refusal
                 // reached from the incumbents' vertex is a warm solve.
                 if self.workspace.started_warm() {
@@ -1006,7 +1096,7 @@ impl JointCore {
                         // successful solution).
                         self.warm_anomalies += 1;
                         obs.counter("fleet.warm_anomalies").inc();
-                        problem.solve_with(opts, &mut self.workspace)?
+                        run(&mut self.workspace, None)?
                     }
                     Err(e) => {
                         *basis = carried;
@@ -1015,7 +1105,7 @@ impl JointCore {
                     Ok(s) => s,
                 }
             }
-            None => problem.solve_with(opts, &mut self.workspace)?,
+            None => run(&mut self.workspace, None)?,
         };
         // The decomposition path replays the feasibility certificate in
         // debug builds (and in release when [`FleetConfig::certify`] is
@@ -1195,7 +1285,7 @@ mod tests {
             // RHS, and the block starts.
             assert_eq!(assembly.problem, oracle, "{objective:?}");
             // And the core's own solve builds exactly that problem.
-            let admitted = core.admit_all(members).expect("solves");
+            let admitted = core.admit_all(members, Goal::Optimal).expect("solves");
             assert!(admitted.is_ok(), "the mixed fleet is feasible");
             let solved = core.assembly.as_ref().expect("kept after a solve");
             assert_eq!(solved.problem, oracle, "{objective:?}");
@@ -1234,12 +1324,12 @@ mod tests {
         };
         let num_vars = |core: &JointCore| core.assembly.as_ref().unwrap().problem.num_vars();
         let first = windowed(&mut core);
-        assert!(core.admit(first).expect("offer").is_ok());
+        assert!(core.admit(first, Goal::Optimal).expect("offer").is_ok());
         let vars_before = num_vars(&core);
         assert!(core.remove(FlowId::new(0)).is_some());
         assert_eq!(core.slot_counts(), (1, 1));
         let second = windowed(&mut core);
-        assert!(core.admit(second).expect("offer").is_ok());
+        assert!(core.admit(second, Goal::Optimal).expect("offer").is_ok());
         assert_eq!(
             vars_before,
             num_vars(&core),
@@ -1259,20 +1349,27 @@ mod tests {
         let ids = |core: &JointCore| -> Vec<u64> { core.ids().iter().map(FlowId::index).collect() };
         // Admit: the candidate becomes the last resident, with its plan.
         let a = candidate(&mut core, strict(70e6), now);
-        let q = core.admit(a).expect("solves").expect("fits alone");
-        assert_eq!(q, core.resident(FlowId::new(0)).unwrap().plan.quality());
+        let admitted = core.admit(a, Goal::Optimal).expect("solves");
+        assert!(admitted.is_ok(), "fits alone");
+        let plan = &core.resident(FlowId::new(0)).unwrap().plan;
+        assert!(plan.quality() >= 0.9 - 1e-9);
         assert_eq!((ids(&core), core.slot_counts()), (vec![0], (1, 0)));
         // A refused candidate comes back intact and leaves no block.
         let b = candidate(&mut core, strict(70e6).with_priority(2.0), now);
         let (flow_b, combos_b) = (b.flow().clone(), b.model.num_combos());
-        let back = core.admit(b).expect("solves").expect_err("does not fit");
+        let back = core
+            .admit(b, Goal::Optimal)
+            .expect("solves")
+            .expect_err("does not fit");
         assert_eq!((back.id, back.flow()), (FlowId::new(1), &flow_b));
         assert_eq!(back.model.num_combos(), combos_b);
         assert_eq!((ids(&core), core.slot_counts()), (vec![0], (1, 0)));
         // A batch is refused whole, in the order it was offered — the
         // one member that would have fitted alone included.
         let small = candidate(&mut core, strict(10e6), now);
-        let batch = core.admit_all(vec![small, back]).expect("solves");
+        let batch = core
+            .admit_all(vec![small, back], Goal::Optimal)
+            .expect("solves");
         let batch = batch.expect_err("the pair does not fit");
         let offered: Vec<u64> = batch.iter().map(|m| m.id.index()).collect();
         assert_eq!(offered, [2, 1]);
@@ -1283,19 +1380,38 @@ mod tests {
         assert_eq!((ids(&core), core.slot_counts()), (vec![], (1, 1)));
         core.resolve().expect("nothing left to solve");
         // The refused pair fits now; the strict flow takes the tombstone.
-        assert!(core.admit_all(batch).expect("solves").is_ok());
+        assert!(core
+            .admit_all(batch, Goal::Optimal)
+            .expect("solves")
+            .is_ok());
         assert_eq!((ids(&core), core.slot_counts()), (vec![2, 1], (2, 0)));
         // Evict: everyone comes back, priority first, and the assembly
-        // is forgotten; re-admitted one by one they are residents again.
+        // is forgotten; re-admitted one by one on verdicts they are
+        // residents again, and one refresh gives them the optimum's plans.
+        let optimum = core.objective_value();
         let evicted = core.evict_all();
         let order: Vec<u64> = evicted.iter().map(|r| r.member.id.index()).collect();
         assert_eq!(order, [1, 2]);
         assert_eq!((ids(&core), core.slot_counts()), (vec![], (0, 0)));
         for resident in evicted {
-            assert!(core.admit(resident.member).expect("solves").is_ok());
+            assert!(core
+                .admit(resident.member, Goal::Feasible)
+                .expect("solves")
+                .is_ok());
         }
-        assert!(core.admit(a.member).expect("solves").is_err());
+        assert!(core
+            .admit(a.member, Goal::Feasible)
+            .expect("solves")
+            .is_err());
         assert_eq!((ids(&core), core.slot_counts()), (vec![1, 2], (2, 0)));
+        assert!(core.stale);
+        core.refresh().expect("the pair fits");
+        assert!(!core.stale);
+        // The same roster in another order: the same optimum.
+        assert!((core.objective_value() - optimum).abs() <= 1e-9 * optimum);
+        for r in core.residents() {
+            assert!(r.plan.quality() >= 0.9 - 1e-9);
+        }
     }
 
     /// Every column's coefficients as bits — its objective entry, then
@@ -1353,7 +1469,7 @@ mod tests {
         ];
         for (flow, window) in residents {
             let member = candidate(&mut core, flow, window);
-            assert!(core.admit(member).expect("solves").is_ok());
+            assert!(core.admit(member, Goal::Optimal).expect("solves").is_ok());
         }
         // An appended block, buffered over the whole horizon.
         let before = coefficients(&core);
@@ -1364,13 +1480,13 @@ mod tests {
             ..member
         };
         let id = member.id;
-        assert!(core.admit(member).expect("solves").is_ok());
+        assert!(core.admit(member, Goal::Optimal).expect("solves").is_ok());
         assert_only_edited(&before, &coefficients(&core), cols_of(&core, id));
         // A refused append is truncated away: nothing moved at all.
         let before = coefficients(&core);
         let hopeless = FlowRequest::new(500e6, 0.8).unwrap().with_min_quality(1.0);
         let member = candidate(&mut core, hopeless.with_transmissions(1), window(2, 3));
-        assert!(core.admit(member).expect("solves").is_err());
+        assert!(core.admit(member, Goal::Optimal).expect("solves").is_err());
         assert_eq!(before, coefficients(&core));
         // A departure tombstones the leaver's block and nothing else.
         let before = coefficients(&core);
@@ -1380,12 +1496,12 @@ mod tests {
         // A refused take-over of that tombstone, then an accepted one.
         let before = coefficients(&core);
         let member = candidate(&mut core, costed(500e6, 1.0), window(1, 3));
-        assert!(core.admit(member).expect("solves").is_err());
+        assert!(core.admit(member, Goal::Optimal).expect("solves").is_err());
         assert_only_edited(&before, &coefficients(&core), own.clone());
         let before = coefficients(&core);
         let member = candidate(&mut core, costed(25e6, 0.2), window(1, 3));
         let id = member.id;
-        assert!(core.admit(member).expect("solves").is_ok());
+        assert!(core.admit(member, Goal::Optimal).expect("solves").is_ok());
         assert_eq!(cols_of(&core, id), own, "the tombstone is taken over");
         assert_only_edited(&before, &coefficients(&core), own);
     }
@@ -1406,18 +1522,76 @@ mod tests {
         // one it is admitted, delivers nothing and takes no capacity.
         let strict_giant = candidate(&mut core, flow(3e74, 0.1), now);
         assert_eq!(strict_giant.paths.as_deref(), Some(&[][..]));
-        assert!(core.admit(strict_giant).expect("solves").is_err());
+        assert!(core
+            .admit(strict_giant, Goal::Optimal)
+            .expect("solves")
+            .is_err());
         let giant = candidate(&mut core, flow(3e74, 0.0), now);
-        assert_eq!(core.admit(giant).expect("solves").ok(), Some(0.0));
+        assert!(core.admit(giant, Goal::Optimal).expect("solves").is_ok());
+        assert_eq!(core.resident(FlowId::new(2)).unwrap().plan.quality(), 0.0);
         // Beside it the capacity rows still bind: of two strict 70 Mbit/s
         // flows only one fits.
         let first = candidate(&mut core, flow(70e6, 0.9), now);
-        assert!(core.admit(first).expect("solves").is_ok());
+        assert!(core.admit(first, Goal::Optimal).expect("solves").is_ok());
         let second = candidate(&mut core, flow(70e6, 0.9), now);
-        assert!(core.admit(second).expect("solves").is_err());
+        assert!(core.admit(second, Goal::Optimal).expect("solves").is_err());
         // And its departure leaves a feasible fleet.
         assert!(core.remove(FlowId::new(2)).is_some());
         core.resolve().expect("the survivors still fit");
         assert_eq!(core.ids(), [FlowId::new(3)]);
+    }
+
+    /// A refresh skips a resident whose block did not move — which is
+    /// only sound while its model stands: a link change rebuilds every
+    /// model, and every plan with it, at once — even where `x` then
+    /// stands still, and before any solve, so a re-solve that fails
+    /// leaves every plan and block readable against the new model.
+    #[test]
+    fn a_link_change_rebuilds_every_plan_even_where_x_stands_still() {
+        let mut core = core(1, FleetObjective::MaxAdmitted);
+        // 5 Mbit/s on the lossless 20 Mbit/s path alone: capacity never
+        // binds, so neither 10 nor 40 Mbit/s there moves its optimum.
+        let flow = FlowRequest::new(5e6, 0.8).unwrap().with_paths(vec![1]);
+        let member = candidate(&mut core, flow, SlotWindow::instant(0));
+        assert!(core.admit(member, Goal::Optimal).expect("solves").is_ok());
+        let planned_on = |core: &JointCore| {
+            let r = &core.residents()[0];
+            (r.block.clone(), r.plan.scenario().paths()[0].bandwidth())
+        };
+        let (x, bandwidth) = planned_on(&core);
+        assert_eq!(bandwidth, 20e6);
+        for bps in [40e6, 10e6] {
+            core.apply_link_change(1, &LinkChange::SetBandwidth(bps))
+                .expect("valid change");
+            assert_eq!(planned_on(&core), (x.clone(), bps), "replanned at once");
+            core.refresh().expect("still fits");
+            assert_eq!(planned_on(&core), (x.clone(), bps), "x stood still");
+        }
+        // 1e-3 bit/s is under 1e-9 of 5 Mbit/s: the door rule drops path
+        // 2 from this flow's model, which shrinks its block. The block is
+        // zeroed to the new shape, and every reader can cut it.
+        let flow = FlowRequest::new(5e6, 0.8).unwrap().with_paths(vec![0, 2]);
+        let member = candidate(&mut core, flow, SlotWindow::instant(0));
+        let id = member.id;
+        assert!(core.admit(member, Goal::Optimal).expect("solves").is_ok());
+        core.apply_link_change(2, &LinkChange::SetBandwidth(1e-3))
+            .expect("valid change");
+        let bandwidths = |s: &Scenario| s.paths().iter().map(|p| p.bandwidth()).collect::<Vec<_>>();
+        for r in core.residents() {
+            let n = r.member.model.num_combos();
+            assert_eq!(r.slot_x().map(<[f64]>::len).collect::<Vec<_>>(), [n]);
+            assert_eq!(r.peak_carry(), 0.0);
+            let model = r.member.model.scenario();
+            assert_eq!(bandwidths(r.plan.scenario()), bandwidths(model));
+        }
+        let shrunk = core.resident(id).unwrap();
+        assert_eq!(shrunk.member.paths.as_deref(), Some(&[0][..]));
+        assert_eq!(
+            shrunk.plan.quality(),
+            0.0,
+            "a zeroed block until the re-solve"
+        );
+        core.refresh().expect("still fits");
+        assert!(core.resident(id).unwrap().plan.quality() > 0.0);
     }
 }

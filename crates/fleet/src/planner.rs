@@ -57,6 +57,13 @@
 //! their original ids — or definitively rejected within a bounded number
 //! of events ([`FleetPlanner::SHED_HORIZON`]).
 //!
+//! A verdict is a feasibility question, so the greedy sequences — a
+//! batch's one-by-one fallback, the re-admission after a link change, a
+//! sweep of the shed queue — decide each flow with the solver's phase 1
+//! alone and end with one optimal solve that refreshes every plan (the
+//! joint core's two goals). A departure followed by a sweep re-solves
+//! once, at the end of the sweep.
+//!
 //! The LP itself — block layout, tombstoning, the door rule, the carried
 //! basis, when all of it is dropped and rebuilt (link changes,
 //! compaction) — **and the roster of admitted flows** (id, request,
@@ -70,7 +77,7 @@
 
 use crate::error::FleetError;
 use crate::flow::{FlowId, FlowRequest};
-use crate::joint::{readmission_order, JointCore, Member};
+use crate::joint::{readmission_order, Goal, JointCore, Member};
 use crate::schedule::{ScheduleRequest, SlotWindow, TimeGrid};
 use dmc_core::{Plan, PlannerConfig, ScenarioPath, WarmStats};
 use dmc_lp::SolveError;
@@ -151,8 +158,11 @@ pub enum AdmissionDecision {
     Admitted {
         /// The assigned flow id.
         id: FlowId,
-        /// The flow's predicted in-time delivery fraction under the joint
-        /// allocation (≥ its floor).
+        /// The flow's predicted in-time delivery fraction (≥ its floor)
+        /// under the joint allocation its whole batch left:
+        /// [`FleetPlanner::plan_of`]'s quality when
+        /// [`FleetPlanner::offer_batch`] returns, whether the batch went
+        /// in with one solve or through the greedy fallback.
         predicted_quality: f64,
     },
     /// The flow is out: no allocation of the remaining shared capacity
@@ -314,6 +324,13 @@ impl FleetPlanner {
     /// that refused the batch refused the flow. Ids are assigned in input
     /// order either way, and decisions are returned in input order.
     ///
+    /// The fallback asks each candidate's solve for a verdict only (the
+    /// solver's phase 1: is every floor still met?) and refreshes no plan
+    /// while it runs; one optimal solve then refreshes every plan before
+    /// the call returns. So each [`AdmissionDecision::Admitted`] reports
+    /// the flow's plan after the whole batch, as the one-solve path does,
+    /// not its plan at the moment it was admitted.
+    ///
     /// # Errors
     ///
     /// As [`FleetPlanner::offer`].
@@ -330,36 +347,28 @@ impl FleetPlanner {
         }
         let ids: Vec<FlowId> = batch.iter().map(|m| m.id).collect();
         // Fast path: the whole batch in one solve.
-        match self.core.admit_all(batch)? {
-            Ok(qualities) => {
-                let obs = &self.core.config.obs;
-                obs.counter("fleet.admits").add(ids.len() as u64);
-                let verdicts = ids.into_iter().zip(qualities);
-                Ok(verdicts.map(|(id, q)| decision(id, Ok(q))).collect())
-            }
-            Err(batch) if batch.len() == 1 => {
-                self.core.config.obs.counter("fleet.refusals").inc();
-                Ok(batch.into_iter().map(|m| decision(m.id, Err(m))).collect())
-            }
+        let verdict = self.core.admit_all(batch, Goal::Optimal)?;
+        let obs = &self.core.config.obs;
+        match verdict {
+            Ok(()) => obs.counter("fleet.admits").add(ids.len() as u64),
+            Err(batch) if batch.len() == 1 => obs.counter("fleet.refusals").inc(),
             Err(mut batch) => {
-                // Greedy fallback; by deadline in MaxAdmitted mode (the
-                // sort is stable: arrival order within ties).
+                // Greedy fallback on verdicts; by deadline in MaxAdmitted
+                // mode (the sort is stable: arrival order within ties).
                 if self.core.config.objective == FleetObjective::MaxAdmitted {
                     batch.sort_by(|a, b| {
                         let (a, b) = (a.flow().lifetime(), b.flow().lifetime());
                         a.partial_cmp(&b).expect("finite lifetimes")
                     });
                 }
-                let mut decisions = Vec::with_capacity(batch.len());
                 for candidate in batch {
-                    let id = candidate.id;
-                    decisions.push(decision(id, self.admit(candidate)?));
+                    // A refused candidate is dropped.
+                    let _ = self.admit(candidate)?;
                 }
-                // Back to input order, which is id order.
-                decisions.sort_by_key(AdmissionDecision::id);
-                Ok(decisions)
+                self.core.refresh().map_err(FleetError::Solve)?;
             }
         }
+        Ok(ids.into_iter().map(|id| self.decision(id)).collect())
     }
 
     /// Removes an admitted flow and re-solves the joint allocation for
@@ -432,8 +441,10 @@ impl FleetPlanner {
             }
         }
         if removed_admitted {
-            self.core.resolve().map_err(FleetError::Solve)?;
+            // The sweep admits on verdicts; the refresh that closes it is
+            // the survivors' re-solve as well.
             self.revive_shed()?;
+            self.core.refresh().map_err(FleetError::Solve)?;
         }
         Ok(plans)
     }
@@ -467,9 +478,10 @@ impl FleetPlanner {
         // Resettle the incumbents first, then give the previously shed
         // flows their re-admission sweep, and only then enqueue the newly
         // shed ones — the event that displaced them is no occasion to
-        // retry them.
+        // retry them. Both admit on verdicts; one refresh closes them.
         let newly_shed = self.resettle()?;
         self.revive_shed()?;
+        self.core.refresh().map_err(FleetError::Solve)?;
         let ids: Vec<FlowId> = newly_shed.iter().map(|s| s.id).collect();
         let obs = &self.core.config.obs;
         obs.counter("fleet.sheds").add(newly_shed.len() as u64);
@@ -653,17 +665,35 @@ impl FleetPlanner {
         self.core.member(id, request)
     }
 
-    /// One counted admission attempt — an offer of the greedy fallback,
-    /// a revive or a re-settle alike: the candidate joins the fleet (its
-    /// predicted quality) or comes back, the incumbents untouched.
-    fn admit(&mut self, candidate: Member) -> Result<Result<f64, Member>, FleetError> {
-        let verdict = self.core.admit(candidate)?;
+    /// One counted admission attempt of a greedy sequence — an offer of
+    /// the batch fallback, a revive or a re-settle alike — on a verdict
+    /// only: the candidate joins the fleet or comes back, and no plan
+    /// moves until the sequence ends with [`JointCore::refresh`].
+    fn admit(&mut self, candidate: Member) -> Result<Result<(), Member>, FleetError> {
+        let verdict = self.core.admit(candidate, Goal::Feasible)?;
         let outcome = match verdict {
             Ok(_) => "fleet.admits",
             Err(_) => "fleet.refusals",
         };
         self.core.config.obs.counter(outcome).inc();
         Ok(verdict)
+    }
+
+    /// The public verdict on offered flow `id`, once its batch is in:
+    /// its plan's quality if it is admitted, the refusal if not.
+    fn decision(&self, id: FlowId) -> AdmissionDecision {
+        match self.plan_of(id) {
+            Some(plan) => AdmissionDecision::Admitted {
+                id,
+                predicted_quality: plan.quality(),
+            },
+            None => AdmissionDecision::Rejected {
+                id,
+                reason: "the remaining shared capacity cannot meet this flow's quality \
+                         floor alongside every admitted flow's"
+                    .into(),
+            },
+        }
     }
 
     /// Re-solves after a link change; on collective infeasibility,
@@ -737,23 +767,6 @@ impl FleetPlanner {
             }
         }
         Ok(())
-    }
-}
-
-/// The public verdict on flow `id`: its predicted quality, or — the
-/// candidate came back — the refusal.
-fn decision(id: FlowId, verdict: Result<f64, Member>) -> AdmissionDecision {
-    match verdict {
-        Ok(predicted_quality) => AdmissionDecision::Admitted {
-            id,
-            predicted_quality,
-        },
-        Err(_) => AdmissionDecision::Rejected {
-            id,
-            reason: "the remaining shared capacity cannot meet this flow's quality \
-                     floor alongside every admitted flow's"
-                .into(),
-        },
     }
 }
 

@@ -71,7 +71,7 @@
 
 use crate::error::FleetError;
 use crate::flow::{FlowId, FlowRequest};
-use crate::joint::{local_path_index, JointCore, Member, Resident};
+use crate::joint::{local_path_index, Goal, JointCore, Member, Resident};
 use crate::planner::FleetConfig;
 use dmc_core::{Plan, ScenarioPath, WarmStats};
 use dmc_lp::SolveError;
@@ -536,23 +536,24 @@ impl SchedulePlanner {
         let id = self.core.next_id();
         let requested = request.window();
         let candidate = self.core.member(id, request)?;
-        match self.try_admit(candidate)? {
-            Ok(predicted_quality) => {
+        let quality = |core: &JointCore| core.resident(id).expect("just admitted").plan.quality();
+        match self.try_admit(candidate, Goal::Optimal)? {
+            Ok(()) => {
                 self.core.config.obs.counter("fleet.admits").inc();
                 Ok(ScheduleDecision::Scheduled {
                     id,
                     window: requested,
-                    predicted_quality,
+                    predicted_quality: quality(&self.core),
                 })
             }
             Err(mut refused) => {
                 refused.request.window = requested.shifted_to(requested.start() + 1);
-                match self.slide_into_horizon(refused)? {
-                    Some((window, predicted_quality)) => Ok(ScheduleDecision::Reserved {
+                match self.slide_into_horizon(refused, Goal::Optimal)? {
+                    Some(window) => Ok(ScheduleDecision::Reserved {
                         id,
                         requested,
                         window,
-                        predicted_quality,
+                        predicted_quality: quality(&self.core),
                     }),
                     None => {
                         self.core.config.obs.counter("fleet.refusals").inc();
@@ -634,17 +635,19 @@ impl SchedulePlanner {
             let id = straddler.id;
             straddler.request.window = SlotWindow::new(new_origin, straddler.window().end())
                 .expect("straddling window keeps at least one slot past the new origin");
-            match self.try_admit(straddler)? {
-                Ok(_) => out.truncated.push(id),
-                Err(refused) => match self.slide_into_horizon(refused)? {
-                    Some((window, _)) => out.rescheduled.push((id, window)),
+            match self.try_admit(straddler, Goal::Feasible)? {
+                Ok(()) => out.truncated.push(id),
+                Err(refused) => match self.slide_into_horizon(refused, Goal::Feasible)? {
+                    Some(window) => out.rescheduled.push((id, window)),
                     None => out.dropped.push(id),
                 },
             }
         }
         // One settle pass for the survivors: the recycled tail slots may
         // carry maintenance, so the whole membership re-solves (and, on
-        // collective infeasibility, resettles deterministically).
+        // collective infeasibility, resettles deterministically). The
+        // straddlers went in on verdicts; that re-solve refreshes every
+        // plan.
         let shuffle = self.settle_all()?;
         out.rescheduled.extend(shuffle.rescheduled);
         out.dropped.extend(shuffle.dropped);
@@ -849,24 +852,32 @@ impl SchedulePlanner {
         self.core.shared_paths()
     }
 
-    /// Offers `candidate` to the joint LP at its request's window: it
-    /// joins the schedule (its predicted quality) or comes back.
-    fn try_admit(&mut self, candidate: Member) -> Result<Result<f64, Member>, FleetError> {
-        let verdict = self.core.admit(candidate)?;
+    /// Offers `candidate` to the joint LP at its request's window, for
+    /// `goal`: it joins the schedule or comes back. An offer solved to
+    /// the optimum that buffers across a slot boundary ticks
+    /// `fleet.carryover`; a verdict's vertex says nothing about that.
+    fn try_admit(
+        &mut self,
+        candidate: Member,
+        goal: Goal,
+    ) -> Result<Result<(), Member>, FleetError> {
+        let verdict = self.core.admit(candidate, goal)?;
         let newest = self.core.residents().last();
-        if verdict.is_ok() && newest.is_some_and(|r| r.peak_carry() > 0.0) {
+        let optimal = goal == Goal::Optimal && verdict.is_ok();
+        if optimal && newest.is_some_and(|r| r.peak_carry() > 0.0) {
             self.core.config.obs.counter("fleet.carryover").inc();
         }
         Ok(verdict)
     }
 
-    /// The reservation slide: earliest feasible same-width window at or
-    /// after the candidate's start (its own window is tried first), with
-    /// its predicted quality.
+    /// The reservation slide: the earliest feasible same-width window at
+    /// or after the candidate's start (its own window is tried first),
+    /// each try for `goal`.
     fn slide_into_horizon(
         &mut self,
         mut candidate: Member,
-    ) -> Result<Option<(SlotWindow, f64)>, FleetError> {
+        goal: Goal,
+    ) -> Result<Option<SlotWindow>, FleetError> {
         let len = candidate.window().len() as u64;
         let mut start = candidate.window().start().max(self.core.grid.origin());
         while start
@@ -875,10 +886,10 @@ impl SchedulePlanner {
         {
             let window = candidate.window().shifted_to(start);
             candidate.request.window = window;
-            match self.try_admit(candidate)? {
-                Ok(quality) => {
+            match self.try_admit(candidate, goal)? {
+                Ok(()) => {
                     self.core.config.obs.counter("fleet.reservations").inc();
-                    return Ok(Some((window, quality)));
+                    return Ok(Some(window));
                 }
                 Err(refused) => candidate = refused,
             }
@@ -902,7 +913,8 @@ impl SchedulePlanner {
     /// Re-solves the whole membership; on collective infeasibility,
     /// re-admits deterministically (highest priority first, admission
     /// order within ties), giving each refused flow the reservation
-    /// slide before dropping it.
+    /// slide before dropping it. The re-admissions are verdicts; one
+    /// refresh then settles every plan.
     fn settle_all(&mut self) -> Result<ScheduleShuffle, FleetError> {
         let mut out = ScheduleShuffle::default();
         match self.core.resolve() {
@@ -910,14 +922,15 @@ impl SchedulePlanner {
             Err(SolveError::Infeasible { .. }) => {
                 for evicted in self.core.evict_all() {
                     let (id, original) = (evicted.member.id, evicted.member.window());
-                    match self.slide_into_horizon(evicted.member)? {
-                        Some((window, _)) if window != original => {
+                    match self.slide_into_horizon(evicted.member, Goal::Feasible)? {
+                        Some(window) if window != original => {
                             out.rescheduled.push((id, window));
                         }
                         Some(_) => {}
                         None => out.dropped.push(id),
                     }
                 }
+                self.core.refresh().map_err(FleetError::Solve)?;
                 Ok(out)
             }
             Err(e) => Err(FleetError::Solve(e)),

@@ -11,7 +11,12 @@
 //!
 //! On the instant plane "agree" is **bitwise**. On the reservation
 //! plane everything discrete is exact (verdicts, ids, windows, who
-//! moved, who fell out) and the joint optimum agrees to 1e-9, but the
+//! moved, who fell out) and the joint optimum agrees to four ulps of
+//! its magnitude: it is in bit/s (~1e8), and two pivot paths to the
+//! same optimum sum it in different orders. Seeds 1–40 of the schedule
+//! script differ by at most 3 ulps (seed 7; seed 4 by 2, since a greedy
+//! sequence leaves the warm planner's closing solve a phase-1 vertex to
+//! start from). The
 //! per-flow split is not compared — as in every differential test of
 //! that plane (`SchedulePlanner::objective_value`): a time-expanded
 //! optimum is not always unique. A flow whose window spans two slots
@@ -282,7 +287,8 @@ fn schedule_planner_warm_and_cold_agree_at_every_step() {
             let (c, c_opt) = schedule_state(&cold);
             assert_eq!(w, c, "{ctx}: windows");
             for (w, c) in w_opt.iter().zip(c_opt) {
-                assert!((w - c).abs() <= 1e-9, "{ctx}: optimum {w} vs {c}");
+                let ulps = 4.0 * f64::EPSILON * w.abs().max(1.0);
+                assert!((w - c).abs() <= ulps, "{ctx}: optimum {w} vs {c}");
             }
         }
         assert_eq!(cold.warm_stats(), WarmStats::default());

@@ -46,6 +46,31 @@
 //!   phase gave up on falls back to the cold two-phase path; its fate is
 //!   recorded as a [`WarmStart`].
 //!
+//! # Two goals
+//!
+//! A solve is asked either for the optimum ([`Goal::Optimal`], every
+//! `Problem::solve*` entry point) or for a verdict
+//! ([`Goal::Feasible`], `Problem::find_feasible_with`): is there any
+//! point meeting every row? The stages, and which goal runs them:
+//!
+//! | stage | `Optimal` | `Feasible` |
+//! |---|---|---|
+//! | warm start and dual phase | yes | yes |
+//! | phase 1 and the drive-out of artificials | yes | yes |
+//! | phase 2 (the caller's objective) | yes | — |
+//! | phase 3 (the canonical vertex) | yes | — |
+//! | extraction from a fresh factorization, duals | yes | — |
+//!
+//! Phase 1 alone decides `Infeasible`, so both goals give the same
+//! verdict; phases 2 and 3 never refuse. The feasibility goal returns
+//! the vertex phase 1 stopped on, read from the factors in hand, and
+//! its basis. That vertex depends on the start and the pivot path, so it
+//! is no answer to share — a caller that admits a sequence of candidates
+//! on verdicts (the fleet's greedy admissions) ends the sequence with one
+//! optimal solve. On `svc_contended` (an instrumented copy, nproc 2,
+//! 2026-10-15) phases 2 and 3 and the extraction were 70 % of a
+//! successful optimal solve: phase 2 17 %, phase 3 50 %, extraction 4 %.
+//!
 //! # Determinism and the canonical vertex
 //!
 //! Many of the paper's LPs have *alternate optima* (whole faces of equally
@@ -299,7 +324,17 @@ pub(crate) struct DriverState {
     pub(crate) stats: SolveStats,
 }
 
-/// Entry point used by `Problem::{solve, solve_with, solve_warm}` for
+/// What a solve is asked for (see the module docs' stage table).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Goal {
+    /// The canonical optimum, its duals and its basis.
+    Optimal,
+    /// A verdict: the first feasible vertex phase 1 reaches, and its
+    /// basis — or the `Infeasible` the optimal solve would return.
+    Feasible,
+}
+
+/// Entry point used by every `Problem` solve for
 /// [`Backend::Revised`](crate::Backend::Revised), on the kernel the
 /// problem's shape picked. Pricing turns to Bland's rule after
 /// `bland_after` degenerate pivots in a row
@@ -312,6 +347,7 @@ pub(crate) fn solve<K: Kernel>(
     kernel: &mut K,
     warm: Option<&Basis>,
     bland_after: usize,
+    goal: Goal,
 ) -> Result<Solution, SolveError> {
     state.stats.reset();
     let rows = problem.constraints();
@@ -319,7 +355,7 @@ pub(crate) fn solve<K: Kernel>(
     state.sections.clear();
     kernel.prepare(problem, &state.lay, &mut state.sections);
     state.face_fresh = false;
-    let (m, n, art_start) = (state.lay.m, state.lay.n, state.lay.art_start);
+    let (m, art_start) = (state.lay.m, state.lay.art_start);
     let mut scratch = Scratch {
         y: vec![0.0; m],
         y2: vec![0.0; m],
@@ -362,6 +398,21 @@ pub(crate) fn solve<K: Kernel>(
         drive_out_artificials(state, kernel, &mut scratch);
     }
 
+    if goal == Goal::Feasible {
+        // The verdict is in: the vertex phase 1 stopped on, from the
+        // factors in hand (one FTRAN sheds the updates' drift).
+        load_x_basic(state, kernel, true);
+        let (x, objective) = vertex(problem, state);
+        debug_assert_eq!(
+            crate::solution::check_point(problem, &x),
+            Ok(()),
+            "the feasibility goal's vertex violates the problem"
+        );
+        let basis = export_basis(state);
+        let solution = Solution::new(x, objective, Vec::new(), scratch.iterations, basis, warm_ok);
+        return Ok(solution);
+    }
+
     // ---- Phase 2: user objective ----------------------------------------
     load_objective(state, problem);
     run_phase(rows, state, kernel, options, Phase::Two, &mut scratch)?;
@@ -385,19 +436,7 @@ pub(crate) fn solve<K: Kernel>(
         }
     }
     load_x_basic(state, kernel, true);
-
-    let mut x = vec![0.0; n];
-    for (&bcol, &v) in state.basis.iter().zip(&state.x_basic) {
-        if bcol < n {
-            x[bcol] = v;
-        }
-    }
-    let objective_internal: f64 = problem.objective.iter().zip(&x).map(|(c, v)| c * v).sum();
-    let objective = if problem.minimize {
-        -objective_internal
-    } else {
-        objective_internal
-    };
+    let (x, objective) = vertex(problem, state);
 
     // Duals: y = c_B·B⁻¹ in the normalized row space, un-normalized per
     // row and by the objective's scale (the same algebra as the dense
@@ -424,6 +463,25 @@ pub(crate) fn solve<K: Kernel>(
         export_basis(state),
         warm_ok,
     ))
+}
+
+/// The structural values of the current basic solution (`x_basic`
+/// loaded) and the objective there, in the caller's sense.
+fn vertex(problem: &Problem, state: &DriverState) -> (Vec<f64>, f64) {
+    let n = state.lay.n;
+    let mut x = vec![0.0; n];
+    for (&bcol, &v) in state.basis.iter().zip(&state.x_basic) {
+        if bcol < n {
+            x[bcol] = v;
+        }
+    }
+    let objective_internal: f64 = problem.objective.iter().zip(&x).map(|(c, v)| c * v).sum();
+    let objective = if problem.minimize {
+        -objective_internal
+    } else {
+        objective_internal
+    };
+    (x, objective)
 }
 
 /// Uniform pricing sections over `0..art_start`:
@@ -995,6 +1053,10 @@ fn run_phase<K: Kernel>(
             return Err(SolveError::Singular);
         }
         *iterations += 1;
+        *match phase {
+            Phase::One => &mut state.stats.phase1_pivots,
+            Phase::Two => &mut state.stats.phase2_pivots,
+        } += 1;
         if phase == Phase::One && leaving_art {
             basic_arts -= 1;
             if basic_arts == 0 {
@@ -1055,6 +1117,7 @@ fn drive_out_artificials<K: Kernel>(
                 return;
             }
             *iterations += 1;
+            state.stats.phase1_pivots += 1;
         }
     }
 }
@@ -1263,6 +1326,7 @@ fn canonicalize<K: Kernel>(
         let leaving = state.basis[r];
         let pivot_ok = pivot(state, kernel, (q, r), d, step, true);
         *iterations += 1;
+        state.stats.phase3_pivots += 1;
         if leaving < art_start && !state.face.contains(&leaving) {
             state.face.push(leaving);
         }
@@ -1297,6 +1361,7 @@ fn export_basis(state: &DriverState) -> Option<Basis> {
 /// test module (so a failure names the kernel that broke).
 #[cfg(test)]
 pub(crate) mod contract {
+    use super::Goal;
     use crate::simplex::DEGENERATE_SWITCH;
     use crate::{Basis, Problem, SolveError, SolverOptions, Workspace};
 
@@ -1359,6 +1424,7 @@ pub(crate) mod contract {
                 infeasible_warm_basis_is_restored_by_dual_pivots,
                 dual_phase_gives_up_on_an_infeasible_problem,
                 dual_phase_ends_on_degenerate_ties,
+                feasibility_goal_stops_after_phase_one,
                 wrong_shape_warm_basis_falls_back,
                 workspace_reuse_is_equivalent_to_fresh_solves,
                 workspace_survives_error_outcomes,
@@ -1431,7 +1497,13 @@ pub(crate) mod contract {
             p.add_le(vec![0.0, 0.0, 1.0, 0.0], 1.0).unwrap();
             let s = side
                 .on(p)
-                .dispatch(&opts(), &mut Workspace::new(), None, bland_after)
+                .dispatch(
+                    &opts(),
+                    &mut Workspace::new(),
+                    None,
+                    bland_after,
+                    Goal::Optimal,
+                )
                 .unwrap();
             assert!((s.objective() - 0.05).abs() < 1e-9, "{bland_after}");
         }
@@ -1690,6 +1762,54 @@ pub(crate) mod contract {
         assert_eq!(warm.objective(), cold.objective());
         assert_eq!(warm.duals(), cold.duals());
         assert!((warm.objective() - 2.5).abs() < 1e-9);
+    }
+
+    /// The feasibility goal runs phase 1 and stops: a feasible vertex
+    /// with its basis, no phase-2 or phase-3 pivot, no duals. That basis
+    /// starts the optimal solve, which lands on the cold optimum bit for
+    /// bit; from a basis a departure left infeasible the dual phase is
+    /// the whole solve; and an infeasible problem is refused alike.
+    pub(crate) fn feasibility_goal_stops_after_phase_one(side: Side) {
+        let o = opts();
+        let p = side.on(block_angular(6, 5));
+        let mut ws = Workspace::new();
+        let feasible = p.find_feasible_with(&o, &mut ws, None).unwrap();
+        let stats = &ws.driver.stats;
+        assert_eq!((stats.phase2_pivots, stats.phase3_pivots), (0, 0));
+        assert_eq!(stats.phase1_pivots as usize, feasible.iterations());
+        assert!(feasible.iterations() > 0 && feasible.duals().is_empty());
+        assert!(p.max_violation(feasible.x()) < 1e-9);
+        assert_eq!(feasible.objective(), p.objective_value(feasible.x()));
+        let basis = feasible.basis().expect("exportable");
+        let warm = p.solve_warm_with(&o, &mut ws, basis).unwrap();
+        let mut cold = p.solve(&o).unwrap();
+        assert!(warm.used_warm_start());
+        assert_eq!(warm.x(), cold.x());
+        assert_eq!(warm.objective(), cold.objective());
+        assert_eq!(warm.duals(), cold.duals());
+
+        let optimum = cold.take_basis().expect("exportable");
+        let mut departed = p.clone();
+        departed.set_rhs(2, 0.0).unwrap();
+        departed.set_objective_range(0, &[0.0; 5]).unwrap();
+        let verdict = departed
+            .find_feasible_with(&o, &mut ws, Some(&optimum))
+            .unwrap();
+        let stats = &ws.driver.stats;
+        assert!(ws.started_warm());
+        assert_eq!(
+            (stats.dual_pivots + stats.phase1_pivots) as usize,
+            verdict.iterations()
+        );
+        assert!(departed.max_violation(verdict.x()) < 1e-9);
+
+        let mut none = Problem::maximize(vec![1.0]);
+        none.add_le(vec![1.0], 1.0).unwrap();
+        none.add_ge(vec![1.0], 2.0).unwrap();
+        assert!(matches!(
+            side.on(none).find_feasible_with(&o, &mut ws, None),
+            Err(SolveError::Infeasible { .. })
+        ));
     }
 
     pub(crate) fn wrong_shape_warm_basis_falls_back(side: Side) {

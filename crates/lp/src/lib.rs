@@ -18,8 +18,11 @@
 //!   optima. It honors **warm starts**: [`Solution::basis`] exposes the
 //!   optimal basis and [`Problem::solve_warm`] starts from it, which is
 //!   what makes λ/δ parameter sweeps, an adaptive sender's periodic
-//!   re-solves and the fleet's admit/depart edits cheap. The kernel is a
-//!   generic parameter — dispatch is static.
+//!   re-solves and the fleet's admit/depart edits cheap. Where only a
+//!   verdict is read — is the problem feasible? —
+//!   [`Problem::find_feasible_with`] runs the same start and phase 1 and
+//!   stops there, which is what the fleet's greedy admissions ask. The
+//!   kernel is a generic parameter — dispatch is static.
 //! * [`Backend::Revised`] (the default) runs the driver on the kernel the
 //!   problem calls for; nothing else selects it. A problem that declares
 //!   no block structure ([`Problem::block_starts`] empty — every

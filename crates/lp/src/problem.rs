@@ -1,7 +1,7 @@
 //! Problem representation: a dense objective plus inequality/equality rows
 //! stored by their nonzeros.
 
-use crate::driver;
+use crate::driver::{self, Goal};
 use crate::error::{ProblemError, SolveError};
 use crate::simplex::{self, Backend, SolverOptions, WarmStart, Workspace, DEGENERATE_SWITCH};
 use crate::solution::{Basis, Solution};
@@ -564,7 +564,7 @@ impl Problem {
         options: &SolverOptions,
         workspace: &mut Workspace,
     ) -> Result<Solution, SolveError> {
-        self.dispatch(options, workspace, None, DEGENERATE_SWITCH)
+        self.dispatch(options, workspace, None, DEGENERATE_SWITCH, Goal::Optimal)
     }
 
     /// Solves the problem warm-started from a [`Basis`] — a prior
@@ -619,7 +619,44 @@ impl Problem {
         workspace: &mut Workspace,
         basis: &Basis,
     ) -> Result<Solution, SolveError> {
-        self.dispatch(options, workspace, Some(basis), DEGENERATE_SWITCH)
+        self.dispatch(
+            options,
+            workspace,
+            Some(basis),
+            DEGENERATE_SWITCH,
+            Goal::Optimal,
+        )
+    }
+
+    /// Asks only whether the problem is feasible: runs the warm start
+    /// from `warm` (as [`Problem::solve_warm_with`] does, or the cold
+    /// start without one), the dual phase, phase 1 and the drive-out of
+    /// artificials, then stops — no phase 2, no canonicalization, no
+    /// extraction refactorization, no duals. An admission test needs no
+    /// more: phase 1 alone refuses, so the verdict is the one
+    /// [`Problem::solve_warm_with`] would give.
+    ///
+    /// The returned [`Solution`] is the feasible vertex phase 1 reached
+    /// and its basis, ready to warm-start the next solve; its objective is
+    /// the value at that vertex and [`Solution::duals`] is empty. The
+    /// vertex depends on where the solve started, so it is no optimum and
+    /// no canonical answer. The dense tableau oracle
+    /// ([`Backend::DenseTableau`]) runs its full solve, whose optimum is
+    /// a feasible vertex too.
+    ///
+    /// # Errors
+    ///
+    /// The [`SolveError::Infeasible`] the full solve would return, and
+    /// the anomalies of the stages it runs ([`SolveError::IterationLimit`],
+    /// [`SolveError::Singular`]). An unbounded objective is no error on
+    /// the revised backend: the objective is never optimized.
+    pub fn find_feasible_with(
+        &self,
+        options: &SolverOptions,
+        workspace: &mut Workspace,
+        warm: Option<&Basis>,
+    ) -> Result<Solution, SolveError> {
+        self.dispatch(options, workspace, warm, DEGENERATE_SWITCH, Goal::Feasible)
     }
 
     /// Validates and routes to the configured [`Backend`] and, for
@@ -628,13 +665,15 @@ impl Problem {
     /// assembles), the dense LU when it does not (every single-flow LP).
     /// Pricing turns to Bland's rule after `bland_after` degenerate
     /// pivots in a row — [`DEGENERATE_SWITCH`] everywhere but the tests
-    /// that reach Bland's rule directly.
+    /// that reach Bland's rule directly. `goal` is what the revised
+    /// driver stops at; the tableau always solves to the optimum.
     pub(crate) fn dispatch(
         &self,
         options: &SolverOptions,
         workspace: &mut Workspace,
         warm: Option<&Basis>,
         bland_after: usize,
+        goal: Goal,
     ) -> Result<Solution, SolveError> {
         workspace.last_warm = WarmStart::Cold;
         if self.objective.is_empty() {
@@ -656,13 +695,13 @@ impl Problem {
             Backend::DenseTableau => simplex::solve(self, options, workspace, bland_after),
             Backend::Revised if blocks => {
                 let Workspace { driver, sparse, .. } = workspace;
-                driver::solve(self, options, driver, sparse, warm, bland_after)
+                driver::solve(self, options, driver, sparse, warm, bland_after, goal)
             }
             Backend::Revised => {
                 let Workspace {
                     driver, revised, ..
                 } = workspace;
-                driver::solve(self, options, driver, revised, warm, bland_after)
+                driver::solve(self, options, driver, revised, warm, bland_after, goal)
             }
         };
         // The dense tableau leaves the driver's stats untouched (stale).
@@ -671,6 +710,9 @@ impl Problem {
         workspace.last_warm = warm_start;
         if obs.is_enabled() {
             obs.counter("lp.solves").inc();
+            if goal == Goal::Feasible {
+                obs.counter("lp.feasibility_solves").inc();
+            }
             if warm.is_some() {
                 obs.counter("lp.warm_attempts").inc();
             }
@@ -679,9 +721,17 @@ impl Problem {
                     let pivots = s.iterations() as u64;
                     obs.counter("lp.pivots").add(pivots);
                     obs.advance(pivots);
-                    // A part of `pivots`, so counted where they are.
-                    if let Some(stats) = stats.filter(|s| s.dual_pivots > 0) {
-                        obs.counter("lp.dual_pivots").add(stats.dual_pivots);
+                    // The parts of `pivots`, so counted where they are.
+                    if let Some(stats) = stats {
+                        let parts = [
+                            ("lp.dual_pivots", stats.dual_pivots),
+                            ("lp.phase1_pivots", stats.phase1_pivots),
+                            ("lp.phase2_pivots", stats.phase2_pivots),
+                            ("lp.phase3_pivots", stats.phase3_pivots),
+                        ];
+                        for (name, n) in parts.into_iter().filter(|&(_, n)| n > 0) {
+                            obs.counter(name).add(n);
+                        }
                     }
                 }
                 Err(_) => obs.counter("lp.errors").inc(),

@@ -74,8 +74,12 @@ pub struct SolverOptions {
     pub backend: Backend,
     /// Telemetry registry (default [`dmc_obs::Obs::disabled`]: every
     /// recording is a no-op branch). When enabled, each solve records
-    /// `lp.solves`, `lp.pivots` (`lp.dual_pivots` of them in the dual
-    /// phase), `lp.refactorizations`, `lp.factor_eta_visits` (etas the
+    /// `lp.solves`, `lp.pivots` (split by a successful revised solve into
+    /// `lp.dual_pivots`, `lp.phase1_pivots`, `lp.phase2_pivots` and
+    /// `lp.phase3_pivots`, each recorded once nonzero),
+    /// `lp.feasibility_solves` (those that asked
+    /// [`Problem::find_feasible_with`] for a verdict only),
+    /// `lp.refactorizations`, `lp.factor_eta_visits` (etas the
     /// sparse kernel's factorizations examined, a deterministic work
     /// count), `lp.phase1_early_exits`, warm-start counters, the
     /// `lp.eta_len` histogram (iteration etas each refactorization
@@ -113,6 +117,13 @@ pub(crate) struct SolveStats {
     /// Pivots of the dual phase that walks an infeasible warm basis back
     /// to feasibility (counted in the solve's iterations too).
     pub(crate) dual_pivots: u64,
+    /// Pivots of phase 1, the drive-out of artificials included. With
+    /// the three below they sum to the solve's iterations.
+    pub(crate) phase1_pivots: u64,
+    /// Pivots of phase 2 (the caller's objective).
+    pub(crate) phase2_pivots: u64,
+    /// Pivots of phase 3 (the walk to the canonical vertex).
+    pub(crate) phase3_pivots: u64,
     /// What became of the caller's warm basis — known before the solve
     /// ends, so an `Infeasible` reached from it still counts as warm.
     pub(crate) warm: WarmStart,
@@ -152,6 +163,9 @@ impl SolveStats {
         self.factor_eta_visits = 0;
         self.phase1_early_exit = false;
         self.dual_pivots = 0;
+        self.phase1_pivots = 0;
+        self.phase2_pivots = 0;
+        self.phase3_pivots = 0;
         self.warm = WarmStart::Cold;
     }
 }

@@ -116,7 +116,9 @@ impl fmt::Display for Basis {
 ///
 /// Produced by [`crate::Problem::solve`]; infeasible/unbounded outcomes are
 /// reported as [`crate::SolveError`] instead, so a `Solution` is always
-/// optimal within the solver tolerance.
+/// optimal within the solver tolerance — except one from
+/// [`crate::Problem::find_feasible_with`], which is a feasible vertex
+/// only: its objective is the value at `x`, and it carries no duals.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     x: Vec<f64>,
@@ -162,7 +164,8 @@ impl Solution {
     /// For a `≤` row of a maximization problem this is the marginal
     /// objective gain per unit of extra right-hand side — e.g. extra
     /// communication quality per extra bit/s of bandwidth (paper §IX-C).
-    /// Redundant rows dropped during presolve report `0`.
+    /// Redundant rows dropped during presolve report `0`. Empty for a
+    /// [`crate::Problem::find_feasible_with`] vertex.
     pub fn duals(&self) -> &[f64] {
         &self.duals
     }
@@ -226,35 +229,10 @@ impl Solution {
     /// dimension mismatch, a negative coordinate, a violated row (with
     /// its index and violation magnitude), or an objective mismatch.
     pub fn certify(&self, problem: &Problem) -> Result<(), String> {
-        const TOL: f64 = 1e-7;
-        if self.x.len() != problem.num_vars() {
-            return Err(format!(
-                "solution has {} variables, problem has {}",
-                self.x.len(),
-                problem.num_vars()
-            ));
-        }
-        for (j, &v) in self.x.iter().enumerate() {
-            if !v.is_finite() {
-                return Err(format!("x[{j}] = {v} is not finite"));
-            }
-            if v < -TOL {
-                return Err(format!("x[{j}] = {v} violates x ≥ 0"));
-            }
-        }
-        for (i, c) in problem.constraints().iter().enumerate() {
-            let scale = c.abs_max().max(c.rhs().abs()).max(1.0);
-            let violation = c.violation(&self.x);
-            if violation > TOL * scale {
-                return Err(format!(
-                    "row {i} ({:?}) violated by {violation:.3e} (scale {scale:.3e})",
-                    c.kind()
-                ));
-            }
-        }
+        check_point(problem, &self.x)?;
         let replayed = problem.objective_value(&self.x);
         let obj_scale = self.objective.abs().max(1.0);
-        if (replayed - self.objective).abs() > TOL * obj_scale {
+        if (replayed - self.objective).abs() > CERTIFY_TOL * obj_scale {
             return Err(format!(
                 "objective mismatch: reported {}, replayed {replayed}",
                 self.objective
@@ -262,6 +240,41 @@ impl Solution {
         }
         Ok(())
     }
+}
+
+/// Relative tolerance of [`Solution::certify`].
+const CERTIFY_TOL: f64 = 1e-7;
+
+/// The primal half of [`Solution::certify`]: `x` has the problem's
+/// dimension, is finite and non-negative, and meets every row, within
+/// the certificate's scale-aware tolerance.
+pub(crate) fn check_point(problem: &Problem, x: &[f64]) -> Result<(), String> {
+    if x.len() != problem.num_vars() {
+        return Err(format!(
+            "solution has {} variables, problem has {}",
+            x.len(),
+            problem.num_vars()
+        ));
+    }
+    for (j, &v) in x.iter().enumerate() {
+        if !v.is_finite() {
+            return Err(format!("x[{j}] = {v} is not finite"));
+        }
+        if v < -CERTIFY_TOL {
+            return Err(format!("x[{j}] = {v} violates x ≥ 0"));
+        }
+    }
+    for (i, c) in problem.constraints().iter().enumerate() {
+        let scale = c.abs_max().max(c.rhs().abs()).max(1.0);
+        let violation = c.violation(x);
+        if violation > CERTIFY_TOL * scale {
+            return Err(format!(
+                "row {i} ({:?}) violated by {violation:.3e} (scale {scale:.3e})",
+                c.kind()
+            ));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -3,13 +3,18 @@
 //! tombstoned (`Σx = 0`) blocks the fleet's incremental assembly
 //! produces — the certificate must accept exactly the genuinely feasible
 //! points and reject everything else with a usable message, on the
-//! tableau and on both kernels of the revised driver.
+//! tableau and on both kernels of the revised driver. On the infeasible
+//! and unbounded cases the feasibility goal
+//! ([`Problem::find_feasible_with`]) must give the full solve's verdict.
 //!
 //! Forged candidate points are produced by a *pinning solve* (an LP
 //! whose equality rows fix `x = v` exactly), so the `Solution` under
 //! test is a real solver artifact; `certify` checks rows before the
 //! objective, so row-violation messages are still the first failure.
 
+mod common;
+
+use common::assert_feasibility_verdict;
 use dmc_lp::{Backend, Problem, Solution, SolveError, SolverOptions};
 
 /// `p` solved by every solver: the tableau, and [`Backend::Revised`] on
@@ -58,6 +63,7 @@ fn infeasible_problems_never_yield_a_certifiable_point() {
     for result in solve_all(&p) {
         assert!(matches!(result, Err(SolveError::Infeasible { .. })));
     }
+    assert_feasibility_verdict(&p);
     for x in [0.0, 1.0, 1.5, 2.0, 3.0] {
         let err = pinned(&[x]).certify(&p).unwrap_err();
         assert!(err.contains("row"), "x={x}: {err}");
@@ -75,6 +81,7 @@ fn unbounded_problems_still_certify_feasible_points() {
     for result in solve_all(&p) {
         assert!(matches!(result, Err(SolveError::Unbounded)));
     }
+    assert_feasibility_verdict(&p);
     let mut bounded = Problem::maximize(vec![1.0, 0.0]);
     bounded.add_le(vec![0.0, 1.0], 1.0).unwrap();
     bounded.add_le(vec![1.0, 0.0], 7.0).unwrap();
@@ -121,6 +128,7 @@ fn all_zero_rows_certify_by_rhs_sign() {
     for result in solve_all(&unsat) {
         assert!(matches!(result, Err(SolveError::Infeasible { .. })));
     }
+    assert_feasibility_verdict(&unsat);
     assert!(pinned(&[0.0]).certify(&unsat).is_err());
 }
 

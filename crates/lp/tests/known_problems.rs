@@ -1,7 +1,12 @@
 //! A battery of classic linear programs with known optima, exercising
 //! corner cases the multipath models also hit (degeneracy, redundancy,
-//! equality constraints, unbounded rays, alternate optima).
+//! equality constraints, unbounded rays, alternate optima). Each also
+//! holds the feasibility goal ([`Problem::find_feasible_with`]) to the
+//! full solve's verdict on both kernels.
 
+mod common;
+
+use common::assert_feasibility_verdict;
 use dmc_lp::{Problem, SolveError, SolverOptions};
 
 fn opts() -> SolverOptions {
@@ -27,6 +32,7 @@ fn transportation_problem() {
     p.add_eq(vec![1.0, 0.0, 0.0, 1.0, 0.0, 0.0], 10.0).unwrap();
     p.add_eq(vec![0.0, 1.0, 0.0, 0.0, 1.0, 0.0], 25.0).unwrap();
     p.add_eq(vec![0.0, 0.0, 1.0, 0.0, 0.0, 1.0], 15.0).unwrap();
+    assert_feasibility_verdict(&p);
     let s = p.solve(&opts()).unwrap();
     assert!(p.max_violation(s.x()) < 1e-9);
     // Optimal: s1 ships d2 (20 @6); s2 ships d1 (10 @9), d2 (5 @12),
@@ -46,6 +52,7 @@ fn diet_problem() {
     let mut p = Problem::minimize(vec![2.0, 3.0]);
     p.add_ge(vec![3.0, 1.0], 9.0).unwrap();
     p.add_ge(vec![1.0, 2.0], 8.0).unwrap();
+    assert_feasibility_verdict(&p);
     let s = p.solve(&opts()).unwrap();
     assert!((s.objective() - 13.0).abs() < 1e-9);
     assert!((s.x()[0] - 2.0).abs() < 1e-9);
@@ -62,6 +69,7 @@ fn klee_minty_3d_terminates_quickly() {
     p.add_le(vec![1.0, 0.0, 0.0], 1.0).unwrap();
     p.add_le(vec![20.0, 1.0, 0.0], 100.0).unwrap();
     p.add_le(vec![200.0, 20.0, 1.0], 10_000.0).unwrap();
+    assert_feasibility_verdict(&p);
     let s = p.solve(&opts()).unwrap();
     assert!((s.objective() - 10_000.0).abs() < 1e-6);
 }
@@ -71,6 +79,7 @@ fn alternate_optima_report_same_value() {
     // max x + y ; x + y ≤ 1 — an entire edge is optimal.
     let mut p = Problem::maximize(vec![1.0, 1.0]);
     p.add_le(vec![1.0, 1.0], 1.0).unwrap();
+    assert_feasibility_verdict(&p);
     let s = p.solve(&opts()).unwrap();
     assert!((s.objective() - 1.0).abs() < 1e-9);
     assert!((s.x()[0] + s.x()[1] - 1.0).abs() < 1e-9);
@@ -83,6 +92,7 @@ fn fully_degenerate_origin() {
     p.add_le(vec![1.0, 0.0], 0.0).unwrap();
     p.add_le(vec![0.0, 1.0], 0.0).unwrap();
     p.add_le(vec![1.0, 1.0], 0.0).unwrap();
+    assert_feasibility_verdict(&p);
     let s = p.solve(&opts()).unwrap();
     assert!(s.objective().abs() < 1e-12);
     assert!(s.x().iter().all(|&v| v.abs() < 1e-12));
@@ -94,6 +104,7 @@ fn free_direction_detected_unbounded() {
     let mut p = Problem::maximize(vec![1.0, -1.0]);
     p.add_le(vec![-1.0, 1.0], 2.0).unwrap();
     assert!(matches!(p.solve(&opts()), Err(SolveError::Unbounded)));
+    assert_feasibility_verdict(&p);
 }
 
 #[test]
@@ -102,6 +113,7 @@ fn equality_system_with_unique_point() {
     let mut p = Problem::maximize(vec![5.0, -3.0]);
     p.add_eq(vec![1.0, 1.0], 2.0).unwrap();
     p.add_eq(vec![1.0, -1.0], 0.0).unwrap();
+    assert_feasibility_verdict(&p);
     let s = p.solve(&opts()).unwrap();
     assert!((s.x()[0] - 1.0).abs() < 1e-9);
     assert!((s.x()[1] - 1.0).abs() < 1e-9);
@@ -117,6 +129,7 @@ fn conflicting_equalities_infeasible() {
         p.solve(&opts()),
         Err(SolveError::Infeasible { .. })
     ));
+    assert_feasibility_verdict(&p);
 }
 
 #[test]
@@ -130,6 +143,7 @@ fn blending_with_many_redundant_rows() {
         p.add_le(vec![3.0 * scale, 2.0 * scale], 18.0 * scale)
             .unwrap();
     }
+    assert_feasibility_verdict(&p);
     let s = p.solve(&opts()).unwrap();
     assert!((s.objective() - 36.0).abs() < 1e-6);
 }
@@ -145,6 +159,7 @@ fn paper_shaped_assignment_problem() {
     let mut lp = Problem::maximize(p_coeffs);
     lp.add_le(usage, cap).unwrap();
     lp.add_eq(vec![1.0; 4], 1.0).unwrap();
+    assert_feasibility_verdict(&lp);
     let s = lp.solve(&opts()).unwrap();
     // Best: put 0.5 on combo 2 (p=1), rest on combo 0 (blackhole):
     // Q = 0.5. (Combo 3 is strictly worse per unit of capacity.)
@@ -164,4 +179,5 @@ fn iteration_limit_is_reported() {
         p.solve(&o),
         Err(SolveError::IterationLimit { limit: 0 })
     ));
+    assert_feasibility_verdict(&p);
 }

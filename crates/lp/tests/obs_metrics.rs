@@ -156,6 +156,65 @@ fn eta_len_past_the_refactorization_interval_is_64() {
     }
 }
 
+/// Two supplies, three demands (equality rows, so phase 1 has work) and
+/// costs to minimize (so phase 2 has work too).
+fn transportation() -> Problem {
+    let mut p = Problem::minimize(vec![8.0, 6.0, 10.0, 9.0, 12.0, 13.0]);
+    p.add_le(vec![1.0, 1.0, 1.0, 0.0, 0.0, 0.0], 20.0)
+        .expect("valid row");
+    p.add_le(vec![0.0, 0.0, 0.0, 1.0, 1.0, 1.0], 30.0)
+        .expect("valid row");
+    for (j, demand) in [10.0, 25.0, 15.0].into_iter().enumerate() {
+        p.add_eq_sparse(&[(j, 1.0), (j + 3, 1.0)], demand)
+            .expect("valid row");
+    }
+    p
+}
+
+/// `lp.pivots` splits into the dual phase and phases 1–3, and the parts
+/// sum to the solve's iterations; a feasibility-goal solve counts once in
+/// `lp.feasibility_solves` and records no phase-2 or phase-3 pivot. On
+/// both kernels.
+#[test]
+fn phase_pivots_sum_to_the_iterations() {
+    let parts = [
+        "lp.dual_pivots",
+        "lp.phase1_pivots",
+        "lp.phase2_pivots",
+        "lp.phase3_pivots",
+    ];
+    for sparse in [false, true] {
+        let p = on_kernel(transportation(), sparse);
+        let mut ws = Workspace::new();
+        for feasibility in [false, true] {
+            let obs = Obs::enabled();
+            let opts = SolverOptions {
+                obs: obs.clone(),
+                ..SolverOptions::default()
+            };
+            let s = if feasibility {
+                p.find_feasible_with(&opts, &mut ws, None)
+            } else {
+                p.solve_with(&opts, &mut ws)
+            }
+            .expect("feasible");
+            let snap = obs.snapshot();
+            let count = |name| snap.counter(name).unwrap_or(0);
+            let split: Vec<u64> = parts.iter().map(|&name| count(name)).collect();
+            let case = format!("sparse: {sparse}, feasibility: {feasibility}, {split:?}");
+            assert_eq!(split.iter().sum::<u64>(), s.iterations() as u64, "{case}");
+            assert_eq!(count("lp.pivots"), s.iterations() as u64, "{case}");
+            assert!(split[1] > 0, "{case}");
+            assert_eq!(count("lp.feasibility_solves"), u64::from(feasibility));
+            if feasibility {
+                assert_eq!(split[2..], [0, 0], "{case}");
+            } else {
+                assert!(split[2] > 0, "{case}");
+            }
+        }
+    }
+}
+
 #[test]
 fn infeasible_solves_count_as_errors() {
     let obs = Obs::enabled();
