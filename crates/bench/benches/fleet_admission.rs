@@ -9,8 +9,8 @@
 //!   where the freed capacity left the carried basis infeasible.
 //! * `admission_8flows` — batched arrivals vs. one-at-a-time: the batch
 //!   fast path admits all eight flows with a **single** joint solve when
-//!   they are collectively feasible, vs. eight incremental solves of
-//!   growing LPs.
+//!   they are collectively feasible, vs. eight single admissions into a
+//!   growing LP.
 //!
 //! Measured numbers are recorded in `BENCH_fleet.json` (regenerate with
 //! `CRITERION_OUTPUT_JSON=1 cargo bench -p dmc-bench --bench fleet_admission`).
@@ -125,102 +125,5 @@ fn admission_8flows(c: &mut Criterion) {
     group.finish();
 }
 
-/// The fleet-scale subjects: at 64 admitted flows, one steady-state
-/// churn cycle (depart + equivalent arrival, i.e. two joint solves), and
-/// the admission of all 64 from empty, through
-///
-/// * `incremental` — the default: tombstoning/slot-reuse incremental
-///   assembly carrying its basis across edits;
-/// * `rebuild` — the joint `Problem` rebuilt from scratch per solve
-///   (`FleetConfig::incremental = false`), cold.
-///
-/// Both solve on the sparse kernel (the joint LP declares its blocks).
-/// What the dense-LU kernel would cost on this shape is `lp_backends`'
-/// `block_angular_64flow` pair.
-fn fleet64_paths() -> Vec<ScenarioPath> {
-    vec![
-        ScenarioPath::constant(80e6, 0.450, 0.2).expect("valid"),
-        ScenarioPath::constant(20e6, 0.150, 0.0).expect("valid"),
-        ScenarioPath::constant(40e6, 0.250, 0.05).expect("valid"),
-    ]
-}
-
-/// 64 mixed flows: mostly best-effort trickles, every fourth with a
-/// modest floor (so the joint LP carries floor rows like a real fleet).
-fn fleet64_requests() -> Vec<FlowRequest> {
-    (0..64)
-        .map(|i| {
-            let r = FlowRequest::new(1.0e6 + (i % 7) as f64 * 0.2e6, 0.6 + 0.05 * (i % 5) as f64)
-                .expect("valid");
-            if i % 4 == 0 {
-                r.with_min_quality(0.2)
-            } else {
-                r
-            }
-        })
-        .collect()
-}
-
-fn fleet64_config(incremental: bool) -> FleetConfig {
-    FleetConfig {
-        incremental,
-        ..FleetConfig::default()
-    }
-}
-
-fn churn_cycle_64(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fleet_admission/churn_cycle_64flows");
-    let churn = || {
-        FlowRequest::new(1.5e6, 0.8)
-            .expect("valid")
-            .with_min_quality(0.2)
-    };
-    for (name, incremental) in [("incremental", true), ("rebuild", false)] {
-        group.bench_function(name, |b| {
-            let mut fleet =
-                FleetPlanner::new(fleet64_paths(), fleet64_config(incremental)).expect("valid");
-            let decisions = fleet.offer_batch(fleet64_requests()).expect("batch");
-            assert!(
-                decisions.iter().all(|d| d.is_admitted()),
-                "{name}: populate"
-            );
-            let mut current = fleet.offer(churn()).expect("offer").id();
-            b.iter(|| {
-                fleet.depart(current).expect("admitted");
-                let d = fleet.offer(churn()).expect("offer");
-                assert!(d.is_admitted());
-                current = d.id();
-                black_box(fleet.aggregate_quality())
-            });
-            assert_eq!(fleet.num_flows(), 65);
-        });
-    }
-    group.finish();
-}
-
-/// Admitting the 64-flow population from empty: the batch fast path
-/// proves the whole set feasible with one joint solve on each pipeline.
-fn admission_64flows(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fleet_admission/admission_64flows");
-    for (name, incremental) in [("incremental", true), ("rebuild", false)] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut fleet =
-                    FleetPlanner::new(fleet64_paths(), fleet64_config(incremental)).expect("valid");
-                let decisions = fleet.offer_batch(fleet64_requests()).expect("batch");
-                assert!(decisions.iter().all(|d| d.is_admitted()));
-                black_box(fleet.aggregate_quality())
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    churn_resolve,
-    admission_8flows,
-    churn_cycle_64,
-    admission_64flows
-);
+criterion_group!(benches, churn_resolve, admission_8flows);
 criterion_main!(benches);

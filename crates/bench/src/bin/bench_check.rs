@@ -5,8 +5,9 @@
 //! threshold loose enough to pass on them catches nothing. What does
 //! survive a change of machine is the ratio of two subjects measured in
 //! the *same* `cargo bench` invocation: machine speed cancels, and the
-//! budget can be as tight as the claim it guards (incremental ≤ rebuild,
-//! telemetry ≤ 1.05x, one kernel ≤ the other on its side of the line).
+//! budget can be as tight as the claim it guards (one batched solve ≤
+//! eight single admissions, telemetry ≤ 1.05x, one kernel ≤ the other on
+//! its side of the line).
 //! The committed `BENCH_*.json` files are records, not gates.
 //!
 //! Usage:

@@ -104,7 +104,6 @@ pub use network::{NetworkSpec, NetworkSpecBuilder};
 pub use path::{PathSpec, SpecError};
 pub use plan::{Plan, StageTimeoutSpec, TimeoutSchedule};
 pub use planner::{Objective, PlanError, Planner, PlannerConfig, ScenarioModel, WarmStats};
-pub use random_delay::PlateauRule;
 pub use scenario::{Scenario, ScenarioBuilder, ScenarioPath};
 pub use scheduler::{SchedulePolicy, Scheduler};
 pub use strategy::{approx_fraction, CrossEvaluation, Strategy};

@@ -37,7 +37,7 @@ use crate::builder::fill_deterministic_coeffs;
 use crate::combo::{check_combos, ComboTable};
 use crate::path::{PathSpec, SpecError};
 use crate::plan::{Plan, SharedModel, TimeoutSchedule};
-use crate::random_delay::{fill_random_coeffs, PlateauRule};
+use crate::random_delay::fill_random_coeffs;
 use crate::scenario::{Scenario, ScenarioPath};
 use crate::strategy::Strategy;
 use dmc_lp::{Basis, ConstraintKind, Problem, Solution, SolveError, SolverOptions, Workspace};
@@ -151,11 +151,6 @@ pub struct PlannerConfig {
     /// Include the blackhole path (default true; keeps the LP feasible
     /// under overload, Eq. 19).
     pub blackhole: bool,
-    /// Discretization grid step in seconds for random-delay scenarios
-    /// (default 1 ms, the paper's reporting granularity).
-    pub grid_step: f64,
-    /// Plateau tie-break for Eq. 34 (default midpoint).
-    pub plateau: PlateauRule,
     /// LP solver options.
     pub solver: SolverOptions,
     /// Cache the optimal basis of each solved problem shape and
@@ -173,8 +168,6 @@ impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
             blackhole: true,
-            grid_step: 1e-3,
-            plateau: PlateauRule::Midpoint,
             solver: SolverOptions::default(),
             warm_start: true,
         }
@@ -346,8 +339,6 @@ impl Planner {
             fill_random_coeffs(
                 scenario.paths(),
                 scenario.lifetime(),
-                self.config.grid_step,
-                self.config.plateau,
                 &table,
                 ack_path,
                 &mut p,
@@ -489,11 +480,6 @@ impl Planner {
     /// Number of problem shapes with a cached warm-start basis.
     pub fn cached_bases(&self) -> usize {
         self.shape_bases.len()
-    }
-
-    /// Drops all cached warm-start bases (subsequent solves start cold).
-    pub fn clear_warm_cache(&mut self) {
-        self.shape_bases.clear();
     }
 
     /// Loads a deterministic scenario's paths into the reusable

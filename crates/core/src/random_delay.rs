@@ -14,7 +14,8 @@
 //! the two delay distributions on a discrete grid ([`DiscreteDist`]).
 //! The product often has a plateau of equally good timeouts — the paper
 //! notes the maximizer "does not necessarily produce a unique solution" —
-//! so the plateau tie-break is configurable ([`PlateauRule`]).
+//! and the timeout taken is the plateau's midpoint on a 1 ms grid
+//! ([`GRID_STEP`]), robust to estimation error on both sides.
 //!
 //! Because a retransmission fires exactly when the timeout expires, the
 //! *send time* of stage `s` is deterministic (the sum of the earlier
@@ -43,18 +44,10 @@ pub(crate) fn ack_path_of(paths: &[ScenarioPath]) -> usize {
     best
 }
 
-/// Tie-break used when Eq. 34's product is maximal over a plateau.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PlateauRule {
-    /// Earliest maximizing timeout (retransmit as soon as safe).
-    First,
-    /// Middle of the plateau: robust to estimation error on both sides.
-    /// The default.
-    #[default]
-    Midpoint,
-    /// Latest maximizing timeout (give the ack every chance).
-    Last,
-}
+/// Discretization grid step of the random-delay model, in seconds: 1 ms,
+/// the paper's reporting granularity. The delay distributions are
+/// discretized and the Eq. 34 timeouts searched on this grid.
+pub(crate) const GRID_STEP: f64 = 1e-3;
 
 /// The per-combination coefficients of the random-delay LP, written into
 /// the vectors of the model [`Planner::model`](crate::Planner::model) is
@@ -67,8 +60,6 @@ pub enum PlateauRule {
 pub(crate) fn fill_random_coeffs(
     paths: &[ScenarioPath],
     lifetime: f64,
-    grid_step: f64,
-    plateau: PlateauRule,
     table: &ComboTable,
     ack_path: usize,
     p: &mut Vec<f64>,
@@ -76,13 +67,8 @@ pub(crate) fn fill_random_coeffs(
     cost: &mut Vec<f64>,
     stage_timeouts: &mut Vec<Vec<Option<f64>>>,
 ) {
-    assert!(
-        grid_step > 0.0 && grid_step.is_finite(),
-        "grid step must be positive"
-    );
     let n = paths.len();
     debug_assert_eq!(usage.len(), n);
-    let step = grid_step;
 
     // F_{d_i + d_min}: convolution of each path's delay with an
     // independent copy of the ack path's delay (Eq. 34's
@@ -90,9 +76,9 @@ pub(crate) fn fill_random_coeffs(
     let ack_delay = Arc::clone(paths[ack_path].delay());
     let delay_dists: Vec<DiscreteDist> = paths
         .iter()
-        .map(|p| DiscreteDist::from_delay(p.delay().as_ref(), step))
+        .map(|p| DiscreteDist::from_delay(p.delay().as_ref(), GRID_STEP))
         .collect();
-    let ack_disc = DiscreteDist::from_delay(ack_delay.as_ref(), step);
+    let ack_disc = DiscreteDist::from_delay(ack_delay.as_ref(), GRID_STEP);
     let rtt_dists: Vec<DiscreteDist> = delay_dists.iter().map(|d| d.convolve(&ack_disc)).collect();
 
     let delta = lifetime;
@@ -133,13 +119,7 @@ pub(crate) fn fill_random_coeffs(
                 break; // retransmitting into the blackhole = dropping
             };
             let remaining = delta - send_time;
-            let opt = optimize_timeout(
-                &rtt_dists[i],
-                paths[j].delay().as_ref(),
-                remaining,
-                step,
-                plateau,
-            );
+            let opt = optimize_timeout(&rtt_dists[i], paths[j].delay().as_ref(), remaining);
             let Some(theta) = opt else {
                 break; // no timeout can meet the deadline (t₁,₁ case)
             };
@@ -227,24 +207,20 @@ fn joint_in_time_no_ack(
     total.clamp(0.0, 1.0)
 }
 
-/// Eq. 34: returns the timeout `θ ∈ [0, remaining]` maximizing
-/// `F_{d_j}(remaining − θ) · F_{d_i + d_min}(θ)`, or `None` when the
-/// maximum is zero (no retransmission can meet the deadline).
-fn optimize_timeout(
-    rtt: &DiscreteDist,
-    next_delay: &dyn Delay,
-    remaining: f64,
-    step: f64,
-    plateau: PlateauRule,
-) -> Option<f64> {
+/// Eq. 34: returns the timeout `θ ∈ [0, remaining]` on the
+/// [`GRID_STEP`] grid maximizing `F_{d_j}(remaining − θ) ·
+/// F_{d_i + d_min}(θ)` — the midpoint of the plateau where the maximum
+/// is not unique — or `None` when the maximum is zero (no retransmission
+/// can meet the deadline).
+fn optimize_timeout(rtt: &DiscreteDist, next_delay: &dyn Delay, remaining: f64) -> Option<f64> {
     if remaining <= 0.0 {
         return None;
     }
-    let steps = (remaining / step).floor() as usize;
+    let steps = (remaining / GRID_STEP).floor() as usize;
     let mut best = 0.0f64;
     let mut values = Vec::with_capacity(steps + 1);
     for k in 0..=steps {
-        let theta = k as f64 * step;
+        let theta = k as f64 * GRID_STEP;
         let g = next_delay.cdf(remaining - theta) * rtt.cdf(theta);
         values.push(g);
         if g > best {
@@ -258,18 +234,13 @@ fn optimize_timeout(
     let threshold = best * (1.0 - 1e-9);
     let first = values.iter().position(|&g| g >= threshold)?;
     let last = values.iter().rposition(|&g| g >= threshold)?;
-    let idx = match plateau {
-        PlateauRule::First => first,
-        PlateauRule::Last => last,
-        PlateauRule::Midpoint => (first + last) / 2,
-    };
-    Some(idx as f64 * step)
+    Some(((first + last) / 2) as f64 * GRID_STEP)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Objective, Plan, Planner, PlannerConfig, Scenario};
+    use crate::{Objective, Plan, Planner, Scenario};
     use dmc_stats::{ConstantDelay, ShiftedGamma, UniformDelay};
 
     /// The paper's Table V network (Experiment 2).
@@ -380,25 +351,6 @@ mod tests {
             "Q = {}",
             s.quality()
         );
-    }
-
-    #[test]
-    fn plateau_rules_are_ordered() {
-        let scenario = table5_scenario();
-        let t22 = |plateau| {
-            Planner::with_config(PlannerConfig {
-                plateau,
-                ..PlannerConfig::default()
-            })
-            .plan(&scenario, Objective::MaxQuality)
-            .unwrap()
-            .timeout(1, 1)
-            .unwrap()
-        };
-        let first = t22(PlateauRule::First);
-        let mid = t22(PlateauRule::Midpoint);
-        let last = t22(PlateauRule::Last);
-        assert!(first <= mid && mid <= last, "{first} {mid} {last}");
     }
 
     #[test]

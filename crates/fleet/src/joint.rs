@@ -113,9 +113,10 @@
 //! horizon with tombstones outnumbering the residents, on both planes
 //! alike (neither churn nor a sliding horizon grows the LP without
 //! bound). The next solve re-places the residents in admission order and
-//! starts cold.
-//! `FleetConfig::incremental = false` drops it before *every* solve;
-//! `PlannerConfig::warm_start = false` keeps it and carries no basis.
+//! starts cold — the very `Problem` a fresh planner offered the residents
+//! as one batch would build (`tests/maintained_vs_fresh.rs` holds the
+//! maintained LP to that reference). `PlannerConfig::warm_start = false`
+//! keeps the assembly and carries no basis.
 //!
 //! A new row or column kind of the joint LP, or a new piece of per-flow
 //! state, is added here, once.
@@ -990,11 +991,10 @@ impl JointCore {
             }),
             "the assembly's live blocks are not the roster's"
         );
-        // Compaction; the differential baseline keeps nothing at all.
+        // Compaction.
         let (slots, tombstoned) = self.slot_counts();
         let floor = COMPACT_MIN_SLOTS * self.grid.horizon();
-        let crowded = slots >= floor && tombstoned > self.flows.len();
-        if crowded || !self.config.incremental {
+        if slots >= floor && tombstoned > self.flows.len() {
             self.assembly = None;
         }
         if self.flows.is_empty() && extras.is_empty() {
@@ -1144,13 +1144,6 @@ impl JointCore {
     /// Whether a basis is being carried (0 or 1).
     pub(crate) fn cached_bases(&self) -> usize {
         usize::from(self.assembly.as_ref().is_some_and(|a| a.basis.is_some()))
-    }
-
-    /// Drops the carried basis (the next solve starts cold).
-    pub(crate) fn clear_warm_cache(&mut self) {
-        if let Some(assembly) = self.assembly.as_mut() {
-            assembly.basis = None;
-        }
     }
 }
 

@@ -106,22 +106,10 @@ pub struct FleetConfig {
     /// Objective of the joint LP (default [`FleetObjective::MaxAdmitted`]).
     pub objective: FleetObjective,
     /// Model/solver knobs shared by every per-flow model and joint solve
-    /// (blackhole, discretization grid, solver options, `warm_start`).
-    /// The joint LP declares its per-flow blocks, so the default solver
-    /// runs it on its block-structured sparse kernel.
+    /// (blackhole, solver options, `warm_start`). The joint LP declares
+    /// its per-flow blocks, so the default solver runs it on its
+    /// block-structured sparse kernel.
     pub planner: PlannerConfig,
-    /// Maintain the joint LP incrementally (default `true`): admitting a
-    /// flow appends (or reuses) its assignment block in place, departing
-    /// tombstones the block (its `Σx` row drops to 0, forcing the block
-    /// to zero without moving a row or column), the basis of the last
-    /// optimum is edited alongside, and no other flow's coefficient is
-    /// rewritten. `false` means one thing,
-    /// for both planners: the assembly is forgotten before every solve
-    /// and the members re-placed in admission order — the same
-    /// [`Problem`](dmc_lp::Problem) a from-scratch build produces, kept
-    /// as the differential baseline (see
-    /// `tests/incremental_vs_rebuild.rs`).
-    pub incremental: bool,
     /// Replay the feasibility certificate ([`dmc_lp::Solution::certify`])
     /// after **every** joint solve, even in release builds (default
     /// `false`: debug builds always certify, release builds skip it).
@@ -144,7 +132,6 @@ impl Default for FleetConfig {
         FleetConfig {
             objective: FleetObjective::default(),
             planner: PlannerConfig::default(),
-            incremental: true,
             certify: false,
             obs: dmc_obs::Obs::disabled(),
         }
@@ -650,11 +637,6 @@ impl FleetPlanner {
     /// compaction or anomaly, and always with warm starts off).
     pub fn cached_bases(&self) -> usize {
         self.core.cached_bases()
-    }
-
-    /// Drops the carried basis (the next solve starts cold).
-    pub fn clear_warm_cache(&mut self) {
-        self.core.clear_warm_cache();
     }
 
     /// Gives a request the next flow id and its model against the

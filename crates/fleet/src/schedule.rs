@@ -55,9 +55,8 @@
 //! nothing else: the reservation slide, the horizon advance
 //! ([`SchedulePlanner::advance_to`] — expired and straddling flows all
 //! leave before the straddlers are re-admitted, truncated; their blocks
-//! tombstone, so no row or column moves in the slide, which is what the
-//! `schedule_horizon` bench measures against a rebuild-per-solve
-//! baseline) and maintenance windows.
+//! tombstone, so no row or column moves in the slide and the carried
+//! basis survives it) and maintenance windows.
 //!
 //! # Advance reservations
 //!
@@ -591,7 +590,7 @@ impl SchedulePlanner {
     /// they get the reservation slide before being dropped. Expired
     /// slots' capacity rows are recycled in place (ring indexing), so
     /// no row or column moves and the carried basis stays addressable
-    /// across the advance; the `schedule_horizon` bench pins the payoff.
+    /// across the advance.
     ///
     /// # Errors
     ///

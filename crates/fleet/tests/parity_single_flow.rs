@@ -7,8 +7,9 @@
 //! objective, `λ·usage_k ≤ b_k` per path — and the same row order).
 //! Solved by the same solver the two therefore agree
 //! **bit for bit**, which [`legacy_config_matches_bit_for_bit`] pins with
-//! both on the dense tableau (the *legacy* configuration: rebuild
-//! assembly, and the one solver that reads no block declaration). The
+//! both on the dense tableau (the *legacy* configuration: the one solver
+//! that reads no block declaration; a fleet offered one flow assembles
+//! its LP from scratch either way). The
 //! default solver runs the joint LP — it declares its block — on the
 //! sparse kernel and the planner's on the dense LU, whose factorization
 //! orders differ — same canonical vertex, last-bit arithmetic
@@ -36,12 +37,11 @@ fn tableau() -> PlannerConfig {
     }
 }
 
-/// The legacy fleet configuration: rebuild the joint LP per solve and
-/// solve it on the dense tableau, like a [`tableau`] `Planner`.
+/// The legacy fleet configuration: solve the joint LP on the dense
+/// tableau, like a [`tableau`] `Planner`.
 fn legacy_config() -> FleetConfig {
     FleetConfig {
         planner: tableau(),
-        incremental: false,
         ..FleetConfig::default()
     }
 }
@@ -63,7 +63,7 @@ fn fleet_plan_with(scenario: &Scenario, config: FleetConfig) -> Plan {
     fleet.plan_of(id).expect("admitted plan").clone()
 }
 
-/// The default (incremental + sparse) fleet path.
+/// The default (sparse-kernel) fleet path.
 fn fleet_plan(scenario: &Scenario) -> Plan {
     fleet_plan_with(scenario, FleetConfig::default())
 }

@@ -89,8 +89,8 @@ pub use dmc_stats as stats;
 pub mod prelude {
     pub use dmc_core::{
         ComboTable, NetworkSpec, Objective, PathSpec, Plan, PlanError, Planner, PlannerConfig,
-        PlateauRule, Scenario, ScenarioBuilder, ScenarioPath, SchedulePolicy, Scheduler, Slot,
-        SolverOptions, StageTimeoutSpec, Strategy, TimeoutSchedule,
+        Scenario, ScenarioBuilder, ScenarioPath, SchedulePolicy, Scheduler, Slot, SolverOptions,
+        StageTimeoutSpec, Strategy, TimeoutSchedule,
     };
     pub use dmc_fleet::{
         AdmissionDecision, FleetConfig, FleetEvent, FleetObjective, FleetPlanner, FleetSnapshot,
