@@ -1,20 +1,13 @@
-//! The backend matrix: dense tableau, the revised driver on its dense-LU
-//! kernel and on its sparse kernel, cold and warm, on the paper's LP
-//! shapes and on a fleet-shaped block-angular one. `Backend::Revised`
-//! takes the kernel from the problem — the sparse one when it declares
-//! blocks, the dense LU when it does not — so a subject names its kernel
-//! by declaring or clearing the instance's blocks.
+//! The backend matrix: the dense tableau and the revised driver (on its
+//! one sparse basis kernel), cold and warm, on the paper's LP shapes and
+//! on a fleet-shaped block-angular one. Nothing here gates CI; the
+//! numbers are a record.
 //!
-//! Subjects on the single-flow instances (undeclared, as the `Planner`
-//! builds them):
+//! Subjects on the single-flow instances (no blocks declared, as the
+//! `Planner` builds them):
 //!
 //! * `dense` — `Backend::DenseTableau`, the original two-phase tableau;
-//! * `revised` — `Backend::Revised`, cold (two-phase) solves: the
-//!   dense-LU kernel;
-//! * `sparse` — the same problems declared as one block, cold: the
-//!   sparse kernel on the side of the size/sparsity line where it must
-//!   *not* be expected to win (CI gates `revised ≤ sparse` on the
-//!   729-variable instance as a same-run ratio);
+//! * `revised` — `Backend::Revised`, cold (two-phase) solves;
 //! * `warm_revised` — `Backend::Revised` with each solve warm-started
 //!   from the previous solve's optimal basis (`Problem::solve_warm_with`),
 //!   the pattern the `Planner` and `AdaptiveSender` use.
@@ -27,6 +20,9 @@
 //!   variables × 9 rows — the few-rows/many-columns regime the revised
 //!   method targets; `warm_revised` re-solves it from its own optimal
 //!   basis, the adaptive-sender pattern).
+//!
+//! On the fleet-shaped instance (blocks declared, as the fleet's joint LP
+//! declares them) the subjects are `sparse_cold` and `sparse_warm`.
 //!
 //! Measured numbers are recorded in `BENCH_lp.json` (regenerate with
 //! `CRITERION_OUTPUT_JSON=1 cargo bench -p dmc-bench --bench lp_backends`).
@@ -45,13 +41,6 @@ fn dense_opts() -> SolverOptions {
         backend: Backend::DenseTableau,
         ..SolverOptions::default()
     }
-}
-
-/// `p` declared as one block: `Backend::Revised` runs it on the sparse
-/// kernel (which treats one block as no structure).
-fn declared(mut p: Problem) -> Problem {
-    p.set_block_starts(vec![0]).expect("one block");
-    p
 }
 
 fn quality_lp(scenario: &Scenario) -> Problem {
@@ -106,14 +95,11 @@ fn table3_sweep(c: &mut Criterion) {
         let mut ws = Workspace::new();
         b.iter(|| black_box(solve_all(&problems, &opts, &mut ws)));
     });
-    let declared_problems: Vec<Problem> = problems.iter().cloned().map(declared).collect();
-    for (name, problems) in [("revised", &problems), ("sparse", &declared_problems)] {
-        group.bench_function(name, |b| {
-            let opts = SolverOptions::default();
-            let mut ws = Workspace::new();
-            b.iter(|| black_box(solve_all(problems, &opts, &mut ws)));
-        });
-    }
+    group.bench_function("revised", |b| {
+        let opts = SolverOptions::default();
+        let mut ws = Workspace::new();
+        b.iter(|| black_box(solve_all(&problems, &opts, &mut ws)));
+    });
     group.bench_function("warm_revised", |b| {
         let opts = SolverOptions::default();
         let mut ws = Workspace::new();
@@ -138,21 +124,18 @@ fn synthetic_729(c: &mut Criterion) {
             )
         });
     });
-    let declared_problem = declared(problem.clone());
-    for (name, problem) in [("revised", &problem), ("sparse", &declared_problem)] {
-        group.bench_with_input(BenchmarkId::new(name, 729), &(), |b, ()| {
-            let opts = SolverOptions::default();
-            let mut ws = Workspace::new();
-            b.iter(|| {
-                black_box(
-                    problem
-                        .solve_with(&opts, &mut ws)
-                        .expect("feasible")
-                        .objective(),
-                )
-            });
+    group.bench_with_input(BenchmarkId::new("revised", 729), &(), |b, ()| {
+        let opts = SolverOptions::default();
+        let mut ws = Workspace::new();
+        b.iter(|| {
+            black_box(
+                problem
+                    .solve_with(&opts, &mut ws)
+                    .expect("feasible")
+                    .objective(),
+            )
         });
-    }
+    });
     // The adaptive-sender pattern: re-solve from the last optimal basis
     // (here its own — re-entering phase 2 verifies optimality in one
     // pricing pass instead of re-pivoting from scratch).
@@ -179,9 +162,7 @@ fn synthetic_729(c: &mut Criterion) {
 
 fn planner_warm_sweep(c: &mut Criterion) {
     // End-to-end check that the Planner-level cache pays: the same 20-pt
-    // sweep through Planner::plan with the warm cache on and off, and the
-    // planner's own steps with the LP declared as one block (what moving
-    // the Planner onto the sparse kernel would cost).
+    // sweep through Planner::plan with the warm cache on and off.
     let mut group = c.benchmark_group("lp_backends/planner_table3_sweep");
     let base = scenarios::table3_model_scenario(90e6, 0.800);
     let points: Vec<f64> = (1..=20).map(|i| i as f64 * 7.5e6).collect();
@@ -211,30 +192,6 @@ fn planner_warm_sweep(c: &mut Criterion) {
             });
         });
     }
-    // `Planner::plan` is model → problem → solve → plan_for, warm from the
-    // basis its cache holds for the shape — on this one-shape sweep, the
-    // last one.
-    group.bench_function("warm_cache_on_sparse", |b| {
-        let mut planner = Planner::new();
-        let opts = SolverOptions::default();
-        let mut ws = Workspace::new();
-        let mut basis: Option<Basis> = None;
-        b.iter(|| {
-            let mut total = 0.0;
-            for &l in &points {
-                let model = planner.model(&base.with_data_rate(l));
-                let problem = declared(model.problem(Objective::MaxQuality));
-                let mut s = match &basis {
-                    Some(start) => problem.solve_warm_with(&opts, &mut ws, start),
-                    None => problem.solve_with(&opts, &mut ws),
-                }
-                .expect("feasible");
-                basis = s.take_basis();
-                total += model.plan_for(Objective::MaxQuality, s.into_x()).quality();
-            }
-            black_box(total)
-        });
-    });
     group.finish();
 }
 
@@ -288,52 +245,43 @@ fn block_angular_problem(blocks: usize) -> Problem {
     p
 }
 
-/// The fleet-scale instance: 64 blocks → 576 variables, 146 rows. This
-/// is where the dense-LU kernel's `O(m³)` refactorizations and `O(m·n)`
-/// pricing bite — the side of the line where the sparse kernel must win
-/// (CI gates `sparse_cold ≤ revised_cold` as a same-run ratio). The
-/// `revised_*` subjects solve it with its block declaration cleared,
-/// which puts it on the dense LU.
+/// The fleet-scale instance: 64 blocks → 576 variables, 146 rows, where
+/// the block-local pivot order and the block-aligned pricing sections
+/// pay.
 fn block_angular_64(c: &mut Criterion) {
     let mut group = c.benchmark_group("lp_backends/block_angular_64flow");
     let problem = block_angular_problem(64);
-    let mut undeclared = problem.clone();
-    undeclared.set_block_starts(Vec::new()).expect("no blocks");
 
-    for (name, problem) in [("revised_cold", &undeclared), ("sparse_cold", &problem)] {
-        group.bench_function(name, |b| {
-            let opts = SolverOptions::default();
-            let mut ws = Workspace::new();
-            b.iter(|| {
-                black_box(
-                    problem
-                        .solve_with(&opts, &mut ws)
-                        .expect("feasible")
-                        .objective(),
-                )
-            });
+    group.bench_function("sparse_cold", |b| {
+        let opts = SolverOptions::default();
+        let mut ws = Workspace::new();
+        b.iter(|| {
+            black_box(
+                problem
+                    .solve_with(&opts, &mut ws)
+                    .expect("feasible")
+                    .objective(),
+            )
         });
-    }
-    for (name, problem) in [("revised_warm", &undeclared), ("sparse_warm", &problem)] {
-        group.bench_function(name, |b| {
-            let opts = SolverOptions::default();
-            let mut ws = Workspace::new();
-            let basis = problem
-                .solve_with(&opts, &mut ws)
-                .expect("feasible")
-                .basis()
-                .expect("exportable")
-                .clone();
-            b.iter(|| {
-                black_box(
-                    problem
-                        .solve_warm_with(&opts, &mut ws, &basis)
-                        .expect("feasible")
-                        .objective(),
-                )
-            });
+    });
+    group.bench_function("sparse_warm", |b| {
+        let opts = SolverOptions::default();
+        let mut ws = Workspace::new();
+        let basis = problem
+            .solve_with(&opts, &mut ws)
+            .expect("feasible")
+            .basis()
+            .expect("exportable")
+            .clone();
+        b.iter(|| {
+            black_box(
+                problem
+                    .solve_warm_with(&opts, &mut ws, &basis)
+                    .expect("feasible")
+                    .objective(),
+            )
         });
-    }
+    });
     group.finish();
 }
 

@@ -1,20 +1,19 @@
 //! Single-flow degeneracy parity: a fleet with exactly one flow must
-//! produce a `Plan` identical (≤ 1e-9 on allocations, metrics and
-//! timeouts) to `Planner::plan` on the same `Scenario`.
+//! produce the `Plan` `Planner::plan` produces on the same `Scenario` —
+//! allocations, quality and cost rate bit for bit, send rates and
+//! timeouts to 1e-9.
 //!
 //! With one floor-free flow the joint LP is row-for-row the single-flow
 //! planner's LP (same coefficients in the same units — `λ·p` in the
 //! objective, `λ·usage_k ≤ b_k` per path — and the same row order).
-//! Solved by the same solver the two therefore agree
-//! **bit for bit**, which [`legacy_config_matches_bit_for_bit`] pins with
-//! both on the dense tableau (the *legacy* configuration: the one solver
-//! that reads no block declaration; a fleet offered one flow assembles
-//! its LP from scratch either way). The
-//! default solver runs the joint LP — it declares its block — on the
-//! sparse kernel and the planner's on the dense LU, whose factorization
-//! orders differ — same canonical vertex, last-bit arithmetic
-//! differences — so the default-path tests assert the 1e-9 contract
-//! everywhere (fixed cases and the proptest alike).
+//! Solved by the same solver the two therefore agree **bit for bit**.
+//! The default solver runs both on the one revised kernel: the joint LP
+//! declares its single block and the planner's declares none, which the
+//! kernel treats alike, so the default-path tests (fixed cases and the
+//! proptest alike) compare the vertex by its bits.
+//! [`legacy_config_matches_bit_for_bit`] pins the same with both on the
+//! dense tableau (the *legacy* configuration; a fleet offered one flow
+//! assembles its LP from scratch either way).
 
 use dmc_core::{Objective, Plan, Planner, PlannerConfig, Scenario, ScenarioPath, SolverOptions};
 use dmc_fleet::{AdmissionDecision, FleetConfig, FleetPlanner, FlowRequest};
@@ -24,6 +23,8 @@ use proptest::prelude::*;
 use proptest::Strategy;
 use std::sync::Arc;
 
+/// The bar for what is derived from the vertex outside the LP: send
+/// rates (relative) and stage timers.
 const TOL: f64 = 1e-9;
 
 /// Planner settings with the dense tableau as the solver.
@@ -63,7 +64,7 @@ fn fleet_plan_with(scenario: &Scenario, config: FleetConfig) -> Plan {
     fleet.plan_of(id).expect("admitted plan").clone()
 }
 
-/// The default (sparse-kernel) fleet path.
+/// The default (revised-backend) fleet path.
 fn fleet_plan(scenario: &Scenario) -> Plan {
     fleet_plan_with(scenario, FleetConfig::default())
 }
@@ -81,17 +82,21 @@ fn assert_plans_match(fleet: &Plan, solo: &Plan, ctx: &str) {
         .zip(solo.strategy().x())
         .enumerate()
     {
-        assert!((a - b).abs() <= TOL, "{ctx}: x[{l}] = {a} vs {b}");
+        assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: x[{l}] = {a} vs {b}");
     }
-    assert!(
-        (fleet.quality() - solo.quality()).abs() <= TOL,
+    assert_eq!(
+        fleet.quality().to_bits(),
+        solo.quality().to_bits(),
         "{ctx}: quality {} vs {}",
         fleet.quality(),
         solo.quality()
     );
-    assert!(
-        (fleet.cost_rate() - solo.cost_rate()).abs() <= TOL,
-        "{ctx}: cost rate"
+    assert_eq!(
+        fleet.cost_rate().to_bits(),
+        solo.cost_rate().to_bits(),
+        "{ctx}: cost rate {} vs {}",
+        fleet.cost_rate(),
+        solo.cost_rate()
     );
     for (k, (a, b)) in fleet.send_rates().iter().zip(solo.send_rates()).enumerate() {
         // Send rates are in bits/s; 1e-9 relative to the rate.
@@ -147,7 +152,7 @@ fn table3_sweep_matches_default_path() {
 #[test]
 fn legacy_config_matches_bit_for_bit() {
     // Identical LPs solved by the identical solver ⇒ identical vertices,
-    // bit for bit — a stronger statement than the 1e-9 bar.
+    // bit for bit — on the tableau too.
     let mut planner = Planner::with_config(tableau());
     for lambda in [10e6, 60e6, 90e6, 120e6] {
         for delta in [0.45, 0.8, 1.5] {
@@ -242,7 +247,7 @@ fn arb_constant_path() -> impl Strategy<Value = ScenarioPath> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The 1e-9 single-flow parity contract over arbitrary deterministic
+    /// The bitwise single-flow parity contract over arbitrary deterministic
     /// scenarios: paths, rate, lifetime and transmission count all drawn
     /// at random.
     #[test]

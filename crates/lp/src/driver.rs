@@ -1,20 +1,19 @@
-//! The revised-simplex driver: one copy of the algorithm, generic over a
-//! basis [`Kernel`].
+//! The revised-simplex driver: the algorithm, run on the sparse basis
+//! kernel ([`BlockPfi`]).
 //!
 //! The paper's LPs (Eq. 10/12, 20–23, 28/34) have one variable per
 //! path×retransmission combination but only a handful of rows (bandwidth,
 //! cost, quality, Σx = 1) — few rows, many columns. A dense tableau pivot
 //! rewrites all `n` columns (`O(m·n)`); the revised method keeps the
 //! constraint matrix fixed and maintains only a representation of `B⁻¹`.
-//! Everything that is *the method* lives here, once; what a kernel
-//! ([`crate::revised`], [`crate::sparse`]) supplies is how a column is
-//! gathered, how a row pass is streamed and how `B⁻¹` is stored and
-//! applied.
+//! Everything that is *the method* lives here; what the kernel
+//! ([`crate::sparse`]) supplies is how a column is gathered, how a row
+//! pass is streamed and how `B⁻¹` is stored and applied.
 //!
 //! * **Row normalization without a copy.** Row equilibration and sign
 //!   flips are absorbed into per-row multipliers ([`Layout::row_factor`]),
-//!   so no normalized matrix is ever materialized: whatever view a kernel
-//!   builds holds the raw coefficients. Slack and artificial
+//!   so no normalized matrix is ever materialized: the kernel's view
+//!   holds the raw coefficients. Slack and artificial
 //!   singletons are laid out after the structural columns
 //!   (`structural | slacks | artificials`).
 //! * **Product form.** Each pivot appends one eta to the kernel's file
@@ -26,7 +25,7 @@
 //!   improving column it sees; later iterations re-price only the banked
 //!   candidates until the bank runs dry, so most iterations touch a few
 //!   dozen columns instead of all `n`. Optimality still requires a clean
-//!   full wrap. The kernel chooses the sections (uniform chunks, or
+//!   full wrap. The kernel lays out the sections (uniform chunks, or
 //!   aligned to declared blocks). After
 //!   [`DEGENERATE_SWITCH`](crate::simplex::DEGENERATE_SWITCH) degenerate
 //!   pivots in a row pricing falls back to Bland's first improving
@@ -41,10 +40,10 @@
 //!   ([`restore_feasibility`]). That phase restores feasibility and
 //!   nothing else — it may leave reduced costs of the wrong sign, because
 //!   phase 2 runs from wherever it stops and proves optimality as it does
-//!   for every other start. A basis of the wrong shape, with a duplicate
-//!   column, singular beyond what the kernel repairs, or one the dual
-//!   phase gave up on falls back to the cold two-phase path; its fate is
-//!   recorded as a [`WarmStart`].
+//!   for every other start. A basis that factors singular is repaired by
+//!   the kernel; one of the wrong shape, with a duplicate column, or one
+//!   the dual phase gave up on falls back to the cold two-phase path. Its
+//!   fate is recorded as a [`WarmStart`].
 //!
 //! # Two goals
 //!
@@ -87,8 +86,10 @@
 //! assignments, the one sending less traffic builds smaller queues. The
 //! final solution is then extracted from a fresh factorization of the
 //! final basis, so identical bases yield bit-identical results regardless
-//! of the pivot path taken; a solve that made no pivot since a clean
-//! factorization of that basis already holds those factors and keeps them.
+//! of the pivot path taken. The kernel orders its pivots by the basis
+//! *set*, so the order a path left the slots in never reaches the bits,
+//! and a solve that made no pivot since a clean factorization already
+//! holds those factors and keeps them.
 
 use std::ops::Range;
 
@@ -96,18 +97,11 @@ use crate::error::SolveError;
 use crate::problem::{Constraint, ConstraintKind, Problem};
 use crate::simplex::{objective_scale, SolveStats, SolverOptions, WarmStart, TOLERANCE};
 use crate::solution::{Basis, BasisVar, Solution};
+use crate::sparse::BlockPfi;
 
 /// Iteration etas accumulated before the basis is refactorized from
 /// scratch.
 const REFACTOR_INTERVAL: usize = 64;
-
-/// Number of uniform pricing sections (a full scan is split into this many
-/// chunks; optimality still requires a clean full wrap).
-const PRICE_SECTIONS: usize = 8;
-
-/// Minimum section width, so tiny problems (and tiny blocks) degrade to
-/// full pricing.
-pub(crate) const MIN_SECTION: usize = 32;
 
 /// Cap on the pricing candidate list banked during a section scan.
 const CANDIDATE_LIMIT: usize = 24;
@@ -117,77 +111,6 @@ pub(crate) const SINGULAR_TOL: f64 = 1e-12;
 
 /// Sentinel for "row has no slack/artificial column".
 const NONE_COL: usize = usize::MAX;
-
-/// What differs between the backends: the matrix view and the
-/// representation of `B⁻¹`. Dispatch is static — [`solve`] is
-/// monomorphized per kernel.
-///
-/// `row_factor` is the per-row normalization multipliers of the current
-/// [`Layout`]. Column arguments are structural (`j < n`) unless stated
-/// otherwise — the driver handles the logical singletons itself. A kernel
-/// answers from the view it built in [`Kernel::prepare`]; only the bulk
-/// pricing pass is handed the problem's rows again, for the kernel that
-/// streams them as they are stored.
-pub(crate) trait Kernel {
-    /// Whether a warm basis may name [`BasisVar::Logical`] slots. A kernel
-    /// that neither repairs a singular basis nor factors in an order fixed
-    /// by the basis *set* says `false`, and such a basis is declined whole
-    /// (a clean cold solve).
-    const WARM_LOGICALS: bool;
-
-    /// Builds the per-solve matrix view and fills `sections` with the
-    /// pricing sections over `0..lay.art_start`, in scan order.
-    fn prepare(&mut self, problem: &Problem, lay: &Layout, sections: &mut Vec<(usize, usize)>);
-
-    /// Writes the normalized column `j` into `out` (all `m` entries).
-    fn gather_col(&self, row_factor: &[f64], j: usize, out: &mut [f64]);
-
-    /// `out[j] = weight[j] − Σᵣ y[r]·row_factor[r]·A[r][j]` for `j` in
-    /// `cols` — the bulk reduced-cost fill. `rows` is the problem's
-    /// constraint list.
-    fn fill_rc(
-        &self,
-        rows: &[Constraint],
-        row_factor: &[f64],
-        weight: &[f64],
-        y: &[f64],
-        cols: Range<usize>,
-        out: &mut [f64],
-    );
-
-    /// `Σᵣ yf[r]·A[r][j]` over the raw coefficients of column `j`.
-    fn col_dot(&self, yf: &[f64], j: usize) -> f64;
-
-    /// `out[j] = Σᵣ |row_factor[r]|·|A[r][j]|` for every structural column
-    /// (`out` arrives zeroed), accumulated in ascending row order.
-    fn col_mass(&self, row_factor: &[f64], out: &mut [f64]);
-
-    /// Factorizes the basis in `state.basis`, clearing the eta file and
-    /// recording the refactorization in `state.stats`; may re-permute the
-    /// basis slots. Returns `false` on a numerically singular basis. With
-    /// `repair` a kernel able to do so instead drops dependent columns,
-    /// puts the rows they leave on their starting logicals and marks the
-    /// warm start [`WarmStart::Repaired`].
-    fn factor(&mut self, state: &mut DriverState, repair: bool) -> bool;
-
-    /// FTRAN: `v ← B⁻¹ v`.
-    fn ftran(&self, v: &mut [f64]);
-
-    /// BTRAN: `v ← vᵀ B⁻¹`.
-    fn btran(&self, v: &mut [f64]);
-
-    /// Appends the eta of a pivot on row `r` with entering direction `d`.
-    fn push_eta(&mut self, r: usize, d: &[f64]);
-
-    /// Etas appended by [`Kernel::push_eta`] since the last factorization.
-    fn iteration_etas(&self) -> usize;
-
-    /// Whether the factors in hand are the ones [`Kernel::factor`] would
-    /// build from `basis` with its slots sorted ascending: a factorization
-    /// that completed without a repair, no iteration eta since, and the
-    /// slot order that kernel's factors depend on.
-    fn factors_sorted(&self, basis: &[usize]) -> bool;
-}
 
 /// Row normalization and column layout of one solve; the coefficients
 /// themselves are the kernel's business.
@@ -285,7 +208,7 @@ impl Layout {
 }
 
 /// Reusable buffers of the driver, owned by
-/// [`Workspace`](crate::Workspace) and shared by both kernels.
+/// [`Workspace`](crate::Workspace).
 #[derive(Debug, Default)]
 pub(crate) struct DriverState {
     pub(crate) lay: Layout,
@@ -335,16 +258,15 @@ pub(crate) enum Goal {
 }
 
 /// Entry point used by every `Problem` solve for
-/// [`Backend::Revised`](crate::Backend::Revised), on the kernel the
-/// problem's shape picked. Pricing turns to Bland's rule after
-/// `bland_after` degenerate pivots in a row
+/// [`Backend::Revised`](crate::Backend::Revised). Pricing turns to
+/// Bland's rule after `bland_after` degenerate pivots in a row
 /// ([`DEGENERATE_SWITCH`](crate::simplex::DEGENERATE_SWITCH) outside
 /// tests).
-pub(crate) fn solve<K: Kernel>(
+pub(crate) fn solve(
     problem: &Problem,
     options: &SolverOptions,
     state: &mut DriverState,
-    kernel: &mut K,
+    kernel: &mut BlockPfi,
     warm: Option<&Basis>,
     bland_after: usize,
     goal: Goal,
@@ -423,17 +345,12 @@ pub(crate) fn solve<K: Kernel>(
     // ---- Extraction from a fresh factorization of the final basis -------
     // Refactorizing here makes the result a function of the final basis
     // alone: any pivot path (warm or cold) reaching the same basis yields
-    // bit-identical primal values, objective and duals. "The same basis"
-    // is a *set* — two paths fill the slots in different orders, and a
-    // kernel that factors in slot order would carry that order into the
-    // last bits — so the slots are put in ascending column order first.
-    // A solve that made no pivot since its last clean factorization holds
-    // those very factors already, and keeps them.
-    if !kernel.factors_sorted(&state.basis) {
-        state.basis.sort_unstable();
-        if !kernel.factor(state, false) {
-            return Err(SolveError::Singular);
-        }
+    // bit-identical primal values, objective and duals ("the same basis"
+    // is a *set*: the kernel orders its pivots by the set, not by the
+    // slots). A solve that made no pivot since its last clean
+    // factorization holds those very factors already, and keeps them.
+    if !kernel.factors_clean() && !kernel.factor(state, false) {
+        return Err(SolveError::Singular);
     }
     load_x_basic(state, kernel, true);
     let (x, objective) = vertex(problem, state);
@@ -484,20 +401,8 @@ fn vertex(problem: &Problem, state: &DriverState) -> (Vec<f64>, f64) {
     (x, objective)
 }
 
-/// Uniform pricing sections over `0..art_start`:
-/// `max(⌈art_start/PRICE_SECTIONS⌉, MIN_SECTION)` columns each.
-pub(crate) fn uniform_sections(art_start: usize, sections: &mut Vec<(usize, usize)>) {
-    let width = art_start.div_ceil(PRICE_SECTIONS).max(MIN_SECTION);
-    let mut lo = 0usize;
-    while lo < art_start {
-        let hi = (lo + width).min(art_start);
-        sections.push((lo, hi));
-        lo = hi;
-    }
-}
-
 /// Gathers (normalized) column `j`, structural or logical, into `out`.
-fn gather_col<K: Kernel>(lay: &Layout, kernel: &K, j: usize, out: &mut [f64]) {
+fn gather_col(lay: &Layout, kernel: &BlockPfi, j: usize, out: &mut [f64]) {
     if j < lay.n {
         kernel.gather_col(&lay.row_factor, j, out);
     } else {
@@ -519,7 +424,7 @@ fn premultiply(buf: &mut Vec<f64>, y: &[f64], row_factor: &[f64]) {
 /// through [`fill_rc`] instead). `yf` is `y` premultiplied by the row
 /// factors.
 #[inline]
-fn col_dot<K: Kernel>(lay: &Layout, kernel: &K, yf: &[f64], y: &[f64], j: usize) -> f64 {
+fn col_dot(lay: &Layout, kernel: &BlockPfi, yf: &[f64], y: &[f64], j: usize) -> f64 {
     if j < lay.n {
         kernel.col_dot(yf, j)
     } else {
@@ -530,10 +435,10 @@ fn col_dot<K: Kernel>(lay: &Layout, kernel: &K, yf: &[f64], y: &[f64], j: usize)
 
 /// Fills `out[cols]` with `weight[j] − y·A_j`: the structural part through
 /// the kernel's bulk pass, logical singletons directly.
-fn fill_rc<K: Kernel>(
+fn fill_rc(
     rows: &[Constraint],
     lay: &Layout,
-    kernel: &K,
+    kernel: &BlockPfi,
     weight: &[f64],
     y: &[f64],
     cols: Range<usize>,
@@ -598,10 +503,10 @@ enum Phase {
 /// zero-reduced-cost columns in `state.face` with `state.face_fresh =
 /// true` — the canonicalization phase consumes them without re-scanning
 /// the matrix.
-fn price<K: Kernel>(
+fn price(
     rows: &[Constraint],
     state: &mut DriverState,
-    kernel: &K,
+    kernel: &BlockPfi,
     y: &[f64],
     mode: Pricing,
     collect_face: bool,
@@ -751,7 +656,7 @@ fn install_initial_basis(state: &mut DriverState) {
 /// smallest value (how infeasible the basis is for `b`). With `clamp` the
 /// tiny negatives roundoff produces are raised to zero, which is what the
 /// primal phases want; the dual phase's negatives are its state.
-fn load_x_basic<K: Kernel>(state: &mut DriverState, kernel: &K, clamp: bool) -> f64 {
+fn load_x_basic(state: &mut DriverState, kernel: &BlockPfi, clamp: bool) -> f64 {
     state.x_basic.clear();
     state.x_basic.extend_from_slice(&state.lay.b);
     kernel.ftran(&mut state.x_basic);
@@ -778,16 +683,15 @@ fn load_objective(state: &mut DriverState, problem: &Problem) {
 
 /// Validates and installs a caller-provided warm [`Basis`]; returns
 /// `true` when the solve can start from it — well-formed, nonsingular
-/// (after repair where the kernel repairs) and primal feasible, as given
+/// (after the kernel's repair) and primal feasible, as given
 /// or after [`restore_feasibility`] pivoted it there — and records its
 /// fate in `state.stats.warm` either way ([`WarmStart::Infeasible`]: the
-/// dual phase gave up). Where the kernel accepts them the basis may name
-/// artificials ([`BasisVar::Logical`]); the caller runs phase 1 over
-/// those.
-fn try_warm_basis<K: Kernel>(
+/// dual phase gave up). The basis may name artificials
+/// ([`BasisVar::Logical`]); the caller runs phase 1 over those.
+fn try_warm_basis(
     problem: &Problem,
     state: &mut DriverState,
-    kernel: &mut K,
+    kernel: &mut BlockPfi,
     basis: &Basis,
     scratch: &mut Scratch,
 ) -> bool {
@@ -802,7 +706,7 @@ fn try_warm_basis<K: Kernel>(
         let c = match *slot {
             BasisVar::Structural(j) if j < lay.n => j,
             BasisVar::Slack(r) if r < lay.m && lay.slack_col[r] != NONE_COL => lay.slack_col[r],
-            BasisVar::Logical(r) if K::WARM_LOGICALS && r < lay.m => lay.starting_logical(r),
+            BasisVar::Logical(r) if r < lay.m => lay.starting_logical(r),
             _ => return false,
         };
         if state.in_basis[c] {
@@ -813,10 +717,8 @@ fn try_warm_basis<K: Kernel>(
         state.in_basis[c] = true;
     }
     state.stats.warm = WarmStart::Used; // `factor` may downgrade it to `Repaired`
-    if !kernel.factor(state, true) {
-        state.stats.warm = WarmStart::Singular; // under the new coefficients
-        return false;
-    }
+    let factored = kernel.factor(state, true);
+    debug_assert!(factored, "a repairing factorization always completes");
     if load_x_basic(state, kernel, false) < -TOLERANCE
         && !restore_feasibility(problem, state, kernel, scratch)
     {
@@ -855,10 +757,10 @@ fn try_warm_basis<K: Kernel>(
 /// `x_basic` is not clamped until the caller does so after the phase, and
 /// the phase ends on `B⁻¹b` recomputed from the factors, not on the
 /// values its own updates carried there.
-fn restore_feasibility<K: Kernel>(
+fn restore_feasibility(
     problem: &Problem,
     state: &mut DriverState,
-    kernel: &mut K,
+    kernel: &mut BlockPfi,
     scratch: &mut Scratch,
 ) -> bool {
     let tol = TOLERANCE;
@@ -955,9 +857,9 @@ fn least_row(x_basic: &[f64]) -> usize {
 /// iteration-eta budget is spent. Returns `false` when a due
 /// refactorization found the basis numerically singular — the factors are
 /// then unusable and the caller must stop iterating.
-fn pivot<K: Kernel>(
+fn pivot(
     state: &mut DriverState,
-    kernel: &mut K,
+    kernel: &mut BlockPfi,
     (q, r): (usize, usize),
     d: &[f64],
     t: f64,
@@ -996,10 +898,10 @@ fn pivot<K: Kernel>(
 /// objective is then exactly zero, its optimum, with no need for a final
 /// pricing wrap. Phase 2 locks artificials out via the same enter limit
 /// and collects the optimal face on its final wrap.
-fn run_phase<K: Kernel>(
+fn run_phase(
     rows: &[Constraint],
     state: &mut DriverState,
-    kernel: &mut K,
+    kernel: &mut BlockPfi,
     options: &SolverOptions,
     phase: Phase,
     scratch: &mut Scratch,
@@ -1077,11 +979,7 @@ fn run_phase<K: Kernel>(
 /// cannot leave are linearly dependent; their artificial stays basic at
 /// zero and — its row being a combination of the others — never moves
 /// again.
-fn drive_out_artificials<K: Kernel>(
-    state: &mut DriverState,
-    kernel: &mut K,
-    scratch: &mut Scratch,
-) {
+fn drive_out_artificials(state: &mut DriverState, kernel: &mut BlockPfi, scratch: &mut Scratch) {
     let Scratch {
         y: e,
         d,
@@ -1138,13 +1036,7 @@ impl FaceQueue {
     /// Bulk secondary reduced costs over all columns (`rc2 = w2 − y₂ᵀA`),
     /// then the improving face members deduplicated by dot-product bits
     /// (keep max weight, then lowest index).
-    fn refill<K: Kernel>(
-        &mut self,
-        rows: &[Constraint],
-        state: &DriverState,
-        kernel: &K,
-        y2: &[f64],
-    ) {
+    fn refill(&mut self, rows: &[Constraint], state: &DriverState, kernel: &BlockPfi, y2: &[f64]) {
         let art_start = state.lay.art_start;
         let (w2, rc2) = (&state.w2, &mut self.rc2);
         if rc2.len() < art_start {
@@ -1214,10 +1106,10 @@ impl FaceQueue {
 /// re-scans to the occasional refill. When the phase-2 endpoint is
 /// already canonical (every warm re-solve after the first), the whole
 /// phase is one bulk pass that finds nothing.
-fn canonicalize<K: Kernel>(
+fn canonicalize(
     rows: &[Constraint],
     state: &mut DriverState,
-    kernel: &mut K,
+    kernel: &mut BlockPfi,
     options: &SolverOptions,
     scratch: &mut Scratch,
 ) {
@@ -1355,35 +1247,36 @@ fn export_basis(state: &DriverState) -> Option<Basis> {
     Some(Basis::new(slots))
 }
 
-/// What every kernel must do, written once: each function below is one
-/// unit test of the driver, parameterized by the kernel it runs on, and
-/// [`contract_tests`] instantiates the whole table inside a kernel's own
-/// test module (so a failure names the kernel that broke).
+/// What every revised solve must do, written once: each function below is
+/// one unit test of the driver, parameterized by how its problems declare
+/// their blocks, and [`contract_tests`] instantiates the whole table once
+/// per declaration (so a failure names the declaration that broke). There
+/// is one kernel either way, but the declaration sets the pricing sections
+/// and the block-local pivot order, so a problem of several blocks is a
+/// different run with its blocks cleared.
 #[cfg(test)]
 pub(crate) mod contract {
     use super::Goal;
     use crate::simplex::DEGENERATE_SWITCH;
     use crate::{Basis, Problem, SolveError, SolverOptions, Workspace};
 
-    /// The kernel a contract runs on. [`crate::Backend::Revised`] picks
-    /// it from the problem, so a contract states it by declaring its
-    /// problems' blocks (sparse) or clearing them (dense LU).
+    /// How a contract poses its problems to [`crate::Backend::Revised`].
     #[derive(Debug, Clone, Copy)]
-    pub(crate) enum Side {
-        DenseLu,
-        Sparse,
+    pub(crate) enum Declaration {
+        /// No block declaration: the whole problem is one pricing section.
+        Cleared,
+        /// The blocks as declared, or one block when the problem declares
+        /// none — the same run as no declaration.
+        Declared,
     }
 
-    impl Side {
-        /// `p` as this kernel is picked for: its blocks declared for the
-        /// sparse kernel — one block when it declares none, which the
-        /// kernel treats exactly as no declaration — or cleared for the
-        /// dense LU.
+    impl Declaration {
+        /// `p` with its blocks declared or cleared.
         pub(crate) fn on(self, mut p: Problem) -> Problem {
             let starts = match self {
-                Side::DenseLu => Vec::new(),
-                Side::Sparse if p.block_starts().is_empty() => vec![0],
-                Side::Sparse => return p,
+                Declaration::Cleared => Vec::new(),
+                Declaration::Declared if p.block_starts().is_empty() => vec![0],
+                Declaration::Declared => return p,
             };
             p.set_block_starts(starts).expect("valid block starts");
             p
@@ -1394,19 +1287,19 @@ pub(crate) mod contract {
         SolverOptions::default()
     }
 
-    /// Expands to one `#[test]` per contract function, run on `$side`.
+    /// Expands to one `#[test]` per contract function, run on `$decl`.
     macro_rules! contract_tests {
-        ($side:expr; $($name:ident),* $(,)?) => {
+        ($decl:expr; $($name:ident),* $(,)?) => {
             $(
                 #[test]
                 fn $name() {
-                    $crate::driver::contract::$name($side)
+                    $crate::driver::contract::$name($decl)
                 }
             )*
         };
-        ($side:expr) => {
+        ($decl:expr) => {
             $crate::driver::contract::contract_tests!(
-                $side;
+                $decl;
                 simple_maximize,
                 equality_constraint,
                 minimize_works,
@@ -1435,12 +1328,12 @@ pub(crate) mod contract {
     }
     pub(crate) use contract_tests;
 
-    pub(crate) fn simple_maximize(side: Side) {
+    pub(crate) fn simple_maximize(decl: Declaration) {
         // max 3x + 2y ; x + y <= 4 ; x + 3y <= 6 → x=4,y=0, obj 12
         let mut p = Problem::maximize(vec![3.0, 2.0]);
         p.add_le(vec![1.0, 1.0], 4.0).unwrap();
         p.add_le(vec![1.0, 3.0], 6.0).unwrap();
-        let s = side.on(p).solve(&opts()).unwrap();
+        let s = decl.on(p).solve(&opts()).unwrap();
         assert!((s.objective() - 12.0).abs() < 1e-9);
         assert!((s.x()[0] - 4.0).abs() < 1e-9);
         assert!(s.x()[1].abs() < 1e-9);
@@ -1448,40 +1341,40 @@ pub(crate) mod contract {
         assert!(!s.used_warm_start());
     }
 
-    pub(crate) fn equality_constraint(side: Side) {
+    pub(crate) fn equality_constraint(decl: Declaration) {
         // max x + 2y ; x + y = 1 ; y <= 0.6 → x=0.4, y=0.6, obj 1.6
         let mut p = Problem::maximize(vec![1.0, 2.0]);
         p.add_eq(vec![1.0, 1.0], 1.0).unwrap();
         p.add_le(vec![0.0, 1.0], 0.6).unwrap();
-        let s = side.on(p).solve(&opts()).unwrap();
+        let s = decl.on(p).solve(&opts()).unwrap();
         assert!((s.objective() - 1.6).abs() < 1e-9);
         assert!((s.x()[0] - 0.4).abs() < 1e-9);
         assert!((s.x()[1] - 0.6).abs() < 1e-9);
     }
 
-    pub(crate) fn minimize_works(side: Side) {
+    pub(crate) fn minimize_works(decl: Declaration) {
         let mut p = Problem::minimize(vec![2.0, 3.0]);
         p.add_ge(vec![1.0, 1.0], 2.0).unwrap();
-        let s = side.on(p).solve(&opts()).unwrap();
+        let s = decl.on(p).solve(&opts()).unwrap();
         assert!((s.objective() - 4.0).abs() < 1e-9);
         assert!((s.x()[0] - 2.0).abs() < 1e-9);
     }
 
-    pub(crate) fn infeasible_detected(side: Side) {
+    pub(crate) fn infeasible_detected(decl: Declaration) {
         let mut p = Problem::maximize(vec![1.0]);
         p.add_le(vec![1.0], 1.0).unwrap();
         p.add_ge(vec![1.0], 2.0).unwrap();
-        match side.on(p).solve(&opts()) {
+        match decl.on(p).solve(&opts()) {
             Err(SolveError::Infeasible { residual }) => assert!(residual > 0.0),
             other => panic!("expected infeasible, got {other:?}"),
         }
     }
 
-    pub(crate) fn unbounded_detected(side: Side) {
+    pub(crate) fn unbounded_detected(decl: Declaration) {
         let mut p = Problem::maximize(vec![1.0, 0.0]);
         p.add_le(vec![0.0, 1.0], 1.0).unwrap();
         assert!(matches!(
-            side.on(p).solve(&opts()),
+            decl.on(p).solve(&opts()),
             Err(SolveError::Unbounded)
         ));
     }
@@ -1489,13 +1382,13 @@ pub(crate) mod contract {
     /// The one pricing rule, at its default switch and with Bland's rule
     /// from the first pivot: Beale's LP never runs [`DEGENERATE_SWITCH`]
     /// degenerate pivots here, so only the second run reaches Bland.
-    pub(crate) fn beale_cycling_guard_all_rules(side: Side) {
+    pub(crate) fn beale_cycling_guard_all_rules(decl: Declaration) {
         for bland_after in [DEGENERATE_SWITCH, 0] {
             let mut p = Problem::maximize(vec![0.75, -150.0, 0.02, -6.0]);
             p.add_le(vec![0.25, -60.0, -1.0 / 25.0, 9.0], 0.0).unwrap();
             p.add_le(vec![0.5, -90.0, -1.0 / 50.0, 3.0], 0.0).unwrap();
             p.add_le(vec![0.0, 0.0, 1.0, 0.0], 1.0).unwrap();
-            let s = side
+            let s = decl
                 .on(p)
                 .dispatch(
                     &opts(),
@@ -1509,23 +1402,23 @@ pub(crate) mod contract {
         }
     }
 
-    pub(crate) fn redundant_equality_rows_are_handled(side: Side) {
+    pub(crate) fn redundant_equality_rows_are_handled(decl: Declaration) {
         let mut p = Problem::maximize(vec![1.0, 1.0]);
         p.add_eq(vec![1.0, 1.0], 1.0).unwrap();
         p.add_eq(vec![2.0, 2.0], 2.0).unwrap();
-        let s = side.on(p).solve(&opts()).unwrap();
+        let s = decl.on(p).solve(&opts()).unwrap();
         assert!((s.objective() - 1.0).abs() < 1e-9);
         // An artificial stays basic for the dependent row, so no basis is
         // exported.
         assert!(s.basis().is_none());
     }
 
-    pub(crate) fn duals_match_known_shadow_prices(side: Side) {
+    pub(crate) fn duals_match_known_shadow_prices(decl: Declaration) {
         let mut p = Problem::maximize(vec![3.0, 5.0]);
         p.add_le(vec![1.0, 0.0], 4.0).unwrap();
         p.add_le(vec![0.0, 2.0], 12.0).unwrap();
         p.add_le(vec![3.0, 2.0], 18.0).unwrap();
-        let s = side.on(p).solve(&opts()).unwrap();
+        let s = decl.on(p).solve(&opts()).unwrap();
         assert!((s.objective() - 36.0).abs() < 1e-9);
         let d = s.duals();
         assert!(d[0].abs() < 1e-9, "dual0 {}", d[0]);
@@ -1533,32 +1426,32 @@ pub(crate) mod contract {
         assert!((d[2] - 1.0).abs() < 1e-9, "dual2 {}", d[2]);
     }
 
-    pub(crate) fn badly_scaled_rows_are_equilibrated(side: Side) {
+    pub(crate) fn badly_scaled_rows_are_equilibrated(decl: Declaration) {
         let mut p = Problem::maximize(vec![3.0, 2.0]);
         p.add_le(vec![1e8, 1e8], 4e8).unwrap();
         p.add_le(vec![1e8, 3e8], 6e8).unwrap();
-        let s = side.on(p).solve(&opts()).unwrap();
+        let s = decl.on(p).solve(&opts()).unwrap();
         assert!((s.objective() - 12.0).abs() < 1e-6);
         assert!((s.x()[0] - 4.0).abs() < 1e-6);
     }
 
-    pub(crate) fn negative_rhs_le_becomes_feasible_via_artificials(side: Side) {
+    pub(crate) fn negative_rhs_le_becomes_feasible_via_artificials(decl: Declaration) {
         let mut p = Problem::maximize(vec![1.0, 0.0]);
         p.add_le(vec![1.0, -1.0], -1.0).unwrap();
         p.add_le(vec![0.0, 1.0], 3.0).unwrap();
-        let s = side.on(p).solve(&opts()).unwrap();
+        let s = decl.on(p).solve(&opts()).unwrap();
         assert!((s.objective() - 2.0).abs() < 1e-9);
         assert!((s.x()[1] - 3.0).abs() < 1e-9);
     }
 
-    pub(crate) fn zero_rhs_equality(side: Side) {
+    pub(crate) fn zero_rhs_equality(decl: Declaration) {
         let mut p = Problem::maximize(vec![5.0, 7.0]);
         p.add_eq(vec![1.0, 1.0], 0.0).unwrap();
-        let s = side.on(p).solve(&opts()).unwrap();
+        let s = decl.on(p).solve(&opts()).unwrap();
         assert!(s.objective().abs() < 1e-9);
     }
 
-    pub(crate) fn eta_refactorization_survives_many_pivots(side: Side) {
+    pub(crate) fn eta_refactorization_survives_many_pivots(decl: Declaration) {
         // A problem needing well over REFACTOR_INTERVAL pivots: a long
         // assignment chain forces the solver through many bases.
         let n = 120usize;
@@ -1572,7 +1465,7 @@ pub(crate) mod contract {
             row[2 * i + 1] = 1.0;
             p.add_le(row, 1.0 + i as f64 * 0.01).unwrap();
         }
-        let p = side.on(p);
+        let p = decl.on(p);
         let s = p.solve(&opts()).unwrap();
         assert!(p.max_violation(s.x()) < 1e-7);
         // Optimum: each pair contributes its bound times its best cost.
@@ -1583,14 +1476,14 @@ pub(crate) mod contract {
         assert!((s.objective() - want).abs() < 1e-7, "{}", s.objective());
     }
 
-    pub(crate) fn warm_start_skips_phase_one_and_matches_cold_bitwise(side: Side) {
+    pub(crate) fn warm_start_skips_phase_one_and_matches_cold_bitwise(decl: Declaration) {
         let o = opts();
         let make = |rhs: f64| {
             let mut p = Problem::maximize(vec![3.0, 2.0]);
             p.add_le(vec![1.0, 1.0], rhs).unwrap();
             p.add_le(vec![1.0, 3.0], rhs + 2.0).unwrap();
             p.add_eq(vec![1.0, 1.0], rhs).unwrap();
-            side.on(p)
+            decl.on(p)
         };
         let first = make(4.0).solve(&o).unwrap();
         let basis = first.basis().expect("exportable basis").clone();
@@ -1607,12 +1500,12 @@ pub(crate) mod contract {
     /// The carried basis of the RHS-edit tests below: unique optimum
     /// x=10, y=2, basis {x, y, slack of the y-row}, with the x-bound row
     /// binding (its slack nonbasic).
-    fn loose_basis(side: Side) -> Basis {
+    fn loose_basis(decl: Declaration) -> Basis {
         let mut loose = Problem::maximize(vec![2.0, 1.0]);
         loose.add_le(vec![1.0, 0.0], 10.0).unwrap();
         loose.add_le(vec![0.0, 1.0], 10.0).unwrap();
         loose.add_eq(vec![1.0, 1.0], 12.0).unwrap();
-        side.on(loose)
+        decl.on(loose)
             .solve(&opts())
             .unwrap()
             .basis()
@@ -1622,9 +1515,9 @@ pub(crate) mod contract {
 
     /// The id is from when such a basis was thrown away for a cold
     /// two-phase solve; it now starts the solve, after the dual phase.
-    pub(crate) fn infeasible_warm_basis_falls_back_to_phase_one(side: Side) {
+    pub(crate) fn infeasible_warm_basis_falls_back_to_phase_one(decl: Declaration) {
         let o = opts();
-        let basis = loose_basis(side);
+        let basis = loose_basis(decl);
         // New RHS: the carried basis forces x = 2 (binding x-row), hence
         // y = 1 − 2 < 0 — primal infeasible, so the dual phase pivots y
         // out before phase 2. The problem itself is feasible (x=1, y=0).
@@ -1632,7 +1525,7 @@ pub(crate) mod contract {
         tight.add_le(vec![1.0, 0.0], 2.0).unwrap();
         tight.add_le(vec![0.0, 1.0], 2.0).unwrap();
         tight.add_eq(vec![1.0, 1.0], 1.0).unwrap();
-        let tight = side.on(tight);
+        let tight = decl.on(tight);
         let warm = tight.solve_warm(&o, &basis).unwrap();
         let cold = tight.solve(&o).unwrap();
         assert!(warm.used_warm_start(), "stale basis must be restored");
@@ -1669,12 +1562,12 @@ pub(crate) mod contract {
         p
     }
 
-    pub(crate) fn infeasible_warm_basis_is_restored_by_dual_pivots(side: Side) {
+    pub(crate) fn infeasible_warm_basis_is_restored_by_dual_pivots(decl: Declaration) {
         // The fleet's departure: a block's Σx row drops to 0 and its
         // objective is zeroed under a basis that has both capacity rows
         // binding, so the capacity it frees drives a survivor negative.
         let o = opts();
-        let full = side.on(block_angular(6, 5));
+        let full = decl.on(block_angular(6, 5));
         let basis = full.solve(&o).unwrap().take_basis().expect("exportable");
         let mut restored = 0;
         for dead in 0..6usize {
@@ -1696,9 +1589,9 @@ pub(crate) mod contract {
         assert!(restored >= 1, "no departure left the basis infeasible");
     }
 
-    pub(crate) fn dual_phase_gives_up_on_an_infeasible_problem(side: Side) {
+    pub(crate) fn dual_phase_gives_up_on_an_infeasible_problem(decl: Declaration) {
         let o = opts();
-        let basis = loose_basis(side);
+        let basis = loose_basis(decl);
         // The carried basis says x = 2, y = 3, slack of the y-row −1; its
         // row of `B⁻¹A` offers no column to pivot on, and indeed no point
         // has x + y = 5 under these bounds.
@@ -1706,7 +1599,7 @@ pub(crate) mod contract {
         none.add_le(vec![1.0, 0.0], 2.0).unwrap();
         none.add_le(vec![0.0, 1.0], 2.0).unwrap();
         none.add_eq(vec![1.0, 1.0], 5.0).unwrap();
-        let none = side.on(none);
+        let none = decl.on(none);
         let mut ws = Workspace::new();
         assert!(matches!(
             none.solve_warm_with(&o, &mut ws, &basis),
@@ -1716,11 +1609,11 @@ pub(crate) mod contract {
         assert!(matches!(none.solve(&o), Err(SolveError::Infeasible { .. })));
         let mut good = Problem::maximize(vec![3.0, 2.0]);
         good.add_le(vec![1.0, 1.0], 4.0).unwrap();
-        let s = side.on(good).solve_with(&o, &mut ws).unwrap();
+        let s = decl.on(good).solve_with(&o, &mut ws).unwrap();
         assert!((s.objective() - 12.0).abs() < 1e-9);
     }
 
-    pub(crate) fn dual_phase_ends_on_degenerate_ties(side: Side) {
+    pub(crate) fn dual_phase_ends_on_degenerate_ties(decl: Declaration) {
         // Columns: x_i and a duplicate x_i' per row i, then z, then w and
         // its duplicate w'. Rows: x_i + x_i' + z = b (k of them), then
         // z + w + w' ≤ 1. With b = 2 the optimum has z = 1 and every
@@ -1742,7 +1635,7 @@ pub(crate) mod contract {
             }
             p.add_le_sparse(&[(2 * k, 1.0), (2 * k + 1, 1.0), (2 * k + 2, 1.0)], 1.0)
                 .unwrap();
-            side.on(p)
+            decl.on(p)
         };
         let basis = build(2.0)
             .solve(&o)
@@ -1769,9 +1662,9 @@ pub(crate) mod contract {
     /// starts the optimal solve, which lands on the cold optimum bit for
     /// bit; from a basis a departure left infeasible the dual phase is
     /// the whole solve; and an infeasible problem is refused alike.
-    pub(crate) fn feasibility_goal_stops_after_phase_one(side: Side) {
+    pub(crate) fn feasibility_goal_stops_after_phase_one(decl: Declaration) {
         let o = opts();
-        let p = side.on(block_angular(6, 5));
+        let p = decl.on(block_angular(6, 5));
         let mut ws = Workspace::new();
         let feasible = p.find_feasible_with(&o, &mut ws, None).unwrap();
         let stats = &ws.driver.stats;
@@ -1807,25 +1700,25 @@ pub(crate) mod contract {
         none.add_le(vec![1.0], 1.0).unwrap();
         none.add_ge(vec![1.0], 2.0).unwrap();
         assert!(matches!(
-            side.on(none).find_feasible_with(&o, &mut ws, None),
+            decl.on(none).find_feasible_with(&o, &mut ws, None),
             Err(SolveError::Infeasible { .. })
         ));
     }
 
-    pub(crate) fn wrong_shape_warm_basis_falls_back(side: Side) {
+    pub(crate) fn wrong_shape_warm_basis_falls_back(decl: Declaration) {
         let o = opts();
         let mut small = Problem::maximize(vec![1.0]);
         small.add_le(vec![1.0], 1.0).unwrap();
-        let basis = side.on(small).solve(&o).unwrap().basis().unwrap().clone();
+        let basis = decl.on(small).solve(&o).unwrap().basis().unwrap().clone();
         let mut big = Problem::maximize(vec![1.0, 2.0]);
         big.add_le(vec![1.0, 0.0], 1.0).unwrap();
         big.add_le(vec![0.0, 1.0], 1.0).unwrap();
-        let warm = side.on(big).solve_warm(&o, &basis).unwrap();
+        let warm = decl.on(big).solve_warm(&o, &basis).unwrap();
         assert!(!warm.used_warm_start());
         assert!((warm.objective() - 3.0).abs() < 1e-9);
     }
 
-    pub(crate) fn workspace_reuse_is_equivalent_to_fresh_solves(side: Side) {
+    pub(crate) fn workspace_reuse_is_equivalent_to_fresh_solves(decl: Declaration) {
         let o = opts();
         let mut ws = Workspace::new();
         let shapes: &[(usize, usize)] = &[(3, 2), (8, 5), (2, 1), (6, 9)];
@@ -1836,7 +1729,7 @@ pub(crate) mod contract {
                 p.add_le(row, 2.0 + i as f64).unwrap();
             }
             p.add_eq(vec![1.0; n], 1.0).unwrap();
-            let p = side.on(p);
+            let p = decl.on(p);
             let fresh = p.solve(&o).unwrap();
             let reused = p.solve_with(&o, &mut ws).unwrap();
             assert_eq!(fresh.x(), reused.x(), "n={n} m={m}");
@@ -1845,29 +1738,29 @@ pub(crate) mod contract {
         }
     }
 
-    pub(crate) fn workspace_survives_error_outcomes(side: Side) {
+    pub(crate) fn workspace_survives_error_outcomes(decl: Declaration) {
         let o = opts();
         let mut ws = Workspace::new();
         let mut bad = Problem::maximize(vec![1.0]);
         bad.add_le(vec![1.0], 1.0).unwrap();
         bad.add_ge(vec![1.0], 2.0).unwrap();
         assert!(matches!(
-            side.on(bad).solve_with(&o, &mut ws),
+            decl.on(bad).solve_with(&o, &mut ws),
             Err(SolveError::Infeasible { .. })
         ));
         let mut unbounded = Problem::maximize(vec![1.0, 0.0]);
         unbounded.add_le(vec![0.0, 1.0], 1.0).unwrap();
         assert!(matches!(
-            side.on(unbounded).solve_with(&o, &mut ws),
+            decl.on(unbounded).solve_with(&o, &mut ws),
             Err(SolveError::Unbounded)
         ));
         let mut good = Problem::maximize(vec![3.0, 2.0]);
         good.add_le(vec![1.0, 1.0], 4.0).unwrap();
-        let s = side.on(good).solve_with(&o, &mut ws).unwrap();
+        let s = decl.on(good).solve_with(&o, &mut ws).unwrap();
         assert!((s.objective() - 12.0).abs() < 1e-9);
     }
 
-    pub(crate) fn many_rows_solve_without_panicking(side: Side) {
+    pub(crate) fn many_rows_solve_without_panicking(decl: Declaration) {
         // Regression: per-row scratch buffers must not be capped at a
         // fixed stack size — a 71-row LP (> 64) through the default
         // backend used to panic. Transportation-style structure keeps it
@@ -1880,7 +1773,7 @@ pub(crate) mod contract {
             p.add_le(row, 1.0 + (j % 3) as f64).unwrap();
         }
         p.add_eq(vec![1.0; n], 5.0).unwrap(); // 71 rows total
-        let p = side.on(p);
+        let p = decl.on(p);
         let s = p.solve(&opts()).unwrap();
         assert!(p.max_violation(s.x()) < 1e-7);
         assert!(s.objective() > 0.0);
@@ -1891,13 +1784,13 @@ pub(crate) mod contract {
         assert!(warm.used_warm_start());
     }
 
-    pub(crate) fn no_constraint_rows(side: Side) {
+    pub(crate) fn no_constraint_rows(decl: Declaration) {
         // Zero rows: x = 0 is optimal for a non-positive objective and
         // unbounded otherwise.
-        let p = side.on(Problem::minimize(vec![1.0, 2.0]));
+        let p = decl.on(Problem::minimize(vec![1.0, 2.0]));
         let s = p.solve(&opts()).unwrap();
         assert!(s.objective().abs() < 1e-12);
-        let p = side.on(Problem::maximize(vec![1.0]));
+        let p = decl.on(Problem::maximize(vec![1.0]));
         assert!(matches!(p.solve(&opts()), Err(SolveError::Unbounded)));
     }
 }

@@ -6,10 +6,11 @@
 //! ecosystem is thin, and the paper's problems have a very particular
 //! shape — one variable per path×retransmission combination (`(n+1)^m`,
 //! hundreds to thousands) but only a handful of rows (bandwidth, cost,
-//! quality, `Σx = 1`) — so this crate is **one revised-simplex driver over
-//! two basis kernels, plus the dense tableau as the differential oracle**:
+//! quality, `Σx = 1`) — so this crate is **one revised-simplex driver on
+//! one sparse basis kernel, plus the dense tableau as the differential
+//! oracle**:
 //!
-//! * The **driver** (`driver.rs`) is the algorithm, once: row
+//! * The **driver** (`driver.rs`) is the algorithm: row
 //!   normalization absorbed into per-row multipliers (no normalized
 //!   matrix is ever written), warm-basis validation, phase 1 *from the current basis*,
 //!   phase 2 with **partial candidate-list pricing**, the ratio test with
@@ -21,32 +22,20 @@
 //!   re-solves and the fleet's admit/depart edits cheap. Where only a
 //!   verdict is read — is the problem feasible? —
 //!   [`Problem::find_feasible_with`] runs the same start and phase 1 and
-//!   stops there, which is what the fleet's greedy admissions ask. The
-//!   kernel is a generic parameter — dispatch is static.
-//! * [`Backend::Revised`] (the default) runs the driver on the kernel the
-//!   problem calls for; nothing else selects it. A problem that declares
-//!   no block structure ([`Problem::block_starts`] empty — every
-//!   single-flow LP) runs on the **dense-LU kernel** (`revised.rs`): a
-//!   row-major dense copy of the matrix, scattered from the rows'
-//!   nonzeros at the start of each solve, bulk pricing as vectorized row
-//!   passes over it, per-column accesses gathering `m` strided elements,
-//!   a dense LU of the basis. A pivot
-//!   costs `O(m²)` plus the columns actually priced instead of the dense
-//!   tableau's `O(m·n)` rewrite. Its LU neither repairs a singular basis
-//!   nor factors in an order fixed by the basis set, so it accepts
-//!   exported bases only (a [`BasisVar::Logical`] slot is a clean cold
-//!   solve).
-//! * A problem that declares blocks ([`Problem::append_block`] does — the
-//!   fleet layer's block-angular joint LPs, one assignment block per
-//!   admitted flow, coupled only through the shared capacity rows) runs
-//!   on the **block-ordered sparse kernel** (`sparse.rs`): a CSC copy
+//!   stops there, which is what the fleet's greedy admissions ask.
+//! * The **block-ordered sparse kernel** (`sparse.rs`) is what
+//!   [`Backend::Revised`] (the default) runs every problem on: a CSC copy
 //!   assembled per solve beside the rows' own `(column, value)` pairs,
-//!   which pricing streams as stored, a sparse
-//!   product-form basis inverse whose refactorization pivots block-local
-//!   rows first (elimination confined to the coupling rows plus the basic
-//!   columns of active blocks), sparse eta-file FTRAN/BTRAN, and pricing
-//!   sections laid along [`Problem::block_starts`]. It has the wider
-//!   warm-start contract: the [`Basis`] may have been edited in step with
+//!   which pricing streams as stored, a sparse product-form basis inverse
+//!   whose refactorization pivots block-local rows first (elimination
+//!   confined to the coupling rows plus the basic columns of active
+//!   blocks), sparse eta-file FTRAN/BTRAN, and pricing sections laid
+//!   along [`Problem::block_starts`]. Blocks are what
+//!   [`Problem::append_block`] declares — the fleet layer's block-angular
+//!   joint LPs, one assignment block per admitted flow, coupled only
+//!   through the shared capacity rows; a problem that declares none
+//!   (every single-flow LP) is one block. Its pivot order is a function
+//!   of the basis set, so the [`Basis`] may have been edited in step with
 //!   the problem (rows appended on their logicals, a recycled block
 //!   released), in which case phase 1 runs *from* it over the few
 //!   artificials it names, and a basis left singular by a coefficient
@@ -57,30 +46,27 @@
 //!   reference oracle the driver is differentially tested against
 //!   (`tests/proptest_backends.rs`).
 //!
-//! **Why two kernels, and why the problem picks** (measured, nproc = 2,
-//! virtualised Xeon @ 2.1 GHz, 2026-10-01, rustc 1.95.0). Each wins on
-//! its side of a size/sparsity line, declared block structure is which
-//! side a problem is on, and the end-to-end `benchmark/` has workloads on
-//! both sides. The single-flow LPs are dense — every column meets every
-//! capacity row — so the sparse kernel's per-solve CSC assembly and index
-//! chasing buy nothing the dense row passes do not already give: with
-//! the sparse kernel under the single-flow planner, `flow_replan` reads
-//! `op_p50_us` 6.47–8.48 (median 6.72) against 5.66–6.23 (5.84) and `ops_per_s`
-//! 14.1 k against 15.0 k over six alternating 15 s runs, and the traced
-//! solve itself `lp.solve_us.det2` 2.64–3.29 against 2.01–2.44, `det6m3`
-//! 23.1–29.5 against 14.5–17.6, `rand2` 3.78–5.30 against 2.78–3.73 at
-//! identical pivot counts (3.07 per solve; `lp_backends`: 729 columns ×
-//! 9 rows cold, 40.5 µs vs 27.2 µs). The joint LPs are block-angular
-//! with `m` in the hundreds, where a dense LU is cubic and an edited
-//! basis must be declined: with the dense LU under the fleet's joint
-//! LPs `svc_contended` reads `ops_per_s` 153 against 1 907 and
-//! `op_p50_us` 53.5 ms against 3.9 ms over four alternating runs
-//! (`lp_backends`: 64 blocks, 576 columns × 146 rows cold, 4.27 ms vs
-//! 0.59 ms). CI gates both `lp_backends` ratios within one
-//! run; if either ever fails, that kernel has lost its reason to exist.
+//! **One kernel, and what it costs the single-flow LPs** (measured, nproc
+//! = 2, virtualised Xeon @ 2.1 GHz, 2026-10-16, rustc 1.95.0). Until
+//! 2026-10-16 a problem without declared blocks ran on a dense-LU kernel
+//! of its own. The single-flow LPs are dense — every column meets every
+//! capacity row — so there the sparse kernel's per-solve CSC assembly and
+//! index chasing buy nothing, and the dense LU was a few microseconds
+//! faster per solve. Moving them onto the sparse kernel cost
+//! `flow_replan` (the end-to-end `benchmark/` workload that re-plans the
+//! paper's scenarios through one warm `Planner`) 2.2 % of its `ops_per_s`
+//! (15 168 → 14 833) and 16 % of its `op_p50_us` (4.80 → 5.59 µs) over
+//! ten order-alternated 15 s pairs; the traced solve times (seed 1,
+//! median of three 5 s runs) went from 1.75 to 2.08 µs (`det2`), 13.5 to
+//! 18.8 µs (`det6m3`) and 2.23 to 2.59 µs (`rand2`) at the same pivot
+//! counts. That is well inside the benchmark's bounds, and it buys one
+//! code path: one factorization, one warm-start contract, and a one-flow
+//! fleet that solves its joint LP bit for bit like [`Problem::solve`] on
+//! the planner's. There is deliberately no small-problem path inside the
+//! kernel.
 //!
-//! All backends share the anti-cycling scheme (automatic switch to Bland's
-//! rule after a run of degenerate pivots) and produce identical
+//! Both backends share the anti-cycling scheme (automatic switch to
+//! Bland's rule after a run of degenerate pivots) and produce identical
 //! objectives, primal points and duals to 1e-9. The driver additionally
 //! canonicalizes its answer across alternate optima and extracts it from
 //! a fresh, order-independent factorization of the final basis, so it is
@@ -167,7 +153,6 @@
 mod driver;
 mod error;
 mod problem;
-mod revised;
 mod simplex;
 mod solution;
 mod sparse;
@@ -176,3 +161,15 @@ pub use error::{ProblemError, SolveError, SolveStatus};
 pub use problem::{Constraint, ConstraintKind, Problem};
 pub use simplex::{Backend, SolverOptions, Workspace, TOLERANCE};
 pub use solution::{Basis, BasisVar, Solution};
+
+/// The driver's contract on problems posed without a block declaration,
+/// as every single-flow LP is; `sparse::tests` runs the same table with
+/// the blocks declared.
+#[cfg(test)]
+mod revised {
+    mod tests {
+        use crate::driver::contract::Declaration;
+
+        crate::driver::contract::contract_tests!(Declaration::Cleared);
+    }
+}

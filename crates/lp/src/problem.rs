@@ -22,8 +22,8 @@ pub enum ConstraintKind {
 /// An exact zero is never stored — every constructor and mutator drops
 /// it — so a row costs 12 bytes per nonzero whatever the variable count,
 /// appending variables touches no row, and `==` on the storage is `==` on
-/// the matrix. The two readers that want dense rows (the dense-LU kernel,
-/// the tableau oracle) scatter the entries into their own buffer per solve.
+/// the matrix. The one reader that wants dense rows (the tableau oracle)
+/// scatters the entries into its own buffer per solve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Constraint {
     /// Sorted column indices of the nonzero coefficients.
@@ -103,8 +103,8 @@ impl Constraint {
 /// constructors add rows from nonzero entries, and
 /// [`Problem::set_row_range`] / [`Problem::set_objective_range`] patch
 /// coefficients in place. Recorded block boundaries
-/// ([`Problem::block_starts`]) put [`Backend::Revised`] on its sparse
-/// kernel and tell it which columns belong together: rows whose support
+/// ([`Problem::block_starts`]) tell [`Backend::Revised`]'s sparse kernel
+/// which columns belong together: rows whose support
 /// stays inside one block are *local* rows, rows spanning blocks are
 /// *coupling* rows, and the factorization/pricing exploit that split.
 #[derive(Debug, Clone, PartialEq)]
@@ -369,9 +369,8 @@ impl Problem {
     }
 
     /// Declared block boundaries (start column per block, first 0);
-    /// empty when no structure was declared. Non-empty boundaries run
-    /// [`Backend::Revised`] on its sparse kernel, empty ones on its dense
-    /// LU.
+    /// empty when no structure was declared, which the sparse kernel
+    /// treats as one block.
     pub fn block_starts(&self) -> &[usize] {
         &self.block_starts
     }
@@ -585,17 +584,15 @@ impl Problem {
     /// re-solve after capacity was freed); those restore feasibility
     /// only and may leave reduced costs of the wrong sign, which phase 2
     /// clears as it proves optimality. A basis that factors singular
-    /// after a coefficient edit is repaired by the sparse kernel
-    /// (dependent columns dropped, the rows they leave take their
-    /// logicals). A stale basis — wrong shape, a duplicate column, or
-    /// one the dual pivots could not restore — silently falls back to
-    /// the cold two-phase path, so `solve_warm` never returns a worse
-    /// outcome than [`Problem::solve`], and phase 3 walks to the same
-    /// canonical vertex either way.
+    /// after a coefficient edit is repaired (dependent columns dropped,
+    /// the rows they leave take their logicals). A stale basis — wrong
+    /// shape, a duplicate column, or one the dual pivots could not
+    /// restore — silently falls back to the cold two-phase path, so
+    /// `solve_warm` never returns a worse outcome than [`Problem::solve`],
+    /// and phase 3 walks to the same canonical vertex either way.
     ///
-    /// The dense-LU kernel (a problem without declared blocks) honors
-    /// exported bases only (any `Logical` slot is a clean cold solve);
-    /// the dense oracle ignores the hint altogether.
+    /// The dense tableau oracle ([`Backend::DenseTableau`]) ignores the
+    /// hint.
     ///
     /// # Errors
     ///
@@ -659,14 +656,12 @@ impl Problem {
         self.dispatch(options, workspace, warm, DEGENERATE_SWITCH, Goal::Feasible)
     }
 
-    /// Validates and routes to the configured [`Backend`] and, for
-    /// [`Backend::Revised`], to the kernel this problem's shape calls for:
-    /// the sparse one when it declares blocks (every joint LP the fleet
-    /// assembles), the dense LU when it does not (every single-flow LP).
-    /// Pricing turns to Bland's rule after `bland_after` degenerate
-    /// pivots in a row — [`DEGENERATE_SWITCH`] everywhere but the tests
-    /// that reach Bland's rule directly. `goal` is what the revised
-    /// driver stops at; the tableau always solves to the optimum.
+    /// Validates and routes to the configured [`Backend`], opening its
+    /// span (`lp.solve.revised` or `lp.solve.dense`). Pricing turns to
+    /// Bland's rule after `bland_after` degenerate pivots in a row —
+    /// [`DEGENERATE_SWITCH`] everywhere but the tests that reach Bland's
+    /// rule directly. `goal` is what the revised driver stops at; the
+    /// tableau always solves to the optimum.
     pub(crate) fn dispatch(
         &self,
         options: &SolverOptions,
@@ -683,25 +678,17 @@ impl Problem {
             return Err(ProblemError::NonFiniteCoefficient.into());
         }
         let obs = &options.obs;
-        let blocks = !self.block_starts.is_empty();
         // The span closes after the pivot-count advance below, so its
         // tick extent equals this solve's pivots.
         let span = obs.span(match options.backend {
             Backend::DenseTableau => "lp.solve.dense",
-            Backend::Revised if blocks => "lp.solve.sparse",
             Backend::Revised => "lp.solve.revised",
         });
         let result = match options.backend {
             Backend::DenseTableau => simplex::solve(self, options, workspace, bland_after),
-            Backend::Revised if blocks => {
-                let Workspace { driver, sparse, .. } = workspace;
-                driver::solve(self, options, driver, sparse, warm, bland_after, goal)
-            }
             Backend::Revised => {
-                let Workspace {
-                    driver, revised, ..
-                } = workspace;
-                driver::solve(self, options, driver, revised, warm, bland_after, goal)
+                let Workspace { driver, kernel, .. } = workspace;
+                driver::solve(self, options, driver, kernel, warm, bland_after, goal)
             }
         };
         // The dense tableau leaves the driver's stats untouched (stale).

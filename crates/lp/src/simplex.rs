@@ -51,16 +51,15 @@ pub enum Backend {
     /// tested against.
     DenseTableau,
     /// The revised-simplex driver (phases, partial pricing, ratio test,
-    /// canonicalization, warm starts) on the basis kernel the problem
-    /// calls for: the **block-ordered sparse kernel** when it declares
-    /// blocks ([`Problem::block_starts`] non-empty, as
-    /// [`Problem::append_block`] leaves it — the fleet layer's
-    /// block-angular joint LPs), the **dense-LU kernel** otherwise (every
-    /// single-flow LP). Each is the faster one on its side of that line
-    /// (the crate docs say how they work and what was measured); only the
-    /// sparse one accepts a basis edited in step with the problem and
-    /// repairs one left singular. Both report the same canonical vertex,
-    /// so warm and cold solves are bit-identical. The default.
+    /// canonicalization, warm starts) on the **block-ordered sparse
+    /// kernel**, for every problem. Declared blocks
+    /// ([`Problem::block_starts`], as [`Problem::append_block`] leaves
+    /// them — the fleet layer's block-angular joint LPs) set its pricing
+    /// sections and its block-local pivot order; a problem without them
+    /// (every single-flow LP) is one block. It accepts a basis edited in
+    /// step with the problem, repairs one left singular, and reports the
+    /// canonical vertex, so warm and cold solves are bit-identical. The
+    /// default.
     #[default]
     Revised,
 }
@@ -80,12 +79,12 @@ pub struct SolverOptions {
     /// `lp.feasibility_solves` (those that asked
     /// [`Problem::find_feasible_with`] for a verdict only),
     /// `lp.refactorizations`, `lp.factor_eta_visits` (etas the
-    /// sparse kernel's factorizations examined, a deterministic work
+    /// revised solve's factorizations examined, a deterministic work
     /// count), `lp.phase1_early_exits`, warm-start counters, the
     /// `lp.eta_len` histogram (iteration etas each refactorization
-    /// discarded), and a per-kernel
-    /// `lp.solve.*` span (`dense`, `revised` for the dense LU, `sparse`);
-    /// the logical clock advances by one tick per pivot.
+    /// discarded), and a per-backend span (`lp.solve.revised`,
+    /// `lp.solve.dense` for the tableau); the logical clock advances by
+    /// one tick per pivot.
     pub obs: dmc_obs::Obs,
 }
 
@@ -100,7 +99,7 @@ impl Default for SolverOptions {
 }
 
 /// Per-solve instrumentation filled in by the revised-simplex driver and
-/// its kernels and published to [`SolverOptions::obs`] by the dispatcher —
+/// its kernel and published to [`SolverOptions::obs`] by the dispatcher —
 /// the solver itself never touches the registry.
 #[derive(Debug, Default)]
 pub(crate) struct SolveStats {
@@ -108,8 +107,7 @@ pub(crate) struct SolveStats {
     pub(crate) refactorizations: u64,
     /// Iteration etas each refactorization discarded.
     pub(crate) eta_lengths: Vec<u64>,
-    /// Etas the factorizations examined while eliminating basic columns
-    /// (the sparse kernel's; the dense LU has none).
+    /// Etas the factorizations examined while eliminating basic columns.
     pub(crate) factor_eta_visits: u64,
     /// Whether phase 1 exited as soon as the last artificial left the
     /// basis, skipping the final pricing wrap.
@@ -143,8 +141,8 @@ pub(crate) enum WarmStart {
     /// Rejected: primal infeasible under the new right-hand side, and
     /// the dual phase gave up on restoring it.
     Infeasible,
-    /// Rejected: singular (a duplicate column, or a singular
-    /// factorization in a backend that does not repair).
+    /// Rejected: singular (a duplicate column; a basis that factors
+    /// singular is repaired instead).
     Singular,
 }
 
@@ -204,12 +202,10 @@ pub struct Workspace {
     cost: Vec<f64>,
     /// Per-original-row normalization metadata.
     row_info: Vec<RowInfo>,
-    /// Buffers of the revised-simplex driver, shared by its two kernels.
+    /// Buffers of the revised-simplex driver.
     pub(crate) driver: crate::driver::DriverState,
-    /// Factors of the dense-LU kernel.
-    pub(crate) revised: crate::revised::DenseLu,
-    /// View and factors of the sparse kernel.
-    pub(crate) sparse: crate::sparse::BlockPfi,
+    /// Matrix view and factors of the driver's sparse basis kernel.
+    pub(crate) kernel: crate::sparse::BlockPfi,
     /// Fate of the warm basis in the last solve through this workspace.
     pub(crate) last_warm: WarmStart,
 }

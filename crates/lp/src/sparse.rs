@@ -1,16 +1,16 @@
-//! The block-ordered sparse product-form kernel: what
-//! [`Backend::Revised`](crate::Backend) runs a problem on that declares
-//! block structure ([`Problem::block_starts`]).
+//! The block-ordered sparse product-form kernel: the basis storage and
+//! factorization [`Backend::Revised`](crate::Backend) runs every problem
+//! on.
 //!
 //! The simplex method itself is [`crate::driver`]; this file is the
-//! storage and factorization it runs on for the fleet layer's joint
-//! admission LP, which is *block-angular*: one assignment block per
-//! admitted flow (its `Σx = 1` row, optional cost and quality-floor rows,
-//! and its columns), coupled to every other block only through the handful
-//! of shared per-path capacity rows. A dense LU of that basis is `O(m³)`
-//! in the total row count and dense row passes price in `O(m·n)` — cubic
-//! exactly where a fleet needs admission cheapest. This kernel exploits
-//! the structure instead:
+//! storage and factorization it runs on. It is built for the fleet
+//! layer's joint admission LP, which is *block-angular*: one assignment
+//! block per admitted flow (its `Σx = 1` row, optional cost and
+//! quality-floor rows, and its columns), coupled to every other block only
+//! through the handful of shared per-path capacity rows. A dense LU of
+//! that basis is `O(m³)` in the total row count and dense row passes price
+//! in `O(m·n)` — cubic exactly where a fleet needs admission cheapest.
+//! This kernel exploits the structure instead:
 //!
 //! * **Sparse storage, both orientations.** A [`Constraint`] *is* its
 //!   sorted `(column, value)` pairs; per solve the kernel assembles the
@@ -46,22 +46,31 @@
 //! * **Set-ordered, repairing factorization.** The pivot order is a
 //!   function of the basis *set*, and under `repair` a dependent column is
 //!   dropped and the row it leaves takes its logical — which is what lets
-//!   this kernel accept a [`Basis`](crate::Basis) edited in step with the
-//!   problem ([`Kernel::WARM_LOGICALS`]).
+//!   the driver accept a [`Basis`](crate::Basis) edited in step with the
+//!   problem, and what makes the slot order a pivot path leaves
+//!   irrelevant to the answer's bits.
 //!
-//! Without declared blocks the kernel degrades gracefully to a plain
-//! sparse product form (one block, uniform pricing sections), which on
-//! dense inputs costs more than [`crate::revised`] does (the CSC assembly
-//! and index chasing buy nothing there); its value is proportional to the
-//! sparsity it is given.
+//! A problem that declares no blocks — every single-flow LP: a handful of
+//! dense rows, hundreds of columns — is one block with uniform pricing
+//! sections. The CSC assembly and index chasing buy nothing on such dense
+//! rows, and there is deliberately no separate path for them (the crate
+//! docs give the measured cost).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
 
-use crate::driver::{uniform_sections, DriverState, Kernel, Layout, MIN_SECTION, SINGULAR_TOL};
+use crate::driver::{DriverState, Layout, SINGULAR_TOL};
 use crate::problem::{Constraint, Problem};
 use crate::simplex::WarmStart;
+
+/// Number of uniform pricing sections (a full scan is split into this many
+/// chunks; optimality still requires a clean full wrap).
+const PRICE_SECTIONS: usize = 8;
+
+/// Minimum section width, so tiny problems (and tiny blocks) degrade to
+/// full pricing.
+const MIN_SECTION: usize = 32;
 
 /// A block-local pivot is accepted when it is at least this fraction of
 /// the best available pivot anywhere in the column (threshold pivoting:
@@ -99,7 +108,7 @@ pub(crate) struct BlockPfi {
     factor_etas: usize,
     /// Whether the factor etas are a complete factorization of the basis
     /// set as it stands, built without a repair
-    /// ([`Kernel::factors_sorted`]).
+    /// ([`BlockPfi::factors_clean`]).
     set_factored: bool,
     // --- factorization scratch ---
     work: Vec<f64>,
@@ -118,12 +127,21 @@ pub(crate) struct BlockPfi {
     pivoted: Vec<bool>,
 }
 
-impl Kernel for BlockPfi {
-    const WARM_LOGICALS: bool = true;
-
-    /// Assembles the CSC view, classifies rows and columns by block and
-    /// lays the pricing sections along the block boundaries.
-    fn prepare(&mut self, problem: &Problem, lay: &Layout, sections: &mut Vec<(usize, usize)>) {
+/// The driver's view of the kernel. `row_factor` is the per-row
+/// normalization multipliers of the current [`Layout`]. Column arguments
+/// are structural (`j < n`) unless stated otherwise — the driver handles
+/// the logical singletons itself.
+impl BlockPfi {
+    /// Builds the per-solve matrix view — the CSC copy, rows and columns
+    /// classified by block — and fills `sections` with the pricing
+    /// sections over `0..lay.art_start` in scan order, along the block
+    /// boundaries.
+    pub(crate) fn prepare(
+        &mut self,
+        problem: &Problem,
+        lay: &Layout,
+        sections: &mut Vec<(usize, usize)>,
+    ) {
         let (n, art_start) = (lay.n, lay.art_start);
 
         // ---- CSC view over the structural columns (raw values) ----------
@@ -210,12 +228,21 @@ impl Kernel for BlockPfi {
                 sections.push((n, art_start)); // logical columns
             }
         } else {
-            uniform_sections(art_start, sections);
+            // Uniform: `max(⌈art_start/PRICE_SECTIONS⌉, MIN_SECTION)`
+            // columns each.
+            let width = art_start.div_ceil(PRICE_SECTIONS).max(MIN_SECTION);
+            let mut lo = 0usize;
+            while lo < art_start {
+                let hi = (lo + width).min(art_start);
+                sections.push((lo, hi));
+                lo = hi;
+            }
         }
     }
 
-    /// Scatters the column's actual nonzeros through the CSC view.
-    fn gather_col(&self, row_factor: &[f64], j: usize, out: &mut [f64]) {
+    /// Writes the normalized column `j` into `out` (all `m` entries),
+    /// scattering its actual nonzeros through the CSC view.
+    pub(crate) fn gather_col(&self, row_factor: &[f64], j: usize, out: &mut [f64]) {
         out.fill(0.0);
         for idx in self.col_ptr[j]..self.col_ptr[j + 1] {
             let r = self.col_rows[idx] as usize;
@@ -223,9 +250,10 @@ impl Kernel for BlockPfi {
         }
     }
 
-    /// Streams each row's support restricted to the range — `O(nnz in
-    /// range)` instead of the dense kernel's `O(m·|cols|)`.
-    fn fill_rc(
+    /// `out[j] = weight[j] − Σᵣ y[r]·row_factor[r]·A[r][j]` for `j` in
+    /// `cols` — the bulk reduced-cost fill, streaming each of the
+    /// problem's `rows` restricted to the range in `O(nnz in range)`.
+    pub(crate) fn fill_rc(
         &self,
         rows: &[Constraint],
         row_factor: &[f64],
@@ -252,8 +280,9 @@ impl Kernel for BlockPfi {
         }
     }
 
+    /// `Σᵣ yf[r]·A[r][j]` over the raw coefficients of column `j`.
     #[inline]
-    fn col_dot(&self, yf: &[f64], j: usize) -> f64 {
+    pub(crate) fn col_dot(&self, yf: &[f64], j: usize) -> f64 {
         let mut dot = 0.0;
         for idx in self.col_ptr[j]..self.col_ptr[j + 1] {
             dot += yf[self.col_rows[idx] as usize] * self.col_vals[idx];
@@ -261,7 +290,9 @@ impl Kernel for BlockPfi {
         dot
     }
 
-    fn col_mass(&self, row_factor: &[f64], out: &mut [f64]) {
+    /// `out[j] = Σᵣ |row_factor[r]|·|A[r][j]|` for every structural column
+    /// (`out` arrives zeroed), accumulated in ascending row order.
+    pub(crate) fn col_mass(&self, row_factor: &[f64], out: &mut [f64]) {
         for (j, mass) in out.iter_mut().enumerate() {
             for idx in self.col_ptr[j]..self.col_ptr[j + 1] {
                 *mass += row_factor[self.col_rows[idx] as usize].abs() * self.col_vals[idx].abs();
@@ -269,25 +300,29 @@ impl Kernel for BlockPfi {
         }
     }
 
-    /// Sparse product-form factorization of the current basis, built in
-    /// block order; re-permutes `state.basis` so slot `k` holds the column
-    /// pivoted at row `k`. Under `repair` (a warm basis whose coefficients
-    /// were edited under it) a column with no pivot left is dropped as
-    /// dependent, every row left unpivoted takes its starting logical, and
-    /// the result is a nonsingular basis again.
+    /// Sparse product-form factorization of the basis in `state.basis`,
+    /// built in block order, clearing the eta file and recording the
+    /// refactorization in `state.stats`; re-permutes `state.basis` so slot
+    /// `k` holds the column pivoted at row `k`. Returns `false` on a
+    /// numerically singular basis. Under `repair` (a warm basis whose
+    /// coefficients were edited under it) a column with no pivot left is
+    /// instead dropped as dependent, every row left unpivoted takes its
+    /// starting logical, the warm start is marked
+    /// [`WarmStart::Repaired`], and the result is a nonsingular basis
+    /// again.
     ///
     /// The pivot ordering is a function of the basis *set* only (logical
     /// singletons by row, then structural columns grouped by block in
     /// column order, deferrals appended in that same order), so two solves
     /// landing on the same final basis factorize identically — the
     /// keystone of the bit-identical warm/cold guarantee.
-    fn factor(&mut self, state: &mut DriverState, repair: bool) -> bool {
+    pub(crate) fn factor(&mut self, state: &mut DriverState, repair: bool) -> bool {
         self.factor_with(state, repair, Self::eliminate_column)
     }
 
-    /// The sparse eta file applied in append order, skipping etas whose
-    /// pivot entry is zero.
-    fn ftran(&self, v: &mut [f64]) {
+    /// FTRAN, `v ← B⁻¹ v`: the sparse eta file applied in append order,
+    /// skipping etas whose pivot entry is zero.
+    pub(crate) fn ftran(&self, v: &mut [f64]) {
         for k in 0..self.eta_pivot.len() {
             let r = self.eta_pivot[k] as usize;
             let vr = v[r];
@@ -301,8 +336,8 @@ impl Kernel for BlockPfi {
         }
     }
 
-    /// The sparse eta file applied in reverse.
-    fn btran(&self, v: &mut [f64]) {
+    /// BTRAN, `v ← vᵀ B⁻¹`: the sparse eta file applied in reverse.
+    pub(crate) fn btran(&self, v: &mut [f64]) {
         for k in (0..self.eta_pivot.len()).rev() {
             let r = self.eta_pivot[k] as usize;
             let mut s = self.eta_pivot_val[k] * v[r];
@@ -313,7 +348,8 @@ impl Kernel for BlockPfi {
         }
     }
 
-    fn push_eta(&mut self, r: usize, d: &[f64]) {
+    /// Appends the eta of a pivot on row `r` with entering direction `d`.
+    pub(crate) fn push_eta(&mut self, r: usize, d: &[f64]) {
         let inv = 1.0 / d[r];
         self.eta_pivot.push(r as u32);
         self.eta_pivot_val.push(inv);
@@ -327,20 +363,22 @@ impl Kernel for BlockPfi {
         self.eta_ptr.push(self.eta_rows.len());
     }
 
-    fn iteration_etas(&self) -> usize {
+    /// Etas appended by [`BlockPfi::push_eta`] since the last
+    /// factorization.
+    pub(crate) fn iteration_etas(&self) -> usize {
         self.eta_pivot.len() - self.factor_etas
     }
 
-    /// The factorization is a function of the basis set, and it ordered
-    /// the slots itself: it stands for the sorted basis whenever it
-    /// completed unrepaired and no pivot followed.
-    fn factors_sorted(&self, _basis: &[usize]) -> bool {
+    /// Whether the factors in hand are the ones [`BlockPfi::factor`] would
+    /// build from the basis set as it stands: a factorization that
+    /// completed without a repair and no pivot since. The factorization is
+    /// a function of the basis set and orders the slots itself, so the
+    /// slot order a pivot path left needs no check.
+    pub(crate) fn factors_clean(&self) -> bool {
         self.set_factored && self.iteration_etas() == 0
     }
-}
 
-impl BlockPfi {
-    /// [`Kernel::factor`] with its elimination step passed in:
+    /// [`BlockPfi::factor`] with its elimination step passed in:
     /// [`BlockPfi::eliminate_column`], or the full-scan oracle the tests
     /// hold it to.
     fn factor_with(
@@ -601,17 +639,19 @@ impl BlockPfi {
 #[cfg(test)]
 mod tests {
     use super::BlockPfi;
-    use crate::driver::contract::{block_angular, Side};
-    use crate::driver::{DriverState, Kernel, Layout};
+    use crate::driver::contract::{block_angular, Declaration};
+    use crate::driver::{DriverState, Layout};
     use crate::simplex::WarmStart;
-    use crate::{Basis, BasisVar, Problem, SolveError, SolverOptions, Workspace};
+    use crate::{Backend, Basis, BasisVar, Problem, SolveError, SolverOptions, Workspace};
     use dmc_obs::Obs;
 
-    crate::driver::contract::contract_tests!(Side::Sparse);
+    crate::driver::contract::contract_tests!(Declaration::Declared);
 
     fn opts() -> SolverOptions {
         SolverOptions::default()
     }
+
+    // ---- The kernel's own: factorization, blocks, edited bases ----------
 
     /// The full-scan elimination step, the oracle `eliminate_column` is
     /// held to: every eta built so far, in file order, tested for a zero
@@ -813,23 +853,56 @@ mod tests {
 
     #[test]
     fn block_angular_matches_revised_backend() {
-        // The id is from when the dense LU was a backend of its own; it is
-        // now the same LP with its declaration cleared.
+        // The id is from when the dense LU was a backend of its own; the
+        // oracle is now the dense tableau.
+        let tableau = SolverOptions {
+            backend: Backend::DenseTableau,
+            ..opts()
+        };
         for (blocks, width) in [(1usize, 9usize), (4, 9), (16, 5), (24, 9)] {
             let p = block_angular(blocks, width);
             let sparse = p.solve(&opts()).unwrap();
-            let revised = Side::DenseLu.on(p.clone()).solve(&opts()).unwrap();
+            let dense = p.solve(&tableau).unwrap();
             assert!(
-                (sparse.objective() - revised.objective()).abs() < 1e-9,
+                (sparse.objective() - dense.objective()).abs() < 1e-9,
                 "{blocks}x{width}: {} vs {}",
                 sparse.objective(),
-                revised.objective()
+                dense.objective()
             );
-            for (j, (a, b)) in sparse.x().iter().zip(revised.x()).enumerate() {
+            for (j, (a, b)) in sparse.x().iter().zip(dense.x()).enumerate() {
                 assert!((a - b).abs() < 1e-9, "{blocks}x{width} x[{j}]: {a} vs {b}");
             }
             assert!(p.max_violation(sparse.x()) < 1e-7);
         }
+    }
+
+    #[test]
+    fn a_warm_basis_in_unsorted_slots_solves_as_cold() {
+        // The factorization orders its pivots by the basis set and puts
+        // the slots in pivot-row order, so a warm basis given in another
+        // order keeps its factors (no pivot follows) and still reports
+        // the cold solve's bits and slots.
+        let mut p = Problem::maximize(vec![3.0, 2.0]);
+        p.add_le(vec![1.0, 1.0], 4.0).unwrap();
+        p.add_le(vec![1.0, 3.0], 6.0).unwrap();
+        let obs = Obs::enabled();
+        let o = SolverOptions {
+            obs: obs.clone(),
+            ..opts()
+        };
+        let cold = p.solve(&opts()).unwrap();
+        let unsorted = Basis::new(vec![BasisVar::Slack(1), BasisVar::Structural(0)]);
+        let warm = p.solve_warm(&o, &unsorted).unwrap();
+        assert!(warm.used_warm_start());
+        assert_eq!(warm.iterations(), 0);
+        assert_eq!(obs.snapshot().counter("lp.refactorizations"), Some(1));
+        assert_eq!(warm.x(), cold.x());
+        assert_eq!(warm.duals(), cold.duals());
+        assert_eq!(
+            warm.basis().unwrap().slots(),
+            [BasisVar::Structural(0), BasisVar::Slack(1)]
+        );
+        assert_eq!(warm.basis().unwrap().slots(), cold.basis().unwrap().slots());
     }
 
     #[test]
@@ -976,7 +1049,7 @@ mod tests {
             p.add_le(vec![1.0, 0.0], 1.0).unwrap();
             p.add_le(second, 1.0).unwrap();
             p.add_le(vec![1.0, 1.0], 3.0).unwrap();
-            Side::Sparse.on(p)
+            p
         };
         // Optimal basis {x0, x1, s2}. Rewriting row 1 from `x1 ≤ 1` to
         // `x0 ≤ 1` leaves x1's column equal to s2's: singular.
@@ -1021,7 +1094,6 @@ mod tests {
         p.add_le(vec![1.0, 0.0], 1.0).unwrap();
         p.add_le(vec![1.0, 0.0], 1.0).unwrap();
         p.add_le(vec![0.0, 1.0], 3.0).unwrap();
-        let p = Side::Sparse.on(p);
         let basis = Basis::new(vec![
             BasisVar::Structural(0),
             BasisVar::Structural(1),

@@ -3,7 +3,7 @@
 //! tombstoned (`Σx = 0`) blocks the fleet's incremental assembly
 //! produces — the certificate must accept exactly the genuinely feasible
 //! points and reject everything else with a usable message, on the
-//! tableau and on both kernels of the revised driver. On the infeasible
+//! tableau and on the revised driver. On the infeasible
 //! and unbounded cases the feasibility goal
 //! ([`Problem::find_feasible_with`]) must give the full solve's verdict.
 //!
@@ -17,27 +17,22 @@ mod common;
 use common::assert_feasibility_verdict;
 use dmc_lp::{Backend, Problem, Solution, SolveError, SolverOptions};
 
-/// `p` solved by every solver: the tableau, and [`Backend::Revised`] on
-/// its dense LU (the declaration cleared) and on its sparse kernel
-/// (declared — one block when `p` declares none, which the kernel treats
-/// as no declaration).
-fn solve_all(p: &Problem) -> [Result<Solution, SolveError>; 3] {
+/// `p` solved by both backends, and — when it declares more than one
+/// block — by [`Backend::Revised`] with its declaration cleared too (other
+/// pricing sections, another pivot order).
+fn solve_all(p: &Problem) -> Vec<Result<Solution, SolveError>> {
     let tableau = SolverOptions {
         backend: Backend::DenseTableau,
         ..SolverOptions::default()
     };
-    let mut dense_lu = p.clone();
-    dense_lu.set_block_starts(Vec::new()).unwrap();
-    let mut sparse = p.clone();
-    if sparse.block_starts().is_empty() {
-        sparse.set_block_starts(vec![0]).unwrap();
-    }
     let opts = SolverOptions::default();
-    [
-        p.solve(&tableau),
-        dense_lu.solve(&opts),
-        sparse.solve(&opts),
-    ]
+    let mut results = vec![p.solve(&tableau), p.solve(&opts)];
+    if p.block_starts().len() > 1 {
+        let mut undeclared = p.clone();
+        undeclared.set_block_starts(Vec::new()).unwrap();
+        results.push(undeclared.solve(&opts));
+    }
+    results
 }
 
 /// A `Solution` whose `x` is (up to solver roundoff) the given point,

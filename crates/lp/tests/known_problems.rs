@@ -2,7 +2,7 @@
 //! corner cases the multipath models also hit (degeneracy, redundancy,
 //! equality constraints, unbounded rays, alternate optima). Each also
 //! holds the feasibility goal ([`Problem::find_feasible_with`]) to the
-//! full solve's verdict on both kernels.
+//! full solve's verdict.
 
 mod common;
 

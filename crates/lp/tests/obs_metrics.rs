@@ -12,19 +12,18 @@ fn sample_problem() -> Problem {
     p
 }
 
-/// The kernel is the problem's to pick: the same LP is recorded under
-/// `lp.solve.sparse` when it declares its blocks and under
-/// `lp.solve.revised` (the dense LU) when it does not, and both kernels
-/// agree to 1e-9.
+/// One span per backend: `lp.solve.dense` for the tableau,
+/// `lp.solve.revised` for the driver, whatever blocks the problem
+/// declares. The two backends agree to 1e-9.
 #[test]
 fn solve_records_counters_and_span() {
     let mut declared = sample_problem();
-    declared.set_block_starts(vec![0]).expect("one block");
-    let mut kernels = Vec::new();
+    declared.set_block_starts(vec![0, 1]).expect("two blocks");
+    let mut solutions = Vec::new();
     for (backend, problem, span_name) in [
         (Backend::DenseTableau, sample_problem(), "lp.solve.dense"),
         (Backend::Revised, sample_problem(), "lp.solve.revised"),
-        (Backend::Revised, declared, "lp.solve.sparse"),
+        (Backend::Revised, declared, "lp.solve.revised"),
     ] {
         let obs = Obs::enabled();
         let opts = SolverOptions {
@@ -50,16 +49,15 @@ fn solve_records_counters_and_span() {
                 "cold start factorizes at least once"
             );
             assert!(snap.histogram("lp.eta_len").is_some());
-            kernels.push(s);
         }
-        assert_eq!(snap.spans.len(), 1, "{span_name}: one kernel per solve");
+        assert_eq!(snap.spans.len(), 1, "{span_name}: one span per solve");
+        solutions.push(s);
     }
-    let [dense_lu, sparse] = &kernels[..] else {
-        panic!("two kernel solves");
-    };
-    assert!((dense_lu.objective() - sparse.objective()).abs() < 1e-9);
-    for (a, b) in dense_lu.x().iter().zip(sparse.x()) {
-        assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+    for s in &solutions[1..] {
+        assert!((solutions[0].objective() - s.objective()).abs() < 1e-9);
+        for (a, b) in solutions[0].x().iter().zip(s.x()) {
+            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+        }
     }
 }
 
@@ -90,45 +88,36 @@ fn warm_start_counters_and_unchanged_numerics() {
     assert_eq!(snap.counter("lp.warm_used"), Some(1));
 }
 
-/// `p` on the sparse kernel (blocks declared) or the dense LU (none).
-fn on_kernel(mut p: Problem, sparse: bool) -> Problem {
-    p.set_block_starts(if sparse { vec![0] } else { Vec::new() })
-        .expect("valid block starts");
-    p
-}
-
-/// `lp.eta_len` records the iteration etas each refactorization discards,
-/// on both kernels. A re-solve from the optimal basis never refactorizes
+/// `lp.eta_len` records the iteration etas each refactorization
+/// discards. A re-solve from the optimal basis never refactorizes
 /// mid-solve (nor, with no pivot, for its extraction) and records 0 —
 /// not the factor etas the previous solve left in the file.
 #[test]
 fn eta_len_without_a_mid_solve_refactorization_is_zero() {
-    for sparse in [false, true] {
-        let p = on_kernel(sample_problem(), sparse);
-        let mut ws = Workspace::new();
-        let cold = p
-            .solve_with(&SolverOptions::default(), &mut ws)
-            .expect("cold solve");
-        let obs = Obs::enabled();
-        let opts = SolverOptions {
-            obs: obs.clone(),
-            ..SolverOptions::default()
-        };
-        let basis = cold.basis().expect("optimal basis exported");
-        let warm = p
-            .solve_warm_with(&opts, &mut ws, basis)
-            .expect("warm solve");
-        assert_eq!(warm.iterations(), 0);
-        assert_eq!(warm.x(), cold.x());
-        let snap = obs.snapshot();
-        let eta_len = snap.histogram("lp.eta_len").expect("recorded");
-        assert_eq!(eta_len.max, 0, "sparse: {sparse}");
-        assert_eq!(snap.counter("lp.refactorizations"), Some(1));
-    }
+    let p = sample_problem();
+    let mut ws = Workspace::new();
+    let cold = p
+        .solve_with(&SolverOptions::default(), &mut ws)
+        .expect("cold solve");
+    let obs = Obs::enabled();
+    let opts = SolverOptions {
+        obs: obs.clone(),
+        ..SolverOptions::default()
+    };
+    let basis = cold.basis().expect("optimal basis exported");
+    let warm = p
+        .solve_warm_with(&opts, &mut ws, basis)
+        .expect("warm solve");
+    assert_eq!(warm.iterations(), 0);
+    assert_eq!(warm.x(), cold.x());
+    let snap = obs.snapshot();
+    let eta_len = snap.histogram("lp.eta_len").expect("recorded");
+    assert_eq!(eta_len.max, 0);
+    assert_eq!(snap.counter("lp.refactorizations"), Some(1));
 }
 
 /// A solve past the refactorization interval records each mid-solve
-/// refactorization at exactly the interval, 64, on both kernels.
+/// refactorization at exactly the interval, 64.
 #[test]
 fn eta_len_past_the_refactorization_interval_is_64() {
     let n = 200usize;
@@ -141,19 +130,17 @@ fn eta_len_past_the_refactorization_interval_is_64() {
         p.add_le_sparse(&[(2 * i, 1.0), (2 * i + 1, 1.0)], 1.0 + i as f64 * 0.01)
             .expect("valid row");
     }
-    for sparse in [false, true] {
-        let obs = Obs::enabled();
-        let opts = SolverOptions {
-            obs: obs.clone(),
-            ..SolverOptions::default()
-        };
-        let s = on_kernel(p.clone(), sparse).solve(&opts).expect("feasible");
-        assert!(s.iterations() > 64, "{}", s.iterations());
-        let snap = obs.snapshot();
-        let eta_len = snap.histogram("lp.eta_len").expect("recorded");
-        assert_eq!(eta_len.max, 64, "sparse: {sparse}");
-        assert!(eta_len.count >= 3, "cold build, one mid-solve, extraction");
-    }
+    let obs = Obs::enabled();
+    let opts = SolverOptions {
+        obs: obs.clone(),
+        ..SolverOptions::default()
+    };
+    let s = p.solve(&opts).expect("feasible");
+    assert!(s.iterations() > 64, "{}", s.iterations());
+    let snap = obs.snapshot();
+    let eta_len = snap.histogram("lp.eta_len").expect("recorded");
+    assert_eq!(eta_len.max, 64);
+    assert!(eta_len.count >= 3, "cold build, one mid-solve, extraction");
 }
 
 /// Two supplies, three demands (equality rows, so phase 1 has work) and
@@ -173,8 +160,7 @@ fn transportation() -> Problem {
 
 /// `lp.pivots` splits into the dual phase and phases 1–3, and the parts
 /// sum to the solve's iterations; a feasibility-goal solve counts once in
-/// `lp.feasibility_solves` and records no phase-2 or phase-3 pivot. On
-/// both kernels.
+/// `lp.feasibility_solves` and records no phase-2 or phase-3 pivot.
 #[test]
 fn phase_pivots_sum_to_the_iterations() {
     let parts = [
@@ -183,34 +169,32 @@ fn phase_pivots_sum_to_the_iterations() {
         "lp.phase2_pivots",
         "lp.phase3_pivots",
     ];
-    for sparse in [false, true] {
-        let p = on_kernel(transportation(), sparse);
-        let mut ws = Workspace::new();
-        for feasibility in [false, true] {
-            let obs = Obs::enabled();
-            let opts = SolverOptions {
-                obs: obs.clone(),
-                ..SolverOptions::default()
-            };
-            let s = if feasibility {
-                p.find_feasible_with(&opts, &mut ws, None)
-            } else {
-                p.solve_with(&opts, &mut ws)
-            }
-            .expect("feasible");
-            let snap = obs.snapshot();
-            let count = |name| snap.counter(name).unwrap_or(0);
-            let split: Vec<u64> = parts.iter().map(|&name| count(name)).collect();
-            let case = format!("sparse: {sparse}, feasibility: {feasibility}, {split:?}");
-            assert_eq!(split.iter().sum::<u64>(), s.iterations() as u64, "{case}");
-            assert_eq!(count("lp.pivots"), s.iterations() as u64, "{case}");
-            assert!(split[1] > 0, "{case}");
-            assert_eq!(count("lp.feasibility_solves"), u64::from(feasibility));
-            if feasibility {
-                assert_eq!(split[2..], [0, 0], "{case}");
-            } else {
-                assert!(split[2] > 0, "{case}");
-            }
+    let p = transportation();
+    let mut ws = Workspace::new();
+    for feasibility in [false, true] {
+        let obs = Obs::enabled();
+        let opts = SolverOptions {
+            obs: obs.clone(),
+            ..SolverOptions::default()
+        };
+        let s = if feasibility {
+            p.find_feasible_with(&opts, &mut ws, None)
+        } else {
+            p.solve_with(&opts, &mut ws)
+        }
+        .expect("feasible");
+        let snap = obs.snapshot();
+        let count = |name| snap.counter(name).unwrap_or(0);
+        let split: Vec<u64> = parts.iter().map(|&name| count(name)).collect();
+        let case = format!("feasibility: {feasibility}, {split:?}");
+        assert_eq!(split.iter().sum::<u64>(), s.iterations() as u64, "{case}");
+        assert_eq!(count("lp.pivots"), s.iterations() as u64, "{case}");
+        assert!(split[1] > 0, "{case}");
+        assert_eq!(count("lp.feasibility_solves"), u64::from(feasibility));
+        if feasibility {
+            assert_eq!(split[2..], [0, 0], "{case}");
+        } else {
+            assert!(split[2] > 0, "{case}");
         }
     }
 }

@@ -1,12 +1,12 @@
-//! Differential testing: the revised driver on both of its kernels
-//! against the dense oracle.
+//! Differential testing: the revised driver against the dense oracle.
 //!
 //! Random LPs — feasible by construction, infeasible by construction,
 //! unbounded by construction, and unconstrained-outcome mixes — must
 //! produce the same outcome class from [`Backend::DenseTableau`] and from
-//! [`Backend::Revised`] on each kernel (the problem picks it: cleared of
-//! block declarations, the dense LU; declared, the sparse one), and on
-//! success agree on objective, primal point and duals to 1e-9. Coefficients are
+//! [`Backend::Revised`] (a problem that declares several blocks also with
+//! its declaration cleared, which changes the pricing sections and the
+//! pivot order), and on success agree on objective, primal point and
+//! duals to 1e-9. Coefficients are
 //! drawn from continuous distributions, so optima (and duals) are unique
 //! almost surely and the pointwise comparison is meaningful.
 //!
@@ -22,7 +22,7 @@
 //! edited in step, and every solve from it must equal the cold solve of
 //! the same problem bit for bit.
 //!
-//! Two properties pin the objective scale every backend applies (the
+//! Two properties pin the objective scale both backends apply (the
 //! objective divided by the power of two at or below its largest
 //! entry): an objective scaled by `2^k` solves to the same bits with
 //! duals `2^k` times as large, and objectives of ~1e7 — the fleet's
@@ -39,17 +39,17 @@ fn dense_opts() -> SolverOptions {
     }
 }
 
-/// `p` once per kernel of [`Backend::Revised`], named: its block
-/// declaration cleared (dense LU), and declared — as one block when it
-/// declares none, which the sparse kernel treats as no declaration.
-fn on_both_kernels(p: &Problem) -> [(&'static str, Problem); 2] {
-    let mut dense_lu = p.clone();
-    dense_lu.set_block_starts(Vec::new()).unwrap();
-    let mut sparse = p.clone();
-    if sparse.block_starts().is_empty() {
-        sparse.set_block_starts(vec![0]).unwrap();
+/// `p` as given and, when it declares more than one block, with its
+/// declaration cleared — the same rows priced in other sections and
+/// factored in another pivot order — named.
+fn declared_and_not(p: &Problem) -> Vec<(&'static str, Problem)> {
+    let mut runs = vec![("revised", p.clone())];
+    if p.block_starts().len() > 1 {
+        let mut undeclared = p.clone();
+        undeclared.set_block_starts(Vec::new()).unwrap();
+        runs.push(("revised, undeclared", undeclared));
     }
-    [("dense LU", dense_lu), ("sparse", sparse)]
+    runs
 }
 
 /// Deterministic pseudo-random f64 in [0, 1) from a seed counter
@@ -91,7 +91,7 @@ fn build_feasible_lp(n: usize, m: usize, with_eq: bool, seed0: u64) -> Problem {
 
 fn assert_backends_agree(p: &Problem) -> Result<(), TestCaseError> {
     let dense = p.solve(&dense_opts());
-    for (name, q) in on_both_kernels(p) {
+    for (name, q) in declared_and_not(p) {
         let other = q.solve(&SolverOptions::default());
         match (&dense, &other) {
             (Ok(d), Ok(r)) => {
@@ -419,7 +419,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Feasible bounded LPs (with and without an equality row): identical
-    /// optima from the oracle and both kernels.
+    /// optima from the oracle and the revised backend.
     #[test]
     fn feasible_lps_agree(
         n in 1usize..8,
@@ -478,10 +478,10 @@ proptest! {
 
     /// Warm-starting from the previous point of a RHS sweep must agree
     /// with the dense oracle at every point (warm results are still
-    /// exact optima, not approximations) — and, on both kernels, with
-    /// the cold solve of the same problem **bit for bit** in `x`,
-    /// objective and duals: two pivot paths reach the same basis set in
-    /// different slot orders, and the extraction must not see the order.
+    /// exact optima, not approximations) — and with the cold solve of
+    /// the same problem **bit for bit** in `x`, objective and duals: two
+    /// pivot paths reach the same basis set in different slot orders, and
+    /// the extraction must not see the order.
     /// Paper-shaped: several capacity rows over every column plus
     /// `Σx = 1`.
     #[test]
@@ -498,7 +498,7 @@ proptest! {
         let pace: Vec<f64> = (0..caps).map(|_| 0.05 + 0.25 * mix(&mut seed)).collect();
         // All mass on column 0 fits every capacity at every sweep point,
         // so each point is feasible.
-        let mut bases: [Option<Basis>; 2] = [None, None];
+        let mut basis: Option<Basis> = None;
         for step in 0..6 {
             let mut p = Problem::maximize(pvec.clone());
             for (row, pace) in usage.iter().zip(&pace) {
@@ -507,41 +507,35 @@ proptest! {
             p.add_eq(vec![1.0; n], 1.0).unwrap();
             let dense = p.solve(&dense_opts()).unwrap();
             let opts = SolverOptions::default();
-            for ((kernel, q), basis) in on_both_kernels(&p).into_iter().zip(&mut bases) {
-                let warm = match basis.as_ref() {
-                    Some(b) => q.solve_warm(&opts, b).unwrap(),
-                    None => q.solve(&opts).unwrap(),
-                };
-                prop_assert!(
-                    (warm.objective() - dense.objective()).abs() < 1e-9,
-                    "{kernel} step {step}: warm {} vs dense {}",
-                    warm.objective(),
-                    dense.objective()
-                );
-                for (j, (a, b)) in warm.x().iter().zip(dense.x()).enumerate() {
-                    prop_assert!(
-                        (a - b).abs() < 1e-9,
-                        "{kernel} step {step} x[{j}]: {a} vs {b}"
-                    );
-                }
-                let cold = q.solve(&opts).unwrap();
-                prop_assert_eq!(warm.x(), cold.x(), "{} step {}", kernel, step);
-                prop_assert_eq!(
-                    warm.objective().to_bits(),
-                    cold.objective().to_bits(),
-                    "{} step {}",
-                    kernel,
-                    step
-                );
-                prop_assert_eq!(warm.duals(), cold.duals(), "{} step {}", kernel, step);
-                *basis = warm.basis().cloned();
+            let warm = match basis.as_ref() {
+                Some(b) => p.solve_warm(&opts, b).unwrap(),
+                None => p.solve(&opts).unwrap(),
+            };
+            prop_assert!(
+                (warm.objective() - dense.objective()).abs() < 1e-9,
+                "step {step}: warm {} vs dense {}",
+                warm.objective(),
+                dense.objective()
+            );
+            for (j, (a, b)) in warm.x().iter().zip(dense.x()).enumerate() {
+                prop_assert!((a - b).abs() < 1e-9, "step {step} x[{j}]: {a} vs {b}");
             }
+            let cold = p.solve(&opts).unwrap();
+            prop_assert_eq!(warm.x(), cold.x(), "step {}", step);
+            prop_assert_eq!(
+                warm.objective().to_bits(),
+                cold.objective().to_bits(),
+                "step {}",
+                step
+            );
+            prop_assert_eq!(warm.duals(), cold.duals(), "step {}", step);
+            basis = warm.basis().cloned();
         }
     }
 
-    /// Random block-angular fleet LPs: the oracle and both kernels agree
-    /// to 1e-9, the sparse kernel with the block boundaries declared or
-    /// as one block (the boundaries change pivot orders, never answers).
+    /// Random block-angular fleet LPs: the oracle and the revised backend
+    /// agree to 1e-9, with the block boundaries declared or not (the
+    /// boundaries change pivot orders, never answers).
     #[test]
     fn block_angular_lps_agree(
         blocks in 1usize..10,
@@ -630,7 +624,7 @@ proptest! {
 
     /// The solver prices the objective divided by the power of two at or
     /// below its largest entry, so scaling it by `2^k` changes nothing
-    /// but the answer's units: on every backend `x` and the basis are
+    /// but the answer's units: on both backends `x` and the basis are
     /// bit-identical, and the objective and the duals are exactly `2^k`
     /// times as large.
     #[test]
@@ -646,15 +640,8 @@ proptest! {
         let mut scaled = p.clone();
         let c: Vec<f64> = p.objective().iter().map(|c| c * factor).collect();
         scaled.set_objective_range(0, &c).unwrap();
-        let [dense_lu, sparse] = on_both_kernels(&p);
-        let [scaled_lu, scaled_sparse] = on_both_kernels(&scaled);
-        let runs = [
-            ("tableau", dense_opts(), p.clone(), scaled.clone()),
-            ("dense LU", SolverOptions::default(), dense_lu.1, scaled_lu.1),
-            ("sparse", SolverOptions::default(), sparse.1, scaled_sparse.1),
-        ];
-        for (name, opts, base, scaled) in runs {
-            let (a, b) = (base.solve(&opts).unwrap(), scaled.solve(&opts).unwrap());
+        for (name, opts) in [("tableau", dense_opts()), ("revised", SolverOptions::default())] {
+            let (a, b) = (p.solve(&opts).unwrap(), scaled.solve(&opts).unwrap());
             prop_assert_eq!(a.x(), b.x(), "{} 2^{}: x", name, k);
             prop_assert_eq!(a.basis(), b.basis(), "{} 2^{}: basis", name, k);
             prop_assert_eq!(a.objective() * factor, b.objective(), "{} 2^{}", name, k);
@@ -664,8 +651,8 @@ proptest! {
     }
 
     /// Objectives of the magnitude the fleet's volume weights produce
-    /// (`λ·p` with `λ` of 1e6…1e8 bit/s): the oracle and both kernels
-    /// still agree on `x` to 1e-9, and on the objective and duals to
+    /// (`λ·p` with `λ` of 1e6…1e8 bit/s): the oracle and the revised
+    /// backend still agree on `x` to 1e-9, and on the objective and duals to
     /// 1e-9 of that magnitude.
     #[test]
     fn rate_weighted_objectives_agree(
@@ -685,16 +672,14 @@ proptest! {
         }
         p.add_eq(vec![1.0; n], 1.0).unwrap();
         let dense = p.solve(&dense_opts()).unwrap();
-        for (name, q) in on_both_kernels(&p) {
-            let r = q.solve(&SolverOptions::default()).unwrap();
-            let close = |a: f64, b: f64, scale: f64| (a - b).abs() <= 1e-9 * scale;
-            prop_assert!(close(dense.objective(), r.objective(), rate), "{name}: objective");
-            for (j, (a, b)) in dense.x().iter().zip(r.x()).enumerate() {
-                prop_assert!(close(*a, *b, 1.0), "{name}: x[{j}] = {a} vs {b}");
-            }
-            for (i, (a, b)) in dense.duals().iter().zip(r.duals()).enumerate() {
-                prop_assert!(close(*a, *b, rate), "{name}: dual[{i}] = {a} vs {b}");
-            }
+        let r = p.solve(&SolverOptions::default()).unwrap();
+        let close = |a: f64, b: f64, scale: f64| (a - b).abs() <= 1e-9 * scale;
+        prop_assert!(close(dense.objective(), r.objective(), rate), "objective");
+        for (j, (a, b)) in dense.x().iter().zip(r.x()).enumerate() {
+            prop_assert!(close(*a, *b, 1.0), "x[{j}] = {a} vs {b}");
+        }
+        for (i, (a, b)) in dense.duals().iter().zip(r.duals()).enumerate() {
+            prop_assert!(close(*a, *b, rate), "dual[{i}] = {a} vs {b}");
         }
     }
 

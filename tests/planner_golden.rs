@@ -11,7 +11,10 @@
 //! were filled in, which is what makes a warm and a cold `Planner` agree
 //! bit for bit. One more, `TABLE3_90_800_M3`, same vertex, when the LP's
 //! objective became `λ·p` and its bandwidth rows `λ·usage ≤ b`, the
-//! fleet's units.)
+//! fleet's units. Four more — `TABLE3_90_800`, `TABLE3_90_800_M3`,
+//! `COSTED_MIN_COST` and `TABLE3_MARGIN` — same vertices, same support,
+//! last bits of `x`, when every revised solve moved to the one sparse
+//! basis kernel.)
 //!
 //! Hashed per plan (FNV-1a 64 over little-endian bit patterns): `x`,
 //! `quality`, `send_rates`, `cost_rate`, then every stage of the
@@ -21,14 +24,14 @@ use deadline_multipath::experiments::scenarios;
 use deadline_multipath::prelude::*;
 
 const TABLE3_10_800: u64 = 0xaf6a_5f7e_b0f3_072e;
-const TABLE3_90_800: u64 = 0x34f8_6317_8fbe_4332;
+const TABLE3_90_800: u64 = 0x25a8_07d5_da98_677d;
 const TABLE3_120_800: u64 = 0x166b_f3ea_e774_0ab0;
 const TABLE3_90_450: u64 = 0xf320_42ba_32e1_bacf;
-const TABLE3_90_800_M3: u64 = 0x8332_6089_2a92_b374;
-const COSTED_MIN_COST: u64 = 0x6ec0_edac_13fc_48d4;
+const TABLE3_90_800_M3: u64 = 0x97cb_ac2e_a067_bd5a;
+const COSTED_MIN_COST: u64 = 0x359d_a713_240f_24d7;
 const COSTED_BUDGET: u64 = 0x66dc_d415_48c4_c51d;
 const TABLE5_MIDPOINT: u64 = 0xf478_05f5_6871_82c3;
-const TABLE3_MARGIN: u64 = 0x9d9b_60ea_1dfd_d44e;
+const TABLE3_MARGIN: u64 = 0xea90_d91d_55cf_7c3d;
 
 /// FNV-1a 64 accumulator.
 struct Fnv(u64);
