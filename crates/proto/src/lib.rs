@@ -27,6 +27,17 @@
 //! traffic (and the retransmissions of in-flight data) onto live paths
 //! within one planning round instead of waiting for estimator drift.
 //!
+//! What an ack costs: the sender numbers its messages densely from 0,
+//! so both endpoints keep their per-message state indexed by sequence
+//! number, not hashed. The receiver's record of every seq it has seen is
+//! a bitset (one bit per seq, plus an ordered overflow for seqs far
+//! beyond it), and an ack's 128-bit window is three of its words shifted
+//! into place. The sender's in-flight messages sit in a ring indexed by
+//! `seq − oldest live seq`, and consuming an ack walks only the bitmap's
+//! set bits, each an indexed lookup. Memory follows what is held — the
+//! distinct seqs seen, the live messages — so a forged header or ack
+//! cannot make either endpoint allocate for the seq it names.
+//!
 //! The state machines are I/O-free: they interact with the world only
 //! through [`dmc_sim::SimApi`], so they can be unit-tested directly and
 //! rehosted on a real datagram socket by implementing the same calls.
@@ -39,6 +50,7 @@ mod estimator;
 mod notice;
 mod receiver;
 mod sender;
+mod seqs;
 pub mod wire;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveSender, LadderEvent, LadderRung};

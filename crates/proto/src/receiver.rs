@@ -2,10 +2,10 @@
 //! acknowledgment generation (paper §VII-A server + §VIII-C ack scheme).
 
 use crate::notice::{NoticeGuard, NoticeSeq};
+use crate::seqs::SeqSet;
 use crate::wire::{Ack, DataHeader, NoticeKind, PathNotice};
 use dmc_sim::{Agent, Packet, SimApi, SimDuration, SimTime};
 use dmc_stats::OnlineMoments;
-use std::collections::HashSet;
 
 /// Timer key for the periodic path-silence check (the receiver owns its
 /// whole key space; the sender's reserved range does not apply here).
@@ -141,11 +141,17 @@ impl ReceiverStats {
 /// creation timestamp, deduplicates by sequence number, and responds with
 /// an acknowledgment along the configured lowest-delay path carrying the
 /// §VIII-C triple (echo, expected range, received bitmap).
+///
+/// Deduplication keeps every seq ever received in a bitset over the
+/// sender's dense sequence numbers (one bit per seq; a seq far beyond
+/// the received ones, such as a forged `u64::MAX`, is kept aside in an
+/// ordered overflow instead of stretching the bitset). The ack's bitmap
+/// is the 128 bits of that set ending at the highest seq received.
 #[derive(Debug)]
 pub struct DmcReceiver {
     config: ReceiverConfig,
-    // dmc-lint: allow(det-unordered-map) membership-set only: insert/contains by seq, never iterated
-    seen: HashSet<u64>,
+    /// Every seq received: a bitset over the sender's dense seqs.
+    seen: SeqSet,
     highest_seq: u64,
     stats: ReceiverStats,
     /// One-way delay samples (creation → arrival) per inbound path,
@@ -187,8 +193,7 @@ impl DmcReceiver {
     pub fn new(config: ReceiverConfig) -> Self {
         DmcReceiver {
             config,
-            // dmc-lint: allow(det-unordered-map) constructor of the membership-only dedup set above
-            seen: HashSet::new(),
+            seen: SeqSet::default(),
             highest_seq: 0,
             stats: ReceiverStats::default(),
             delay_by_path: Vec::new(),
@@ -364,11 +369,9 @@ impl DmcReceiver {
             .highest_seq
             .saturating_sub(crate::wire::ACK_BITMAP_BITS as u64 - 1);
         let mut ack = Ack::new(header.seq, header.sent_ns, header.path, window_start);
-        for seq in window_start..=self.highest_seq {
-            if self.seen.contains(&seq) {
-                ack.set_received(seq);
-            }
-        }
+        // Nothing above `highest_seq` has been seen, so the window's bits
+        // past it read 0.
+        ack.bitmap = self.seen.window(window_start).to_le_bytes();
         ack
     }
 }

@@ -3,10 +3,11 @@
 //! optional fast retransmit (paper §VII-A client, §VIII-D).
 
 use crate::estimator::{LossEstimator, RttEstimator};
+use crate::seqs::SeqWindow;
 use crate::wire::{Ack, DataHeader};
 use dmc_core::{Plan, SchedulePolicy, Slot, Strategy};
 use dmc_sim::{Agent, Packet, SimApi, SimDuration, SimTime};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Maximum supported transmissions per combination (timer-key encoding).
 pub const MAX_STAGES: usize = 8;
@@ -191,28 +192,43 @@ impl SenderStats {
     }
 }
 
+/// One in-flight message. `stage` and `path` have the widths the data
+/// header gives them on the wire, which keeps a window slot at 48 bytes
+/// on 64-bit targets.
 #[derive(Debug, Clone)]
 struct InFlight {
     combo: usize,
-    stage: usize,
     created: SimTime,
-    path: usize,
     sent_at: SimTime,
     path_send_idx: u64,
     dup_indications: u32,
+    stage: u8,
+    path: u8,
 }
 
 /// The sending endpoint ("client" in the paper's simulation).
+///
+/// Messages awaiting an ack or a further stage are kept in a ring
+/// indexed by `seq − oldest live seq` (sequence numbers are handed out
+/// densely from 0). A message that stays in flight much longer than the
+/// ones around it — a stage with no timer whose ack never comes — moves
+/// to an ordered side map, so the ring stays within a constant factor of
+/// the live messages. An ack marks its echo and then each set bit of its
+/// bitmap acknowledged, one indexed lookup per bit.
 #[derive(Debug)]
 pub struct DmcSender {
     config: SenderConfig,
     scheduler: dmc_core::Scheduler,
-    // dmc-lint: allow(det-unordered-map) key-lookup-only: get/insert/remove/contains_key by seq, never iterated
-    in_flight: HashMap<u64, InFlight>,
+    /// Messages awaiting an ack or a further stage, indexed by
+    /// `seq − oldest live seq`.
+    in_flight: SeqWindow<InFlight>,
     /// Per path: send counter and outstanding transmissions by send index
     /// (for fast retransmit).
     path_send_count: Vec<u64>,
     outstanding: Vec<BTreeMap<u64, u64>>,
+    /// Scratch list of the seqs an ack pushes over the fast-retransmit
+    /// threshold, reused across acks.
+    fast_due: Vec<u64>,
     rtt: Vec<RttEstimator>,
     loss: Vec<LossEstimator>,
     next_seq: u64,
@@ -239,10 +255,10 @@ impl DmcSender {
             .expect("valid strategy");
         DmcSender {
             scheduler,
-            // dmc-lint: allow(det-unordered-map) constructor of the key-lookup-only in-flight map above
-            in_flight: HashMap::new(),
+            in_flight: SeqWindow::default(),
             path_send_count: vec![0; num_paths],
             outstanding: vec![BTreeMap::new(); num_paths],
+            fast_due: Vec::new(),
             rtt: vec![RttEstimator::new(); num_paths],
             loss: vec![LossEstimator::new(config.loss_window); num_paths],
             next_seq: 0,
@@ -351,7 +367,7 @@ impl DmcSender {
                 } else {
                     self.stats.expired += 1;
                 }
-                self.in_flight.remove(&seq);
+                self.in_flight.remove(seq);
             }
             Some(Slot::Path(i)) => {
                 let path = *i;
@@ -380,15 +396,15 @@ impl DmcSender {
                     seq,
                     InFlight {
                         combo,
-                        stage,
                         created,
-                        path,
                         sent_at: now,
                         path_send_idx: idx,
                         dup_indications: 0,
+                        stage: header.stage,
+                        path: header.path,
                     },
                 ) {
-                    self.outstanding[prev.path].remove(&prev.path_send_idx);
+                    self.outstanding[usize::from(prev.path)].remove(&prev.path_send_idx);
                 }
                 self.outstanding[path].insert(idx, seq);
                 if let Some(timeout) = self.config.timeouts.stage(combo, stage) {
@@ -400,9 +416,10 @@ impl DmcSender {
 
     /// Marks `seq` acknowledged; returns true if it was outstanding.
     fn mark_acked(&mut self, seq: u64) -> bool {
-        if let Some(state) = self.in_flight.remove(&seq) {
-            self.outstanding[state.path].remove(&state.path_send_idx);
-            self.loss[state.path].record(false);
+        if let Some(state) = self.in_flight.remove(seq) {
+            let path = usize::from(state.path);
+            self.outstanding[path].remove(&state.path_send_idx);
+            self.loss[path].record(false);
             self.stats.acked += 1;
             true
         } else {
@@ -413,15 +430,16 @@ impl DmcSender {
     /// Advances a stalled message to its next stage (shared by timeout
     /// and fast-retransmit paths).
     fn advance_stage(&mut self, seq: u64, api: &mut SimApi<'_>) {
-        let Some(state) = self.in_flight.get(&seq).cloned() else {
+        let Some(state) = self.in_flight.get(seq).cloned() else {
             return;
         };
-        self.loss[state.path].record(true);
-        self.outstanding[state.path].remove(&state.path_send_idx);
+        let path = usize::from(state.path);
+        self.loss[path].record(true);
+        self.outstanding[path].remove(&state.path_send_idx);
         self.send_stage(
             seq,
             state.combo,
-            state.stage + 1,
+            usize::from(state.stage) + 1,
             state.created,
             api.now(),
             api,
@@ -430,50 +448,42 @@ impl DmcSender {
 
     fn on_ack(&mut self, ack: &Ack, api: &mut SimApi<'_>) {
         let now = api.now();
+        let echo = self
+            .in_flight
+            .get(ack.just_received)
+            .map(|s| (usize::from(s.path), s.path_send_idx, s.sent_at));
         // RTT sample: only when the echo matches the transmission we still
         // track (Karn-safe: retransmitted-and-reacked packets mismatch on
         // sent_ns and are skipped).
-        if let Some(state) = self.in_flight.get(&ack.just_received) {
-            if state.sent_at.as_nanos() == ack.echo_sent_ns && state.path == ack.echo_path as usize
-            {
-                let rtt = now.since(state.sent_at).as_secs_f64();
-                self.rtt[state.path].record(rtt);
+        if let Some((path, _, sent_at)) = echo {
+            if sent_at.as_nanos() == ack.echo_sent_ns && path == ack.echo_path as usize {
+                self.rtt[path].record(now.since(sent_at).as_secs_f64());
             }
         }
         // The echoed packet plus everything the bitmap covers is acked.
-        let echo_info = self
-            .in_flight
-            .get(&ack.just_received)
-            .map(|s| (s.path, s.path_send_idx));
         self.mark_acked(ack.just_received);
-        let bitmap_acks: Vec<u64> = ack
-            .received_seqs()
-            .filter(|seq| self.in_flight.contains_key(seq))
-            .collect();
-        for seq in bitmap_acks {
+        for seq in ack.received_seqs() {
             self.mark_acked(seq);
         }
         // Fast retransmit (§VIII-D): packets sent on the same path
         // *before* the acked one, still outstanding, gather duplicate
         // indications; at the threshold they advance early.
-        if let (Some(threshold), Some((path, idx))) = (self.config.fast_retransmit, echo_info) {
-            let lagging: Vec<u64> = self.outstanding[path]
-                .range(..idx)
-                .map(|(_, &seq)| seq)
-                .collect();
-            let mut to_advance = Vec::new();
-            for seq in lagging {
-                if let Some(state) = self.in_flight.get_mut(&seq) {
+        if let (Some(threshold), Some((path, idx, _))) = (self.config.fast_retransmit, echo) {
+            let mut due = std::mem::take(&mut self.fast_due);
+            for (_, &seq) in self.outstanding[path].range(..idx) {
+                if let Some(state) = self.in_flight.get_mut(seq) {
                     state.dup_indications += 1;
                     if state.dup_indications >= threshold {
-                        to_advance.push(seq);
+                        due.push(seq);
                     }
                 }
             }
-            for seq in to_advance {
+            for &seq in &due {
                 self.stats.fast_retransmits += 1;
                 self.advance_stage(seq, api);
             }
+            due.clear();
+            self.fast_due = due;
         }
     }
 }
@@ -506,10 +516,10 @@ impl Agent for DmcSender {
         let (seq, stage) = decode_key(key);
         // Stale if the message was acked or already advanced past `stage`
         // (e.g. by fast retransmit).
-        let Some(state) = self.in_flight.get(&seq) else {
+        let Some(state) = self.in_flight.get(seq) else {
             return;
         };
-        if state.stage != stage {
+        if usize::from(state.stage) != stage {
             return;
         }
         let retransmit = self
@@ -524,10 +534,11 @@ impl Agent for DmcSender {
             // it and give the message up.
             let state = self
                 .in_flight
-                .remove(&seq)
+                .remove(seq)
                 .expect("membership in in_flight checked just above");
-            self.loss[state.path].record(true);
-            self.outstanding[state.path].remove(&state.path_send_idx);
+            let path = usize::from(state.path);
+            self.loss[path].record(true);
+            self.outstanding[path].remove(&state.path_send_idx);
             self.stats.expired += 1;
         }
     }
@@ -615,6 +626,13 @@ mod tests {
         );
         // Everything eventually acked; nothing expired.
         assert!(s.expired < 10, "expired {}", s.expired);
+    }
+
+    #[test]
+    fn an_in_flight_slot_stays_small() {
+        // The window holds one slot per seq between the oldest live
+        // message and the newest, live or not.
+        assert!(std::mem::size_of::<Option<InFlight>>() <= 48);
     }
 
     #[test]

@@ -205,11 +205,19 @@ impl Ack {
         self.bitmap[off / 8] & (1 << (off % 8)) != 0
     }
 
-    /// Iterates over every seq the bitmap marks as received.
-    pub fn received_seqs(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..ACK_BITMAP_BITS as u64).filter_map(move |off| {
-            let seq = self.window_start + off;
-            self.is_received(seq).then_some(seq)
+    /// Iterates, in ascending order, over every seq the bitmap marks as
+    /// received. Bits that would name a seq past `u64::MAX` (a forged
+    /// `window_start` near the top) are not seqs and end the walk.
+    pub fn received_seqs(&self) -> impl Iterator<Item = u64> {
+        let start = self.window_start;
+        let mut bits = u128::from_le_bytes(self.bitmap);
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let off = bits.trailing_zeros();
+            bits &= bits - 1;
+            start.checked_add(u64::from(off))
         })
     }
 
@@ -911,6 +919,21 @@ mod tests {
         a.set_received(100);
         a.set_received(100 + ACK_BITMAP_BITS as u64 - 1);
         assert_eq!(a.received_seqs().count(), 2);
+    }
+
+    #[test]
+    fn a_forged_window_start_near_the_top_stops_the_walk_at_u64_max() {
+        // A valid-checksum ack whose window runs past u64::MAX: the bits
+        // beyond it name no seq and must neither wrap nor overflow.
+        let mut a = Ack::new(0, 0, 0, u64::MAX - 3);
+        a.set_received(u64::MAX);
+        let mut back = Ack::decode(&a.encode()).expect("a sealed ack decodes");
+        assert_eq!(back.received_seqs().collect::<Vec<_>>(), vec![u64::MAX]);
+        back.bitmap = [0xFF; ACK_BITMAP_BITS / 8];
+        assert_eq!(
+            back.received_seqs().collect::<Vec<_>>(),
+            vec![u64::MAX - 3, u64::MAX - 2, u64::MAX - 1, u64::MAX]
+        );
     }
 
     #[test]

@@ -45,6 +45,26 @@ proptest! {
         prop_assert_eq!(claimed, expected);
     }
 
+    /// `received_seqs` walks exactly the seqs `is_received` reports, in
+    /// ascending order, for any window start and any bitmap — including
+    /// forged ones whose window runs past `u64::MAX`.
+    #[test]
+    fn received_seqs_is_the_ascending_is_received_scan(
+        start in any::<u64>(),
+        top in any::<bool>(),
+        low in any::<u64>(),
+        high in any::<u64>(),
+    ) {
+        let start = if top { u64::MAX - start % ACK_BITMAP_BITS as u64 } else { start };
+        let mut a = Ack::new(0, 0, 0, start);
+        a.bitmap = (u128::from(low) | u128::from(high) << 64).to_le_bytes();
+        let scan: Vec<u64> = (0..ACK_BITMAP_BITS as u64)
+            .filter_map(|off| start.checked_add(off))
+            .filter(|&seq| a.is_received(seq))
+            .collect();
+        prop_assert_eq!(a.received_seqs().collect::<Vec<_>>(), scan);
+    }
+
     /// The failure-notification frame round-trips for every valid value,
     /// and never decodes as one of the other frame types.
     #[test]
