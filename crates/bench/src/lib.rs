@@ -1,10 +1,13 @@
-//! Criterion benchmark crate for deadline-multipath.
+//! Repository checks for deadline-multipath, as two binaries CI runs:
 //!
-//! The benches live under `benches/`. CI runs all seven in one
-//! invocation and gates ratios of subjects measured in that run
-//! (`.github/workflows/ci.yml`, "Bench gates"); the `BENCH_*.json` files
-//! at the repository root are dated records of them.
+//! * `arch_check` — `ARCHITECTURE.md`'s crate map lists exactly the
+//!   workspace members of `Cargo.toml`;
+//! * `obs_check` — a dmc-obs JSON-lines export is well-formed and holds
+//!   the counters a run must have recorded.
 //!
-//! Run with `cargo bench -p dmc-bench`.
+//! The solver's algorithmic claims (warm re-solves, batched admission,
+//! decomposition by region) are held as deterministic work counts by
+//! `tests/work_counts.rs` at the repository root, and throughput is
+//! measured end to end by `benchmark/`.
 
 #![forbid(unsafe_code)]

@@ -1,7 +1,7 @@
 //! Figure 4: wall-clock time to build + solve the LP as the number of
-//! paths grows, for 2 and 3 transmissions per data unit. (Criterion
-//! benches in `dmc-bench` measure the same thing rigorously; this module
-//! produces the paper-style table quickly.)
+//! paths grows, for 2 and 3 transmissions per data unit, as a
+//! paper-style table. (`benchmark/`'s `flow_replan` workload times the
+//! paper's own scenarios end to end.)
 
 use dmc_core::{NetworkSpec, Objective, PathSpec, Planner, PlannerConfig, Scenario, SolverOptions};
 use std::time::Instant;

@@ -20,9 +20,9 @@ use dmc_stats::TrialStats;
 use std::sync::Arc;
 
 /// Default flows offered per trial (`--flows`/`FLOWS` override it; the
-/// incremental sparse joint solver keeps sweeps with hundreds of
-/// concurrent flows tractable — see `BENCH_fleet.json`'s 64-flow
-/// subjects).
+/// joint LP is maintained in place and solved on the block-structured
+/// sparse kernel, which keeps sweeps with hundreds of concurrent flows
+/// tractable).
 pub const FLOWS_PER_TRIAL: u64 = 10;
 
 /// The shared links every flow contends for: the paper's Table III pair

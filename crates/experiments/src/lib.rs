@@ -7,7 +7,7 @@
 //! | Figure 2 (theory vs. simulation vs. single paths) | [`figure2`] | `… --bin figure2` |
 //! | Experiment 2 (random delays, Eq.-34 timeouts) | [`experiment2`] | `… --bin experiment2` |
 //! | Figure 3 (sensitivity to estimation errors) | [`figure3`] | `… --bin figure3` |
-//! | Figure 4 (LP solve times) | [`figure4`] | `… --bin figure4` (and `cargo bench -p dmc-bench`) |
+//! | Figure 4 (LP solve times) | [`figure4`] | `… --bin figure4` |
 //! | Fleet: multi-flow admission & joint allocation (beyond the paper) | [`fleet`] | `… --bin fleet` |
 //! | Fleet service: sharded admission over wire frames (beyond the paper) | [`service`] | `… --bin fleet_service` |
 //!

@@ -25,7 +25,7 @@
 //!   is carried with the LP and edited in step with it, so an admission,
 //!   a refusal
 //!   or a revive starts from the incumbents' vertex and pivots only for
-//!   the candidate — see the `fleet_admission` benchmark;
+//!   the candidate;
 //! * that core also owns the **roster** of admitted flows (request,
 //!   model, plan), so a planner holds policy and nothing per flow: it
 //!   offers candidates by value and gets the refused ones back;

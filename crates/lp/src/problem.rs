@@ -551,8 +551,7 @@ impl Problem {
     ///
     /// Identical result to [`Problem::solve`]; repeated solves through one
     /// workspace skip the per-call tableau allocation, which is what makes
-    /// parameter sweeps and adaptive re-solves cheap (see the
-    /// `planner_reuse` benchmark).
+    /// parameter sweeps and adaptive re-solves cheap.
     ///
     /// # Errors
     ///
@@ -707,6 +706,10 @@ impl Problem {
                 Ok(s) => {
                     let pivots = s.iterations() as u64;
                     obs.counter("lp.pivots").add(pivots);
+                    // A size-weighted pivot count: what a pivot costs
+                    // grows with the rows it updates.
+                    obs.counter("lp.pivot_rows")
+                        .add(pivots * self.num_constraints() as u64);
                     obs.advance(pivots);
                     // The parts of `pivots`, so counted where they are.
                     if let Some(stats) = stats {

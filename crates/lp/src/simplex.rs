@@ -75,7 +75,9 @@ pub struct SolverOptions {
     /// recording is a no-op branch). When enabled, each solve records
     /// `lp.solves`, `lp.pivots` (split by a successful revised solve into
     /// `lp.dual_pivots`, `lp.phase1_pivots`, `lp.phase2_pivots` and
-    /// `lp.phase3_pivots`, each recorded once nonzero),
+    /// `lp.phase3_pivots`, each recorded once nonzero), `lp.pivot_rows`
+    /// (pivots × constraint rows, a deterministic proxy for pivot work,
+    /// which grows with the LP),
     /// `lp.feasibility_solves` (those that asked
     /// [`Problem::find_feasible_with`] for a verdict only),
     /// `lp.refactorizations`, `lp.factor_eta_visits` (etas the

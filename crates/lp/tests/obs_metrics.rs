@@ -39,6 +39,11 @@ fn solve_records_counters_and_span() {
             Some(s.iterations() as u64),
             "{span_name}"
         );
+        assert_eq!(
+            snap.counter("lp.pivot_rows"),
+            Some((s.iterations() * problem.num_constraints()) as u64),
+            "{span_name}: pivots × rows"
+        );
         assert_eq!(snap.clock, s.iterations() as u64, "clock ticks = pivots");
         let span = snap.span(span_name).expect("solve span recorded");
         assert_eq!(span.count, 1);
@@ -213,4 +218,5 @@ fn infeasible_solves_count_as_errors() {
     let snap = obs.snapshot();
     assert_eq!(snap.counter("lp.errors"), Some(1));
     assert_eq!(snap.counter("lp.solves"), Some(1));
+    assert_eq!(snap.counter("lp.pivot_rows"), None, "an Err adds no work");
 }
