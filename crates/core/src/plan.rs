@@ -219,16 +219,8 @@ impl Plan {
     /// Never in practice: planner output is a valid distribution (the LP
     /// enforces `Σx = 1`, `x ≥ 0`).
     pub fn scheduler(&self) -> Scheduler {
-        self.scheduler_with(SchedulePolicy::Deficit)
-    }
-
-    /// A scheduler with an explicit policy (deficit or weighted-random).
-    ///
-    /// # Panics
-    ///
-    /// Never in practice; see [`Plan::scheduler`].
-    pub fn scheduler_with(&self, policy: SchedulePolicy) -> Scheduler {
-        Scheduler::new(self.strategy.x().to_vec(), policy).expect("planner emits a valid x")
+        Scheduler::new(self.strategy.x().to_vec(), SchedulePolicy::Deficit)
+            .expect("planner emits a valid x")
     }
 }
 

@@ -7,7 +7,8 @@
 //! whose empirical share lags its target share the most
 //! (`argmin assigned[i]/total − x'_i`), which keeps the running empirical
 //! distribution within one packet of the target — much tighter than
-//! weighted random sampling (see the `scheduler` bench for the ablation).
+//! weighted random sampling (`random_baseline_is_looser_than_algorithm1`
+//! in this module's tests is the ablation).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -5,6 +5,7 @@
 //! builds its sender from it.
 
 use dmc_core::{Plan, Scenario, Strategy};
+use dmc_proto::wire::DATA_HEADER_BYTES;
 use dmc_proto::{
     DmcReceiver, DmcSender, ReceiverConfig, ReceiverStats, SenderConfig, SenderStats, TimeoutPlan,
 };
@@ -177,7 +178,8 @@ pub struct RunOutcome {
 /// # Errors
 ///
 /// Returns a message when the plan's path count does not match the true
-/// network or topology construction fails.
+/// network, [`RunConfig::message_bytes`] cannot hold the data header
+/// ([`DATA_HEADER_BYTES`]), or topology construction fails.
 pub fn run_plan(
     plan: &Plan,
     true_net: &TrueNetwork,
@@ -217,6 +219,12 @@ fn run_strategy(
             "strategy has {} paths, true network {}",
             strategy.table().num_paths(),
             true_net.num_paths()
+        ));
+    }
+    if cfg.message_bytes < DATA_HEADER_BYTES {
+        return Err(format!(
+            "messages of {} bytes cannot hold the data header (DATA_HEADER_BYTES = {DATA_HEADER_BYTES})",
+            cfg.message_bytes
         ));
     }
     let predicted_quality = strategy.quality();
@@ -345,5 +353,27 @@ mod tests {
         let plan = Planner::new().plan(&model, Objective::MaxQuality).unwrap();
         let single = TrueNetwork::from_scenario(&model.restricted_to_path(0));
         assert!(run_plan(&plan, &single, &RunConfig::default()).is_err());
+    }
+
+    #[test]
+    fn messages_smaller_than_the_header_are_an_error() {
+        let model = scenarios::table3_model_scenario(60e6, 0.8);
+        let plan = Planner::new().plan(&model, Objective::MaxQuality).unwrap();
+        let truth = TrueNetwork::from_scenario(&model);
+        for message_bytes in [0, 16, DATA_HEADER_BYTES - 1] {
+            let cfg = RunConfig {
+                messages: 10,
+                message_bytes,
+                ..RunConfig::default()
+            };
+            let err = run_plan(&plan, &truth, &cfg).expect_err("undersized messages are refused");
+            assert!(err.contains("DATA_HEADER_BYTES"), "{err}");
+        }
+        let cfg = RunConfig {
+            messages: 10,
+            message_bytes: DATA_HEADER_BYTES,
+            ..RunConfig::default()
+        };
+        assert!(run_plan(&plan, &truth, &cfg).is_ok());
     }
 }

@@ -1,7 +1,6 @@
 //! The wire front end: drive a [`FleetService`] with the checksummed
 //! [`dmc_proto::wire`] control-plane frames instead of typed calls.
 
-use bytes::Bytes;
 use dmc_proto::wire::{DecisionFrame, DepartFrame, LinkChangeFrame, OfferFrame, Verdict};
 
 use super::router::{FleetService, ServiceEvent};
@@ -66,7 +65,9 @@ impl FleetService {
     /// # Errors
     ///
     /// Same as [`FleetService::tick`].
-    pub fn tick_frames(&mut self) -> Result<(Vec<Bytes>, Vec<ServiceEvent>), FleetError> {
+    pub fn tick_frames(
+        &mut self,
+    ) -> Result<(Vec<[u8; DecisionFrame::WIRE_BYTES]>, Vec<ServiceEvent>), FleetError> {
         let events = self.tick()?;
         let echoes = self.take_echoes();
         let mut frames = Vec::new();

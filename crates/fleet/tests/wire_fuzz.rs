@@ -254,12 +254,12 @@ fn the_service_answers_every_accepted_offer_exactly_once() {
                 }
                 2 | 3 => {
                     let base = if rng.below(2) == 0 {
-                        link(&mut rng).encode()
+                        link(&mut rng).encode().to_vec()
                     } else {
                         let flow = rng.next() % (service.submissions() + 1);
-                        DepartFrame { seq: 1, flow }.encode()
+                        DepartFrame { seq: 1, flow }.encode().to_vec()
                     };
-                    mutated(&mut rng, base.to_vec())
+                    mutated(&mut rng, base)
                 }
                 _ => {
                     let base = offer(&mut rng).encode();

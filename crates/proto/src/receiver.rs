@@ -440,7 +440,6 @@ impl Agent for DmcReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use dmc_sim::{LinkConfig, SimTime, TwoHostSim};
     use dmc_stats::ConstantDelay;
     use std::sync::Arc;
@@ -695,7 +694,7 @@ mod tests {
         struct Garbage;
         impl Agent for Garbage {
             fn on_start(&mut self, api: &mut SimApi<'_>) {
-                api.send(0, Packet::new(64, Bytes::from_static(&[0xFF; 64])));
+                api.send(0, Packet::new(64, [0xFF; 64]));
             }
             fn on_packet(&mut self, _p: usize, _pk: Packet, _a: &mut SimApi<'_>) {}
             fn on_timer(&mut self, _k: u64, _a: &mut SimApi<'_>) {}

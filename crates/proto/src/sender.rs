@@ -4,8 +4,8 @@
 
 use crate::estimator::{LossEstimator, RttEstimator};
 use crate::seqs::SeqWindow;
-use crate::wire::{Ack, DataHeader};
-use dmc_core::{Plan, SchedulePolicy, Slot, Strategy};
+use crate::wire::{Ack, DataHeader, DATA_HEADER_BYTES};
+use dmc_core::{Plan, SchedulePolicy, Scheduler, Slot, Strategy};
 use dmc_sim::{Agent, Packet, SimApi, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -110,14 +110,11 @@ pub struct SenderConfig {
     pub fast_retransmit: Option<u32>,
     /// Sliding window for the per-path loss estimators.
     pub loss_window: usize,
-    /// Packet-discretization policy (Algorithm 1 deficit by default).
-    pub schedule: SchedulePolicy,
 }
 
 impl SenderConfig {
     /// Creates a config with the paper's defaults (1024-byte messages, no
-    /// fast retransmit, 512-transmission loss window, Algorithm-1
-    /// scheduling).
+    /// fast retransmit, 512-transmission loss window).
     pub fn new(
         strategy: Strategy,
         timeouts: TimeoutPlan,
@@ -132,7 +129,6 @@ impl SenderConfig {
             total_messages,
             fast_retransmit: None,
             loss_window: 512,
-            schedule: SchedulePolicy::Deficit,
         }
     }
 
@@ -218,7 +214,7 @@ struct InFlight {
 #[derive(Debug)]
 pub struct DmcSender {
     config: SenderConfig,
-    scheduler: dmc_core::Scheduler,
+    scheduler: Scheduler,
     /// Messages awaiting an ack or a further stage, indexed by
     /// `seq − oldest live seq`.
     in_flight: SeqWindow<InFlight>,
@@ -243,15 +239,21 @@ impl DmcSender {
     /// # Panics
     ///
     /// Panics if the strategy's combination table uses more than
-    /// [`MAX_STAGES`] transmissions or the strategy is malformed.
+    /// [`MAX_STAGES`] transmissions, the strategy is malformed, or
+    /// `message_wire_bytes` is smaller than [`DATA_HEADER_BYTES`].
     pub fn new(config: SenderConfig) -> Self {
         let table = config.strategy.table();
         assert!(
             table.transmissions() <= MAX_STAGES,
             "at most {MAX_STAGES} transmissions supported"
         );
+        assert!(
+            config.message_wire_bytes >= DATA_HEADER_BYTES,
+            "messages of {} bytes cannot hold the {DATA_HEADER_BYTES}-byte data header",
+            config.message_wire_bytes
+        );
         let num_paths = table.num_paths();
-        let scheduler = dmc_core::Scheduler::new(config.strategy.x().to_vec(), config.schedule)
+        let scheduler = Scheduler::new(config.strategy.x().to_vec(), SchedulePolicy::Deficit)
             .expect("valid strategy");
         DmcSender {
             scheduler,
@@ -633,6 +635,14 @@ mod tests {
         // The window holds one slot per seq between the oldest live
         // message and the newest, live or not.
         assert!(std::mem::size_of::<Option<InFlight>>() <= 48);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot hold the 32-byte data header")]
+    fn a_message_must_hold_the_data_header() {
+        let mut config = sender_config(&figure1_net(), SimDuration::ZERO, 10);
+        config.message_wire_bytes = DATA_HEADER_BYTES - 1;
+        DmcSender::new(config);
     }
 
     #[test]

@@ -13,15 +13,12 @@
 //! malformed by the receiver) instead of silently parsing into wrong
 //! field values. The frame sizes are unchanged.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 /// One frame type's envelope: the magic byte that tags it, its fixed
-/// length and where its checksum sits (offset and width, 2 or 4 bytes).
-/// Sealing and opening are written here, once; a frame type keeps only
-/// its field list.
-struct Frame {
+/// length `N` and where its checksum sits (offset and width, 2 or 4
+/// bytes). Sealing and opening are written here, once; a frame type keeps
+/// only its field list.
+struct Frame<const N: usize> {
     magic: u8,
-    len: usize,
     sum_at: usize,
     sum_len: usize,
 }
@@ -29,11 +26,10 @@ struct Frame {
 // Inlined into each frame's `encode`/`decode`, so the constants below
 // fold into loops of fixed length (a shared copy decoded in 48 ns where
 // the hand-rolled ones took 29).
-impl Frame {
-    const fn new(magic: u8, len: usize, sum_at: usize, sum_len: usize) -> Self {
+impl<const N: usize> Frame<N> {
+    const fn new(magic: u8, sum_at: usize, sum_len: usize) -> Self {
         Frame {
             magic,
-            len,
             sum_at,
             sum_len,
         }
@@ -42,7 +38,7 @@ impl Frame {
     /// FNV-1a over `frame` with its checksum field read as zeros,
     /// little-endian; a two-byte field holds the 16-bit fold.
     #[inline(always)]
-    fn checksum(&self, frame: &[u8]) -> [u8; 4] {
+    fn checksum(&self, frame: &[u8; N]) -> [u8; 4] {
         let fnv1a = |h: u32, bytes: &[u8]| {
             let step = |h: u32, &b: &u8| (h ^ u32::from(b)).wrapping_mul(0x0100_0193);
             bytes.iter().fold(h, step)
@@ -57,40 +53,108 @@ impl Frame {
     /// The magic, then whatever `fields` writes (the checksum field
     /// included, as zeros), sealed with the checksum.
     #[inline(always)]
-    fn seal(&self, fields: impl FnOnce(&mut BytesMut)) -> Bytes {
-        let mut b = BytesMut::with_capacity(self.len);
-        b.put_u8(self.magic);
-        fields(&mut b);
-        debug_assert_eq!(b.len(), self.len);
-        let sum = self.checksum(&b);
-        b[self.sum_at..][..self.sum_len].copy_from_slice(&sum[..self.sum_len]);
-        b.freeze()
+    fn seal(&self, fields: impl FnOnce(&mut Writer)) -> [u8; N] {
+        let mut frame = [0; N];
+        let mut w = Writer(&mut frame[..]);
+        w.put_u8(self.magic);
+        fields(&mut w);
+        debug_assert!(w.0.is_empty(), "fields fill the frame exactly");
+        let sum = self.checksum(&frame);
+        frame[self.sum_at..][..self.sum_len].copy_from_slice(&sum[..self.sum_len]);
+        frame
     }
 
-    /// The frame's bytes after the magic, or `None` on truncation, wrong
-    /// magic or a bad checksum.
+    /// A reader over the frame's bytes after the magic, or `None` on
+    /// truncation, wrong magic or a bad checksum.
     #[inline(always)]
-    fn open<'a>(&self, buf: &'a [u8]) -> Option<&'a [u8]> {
-        let frame = buf.get(..self.len).filter(|f| f[0] == self.magic)?;
+    fn open<'a>(&self, buf: &'a [u8]) -> Option<Reader<'a>> {
+        let frame = buf.first_chunk::<N>().filter(|f| f[0] == self.magic)?;
         let sum = self.checksum(frame);
-        (frame[self.sum_at..][..self.sum_len] == sum[..self.sum_len]).then_some(&frame[1..])
+        (frame[self.sum_at..][..self.sum_len] == sum[..self.sum_len]).then_some(Reader(&frame[1..]))
+    }
+}
+
+/// Little-endian writer over the unwritten tail of a frame.
+struct Writer<'a>(&'a mut [u8]);
+
+impl Writer<'_> {
+    #[inline(always)]
+    fn put_slice(&mut self, bytes: &[u8]) {
+        let (head, rest) = std::mem::take(&mut self.0).split_at_mut(bytes.len());
+        head.copy_from_slice(bytes);
+        self.0 = rest;
+    }
+
+    #[inline(always)]
+    fn put_u8(&mut self, v: u8) {
+        self.put_slice(&[v]);
+    }
+
+    #[inline(always)]
+    fn put_u16_le(&mut self, v: u16) {
+        self.put_slice(&v.to_le_bytes());
+    }
+
+    #[inline(always)]
+    fn put_u32_le(&mut self, v: u32) {
+        self.put_slice(&v.to_le_bytes());
+    }
+
+    #[inline(always)]
+    fn put_u64_le(&mut self, v: u64) {
+        self.put_slice(&v.to_le_bytes());
+    }
+}
+
+/// Little-endian reader over the unread tail of a frame that
+/// [`Frame::open`] has checked, so every read is in bounds.
+struct Reader<'a>(&'a [u8]);
+
+impl Reader<'_> {
+    #[inline(always)]
+    fn take<const K: usize>(&mut self) -> [u8; K] {
+        let (head, rest) = (self.0)
+            .split_first_chunk()
+            .expect("an opened frame holds every field its decoder reads");
+        self.0 = rest;
+        *head
+    }
+
+    #[inline(always)]
+    fn advance(&mut self, n: usize) {
+        self.0 = &self.0[n..];
+    }
+
+    #[inline(always)]
+    fn get_u8(&mut self) -> u8 {
+        u8::from_le_bytes(self.take())
+    }
+
+    #[inline(always)]
+    fn get_u16_le(&mut self) -> u16 {
+        u16::from_le_bytes(self.take())
+    }
+
+    #[inline(always)]
+    fn get_u64_le(&mut self) -> u64 {
+        u64::from_le_bytes(self.take())
     }
 }
 
 /// Data packets.
-const DATA: Frame = Frame::new(0xD7, DATA_HEADER_BYTES, 4, 4);
+const DATA: Frame<DATA_HEADER_BYTES> = Frame::new(0xD7, 4, 4);
 /// Acknowledgments.
-const ACK: Frame = Frame::new(0xA3, Ack::WIRE_BYTES, 2, 2);
+const ACK: Frame<{ Ack::WIRE_BYTES }> = Frame::new(0xA3, 2, 2);
 /// Path-state notifications.
-const NOTICE: Frame = Frame::new(0x5E, PathNotice::WIRE_BYTES, 4, 4);
+const NOTICE: Frame<{ PathNotice::WIRE_BYTES }> = Frame::new(0x5E, 4, 4);
 /// Fleet-service admission offers.
-const OFFER: Frame = Frame::new(0x0F, OfferFrame::WIRE_BYTES, 2, 2);
+const OFFER: Frame<{ OfferFrame::WIRE_BYTES }> = Frame::new(0x0F, 2, 2);
 /// Fleet-service admission decisions.
-const DECISION: Frame = Frame::new(0xDC, DecisionFrame::WIRE_BYTES, 2, 2);
+const DECISION: Frame<{ DecisionFrame::WIRE_BYTES }> = Frame::new(0xDC, 2, 2);
 /// Fleet-service flow departures.
-const DEPART: Frame = Frame::new(0xDD, DepartFrame::WIRE_BYTES, 2, 2);
+const DEPART: Frame<{ DepartFrame::WIRE_BYTES }> = Frame::new(0xDD, 2, 2);
 /// Fleet-service link-change commands.
-const LINK: Frame = Frame::new(0x17, LinkChangeFrame::WIRE_BYTES, 4, 4);
+const LINK: Frame<{ LinkChangeFrame::WIRE_BYTES }> = Frame::new(0x17, 4, 4);
 
 /// Size of the serialized [`DataHeader`] in bytes.
 pub const DATA_HEADER_BYTES: usize = 32;
@@ -117,7 +181,7 @@ pub struct DataHeader {
 
 impl DataHeader {
     /// Serializes to exactly [`DATA_HEADER_BYTES`] bytes.
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> [u8; DATA_HEADER_BYTES] {
         DATA.seal(|b| {
             b.put_u8(self.path);
             b.put_u8(self.stage);
@@ -222,7 +286,7 @@ impl Ack {
     }
 
     /// Serializes to exactly [`Ack::WIRE_BYTES`] bytes.
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> [u8; Self::WIRE_BYTES] {
         ACK.seal(|b| {
             b.put_u8(self.echo_path);
             b.put_u16_le(0); // checksum
@@ -242,8 +306,7 @@ impl Ack {
         let just_received = buf.get_u64_le();
         let echo_sent_ns = buf.get_u64_le();
         let window_start = buf.get_u64_le();
-        let mut bitmap = [0u8; ACK_BITMAP_BITS / 8];
-        buf.copy_to_slice(&mut bitmap);
+        let bitmap = buf.take();
         Some(Ack {
             just_received,
             echo_sent_ns,
@@ -287,7 +350,7 @@ impl PathNotice {
     pub const WIRE_BYTES: usize = 1 + 1 + 1 + 1 + 4 + 8;
 
     /// Serializes to exactly [`PathNotice::WIRE_BYTES`] bytes.
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> [u8; Self::WIRE_BYTES] {
         NOTICE.seal(|b| {
             b.put_u8(self.path);
             b.put_u8(self.kind as u8);
@@ -385,7 +448,7 @@ impl OfferFrame {
     }
 
     /// Serializes to exactly [`OfferFrame::WIRE_BYTES`] bytes.
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> [u8; Self::WIRE_BYTES] {
         OFFER.seal(|b| {
             b.put_u8(self.transmissions);
             b.put_u16_le(0); // checksum
@@ -460,7 +523,7 @@ impl DecisionFrame {
     pub const WIRE_BYTES: usize = 1 + 1 + 2 + 8 + 8 + 8;
 
     /// Serializes to exactly [`DecisionFrame::WIRE_BYTES`] bytes.
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> [u8; Self::WIRE_BYTES] {
         DECISION.seal(|b| {
             b.put_u8(self.verdict as u8);
             b.put_u16_le(0); // checksum
@@ -509,7 +572,7 @@ impl DepartFrame {
     pub const WIRE_BYTES: usize = 1 + 1 + 2 + 8 + 8;
 
     /// Serializes to exactly [`DepartFrame::WIRE_BYTES`] bytes.
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> [u8; Self::WIRE_BYTES] {
         DEPART.seal(|b| {
             b.put_u8(0); // reserved
             b.put_u16_le(0); // checksum
@@ -596,7 +659,7 @@ impl LinkChangeFrame {
     }
 
     /// Serializes to exactly [`LinkChangeFrame::WIRE_BYTES`] bytes.
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> [u8; Self::WIRE_BYTES] {
         LINK.seal(|b| {
             b.put_u8(self.kind as u8);
             b.put_u16_le(self.path);
@@ -699,13 +762,13 @@ mod tests {
         let depart = DepartFrame { seq: 4, flow: 17 }.encode();
         let link = sample_link().encode();
         for (name, wire) in [
-            ("notice", &notice),
-            ("header", &header),
-            ("ack", &ack),
-            ("offer", &offer),
-            ("decision", &decision),
-            ("depart", &depart),
-            ("link", &link),
+            ("notice", &notice[..]),
+            ("header", &header[..]),
+            ("ack", &ack[..]),
+            ("offer", &offer[..]),
+            ("decision", &decision[..]),
+            ("depart", &depart[..]),
+            ("link", &link[..]),
         ] {
             for byte in 0..wire.len() {
                 for bit in 0..8 {

@@ -227,9 +227,7 @@ impl FaultStream {
             let len = packet.payload().len() as u64;
             let idx = (self.rng.next_u64() % len) as usize;
             let bit = (self.rng.next_u64() % 8) as u32;
-            let mut bytes = packet.payload().to_vec();
-            bytes[idx] ^= 1u8 << bit;
-            packet.replace_payload(bytes.into());
+            packet.payload_mut()[idx] ^= 1u8 << bit;
             self.stats.corrupted += 1;
         }
         let mut deliver_at = arrival;
@@ -334,17 +332,22 @@ mod tests {
         let mut b = plan.stream(FAULT_SALT_FORWARD);
         let mut c = plan.stream(FAULT_SALT_BACKWARD);
         let mut diverged = false;
+        let mut flipped = 0;
         for i in 0..200u64 {
             let t = SimTime::from_nanos(i * 1_000);
-            let mut pa = Packet::new(64, vec![0u8; 32].into());
-            let mut pb = Packet::new(64, vec![0u8; 32].into());
-            let mut pc = Packet::new(64, vec![0u8; 32].into());
+            let mut pa = Packet::new(64, vec![0u8; 32]);
+            let mut pb = Packet::new(64, vec![0u8; 32]);
+            let mut pc = Packet::new(64, vec![0u8; 32]);
             let ia = a.inject(t, &mut pa);
             let ib = b.inject(t, &mut pb);
             let ic = c.inject(t, &mut pc);
             assert_eq!(ia.deliver_at, ib.deliver_at);
             assert_eq!(ia.duplicate_at, ib.duplicate_at);
             assert_eq!(pa, pb);
+            // Corruption flips one bit of the all-zero payload, or none.
+            let ones: u32 = pa.payload().iter().map(|b| b.count_ones()).sum();
+            assert!(ones <= 1, "packet {i} has {ones} bits flipped");
+            flipped += u64::from(ones);
             if ia.deliver_at != ic.deliver_at || pa != pc {
                 diverged = true;
             }
@@ -353,6 +356,7 @@ mod tests {
         assert!(diverged, "forward and backward streams are independent");
         let s = a.stats();
         assert!(s.corrupted > 0 && s.duplicated > 0 && s.reordered > 0);
+        assert_eq!(flipped, s.corrupted);
     }
 
     #[test]
@@ -362,7 +366,7 @@ mod tests {
         let mut s = plan.stream(FAULT_SALT_FORWARD);
         for i in 0..500u64 {
             let t = SimTime::from_nanos(i);
-            let mut p = Packet::new(8, vec![1u8].into());
+            let mut p = Packet::new(8, vec![1u8]);
             let inj = s.inject(t, &mut p);
             assert!(inj.deliver_at.since(t).as_nanos() <= window.as_nanos());
         }

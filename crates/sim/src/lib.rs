@@ -27,7 +27,6 @@
 //! # Example: measuring a path RTT
 //!
 //! ```
-//! use bytes::Bytes;
 //! use dmc_sim::{Agent, LinkConfig, Packet, SimApi, SimTime, TwoHostSim};
 //! use dmc_stats::ConstantDelay;
 //! use std::sync::Arc;
@@ -35,7 +34,7 @@
 //! struct Ping(Option<SimTime>);
 //! impl Agent for Ping {
 //!     fn on_start(&mut self, api: &mut SimApi<'_>) {
-//!         api.send(0, Packet::new(1000, Bytes::new()));
+//!         api.send(0, Packet::new(1000, []));
 //!     }
 //!     fn on_packet(&mut self, _path: usize, _p: Packet, api: &mut SimApi<'_>) {
 //!         self.0 = Some(api.now());

@@ -442,7 +442,6 @@ impl Link {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use dmc_stats::{ConstantDelay, ShiftedGamma};
 
     fn mk(bw: f64, delay: f64, loss: f64) -> Link {
@@ -458,7 +457,7 @@ mod tests {
     }
 
     fn pkt(bytes: usize) -> Packet {
-        Packet::new(bytes, Bytes::new())
+        Packet::new(bytes, [])
     }
 
     #[test]

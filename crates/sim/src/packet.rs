@@ -5,7 +5,6 @@
 //! size matters for link timing.
 
 use crate::time::SimTime;
-use bytes::Bytes;
 
 /// A packet in flight.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -14,7 +13,7 @@ pub struct Packet {
     /// serialization time and queue occupancy.
     size_bytes: usize,
     /// Opaque payload (protocol headers + application data).
-    payload: Bytes,
+    payload: Box<[u8]>,
     /// When the packet was handed to the link (stamped by the simulator).
     sent_at: SimTime,
 }
@@ -24,13 +23,15 @@ impl Packet {
     ///
     /// `size_bytes` may exceed `payload.len()` to model padding or
     /// application data that is not explicitly materialized (the paper's
-    /// 1024-byte messages carry a 24-byte header; we only materialize the
+    /// 1024-byte messages carry a 32-byte header,
+    /// `dmc_proto::wire::DATA_HEADER_BYTES`; we only materialize the
     /// header).
     ///
     /// # Panics
     ///
     /// Panics if `size_bytes` is zero or smaller than the payload.
-    pub fn new(size_bytes: usize, payload: Bytes) -> Self {
+    pub fn new(size_bytes: usize, payload: impl Into<Box<[u8]>>) -> Self {
+        let payload = payload.into();
         assert!(size_bytes > 0, "packets must have positive size");
         assert!(
             size_bytes >= payload.len(),
@@ -55,7 +56,7 @@ impl Packet {
     }
 
     /// The opaque payload.
-    pub fn payload(&self) -> &Bytes {
+    pub fn payload(&self) -> &[u8] {
         &self.payload
     }
 
@@ -68,16 +69,10 @@ impl Packet {
         self.sent_at = at;
     }
 
-    /// Swaps the payload in place (fault injection), preserving the
-    /// on-wire size and link timestamp. The new payload must still fit.
-    pub(crate) fn replace_payload(&mut self, payload: Bytes) {
-        assert!(
-            self.size_bytes >= payload.len(),
-            "replacement payload {} exceeds wire size {}",
-            payload.len(),
-            self.size_bytes
-        );
-        self.payload = payload;
+    /// The payload, writable in place (fault injection), so the on-wire
+    /// size and link timestamp are untouched.
+    pub(crate) fn payload_mut(&mut self) -> &mut [u8] {
+        &mut self.payload
     }
 }
 
@@ -87,21 +82,28 @@ mod tests {
 
     #[test]
     fn sizes() {
-        let p = Packet::new(1024, Bytes::from_static(b"hdr"));
+        let p = Packet::new(1024, *b"hdr");
         assert_eq!(p.size_bytes(), 1024);
         assert_eq!(p.size_bits(), 8192);
-        assert_eq!(p.payload().as_ref(), b"hdr");
+        assert_eq!(p.payload(), b"hdr");
+    }
+
+    #[test]
+    fn a_packet_stays_small() {
+        // Packets ride in every event-queue entry, so the payload is a
+        // two-word handle to its bytes, not the bytes.
+        assert!(std::mem::size_of::<Packet>() <= 32);
     }
 
     #[test]
     #[should_panic(expected = "positive size")]
     fn zero_size_panics() {
-        Packet::new(0, Bytes::new());
+        Packet::new(0, []);
     }
 
     #[test]
     #[should_panic(expected = "smaller than payload")]
     fn undersized_panics() {
-        Packet::new(2, Bytes::from_static(b"abcdef"));
+        Packet::new(2, *b"abcdef");
     }
 }

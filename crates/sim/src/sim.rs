@@ -489,7 +489,6 @@ pub(crate) fn mix_seed(seed: u64, salt: u64, index: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use dmc_stats::ConstantDelay;
     use std::sync::Arc;
 
@@ -509,7 +508,7 @@ mod tests {
     }
     impl Agent for PingClient {
         fn on_start(&mut self, api: &mut SimApi<'_>) {
-            assert!(api.send(0, Packet::new(1000, Bytes::new())));
+            assert!(api.send(0, Packet::new(1000, [])));
         }
         fn on_packet(&mut self, _path: usize, _p: Packet, api: &mut SimApi<'_>) {
             self.echo_at = Some(api.now());
@@ -559,7 +558,7 @@ mod tests {
         fn on_timer(&mut self, key: u64, api: &mut SimApi<'_>) {
             assert_eq!(key, 1);
             self.sent += 1;
-            api.send(0, Packet::new(100, Bytes::new()));
+            api.send(0, Packet::new(100, []));
             if self.sent < self.limit {
                 api.set_timer(api.now() + crate::time::SimDuration::from_millis(10), 1);
             }
@@ -707,7 +706,7 @@ mod tests {
         fn on_packet(&mut self, _path: usize, _p: Packet, _api: &mut SimApi<'_>) {}
         fn on_timer(&mut self, _key: u64, api: &mut SimApi<'_>) {
             self.sent += 1;
-            api.send(0, Packet::new(100, Bytes::from(vec![0xAAu8; 16])));
+            api.send(0, Packet::new(100, [0xAAu8; 16]));
             if self.sent < self.limit {
                 api.set_timer(api.now() + crate::time::SimDuration::from_millis(10), 1);
             }

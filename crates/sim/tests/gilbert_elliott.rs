@@ -4,7 +4,6 @@
 //! autocorrelation (a naive i.i.d. binomial band would be too tight for
 //! a bursty process and flag false failures).
 
-use bytes::Bytes;
 use dmc_sim::{GilbertElliott, Link, LinkConfig, LossModel, Packet, SendOutcome, SimTime};
 use dmc_stats::ConstantDelay;
 use std::sync::Arc;
@@ -32,7 +31,7 @@ fn measured_loss_rate(ge: GilbertElliott, n: u64, seed: u64) -> f64 {
     let mut lost = 0u64;
     for i in 0..n {
         let now = SimTime::from_nanos(i * 1_000);
-        match link.send(now, &mut Packet::new(100, Bytes::new())) {
+        match link.send(now, &mut Packet::new(100, [])) {
             SendOutcome::Transmitted { arrival: None, .. } => lost += 1,
             SendOutcome::Transmitted { .. } => {}
             other => panic!("unexpected outcome {other:?}"),
@@ -118,7 +117,7 @@ fn bernoulli_same_rate_has_shorter_bursts_than_ge() {
             .map(|i| {
                 let now = SimTime::from_nanos(i * 1_000);
                 let lost = matches!(
-                    link.send(now, &mut Packet::new(100, Bytes::new())),
+                    link.send(now, &mut Packet::new(100, [])),
                     SendOutcome::Transmitted { arrival: None, .. }
                 );
                 link.on_departure(100);

@@ -1,6 +1,5 @@
 //! Property-based tests for the simulator substrate.
 
-use bytes::Bytes;
 use dmc_sim::{EventQueue, Link, LinkConfig, Packet, SendOutcome, SimTime};
 use dmc_stats::{ConstantDelay, Delay, ShiftedGamma};
 use proptest::prelude::*;
@@ -47,7 +46,7 @@ proptest! {
         let mut busy_ns = 0u64;
         for (k, &size) in sizes.iter().enumerate() {
             let now = SimTime::from_nanos(k as u64 * 1000);
-            let mut pkt = Packet::new(size, Bytes::new());
+            let mut pkt = Packet::new(size, []);
             match link.send(now, &mut pkt) {
                 SendOutcome::Transmitted { departure, arrival: Some(arrival) } => {
                     let tx_ns = (size as f64 * 8.0 / (bw_mbps * 1e6) * 1e9).round() as u64;
@@ -86,7 +85,7 @@ proptest! {
         let mut delivered = 0u64;
         for k in 0..n {
             let now = SimTime::from_nanos(k * 10_000);
-            let mut pkt = Packet::new(200, Bytes::new());
+            let mut pkt = Packet::new(200, []);
             match link.send(now, &mut pkt) {
                 SendOutcome::Transmitted { departure, arrival: Some(a) } => {
                     prop_assert!(a >= departure, "arrival before departure");
@@ -129,7 +128,7 @@ proptest! {
         for &send in &ops {
             t += 1;
             if send {
-                let mut pkt = Packet::new(100, Bytes::new());
+                let mut pkt = Packet::new(100, []);
                 let before = link.queued_bytes();
                 match link.send(SimTime::from_nanos(t * 1_000_000), &mut pkt) {
                     SendOutcome::Transmitted { .. } => {
