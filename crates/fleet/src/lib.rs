@@ -19,7 +19,9 @@
 //!   [`dmc_core::Planner::model`] — the same Eq. 12/28 code both delay
 //!   regimes already use;
 //! * the joint LP is a plain [`dmc_lp::Problem`], maintained in place
-//!   by one core shared by both planners (`joint.rs`); it declares its
+//!   by one core (`joint.rs`) under one policy engine,
+//!   [`SchedulePlanner`] — [`FleetPlanner`] is a face over it on a
+//!   one-slot grid, and a service region holds one; it declares its
 //!   per-flow blocks, so the solver runs it on its block-structured
 //!   sparse kernel, with **warm starts**: the basis of the last optimum
 //!   is carried with the LP and edited in step with it, so an admission,
@@ -27,8 +29,9 @@
 //!   or a revive starts from the incumbents' vertex and pivots only for
 //!   the candidate;
 //! * that core also owns the **roster** of admitted flows (request,
-//!   model, plan), so a planner holds policy and nothing per flow: it
-//!   offers candidates by value and gets the refused ones back;
+//!   model, plan), so the engine holds policy and nothing per flow but
+//!   its shed queue: it offers candidates by value and gets the refused
+//!   ones back;
 //! * the joint solution is **decomposed back into ordinary per-flow
 //!   [`dmc_core::Plan`]s** via [`dmc_core::ScenarioModel::plan_for`], so
 //!   `run_plan`, `DmcSender::from_plan` and `AdaptiveSender` consume
@@ -47,9 +50,11 @@
 //! `[start, deadline)` [`SlotWindow`]s, refused-now flows receive
 //! **advance reservations** for the earliest feasible later window,
 //! store-and-forward buffering drains traffic across slot boundaries,
-//! and maintenance windows are zero-capacity slots — see the
-//! [`schedule`-module docs](SchedulePlanner) and `ARCHITECTURE.md` at
-//! the repository root for where it sits in the stack.
+//! and maintenance windows are zero-capacity slots. In a gridded
+//! [`FleetService`] region the instant flows hold the origin slot of
+//! the same LP, so windowed and instant flows never oversubscribe a
+//! link between them — see the [`schedule`-module docs](SchedulePlanner)
+//! and `ARCHITECTURE.md` at the repository root.
 //!
 //! With exactly one flow the joint LP degenerates — row for row — to the
 //! single-flow planner's, so `FleetPlanner` answers match

@@ -64,23 +64,20 @@
 //! joint core's two goals). A departure followed by a sweep re-solves
 //! once, at the end of the sweep.
 //!
-//! The LP itself — block layout, tombstoning, the door rule, the carried
-//! basis, when all of it is dropped and rebuilt (link changes,
-//! compaction) — **and the roster of admitted flows** (id, request,
-//! model, plan) are kept by the joint core this planner shares with
-//! [`SchedulePlanner`](crate::SchedulePlanner) (`joint.rs`), run here
-//! over a one-slot grid. This planner holds no admitted flow of its own:
-//! it offers candidates to the core by value and gets the refused ones
-//! back. What lives in this module is the *policy* and nothing else:
-//! batch admission with its greedy fallback, the shed queue and its
-//! backoff, and the `fleet.*` admission counters.
+//! The LP, the roster of admitted flows and every policy above — batch
+//! admission with its greedy fallback, the shed queue and its backoff,
+//! the `fleet.*` admission counters — live in one engine, the
+//! [`SchedulePlanner`](crate::SchedulePlanner): this planner is a face
+//! over one of those on a one-slot grid, every flow offered in the
+//! instant window [`SlotWindow::instant`]`(0)` (`schedule.rs` has the
+//! engine's policy, `joint.rs` the LP and the roster).
 
 use crate::error::FleetError;
 use crate::flow::{FlowId, FlowRequest};
-use crate::joint::{readmission_order, Goal, JointCore, Member};
-use crate::schedule::{ScheduleRequest, SlotWindow, TimeGrid};
+#[cfg(doc)]
+use crate::schedule::SlotWindow;
+use crate::schedule::{SchedulePlanner, TimeGrid};
 use dmc_core::{Plan, PlannerConfig, ScenarioPath, WarmStats};
-use dmc_lp::SolveError;
 use dmc_sim::LinkChange;
 
 /// What the joint LP optimizes across admitted flows.
@@ -177,34 +174,6 @@ impl AdmissionDecision {
     }
 }
 
-/// Cap on the capacity-event backoff between re-admission attempts of a
-/// shed flow (`2^MAX_SHED_ATTEMPTS-1 - 1`, so the total horizon telescopes
-/// to [`FleetPlanner::SHED_HORIZON`]).
-const SHED_SKIP_CAP: u32 = 7;
-
-/// A flow displaced by a capacity loss, queued for re-admission.
-///
-/// The flow keeps its [`FlowId`] and its last-known-good [`Plan`]; each
-/// failed re-admission attempt doubles the number of capacity events the
-/// flow then sits out (capped at [`SHED_SKIP_CAP`]), and after
-/// [`FleetPlanner::MAX_SHED_ATTEMPTS`] failures it is definitively
-/// rejected — so every shed flow leaves the queue within
-/// [`FleetPlanner::SHED_HORIZON`] capacity events.
-#[derive(Debug)]
-struct ShedFlow {
-    id: FlowId,
-    /// The flow's request, in the instant window every flow of this
-    /// planner is served in.
-    request: ScheduleRequest,
-    /// The plan the flow held when it was shed (returned if the tenant
-    /// withdraws the flow while it waits).
-    plan: Plan,
-    /// Failed re-admission attempts so far.
-    attempts: u32,
-    /// Capacity events to skip before the next attempt.
-    skip: u32,
-}
-
 /// The multi-tenant flow service: owns the shared paths, admits flows,
 /// and keeps a joint allocation current as flows arrive, depart and links
 /// change.
@@ -238,15 +207,9 @@ struct ShedFlow {
 /// ```
 #[derive(Debug)]
 pub struct FleetPlanner {
-    /// The joint LP and the roster of admitted flows, over a private
-    /// one-slot grid.
-    core: JointCore,
-    /// Flows displaced by capacity losses, awaiting re-admission.
-    shed: Vec<ShedFlow>,
-    /// Flows that exhausted their re-admission attempts (cumulative).
-    shed_rejected: Vec<FlowId>,
-    /// Flows revived from the shed queue (cumulative, in revival order).
-    revived: Vec<FlowId>,
+    /// The engine, over a private one-slot grid: every flow comes in
+    /// through its instant verbs.
+    engine: SchedulePlanner,
 }
 
 impl FleetPlanner {
@@ -259,10 +222,7 @@ impl FleetPlanner {
     pub fn new(paths: Vec<ScenarioPath>, config: FleetConfig) -> Result<Self, FleetError> {
         let instant = TimeGrid::new(1.0, 1)?;
         Ok(FleetPlanner {
-            core: JointCore::new(paths, instant, config)?,
-            shed: Vec::new(),
-            shed_rejected: Vec::new(),
-            revived: Vec::new(),
+            engine: SchedulePlanner::new(paths, instant, config)?,
         })
     }
 
@@ -270,8 +230,9 @@ impl FleetPlanner {
     /// rejected.
     pub const MAX_SHED_ATTEMPTS: u32 = 4;
 
-    /// Upper bound, in capacity events (link changes and departures), on
-    /// how long a shed flow can sit in the re-admission queue before it is
+    /// Upper bound, in capacity events (link changes and departures; in a
+    /// gridded service region horizon advances too), on how long a shed
+    /// flow can sit in the re-admission queue before it is
     /// either revived or definitively rejected: attempt `a` is followed by
     /// `min(2^a - 1, 7)` skipped events, so the schedule telescopes to
     /// `1 + 2 + 4 + 8 = 2^MAX_SHED_ATTEMPTS - 1` events.
@@ -279,7 +240,7 @@ impl FleetPlanner {
 
     /// The active configuration.
     pub fn config(&self) -> &FleetConfig {
-        &self.core.config
+        self.engine.config()
     }
 
     /// Offers one flow for admission.
@@ -325,37 +286,7 @@ impl FleetPlanner {
         &mut self,
         requests: Vec<FlowRequest>,
     ) -> Result<Vec<AdmissionDecision>, FleetError> {
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut batch = Vec::with_capacity(requests.len());
-        for request in requests {
-            batch.push(self.candidate(request)?);
-        }
-        let ids: Vec<FlowId> = batch.iter().map(|m| m.id).collect();
-        // Fast path: the whole batch in one solve.
-        let verdict = self.core.admit_all(batch, Goal::Optimal)?;
-        let obs = &self.core.config.obs;
-        match verdict {
-            Ok(()) => obs.counter("fleet.admits").add(ids.len() as u64),
-            Err(batch) if batch.len() == 1 => obs.counter("fleet.refusals").inc(),
-            Err(mut batch) => {
-                // Greedy fallback on verdicts; by deadline in MaxAdmitted
-                // mode (the sort is stable: arrival order within ties).
-                if self.core.config.objective == FleetObjective::MaxAdmitted {
-                    batch.sort_by(|a, b| {
-                        let (a, b) = (a.flow().lifetime(), b.flow().lifetime());
-                        a.partial_cmp(&b).expect("finite lifetimes")
-                    });
-                }
-                for candidate in batch {
-                    // A refused candidate is dropped.
-                    let _ = self.admit(candidate)?;
-                }
-                self.core.refresh().map_err(FleetError::Solve)?;
-            }
-        }
-        Ok(ids.into_iter().map(|id| self.decision(id)).collect())
+        self.engine.offer_batch(requests)
     }
 
     /// Removes an admitted flow and re-solves the joint allocation for
@@ -399,41 +330,7 @@ impl FleetPlanner {
     /// [`FleetError::UnknownFlow`] if any id is unknown or repeated; the
     /// fleet is left untouched in that case.
     pub fn depart_batch(&mut self, ids: &[FlowId]) -> Result<Vec<Plan>, FleetError> {
-        if ids.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut seen = std::collections::BTreeSet::new();
-        for &id in ids {
-            let known = self.core.resident(id).is_some() || self.shed.iter().any(|s| s.id == id);
-            if !known || !seen.insert(id) {
-                return Err(FleetError::UnknownFlow(id));
-            }
-        }
-        let obs = &self.core.config.obs;
-        obs.counter("fleet.departs").add(ids.len() as u64);
-        let mut plans = Vec::with_capacity(ids.len());
-        let mut removed_admitted = false;
-        for &id in ids {
-            if let Some(resident) = self.core.remove(id) {
-                plans.push(resident.plan);
-                removed_admitted = true;
-            } else {
-                let pos = self
-                    .shed
-                    .iter()
-                    .position(|s| s.id == id)
-                    .expect("validated as known above");
-                plans.push(self.shed.remove(pos).plan);
-                self.core.config.obs.gauge("fleet.shed_queue").sub(1);
-            }
-        }
-        if removed_admitted {
-            // The sweep admits on verdicts; the refresh that closes it is
-            // the survivors' re-solve as well.
-            self.revive_shed()?;
-            self.core.refresh().map_err(FleetError::Solve)?;
-        }
-        Ok(plans)
+        self.engine.depart_batch(ids)
     }
 
     /// Applies one link change to a shared path (reusing the
@@ -461,20 +358,8 @@ impl FleetPlanner {
         path: usize,
         change: &LinkChange,
     ) -> Result<Vec<FlowId>, FleetError> {
-        self.core.apply_link_change(path, change)?;
-        // Resettle the incumbents first, then give the previously shed
-        // flows their re-admission sweep, and only then enqueue the newly
-        // shed ones — the event that displaced them is no occasion to
-        // retry them. Both admit on verdicts; one refresh closes them.
-        let newly_shed = self.resettle()?;
-        self.revive_shed()?;
-        self.core.refresh().map_err(FleetError::Solve)?;
-        let ids: Vec<FlowId> = newly_shed.iter().map(|s| s.id).collect();
-        let obs = &self.core.config.obs;
-        obs.counter("fleet.sheds").add(newly_shed.len() as u64);
-        obs.gauge("fleet.shed_queue").add(newly_shed.len() as i64);
-        self.shed.extend(newly_shed);
-        Ok(ids)
+        self.engine.apply_link_change(path, change)?;
+        Ok(std::mem::take(&mut self.engine.newly_shed))
     }
 
     /// Ids currently queued for re-admission after being shed by a
@@ -482,7 +367,7 @@ impl FleetPlanner {
     /// highest priority first, admission order within ties, refreshed at
     /// every sweep).
     pub fn shed_flows(&self) -> Vec<FlowId> {
-        self.shed.iter().map(|s| s.id).collect()
+        self.engine.shed_flows()
     }
 
     /// Ids definitively rejected after exhausting their
@@ -491,7 +376,7 @@ impl FleetPlanner {
     /// the last [`FleetPlanner::drain_shed_rejected`] call, for
     /// long-lived services that consume these as per-event notifications.
     pub fn shed_rejected(&self) -> &[FlowId] {
-        &self.shed_rejected
+        &self.engine.shed_rejected
     }
 
     /// Ids revived from the shed queue, in revival order. A revived flow
@@ -500,7 +385,7 @@ impl FleetPlanner {
     /// construction or from the last [`FleetPlanner::drain_revived`]
     /// call.
     pub fn revived_flows(&self) -> &[FlowId] {
-        &self.revived
+        &self.engine.revived
     }
 
     /// Removes and returns the revived-flow events recorded since
@@ -511,7 +396,7 @@ impl FleetPlanner {
     /// before the drain API existed they grew without bound and every
     /// consumer re-reported stale events from earlier outages.
     pub fn drain_revived(&mut self) -> Vec<FlowId> {
-        std::mem::take(&mut self.revived)
+        std::mem::take(&mut self.engine.revived)
     }
 
     /// Removes and returns the definitive-rejection events recorded since
@@ -519,7 +404,7 @@ impl FleetPlanner {
     /// [`FleetPlanner::shed_rejected`] to empty. See
     /// [`FleetPlanner::drain_revived`].
     pub fn drain_shed_rejected(&mut self) -> Vec<FlowId> {
-        std::mem::take(&mut self.shed_rejected)
+        std::mem::take(&mut self.engine.shed_rejected)
     }
 
     /// Cold re-solves forced by a warm-start anomaly — a singular basis
@@ -530,22 +415,22 @@ impl FleetPlanner {
     /// [`FleetConfig::obs`]; this accessor stays per-planner (a shared
     /// registry aggregates across planners and replays).
     pub fn warm_anomalies(&self) -> u64 {
-        self.core.warm_anomalies()
+        self.engine.warm_anomalies()
     }
 
     /// Number of admitted flows.
     pub fn num_flows(&self) -> usize {
-        self.core.residents().len()
+        self.engine.num_flows()
     }
 
     /// Whether no flow is admitted.
     pub fn is_empty(&self) -> bool {
-        self.core.residents().is_empty()
+        self.engine.is_empty()
     }
 
     /// Ids of the admitted flows, in admission order.
     pub fn flow_ids(&self) -> Vec<FlowId> {
-        self.core.ids()
+        self.engine.flow_ids()
     }
 
     /// The current plan of an admitted flow — an ordinary single-flow
@@ -553,12 +438,13 @@ impl FleetPlanner {
     /// capacity), so `run_plan`, `DmcSender::from_plan` and
     /// `AdaptiveSender` consume it unchanged.
     pub fn plan_of(&self, id: FlowId) -> Option<&Plan> {
-        self.core.resident(id).map(|r| &r.plan)
+        self.engine.plan_of(id)
     }
 
     /// `(id, plan)` for every admitted flow, in admission order.
     pub fn plans(&self) -> impl Iterator<Item = (FlowId, &Plan)> {
-        self.core.residents().iter().map(|r| (r.member.id, &r.plan))
+        let residents = self.engine.core.residents().iter();
+        residents.map(|r| (r.member.id, &r.plan))
     }
 
     /// The effective shared paths the joint LP currently plans against
@@ -568,7 +454,7 @@ impl FleetPlanner {
     ///
     /// Never fails in practice (paths were validated on entry).
     pub fn shared_paths(&self) -> Result<Vec<ScenarioPath>, FleetError> {
-        self.core.shared_paths()
+        self.engine.shared_paths()
     }
 
     /// Per-path utilization: the admitted flows' summed send rates over
@@ -577,31 +463,13 @@ impl FleetPlanner {
     /// subset contributes only to the paths it uses (its plan's send
     /// rates are indexed by its own subset).
     pub fn utilization(&self) -> Vec<f64> {
-        let mut util = vec![0.0; self.core.paths.len()];
-        for r in self.core.residents() {
-            match r.member.paths.as_deref() {
-                None => {
-                    for (u, rate) in util.iter_mut().zip(r.plan.send_rates()) {
-                        *u += rate;
-                    }
-                }
-                Some(subset) => {
-                    for (&k, rate) in subset.iter().zip(r.plan.send_rates()) {
-                        util[k] += rate;
-                    }
-                }
-            }
-        }
-        for (u, p) in util.iter_mut().zip(&self.core.paths) {
-            *u /= p.bandwidth;
-        }
-        util
+        self.engine.instant_utilization()
     }
 
     /// Aggregate in-time goodput of the admitted flows, bits/second
     /// (`Σ_f λ_f Q_f`).
     pub fn total_goodput(&self) -> f64 {
-        let residents = self.core.residents().iter();
+        let residents = self.engine.core.residents().iter();
         residents
             .map(|r| r.member.flow().data_rate() * r.plan.quality())
             .sum()
@@ -611,12 +479,7 @@ impl FleetPlanner {
     /// `MaxTotalQuality` objective value, [`FleetPlanner::total_goodput`],
     /// over the total rate; 0 with no flows).
     pub fn aggregate_quality(&self) -> f64 {
-        let residents = self.core.residents().iter();
-        let lambda_tot: f64 = residents.map(|r| r.member.flow().data_rate()).sum();
-        if lambda_tot <= 0.0 {
-            return 0.0;
-        }
-        self.total_goodput() / lambda_tot
+        self.engine.aggregate_quality()
     }
 
     /// Warm-start counters of the joint solves: of the solves that had a
@@ -629,132 +492,21 @@ impl FleetPlanner {
     /// [`FleetConfig::obs`] when that registry is enabled; prefer the
     /// registry for exported telemetry.
     pub fn warm_stats(&self) -> WarmStats {
-        self.core.warm_stats()
+        self.engine.warm_stats()
     }
 
     /// Whether the joint LP currently carries the basis of its last
     /// optimum: 1, or 0 (before the first solve, after a link change,
     /// compaction or anomaly, and always with warm starts off).
     pub fn cached_bases(&self) -> usize {
-        self.core.cached_bases()
-    }
-
-    /// Gives a request the next flow id and its model against the
-    /// current shared paths.
-    fn candidate(&mut self, request: FlowRequest) -> Result<Member, FleetError> {
-        let id = self.core.next_id();
-        let request = ScheduleRequest::new(request, SlotWindow::instant(0));
-        self.core.member(id, request)
-    }
-
-    /// One counted admission attempt of a greedy sequence — an offer of
-    /// the batch fallback, a revive or a re-settle alike — on a verdict
-    /// only: the candidate joins the fleet or comes back, and no plan
-    /// moves until the sequence ends with [`JointCore::refresh`].
-    fn admit(&mut self, candidate: Member) -> Result<Result<(), Member>, FleetError> {
-        let verdict = self.core.admit(candidate, Goal::Feasible)?;
-        let outcome = match verdict {
-            Ok(_) => "fleet.admits",
-            Err(_) => "fleet.refusals",
-        };
-        self.core.config.obs.counter(outcome).inc();
-        Ok(verdict)
-    }
-
-    /// The public verdict on offered flow `id`, once its batch is in:
-    /// its plan's quality if it is admitted, the refusal if not.
-    fn decision(&self, id: FlowId) -> AdmissionDecision {
-        match self.plan_of(id) {
-            Some(plan) => AdmissionDecision::Admitted {
-                id,
-                predicted_quality: plan.quality(),
-            },
-            None => AdmissionDecision::Rejected {
-                id,
-                reason: "the remaining shared capacity cannot meet this flow's quality \
-                         floor alongside every admitted flow's"
-                    .into(),
-            },
-        }
-    }
-
-    /// Re-solves after a link change; on collective infeasibility,
-    /// re-admits greedily highest priority first
-    /// ([`FlowRequest::priority`], admission order within ties — so
-    /// equal-priority fleets shed exactly as they always did) and returns
-    /// the displaced flows for the caller to enqueue.
-    fn resettle(&mut self) -> Result<Vec<ShedFlow>, FleetError> {
-        match self.core.resolve() {
-            Ok(()) => Ok(Vec::new()),
-            Err(SolveError::Infeasible { .. }) => {
-                let mut shed = Vec::new();
-                for evicted in self.core.evict_all() {
-                    if let Err(refused) = self.admit(evicted.member)? {
-                        shed.push(ShedFlow {
-                            id: refused.id,
-                            request: refused.request,
-                            plan: evicted.plan,
-                            attempts: 0,
-                            skip: 0,
-                        });
-                    }
-                }
-                Ok(shed)
-            }
-            Err(e) => Err(FleetError::Solve(e)),
-        }
-    }
-
-    /// One re-admission sweep over the shed queue, run after every
-    /// capacity-affecting event (link change or departure).
-    ///
-    /// Flows are tried highest priority first (admission order within
-    /// ties). Each failed attempt puts the flow back with an
-    /// exponentially growing event-skip (capped at [`SHED_SKIP_CAP`]);
-    /// after [`FleetPlanner::MAX_SHED_ATTEMPTS`] failures the flow is
-    /// definitively rejected, bounding every shed flow's queue residence
-    /// by [`FleetPlanner::SHED_HORIZON`] capacity events.
-    fn revive_shed(&mut self) -> Result<(), FleetError> {
-        if self.shed.is_empty() {
-            return Ok(());
-        }
-        self.shed
-            .sort_by(|a, b| readmission_order((a.request.flow(), a.id), (b.request.flow(), b.id)));
-        let queue = std::mem::take(&mut self.shed);
-        for mut s in queue {
-            if s.skip > 0 {
-                s.skip -= 1;
-                self.shed.push(s);
-                continue;
-            }
-            let candidate = self.core.member(s.id, s.request)?;
-            match self.admit(candidate)? {
-                Ok(_) => {
-                    self.core.config.obs.counter("fleet.revives").inc();
-                    self.core.config.obs.gauge("fleet.shed_queue").sub(1);
-                    self.revived.push(s.id);
-                }
-                Err(refused) => {
-                    s.request = refused.request;
-                    s.attempts += 1;
-                    if s.attempts >= Self::MAX_SHED_ATTEMPTS {
-                        self.core.config.obs.counter("fleet.shed_rejects").inc();
-                        self.core.config.obs.gauge("fleet.shed_queue").sub(1);
-                        self.shed_rejected.push(s.id);
-                    } else {
-                        s.skip = ((1u32 << s.attempts) - 1).min(SHED_SKIP_CAP);
-                        self.shed.push(s);
-                    }
-                }
-            }
-        }
-        Ok(())
+        self.engine.core.cached_bases()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmc_lp::SolveError;
 
     fn table3_paths() -> Vec<ScenarioPath> {
         vec![
@@ -1179,8 +931,8 @@ mod tests {
         assert!(a.is_admitted() && b.is_admitted());
         assert_eq!(fleet.cached_bases(), 1);
         let plan_a = fleet.plan_of(a.id()).unwrap().clone();
-        let budget = fleet.core.config.planner.solver.max_iterations;
-        fleet.core.config.planner.solver.max_iterations = 1;
+        let budget = fleet.engine.core.config.planner.solver.max_iterations;
+        fleet.engine.core.config.planner.solver.max_iterations = 1;
         let candidate = || FlowRequest::new(20e6, 0.8).unwrap().with_min_quality(0.5);
         let err = fleet.offer(candidate()).unwrap_err();
         assert!(matches!(
@@ -1199,7 +951,7 @@ mod tests {
         );
         // With the budget restored the same offer goes through (cold: the
         // basis is gone) and the fleet carries a basis again.
-        fleet.core.config.planner.solver.max_iterations = budget;
+        fleet.engine.core.config.planner.solver.max_iterations = budget;
         assert!(fleet.offer(candidate()).unwrap().is_admitted());
         assert_eq!(fleet.warm_stats(), WarmStats { hits: 2, misses: 0 });
         assert_eq!(fleet.cached_bases(), 1);
@@ -1441,7 +1193,7 @@ mod tests {
         churn(&mut cold);
         assert_eq!(cold.warm_stats(), WarmStats::default());
         assert_eq!(cold.cached_bases(), 0);
-        assert_eq!(warm.core.objective_value(), cold.core.objective_value());
+        assert_eq!(warm.engine.objective_value(), cold.engine.objective_value());
         for ((ida, pa), (idb, pb)) in warm.plans().zip(cold.plans()) {
             assert_eq!(ida, idb);
             assert_eq!(pa.strategy().x(), pb.strategy().x(), "{ida}");

@@ -37,26 +37,37 @@
 //!
 //! With `S = 1` and every window a single slot, each reduction is exact
 //! in floating point (`λ·1.0 ≡ λ`, `1.0/1.0 ≡ 1.0`) and this is the
-//! instant joint LP — which is how [`crate::FleetPlanner`] runs: the
-//! same core over a one-slot grid, so a single-slot horizon reproduces
-//! it **bit for bit** (`tests/schedule_parity.rs`).
+//! instant joint LP — which is how [`crate::FleetPlanner`] runs: this
+//! planner over a one-slot grid, so a single-slot horizon reproduces it
+//! **bit for bit** (`tests/schedule_parity.rs`).
 //!
-//! # One LP core, shared
+//! # One engine
 //!
-//! The LP itself — ring-indexed capacity rows, block layout,
-//! tombstoning, the door rule, the carried basis, when it is all dropped
-//! and rebuilt (link changes, compaction) — **and the roster of flows**
-//! (id, request at its current window, model, plan, per-slot allocation)
-//! are the joint core this planner shares with the instant
-//! [`FleetPlanner`](crate::FleetPlanner) (`joint.rs`). This
-//! planner holds no scheduled flow of its own: it offers candidates to
-//! the core by value, gets the refused ones back and offers them again
-//! one slot later. What lives here is the *policy* of the time axis and
-//! nothing else: the reservation slide, the horizon advance
-//! ([`SchedulePlanner::advance_to`] — expired and straddling flows all
-//! leave before the straddlers are re-admitted, truncated; their blocks
-//! tombstone, so no row or column moves in the slide and the carried
-//! basis survives it) and maintenance windows.
+//! The LP — capacity rows, blocks, tombstones, the carried basis, when
+//! it is dropped — **and the roster of flows** are the joint core's
+//! (`joint.rs`). This planner is the only policy over it:
+//! [`FleetPlanner`](crate::FleetPlanner) is a face over one on a one-slot
+//! grid, and a service region holds one. Its roster holds two kinds of
+//! flow in one LP:
+//!
+//! * **windowed** flows ([`SchedulePlanner::offer`]) keep their window,
+//!   slide to a later one when refused, and truncate or complete as the
+//!   horizon advances;
+//! * **instant** flows (the crate-private verbs behind
+//!   [`FleetPlanner::offer_batch`](crate::FleetPlanner::offer_batch))
+//!   hold the origin slot, [`SlotWindow::instant`]`(origin)`, and are
+//!   never reserved for later: displaced, one is **shed** into a queue
+//!   retried under capped back-off at each later capacity event (link
+//!   change, departure, advance, maintenance edit). An advance moves
+//!   every instant flow to the new origin and re-admits it on a verdict,
+//!   highest priority first, admission order within ties.
+//!
+//! Every capacity change ends in one routine: re-solve; on collective
+//! infeasibility evict everyone and re-admit each on a verdict (priority,
+//! then admission order) — a refused windowed flow slides, a refused
+//! instant flow is shed — then one sweep of the shed queue (the flows
+//! just shed sit it out) and one optimal solve. A region of one kind
+//! runs exactly the solves its former planner ran.
 //!
 //! # Advance reservations
 //!
@@ -70,8 +81,8 @@
 
 use crate::error::FleetError;
 use crate::flow::{FlowId, FlowRequest};
-use crate::joint::{local_path_index, Goal, JointCore, Member, Resident};
-use crate::planner::FleetConfig;
+use crate::joint::{local_path_index, readmission_order, Goal, JointCore, Member, Resident};
+use crate::planner::{AdmissionDecision, FleetConfig, FleetObjective, FleetPlanner};
 use dmc_core::{Plan, ScenarioPath, WarmStats};
 use dmc_lp::SolveError;
 use dmc_sim::LinkChange;
@@ -270,6 +281,10 @@ pub struct ScheduleRequest {
     flow: FlowRequest,
     window: SlotWindow,
     buffer: f64,
+    /// Whether the flow came in through an instant verb: it holds the
+    /// origin slot, moves with it, and is shed — never slid — when it no
+    /// longer fits.
+    instant: bool,
 }
 
 impl ScheduleRequest {
@@ -279,6 +294,7 @@ impl ScheduleRequest {
             flow,
             window,
             buffer: 0.0,
+            instant: false,
         }
     }
 
@@ -445,6 +461,33 @@ impl ScheduleShuffle {
     }
 }
 
+/// Cap on the capacity-event backoff between re-admission attempts of a
+/// shed flow (`2^MAX_SHED_ATTEMPTS-1 - 1`, so the total horizon telescopes
+/// to [`FleetPlanner::SHED_HORIZON`]).
+const SHED_SKIP_CAP: u32 = 7;
+
+/// An instant flow displaced by a capacity loss, queued for re-admission.
+///
+/// The flow keeps its [`FlowId`] and its last-known-good [`Plan`]; each
+/// failed re-admission attempt doubles the number of capacity events the
+/// flow then sits out (capped at [`SHED_SKIP_CAP`]), and after
+/// [`FleetPlanner::MAX_SHED_ATTEMPTS`] failures it is definitively
+/// rejected — so every shed flow leaves the queue within
+/// [`FleetPlanner::SHED_HORIZON`] capacity events.
+#[derive(Debug)]
+struct ShedFlow {
+    id: FlowId,
+    /// The flow's request; each attempt moves it to the origin slot.
+    request: ScheduleRequest,
+    /// The plan the flow held when it was shed (returned if the tenant
+    /// withdraws the flow while it waits).
+    plan: Plan,
+    /// Failed re-admission attempts so far.
+    attempts: u32,
+    /// Capacity events to skip before the next attempt.
+    skip: u32,
+}
+
 /// The slotted fleet planner: admission control and joint allocation
 /// over a [`TimeGrid`] horizon, with advance reservations,
 /// store-and-forward buffering and maintenance windows.
@@ -476,9 +519,17 @@ impl ScheduleShuffle {
 /// ```
 #[derive(Debug)]
 pub struct SchedulePlanner {
-    /// The joint LP and the roster of scheduled flows (each with its
-    /// possibly slid or truncated request), over this planner's horizon.
-    core: JointCore,
+    /// The joint LP and the roster of flows (each with its possibly
+    /// slid, truncated or moved request), over this planner's horizon.
+    pub(crate) core: JointCore,
+    /// Instant flows displaced by capacity losses, awaiting re-admission.
+    shed: Vec<ShedFlow>,
+    /// The queue's traffic since its reader last took it, in event
+    /// order: flows shed, flows revived, and flows definitively rejected
+    /// after [`FleetPlanner::MAX_SHED_ATTEMPTS`] failed attempts.
+    pub(crate) newly_shed: Vec<FlowId>,
+    pub(crate) revived: Vec<FlowId>,
+    pub(crate) shed_rejected: Vec<FlowId>,
 }
 
 impl SchedulePlanner {
@@ -495,6 +546,10 @@ impl SchedulePlanner {
     ) -> Result<Self, FleetError> {
         Ok(SchedulePlanner {
             core: JointCore::new(paths, grid, config)?,
+            shed: Vec::new(),
+            newly_shed: Vec::new(),
+            shed_rejected: Vec::new(),
+            revived: Vec::new(),
         })
     }
 
@@ -573,12 +628,15 @@ impl SchedulePlanner {
     ///
     /// # Errors
     ///
-    /// Unknown ids.
+    /// Unknown ids — an instant flow's id included: it leaves through
+    /// [`FleetPlanner::depart`](crate::FleetPlanner::depart).
     pub fn depart(&mut self, id: FlowId) -> Result<(), FleetError> {
-        if self.core.remove(id).is_none() {
+        let windowed = self.core.resident(id).map(|r| !r.member.request.instant);
+        if windowed != Some(true) {
             return Err(FleetError::UnknownFlow(id));
         }
-        self.resolve_members()
+        self.core.remove(id);
+        self.freed()
     }
 
     /// Advances the horizon so `new_origin` becomes its first slot.
@@ -590,7 +648,9 @@ impl SchedulePlanner {
     /// they get the reservation slide before being dropped. Expired
     /// slots' capacity rows are recycled in place (ring indexing), so
     /// no row or column moves and the carried basis stays addressable
-    /// across the advance.
+    /// across the advance. Instant flows move to the new origin slot
+    /// (re-admitted on verdicts, highest priority first; the refused are
+    /// shed) and are not listed in the returned [`ScheduleAdvance`].
     ///
     /// # Errors
     ///
@@ -611,20 +671,23 @@ impl SchedulePlanner {
         self.core.grid = self.core.grid.advanced_to(new_origin)?;
         self.core.maintenance.retain(|&(s, _)| s >= new_origin);
 
-        // Completed flows leave, and so does every straddling flow — all
-        // of them, before the first is offered again: a straddler is
-        // re-admitted at its truncated window (its window length
-        // changed, so its block does too), in admission order, against
-        // the flows that are really there.
+        // Completed flows leave, and so does every straddling flow and
+        // every instant flow — all of them, before the first is offered
+        // again: a straddler is re-admitted at its truncated window (its
+        // window length changed, so its block does too), in admission
+        // order, against the flows that are really there; then the
+        // instant flows at the new origin.
         let residents = self.core.residents().iter();
         let begun: Vec<FlowId> = residents
             .filter(|r| r.member.window().start() < new_origin)
             .map(|r| r.member.id)
             .collect();
-        let mut straddlers = Vec::new();
+        let (mut straddlers, mut instant) = (Vec::new(), Vec::new());
         for id in begun {
             let left = self.core.remove(id).expect("listed as resident above");
-            if left.member.window().end() <= new_origin {
+            if left.member.request.instant {
+                instant.push(left);
+            } else if left.member.window().end() <= new_origin {
                 out.completed.push(id);
             } else {
                 straddlers.push(left.member);
@@ -642,12 +705,23 @@ impl SchedulePlanner {
                 },
             }
         }
+        instant.sort_by(|a, b| {
+            readmission_order(
+                (a.member.flow(), a.member.id),
+                (b.member.flow(), b.member.id),
+            )
+        });
+        let mut displaced = Vec::new();
+        for mut moved in instant {
+            moved.member.request.window = SlotWindow::instant(new_origin);
+            self.readmit(moved, &mut ScheduleShuffle::default(), &mut displaced)?;
+        }
         // One settle pass for the survivors: the recycled tail slots may
         // carry maintenance, so the whole membership re-solves (and, on
         // collective infeasibility, resettles deterministically). The
         // straddlers went in on verdicts; that re-solve refreshes every
-        // plan.
-        let shuffle = self.settle_all()?;
+        // plan. The advance is a capacity event for the shed queue.
+        let shuffle = self.settle(displaced)?;
         out.rescheduled.extend(shuffle.rescheduled);
         out.dropped.extend(shuffle.dropped);
         Ok(out)
@@ -679,7 +753,7 @@ impl SchedulePlanner {
             )));
         }
         self.core.maintenance.insert((slot, path));
-        self.settle_all()
+        self.settle(Vec::new())
     }
 
     /// Cancels a maintenance window (a no-op if none was declared).
@@ -689,7 +763,7 @@ impl SchedulePlanner {
     /// Forwards solver failures from the re-solve.
     pub fn clear_maintenance(&mut self, slot: u64, path: usize) -> Result<(), FleetError> {
         if self.core.maintenance.remove(&(slot, path)) {
-            self.resolve_members()?;
+            self.settle(Vec::new())?;
         }
         Ok(())
     }
@@ -702,10 +776,10 @@ impl SchedulePlanner {
     /// Applies a link change ([`dmc_sim::LinkChange`] vocabulary) to a
     /// shared path. Every flow's model is rebuilt against the changed
     /// paths and the fleet re-settles; displaced flows get the
-    /// reservation slide — **slot-based revival**: instead of the
-    /// instant planner's shed queue, a flow that no longer fits *now*
-    /// is moved to the earliest later window that still fits it, and
-    /// only dropped when none does.
+    /// reservation slide — **slot-based revival**: a windowed flow that
+    /// no longer fits *now* is moved to the earliest later window that
+    /// still fits it, and only dropped when none does (an instant flow is
+    /// shed instead; see the module docs).
     ///
     /// # Errors
     ///
@@ -716,7 +790,7 @@ impl SchedulePlanner {
         change: &LinkChange,
     ) -> Result<ScheduleShuffle, FleetError> {
         self.core.apply_link_change(path, change)?;
-        self.settle_all()
+        self.settle(Vec::new())
     }
 
     /// Number of scheduled flows (including reservations).
@@ -851,6 +925,154 @@ impl SchedulePlanner {
         self.core.shared_paths()
     }
 
+    /// Offers a batch of instant flows at the origin slot (see
+    /// [`FleetPlanner::offer_batch`] for the contract).
+    pub(crate) fn offer_batch(
+        &mut self,
+        requests: Vec<FlowRequest>,
+    ) -> Result<Vec<AdmissionDecision>, FleetError> {
+        if requests.is_empty() {
+            return Ok(Vec::new());
+        }
+        let mut batch = Vec::with_capacity(requests.len());
+        for flow in requests {
+            let id = self.core.next_id();
+            let mut request = ScheduleRequest::new(flow, SlotWindow::instant(self.grid().origin()));
+            request.instant = true;
+            batch.push(self.core.member(id, request)?);
+        }
+        let ids: Vec<FlowId> = batch.iter().map(|m| m.id).collect();
+        // Fast path: the whole batch in one solve.
+        let verdict = self.core.admit_all(batch, Goal::Optimal)?;
+        let obs = &self.core.config.obs;
+        match verdict {
+            Ok(()) => obs.counter("fleet.admits").add(ids.len() as u64),
+            Err(batch) if batch.len() == 1 => obs.counter("fleet.refusals").inc(),
+            Err(mut batch) => {
+                // Greedy fallback on verdicts; by deadline in MaxAdmitted
+                // mode (the sort is stable: arrival order within ties).
+                if self.core.config.objective == FleetObjective::MaxAdmitted {
+                    batch.sort_by(|a, b| {
+                        let (a, b) = (a.flow().lifetime(), b.flow().lifetime());
+                        a.partial_cmp(&b).expect("finite lifetimes")
+                    });
+                }
+                for candidate in batch {
+                    // A refused candidate is dropped.
+                    let _ = self.admit(candidate)?;
+                }
+                self.core.refresh().map_err(FleetError::Solve)?;
+            }
+        }
+        // Each verdict once the batch is in: the plan's quality, or the
+        // refusal.
+        let decision = |id| match self.plan_of(id) {
+            Some(plan) => AdmissionDecision::Admitted {
+                id,
+                predicted_quality: plan.quality(),
+            },
+            None => AdmissionDecision::Rejected {
+                id,
+                reason: "the remaining shared capacity cannot meet this flow's quality \
+                         floor alongside every admitted flow's"
+                    .into(),
+            },
+        };
+        Ok(ids.into_iter().map(decision).collect())
+    }
+
+    /// Removes a batch of instant flows, admitted or shed, with one
+    /// re-solve and one revive sweep (see
+    /// [`FleetPlanner::depart_batch`] for the contract).
+    pub(crate) fn depart_batch(&mut self, ids: &[FlowId]) -> Result<Vec<Plan>, FleetError> {
+        if ids.is_empty() {
+            return Ok(Vec::new());
+        }
+        let mut seen = std::collections::BTreeSet::new();
+        for &id in ids {
+            let admitted = self
+                .core
+                .resident(id)
+                .is_some_and(|r| r.member.request.instant);
+            let known = admitted || self.shed.iter().any(|s| s.id == id);
+            if !known || !seen.insert(id) {
+                return Err(FleetError::UnknownFlow(id));
+            }
+        }
+        let obs = &self.core.config.obs;
+        obs.counter("fleet.departs").add(ids.len() as u64);
+        let mut plans = Vec::with_capacity(ids.len());
+        let mut removed_admitted = false;
+        for &id in ids {
+            if let Some(resident) = self.core.remove(id) {
+                plans.push(resident.plan);
+                removed_admitted = true;
+            } else {
+                let pos = self
+                    .shed
+                    .iter()
+                    .position(|s| s.id == id)
+                    .expect("validated as known above");
+                plans.push(self.shed.remove(pos).plan);
+                self.core.config.obs.gauge("fleet.shed_queue").sub(1);
+            }
+        }
+        if removed_admitted {
+            self.freed()?;
+        }
+        Ok(plans)
+    }
+
+    /// Ids queued for re-admission, in queue order.
+    pub(crate) fn shed_flows(&self) -> Vec<FlowId> {
+        self.shed.iter().map(|s| s.id).collect()
+    }
+
+    /// Number of instant residents.
+    pub(crate) fn num_instant(&self) -> usize {
+        let residents = self.core.residents().iter();
+        residents.filter(|r| r.member.request.instant).count()
+    }
+
+    /// [`FleetPlanner::utilization`]: per path, the residents' plans'
+    /// send rates (indexed by their path subsets) over its bandwidth.
+    pub(crate) fn instant_utilization(&self) -> Vec<f64> {
+        let mut util = vec![0.0; self.core.paths.len()];
+        for r in self.core.residents() {
+            match r.member.paths.as_deref() {
+                None => {
+                    for (u, rate) in util.iter_mut().zip(r.plan.send_rates()) {
+                        *u += rate;
+                    }
+                }
+                Some(subset) => {
+                    for (&k, rate) in subset.iter().zip(r.plan.send_rates()) {
+                        util[k] += rate;
+                    }
+                }
+            }
+        }
+        for (u, p) in util.iter_mut().zip(&self.core.paths) {
+            *u /= p.bandwidth;
+        }
+        util
+    }
+
+    /// One counted admission attempt of an instant flow in a greedy
+    /// sequence — an offer of the batch fallback, a revive or a
+    /// re-settle alike — on a verdict only: the candidate joins the fleet
+    /// or comes back, and no plan moves until the sequence ends with
+    /// [`JointCore::refresh`].
+    fn admit(&mut self, candidate: Member) -> Result<Result<(), Member>, FleetError> {
+        let verdict = self.core.admit(candidate, Goal::Feasible)?;
+        let outcome = match verdict {
+            Ok(_) => "fleet.admits",
+            Err(_) => "fleet.refusals",
+        };
+        self.core.config.obs.counter(outcome).inc();
+        Ok(verdict)
+    }
+
     /// Offers `candidate` to the joint LP at its request's window, for
     /// `goal`: it joins the schedule or comes back. An offer solved to
     /// the optimum that buffers across a slot boundary ticks
@@ -897,43 +1119,117 @@ impl SchedulePlanner {
         Ok(None)
     }
 
-    /// Re-solves over the current membership (no candidate), refreshing
-    /// every plan. Infeasibility is an invariant breach here — callers
-    /// that can face it use [`SchedulePlanner::settle_all`] instead.
-    fn resolve_members(&mut self) -> Result<(), FleetError> {
-        self.core.resolve().map_err(|e| match e {
-            SolveError::Infeasible { .. } => {
-                FleetError::Invalid("removing capacity demand made the joint LP infeasible".into())
+    /// Re-admits a flow that had to leave the roster, on a verdict: a
+    /// refused instant flow is displaced (for the caller to enqueue), a
+    /// windowed one gets the reservation slide from its own window.
+    fn readmit(
+        &mut self,
+        left: Resident,
+        out: &mut ScheduleShuffle,
+        displaced: &mut Vec<ShedFlow>,
+    ) -> Result<(), FleetError> {
+        let (id, window) = (left.member.id, left.member.window());
+        if left.member.request.instant {
+            if let Err(refused) = self.admit(left.member)? {
+                displaced.push(ShedFlow {
+                    id,
+                    request: refused.request,
+                    plan: left.plan,
+                    attempts: 0,
+                    skip: 0,
+                });
             }
-            e => FleetError::Solve(e),
-        })
+            return Ok(());
+        }
+        match self.slide_into_horizon(left.member, Goal::Feasible)? {
+            Some(slid) if slid != window => out.rescheduled.push((id, slid)),
+            Some(_) => {}
+            None => out.dropped.push(id),
+        }
+        Ok(())
     }
 
-    /// Re-solves the whole membership; on collective infeasibility,
-    /// re-admits deterministically (highest priority first, admission
-    /// order within ties), giving each refused flow the reservation
-    /// slide before dropping it. The re-admissions are verdicts; one
-    /// refresh then settles every plan.
-    fn settle_all(&mut self) -> Result<ScheduleShuffle, FleetError> {
+    /// The displaced-flow routine every capacity change ends in (see the
+    /// module docs): `displaced` and the newly shed join the shed queue
+    /// only after its sweep — their event is no occasion to retry them.
+    fn settle(&mut self, mut displaced: Vec<ShedFlow>) -> Result<ScheduleShuffle, FleetError> {
         let mut out = ScheduleShuffle::default();
         match self.core.resolve() {
-            Ok(()) => Ok(out),
+            Ok(()) => {}
             Err(SolveError::Infeasible { .. }) => {
                 for evicted in self.core.evict_all() {
-                    let (id, original) = (evicted.member.id, evicted.member.window());
-                    match self.slide_into_horizon(evicted.member, Goal::Feasible)? {
-                        Some(window) if window != original => {
-                            out.rescheduled.push((id, window));
-                        }
-                        Some(_) => {}
-                        None => out.dropped.push(id),
+                    self.readmit(evicted, &mut out, &mut displaced)?;
+                }
+            }
+            Err(e) => return Err(FleetError::Solve(e)),
+        }
+        self.revive_shed()?;
+        self.core.refresh().map_err(FleetError::Solve)?;
+        if !displaced.is_empty() {
+            let obs = &self.core.config.obs;
+            obs.counter("fleet.sheds").add(displaced.len() as u64);
+            obs.gauge("fleet.shed_queue").add(displaced.len() as i64);
+            self.newly_shed.extend(displaced.iter().map(|s| s.id));
+            self.shed.extend(displaced);
+        }
+        Ok(out)
+    }
+
+    /// What a departure runs: the freed capacity is a capacity event, so
+    /// one sweep of the shed queue, closed by the refresh that is also
+    /// the survivors' re-solve.
+    fn freed(&mut self) -> Result<(), FleetError> {
+        self.revive_shed()?;
+        self.core.refresh().map_err(FleetError::Solve)
+    }
+
+    /// One re-admission sweep over the shed queue, run at every
+    /// capacity event.
+    ///
+    /// Flows are tried highest priority first (admission order within
+    /// ties), each at the origin slot. Each failed attempt puts the flow
+    /// back with an exponentially growing event-skip (capped at
+    /// [`SHED_SKIP_CAP`]); after [`FleetPlanner::MAX_SHED_ATTEMPTS`]
+    /// failures the flow is definitively rejected, bounding every shed
+    /// flow's queue residence by [`FleetPlanner::SHED_HORIZON`] capacity
+    /// events.
+    fn revive_shed(&mut self) -> Result<(), FleetError> {
+        if self.shed.is_empty() {
+            return Ok(());
+        }
+        self.shed
+            .sort_by(|a, b| readmission_order((a.request.flow(), a.id), (b.request.flow(), b.id)));
+        let queue = std::mem::take(&mut self.shed);
+        let origin = self.core.grid.origin();
+        for mut s in queue {
+            if s.skip > 0 {
+                s.skip -= 1;
+                self.shed.push(s);
+                continue;
+            }
+            s.request.window = SlotWindow::instant(origin);
+            let candidate = self.core.member(s.id, s.request)?;
+            match self.admit(candidate)? {
+                Ok(_) => {
+                    self.core.config.obs.counter("fleet.revives").inc();
+                    self.core.config.obs.gauge("fleet.shed_queue").sub(1);
+                    self.revived.push(s.id);
+                }
+                Err(refused) => {
+                    s.request = refused.request;
+                    s.attempts += 1;
+                    if s.attempts >= FleetPlanner::MAX_SHED_ATTEMPTS {
+                        self.core.config.obs.counter("fleet.shed_rejects").inc();
+                        self.core.config.obs.gauge("fleet.shed_queue").sub(1);
+                        self.shed_rejected.push(s.id);
+                    } else {
+                        s.skip = ((1u32 << s.attempts) - 1).min(SHED_SKIP_CAP);
+                        self.shed.push(s);
                     }
                 }
-                self.core.refresh().map_err(FleetError::Solve)?;
-                Ok(out)
             }
-            Err(e) => Err(FleetError::Solve(e)),
         }
+        Ok(())
     }
 }
 

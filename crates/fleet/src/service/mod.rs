@@ -10,7 +10,7 @@
 //!   path groups: two paths land in the same region exactly when some
 //!   expected flow class may use both. Flows with disjoint path sets
 //!   never share a capacity row of the joint LP, so each region gets its
-//!   own `FleetPlanner` (and its own warm-basis cache) and regions never
+//!   own planner (and its own warm-basis cache) and regions never
 //!   contend.
 //! * **Shard router + workers** ([`FleetService`]) — submissions are
 //!   sequence-numbered and queued per shard; [`FleetService::tick`]
@@ -39,17 +39,18 @@
 //!
 //! # The reservation plane
 //!
-//! When [`ServiceConfig::grid`] carries a
-//! [`TimeGrid`](crate::TimeGrid), every shard additionally hosts a
-//! [`SchedulePlanner`](crate::SchedulePlanner): windowed offers
-//! ([`FleetService::offer_windowed`]) are answered **synchronously**
-//! with a [`ScheduleDecision`](crate::ScheduleDecision) — scheduled in
-//! the requested [`SlotWindow`](crate::SlotWindow), *reserved* for the
+//! Each region holds one [`SchedulePlanner`](crate::SchedulePlanner),
+//! over [`ServiceConfig::grid`] when it carries a
+//! [`TimeGrid`](crate::TimeGrid) and over the one-slot grid otherwise.
+//! With a grid, windowed offers ([`FleetService::offer_windowed`]) are
+//! answered **synchronously** with a
+//! [`ScheduleDecision`](crate::ScheduleDecision) — scheduled in the
+//! requested [`SlotWindow`](crate::SlotWindow), *reserved* for the
 //! earliest feasible later window, or rejected — and
-//! [`FleetService::advance_to`] slides every shard's horizon in step.
-//! Reservation decisions are control-plane and region-scoped; they
-//! never ride the tick queue and never contend with the instant
-//! admission path.
+//! [`FleetService::advance_to`] slides every region's horizon in step.
+//! The instant flows hold the origin slot of the same joint LP: a
+//! windowed offer sees them, and an advance moves them (those that no
+//! longer fit are shed and reported at the next tick).
 //!
 //! # Example
 //!

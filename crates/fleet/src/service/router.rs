@@ -11,7 +11,7 @@ use super::resolved_workers_with;
 use super::shard::{Shard, ShardOp};
 use crate::error::FleetError;
 use crate::flow::{FlowId, FlowRequest};
-use crate::joint::{check_request_scale, check_scale};
+use crate::joint::{check_combos, check_request_scale, check_scale};
 use crate::planner::{AdmissionDecision, FleetConfig};
 use crate::schedule::{ScheduleAdvance, ScheduleDecision, ScheduleRequest, TimeGrid};
 
@@ -42,13 +42,14 @@ pub struct ServiceConfig {
     /// per drained submission; shards record `service.batch_size` plus
     /// everything their planner and solver record.
     pub fleet: FleetConfig,
-    /// Optional slotted reservation horizon. When set, every shard also
-    /// carries a [`SchedulePlanner`](crate::SchedulePlanner) over the
-    /// same [`TimeGrid`], and the service accepts windowed offers
+    /// Optional slotted reservation horizon. When set, every region's
+    /// planner runs over this [`TimeGrid`] instead of the one-slot grid,
+    /// and the service accepts windowed offers
     /// ([`FleetService::offer_windowed`]) and horizon advances
-    /// ([`FleetService::advance_to`]). The instant admission plane
-    /// (submit/tick) is unaffected. `None` (the default) disables the
-    /// reservation plane.
+    /// ([`FleetService::advance_to`]). Instant flows (submit/tick) hold
+    /// the origin slot of the same joint LP, so they and the windowed
+    /// flows share each region's capacity rows. `None` (the default)
+    /// disables the reservation plane.
     pub grid: Option<TimeGrid>,
 }
 
@@ -78,12 +79,13 @@ pub enum ServiceEvent {
         /// departed id answers `false` and changes nothing).
         found: bool,
     },
-    /// A capacity event: a link change or freed capacity shed, revived
-    /// or definitively rejected flows (global ids). For a spanning flow
-    /// these lists name the flow per affected region — one leg can be
-    /// shed while the others stay admitted.
+    /// A capacity event: a link change, freed capacity or a horizon
+    /// advance shed, revived or definitively rejected flows (global ids).
+    /// For a spanning flow these lists name the flow per affected region
+    /// — one leg can be shed while the others stay admitted.
     Capacity {
-        /// The submission seq of the causing link change or departure.
+        /// The submission seq of the causing link change or departure;
+        /// a windowed departure or an advance takes a seq of its own.
         seq: u64,
         /// Flows newly shed into the re-admission queue.
         shed: Vec<u64>,
@@ -141,7 +143,9 @@ enum SpanOp {
 }
 
 /// `dmc-fleetd`: a sharded, concurrent admission service over one
-/// [`FleetPlanner`](crate::FleetPlanner) per capacity region.
+/// [`SchedulePlanner`](crate::SchedulePlanner) per capacity region — over
+/// the one-slot grid of a [`FleetPlanner`](crate::FleetPlanner) unless
+/// [`ServiceConfig::grid`] sets one.
 ///
 /// Submissions ([`FleetService::submit`], [`FleetService::submit_depart`],
 /// [`FleetService::submit_link`]) are cheap: they take a global sequence
@@ -231,18 +235,23 @@ impl FleetService {
     ///
     /// # Errors
     ///
-    /// Rejects a request whose path set names an out-of-range index.
+    /// Rejects, without taking a seq, a request that names an
+    /// out-of-range path, whose numbers the joint LP cannot scale, or
+    /// whose widest leg (a flow is modelled per region, over the paths it
+    /// names there) has too many path combinations — so no tick fails.
     pub fn submit(&mut self, request: FlowRequest) -> Result<u64, FleetError> {
-        let n = self.path_bandwidth.len();
-        if let Some(&bad) = request.paths().and_then(|s| s.iter().find(|&&k| k >= n)) {
-            return Err(FleetError::Invalid(format!(
-                "flow path index {bad} out of range ({n} shared paths)"
-            )));
-        }
-        let touched = match request.paths() {
-            Some(subset) => self.regions.regions_of(subset),
-            None => (0..self.regions.num_regions()).collect(),
+        let touched = self.regions_touched(&request)?;
+        check_request_scale(&request)?;
+        let regions = &self.regions;
+        let leg = |&r: &usize| match request.paths() {
+            Some(named) => named
+                .iter()
+                .filter(|&&k| regions.region_of(k) == Some(r))
+                .count(),
+            None => regions.region_paths(r).len(),
         };
+        let widest_leg = touched.iter().map(leg).max();
+        check_combos(widest_leg.unwrap_or(0), request.transmissions())?;
         let seq = self.alloc_seq();
         if let [shard] = touched[..] {
             let localized = self.localize(&request, shard);
@@ -424,20 +433,27 @@ impl FleetService {
         self.decision_hash
     }
 
-    /// Currently admitted flow legs summed over all shards (a spanning
-    /// flow counts once per region it was split across).
+    /// Currently admitted instant flow legs summed over all shards (a
+    /// spanning flow counts once per region it was split across);
+    /// windowed flows are counted by [`FleetService::windowed_flows`].
     pub fn num_admitted_legs(&self) -> usize {
-        self.shards.iter().map(Shard::num_flows).sum()
+        let instant = |shard: &Shard| shard.planner.num_instant();
+        self.shards.iter().map(instant).sum()
     }
 
     /// Per global path, the fraction of its live bandwidth the admitted
-    /// flows' send rates take up — each shard's
-    /// [`FleetPlanner::utilization`](crate::FleetPlanner::utilization)
-    /// under the path's global index (≤ 1 within solver tolerance).
+    /// flows take up (≤ 1 within solver tolerance): without a grid each
+    /// region's [`FleetPlanner::utilization`](crate::FleetPlanner::utilization),
+    /// with one the origin slot's row of [`SchedulePlanner::utilization`](crate::SchedulePlanner::utilization),
+    /// windowed flows served in that slot included.
     pub fn utilization(&self) -> Vec<f64> {
         let mut util = vec![0.0; self.path_bandwidth.len()];
         for shard in &self.shards {
-            for (&global, value) in shard.global_paths().iter().zip(shard.utilization()) {
+            let local = match self.grid {
+                Some(_) => shard.planner.utilization().swap_remove(0),
+                None => shard.planner.instant_utilization(),
+            };
+            for (&global, value) in shard.global_paths().iter().zip(local) {
                 util[global] = value;
             }
         }
@@ -461,10 +477,10 @@ impl FleetService {
         }
     }
 
-    /// Offers a windowed request to the slotted reservation plane,
-    /// synchronously (reservations are forward-looking control-plane
-    /// decisions — they never ride the tick queue, so the answer is
-    /// immediate and the instant plane's event stream is untouched).
+    /// Offers a windowed request to its region's planner, synchronously
+    /// (reservations are forward-looking control-plane decisions — they
+    /// never ride the tick queue, so the answer is immediate), in the
+    /// joint LP of the region's instant flows: a slot they fill is full.
     ///
     /// The decision's [`FlowId`] is scoped to the returned region index:
     /// pass both back to [`FleetService::depart_windowed`]. Deterministic
@@ -480,25 +496,8 @@ impl FleetService {
         &mut self,
         request: ScheduleRequest,
     ) -> Result<(usize, ScheduleDecision), FleetError> {
-        if self.grid.is_none() {
-            return Err(FleetError::Invalid(
-                "windowed offers need a TimeGrid in ServiceConfig::grid".into(),
-            ));
-        }
-        let n = self.path_bandwidth.len();
-        if let Some(&bad) = request
-            .flow()
-            .paths()
-            .and_then(|s| s.iter().find(|&&k| k >= n))
-        {
-            return Err(FleetError::Invalid(format!(
-                "flow path index {bad} out of range ({n} shared paths)"
-            )));
-        }
-        let touched = match request.flow().paths() {
-            Some(subset) => self.regions.regions_of(subset),
-            None => (0..self.regions.num_regions()).collect(),
-        };
+        self.gridded("windowed offers need")?;
+        let touched = self.regions_touched(request.flow())?;
         let [region] = touched[..] else {
             return Err(FleetError::Invalid(format!(
                 "windowed offers must stay within one capacity region \
@@ -507,28 +506,34 @@ impl FleetService {
             )));
         };
         let localized = self.localize(request.flow(), region);
-        let mut windowed = ScheduleRequest::new(localized, request.window());
-        if request.buffer() > 0.0 {
-            windowed = windowed.with_buffer(request.buffer());
-        }
-        let decision = self.shards[region].offer_windowed(windowed)?;
+        let windowed = ScheduleRequest::new(localized, request.window());
+        let decision = self.shards[region]
+            .planner
+            .offer(windowed.with_buffer(request.buffer()))?;
         Ok((region, decision))
     }
 
-    /// Withdraws a windowed flow from its region's reservation plane
-    /// (scheduled or still-reserved alike).
+    /// Withdraws a windowed flow from its region (scheduled or
+    /// still-reserved alike). A capacity event: the shed instant flows it
+    /// revives or rejects are reported in the next tick as a
+    /// [`ServiceEvent::Capacity`] under a seq of its own.
     ///
     /// # Errors
     ///
-    /// Unknown region/flow, or no grid configured.
+    /// Unknown region, no grid configured, or an id that names no
+    /// windowed flow of the region ([`FleetError::UnknownFlow`]; an
+    /// instant flow leaves through [`FleetService::submit_depart`]).
     pub fn depart_windowed(&mut self, region: usize, id: FlowId) -> Result<(), FleetError> {
-        let Some(shard) = self.shards.get_mut(region) else {
+        if region >= self.shards.len() {
             return Err(FleetError::Invalid(format!(
                 "region index {region} out of range ({} regions)",
                 self.regions.num_regions()
             )));
-        };
-        shard.depart_windowed(id)
+        }
+        self.gridded("windowed offers need")?;
+        self.shards[region].planner.depart(id)?;
+        self.report_capacity(region);
+        Ok(())
     }
 
     /// Advances every shard's reservation horizon to `new_origin`, in
@@ -536,30 +541,34 @@ impl FleetService {
     /// truncate, reservations whose windows opened re-certify. Returns
     /// one [`ScheduleAdvance`] per region (flow ids are region-scoped).
     ///
+    /// Instant flows move to the new origin slot (re-admitted on verdicts
+    /// highest priority first; the refused are shed). Each region's
+    /// advance is a capacity event, reported like
+    /// [`FleetService::depart_windowed`]'s.
+    ///
     /// # Errors
     ///
     /// No grid configured, `new_origin` before a shard's current origin,
     /// or a solver failure mid-advance (the service should then be
     /// considered poisoned for determinism purposes, like a failed tick).
     pub fn advance_to(&mut self, new_origin: u64) -> Result<Vec<ScheduleAdvance>, FleetError> {
-        if self.grid.is_none() {
-            return Err(FleetError::Invalid(
-                "horizon advance needs a TimeGrid in ServiceConfig::grid".into(),
-            ));
+        self.gridded("horizon advance needs")?;
+        let mut advances = Vec::with_capacity(self.shards.len());
+        for region in 0..self.shards.len() {
+            advances.push(self.shards[region].planner.advance_to(new_origin)?);
+            self.report_capacity(region);
         }
-        self.shards
-            .iter_mut()
-            .map(|shard| shard.advance_schedule(new_origin))
-            .collect()
+        Ok(advances)
     }
 
     /// Scheduled-or-reserved windowed flows per region (ascending region
-    /// order). Empty when no grid is configured.
+    /// order), instant flows left out. Empty when no grid is configured.
     pub fn windowed_flows(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.schedule().map(crate::SchedulePlanner::num_flows))
-            .collect()
+        if self.grid.is_none() {
+            return Vec::new();
+        }
+        let windowed = |s: &Shard| s.planner.num_flows() - s.planner.num_instant();
+        self.shards.iter().map(windowed).collect()
     }
 
     pub(crate) fn alloc_seq(&mut self) -> u64 {
@@ -571,6 +580,42 @@ impl FleetService {
     pub(crate) fn push_invalid(&mut self, seq: u64, reason: String) {
         self.immediate
             .push(ServiceEvent::InvalidOffer { seq, reason });
+    }
+
+    /// The regions a request's path set touches (all of them without
+    /// one), or the out-of-range index it names.
+    fn regions_touched(&self, request: &FlowRequest) -> Result<Vec<usize>, FleetError> {
+        let n = self.path_bandwidth.len();
+        if let Some(&bad) = request.paths().and_then(|s| s.iter().find(|&&k| k >= n)) {
+            return Err(FleetError::Invalid(format!(
+                "flow path index {bad} out of range ({n} shared paths)"
+            )));
+        }
+        Ok(match request.paths() {
+            Some(subset) => self.regions.regions_of(subset),
+            None => (0..self.regions.num_regions()).collect(),
+        })
+    }
+
+    /// `Ok` when the service has a grid; `what` names who needs one.
+    fn gridded(&self, what: &str) -> Result<(), FleetError> {
+        match self.grid {
+            Some(_) => Ok(()),
+            None => Err(FleetError::Invalid(format!(
+                "{what} a TimeGrid in ServiceConfig::grid"
+            ))),
+        }
+    }
+
+    /// Queues what a windowed verb or an advance did to `region`'s
+    /// instant flows — shed, revived, definitively rejected — for the
+    /// next tick, as a capacity event under a seq of its own (none is
+    /// taken when nothing happened).
+    fn report_capacity(&mut self, region: usize) {
+        if let Some(event) = self.shards[region].capacity_event(self.next_seq) {
+            self.alloc_seq();
+            self.immediate.push(event);
+        }
     }
 
     pub(crate) fn record_echo(&mut self, seq: u64, client_tag: u64) {
@@ -690,7 +735,8 @@ impl FleetService {
                 refused = true;
                 break;
             }
-            match self.shards[leg.shard].offer_local(leg_request)? {
+            let planner = &mut self.shards[leg.shard].planner;
+            match planner.offer_batch(vec![leg_request])?.remove(0) {
                 AdmissionDecision::Admitted {
                     id,
                     predicted_quality,
@@ -706,7 +752,7 @@ impl FleetService {
             // Roll back in reverse reservation order; the freed capacity
             // may revive shed flows, surfaced as capacity events.
             for &(shard, local, _, _) in reserved.iter().rev() {
-                self.shards[shard].rollback_reservation(seq, local, events)?;
+                self.shards[shard].depart_leg(seq, local, events)?;
             }
             events.push(ServiceEvent::Decision {
                 seq,
@@ -757,7 +803,7 @@ impl FleetService {
         let mut found = false;
         for (shard, local) in legs {
             if self.shards[shard].owns(flow) {
-                self.shards[shard].depart_local(seq, local, events)?;
+                self.shards[shard].depart_leg(seq, local, events)?;
                 found = true;
             }
         }

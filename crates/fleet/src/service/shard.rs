@@ -1,5 +1,12 @@
-//! One capacity region's worker-side state: a [`FleetPlanner`] over the
-//! region's path subset, the global↔local id maps, and the tick queue.
+//! One capacity region's worker-side state: its one
+//! [`SchedulePlanner`] over the region's path subset, the global↔local
+//! id maps of its instant flows, and the tick queue.
+//!
+//! The planner holds the region's instant and windowed flows in one
+//! roster and one joint LP, so an instant admission and a windowed
+//! offer each see every flow the other admitted: the region's capacity
+//! rows hold for both. Without a [`TimeGrid`] the planner runs over the
+//! one-slot grid, the LP of a [`FleetPlanner`](crate::FleetPlanner).
 
 use std::collections::BTreeMap;
 
@@ -9,10 +16,8 @@ use dmc_sim::LinkChange;
 use super::router::ServiceEvent;
 use crate::error::FleetError;
 use crate::flow::{FlowId, FlowRequest};
-use crate::planner::{AdmissionDecision, FleetConfig, FleetPlanner};
-use crate::schedule::{
-    ScheduleAdvance, ScheduleDecision, SchedulePlanner, ScheduleRequest, TimeGrid,
-};
+use crate::planner::{AdmissionDecision, FleetConfig};
+use crate::schedule::{SchedulePlanner, TimeGrid};
 
 /// One queued submission, already localized to this shard (path indices
 /// are shard-local; `seq` is the global submission sequence number).
@@ -56,13 +61,10 @@ pub(crate) struct Shard {
     /// registry): the parallel tick phase records into it freely, and
     /// the router absorbs every fork in shard order at snapshot time.
     obs: dmc_obs::Obs,
-    planner: FleetPlanner,
-    /// The optional slotted reservation plane over the same path subset
-    /// (present iff [`super::ServiceConfig`] carries a [`TimeGrid`]).
-    /// It shares this shard's telemetry fork, so its
-    /// `fleet.reservations`/`fleet.carryover` counters surface through
-    /// the router's snapshot merge like everything else.
-    schedule: Option<SchedulePlanner>,
+    /// The region's planner, over [`super::ServiceConfig::grid`] or the
+    /// one-slot grid (path indices shard-local, flow ids local); it
+    /// records into this shard's telemetry fork.
+    pub(crate) planner: SchedulePlanner,
     /// Global flow id (submission seq) → local planner id.
     to_local: BTreeMap<u64, FlowId>,
     /// Local planner id → global flow id.
@@ -80,15 +82,14 @@ impl Shard {
         grid: Option<TimeGrid>,
     ) -> Result<Self, FleetError> {
         let obs = config.obs.clone();
-        let schedule = match grid {
-            Some(grid) => Some(SchedulePlanner::new(subset.clone(), grid, config.clone())?),
-            None => None,
+        let grid = match grid {
+            Some(grid) => grid,
+            None => TimeGrid::new(1.0, 1)?,
         };
         Ok(Shard {
             paths: global_paths,
             obs,
-            planner: FleetPlanner::new(subset, config)?,
-            schedule,
+            planner: SchedulePlanner::new(subset, grid, config)?,
             to_local: BTreeMap::new(),
             to_global: BTreeMap::new(),
             queue: Vec::new(),
@@ -127,16 +128,6 @@ impl Shard {
 
     pub(crate) fn drain_out(&mut self) -> Vec<ServiceEvent> {
         std::mem::take(&mut self.out)
-    }
-
-    /// The shard-local utilization vector, paired with global indices via
-    /// [`Shard::global_paths`].
-    pub(crate) fn utilization(&self) -> Vec<f64> {
-        self.planner.utilization()
-    }
-
-    pub(crate) fn num_flows(&self) -> usize {
-        self.planner.num_flows()
     }
 
     pub(crate) fn plan_of_global(&self, flow: u64) -> Option<&Plan> {
@@ -259,7 +250,7 @@ impl Shard {
                     });
                 }
                 // One batch = one capacity event = one revive sweep.
-                if let Some(event) = self.capacity_event(last_seq, Vec::new()) {
+                if let Some(event) = self.capacity_event(last_seq) {
                     self.out.push(event);
                 }
             }
@@ -268,103 +259,28 @@ impl Shard {
     }
 
     fn run_link(&mut self, seq: u64, path: usize, change: &LinkChange) {
-        // The reservation plane tracks the same links: forward the change
-        // so future-window feasibility stays honest. Its reschedules are
-        // internal (slot-based revival); drops surface via its counters.
-        if let Some(schedule) = &mut self.schedule {
-            if let Err(e) = schedule.apply_link_change(path, change) {
-                self.error = Some(e);
-                return;
-            }
-        }
+        // Windowed reschedules are internal (slot-based revival); the
+        // instant flows it sheds, revives or rejects are the event.
         match self.planner.apply_link_change(path, change) {
-            Ok(shed_ids) => {
-                let shed: Vec<u64> = shed_ids.iter().map(|id| self.global_of(id)).collect();
-                // Link changes always confirm with a capacity event, even
-                // an empty one — the chaos harness keys off it.
-                let event =
-                    self.capacity_event(seq, shed.clone())
-                        .unwrap_or(ServiceEvent::Capacity {
-                            seq,
-                            shed,
-                            revived: Vec::new(),
-                            rejected: Vec::new(),
-                        });
+            // Link changes always confirm with a capacity event, even an
+            // empty one — the chaos harness keys off it.
+            Ok(_) => {
+                let event = self.capacity_event(seq).unwrap_or(ServiceEvent::Capacity {
+                    seq,
+                    shed: Vec::new(),
+                    revived: Vec::new(),
+                    rejected: Vec::new(),
+                });
                 self.out.push(event);
             }
             Err(e) => self.error = Some(e),
         }
     }
 
-    /// Offer an already-localized windowed request to the reservation
-    /// plane (router's sequential control path — windowed offers never
-    /// ride the tick queue).
-    pub(crate) fn offer_windowed(
-        &mut self,
-        request: ScheduleRequest,
-    ) -> Result<ScheduleDecision, FleetError> {
-        self.schedule
-            .as_mut()
-            .ok_or_else(|| {
-                FleetError::Invalid("windowed offers need a TimeGrid in ServiceConfig::grid".into())
-            })?
-            .offer(request)
-    }
-
-    /// Withdraw a windowed flow from the reservation plane.
-    pub(crate) fn depart_windowed(&mut self, id: FlowId) -> Result<(), FleetError> {
-        self.schedule
-            .as_mut()
-            .ok_or_else(|| {
-                FleetError::Invalid("windowed offers need a TimeGrid in ServiceConfig::grid".into())
-            })?
-            .depart(id)
-    }
-
-    /// Advances the reservation plane's horizon. The router only calls
-    /// this on shards built with a grid.
-    pub(crate) fn advance_schedule(
-        &mut self,
-        new_origin: u64,
-    ) -> Result<ScheduleAdvance, FleetError> {
-        self.schedule
-            .as_mut()
-            .expect("the router only advances shards built with a grid")
-            .advance_to(new_origin)
-    }
-
-    /// The shard's reservation plane, when configured.
-    pub(crate) fn schedule(&self) -> Option<&SchedulePlanner> {
-        self.schedule.as_ref()
-    }
-
-    /// Offer one already-localized leg of a spanning flow directly
-    /// (router's sequential reserve phase).
-    pub(crate) fn offer_local(
-        &mut self,
-        request: FlowRequest,
-    ) -> Result<AdmissionDecision, FleetError> {
-        self.planner.offer(request)
-    }
-
-    /// Withdraw a reserved-but-uncommitted spanning leg (rollback). The
-    /// freed capacity may revive previously shed flows, so a capacity
-    /// event can be emitted into `events`.
-    pub(crate) fn rollback_reservation(
-        &mut self,
-        seq: u64,
-        local: FlowId,
-        events: &mut Vec<ServiceEvent>,
-    ) -> Result<(), FleetError> {
-        self.planner.depart(local)?;
-        if let Some(event) = self.capacity_event(seq, Vec::new()) {
-            events.push(event);
-        }
-        Ok(())
-    }
-
-    /// Depart one committed spanning leg (router's sequential phase).
-    pub(crate) fn depart_local(
+    /// Depart one spanning leg, committed or only reserved (a rollback);
+    /// the freed capacity may revive previously shed flows, so a
+    /// capacity event can be emitted into `events`.
+    pub(crate) fn depart_leg(
         &mut self,
         seq: u64,
         local: FlowId,
@@ -373,8 +289,8 @@ impl Shard {
         if let Some(flow) = self.to_global.remove(&local) {
             self.to_local.remove(&flow);
         }
-        self.planner.depart(local)?;
-        if let Some(event) = self.capacity_event(seq, Vec::new()) {
+        self.planner.depart_batch(&[local])?;
+        if let Some(event) = self.capacity_event(seq) {
             events.push(event);
         }
         Ok(())
@@ -386,22 +302,19 @@ impl Shard {
         self.to_global.insert(local, flow);
     }
 
-    /// Drains the planner's per-event revive/reject lists into one
+    /// Drains the planner's per-event shed/revive/reject lists into one
     /// capacity event (translating local ids to global), or `None` when
     /// nothing happened. Definitively rejected flows leave the maps.
-    fn capacity_event(&mut self, seq: u64, shed: Vec<u64>) -> Option<ServiceEvent> {
-        let revived: Vec<u64> = self
-            .planner
-            .drain_revived()
-            .iter()
-            .map(|id| self.global_of(id))
-            .collect();
-        let rejected: Vec<u64> = self
-            .planner
-            .drain_shed_rejected()
-            .iter()
-            .map(|id| self.global_of(id))
-            .collect();
+    pub(crate) fn capacity_event(&mut self, seq: u64) -> Option<ServiceEvent> {
+        let planner = &mut self.planner;
+        let (shed, revived, rejected) = (
+            std::mem::take(&mut planner.newly_shed),
+            std::mem::take(&mut planner.revived),
+            std::mem::take(&mut planner.shed_rejected),
+        );
+        let global =
+            |ids: Vec<FlowId>| -> Vec<u64> { ids.iter().map(|id| self.global_of(id)).collect() };
+        let (shed, revived, rejected) = (global(shed), global(revived), global(rejected));
         for flow in &rejected {
             if let Some(local) = self.to_local.remove(flow) {
                 self.to_global.remove(&local);

@@ -6,7 +6,6 @@ use dmc_proto::wire::{DecisionFrame, DepartFrame, LinkChangeFrame, OfferFrame, V
 use super::router::{FleetService, ServiceEvent};
 use crate::error::FleetError;
 use crate::flow::FlowRequest;
-use crate::joint::{check_combos, check_request_scale};
 
 impl FleetService {
     /// Feeds one encoded control-plane frame to the service.
@@ -25,10 +24,11 @@ impl FleetService {
     /// request" from "lost frame".
     pub fn handle_frame(&mut self, frame: &[u8]) -> Option<u64> {
         if let Some(offer) = OfferFrame::decode(frame) {
-            let seq = match self.validated_request(&offer) {
-                Ok(request) => self
-                    .submit(request)
-                    .expect("a validated offer cannot fail submission"),
+            let submitted = self
+                .validated_request(&offer)
+                .and_then(|request| self.submit(request).map_err(|e| e.to_string()));
+            let seq = match submitted {
+                Ok(seq) => seq,
                 Err(reason) => {
                     let seq = self.alloc_seq();
                     self.push_invalid(seq, reason);
@@ -105,7 +105,9 @@ impl FleetService {
 
     /// Semantic validation of a decoded offer (the frame's checksum only
     /// proves integrity, not sense). The builders on [`FlowRequest`]
-    /// assert on bad values, so everything is checked here first.
+    /// assert on bad values, so everything they take is checked here
+    /// first; what the joint LP cannot take is
+    /// [`FleetService::submit`]'s to refuse.
     fn validated_request(&self, offer: &OfferFrame) -> Result<FlowRequest, String> {
         let mut request =
             FlowRequest::new(offer.data_rate, offer.lifetime).map_err(|e| e.to_string())?;
@@ -145,26 +147,6 @@ impl FleetService {
             }
             request = request.with_paths(paths);
         }
-        check_request_scale(&request).map_err(|e| e.to_string())?;
-        // A flow's model has `(paths + 1)^transmissions` columns, and
-        // `transmissions` is a raw byte off the wire: bound the widest
-        // leg (a flow is modelled per region, over the paths it names
-        // there) before anything is allocated for it.
-        let regions = self.region_map();
-        let widest_leg = match request.paths() {
-            Some(named) => named
-                .iter()
-                .map(|&k| {
-                    let same_region = |&&j: &&usize| regions.region_of(j) == regions.region_of(k);
-                    named.iter().filter(same_region).count()
-                })
-                .max(),
-            None => (0..regions.num_regions())
-                .map(|r| regions.region_paths(r).len())
-                .max(),
-        };
-        check_combos(widest_leg.unwrap_or(0), request.transmissions())
-            .map_err(|e| e.to_string())?;
         Ok(request)
     }
 }
@@ -287,11 +269,11 @@ mod tests {
             verdicts,
             [Verdict::Invalid, Verdict::Invalid, Verdict::Admitted]
         );
-        // The typed path skips the wire check; the planner's own model
-        // builder must refuse the same request with an error.
+        // The typed path meets the same check at `submit`, which refuses
+        // the request without taking a seq.
         let typed = FlowRequest::new(10e6, 0.8).unwrap().with_transmissions(24);
-        service.submit(typed).unwrap();
-        assert!(matches!(service.tick(), Err(FleetError::Invalid(_))));
+        assert!(matches!(service.submit(typed), Err(FleetError::Invalid(_))));
+        assert_eq!(service.submissions(), 3);
     }
 
     #[test]
@@ -330,10 +312,8 @@ mod tests {
             let decision = DecisionFrame::decode(frame).unwrap();
             assert_eq!(decision.verdict, Verdict::Invalid, "offer {}", decision.seq);
         }
-        // The typed path meets the same refusal in the planner.
-        service
-            .submit(FlowRequest::new(1e-310, 0.8).unwrap().with_cost_budget(1.0))
-            .unwrap();
-        assert!(matches!(service.tick(), Err(FleetError::Invalid(_))));
+        // The typed path meets the same refusal at `submit`.
+        let typed = FlowRequest::new(1e-310, 0.8).unwrap().with_cost_budget(1.0);
+        assert!(matches!(service.submit(typed), Err(FleetError::Invalid(_))));
     }
 }

@@ -14,6 +14,12 @@
 //!    any refusal rolls the reserved legs back completely.
 //! 3. **Worker-count determinism**: a fixed script produces bitwise
 //!    identical event streams and decision hashes at 1 and 4 workers.
+//! 4. **The slotted reservation plane**: windowed offers, advances, and
+//!    one capacity per region — an instant flow and a windowed one never
+//!    hold the same slot's capacity twice.
+//! 5. **Typed submissions are validated at the door**: a request the
+//!    joint LP cannot take is refused by `submit`, and never reaches a
+//!    tick.
 
 use dmc_core::ScenarioPath;
 use dmc_fleet::{
@@ -602,4 +608,132 @@ fn spanning_windowed_offers_and_gridless_services_are_rejected() {
     let mut gridless = service(&[vec![0, 1, 2, 3]], 1);
     assert!(gridless.offer_windowed(unpinned).is_err());
     assert!(gridless.advance_to(1).is_err());
+}
+
+#[test]
+fn a_gridded_region_never_admits_its_capacity_twice() {
+    use dmc_fleet::{ScheduleDecision, ScheduleRequest, SlotWindow, TimeGrid};
+
+    // The Table III pair, 100 Mb/s of links, on a 1 s × 4 grid.
+    let table3 = vec![
+        ScenarioPath::constant(80e6, 0.450, 0.2).expect("valid path"),
+        ScenarioPath::constant(20e6, 0.150, 0.0).expect("valid path"),
+    ];
+    let mut svc = FleetService::new(
+        table3,
+        &[vec![0, 1]],
+        ServiceConfig {
+            workers: 1,
+            fleet: FleetConfig::default(),
+            grid: Some(TimeGrid::new(1.0, 4).expect("valid grid")),
+        },
+    )
+    .expect("valid service");
+    let strict = || {
+        FlowRequest::new(60e6, 0.8)
+            .expect("valid request")
+            .with_min_quality(0.9)
+    };
+    // The instant plane admits one 60 Mb/s floor-0.9 flow and refuses
+    // two more.
+    let first = svc.submit(strict()).expect("valid offer");
+    for _ in 0..2 {
+        svc.submit(strict()).expect("valid offer");
+    }
+    let admitted: Vec<bool> = svc
+        .tick()
+        .expect("tick runs")
+        .iter()
+        .filter_map(|e| match e {
+            ServiceEvent::Decision { admitted, .. } => Some(*admitted),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(admitted, [true, false, false]);
+    // The same flow, windowed into slot 0, used to be scheduled there
+    // beside it: 120 Mb/s of floors on 100 Mb/s of links.
+    let copy = ScheduleRequest::new(strict(), SlotWindow::instant(0));
+    let (region, decision) = svc.offer_windowed(copy).expect("windowed offer runs");
+    assert!(
+        !decision.is_scheduled(),
+        "scheduled beside the instant flow"
+    );
+    assert!(matches!(
+        decision,
+        ScheduleDecision::Reserved { window, .. } if window == SlotWindow::instant(1)
+    ));
+    let within = |svc: &FleetService| svc.utilization().iter().all(|&u| u <= 1.0 + TOL);
+    assert!(within(&svc), "origin slot {:?}", svc.utilization());
+    assert_eq!(
+        (svc.num_admitted_legs(), svc.windowed_flows()),
+        (1, vec![1])
+    );
+
+    // Advancing into slot 1 moves the instant flow onto the reserved
+    // one: it no longer fits, and is shed — reported at the next tick,
+    // under a seq of the advance's own.
+    svc.advance_to(1).expect("advance runs");
+    assert!(within(&svc), "origin slot {:?}", svc.utilization());
+    assert_eq!(svc.num_admitted_legs(), 0);
+    let shed = ServiceEvent::Capacity {
+        seq: 3,
+        shed: vec![first],
+        revived: Vec::new(),
+        rejected: Vec::new(),
+    };
+    assert_eq!(svc.tick().expect("tick runs"), vec![shed]);
+    // Once the reserved flow's window has passed, the next advance is the
+    // capacity event that revives it.
+    svc.advance_to(2).expect("advance runs");
+    assert_eq!(svc.windowed_flows(), vec![0]);
+    let revived = ServiceEvent::Capacity {
+        seq: 4,
+        shed: Vec::new(),
+        revived: vec![first],
+        rejected: Vec::new(),
+    };
+    assert_eq!(svc.tick().expect("tick runs"), vec![revived]);
+    assert_eq!(svc.leg_plans(first).len(), 1);
+    assert!(within(&svc), "origin slot {:?}", svc.utilization());
+    // A windowed departure does not take an instant flow's id (the
+    // region's first offer, id 0).
+    assert!(matches!(
+        svc.depart_windowed(region, dmc_fleet::FlowId::from_index(0)),
+        Err(dmc_fleet::FleetError::UnknownFlow(_))
+    ));
+}
+
+// ---------------------------------------------------------------------
+// 5. Typed submissions are validated at the door
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_typed_submit_the_lp_cannot_take_does_not_poison_the_tick() {
+    let mut svc = service(&[vec![0, 1, 2, 3]], 1);
+    let ok = || FlowRequest::new(10e6, 0.8).expect("valid request");
+    let before = svc.submit(ok()).expect("valid offer");
+    // A rate the joint LP cannot scale, and more path combinations than
+    // a model may have: both used to be queued, and failed the tick that
+    // ran them, taking every good offer of the tick down with them.
+    let huge = FlowRequest::new(1e200, 0.8).expect("a finite rate");
+    assert!(matches!(
+        svc.submit(huge),
+        Err(dmc_fleet::FleetError::Invalid(_))
+    ));
+    let wide = ok().with_transmissions(40);
+    assert!(matches!(
+        svc.submit(wide),
+        Err(dmc_fleet::FleetError::Invalid(_))
+    ));
+    let after = svc.submit(ok()).expect("valid offer");
+    assert_eq!((before, after), (0, 1), "a refused submission takes no seq");
+    let events = svc.tick().expect("the refusals never reach the tick");
+    let answered: Vec<(u64, bool)> = events
+        .iter()
+        .filter_map(|e| match e {
+            ServiceEvent::Decision { seq, admitted, .. } => Some((*seq, *admitted)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(answered, [(0, true), (1, true)]);
 }

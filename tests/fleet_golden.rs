@@ -8,6 +8,22 @@
 //! objective segment weighted by its flow's volume: predicted qualities
 //! and plans moved in their last bits.)
 //!
+//! Two were re-recorded once more when a gridded region came to hold
+//! one planner for its instant and windowed flows instead of two:
+//!
+//! * `SERVICE_PLAN_BITS` (`0xbffc…` → `0x4ffa…`): the instant flows now
+//!   sit in the origin slot of the region's 6-slot LP, whose other five
+//!   slots add empty capacity rows; every instant verdict is unchanged
+//!   (`SERVICE_DECISION_HASH` holds) and the plans moved in their last
+//!   bits.
+//! * `SERVICE_WINDOWED` (`0x134e…` → `0xe3a4…`): the windowed offers now
+//!   see the instant flows of their region. In region 0 they fill slot
+//!   0, so the strict 70 Mbps offer that was scheduled there beside them
+//!   (120 Mbps of floors on 100 Mbps of links) is reserved for slot 1,
+//!   and the 60 Mbps one behind it for slot 2; the buffered 3-slot flow
+//!   plans a quality of 0.998 instead of 1. Windowed ids continue the
+//!   region's instant ids (one id counter per region).
+//!
 //! * **Instant plane** — a gridded [`FleetService`] over three 2-path
 //!   regions: plain (region-spanning), path-restricted and explicitly
 //!   spanning offers, a batch that falls back to greedy admission,
@@ -29,8 +45,8 @@ use deadline_multipath::model::ScenarioPath;
 use deadline_multipath::sim::LinkChange;
 
 const SERVICE_DECISION_HASH: u64 = 0xaeef_22fb_3a60_1647;
-const SERVICE_PLAN_BITS: u64 = 0xbffc_6ebf_fcfa_4609;
-const SERVICE_WINDOWED: u64 = 0x134e_4ab6_4fb5_7e79;
+const SERVICE_PLAN_BITS: u64 = 0x4ffa_724e_ac42_a717;
+const SERVICE_WINDOWED: u64 = 0xe3a4_61c3_ecb1_49ab;
 const BARE_SCHEDULE_EVENTS: u64 = 0x51cc_98cf_c4cd_e2d6;
 const BARE_SCHEDULE_PLAN_BITS: u64 = 0xc710_c73a_f5ef_bbc7;
 
@@ -265,7 +281,8 @@ fn seeded_script_reproduces_the_recorded_bits() {
     assert!(legs >= 12, "the script should leave a populated fleet");
 
     // The reservation plane of the same service: windowed offers never
-    // ride the tick queue, so the instant hash above is unaffected.
+    // ride the tick queue, so the instant hash above is unaffected; they
+    // are planned beside the instant flows of their region.
     let mut windowed = Fnv::new();
     let window = |start, end| SlotWindow::new(start, end).unwrap();
     let offers = [
