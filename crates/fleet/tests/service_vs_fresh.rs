@@ -329,8 +329,8 @@ proptest! {
 /// The gridded dimension: a [`ServiceConfig::grid`] service whose regions
 /// hold instant and windowed flows in one planner each.
 ///
-/// Seeded scripts (seeds 1–12, 48 steps each, at 1 and at 4 workers)
-/// mix `submit`, `submit_depart` and `submit_link` ticks with
+/// Seeded scripts (seeds 1–12 of two step mixes, 48 steps each, at 1
+/// and at 4 workers) mix `submit`, `submit_depart` and `submit_link` ticks with
 /// `offer_windowed`, `depart_windowed` and `advance_to`, each of those
 /// followed by an empty tick that collects the capacity event it may
 /// report. The mirror follows every roster reordering of the engine:
@@ -345,6 +345,16 @@ proptest! {
 /// the flows in the engine's order predicts it, and every reported shed
 /// list is held to that prediction.
 ///
+/// The mirror keeps each region's shed queue itself and runs its revive
+/// sweep at every capacity event the engine runs one at: a link change
+/// and an advance (after the re-settle, before the newly shed join), a
+/// `depart_batch` that freed an admitted flow, a windowed departure.
+/// The sweep tries the flows highest priority first (region-local id
+/// within ties), skips those sitting out their back-off, and revives,
+/// backs off or rejects each on a fresh planner's verdict; every
+/// capacity event's revived and rejected lists are held to it, and an
+/// event the sweep predicts must not be missing.
+///
 /// After every step each region's roster, offered in roster order to a
 /// fresh `SchedulePlanner` on the region's grid (instant flows at
 /// `SlotWindow::instant(origin)`), is scheduled whole, every instant
@@ -352,16 +362,19 @@ proptest! {
 /// utilization (windowed flows included). `depart_windowed` refuses an
 /// instant flow's id with `UnknownFlow`.
 ///
-/// Reached over the twelve scripts at one worker count (the test prints
-/// it under `--nocapture`): 298 ticks of typed submissions, 111
-/// advances, 142 windowed offers (9 reserved, 21 rejected), 49 instant
-/// flows shed by link changes and 10 by advances, 22 revived.
+/// Reached over the 24 scripts at one worker count (the test prints it
+/// under `--nocapture`): 525 ticks of typed submissions, 199 advances,
+/// 254 windowed offers (16 reserved, 28 rejected), 288 instant
+/// departures, 63 windowed departures (10 with shed flows queued in
+/// their region, 2 revivals there), 78 instant flows shed by link
+/// changes and 13 by advances, 32 revived, 1 rejected from the queue.
+/// A windowed departure that skips its sweep fails the scripts.
 mod gridded {
     use super::common::assert_plans_close;
     use super::PATHS;
     use dmc_core::ScenarioPath;
     use dmc_fleet::{
-        FleetConfig, FleetError, FleetService, FlowId, FlowRequest, ScheduleAdvance,
+        FleetConfig, FleetError, FleetPlanner, FleetService, FlowId, FlowRequest, ScheduleAdvance,
         ScheduleDecision, SchedulePlanner, ScheduleRequest, ServiceConfig, ServiceEvent,
         SlotWindow, TimeGrid,
     };
@@ -405,11 +418,43 @@ mod gridded {
         buffer: f64,
     }
 
+    /// A shed instant flow in its region's queue.
+    struct Shed {
+        flow: Flow,
+        /// Failed re-admission attempts so far.
+        attempts: u32,
+        /// Capacity events to sit out before the next attempt.
+        skip: u32,
+    }
+
     /// A typed submission of a tick step.
     enum Op {
         Offer(usize, FlowRequest),
         Depart(u64),
         Link(usize, LinkChange),
+    }
+
+    /// A region's share of a tick, as its shard runs it: consecutive
+    /// offers are one batch, consecutive departures one `depart_batch`.
+    #[derive(Clone)]
+    enum Run {
+        Offers(Vec<(u64, FlowRequest)>),
+        Departs(Vec<u64>),
+        Link(u64, usize, LinkChange),
+    }
+
+    /// What one capacity event of a region must report, by global id.
+    #[derive(Debug, Default, PartialEq)]
+    struct Expected {
+        shed: Vec<u64>,
+        revived: Vec<u64>,
+        rejected: Vec<u64>,
+    }
+
+    impl Expected {
+        fn is_empty(&self) -> bool {
+            self.shed.is_empty() && self.revived.is_empty() && self.rejected.is_empty()
+        }
     }
 
     #[derive(Default)]
@@ -419,9 +464,16 @@ mod gridded {
         windowed: usize,
         reserved: usize,
         rejected: usize,
+        departs: usize,
+        windowed_departs: usize,
+        /// Windowed departures that found their region's queue non-empty.
+        windowed_departs_with_shed: usize,
         link_sheds: usize,
         advance_sheds: usize,
         revived: usize,
+        /// Revivals a windowed departure's sweep made.
+        windowed_revived: usize,
+        shed_rejected: usize,
     }
 
     struct Mirror {
@@ -432,7 +484,7 @@ mod gridded {
         next_id: Vec<u64>,
         rosters: Vec<Vec<Flow>>,
         /// Shed instant flows, by global id.
-        shed: BTreeMap<u64, Flow>,
+        shed: BTreeMap<u64, Shed>,
         /// Global id → region of every instant flow offered.
         region_of: BTreeMap<u64, usize>,
         reached: Reached,
@@ -472,8 +524,9 @@ mod gridded {
 
         /// Re-admits `flows` one by one, as the engine does after an
         /// eviction: an instant flow that does not fit at the origin is
-        /// shed (its global id returned), a windowed one slides or drops.
-        fn readmit(&mut self, region: usize, mut flows: Vec<Flow>) -> Vec<u64> {
+        /// displaced (returned with its global id, for the queue), a
+        /// windowed one slides or drops.
+        fn readmit(&mut self, region: usize, mut flows: Vec<Flow>) -> Vec<(u64, Flow)> {
             flows.sort_by(|a, b| {
                 let (pa, pb) = (a.request.priority(), b.request.priority());
                 pb.total_cmp(&pa).then(a.id.cmp(&b.id))
@@ -494,8 +547,7 @@ mod gridded {
                         if decision.is_admitted() {
                             oracle.depart(decision.id()).expect("just reserved");
                         }
-                        shed.push(seq);
-                        self.shed.insert(seq, flow);
+                        shed.push((seq, flow));
                     }
                 }
             }
@@ -504,7 +556,7 @@ mod gridded {
 
         /// The displaced-flow routine after a capacity change: nothing
         /// moves while the roster still fits together.
-        fn settle(&mut self, region: usize) -> Vec<u64> {
+        fn settle(&mut self, region: usize) -> Vec<(u64, Flow)> {
             let (_, decisions) = self.fresh(region, &self.rosters[region]);
             if decisions.iter().all(ScheduleDecision::is_scheduled) {
                 return Vec::new();
@@ -513,37 +565,99 @@ mod gridded {
             self.readmit(region, evicted)
         }
 
-        /// Applies a capacity event's revivals and rejections, after
-        /// checking its shed list against the prediction.
-        fn capacity(&mut self, event: &ServiceEvent, predicted: &mut BTreeMap<usize, Vec<u64>>) {
-            let ServiceEvent::Capacity {
+        /// One sweep of `region`'s shed queue, as every capacity event
+        /// runs it: highest priority first (region-local id within
+        /// ties), each flow not sitting out tried at the origin beside
+        /// the roster. A refused flow sits out `2^attempts − 1` events;
+        /// the last allowed refusal rejects it for good. Returns the
+        /// revived and the rejected, in sweep order.
+        fn sweep(&mut self, region: usize) -> (Vec<u64>, Vec<u64>) {
+            let mut queue: Vec<u64> = self.shed.keys().copied().collect();
+            queue.retain(|seq| self.region_of[seq] == region);
+            queue.sort_by(|a, b| {
+                let (fa, fb) = (&self.shed[a].flow, &self.shed[b].flow);
+                let (pa, pb) = (fa.request.priority(), fb.request.priority());
+                pb.total_cmp(&pa).then(fa.id.cmp(&fb.id))
+            });
+            let (mut oracle, _) = self.fresh(region, &self.rosters[region]);
+            let (mut revived, mut rejected) = (Vec::new(), Vec::new());
+            for seq in queue {
+                if self.shed[&seq].skip > 0 {
+                    self.shed.get_mut(&seq).expect("queued").skip -= 1;
+                    continue;
+                }
+                let request = self.request(&self.shed[&seq].flow);
+                let decision = oracle.offer(request).expect("offer runs");
+                if decision.is_scheduled() {
+                    let mut flow = self.shed.remove(&seq).expect("queued").flow;
+                    flow.window = SlotWindow::instant(self.origin);
+                    self.rosters[region].push(flow);
+                    revived.push(seq);
+                    continue;
+                }
+                if decision.is_admitted() {
+                    oracle.depart(decision.id()).expect("just reserved");
+                }
+                let entry = self.shed.get_mut(&seq).expect("queued");
+                entry.attempts += 1;
+                if entry.attempts >= FleetPlanner::MAX_SHED_ATTEMPTS {
+                    self.shed.remove(&seq);
+                    rejected.push(seq);
+                } else {
+                    entry.skip = (1 << entry.attempts) - 1;
+                }
+            }
+            (revived, rejected)
+        }
+
+        /// A capacity change in `region` (a link change, an advance):
+        /// the displaced-flow routine, one sweep of the queue as it
+        /// stood, and only then the displaced join the queue.
+        fn capacity_change(&mut self, region: usize, mut displaced: Vec<(u64, Flow)>) -> Expected {
+            displaced.extend(self.settle(region));
+            let (revived, rejected) = self.sweep(region);
+            let shed = displaced.iter().map(|&(seq, _)| seq).collect();
+            for (seq, flow) in displaced {
+                let entry = Shed {
+                    flow,
+                    attempts: 0,
+                    skip: 0,
+                };
+                self.shed.insert(seq, entry);
+            }
+            Expected {
                 shed,
                 revived,
                 rejected,
-                ..
-            } = event
-            else {
-                return;
-            };
-            let region = shed
-                .iter()
-                .chain(revived)
-                .chain(rejected)
-                .map(|seq| self.region_of[seq])
-                .next();
-            let want = region
-                .and_then(|r| predicted.remove(&r))
-                .unwrap_or_default();
-            assert_eq!(shed, &want, "shed list vs the fresh planner's verdicts");
-            for seq in revived {
-                let mut flow = self.shed.remove(seq).expect("revived from the queue");
-                flow.window = SlotWindow::instant(self.origin);
-                self.rosters[self.region_of[seq]].push(flow);
-                self.reached.revived += 1;
             }
-            for seq in rejected {
-                self.shed.remove(seq).expect("rejected from the queue");
+        }
+
+        /// Holds a capacity event, or its absence, to `want`. A link
+        /// change reports one `always`; other events only when they
+        /// shed, revive or reject something.
+        fn expect(&mut self, event: Option<&ServiceEvent>, want: Expected, always: bool) {
+            match event {
+                Some(ServiceEvent::Capacity {
+                    shed,
+                    revived,
+                    rejected,
+                    ..
+                }) => {
+                    let got = Expected {
+                        shed: shed.clone(),
+                        revived: revived.clone(),
+                        rejected: rejected.clone(),
+                    };
+                    assert_eq!(got, want, "capacity event vs the reference sweep");
+                }
+                Some(other) => panic!("{other:?} where a capacity event was due"),
+                None => assert!(
+                    want.is_empty() && !always,
+                    "no capacity event where {want:?} was due"
+                ),
             }
+            self.reached.revived += want.revived.len();
+            self.reached.shed_rejected += want.rejected.len();
         }
 
         fn instant_ids(&self) -> Vec<u64> {
@@ -551,12 +665,10 @@ mod gridded {
             admitted.chain(self.shed.keys().copied()).collect()
         }
 
-        /// One tick of typed submissions.
+        /// One tick of typed submissions, replayed region by region in
+        /// the order each shard runs them.
         fn tick(&mut self, service: &mut FleetService, ops: Vec<Op>) {
-            // Per seq: the offer batch it opens, or the link change it is.
-            let mut batches: BTreeMap<u64, (usize, Vec<(u64, FlowRequest)>)> = BTreeMap::new();
-            let mut links: BTreeMap<u64, (usize, LinkChange)> = BTreeMap::new();
-            let mut open: Vec<Option<u64>> = vec![None; self.regions.len()];
+            let mut queues: Vec<Vec<Run>> = vec![Vec::new(); self.regions.len()];
             for op in ops {
                 match op {
                     Op::Offer(region, local) => {
@@ -566,98 +678,141 @@ mod gridded {
                             .submit(local.clone().with_paths(global))
                             .expect("valid offer");
                         self.region_of.insert(seq, region);
-                        let first = *open[region].get_or_insert(seq);
-                        let batch = batches.entry(first).or_insert((region, Vec::new()));
-                        batch.1.push((seq, local));
+                        match queues[region].last_mut() {
+                            Some(Run::Offers(batch)) => batch.push((seq, local)),
+                            _ => queues[region].push(Run::Offers(vec![(seq, local)])),
+                        }
                     }
                     Op::Depart(flow) => {
-                        service.submit_depart(flow);
-                        open[self.region_of[&flow]] = None;
+                        let seq = service.submit_depart(flow);
+                        let region = self.region_of[&flow];
+                        match queues[region].last_mut() {
+                            Some(Run::Departs(batch)) => batch.push(seq),
+                            _ => queues[region].push(Run::Departs(vec![seq])),
+                        }
                     }
                     Op::Link(path, change) => {
                         let seq = service.submit_link(path, change.clone()).expect("valid");
                         let region = self.regions.iter().position(|r| r.contains(&path));
                         let region = region.expect("every path has a region");
-                        open[region] = None;
-                        links.insert(seq, (path, change));
+                        queues[region].push(Run::Link(seq, path, change));
                     }
                 }
             }
             let events = service.tick().expect("tick succeeds");
             self.reached.ticks += 1;
-            let verdicts: BTreeMap<u64, bool> = events
-                .iter()
-                .filter_map(|e| match e {
-                    ServiceEvent::Decision { seq, admitted, .. } => Some((*seq, *admitted)),
-                    _ => None,
-                })
-                .collect();
-            let mut predicted = BTreeMap::new();
+            let (mut verdicts, mut departed, mut capacity) =
+                (BTreeMap::new(), BTreeMap::new(), BTreeMap::new());
             for event in &events {
-                if let Some((region, batch)) = batches.remove(&event.seq()) {
-                    let mut admitted = Vec::new();
-                    for (seq, request) in batch.iter().cloned() {
-                        let id = self.next_id[region];
-                        self.next_id[region] += 1;
-                        let flow = Flow {
-                            id,
-                            seq: Some(seq),
-                            request,
-                            window: SlotWindow::instant(self.origin),
-                            buffer: 0.0,
-                        };
-                        if verdicts[&seq] {
-                            admitted.push(flow);
-                        }
+                match *event {
+                    ServiceEvent::Decision { seq, admitted, .. } => {
+                        verdicts.insert(seq, admitted);
                     }
-                    if admitted.len() < batch.len() && batch.len() > 1 {
-                        let lifetime = |f: &Flow| f.request.lifetime();
-                        admitted.sort_by(|a, b| lifetime(a).total_cmp(&lifetime(b)));
+                    ServiceEvent::Departed { seq, flow, found } => {
+                        departed.insert(seq, (flow, found));
                     }
-                    self.rosters[region].extend(admitted);
-                }
-                if let ServiceEvent::Capacity { seq, .. } = event {
-                    if let Some((path, change)) = links.remove(seq) {
-                        match change {
-                            LinkChange::SetBandwidth(bps) => self.bandwidth[path] = bps,
-                            LinkChange::Fail => self.failed[path] = true,
-                            LinkChange::Recover => self.failed[path] = false,
-                            LinkChange::SetLoss(_) => unreachable!("not scripted"),
-                        }
-                        let region = self.regions.iter().position(|r| r.contains(&path));
-                        let region = region.expect("every path has a region");
-                        let shed = self.settle(region);
-                        self.reached.link_sheds += shed.len();
-                        predicted.insert(region, shed);
+                    ServiceEvent::Capacity { seq, .. } => {
+                        capacity.insert(seq, event);
                     }
-                }
-                match event {
-                    ServiceEvent::Departed {
-                        flow, found: true, ..
-                    } => {
-                        let region = self.region_of[flow];
-                        self.rosters[region].retain(|f| f.seq != Some(*flow));
-                        self.shed.remove(flow);
-                    }
-                    ServiceEvent::Capacity { .. } => self.capacity(event, &mut predicted),
-                    _ => {}
+                    _ => panic!("unexpected {event:?}"),
                 }
             }
-            assert!(predicted.values().all(Vec::is_empty), "unreported sheds");
+            for (region, runs) in queues.into_iter().enumerate() {
+                for run in runs {
+                    match run {
+                        Run::Offers(batch) => self.admit_batch(region, &batch, &verdicts),
+                        Run::Departs(seqs) => {
+                            // One `depart_batch`: it sweeps the queue once
+                            // when it freed an admitted flow's capacity.
+                            let (mut freed, mut last) = (false, None);
+                            for seq in seqs {
+                                let (flow, found) = departed[&seq];
+                                if !found {
+                                    continue;
+                                }
+                                last = Some(seq);
+                                self.reached.departs += 1;
+                                let roster = &mut self.rosters[region];
+                                let before = roster.len();
+                                roster.retain(|f| f.seq != Some(flow));
+                                if roster.len() < before {
+                                    freed = true;
+                                } else {
+                                    self.shed.remove(&flow).expect("admitted or queued");
+                                }
+                            }
+                            if freed {
+                                let (revived, rejected) = self.sweep(region);
+                                let want = Expected {
+                                    shed: Vec::new(),
+                                    revived,
+                                    rejected,
+                                };
+                                let event = capacity.remove(&last.expect("a departure freed"));
+                                self.expect(event, want, false);
+                            }
+                        }
+                        Run::Link(seq, path, change) => {
+                            match change {
+                                LinkChange::SetBandwidth(bps) => self.bandwidth[path] = bps,
+                                LinkChange::Fail => self.failed[path] = true,
+                                LinkChange::Recover => self.failed[path] = false,
+                                LinkChange::SetLoss(_) => unreachable!("not scripted"),
+                            }
+                            let want = self.capacity_change(region, Vec::new());
+                            self.reached.link_sheds += want.shed.len();
+                            self.expect(capacity.remove(&seq), want, true);
+                        }
+                    }
+                }
+            }
+            assert!(
+                capacity.is_empty(),
+                "unexpected capacity events: {capacity:?}"
+            );
+        }
+
+        /// A batch of instant offers: the admitted join the roster, in
+        /// deadline order when the batch fell back to one by one.
+        fn admit_batch(
+            &mut self,
+            region: usize,
+            batch: &[(u64, FlowRequest)],
+            verdicts: &BTreeMap<u64, bool>,
+        ) {
+            let mut admitted = Vec::new();
+            for (seq, request) in batch.iter().cloned() {
+                let id = self.next_id[region];
+                self.next_id[region] += 1;
+                let flow = Flow {
+                    id,
+                    seq: Some(seq),
+                    request,
+                    window: SlotWindow::instant(self.origin),
+                    buffer: 0.0,
+                };
+                if verdicts[&seq] {
+                    admitted.push(flow);
+                }
+            }
+            if admitted.len() < batch.len() && batch.len() > 1 {
+                let lifetime = |f: &Flow| f.request.lifetime();
+                admitted.sort_by(|a, b| lifetime(a).total_cmp(&lifetime(b)));
+            }
+            self.rosters[region].extend(admitted);
         }
 
         /// An empty tick: the capacity events a windowed verb or an
-        /// advance reported, checked against `predicted` sheds.
-        fn collect(
-            &mut self,
-            service: &mut FleetService,
-            mut predicted: BTreeMap<usize, Vec<u64>>,
-        ) {
-            for event in service.tick().expect("tick succeeds") {
-                assert!(matches!(event, ServiceEvent::Capacity { .. }), "{event:?}");
-                self.capacity(&event, &mut predicted);
+        /// advance reported, one per region in region order, held to
+        /// `expected` (indexed by region; empty for none anywhere).
+        fn collect(&mut self, service: &mut FleetService, expected: Vec<Expected>) {
+            let mut events = service.tick().expect("tick succeeds").into_iter();
+            for want in expected {
+                let event = if want.is_empty() { None } else { events.next() };
+                self.expect(event.as_ref(), want, false);
             }
-            assert!(predicted.values().all(Vec::is_empty), "unreported sheds");
+            let rest: Vec<ServiceEvent> = events.collect();
+            assert!(rest.is_empty(), "unexpected events: {rest:?}");
         }
 
         fn offer_windowed(&mut self, service: &mut FleetService, region: usize, flow: Flow) {
@@ -694,7 +849,7 @@ mod gridded {
             let advances: Vec<ScheduleAdvance> = service.advance_to(origin).expect("advance runs");
             self.origin = origin;
             self.reached.advances += 1;
-            let mut predicted = BTreeMap::new();
+            let mut expected = Vec::new();
             for (region, adv) in advances.iter().enumerate() {
                 let roster = std::mem::take(&mut self.rosters[region]);
                 let (begun, kept): (Vec<Flow>, Vec<Flow>) =
@@ -719,12 +874,12 @@ mod gridded {
                     }
                 }
                 assert_eq!(adv.completed, completed);
-                let mut shed = self.readmit(region, instant);
-                shed.extend(self.settle(region));
-                self.reached.advance_sheds += shed.len();
-                predicted.insert(region, shed);
+                let displaced = self.readmit(region, instant);
+                let want = self.capacity_change(region, displaced);
+                self.reached.advance_sheds += want.shed.len();
+                expected.push(want);
             }
-            self.collect(service, predicted);
+            self.collect(service, expected);
         }
 
         /// Holds every region to its fresh reference.
@@ -782,9 +937,38 @@ mod gridded {
         r.with_paths((0..n_paths).filter(|i| mask & (1 << i) != 0).collect())
     }
 
-    /// Runs seed `seed`'s script at `workers` workers; returns the
-    /// decision hash and what the script reached.
-    fn run(seed: u64, workers: usize) -> (u64, Reached) {
+    /// The kinds of script step.
+    enum Step {
+        Tick,
+        WindowedOffer,
+        WindowedDepart,
+        Advance,
+    }
+
+    /// A script's mix of steps.
+    #[derive(Clone, Copy)]
+    enum Mix {
+        /// Ticks half the time, a windowed departure one step in 20.
+        Ticks,
+        /// A windowed departure one step in four, so that many find shed
+        /// instant flows queued in their region.
+        Departures,
+    }
+
+    impl Mix {
+        fn step(self, rng: &mut Rng) -> Step {
+            match (self, rng.below(20)) {
+                (Mix::Ticks, 0..=9) | (Mix::Departures, 0..=7) => Step::Tick,
+                (Mix::Ticks, 10..=14) | (Mix::Departures, 8..=11) => Step::WindowedOffer,
+                (Mix::Ticks, 15) | (Mix::Departures, 12..=16) => Step::WindowedDepart,
+                _ => Step::Advance,
+            }
+        }
+    }
+
+    /// Runs seed `seed`'s script of `mix` at `workers` workers; returns
+    /// the decision hash and what the script reached.
+    fn run(seed: u64, workers: usize, mix: Mix) -> (u64, Reached) {
         let paths = PATHS
             .iter()
             .map(|&(bw, delay, loss)| ScenarioPath::constant(bw, delay, loss).expect("valid"))
@@ -815,8 +999,8 @@ mod gridded {
         for step in 0..48 {
             let region = rng.below(mirror.regions.len() as u64) as usize;
             let n_paths = mirror.regions[region].len();
-            match rng.below(20) {
-                0..=9 => {
+            match mix.step(&mut rng) {
+                Step::Tick => {
                     let mut ops = Vec::new();
                     for _ in 0..1 + rng.below(5) {
                         let region = rng.below(mirror.regions.len() as u64) as usize;
@@ -843,7 +1027,7 @@ mod gridded {
                     }
                     mirror.tick(&mut service, ops);
                 }
-                10..=14 => {
+                Step::WindowedOffer => {
                     // Half of them ask for the origin slot, beside the
                     // instant flows.
                     let start = mirror.origin + rng.below(HORIZON).saturating_sub(rng.below(2) * 3);
@@ -858,9 +1042,9 @@ mod gridded {
                         buffer: if rng.below(3) == 0 { 0.5 } else { 0.0 },
                     };
                     mirror.offer_windowed(&mut service, region, flow);
-                    mirror.collect(&mut service, BTreeMap::new());
+                    mirror.collect(&mut service, Vec::new());
                 }
-                15 => {
+                Step::WindowedDepart => {
                     let roster = &mirror.rosters[region];
                     let windowed: Vec<u64> = roster
                         .iter()
@@ -874,7 +1058,21 @@ mod gridded {
                             .depart_windowed(region, FlowId::from_index(id))
                             .expect("a windowed flow departs");
                         mirror.rosters[region].retain(|f| f.id != id);
-                        mirror.collect(&mut service, BTreeMap::new());
+                        // The freed capacity is a capacity event: one sweep.
+                        let queued = mirror.shed.keys().any(|s| mirror.region_of[s] == region);
+                        let (revived, rejected) = mirror.sweep(region);
+                        let reached = &mut mirror.reached;
+                        reached.windowed_departs += 1;
+                        reached.windowed_departs_with_shed += usize::from(queued);
+                        reached.windowed_revived += revived.len();
+                        let mut expected: Vec<Expected> =
+                            mirror.regions.iter().map(|_| Expected::default()).collect();
+                        expected[region] = Expected {
+                            shed: Vec::new(),
+                            revived,
+                            rejected,
+                        };
+                        mirror.collect(&mut service, expected);
                     }
                     let instant = mirror.rosters[region].iter().find(|f| f.seq.is_some());
                     if let Some(flow) = instant {
@@ -882,7 +1080,7 @@ mod gridded {
                         assert!(matches!(refused, Err(FleetError::UnknownFlow(_))));
                     }
                 }
-                _ => {
+                Step::Advance => {
                     let origin = mirror.origin + 1 + rng.below(2);
                     mirror.advance(&mut service, origin);
                 }
@@ -897,33 +1095,48 @@ mod gridded {
 
     #[test]
     fn gridded_service_matches_fresh_region_schedules() {
-        let mut total = Reached::default();
-        for seed in 1..=12 {
-            let (one, reached) = run(seed, 1);
-            let (four, _) = run(seed, 4);
+        let mut t = Reached::default();
+        for (seed, mix) in (1..=12)
+            .map(|s| (s, Mix::Ticks))
+            .chain((1..=12).map(|s| (s, Mix::Departures)))
+        {
+            let (one, r) = run(seed, 1, mix);
+            let (four, _) = run(seed, 4, mix);
             assert_eq!(one, four, "seed {seed}: worker counts diverge");
-            total.ticks += reached.ticks;
-            total.advances += reached.advances;
-            total.windowed += reached.windowed;
-            total.reserved += reached.reserved;
-            total.rejected += reached.rejected;
-            total.link_sheds += reached.link_sheds;
-            total.advance_sheds += reached.advance_sheds;
-            total.revived += reached.revived;
+            t.ticks += r.ticks;
+            t.advances += r.advances;
+            t.windowed += r.windowed;
+            t.reserved += r.reserved;
+            t.rejected += r.rejected;
+            t.departs += r.departs;
+            t.windowed_departs += r.windowed_departs;
+            t.windowed_departs_with_shed += r.windowed_departs_with_shed;
+            t.link_sheds += r.link_sheds;
+            t.advance_sheds += r.advance_sheds;
+            t.revived += r.revived;
+            t.windowed_revived += r.windowed_revived;
+            t.shed_rejected += r.shed_rejected;
         }
-        let t = &total;
         eprintln!(
             "reached: {} ticks, {} advances, {} windowed offers ({} reserved, {} rejected), \
-             {} link sheds, {} advance sheds, {} revived",
+             {} instant departures, {} windowed departures ({} with a shed queue, \
+             {} revivals there), {} link sheds, {} advance sheds, {} revived, \
+             {} rejected from the queue",
             t.ticks,
             t.advances,
             t.windowed,
             t.reserved,
             t.rejected,
+            t.departs,
+            t.windowed_departs,
+            t.windowed_departs_with_shed,
+            t.windowed_revived,
             t.link_sheds,
             t.advance_sheds,
-            t.revived
+            t.revived,
+            t.shed_rejected
         );
         assert!(t.reserved > 0 && t.link_sheds > 0 && t.advance_sheds > 0 && t.revived > 0);
+        assert!(t.windowed_departs_with_shed > 0 && t.windowed_revived > 0);
     }
 }

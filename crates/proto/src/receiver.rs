@@ -3,7 +3,7 @@
 
 use crate::notice::{NoticeGuard, NoticeSeq};
 use crate::seqs::SeqSet;
-use crate::wire::{Ack, DataHeader, NoticeKind, PathNotice};
+use crate::wire::{is_notice, Ack, DataHeader, NoticeKind, PathNotice};
 use dmc_sim::{Agent, Packet, SimApi, SimDuration, SimTime};
 use dmc_stats::OnlineMoments;
 
@@ -383,7 +383,12 @@ impl Agent for DmcReceiver {
         // A sender-side probe of a suspect path: its arrival alone proves
         // the forward direction works again, so feed the detector (which
         // answers with an `Up` notice) without touching data accounting.
-        if let Some(probe) = PathNotice::decode(packet.payload()) {
+        let payload = packet.payload();
+        if is_notice(payload) {
+            let Some(probe) = PathNotice::decode(payload) else {
+                self.stats.malformed += 1;
+                return;
+            };
             if self.probe_guard.fresh(&probe) {
                 self.note_arrival(probe.path as usize, true, api);
             } else {
@@ -391,7 +396,7 @@ impl Agent for DmcReceiver {
             }
             return;
         }
-        let Some(header) = DataHeader::decode(packet.payload()) else {
+        let Some(header) = DataHeader::decode(payload) else {
             self.stats.malformed += 1;
             return;
         };

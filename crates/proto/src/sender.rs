@@ -3,11 +3,10 @@
 //! optional fast retransmit (paper §VII-A client, §VIII-D).
 
 use crate::estimator::{LossEstimator, RttEstimator};
-use crate::seqs::SeqWindow;
+use crate::seqs::{SeqSet, SeqWindow};
 use crate::wire::{Ack, DataHeader, DATA_HEADER_BYTES};
 use dmc_core::{Plan, SchedulePolicy, Scheduler, Slot, Strategy};
 use dmc_sim::{Agent, Packet, SimApi, SimDuration, SimTime};
-use std::collections::BTreeMap;
 
 /// Maximum supported transmissions per combination (timer-key encoding).
 pub const MAX_STAGES: usize = 8;
@@ -209,8 +208,10 @@ struct InFlight {
 /// densely from 0). A message that stays in flight much longer than the
 /// ones around it — a stage with no timer whose ack never comes — moves
 /// to an ordered side map, so the ring stays within a constant factor of
-/// the live messages. An ack marks its echo and then each set bit of its
-/// bitmap acknowledged, one indexed lookup per bit.
+/// the live messages. An ack marks its echo acknowledged, then the bits
+/// of its bitmap that no earlier ack set, in ascending order: a seq an
+/// ack has named has left the window for good, so an ack costs one
+/// indexed lookup per seq it newly names, not one per set bit.
 #[derive(Debug)]
 pub struct DmcSender {
     config: SenderConfig,
@@ -218,10 +219,22 @@ pub struct DmcSender {
     /// Messages awaiting an ack or a further stage, indexed by
     /// `seq − oldest live seq`.
     in_flight: SeqWindow<InFlight>,
-    /// Per path: send counter and outstanding transmissions by send index
-    /// (for fast retransmit).
+    /// Per path: the send counter.
     path_send_count: Vec<u64>,
-    outstanding: Vec<BTreeMap<u64, u64>>,
+    /// Per path: the seq of each transmission still outstanding, indexed
+    /// by its dense per-path send index (fast retransmit walks those
+    /// sent before an acked one in send order).
+    outstanding: Vec<SeqWindow<u64>>,
+    /// Every seq below `next_seq` an ack has named: acked then, or gone
+    /// before (acked, expired, blackholed). None of them is ever in
+    /// flight again, so an ack's bitmap walk skips them.
+    retired: SeqSet,
+    /// In-flight lookups made by bitmap walks.
+    #[cfg(test)]
+    bitmap_lookups: u64,
+    /// Every seq `mark_acked` removed, in order.
+    #[cfg(test)]
+    acked_log: Vec<u64>,
     /// Scratch list of the seqs an ack pushes over the fast-retransmit
     /// threshold, reused across acks.
     fast_due: Vec<u64>,
@@ -259,7 +272,12 @@ impl DmcSender {
             scheduler,
             in_flight: SeqWindow::default(),
             path_send_count: vec![0; num_paths],
-            outstanding: vec![BTreeMap::new(); num_paths],
+            outstanding: (0..num_paths).map(|_| SeqWindow::default()).collect(),
+            retired: SeqSet::default(),
+            #[cfg(test)]
+            bitmap_lookups: 0,
+            #[cfg(test)]
+            acked_log: Vec::new(),
             fast_due: Vec::new(),
             rtt: vec![RttEstimator::new(); num_paths],
             loss: vec![LossEstimator::new(config.loss_window); num_paths],
@@ -406,7 +424,7 @@ impl DmcSender {
                         path: header.path,
                     },
                 ) {
-                    self.outstanding[usize::from(prev.path)].remove(&prev.path_send_idx);
+                    self.outstanding[usize::from(prev.path)].remove(prev.path_send_idx);
                 }
                 self.outstanding[path].insert(idx, seq);
                 if let Some(timeout) = self.config.timeouts.stage(combo, stage) {
@@ -420,9 +438,11 @@ impl DmcSender {
     fn mark_acked(&mut self, seq: u64) -> bool {
         if let Some(state) = self.in_flight.remove(seq) {
             let path = usize::from(state.path);
-            self.outstanding[path].remove(&state.path_send_idx);
+            self.outstanding[path].remove(state.path_send_idx);
             self.loss[path].record(false);
             self.stats.acked += 1;
+            #[cfg(test)]
+            self.acked_log.push(seq);
             true
         } else {
             false
@@ -437,7 +457,7 @@ impl DmcSender {
         };
         let path = usize::from(state.path);
         self.loss[path].record(true);
-        self.outstanding[path].remove(&state.path_send_idx);
+        self.outstanding[path].remove(state.path_send_idx);
         self.send_stage(
             seq,
             state.combo,
@@ -462,9 +482,27 @@ impl DmcSender {
                 self.rtt[path].record(now.since(sent_at).as_secs_f64());
             }
         }
-        // The echoed packet plus everything the bitmap covers is acked.
+        // The echoed packet plus everything the bitmap names is acked.
+        // Seqs at or above `next_seq` were never sent, and the retired
+        // ones are out of flight for good: the walk visits the rest.
         self.mark_acked(ack.just_received);
-        for seq in ack.received_seqs() {
+        if ack.just_received < self.next_seq {
+            self.retired.insert(ack.just_received);
+        }
+        let start = ack.window_start;
+        let mut fresh = u128::from_le_bytes(ack.bitmap) & !self.retired.window(start);
+        let sent = self.next_seq.saturating_sub(start);
+        if sent < u64::from(u128::BITS) {
+            fresh &= (1 << sent) - 1;
+        }
+        while fresh != 0 {
+            let seq = start + u64::from(fresh.trailing_zeros());
+            fresh &= fresh - 1;
+            self.retired.insert(seq);
+            #[cfg(test)]
+            {
+                self.bitmap_lookups += 1;
+            }
             self.mark_acked(seq);
         }
         // Fast retransmit (§VIII-D): packets sent on the same path
@@ -472,7 +510,7 @@ impl DmcSender {
         // indications; at the threshold they advance early.
         if let (Some(threshold), Some((path, idx, _))) = (self.config.fast_retransmit, echo) {
             let mut due = std::mem::take(&mut self.fast_due);
-            for (_, &seq) in self.outstanding[path].range(..idx) {
+            for (_, &seq) in self.outstanding[path].below(idx) {
                 if let Some(state) = self.in_flight.get_mut(seq) {
                     state.dup_indications += 1;
                     if state.dup_indications >= threshold {
@@ -540,7 +578,7 @@ impl Agent for DmcSender {
                 .expect("membership in in_flight checked just above");
             let path = usize::from(state.path);
             self.loss[path].record(true);
-            self.outstanding[path].remove(&state.path_send_idx);
+            self.outstanding[path].remove(state.path_send_idx);
             self.stats.expired += 1;
         }
     }
@@ -550,9 +588,11 @@ impl Agent for DmcSender {
 mod tests {
     use super::*;
     use crate::receiver::{DmcReceiver, ReceiverConfig};
-    use dmc_core::{NetworkSpec, Objective, PathSpec, Planner, Scenario};
+    use crate::seqs::tests::Rng;
+    use dmc_core::{NetworkSpec, Objective, PathSpec, Plan, Planner, Scenario};
     use dmc_sim::{LinkConfig, TwoHostSim};
     use dmc_stats::ConstantDelay;
+    use std::collections::BTreeSet;
     use std::sync::Arc;
 
     fn link(bw: f64, delay: f64, loss: f64) -> LinkConfig {
@@ -752,6 +792,192 @@ mod tests {
         assert!(
             q_fast > q_slow + 0.03,
             "fast {q_fast} should beat slow {q_slow}"
+        );
+    }
+
+    /// A receiver that answers every data packet with an honest ack and,
+    /// now and then, a forged one (valid checksum) whose window lies
+    /// ahead of what was sent, far behind it, or at the top of the seq
+    /// space, with random bits.
+    struct Forger {
+        rng: Rng,
+        seen: BTreeSet<u64>,
+        highest: u64,
+    }
+
+    impl Forger {
+        fn bitmap(&self, start: u64) -> [u8; 16] {
+            let last = start.saturating_add(127);
+            let bits = self.seen.range(start..=last);
+            let bits = bits.fold(0u128, |b, &seq| b | 1 << (seq - start));
+            bits.to_le_bytes()
+        }
+    }
+
+    impl Agent for Forger {
+        fn on_start(&mut self, _api: &mut SimApi<'_>) {}
+
+        fn on_packet(&mut self, _path: usize, packet: Packet, api: &mut SimApi<'_>) {
+            let Some(h) = DataHeader::decode(packet.payload()) else {
+                return;
+            };
+            self.seen.insert(h.seq);
+            self.highest = self.highest.max(h.seq);
+            let start = self.highest.saturating_sub(127);
+            let mut ack = Ack::new(h.seq, h.sent_ns, h.path, start);
+            ack.bitmap = self.bitmap(start);
+            api.send(1, Packet::new(Ack::WIRE_BYTES, ack.encode()));
+            if self.rng.below(2) == 0 {
+                let start = match self.rng.below(3) {
+                    0 => self.highest + self.rng.below(256),
+                    1 => self.rng.below(self.highest + 1),
+                    _ => u64::MAX - self.rng.below(128),
+                };
+                let echo = [h.seq, self.rng.next(), u64::MAX][self.rng.below(3) as usize];
+                let mut forged = Ack::new(echo, h.sent_ns, h.path, start);
+                forged.bitmap =
+                    (u128::from(self.rng.next()) << 64 | u128::from(self.rng.next())).to_le_bytes();
+                api.send(1, Packet::new(Ack::WIRE_BYTES, forged.encode()));
+            }
+        }
+
+        fn on_timer(&mut self, _key: u64, _api: &mut SimApi<'_>) {}
+    }
+
+    /// What the forged acks named, by what the named seq was then.
+    #[derive(Debug, Default)]
+    struct Named {
+        in_flight: usize,
+        never_sent: usize,
+        acked_before: usize,
+        gone_unacked: usize,
+        top_windows: usize,
+    }
+
+    /// The sender, with every ack held to the contract: it removes
+    /// exactly the in-flight seqs the ack names, the echo first, then
+    /// the bitmap's in ascending order.
+    struct Checked {
+        sender: DmcSender,
+        acked: BTreeSet<u64>,
+        named: Named,
+    }
+
+    impl Agent for Checked {
+        fn on_start(&mut self, api: &mut SimApi<'_>) {
+            self.sender.on_start(api);
+        }
+
+        fn on_packet(&mut self, path: usize, packet: Packet, api: &mut SimApi<'_>) {
+            let ack = Ack::decode(packet.payload()).expect("the forger seals every ack");
+            let sender = &self.sender;
+            let mut want = Vec::new();
+            for seq in std::iter::once(ack.just_received).chain(ack.received_seqs()) {
+                let n = &mut self.named;
+                if sender.in_flight.get(seq).is_some() {
+                    n.in_flight += 1;
+                    if !want.contains(&seq) {
+                        want.push(seq);
+                    }
+                } else if seq >= sender.next_seq {
+                    n.never_sent += 1;
+                } else if self.acked.contains(&seq) {
+                    n.acked_before += 1;
+                } else {
+                    n.gone_unacked += 1;
+                }
+            }
+            self.named.top_windows += usize::from(ack.window_start > u64::MAX - 127);
+            self.sender.acked_log.clear();
+            self.sender.on_packet(path, packet, api);
+            assert_eq!(self.sender.acked_log, want, "ack {ack:?}");
+            self.acked.extend(want);
+        }
+
+        fn on_timer(&mut self, key: u64, api: &mut SimApi<'_>) {
+            self.sender.on_timer(key, api);
+        }
+    }
+
+    /// `deliver_golden`'s table3@90: planned on delays 50 ms above the
+    /// links', with 100 ms of timer slack; 7 % of the messages go to the
+    /// blackhole.
+    fn table3_at_90() -> Plan {
+        let path = |bw, delay, loss| PathSpec::new(bw, delay, loss).unwrap();
+        let net = NetworkSpec::builder()
+            .path(path(80e6, 0.400, 0.2))
+            .path(path(20e6, 0.100, 0.0))
+            .data_rate(90e6)
+            .lifetime(0.8)
+            .build()
+            .unwrap();
+        Planner::new()
+            .plan_with_margin(&Scenario::from_network(&net), 0.050, Objective::MaxQuality)
+            .unwrap()
+    }
+
+    /// Table III's links with ns-3's 100-packet queues.
+    fn table3_links() -> Vec<LinkConfig> {
+        let link = |bw, delay, loss| LinkConfig {
+            queue_capacity_bytes: 100 * 1024,
+            ..link(bw, delay, loss)
+        };
+        vec![link(80e6, 0.400, 0.2), link(20e6, 0.100, 0.0)]
+    }
+
+    #[test]
+    fn an_ack_removes_exactly_the_in_flight_seqs_it_names() {
+        let plan = table3_at_90();
+        for (seed, fast) in [(1, None), (2, Some(3)), (3, Some(1))] {
+            let mut config = SenderConfig::from_plan(&plan, SimDuration::from_millis(100), 2_500);
+            config.fast_retransmit = fast;
+            let checked = Checked {
+                sender: DmcSender::new(config),
+                acked: BTreeSet::new(),
+                named: Named::default(),
+            };
+            let forger = Forger {
+                rng: Rng(seed),
+                seen: BTreeSet::new(),
+                highest: 0,
+            };
+            let mut sim =
+                TwoHostSim::new(table3_links(), table3_links(), checked, forger, seed).unwrap();
+            sim.run_to_completion();
+            let n = &sim.client().named;
+            assert!(
+                n.in_flight > 0
+                    && n.never_sent > 0
+                    && n.acked_before > 0
+                    && n.gone_unacked > 0
+                    && n.top_windows > 0,
+                "seed {seed}: {n:?}"
+            );
+            let stats = sim.client().sender.stats();
+            assert_eq!(stats.acked, sim.client().acked.len() as u64);
+            assert!(
+                stats.expired + stats.blackholed > 0,
+                "seed {seed}: {stats:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_bitmap_walk_looks_up_only_the_seqs_no_ack_named_before() {
+        // Seed 1, as `deliver_golden` pins it.
+        let plan = table3_at_90();
+        let sender = DmcSender::from_plan(&plan, SimDuration::from_millis(100), 2_500);
+        let lifetime = SimDuration::from_secs_f64(plan.scenario().lifetime());
+        let receiver = DmcReceiver::new(ReceiverConfig::new(lifetime, plan.ack_path()));
+        let mut sim = TwoHostSim::new(table3_links(), table3_links(), sender, receiver, 1).unwrap();
+        sim.run_to_completion();
+        let (acks, acked) = (sim.server().stats().acks_sent, sim.client().stats().acked);
+        assert_eq!((acks, acked), (2_333, 2_333), "deliver_golden's pin");
+        // One lookup per set bit made 62 171 here.
+        let lookups = sim.client().bitmap_lookups;
+        assert!(
+            lookups <= acks + acked,
+            "{lookups} lookups for {acks} acks and {acked} messages acked"
         );
     }
 }

@@ -8,11 +8,14 @@
 //!   bit per seq in a dense bitset, plus an ordered overflow for seqs far
 //!   beyond it, so a lying header such as `seq = u64::MAX` costs one
 //!   overflow entry rather than a bitset reaching that far;
-//! * [`SeqWindow`] — the sender's in-flight messages: a ring of slots
-//!   indexed by `seq − base`, `base` being the oldest seq the ring still
-//!   covers, plus an ordered overflow for entries the ring would have to
-//!   stretch too far to hold (a message whose stage arms no timer can
-//!   stay in flight indefinitely).
+//! * [`SeqWindow`] — the sender's in-flight messages, and per path its
+//!   outstanding transmissions by send index (dense from 0 too): a ring
+//!   of slots indexed by `seq − base`, `base` being the oldest seq the
+//!   ring still covers, plus an ordered overflow for entries the ring
+//!   would have to stretch too far to hold (a message whose stage arms
+//!   no timer can stay in flight indefinitely).
+//!
+//! The sender also keeps a [`SeqSet`]: the seqs its acks have named.
 //!
 //! Both keep their storage proportional to what they hold: the set to
 //! the distinct seqs it has seen, the window to its live entries.
@@ -242,6 +245,22 @@ impl<T> SeqWindow<T> {
         Some(value)
     }
 
+    /// The entries under keys below `bound`, in ascending key order: the
+    /// outside entries below the ring, the ring's occupied slots, then
+    /// the outside entries past its end.
+    pub(crate) fn below(&self, bound: u64) -> impl Iterator<Item = (u64, &T)> {
+        let base = self.base;
+        let ring_end = base.saturating_add(self.slots.len() as u64);
+        let in_ring = bound.saturating_sub(base).min(self.slots.len() as u64) as usize;
+        let before = self.outside.range(..bound.min(base));
+        let ring = self.slots.range(..in_ring).enumerate();
+        let after = self.outside.range(ring_end.min(bound)..bound);
+        before
+            .map(|(&seq, value)| (seq, value))
+            .chain(ring.filter_map(move |(i, slot)| Some((base + i as u64, slot.as_ref()?))))
+            .chain(after.map(|(&seq, value)| (seq, value)))
+    }
+
     /// Pops empty slots off the ring's front, and moves its oldest
     /// entries outside while the ring is longer than its bound: a
     /// message that never leaves must not pin a ring over every seq sent
@@ -267,18 +286,19 @@ impl<T> SeqWindow<T> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     //! Seeded operation scripts through both structures, each held to an
     //! ordered model (`BTreeSet` / `BTreeMap`) after every step: every
     //! answer must match, and the storage must stay within its bound.
 
     use super::*;
 
-    /// SplitMix64: a small, seedable stream for the scripts.
-    struct Rng(u64);
+    /// SplitMix64: a small, seedable stream for the scripts (the
+    /// sender's tests forge acks with it too).
+    pub(crate) struct Rng(pub(crate) u64);
 
     impl Rng {
-        fn next(&mut self) -> u64 {
+        pub(crate) fn next(&mut self) -> u64 {
             self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -286,7 +306,7 @@ mod tests {
             z ^ (z >> 31)
         }
 
-        fn below(&mut self, n: u64) -> u64 {
+        pub(crate) fn below(&mut self, n: u64) -> u64 {
             self.next() % n
         }
 
@@ -447,13 +467,32 @@ mod tests {
         assert_eq!(set.window(19_990), (1 << 11) - 1);
     }
 
+    /// Script steps after which the window held overflow entries below
+    /// its ring, past its end, and on both sides of a non-empty ring.
+    #[derive(Debug, Default)]
+    struct Reached {
+        outside_below: usize,
+        outside_after: usize,
+        outside_both: usize,
+    }
+
     /// A sender-shaped script against `BTreeMap`: new seqs handed out in
     /// order (some never sent), retransmissions replacing live entries,
     /// acks out of order by up to `reorder`, detect-only expiries of the
     /// oldest, messages whose stage arms no timer and which therefore
     /// never leave, and lying seqs from forged acks.
-    fn run_window_script(seed: u64, steps: usize, reorder: u64, stuck_per_mille: u64) {
+    ///
+    /// With `walk`, every step also holds [`SeqWindow::below`] to the
+    /// model (see [`check_below`]).
+    fn run_window_script(
+        seed: u64,
+        steps: usize,
+        reorder: u64,
+        stuck_per_mille: u64,
+        walk: bool,
+    ) -> Reached {
         let mut rng = Rng(seed);
+        let mut reached = Reached::default();
         let mut window = SeqWindow::default();
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         let mut stuck: BTreeSet<u64> = BTreeSet::new();
@@ -497,9 +536,17 @@ mod tests {
                     assert_eq!(window.remove(seq), model.remove(&seq), "ack {seq}: {at}");
                 }
             } else if roll < 90 {
-                // A detect-only expiry of the oldest message with a timer.
-                let oldest = model.keys().find(|seq| !stuck.contains(seq)).copied();
-                if let Some(seq) = oldest {
+                // Detect-only expiries: the oldest message with a timer,
+                // and every other one more than `reorder` seqs old.
+                let old = next.saturating_sub(reorder);
+                let expired: Vec<u64> = model
+                    .keys()
+                    .filter(|seq| !stuck.contains(seq))
+                    .enumerate()
+                    .take_while(|&(i, &seq)| i == 0 || seq < old)
+                    .map(|(_, &seq)| seq)
+                    .collect();
+                for seq in expired {
                     assert_eq!(window.remove(seq), model.remove(&seq), "expire {seq}: {at}");
                 }
             } else if roll < 95 {
@@ -547,20 +594,81 @@ mod tests {
                 window.len()
             );
             assert!(outside <= window.len());
+            if walk {
+                check_below(&window, &model, &mut rng, step, &mut reached, &at);
+            }
         }
         for (&seq, value) in &model {
             assert_eq!(window.get(seq), Some(value), "seed {seed}: entry {seq}");
         }
+        reached
+    }
+
+    /// Holds [`SeqWindow::below`] to the model's `range(..bound)` for two
+    /// bounds, taking turns over: below the ring, at its base, inside it,
+    /// at and past its end, and the extremes. Tallies where the window
+    /// held overflow entries.
+    fn check_below(
+        window: &SeqWindow<u64>,
+        model: &BTreeMap<u64, u64>,
+        rng: &mut Rng,
+        step: usize,
+        reached: &mut Reached,
+        at: &str,
+    ) {
+        let base = window.base;
+        let end = base.saturating_add(window.slots.len() as u64);
+        let bounds = [
+            0,
+            base.saturating_sub(1 + rng.below(64)),
+            base,
+            base.saturating_add(rng.below(window.slots.len() as u64 + 1)),
+            end,
+            end.saturating_add(rng.below(6_000)),
+            u64::MAX,
+        ];
+        for bound in [bounds[step % 7], bounds[(step + 3) % 7]] {
+            let walked = window.below(bound).map(|(k, &v)| (k, v));
+            assert!(
+                walked.eq(model.range(..bound).map(|(&k, &v)| (k, v))),
+                "below {bound} (ring {base}..{end}): {at}"
+            );
+        }
+        let outside_below = window.outside.range(..base).next().is_some();
+        let outside_after = window.outside.range(end..).next().is_some();
+        reached.outside_below += usize::from(outside_below);
+        reached.outside_after += usize::from(outside_after);
+        reached.outside_both += usize::from(outside_below && outside_after && window.in_ring > 0);
     }
 
     #[test]
     fn seq_window_matches_an_ordered_map() {
         for seed in 1..=4 {
-            run_window_script(seed, 30_000, 200, 0);
-            run_window_script(seed, 30_000, 10_000, 0);
-            run_window_script(seed, 30_000, 200, 5);
-            run_window_script(seed, 30_000, 10_000, 5);
+            run_window_script(seed, 30_000, 200, 0, false);
+            run_window_script(seed, 30_000, 10_000, 0, false);
+            run_window_script(seed, 30_000, 200, 5, false);
+            run_window_script(seed, 30_000, 10_000, 5, false);
         }
+    }
+
+    #[test]
+    fn the_walk_below_a_bound_matches_the_ordered_range() {
+        // Stuck messages leave entries outside below the ring, lying seqs
+        // just past the newest leave them outside past its end.
+        let mut both = 0;
+        for seed in 1..=3 {
+            for (reorder, stuck) in [(200, 20), (500, 20), (200, 0)] {
+                let reached = run_window_script(seed, 8_000, reorder, stuck, true);
+                if stuck > 0 {
+                    assert!(
+                        reached.outside_below > 0 && reached.outside_after > 0,
+                        "seed {seed} reorder {reorder}: {reached:?}"
+                    );
+                }
+                both += reached.outside_both;
+            }
+        }
+        assert!(both > 0, "no step held overflow on both sides of the ring");
     }
 
     #[test]

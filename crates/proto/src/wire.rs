@@ -147,6 +147,13 @@ const DATA: Frame<DATA_HEADER_BYTES> = Frame::new(0xD7, 4, 4);
 const ACK: Frame<{ Ack::WIRE_BYTES }> = Frame::new(0xA3, 2, 2);
 /// Path-state notifications.
 const NOTICE: Frame<{ PathNotice::WIRE_BYTES }> = Frame::new(0x5E, 4, 4);
+/// Whether `frame` carries the [`PathNotice`] magic: the receiver reads
+/// it once to pick its decoder (the magics are distinct, so no frame
+/// both decoders would take exists).
+pub(crate) fn is_notice(frame: &[u8]) -> bool {
+    frame.first() == Some(&NOTICE.magic)
+}
+
 /// Fleet-service admission offers.
 const OFFER: Frame<{ OfferFrame::WIRE_BYTES }> = Frame::new(0x0F, 2, 2);
 /// Fleet-service admission decisions.

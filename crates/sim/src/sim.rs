@@ -42,10 +42,11 @@ enum NetEvent {
     /// A protocol timer fired.
     Timer { host: HostId, key: u64 },
     /// A scheduled link change (failure/recovery/retune) takes effect.
+    /// Boxed: it is rare, and unboxed it would widen every event.
     LinkChange {
         dir: Dir,
         path: usize,
-        change: LinkChange,
+        change: Box<LinkChange>,
     },
 }
 
@@ -300,7 +301,7 @@ impl<C: Agent, S: Agent> TwoHostSim<C, S> {
                 NetEvent::LinkChange {
                     dir: e.dir,
                     path: e.path,
-                    change: e.change.clone(),
+                    change: Box::new(e.change.clone()),
                 },
             );
         }
@@ -499,6 +500,13 @@ mod tests {
             loss: loss.into(),
             queue_capacity_bytes: 1 << 20,
         }
+    }
+
+    #[test]
+    fn a_net_event_stays_small() {
+        // Every event-heap entry carries one, so the rare link change is
+        // boxed and an arrival (a 32-byte packet) sets the width.
+        assert!(std::mem::size_of::<NetEvent>() <= 48);
     }
 
     /// Client: sends one packet at start, records the echo's arrival.
