@@ -10,8 +10,7 @@
 //! weighted random sampling (`random_baseline_is_looser_than_algorithm1`
 //! in this module's tests is the ablation).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use dmc_stats::rng::Xoshiro256;
 
 /// How a [`Scheduler`] maps the solved fractions to whole packets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -59,7 +58,7 @@ pub struct Scheduler {
 #[derive(Debug, Clone)]
 struct WeightedSampler {
     cumulative: Vec<f64>,
-    rng: StdRng,
+    rng: Xoshiro256,
 }
 
 impl WeightedSampler {
@@ -73,7 +72,7 @@ impl WeightedSampler {
     }
 
     fn next_combo(&mut self) -> usize {
-        let u: f64 = self.rng.random();
+        let u = self.rng.unit();
         self.cumulative
             .partition_point(|&c| c < u)
             .min(self.cumulative.len() - 1)
@@ -110,7 +109,7 @@ impl Scheduler {
             SchedulePolicy::WeightedRandom { seed } => {
                 let mut sampler = WeightedSampler {
                     cumulative: Vec::with_capacity(x.len()),
-                    rng: StdRng::seed_from_u64(seed),
+                    rng: Xoshiro256::seed_from_u64(seed),
                 };
                 sampler.retarget(&x);
                 Some(sampler)

@@ -30,6 +30,7 @@
 //! Both legs run per-trial through the Monte-Carlo engine and fold in
 //! trial order, so the aggregate report is thread-count independent.
 
+use crate::fleet::SeedStream;
 use crate::montecarlo::{run_trials_parallel, trial_seed, MonteCarloConfig};
 use crate::runner::{run_plan, RunConfig, RunOutcome, TrueNetwork};
 use crate::scenarios;
@@ -60,38 +61,6 @@ pub fn chaos_paths() -> Vec<ScenarioPath> {
 /// Aggregate capacity of [`chaos_paths`] in bits/second.
 pub fn chaos_capacity() -> f64 {
     chaos_paths().iter().map(ScenarioPath::bandwidth).sum()
-}
-
-/// Deterministic scalar stream derived from a trial seed (the same
-/// stateless SplitMix64 finalization the fleet experiment uses).
-struct SeedStream {
-    seed: u64,
-    k: u64,
-}
-
-impl SeedStream {
-    fn new(seed: u64) -> Self {
-        SeedStream { seed, k: 0 }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.k += 1;
-        trial_seed(self.seed, self.k)
-    }
-
-    /// Uniform in `[0, 1)`.
-    fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Uniform in `[lo, hi)`.
-    fn in_range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.unit()
-    }
-
-    fn pick(&mut self, xs: &[f64]) -> f64 {
-        xs[(self.next_u64() % xs.len() as u64) as usize]
-    }
 }
 
 /// The seeded chaos script: `flows` mixed-priority arrivals summing to

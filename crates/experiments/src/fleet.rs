@@ -16,6 +16,7 @@ use crate::montecarlo::{run_trials_parallel, trial_seed, MonteCarloConfig};
 use crate::runner::{run_plan, RunConfig, TrueLink, TrueNetwork};
 use dmc_core::{Plan, ScenarioPath};
 use dmc_fleet::{FleetConfig, FleetObjective, FleetPlanner, FleetTrace, FlowRequest};
+use dmc_stats::rng::to_unit;
 use dmc_stats::TrialStats;
 use std::sync::Arc;
 
@@ -66,14 +67,9 @@ impl SeedStream {
         trial_seed(self.seed, self.k)
     }
 
-    /// Uniform in `[0, 1)`.
-    pub(crate) fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// Uniform in `[lo, hi)`.
     pub(crate) fn in_range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.unit()
+        lo + (hi - lo) * to_unit(self.next_u64())
     }
 
     pub(crate) fn pick(&mut self, xs: &[f64]) -> f64 {

@@ -17,7 +17,7 @@ use dmc_proto::wire::{DecisionFrame, DepartFrame, LinkChangeFrame, OfferFrame, V
 use dmc_sim::LinkChange;
 use std::collections::VecDeque;
 
-use crate::montecarlo::trial_seed;
+use crate::fleet::SeedStream;
 
 /// Default shard count (`--shards`/`SHARDS` override it). Each shard is
 /// one capacity region of two paths, so the wire path mask (128 bits)
@@ -83,26 +83,6 @@ pub struct ServiceOutcome {
     pub decision_hash: u64,
 }
 
-struct Script {
-    seed: u64,
-    k: u64,
-}
-
-impl Script {
-    fn next_u64(&mut self) -> u64 {
-        self.k += 1;
-        trial_seed(self.seed, self.k)
-    }
-
-    fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    fn in_range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.unit()
-    }
-}
-
 /// Replays the seeded script of `flows` offers against a fresh
 /// `shards`-region service with `workers` tick threads (0 = resolve via
 /// `DMC_THREADS`), entirely over wire frames, with the service's
@@ -133,7 +113,7 @@ pub fn run_service_script(
     )
     .expect("literal service parameters are valid");
 
-    let mut script = Script { seed, k: 0 };
+    let mut script = SeedStream::new(seed);
     let mut out = ServiceOutcome {
         shards,
         workers: service.workers(),

@@ -1560,15 +1560,8 @@ mod tests {
         let grid = TimeGrid::new(0.5, 8).expect("valid grid");
         let mut warm = SchedulePlanner::new(paths(), grid, FleetConfig::default()).expect("valid");
         let mut cold = SchedulePlanner::new(paths(), grid, cold_config).expect("valid");
-        let mut state = 0x5C4E_u64;
-        let mut draw = |n: u64| {
-            // SplitMix64.
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            (z ^ (z >> 31)) % n
-        };
+        let mut rng = dmc_stats::rng::SplitMix64::new(0x5C4E);
+        let mut draw = |n: u64| rng.next_u64() % n;
         for origin in 1..=300 {
             let (w, c) = (warm.advance_to(origin), cold.advance_to(origin));
             let (w, c) = (w.expect("advance"), c.expect("advance"));

@@ -36,26 +36,23 @@ use dmc_fleet::{
     ScheduleRequest, SlotWindow, TimeGrid,
 };
 use dmc_sim::LinkChange;
+use dmc_stats::rng::SplitMix64;
 
-/// SplitMix64 — the scripts' only entropy source.
-struct Rng(u64);
+/// The scripts' draws from their SplitMix64 streams, their only
+/// entropy source.
+trait Draw {
+    fn range(&mut self, lo: f64, hi: f64) -> f64;
+    fn below(&mut self, n: usize) -> usize;
+}
 
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
+impl Draw for SplitMix64 {
     /// Uniform in `[lo, hi)`.
     fn range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * ((self.next() >> 11) as f64 / (1u64 << 53) as f64)
+        lo + (hi - lo) * self.unit()
     }
 
     fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
+        (self.next_u64() % n as u64) as usize
     }
 }
 
@@ -84,7 +81,7 @@ fn config(warm_start: bool) -> FleetConfig {
 /// budget, a priority, a path subset or a single transmission — so
 /// blocks differ in width and row pattern and tombstones are only
 /// sometimes reusable.
-fn seeded_request(rng: &mut Rng) -> FlowRequest {
+fn seeded_request(rng: &mut SplitMix64) -> FlowRequest {
     let mut r = FlowRequest::new(rng.range(6e6, 30e6), rng.range(0.4, 1.2)).unwrap();
     if rng.below(3) > 0 {
         r = r.with_min_quality(rng.range(0.3, 0.9));
@@ -105,7 +102,7 @@ fn seeded_request(rng: &mut Rng) -> FlowRequest {
     r
 }
 
-fn seeded_link_change(rng: &mut Rng) -> (usize, LinkChange) {
+fn seeded_link_change(rng: &mut SplitMix64) -> (usize, LinkChange) {
     let path = rng.below(BANDWIDTHS.len());
     let change = match rng.below(4) {
         0 => LinkChange::Fail,
@@ -139,7 +136,7 @@ fn instant_planner_warm_and_cold_agree_at_every_step() {
     let (mut hits, mut misses) = (0, 0);
     let mut refusals = 0;
     for seed in 1..=6u64 {
-        let mut rng = Rng(seed.wrapping_mul(0xA24B_AED4_963E_E407));
+        let mut rng = SplitMix64::new(seed.wrapping_mul(0xA24B_AED4_963E_E407));
         let mut warm = FleetPlanner::new(paths(), config(true)).unwrap();
         let mut cold = FleetPlanner::new(paths(), config(false)).unwrap();
         for step in 0..70 {
@@ -227,7 +224,7 @@ fn schedule_planner_warm_and_cold_agree_at_every_step() {
     let mut hits = 0;
     let mut reserved = 0;
     for seed in 1..=5u64 {
-        let mut rng = Rng(seed.wrapping_mul(0x9FB2_1C65_1E98_DF25));
+        let mut rng = SplitMix64::new(seed.wrapping_mul(0x9FB2_1C65_1E98_DF25));
         let grid = TimeGrid::new(0.5, HORIZON as usize).unwrap();
         let mut warm = SchedulePlanner::new(paths(), grid, config(true)).unwrap();
         let mut cold = SchedulePlanner::new(paths(), grid, config(false)).unwrap();

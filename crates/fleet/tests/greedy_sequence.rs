@@ -21,27 +21,24 @@ use dmc_fleet::{
     AdmissionDecision, FleetConfig, FleetObjective, FleetPlanner, FlowId, FlowRequest,
 };
 use dmc_sim::LinkChange;
+use dmc_stats::rng::SplitMix64;
 use std::collections::BTreeMap;
 
-/// SplitMix64 — the script's only entropy source.
-struct Rng(u64);
+/// The script's draws from its SplitMix64 stream, its only entropy
+/// source.
+trait Draw {
+    fn range(&mut self, lo: f64, hi: f64) -> f64;
+    fn below(&mut self, n: usize) -> usize;
+}
 
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
+impl Draw for SplitMix64 {
     /// Uniform in `[lo, hi)`.
     fn range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * ((self.next() >> 11) as f64 / (1u64 << 53) as f64)
+        lo + (hi - lo) * self.unit()
     }
 
     fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
+        (self.next_u64() % n as u64) as usize
     }
 }
 
@@ -65,7 +62,7 @@ fn planner(objective: FleetObjective) -> FleetPlanner {
 /// 15–45 Mbit/s (nine of them average twice the capacity), a floor
 /// two times in three, sometimes a priority, a path subset or a single
 /// transmission.
-fn seeded_request(rng: &mut Rng) -> FlowRequest {
+fn seeded_request(rng: &mut SplitMix64) -> FlowRequest {
     let mut r = FlowRequest::new(rng.range(15e6, 45e6), rng.range(0.4, 1.2)).unwrap();
     if rng.below(3) > 0 {
         r = r.with_min_quality(rng.range(0.5, 0.95));
@@ -110,7 +107,7 @@ fn greedy_sequences_match_one_solve_per_offer() {
     for objective in objectives {
         for seed in 1..=12u64 {
             let ctx = format!("{objective:?} seed {seed}");
-            let mut rng = Rng(seed.wrapping_mul(0xD1B5_4A32_D192_ED03));
+            let mut rng = SplitMix64::new(seed.wrapping_mul(0xD1B5_4A32_D192_ED03));
             let mut fleet = planner(objective);
             let mut oracle = planner(objective);
             // Who is in: the fleet's id and the request.

@@ -379,29 +379,26 @@ mod gridded {
         SlotWindow, TimeGrid,
     };
     use dmc_sim::LinkChange;
+    use dmc_stats::rng::SplitMix64;
     use std::collections::BTreeMap;
 
     const SLOT_WIDTH: f64 = 0.5;
     const HORIZON: u64 = 4;
 
-    /// SplitMix64, the scripts' only entropy.
-    struct Rng(u64);
+    /// The scripts' draws from their SplitMix64 streams, their only
+    /// entropy.
+    trait Draw {
+        fn below(&mut self, n: u64) -> u64;
+        fn range(&mut self, lo: f64, hi: f64) -> f64;
+    }
 
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-
+    impl Draw for SplitMix64 {
         fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
+            self.next_u64() % n
         }
 
         fn range(&mut self, lo: f64, hi: f64) -> f64 {
-            lo + (hi - lo) * ((self.next() >> 11) as f64 / (1u64 << 53) as f64)
+            lo + (hi - lo) * self.unit()
         }
     }
 
@@ -925,7 +922,7 @@ mod gridded {
     }
 
     /// A seeded request on a mask-selected subset of `region`'s paths.
-    fn request(rng: &mut Rng, n_paths: usize) -> FlowRequest {
+    fn request(rng: &mut SplitMix64, n_paths: usize) -> FlowRequest {
         let mut r = FlowRequest::new(rng.range(4e6, 30e6), rng.range(0.4, 1.5)).expect("valid");
         if rng.below(3) > 0 {
             r = r.with_min_quality(rng.range(0.3, 0.9));
@@ -956,7 +953,7 @@ mod gridded {
     }
 
     impl Mix {
-        fn step(self, rng: &mut Rng) -> Step {
+        fn step(self, rng: &mut SplitMix64) -> Step {
             match (self, rng.below(20)) {
                 (Mix::Ticks, 0..=9) | (Mix::Departures, 0..=7) => Step::Tick,
                 (Mix::Ticks, 10..=14) | (Mix::Departures, 8..=11) => Step::WindowedOffer,
@@ -995,7 +992,7 @@ mod gridded {
             region_of: BTreeMap::new(),
             reached: Reached::default(),
         };
-        let mut rng = Rng(seed);
+        let mut rng = SplitMix64::new(seed);
         for step in 0..48 {
             let region = rng.below(mirror.regions.len() as u64) as usize;
             let n_paths = mirror.regions[region].len();

@@ -18,26 +18,22 @@ use dmc_proto::wire::{
     Ack, DataHeader, DecisionFrame, DepartFrame, LinkChangeFrame, LinkChangeKind, NoticeKind,
     OfferFrame, PathNotice, Verdict,
 };
+use dmc_stats::rng::SplitMix64;
 use std::collections::BTreeSet;
 
-/// SplitMix64 — the only entropy source.
-struct Rng(u64);
+/// Draws from a SplitMix64 stream, the only entropy source.
+trait Draw {
+    fn below(&mut self, n: usize) -> usize;
+    fn bytes(&mut self, len: usize) -> Vec<u8>;
+}
 
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
+impl Draw for SplitMix64 {
     fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
+        (self.next_u64() % n as u64) as usize
     }
 
     fn bytes(&mut self, len: usize) -> Vec<u8> {
-        (0..len).map(|_| self.next() as u8).collect()
+        (0..len).map(|_| self.next_u64() as u8).collect()
     }
 }
 
@@ -66,40 +62,40 @@ fn reseal(frame: &mut [u8]) {
 }
 
 /// One valid frame of each type, seeded.
-fn valid_frames(rng: &mut Rng) -> Vec<Vec<u8>> {
-    let mut ack = Ack::new(rng.next(), rng.next(), rng.next() as u8, 400);
-    ack.set_received(400 + rng.next() % 128);
+fn valid_frames(rng: &mut SplitMix64) -> Vec<Vec<u8>> {
+    let mut ack = Ack::new(rng.next_u64(), rng.next_u64(), rng.next_u64() as u8, 400);
+    ack.set_received(400 + rng.next_u64() % 128);
     vec![
         DataHeader {
-            seq: rng.next(),
-            created_ns: rng.next(),
-            sent_ns: rng.next(),
-            path: rng.next() as u8,
-            stage: rng.next() as u8,
+            seq: rng.next_u64(),
+            created_ns: rng.next_u64(),
+            sent_ns: rng.next_u64(),
+            path: rng.next_u64() as u8,
+            stage: rng.next_u64() as u8,
         }
         .encode()
         .to_vec(),
         ack.encode().to_vec(),
         PathNotice {
-            path: rng.next() as u8,
+            path: rng.next_u64() as u8,
             kind: [NoticeKind::Down, NoticeKind::Up][rng.below(2)],
-            seq: rng.next() as u8,
-            at_ns: rng.next(),
+            seq: rng.next_u64() as u8,
+            at_ns: rng.next_u64(),
         }
         .encode()
         .to_vec(),
         offer(rng).encode().to_vec(),
         DecisionFrame {
-            seq: rng.next(),
-            flow: rng.next(),
+            seq: rng.next_u64(),
+            flow: rng.next_u64(),
             verdict: [Verdict::Rejected, Verdict::Admitted, Verdict::Invalid][rng.below(3)],
             predicted_quality: 0.9875,
         }
         .encode()
         .to_vec(),
         DepartFrame {
-            seq: rng.next(),
-            flow: rng.next() % 64,
+            seq: rng.next_u64(),
+            flow: rng.next_u64() % 64,
         }
         .encode()
         .to_vec(),
@@ -107,10 +103,10 @@ fn valid_frames(rng: &mut Rng) -> Vec<Vec<u8>> {
     ]
 }
 
-fn offer(rng: &mut Rng) -> OfferFrame {
+fn offer(rng: &mut SplitMix64) -> OfferFrame {
     let masks = [vec![], vec![0], vec![1, 2], vec![0, 3], vec![2]];
     OfferFrame {
-        seq: rng.next(),
+        seq: rng.next_u64(),
         data_rate: 2e6 + rng.below(20) as f64 * 1e6,
         lifetime: 0.3 + rng.below(8) as f64 * 0.1,
         // Floors stay clear of what the paths deliver (0.8 … 1.0): one
@@ -125,7 +121,7 @@ fn offer(rng: &mut Rng) -> OfferFrame {
     }
 }
 
-fn link(rng: &mut Rng) -> LinkChangeFrame {
+fn link(rng: &mut SplitMix64) -> LinkChangeFrame {
     let kinds = [
         (LinkChangeKind::Fail, 0.0),
         (LinkChangeKind::Recover, 0.0),
@@ -134,7 +130,7 @@ fn link(rng: &mut Rng) -> LinkChangeFrame {
     ];
     let (kind, value) = kinds[rng.below(kinds.len())];
     LinkChangeFrame {
-        seq: rng.next(),
+        seq: rng.next_u64(),
         path: rng.below(4) as u16,
         kind,
         value,
@@ -142,10 +138,10 @@ fn link(rng: &mut Rng) -> LinkChangeFrame {
 }
 
 /// A valid frame with 1–8 bytes overwritten, resealed.
-fn mutated(rng: &mut Rng, mut frame: Vec<u8>) -> Vec<u8> {
+fn mutated(rng: &mut SplitMix64, mut frame: Vec<u8>) -> Vec<u8> {
     for _ in 0..1 + rng.below(8) {
         let at = 1 + rng.below(frame.len() - 1);
-        frame[at] = rng.next() as u8;
+        frame[at] = rng.next_u64() as u8;
     }
     reseal(&mut frame);
     frame
@@ -177,7 +173,7 @@ fn decode_all(bytes: &[u8]) -> usize {
 
 #[test]
 fn decoders_never_panic_and_what_they_accept_round_trips() {
-    let mut rng = Rng(0xF0_22);
+    let mut rng = SplitMix64::new(0xF0_22);
     let (mut random_accepted, mut mutated_accepted) = (0, 0);
     for _ in 0..4_000 {
         let len = rng.below(257);
@@ -231,7 +227,7 @@ fn the_service_answers_every_accepted_offer_exactly_once() {
         ..ServiceConfig::default()
     };
     let mut service = FleetService::new(paths, &[vec![0, 1], vec![2, 3]], config).unwrap();
-    let mut rng = Rng(0x5E_ED);
+    let mut rng = SplitMix64::new(0x5E_ED);
     let mut pending = BTreeSet::new();
     let mut resident: Vec<u64> = Vec::new();
     let (mut answered, mut invalid, mut admitted) = (0, 0, 0);
@@ -256,7 +252,7 @@ fn the_service_answers_every_accepted_offer_exactly_once() {
                     let base = if rng.below(2) == 0 {
                         link(&mut rng).encode().to_vec()
                     } else {
-                        let flow = rng.next() % (service.submissions() + 1);
+                        let flow = rng.next_u64() % (service.submissions() + 1);
                         DepartFrame { seq: 1, flow }.encode().to_vec()
                     };
                     mutated(&mut rng, base)

@@ -175,7 +175,7 @@ mod tests {
              det-scope crates/lp/\n",
         )
         .unwrap();
-        assert!(cfg.is_skipped("crates/compat/rand/src/lib.rs"));
+        assert!(cfg.is_skipped("crates/compat/proptest/src/lib.rs"));
         assert!(cfg.allows(Rule::DetThreadSpawn, "crates/experiments/src/montecarlo.rs"));
         assert!(!cfg.allows(Rule::DetWallclock, "crates/experiments/src/montecarlo.rs"));
         assert_eq!(cfg.det_scope, vec!["crates/lp/"]);

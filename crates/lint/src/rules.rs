@@ -126,8 +126,8 @@ pub fn scan_tokens(rel: &str, tokens: &[Token], cfg: &Config) -> FileScan {
                 continue;
             }
             // Ambient entropy is wall-clock's twin: backoff/jitter and
-            // fault-injection code must draw from seeded SplitMix64
-            // streams, never from the OS entropy pool.
+            // fault-injection code must draw from the seeded streams of
+            // `dmc_stats::rng`, never from the OS entropy pool.
             if t.kind == TokKind::Ident
                 && matches!(t.text.as_str(), "thread_rng" | "from_entropy" | "OsRng")
             {
@@ -137,7 +137,8 @@ pub fn scan_tokens(rel: &str, tokens: &[Token], cfg: &Config) -> FileScan {
                     Rule::DetWallclock,
                     format!(
                         "`{}` draws ambient entropy: backoff/jitter on deterministic paths must \
-                         use a seeded stream (SplitMix64 via mix_seed/trial_seed)",
+                         use a seeded stream from dmc_stats::rng (seeds derived via \
+                         mix_seed/trial_seed)",
                         t.text
                     ),
                 ));

@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! cargo run -p dmc-experiments --bin chaos -- --metrics /tmp/chaos.jsonl
-//! cargo run -p dmc-bench --bin obs_check -- /tmp/chaos.jsonl \
+//! cargo run -p dmc-obs --bin obs_check -- /tmp/chaos.jsonl \
 //!     --require lp.solves --require fleet.sheds
 //! ```
 //!

@@ -9,6 +9,7 @@ use dmc_core::{
     NetworkSpec, Objective, PathSpec, Plan, Planner, PlannerConfig, Scenario, SolverOptions,
 };
 use dmc_sim::{Agent, Packet, SimApi, SimDuration};
+use dmc_stats::rng::SplitMix64;
 
 /// Timer key reserved for the periodic re-solve.
 const ADAPT_KEY: u64 = RESERVED_KEY_BASE;
@@ -66,21 +67,6 @@ struct ProbeBackoff {
     exp: u32,
     /// Adaptation ticks left to skip before the next probe.
     skip: u64,
-}
-
-/// SplitMix64 for deterministic probe jitter — same generator family as
-/// the simulator's seed discipline, so runs replay bit-identically.
-#[derive(Debug)]
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
 }
 
 /// Configuration for [`AdaptiveSender`].
@@ -170,7 +156,7 @@ impl AdaptiveSender {
             ..PlannerConfig::default()
         });
         let num_paths = config.prior.num_paths();
-        let jitter = SplitMix64(config.jitter_seed);
+        let jitter = SplitMix64::new(config.jitter_seed);
         AdaptiveSender {
             inner: DmcSender::new(sender),
             config,

@@ -268,6 +268,55 @@ mod tests {
     }
 
     #[test]
+    fn rtt_follows_rfc6298_recurrence() {
+        // RFC 6298 §2 with G = 0: the first sample sets SRTT = R and
+        // RTTVAR = R/2; later ones update RTTVAR from the *old* SRTT,
+        // then SRTT, with α = 1/8, β = 1/4; RTO = SRTT + K·RTTVAR, K = 4,
+        // floored at `min_rto`. The sequence steps from ~100 ms to
+        // ~400 ms, where reading the new SRTT into RTTVAR would show.
+        const ALPHA: f64 = 1.0 / 8.0;
+        const BETA: f64 = 1.0 / 4.0;
+        const K: f64 = 4.0;
+        let min_rto = 0.35;
+        let samples = [
+            0.100, 0.120, 0.090, 0.110, 0.100, 0.105, 0.400, 0.410, 0.390, 0.420, 0.400, 0.380,
+            0.405, 0.400,
+        ];
+        let mut e = RttEstimator::new();
+        let mut oracle: Option<(f64, f64)> = None;
+        let (mut floored, mut unfloored) = (0, 0);
+        for (i, &r) in samples.iter().enumerate() {
+            e.record(r);
+            let (srtt, rttvar) = match oracle {
+                None => (r, r / 2.0),
+                Some((srtt, rttvar)) => (
+                    (1.0 - ALPHA) * srtt + ALPHA * r,
+                    (1.0 - BETA) * rttvar + BETA * (srtt - r).abs(),
+                ),
+            };
+            oracle = Some((srtt, rttvar));
+            let rto = (srtt + K * rttvar).max(min_rto);
+            if srtt + K * rttvar < min_rto {
+                floored += 1;
+            } else {
+                unfloored += 1;
+            }
+            for (name, got, want) in [
+                ("srtt", e.srtt().unwrap(), srtt),
+                ("rttvar", e.rttvar(), rttvar),
+                ("rto", e.rto(min_rto).unwrap(), rto),
+            ] {
+                assert!(
+                    (got - want).abs() < 1e-12,
+                    "sample {i} (R = {r}): {name} {got} vs RFC 6298 {want}"
+                );
+            }
+        }
+        assert_eq!(e.samples(), samples.len() as u64);
+        assert!(floored > 0 && unfloored > 0, "{floored} / {unfloored}");
+    }
+
+    #[test]
     fn rtt_tracks_shift() {
         let mut e = RttEstimator::new();
         for _ in 0..50 {

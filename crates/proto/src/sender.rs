@@ -588,9 +588,10 @@ impl Agent for DmcSender {
 mod tests {
     use super::*;
     use crate::receiver::{DmcReceiver, ReceiverConfig};
-    use crate::seqs::tests::Rng;
+    use crate::seqs::tests::Draw;
     use dmc_core::{NetworkSpec, Objective, PathSpec, Plan, Planner, Scenario};
     use dmc_sim::{LinkConfig, TwoHostSim};
+    use dmc_stats::rng::SplitMix64;
     use dmc_stats::ConstantDelay;
     use std::collections::BTreeSet;
     use std::sync::Arc;
@@ -800,7 +801,7 @@ mod tests {
     /// ahead of what was sent, far behind it, or at the top of the seq
     /// space, with random bits.
     struct Forger {
-        rng: Rng,
+        rng: SplitMix64,
         seen: BTreeSet<u64>,
         highest: u64,
     }
@@ -833,10 +834,11 @@ mod tests {
                     1 => self.rng.below(self.highest + 1),
                     _ => u64::MAX - self.rng.below(128),
                 };
-                let echo = [h.seq, self.rng.next(), u64::MAX][self.rng.below(3) as usize];
+                let echo = [h.seq, self.rng.next_u64(), u64::MAX][self.rng.below(3) as usize];
                 let mut forged = Ack::new(echo, h.sent_ns, h.path, start);
-                forged.bitmap =
-                    (u128::from(self.rng.next()) << 64 | u128::from(self.rng.next())).to_le_bytes();
+                forged.bitmap = (u128::from(self.rng.next_u64()) << 64
+                    | u128::from(self.rng.next_u64()))
+                .to_le_bytes();
                 api.send(1, Packet::new(Ack::WIRE_BYTES, forged.encode()));
             }
         }
@@ -937,7 +939,7 @@ mod tests {
                 named: Named::default(),
             };
             let forger = Forger {
-                rng: Rng(seed),
+                rng: SplitMix64::new(seed),
                 seen: BTreeSet::new(),
                 highest: 0,
             };

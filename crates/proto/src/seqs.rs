@@ -292,22 +292,18 @@ pub(crate) mod tests {
     //! answer must match, and the storage must stay within its bound.
 
     use super::*;
+    use dmc_stats::rng::SplitMix64;
 
-    /// SplitMix64: a small, seedable stream for the scripts (the
-    /// sender's tests forge acks with it too).
-    pub(crate) struct Rng(pub(crate) u64);
+    /// The scripts' draws from a SplitMix64 stream (the sender's tests
+    /// forge acks with it too).
+    pub(crate) trait Draw {
+        fn below(&mut self, n: u64) -> u64;
+        fn chance(&mut self, per_mille: u64) -> bool;
+    }
 
-    impl Rng {
-        pub(crate) fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        pub(crate) fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
+    impl Draw for SplitMix64 {
+        fn below(&mut self, n: u64) -> u64 {
+            self.next_u64() % n
         }
 
         fn chance(&mut self, per_mille: u64) -> bool {
@@ -336,7 +332,7 @@ pub(crate) mod tests {
     }
 
     /// `n` seqs in arrival order, with duplicates and lying seqs mixed in.
-    fn arrivals(rng: &mut Rng, n: u64, how: Arrivals) -> Vec<u64> {
+    fn arrivals(rng: &mut SplitMix64, n: u64, how: Arrivals) -> Vec<u64> {
         let mut keyed: Vec<(u64, u64)> = Vec::new();
         for seq in 0..n {
             let at = match how {
@@ -368,7 +364,7 @@ pub(crate) mod tests {
                 out.push(LIES[rng.below(LIES.len() as u64) as usize]);
             }
             if rng.chance(1) {
-                out.push(rng.next());
+                out.push(rng.next_u64());
             }
         }
         out
@@ -392,7 +388,7 @@ pub(crate) mod tests {
     }
 
     fn run_set_script(seed: u64, n: u64, how: Arrivals) {
-        let mut rng = Rng(seed);
+        let mut rng = SplitMix64::new(seed);
         let script = arrivals(&mut rng, n, how);
         let mut set = SeqSet::default();
         let mut model = BTreeSet::new();
@@ -491,7 +487,7 @@ pub(crate) mod tests {
         stuck_per_mille: u64,
         walk: bool,
     ) -> Reached {
-        let mut rng = Rng(seed);
+        let mut rng = SplitMix64::new(seed);
         let mut reached = Reached::default();
         let mut window = SeqWindow::default();
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
@@ -507,7 +503,7 @@ pub(crate) mod tests {
                 if rng.chance(70) {
                     assert_eq!(window.remove(seq), model.remove(&seq), "blackhole: {at}");
                 } else {
-                    let value = rng.next();
+                    let value = rng.next_u64();
                     assert_eq!(
                         window.insert(seq, value),
                         model.insert(seq, value),
@@ -522,7 +518,7 @@ pub(crate) mod tests {
                 let from = next.saturating_sub(reorder + 1);
                 let pick = from + rng.below(next - from + 1);
                 if let Some((&seq, _)) = model.range(pick..).next() {
-                    let value = rng.next();
+                    let value = rng.next_u64();
                     assert_eq!(
                         window.insert(seq, value),
                         model.insert(seq, value),
@@ -565,7 +561,7 @@ pub(crate) mod tests {
                     0 => LIES[rng.below(LIES.len() as u64) as usize],
                     // Just past the newest seq: the ring reaches it later.
                     1 => next + rng.below(5_000),
-                    _ => rng.next(),
+                    _ => rng.next_u64(),
                 };
                 assert_eq!(window.get(lie), model.get(&lie), "get lie {lie}: {at}");
                 if rng.chance(500) {
@@ -611,7 +607,7 @@ pub(crate) mod tests {
     fn check_below(
         window: &SeqWindow<u64>,
         model: &BTreeMap<u64, u64>,
-        rng: &mut Rng,
+        rng: &mut SplitMix64,
         step: usize,
         reached: &mut Reached,
         at: &str,

@@ -24,6 +24,7 @@ use crate::packet::Packet;
 use crate::scenario::Dynamics;
 use crate::sim::mix_seed;
 use crate::time::{SimDuration, SimTime};
+use dmc_stats::rng::SplitMix64;
 
 /// Salt for the forward-direction packet-fault stream (links use 1/2).
 pub(crate) const FAULT_SALT_FORWARD: u64 = 3;
@@ -169,7 +170,7 @@ impl FaultPlan {
             duplicate_prob: self.duplicate_prob,
             reorder_prob: self.reorder_prob,
             reorder_window: self.reorder_window,
-            rng: SplitMix64(mix_seed(self.seed, salt, 0)),
+            rng: SplitMix64::new(mix_seed(self.seed, salt, 0)),
             stats: FaultStats::default(),
         }
     }
@@ -257,26 +258,6 @@ impl FaultStream {
 
     pub(crate) fn stats(&self) -> FaultStats {
         self.stats
-    }
-}
-
-/// SplitMix64: the same generator the Monte-Carlo per-trial seed streams
-/// use, here consumed as a sequence.
-#[derive(Debug, Clone)]
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)` from the top 53 bits.
-    fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
 

@@ -23,9 +23,8 @@
 
 use crate::packet::Packet;
 use crate::time::{SimDuration, SimTime};
+use dmc_stats::rng::Xoshiro256;
 use dmc_stats::Delay;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// The Gilbert–Elliott two-state loss chain: a *good* and a *bad* state,
@@ -274,7 +273,7 @@ pub struct Link {
     up: bool,
     /// Gilbert–Elliott chain state (`true` = bad); unused for Bernoulli.
     loss_bad_state: bool,
-    rng: StdRng,
+    rng: Xoshiro256,
     stats: LinkStats,
 }
 
@@ -289,10 +288,10 @@ impl Link {
     /// [`LinkConfig::validate`]).
     pub fn new(config: LinkConfig, seed: u64) -> Self {
         config.validate().expect("invalid link configuration");
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Xoshiro256::seed_from_u64(seed);
         let loss_bad_state = match &config.loss {
             LossModel::Bernoulli(_) => false,
-            LossModel::GilbertElliott(ge) => rng.random::<f64>() < ge.stationary_bad(),
+            LossModel::GilbertElliott(ge) => rng.unit() < ge.stationary_bad(),
         };
         Link {
             config,
@@ -349,7 +348,7 @@ impl Link {
             LinkChange::SetLoss(model) => {
                 model.validate().expect("invalid loss model");
                 if let LossModel::GilbertElliott(ge) = model {
-                    self.loss_bad_state = self.rng.random::<f64>() < ge.stationary_bad();
+                    self.loss_bad_state = self.rng.unit() < ge.stationary_bad();
                 }
                 self.config.loss = model.clone();
             }
@@ -359,7 +358,7 @@ impl Link {
     /// Draws one erasure decision, advancing the loss process.
     fn draw_loss(&mut self) -> bool {
         match &self.config.loss {
-            LossModel::Bernoulli(p) => self.rng.random::<f64>() < *p,
+            LossModel::Bernoulli(p) => self.rng.unit() < *p,
             LossModel::GilbertElliott(ge) => {
                 let ge = *ge;
                 let flip = if self.loss_bad_state {
@@ -367,7 +366,7 @@ impl Link {
                 } else {
                     ge.p_good_to_bad
                 };
-                if self.rng.random::<f64>() < flip {
+                if self.rng.unit() < flip {
                     self.loss_bad_state = !self.loss_bad_state;
                 }
                 let p = if self.loss_bad_state {
@@ -375,7 +374,7 @@ impl Link {
                 } else {
                     ge.loss_good
                 };
-                self.rng.random::<f64>() < p
+                self.rng.unit() < p
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Continuous delay distributions (paper Eq. 24: `d_i ~ D_i`).
 
 use crate::gamma::{ln_gamma, reg_gamma_lower};
-use rand::Rng;
+use crate::rng::Xoshiro256;
 use std::fmt;
 
 /// A one-way-delay distribution on `[0, ∞)` seconds.
@@ -31,7 +31,7 @@ pub trait Delay: fmt::Debug + Send + Sync {
     }
 
     /// Draws one delay sample in seconds.
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64;
+    fn sample(&self, rng: &mut Xoshiro256) -> f64;
 }
 
 /// Deterministic delay: the paper's base model (§V) where `d_i` is a
@@ -85,7 +85,7 @@ impl Delay for ConstantDelay {
         self.0
     }
 
-    fn sample(&self, _rng: &mut dyn rand::RngCore) -> f64 {
+    fn sample(&self, _rng: &mut Xoshiro256) -> f64 {
         self.0
     }
 }
@@ -153,21 +153,21 @@ impl ShiftedGamma {
     }
 
     /// Draws from Gamma(shape, 1) with Marsaglia–Tsang; `shape ≥ 1`.
-    fn sample_unit_gamma(shape: f64, rng: &mut dyn rand::RngCore) -> f64 {
+    fn sample_unit_gamma(shape: f64, rng: &mut Xoshiro256) -> f64 {
         debug_assert!(shape >= 1.0);
         let d = shape - 1.0 / 3.0;
         let c = 1.0 / (9.0 * d).sqrt();
         loop {
             // Standard normal via Box–Muller (avoids the rand_distr dep).
-            let u1: f64 = rng.random::<f64>().max(1e-300);
-            let u2: f64 = rng.random();
+            let u1: f64 = rng.unit().max(1e-300);
+            let u2: f64 = rng.unit();
             let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
             let v = 1.0 + c * z;
             if v <= 0.0 {
                 continue;
             }
             let v3 = v * v * v;
-            let u: f64 = rng.random::<f64>().max(1e-300);
+            let u: f64 = rng.unit().max(1e-300);
             if u.ln() < 0.5 * z * z + d - d * v3 + d * v3.ln() {
                 return d * v3;
             }
@@ -193,12 +193,12 @@ impl Delay for ShiftedGamma {
         self.shift
     }
 
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
+    fn sample(&self, rng: &mut Xoshiro256) -> f64 {
         let g = if self.shape >= 1.0 {
             Self::sample_unit_gamma(self.shape, rng)
         } else {
             // Boost: Gamma(α) = Gamma(α+1) · U^{1/α}.
-            let u: f64 = rng.random::<f64>().max(1e-300);
+            let u: f64 = rng.unit().max(1e-300);
             Self::sample_unit_gamma(self.shape + 1.0, rng) * u.powf(1.0 / self.shape)
         };
         self.shift + self.scale * g
@@ -253,8 +253,8 @@ impl Delay for UniformDelay {
         self.hi
     }
 
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        self.lo + (self.hi - self.lo) * rng.random::<f64>()
+    fn sample(&self, rng: &mut Xoshiro256) -> f64 {
+        self.lo + (self.hi - self.lo) * rng.unit()
     }
 }
 
@@ -334,8 +334,8 @@ impl Delay for Empirical {
             .expect("sorted samples validated non-empty at construction")
     }
 
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        let idx = (rng.random::<f64>() * self.sorted.len() as f64) as usize;
+    fn sample(&self, rng: &mut Xoshiro256) -> f64 {
+        let idx = (rng.unit() * self.sorted.len() as f64) as usize;
         self.sorted[idx.min(self.sorted.len() - 1)]
     }
 }
@@ -343,8 +343,6 @@ impl Delay for Empirical {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn constant_delay_is_step() {
@@ -383,7 +381,7 @@ mod tests {
     #[test]
     fn shifted_gamma_sampling_matches_moments() {
         let d = ShiftedGamma::new(10.0, 0.004, 0.400).unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Xoshiro256::seed_from_u64(7);
         let n = 200_000;
         let samples: Vec<f64> = (0..n).map(|_| d.sample(&mut rng)).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
@@ -404,7 +402,7 @@ mod tests {
     #[test]
     fn shifted_gamma_sampling_small_shape() {
         let d = ShiftedGamma::new(0.5, 0.01, 0.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = Xoshiro256::seed_from_u64(11);
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| d.sample(&mut rng)).sum::<f64>() / n as f64;
         assert!(
@@ -418,7 +416,7 @@ mod tests {
     fn shifted_gamma_cdf_sampling_agreement() {
         // Kolmogorov–Smirnov-ish check at a few probe points.
         let d = ShiftedGamma::new(5.0, 0.002, 0.100).unwrap();
-        let mut rng = StdRng::seed_from_u64(23);
+        let mut rng = Xoshiro256::seed_from_u64(23);
         let n = 100_000;
         let mut samples: Vec<f64> = (0..n).map(|_| d.sample(&mut rng)).collect();
         samples.sort_by(|a, b| a.partial_cmp(b).unwrap());

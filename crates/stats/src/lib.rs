@@ -45,6 +45,7 @@ mod dist;
 mod fit;
 mod gamma;
 mod moments;
+pub mod rng;
 mod student;
 mod trial;
 

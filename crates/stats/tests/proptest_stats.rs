@@ -1,12 +1,11 @@
 //! Property-based tests for the statistics substrate.
 
+use dmc_stats::rng::Xoshiro256;
 use dmc_stats::{
     fit_shifted_gamma, reg_gamma_lower, reg_gamma_upper, ConstantDelay, Delay, DiscreteDist,
     OnlineMoments, ShiftedGamma, UniformDelay,
 };
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -41,7 +40,7 @@ proptest! {
             Box::new(ConstantDelay::new(shift)),
             Box::new(UniformDelay::new(shift, shift + scale * 10.0)),
         ];
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Xoshiro256::seed_from_u64(seed);
         for d in &dists {
             prop_assert!(d.cdf(d.min_delay() - 1e-9) < 1e-9);
             prop_assert!(d.cdf(d.max_delay() + 1.0) > 0.999);
@@ -106,7 +105,7 @@ proptest! {
     fn moment_fit_recovers_moments(shape in 2.0f64..20.0, scale in 0.001f64..0.01,
                                    shift in 0.05f64..0.5, seed in any::<u64>()) {
         let truth = ShiftedGamma::new(shape, scale, shift).expect("valid");
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Xoshiro256::seed_from_u64(seed);
         let mut m = OnlineMoments::new();
         for _ in 0..20_000 {
             m.push(truth.sample(&mut rng));

@@ -43,6 +43,7 @@ use deadline_multipath::fleet::{
 };
 use deadline_multipath::model::ScenarioPath;
 use deadline_multipath::sim::LinkChange;
+use deadline_multipath::stats::rng::SplitMix64;
 
 const SERVICE_DECISION_HASH: u64 = 0xaeef_22fb_3a60_1647;
 const SERVICE_PLAN_BITS: u64 = 0x4ffa_724e_ac42_a717;
@@ -76,25 +77,21 @@ impl Fnv {
     }
 }
 
-/// SplitMix64 — the script's only entropy source.
-struct Rng(u64);
+/// The script's draws from its SplitMix64 stream, its only entropy
+/// source.
+trait Draw {
+    fn range(&mut self, lo: f64, hi: f64) -> f64;
+    fn below(&mut self, n: u64) -> u64;
+}
 
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
+impl Draw for SplitMix64 {
     /// Uniform in `[lo, hi)`.
     fn range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * ((self.next() >> 11) as f64 / (1u64 << 53) as f64)
+        lo + (hi - lo) * self.unit()
     }
 
     fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
+        self.next_u64() % n
     }
 }
 
@@ -125,7 +122,7 @@ fn gridded_service() -> FleetService {
 /// A seeded request: 4–24 Mbps, 0.4–1.2 s lifetime, a floor two times
 /// in three, a budget one time in four, a priority one time in three,
 /// `m = 1` one time in five.
-fn seeded_request(rng: &mut Rng) -> FlowRequest {
+fn seeded_request(rng: &mut SplitMix64) -> FlowRequest {
     let mut r = FlowRequest::new(rng.range(4e6, 24e6), rng.range(0.4, 1.2)).unwrap();
     if rng.below(3) > 0 {
         r = r.with_min_quality(rng.range(0.3, 0.9));
@@ -177,7 +174,7 @@ fn tick(service: &mut FleetService, seen: &mut Seen) {
 #[test]
 fn seeded_script_reproduces_the_recorded_bits() {
     let mut service = gridded_service();
-    let mut rng = Rng(0x00D1_5EA5_E0F1_EE75);
+    let mut rng = SplitMix64::new(0x00D1_5EA5_E0F1_EE75);
     let mut seen = Seen::default();
 
     // Tick 1: a seeded mix — path-restricted inside one region, plain
@@ -347,7 +344,7 @@ fn bare_schedule_script_reproduces_the_recorded_bits() {
         FleetConfig::default(),
     )
     .unwrap();
-    let mut rng = Rng(0x5C4E_D01E_0000_0001);
+    let mut rng = SplitMix64::new(0x5C4E_D01E_0000_0001);
     let mut events = Fnv::new();
     let mut ids = Vec::new();
 

@@ -36,6 +36,7 @@ use deadline_multipath::lp::SolverOptions;
 use deadline_multipath::model::{Objective, Planner, PlannerConfig, Scenario, ScenarioPath};
 use deadline_multipath::obs::{Obs, Snapshot};
 use deadline_multipath::sim::LinkChange;
+use deadline_multipath::stats::rng::SplitMix64;
 
 /// A counter of `snap`, 0 when it was never recorded.
 fn count(snap: &Snapshot, name: &str) -> u64 {
@@ -218,25 +219,21 @@ fn disjoint_regions_solve_smaller_lps() {
     );
 }
 
-/// SplitMix64 — the contended script's only entropy source.
-struct Rng(u64);
+/// The contended script's draws from its SplitMix64 stream, its only
+/// entropy source.
+trait Draw {
+    fn range(&mut self, lo: f64, hi: f64) -> f64;
+    fn below(&mut self, n: u64) -> u64;
+}
 
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
+impl Draw for SplitMix64 {
     /// Uniform in `[lo, hi)`.
     fn range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * ((self.next() >> 11) as f64 / (1u64 << 53) as f64)
+        lo + (hi - lo) * self.unit()
     }
 
     fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
+        self.next_u64() % n
     }
 }
 
@@ -258,7 +255,7 @@ fn contended_counts(workers: usize) -> Vec<(&'static str, u64)> {
     let base: Vec<f64> = paths.iter().map(ScenarioPath::bandwidth).collect();
     let groups = [(0..8).collect::<Vec<_>>(), (8..16).collect()];
     let mut svc = service(paths, &groups, workers, &obs);
-    let mut rng = Rng(0x5C03);
+    let mut rng = SplitMix64::new(0x5C03);
     let mut live: VecDeque<Vec<u64>> = VecDeque::new();
     for tick in 0..CONTENDED_TICKS {
         for group in groups.iter().flat_map(|g| [g; 8]) {
