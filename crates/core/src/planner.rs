@@ -160,8 +160,6 @@ pub struct PlannerConfig {
     /// only objective/RHS coefficients, so the cached basis usually lets
     /// the LP skip phase 1 and most pivots; a stale basis falls back to a
     /// cold solve inside the solver, so results are identical either way.
-    /// Effective with the backend that exports a basis
-    /// ([`dmc_lp::Backend::Revised`], the default).
     pub warm_start: bool,
 }
 
@@ -419,7 +417,7 @@ impl Planner {
     /// new optimal basis.
     ///
     /// Warm and cold solves of the same problem produce identical
-    /// results (the revised backend canonicalizes its reported vertex),
+    /// results (the solver canonicalizes its reported vertex),
     /// so this is purely a performance device.
     fn solve_lp(&mut self, problem: &Problem) -> Result<Solution, SolveError> {
         let key = if self.config.warm_start {
@@ -689,7 +687,7 @@ impl ScenarioModel {
     /// The scenario's LP for `objective` ([`Objective::MaxQuality`] honors
     /// a finite scenario budget as the Eq. 7 cost row), unsolved — the
     /// problem [`Planner::plan`] solves, for callers that bring their own
-    /// solver settings (the backend benches).
+    /// solver (the tests' tableau oracle) or solver settings.
     pub fn problem(&self, objective: Objective) -> Problem {
         assemble_lp(self, objective)
     }

@@ -1165,7 +1165,7 @@ mod tests {
     fn assemble_joint(
         objective: FleetObjective,
         paths: &[SharedPath],
-        entries: &[Member],
+        entries: &[&Member],
     ) -> Problem {
         let total_vars: usize = entries.iter().map(|e| e.model.num_combos()).sum();
         let mut c = Vec::with_capacity(total_vars);
@@ -1273,7 +1273,8 @@ mod tests {
                 assembly.place(m);
             }
             assembly.bound_capacity(&core.grid, &core.paths, &core.maintenance);
-            let oracle = assemble_joint(objective, &core.paths, &members);
+            let entries: Vec<&Member> = members.iter().collect();
+            let oracle = assemble_joint(objective, &core.paths, &entries);
             // Objective, every constraint's coefficients, support, kind and
             // RHS, and the block starts.
             assert_eq!(assembly.problem, oracle, "{objective:?}");
@@ -1282,6 +1283,95 @@ mod tests {
             assert!(admitted.is_ok(), "the mixed fleet is feasible");
             let solved = core.assembly.as_ref().expect("kept after a solve");
             assert_eq!(solved.problem, oracle, "{objective:?}");
+        }
+    }
+
+    /// The dense tableau oracle's optimum of the LP `entries` assemble
+    /// from scratch over the core's paths.
+    fn tableau_optimum(core: &JointCore, entries: &[&Member]) -> Result<f64, SolveError> {
+        let lp = assemble_joint(core.config.objective, &core.paths, entries);
+        dmc_lp_oracle::solve(&lp).map(|optimum| optimum.objective)
+    }
+
+    /// The core's maintained optimum, held to the tableau's optimum of
+    /// the residents' LP assembled from scratch, to 1e-9 of its magnitude.
+    #[track_caller]
+    fn assert_optimum_is_the_tableaus(core: &JointCore, ctx: &str) {
+        let residents: Vec<&Member> = core.residents().iter().map(|r| &r.member).collect();
+        let expected = tableau_optimum(core, &residents).expect("the residents fit");
+        let got = core.objective_value();
+        let bar = 1e-9 * expected.abs().max(1.0);
+        assert!(
+            (got - expected).abs() <= bar,
+            "{ctx}: {got} vs tableau {expected}"
+        );
+    }
+
+    #[test]
+    fn the_maintained_optimum_is_the_tableaus() {
+        // Offers (one refused), departures with tombstone reuse and link
+        // changes on one core: after every step its optimum is the dense
+        // tableau's optimum of the residents' LP built from scratch, and
+        // a refused offer is one the tableau cannot fit beside them.
+        enum Step {
+            Offer(FlowRequest),
+            Depart(usize),
+            Link(usize, LinkChange),
+        }
+        let floored = |rate: f64, floor: f64| {
+            let flow = FlowRequest::new(rate, 0.8).unwrap();
+            flow.with_min_quality(floor)
+        };
+        let script = [
+            Step::Offer(floored(30e6, 0.7)),
+            Step::Offer(FlowRequest::new(20e6, 0.6).unwrap()),
+            Step::Offer(floored(15e6, 0.5).with_cost_budget(1.0).with_priority(2.0)),
+            Step::Depart(0),
+            Step::Offer(floored(30e6, 0.7)),
+            Step::Offer(floored(90e6, 0.95)),
+            Step::Depart(1),
+            Step::Link(0, LinkChange::SetBandwidth(50e6)),
+            Step::Offer(FlowRequest::new(10e6, 0.9).unwrap().with_transmissions(3)),
+            Step::Link(2, LinkChange::Fail),
+            Step::Link(2, LinkChange::Recover),
+            Step::Offer(
+                FlowRequest::new(12e6, 0.7)
+                    .unwrap()
+                    .with_min_quality(0.4)
+                    .with_paths(vec![1, 2]),
+            ),
+        ];
+        for objective in [FleetObjective::MaxAdmitted, FleetObjective::WeightedFair] {
+            let mut core = core(1, objective);
+            let mut refused = 0;
+            for (i, step) in script.iter().enumerate() {
+                let ctx = format!("{objective:?}, step {i}");
+                match step {
+                    Step::Offer(flow) => {
+                        let member = candidate(&mut core, flow.clone(), SlotWindow::instant(0));
+                        if let Err(back) = core.admit(member, Goal::Optimal).expect("solves") {
+                            let mut beside: Vec<&Member> =
+                                core.residents().iter().map(|r| &r.member).collect();
+                            beside.push(&back);
+                            let verdict = tableau_optimum(&core, &beside);
+                            let refuses = matches!(verdict, Err(SolveError::Infeasible { .. }));
+                            assert!(refuses, "{ctx}: the tableau fits it: {verdict:?}");
+                            refused += 1;
+                        }
+                    }
+                    Step::Depart(k) => {
+                        let id = core.ids()[k % core.ids().len()];
+                        assert!(core.remove(id).is_some());
+                        core.resolve().expect("the survivors fit");
+                    }
+                    Step::Link(path, change) => {
+                        core.apply_link_change(*path, change).expect("valid change");
+                        core.refresh().expect("the residents still fit");
+                    }
+                }
+                assert_optimum_is_the_tableaus(&core, &ctx);
+            }
+            assert_eq!(refused, 1, "{objective:?}: the script refuses one offer");
         }
     }
 

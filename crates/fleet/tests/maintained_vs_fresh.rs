@@ -7,28 +7,24 @@
 //! requests in `flow_ids()` order as one batch
 //! ([`common::fresh_fleet`]): the `Problem` the maintained LP would be
 //! had it been assembled from scratch, solved cold. The maintained fleet
-//! runs warm and cold on the solver's one kernel for the joint LP (the
-//! sparse one: the joint LP declares its blocks); the dense tableau is
-//! the reference's oracle.
+//! runs warm and cold. (The joint LP against the dense tableau oracle is
+//! `joint.rs`'s own test, where the residents' assembly is in reach.)
 //!
 //! Contract:
 //! * verdicts: the reference admits every resident, and refuses a
 //!   refused offer — or a flow a link change shed — beside them;
 //! * plans: every resident's allocation, quality, cost and send rates
-//!   agree with the reference's to 1e-9, warm and cold; the tableau
-//!   reference agrees on the verdicts and on the aggregate quality;
+//!   agree with the reference's to 1e-9, warm and cold;
 //! * on a freshly populated fleet (no churn yet) the maintained LP *is*
 //!   the reference's `Problem`, so with the same solver the plans match
-//!   **bitwise** — the structural anchor, on the sparse kernel and on
-//!   the tableau;
+//!   **bitwise** — the structural anchor;
 //! * warm and cold maintained fleets agree bitwise.
 
 mod common;
 
 use common::{assert_plans_close, fresh_fleet};
-use dmc_core::{Plan, PlannerConfig, ScenarioPath, SolverOptions};
+use dmc_core::{Plan, PlannerConfig, ScenarioPath};
 use dmc_fleet::{FleetConfig, FleetPlanner, FlowId, FlowRequest};
-use dmc_lp::Backend;
 use dmc_sim::LinkChange;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -41,14 +37,10 @@ fn shared_paths() -> Vec<ScenarioPath> {
     ]
 }
 
-fn config(backend: Backend, warm: bool) -> FleetConfig {
+fn config(warm: bool) -> FleetConfig {
     FleetConfig {
         planner: PlannerConfig {
             warm_start: warm,
-            solver: SolverOptions {
-                backend,
-                ..SolverOptions::default()
-            },
             ..PlannerConfig::default()
         },
         ..FleetConfig::default()
@@ -127,11 +119,6 @@ enum Agreement {
     Close,
     /// Every plan bit for bit.
     Bitwise,
-    /// The aggregate quality to 1e-6 (the dense tableau does not
-    /// canonicalize across alternate optima — on the massively
-    /// degenerate joint LP it may report another optimal vertex — so
-    /// it is compared on what the floors and the shared objective pin).
-    Aggregate,
 }
 
 fn assert_bitwise(a: &Plan, b: &Plan, ctx: &str) {
@@ -160,7 +147,6 @@ fn assert_matches_fresh(steps: &[Step], reference: &FleetConfig, agreement: Agre
             match agreement {
                 Agreement::Close => assert_plans_close(mine, theirs, &ctx),
                 Agreement::Bitwise => assert_bitwise(mine, theirs, &ctx),
-                Agreement::Aggregate => {}
             }
         }
         let (a, b) = (step.aggregate, fresh.aggregate_quality());
@@ -204,9 +190,9 @@ fn churn_script() -> Vec<Action> {
 #[test]
 fn churn_script_agrees_across_all_configurations() {
     let script = churn_script();
-    let reference = config(Backend::Revised, true);
-    let warm = replay(config(Backend::Revised, true), &script);
-    let cold = replay(config(Backend::Revised, false), &script);
+    let reference = config(true);
+    let warm = replay(config(true), &script);
+    let cold = replay(config(false), &script);
     assert!(
         warm.iter().any(|s| !s.refused.is_empty()),
         "the script refuses a flow"
@@ -214,8 +200,6 @@ fn churn_script_agrees_across_all_configurations() {
     assert_matches_fresh(&warm, &reference, Agreement::Close, "warm");
     assert_matches_fresh(&cold, &reference, Agreement::Close, "cold");
     assert_warm_is_cold(&warm, &cold);
-    let tableau = config(Backend::DenseTableau, true);
-    assert_matches_fresh(&warm, &tableau, Agreement::Aggregate, "tableau");
 }
 
 #[test]
@@ -233,12 +217,10 @@ fn fresh_population_is_bitwise_identical_to_the_reference() {
                 .with_cost_budget(1.0),
         ),
     ];
-    for backend in [Backend::Revised, Backend::DenseTableau] {
-        let cfg = config(backend, false);
-        let steps = replay(cfg.clone(), &script);
-        assert_eq!(steps.last().map(|s| s.plans.len()), Some(3));
-        assert_matches_fresh(&steps, &cfg, Agreement::Bitwise, &format!("{backend:?}"));
-    }
+    let cfg = config(false);
+    let steps = replay(cfg.clone(), &script);
+    assert_eq!(steps.last().map(|s| s.plans.len()), Some(3));
+    assert_matches_fresh(&steps, &cfg, Agreement::Bitwise, "cold");
 }
 
 fn arb_request() -> impl Strategy<Value = FlowRequest> {
@@ -288,9 +270,9 @@ proptest! {
     /// for bit.
     #[test]
     fn random_churn_sequences_agree(script in proptest::collection::vec(arb_action(), 1..14)) {
-        let reference = config(Backend::Revised, true);
-        let warm = replay(config(Backend::Revised, true), &script);
-        let cold = replay(config(Backend::Revised, false), &script);
+        let reference = config(true);
+        let warm = replay(config(true), &script);
+        let cold = replay(config(false), &script);
         assert_matches_fresh(&warm, &reference, Agreement::Close, "warm");
         assert_matches_fresh(&cold, &reference, Agreement::Close, "cold");
         assert_warm_is_cold(&warm, &cold);

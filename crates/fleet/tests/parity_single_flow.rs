@@ -11,13 +11,14 @@
 //! declares its single block and the planner's declares none, which the
 //! kernel treats alike, so the default-path tests (fixed cases and the
 //! proptest alike) compare the vertex by its bits.
-//! [`legacy_config_matches_bit_for_bit`] pins the same with both on the
-//! dense tableau (the *legacy* configuration; a fleet offered one flow
-//! assembles its LP from scratch either way).
+//! [`legacy_config_matches_bit_for_bit`] and [`budgeted_flow_matches`]
+//! also hold the fleet's plan to the dense tableau oracle's
+//! (`dmc_lp_oracle`) solve of the planner's LP, packaged by the same
+//! `plan_for`: the same optimum to [`TOL`] (the tableau may stop at
+//! another optimal vertex).
 
-use dmc_core::{Objective, Plan, Planner, PlannerConfig, Scenario, ScenarioPath, SolverOptions};
+use dmc_core::{Objective, Plan, Planner, Scenario, ScenarioPath};
 use dmc_fleet::{AdmissionDecision, FleetConfig, FleetPlanner, FlowRequest};
-use dmc_lp::Backend;
 use dmc_stats::ShiftedGamma;
 use proptest::prelude::*;
 use proptest::Strategy;
@@ -27,29 +28,19 @@ use std::sync::Arc;
 /// rates (relative) and stage timers.
 const TOL: f64 = 1e-9;
 
-/// Planner settings with the dense tableau as the solver.
-fn tableau() -> PlannerConfig {
-    PlannerConfig {
-        solver: SolverOptions {
-            backend: Backend::DenseTableau,
-            ..SolverOptions::default()
-        },
-        ..PlannerConfig::default()
-    }
+/// The planner's LP for `scenario` solved on the dense tableau oracle,
+/// packaged into a plan by the planner's own `plan_for`.
+fn tableau_plan(scenario: &Scenario) -> Plan {
+    let model = Planner::new().model(scenario);
+    let problem = model.problem(Objective::MaxQuality);
+    let optimum = dmc_lp_oracle::solve(&problem).expect("the tableau solves");
+    model.plan_for(Objective::MaxQuality, optimum.x)
 }
 
-/// The legacy fleet configuration: solve the joint LP on the dense
-/// tableau, like a [`tableau`] `Planner`.
-fn legacy_config() -> FleetConfig {
-    FleetConfig {
-        planner: tableau(),
-        ..FleetConfig::default()
-    }
-}
-
-/// Runs `scenario` through a fresh single-flow fleet (given config) and
-/// returns the decomposed plan.
-fn fleet_plan_with(scenario: &Scenario, config: FleetConfig) -> Plan {
+/// Runs `scenario` through a fresh single-flow fleet with the default
+/// configuration and returns the decomposed plan.
+fn fleet_plan(scenario: &Scenario) -> Plan {
+    let config = FleetConfig::default();
     let mut fleet = FleetPlanner::new(scenario.paths().to_vec(), config).expect("valid paths");
     let mut request = FlowRequest::new(scenario.data_rate(), scenario.lifetime())
         .expect("valid request")
@@ -64,9 +55,32 @@ fn fleet_plan_with(scenario: &Scenario, config: FleetConfig) -> Plan {
     fleet.plan_of(id).expect("admitted plan").clone()
 }
 
-/// The default (revised-backend) fleet path.
-fn fleet_plan(scenario: &Scenario) -> Plan {
-    fleet_plan_with(scenario, FleetConfig::default())
+/// Holds `fleet` to the tableau oracle's plan of `scenario` on what the
+/// LP pins: the optimum, its quality, to [`TOL`]. The vertex is not
+/// pinned — the tableau does not canonicalize across alternate optima,
+/// and the single-flow LP has many (every combination that delivers in
+/// time at a small λ) — so its allocation, cost and send rates may be
+/// another optimal vertex's; the tableau's plan must still be feasible.
+fn assert_close_to_tableau(fleet: &Plan, scenario: &Scenario, ctx: &str) {
+    let oracle = tableau_plan(scenario);
+    let (qa, qb) = (fleet.quality(), oracle.quality());
+    assert!(
+        (qa - qb).abs() <= TOL,
+        "{ctx}: quality {qa} vs tableau {qb}"
+    );
+    let budget = scenario.cost_budget();
+    let cost = oracle.cost_rate();
+    assert!(
+        cost <= budget * (1.0 + TOL),
+        "{ctx}: tableau cost {cost} over {budget}"
+    );
+    for (k, (rate, path)) in oracle.send_rates().iter().zip(scenario.paths()).enumerate() {
+        let bw = path.bandwidth();
+        assert!(
+            *rate <= bw * (1.0 + TOL),
+            "{ctx}: tableau S_{k} = {rate} over {bw}"
+        );
+    }
 }
 
 fn assert_plans_match(fleet: &Plan, solo: &Plan, ctx: &str) {
@@ -152,8 +166,8 @@ fn table3_sweep_matches_default_path() {
 #[test]
 fn legacy_config_matches_bit_for_bit() {
     // Identical LPs solved by the identical solver ⇒ identical vertices,
-    // bit for bit — on the tableau too.
-    let mut planner = Planner::with_config(tableau());
+    // bit for bit; and the tableau oracle's optimum of the same LP to TOL.
+    let mut planner = Planner::new();
     for lambda in [10e6, 60e6, 90e6, 120e6] {
         for delta in [0.45, 0.8, 1.5] {
             let scenario = Scenario::builder()
@@ -164,12 +178,14 @@ fn legacy_config_matches_bit_for_bit() {
                 .build()
                 .unwrap();
             let solo = planner.plan(&scenario, Objective::MaxQuality).unwrap();
-            let fleet = fleet_plan_with(&scenario, legacy_config());
+            let fleet = fleet_plan(&scenario);
+            let ctx = format!("λ={lambda} δ={delta}");
             assert_eq!(fleet.strategy().x(), solo.strategy().x(), "λ={lambda}");
             assert_eq!(fleet.quality(), solo.quality());
             assert_eq!(fleet.send_rates(), solo.send_rates());
             assert_eq!(fleet.schedule(), solo.schedule());
-            assert_plans_match(&fleet, &solo, &format!("λ={lambda} δ={delta}"));
+            assert_plans_match(&fleet, &solo, &ctx);
+            assert_close_to_tableau(&fleet, &scenario, &ctx);
         }
     }
 }
@@ -189,13 +205,8 @@ fn budgeted_flow_matches() {
         .unwrap();
     let fleet = fleet_plan(&scenario);
     assert_plans_match(&fleet, &solo, "budgeted");
-    // And the legacy configuration agrees bitwise with a tableau planner.
-    let solo = Planner::with_config(tableau())
-        .plan(&scenario, Objective::MaxQuality)
-        .unwrap();
-    let legacy = fleet_plan_with(&scenario, legacy_config());
-    assert_eq!(legacy.strategy().x(), solo.strategy().x());
-    assert_eq!(legacy.cost_rate(), solo.cost_rate());
+    // And the tableau oracle's optimum of the same LP agrees to TOL.
+    assert_close_to_tableau(&fleet, &scenario, "budgeted");
 }
 
 #[test]

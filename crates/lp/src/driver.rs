@@ -257,11 +257,11 @@ pub(crate) enum Goal {
     Feasible,
 }
 
-/// Entry point used by every `Problem` solve for
-/// [`Backend::Revised`](crate::Backend::Revised). Pricing turns to
-/// Bland's rule after `bland_after` degenerate pivots in a row
-/// ([`DEGENERATE_SWITCH`](crate::simplex::DEGENERATE_SWITCH) outside
-/// tests).
+/// Entry point of every `Problem` solve (through `Problem::dispatch`).
+/// Pricing turns to Bland's rule after `bland_after` degenerate pivots in
+/// a row: [`DEGENERATE_SWITCH`](crate::simplex::DEGENERATE_SWITCH) from
+/// `dispatch`, 0 in the contract test that reaches Bland's rule from the
+/// first pivot.
 pub(crate) fn solve(
     problem: &Problem,
     options: &SolverOptions,
@@ -1260,7 +1260,7 @@ pub(crate) mod contract {
     use crate::simplex::DEGENERATE_SWITCH;
     use crate::{Basis, Problem, SolveError, SolverOptions, Workspace};
 
-    /// How a contract poses its problems to [`crate::Backend::Revised`].
+    /// How a contract poses its problems to the driver.
     #[derive(Debug, Clone, Copy)]
     pub(crate) enum Declaration {
         /// No block declaration: the whole problem is one pricing section.
@@ -1388,16 +1388,18 @@ pub(crate) mod contract {
             p.add_le(vec![0.25, -60.0, -1.0 / 25.0, 9.0], 0.0).unwrap();
             p.add_le(vec![0.5, -90.0, -1.0 / 50.0, 3.0], 0.0).unwrap();
             p.add_le(vec![0.0, 0.0, 1.0, 0.0], 1.0).unwrap();
-            let s = decl
-                .on(p)
-                .dispatch(
-                    &opts(),
-                    &mut Workspace::new(),
-                    None,
-                    bland_after,
-                    Goal::Optimal,
-                )
-                .unwrap();
+            let p = decl.on(p);
+            let Workspace { driver, kernel, .. } = &mut Workspace::new();
+            let s = super::solve(
+                &p,
+                &opts(),
+                driver,
+                kernel,
+                None,
+                bland_after,
+                Goal::Optimal,
+            )
+            .unwrap();
             assert!((s.objective() - 0.05).abs() < 1e-9, "{bland_after}");
         }
     }

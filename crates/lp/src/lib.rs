@@ -7,8 +7,7 @@
 //! shape — one variable per path×retransmission combination (`(n+1)^m`,
 //! hundreds to thousands) but only a handful of rows (bandwidth, cost,
 //! quality, `Σx = 1`) — so this crate is **one revised-simplex driver on
-//! one sparse basis kernel, plus the dense tableau as the differential
-//! oracle**:
+//! one sparse basis kernel**, and every solve runs on it:
 //!
 //! * The **driver** (`driver.rs`) is the algorithm: row
 //!   normalization absorbed into per-row multipliers (no normalized
@@ -23,8 +22,8 @@
 //!   verdict is read — is the problem feasible? —
 //!   [`Problem::find_feasible_with`] runs the same start and phase 1 and
 //!   stops there, which is what the fleet's greedy admissions ask.
-//! * The **block-ordered sparse kernel** (`sparse.rs`) is what
-//!   [`Backend::Revised`] (the default) runs every problem on: a CSC copy
+//! * The **block-ordered sparse kernel** (`sparse.rs`) is what the
+//!   driver runs every problem on: a CSC copy
 //!   assembled per solve beside the rows' own `(column, value)` pairs,
 //!   which pricing streams as stored, a sparse product-form basis inverse
 //!   whose refactorization pivots block-local rows first (elimination
@@ -41,10 +40,12 @@
 //!   artificials it names, and a basis left singular by a coefficient
 //!   edit is repaired instead of discarded — the fleet's
 //!   re-solve-after-a-small-edit loop.
-//! * [`Backend::DenseTableau`]: the original two-phase dense-tableau
-//!   simplex. Simpler and hard to beat below ~50 variables; kept as the
-//!   reference oracle the driver is differentially tested against
-//!   (`tests/proptest_backends.rs`).
+//!
+//! The original two-phase dense-tableau simplex is not part of this
+//! crate: it lives in the unpublished `dmc-lp-oracle` crate
+//! (`crates/lp/oracle`), a dev-dependency the driver is differentially
+//! tested against (`tests/proptest_backends.rs`) and nothing in
+//! production solves on.
 //!
 //! **One kernel, and what it costs the single-flow LPs** (measured, nproc
 //! = 2, virtualised Xeon @ 2.1 GHz, 2026-10-16, rustc 1.95.0). Until
@@ -65,8 +66,8 @@
 //! the planner's. There is deliberately no small-problem path inside the
 //! kernel.
 //!
-//! Both backends share the anti-cycling scheme (automatic switch to
-//! Bland's rule after a run of degenerate pivots) and produce identical
+//! The driver and the oracle share the anti-cycling scheme (automatic
+//! switch to Bland's rule after a run of degenerate pivots) and agree on
 //! objectives, primal points and duals to 1e-9. The driver additionally
 //! canonicalizes its answer across alternate optima and extracts it from
 //! a fresh, order-independent factorization of the final basis, so it is
@@ -159,7 +160,7 @@ mod sparse;
 
 pub use error::{ProblemError, SolveError, SolveStatus};
 pub use problem::{Constraint, ConstraintKind, Problem};
-pub use simplex::{Backend, SolverOptions, Workspace, TOLERANCE};
+pub use simplex::{SolverOptions, Workspace, TOLERANCE};
 pub use solution::{Basis, BasisVar, Solution};
 
 /// The driver's contract on problems posed without a block declaration,

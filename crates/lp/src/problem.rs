@@ -3,7 +3,7 @@
 
 use crate::driver::{self, Goal};
 use crate::error::{ProblemError, SolveError};
-use crate::simplex::{self, Backend, SolverOptions, WarmStart, Workspace, DEGENERATE_SWITCH};
+use crate::simplex::{SolverOptions, WarmStart, Workspace, DEGENERATE_SWITCH};
 use crate::solution::{Basis, Solution};
 
 /// Whether a [`Constraint`] is `≤` or `=`.
@@ -22,8 +22,9 @@ pub enum ConstraintKind {
 /// An exact zero is never stored — every constructor and mutator drops
 /// it — so a row costs 12 bytes per nonzero whatever the variable count,
 /// appending variables touches no row, and `==` on the storage is `==` on
-/// the matrix. The one reader that wants dense rows (the tableau oracle)
-/// scatters the entries into its own buffer per solve.
+/// the matrix. The one reader that wants dense rows (the tableau oracle
+/// `dmc-lp-oracle`, a dev-dependency) scatters the entries into its own
+/// buffer per solve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Constraint {
     /// Sorted column indices of the nonzero coefficients.
@@ -103,7 +104,7 @@ impl Constraint {
 /// constructors add rows from nonzero entries, and
 /// [`Problem::set_row_range`] / [`Problem::set_objective_range`] patch
 /// coefficients in place. Recorded block boundaries
-/// ([`Problem::block_starts`]) tell [`Backend::Revised`]'s sparse kernel
+/// ([`Problem::block_starts`]) tell the solver's sparse kernel
 /// which columns belong together: rows whose support
 /// stays inside one block are *local* rows, rows spanning blocks are
 /// *coupling* rows, and the factorization/pricing exploit that split.
@@ -166,6 +167,12 @@ impl Problem {
         } else {
             self.objective.clone()
         }
+    }
+
+    /// Whether the objective is minimized ([`Problem::minimize`]) rather
+    /// than maximized ([`Problem::maximize`]).
+    pub fn minimizes(&self) -> bool {
+        self.minimize
     }
 
     /// The one place a row is created: validates `entries` — `(column,
@@ -562,7 +569,7 @@ impl Problem {
         options: &SolverOptions,
         workspace: &mut Workspace,
     ) -> Result<Solution, SolveError> {
-        self.dispatch(options, workspace, None, DEGENERATE_SWITCH, Goal::Optimal)
+        self.dispatch(options, workspace, None, Goal::Optimal)
     }
 
     /// Solves the problem warm-started from a [`Basis`] — a prior
@@ -590,9 +597,6 @@ impl Problem {
     /// `solve_warm` never returns a worse outcome than [`Problem::solve`],
     /// and phase 3 walks to the same canonical vertex either way.
     ///
-    /// The dense tableau oracle ([`Backend::DenseTableau`]) ignores the
-    /// hint.
-    ///
     /// # Errors
     ///
     /// Same conditions as [`Problem::solve`].
@@ -615,13 +619,7 @@ impl Problem {
         workspace: &mut Workspace,
         basis: &Basis,
     ) -> Result<Solution, SolveError> {
-        self.dispatch(
-            options,
-            workspace,
-            Some(basis),
-            DEGENERATE_SWITCH,
-            Goal::Optimal,
-        )
+        self.dispatch(options, workspace, Some(basis), Goal::Optimal)
     }
 
     /// Asks only whether the problem is feasible: runs the warm start
@@ -636,37 +634,32 @@ impl Problem {
     /// and its basis, ready to warm-start the next solve; its objective is
     /// the value at that vertex and [`Solution::duals`] is empty. The
     /// vertex depends on where the solve started, so it is no optimum and
-    /// no canonical answer. The dense tableau oracle
-    /// ([`Backend::DenseTableau`]) runs its full solve, whose optimum is
-    /// a feasible vertex too.
+    /// no canonical answer.
     ///
     /// # Errors
     ///
     /// The [`SolveError::Infeasible`] the full solve would return, and
     /// the anomalies of the stages it runs ([`SolveError::IterationLimit`],
-    /// [`SolveError::Singular`]). An unbounded objective is no error on
-    /// the revised backend: the objective is never optimized.
+    /// [`SolveError::Singular`]). An unbounded objective is no error:
+    /// the objective is never optimized.
     pub fn find_feasible_with(
         &self,
         options: &SolverOptions,
         workspace: &mut Workspace,
         warm: Option<&Basis>,
     ) -> Result<Solution, SolveError> {
-        self.dispatch(options, workspace, warm, DEGENERATE_SWITCH, Goal::Feasible)
+        self.dispatch(options, workspace, warm, Goal::Feasible)
     }
 
-    /// Validates and routes to the configured [`Backend`], opening its
-    /// span (`lp.solve.revised` or `lp.solve.dense`). Pricing turns to
-    /// Bland's rule after `bland_after` degenerate pivots in a row —
-    /// [`DEGENERATE_SWITCH`] everywhere but the tests that reach Bland's
-    /// rule directly. `goal` is what the revised driver stops at; the
-    /// tableau always solves to the optimum.
+    /// Validates and runs the driver for `goal` (from `warm`, or cold
+    /// without it) inside span `lp.solve.revised`, then publishes the
+    /// solve's stats to [`SolverOptions::obs`]. Pricing turns to Bland's
+    /// rule after [`DEGENERATE_SWITCH`] degenerate pivots in a row.
     pub(crate) fn dispatch(
         &self,
         options: &SolverOptions,
         workspace: &mut Workspace,
         warm: Option<&Basis>,
-        bland_after: usize,
         goal: Goal,
     ) -> Result<Solution, SolveError> {
         workspace.last_warm = WarmStart::Cold;
@@ -679,20 +672,11 @@ impl Problem {
         let obs = &options.obs;
         // The span closes after the pivot-count advance below, so its
         // tick extent equals this solve's pivots.
-        let span = obs.span(match options.backend {
-            Backend::DenseTableau => "lp.solve.dense",
-            Backend::Revised => "lp.solve.revised",
-        });
-        let result = match options.backend {
-            Backend::DenseTableau => simplex::solve(self, options, workspace, bland_after),
-            Backend::Revised => {
-                let Workspace { driver, kernel, .. } = workspace;
-                driver::solve(self, options, driver, kernel, warm, bland_after, goal)
-            }
-        };
-        // The dense tableau leaves the driver's stats untouched (stale).
-        let stats = (options.backend != Backend::DenseTableau).then_some(&workspace.driver.stats);
-        let warm_start = stats.map_or(WarmStart::Cold, |s| s.warm);
+        let span = obs.span("lp.solve.revised");
+        let Workspace { driver, kernel, .. } = workspace;
+        let result = driver::solve(self, options, driver, kernel, warm, DEGENERATE_SWITCH, goal);
+        let stats = &workspace.driver.stats;
+        let warm_start = stats.warm;
         workspace.last_warm = warm_start;
         if obs.is_enabled() {
             obs.counter("lp.solves").inc();
@@ -712,16 +696,14 @@ impl Problem {
                         .add(pivots * self.num_constraints() as u64);
                     obs.advance(pivots);
                     // The parts of `pivots`, so counted where they are.
-                    if let Some(stats) = stats {
-                        let parts = [
-                            ("lp.dual_pivots", stats.dual_pivots),
-                            ("lp.phase1_pivots", stats.phase1_pivots),
-                            ("lp.phase2_pivots", stats.phase2_pivots),
-                            ("lp.phase3_pivots", stats.phase3_pivots),
-                        ];
-                        for (name, n) in parts.into_iter().filter(|&(_, n)| n > 0) {
-                            obs.counter(name).add(n);
-                        }
+                    let parts = [
+                        ("lp.dual_pivots", stats.dual_pivots),
+                        ("lp.phase1_pivots", stats.phase1_pivots),
+                        ("lp.phase2_pivots", stats.phase2_pivots),
+                        ("lp.phase3_pivots", stats.phase3_pivots),
+                    ];
+                    for (name, n) in parts.into_iter().filter(|&(_, n)| n > 0) {
+                        obs.counter(name).add(n);
                     }
                 }
                 Err(_) => obs.counter("lp.errors").inc(),
@@ -738,20 +720,18 @@ impl Problem {
                 WarmStart::Infeasible => obs.counter("lp.warm_rejected_infeasible").inc(),
                 WarmStart::Singular => obs.counter("lp.warm_rejected_singular").inc(),
             }
-            if let Some(stats) = stats {
-                obs.counter("lp.refactorizations")
-                    .add(stats.refactorizations);
-                if stats.factor_eta_visits > 0 {
-                    obs.counter("lp.factor_eta_visits")
-                        .add(stats.factor_eta_visits);
-                }
-                if stats.phase1_early_exit {
-                    obs.counter("lp.phase1_early_exits").inc();
-                }
-                let eta_len = obs.histogram("lp.eta_len");
-                for &len in &stats.eta_lengths {
-                    eta_len.record(len);
-                }
+            obs.counter("lp.refactorizations")
+                .add(stats.refactorizations);
+            if stats.factor_eta_visits > 0 {
+                obs.counter("lp.factor_eta_visits")
+                    .add(stats.factor_eta_visits);
+            }
+            if stats.phase1_early_exit {
+                obs.counter("lp.phase1_early_exits").inc();
+            }
+            let eta_len = obs.histogram("lp.eta_len");
+            for &len in &stats.eta_lengths {
+                eta_len.record(len);
             }
         }
         drop(span);

@@ -1,6 +1,5 @@
 //! The block-ordered sparse product-form kernel: the basis storage and
-//! factorization [`Backend::Revised`](crate::Backend) runs every problem
-//! on.
+//! factorization the solver runs every problem on.
 //!
 //! The simplex method itself is [`crate::driver`]; this file is the
 //! storage and factorization it runs on. It is built for the fleet
@@ -642,7 +641,7 @@ mod tests {
     use crate::driver::contract::{block_angular, Declaration};
     use crate::driver::{DriverState, Layout};
     use crate::simplex::WarmStart;
-    use crate::{Backend, Basis, BasisVar, Problem, SolveError, SolverOptions, Workspace};
+    use crate::{Basis, BasisVar, Problem, SolveError, SolverOptions, Workspace};
     use dmc_obs::Obs;
 
     crate::driver::contract::contract_tests!(Declaration::Declared);
@@ -849,31 +848,6 @@ mod tests {
         let (reach_64, full_64) = visits(64);
         assert!(reach_64 < 2.5 * reach_32, "{reach_32} → {reach_64}");
         assert!(full_64 > 3.5 * full_32, "{full_32} → {full_64}");
-    }
-
-    #[test]
-    fn block_angular_matches_revised_backend() {
-        // The id is from when the dense LU was a backend of its own; the
-        // oracle is now the dense tableau.
-        let tableau = SolverOptions {
-            backend: Backend::DenseTableau,
-            ..opts()
-        };
-        for (blocks, width) in [(1usize, 9usize), (4, 9), (16, 5), (24, 9)] {
-            let p = block_angular(blocks, width);
-            let sparse = p.solve(&opts()).unwrap();
-            let dense = p.solve(&tableau).unwrap();
-            assert!(
-                (sparse.objective() - dense.objective()).abs() < 1e-9,
-                "{blocks}x{width}: {} vs {}",
-                sparse.objective(),
-                dense.objective()
-            );
-            for (j, (a, b)) in sparse.x().iter().zip(dense.x()).enumerate() {
-                assert!((a - b).abs() < 1e-9, "{blocks}x{width} x[{j}]: {a} vs {b}");
-            }
-            assert!(p.max_violation(sparse.x()) < 1e-7);
-        }
     }
 
     #[test]

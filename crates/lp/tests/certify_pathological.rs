@@ -3,7 +3,7 @@
 //! tombstoned (`Σx = 0`) blocks the fleet's incremental assembly
 //! produces — the certificate must accept exactly the genuinely feasible
 //! points and reject everything else with a usable message, on the
-//! tableau and on the revised driver. On the infeasible
+//! tableau oracle and on the solver. On the infeasible
 //! and unbounded cases the feasibility goal
 //! ([`Problem::find_feasible_with`]) must give the full solve's verdict.
 //!
@@ -11,22 +11,32 @@
 //! whose equality rows fix `x = v` exactly), so the `Solution` under
 //! test is a real solver artifact; `certify` checks rows before the
 //! objective, so row-violation messages are still the first failure.
+//! The tableau's answer is certified the same way: its `x` pinned under
+//! the problem's own objective.
 
 mod common;
 
 use common::assert_feasibility_verdict;
-use dmc_lp::{Backend, Problem, Solution, SolveError, SolverOptions};
+use dmc_lp::{Problem, Solution, SolveError, SolverOptions};
 
-/// `p` solved by both backends, and — when it declares more than one
-/// block — by [`Backend::Revised`] with its declaration cleared too (other
-/// pricing sections, another pivot order).
+/// `p` solved by the tableau oracle (its `x` pinned, see [`pinned`]) and
+/// by the solver, and — when it declares more than one block — by the
+/// solver with its declaration cleared too (other pricing sections,
+/// another pivot order).
 fn solve_all(p: &Problem) -> Vec<Result<Solution, SolveError>> {
-    let tableau = SolverOptions {
-        backend: Backend::DenseTableau,
-        ..SolverOptions::default()
-    };
+    let tableau = dmc_lp_oracle::solve(p).map(|t| {
+        let s = pinned_under(p.objective(), &t.x);
+        let replayed = s.objective();
+        let scale = t.objective.abs().max(1.0);
+        assert!(
+            (replayed - t.objective).abs() <= 1e-9 * scale,
+            "tableau reported {}, its x scores {replayed}",
+            t.objective
+        );
+        s
+    });
     let opts = SolverOptions::default();
-    let mut results = vec![p.solve(&tableau), p.solve(&opts)];
+    let mut results = vec![tableau, p.solve(&opts)];
     if p.block_starts().len() > 1 {
         let mut undeclared = p.clone();
         undeclared.set_block_starts(Vec::new()).unwrap();
@@ -38,7 +48,13 @@ fn solve_all(p: &Problem) -> Vec<Result<Solution, SolveError>> {
 /// A `Solution` whose `x` is (up to solver roundoff) the given point,
 /// obtained by solving `max 0` s.t. `x_j = v_j`.
 fn pinned(v: &[f64]) -> Solution {
-    let mut q = Problem::maximize(vec![0.0; v.len()]);
+    pinned_under(vec![0.0; v.len()], v)
+}
+
+/// [`pinned`] under `max objective·x`, so the `Solution` reports the
+/// objective `v` scores.
+fn pinned_under(objective: Vec<f64>, v: &[f64]) -> Solution {
+    let mut q = Problem::maximize(objective);
     for (j, &val) in v.iter().enumerate() {
         let mut row = vec![0.0; v.len()];
         row[j] = 1.0;

@@ -1,7 +1,7 @@
 //! Telemetry contract of the solver: metrics recorded per solve, spans
 //! measured in pivots, and identical numerics with obs on or off.
 
-use dmc_lp::{Backend, Problem, SolverOptions, Workspace};
+use dmc_lp::{Problem, SolverOptions, Workspace};
 use dmc_obs::Obs;
 
 fn sample_problem() -> Problem {
@@ -12,22 +12,18 @@ fn sample_problem() -> Problem {
     p
 }
 
-/// One span per backend: `lp.solve.dense` for the tableau,
-/// `lp.solve.revised` for the driver, whatever blocks the problem
-/// declares. The two backends agree to 1e-9.
+/// One span per solve, `lp.solve.revised`, whatever blocks the problem
+/// declares; declared and undeclared agree to 1e-9 (the tableau oracle's
+/// agreement is `proptest_backends.rs`'s).
 #[test]
 fn solve_records_counters_and_span() {
     let mut declared = sample_problem();
     declared.set_block_starts(vec![0, 1]).expect("two blocks");
     let mut solutions = Vec::new();
-    for (backend, problem, span_name) in [
-        (Backend::DenseTableau, sample_problem(), "lp.solve.dense"),
-        (Backend::Revised, sample_problem(), "lp.solve.revised"),
-        (Backend::Revised, declared, "lp.solve.revised"),
-    ] {
+    let span_name = "lp.solve.revised";
+    for problem in [sample_problem(), declared] {
         let obs = Obs::enabled();
         let opts = SolverOptions {
-            backend,
             obs: obs.clone(),
             ..SolverOptions::default()
         };
@@ -48,13 +44,11 @@ fn solve_records_counters_and_span() {
         let span = snap.span(span_name).expect("solve span recorded");
         assert_eq!(span.count, 1);
         assert_eq!(span.total_ticks, s.iterations() as u64);
-        if backend != Backend::DenseTableau {
-            assert!(
-                snap.counter("lp.refactorizations").unwrap_or(0) >= 1,
-                "cold start factorizes at least once"
-            );
-            assert!(snap.histogram("lp.eta_len").is_some());
-        }
+        assert!(
+            snap.counter("lp.refactorizations").unwrap_or(0) >= 1,
+            "cold start factorizes at least once"
+        );
+        assert!(snap.histogram("lp.eta_len").is_some());
         assert_eq!(snap.spans.len(), 1, "{span_name}: one span per solve");
         solutions.push(s);
     }

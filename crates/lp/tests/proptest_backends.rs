@@ -2,11 +2,11 @@
 //!
 //! Random LPs — feasible by construction, infeasible by construction,
 //! unbounded by construction, and unconstrained-outcome mixes — must
-//! produce the same outcome class from [`Backend::DenseTableau`] and from
-//! [`Backend::Revised`] (a problem that declares several blocks also with
-//! its declaration cleared, which changes the pricing sections and the
-//! pivot order), and on success agree on objective, primal point and
-//! duals to 1e-9. Coefficients are
+//! produce the same outcome class from the dense tableau
+//! ([`dmc_lp_oracle::solve`]) and from the solver (a problem that
+//! declares several blocks also with its declaration cleared, which
+//! changes the pricing sections and the pivot order), and on success
+//! agree on objective, primal point and duals to 1e-9. Coefficients are
 //! drawn from continuous distributions, so optima (and duals) are unique
 //! almost surely and the pointwise comparison is meaningful.
 //!
@@ -22,21 +22,20 @@
 //! edited in step, and every solve from it must equal the cold solve of
 //! the same problem bit for bit.
 //!
-//! Two properties pin the objective scale both backends apply (the
-//! objective divided by the power of two at or below its largest
-//! entry): an objective scaled by `2^k` solves to the same bits with
-//! duals `2^k` times as large, and objectives of ~1e7 — the fleet's
-//! rate-weighted ones — still agree across backends.
+//! Two properties pin the objective scale the solver and the oracle
+//! apply (the objective divided by the power of two at or below its
+//! largest entry): an objective scaled by `2^k` solves to the same bits
+//! with duals `2^k` times as large, and objectives of ~1e7 — the fleet's
+//! rate-weighted ones — still agree across the two.
 
-use dmc_lp::{Backend, Basis, Problem, SolveError, SolverOptions};
+use dmc_lp::{Basis, Problem, SolveError, SolverOptions};
+use dmc_lp_oracle::Optimum;
 use proptest::prelude::*;
 use std::ops::Range;
 
-fn dense_opts() -> SolverOptions {
-    SolverOptions {
-        backend: Backend::DenseTableau,
-        ..SolverOptions::default()
-    }
+/// `p` solved on the dense tableau.
+fn dense(p: &Problem) -> Result<Optimum, SolveError> {
+    dmc_lp_oracle::solve(p)
 }
 
 /// `p` as given and, when it declares more than one block, with its
@@ -90,25 +89,25 @@ fn build_feasible_lp(n: usize, m: usize, with_eq: bool, seed0: u64) -> Problem {
 }
 
 fn assert_backends_agree(p: &Problem) -> Result<(), TestCaseError> {
-    let dense = p.solve(&dense_opts());
+    let dense = dense(p);
     for (name, q) in declared_and_not(p) {
         let other = q.solve(&SolverOptions::default());
         match (&dense, &other) {
             (Ok(d), Ok(r)) => {
                 prop_assert!(
-                    (d.objective() - r.objective()).abs() < 1e-9,
+                    (d.objective - r.objective()).abs() < 1e-9,
                     "objective: dense {} vs {name} {}",
-                    d.objective(),
+                    d.objective,
                     r.objective()
                 );
-                for (j, (a, b)) in d.x().iter().zip(r.x()).enumerate() {
+                for (j, (a, b)) in d.x.iter().zip(r.x()).enumerate() {
                     prop_assert!((a - b).abs() < 1e-9, "x[{j}]: dense {a} vs {name} {b}");
                 }
-                for (i, (a, b)) in d.duals().iter().zip(r.duals()).enumerate() {
+                for (i, (a, b)) in d.duals.iter().zip(r.duals()).enumerate() {
                     prop_assert!((a - b).abs() < 1e-9, "dual[{i}]: dense {a} vs {name} {b}");
                 }
                 // Both must actually be feasible for the original problem.
-                prop_assert!(p.max_violation(d.x()) < 1e-6);
+                prop_assert!(p.max_violation(&d.x) < 1e-6);
                 prop_assert!(p.max_violation(r.x()) < 1e-6);
             }
             (Err(SolveError::Infeasible { .. }), Err(SolveError::Infeasible { .. })) => {}
@@ -419,7 +418,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Feasible bounded LPs (with and without an equality row): identical
-    /// optima from the oracle and the revised backend.
+    /// optima from the oracle and the solver.
     #[test]
     fn feasible_lps_agree(
         n in 1usize..8,
@@ -505,19 +504,19 @@ proptest! {
                 p.add_le(row.clone(), row[0] + 0.05 + pace * step as f64).unwrap();
             }
             p.add_eq(vec![1.0; n], 1.0).unwrap();
-            let dense = p.solve(&dense_opts()).unwrap();
+            let dense = dense(&p).unwrap();
             let opts = SolverOptions::default();
             let warm = match basis.as_ref() {
                 Some(b) => p.solve_warm(&opts, b).unwrap(),
                 None => p.solve(&opts).unwrap(),
             };
             prop_assert!(
-                (warm.objective() - dense.objective()).abs() < 1e-9,
+                (warm.objective() - dense.objective).abs() < 1e-9,
                 "step {step}: warm {} vs dense {}",
                 warm.objective(),
-                dense.objective()
+                dense.objective
             );
-            for (j, (a, b)) in warm.x().iter().zip(dense.x()).enumerate() {
+            for (j, (a, b)) in warm.x().iter().zip(&dense.x).enumerate() {
                 prop_assert!((a - b).abs() < 1e-9, "step {step} x[{j}]: {a} vs {b}");
             }
             let cold = p.solve(&opts).unwrap();
@@ -533,8 +532,8 @@ proptest! {
         }
     }
 
-    /// Random block-angular fleet LPs: the oracle and the revised backend
-    /// agree to 1e-9, with the block boundaries declared or not (the
+    /// Random block-angular fleet LPs: the oracle and the solver agree to
+    /// 1e-9, with the block boundaries declared or not (the
     /// boundaries change pivot orders, never answers).
     #[test]
     fn block_angular_lps_agree(
@@ -602,20 +601,20 @@ proptest! {
                         prop_assert_eq!(warm.objective(), cold.objective());
                         prop_assert_eq!(warm.duals(), cold.duals());
                     }
-                    let dense = p.solve(&dense_opts()).unwrap();
+                    let dense = dense(p).unwrap();
                     prop_assert!(
-                        (cold.objective() - dense.objective()).abs() < 1e-9,
+                        (cold.objective() - dense.objective).abs() < 1e-9,
                         "step {step}: sparse {} vs dense {}",
                         cold.objective(),
-                        dense.objective()
+                        dense.objective
                     );
-                    for (j, (a, b)) in cold.x().iter().zip(dense.x()).enumerate() {
+                    for (j, (a, b)) in cold.x().iter().zip(&dense.x).enumerate() {
                         prop_assert!((a - b).abs() < 1e-9, "step {step} x[{j}]: {a} vs {b}");
                     }
                     basis = cold.basis().cloned();
                 }
                 Err(_) => {
-                    prop_assert!(p.solve(&dense_opts()).is_err(), "outcome class mismatch");
+                    prop_assert!(dense(p).is_err(), "outcome class mismatch");
                     basis = None;
                 }
             }
@@ -624,9 +623,9 @@ proptest! {
 
     /// The solver prices the objective divided by the power of two at or
     /// below its largest entry, so scaling it by `2^k` changes nothing
-    /// but the answer's units: on both backends `x` and the basis are
-    /// bit-identical, and the objective and the duals are exactly `2^k`
-    /// times as large.
+    /// but the answer's units: `x` and the basis are bit-identical (on the
+    /// tableau, which exports no basis, `x` and the pivot count), and the
+    /// objective and the duals are exactly `2^k` times as large.
     #[test]
     fn objectives_scaled_by_a_power_of_two_solve_identically(
         n in 1usize..8,
@@ -640,20 +639,25 @@ proptest! {
         let mut scaled = p.clone();
         let c: Vec<f64> = p.objective().iter().map(|c| c * factor).collect();
         scaled.set_objective_range(0, &c).unwrap();
-        for (name, opts) in [("tableau", dense_opts()), ("revised", SolverOptions::default())] {
-            let (a, b) = (p.solve(&opts).unwrap(), scaled.solve(&opts).unwrap());
-            prop_assert_eq!(a.x(), b.x(), "{} 2^{}: x", name, k);
-            prop_assert_eq!(a.basis(), b.basis(), "{} 2^{}: basis", name, k);
-            prop_assert_eq!(a.objective() * factor, b.objective(), "{} 2^{}", name, k);
-            let duals: Vec<f64> = a.duals().iter().map(|y| y * factor).collect();
-            prop_assert_eq!(&duals[..], b.duals(), "{} 2^{}: duals", name, k);
-        }
+        let opts = SolverOptions::default();
+        let (a, b) = (p.solve(&opts).unwrap(), scaled.solve(&opts).unwrap());
+        prop_assert_eq!(a.x(), b.x(), "revised 2^{}: x", k);
+        prop_assert_eq!(a.basis(), b.basis(), "revised 2^{}: basis", k);
+        prop_assert_eq!(a.objective() * factor, b.objective(), "revised 2^{}", k);
+        let duals: Vec<f64> = a.duals().iter().map(|y| y * factor).collect();
+        prop_assert_eq!(&duals[..], b.duals(), "revised 2^{}: duals", k);
+        let (a, b) = (dense(&p).unwrap(), dense(&scaled).unwrap());
+        prop_assert_eq!(&a.x, &b.x, "tableau 2^{}: x", k);
+        prop_assert_eq!(a.iterations, b.iterations, "tableau 2^{}: pivots", k);
+        prop_assert_eq!(a.objective * factor, b.objective, "tableau 2^{}", k);
+        let duals: Vec<f64> = a.duals.iter().map(|y| y * factor).collect();
+        prop_assert_eq!(&duals, &b.duals, "tableau 2^{}: duals", k);
     }
 
     /// Objectives of the magnitude the fleet's volume weights produce
-    /// (`λ·p` with `λ` of 1e6…1e8 bit/s): the oracle and the revised
-    /// backend still agree on `x` to 1e-9, and on the objective and duals to
-    /// 1e-9 of that magnitude.
+    /// (`λ·p` with `λ` of 1e6…1e8 bit/s): the oracle and the solver still
+    /// agree on `x` to 1e-9, and on the objective and duals to 1e-9 of
+    /// that magnitude.
     #[test]
     fn rate_weighted_objectives_agree(
         n in 2usize..40,
@@ -671,14 +675,14 @@ proptest! {
             p.add_le(usage, rhs).unwrap();
         }
         p.add_eq(vec![1.0; n], 1.0).unwrap();
-        let dense = p.solve(&dense_opts()).unwrap();
+        let dense = dense(&p).unwrap();
         let r = p.solve(&SolverOptions::default()).unwrap();
         let close = |a: f64, b: f64, scale: f64| (a - b).abs() <= 1e-9 * scale;
-        prop_assert!(close(dense.objective(), r.objective(), rate), "objective");
-        for (j, (a, b)) in dense.x().iter().zip(r.x()).enumerate() {
+        prop_assert!(close(dense.objective, r.objective(), rate), "objective");
+        for (j, (a, b)) in dense.x.iter().zip(r.x()).enumerate() {
             prop_assert!(close(*a, *b, 1.0), "x[{j}] = {a} vs {b}");
         }
-        for (i, (a, b)) in dense.duals().iter().zip(r.duals()).enumerate() {
+        for (i, (a, b)) in dense.duals.iter().zip(r.duals()).enumerate() {
             prop_assert!(close(*a, *b, rate), "dual[{i}] = {a} vs {b}");
         }
     }

@@ -10,12 +10,13 @@
 //! `add_le` / `add_ge` / `add_eq` and asserts the two are `==` — equal
 //! storage, since a row never holds a zero. At the end the script bounds
 //! the LP and retunes every right-hand side around one interior point,
-//! and both are solved: [`Backend::Revised`] must return the same bits
-//! from either — with the blocks as declared and, when there are several,
+//! and both are solved: the solver must return the same bits from
+//! either — with the blocks as declared and, when there are several,
 //! with the declaration cleared (other pricing sections, another pivot
-//! order) — and agree with the [`Backend::DenseTableau`] oracle to 1e-9.
+//! order) — and agree with the dense tableau oracle
+//! ([`dmc_lp_oracle::solve`]) to 1e-9.
 
-use dmc_lp::{Backend, ConstraintKind, Problem, SolverOptions};
+use dmc_lp::{ConstraintKind, Problem, SolverOptions};
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random f64 in [0, 1) from a seed counter
@@ -264,11 +265,7 @@ proptest! {
         script.make_solvable();
         let (edited, rebuilt) = (&script.p, script.rebuilt());
         prop_assert_eq!(edited, &rebuilt);
-        let oracle = SolverOptions {
-            backend: Backend::DenseTableau,
-            ..SolverOptions::default()
-        };
-        let dense = edited.solve(&oracle).unwrap();
+        let dense = dmc_lp_oracle::solve(edited).unwrap();
         let opts = SolverOptions::default();
         // The script's problem always declares its blocks.
         let mut runs = vec![("declared", edited.clone(), rebuilt.clone())];
@@ -281,12 +278,12 @@ proptest! {
             prop_assert_eq!(a.objective().to_bits(), b.objective().to_bits());
             prop_assert_eq!(a.duals(), b.duals(), "{}: duals", case);
             prop_assert!(
-                (a.objective() - dense.objective()).abs() < 1e-9,
+                (a.objective() - dense.objective).abs() < 1e-9,
                 "{case} {} vs dense {}",
                 a.objective(),
-                dense.objective()
+                dense.objective
             );
-            for (j, (x, d)) in a.x().iter().zip(dense.x()).enumerate() {
+            for (j, (x, d)) in a.x().iter().zip(&dense.x).enumerate() {
                 prop_assert!((x - d).abs() < 1e-9, "{case} x[{j}]: {x} vs dense {d}");
             }
             a.certify(&edited).map_err(TestCaseError)?;
