@@ -9,10 +9,16 @@
 //! things in the same order, so every RNG draw, timer, packet and
 //! counter — and therefore every literal below — stays as it was. A
 //! change to the endpoints that moves one of them changed behaviour.
+//!
+//! Each pin also holds `sim.events`, the simulator's dispatched-event
+//! count, recorded while a serialization end was still an event on the
+//! heap. Departures now wait in a FIFO beside their link and are credited
+//! lazily; the count proves each is still counted exactly once.
 
 use dmc_core::{Objective, Plan, Planner};
 use dmc_experiments::runner::{run_plan, RunConfig, TrueNetwork};
 use dmc_experiments::scenarios;
+use dmc_obs::Obs;
 use dmc_proto::{ReceiverStats, SenderStats};
 
 /// Messages per run: the benchmark's `flow_deliver` step.
@@ -27,6 +33,9 @@ struct Pin {
     fast_retransmit: Option<u32>,
     sender: SenderStats,
     receiver: ReceiverStats,
+    /// `sim.events`: every event the simulator dispatched, departures
+    /// included.
+    events: u64,
 }
 
 /// Every run, recorded on the hash-table endpoints.
@@ -57,6 +66,7 @@ const PINS: [Pin; 12] = [
             recovery_notices_sent: 0,
             stale_probes_dropped: 0,
         },
+        events: 15020,
     },
     Pin {
         case: "table3@90",
@@ -84,6 +94,7 @@ const PINS: [Pin; 12] = [
             recovery_notices_sent: 0,
             stale_probes_dropped: 0,
         },
+        events: 15120,
     },
     Pin {
         case: "table3@90",
@@ -111,6 +122,7 @@ const PINS: [Pin; 12] = [
             recovery_notices_sent: 0,
             stale_probes_dropped: 0,
         },
+        events: 15020,
     },
     Pin {
         case: "table3@90",
@@ -138,6 +150,7 @@ const PINS: [Pin; 12] = [
             recovery_notices_sent: 0,
             stale_probes_dropped: 0,
         },
+        events: 15120,
     },
     Pin {
         case: "table5",
@@ -165,6 +178,7 @@ const PINS: [Pin; 12] = [
             recovery_notices_sent: 0,
             stale_probes_dropped: 0,
         },
+        events: 15095,
     },
     Pin {
         case: "table5",
@@ -192,6 +206,7 @@ const PINS: [Pin; 12] = [
             recovery_notices_sent: 0,
             stale_probes_dropped: 0,
         },
+        events: 15068,
     },
     Pin {
         case: "table5",
@@ -219,6 +234,7 @@ const PINS: [Pin; 12] = [
             recovery_notices_sent: 0,
             stale_probes_dropped: 0,
         },
+        events: 18725,
     },
     Pin {
         case: "table5",
@@ -246,6 +262,7 @@ const PINS: [Pin; 12] = [
             recovery_notices_sent: 0,
             stale_probes_dropped: 0,
         },
+        events: 18507,
     },
     Pin {
         case: "figure1",
@@ -273,6 +290,7 @@ const PINS: [Pin; 12] = [
             recovery_notices_sent: 0,
             stale_probes_dropped: 0,
         },
+        events: 14378,
     },
     Pin {
         case: "figure1",
@@ -300,6 +318,7 @@ const PINS: [Pin; 12] = [
             recovery_notices_sent: 0,
             stale_probes_dropped: 0,
         },
+        events: 14249,
     },
     Pin {
         case: "figure1",
@@ -327,6 +346,7 @@ const PINS: [Pin; 12] = [
             recovery_notices_sent: 0,
             stale_probes_dropped: 0,
         },
+        events: 14378,
     },
     Pin {
         case: "figure1",
@@ -354,6 +374,7 @@ const PINS: [Pin; 12] = [
             recovery_notices_sent: 0,
             stale_probes_dropped: 0,
         },
+        events: 14249,
     },
 ];
 
@@ -394,15 +415,21 @@ fn run(
     truth: &TrueNetwork,
     seed: u64,
     fast_retransmit: Option<u32>,
-) -> (SenderStats, ReceiverStats) {
+) -> (SenderStats, ReceiverStats, u64) {
     let cfg = RunConfig {
         messages: MESSAGES,
         seed,
         fast_retransmit,
+        obs: Obs::enabled(),
         ..RunConfig::default()
     };
     let outcome = run_plan(plan, truth, &cfg).expect("the plan runs on its network");
-    (outcome.sender, outcome.receiver)
+    let events = cfg
+        .obs
+        .snapshot()
+        .counter("sim.events")
+        .expect("an enabled registry holds the simulator's event count");
+    (outcome.sender, outcome.receiver, events)
 }
 
 #[test]
@@ -413,12 +440,13 @@ fn every_endpoint_counter_matches_its_pin() {
             .iter()
             .find(|(label, ..)| *label == pin.case)
             .expect("every pin names a case");
-        let (sender, receiver) = run(plan, truth, pin.seed, pin.fast_retransmit);
+        let (sender, receiver, events) = run(plan, truth, pin.seed, pin.fast_retransmit);
         let at = format!(
             "{} seed {} fast retransmit {:?}",
             pin.case, pin.seed, pin.fast_retransmit
         );
         assert_eq!(sender, pin.sender, "sender counters moved: {at}");
         assert_eq!(receiver, pin.receiver, "receiver counters moved: {at}");
+        assert_eq!(events, pin.events, "dispatched events moved: {at}");
     }
 }

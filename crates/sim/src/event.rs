@@ -1,39 +1,25 @@
 //! The event queue: a time-ordered heap with FIFO tie-breaking.
+//!
+//! Every pending event has a key `(time, seq)`: its instant, and a
+//! sequence number drawn from one counter in scheduling order, so
+//! simultaneous events run FIFO. The heap orders keys only —
+//! `(SimTime, seq, slot)`, 24 bytes — and each key names the slot of a
+//! slab that holds the event itself; a popped event's slot goes on a free
+//! list for the next one. A sift therefore moves 24 bytes whatever the
+//! size of `E`.
+//!
+//! The two-host simulator also draws sequence numbers it never schedules:
+//! a link's serialization ends wait in a FIFO beside the link under a key
+//! from this counter, and are credited exactly where a popped event with
+//! that key would have been (see the `sim` module).
 
 use crate::time::{SimDuration, SimTime};
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// A pending event of type `E`.
-#[derive(Debug)]
-struct Scheduled<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest event.
-        // Ties break by insertion order (lower seq first) so simultaneous
-        // events run FIFO — deterministic across runs.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
+/// A heap entry: `(time, seq, slab slot)`, reversed so that the max-heap
+/// pops the earliest key. Seqs are unique, so the slot never breaks a tie.
+type Key = Reverse<(SimTime, u64, u32)>;
 
 /// A deterministic discrete-event queue.
 ///
@@ -42,7 +28,12 @@ impl<E> Ord for Scheduled<E> {
 /// after the current event).
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
+    /// Pending keys, earliest first.
+    heap: BinaryHeap<Key>,
+    /// Pending events; `None` marks a free slot.
+    slab: Vec<Option<E>>,
+    /// The free slots of `slab`.
+    free: Vec<u32>,
     next_seq: u64,
     now: SimTime,
 }
@@ -58,6 +49,8 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
             now: SimTime::ZERO,
         }
@@ -79,13 +72,20 @@ impl<E> EventQueue<E> {
             "scheduling into the past: {at} < now {}",
             self.now
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Scheduled {
-            time: at,
-            seq,
-            event,
-        });
+        let seq = self.reserve_seq();
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len())
+                    .expect("fewer than 2^32 events are pending at once");
+                self.slab.push(Some(event));
+                slot
+            }
+        };
+        self.heap.push(Reverse((at, seq, slot)));
     }
 
     /// Schedules `event` after `delay` from now.
@@ -95,15 +95,39 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest event and advances the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let s = self.heap.pop()?;
-        debug_assert!(s.time >= self.now, "clock went backwards");
-        self.now = s.time;
-        Some((s.time, s.event))
+        self.pop_keyed().map(|(time, _, event)| (time, event))
+    }
+
+    /// [`Self::pop`], with the popped event's sequence number.
+    pub(crate) fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
+        let Reverse((time, seq, slot)) = self.heap.pop()?;
+        debug_assert!(time >= self.now, "clock went backwards");
+        self.now = time;
+        let event = self.slab[slot as usize]
+            .take()
+            .expect("every heap key names a full slab slot");
+        self.free.push(slot);
+        Some((time, seq, event))
+    }
+
+    /// Draws the next sequence number without scheduling anything: the
+    /// key of an event kept outside the queue, which orders against the
+    /// queued ones as if it had been scheduled here.
+    pub(crate) fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Advances the clock to `at` if that is later: an event kept outside
+    /// the queue was dispatched there.
+    pub(crate) fn advance_to(&mut self, at: SimTime) {
+        self.now = self.now.max(at);
     }
 
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.time)
+        self.heap.peek().map(|Reverse((time, ..))| *time)
     }
 
     /// Number of pending events.
@@ -179,6 +203,39 @@ mod tests {
         q.schedule(SimTime::from_nanos(10), 1);
         q.pop();
         q.schedule(SimTime::from_nanos(5), 2);
+    }
+
+    #[test]
+    fn a_heap_key_stays_small() {
+        // A sift moves keys, not events: time, seq and a 4-byte slot.
+        assert!(std::mem::size_of::<Key>() <= 24);
+    }
+
+    #[test]
+    fn reused_slots_keep_time_and_fifo_order() {
+        // Interleaved schedules and pops recycle slab slots; the queue
+        // must still pop exactly what an ordered map of `(time, seq)`
+        // keys pops.
+        let mut q = EventQueue::new();
+        let mut model = std::collections::BTreeMap::new();
+        let mut rng = dmc_stats::rng::Xoshiro256::seed_from_u64(7);
+        let mut seq = 0u64;
+        for _ in 0..5_000 {
+            if rng.next_u64() % 3 == 0 {
+                assert_eq!(q.pop(), model.pop_first().map(|((t, _), e)| (t, e)));
+            } else {
+                let at = q.now() + SimDuration::from_nanos(rng.next_u64() % 8);
+                q.schedule(at, seq);
+                model.insert((at, seq), seq);
+                seq += 1;
+            }
+            assert_eq!(q.len(), model.len());
+        }
+        while let Some(popped) = q.pop() {
+            assert_eq!(Some(popped), model.pop_first().map(|((t, _), e)| (t, e)));
+        }
+        assert!(model.is_empty());
+        assert!(q.slab.len() < 5_000, "slots are reused");
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! * [`Link`] — serialization (`bits/bandwidth`), drop-tail queueing
 //!   (bounded bytes; overflow drops, queueing delay emerges naturally —
 //!   the +50 ms effect the paper measures in Exp. 1), Bernoulli or
-//!   Gilbert–Elliott bursty erasure ([`LossModel`]), and constant or
-//!   random ([`dmc_stats::Delay`]) propagation with per-path FIFO
-//!   ordering;
+//!   Gilbert–Elliott bursty erasure ([`LossModel`]), and constant
+//!   (FIFO) or random ([`dmc_stats::Delay`], i.i.d. per packet, so
+//!   packets may overtake) propagation;
 //! * [`scenario`] — scheduled link dynamics ([`Dynamics`]): mid-transfer
 //!   path failure/recovery, piecewise time-varying bandwidth, and
 //!   loss-process changes;
@@ -22,7 +22,10 @@
 //!   multi-link fault domains, bit-identical in replay
 //!   ([`TwoHostSim::apply_faults`]);
 //! * [`EventQueue`] — integer-nanosecond virtual time with FIFO
-//!   tie-breaking, so runs are bit-for-bit reproducible for a given seed.
+//!   tie-breaking, so runs are bit-for-bit reproducible for a given seed
+//!   (a heap of 24-byte keys over a slab of events; a link's
+//!   serialization ends never enter it, they wait in a FIFO beside the
+//!   link).
 //!
 //! # Example: measuring a path RTT
 //!
@@ -70,6 +73,8 @@ mod event;
 mod fault;
 mod link;
 mod packet;
+#[cfg(test)]
+mod reference;
 pub mod scenario;
 mod sim;
 mod time;

@@ -14,9 +14,10 @@
 //!   transport granularity) or a Gilbert–Elliott two-state chain for
 //!   correlated/bursty loss.
 //! * **Propagation**: constant or random ([`Delay`]), sampled per packet.
-//!   Per-path FIFO ordering is enforced (`§VIII-D`: per-path reordering is
-//!   "relatively unlikely"; a point-to-point wire cannot reorder), so a
-//!   sampled arrival never precedes the previous packet's arrival.
+//!   A constant delay keeps a path FIFO by construction (`§VIII-D`:
+//!   per-path reordering is "relatively unlikely"; a point-to-point wire
+//!   cannot reorder). A random delay is drawn i.i.d. per packet — the
+//!   paper's Eq. 24 — so a later packet may overtake an earlier one.
 //! * **Dynamics**: a link can be failed, recovered, or retuned
 //!   mid-simulation via [`LinkChange`] (see the [`scenario`](crate::scenario)
 //!   module for the schedule builder).
@@ -267,8 +268,6 @@ pub struct Link {
     busy_until: SimTime,
     /// Bytes waiting or in service.
     queued_bytes: usize,
-    /// Arrival time of the previously delivered packet (FIFO floor).
-    last_arrival: SimTime,
     /// Whether the link is up (scheduled failures flip this).
     up: bool,
     /// Gilbert–Elliott chain state (`true` = bad); unused for Bernoulli.
@@ -297,7 +296,6 @@ impl Link {
             config,
             busy_until: SimTime::ZERO,
             queued_bytes: 0,
-            last_arrival: SimTime::ZERO,
             up: true,
             loss_bad_state,
             rng,
@@ -419,7 +417,6 @@ impl Link {
         // not care). Clamping to FIFO here would turn dense traffic's
         // delay distribution into a running maximum of the samples,
         // inflating it far beyond the configured distribution.
-        self.last_arrival = self.last_arrival.max(arrival);
         self.stats.delivered += 1;
         SendOutcome::Transmitted {
             departure,

@@ -90,8 +90,8 @@ mod tests {
 
     #[test]
     fn a_packet_stays_small() {
-        // Packets ride in every event-queue entry, so the payload is a
-        // two-word handle to its bytes, not the bytes.
+        // A packet rides in every pending arrival's slab slot, so the
+        // payload is a two-word handle to its bytes, not the bytes.
         assert!(std::mem::size_of::<Packet>() <= 32);
     }
 

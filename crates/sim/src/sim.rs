@@ -2,6 +2,27 @@
 //! path pairs — the paper's ns-3 topology (§VII-A: "multiple UDP sockets
 //! between two network nodes … each socket corresponds to a different
 //! path").
+//!
+//! # Departures
+//!
+//! A packet's serialization end frees its bytes in the link's queue. It
+//! is not a heap event: [`SimApi::send`] reserves its sequence number
+//! from the [`EventQueue`] where it would have scheduled it (before the
+//! arrival and any duplicate), and pushes `(time, seq, bytes)` onto a
+//! FIFO beside the directed link. A link's departures never go back in
+//! time and their seqs rise, so the FIFO is in key order. The credit is
+//! applied lazily, exactly where a popped event with that key would have
+//! been:
+//!
+//! * before each send on a link, every entry whose `(time, seq)` is below
+//!   the key of the event being dispatched — the only read of the
+//!   queue's occupancy;
+//! * when [`TwoHostSim::run_until`] returns, every entry at or before its
+//!   `end`, each counted in [`TwoHostSim::events_processed`] and moving
+//!   the clock as a popped event did.
+//!
+//! Every callback, counter and clock reading is therefore the one an
+//! engine with a departure event in the heap produces.
 
 use crate::event::EventQueue;
 use crate::fault::{FaultPlan, FaultStats, FaultStream, FAULT_SALT_BACKWARD, FAULT_SALT_FORWARD};
@@ -10,6 +31,7 @@ use crate::packet::Packet;
 use crate::scenario::Dynamics;
 use crate::time::SimTime;
 use dmc_stats::rng::{mix64, GOLDEN_GAMMA};
+use std::collections::VecDeque;
 
 /// Which endpoint an event belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -29,11 +51,10 @@ pub enum Dir {
     Backward,
 }
 
-/// Events the simulation dispatches.
+/// Events the simulation dispatches (a departure is not one; see the
+/// module docs).
 #[derive(Debug)]
 enum NetEvent {
-    /// A packet finished serializing; free its queue space.
-    Departure { dir: Dir, path: usize, size: usize },
     /// A packet reached the far end of a link.
     Arrival {
         dir: Dir,
@@ -51,6 +72,40 @@ enum NetEvent {
     },
 }
 
+/// One directed link and the departures it has not been credited for.
+#[derive(Debug)]
+struct Egress {
+    link: Link,
+    /// `(time, seq, bytes)` of each serialization end not yet credited,
+    /// in key order.
+    departures: VecDeque<(SimTime, u64, usize)>,
+}
+
+impl Egress {
+    fn new(link: Link) -> Self {
+        Egress {
+            link,
+            departures: VecDeque::new(),
+        }
+    }
+
+    /// Credits the front departures while `due(time, seq)` holds. Returns
+    /// how many it credited and the last one's time.
+    fn credit_while(&mut self, due: impl Fn(SimTime, u64) -> bool) -> (u64, Option<SimTime>) {
+        let (mut credited, mut last) = (0, None);
+        while let Some(&(time, seq, bytes)) = self.departures.front() {
+            if !due(time, seq) {
+                break;
+            }
+            self.departures.pop_front();
+            self.link.on_departure(bytes);
+            credited += 1;
+            last = Some(time);
+        }
+        (credited, last)
+    }
+}
+
 /// What an endpoint implementation can do during a callback.
 ///
 /// Handed to [`Agent`] methods; sending consumes bandwidth on this host's
@@ -58,10 +113,15 @@ enum NetEvent {
 #[derive(Debug)]
 pub struct SimApi<'a> {
     now: SimTime,
+    /// Seq of the event being dispatched (0 in `on_start`, before any).
+    seq: u64,
     host: HostId,
-    outgoing: &'a mut [Link],
+    outgoing: &'a mut [Egress],
     queue: &'a mut EventQueue<NetEvent>,
     faults: Option<&'a mut FaultStream>,
+    /// The simulation's dispatched-event count; credited departures add
+    /// to it.
+    events: &'a mut u64,
 }
 
 impl SimApi<'_> {
@@ -86,12 +146,16 @@ impl SimApi<'_> {
             HostId::Client => Dir::Forward,
             HostId::Server => Dir::Backward,
         };
+        let egress = &mut self.outgoing[path];
+        let key = (self.now, self.seq);
+        let (credited, _) = egress.credit_while(|time, seq| (time, seq) < key);
+        *self.events += credited;
         let size = packet.size_bytes();
-        match self.outgoing[path].send(self.now, &mut packet) {
+        match egress.link.send(self.now, &mut packet) {
             SendOutcome::DroppedQueueFull | SendOutcome::DroppedLinkDown => false,
             SendOutcome::Transmitted { departure, arrival } => {
-                self.queue
-                    .schedule(departure, NetEvent::Departure { dir, path, size });
+                let seq = self.queue.reserve_seq();
+                egress.departures.push_back((departure, seq, size));
                 if let Some(at) = arrival {
                     match self.faults.as_deref_mut() {
                         Some(stream) => {
@@ -157,8 +221,8 @@ pub trait Agent {
 #[derive(Debug)]
 pub struct TwoHostSim<C, S> {
     queue: EventQueue<NetEvent>,
-    forward: Vec<Link>,
-    backward: Vec<Link>,
+    forward: Vec<Egress>,
+    backward: Vec<Egress>,
     client: C,
     server: S,
     started: bool,
@@ -203,11 +267,11 @@ impl<C: Agent, S: Agent> TwoHostSim<C, S> {
         for cfg in forward.iter().chain(&backward) {
             cfg.validate()?;
         }
-        let mk = |configs: Vec<LinkConfig>, salt: u64| -> Vec<Link> {
+        let mk = |configs: Vec<LinkConfig>, salt: u64| -> Vec<Egress> {
             configs
                 .into_iter()
                 .enumerate()
-                .map(|(i, cfg)| Link::new(cfg, mix_seed(seed, salt, i as u64)))
+                .map(|(i, cfg)| Egress::new(Link::new(cfg, mix_seed(seed, salt, i as u64))))
                 .collect()
         };
         Ok(TwoHostSim {
@@ -255,8 +319,8 @@ impl<C: Agent, S: Agent> TwoHostSim<C, S> {
     /// Panics if `path` is out of range.
     pub fn link_stats(&self, dir: Dir, path: usize) -> LinkStats {
         match dir {
-            Dir::Forward => self.forward[path].stats(),
-            Dir::Backward => self.backward[path].stats(),
+            Dir::Forward => self.forward[path].link.stats(),
+            Dir::Backward => self.backward[path].link.stats(),
         }
     }
 
@@ -267,8 +331,8 @@ impl<C: Agent, S: Agent> TwoHostSim<C, S> {
     /// Panics if `path` is out of range.
     pub fn link_is_up(&self, dir: Dir, path: usize) -> bool {
         match dir {
-            Dir::Forward => self.forward[path].is_up(),
-            Dir::Backward => self.backward[path].is_up(),
+            Dir::Forward => self.forward[path].link.is_up(),
+            Dir::Backward => self.backward[path].link.is_up(),
         }
     }
 
@@ -373,20 +437,26 @@ impl<C: Agent, S: Agent> TwoHostSim<C, S> {
             return;
         }
         self.started = true;
+        // No event has been dispatched yet: the key (0, 0) lies at or
+        // below every key, so nothing is credited.
         let mut api = SimApi {
             now: self.queue.now(),
+            seq: 0,
             host: HostId::Client,
             outgoing: &mut self.forward,
             queue: &mut self.queue,
             faults: self.faults.as_mut().map(|f| &mut f.forward),
+            events: &mut self.events_processed,
         };
         self.client.on_start(&mut api);
         let mut api = SimApi {
             now: self.queue.now(),
+            seq: 0,
             host: HostId::Server,
             outgoing: &mut self.backward,
             queue: &mut self.queue,
             faults: self.faults.as_mut().map(|f| &mut f.backward),
+            events: &mut self.events_processed,
         };
         self.server.on_start(&mut api);
     }
@@ -401,71 +471,81 @@ impl<C: Agent, S: Agent> TwoHostSim<C, S> {
             if next > end {
                 break;
             }
-            let (now, event) = self
+            let (now, seq, event) = self
                 .queue
-                .pop()
+                .pop_keyed()
                 .expect("queue verified non-empty by the peek above");
             self.events_processed += 1;
             match event {
-                NetEvent::Departure { dir, path, size } => {
-                    let link = match dir {
-                        Dir::Forward => &mut self.forward[path],
-                        Dir::Backward => &mut self.backward[path],
-                    };
-                    link.on_departure(size);
-                }
                 NetEvent::Arrival { dir, path, packet } => match dir {
                     // Forward traffic arrives at the server.
                     Dir::Forward => {
                         let mut api = SimApi {
                             now,
+                            seq,
                             host: HostId::Server,
                             outgoing: &mut self.backward,
                             queue: &mut self.queue,
                             faults: self.faults.as_mut().map(|f| &mut f.backward),
+                            events: &mut self.events_processed,
                         };
                         self.server.on_packet(path, packet, &mut api);
                     }
                     Dir::Backward => {
                         let mut api = SimApi {
                             now,
+                            seq,
                             host: HostId::Client,
                             outgoing: &mut self.forward,
                             queue: &mut self.queue,
                             faults: self.faults.as_mut().map(|f| &mut f.forward),
+                            events: &mut self.events_processed,
                         };
                         self.client.on_packet(path, packet, &mut api);
                     }
                 },
                 NetEvent::LinkChange { dir, path, change } => {
-                    let link = match dir {
+                    let egress = match dir {
                         Dir::Forward => &mut self.forward[path],
                         Dir::Backward => &mut self.backward[path],
                     };
-                    link.apply(&change);
+                    egress.link.apply(&change);
                 }
                 NetEvent::Timer { host, key } => match host {
                     HostId::Client => {
                         let mut api = SimApi {
                             now,
+                            seq,
                             host: HostId::Client,
                             outgoing: &mut self.forward,
                             queue: &mut self.queue,
                             faults: self.faults.as_mut().map(|f| &mut f.forward),
+                            events: &mut self.events_processed,
                         };
                         self.client.on_timer(key, &mut api);
                     }
                     HostId::Server => {
                         let mut api = SimApi {
                             now,
+                            seq,
                             host: HostId::Server,
                             outgoing: &mut self.backward,
                             queue: &mut self.queue,
                             faults: self.faults.as_mut().map(|f| &mut f.backward),
+                            events: &mut self.events_processed,
                         };
                         self.server.on_timer(key, &mut api);
                     }
                 },
+            }
+        }
+        // Every serialization end at or before `end` would have been
+        // dispatched by now.
+        for egress in self.forward.iter_mut().chain(&mut self.backward) {
+            let (credited, last) = egress.credit_while(|time, _| time <= end);
+            self.events_processed += credited;
+            if let Some(last) = last {
+                self.queue.advance_to(last);
             }
         }
         self.events_processed - before
@@ -510,9 +590,11 @@ mod tests {
 
     #[test]
     fn a_net_event_stays_small() {
-        // Every event-heap entry carries one, so the rare link change is
-        // boxed and an arrival (a 32-byte packet) sets the width.
-        assert!(std::mem::size_of::<NetEvent>() <= 48);
+        // The heap sifts 24-byte keys (`event::tests::a_heap_key_stays_small`);
+        // each pending event sits in one slab slot, so the rare link
+        // change is boxed and an arrival (a 32-byte packet) sets the
+        // slot's width.
+        assert!(std::mem::size_of::<Option<NetEvent>>() <= 48);
     }
 
     /// Client: sends one packet at start, records the echo's arrival.

@@ -69,9 +69,10 @@ impl SimDuration {
         SimDuration(secs_to_nanos(secs))
     }
 
-    /// Creates a duration from milliseconds.
+    /// Creates a duration from milliseconds, saturating at the longest
+    /// representable duration like every other time operation.
     pub const fn from_millis(ms: u64) -> Self {
-        SimDuration(ms * 1_000_000)
+        SimDuration(ms.saturating_mul(1_000_000))
     }
 
     /// Nanoseconds.
@@ -91,7 +92,9 @@ fn secs_to_nanos(secs: f64) -> u64 {
         "time must be non-negative, got {secs}"
     );
     let ns = secs * 1e9;
-    assert!(ns <= u64::MAX as f64, "time {secs}s overflows the clock");
+    // `u64::MAX as f64` rounds up to exactly 2^64 ns, which is already
+    // out of range: the bound is strict.
+    assert!(ns < u64::MAX as f64, "time {secs}s overflows the clock");
     ns.round() as u64
 }
 
@@ -169,6 +172,35 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_time_panics() {
         SimTime::from_secs_f64(-1.0);
+    }
+
+    #[test]
+    fn from_millis_saturates() {
+        let max_ms = u64::MAX / 1_000_000;
+        assert_eq!(
+            SimDuration::from_millis(max_ms).as_nanos(),
+            max_ms * 1_000_000
+        );
+        assert_eq!(SimDuration::from_millis(max_ms + 1).as_nanos(), u64::MAX);
+        assert_eq!(SimDuration::from_millis(u64::MAX).as_nanos(), u64::MAX);
+    }
+
+    #[test]
+    fn the_last_seconds_below_two_to_the_64_ns_convert() {
+        // 18_446_744_073.709_55 s is the f64 just below 2^64 ns; times 1e9
+        // it is 2^64 − 2048 ns, the largest f64 below 2^64, exactly.
+        assert_eq!(
+            SimTime::from_secs_f64(18_446_744_073.709_55).as_nanos(),
+            u64::MAX - 2047
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the clock")]
+    fn two_to_the_64_ns_panics() {
+        // The next f64 up: times 1e9 it is exactly 2^64 ns, one past the
+        // clock's range, which the `<=` bound let through to saturate.
+        SimTime::from_secs_f64(18_446_744_073.709_553);
     }
 
     #[test]
