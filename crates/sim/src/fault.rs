@@ -248,12 +248,18 @@ impl FaultStream {
         }
     }
 
+    /// A delay drawn uniformly from `[0, window]`.
     fn window_jitter(&mut self) -> SimDuration {
         let w = self.reorder_window.as_nanos();
         if w == 0 {
             return SimDuration::ZERO;
         }
-        SimDuration::from_nanos(self.rng.next_u64() % (w + 1))
+        let draw = self.rng.next_u64();
+        // The widest window, `u64::MAX` ns, spans every draw.
+        SimDuration::from_nanos(match w.checked_add(1) {
+            Some(span) => draw % span,
+            None => draw,
+        })
     }
 
     pub(crate) fn stats(&self) -> FaultStats {
@@ -338,6 +344,54 @@ mod tests {
         let s = a.stats();
         assert!(s.corrupted > 0 && s.duplicated > 0 && s.reordered > 0);
         assert_eq!(flipped, s.corrupted);
+    }
+
+    #[test]
+    fn the_widest_window_draws_over_every_nanosecond() {
+        // `window + 1` does not fit in a u64: the jitter spans the full
+        // range (it panicked, on overflow in debug, on a remainder by zero
+        // in release). A delivery saturates at the end of the clock.
+        let plan = FaultPlan::new(11)
+            .with_reordering(1.0, SimDuration::from_nanos(u64::MAX))
+            .unwrap()
+            .with_duplication(1.0)
+            .unwrap();
+        let mut s = plan.stream(FAULT_SALT_FORWARD);
+        let mut reference = SplitMix64::new(mix_seed(11, FAULT_SALT_FORWARD, 0));
+        for i in 0..100u64 {
+            let t = SimTime::from_nanos(i);
+            let inj = s.inject(t, &mut Packet::new(8, vec![1u8]));
+            // The stream's draws: reorder coin, jitter, duplicate coin,
+            // jitter.
+            reference.unit();
+            let jitter = reference.next_u64();
+            reference.unit();
+            let dup_jitter = reference.next_u64();
+            assert_eq!(inj.deliver_at, t + SimDuration::from_nanos(jitter));
+            assert_eq!(
+                inj.duplicate_at,
+                Some(t + SimDuration::from_nanos(dup_jitter))
+            );
+        }
+        assert_eq!(s.stats().reordered, 100);
+        assert_eq!(s.stats().duplicated, 100);
+    }
+
+    #[test]
+    fn a_zero_window_reorders_in_place() {
+        let plan = FaultPlan::new(12)
+            .with_reordering(1.0, SimDuration::ZERO)
+            .unwrap()
+            .with_duplication(1.0)
+            .unwrap();
+        let mut s = plan.stream(FAULT_SALT_FORWARD);
+        for i in 0..100u64 {
+            let t = SimTime::from_nanos(i);
+            let inj = s.inject(t, &mut Packet::new(8, vec![1u8]));
+            assert_eq!(inj.deliver_at, t);
+            assert_eq!(inj.duplicate_at, Some(t));
+        }
+        assert_eq!(s.stats().reordered, 100);
     }
 
     #[test]

@@ -22,10 +22,13 @@
 //!   multi-link fault domains, bit-identical in replay
 //!   ([`TwoHostSim::apply_faults`]);
 //! * [`EventQueue`] — integer-nanosecond virtual time with FIFO
-//!   tie-breaking, so runs are bit-for-bit reproducible for a given seed
-//!   (a heap of 24-byte keys over a slab of events; a link's
-//!   serialization ends never enter it, they wait in a FIFO beside the
-//!   link).
+//!   tie-breaking, so runs are bit-for-bit reproducible for a given seed:
+//!   events pop in exact `(time, seq)` order from a heap of 24-byte keys
+//!   over a slab of events, or from FIFO lanes of the same keys beside
+//!   it, which the simulator fills with each constant-delay link's
+//!   arrivals and each fixed-delay timer series (a key goes to the heap
+//!   when its lane would fall out of order). A link's serialization ends
+//!   never enter the queue; they wait in a FIFO beside the link.
 //!
 //! # Example: measuring a path RTT
 //!

@@ -1,25 +1,34 @@
-//! The differential test of the departure FIFO: a reference engine that
-//! keeps every serialization end as an event on an ordered queue (the
-//! engine before departures left the heap), and seeded two-host scripts
-//! run through both engines.
+//! The differential test of the departure FIFO and the event lanes: a
+//! reference engine that keeps every event, serialization ends included,
+//! on one ordered map of `(time, seq)` keys (the engine before departures
+//! left the heap and lanes were added beside it), and seeded two-host
+//! scripts run through both engines.
 //!
-//! The scripts aim at the FIFO's edges: queues that hold one to four
+//! The scripts aim at the edges of both: queues that hold one to four
 //! packets, so the NIC drops; bandwidths at which serialization rounds to
 //! 0 ns; packet sizes and timer delays on one nanosecond grid, so sends
-//! land on a departure's exact instant; `ShiftedGamma` delays, link
-//! changes, and a [`FaultPlan`] with duplication. Both engines must give
-//! the same callbacks, link and fault counters, dispatched-event counts
-//! and clock, after every `run_until` of a split run.
+//! land on a departure's exact instant and events of several lanes and
+//! the heap fall due at one instant; `ShiftedGamma` delays, whose
+//! overtaking arrivals fall back from their lane to the heap; link
+//! changes; and a [`FaultPlan`] with duplication and reordering. A second
+//! family of scripts puts a constant-delay and a `ShiftedGamma` path in
+//! one topology under reordering and duplication, arms timers with more
+//! distinct delays on each host than there are timer lanes, and splits
+//! its runs while events wait in lanes. Both engines must give the same
+//! callbacks, link and fault counters, dispatched-event counts and clock,
+//! after every `run_until` of a split run.
 //!
-//! Crediting a departure on `time <= now` while ignoring its seq fails
-//! this test: a departure due at the current instant but scheduled after
-//! the current event would free its bytes too early.
+//! Mutations that fail this test: crediting a departure on `time <= now`
+//! while ignoring its seq (a departure due at the current instant but
+//! scheduled after the current event would free its bytes too early);
+//! comparing lane heads by time alone, ignoring seq; and appending a key
+//! to a lane when its time is below the lane's last key.
 
 use crate::fault::{FaultPlan, FaultStats, FaultStream, FAULT_SALT_BACKWARD, FAULT_SALT_FORWARD};
 use crate::link::{GilbertElliott, Link, LinkChange, LinkConfig, SendOutcome};
 use crate::packet::Packet;
 use crate::scenario::Dynamics;
-use crate::sim::{mix_seed, Agent, Dir, HostId, SimApi, TwoHostSim};
+use crate::sim::{mix_seed, Agent, Dir, HostId, SimApi, TwoHostSim, TIMER_LANES};
 use crate::time::{SimDuration, SimTime};
 use dmc_stats::rng::Xoshiro256;
 use dmc_stats::{ConstantDelay, Delay, ShiftedGamma};
@@ -55,6 +64,11 @@ const SIZES: [usize; 5] = [5, 8, 64, 125, 1000];
 /// Timer delays (ns): zero, the sizes' serialization times at 8 Gbit/s,
 /// and a few longer ones.
 const TIMER_DELAYS_NS: [u64; 9] = [0, 1, 5, 8, 64, 125, 1000, 1500, 3000];
+/// More distinct timer delays (ns) than there are timer lanes.
+const WIDE_TIMER_DELAYS_NS: [u64; 24] = [
+    0, 1, 2, 3, 5, 7, 8, 13, 21, 34, 55, 64, 89, 100, 125, 144, 233, 377, 610, 987, 1000, 1500,
+    2584, 3000,
+];
 /// Bandwidths: 8 Gbit/s (1 ns per byte) twice as often; 10 Tbit/s, at
 /// which a packet of 5–64 bytes serializes in 0 ns; and two slower ones.
 const BANDWIDTHS: [f64; 5] = [8e9, 8e9, 1e13, 1e9, 8e10];
@@ -87,11 +101,14 @@ struct Script {
     rng: Xoshiro256,
     budget: u32,
     next_id: u32,
+    timer_delays: &'static [u64],
+    /// Which of `timer_delays` it armed a timer with, one bit each.
+    delays_used: u64,
     calls: Vec<Call>,
 }
 
 impl Script {
-    fn new(host: HostId, seed: u64) -> Self {
+    fn new(host: HostId, seed: u64, timer_delays: &'static [u64]) -> Self {
         let mut rng = Xoshiro256::seed_from_u64(seed);
         let budget = 20 + (rng.next_u64() % 60) as u32;
         Script {
@@ -99,6 +116,8 @@ impl Script {
             rng,
             budget,
             next_id: 0,
+            timer_delays,
+            delays_used: 0,
             calls: Vec::new(),
         }
     }
@@ -122,7 +141,9 @@ impl Script {
                 }
             }
             for _ in 0..self.pick(3) {
-                let delay = TIMER_DELAYS_NS[self.pick(TIMER_DELAYS_NS.len())];
+                let i = self.pick(self.timer_delays.len());
+                self.delays_used |= 1 << i;
+                let delay = self.timer_delays[i];
                 let key = self.rng.next_u64() % 16;
                 api.set_timer(api.now() + SimDuration::from_nanos(delay), key);
             }
@@ -295,8 +316,8 @@ impl RefSim {
             queue: RefQueue::default(),
             forward: mk(&setup.forward, 1),
             backward: mk(&setup.backward, 2),
-            client: Script::new(HostId::Client, setup.seed),
-            server: Script::new(HostId::Server, !setup.seed),
+            client: Script::new(HostId::Client, setup.seed, setup.timer_delays),
+            server: Script::new(HostId::Server, !setup.seed, setup.timer_delays),
             started: false,
             events_processed: 0,
             faults: None,
@@ -398,9 +419,21 @@ impl RefSim {
     }
 }
 
+/// Which family a script belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// One to three paths of any delay, faults half the time.
+    Any,
+    /// A constant-delay path 0 and a `ShiftedGamma` path 1 (and maybe a
+    /// third of any delay), always under reordering and duplication,
+    /// timers on [`WIDE_TIMER_DELAYS_NS`], and more splits.
+    Lanes,
+}
+
 /// One script's topology, link changes and faults.
 struct Setup {
     seed: u64,
+    timer_delays: &'static [u64],
     forward: Vec<LinkConfig>,
     backward: Vec<LinkConfig>,
     dynamics: Dynamics,
@@ -411,12 +444,20 @@ struct Setup {
 }
 
 impl Setup {
-    fn new(seed: u64) -> Self {
+    fn new(seed: u64, shape: Shape) -> Self {
         let mut rng = Xoshiro256::seed_from_u64(seed ^ 0x5EED_D1FF);
         let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
-        let paths = 1 + pick(3);
-        let link = |pick: &mut dyn FnMut(usize) -> usize| {
-            let propagation: Arc<dyn Delay> = match pick(4) {
+        let lanes = shape == Shape::Lanes;
+        let paths = if lanes { 2 + pick(2) } else { 1 + pick(3) };
+        // Path 0 of the lane family has a constant delay, path 1 a random
+        // one.
+        let link = |path: usize, pick: &mut dyn FnMut(usize) -> usize| {
+            let delay = match path {
+                0 if lanes => pick(3),
+                1 if lanes => 3,
+                _ => pick(4),
+            };
+            let propagation: Arc<dyn Delay> = match delay {
                 0 => Arc::new(ConstantDelay::new(0.0)),
                 1 => Arc::new(ConstantDelay::new(7e-9)),
                 2 => Arc::new(ConstantDelay::new(100e-9)),
@@ -438,8 +479,8 @@ impl Setup {
                 queue_capacity_bytes: (1 + pick(4)) * SIZES[pick(SIZES.len())],
             }
         };
-        let forward = (0..paths).map(|_| link(&mut pick)).collect();
-        let backward = (0..paths).map(|_| link(&mut pick)).collect();
+        let forward = (0..paths).map(|path| link(path, &mut pick)).collect();
+        let backward = (0..paths).map(|path| link(path, &mut pick)).collect();
         let mut dynamics = Dynamics::new();
         for _ in 0..pick(5) {
             let dir = if pick(2) == 0 {
@@ -459,7 +500,7 @@ impl Setup {
                 .expect("a valid link change");
         }
         let mut faults = FaultPlan::new(seed);
-        if pick(2) == 0 {
+        if lanes || pick(2) == 0 {
             faults = faults
                 .with_duplication(0.3)
                 .and_then(|f| f.with_reordering(0.2, SimDuration::from_nanos(50)))
@@ -473,6 +514,11 @@ impl Setup {
         }
         let mut setup = Setup {
             seed,
+            timer_delays: if lanes {
+                &WIDE_TIMER_DELAYS_NS
+            } else {
+                &TIMER_DELAYS_NS
+            },
             forward,
             backward,
             dynamics,
@@ -482,7 +528,7 @@ impl Setup {
         // A first run of the reference finds the departure instants.
         let mut probe = RefSim::new(&setup);
         probe.run_until(SimTime::from_nanos(u64::MAX));
-        for _ in 0..pick(4) {
+        for _ in 0..pick(4) + 3 * usize::from(lanes) {
             setup.splits.push(SimTime::from_nanos(pick(30_000) as u64));
             if !probe.departures.is_empty() {
                 setup
@@ -502,17 +548,23 @@ struct Coverage {
     instant: u64,
     nic_drops: u64,
     duplicates: u64,
+    reordered: u64,
+    /// `run_until` splits at which events waited in lanes.
+    lane_splits: u64,
+    /// Hosts that armed timers with more distinct delays than there are
+    /// timer lanes.
+    wide_timers: u64,
 }
 
 /// Runs one script through both engines, asserting they agree after every
 /// `run_until`.
-fn differential(seed: u64, coverage: &mut Coverage) {
-    let setup = Setup::new(seed);
+fn differential(seed: u64, shape: Shape, coverage: &mut Coverage) {
+    let setup = Setup::new(seed, shape);
     let mut live = TwoHostSim::new(
         setup.forward.clone(),
         setup.backward.clone(),
-        Script::new(HostId::Client, setup.seed),
-        Script::new(HostId::Server, !setup.seed),
+        Script::new(HostId::Client, setup.seed, setup.timer_delays),
+        Script::new(HostId::Server, !setup.seed, setup.timer_delays),
         setup.seed,
     )
     .expect("a valid topology");
@@ -527,8 +579,9 @@ fn differential(seed: u64, coverage: &mut Coverage) {
         .copied()
         .chain([SimTime::from_nanos(u64::MAX)]);
     for end in ends {
-        let at = format!("seed {seed}, run_until({})", end.as_nanos());
+        let at = format!("{shape:?} seed {seed}, run_until({})", end.as_nanos());
         assert_eq!(live.run_until(end), reference.run_until(end), "{at}");
+        coverage.lane_splits += u64::from(live.pending_in_lanes() > 0);
         assert_eq!(live.now(), reference.queue.now, "{at}");
         assert_eq!(live.events_processed(), reference.events_processed, "{at}");
         assert_eq!(live.client().calls, reference.client.calls, "{at}");
@@ -548,23 +601,42 @@ fn differential(seed: u64, coverage: &mut Coverage) {
     }
     for dir in [Dir::Forward, Dir::Backward] {
         coverage.duplicates += reference.fault_stats(dir).duplicated;
+        coverage.reordered += reference.fault_stats(dir).reordered;
         for path in 0..setup.forward.len() {
             coverage.nic_drops += reference.link(dir, path).stats().dropped_overflow;
         }
     }
     coverage.ties += reference.queue.ties;
     coverage.instant += reference.queue.instant;
+    for script in [live.client(), live.server()] {
+        coverage.wide_timers += u64::from(script.delays_used.count_ones() as usize > TIMER_LANES);
+    }
 }
 
 #[test]
 fn the_departure_fifo_dispatches_what_an_all_in_heap_engine_does() {
     let mut coverage = Coverage::default();
     for seed in 0..256 {
-        differential(seed, &mut coverage);
+        differential(seed, Shape::Any, &mut coverage);
     }
     // The scripts reach the edges they are written for.
     assert!(coverage.ties > 100, "{coverage:?}");
     assert!(coverage.instant > 100, "{coverage:?}");
     assert!(coverage.nic_drops > 1_000, "{coverage:?}");
     assert!(coverage.duplicates > 100, "{coverage:?}");
+}
+
+#[test]
+fn the_lanes_dispatch_what_an_all_in_heap_engine_does() {
+    let mut coverage = Coverage::default();
+    for seed in 0..256 {
+        differential(seed, Shape::Lanes, &mut coverage);
+    }
+    // Timers outnumber the lanes, random-delay and faulted arrivals fall
+    // back to the heap, and runs stop while lanes hold events.
+    assert!(coverage.wide_timers > 200, "{coverage:?}");
+    assert!(coverage.lane_splits > 500, "{coverage:?}");
+    assert!(coverage.reordered > 1_000, "{coverage:?}");
+    assert!(coverage.duplicates > 1_000, "{coverage:?}");
+    assert!(coverage.ties > 1_000, "{coverage:?}");
 }

@@ -23,13 +23,34 @@
 //!
 //! Every callback, counter and clock reading is therefore the one an
 //! engine with a departure event in the heap produces.
+//!
+//! # Lanes
+//!
+//! Most events are scheduled in key order of their own kind, so they wait
+//! in the [`EventQueue`]'s FIFO lanes rather than on its heap (the queue
+//! appends a key to its lane only when that keeps the lane in key order,
+//! and heaps it otherwise, so the choice of lane never changes what is
+//! dispatched when):
+//!
+//! * an arrival goes to the lane of its directed link: on a constant-delay
+//!   link, arrivals leave in send order, so they are FIFO by construction.
+//!   A random-delay link's arrivals fall back to the heap whenever one
+//!   overtakes another;
+//! * a timer goes to the lane keyed by its host and its delay `at − now`,
+//!   one of [`TIMER_LANES`] whose key is re-set when the lane is empty. A
+//!   fixed delay is FIFO because `now` never decreases;
+//! * a link change, a packet a [`FaultPlan`] held back or duplicated, and
+//!   a timer that finds no lane keyed for it and none empty go to the heap.
+//!
+//! [`TwoHostSim::run_until`] takes the next event with one call that pops
+//! it only if it is due at or before `end`.
 
 use crate::event::EventQueue;
 use crate::fault::{FaultPlan, FaultStats, FaultStream, FAULT_SALT_BACKWARD, FAULT_SALT_FORWARD};
 use crate::link::{Link, LinkChange, LinkConfig, LinkStats, SendOutcome};
 use crate::packet::Packet;
 use crate::scenario::Dynamics;
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 use dmc_stats::rng::{mix64, GOLDEN_GAMMA};
 use std::collections::VecDeque;
 
@@ -106,6 +127,40 @@ impl Egress {
     }
 }
 
+/// The number of timer lanes (see the module docs).
+pub(crate) const TIMER_LANES: usize = 16;
+
+/// The keys of the timer lanes: lane `first + j` holds the timers that
+/// `keys[j]`'s host armed `keys[j]`'s delay ahead.
+#[derive(Debug)]
+struct TimerLanes {
+    first: usize,
+    keys: [Option<(HostId, SimDuration)>; TIMER_LANES],
+}
+
+impl TimerLanes {
+    /// The lane for a timer `host` arms `delay` ahead: the lane keyed so,
+    /// else an empty lane, re-keyed so; `None` if every lane is keyed
+    /// otherwise and busy.
+    fn lane(
+        &mut self,
+        queue: &EventQueue<NetEvent>,
+        host: HostId,
+        delay: SimDuration,
+    ) -> Option<usize> {
+        let key = Some((host, delay));
+        let j = match self.keys.iter().position(|k| *k == key) {
+            Some(j) => j,
+            None => {
+                let j = (0..TIMER_LANES).find(|&j| queue.lane_is_empty(self.first + j))?;
+                self.keys[j] = key;
+                j
+            }
+        };
+        Some(self.first + j)
+    }
+}
+
 /// What an endpoint implementation can do during a callback.
 ///
 /// Handed to [`Agent`] methods; sending consumes bandwidth on this host's
@@ -117,7 +172,10 @@ pub struct SimApi<'a> {
     seq: u64,
     host: HostId,
     outgoing: &'a mut [Egress],
+    /// The lane of `outgoing[0]`'s arrivals; path `p`'s is `p` higher.
+    arrival_lanes: usize,
     queue: &'a mut EventQueue<NetEvent>,
+    timer_lanes: &'a mut TimerLanes,
     faults: Option<&'a mut FaultStream>,
     /// The simulation's dispatched-event count; credited departures add
     /// to it.
@@ -157,6 +215,7 @@ impl SimApi<'_> {
                 let seq = self.queue.reserve_seq();
                 egress.departures.push_back((departure, seq, size));
                 if let Some(at) = arrival {
+                    let lane = self.arrival_lanes + path;
                     match self.faults.as_deref_mut() {
                         Some(stream) => {
                             let mut packet = packet;
@@ -171,14 +230,19 @@ impl SimApi<'_> {
                                     },
                                 );
                             }
-                            self.queue.schedule(
-                                injection.deliver_at,
-                                NetEvent::Arrival { dir, path, packet },
-                            );
+                            let arrival = NetEvent::Arrival { dir, path, packet };
+                            if injection.deliver_at == at {
+                                self.queue.schedule_in(lane, at, arrival);
+                            } else {
+                                self.queue.schedule(injection.deliver_at, arrival);
+                            }
                         }
                         None => {
-                            self.queue
-                                .schedule(at, NetEvent::Arrival { dir, path, packet });
+                            self.queue.schedule_in(
+                                lane,
+                                at,
+                                NetEvent::Arrival { dir, path, packet },
+                            );
                         }
                     }
                 }
@@ -195,13 +259,12 @@ impl SimApi<'_> {
     ///
     /// Panics if `at` is in the past.
     pub fn set_timer(&mut self, at: SimTime, key: u64) {
-        self.queue.schedule(
-            at,
-            NetEvent::Timer {
-                host: self.host,
-                key,
-            },
-        );
+        let host = self.host;
+        let timer = NetEvent::Timer { host, key };
+        match self.timer_lanes.lane(self.queue, host, at.since(self.now)) {
+            Some(lane) => self.queue.schedule_in(lane, at, timer),
+            None => self.queue.schedule(at, timer),
+        }
     }
 }
 
@@ -220,14 +283,61 @@ pub trait Agent {
 /// The assembled two-host simulation.
 #[derive(Debug)]
 pub struct TwoHostSim<C, S> {
-    queue: EventQueue<NetEvent>,
-    forward: Vec<Egress>,
-    backward: Vec<Egress>,
+    net: Net,
     client: C,
     server: S,
     started: bool,
+}
+
+/// Everything of the simulation but its endpoints: the queue, the links
+/// and the counters a callback's [`SimApi`] reaches.
+#[derive(Debug)]
+struct Net {
+    /// Lanes `0..n` hold the forward links' arrivals, `n..2n` the
+    /// backward links', and `2n..` the timers (see [`TimerLanes`]).
+    queue: EventQueue<NetEvent>,
+    forward: Vec<Egress>,
+    backward: Vec<Egress>,
+    timer_lanes: TimerLanes,
     events_processed: u64,
     faults: Option<PacketFaults>,
+}
+
+impl Net {
+    /// The API `host` acts through while the event `(now, seq)` is
+    /// dispatched.
+    fn api(&mut self, host: HostId, now: SimTime, seq: u64) -> SimApi<'_> {
+        let (outgoing, arrival_lanes, faults) = match host {
+            HostId::Client => (
+                &mut self.forward,
+                0,
+                self.faults.as_mut().map(|f| &mut f.forward),
+            ),
+            HostId::Server => (
+                &mut self.backward,
+                self.forward.len(),
+                self.faults.as_mut().map(|f| &mut f.backward),
+            ),
+        };
+        SimApi {
+            now,
+            seq,
+            host,
+            outgoing,
+            arrival_lanes,
+            queue: &mut self.queue,
+            timer_lanes: &mut self.timer_lanes,
+            faults,
+            events: &mut self.events_processed,
+        }
+    }
+
+    fn egress(&self, dir: Dir, path: usize) -> &Egress {
+        match dir {
+            Dir::Forward => &self.forward[path],
+            Dir::Backward => &self.backward[path],
+        }
+    }
 }
 
 /// Per-direction packet-fault streams (installed by
@@ -274,26 +384,33 @@ impl<C: Agent, S: Agent> TwoHostSim<C, S> {
                 .map(|(i, cfg)| Egress::new(Link::new(cfg, mix_seed(seed, salt, i as u64))))
                 .collect()
         };
+        let links = 2 * forward.len();
         Ok(TwoHostSim {
-            queue: EventQueue::new(),
-            forward: mk(forward, 1),
-            backward: mk(backward, 2),
+            net: Net {
+                queue: EventQueue::with_lanes(links + TIMER_LANES),
+                forward: mk(forward, 1),
+                backward: mk(backward, 2),
+                timer_lanes: TimerLanes {
+                    first: links,
+                    keys: [None; TIMER_LANES],
+                },
+                events_processed: 0,
+                faults: None,
+            },
             client,
             server,
             started: false,
-            events_processed: 0,
-            faults: None,
         })
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.queue.now()
+        self.net.queue.now()
     }
 
     /// Number of events dispatched so far.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.net.events_processed
     }
 
     /// The client endpoint (for extracting results).
@@ -318,10 +435,7 @@ impl<C: Agent, S: Agent> TwoHostSim<C, S> {
     ///
     /// Panics if `path` is out of range.
     pub fn link_stats(&self, dir: Dir, path: usize) -> LinkStats {
-        match dir {
-            Dir::Forward => self.forward[path].link.stats(),
-            Dir::Backward => self.backward[path].link.stats(),
-        }
+        self.net.egress(dir, path).link.stats()
     }
 
     /// Whether the directed link is currently up.
@@ -330,10 +444,7 @@ impl<C: Agent, S: Agent> TwoHostSim<C, S> {
     ///
     /// Panics if `path` is out of range.
     pub fn link_is_up(&self, dir: Dir, path: usize) -> bool {
-        match dir {
-            Dir::Forward => self.forward[path].link.is_up(),
-            Dir::Backward => self.backward[path].link.is_up(),
-        }
+        self.net.egress(dir, path).link.is_up()
     }
 
     /// Schedules a [`Dynamics`] script (path failures, bandwidth steps,
@@ -345,23 +456,24 @@ impl<C: Agent, S: Agent> TwoHostSim<C, S> {
     /// Returns a message if an event references a path outside the
     /// topology or lies in the simulated past.
     pub fn apply_dynamics(&mut self, dynamics: &Dynamics) -> Result<(), String> {
+        let queue = &mut self.net.queue;
         if let Some(max) = dynamics.max_path() {
-            if max >= self.forward.len() {
+            if max >= self.net.forward.len() {
                 return Err(format!(
                     "dynamics reference path {max}, topology has {} paths",
-                    self.forward.len()
+                    self.net.forward.len()
                 ));
             }
         }
         for e in dynamics.events() {
-            if e.at < self.queue.now() {
+            if e.at < queue.now() {
                 return Err(format!(
                     "dynamics event at {} lies in the past (now {})",
                     e.at,
-                    self.queue.now()
+                    queue.now()
                 ));
             }
-            self.queue.schedule(
+            queue.schedule(
                 e.at,
                 NetEvent::LinkChange {
                     dir: e.dir,
@@ -386,7 +498,7 @@ impl<C: Agent, S: Agent> TwoHostSim<C, S> {
     pub fn apply_faults(&mut self, plan: &FaultPlan) -> Result<(), String> {
         self.apply_dynamics(plan.dynamics())?;
         if plan.has_packet_faults() {
-            self.faults = Some(PacketFaults {
+            self.net.faults = Some(PacketFaults {
                 forward: plan.stream(FAULT_SALT_FORWARD),
                 backward: plan.stream(FAULT_SALT_BACKWARD),
             });
@@ -397,7 +509,7 @@ impl<C: Agent, S: Agent> TwoHostSim<C, S> {
     /// Packet-fault counters for one direction (zeros when no
     /// [`FaultPlan`] is installed).
     pub fn fault_stats(&self, dir: Dir) -> FaultStats {
-        match &self.faults {
+        match &self.net.faults {
             Some(f) => match dir {
                 Dir::Forward => f.forward.stats(),
                 Dir::Backward => f.backward.stats(),
@@ -428,8 +540,8 @@ impl<C: Agent, S: Agent> TwoHostSim<C, S> {
         obs.counter("sim.bwd.corrupted").add(bwd.corrupted);
         obs.counter("sim.bwd.duplicated").add(bwd.duplicated);
         obs.counter("sim.bwd.reordered").add(bwd.reordered);
-        obs.counter("sim.events").add(self.events_processed);
-        obs.advance_to(self.events_processed);
+        obs.counter("sim.events").add(self.net.events_processed);
+        obs.advance_to(self.net.events_processed);
     }
 
     fn start_if_needed(&mut self) {
@@ -439,26 +551,11 @@ impl<C: Agent, S: Agent> TwoHostSim<C, S> {
         self.started = true;
         // No event has been dispatched yet: the key (0, 0) lies at or
         // below every key, so nothing is credited.
-        let mut api = SimApi {
-            now: self.queue.now(),
-            seq: 0,
-            host: HostId::Client,
-            outgoing: &mut self.forward,
-            queue: &mut self.queue,
-            faults: self.faults.as_mut().map(|f| &mut f.forward),
-            events: &mut self.events_processed,
-        };
-        self.client.on_start(&mut api);
-        let mut api = SimApi {
-            now: self.queue.now(),
-            seq: 0,
-            host: HostId::Server,
-            outgoing: &mut self.backward,
-            queue: &mut self.queue,
-            faults: self.faults.as_mut().map(|f| &mut f.backward),
-            events: &mut self.events_processed,
-        };
-        self.server.on_start(&mut api);
+        let now = self.net.queue.now();
+        self.client
+            .on_start(&mut self.net.api(HostId::Client, now, 0));
+        self.server
+            .on_start(&mut self.net.api(HostId::Server, now, 0));
     }
 
     /// Runs until the event queue drains or `end` is reached (events at
@@ -466,94 +563,68 @@ impl<C: Agent, S: Agent> TwoHostSim<C, S> {
     /// by this call.
     pub fn run_until(&mut self, end: SimTime) -> u64 {
         self.start_if_needed();
-        let before = self.events_processed;
-        while let Some(next) = self.queue.peek_time() {
-            if next > end {
-                break;
-            }
-            let (now, seq, event) = self
-                .queue
-                .pop_keyed()
-                .expect("queue verified non-empty by the peek above");
-            self.events_processed += 1;
+        let net = &mut self.net;
+        let before = net.events_processed;
+        while let Some((now, seq, event)) = net.queue.pop_until(end) {
+            net.events_processed += 1;
             match event {
-                NetEvent::Arrival { dir, path, packet } => match dir {
-                    // Forward traffic arrives at the server.
-                    Dir::Forward => {
-                        let mut api = SimApi {
-                            now,
-                            seq,
-                            host: HostId::Server,
-                            outgoing: &mut self.backward,
-                            queue: &mut self.queue,
-                            faults: self.faults.as_mut().map(|f| &mut f.backward),
-                            events: &mut self.events_processed,
-                        };
-                        self.server.on_packet(path, packet, &mut api);
-                    }
-                    Dir::Backward => {
-                        let mut api = SimApi {
-                            now,
-                            seq,
-                            host: HostId::Client,
-                            outgoing: &mut self.forward,
-                            queue: &mut self.queue,
-                            faults: self.faults.as_mut().map(|f| &mut f.forward),
-                            events: &mut self.events_processed,
-                        };
-                        self.client.on_packet(path, packet, &mut api);
-                    }
-                },
+                // Forward traffic arrives at the server.
+                NetEvent::Arrival {
+                    dir: Dir::Forward,
+                    path,
+                    packet,
+                } => self
+                    .server
+                    .on_packet(path, packet, &mut net.api(HostId::Server, now, seq)),
+                NetEvent::Arrival {
+                    dir: Dir::Backward,
+                    path,
+                    packet,
+                } => self
+                    .client
+                    .on_packet(path, packet, &mut net.api(HostId::Client, now, seq)),
+                NetEvent::Timer {
+                    host: HostId::Client,
+                    key,
+                } => self
+                    .client
+                    .on_timer(key, &mut net.api(HostId::Client, now, seq)),
+                NetEvent::Timer {
+                    host: HostId::Server,
+                    key,
+                } => self
+                    .server
+                    .on_timer(key, &mut net.api(HostId::Server, now, seq)),
                 NetEvent::LinkChange { dir, path, change } => {
                     let egress = match dir {
-                        Dir::Forward => &mut self.forward[path],
-                        Dir::Backward => &mut self.backward[path],
+                        Dir::Forward => &mut net.forward[path],
+                        Dir::Backward => &mut net.backward[path],
                     };
                     egress.link.apply(&change);
                 }
-                NetEvent::Timer { host, key } => match host {
-                    HostId::Client => {
-                        let mut api = SimApi {
-                            now,
-                            seq,
-                            host: HostId::Client,
-                            outgoing: &mut self.forward,
-                            queue: &mut self.queue,
-                            faults: self.faults.as_mut().map(|f| &mut f.forward),
-                            events: &mut self.events_processed,
-                        };
-                        self.client.on_timer(key, &mut api);
-                    }
-                    HostId::Server => {
-                        let mut api = SimApi {
-                            now,
-                            seq,
-                            host: HostId::Server,
-                            outgoing: &mut self.backward,
-                            queue: &mut self.queue,
-                            faults: self.faults.as_mut().map(|f| &mut f.backward),
-                            events: &mut self.events_processed,
-                        };
-                        self.server.on_timer(key, &mut api);
-                    }
-                },
             }
         }
         // Every serialization end at or before `end` would have been
         // dispatched by now.
-        for egress in self.forward.iter_mut().chain(&mut self.backward) {
+        for egress in net.forward.iter_mut().chain(&mut net.backward) {
             let (credited, last) = egress.credit_while(|time, _| time <= end);
-            self.events_processed += credited;
+            net.events_processed += credited;
             if let Some(last) = last {
-                self.queue.advance_to(last);
+                net.queue.advance_to(last);
             }
         }
-        self.events_processed - before
+        net.events_processed - before
     }
 
     /// Runs until the event queue is empty.
     pub fn run_to_completion(&mut self) -> u64 {
         self.run_until(SimTime::from_nanos(u64::MAX))
+    }
+
+    /// Pending events that wait in lanes.
+    #[cfg(test)]
+    pub(crate) fn pending_in_lanes(&self) -> usize {
+        self.net.queue.in_lanes()
     }
 }
 
@@ -590,11 +661,46 @@ mod tests {
 
     #[test]
     fn a_net_event_stays_small() {
-        // The heap sifts 24-byte keys (`event::tests::a_heap_key_stays_small`);
+        // The heap and the lanes hold 24-byte `(time, seq, slot)` keys
+        // (`event::tests::a_heap_key_stays_small`, `a_lane_entry_stays_small`);
         // each pending event sits in one slab slot, so the rare link
         // change is boxed and an arrival (a 32-byte packet) sets the
         // slot's width.
         assert!(std::mem::size_of::<Option<NetEvent>>() <= 48);
+    }
+
+    /// Arms timers at the last instant of the clock and counts them.
+    #[derive(Default)]
+    struct LastInstant {
+        fired: Vec<u64>,
+    }
+    impl Agent for LastInstant {
+        fn on_start(&mut self, api: &mut SimApi<'_>) {
+            api.set_timer(SimTime::from_nanos(u64::MAX), 1);
+            api.set_timer(SimTime::from_nanos(u64::MAX), 2);
+        }
+        fn on_packet(&mut self, _path: usize, _p: Packet, _api: &mut SimApi<'_>) {}
+        fn on_timer(&mut self, key: u64, api: &mut SimApi<'_>) {
+            assert_eq!(api.now(), SimTime::from_nanos(u64::MAX));
+            self.fired.push(key);
+        }
+    }
+
+    #[test]
+    fn timers_at_the_end_of_time_wait_in_a_lane_and_fire() {
+        let mut sim = TwoHostSim::new(
+            vec![link(1e6, 0.1, 0.0)],
+            vec![link(1e6, 0.1, 0.0)],
+            LastInstant::default(),
+            CountingServer::default(),
+            0,
+        )
+        .unwrap();
+        sim.start_if_needed();
+        assert_eq!(sim.pending_in_lanes(), 2, "one delay, one timer lane");
+        assert_eq!(sim.run_to_completion(), 2);
+        assert_eq!(sim.client().fired, vec![1, 2]);
+        assert_eq!(sim.now(), SimTime::from_nanos(u64::MAX));
     }
 
     /// Client: sends one packet at start, records the echo's arrival.
