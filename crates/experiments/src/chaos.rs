@@ -39,6 +39,7 @@ use dmc_fleet::{
     FleetConfig, FleetEvent, FleetPlanner, FleetSnapshot, FleetTrace, FlowId, FlowRequest,
     TraceEvent,
 };
+use dmc_obs::{fnv1a_extend, FNV_BASIS};
 use dmc_sim::{FaultPlan, LinkChange, SimDuration};
 use std::collections::BTreeMap;
 
@@ -150,13 +151,8 @@ pub fn chaos_replay(
 /// agree on every decision, shed/revive sequence and every bit of every
 /// utilization figure.
 pub fn trace_hash(snaps: &[FleetSnapshot], fleet: &FleetPlanner) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
+    let mut h = FNV_BASIS;
+    let mut eat = |bytes: &[u8]| h = fnv1a_extend(h, bytes);
     for s in snaps {
         eat(format!("{s:?}").as_bytes());
     }

@@ -4,6 +4,7 @@
 use std::collections::BTreeMap;
 
 use dmc_core::{Plan, ScenarioPath};
+use dmc_obs::{fnv1a_extend, FNV_BASIS};
 use dmc_sim::LinkChange;
 
 use super::region::RegionMap;
@@ -14,9 +15,6 @@ use crate::flow::{FlowId, FlowRequest};
 use crate::joint::{check_combos, check_request_scale, check_scale};
 use crate::planner::{AdmissionDecision, FleetConfig};
 use crate::schedule::{ScheduleAdvance, ScheduleDecision, ScheduleRequest, TimeGrid};
-
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// Configuration of a [`FleetService`].
 #[derive(Debug, Clone, Default)]
@@ -853,9 +851,6 @@ impl FleetService {
     }
 
     fn fold_into_hash(&mut self, event: &ServiceEvent) {
-        for byte in format!("{event:?}").bytes() {
-            self.decision_hash ^= u64::from(byte);
-            self.decision_hash = self.decision_hash.wrapping_mul(FNV_PRIME);
-        }
+        self.decision_hash = fnv1a_extend(self.decision_hash, format!("{event:?}").as_bytes());
     }
 }

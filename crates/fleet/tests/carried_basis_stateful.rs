@@ -38,24 +38,6 @@ use dmc_fleet::{
 use dmc_sim::LinkChange;
 use dmc_stats::rng::SplitMix64;
 
-/// The scripts' draws from their SplitMix64 streams, their only
-/// entropy source.
-trait Draw {
-    fn range(&mut self, lo: f64, hi: f64) -> f64;
-    fn below(&mut self, n: usize) -> usize;
-}
-
-impl Draw for SplitMix64 {
-    /// Uniform in `[lo, hi)`.
-    fn range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.unit()
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-}
-
 const BANDWIDTHS: [f64; 4] = [80e6, 20e6, 30e6, 40e6];
 
 fn paths() -> Vec<ScenarioPath> {
@@ -82,32 +64,32 @@ fn config(warm_start: bool) -> FleetConfig {
 /// blocks differ in width and row pattern and tombstones are only
 /// sometimes reusable.
 fn seeded_request(rng: &mut SplitMix64) -> FlowRequest {
-    let mut r = FlowRequest::new(rng.range(6e6, 30e6), rng.range(0.4, 1.2)).unwrap();
-    if rng.below(3) > 0 {
-        r = r.with_min_quality(rng.range(0.3, 0.9));
+    let mut r = FlowRequest::new(rng.f64(6e6..30e6), rng.f64(0.4..1.2)).unwrap();
+    if rng.int(0usize..3) > 0 {
+        r = r.with_min_quality(rng.f64(0.3..0.9));
     }
-    if rng.below(4) == 0 {
-        r = r.with_cost_budget(rng.range(1.0, 4.0));
+    if rng.int(0usize..4) == 0 {
+        r = r.with_cost_budget(rng.f64(1.0..4.0));
     }
-    if rng.below(3) == 0 {
-        r = r.with_priority(rng.range(1.0, 6.0));
+    if rng.int(0usize..3) == 0 {
+        r = r.with_priority(rng.f64(1.0..6.0));
     }
-    if rng.below(4) == 0 {
-        let first = rng.below(3);
+    if rng.int(0usize..4) == 0 {
+        let first = rng.int(0usize..3);
         r = r.with_paths(vec![first, first + 1]);
     }
-    if rng.below(5) == 0 {
+    if rng.int(0usize..5) == 0 {
         r = r.with_transmissions(1);
     }
     r
 }
 
 fn seeded_link_change(rng: &mut SplitMix64) -> (usize, LinkChange) {
-    let path = rng.below(BANDWIDTHS.len());
-    let change = match rng.below(4) {
+    let path = rng.int(0usize..BANDWIDTHS.len());
+    let change = match rng.int(0usize..4) {
         0 => LinkChange::Fail,
         1 => LinkChange::Recover,
-        _ => LinkChange::SetBandwidth(BANDWIDTHS[path] * rng.range(0.3, 1.2)),
+        _ => LinkChange::SetBandwidth(BANDWIDTHS[path] * rng.f64(0.3..1.2)),
     };
     (path, change)
 }
@@ -141,9 +123,9 @@ fn instant_planner_warm_and_cold_agree_at_every_step() {
         let mut cold = FleetPlanner::new(paths(), config(false)).unwrap();
         for step in 0..70 {
             let ctx = format!("seed {seed} step {step}");
-            match rng.below(10) {
+            match rng.int(0usize..10) {
                 0..=4 => {
-                    let batch: Vec<FlowRequest> = (0..1 + rng.below(4))
+                    let batch: Vec<FlowRequest> = (0..1 + rng.int(0usize..4))
                         .map(|_| seeded_request(&mut rng))
                         .collect();
                     let w = warm.offer_batch(batch.clone()).unwrap();
@@ -156,8 +138,8 @@ fn instant_planner_warm_and_cold_agree_at_every_step() {
                     let mut known = warm.flow_ids();
                     known.extend(warm.shed_flows());
                     let mut leaving = Vec::new();
-                    for _ in 0..(1 + rng.below(3)).min(known.len()) {
-                        leaving.push(known.swap_remove(rng.below(known.len())));
+                    for _ in 0..(1 + rng.int(0usize..3)).min(known.len()) {
+                        leaving.push(known.swap_remove(rng.int(0usize..known.len())));
                     }
                     let w = warm.depart_batch(&leaving).unwrap();
                     let c = cold.depart_batch(&leaving).unwrap();
@@ -232,14 +214,15 @@ fn schedule_planner_warm_and_cold_agree_at_every_step() {
         for step in 0..60 {
             let ctx = format!("seed {seed} step {step}");
             let origin = warm.grid().origin();
-            match rng.below(10) {
+            match rng.int(0usize..10) {
                 0..=5 => {
-                    let start = origin + rng.below(HORIZON as usize - 1) as u64;
-                    let len = 1 + rng.below(3.min((origin + HORIZON - start) as usize)) as u64;
+                    let start = origin + rng.int(0usize..HORIZON as usize - 1) as u64;
+                    let len =
+                        1 + rng.int(0usize..3.min((origin + HORIZON - start) as usize)) as u64;
                     let window = SlotWindow::new(start, start + len).unwrap();
                     let mut request = ScheduleRequest::new(seeded_request(&mut rng), window);
-                    if rng.below(3) == 0 {
-                        request = request.with_buffer(rng.range(0.2, 1.0));
+                    if rng.int(0usize..3) == 0 {
+                        request = request.with_buffer(rng.f64(0.2..1.0));
                     }
                     let w = warm.offer(request.clone()).unwrap();
                     let c = cold.offer(request).unwrap();
@@ -249,13 +232,13 @@ fn schedule_planner_warm_and_cold_agree_at_every_step() {
                 6 => {
                     let ids = warm.flow_ids();
                     if !ids.is_empty() {
-                        let id = ids[rng.below(ids.len())];
+                        let id = ids[rng.int(0usize..ids.len())];
                         warm.depart(id).unwrap();
                         cold.depart(id).unwrap();
                     }
                 }
                 7 => {
-                    let to = origin + 1 + rng.below(2) as u64;
+                    let to = origin + 1 + rng.int(0usize..2) as u64;
                     let straddles = |id: &FlowId| {
                         let w = warm.window_of(*id).unwrap();
                         w.start() < to && to < w.end()
@@ -267,8 +250,8 @@ fn schedule_planner_warm_and_cold_agree_at_every_step() {
                     assert_eq!(format!("{w:?}"), format!("{c:?}"), "{ctx}: advance");
                 }
                 8 => {
-                    let slot = origin + rng.below(HORIZON as usize) as u64;
-                    let path = rng.below(BANDWIDTHS.len());
+                    let slot = origin + rng.int(0usize..HORIZON as usize) as u64;
+                    let path = rng.int(0usize..BANDWIDTHS.len());
                     let w = warm.set_maintenance(slot, path).unwrap();
                     let c = cold.set_maintenance(slot, path).unwrap();
                     assert_eq!(format!("{w:?}"), format!("{c:?}"), "{ctx}: maintenance");

@@ -24,24 +24,6 @@ use dmc_sim::LinkChange;
 use dmc_stats::rng::SplitMix64;
 use std::collections::BTreeMap;
 
-/// The script's draws from its SplitMix64 stream, its only entropy
-/// source.
-trait Draw {
-    fn range(&mut self, lo: f64, hi: f64) -> f64;
-    fn below(&mut self, n: usize) -> usize;
-}
-
-impl Draw for SplitMix64 {
-    /// Uniform in `[lo, hi)`.
-    fn range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.unit()
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-}
-
 /// 130 Mbit/s over three paths.
 fn paths() -> Vec<ScenarioPath> {
     vec![
@@ -63,18 +45,18 @@ fn planner(objective: FleetObjective) -> FleetPlanner {
 /// two times in three, sometimes a priority, a path subset or a single
 /// transmission.
 fn seeded_request(rng: &mut SplitMix64) -> FlowRequest {
-    let mut r = FlowRequest::new(rng.range(15e6, 45e6), rng.range(0.4, 1.2)).unwrap();
-    if rng.below(3) > 0 {
-        r = r.with_min_quality(rng.range(0.5, 0.95));
+    let mut r = FlowRequest::new(rng.f64(15e6..45e6), rng.f64(0.4..1.2)).unwrap();
+    if rng.int(0usize..3) > 0 {
+        r = r.with_min_quality(rng.f64(0.5..0.95));
     }
-    if rng.below(3) == 0 {
-        r = r.with_priority(rng.range(1.0, 4.0));
+    if rng.int(0usize..3) == 0 {
+        r = r.with_priority(rng.f64(1.0..4.0));
     }
-    if rng.below(4) == 0 {
-        let first = rng.below(2);
+    if rng.int(0usize..4) == 0 {
+        let first = rng.int(0usize..2);
         r = r.with_paths(vec![first, first + 1]);
     }
-    if rng.below(5) == 0 {
+    if rng.int(0usize..5) == 0 {
         r = r.with_transmissions(1);
     }
     r
@@ -170,11 +152,11 @@ fn greedy_sequences_match_one_solve_per_offer() {
 
             // A link change; the reference re-offers the fleet one flow
             // at a time to a planner on the changed paths.
-            let path = rng.below(3);
-            let change = if rng.below(2) == 0 {
+            let path = rng.int(0usize..3);
+            let change = if rng.int(0usize..2) == 0 {
                 LinkChange::Fail
             } else {
-                LinkChange::SetBandwidth(paths()[path].bandwidth() * rng.range(0.2, 0.6))
+                LinkChange::SetBandwidth(paths()[path].bandwidth() * rng.f64(0.2..0.6))
             };
             let shed = fleet.apply_link_change(path, &change).unwrap();
             let mut reference = planner(objective);

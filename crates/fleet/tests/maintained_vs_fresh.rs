@@ -25,8 +25,9 @@ mod common;
 use common::{assert_plans_close, fresh_fleet};
 use dmc_core::{Plan, PlannerConfig, ScenarioPath};
 use dmc_fleet::{FleetConfig, FleetPlanner, FlowId, FlowRequest};
+use dmc_obs::fnv1a;
 use dmc_sim::LinkChange;
-use proptest::prelude::*;
+use dmc_stats::rng::{run_cases, SplitMix64};
 use std::collections::BTreeMap;
 
 fn shared_paths() -> Vec<ScenarioPath> {
@@ -223,58 +224,53 @@ fn fresh_population_is_bitwise_identical_to_the_reference() {
     assert_matches_fresh(&steps, &cfg, Agreement::Bitwise, "cold");
 }
 
-fn arb_request() -> impl Strategy<Value = FlowRequest> {
-    (
-        5.0f64..60.0, // rate Mbps
-        0.3f64..1.5,  // lifetime s
-        0.0f64..0.95, // floor
-        proptest::prelude::any::<bool>(),
-        1usize..3, // transmissions
-    )
-        .prop_map(|(rate, delta, floor, budgeted, m)| {
-            let mut r = FlowRequest::new(rate * 1e6, delta)
-                .expect("valid")
-                .with_transmissions(m);
-            if floor > 0.05 {
-                r = r.with_min_quality(floor.min(0.9));
-            }
-            if budgeted {
-                r = r.with_cost_budget(2.0);
-            }
-            r
-        })
+fn arb_request(rng: &mut SplitMix64) -> FlowRequest {
+    let rate = rng.f64(5.0..60.0); // rate Mbps
+    let delta = rng.f64(0.3..1.5); // lifetime s
+    let floor = rng.f64(0.0..0.95); // floor
+    let budgeted = rng.bool();
+    let m = rng.int(1usize..3); // transmissions
+    let mut r = FlowRequest::new(rate * 1e6, delta)
+        .expect("valid")
+        .with_transmissions(m);
+    if floor > 0.05 {
+        r = r.with_min_quality(floor.min(0.9));
+    }
+    if budgeted {
+        r = r.with_cost_budget(2.0);
+    }
+    r
 }
 
-fn arb_action() -> impl Strategy<Value = Action> {
-    (
-        proptest::prelude::any::<u64>(),
-        arb_request(),
-        0usize..8,
-        0usize..3,
-        40.0f64..90.0,
-    )
-        .prop_map(|(tag, req, k, path, bw)| match tag % 7 {
-            0..=3 => Action::Offer(req),
-            4 | 5 => Action::Depart(k),
-            _ => Action::Link(path, LinkChange::SetBandwidth(bw * 1e6)),
-        })
+fn arb_action(rng: &mut SplitMix64) -> Action {
+    let tag = rng.next_u64();
+    let req = arb_request(rng);
+    let k = rng.int(0usize..8);
+    let path = rng.int(0usize..3);
+    let bw = rng.f64(40.0..90.0);
+    match tag % 7 {
+        0..=3 => Action::Offer(req),
+        4 | 5 => Action::Depart(k),
+        _ => Action::Link(path, LinkChange::SetBandwidth(bw * 1e6)),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Arbitrary churn sequences (offers with random floors/budgets/
-    /// widths, departures, bandwidth changes): the maintained fleet —
-    /// warm *and* cold — agrees with the from-scratch reference on every
-    /// verdict and every plan after every step, and warm with cold bit
-    /// for bit.
-    #[test]
-    fn random_churn_sequences_agree(script in proptest::collection::vec(arb_action(), 1..14)) {
+/// Arbitrary churn sequences (offers with random floors/budgets/
+/// widths, departures, bandwidth changes): the maintained fleet —
+/// warm *and* cold — agrees with the from-scratch reference on every
+/// verdict and every plan after every step, and warm with cold bit
+/// for bit.
+#[test]
+fn random_churn_sequences_agree() {
+    run_cases(fnv1a(b"random_churn_sequences_agree"), 12, |rng| {
+        let script = (0..rng.int(1usize..14))
+            .map(|_| arb_action(rng))
+            .collect::<Vec<_>>();
         let reference = config(true);
         let warm = replay(config(true), &script);
         let cold = replay(config(false), &script);
         assert_matches_fresh(&warm, &reference, Agreement::Close, "warm");
         assert_matches_fresh(&cold, &reference, Agreement::Close, "cold");
         assert_warm_is_cold(&warm, &cold);
-    }
+    });
 }

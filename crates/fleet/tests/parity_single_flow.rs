@@ -10,7 +10,7 @@
 //! The default solver runs both on the one revised kernel: the joint LP
 //! declares its single block and the planner's declares none, which the
 //! kernel treats alike, so the default-path tests (fixed cases and the
-//! proptest alike) compare the vertex by its bits.
+//! property test alike) compare the vertex by its bits.
 //! [`legacy_config_matches_bit_for_bit`] and [`budgeted_flow_matches`]
 //! also hold the fleet's plan to the dense tableau oracle's
 //! (`dmc_lp_oracle`) solve of the planner's LP, packaged by the same
@@ -19,9 +19,9 @@
 
 use dmc_core::{Objective, Plan, Planner, Scenario, ScenarioPath};
 use dmc_fleet::{AdmissionDecision, FleetConfig, FleetPlanner, FlowRequest};
+use dmc_obs::fnv1a;
+use dmc_stats::rng::{run_cases, SplitMix64};
 use dmc_stats::ShiftedGamma;
-use proptest::prelude::*;
-use proptest::Strategy;
 use std::sync::Arc;
 
 /// The bar for what is derived from the vertex outside the LP: send
@@ -243,31 +243,26 @@ fn random_delay_flow_matches() {
     assert_plans_match(&fleet, &solo, "table5");
 }
 
-fn arb_constant_path() -> impl Strategy<Value = ScenarioPath> {
-    (
-        1.0f64..200.0, // bandwidth Mbps
-        0.005f64..0.8, // delay s
-        0.0f64..0.9,   // loss
-        0.0f64..5e-9,  // cost per bit
-    )
-        .prop_map(|(bw, d, l, c)| {
-            ScenarioPath::constant_with_cost(bw * 1e6, d, l, c).expect("valid")
-        })
+fn arb_constant_path(rng: &mut SplitMix64) -> ScenarioPath {
+    let bw = rng.f64(1.0..200.0); // bandwidth Mbps
+    let d = rng.f64(0.005..0.8); // delay s
+    let l = rng.f64(0.0..0.9); // loss
+    let c = rng.f64(0.0..5e-9); // cost per bit
+    ScenarioPath::constant_with_cost(bw * 1e6, d, l, c).expect("valid")
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The bitwise single-flow parity contract over arbitrary deterministic
-    /// scenarios: paths, rate, lifetime and transmission count all drawn
-    /// at random.
-    #[test]
-    fn single_flow_fleet_matches_planner(
-        paths in proptest::collection::vec(arb_constant_path(), 1..4),
-        lambda in 1.0f64..300.0,
-        delta in 0.05f64..2.0,
-        m in 1usize..4,
-    ) {
+/// The bitwise single-flow parity contract over arbitrary deterministic
+/// scenarios: paths, rate, lifetime and transmission count all drawn
+/// at random.
+#[test]
+fn single_flow_fleet_matches_planner() {
+    run_cases(fnv1a(b"single_flow_fleet_matches_planner"), 24, |rng| {
+        let paths = (0..rng.int(1usize..4))
+            .map(|_| arb_constant_path(rng))
+            .collect::<Vec<_>>();
+        let lambda = rng.f64(1.0..300.0);
+        let delta = rng.f64(0.05..2.0);
+        let m = rng.int(1usize..4);
         let scenario = Scenario::builder()
             .paths(paths)
             .data_rate(lambda * 1e6)
@@ -280,5 +275,5 @@ proptest! {
             .expect("feasible");
         let fleet = fleet_plan(&scenario);
         assert_plans_match(&fleet, &solo, &format!("λ={lambda}M δ={delta} m={m}"));
-    }
+    });
 }

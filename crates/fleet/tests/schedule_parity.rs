@@ -12,7 +12,7 @@
 //! 3. **Reservation certification**: a refused-now flow holds a later
 //!    window that really certifies (meets its floor) once the horizon
 //!    advances to it.
-//! 4. **Advance ≡ fresh rebuild** (proptest): advancing the grid under
+//! 4. **Advance ≡ fresh rebuild** (property test): advancing the grid under
 //!    tombstoned expired slots and re-solving equals a fresh build of
 //!    the truncated horizon to 1e-9 on the joint objective.
 //! 5. **A slide tests no straddler against phantom load**: every flow
@@ -24,7 +24,8 @@ use dmc_fleet::{
     AdmissionDecision, FleetConfig, FleetPlanner, FleetTrace, FlowId, FlowRequest, SchedulePlanner,
     ScheduleRequest, SlotWindow, TimeGrid,
 };
-use proptest::prelude::*;
+use dmc_obs::fnv1a;
+use dmc_stats::rng::{run_cases, SplitMix64};
 
 const TOL: f64 = 1e-9;
 
@@ -277,7 +278,7 @@ fn straddlers_are_readmitted_against_each_other_only() {
 }
 
 // ---------------------------------------------------------------------
-// 4. Advance ≡ fresh rebuild (proptest)
+// 4. Advance ≡ fresh rebuild (property test)
 // ---------------------------------------------------------------------
 
 /// One windowed, floor-free arrival. Windows never straddle slot 2, so
@@ -311,34 +312,30 @@ impl Arrival {
     }
 }
 
-fn arb_arrival() -> impl Strategy<Value = Arrival> {
-    (
-        2.0f64..20.0,
-        0.3f64..1.2,
-        any::<bool>(),
-        0u64..3,
-        1u64..3,
-        any::<bool>(),
-    )
-        .prop_map(
-            |(rate_mbps, lifetime, early, start_off, len, buffered)| Arrival {
-                rate_mbps,
-                lifetime,
-                early,
-                start_off,
-                len,
-                buffer: if buffered { 0.5 } else { 0.0 },
-            },
-        )
+fn arb_arrival(rng: &mut SplitMix64) -> Arrival {
+    let rate_mbps = rng.f64(2.0..20.0);
+    let lifetime = rng.f64(0.3..1.2);
+    let early = rng.bool();
+    let start_off = rng.int(0u64..3);
+    let len = rng.int(1u64..3);
+    let buffered = rng.bool();
+    Arrival {
+        rate_mbps,
+        lifetime,
+        early,
+        start_off,
+        len,
+        buffer: if buffered { 0.5 } else { 0.0 },
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn advancing_equals_a_fresh_build_of_the_truncated_horizon(
-        arrivals in proptest::collection::vec(arb_arrival(), 1..8)
-    ) {
+#[test]
+fn advancing_equals_a_fresh_build_of_the_truncated_horizon() {
+    let stream = fnv1a(b"advancing_equals_a_fresh_build_of_the_truncated_horizon");
+    run_cases(stream, 12, |rng| {
+        let arrivals = (0..rng.int(1usize..8))
+            .map(|_| arb_arrival(rng))
+            .collect::<Vec<_>>();
         let grid = TimeGrid::new(1.0, 6).expect("valid grid");
         let mut live = SchedulePlanner::new(shared_paths(), grid, FleetConfig::default())
             .expect("valid fleet");
@@ -347,16 +344,16 @@ proptest! {
             let req = a.request();
             let d = live.offer(req.clone()).expect("offer runs");
             // Floor-free + blackhole: always scheduled as asked.
-            prop_assert!(d.is_scheduled(), "{d:?}");
+            assert!(d.is_scheduled(), "{d:?}");
             offered.push((d.id(), req));
         }
 
         // Advance under tombstones: early windows complete, late ones
         // survive untouched (no window straddles slot 2).
         let advance = live.advance_to(2).expect("advance runs");
-        prop_assert!(advance.truncated.is_empty());
-        prop_assert!(advance.rescheduled.is_empty());
-        prop_assert!(advance.dropped.is_empty());
+        assert!(advance.truncated.is_empty());
+        assert!(advance.rescheduled.is_empty());
+        assert!(advance.dropped.is_empty());
 
         // Fresh build of the truncated horizon: a new planner advanced
         // while empty, then the survivors re-offered in id order.
@@ -366,17 +363,19 @@ proptest! {
         for (id, req) in &offered {
             if live.window_of(*id).is_some() {
                 let d = fresh.offer(req.clone()).expect("fresh offer runs");
-                prop_assert!(d.is_scheduled(), "{d:?}");
+                assert!(d.is_scheduled(), "{d:?}");
             }
         }
 
-        prop_assert_eq!(live.num_flows(), fresh.num_flows());
+        assert_eq!(live.num_flows(), fresh.num_flows());
         let (a, b) = (live.objective_value(), fresh.objective_value());
-        prop_assert!(
+        assert!(
             (a - b).abs() <= TOL * a.abs().max(1.0),
-            "advanced {} vs fresh {}", a, b
+            "advanced {} vs fresh {}",
+            a,
+            b
         );
         let (qa, qb) = (live.aggregate_quality(), fresh.aggregate_quality());
-        prop_assert!((qa - qb).abs() <= TOL, "quality {} vs {}", qa, qb);
-    }
+        assert!((qa - qb).abs() <= TOL, "quality {} vs {}", qa, qb);
+    });
 }

@@ -1,6 +1,6 @@
 //! `dmc-fleetd` service-layer contracts:
 //!
-//! 1. **Sharded = monolithic** (proptest): for any partition of the
+//! 1. **Sharded = monolithic** (property test): for any partition of the
 //!    shared paths into capacity regions and any script of path-subset
 //!    offers and departures that respects the partition, the sharded
 //!    service admits/rejects exactly the flows a single monolithic
@@ -25,8 +25,9 @@ use dmc_core::ScenarioPath;
 use dmc_fleet::{
     FleetConfig, FleetPlanner, FleetService, FlowRequest, ServiceConfig, ServiceEvent,
 };
+use dmc_obs::fnv1a;
 use dmc_sim::LinkChange;
-use proptest::prelude::*;
+use dmc_stats::rng::{run_cases, SplitMix64};
 
 const TOL: f64 = 1e-9;
 
@@ -70,44 +71,36 @@ enum Action {
     Depart(usize),
 }
 
-fn arb_request() -> impl Strategy<Value = FlowRequest> {
-    (
-        4.0f64..40.0, // rate Mbps
-        0.4f64..1.5,  // lifetime s
-        0.0f64..0.9,  // floor
-        proptest::prelude::any::<bool>(),
-    )
-        .prop_map(|(rate, delta, floor, budgeted)| {
-            let mut r = FlowRequest::new(rate * 1e6, delta).expect("valid request");
-            if floor > 0.05 {
-                r = r.with_min_quality(floor);
-            }
-            if budgeted {
-                r = r.with_cost_budget(2.0);
-            }
-            r
-        })
+fn arb_request(rng: &mut SplitMix64) -> FlowRequest {
+    let rate = rng.f64(4.0..40.0); // rate Mbps
+    let delta = rng.f64(0.4..1.5); // lifetime s
+    let floor = rng.f64(0.0..0.9); // floor
+    let budgeted = rng.bool();
+    let mut r = FlowRequest::new(rate * 1e6, delta).expect("valid request");
+    if floor > 0.05 {
+        r = r.with_min_quality(floor);
+    }
+    if budgeted {
+        r = r.with_cost_budget(2.0);
+    }
+    r
 }
 
-fn arb_action() -> impl Strategy<Value = Action> {
-    (
-        proptest::prelude::any::<u64>(),
-        arb_request(),
-        proptest::prelude::any::<usize>(),
-        proptest::prelude::any::<u8>(),
-        0usize..6,
-    )
-        .prop_map(|(tag, request, region_sel, mask, k)| {
-            if tag % 4 == 3 {
-                Action::Depart(k)
-            } else {
-                Action::Offer {
-                    request,
-                    region_sel,
-                    mask,
-                }
-            }
-        })
+fn arb_action(rng: &mut SplitMix64) -> Action {
+    let tag = rng.next_u64();
+    let request = arb_request(rng);
+    let region_sel = rng.next_u64() as usize;
+    let mask = rng.next_u64() as u8;
+    let k = rng.int(0usize..6);
+    if tag % 4 == 3 {
+        Action::Depart(k)
+    } else {
+        Action::Offer {
+            request,
+            region_sel,
+            mask,
+        }
+    }
 }
 
 /// Resolves an offer's path subset: the selected region's paths filtered
@@ -128,17 +121,18 @@ fn subset_for(regions: &[Vec<usize>], region_sel: usize, mask: u8) -> Vec<usize>
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Random partitions × random in-region offer/depart scripts: the
-    /// sharded service and the monolithic planner agree on every
-    /// admission outcome and on every admitted plan to 1e-9.
-    #[test]
-    fn sharded_matches_monolithic(
-        labels in proptest::collection::vec(0usize..3, 4..5),
-        script in proptest::collection::vec(arb_action(), 1..10),
-    ) {
+/// Random partitions × random in-region offer/depart scripts: the
+/// sharded service and the monolithic planner agree on every
+/// admission outcome and on every admitted plan to 1e-9.
+#[test]
+fn sharded_matches_monolithic() {
+    run_cases(fnv1a(b"sharded_matches_monolithic"), 12, |rng| {
+        let labels = (0..rng.int(4usize..5))
+            .map(|_| rng.int(0usize..3))
+            .collect::<Vec<_>>();
+        let script = (0..rng.int(1usize..10))
+            .map(|_| arb_action(rng))
+            .collect::<Vec<_>>();
         // Partition the 4 paths by random label; groups declare the
         // partition to the service, and drive the monolith's subsets.
         let mut groups: Vec<Vec<usize>> = Vec::new();
@@ -161,22 +155,30 @@ proptest! {
         let mut admitted: Vec<(u64, dmc_fleet::FlowId)> = Vec::new();
         for action in &script {
             match action {
-                Action::Offer { request, region_sel, mask } => {
+                Action::Offer {
+                    request,
+                    region_sel,
+                    mask,
+                } => {
                     let subset = subset_for(&regions, *region_sel, *mask);
                     let request = request.clone().with_paths(subset);
                     let seq = service.submit(request.clone()).expect("in-range subset");
                     let events = service.tick().expect("tick succeeds");
                     let mono_decision = mono.offer(request).expect("offer succeeds");
-                    let [ServiceEvent::Decision { seq: dseq, admitted: ok, predicted_quality }] =
-                        &events[..]
+                    let [ServiceEvent::Decision {
+                        seq: dseq,
+                        admitted: ok,
+                        predicted_quality,
+                    }] = &events[..]
                     else {
                         panic!("expected exactly one decision, got {events:?}");
                     };
-                    prop_assert_eq!(*dseq, seq);
-                    prop_assert_eq!(
+                    assert_eq!(*dseq, seq);
+                    assert_eq!(
                         *ok,
                         mono_decision.is_admitted(),
-                        "admission diverged on {:?}", action
+                        "admission diverged on {:?}",
+                        action
                     );
                     if *ok {
                         if let dmc_fleet::AdmissionDecision::Admitted {
@@ -184,9 +186,11 @@ proptest! {
                             predicted_quality: mono_quality,
                         } = mono_decision
                         {
-                            prop_assert!(
+                            assert!(
                                 (predicted_quality - mono_quality).abs() <= TOL,
-                                "predicted quality {} vs {}", predicted_quality, mono_quality
+                                "predicted quality {} vs {}",
+                                predicted_quality,
+                                mono_quality
                             );
                             admitted.push((seq, id));
                         }
@@ -199,12 +203,14 @@ proptest! {
                     let (seq, mono_id) = admitted.remove(k % admitted.len());
                     service.submit_depart(seq);
                     let events = service.tick().expect("tick succeeds");
-                    prop_assert!(
+                    assert!(
                         events.iter().any(|e| matches!(
                             e,
                             ServiceEvent::Departed { flow, found: true, .. } if *flow == seq
                         )),
-                        "departure of {} unanswered: {:?}", seq, events
+                        "departure of {} unanswered: {:?}",
+                        seq,
+                        events
                     );
                     mono.depart(mono_id).expect("known id");
                 }
@@ -215,29 +221,29 @@ proptest! {
         // flow's path subset in both worlds, so they align index-wise).
         for &(seq, mono_id) in &admitted {
             let legs = service.leg_plans(seq);
-            prop_assert_eq!(legs.len(), 1, "single-region flow has one leg");
+            assert_eq!(legs.len(), 1, "single-region flow has one leg");
             let sharded = legs[0];
             let mono_plan = mono.plan_of(mono_id).expect("admitted plan");
-            prop_assert!((sharded.quality() - mono_plan.quality()).abs() <= TOL);
-            prop_assert!((sharded.cost_rate() - mono_plan.cost_rate()).abs() <= TOL);
-            for (a, b) in sharded
-                .strategy()
-                .x()
-                .iter()
-                .zip(mono_plan.strategy().x())
-            {
-                prop_assert!((a - b).abs() <= TOL, "x: {} vs {}", a, b);
+            assert!((sharded.quality() - mono_plan.quality()).abs() <= TOL);
+            assert!((sharded.cost_rate() - mono_plan.cost_rate()).abs() <= TOL);
+            for (a, b) in sharded.strategy().x().iter().zip(mono_plan.strategy().x()) {
+                assert!((a - b).abs() <= TOL, "x: {} vs {}", a, b);
             }
             for (a, b) in sharded.send_rates().iter().zip(mono_plan.send_rates()) {
-                prop_assert!((a - b).abs() <= TOL * a.abs().max(1.0), "S: {} vs {}", a, b);
+                assert!((a - b).abs() <= TOL * a.abs().max(1.0), "S: {} vs {}", a, b);
             }
         }
         // And the aggregate per-path picture matches.
         let util = service.utilization();
         for (a, b) in util.iter().zip(mono.utilization()) {
-            prop_assert!((a - b).abs() <= TOL * a.abs().max(1.0), "util: {} vs {}", a, b);
+            assert!(
+                (a - b).abs() <= TOL * a.abs().max(1.0),
+                "util: {} vs {}",
+                a,
+                b
+            );
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------

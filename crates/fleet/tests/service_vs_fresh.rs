@@ -20,8 +20,9 @@ mod common;
 use common::{assert_plans_close, fresh_fleet};
 use dmc_core::ScenarioPath;
 use dmc_fleet::{FleetConfig, FleetService, FlowRequest, ServiceConfig, ServiceEvent};
+use dmc_obs::fnv1a;
 use dmc_sim::LinkChange;
-use proptest::prelude::*;
+use dmc_stats::rng::{run_cases, SplitMix64};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// `(bandwidth, delay, loss)` of the shared paths.
@@ -269,61 +270,58 @@ fn run(script: &[Vec<Op>], workers: usize) -> u64 {
     service.decision_hash()
 }
 
-fn arb_request() -> impl Strategy<Value = FlowRequest> {
-    (
-        4.0f64..40.0, // rate Mbps
-        0.4f64..1.5,  // lifetime s
-        0.0f64..0.9,  // floor
-        proptest::prelude::any::<bool>(),
-    )
-        .prop_map(|(rate, delta, floor, budgeted)| {
-            let mut r = FlowRequest::new(rate * 1e6, delta).expect("valid request");
-            if floor > 0.05 {
-                r = r.with_min_quality(floor);
-            }
-            if budgeted {
-                r = r.with_cost_budget(2.0);
-            }
-            r
-        })
+fn arb_request(rng: &mut SplitMix64) -> FlowRequest {
+    let rate = rng.f64(4.0..40.0); // rate Mbps
+    let delta = rng.f64(0.4..1.5); // lifetime s
+    let floor = rng.f64(0.0..0.9); // floor
+    let budgeted = rng.bool();
+    let mut r = FlowRequest::new(rate * 1e6, delta).expect("valid request");
+    if floor > 0.05 {
+        r = r.with_min_quality(floor);
+    }
+    if budgeted {
+        r = r.with_cost_budget(2.0);
+    }
+    r
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    (
-        proptest::prelude::any::<u64>(),
-        arb_request(),
-        proptest::prelude::any::<usize>(),
-        proptest::prelude::any::<u8>(),
-        0usize..5,
-        15.0f64..90.0,
-    )
-        .prop_map(|(tag, request, sel, mask, path, bw)| match tag % 10 {
-            0..=4 => Op::Offer {
-                request,
-                region_sel: sel,
-                mask,
-            },
-            5 | 6 => Op::Depart(sel),
-            7 => Op::Link(path, LinkChange::SetBandwidth(bw * 1e6)),
-            8 => Op::Link(path, LinkChange::Fail),
-            _ => Op::Link(path, LinkChange::Recover),
-        })
+fn arb_op(rng: &mut SplitMix64) -> Op {
+    let tag = rng.next_u64();
+    let request = arb_request(rng);
+    let sel = rng.next_u64() as usize;
+    let mask = rng.next_u64() as u8;
+    let path = rng.int(0usize..5);
+    let bw = rng.f64(15.0..90.0);
+    match tag % 10 {
+        0..=4 => Op::Offer {
+            request,
+            region_sel: sel,
+            mask,
+        },
+        5 | 6 => Op::Depart(sel),
+        7 => Op::Link(path, LinkChange::SetBandwidth(bw * 1e6)),
+        8 => Op::Link(path, LinkChange::Fail),
+        _ => Op::Link(path, LinkChange::Recover),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Random ticks through the service at 1 and 4 workers: every
-    /// admitted plan matches its region's from-scratch reference after
-    /// every tick, and both worker counts produce one event stream.
-    #[test]
-    fn service_matches_fresh_region_planners(
-        script in proptest::collection::vec(proptest::collection::vec(arb_op(), 1..6), 2..16),
-    ) {
+/// Random ticks through the service at 1 and 4 workers: every
+/// admitted plan matches its region's from-scratch reference after
+/// every tick, and both worker counts produce one event stream.
+#[test]
+fn service_matches_fresh_region_planners() {
+    run_cases(fnv1a(b"service_matches_fresh_region_planners"), 24, |rng| {
+        let script = (0..rng.int(2usize..16))
+            .map(|_| {
+                (0..rng.int(1usize..6))
+                    .map(|_| arb_op(rng))
+                    .collect::<Vec<_>>()
+            })
+            .collect::<Vec<_>>();
         let one = run(&script, 1);
         let four = run(&script, 4);
-        prop_assert_eq!(one, four);
-    }
+        assert_eq!(one, four);
+    });
 }
 
 /// The gridded dimension: a [`ServiceConfig::grid`] service whose regions
@@ -384,23 +382,6 @@ mod gridded {
 
     const SLOT_WIDTH: f64 = 0.5;
     const HORIZON: u64 = 4;
-
-    /// The scripts' draws from their SplitMix64 streams, their only
-    /// entropy.
-    trait Draw {
-        fn below(&mut self, n: u64) -> u64;
-        fn range(&mut self, lo: f64, hi: f64) -> f64;
-    }
-
-    impl Draw for SplitMix64 {
-        fn below(&mut self, n: u64) -> u64 {
-            self.next_u64() % n
-        }
-
-        fn range(&mut self, lo: f64, hi: f64) -> f64 {
-            lo + (hi - lo) * self.unit()
-        }
-    }
 
     /// One flow of a region's roster, as the mirror knows it.
     #[derive(Debug, Clone)]
@@ -923,14 +904,14 @@ mod gridded {
 
     /// A seeded request on a mask-selected subset of `region`'s paths.
     fn request(rng: &mut SplitMix64, n_paths: usize) -> FlowRequest {
-        let mut r = FlowRequest::new(rng.range(4e6, 30e6), rng.range(0.4, 1.5)).expect("valid");
-        if rng.below(3) > 0 {
-            r = r.with_min_quality(rng.range(0.3, 0.9));
+        let mut r = FlowRequest::new(rng.f64(4e6..30e6), rng.f64(0.4..1.5)).expect("valid");
+        if rng.int(0u64..3) > 0 {
+            r = r.with_min_quality(rng.f64(0.3..0.9));
         }
-        if rng.below(4) == 0 {
+        if rng.int(0u64..4) == 0 {
             r = r.with_cost_budget(2.0);
         }
-        let mask = rng.below((1 << n_paths) - 1) + 1;
+        let mask = rng.int(0u64..(1 << n_paths) - 1) + 1;
         r.with_paths((0..n_paths).filter(|i| mask & (1 << i) != 0).collect())
     }
 
@@ -954,7 +935,7 @@ mod gridded {
 
     impl Mix {
         fn step(self, rng: &mut SplitMix64) -> Step {
-            match (self, rng.below(20)) {
+            match (self, rng.int(0u64..20)) {
                 (Mix::Ticks, 0..=9) | (Mix::Departures, 0..=7) => Step::Tick,
                 (Mix::Ticks, 10..=14) | (Mix::Departures, 8..=11) => Step::WindowedOffer,
                 (Mix::Ticks, 15) | (Mix::Departures, 12..=16) => Step::WindowedDepart,
@@ -994,31 +975,32 @@ mod gridded {
         };
         let mut rng = SplitMix64::new(seed);
         for step in 0..48 {
-            let region = rng.below(mirror.regions.len() as u64) as usize;
+            let region = rng.int(0u64..mirror.regions.len() as u64) as usize;
             let n_paths = mirror.regions[region].len();
             match mix.step(&mut rng) {
                 Step::Tick => {
                     let mut ops = Vec::new();
-                    for _ in 0..1 + rng.below(5) {
-                        let region = rng.below(mirror.regions.len() as u64) as usize;
+                    for _ in 0..1 + rng.int(0u64..5) {
+                        let region = rng.int(0u64..mirror.regions.len() as u64) as usize;
                         let known = mirror.instant_ids();
-                        ops.push(match rng.below(20) {
+                        ops.push(match rng.int(0u64..20) {
                             0..=10 => {
                                 Op::Offer(region, request(&mut rng, mirror.regions[region].len()))
                             }
                             11..=14 if !known.is_empty() => {
-                                Op::Depart(known[rng.below(known.len() as u64) as usize])
+                                Op::Depart(known[rng.int(0u64..known.len() as u64) as usize])
                             }
-                            15 => {
-                                Op::Link(rng.below(PATHS.len() as u64) as usize, LinkChange::Fail)
-                            }
+                            15 => Op::Link(
+                                rng.int(0u64..PATHS.len() as u64) as usize,
+                                LinkChange::Fail,
+                            ),
                             16 => Op::Link(
-                                rng.below(PATHS.len() as u64) as usize,
+                                rng.int(0u64..PATHS.len() as u64) as usize,
                                 LinkChange::Recover,
                             ),
                             _ => Op::Link(
-                                rng.below(PATHS.len() as u64) as usize,
-                                LinkChange::SetBandwidth(rng.range(15e6, 90e6)),
+                                rng.int(0u64..PATHS.len() as u64) as usize,
+                                LinkChange::SetBandwidth(rng.f64(15e6..90e6)),
                             ),
                         });
                     }
@@ -1027,16 +1009,17 @@ mod gridded {
                 Step::WindowedOffer => {
                     // Half of them ask for the origin slot, beside the
                     // instant flows.
-                    let start = mirror.origin + rng.below(HORIZON).saturating_sub(rng.below(2) * 3);
+                    let start =
+                        mirror.origin + rng.int(0u64..HORIZON).saturating_sub(rng.int(0u64..2) * 3);
                     let room = mirror.origin + HORIZON - start;
-                    let window = SlotWindow::new(start, start + 1 + rng.below(room.min(3)))
+                    let window = SlotWindow::new(start, start + 1 + rng.int(0u64..room.min(3)))
                         .expect("valid window");
                     let flow = Flow {
                         id: mirror.next_id[region],
                         seq: None,
                         request: request(&mut rng, n_paths),
                         window,
-                        buffer: if rng.below(3) == 0 { 0.5 } else { 0.0 },
+                        buffer: if rng.int(0u64..3) == 0 { 0.5 } else { 0.0 },
                     };
                     mirror.offer_windowed(&mut service, region, flow);
                     mirror.collect(&mut service, Vec::new());
@@ -1049,7 +1032,7 @@ mod gridded {
                         .map(|f| f.id)
                         .collect();
                     if let Some(&id) =
-                        windowed.get(rng.below(windowed.len().max(1) as u64) as usize)
+                        windowed.get(rng.int(0u64..windowed.len().max(1) as u64) as usize)
                     {
                         service
                             .depart_windowed(region, FlowId::from_index(id))
@@ -1078,7 +1061,7 @@ mod gridded {
                     }
                 }
                 Step::Advance => {
-                    let origin = mirror.origin + 1 + rng.below(2);
+                    let origin = mirror.origin + 1 + rng.int(0u64..2);
                     mirror.advance(&mut service, origin);
                 }
             }

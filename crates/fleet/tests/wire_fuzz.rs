@@ -21,20 +21,9 @@ use dmc_proto::wire::{
 use dmc_stats::rng::SplitMix64;
 use std::collections::BTreeSet;
 
-/// Draws from a SplitMix64 stream, the only entropy source.
-trait Draw {
-    fn below(&mut self, n: usize) -> usize;
-    fn bytes(&mut self, len: usize) -> Vec<u8>;
-}
-
-impl Draw for SplitMix64 {
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-
-    fn bytes(&mut self, len: usize) -> Vec<u8> {
-        (0..len).map(|_| self.next_u64() as u8).collect()
-    }
+/// `len` bytes from the stream, one draw each.
+fn bytes(rng: &mut SplitMix64, len: usize) -> Vec<u8> {
+    (0..len).map(|_| rng.next_u64() as u8).collect()
 }
 
 /// Where each frame type keeps its checksum (offset, width), by magic —
@@ -78,7 +67,7 @@ fn valid_frames(rng: &mut SplitMix64) -> Vec<Vec<u8>> {
         ack.encode().to_vec(),
         PathNotice {
             path: rng.next_u64() as u8,
-            kind: [NoticeKind::Down, NoticeKind::Up][rng.below(2)],
+            kind: [NoticeKind::Down, NoticeKind::Up][rng.int(0usize..2)],
             seq: rng.next_u64() as u8,
             at_ns: rng.next_u64(),
         }
@@ -88,7 +77,7 @@ fn valid_frames(rng: &mut SplitMix64) -> Vec<Vec<u8>> {
         DecisionFrame {
             seq: rng.next_u64(),
             flow: rng.next_u64(),
-            verdict: [Verdict::Rejected, Verdict::Admitted, Verdict::Invalid][rng.below(3)],
+            verdict: [Verdict::Rejected, Verdict::Admitted, Verdict::Invalid][rng.int(0usize..3)],
             predicted_quality: 0.9875,
         }
         .encode()
@@ -107,17 +96,17 @@ fn offer(rng: &mut SplitMix64) -> OfferFrame {
     let masks = [vec![], vec![0], vec![1, 2], vec![0, 3], vec![2]];
     OfferFrame {
         seq: rng.next_u64(),
-        data_rate: 2e6 + rng.below(20) as f64 * 1e6,
-        lifetime: 0.3 + rng.below(8) as f64 * 0.1,
+        data_rate: 2e6 + rng.int(0usize..20) as f64 * 1e6,
+        lifetime: 0.3 + rng.int(0usize..8) as f64 * 0.1,
         // Floors stay clear of what the paths deliver (0.8 … 1.0): one
         // within 1e-7 *above* what a flow can reach passes the solver's
         // phase 1 and comes back as a vertex that breaks a capacity row
         // (ROADMAP, LP engine) — a mantissa-level mutant of 0.9 did.
-        min_quality: [0.0, 0.5, 0.75][rng.below(3)],
-        cost_budget: [f64::INFINITY, 1.0][rng.below(2)],
-        priority: 1.0 + rng.below(3) as f64,
-        transmissions: 1 + rng.below(2) as u8,
-        path_mask: OfferFrame::mask_for(&masks[rng.below(masks.len())]).unwrap(),
+        min_quality: [0.0, 0.5, 0.75][rng.int(0usize..3)],
+        cost_budget: [f64::INFINITY, 1.0][rng.int(0usize..2)],
+        priority: 1.0 + rng.int(0usize..3) as f64,
+        transmissions: 1 + rng.int(0usize..2) as u8,
+        path_mask: OfferFrame::mask_for(&masks[rng.int(0usize..masks.len())]).unwrap(),
     }
 }
 
@@ -128,10 +117,10 @@ fn link(rng: &mut SplitMix64) -> LinkChangeFrame {
         (LinkChangeKind::SetBandwidth, 25e6),
         (LinkChangeKind::SetLoss, 0.1),
     ];
-    let (kind, value) = kinds[rng.below(kinds.len())];
+    let (kind, value) = kinds[rng.int(0usize..kinds.len())];
     LinkChangeFrame {
         seq: rng.next_u64(),
-        path: rng.below(4) as u16,
+        path: rng.int(0usize..4) as u16,
         kind,
         value,
     }
@@ -139,8 +128,8 @@ fn link(rng: &mut SplitMix64) -> LinkChangeFrame {
 
 /// A valid frame with 1–8 bytes overwritten, resealed.
 fn mutated(rng: &mut SplitMix64, mut frame: Vec<u8>) -> Vec<u8> {
-    for _ in 0..1 + rng.below(8) {
-        let at = 1 + rng.below(frame.len() - 1);
+    for _ in 0..1 + rng.int(0usize..8) {
+        let at = 1 + rng.int(0usize..frame.len() - 1);
         frame[at] = rng.next_u64() as u8;
     }
     reseal(&mut frame);
@@ -176,8 +165,8 @@ fn decoders_never_panic_and_what_they_accept_round_trips() {
     let mut rng = SplitMix64::new(0xF0_22);
     let (mut random_accepted, mut mutated_accepted) = (0, 0);
     for _ in 0..4_000 {
-        let len = rng.below(257);
-        random_accepted += decode_all(&rng.bytes(len));
+        let len = rng.int(0usize..257);
+        random_accepted += decode_all(&bytes(&mut rng, len));
         for frame in valid_frames(&mut rng) {
             assert_eq!(decode_all(&frame), 1, "a valid frame is one type's");
             mutated_accepted += decode_all(&mutated(&mut rng, frame));
@@ -232,24 +221,24 @@ fn the_service_answers_every_accepted_offer_exactly_once() {
     let mut resident: Vec<u64> = Vec::new();
     let (mut answered, mut invalid, mut admitted) = (0, 0, 0);
     for round in 0..600 {
-        for _ in 0..1 + rng.below(6) {
-            let frame = match rng.below(8) {
+        for _ in 0..1 + rng.int(0usize..6) {
+            let frame = match rng.int(0usize..8) {
                 0 => {
-                    let len = rng.below(257);
-                    rng.bytes(len)
+                    let len = rng.int(0usize..257);
+                    bytes(&mut rng, len)
                 }
                 1 => offer(&mut rng).encode().to_vec(),
                 // Tenants leave — some twice (a retransmitted frame) —
                 // so a region holds a handful of flows, not hundreds.
-                2 | 3 if resident.len() > rng.below(8) => {
-                    let flow = resident[rng.below(resident.len())];
-                    if rng.below(4) > 0 {
+                2 | 3 if resident.len() > rng.int(0usize..8) => {
+                    let flow = resident[rng.int(0usize..resident.len())];
+                    if rng.int(0usize..4) > 0 {
                         resident.retain(|&f| f != flow);
                     }
                     DepartFrame { seq: 1, flow }.encode().to_vec()
                 }
                 2 | 3 => {
-                    let base = if rng.below(2) == 0 {
+                    let base = if rng.int(0usize..2) == 0 {
                         link(&mut rng).encode().to_vec()
                     } else {
                         let flow = rng.next_u64() % (service.submissions() + 1);

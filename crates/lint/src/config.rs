@@ -38,8 +38,7 @@ pub struct Config {
 }
 
 /// Crates whose library code must uphold the determinism invariants.
-/// `compat/` (external-API stand-ins), `bench/` (timing is its job) and
-/// `lint/` (not on any solver path) are deliberately absent. `obs/` is
+/// `lint/` (not on any solver path) is deliberately absent. `obs/` is
 /// *in* scope — telemetry that drifted from wallclock or map order would
 /// silently unpin every snapshot hash; its one sanctioned wallclock
 /// island (`WallProfiler`, driver-only) carries a file-level
@@ -170,12 +169,12 @@ mod tests {
     fn parses_all_directives() {
         let cfg = Config::parse(
             "# header\n\
-             skip crates/compat/\n\
+             skip crates/lint/tests/fixtures/\n\
              allow det-thread-spawn crates/experiments/src/montecarlo.rs -- the sanctioned pool\n\
              det-scope crates/lp/\n",
         )
         .unwrap();
-        assert!(cfg.is_skipped("crates/compat/proptest/src/lib.rs"));
+        assert!(cfg.is_skipped("crates/lint/tests/fixtures/det_wallclock_violation.rs"));
         assert!(cfg.allows(Rule::DetThreadSpawn, "crates/experiments/src/montecarlo.rs"));
         assert!(!cfg.allows(Rule::DetWallclock, "crates/experiments/src/montecarlo.rs"));
         assert_eq!(cfg.det_scope, vec!["crates/lp/"]);

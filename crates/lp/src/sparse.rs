@@ -643,6 +643,7 @@ mod tests {
     use crate::simplex::WarmStart;
     use crate::{Basis, BasisVar, Problem, SolveError, SolverOptions, Workspace};
     use dmc_obs::Obs;
+    use dmc_stats::rng::SplitMix64;
 
     crate::driver::contract::contract_tests!(Declaration::Declared);
 
@@ -702,34 +703,13 @@ mod tests {
         )
     }
 
-    /// SplitMix64: the seeded stream of the oracle test.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
-        }
-
-        fn unit(&mut self) -> f64 {
-            (self.next() >> 11) as f64 / (1u64 << 53) as f64
-        }
-    }
-
     /// A random block-angular LP: 1–3 coupling `≤` rows over a random
     /// subset of every block's columns, and per block a `Σx = 1` row, a
     /// floor row half the time, and 2–5 columns. Block 0's last column
     /// duplicates the one before it, so a basis holding both is singular.
-    fn random_block_lp(rng: &mut Rng) -> Problem {
-        let blocks = 3 + rng.below(6);
-        let widths: Vec<usize> = (0..blocks).map(|_| 2 + rng.below(4)).collect();
+    fn random_block_lp(rng: &mut SplitMix64) -> Problem {
+        let blocks = 3 + rng.int(0..6);
+        let widths: Vec<usize> = (0..blocks).map(|_| 2 + rng.int(0..4)).collect();
         let starts: Vec<usize> = widths
             .iter()
             .scan(0, |at, &w| {
@@ -738,11 +718,11 @@ mod tests {
             })
             .collect();
         let n: usize = widths.iter().sum();
-        let coupling: Vec<Vec<f64>> = (0..1 + rng.below(3))
+        let coupling: Vec<Vec<f64>> = (0..1 + rng.int(0..3))
             .map(|_| {
                 let mut row: Vec<f64> = (0..n)
                     .map(|_| {
-                        if rng.below(10) < 7 {
+                        if rng.int(0..10) < 7 {
                             0.1 + rng.unit()
                         } else {
                             0.0
@@ -761,7 +741,7 @@ mod tests {
             let cols = lo..lo + w;
             p.add_eq_sparse(&cols.clone().map(|j| (j, 1.0)).collect::<Vec<_>>(), 1.0)
                 .unwrap();
-            if rng.below(2) == 0 {
+            if rng.int(0..2) == 0 {
                 let mut floor: Vec<(usize, f64)> = cols.map(|j| (j, 0.2 + rng.unit())).collect();
                 if f == 0 {
                     floor[w - 1].1 = floor[w - 2].1;
@@ -780,7 +760,7 @@ mod tests {
     /// dependent column dropped by `repair`.
     #[test]
     fn reach_builds_the_full_scans_eta_file() {
-        let mut rng = Rng(0x5EED);
+        let mut rng = SplitMix64::new(0x5EED);
         let (mut deferred, mut dependent) = (0, 0);
         for trial in 0..300 {
             let p = random_block_lp(&mut rng);
@@ -791,7 +771,7 @@ mod tests {
             // Mostly structural columns, so blocks hold more basic
             // columns than local rows; half the time both duplicates.
             let mut keyed: Vec<(bool, u64, usize)> = (0..ncols)
-                .map(|c| (c >= n && rng.below(4) != 0, rng.next(), c))
+                .map(|c| (c >= n && rng.int(0..4) != 0, rng.next_u64(), c))
                 .collect();
             keyed.sort_unstable();
             let mut pool: Vec<usize> = keyed.into_iter().map(|(.., c)| c).collect();

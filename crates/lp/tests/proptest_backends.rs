@@ -30,7 +30,8 @@
 
 use dmc_lp::{Basis, Problem, SolveError, SolverOptions};
 use dmc_lp_oracle::Optimum;
-use proptest::prelude::*;
+use dmc_obs::fnv1a;
+use dmc_stats::rng::{run_cases, SplitMix64};
 use std::ops::Range;
 
 /// `p` solved on the dense tableau.
@@ -51,75 +52,59 @@ fn declared_and_not(p: &Problem) -> Vec<(&'static str, Problem)> {
     runs
 }
 
-/// Deterministic pseudo-random f64 in [0, 1) from a seed counter
-/// (SplitMix64, same scheme as `proptest_simplex.rs`).
-fn mix(seed: &mut u64) -> f64 {
-    *seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *seed;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z = z ^ (z >> 31);
-    (z >> 11) as f64 / (1u64 << 53) as f64
-}
-
 /// A bounded-feasible LP with a known interior point: `≤` rows through
 /// the point plus box bounds, optionally one equality row through it.
-fn build_feasible_lp(n: usize, m: usize, with_eq: bool, seed0: u64) -> Problem {
-    let mut seed = seed0;
-    let x0: Vec<f64> = (0..n).map(|_| mix(&mut seed) * 5.0).collect();
-    let c: Vec<f64> = (0..n).map(|_| mix(&mut seed) * 4.0 - 2.0).collect();
+fn build_feasible_lp(n: usize, m: usize, with_eq: bool, seed: u64) -> Problem {
+    let mut rng = SplitMix64::new(seed);
+    let x0: Vec<f64> = (0..n).map(|_| rng.unit() * 5.0).collect();
+    let c: Vec<f64> = (0..n).map(|_| rng.unit() * 4.0 - 2.0).collect();
     let mut p = Problem::maximize(c);
     for _ in 0..m {
-        let a: Vec<f64> = (0..n).map(|_| mix(&mut seed) * 2.0 - 0.5).collect();
+        let a: Vec<f64> = (0..n).map(|_| rng.unit() * 2.0 - 0.5).collect();
         let lhs: f64 = a.iter().zip(&x0).map(|(ai, xi)| ai * xi).sum();
-        let slack = mix(&mut seed) * 3.0;
+        let slack = rng.unit() * 3.0;
         p.add_le(a, lhs + slack).unwrap();
     }
     if with_eq {
-        let a: Vec<f64> = (0..n).map(|_| mix(&mut seed) + 0.1).collect();
+        let a: Vec<f64> = (0..n).map(|_| rng.unit() + 0.1).collect();
         let lhs: f64 = a.iter().zip(&x0).map(|(ai, xi)| ai * xi).sum();
         p.add_eq(a, lhs).unwrap();
     }
     for j in 0..n {
         let mut row = vec![0.0; n];
         row[j] = 1.0;
-        p.add_le(row, 10.0 + mix(&mut seed)).unwrap();
+        p.add_le(row, 10.0 + rng.unit()).unwrap();
     }
     p
 }
 
-fn assert_backends_agree(p: &Problem) -> Result<(), TestCaseError> {
+fn assert_backends_agree(p: &Problem) {
     let dense = dense(p);
     for (name, q) in declared_and_not(p) {
         let other = q.solve(&SolverOptions::default());
         match (&dense, &other) {
             (Ok(d), Ok(r)) => {
-                prop_assert!(
+                assert!(
                     (d.objective - r.objective()).abs() < 1e-9,
                     "objective: dense {} vs {name} {}",
                     d.objective,
                     r.objective()
                 );
                 for (j, (a, b)) in d.x.iter().zip(r.x()).enumerate() {
-                    prop_assert!((a - b).abs() < 1e-9, "x[{j}]: dense {a} vs {name} {b}");
+                    assert!((a - b).abs() < 1e-9, "x[{j}]: dense {a} vs {name} {b}");
                 }
                 for (i, (a, b)) in d.duals.iter().zip(r.duals()).enumerate() {
-                    prop_assert!((a - b).abs() < 1e-9, "dual[{i}]: dense {a} vs {name} {b}");
+                    assert!((a - b).abs() < 1e-9, "dual[{i}]: dense {a} vs {name} {b}");
                 }
                 // Both must actually be feasible for the original problem.
-                prop_assert!(p.max_violation(&d.x) < 1e-6);
-                prop_assert!(p.max_violation(r.x()) < 1e-6);
+                assert!(p.max_violation(&d.x) < 1e-6);
+                assert!(p.max_violation(r.x()) < 1e-6);
             }
             (Err(SolveError::Infeasible { .. }), Err(SolveError::Infeasible { .. })) => {}
             (Err(SolveError::Unbounded), Err(SolveError::Unbounded)) => {}
-            (d, r) => {
-                return Err(TestCaseError(format!(
-                    "outcome mismatch: dense {d:?} vs {name} {r:?}"
-                )))
-            }
+            (d, r) => panic!("outcome mismatch: dense {d:?} vs {name} {r:?}"),
         }
     }
-    Ok(())
 }
 
 /// A random block-angular LP in the fleet's joint shape: `blocks` blocks
@@ -131,17 +116,17 @@ fn build_block_angular(
     width: usize,
     couplings: usize,
     declare: bool,
-    seed0: u64,
+    seed: u64,
 ) -> Problem {
-    let mut seed = seed0;
+    let mut rng = SplitMix64::new(seed);
     let n = blocks * width;
-    let c: Vec<f64> = (0..n).map(|_| 0.2 + mix(&mut seed)).collect();
+    let c: Vec<f64> = (0..n).map(|_| 0.2 + rng.unit()).collect();
     let mut p = Problem::maximize(c.clone());
     for k in 0..couplings {
-        let row: Vec<f64> = (0..n).map(|_| 0.05 + mix(&mut seed)).collect();
+        let row: Vec<f64> = (0..n).map(|_| 0.05 + rng.unit()).collect();
         // Roomy enough to be feasible most of the time, tight enough to
         // bind: between 30% and 110% of the per-block average demand.
-        let rhs = (0.3 + 0.8 * mix(&mut seed)) * blocks as f64 * 0.55;
+        let rhs = (0.3 + 0.8 * rng.unit()) * blocks as f64 * 0.55;
         p.add_le(row, rhs).unwrap();
         let _ = k;
     }
@@ -155,7 +140,7 @@ fn build_block_angular(
                 row[j] = c[j];
                 best = best.max(c[j]);
             }
-            p.add_ge(row, best * 0.5 * mix(&mut seed)).unwrap();
+            p.add_ge(row, best * 0.5 * rng.unit()).unwrap();
         }
         let mut row = vec![0.0; n];
         for v in &mut row[f * width..(f + 1) * width] {
@@ -192,7 +177,7 @@ struct EditedLp {
     couplings: usize,
     blocks: Vec<Block>,
     basis: Option<Basis>,
-    seed: u64,
+    rng: SplitMix64,
 }
 
 impl EditedLp {
@@ -202,27 +187,27 @@ impl EditedLp {
             couplings,
             blocks: Vec::new(),
             basis: None,
-            seed,
+            rng: SplitMix64::new(seed),
         };
         lp.append();
         lp
     }
 
     fn pick(&mut self, n: usize) -> usize {
-        (mix(&mut self.seed) * n as f64) as usize % n.max(1)
+        (self.rng.unit() * n as f64) as usize % n.max(1)
     }
 
     /// Writes a fresh occupant into `cols` (objective, coupling segments)
     /// and returns its floor coefficients and a floor it can meet alone.
     fn occupy(&mut self, cols: Range<usize>) -> (Vec<f64>, f64) {
-        let c: Vec<f64> = cols.clone().map(|_| 0.2 + mix(&mut self.seed)).collect();
+        let c: Vec<f64> = cols.clone().map(|_| 0.2 + self.rng.unit()).collect();
         self.p.set_objective_range(cols.start, &c).unwrap();
         for k in 0..self.couplings {
-            let seg: Vec<f64> = cols.clone().map(|_| 0.05 + mix(&mut self.seed)).collect();
+            let seg: Vec<f64> = cols.clone().map(|_| 0.05 + self.rng.unit()).collect();
             self.p.set_row_range(k, cols.start, &seg).unwrap();
         }
         let best = c.iter().fold(0.0f64, |a, &b| a.max(b));
-        let floor = best * 0.9 * mix(&mut self.seed);
+        let floor = best * 0.9 * self.rng.unit();
         (c, floor)
     }
 
@@ -231,7 +216,7 @@ impl EditedLp {
         let cols = self.p.append_block(&vec![0.0; width]).unwrap();
         if self.blocks.is_empty() {
             for _ in 0..self.couplings {
-                let rhs = 1.0 + 2.0 * mix(&mut self.seed);
+                let rhs = 1.0 + 2.0 * self.rng.unit();
                 self.p.add_le_sparse(&[], rhs).unwrap();
             }
         }
@@ -299,7 +284,7 @@ impl EditedLp {
 
     fn retune(&mut self) {
         let k = self.pick(self.couplings);
-        let rhs = self.p.constraints()[k].rhs() * (0.5 + mix(&mut self.seed));
+        let rhs = self.p.constraints()[k].rhs() * (0.5 + self.rng.unit());
         self.p.set_rhs(k, rhs).unwrap();
         let floors: Vec<usize> = self
             .blocks
@@ -309,7 +294,7 @@ impl EditedLp {
             .collect();
         if !floors.is_empty() {
             let row = floors[self.pick(floors.len())];
-            let rhs = self.p.constraints()[row].rhs() * (0.5 + mix(&mut self.seed));
+            let rhs = self.p.constraints()[row].rhs() * (0.5 + self.rng.unit());
             self.p.set_rhs(row, rhs).unwrap();
         }
     }
@@ -414,94 +399,107 @@ fn in_place_edits_re_solve_from_the_carried_basis() {
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Feasible bounded LPs (with and without an equality row): identical
-    /// optima from the oracle and the solver.
-    #[test]
-    fn feasible_lps_agree(
-        n in 1usize..8,
-        m in 1usize..9,
-        with_eq in proptest::prelude::any::<bool>(),
-        seed in any::<u64>(),
-    ) {
+/// Feasible bounded LPs (with and without an equality row): identical
+/// optima from the oracle and the solver.
+#[test]
+fn feasible_lps_agree() {
+    run_cases(fnv1a(b"feasible_lps_agree"), 96, |rng| {
+        let n = rng.int(1usize..8);
+        let m = rng.int(1usize..9);
+        let with_eq = rng.bool();
+        let seed = rng.next_u64();
         let p = build_feasible_lp(n, m, with_eq, seed);
-        assert_backends_agree(&p)?;
-    }
+        assert_backends_agree(&p);
+    });
+}
 
-    /// Infeasible-by-construction LPs (`a·x ≤ t` and `a·x ≥ t + gap`):
-    /// every solver must report infeasibility.
-    #[test]
-    fn infeasible_lps_agree(n in 1usize..6, seed in any::<u64>(), gap in 0.5f64..5.0) {
-        let mut seed = seed;
-        let a: Vec<f64> = (0..n).map(|_| mix(&mut seed) + 0.1).collect();
-        let t = mix(&mut seed) * 4.0;
-        let mut p = Problem::maximize((0..n).map(|_| mix(&mut seed)).collect());
+/// Infeasible-by-construction LPs (`a·x ≤ t` and `a·x ≥ t + gap`):
+/// every solver must report infeasibility.
+#[test]
+fn infeasible_lps_agree() {
+    run_cases(fnv1a(b"infeasible_lps_agree"), 96, |rng| {
+        let n = rng.int(1usize..6);
+        let seed = rng.next_u64();
+        let gap = rng.f64(0.5..5.0);
+        let mut coeffs = SplitMix64::new(seed);
+        let a: Vec<f64> = (0..n).map(|_| coeffs.unit() + 0.1).collect();
+        let t = coeffs.unit() * 4.0;
+        let mut p = Problem::maximize((0..n).map(|_| coeffs.unit()).collect());
         p.add_le(a.clone(), t).unwrap();
         p.add_ge(a, t + gap).unwrap();
-        assert_backends_agree(&p)?;
-    }
+        assert_backends_agree(&p);
+    });
+}
 
-    /// Unbounded-by-construction LPs (one variable unconstrained above
-    /// with positive objective): every solver must report unboundedness.
-    #[test]
-    fn unbounded_lps_agree(n in 2usize..6, seed in any::<u64>()) {
-        let mut seed = seed;
-        let mut c: Vec<f64> = (0..n).map(|_| mix(&mut seed)).collect();
-        c[0] = 1.0 + mix(&mut seed); // strictly improving direction
+/// Unbounded-by-construction LPs (one variable unconstrained above
+/// with positive objective): every solver must report unboundedness.
+#[test]
+fn unbounded_lps_agree() {
+    run_cases(fnv1a(b"unbounded_lps_agree"), 96, |rng| {
+        let n = rng.int(2usize..6);
+        let seed = rng.next_u64();
+        let mut coeffs = SplitMix64::new(seed);
+        let mut c: Vec<f64> = (0..n).map(|_| coeffs.unit()).collect();
+        c[0] = 1.0 + coeffs.unit(); // strictly improving direction
         let mut p = Problem::maximize(c);
         // Constrain every variable except x0.
         for j in 1..n {
             let mut row = vec![0.0; n];
             row[j] = 1.0;
-            p.add_le(row, 1.0 + mix(&mut seed)).unwrap();
+            p.add_le(row, 1.0 + coeffs.unit()).unwrap();
         }
-        assert_backends_agree(&p)?;
-    }
+        assert_backends_agree(&p);
+    });
+}
 
-    /// Paper-shaped LPs (`Σx = 1` distribution rows plus capacity rows):
-    /// the exact structure the planner emits.
-    #[test]
-    fn paper_shaped_lps_agree(n in 2usize..40, rows in 1usize..6, seed in any::<u64>()) {
-        let mut seed = seed;
-        let pvec: Vec<f64> = (0..n).map(|_| mix(&mut seed)).collect();
+/// Paper-shaped LPs (`Σx = 1` distribution rows plus capacity rows):
+/// the exact structure the planner emits.
+#[test]
+fn paper_shaped_lps_agree() {
+    run_cases(fnv1a(b"paper_shaped_lps_agree"), 96, |rng| {
+        let n = rng.int(2usize..40);
+        let rows = rng.int(1usize..6);
+        let seed = rng.next_u64();
+        let mut coeffs = SplitMix64::new(seed);
+        let pvec: Vec<f64> = (0..n).map(|_| coeffs.unit()).collect();
         let mut p = Problem::maximize(pvec);
         for _ in 0..rows {
-            let usage: Vec<f64> = (0..n).map(|_| mix(&mut seed) * 2.0).collect();
-            p.add_le(usage, 0.5 + mix(&mut seed) * 2.0).unwrap();
+            let usage: Vec<f64> = (0..n).map(|_| coeffs.unit() * 2.0).collect();
+            p.add_le(usage, 0.5 + coeffs.unit() * 2.0).unwrap();
         }
         p.add_eq(vec![1.0; n], 1.0).unwrap();
-        assert_backends_agree(&p)?;
-    }
+        assert_backends_agree(&p);
+    });
+}
 
-    /// Warm-starting from the previous point of a RHS sweep must agree
-    /// with the dense oracle at every point (warm results are still
-    /// exact optima, not approximations) — and with the cold solve of
-    /// the same problem **bit for bit** in `x`, objective and duals: two
-    /// pivot paths reach the same basis set in different slot orders, and
-    /// the extraction must not see the order.
-    /// Paper-shaped: several capacity rows over every column plus
-    /// `Σx = 1`.
-    #[test]
-    fn warm_sweep_agrees_with_dense(
-        n in 3usize..40,
-        caps in 2usize..6,
-        seed in any::<u64>(),
-    ) {
-        let mut seed = seed;
-        let pvec: Vec<f64> = (0..n).map(|_| mix(&mut seed)).collect();
+/// Warm-starting from the previous point of a RHS sweep must agree
+/// with the dense oracle at every point (warm results are still
+/// exact optima, not approximations) — and with the cold solve of
+/// the same problem **bit for bit** in `x`, objective and duals: two
+/// pivot paths reach the same basis set in different slot orders, and
+/// the extraction must not see the order.
+/// Paper-shaped: several capacity rows over every column plus
+/// `Σx = 1`.
+#[test]
+fn warm_sweep_agrees_with_dense() {
+    run_cases(fnv1a(b"warm_sweep_agrees_with_dense"), 96, |rng| {
+        let n = rng.int(3usize..40);
+        let caps = rng.int(2usize..6);
+        let seed = rng.next_u64();
+        let mut coeffs = SplitMix64::new(seed);
+        let pvec: Vec<f64> = (0..n).map(|_| coeffs.unit()).collect();
         let usage: Vec<Vec<f64>> = (0..caps)
-            .map(|_| (0..n).map(|_| 0.2 + mix(&mut seed)).collect())
+            .map(|_| (0..n).map(|_| 0.2 + coeffs.unit()).collect())
             .collect();
-        let pace: Vec<f64> = (0..caps).map(|_| 0.05 + 0.25 * mix(&mut seed)).collect();
+        let pace: Vec<f64> = (0..caps).map(|_| 0.05 + 0.25 * coeffs.unit()).collect();
         // All mass on column 0 fits every capacity at every sweep point,
         // so each point is feasible.
         let mut basis: Option<Basis> = None;
         for step in 0..6 {
             let mut p = Problem::maximize(pvec.clone());
             for (row, pace) in usage.iter().zip(&pace) {
-                p.add_le(row.clone(), row[0] + 0.05 + pace * step as f64).unwrap();
+                p.add_le(row.clone(), row[0] + 0.05 + pace * step as f64)
+                    .unwrap();
             }
             p.add_eq(vec![1.0; n], 1.0).unwrap();
             let dense = dense(&p).unwrap();
@@ -510,55 +508,57 @@ proptest! {
                 Some(b) => p.solve_warm(&opts, b).unwrap(),
                 None => p.solve(&opts).unwrap(),
             };
-            prop_assert!(
+            assert!(
                 (warm.objective() - dense.objective).abs() < 1e-9,
                 "step {step}: warm {} vs dense {}",
                 warm.objective(),
                 dense.objective
             );
             for (j, (a, b)) in warm.x().iter().zip(&dense.x).enumerate() {
-                prop_assert!((a - b).abs() < 1e-9, "step {step} x[{j}]: {a} vs {b}");
+                assert!((a - b).abs() < 1e-9, "step {step} x[{j}]: {a} vs {b}");
             }
             let cold = p.solve(&opts).unwrap();
-            prop_assert_eq!(warm.x(), cold.x(), "step {}", step);
-            prop_assert_eq!(
+            assert_eq!(warm.x(), cold.x(), "step {}", step);
+            assert_eq!(
                 warm.objective().to_bits(),
                 cold.objective().to_bits(),
                 "step {}",
                 step
             );
-            prop_assert_eq!(warm.duals(), cold.duals(), "step {}", step);
+            assert_eq!(warm.duals(), cold.duals(), "step {}", step);
             basis = warm.basis().cloned();
         }
-    }
+    });
+}
 
-    /// Random block-angular fleet LPs: the oracle and the solver agree to
-    /// 1e-9, with the block boundaries declared or not (the
-    /// boundaries change pivot orders, never answers).
-    #[test]
-    fn block_angular_lps_agree(
-        blocks in 1usize..10,
-        width in 2usize..8,
-        couplings in 1usize..4,
-        declare in any::<bool>(),
-        seed in any::<u64>(),
-    ) {
+/// Random block-angular fleet LPs: the oracle and the solver agree to
+/// 1e-9, with the block boundaries declared or not (the
+/// boundaries change pivot orders, never answers).
+#[test]
+fn block_angular_lps_agree() {
+    run_cases(fnv1a(b"block_angular_lps_agree"), 96, |rng| {
+        let blocks = rng.int(1usize..10);
+        let width = rng.int(2usize..8);
+        let couplings = rng.int(1usize..4);
+        let declare = rng.bool();
+        let seed = rng.next_u64();
         let p = build_block_angular(blocks, width, couplings, declare, seed);
-        assert_backends_agree(&p)?;
-    }
+        assert_backends_agree(&p);
+    });
+}
 
-    /// Warm-started churn over a block-angular LP: tombstone a block
-    /// (`Σx = 1 → 0`, objective zeroed), then revive it, warm-starting
-    /// every re-solve from the previous basis. Sparse warm must equal
-    /// sparse cold **bitwise** at every step, and both must match the
-    /// dense oracle to 1e-9.
-    #[test]
-    fn block_angular_churn_warm_equals_cold(
-        blocks in 2usize..8,
-        width in 2usize..6,
-        victim_seed in any::<u64>(),
-        seed in any::<u64>(),
-    ) {
+/// Warm-started churn over a block-angular LP: tombstone a block
+/// (`Σx = 1 → 0`, objective zeroed), then revive it, warm-starting
+/// every re-solve from the previous basis. Sparse warm must equal
+/// sparse cold **bitwise** at every step, and both must match the
+/// dense oracle to 1e-9.
+#[test]
+fn block_angular_churn_warm_equals_cold() {
+    run_cases(fnv1a(b"block_angular_churn_warm_equals_cold"), 96, |rng| {
+        let blocks = rng.int(2usize..8);
+        let width = rng.int(2usize..6);
+        let victim_seed = rng.next_u64();
+        let seed = rng.next_u64();
         let base = build_block_angular(blocks, width, 2, true, seed);
         let victim = (victim_seed % blocks as u64) as usize;
         let eq_row_of = |f: usize| {
@@ -575,7 +575,9 @@ proptest! {
 
         let mut tombstoned = base.clone();
         tombstoned.set_rhs(eq_row_of(victim), 0.0).unwrap();
-        tombstoned.set_objective_range(victim * width, &zeros).unwrap();
+        tombstoned
+            .set_objective_range(victim * width, &zeros)
+            .unwrap();
         if victim % 2 == 1 {
             // Relax the tombstoned block's floor row (stored negated).
             tombstoned.set_rhs(eq_row_of(victim) - 1, 0.0).unwrap();
@@ -583,7 +585,10 @@ proptest! {
         let mut revived = tombstoned.clone();
         revived.set_rhs(eq_row_of(victim), 1.0).unwrap();
         revived
-            .set_objective_range(victim * width, &objective[victim * width..(victim + 1) * width])
+            .set_objective_range(
+                victim * width,
+                &objective[victim * width..(victim + 1) * width],
+            )
             .unwrap();
 
         let opts = SolverOptions::default();
@@ -597,43 +602,45 @@ proptest! {
             match cold {
                 Ok(cold) => {
                     if let Some(warm) = warm {
-                        prop_assert_eq!(warm.x(), cold.x(), "step {}: warm != cold", step);
-                        prop_assert_eq!(warm.objective(), cold.objective());
-                        prop_assert_eq!(warm.duals(), cold.duals());
+                        assert_eq!(warm.x(), cold.x(), "step {}: warm != cold", step);
+                        assert_eq!(warm.objective(), cold.objective());
+                        assert_eq!(warm.duals(), cold.duals());
                     }
                     let dense = dense(p).unwrap();
-                    prop_assert!(
+                    assert!(
                         (cold.objective() - dense.objective).abs() < 1e-9,
                         "step {step}: sparse {} vs dense {}",
                         cold.objective(),
                         dense.objective
                     );
                     for (j, (a, b)) in cold.x().iter().zip(&dense.x).enumerate() {
-                        prop_assert!((a - b).abs() < 1e-9, "step {step} x[{j}]: {a} vs {b}");
+                        assert!((a - b).abs() < 1e-9, "step {step} x[{j}]: {a} vs {b}");
                     }
                     basis = cold.basis().cloned();
                 }
                 Err(_) => {
-                    prop_assert!(dense(p).is_err(), "outcome class mismatch");
+                    assert!(dense(p).is_err(), "outcome class mismatch");
                     basis = None;
                 }
             }
         }
-    }
+    });
+}
 
-    /// The solver prices the objective divided by the power of two at or
-    /// below its largest entry, so scaling it by `2^k` changes nothing
-    /// but the answer's units: `x` and the basis are bit-identical (on the
-    /// tableau, which exports no basis, `x` and the pivot count), and the
-    /// objective and the duals are exactly `2^k` times as large.
-    #[test]
-    fn objectives_scaled_by_a_power_of_two_solve_identically(
-        n in 1usize..8,
-        m in 1usize..9,
-        with_eq in any::<bool>(),
-        k in -60i32..60,
-        seed in any::<u64>(),
-    ) {
+/// The solver prices the objective divided by the power of two at or
+/// below its largest entry, so scaling it by `2^k` changes nothing
+/// but the answer's units: `x` and the basis are bit-identical (on the
+/// tableau, which exports no basis, `x` and the pivot count), and the
+/// objective and the duals are exactly `2^k` times as large.
+#[test]
+fn objectives_scaled_by_a_power_of_two_solve_identically() {
+    let stream = fnv1a(b"objectives_scaled_by_a_power_of_two_solve_identically");
+    run_cases(stream, 96, |rng| {
+        let n = rng.int(1usize..8);
+        let m = rng.int(1usize..9);
+        let with_eq = rng.bool();
+        let k = rng.int(-60i32..60);
+        let seed = rng.next_u64();
         let p = build_feasible_lp(n, m, with_eq, seed);
         let factor = 2f64.powi(k);
         let mut scaled = p.clone();
@@ -641,62 +648,65 @@ proptest! {
         scaled.set_objective_range(0, &c).unwrap();
         let opts = SolverOptions::default();
         let (a, b) = (p.solve(&opts).unwrap(), scaled.solve(&opts).unwrap());
-        prop_assert_eq!(a.x(), b.x(), "revised 2^{}: x", k);
-        prop_assert_eq!(a.basis(), b.basis(), "revised 2^{}: basis", k);
-        prop_assert_eq!(a.objective() * factor, b.objective(), "revised 2^{}", k);
+        assert_eq!(a.x(), b.x(), "revised 2^{}: x", k);
+        assert_eq!(a.basis(), b.basis(), "revised 2^{}: basis", k);
+        assert_eq!(a.objective() * factor, b.objective(), "revised 2^{}", k);
         let duals: Vec<f64> = a.duals().iter().map(|y| y * factor).collect();
-        prop_assert_eq!(&duals[..], b.duals(), "revised 2^{}: duals", k);
+        assert_eq!(&duals[..], b.duals(), "revised 2^{}: duals", k);
         let (a, b) = (dense(&p).unwrap(), dense(&scaled).unwrap());
-        prop_assert_eq!(&a.x, &b.x, "tableau 2^{}: x", k);
-        prop_assert_eq!(a.iterations, b.iterations, "tableau 2^{}: pivots", k);
-        prop_assert_eq!(a.objective * factor, b.objective, "tableau 2^{}", k);
+        assert_eq!(&a.x, &b.x, "tableau 2^{}: x", k);
+        assert_eq!(a.iterations, b.iterations, "tableau 2^{}: pivots", k);
+        assert_eq!(a.objective * factor, b.objective, "tableau 2^{}", k);
         let duals: Vec<f64> = a.duals.iter().map(|y| y * factor).collect();
-        prop_assert_eq!(&duals, &b.duals, "tableau 2^{}: duals", k);
-    }
+        assert_eq!(&duals, &b.duals, "tableau 2^{}: duals", k);
+    });
+}
 
-    /// Objectives of the magnitude the fleet's volume weights produce
-    /// (`λ·p` with `λ` of 1e6…1e8 bit/s): the oracle and the solver still
-    /// agree on `x` to 1e-9, and on the objective and duals to 1e-9 of
-    /// that magnitude.
-    #[test]
-    fn rate_weighted_objectives_agree(
-        n in 2usize..40,
-        rows in 1usize..6,
-        rate in 1e6f64..1e8,
-        seed in any::<u64>(),
-    ) {
-        let mut seed = seed;
-        let c: Vec<f64> = (0..n).map(|_| rate * mix(&mut seed)).collect();
+/// Objectives of the magnitude the fleet's volume weights produce
+/// (`λ·p` with `λ` of 1e6…1e8 bit/s): the oracle and the solver still
+/// agree on `x` to 1e-9, and on the objective and duals to 1e-9 of
+/// that magnitude.
+#[test]
+fn rate_weighted_objectives_agree() {
+    run_cases(fnv1a(b"rate_weighted_objectives_agree"), 96, |rng| {
+        let n = rng.int(2usize..40);
+        let rows = rng.int(1usize..6);
+        let rate = rng.f64(1e6..1e8);
+        let seed = rng.next_u64();
+        let mut coeffs = SplitMix64::new(seed);
+        let c: Vec<f64> = (0..n).map(|_| rate * coeffs.unit()).collect();
         let mut p = Problem::maximize(c);
         // All mass on column 0 fits every row, so each LP is feasible.
         for _ in 0..rows {
-            let usage: Vec<f64> = (0..n).map(|_| rate * mix(&mut seed) * 2.0).collect();
-            let rhs = usage[0] + rate * (0.05 + mix(&mut seed));
+            let usage: Vec<f64> = (0..n).map(|_| rate * coeffs.unit() * 2.0).collect();
+            let rhs = usage[0] + rate * (0.05 + coeffs.unit());
             p.add_le(usage, rhs).unwrap();
         }
         p.add_eq(vec![1.0; n], 1.0).unwrap();
         let dense = dense(&p).unwrap();
         let r = p.solve(&SolverOptions::default()).unwrap();
         let close = |a: f64, b: f64, scale: f64| (a - b).abs() <= 1e-9 * scale;
-        prop_assert!(close(dense.objective, r.objective(), rate), "objective");
+        assert!(close(dense.objective, r.objective(), rate), "objective");
         for (j, (a, b)) in dense.x.iter().zip(r.x()).enumerate() {
-            prop_assert!(close(*a, *b, 1.0), "x[{j}] = {a} vs {b}");
+            assert!(close(*a, *b, 1.0), "x[{j}] = {a} vs {b}");
         }
         for (i, (a, b)) in dense.duals.iter().zip(r.duals()).enumerate() {
-            prop_assert!(close(*a, *b, rate), "dual[{i}] = {a} vs {b}");
+            assert!(close(*a, *b, rate), "dual[{i}] = {a} vs {b}");
         }
-    }
+    });
+}
 
-    /// Random edit scripts over a block-angular LP, the incumbent basis
-    /// carried through every edit: the solve from it and the cold solve
-    /// of the same problem agree **bit for bit** on `x`, objective and
-    /// duals, or both report infeasibility.
-    #[test]
-    fn edit_scripts_from_the_carried_basis_equal_cold(
-        couplings in 1usize..4,
-        steps in 4usize..28,
-        seed in any::<u64>(),
-    ) {
+/// Random edit scripts over a block-angular LP, the incumbent basis
+/// carried through every edit: the solve from it and the cold solve
+/// of the same problem agree **bit for bit** on `x`, objective and
+/// duals, or both report infeasibility.
+#[test]
+fn edit_scripts_from_the_carried_basis_equal_cold() {
+    let stream = fnv1a(b"edit_scripts_from_the_carried_basis_equal_cold");
+    run_cases(stream, 96, |rng| {
+        let couplings = rng.int(1usize..4);
+        let steps = rng.int(4usize..28);
+        let seed = rng.next_u64();
         let opts = SolverOptions::default();
         let mut lp = EditedLp::new(couplings, seed);
         for step in 0..steps {
@@ -708,10 +718,10 @@ proptest! {
             };
             match (warm, cold) {
                 (Ok(mut warm), Ok(cold)) => {
-                    prop_assert_eq!(warm.x(), cold.x(), "step {}: x", step);
-                    prop_assert_eq!(warm.objective(), cold.objective(), "step {}", step);
-                    prop_assert_eq!(warm.duals(), cold.duals(), "step {}: duals", step);
-                    prop_assert!(lp.p.max_violation(warm.x()) < 1e-7);
+                    assert_eq!(warm.x(), cold.x(), "step {}: x", step);
+                    assert_eq!(warm.objective(), cold.objective(), "step {}", step);
+                    assert_eq!(warm.duals(), cold.duals(), "step {}: duals", step);
+                    assert!(lp.p.max_violation(warm.x()) < 1e-7);
                     // What the fleet does: the new optimum's basis is the
                     // one carried on (none if an artificial stayed basic).
                     lp.basis = warm.take_basis();
@@ -724,9 +734,9 @@ proptest! {
                     }
                 }
                 (warm, cold) => {
-                    prop_assert!(false, "step {step}: outcome class mismatch: {warm:?} vs {cold:?}");
+                    panic!("step {step}: outcome class mismatch: {warm:?} vs {cold:?}");
                 }
             }
         }
-    }
+    });
 }

@@ -17,18 +17,8 @@
 //! ([`dmc_lp_oracle::solve`]) to 1e-9.
 
 use dmc_lp::{ConstraintKind, Problem, SolverOptions};
-use proptest::prelude::*;
-
-/// Deterministic pseudo-random f64 in [0, 1) from a seed counter
-/// (SplitMix64, same scheme as `proptest_backends.rs`).
-fn mix(seed: &mut u64) -> f64 {
-    *seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *seed;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z = z ^ (z >> 31);
-    (z >> 11) as f64 / (1u64 << 53) as f64
-}
+use dmc_obs::fnv1a;
+use dmc_stats::rng::{run_cases, SplitMix64};
 
 /// One row of the dense model, **as stored** (a `≥` row negated).
 struct ModelRow {
@@ -46,7 +36,7 @@ struct Script {
     objective: Vec<f64>,
     rows: Vec<ModelRow>,
     block_starts: Vec<usize>,
-    seed: u64,
+    rng: SplitMix64,
 }
 
 impl Script {
@@ -56,14 +46,14 @@ impl Script {
             objective: Vec::new(),
             rows: Vec::new(),
             block_starts: Vec::new(),
-            seed,
+            rng: SplitMix64::new(seed),
         };
         s.append_block();
         s
     }
 
     fn pick(&mut self, n: usize) -> usize {
-        (mix(&mut self.seed) * n as f64) as usize % n.max(1)
+        (self.rng.unit() * n as f64) as usize % n.max(1)
     }
 
     /// A coefficient: mostly a positive number, sometimes either zero.
@@ -71,7 +61,7 @@ impl Script {
         match self.pick(8) {
             0 => 0.0,
             1 => -0.0,
-            _ => 0.05 + mix(&mut self.seed),
+            _ => 0.05 + self.rng.unit(),
         }
     }
 
@@ -79,7 +69,7 @@ impl Script {
     /// existing rows, and its own `Σx = 1` row.
     fn append_block(&mut self) {
         let width = 1 + self.pick(4);
-        let c: Vec<f64> = (0..width).map(|_| 0.2 + mix(&mut self.seed)).collect();
+        let c: Vec<f64> = (0..width).map(|_| 0.2 + self.rng.unit()).collect();
         let cols = self.p.append_block(&c).unwrap();
         self.block_starts.push(cols.start);
         self.objective.extend_from_slice(&c);
@@ -128,10 +118,10 @@ impl Script {
         }
         let sum: f64 = entries.iter().map(|e| e.1).sum();
         if self.pick(3) == 0 {
-            let floor = 0.1 * mix(&mut self.seed) * sum / n as f64;
+            let floor = 0.1 * self.rng.unit() * sum / n as f64;
             self.add_sparse(ConstraintKind::LessEq, true, &entries, floor);
         } else {
-            let cap = (0.3 + mix(&mut self.seed)) * sum.max(0.5);
+            let cap = (0.3 + self.rng.unit()) * sum.max(0.5);
             self.add_sparse(ConstraintKind::LessEq, false, &entries, cap);
         }
     }
@@ -168,7 +158,7 @@ impl Script {
 
     fn set_rhs(&mut self) {
         let row = self.pick(self.rows.len());
-        let rhs = self.rows[row].rhs * (0.5 + mix(&mut self.seed));
+        let rhs = self.rows[row].rhs * (0.5 + self.rng.unit());
         self.p.set_rhs(row, rhs).unwrap();
         self.rows[row].rhs = rhs;
     }
@@ -198,7 +188,7 @@ impl Script {
         let n = self.objective.len();
         let all: Vec<(usize, f64)> = (0..n).map(|j| (j, 1.0)).collect();
         self.add_sparse(ConstraintKind::LessEq, false, &all, 1.0);
-        let x0: Vec<f64> = (0..n).map(|_| 0.1 + mix(&mut self.seed)).collect();
+        let x0: Vec<f64> = (0..n).map(|_| 0.1 + self.rng.unit()).collect();
         for row in 0..self.rows.len() {
             let lhs: f64 = self.rows[row]
                 .stored
@@ -208,7 +198,7 @@ impl Script {
                 .sum();
             let rhs = match self.rows[row].kind {
                 ConstraintKind::Eq => lhs,
-                ConstraintKind::LessEq => lhs + mix(&mut self.seed),
+                ConstraintKind::LessEq => lhs + self.rng.unit(),
             };
             self.p.set_rhs(row, rhs).unwrap();
             self.rows[row].rhs = rhs;
@@ -252,19 +242,19 @@ fn undeclared(p: &Problem) -> Problem {
     p
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn edited_in_place_equals_built_once(steps in 1usize..40, seed in any::<u64>()) {
+#[test]
+fn edited_in_place_equals_built_once() {
+    run_cases(fnv1a(b"edited_in_place_equals_built_once"), 128, |rng| {
+        let steps = rng.int(1usize..40);
+        let seed = rng.next_u64();
         let mut script = Script::new(seed);
         for step in 0..steps {
             script.step();
-            prop_assert_eq!(&script.p, &script.rebuilt(), "after step {}", step);
+            assert_eq!(&script.p, &script.rebuilt(), "after step {}", step);
         }
         script.make_solvable();
         let (edited, rebuilt) = (&script.p, script.rebuilt());
-        prop_assert_eq!(edited, &rebuilt);
+        assert_eq!(edited, &rebuilt);
         let dense = dmc_lp_oracle::solve(edited).unwrap();
         let opts = SolverOptions::default();
         // The script's problem always declares its blocks.
@@ -274,19 +264,19 @@ proptest! {
         }
         for (case, edited, rebuilt) in runs {
             let (a, b) = (edited.solve(&opts).unwrap(), rebuilt.solve(&opts).unwrap());
-            prop_assert_eq!(a.x(), b.x(), "{}: x", case);
-            prop_assert_eq!(a.objective().to_bits(), b.objective().to_bits());
-            prop_assert_eq!(a.duals(), b.duals(), "{}: duals", case);
-            prop_assert!(
+            assert_eq!(a.x(), b.x(), "{}: x", case);
+            assert_eq!(a.objective().to_bits(), b.objective().to_bits());
+            assert_eq!(a.duals(), b.duals(), "{}: duals", case);
+            assert!(
                 (a.objective() - dense.objective).abs() < 1e-9,
                 "{case} {} vs dense {}",
                 a.objective(),
                 dense.objective
             );
             for (j, (x, d)) in a.x().iter().zip(&dense.x).enumerate() {
-                prop_assert!((x - d).abs() < 1e-9, "{case} x[{j}]: {x} vs dense {d}");
+                assert!((x - d).abs() < 1e-9, "{case} x[{j}]: {x} vs dense {d}");
             }
-            a.certify(&edited).map_err(TestCaseError)?;
+            a.certify(&edited).unwrap_or_else(|e| panic!("{case}: {e}"));
         }
-    }
+    });
 }

@@ -77,6 +77,8 @@ mod wall;
 
 pub use metrics::{bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, NUM_BUCKETS};
 pub use registry::Obs;
-pub use snapshot::{fnv1a, HistogramSnapshot, Snapshot, SpanSummary, WarningRecord};
+pub use snapshot::{
+    fnv1a, fnv1a_extend, HistogramSnapshot, Snapshot, SpanSummary, WarningRecord, FNV_BASIS,
+};
 pub use span::{SpanEvent, SpanGuard, MAX_SPAN_EVENTS};
 pub use wall::WallProfiler;

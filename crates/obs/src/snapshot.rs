@@ -5,14 +5,20 @@ use std::fmt::Write as _;
 use crate::metrics::bucket_upper_bound;
 use crate::span::SpanEvent;
 
-/// FNV-1a offset basis (the constant used across this workspace).
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a offset basis: the hash of no bytes, where a running
+/// [`fnv1a_extend`] starts.
+pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// FNV-1a over a byte slice, seeded with the standard offset basis.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_BASIS;
+    fnv1a_extend(FNV_BASIS, bytes)
+}
+
+/// Folds `bytes` into the running FNV-1a hash `h`:
+/// `fnv1a_extend(fnv1a(a), b)` is `fnv1a` of `a` followed by `b`.
+pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
@@ -512,6 +518,7 @@ mod tests {
         // Pin the FNV-1a primitive itself against the workspace constants.
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_extend(fnv1a(b"ab"), b"cd"), fnv1a(b"abcd"));
     }
 
     #[test]

@@ -588,7 +588,6 @@ impl Agent for DmcSender {
 mod tests {
     use super::*;
     use crate::receiver::{DmcReceiver, ReceiverConfig};
-    use crate::seqs::tests::Draw;
     use dmc_core::{NetworkSpec, Objective, PathSpec, Plan, Planner, Scenario};
     use dmc_sim::{LinkConfig, TwoHostSim};
     use dmc_stats::rng::SplitMix64;
@@ -828,13 +827,13 @@ mod tests {
             let mut ack = Ack::new(h.seq, h.sent_ns, h.path, start);
             ack.bitmap = self.bitmap(start);
             api.send(1, Packet::new(Ack::WIRE_BYTES, ack.encode()));
-            if self.rng.below(2) == 0 {
-                let start = match self.rng.below(3) {
-                    0 => self.highest + self.rng.below(256),
-                    1 => self.rng.below(self.highest + 1),
-                    _ => u64::MAX - self.rng.below(128),
+            if self.rng.int(0u64..2) == 0 {
+                let start = match self.rng.int(0u64..3) {
+                    0 => self.highest + self.rng.int(0u64..256),
+                    1 => self.rng.int(0u64..self.highest + 1),
+                    _ => u64::MAX - self.rng.int(0u64..128),
                 };
-                let echo = [h.seq, self.rng.next_u64(), u64::MAX][self.rng.below(3) as usize];
+                let echo = [h.seq, self.rng.next_u64(), u64::MAX][self.rng.int(0usize..3)];
                 let mut forged = Ack::new(echo, h.sent_ns, h.path, start);
                 forged.bitmap = (u128::from(self.rng.next_u64()) << 64
                     | u128::from(self.rng.next_u64()))

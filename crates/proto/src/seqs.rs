@@ -286,30 +286,13 @@ impl<T> SeqWindow<T> {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     //! Seeded operation scripts through both structures, each held to an
     //! ordered model (`BTreeSet` / `BTreeMap`) after every step: every
     //! answer must match, and the storage must stay within its bound.
 
     use super::*;
     use dmc_stats::rng::SplitMix64;
-
-    /// The scripts' draws from a SplitMix64 stream (the sender's tests
-    /// forge acks with it too).
-    pub(crate) trait Draw {
-        fn below(&mut self, n: u64) -> u64;
-        fn chance(&mut self, per_mille: u64) -> bool;
-    }
-
-    impl Draw for SplitMix64 {
-        fn below(&mut self, n: u64) -> u64 {
-            self.next_u64() % n
-        }
-
-        fn chance(&mut self, per_mille: u64) -> bool {
-            self.below(1000) < per_mille
-        }
-    }
 
     /// Headers no honest sender writes.
     const LIES: [u64; 5] = [
@@ -337,15 +320,15 @@ pub(crate) mod tests {
         for seq in 0..n {
             let at = match how {
                 Arrivals::InOrder => seq,
-                Arrivals::Reordered(by) => seq + rng.below(by + 1),
+                Arrivals::Reordered(by) => seq + rng.int(0u64..by + 1),
                 Arrivals::TwoPaths => {
-                    if rng.chance(800) {
-                        if rng.chance(200) {
+                    if rng.int(0u64..1000) < 800 {
+                        if rng.int(0u64..1000) < 200 {
                             continue;
                         }
-                        seq + 4_400 + rng.below(200)
+                        seq + 4_400 + rng.int(0u64..200)
                     } else {
-                        seq + rng.below(50)
+                        seq + rng.int(0u64..50)
                     }
                 }
             };
@@ -355,15 +338,19 @@ pub(crate) mod tests {
         let mut out = Vec::with_capacity(keyed.len());
         for (i, &(_, seq)) in keyed.iter().enumerate() {
             out.push(seq);
-            if rng.chance(50) {
+            if rng.int(0u64..1000) < 50 {
                 // A duplicate of a recent or an old arrival.
-                let back = if rng.chance(500) { 20 } else { i as u64 + 1 };
-                out.push(keyed[i - rng.below(back.min(i as u64 + 1)) as usize].1);
+                let back = if rng.int(0u64..1000) < 500 {
+                    20
+                } else {
+                    i as u64 + 1
+                };
+                out.push(keyed[i - rng.int(0u64..back.min(i as u64 + 1)) as usize].1);
             }
-            if rng.chance(2) {
-                out.push(LIES[rng.below(LIES.len() as u64) as usize]);
+            if rng.int(0u64..1000) < 2 {
+                out.push(LIES[rng.int(0u64..LIES.len() as u64) as usize]);
             }
-            if rng.chance(1) {
+            if rng.int(0u64..1000) < 1 {
                 out.push(rng.next_u64());
             }
         }
@@ -399,14 +386,14 @@ pub(crate) mod tests {
             assert_eq!(set.len(), model.len(), "len: {at}");
             highest = highest.max(seq);
             // The receiver's ack window, and one somewhere below it.
-            for start in [highest.saturating_sub(127), rng.below(highest.max(1))] {
+            for start in [highest.saturating_sub(127), rng.int(0u64..highest.max(1))] {
                 assert_eq!(
                     set.window(start),
                     model_window(&model, start),
                     "window at {start}: {at}"
                 );
             }
-            for probe in [seq, seq ^ 1, rng.below(n + 64), LIES[step % LIES.len()]] {
+            for probe in [seq, seq ^ 1, rng.int(0u64..n + 64), LIES[step % LIES.len()]] {
                 assert_eq!(
                     set.contains(probe),
                     model.contains(&probe),
@@ -495,12 +482,12 @@ pub(crate) mod tests {
         let mut next = 0u64;
         for step in 0..steps {
             let at = format!("seed {seed} reorder {reorder} step {step}");
-            let roll = rng.below(100);
+            let roll = rng.int(0u64..100);
             if roll < 40 {
                 // Generate: blackholed at source now and then.
                 let seq = next;
                 next += 1;
-                if rng.chance(70) {
+                if rng.int(0u64..1000) < 70 {
                     assert_eq!(window.remove(seq), model.remove(&seq), "blackhole: {at}");
                 } else {
                     let value = rng.next_u64();
@@ -509,14 +496,14 @@ pub(crate) mod tests {
                         model.insert(seq, value),
                         "send {seq}: {at}"
                     );
-                    if rng.chance(stuck_per_mille) {
+                    if rng.int(0u64..1000) < stuck_per_mille {
                         stuck.insert(seq);
                     }
                 }
             } else if roll < 50 {
                 // Retransmit a live message: its record is replaced.
                 let from = next.saturating_sub(reorder + 1);
-                let pick = from + rng.below(next - from + 1);
+                let pick = from + rng.int(0u64..next - from + 1);
                 if let Some((&seq, _)) = model.range(pick..).next() {
                     let value = rng.next_u64();
                     assert_eq!(
@@ -527,7 +514,7 @@ pub(crate) mod tests {
                 }
             } else if roll < 85 {
                 // An ack: some seq up to `reorder` behind the newest.
-                let seq = next.saturating_sub(1 + rng.below(reorder + 1));
+                let seq = next.saturating_sub(1 + rng.int(0u64..reorder + 1));
                 if !stuck.contains(&seq) {
                     assert_eq!(window.remove(seq), model.remove(&seq), "ack {seq}: {at}");
                 }
@@ -547,7 +534,7 @@ pub(crate) mod tests {
                 }
             } else if roll < 95 {
                 // A fast-retransmit duplicate indication.
-                let seq = next.saturating_sub(1 + rng.below(reorder + 1));
+                let seq = next.saturating_sub(1 + rng.int(0u64..reorder + 1));
                 if let Some(v) = window.get_mut(seq) {
                     *v = v.wrapping_add(1);
                 }
@@ -557,14 +544,14 @@ pub(crate) mod tests {
             } else {
                 // A forged ack or header: lookups, removals and — though
                 // no sender writes one — an insert of a lying seq.
-                let lie = match rng.below(3) {
-                    0 => LIES[rng.below(LIES.len() as u64) as usize],
+                let lie = match rng.int(0u64..3) {
+                    0 => LIES[rng.int(0u64..LIES.len() as u64) as usize],
                     // Just past the newest seq: the ring reaches it later.
-                    1 => next + rng.below(5_000),
+                    1 => next + rng.int(0u64..5_000),
                     _ => rng.next_u64(),
                 };
                 assert_eq!(window.get(lie), model.get(&lie), "get lie {lie}: {at}");
-                if rng.chance(500) {
+                if rng.int(0u64..1000) < 500 {
                     assert_eq!(window.remove(lie), model.remove(&lie), "remove {lie}: {at}");
                 } else {
                     assert_eq!(
@@ -578,7 +565,7 @@ pub(crate) mod tests {
             assert_eq!(window.len(), model.len(), "len: {at}");
             for probe in [
                 next.saturating_sub(1),
-                rng.below(next + 1),
+                rng.int(0u64..next + 1),
                 LIES[step % LIES.len()],
             ] {
                 assert_eq!(window.get(probe), model.get(&probe), "get {probe}: {at}");
@@ -616,11 +603,11 @@ pub(crate) mod tests {
         let end = base.saturating_add(window.slots.len() as u64);
         let bounds = [
             0,
-            base.saturating_sub(1 + rng.below(64)),
+            base.saturating_sub(1 + rng.int(0u64..64)),
             base,
-            base.saturating_add(rng.below(window.slots.len() as u64 + 1)),
+            base.saturating_add(rng.int(0u64..window.slots.len() as u64 + 1)),
             end,
-            end.saturating_add(rng.below(6_000)),
+            end.saturating_add(rng.int(0u64..6_000)),
             u64::MAX,
         ];
         for bound in [bounds[step % 7], bounds[(step + 3) % 7]] {

@@ -11,10 +11,16 @@
 //! * [`SplitMix64`] (Steele, Lea & Flood 2014), the small stream the
 //!   fault injector, the adaptive sender and the test scripts consume;
 //! * [`mix64`], the SplitMix64 finalizer, for stateless seed derivation
-//!   (the simulator's per-link seeds, the Monte-Carlo per-trial seeds).
+//!   (the simulator's per-link seeds, the Monte-Carlo per-trial seeds);
+//! * [`run_cases`], which runs a property test's cases over one
+//!   [`SplitMix64`] stream, drawing each case's inputs with
+//!   [`SplitMix64::int`], [`SplitMix64::f64`] and [`SplitMix64::bool`].
 //!
 //! None of it is cryptographically secure, and nothing here needs to be:
 //! determinism for a given seed is the contract.
+
+use std::ops::Range;
+use std::panic::AssertUnwindSafe;
 
 /// The SplitMix64 increment, `⌊2⁶⁴/φ⌋` (odd, so the state walks the
 /// whole `u64` ring).
@@ -51,6 +57,60 @@ impl SplitMix64 {
     /// Uniform in `[0, 1)` from the top 53 bits.
     pub fn unit(&mut self) -> f64 {
         to_unit(self.next_u64())
+    }
+
+    /// An integer in `range`, whose type is at most 64 bits wide:
+    /// `start + next_u64() % span`. Panics on an empty range.
+    pub fn int<T>(&mut self, range: Range<T>) -> T
+    where
+        T: Copy + TryInto<i128> + TryFrom<i128>,
+    {
+        let (Ok(start), Ok(end)) = (range.start.try_into(), range.end.try_into()) else {
+            // dmc-lint: allow(panic-hygiene) integers of up to 64 bits fit an i128
+            unreachable!("integer range beyond i128");
+        };
+        assert!(start < end, "empty integer range");
+        // A span of at most 2⁶⁴ − 1: the ends are at most 64-bit.
+        let offset = self.next_u64() % (end - start) as u64;
+        let Ok(value) = T::try_from(start + i128::from(offset)) else {
+            // dmc-lint: allow(panic-hygiene) start + offset < end, which is a T
+            unreachable!("draw outside its range");
+        };
+        value
+    }
+
+    /// A float in `range`: `start + (end − start) · unit()`.
+    pub fn f64(&mut self, range: Range<f64>) -> f64 {
+        range.start + (range.end - range.start) * self.unit()
+    }
+
+    /// A bool from the low bit of the next output.
+    pub fn bool(&mut self) -> bool {
+        self.next_u64() & 1 == 1
+    }
+}
+
+/// Runs `cases` cases of a property test over one [`SplitMix64`] stream
+/// started at `seed` (the tests pass `dmc_obs::fnv1a` of their name).
+/// Each case draws its inputs from the stream it is handed, in order;
+/// the next case starts where it stopped.
+///
+/// A failing case panics again with its number and the stream state at
+/// its start: `run_cases(state, 1, case)` replays it alone.
+pub fn run_cases(seed: u64, cases: u32, mut case: impl FnMut(&mut SplitMix64)) {
+    let mut rng = SplitMix64::new(seed);
+    for k in 1..=cases {
+        let state = rng.0;
+        let run = std::panic::catch_unwind(AssertUnwindSafe(|| case(&mut rng)));
+        if let Err(payload) = run {
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("non-string panic");
+            // dmc-lint: allow(panic-hygiene) a failing case fails its test
+            panic!("case {k}/{cases} failed from stream state {state:#018x}: {message}");
+        }
     }
 }
 
@@ -139,6 +199,58 @@ mod tests {
                 0xF88B_B8A8_724C_81EC,
             ]
         );
+    }
+
+    #[test]
+    fn case_draws_known_answers() {
+        // Every property test draws its inputs through these mappings,
+        // so no bit of them may move.
+        let mut r = SplitMix64::new(dmc_obs::fnv1a(b"known_answers"));
+        assert_eq!(r.next_u64(), 0xC14C_19B2_2693_B895);
+        assert_eq!(r.next_u64() as u8, 49);
+        assert!(r.bool());
+        assert_eq!(r.int(-60i32..60), 22);
+        assert_eq!(r.int(0u64..u64::MAX / 2), 0x6424_D524_68B4_4576);
+        assert_eq!(r.f64(1.0..150.0).to_bits(), 0x4057_BC01_5AAE_AA39);
+        let v: Vec<u64> = (0..r.int(0usize..40)).map(|_| r.int(0u64..128)).collect();
+        assert_eq!(
+            v,
+            [114, 27, 36, 55, 123, 55, 60, 26, 20, 113, 66, 11, 8, 23, 66, 99, 41, 85]
+        );
+    }
+
+    #[test]
+    fn a_failing_case_names_its_number_and_start_state() {
+        let case = |rng: &mut SplitMix64| assert!(rng.next_u64() % 5 != 0, "a multiple of 5");
+        let payload = std::panic::catch_unwind(|| run_cases(7, 64, case))
+            .expect_err("one of 64 draws is a multiple of 5");
+        let message = payload.downcast_ref::<String>().expect("a formatted panic");
+        let mut r = SplitMix64::new(7);
+        let (mut k, mut state) = (1, r.clone());
+        while r.next_u64() % 5 != 0 {
+            (k, state) = (k + 1, r.clone());
+        }
+        assert_eq!(
+            *message,
+            format!(
+                "case {k}/64 failed from stream state {:#018x}: a multiple of 5",
+                state.0
+            )
+        );
+        // The named state replays that case alone.
+        let replay = std::panic::catch_unwind(|| run_cases(state.0, 1, case));
+        assert!(replay.is_err());
+        run_cases(7, k - 1, case);
+    }
+
+    #[test]
+    fn a_one_wide_range_yields_its_start() {
+        let mut r = SplitMix64::new(3);
+        for _ in 0..100 {
+            assert_eq!(r.int(5u8..6), 5);
+            assert_eq!(r.int(-7i64..-6), -7);
+            assert_eq!(r.int(u64::MAX - 1..u64::MAX), u64::MAX - 1);
+        }
     }
 
     #[test]

@@ -93,3 +93,79 @@ fn documented_crates_only_counts_the_crate_map_section() {
         vec!["crates/a".to_string()]
     );
 }
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display()));
+    for entry in entries {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Whether `source` spells the hex literal whose significant digits are
+/// `digits` (lowercase), with any `_` separators, either case and any
+/// leading zeros.
+fn spells_hex(source: &str, digits: &str) -> bool {
+    let plain: String = source
+        .chars()
+        .filter(|&c| c != '_')
+        .collect::<String>()
+        .to_ascii_lowercase();
+    plain.match_indices("0x").any(|(at, _)| {
+        let literal: String = plain[at + 2..]
+            .chars()
+            .take_while(char::is_ascii_hexdigit)
+            .collect();
+        literal.trim_start_matches('0') == digits
+    })
+}
+
+/// One seeded stream and one hash: the SplitMix64 increment is spelled
+/// only by `dmc_stats::rng`, and the FNV-1a 64-bit prime only by
+/// `dmc_obs`'s `fnv1a`, so no private copy of either survives in code or
+/// tests (`benchmark/` is its own workspace and not scanned).
+#[test]
+fn one_splitmix64_and_one_fnv1a_in_the_tree() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    files.sort();
+    for (digits, home) in [
+        ("9e3779b97f4a7c15", "crates/stats/src/rng.rs"),
+        ("100000001b3", "crates/obs/src/snapshot.rs"),
+    ] {
+        let sites: Vec<String> = files
+            .iter()
+            .filter(|f| {
+                spells_hex(
+                    &std::fs::read_to_string(f).expect("readable source"),
+                    digits,
+                )
+            })
+            .map(|f| {
+                f.strip_prefix(root)
+                    .expect("under the root")
+                    .display()
+                    .to_string()
+            })
+            .collect();
+        assert_eq!(sites, [home], "0x{digits} is spelled outside {home}");
+    }
+}
+
+#[test]
+fn hex_spelling_ignores_separators_case_and_leading_zeros() {
+    for spelled in ["0xAB_CD01", "x = 0xabcd01u64;", "0X0000_ABCD_01"] {
+        assert!(spells_hex(spelled, "abcd01"), "{spelled}");
+    }
+    for other in ["0xabcd012", "0xabcd", "abcd01", "0x1abcd01"] {
+        assert!(!spells_hex(other, "abcd01"), "{other}");
+    }
+}

@@ -42,6 +42,7 @@ use deadline_multipath::fleet::{
     ServiceEvent, SlotWindow, TimeGrid,
 };
 use deadline_multipath::model::ScenarioPath;
+use deadline_multipath::obs::{fnv1a_extend, FNV_BASIS};
 use deadline_multipath::sim::LinkChange;
 use deadline_multipath::stats::rng::SplitMix64;
 
@@ -56,14 +57,11 @@ struct Fnv(u64);
 
 impl Fnv {
     fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        Fnv(FNV_BASIS)
     }
 
     fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = fnv1a_extend(self.0, bytes);
     }
 
     fn floats(&mut self, xs: &[f64]) {
@@ -74,24 +72,6 @@ impl Fnv {
 
     fn debug(&mut self, value: &impl std::fmt::Debug) {
         self.bytes(format!("{value:?}").as_bytes());
-    }
-}
-
-/// The script's draws from its SplitMix64 stream, its only entropy
-/// source.
-trait Draw {
-    fn range(&mut self, lo: f64, hi: f64) -> f64;
-    fn below(&mut self, n: u64) -> u64;
-}
-
-impl Draw for SplitMix64 {
-    /// Uniform in `[lo, hi)`.
-    fn range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.unit()
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n
     }
 }
 
@@ -123,17 +103,17 @@ fn gridded_service() -> FleetService {
 /// in three, a budget one time in four, a priority one time in three,
 /// `m = 1` one time in five.
 fn seeded_request(rng: &mut SplitMix64) -> FlowRequest {
-    let mut r = FlowRequest::new(rng.range(4e6, 24e6), rng.range(0.4, 1.2)).unwrap();
-    if rng.below(3) > 0 {
-        r = r.with_min_quality(rng.range(0.3, 0.9));
+    let mut r = FlowRequest::new(rng.f64(4e6..24e6), rng.f64(0.4..1.2)).unwrap();
+    if rng.int(0u64..3) > 0 {
+        r = r.with_min_quality(rng.f64(0.3..0.9));
     }
-    if rng.below(4) == 0 {
-        r = r.with_cost_budget(rng.range(1.0, 4.0));
+    if rng.int(0u64..4) == 0 {
+        r = r.with_cost_budget(rng.f64(1.0..4.0));
     }
-    if rng.below(3) == 0 {
-        r = r.with_priority(rng.range(1.0, 6.0));
+    if rng.int(0u64..3) == 0 {
+        r = r.with_priority(rng.f64(1.0..6.0));
     }
-    if rng.below(5) == 0 {
+    if rng.int(0u64..5) == 0 {
         r = r.with_transmissions(1);
     }
     r
@@ -183,9 +163,9 @@ fn seeded_script_reproduces_the_recorded_bits() {
         let request = seeded_request(&mut rng);
         let request = match i % 4 {
             0 => request,
-            1 => request.with_paths(vec![2 * rng.below(3) as usize]),
+            1 => request.with_paths(vec![2 * rng.int(0usize..3)]),
             2 => {
-                let region = 2 * rng.below(3) as usize;
+                let region = 2 * rng.int(0usize..3);
                 request.with_paths(vec![region, region + 1])
             }
             _ => request.with_paths(vec![1, 2, 5]),
@@ -218,7 +198,7 @@ fn seeded_script_reproduces_the_recorded_bits() {
         service.submit_depart(flow);
     }
     for _ in 0..4 {
-        let region = 2 * rng.below(3) as usize;
+        let region = 2 * rng.int(0usize..3);
         service
             .submit(seeded_request(&mut rng).with_paths(vec![region, region + 1]))
             .unwrap();
@@ -363,14 +343,14 @@ fn bare_schedule_script_reproduces_the_recorded_bits() {
     ids.push(buffered.id());
     let mut reserved = 0;
     for _ in 0..8 {
-        let start = rng.below(4);
-        let len = 1 + rng.below(3);
+        let start = rng.int(0u64..4);
+        let len = 1 + rng.int(0u64..3);
         let mut request = ScheduleRequest::new(
             seeded_request(&mut rng),
             SlotWindow::new(start, start + len).unwrap(),
         );
-        if rng.below(3) == 0 {
-            request = request.with_buffer(rng.range(0.2, 1.0));
+        if rng.int(0u64..3) == 0 {
+            request = request.with_buffer(rng.f64(0.2..1.0));
         }
         let decision = sched.offer(request).unwrap();
         reserved += usize::from(decision.is_reserved());

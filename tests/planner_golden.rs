@@ -21,6 +21,7 @@
 //! [`TimeoutSchedule`] (presence, delay, retransmit flag).
 
 use deadline_multipath::experiments::scenarios;
+use deadline_multipath::obs::{fnv1a_extend, FNV_BASIS};
 use deadline_multipath::prelude::*;
 
 const TABLE3_10_800: u64 = 0xaf6a_5f7e_b0f3_072e;
@@ -38,14 +39,11 @@ struct Fnv(u64);
 
 impl Fnv {
     fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        Fnv(FNV_BASIS)
     }
 
     fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = fnv1a_extend(self.0, bytes);
     }
 
     fn floats(&mut self, xs: &[f64]) {

@@ -7,12 +7,10 @@
 //! sweeps, and the pipeline never panics on any valid scenario.
 
 use deadline_multipath::experiments::scenarios;
+use deadline_multipath::obs::fnv1a;
 use deadline_multipath::prelude::*;
+use deadline_multipath::stats::rng::{run_cases, SplitMix64};
 use deadline_multipath::stats::UniformDelay;
-use proptest::prelude::*;
-// Explicit import wins over both globs: `Strategy` here is proptest's
-// trait (dmc-core's `Strategy` struct is only used through `Plan`).
-use proptest::Strategy;
 use std::sync::Arc;
 
 const TOL: f64 = 1e-9;
@@ -317,52 +315,43 @@ fn infeasible_warm_basis_falls_back_and_can_be_disabled() {
     assert_eq!(off.warm_stats(), dmc_core::WarmStats::default());
 }
 
-fn arb_constant_path() -> impl Strategy<Value = ScenarioPath> {
-    (
-        1.0f64..200.0, // bandwidth Mbps
-        0.005f64..0.8, // delay s
-        0.0f64..0.9,   // loss
-        0.0f64..5e-9,  // cost per bit
-    )
-        .prop_map(|(bw, d, l, c)| {
-            ScenarioPath::constant_with_cost(bw * 1e6, d, l, c).expect("valid")
-        })
+fn arb_constant_path(rng: &mut SplitMix64) -> ScenarioPath {
+    let bw = rng.f64(1.0..200.0); // bandwidth Mbps
+    let d = rng.f64(0.005..0.8); // delay s
+    let l = rng.f64(0.0..0.9); // loss
+    let c = rng.f64(0.0..5e-9); // cost per bit
+    ScenarioPath::constant_with_cost(bw * 1e6, d, l, c).expect("valid")
 }
 
-fn arb_gamma_path() -> impl Strategy<Value = ScenarioPath> {
-    (
-        1.0f64..100.0,  // bandwidth Mbps
-        1.0f64..12.0,   // gamma shape
-        0.001f64..0.01, // gamma scale s
-        0.01f64..0.4,   // shift s
-        0.0f64..0.8,    // loss
+fn arb_gamma_path(rng: &mut SplitMix64) -> ScenarioPath {
+    let bw = rng.f64(1.0..100.0); // bandwidth Mbps
+    let shape = rng.f64(1.0..12.0); // gamma shape
+    let scale = rng.f64(0.001..0.01); // gamma scale s
+    let shift = rng.f64(0.01..0.4); // shift s
+    let loss = rng.f64(0.0..0.8); // loss
+    ScenarioPath::new(
+        bw * 1e6,
+        Arc::new(ShiftedGamma::new(shape, scale, shift).expect("valid")),
+        loss,
+        0.0,
     )
-        .prop_map(|(bw, shape, scale, shift, loss)| {
-            ScenarioPath::new(
-                bw * 1e6,
-                Arc::new(ShiftedGamma::new(shape, scale, shift).expect("valid")),
-                loss,
-                0.0,
-            )
-            .expect("valid")
-        })
+    .expect("valid")
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Any valid deterministic scenario round-trips through the pipeline
-    /// without panicking, and the plan is internally consistent: a
-    /// well-formed strategy, in-range quality, bandwidth-respecting send
-    /// rates, a scheduler that starts, and a schedule covering every
-    /// combination.
-    #[test]
-    fn any_deterministic_scenario_plans(
-        paths in proptest::collection::vec(arb_constant_path(), 1..5),
-        lambda in 1.0f64..300.0,
-        delta in 0.05f64..2.0,
-        m in 1usize..4,
-    ) {
+/// Any valid deterministic scenario round-trips through the pipeline
+/// without panicking, and the plan is internally consistent: a
+/// well-formed strategy, in-range quality, bandwidth-respecting send
+/// rates, a scheduler that starts, and a schedule covering every
+/// combination.
+#[test]
+fn any_deterministic_scenario_plans() {
+    run_cases(fnv1a(b"any_deterministic_scenario_plans"), 32, |rng| {
+        let paths = (0..rng.int(1usize..5))
+            .map(|_| arb_constant_path(rng))
+            .collect::<Vec<_>>();
+        let lambda = rng.f64(1.0..300.0);
+        let delta = rng.f64(0.05..2.0);
+        let m = rng.int(1usize..4);
         let scenario = Scenario::builder()
             .paths(paths)
             .data_rate(lambda * 1e6)
@@ -371,28 +360,42 @@ proptest! {
             .build()
             .expect("valid");
         let mut planner = Planner::new();
-        let plan = planner.plan(&scenario, Objective::MaxQuality).expect("feasible");
-        prop_assert!(plan.strategy().is_well_formed(1e-7));
-        prop_assert!(plan.quality() >= -1e-9 && plan.quality() <= 1.0 + 1e-9,
-            "Q = {}", plan.quality());
+        let plan = planner
+            .plan(&scenario, Objective::MaxQuality)
+            .expect("feasible");
+        assert!(plan.strategy().is_well_formed(1e-7));
+        assert!(
+            plan.quality() >= -1e-9 && plan.quality() <= 1.0 + 1e-9,
+            "Q = {}",
+            plan.quality()
+        );
         for (k, (&rate, path)) in plan.send_rates().iter().zip(scenario.paths()).enumerate() {
-            prop_assert!(rate <= path.bandwidth() * (1.0 + 1e-7),
-                "S_{k} = {rate} > b = {}", path.bandwidth());
+            assert!(
+                rate <= path.bandwidth() * (1.0 + 1e-7),
+                "S_{k} = {rate} > b = {}",
+                path.bandwidth()
+            );
         }
-        prop_assert_eq!(plan.schedule().num_combos(), plan.strategy().table().num_combos());
+        assert_eq!(
+            plan.schedule().num_combos(),
+            plan.strategy().table().num_combos()
+        );
         let mut sched = plan.scheduler();
         let combo = sched.next_combo();
-        prop_assert!(combo < plan.strategy().table().num_combos());
-    }
+        assert!(combo < plan.strategy().table().num_combos());
+    });
+}
 
-    /// Same for random-delay scenarios (smaller sizes: discretized
-    /// timeout optimization is the expensive part).
-    #[test]
-    fn any_random_scenario_plans(
-        paths in proptest::collection::vec(arb_gamma_path(), 1..4),
-        lambda in 1.0f64..150.0,
-        delta in 0.1f64..1.5,
-    ) {
+/// Same for random-delay scenarios (smaller sizes: discretized
+/// timeout optimization is the expensive part).
+#[test]
+fn any_random_scenario_plans() {
+    run_cases(fnv1a(b"any_random_scenario_plans"), 32, |rng| {
+        let paths = (0..rng.int(1usize..4))
+            .map(|_| arb_gamma_path(rng))
+            .collect::<Vec<_>>();
+        let lambda = rng.f64(1.0..150.0);
+        let delta = rng.f64(0.1..1.5);
         let scenario = Scenario::builder()
             .paths(paths)
             .data_rate(lambda * 1e6)
@@ -400,31 +403,37 @@ proptest! {
             .build()
             .expect("valid");
         let mut planner = Planner::new();
-        let plan = planner.plan(&scenario, Objective::MaxQuality).expect("feasible");
-        prop_assert!(plan.strategy().is_well_formed(1e-7));
-        prop_assert!(plan.quality() >= -1e-9 && plan.quality() <= 1.0 + 1e-9,
-            "Q = {}", plan.quality());
-        prop_assert!(plan.ack_path() < scenario.num_paths());
+        let plan = planner
+            .plan(&scenario, Objective::MaxQuality)
+            .expect("feasible");
+        assert!(plan.strategy().is_well_formed(1e-7));
+        assert!(
+            plan.quality() >= -1e-9 && plan.quality() <= 1.0 + 1e-9,
+            "Q = {}",
+            plan.quality()
+        );
+        assert!(plan.ack_path() < scenario.num_paths());
         // Every defined pairwise timeout is positive and within the
         // lifetime.
         for i in 0..scenario.num_paths() {
             for j in 0..scenario.num_paths() {
                 if let Some(t) = plan.timeout(i, j) {
-                    prop_assert!(t >= 0.0 && t <= delta + 1e-12, "t({i},{j}) = {t}");
+                    assert!(t >= 0.0 && t <= delta + 1e-12, "t({i},{j}) = {t}");
                 }
             }
         }
-    }
+    });
+}
 
-    /// Mixed scenarios (one constant + one gamma path) plan fine too —
-    /// the regimes genuinely compose.
-    #[test]
-    fn mixed_scenarios_plan(
-        constant in arb_constant_path(),
-        gamma in arb_gamma_path(),
-        lambda in 1.0f64..150.0,
-        delta in 0.1f64..1.5,
-    ) {
+/// Mixed scenarios (one constant + one gamma path) plan fine too —
+/// the regimes genuinely compose.
+#[test]
+fn mixed_scenarios_plan() {
+    run_cases(fnv1a(b"mixed_scenarios_plan"), 32, |rng| {
+        let constant = arb_constant_path(rng);
+        let gamma = arb_gamma_path(rng);
+        let lambda = rng.f64(1.0..150.0);
+        let delta = rng.f64(0.1..1.5);
         let scenario = Scenario::builder()
             .path(constant)
             .path(gamma)
@@ -432,9 +441,11 @@ proptest! {
             .lifetime(delta)
             .build()
             .expect("valid");
-        prop_assert!(!scenario.is_deterministic());
+        assert!(!scenario.is_deterministic());
         let mut planner = Planner::new();
-        let plan = planner.plan(&scenario, Objective::MaxQuality).expect("feasible");
-        prop_assert!(plan.strategy().is_well_formed(1e-7));
-    }
+        let plan = planner
+            .plan(&scenario, Objective::MaxQuality)
+            .expect("feasible");
+        assert!(plan.strategy().is_well_formed(1e-7));
+    });
 }

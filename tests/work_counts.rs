@@ -219,24 +219,6 @@ fn disjoint_regions_solve_smaller_lps() {
     );
 }
 
-/// The contended script's draws from its SplitMix64 stream, its only
-/// entropy source.
-trait Draw {
-    fn range(&mut self, lo: f64, hi: f64) -> f64;
-    fn below(&mut self, n: u64) -> u64;
-}
-
-impl Draw for SplitMix64 {
-    /// Uniform in `[lo, hi)`.
-    fn range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.unit()
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n
-    }
-}
-
 /// Ticks of the contended script.
 const CONTENDED_TICKS: u64 = 40;
 
@@ -261,14 +243,14 @@ fn contended_counts(workers: usize) -> Vec<(&'static str, u64)> {
         for group in groups.iter().flat_map(|g| [g; 8]) {
             let mut subset = group.clone();
             for i in (1..subset.len()).rev() {
-                subset.swap(i, rng.below(i as u64 + 1) as usize);
+                subset.swap(i, rng.int(0..i + 1));
             }
-            subset.truncate(3 + rng.below(2) as usize);
+            subset.truncate(3 + rng.int(0usize..2));
             subset.sort_unstable();
-            let request = FlowRequest::new(rng.range(7e6, 28e6), rng.range(0.5, 1.2))
+            let request = FlowRequest::new(rng.f64(7e6..28e6), rng.f64(0.5..1.2))
                 .expect("valid request")
-                .with_min_quality(rng.range(0.5, 0.9))
-                .with_priority(rng.range(1.0, 4.0))
+                .with_min_quality(rng.f64(0.5..0.9))
+                .with_priority(rng.f64(1.0..4.0))
                 .with_transmissions(2)
                 .with_paths(subset);
             svc.submit(request).expect("valid offer");
