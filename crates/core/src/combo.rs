@@ -143,6 +143,34 @@ impl ComboTable {
         }
     }
 
+    /// Combination `l`'s slots, first transmission first: its
+    /// base-`num_slots()` digits, least significant first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l ≥ num_combos()`.
+    fn stages(&self, l: usize) -> impl Iterator<Item = Slot> + '_ {
+        assert!(l < self.num_combos(), "combo index {l} out of range");
+        let base = self.num_slots();
+        let mut rest = l;
+        (0..self.transmissions).map(move |_| {
+            let digit = rest % base;
+            rest /= base;
+            self.digit_to_slot(digit)
+        })
+    }
+
+    /// The slot of stage `stage` of combination `l` (stage 0 = first
+    /// transmission), or `None` past the last transmission.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l ≥ num_combos()`.
+    #[inline]
+    pub fn slot_at(&self, l: usize, stage: usize) -> Option<Slot> {
+        self.stages(l).nth(stage)
+    }
+
     /// Decodes combination index `l` into its stage sequence
     /// (`result[0]` = first transmission).
     ///
@@ -150,16 +178,7 @@ impl ComboTable {
     ///
     /// Panics if `l ≥ num_combos()`.
     pub fn slots_of(&self, l: usize) -> Vec<Slot> {
-        assert!(l < self.num_combos(), "combo index {l} out of range");
-        let base = self.num_slots();
-        let mut rest = l;
-        (0..self.transmissions)
-            .map(|_| {
-                let digit = rest % base;
-                rest /= base;
-                self.digit_to_slot(digit)
-            })
-            .collect()
+        self.stages(l).collect()
     }
 
     /// Encodes a stage sequence into its combination index.
@@ -244,6 +263,23 @@ mod tests {
                 let slots = t.slots_of(l);
                 assert_eq!(slots.len(), m);
                 assert_eq!(t.index_of(&slots), Some(l), "n={n} m={m} l={l}");
+            }
+        }
+    }
+
+    #[test]
+    fn slot_at_reads_one_digit_of_slots_of() {
+        // Table III and Table V both have two paths; the planner adds the
+        // blackhole, and the tables without it are checked as well.
+        for m in 1..=3 {
+            for blackhole in [true, false] {
+                let t = ComboTable::new(2, m, blackhole);
+                for l in 0..t.num_combos() {
+                    let slots = t.slots_of(l);
+                    for stage in 0..=m + 1 {
+                        assert_eq!(t.slot_at(l, stage), slots.get(stage).copied());
+                    }
+                }
             }
         }
     }

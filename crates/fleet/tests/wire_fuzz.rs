@@ -3,7 +3,8 @@
 //! behind them.
 //!
 //! Two kinds of input: random bytes of random length (0–256), and valid
-//! frames with 1–8 bytes overwritten **and the checksum recomputed** —
+//! frames with 1–8 bytes overwritten **and the checksum recomputed** by
+//! an independent textbook RFC 1071 loop —
 //! the only inputs that get past a checksum to the field parsing, the
 //! unknown-verdict/kind arms and the service's semantic validation
 //! (`proptest_wire.rs` flips bits under a stale checksum, so everything
@@ -35,19 +36,27 @@ fn checksum_field(magic: u8) -> (usize, usize) {
     }
 }
 
-/// Recomputes a frame's FNV-1a checksum in place (field zeroed, 32 bits
-/// or folded to 16).
+/// Recomputes a frame's checksum in place with RFC 1071's textbook
+/// loop, one word of the field's width at a time (16-bit words for a
+/// two-byte field, 32-bit words for a four-byte one): the
+/// ones'-complement sum of the frame with the field zeroed and the tail
+/// zero-padded, folded, complemented. `wire.rs` takes the same sum 64
+/// bits at a time; this loop is its oracle.
 fn reseal(frame: &mut [u8]) {
     let (at, width) = checksum_field(frame[0]);
     frame[at..at + width].fill(0);
-    let mut h: u32 = 0x811C_9DC5;
-    for &b in frame.iter() {
-        h = (h ^ u32::from(b)).wrapping_mul(0x0100_0193);
+    let bits = 8 * width as u32;
+    let low = (1u64 << bits) - 1;
+    let mut sum = 0u64;
+    for chunk in frame.chunks(width) {
+        let mut word = [0; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        sum += u64::from_le_bytes(word);
     }
-    if width == 2 {
-        h = (h ^ (h >> 16)) & 0xFFFF;
+    while sum > low {
+        sum = (sum & low) + (sum >> bits);
     }
-    frame[at..at + width].copy_from_slice(&h.to_le_bytes()[..width]);
+    frame[at..at + width].copy_from_slice(&(!sum & low).to_le_bytes()[..width]);
 }
 
 /// One valid frame of each type, seeded.
@@ -169,6 +178,12 @@ fn decoders_never_panic_and_what_they_accept_round_trips() {
         random_accepted += decode_all(&bytes(&mut rng, len));
         for frame in valid_frames(&mut rng) {
             assert_eq!(decode_all(&frame), 1, "a valid frame is one type's");
+            let mut resealed = frame.clone();
+            reseal(&mut resealed);
+            assert_eq!(
+                resealed, frame,
+                "the textbook loop seals what wire.rs seals"
+            );
             mutated_accepted += decode_all(&mutated(&mut rng, frame));
         }
     }

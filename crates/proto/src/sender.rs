@@ -377,8 +377,7 @@ impl DmcSender {
         now: SimTime,
         api: &mut SimApi<'_>,
     ) {
-        let slots = self.config.strategy.table().slots_of(combo);
-        match slots.get(stage) {
+        match self.config.strategy.table().slot_at(combo, stage) {
             None | Some(Slot::Blackhole) => {
                 // Dropped at source (stage 0) or retransmissions exhausted
                 // into the blackhole.
@@ -389,8 +388,7 @@ impl DmcSender {
                 }
                 self.in_flight.remove(seq);
             }
-            Some(Slot::Path(i)) => {
-                let path = *i;
+            Some(Slot::Path(path)) => {
                 let idx = self.path_send_count[path];
                 self.path_send_count[path] += 1;
                 let header = DataHeader {

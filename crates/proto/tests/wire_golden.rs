@@ -2,6 +2,16 @@
 //! recorded before the seven frames came to share one seal/open routine.
 //! The layout, the magics and the checksums are the wire contract; a
 //! change that moves a byte here is a protocol change, not a refactor.
+//!
+//! Re-pinned once, on purpose, when RFC 1071's ones'-complement sum
+//! replaced the FNV-1a checksum: in every literal only the checksum
+//! bytes moved (FNV-1a → RFC 1071, little-endian) —
+//! `header` bytes 4–7 `31f59f15` → `64bf7d83`, `ack` bytes 2–3 `674c` →
+//! `94d6`, `notice` bytes 4–7 `e38dc8e9` → `9e24fef6`, `offer` bytes 2–3
+//! `eaf0` → `db1c`, `decision` bytes 2–3 `90a1` → `35f1`, `depart` bytes
+//! 2–3 `9236` → `0dff`, `link` bytes 4–7 `bc2f3662` → `07c474bc`. Each new
+//! value was checked against a textbook 16-/32-bit-word RFC 1071 loop
+//! written apart from `wire.rs`.
 
 use dmc_proto::wire::{
     Ack, DataHeader, DecisionFrame, DepartFrame, LinkChangeFrame, LinkChangeKind, NoticeKind,
@@ -59,32 +69,32 @@ fn every_frame_type_encodes_to_its_recorded_bytes() {
     check(
         "header",
         &header.encode(),
-        "d703010031f59f150807060504030201b168de3a0000000007ca9a3b00000000",
+        "d703010064bf7d830807060504030201b168de3a0000000007ca9a3b00000000",
     );
     check(
         "ack",
         &ack.encode(),
-        "a301674cf40100000000000010a4000000000000900100000000000023000000000000000000000010000080",
+        "a30194d6f40100000000000010a4000000000000900100000000000023000000000000000000000010000080",
     );
     check(
         "notice",
         &notice.encode(),
-        "5e020109e38dc8e903d9000000000000",
+        "5e0201099e24fef603d9000000000000",
     );
-    check("offer", &offer.encode(), "0f02eaf02a0000000000000000000000d0127341333333333333e33f666666666666ee3f000000000000f07f000000000000104009000000000000000000000000000080");
+    check("offer", &offer.encode(), "0f02db1c2a0000000000000000000000d0127341333333333333e33f666666666666ee3f000000000000f07f000000000000104009000000000000000000000000000080");
     check(
         "decision",
         &decision.encode(),
-        "dc0190a12a0000000000000007000000000000009a9999999999ef3f",
+        "dc0135f12a0000000000000007000000000000009a9999999999ef3f",
     );
     check(
         "depart",
         &depart.encode(),
-        "dd00923604000000000000001100000000000000",
+        "dd000dff04000000000000001100000000000000",
     );
     check(
         "link",
         &link.encode(),
-        "17020102bc2f3662030000000000000000000000de398a41",
+        "1702010207c474bc030000000000000000000000de398a41",
     );
 }

@@ -128,7 +128,10 @@ fn spells_hex(source: &str, digits: &str) -> bool {
 /// One seeded stream and one hash: the SplitMix64 increment is spelled
 /// only by `dmc_stats::rng`, and the FNV-1a 64-bit prime only by
 /// `dmc_obs`'s `fnv1a`, so no private copy of either survives in code or
-/// tests (`benchmark/` is its own workspace and not scanned).
+/// tests (`benchmark/` is its own workspace and not scanned). The 32-bit
+/// FNV-1a's offset basis and prime are spelled nowhere: the wire
+/// frames are sealed with RFC 1071's sum, and no copy of the hash that
+/// sealed them before is left to drift back.
 #[test]
 fn one_splitmix64_and_one_fnv1a_in_the_tree() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -137,9 +140,11 @@ fn one_splitmix64_and_one_fnv1a_in_the_tree() {
         rust_files(&root.join(dir), &mut files);
     }
     files.sort();
-    for (digits, home) in [
-        ("9e3779b97f4a7c15", "crates/stats/src/rng.rs"),
-        ("100000001b3", "crates/obs/src/snapshot.rs"),
+    for (digits, homes) in [
+        ("9e3779b97f4a7c15", &["crates/stats/src/rng.rs"][..]),
+        ("100000001b3", &["crates/obs/src/snapshot.rs"]),
+        ("811c9dc5", &[]),
+        ("1000193", &[]),
     ] {
         let sites: Vec<String> = files
             .iter()
@@ -156,7 +161,7 @@ fn one_splitmix64_and_one_fnv1a_in_the_tree() {
                     .to_string()
             })
             .collect();
-        assert_eq!(sites, [home], "0x{digits} is spelled outside {home}");
+        assert_eq!(sites, homes, "0x{digits} is spelled outside {homes:?}");
     }
 }
 
