@@ -109,10 +109,16 @@
 //! **When the assembly (basis included) is dropped is decided here and
 //! nowhere else**: on a link change (every model changed), on
 //! [`JointCore::evict_all`], and — compaction — at the top of any solve
-//! that finds at least [`COMPACT_MIN_SLOTS`] slots per slot of the
-//! horizon with tombstones outnumbering the residents, on both planes
-//! alike (neither churn nor a sliding horizon grows the LP without
-//! bound). The next solve re-places the residents in admission order and
+//! that finds at least [`COMPACT_MIN_SLOTS`] slots with tombstones
+//! outnumbering the residents, on both planes alike and whatever the
+//! horizon (neither churn nor a sliding horizon grows the LP without
+//! bound: it stays within twice its roster plus the floor). A tombstone
+//! is only ever taken over at its own ring phase, so a floor per slot of
+//! the horizon would keep more of them for reuse in place; on the
+//! slotted plane that buys less than it costs, since every pivot,
+//! pricing pass and factorization of the larger LP pays for the dead
+//! blocks, and re-placing the residents is cheap beside that. The next
+//! solve re-places the residents in admission order and
 //! starts cold — the very `Problem` a fresh planner offered the residents
 //! as one batch would build (`tests/maintained_vs_fresh.rs` holds the
 //! maintained LP to that reference). `PlannerConfig::warm_start = false`
@@ -381,8 +387,9 @@ enum Placement {
 }
 
 /// Compaction: the assembly is dropped once it holds at least this many
-/// slots per slot of the horizon (a tombstone is only ever taken over at
-/// its own ring phase) *and* tombstones outnumber the residents.
+/// slots *and* tombstones outnumber the residents — the same floor on
+/// every grid: an LP near its roster's size solves faster than a larger
+/// one that keeps tombstones for in-place reuse (module docs).
 pub(crate) const COMPACT_MIN_SLOTS: usize = 8;
 
 /// The incrementally maintained joint LP (see the module docs for the
@@ -993,8 +1000,7 @@ impl JointCore {
         );
         // Compaction.
         let (slots, tombstoned) = self.slot_counts();
-        let floor = COMPACT_MIN_SLOTS * self.grid.horizon();
-        if slots >= floor && tombstoned > self.flows.len() {
+        if slots >= COMPACT_MIN_SLOTS && tombstoned > self.flows.len() {
             self.assembly = None;
         }
         if self.flows.is_empty() && extras.is_empty() {
@@ -1034,7 +1040,7 @@ impl JointCore {
                 }
                 self.assembly = Some(assembly);
                 debug_assert!(
-                    self.slot_counts().0 <= 2 * self.flows.len() + floor,
+                    self.slot_counts().0 <= 2 * self.flows.len() + COMPACT_MIN_SLOTS,
                     "compaction let tombstones pile up"
                 );
                 Ok(())

@@ -1233,6 +1233,11 @@ impl SchedulePlanner {
     }
 }
 
+/// The long sliding-horizon script the root tests pin, shared as source.
+#[cfg(test)]
+#[path = "../../../tests/common/sliding_horizon.rs"]
+mod sliding_horizon;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1541,7 +1546,7 @@ mod tests {
     /// Slots the assembly may hold with `s`'s flows resident: the bound
     /// the core's compaction rule keeps.
     fn slot_bound(s: &SchedulePlanner) -> usize {
-        2 * s.num_flows() + crate::joint::COMPACT_MIN_SLOTS * s.grid().horizon()
+        2 * s.num_flows() + crate::joint::COMPACT_MIN_SLOTS
     }
 
     #[test]
@@ -1595,6 +1600,27 @@ mod tests {
     }
 
     #[test]
+    fn a_long_sliding_horizon_compacts_often_and_stays_bounded() {
+        // The shared 400-cycle script of windowed offers, slides and
+        // departures (`tests/common/sliding_horizon.rs`), held to the
+        // bound after every call. 226 calls compact; 34 did while the
+        // floor was 8 slots per slot of the horizon (64 here), with the
+        // same verdicts (`tests/fleet_golden.rs` pins them).
+        let (mut last, mut compacting_calls) = (0, 0);
+        super::sliding_horizon::run(FleetConfig::default(), |s| {
+            let slots = s.core.slot_counts().0;
+            assert!(
+                slots <= slot_bound(s),
+                "{slots} slots, {} flows",
+                s.num_flows()
+            );
+            compacting_calls += usize::from(slots < last);
+            last = slots;
+        });
+        assert_eq!(compacting_calls, 226);
+    }
+
+    #[test]
     fn heavy_churn_compacts_and_matches_a_fresh_schedule() {
         // The slotted twin of the instant planner's churn test: admit and
         // withdraw transients of varying widths, windows and buffering
@@ -1624,9 +1650,10 @@ mod tests {
             churned.depart(t.id()).expect("depart");
         }
         // Compacted at the twentieth departure (20 tombstones > 18
-        // residents, 38 slots ≥ the 4-slot horizon's floor of 32); the
-        // last sixteen tombstones stay under it.
-        assert_eq!(churned.core.slot_counts(), (18, 16));
+        // residents), the thirtieth (10 > 8 in 18 slots) and the
+        // thirty-fifth (5 > 3 in 8 slots, the floor); the last tombstone
+        // stays, in 3 slots.
+        assert_eq!(churned.core.slot_counts(), (3, 1));
         let mut fresh = sched(4);
         let fa = fresh.offer(keeper(25e6, 0, 3)).expect("offer");
         let fb = fresh.offer(keeper(15e6, 1, 4)).expect("offer");

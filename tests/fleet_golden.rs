@@ -24,6 +24,17 @@
 //!   plans a quality of 0.998 instead of 1. Windowed ids continue the
 //!   region's instant ids (one id counter per region).
 //!
+//! `SERVICE_PLAN_BITS` was re-recorded once more (`0x4ffa…` →
+//! `0xbffc…`, the value it held before the re-pin above) when the joint
+//! core's compaction floor stopped scaling with the horizon: a region's
+//! 6-slot LP now compacts at 8 slots, where a one-slot planner always
+//! did, instead of at 48. The instant flows' column layout after churn
+//! is again the one-slot planner's, and so are their plans' last bits;
+//! every verdict is unchanged (`SERVICE_DECISION_HASH` and
+//! `SERVICE_WINDOWED` hold, and so does `SLIDING_HORIZON_VERDICTS`,
+//! recorded under the old floor, over which the new one compacts 226
+//! times instead of 34).
+//!
 //! * **Instant plane** — a gridded [`FleetService`] over three 2-path
 //!   regions: plain (region-spanning), path-restricted and explicitly
 //!   spanning offers, a batch that falls back to greedy admission,
@@ -36,10 +47,16 @@
 //! * **Reservation plane, bare** — the same with a maintenance slot and
 //!   a link change, where plans are visible. Pinned: FNV-1a over every
 //!   decision/shuffle/advance and every surviving plan's bits.
+//! * **Reservation plane, long** — 400 slides of an 8-slot grid with
+//!   windowed offers and departures (`common/sliding_horizon.rs`),
+//!   through which the core compacts many times. Pinned: FNV-1a over
+//!   every verdict (decision kind and window, advance lists) — never a
+//!   plan's bits, which may move in their last bits when compaction
+//!   moves the column layout.
 
 use deadline_multipath::fleet::{
-    FleetConfig, FleetService, FlowRequest, SchedulePlanner, ScheduleRequest, ServiceConfig,
-    ServiceEvent, SlotWindow, TimeGrid,
+    FleetConfig, FleetService, FlowRequest, ScheduleDecision, SchedulePlanner, ScheduleRequest,
+    ServiceConfig, ServiceEvent, SlotWindow, TimeGrid,
 };
 use deadline_multipath::model::ScenarioPath;
 use deadline_multipath::obs::{fnv1a_extend, FNV_BASIS};
@@ -47,10 +64,14 @@ use deadline_multipath::sim::LinkChange;
 use deadline_multipath::stats::rng::SplitMix64;
 
 const SERVICE_DECISION_HASH: u64 = 0xaeef_22fb_3a60_1647;
-const SERVICE_PLAN_BITS: u64 = 0x4ffa_724e_ac42_a717;
+const SERVICE_PLAN_BITS: u64 = 0xbffc_6ebf_fcfa_4609;
 const SERVICE_WINDOWED: u64 = 0xe3a4_61c3_ecb1_49ab;
 const BARE_SCHEDULE_EVENTS: u64 = 0x51cc_98cf_c4cd_e2d6;
 const BARE_SCHEDULE_PLAN_BITS: u64 = 0xc710_c73a_f5ef_bbc7;
+const SLIDING_HORIZON_VERDICTS: u64 = 0xb64d_7fa1_6aad_e797;
+
+#[path = "common/sliding_horizon.rs"]
+mod sliding_horizon;
 
 /// FNV-1a 64 accumulator.
 struct Fnv(u64);
@@ -402,5 +423,14 @@ fn bare_schedule_script_reproduces_the_recorded_bits() {
         observed,
         (BARE_SCHEDULE_EVENTS, BARE_SCHEDULE_PLAN_BITS),
         "observed {observed:#018x?}"
+    );
+}
+
+#[test]
+fn long_sliding_horizon_script_reproduces_the_recorded_verdicts() {
+    let observed = sliding_horizon::run(FleetConfig::default(), |_| {});
+    assert_eq!(
+        observed, SLIDING_HORIZON_VERDICTS,
+        "observed {observed:#018x}"
     );
 }
