@@ -26,7 +26,7 @@
 //! newest resident, on infeasibility it is **handed back** intact — to
 //! be dropped, queued, or offered again at another window — and the LP
 //! is as it was. [`JointCore::remove`] takes a resident off the roster
-//! and tombstones its block in one step; [`JointCore::resolve`]
+//! and records its block as dead in one step; [`JointCore::resolve`]
 //! re-solves for whoever is left; [`JointCore::apply_link_change`] is a
 //! link change, whole; [`JointCore::evict_all`] empties the roster in
 //! re-admission order for a one-by-one re-settle. The solve
@@ -57,8 +57,9 @@
 //! solve in progress**. No planner can test a flow against the load of
 //! one that has, for the moment, left: a flow that is to be offered
 //! again (a straddler of `SchedulePlanner::advance_to`, a re-settled
-//! fleet) is first removed, and removal tombstones. A `debug_assert!`
-//! at the top of the solve checks it, so every stateful test does.
+//! fleet) is first removed, and a removed flow's block is cut out before
+//! any candidate is placed. A `debug_assert!` at the top of the solve and
+//! one at its successful end check it, so every stateful test does.
 //!
 //! # Layout
 //!
@@ -73,56 +74,53 @@
 //!
 //! # Maintained, not rebuilt
 //!
-//! Admitting a flow appends its block or takes over a compatible
-//! tombstoned one in place; departing **tombstones** the block (balance
-//! RHS `1/L → 0`, floor and cap RHS relaxed to 0, objective and
-//! capacity-row segments zeroed), which forces the block to zero
-//! *without moving a row or a column* — across churn and across
-//! [`SchedulePlanner::advance_to`](crate::SchedulePlanner::advance_to).
-//! Every coefficient of a block — capacity segments in bit/s, objective
-//! weighted by the flow's own volume `λ_f·L_f` — is a function of that
-//! flow alone and is written once, when the block is placed: an edit
-//! touches its own columns and nothing else. History cannot leak into
-//! the numerics, which keeps trace replay and warm-vs-cold comparisons
-//! bit-identical. A rejected candidate is rolled back exactly.
+//! Admitting a flow appends its block. Departing only records the block
+//! as dead: the top of the next solve, before any candidate is placed,
+//! cuts every dead block out in one pass ([`Problem::remove_ranges`]) —
+//! its own rows and its columns, which leave the capacity rows with them
+//! — and every later row and column moves down. So after every successful
+//! solve the LP is exactly the roster's blocks in roster order, across
+//! churn and across
+//! [`SchedulePlanner::advance_to`](crate::SchedulePlanner::advance_to):
+//! the very `Problem` a fresh planner offered the residents as one batch
+//! would build (`tests/maintained_vs_fresh.rs` holds the maintained
+//! plans to that reference bit for bit). Every coefficient of a block —
+//! capacity segments in bit/s, objective weighted by the flow's own
+//! volume `λ_f·L_f` — is a function of that flow alone and is written
+//! once, when the block is placed: an edit touches its own columns and
+//! nothing else. History cannot leak into the numerics, which keeps trace
+//! replay and warm-vs-cold comparisons bit-identical. A rejected
+//! candidate is rolled back exactly: a solve's candidates are appended
+//! after every resident, so one truncation to where the first began
+//! undoes them all.
 //!
 //! The **basis** of the last successful solve is part of the assembly
 //! and is edited in step with the LP, so every solve starts from the
 //! incumbents' optimal vertex instead of re-deriving it: an appended
 //! block's rows enter on their starting logicals (its columns start
 //! nonbasic, so the incumbents' basic values do not move and phase 1
-//! runs over the candidate's few artificials only); a taken-over
-//! tombstone's rows are reset to theirs and its columns leave (exact: a
-//! dead block's columns are zero outside its own rows, so its sub-basis
-//! is block-diagonal); rolling an appended candidate back truncates the
-//! basis to what it was. The solver validates what it is handed —
-//! infeasible after a departure freed capacity, it is walked back to
-//! feasibility by the solver's dual phase; a numerical anomaly on the
-//! warm path drops it and retries cold — and phase 3's canonical vertex
-//! makes the answer a function of the problem, not of where the
-//! pivoting started (bitwise
-//! on the instant plane; on large time-expanded LPs ties below the
-//! solver's tolerance can leave the per-flow split — never an
-//! admission or the joint optimum — path-dependent; see
-//! `tests/carried_basis_stateful.rs`).
+//! runs over the candidate's few artificials only); a cut block's rows
+//! and columns leave it ([`Basis::remove_ranges`]: exact where the
+//! block's columns were basic in its own rows only, and the capacity
+//! rows they covered otherwise restart on their logicals); rolling
+//! candidates back truncates the basis to what it was. The solver
+//! validates what it is handed — infeasible after a departure freed
+//! capacity, it is walked back to feasibility by the solver's dual
+//! phase; a numerical anomaly on the warm path drops it and retries cold
+//! — and phase 3's canonical vertex makes the answer a function of the
+//! problem, not of where the pivoting started (bitwise on the instant
+//! plane; on large time-expanded LPs ties below the solver's tolerance
+//! can leave the per-flow split — never an admission or the joint
+//! optimum — path-dependent; see `tests/carried_basis_stateful.rs`).
 //!
-//! **When the assembly (basis included) is dropped is decided here and
-//! nowhere else**: on a link change (every model changed), on
-//! [`JointCore::evict_all`], and — compaction — at the top of any solve
-//! that finds at least [`COMPACT_MIN_SLOTS`] slots with tombstones
-//! outnumbering the residents, on both planes alike and whatever the
-//! horizon (neither churn nor a sliding horizon grows the LP without
-//! bound: it stays within twice its roster plus the floor). A tombstone
-//! is only ever taken over at its own ring phase, so a floor per slot of
-//! the horizon would keep more of them for reuse in place; on the
-//! slotted plane that buys less than it costs, since every pivot,
-//! pricing pass and factorization of the larger LP pays for the dead
-//! blocks, and re-placing the residents is cheap beside that. The next
-//! solve re-places the residents in admission order and
-//! starts cold — the very `Problem` a fresh planner offered the residents
-//! as one batch would build (`tests/maintained_vs_fresh.rs` holds the
-//! maintained LP to that reference). `PlannerConfig::warm_start = false`
-//! keeps the assembly and carries no basis.
+//! A dead block is cut rather than kept, zeroed, for a later flow of its
+//! shape to take over: every pivot, pricing pass and factorization pays
+//! for every block the LP holds, and a cut keeps the basis warm where a
+//! rebuild would start cold. **When the assembly (basis included) is
+//! dropped is decided here and nowhere else**: on a link change (every
+//! model changed) and on [`JointCore::evict_all`].
+//! `PlannerConfig::warm_start = false` keeps the assembly and carries no
+//! basis.
 //!
 //! A new row or column kind of the joint LP, or a new piece of per-flow
 //! state, is added here, once.
@@ -137,7 +135,7 @@ use dmc_core::{
 use dmc_lp::{Basis, Problem, SolveError, SolveStatus, Workspace, TOLERANCE};
 use dmc_sim::LinkChange;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -340,60 +338,18 @@ pub(crate) fn check_request_scale(request: &FlowRequest) -> Result<(), FleetErro
     Ok(())
 }
 
-/// One flow's block in the assembly: `L·n` assignment columns
-/// (window-slot-major) plus `carry` buffer columns, its optional
-/// cost/floor rows, its `L` balance rows and `carry` cap rows. A
-/// tombstoned (inactive) slot keeps its rows and columns, so departures
-/// never move anything; a later flow with the same width, window
-/// length, buffering, row pattern and window *ring phase* (the capacity
-/// rows a block touches are baked into its coefficients) takes the slot
-/// over in place.
+/// One flow's block in the assembly: its `L·n` assignment columns
+/// (window-slot-major) plus its carry columns, and its own rows — the
+/// optional cost and floor rows, the `L` balance rows and the buffer
+/// caps, contiguous after the shared ones.
 #[derive(Debug, Clone)]
 struct Slot {
     cols: Range<usize>,
-    window: SlotWindow,
-    n_combos: usize,
-    carry: usize,
-    cost_row: Option<usize>,
-    floor_row: Option<usize>,
-    /// First of the `window.len()` balance rows (contiguous).
-    balance_start: usize,
-    /// First of the `carry` buffer-cap rows (contiguous, after balance).
-    cap_start: usize,
-    active: bool,
+    rows: Range<usize>,
 }
-
-impl Slot {
-    /// Column offset of window-slot `i`'s assignment segment.
-    fn combo_start(&self, i: usize) -> usize {
-        self.cols.start + i * self.n_combos
-    }
-
-    /// The rows whose RHS a tombstone zeroes: balance rows, the buffer
-    /// caps after them (contiguous), and the floor row.
-    fn forced_rows(&self) -> impl Iterator<Item = usize> {
-        (self.balance_start..self.cap_start + self.carry).chain(self.floor_row)
-    }
-}
-
-/// How a tentative placement got its slot (so a rejected candidate can
-/// be rolled back exactly).
-#[derive(Debug, Clone, Copy)]
-enum Placement {
-    /// A brand-new block was appended; these were the sizes before.
-    Appended { prev_vars: usize, prev_rows: usize },
-    /// An existing tombstoned slot was re-activated in place.
-    Reused,
-}
-
-/// Compaction: the assembly is dropped once it holds at least this many
-/// slots *and* tombstones outnumber the residents — the same floor on
-/// every grid: an LP near its roster's size solves faster than a larger
-/// one that keeps tombstones for in-place reuse (module docs).
-pub(crate) const COMPACT_MIN_SLOTS: usize = 8;
 
 /// The incrementally maintained joint LP (see the module docs for the
-/// layout and the tombstone contract).
+/// layout and how it is edited).
 #[derive(Debug)]
 struct Assembly {
     problem: Problem,
@@ -401,9 +357,11 @@ struct Assembly {
     objective: FleetObjective,
     horizon: usize,
     n_paths: usize,
+    /// The placed blocks in roster order, then those of the candidates
+    /// of a solve in progress.
     slots: Vec<Slot>,
-    /// Which slot each placed flow occupies.
-    slot_of: BTreeMap<FlowId, usize>,
+    /// Blocks of departed flows, cut out at the top of the next solve.
+    dead: Vec<Slot>,
     /// Basis of the last successful solve, edited in step with
     /// `problem` (`None` before the first one, after an anomaly, and
     /// always with warm starts off).
@@ -420,185 +378,92 @@ impl Assembly {
             horizon,
             n_paths,
             slots: Vec::new(),
-            slot_of: BTreeMap::new(),
+            dead: Vec::new(),
             basis: None,
             seg: Vec::new(),
         }
     }
 
-    /// The ring position of a slot: `slot mod S`.
-    fn ring(&self, slot: u64) -> usize {
-        (slot % self.horizon as u64) as usize
-    }
-
-    /// The capacity row of `(slot, path)`.
+    /// The capacity row of `(slot, path)`: ring position `slot mod S`.
     fn cap_row(&self, slot: u64, path: usize) -> usize {
-        self.ring(slot) * self.n_paths + path
+        (slot % self.horizon as u64) as usize * self.n_paths + path
     }
 
-    /// Fills the scratch with a segment of `m`'s block: `per_slot` in
-    /// every window slot, zero on the carry columns.
-    fn tile(&mut self, m: &Member, per_slot: impl Iterator<Item = f64> + Clone) {
-        self.seg.clear();
-        for _ in 0..m.window().len() {
-            self.seg.extend(per_slot.clone());
-        }
-        self.seg.resize(self.seg.len() + m.carry_vars(), 0.0);
-    }
-
-    /// Writes the scratch segment into `row` from column `start` and
-    /// sets the row's RHS.
-    fn patch_row(&mut self, row: usize, start: usize, rhs: f64) {
-        self.problem
-            .set_row_range(row, start, &self.seg)
-            .expect("segment fits the block it was sized for");
-        self.set_rhs(row, rhs);
-    }
-
-    fn set_rhs(&mut self, row: usize, rhs: f64) {
-        self.problem
-            .set_rhs(row, rhs)
-            .expect("row index recorded at placement stays in range");
-    }
-
-    /// Places a flow's block — taking a compatible tombstone over in
-    /// place, else appending (with the `S·K` shared capacity rows if it is
-    /// the first) — and writes every coefficient the flow has, its
+    /// Appends a flow's block (with the `S·K` shared capacity rows if it
+    /// is the first) and writes every coefficient the flow has, its
     /// objective segment `w·λ·L·p` and its `λ·L·usage_k` segment in the
     /// capacity rows of its window and [`Member::paths`] included.
-    fn place(&mut self, m: &Member) -> Placement {
+    fn place(&mut self, m: &Member) {
         let n = m.model.num_combos();
         let len = m.window().len();
         let carry = m.carry_vars();
         let g = 1.0 / len as f64;
         let volume = m.flow().data_rate() * len as f64;
-        let has_cost = m.flow().cost_budget().is_finite();
-        let has_floor = m.flow().min_quality() > 0.0;
-        let ring = self.ring(m.window().start());
-        let reusable = self.slots.iter().position(|s| {
-            !s.active
-                && s.n_combos == n
-                && s.window.len() == len
-                && s.carry == carry
-                && self.ring(s.window.start()) == ring
-                && s.cost_row.is_some() == has_cost
-                && s.floor_row.is_some() == has_floor
-        });
         let weight = match self.objective {
             FleetObjective::WeightedFair => m.flow().priority(),
             FleetObjective::MaxAdmitted | FleetObjective::MaxTotalQuality => 1.0,
         } * volume;
-        self.tile(m, m.model.quality_coeffs().iter().map(|p| weight * p));
-        let placement = if let Some(idx) = reusable {
-            let slot = self.slots[idx].clone();
-            self.problem
-                .set_objective_range(slot.cols.start, &self.seg)
-                .expect("objective segment fits");
-            if let Some(row) = slot.cost_row {
-                self.tile(m, m.model.cost_coeffs().iter().copied());
-                let budget = m.flow().cost_budget() / m.flow().data_rate();
-                self.patch_row(row, slot.cols.start, budget);
+        self.seg.clear();
+        for _ in 0..len {
+            let objective = m.model.quality_coeffs().iter().map(|p| weight * p);
+            self.seg.extend(objective);
+        }
+        self.seg.resize(self.seg.len() + carry, 0.0);
+        let cols = self
+            .problem
+            .append_block(&self.seg)
+            .expect("nonempty block");
+        if self.problem.num_constraints() == 0 {
+            // First block: create the S·K ring-indexed capacity rows
+            // (their right-hand sides are `bound_capacity`'s).
+            for _ in 0..self.horizon * self.n_paths {
+                self.problem
+                    .add_le_sparse(&[], 0.0)
+                    .expect("empty shared row");
             }
-            if let Some(row) = slot.floor_row {
-                // `add_ge` stores the row negated; patch it the same way.
-                self.tile(m, m.model.quality_coeffs().iter().map(|p| -p));
-                self.patch_row(row, slot.cols.start, -m.flow().min_quality());
-            }
-            for i in 0..len {
-                self.set_rhs(slot.balance_start + i, g);
-            }
-            for i in 0..carry {
-                self.set_rhs(slot.cap_start + i, m.request.buffer() * g);
-            }
-            if let Some(basis) = &mut self.basis {
-                basis.release(slot.forced_rows().chain(slot.cost_row), slot.cols.clone());
-            }
-            self.slots[idx].active = true;
-            self.slots[idx].window = m.window();
-            self.slot_of.insert(m.id, idx);
-            Placement::Reused
-        } else {
-            let prev_vars = self.problem.num_vars();
-            let prev_rows = self.problem.num_constraints();
-            let cols = self
-                .problem
-                .append_block(&self.seg)
-                .expect("nonempty block");
-            if prev_rows == 0 {
-                // First block: create the S·K ring-indexed capacity rows
-                // (their right-hand sides are `bound_capacity`'s).
-                for _ in 0..self.horizon * self.n_paths {
-                    self.problem
-                        .add_le_sparse(&[], 0.0)
-                        .expect("empty shared row");
-                }
-            }
-            let in_every_slot = |per_slot: Vec<(usize, f64)>| -> Vec<(usize, f64)> {
-                let shifted = |i| {
-                    per_slot
-                        .iter()
-                        .map(move |&(j, v)| (cols.start + i * n + j, v))
-                };
-                (0..len).flat_map(shifted).collect()
+        }
+        let first_row = self.problem.num_constraints();
+        let in_every_slot = |per_slot: Vec<(usize, f64)>| -> Vec<(usize, f64)> {
+            let shifted = |i| {
+                per_slot
+                    .iter()
+                    .map(move |&(j, v)| (cols.start + i * n + j, v))
             };
-            let cost_row = has_cost.then(|| {
-                let entries = in_every_slot(m.model.cost_triplets().collect());
-                self.problem
-                    .add_le_sparse(&entries, m.flow().cost_budget() / m.flow().data_rate())
-                    .expect("valid cost row");
-                self.problem.num_constraints() - 1
-            });
-            let floor_row = has_floor.then(|| {
-                let entries = in_every_slot(m.model.quality_triplets().collect());
-                self.problem
-                    .add_ge_sparse(&entries, m.flow().min_quality())
-                    .expect("valid floor row");
-                self.problem.num_constraints() - 1
-            });
-            let balance_start = self.problem.num_constraints();
-            let carry_base = cols.start + len * n;
-            for i in 0..len {
-                let mut entries: Vec<(usize, f64)> =
-                    (0..n).map(|j| (cols.start + i * n + j, 1.0)).collect();
-                // Sparse rows want ascending columns: carry-in (slot
-                // boundary i-1) sits below carry-out (boundary i).
-                if carry > 0 && i >= 1 {
-                    entries.push((carry_base + i - 1, -1.0));
-                }
-                if i < carry {
-                    entries.push((carry_base + i, 1.0));
-                }
-                self.problem
-                    .add_eq_sparse(&entries, g)
-                    .expect("valid balance row");
-            }
-            let cap_start = self.problem.num_constraints();
-            for i in 0..carry {
-                self.problem
-                    .add_le_sparse(&[(carry_base + i, 1.0)], m.request.buffer() * g)
-                    .expect("valid buffer cap row");
-            }
-            self.slots.push(Slot {
-                cols,
-                window: m.window(),
-                n_combos: n,
-                carry,
-                cost_row,
-                floor_row,
-                balance_start,
-                cap_start,
-                active: true,
-            });
-            self.slot_of.insert(m.id, self.slots.len() - 1);
-            if let Some(basis) = &mut self.basis {
-                basis.extend_logical(self.problem.num_constraints());
-            }
-            Placement::Appended {
-                prev_vars,
-                prev_rows,
-            }
+            (0..len).flat_map(shifted).collect()
         };
-        let start = self.slots[self.slot_of[&m.id]].cols.start;
+        if m.flow().cost_budget().is_finite() {
+            let entries = in_every_slot(m.model.cost_triplets().collect());
+            self.problem
+                .add_le_sparse(&entries, m.flow().cost_budget() / m.flow().data_rate())
+                .expect("valid cost row");
+        }
+        if m.flow().min_quality() > 0.0 {
+            let entries = in_every_slot(m.model.quality_triplets().collect());
+            self.problem
+                .add_ge_sparse(&entries, m.flow().min_quality())
+                .expect("valid floor row");
+        }
+        let carry_base = cols.start + len * n;
+        for i in 0..len {
+            let mut entries: Vec<(usize, f64)> =
+                (0..n).map(|j| (cols.start + i * n + j, 1.0)).collect();
+            // Sparse rows want ascending columns: carry-in (slot
+            // boundary i-1) sits below carry-out (boundary i).
+            if carry > 0 && i >= 1 {
+                entries.push((carry_base + i - 1, -1.0));
+            }
+            if i < carry {
+                entries.push((carry_base + i, 1.0));
+            }
+            self.problem
+                .add_eq_sparse(&entries, g)
+                .expect("valid balance row");
+        }
+        for i in 0..carry {
+            self.problem
+                .add_le_sparse(&[(carry_base + i, 1.0)], m.request.buffer() * g)
+                .expect("valid buffer cap row");
+        }
         let used = |k| local_path_index(m.paths.as_deref(), k).map(|lk| (k, lk));
         for (k, lk) in (0..self.n_paths).filter_map(used) {
             self.seg.clear();
@@ -607,74 +472,57 @@ impl Assembly {
             for (i, s) in m.window().slots().enumerate() {
                 let row = self.cap_row(s, k);
                 self.problem
-                    .set_row_range(row, start + i * n, &self.seg)
+                    .set_row_range(row, cols.start + i * n, &self.seg)
                     .expect("shared segment fits");
             }
         }
-        placement
+        if let Some(basis) = &mut self.basis {
+            basis.extend_logical(self.problem.num_constraints());
+        }
+        let rows = first_row..self.problem.num_constraints();
+        self.slots.push(Slot { cols, rows });
     }
 
-    /// Tombstones a flow's slot: objective and capacity-row segments
-    /// zeroed, every balance RHS `1/L → 0` (with the floor and cap RHS
-    /// relaxed to 0), which forces every variable of the block to zero —
-    /// the balance rows telescope to `Σx = 0` — while every row and
-    /// column stays where it is (the carried basis is left alone: the
-    /// next solve validates it). A flow the assembly does not hold is a
-    /// no-op.
-    fn deactivate(&mut self, id: FlowId) {
-        let Some(idx) = self.slot_of.remove(&id) else {
+    /// Cuts every dead block out of the LP and the carried basis in one
+    /// pass, and moves each live block down past the cut ones below it.
+    fn cut_dead(&mut self) {
+        if self.dead.is_empty() {
             return;
-        };
-        let slot = self.slots[idx].clone();
-        self.seg.clear();
-        self.seg.resize(slot.cols.len(), 0.0);
+        }
+        self.dead.sort_by_key(|d| d.cols.start);
+        let rows: Vec<Range<usize>> = self.dead.iter().map(|d| d.rows.clone()).collect();
+        let cols: Vec<Range<usize>> = self.dead.iter().map(|d| d.cols.clone()).collect();
         self.problem
-            .set_objective_range(slot.cols.start, &self.seg)
-            .expect("objective segment fits");
-        for (i, s) in slot.window.slots().enumerate() {
-            for k in 0..self.n_paths {
-                let row = self.cap_row(s, k);
-                self.problem
-                    .set_row_range(row, slot.combo_start(i), &self.seg[..slot.n_combos])
-                    .expect("shared segment fits");
-            }
+            .remove_ranges(&rows, &cols)
+            .expect("dead blocks are disjoint, sorted and in range");
+        if let Some(basis) = &mut self.basis {
+            basis.remove_ranges(&rows, &cols);
         }
-        for row in slot.forced_rows() {
-            self.set_rhs(row, 0.0);
+        for slot in &mut self.slots {
+            let below = self
+                .dead
+                .iter()
+                .take_while(|d| d.cols.start < slot.cols.start);
+            let (c, r) = below.fold((0, 0), |(c, r), d| (c + d.cols.len(), r + d.rows.len()));
+            slot.cols = slot.cols.start - c..slot.cols.end - c;
+            slot.rows = slot.rows.start - r..slot.rows.end - r;
         }
-        self.slots[idx].active = false;
+        self.dead.clear();
     }
 
-    /// Rolls a tentative placement back. Appended placements **must** be
-    /// rolled back in reverse order of placement — truncating a block
-    /// from the middle would shift every later slot's rows and columns
-    /// under the slot table — so anything else is a checked error (a
-    /// release build must not sail past it and corrupt the assembly);
-    /// the core drops the assembly when it fires.
-    fn rollback(&mut self, id: FlowId, placement: Placement) -> Result<(), FleetError> {
-        match placement {
-            Placement::Appended {
-                prev_vars,
-                prev_rows,
-            } => {
-                let idx = self.slot_of.get(&id).copied();
-                if idx.map(|i| i + 1) != Some(self.slots.len()) {
-                    return Err(FleetError::Invalid(format!(
-                        "rollback out of order: {id} holds slot {idx:?}, not the last of {} slots",
-                        self.slots.len()
-                    )));
-                }
-                self.problem.truncate_rows(prev_rows);
-                self.problem.truncate_vars(prev_vars);
-                if let Some(basis) = &mut self.basis {
-                    basis.truncate(prev_rows);
-                }
-                self.slots.pop();
-                self.slot_of.remove(&id);
+    /// Rolls the blocks from `blocks` on back — the candidates of a
+    /// refused solve, all appended after every live block — by truncating
+    /// the LP and the basis to where the first of them began.
+    fn truncate(&mut self, blocks: usize) {
+        if let Some(first) = self.slots.get(blocks) {
+            let (vars, rows) = (first.cols.start, first.rows.start);
+            self.problem.truncate_rows(rows);
+            self.problem.truncate_vars(vars);
+            if let Some(basis) = &mut self.basis {
+                basis.truncate(rows);
             }
-            Placement::Reused => self.deactivate(id),
+            self.slots.truncate(blocks);
         }
-        Ok(())
     }
 
     /// Writes every capacity row's right-hand side: `b_k(s)` for each slot
@@ -688,7 +536,9 @@ impl Assembly {
         for s in grid.origin()..grid.end() {
             for (k, path) in paths.iter().enumerate() {
                 let open = !maintenance.contains(&(s, k));
-                self.set_rhs(self.cap_row(s, k), if open { path.bandwidth } else { 0.0 });
+                self.problem
+                    .set_rhs(self.cap_row(s, k), if open { path.bandwidth } else { 0.0 })
+                    .expect("capacity rows come first");
             }
         }
     }
@@ -932,12 +782,14 @@ impl JointCore {
         }
     }
 
-    /// Takes a flow off the roster and tombstones its block. The caller
-    /// re-solves once it has removed everyone who leaves.
+    /// Takes a flow off the roster and records its block as dead; the
+    /// next solve cuts it out. The caller re-solves once it has removed
+    /// everyone who leaves.
     pub(crate) fn remove(&mut self, id: FlowId) -> Option<Resident> {
         let pos = self.flows.iter().position(|r| r.member.id == id)?;
         if let Some(assembly) = self.assembly.as_mut() {
-            assembly.deactivate(id);
+            let slot = assembly.slots.remove(pos);
+            assembly.dead.push(slot);
         }
         self.stale = true;
         Some(self.flows.remove(pos))
@@ -974,34 +826,26 @@ impl JointCore {
         evicted
     }
 
-    /// `(all, tombstoned)` slot counts of the current assembly.
-    pub(crate) fn slot_counts(&self) -> (usize, usize) {
-        let assembly = self.assembly.as_ref();
-        assembly.map_or((0, 0), |a| (a.slots.len(), a.slots.len() - a.slot_of.len()))
-    }
-
     /// Solves the joint LP over the roster plus the tentative `extras`,
-    /// for `goal`. On success the extras join the roster, in order, each
-    /// with its slice of the new `x` and the plan of that slice; an
+    /// for `goal`. Every dead block is cut out first, before the extras
+    /// are appended. On success the extras join the roster, in order,
+    /// each with its slice of the new `x` and the plan of that slice; an
     /// optimal solve also moves every resident to its new slice and
     /// clears the staleness a feasibility solve sets. With no flows at
     /// all there is nothing to solve.
     ///
-    /// On *any* error — infeasibility included — the extras' placements
-    /// are rolled back and the extras handed back, so a refused
-    /// candidate leaves no trace.
+    /// On *any* error — infeasibility included — the extras' blocks are
+    /// truncated away and the extras handed back, so a refused candidate
+    /// leaves no trace.
     fn solve(&mut self, extras: Vec<Member>, goal: Goal) -> Result<(), (SolveError, Vec<Member>)> {
         debug_assert!(
-            self.assembly.as_ref().is_none_or(|a| {
-                let resident = |r: &Resident| a.slot_of.contains_key(&r.member.id);
-                a.slot_of.len() == self.flows.len() && self.flows.iter().all(resident)
-            }),
+            self.assembly
+                .as_ref()
+                .is_none_or(|a| a.slots.len() == self.flows.len()),
             "the assembly's live blocks are not the roster's"
         );
-        // Compaction.
-        let (slots, tombstoned) = self.slot_counts();
-        if slots >= COMPACT_MIN_SLOTS && tombstoned > self.flows.len() {
-            self.assembly = None;
+        if let Some(assembly) = self.assembly.as_mut() {
+            assembly.cut_dead();
         }
         if self.flows.is_empty() && extras.is_empty() {
             self.last_objective = 0.0;
@@ -1016,21 +860,24 @@ impl JointCore {
             }
             fresh
         });
-        let placements: Vec<Placement> = extras.iter().map(|m| assembly.place(m)).collect();
+        let residents = self.flows.len();
+        for m in &extras {
+            assembly.place(m);
+        }
         assembly.bound_capacity(&self.grid, &self.paths, &self.maintenance);
         match self.solve_joint_problem(&assembly.problem, &mut assembly.basis, goal) {
             Ok(solution) => {
                 let x = solution.into_x();
-                let slice = |id: FlowId| &x[assembly.slots[assembly.slot_of[&id]].cols.clone()];
+                let slice = |i: usize| &x[assembly.slots[i].cols.clone()];
                 if goal == Goal::Optimal {
                     self.last_objective = assembly.problem.objective_value(&x);
-                    for r in &mut self.flows {
-                        r.refresh_from(slice(r.member.id));
+                    for (i, r) in self.flows.iter_mut().enumerate() {
+                        r.refresh_from(slice(i));
                     }
                 }
                 self.stale = goal == Goal::Feasible;
-                for member in extras {
-                    let block = slice(member.id).to_vec();
+                for (i, member) in (residents..).zip(extras) {
+                    let block = slice(i).to_vec();
                     let plan = Resident::plan_for(&member, &block);
                     self.flows.push(Resident {
                         member,
@@ -1038,23 +885,16 @@ impl JointCore {
                         block,
                     });
                 }
-                self.assembly = Some(assembly);
                 debug_assert!(
-                    self.slot_counts().0 <= 2 * self.flows.len() + COMPACT_MIN_SLOTS,
-                    "compaction let tombstones pile up"
+                    assembly.slots.len() == self.flows.len() && assembly.dead.is_empty(),
+                    "the LP holds a block that is not a resident's"
                 );
+                self.assembly = Some(assembly);
                 Ok(())
             }
             Err(e) => {
-                // Reverse order, so appended blocks truncate cleanly. An
-                // inconsistent rollback drops the assembly rather than
-                // patch shifted row indices in place.
-                let clean = extras
-                    .iter()
-                    .zip(placements)
-                    .rev()
-                    .all(|(m, p)| assembly.rollback(m.id, p).is_ok());
-                self.assembly = clean.then_some(assembly);
+                assembly.truncate(residents);
+                self.assembly = Some(assembly);
                 Err((e, extras))
             }
         }
@@ -1150,6 +990,37 @@ impl JointCore {
     /// Whether a basis is being carried (0 or 1).
     pub(crate) fn cached_bases(&self) -> usize {
         usize::from(self.assembly.as_ref().is_some_and(|a| a.basis.is_some()))
+    }
+}
+
+#[cfg(test)]
+impl JointCore {
+    /// Holds the maintained LP to the roster's: between public calls it
+    /// *is* the `Problem` a fresh core assembles by placing the residents
+    /// in roster order (no block at all without one), and the carried
+    /// basis spans its rows.
+    #[track_caller]
+    pub(crate) fn assert_lp_is_the_rosters(&self, ctx: &str) {
+        let held = self.assembly.as_ref().filter(|a| !a.slots.is_empty());
+        let Some(held) = held else {
+            assert!(self.flows.is_empty(), "{ctx}: residents without an LP");
+            return;
+        };
+        let (horizon, n_paths) = (self.grid.horizon(), self.paths.len());
+        let mut fresh = Assembly::new(self.config.objective, horizon, n_paths);
+        for r in &self.flows {
+            fresh.place(&r.member);
+        }
+        fresh.bound_capacity(&self.grid, &self.paths, &self.maintenance);
+        assert!(held.dead.is_empty(), "{ctx}: dead blocks left in the LP");
+        assert!(
+            held.problem == fresh.problem,
+            "{ctx}: the maintained LP is not the roster's"
+        );
+        if let Some(basis) = &held.basis {
+            let rows = held.problem.num_constraints();
+            assert_eq!(basis.len(), rows, "{ctx}: the basis does not span the LP");
+        }
     }
 }
 
@@ -1315,10 +1186,10 @@ mod tests {
 
     #[test]
     fn the_maintained_optimum_is_the_tableaus() {
-        // Offers (one refused), departures with tombstone reuse and link
-        // changes on one core: after every step its optimum is the dense
-        // tableau's optimum of the residents' LP built from scratch, and
-        // a refused offer is one the tableau cannot fit beside them.
+        // Offers (one refused), departures and link changes on one core:
+        // after every step its optimum is the dense tableau's optimum of
+        // the residents' LP built from scratch, and a refused offer is one
+        // the tableau cannot fit beside them.
         enum Step {
             Offer(FlowRequest),
             Depart(usize),
@@ -1382,49 +1253,145 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_rollback_is_a_checked_error() {
+    fn a_refused_batch_is_truncated_back_to_the_residents() {
         let mut core = core(1, FleetObjective::MaxAdmitted);
         let now = SlotWindow::instant(0);
         let a = candidate(&mut core, FlowRequest::new(10e6, 0.5).unwrap(), now);
         let b = candidate(&mut core, FlowRequest::new(20e6, 0.7).unwrap(), now);
+        let c = candidate(&mut core, FlowRequest::new(30e6, 0.6).unwrap(), now);
         let mut assembly = Assembly::new(FleetObjective::MaxAdmitted, 1, 3);
-        let place_a = assembly.place(&a);
-        let place_b = assembly.place(&b);
-        // Rolling the *first* appended block back while the second still
-        // exists would truncate the wrong rows; it must fail loudly (it
-        // was a debug_assert before, so release builds corrupted the
-        // assembly silently).
-        assert!(matches!(
-            assembly.rollback(a.id, place_a),
-            Err(FleetError::Invalid(_))
-        ));
-        // Reverse placement order unwinds cleanly.
-        assert!(assembly.rollback(b.id, place_b).is_ok());
-        assert!(assembly.rollback(a.id, place_a).is_ok());
-        assert!(assembly.slots.is_empty());
+        assembly.place(&a);
+        let before = assembly.problem.clone();
+        // The candidates of a solve are appended after every resident,
+        // so one truncation to where the first began rolls them all back.
+        assembly.place(&b);
+        assembly.place(&c);
+        assembly.truncate(1);
+        assert_eq!(assembly.problem, before);
+        assert_eq!(assembly.slots.len(), 1);
+        assembly.truncate(1);
+        assert_eq!(assembly.problem, before, "nothing to truncate is a no-op");
     }
 
     #[test]
-    fn tombstoned_blocks_are_reused_across_churn() {
+    fn departed_blocks_leave_the_lp_across_churn() {
         let mut core = core(4, FleetObjective::MaxAdmitted);
-        let windowed = |core: &mut JointCore| {
+        let windowed = |core: &mut JointCore, start| {
             let request = FlowRequest::new(20e6, 0.8).unwrap();
-            candidate(core, request, SlotWindow::new(1, 3).unwrap())
+            candidate(core, request, SlotWindow::new(start, start + 2).unwrap())
         };
-        let num_vars = |core: &JointCore| core.assembly.as_ref().unwrap().problem.num_vars();
-        let first = windowed(&mut core);
-        assert!(core.admit(first, Goal::Optimal).expect("offer").is_ok());
-        let vars_before = num_vars(&core);
+        let shape = |core: &JointCore| {
+            let a = core.assembly.as_ref().unwrap();
+            (a.slots.len(), a.dead.len(), a.problem.num_vars())
+        };
+        for start in [0, 1, 2] {
+            let member = windowed(&mut core, start);
+            assert!(core.admit(member, Goal::Optimal).expect("offer").is_ok());
+        }
+        let (_, _, vars) = shape(&core);
+        // A departure only records the block; the next solve cuts it out
+        // (and any other dead block with it) and keeps the basis warm.
+        assert!(core.remove(FlowId::new(1)).is_some());
         assert!(core.remove(FlowId::new(0)).is_some());
-        assert_eq!(core.slot_counts(), (1, 1));
-        let second = windowed(&mut core);
-        assert!(core.admit(second, Goal::Optimal).expect("offer").is_ok());
-        assert_eq!(
-            vars_before,
-            num_vars(&core),
-            "an equivalent flow must take the tombstoned block over in place"
-        );
-        assert_eq!(core.slot_counts(), (1, 0));
+        assert_eq!(shape(&core), (1, 2, vars));
+        let hits = core.warm_stats().hits;
+        let member = windowed(&mut core, 1);
+        assert!(core.admit(member, Goal::Optimal).expect("offer").is_ok());
+        assert_eq!(shape(&core), (2, 0, 2 * vars / 3));
+        assert_eq!(core.warm_stats().hits, hits + 1, "the cut LP started warm");
+        core.assert_lp_is_the_rosters("after the cut");
+        // After the last resident's departure only the capacity rows are
+        // left, and the next candidate is placed over them.
+        for id in core.ids() {
+            assert!(core.remove(id).is_some());
+        }
+        core.resolve().expect("nothing left to solve");
+        assert_eq!(shape(&core), (0, 0, 0));
+        let member = windowed(&mut core, 0);
+        assert!(core.admit(member, Goal::Optimal).expect("offer").is_ok());
+        core.assert_lp_is_the_rosters("after the roster emptied");
+    }
+
+    /// A seeded churn script on the core — offers one by one and in
+    /// pairs, to the optimum and for a verdict, refusals among them;
+    /// departures; link changes — on a one-slot and an 8-slot grid:
+    /// after every step the maintained LP is the roster's, bit for bit
+    /// (`JointCore::assert_lp_is_the_rosters`).
+    #[test]
+    fn the_maintained_lp_is_the_rosters_after_every_step() {
+        for horizon in [1usize, 8] {
+            let mut core = core(horizon, FleetObjective::WeightedFair);
+            let mut rng = dmc_stats::rng::SplitMix64::new(0x10E5 + horizon as u64);
+            let (mut refused, mut departed) = (0, 0);
+            for step in 0..160 {
+                let ctx = format!("{horizon} slots, step {step}");
+                let offer = |core: &mut JointCore, rng: &mut dmc_stats::rng::SplitMix64| {
+                    let floor = [0.0, 0.5, 0.8, 0.95][rng.int(0usize..4)];
+                    let mut flow = FlowRequest::new(rng.f64(5e6..80e6), rng.f64(0.4..1.2))
+                        .unwrap()
+                        .with_min_quality(floor)
+                        .with_transmissions(rng.int(1usize..3));
+                    if rng.int(0..4) == 0 {
+                        flow = flow.with_cost_budget(2.0).with_priority(2.0);
+                    }
+                    let start = rng.int(0..horizon as u64);
+                    let end = (start + rng.int(1..4)).min(horizon as u64);
+                    let window = SlotWindow::new(start, end).unwrap();
+                    let member = candidate(core, flow, window);
+                    let buffer = if rng.bool() { 0.5 } else { 0.0 };
+                    Member {
+                        request: member.request.with_buffer(buffer),
+                        ..member
+                    }
+                };
+                match rng.int(0..8) {
+                    0..=3 => {
+                        let member = offer(&mut core, &mut rng);
+                        let verdict = core.admit(member, Goal::Optimal).expect("solves");
+                        refused += usize::from(verdict.is_err());
+                    }
+                    4 => {
+                        let pair = vec![offer(&mut core, &mut rng), offer(&mut core, &mut rng)];
+                        let goal = if rng.bool() {
+                            Goal::Feasible
+                        } else {
+                            Goal::Optimal
+                        };
+                        let verdict = core.admit_all(pair, goal).expect("solves");
+                        refused += usize::from(verdict.is_err());
+                        core.refresh().expect("the residents fit");
+                    }
+                    5 | 6 if !core.residents().is_empty() => {
+                        for _ in 0..rng.int(1..3) {
+                            let ids = core.ids();
+                            if !ids.is_empty() {
+                                assert!(core.remove(ids[rng.int(0..ids.len())]).is_some());
+                                departed += 1;
+                            }
+                        }
+                        core.resolve().expect("the survivors fit");
+                    }
+                    _ => {
+                        let bandwidth = rng.f64(60e6..120e6);
+                        let change = LinkChange::SetBandwidth(bandwidth);
+                        core.apply_link_change(0, &change).expect("valid change");
+                        // Wider than before or not, the residents are
+                        // re-offered to a fresh LP if they no longer fit.
+                        if core.refresh().is_err() {
+                            for r in core.evict_all() {
+                                let _ = core.admit(r.member, Goal::Feasible).expect("solves");
+                            }
+                            core.refresh().expect("the re-admitted fit");
+                        }
+                    }
+                }
+                core.assert_lp_is_the_rosters(&ctx);
+            }
+            assert!(
+                refused >= 10 && departed >= 20,
+                "{refused} refused, {departed} departed"
+            );
+        }
     }
 
     #[test]
@@ -1436,13 +1403,18 @@ mod tests {
             flow.with_min_quality(0.9)
         };
         let ids = |core: &JointCore| -> Vec<u64> { core.ids().iter().map(FlowId::index).collect() };
+        // `(live, dead)` blocks of the LP.
+        let blocks = |core: &JointCore| {
+            let held = core.assembly.as_ref();
+            held.map_or((0, 0), |a| (a.slots.len(), a.dead.len()))
+        };
         // Admit: the candidate becomes the last resident, with its plan.
         let a = candidate(&mut core, strict(70e6), now);
         let admitted = core.admit(a, Goal::Optimal).expect("solves");
         assert!(admitted.is_ok(), "fits alone");
         let plan = &core.resident(FlowId::new(0)).unwrap().plan;
         assert!(plan.quality() >= 0.9 - 1e-9);
-        assert_eq!((ids(&core), core.slot_counts()), (vec![0], (1, 0)));
+        assert_eq!((ids(&core), blocks(&core)), (vec![0], (1, 0)));
         // A refused candidate comes back intact and leaves no block.
         let b = candidate(&mut core, strict(70e6).with_priority(2.0), now);
         let (flow_b, combos_b) = (b.flow().clone(), b.model.num_combos());
@@ -1452,7 +1424,7 @@ mod tests {
             .expect_err("does not fit");
         assert_eq!((back.id, back.flow()), (FlowId::new(1), &flow_b));
         assert_eq!(back.model.num_combos(), combos_b);
-        assert_eq!((ids(&core), core.slot_counts()), (vec![0], (1, 0)));
+        assert_eq!((ids(&core), blocks(&core)), (vec![0], (1, 0)));
         // A batch is refused whole, in the order it was offered — the
         // one member that would have fitted alone included.
         let small = candidate(&mut core, strict(10e6), now);
@@ -1462,18 +1434,18 @@ mod tests {
         let batch = batch.expect_err("the pair does not fit");
         let offered: Vec<u64> = batch.iter().map(|m| m.id.index()).collect();
         assert_eq!(offered, [2, 1]);
-        assert_eq!((ids(&core), core.slot_counts()), (vec![0], (1, 0)));
-        // Remove: off the roster, the block a tombstone, once.
+        assert_eq!((ids(&core), blocks(&core)), (vec![0], (1, 0)));
+        // Remove: off the roster, the block dead until the next solve.
         let a = core.remove(FlowId::new(0)).expect("resident");
         assert!(core.remove(FlowId::new(0)).is_none());
-        assert_eq!((ids(&core), core.slot_counts()), (vec![], (1, 1)));
+        assert_eq!((ids(&core), blocks(&core)), (vec![], (0, 1)));
         core.resolve().expect("nothing left to solve");
-        // The refused pair fits now; the strict flow takes the tombstone.
+        // The refused pair fits now, in an LP without the dead block.
         assert!(core
             .admit_all(batch, Goal::Optimal)
             .expect("solves")
             .is_ok());
-        assert_eq!((ids(&core), core.slot_counts()), (vec![2, 1], (2, 0)));
+        assert_eq!((ids(&core), blocks(&core)), (vec![2, 1], (2, 0)));
         // Evict: everyone comes back, priority first, and the assembly
         // is forgotten; re-admitted one by one on verdicts they are
         // residents again, and one refresh gives them the optimum's plans.
@@ -1481,7 +1453,7 @@ mod tests {
         let evicted = core.evict_all();
         let order: Vec<u64> = evicted.iter().map(|r| r.member.id.index()).collect();
         assert_eq!(order, [1, 2]);
-        assert_eq!((ids(&core), core.slot_counts()), (vec![], (0, 0)));
+        assert_eq!((ids(&core), blocks(&core)), (vec![], (0, 0)));
         for resident in evicted {
             assert!(core
                 .admit(resident.member, Goal::Feasible)
@@ -1492,7 +1464,7 @@ mod tests {
             .admit(a.member, Goal::Feasible)
             .expect("solves")
             .is_err());
-        assert_eq!((ids(&core), core.slot_counts()), (vec![1, 2], (2, 0)));
+        assert_eq!((ids(&core), blocks(&core)), (vec![1, 2], (2, 0)));
         assert!(core.stale);
         core.refresh().expect("the pair fits");
         assert!(!core.stale);
@@ -1537,10 +1509,11 @@ mod tests {
     fn an_admission_edits_only_its_own_columns() {
         let mut core = core(3, FleetObjective::WeightedFair);
         let window = |start, end| SlotWindow::new(start, end).unwrap();
-        let cols_of = |core: &JointCore, id: FlowId| {
-            let assembly = core.assembly.as_ref().unwrap();
-            assembly.slots[assembly.slot_of[&id]].cols.clone()
+        let block_of = |core: &JointCore, id: FlowId| {
+            let pos = core.ids().iter().position(|&r| r == id).unwrap();
+            core.assembly.as_ref().unwrap().slots[pos].clone()
         };
+        let cols_of = |core: &JointCore, id: FlowId| block_of(core, id).cols;
         let costed = |rate: f64, floor: f64| {
             let flow = FlowRequest::new(rate, 0.8).unwrap().with_cost_budget(2.0);
             flow.with_min_quality(floor)
@@ -1577,22 +1550,35 @@ mod tests {
         let member = candidate(&mut core, hopeless.with_transmissions(1), window(2, 3));
         assert!(core.admit(member, Goal::Optimal).expect("solves").is_err());
         assert_eq!(before, coefficients(&core));
-        // A departure tombstones the leaver's block and nothing else.
+        // A departure cuts the leaver's block out at the next solve, and
+        // nothing else: every other column keeps its coefficients, moved
+        // down past the cut columns and rows.
         let before = coefficients(&core);
-        let own = cols_of(&core, FlowId::new(1));
+        let Slot { cols, rows } = block_of(&core, FlowId::new(1));
         assert!(core.remove(FlowId::new(1)).is_some());
-        assert_only_edited(&before, &coefficients(&core), own.clone());
-        // A refused take-over of that tombstone, then an accepted one.
+        core.resolve().expect("the survivors fit");
+        let moved = |i: usize| if i >= rows.end { i - rows.len() } else { i };
+        let kept = before
+            .0
+            .iter()
+            .enumerate()
+            .filter(|(j, _)| !cols.contains(j));
+        let cut = kept.map(|(_, (c, entries))| {
+            let entries = entries.iter().map(|&(i, v)| (moved(i), v)).collect();
+            (*c, entries)
+        });
+        assert_eq!(coefficients(&core), (cut.collect(), before.1));
+        // After the cut, a refused append leaves nothing and an accepted
+        // one edits only its own columns.
         let before = coefficients(&core);
         let member = candidate(&mut core, costed(500e6, 1.0), window(1, 3));
         assert!(core.admit(member, Goal::Optimal).expect("solves").is_err());
-        assert_only_edited(&before, &coefficients(&core), own.clone());
-        let before = coefficients(&core);
+        assert_eq!(before, coefficients(&core));
         let member = candidate(&mut core, costed(25e6, 0.2), window(1, 3));
         let id = member.id;
         assert!(core.admit(member, Goal::Optimal).expect("solves").is_ok());
-        assert_eq!(cols_of(&core, id), own, "the tombstone is taken over");
-        assert_only_edited(&before, &coefficients(&core), own);
+        assert_only_edited(&before, &coefficients(&core), cols_of(&core, id));
+        core.assert_lp_is_the_rosters("after the churn");
     }
 
     #[test]

@@ -496,8 +496,8 @@ impl FleetPlanner {
     }
 
     /// Whether the joint LP currently carries the basis of its last
-    /// optimum: 1, or 0 (before the first solve, after a link change,
-    /// compaction or anomaly, and always with warm starts off).
+    /// optimum: 1, or 0 (before the first solve, after a link change or
+    /// an anomaly, and always with warm starts off).
     pub fn cached_bases(&self) -> usize {
         self.engine.core.cached_bases()
     }
@@ -1056,11 +1056,10 @@ mod tests {
     }
 
     #[test]
-    fn departure_tombstones_and_readmission_reuses_the_slot() {
+    fn a_departure_cuts_its_block_and_the_next_arrival_starts_warm() {
         // Steady-state churn: depart + equivalent arrival, twice. Each
-        // arrival takes the tombstoned block over in place and starts
-        // from the survivors' basis, the block's rows back on their
-        // logicals.
+        // arrival's solve first cuts the departed block out of the LP
+        // and the carried basis, then starts from what is left of it.
         let mut fleet = fleet();
         let mut current = fleet
             .offer(FlowRequest::new(30e6, 0.8).unwrap().with_min_quality(0.6))
@@ -1079,20 +1078,23 @@ mod tests {
             fleet.warm_stats()
         );
         assert_eq!(fleet.num_flows(), 2);
+        fleet
+            .engine
+            .core
+            .assert_lp_is_the_rosters("after the churn");
         assert!(fleet.utilization().iter().all(|&u| u <= 1.0 + 1e-9));
     }
 
     #[test]
     fn heavy_churn_compacts_and_matches_a_fresh_fleet() {
-        // Admit and immediately depart flows until tombstones outnumber
-        // the survivors, forcing compaction; the surviving allocation
-        // must match a fresh fleet admitting just the survivors.
+        // Admit and depart transients: the core cuts every departed
+        // block out, so the surviving allocation is a fresh fleet's that
+        // admits just the survivors, bit for bit.
         let mut churned = fleet();
         let keep_a = churned
             .offer(FlowRequest::new(25e6, 0.8).unwrap().with_min_quality(0.5))
             .unwrap();
-        // Transients of varying widths/patterns (so slots cannot all be
-        // reused and the slot list actually grows).
+        // Transients of varying widths and row patterns.
         let mut transients = Vec::new();
         for i in 0..10 {
             let mut req = FlowRequest::new(5e6 + i as f64 * 1e6, 0.5 + 0.05 * i as f64).unwrap();
@@ -1107,6 +1109,10 @@ mod tests {
         let keep_b = churned.offer(FlowRequest::new(15e6, 1.0).unwrap()).unwrap();
         for t in &transients {
             churned.depart(t.id()).unwrap();
+            churned
+                .engine
+                .core
+                .assert_lp_is_the_rosters(&t.id().to_string());
         }
         let mut fresh = fleet();
         let fa = fresh
@@ -1117,10 +1123,8 @@ mod tests {
         for (churned_id, fresh_id) in pairs {
             let pc = churned.plan_of(churned_id).unwrap();
             let pf = fresh.plan_of(fresh_id).unwrap();
-            for (a, b) in pc.strategy().x().iter().zip(pf.strategy().x()) {
-                assert!((a - b).abs() <= 1e-9, "{churned_id}: {a} vs {b}");
-            }
-            assert!((pc.quality() - pf.quality()).abs() <= 1e-9);
+            assert_eq!(pc.strategy().x(), pf.strategy().x(), "{churned_id}");
+            assert_eq!(pc.quality(), pf.quality(), "{churned_id}");
         }
     }
 
@@ -1131,9 +1135,9 @@ mod tests {
             .offer(FlowRequest::new(60e6, 0.8).unwrap().with_min_quality(0.9))
             .unwrap();
         assert!(a.is_admitted());
-        // Reject a few incompatible candidates (one would append, one
-        // could reuse nothing) and interleave a successful admission: the
-        // assembly must stay consistent throughout.
+        // Reject a few candidates (each appended, then truncated away)
+        // and follow with a successful admission: the assembly must stay
+        // consistent throughout.
         for _ in 0..3 {
             let r = fleet
                 .offer(FlowRequest::new(60e6, 0.8).unwrap().with_min_quality(0.9))
@@ -1153,7 +1157,7 @@ mod tests {
 
     #[test]
     fn churn_warm_starts_and_matches_cold_bit_for_bit() {
-        // Append, refuse (rollback), depart (tombstone), take over: every
+        // Append, refuse (rollback), depart (cut), append again: every
         // edit the carried basis goes through.
         let churn = |fleet: &mut FleetPlanner| {
             let a = fleet
@@ -1171,8 +1175,9 @@ mod tests {
         };
         let mut warm = fleet();
         churn(&mut warm);
-        // The second offer, the refusal and the take-over start from the
-        // incumbents' basis; only the first offer has none to start from.
+        // The second offer, the refusal and the offer after the cut
+        // start from the incumbents' basis; only the first offer has none
+        // to start from.
         assert!(
             warm.warm_stats().hits >= 3,
             "churn re-solves never warm-started: {}",

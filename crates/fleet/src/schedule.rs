@@ -43,9 +43,9 @@
 //!
 //! # One engine
 //!
-//! The LP — capacity rows, blocks, tombstones, the carried basis, when
-//! it is dropped — **and the roster of flows** are the joint core's
-//! (`joint.rs`). This planner is the only policy over it:
+//! The LP — capacity rows, blocks, the cut of departed ones, the
+//! carried basis, when it is dropped — **and the roster of flows** are
+//! the joint core's (`joint.rs`). This planner is the only policy over it:
 //! [`FleetPlanner`](crate::FleetPlanner) is a face over one on a one-slot
 //! grid, and a service region holds one. Its roster holds two kinds of
 //! flow in one LP:
@@ -646,8 +646,9 @@ impl SchedulePlanner {
     /// remaining slots (their remaining demand renormalized over the
     /// shorter window) — and if the truncated window no longer fits,
     /// they get the reservation slide before being dropped. Expired
-    /// slots' capacity rows are recycled in place (ring indexing), so
-    /// no row or column moves and the carried basis stays addressable
+    /// slots' capacity rows are recycled in place (ring indexing), so no
+    /// capacity row moves; the blocks of the flows that leave are cut out
+    /// at the next solve, the carried basis with them, so it stays warm
     /// across the advance. Instant flows move to the new origin slot
     /// (re-admitted on verdicts, highest priority first; the refused are
     /// shed) and are not listed in the returned [`ScheduleAdvance`].
@@ -1433,8 +1434,8 @@ mod tests {
             )
             .expect("a buffered three-slot window must assemble");
         assert!(d.is_scheduled());
-        // Depart and re-offer so the tombstone-reuse path builds the
-        // same balance rows through `set_row_range` as well.
+        // Depart and re-offer: the block leaves the LP and is appended
+        // again, with the same balance rows.
         s.depart(d.id()).expect("depart");
         let again = s
             .offer(
@@ -1444,12 +1445,12 @@ mod tests {
                 )
                 .with_buffer(0.5),
             )
-            .expect("reused buffered block must assemble");
+            .expect("a re-offered buffered block must assemble");
         assert!(again.is_scheduled());
         assert_eq!(
             d.predicted_quality().expect("admitted").to_bits(),
             again.predicted_quality().expect("admitted").to_bits(),
-            "tombstone reuse must reproduce the fresh block bit for bit"
+            "a re-offered block must reproduce the first bit for bit"
         );
     }
 
@@ -1543,18 +1544,13 @@ mod tests {
         assert_eq!(per_slot.len(), 2);
     }
 
-    /// Slots the assembly may hold with `s`'s flows resident: the bound
-    /// the core's compaction rule keeps.
-    fn slot_bound(s: &SchedulePlanner) -> usize {
-        2 * s.num_flows() + crate::joint::COMPACT_MIN_SLOTS
-    }
-
     #[test]
     fn a_sliding_horizon_keeps_the_assembly_bounded_and_matches_cold_solves() {
         // The `sched_horizon` script: slide one slot, offer two 2-slot
-        // windows, one in three buffered. Every completed flow leaves a
-        // tombstone; with no compaction rule on this plane the assembly
-        // grew without bound (past 100 slots here, for 8–13 residents).
+        // windows, one in three buffered. Every completed flow's block
+        // leaves the LP at the next solve, so after every call it is the
+        // roster's. (Before completed blocks left, the assembly grew
+        // without bound: past 100 slots here, for 8–13 residents.)
         let cold_config = FleetConfig {
             planner: dmc_core::PlannerConfig {
                 warm_start: false,
@@ -1575,7 +1571,8 @@ mod tests {
                 (c.completed, c.truncated, c.rescheduled, c.dropped),
                 "advance to {origin}"
             );
-            assert!(warm.core.slot_counts().0 <= slot_bound(&warm), "{origin}");
+            warm.core
+                .assert_lp_is_the_rosters(&format!("advance to {origin}"));
             for _ in 0..2 {
                 let floor = [0.0, 0.8, 0.9, 0.95][draw(4) as usize];
                 let rate = 10e6 + draw(22) as f64 * 1e6;
@@ -1589,7 +1586,8 @@ mod tests {
                 let w = warm.offer(request.clone()).expect("offer");
                 let c = cold.offer(request).expect("offer");
                 assert_eq!((w.id(), w.window()), (c.id(), c.window()), "{origin}");
-                assert!(warm.core.slot_counts().0 <= slot_bound(&warm), "{origin}");
+                warm.core
+                    .assert_lp_is_the_rosters(&format!("offer at {origin}"));
             }
         }
         assert_eq!(warm.flow_ids(), cold.flow_ids());
@@ -1602,30 +1600,27 @@ mod tests {
     #[test]
     fn a_long_sliding_horizon_compacts_often_and_stays_bounded() {
         // The shared 400-cycle script of windowed offers, slides and
-        // departures (`tests/common/sliding_horizon.rs`), held to the
-        // bound after every call. 226 calls compact; 34 did while the
-        // floor was 8 slots per slot of the horizon (64 here), with the
-        // same verdicts (`tests/fleet_golden.rs` pins them).
-        let (mut last, mut compacting_calls) = (0, 0);
+        // departures (`tests/common/sliding_horizon.rs`): after every
+        // call the LP is the roster's, every departed block cut out. The
+        // roster shrinks at 542 calls. (While departed blocks stayed as
+        // tombstones, the LP was held within 2·residents + 8 slots and
+        // compacted at 226 calls.)
+        let (mut calls, mut shrinking_calls, mut last) = (0, 0, 0);
         super::sliding_horizon::run(FleetConfig::default(), |s| {
-            let slots = s.core.slot_counts().0;
-            assert!(
-                slots <= slot_bound(s),
-                "{slots} slots, {} flows",
-                s.num_flows()
-            );
-            compacting_calls += usize::from(slots < last);
-            last = slots;
+            calls += 1;
+            s.core.assert_lp_is_the_rosters(&format!("call {calls}"));
+            shrinking_calls += usize::from(s.num_flows() < last);
+            last = s.num_flows();
         });
-        assert_eq!(compacting_calls, 226);
+        assert_eq!(shrinking_calls, 542);
     }
 
     #[test]
     fn heavy_churn_compacts_and_matches_a_fresh_schedule() {
         // The slotted twin of the instant planner's churn test: admit and
-        // withdraw transients of varying widths, windows and buffering
-        // until tombstones outnumber the survivors; the core compacts,
-        // and the survivors' allocation matches a fresh planner's.
+        // withdraw transients of varying widths, windows and buffering;
+        // the core cuts every departed block out, and the survivors'
+        // allocation is a fresh planner's, bit for bit.
         let keeper = |rate, start, end| {
             let flow = FlowRequest::new(rate, 0.8).expect("valid flow");
             let window = SlotWindow::new(start, end).expect("valid");
@@ -1645,23 +1640,26 @@ mod tests {
             transients.push(churned.offer(request).expect("offer"));
         }
         let keep_b = churned.offer(keeper(15e6, 1, 4)).expect("offer");
-        assert_eq!(churned.core.slot_counts(), (38, 0));
+        assert_eq!(churned.num_flows(), 38);
+        churned.core.assert_lp_is_the_rosters("populated");
         for t in &transients {
             churned.depart(t.id()).expect("depart");
+            churned
+                .core
+                .assert_lp_is_the_rosters(&format!("{} left", t.id()));
         }
-        // Compacted at the twentieth departure (20 tombstones > 18
-        // residents), the thirtieth (10 > 8 in 18 slots) and the
-        // thirty-fifth (5 > 3 in 8 slots, the floor); the last tombstone
-        // stays, in 3 slots.
-        assert_eq!(churned.core.slot_counts(), (3, 1));
+        // (While departed blocks stayed as tombstones, the LP compacted
+        // at the 20th, 30th and 35th departures and kept one tombstone.)
+        assert_eq!(churned.num_flows(), 2);
         let mut fresh = sched(4);
         let fa = fresh.offer(keeper(25e6, 0, 3)).expect("offer");
         let fb = fresh.offer(keeper(15e6, 1, 4)).expect("offer");
-        assert!((churned.objective_value() - fresh.objective_value()).abs() <= 1e-9);
+        assert_eq!(churned.objective_value(), fresh.objective_value());
         for (churned_id, fresh_id) in [(keep_a.id(), fa.id()), (keep_b.id(), fb.id())] {
             let pc = churned.plan_of(churned_id).expect("scheduled");
             let pf = fresh.plan_of(fresh_id).expect("scheduled");
-            assert!((pc.quality() - pf.quality()).abs() <= 1e-9, "{churned_id}");
+            assert_eq!(pc.strategy().x(), pf.strategy().x(), "{churned_id}");
+            assert_eq!(pc.quality(), pf.quality(), "{churned_id}");
         }
     }
 }

@@ -61,8 +61,7 @@ fn config(warm_start: bool) -> FleetConfig {
 
 /// A seeded request: 6–30 Mbps, a floor two times in three, sometimes a
 /// budget, a priority, a path subset or a single transmission — so
-/// blocks differ in width and row pattern and tombstones are only
-/// sometimes reusable.
+/// blocks differ in width and row pattern.
 fn seeded_request(rng: &mut SplitMix64) -> FlowRequest {
     let mut r = FlowRequest::new(rng.f64(6e6..30e6), rng.f64(0.4..1.2)).unwrap();
     if rng.int(0usize..3) > 0 {

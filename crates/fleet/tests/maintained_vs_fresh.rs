@@ -1,6 +1,7 @@
 //! Differential testing of the fleet's maintained joint LP against a
-//! from-scratch reference, over admission, rejection, departure
-//! (tombstoning and slot reuse), compaction and link-change resettles.
+//! from-scratch reference, over admission, rejection, departure (the
+//! block cut out, the carried basis cut with it) and link-change
+//! resettles.
 //!
 //! After every step of a script the reference is a fresh `FleetPlanner`
 //! over the maintained fleet's `shared_paths()`, offered the residents'
@@ -13,16 +14,16 @@
 //! Contract:
 //! * verdicts: the reference admits every resident, and refuses a
 //!   refused offer — or a flow a link change shed — beside them;
-//! * plans: every resident's allocation, quality, cost and send rates
-//!   agree with the reference's to 1e-9, warm and cold;
-//! * on a freshly populated fleet (no churn yet) the maintained LP *is*
-//!   the reference's `Problem`, so with the same solver the plans match
-//!   **bitwise** — the structural anchor;
+//! * plans: after every step, churn included, the maintained LP *is*
+//!   the reference's `Problem` (departed blocks are cut out, not kept),
+//!   and the solver's answer is a function of the problem, so every
+//!   resident's allocation, quality, cost and send rates match the
+//!   reference's **bitwise**, warm and cold;
 //! * warm and cold maintained fleets agree bitwise.
 
 mod common;
 
-use common::{assert_plans_close, fresh_fleet};
+use common::{assert_bitwise, fresh_fleet};
 use dmc_core::{Plan, PlannerConfig, ScenarioPath};
 use dmc_fleet::{FleetConfig, FleetPlanner, FlowId, FlowRequest};
 use dmc_obs::fnv1a;
@@ -113,24 +114,8 @@ fn replay(cfg: FleetConfig, script: &[Action]) -> Vec<Step> {
     steps
 }
 
-/// How closely the maintained plans must track the reference's.
-#[derive(Debug, Clone, Copy)]
-enum Agreement {
-    /// Every plan to 1e-9.
-    Close,
-    /// Every plan bit for bit.
-    Bitwise,
-}
-
-fn assert_bitwise(a: &Plan, b: &Plan, ctx: &str) {
-    assert_eq!(a.strategy().x(), b.strategy().x(), "{ctx}: x");
-    assert_eq!(a.quality(), b.quality(), "{ctx}: quality");
-    assert_eq!(a.cost_rate(), b.cost_rate(), "{ctx}: cost");
-    assert_eq!(a.send_rates(), b.send_rates(), "{ctx}: send rates");
-}
-
 /// Holds every recorded step to a fresh fleet run with `reference`.
-fn assert_matches_fresh(steps: &[Step], reference: &FleetConfig, agreement: Agreement, ctx: &str) {
+fn assert_matches_fresh(steps: &[Step], reference: &FleetConfig, ctx: &str) {
     for (i, step) in steps.iter().enumerate() {
         let ctx = format!("{ctx}, step {i}");
         let batch = step.residents.clone();
@@ -144,11 +129,7 @@ fn assert_matches_fresh(steps: &[Step], reference: &FleetConfig, agreement: Agre
         }
         let fresh_plans = fresh.plans().map(|(_, p)| p);
         for (k, (mine, theirs)) in step.plans.iter().zip(fresh_plans).enumerate() {
-            let ctx = format!("{ctx}, resident {k}");
-            match agreement {
-                Agreement::Close => assert_plans_close(mine, theirs, &ctx),
-                Agreement::Bitwise => assert_bitwise(mine, theirs, &ctx),
-            }
+            assert_bitwise(mine, theirs, &format!("{ctx}, resident {k}"));
         }
         let (a, b) = (step.aggregate, fresh.aggregate_quality());
         assert!((a - b).abs() <= 1e-6, "{ctx}: aggregate quality {a} vs {b}");
@@ -177,7 +158,7 @@ fn churn_script() -> Vec<Action> {
                 .with_cost_budget(1.0),
         ),
         Action::Depart(0),
-        Action::Offer(FlowRequest::new(30e6, 0.8).unwrap().with_min_quality(0.7)), // reuses slot
+        Action::Offer(FlowRequest::new(30e6, 0.8).unwrap().with_min_quality(0.7)), // after the cut
         Action::Offer(FlowRequest::new(90e6, 0.8).unwrap().with_min_quality(0.95)), // rejected
         Action::Depart(1),
         Action::Link(0, LinkChange::SetBandwidth(50e6)),
@@ -198,8 +179,8 @@ fn churn_script_agrees_across_all_configurations() {
         warm.iter().any(|s| !s.refused.is_empty()),
         "the script refuses a flow"
     );
-    assert_matches_fresh(&warm, &reference, Agreement::Close, "warm");
-    assert_matches_fresh(&cold, &reference, Agreement::Close, "cold");
+    assert_matches_fresh(&warm, &reference, "warm");
+    assert_matches_fresh(&cold, &reference, "cold");
     assert_warm_is_cold(&warm, &cold);
 }
 
@@ -221,7 +202,7 @@ fn fresh_population_is_bitwise_identical_to_the_reference() {
     let cfg = config(false);
     let steps = replay(cfg.clone(), &script);
     assert_eq!(steps.last().map(|s| s.plans.len()), Some(3));
-    assert_matches_fresh(&steps, &cfg, Agreement::Bitwise, "cold");
+    assert_matches_fresh(&steps, &cfg, "cold");
 }
 
 fn arb_request(rng: &mut SplitMix64) -> FlowRequest {
@@ -258,8 +239,7 @@ fn arb_action(rng: &mut SplitMix64) -> Action {
 /// Arbitrary churn sequences (offers with random floors/budgets/
 /// widths, departures, bandwidth changes): the maintained fleet —
 /// warm *and* cold — agrees with the from-scratch reference on every
-/// verdict and every plan after every step, and warm with cold bit
-/// for bit.
+/// verdict and, bit for bit, every plan after every step.
 #[test]
 fn random_churn_sequences_agree() {
     run_cases(fnv1a(b"random_churn_sequences_agree"), 12, |rng| {
@@ -269,8 +249,8 @@ fn random_churn_sequences_agree() {
         let reference = config(true);
         let warm = replay(config(true), &script);
         let cold = replay(config(false), &script);
-        assert_matches_fresh(&warm, &reference, Agreement::Close, "warm");
-        assert_matches_fresh(&cold, &reference, Agreement::Close, "cold");
+        assert_matches_fresh(&warm, &reference, "warm");
+        assert_matches_fresh(&cold, &reference, "cold");
         assert_warm_is_cold(&warm, &cold);
     });
 }

@@ -12,9 +12,10 @@
 //! 3. **Reservation certification**: a refused-now flow holds a later
 //!    window that really certifies (meets its floor) once the horizon
 //!    advances to it.
-//! 4. **Advance ≡ fresh rebuild** (property test): advancing the grid under
-//!    tombstoned expired slots and re-solving equals a fresh build of
-//!    the truncated horizon to 1e-9 on the joint objective.
+//! 4. **Advance ≡ fresh rebuild** (property test): advancing the grid,
+//!    recycling the expired slots' ring rows and cutting the completed
+//!    flows' blocks out, and re-solving equals a fresh build of the
+//!    truncated horizon to 1e-9 on the joint objective.
 //! 5. **A slide tests no straddler against phantom load**: every flow
 //!    whose window straddles the new origin has left the LP before the
 //!    first of them is offered again at its truncated window.
@@ -348,7 +349,7 @@ fn advancing_equals_a_fresh_build_of_the_truncated_horizon() {
             offered.push((d.id(), req));
         }
 
-        // Advance under tombstones: early windows complete, late ones
+        // Advance: early windows complete and leave the LP, late ones
         // survive untouched (no window straddles slot 2).
         let advance = live.advance_to(2).expect("advance runs");
         assert!(advance.truncated.is_empty());

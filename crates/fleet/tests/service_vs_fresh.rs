@@ -2,7 +2,7 @@
 //! references: seeded random ticks of offers, departures and link
 //! changes through a `FleetService` (single-region flows, equal
 //! priorities, at 1 and at 4 workers). After every tick each admitted
-//! flow's leg plan must agree, to 1e-9, with its plan in a fresh
+//! flow's leg plan must agree, bit for bit, with its plan in a fresh
 //! per-region `FleetPlanner` over the region's current paths, offered
 //! the region's surviving flows in roster order as one batch
 //! ([`common::fresh_fleet`]).
@@ -17,7 +17,7 @@
 
 mod common;
 
-use common::{assert_plans_close, fresh_fleet};
+use common::{assert_bitwise, fresh_fleet};
 use dmc_core::ScenarioPath;
 use dmc_fleet::{FleetConfig, FleetService, FlowRequest, ServiceConfig, ServiceEvent};
 use dmc_obs::fnv1a;
@@ -227,7 +227,7 @@ impl Mirror {
             for (&seq, (_, want)) in roster.iter().zip(fresh.plans()) {
                 let legs = service.leg_plans(seq);
                 assert_eq!(legs.len(), 1, "{ctx}: flow {seq} has one leg");
-                assert_plans_close(
+                assert_bitwise(
                     legs[0],
                     want,
                     &format!("{ctx}, region {region}, flow {seq}"),
@@ -356,8 +356,8 @@ fn service_matches_fresh_region_planners() {
 /// After every step each region's roster, offered in roster order to a
 /// fresh `SchedulePlanner` on the region's grid (instant flows at
 /// `SlotWindow::instant(origin)`), is scheduled whole, every instant
-/// leg plan agrees with it to 1e-9, and so does the service's origin-slot
-/// utilization (windowed flows included). `depart_windowed` refuses an
+/// leg plan agrees with it bit for bit, and the service's origin-slot
+/// utilization (windowed flows included) to 1e-9. `depart_windowed` refuses an
 /// instant flow's id with `UnknownFlow`.
 ///
 /// Reached over the 24 scripts at one worker count (the test prints it
@@ -368,7 +368,7 @@ fn service_matches_fresh_region_planners() {
 /// changes and 13 by advances, 32 revived, 1 rejected from the queue.
 /// A windowed departure that skips its sweep fails the scripts.
 mod gridded {
-    use super::common::assert_plans_close;
+    use super::common::assert_bitwise;
     use super::PATHS;
     use dmc_core::ScenarioPath;
     use dmc_fleet::{
@@ -887,7 +887,7 @@ mod gridded {
                     let legs = service.leg_plans(seq);
                     assert_eq!(legs.len(), 1, "{ctx}: flow {seq} has one leg");
                     let want = fresh.plan_of(decision.id()).expect("scheduled");
-                    assert_plans_close(legs[0], want, &format!("{ctx}, flow {seq}"));
+                    assert_bitwise(legs[0], want, &format!("{ctx}, flow {seq}"));
                 }
                 let origin_slot = &fresh.utilization()[0];
                 for (&k, want) in self.regions[region].iter().zip(origin_slot) {

@@ -291,7 +291,7 @@ fn solve_with(
         tab.install_objective(&cost);
         iterate(&mut tab, max_iterations, cols, &mut iterations, bland_after)?;
         let residual = -tab.rhs_obj();
-        if residual > TOLERANCE.max(1e-7) {
+        if residual > TOLERANCE {
             return Err(SolveError::Infeasible { residual });
         }
         purge_artificials(&mut tab, art_start);

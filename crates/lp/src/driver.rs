@@ -299,8 +299,8 @@ pub(crate) fn solve(
 
     // ---- Phase 1: drive the basic artificials to zero -------------------
     // Every artificial on a cold start; on a warm one only those the
-    // caller's basis names (rows appended or recycled since it was
-    // optimal), and none at all when it names none.
+    // caller's basis names (rows appended, or left uncovered by a cut,
+    // since it was optimal), and none at all when it names none.
     if state.basis.iter().any(|&c| c >= art_start) {
         state.cost.clear();
         state.cost.resize(state.lay.ncols, 0.0);
@@ -314,7 +314,10 @@ pub(crate) fn solve(
             .filter(|&i| state.basis[i] >= art_start)
             .map(|i| state.x_basic[i].max(0.0))
             .sum();
-        if residual > TOLERANCE.max(1e-7) {
+        // Feasible means feasible to the tolerance: a residual let past
+        // it lands on a basic variable below zero at the drive-out, which
+        // the vertex clamps, missing some row by the residual.
+        if residual > TOLERANCE {
             return Err(SolveError::Infeasible { residual });
         }
         drive_out_artificials(state, kernel, &mut scratch);
@@ -750,7 +753,7 @@ fn try_warm_basis(
 /// wide), and picking the exact minimum among them pivots on elements of
 /// 1e-9 — a few dozen such pivots and `x_basic` no longer describes the
 /// basis. Columns whose reduced cost already has the wrong sign (a
-/// tombstoned block's, after its objective was zeroed) count as ratio 0:
+/// block whose objective was zeroed) count as ratio 0:
 /// this phase only restores primal feasibility, and phase 2 starts from
 /// the basis it leaves and proves optimality there.
 ///

@@ -35,8 +35,8 @@
 //!   through the shared capacity rows; a problem that declares none
 //!   (every single-flow LP) is one block. Its pivot order is a function
 //!   of the basis set, so the [`Basis`] may have been edited in step with
-//!   the problem (rows appended on their logicals, a recycled block
-//!   released), in which case phase 1 runs *from* it over the few
+//!   the problem (rows appended on their logicals, a departed block cut
+//!   out), in which case phase 1 runs *from* it over the few
 //!   artificials it names, and a basis left singular by a coefficient
 //!   edit is repaired instead of discarded — the fleet's
 //!   re-solve-after-a-small-edit loop.

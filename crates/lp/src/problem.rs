@@ -5,6 +5,7 @@ use crate::driver::{self, Goal};
 use crate::error::{ProblemError, SolveError};
 use crate::simplex::{SolverOptions, WarmStart, Workspace, DEGENERATE_SWITCH};
 use crate::solution::{Basis, Solution};
+use std::ops::Range;
 
 /// Whether a [`Constraint`] is `≤` or `=`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -327,14 +328,11 @@ impl Problem {
     /// the problem as created) and a block boundary is recorded at the old
     /// variable count; no row is touched. Returns the new columns' range.
     ///
-    /// Incremental callers **tombstone rather than remove** departed
-    /// blocks (set the block's `Σx = 1` row to `Σx = 0` via
-    /// [`Problem::set_rhs`]) so every surviving column and row keeps its
-    /// index; a later arrival of the same shape reclaims the dead
-    /// columns in place with [`Problem::set_row_range`] /
-    /// [`Problem::set_objective_range`] instead of appending. Only
-    /// rollback of the **most recent** block may physically shrink the
-    /// problem ([`Problem::truncate_vars`] / [`Problem::truncate_rows`]).
+    /// Incremental callers take a departed block out again with
+    /// [`Problem::remove_ranges`] — its columns and its own rows, every
+    /// later column and row moving down — and roll back the **most
+    /// recent** block with its tail case ([`Problem::truncate_vars`] /
+    /// [`Problem::truncate_rows`]).
     ///
     /// # Errors
     ///
@@ -407,9 +405,8 @@ impl Problem {
 
     /// Overwrites the stored coefficients of row `row` over the column
     /// range `start..start + vals.len()`; exact zeros in `vals` leave the
-    /// row's support. Writing as many nonzeros as the range held — a
-    /// tombstoned block's segment taken over by a flow of its shape —
-    /// moves nothing and allocates nothing.
+    /// row's support. Writing as many nonzeros as the range held — the
+    /// same pattern with new values — moves nothing and allocates nothing.
     ///
     /// The values are written **as stored**: a row added with
     /// [`Problem::add_ge`] is stored negated, and callers patching such a
@@ -451,21 +448,13 @@ impl Problem {
     /// Overwrites row `row`'s right-hand side **as stored** (a
     /// [`Problem::add_ge`] row stores `-rhs`).
     ///
-    /// # Tombstone invariant
-    ///
-    /// This is the **deactivation** op of the block-incremental idiom:
-    /// setting a block's convexity row `Σx = 1` to `Σx = 0` forces every
+    /// Setting a block's convexity row `Σx = 1` to `Σx = 0` forces every
     /// variable of the block to zero (they are non-negative and must sum
-    /// to the rhs — with carry variables the balance rows telescope the
-    /// same way), so the block drops out of the optimum **without any
-    /// shape change** — no rows or columns move, and the tombstoned
-    /// columns can later be reclaimed in place by a same-shape arrival
-    /// (see [`Problem::append_block`]).
-    ///
-    /// A caller that carries a [`Basis`] across these edits leaves it
-    /// alone on deactivation and hands the block's rows and columns back
-    /// to their logicals when a new arrival reclaims them
-    /// ([`Basis::release`]) — what `dmc-fleet`'s joint assembly does.
+    /// to the right-hand side; with carry variables the balance rows
+    /// telescope the same way) without a shape change. A caller that
+    /// means the block to leave for good cuts it out instead
+    /// ([`Problem::remove_ranges`]): a zeroed block still costs every
+    /// pivot, pricing pass and factorization of the LP it sits in.
     ///
     /// # Errors
     ///
@@ -509,37 +498,85 @@ impl Problem {
         Ok(self)
     }
 
-    /// Drops every variable with index ≥ `n` (undoing
-    /// [`Problem::append_block`]s): truncates the objective, every row's
-    /// entries past `n` — the one mutator that visits every row — and the
-    /// block boundaries. No-op when `n` is not smaller than the current
-    /// variable count.
-    pub fn truncate_vars(&mut self, n: usize) {
-        if n >= self.objective.len() {
-            return;
-        }
-        self.objective.truncate(n);
+    /// Removes the rows in `rows` and the columns in `cols`, each given
+    /// as sorted, disjoint ranges, in one pass over the stored nonzeros:
+    /// every surviving column moves down past the removed ones below it,
+    /// in the objective, in every row and in the block boundaries (a
+    /// block whose columns are all removed loses its start). Only the
+    /// entries at or past the first removed column are visited.
+    /// [`Problem::truncate_vars`] and [`Problem::truncate_rows`] are its
+    /// tail case.
+    ///
+    /// This is how an incremental caller takes a departed block out of a
+    /// long-lived LP — its own rows and its columns, which leave the
+    /// shared rows with them — and [`Basis::remove_ranges`] is the edit
+    /// that goes with it. `dmc-fleet`'s joint assembly cuts every block
+    /// whose flow left at the top of its next solve.
+    ///
+    /// # Errors
+    ///
+    /// [`ProblemError::OutOfRange`] when a range ends past the row or
+    /// column count, or starts before the previous one ends (the problem
+    /// is left unchanged).
+    pub fn remove_ranges(
+        &mut self,
+        rows: &[Range<usize>],
+        cols: &[Range<usize>],
+    ) -> Result<&mut Self, ProblemError> {
+        check_ranges(rows, self.constraints.len(), "removed row range")?;
+        check_ranges(cols, self.objective.len(), "removed column range")?;
+        let mut i = 0;
+        self.constraints.retain(|_| {
+            i += 1;
+            shifted(rows, i - 1).is_some()
+        });
+        let mut j = 0;
+        self.objective.retain(|_| {
+            j += 1;
+            shifted(cols, j - 1).is_some()
+        });
+        let first = cols.first().map_or(usize::MAX, |r| r.start);
         for c in &mut self.constraints {
-            let keep = c.cols.partition_point(|&j| (j as usize) < n);
-            c.cols.truncate(keep);
-            c.vals.truncate(keep);
+            let lo = c.cols.partition_point(|&j| (j as usize) < first);
+            let mut kept = lo;
+            for k in lo..c.cols.len() {
+                if let Some(to) = shifted(cols, c.cols[k] as usize) {
+                    c.cols[kept] = to as u32;
+                    c.vals[kept] = c.vals[k];
+                    kept += 1;
+                }
+            }
+            c.cols.truncate(kept);
+            c.vals.truncate(kept);
         }
-        let keep = self.block_starts.partition_point(|&s| s < n.max(1));
-        self.block_starts.truncate(keep);
+        for s in &mut self.block_starts {
+            *s = cut_index(cols, *s);
+        }
+        self.block_starts.dedup();
+        let end = self.objective.len().max(1);
+        self.block_starts.retain(|&s| s < end);
+        Ok(self)
+    }
+
+    /// Drops every variable with index ≥ `n` (undoing
+    /// [`Problem::append_block`]s): the tail case of
+    /// [`Problem::remove_ranges`]. No-op when `n` is not smaller than the
+    /// current variable count.
+    pub fn truncate_vars(&mut self, n: usize) {
+        let all = self.objective.len();
+        let tail = n.min(all)..all;
+        self.remove_ranges(&[], std::slice::from_ref(&tail))
+            .expect("a tail range is in range");
     }
 
     /// Drops every constraint row with index ≥ `m` (undoing appended
-    /// rows). No-op when `m` is not smaller than the current row count.
-    ///
-    /// With [`Problem::set_rhs`] this is the **horizon-advance** pair of
-    /// the time-expanded idiom: ring-indexed shared rows are *recycled*
-    /// (`set_rhs` retunes or zeroes them in place, so surviving rows
-    /// never move), while per-block rows past a rollback point are
-    /// physically truncated. Truncating rows that an active block still
-    /// references leaves the problem well-formed but semantically
-    /// unconstrained — callers own that invariant.
+    /// rows): the tail case of [`Problem::remove_ranges`]. No-op when `m`
+    /// is not smaller than the current row count.
     pub fn truncate_rows(&mut self, m: usize) {
-        self.constraints.truncate(m);
+        let all = self.constraints.len();
+        let tail = m.min(all)..all;
+        self.remove_ranges(std::slice::from_ref(&tail), &[])
+            .expect("a tail range is in range");
     }
 
     /// Solves the problem with the two-phase simplex method.
@@ -576,7 +613,7 @@ impl Problem {
     /// optimal one (obtained via [`Solution::basis`] on a related
     /// problem: a parameter sweep or adaptive re-solve where only
     /// coefficients moved), or one the caller edited in step with the
-    /// problem ([`Basis::extend_logical`], [`Basis::release`],
+    /// problem ([`Basis::extend_logical`], [`Basis::remove_ranges`],
     /// [`Basis::truncate`]) as rows and columns came and went. The
     /// basis must have one slot per row of *this* problem.
     ///
@@ -706,7 +743,14 @@ impl Problem {
                         obs.counter(name).add(n);
                     }
                 }
-                Err(_) => obs.counter("lp.errors").inc(),
+                Err(e) => {
+                    obs.counter("lp.errors").inc();
+                    // Counted apart too: a refusal is an answer, not a
+                    // numerical failure.
+                    if matches!(e, SolveError::Infeasible { .. }) {
+                        obs.counter("lp.infeasible").inc();
+                    }
+                }
             }
             // Counted from the stats, not the `Solution`: a refusal
             // (`Infeasible`) reached from the caller's basis was warm.
@@ -762,6 +806,41 @@ impl Problem {
             v
         }
     }
+}
+
+/// Index `i` once the sorted, disjoint `ranges` are cut out: the count
+/// of surviving indices below it — its own new index, or the next
+/// survivor's when a range holds it.
+pub(crate) fn cut_index(ranges: &[Range<usize>], i: usize) -> usize {
+    i - ranges
+        .iter()
+        .map(|r| r.end.min(i).saturating_sub(r.start))
+        .sum::<usize>()
+}
+
+/// `i`'s index once the sorted, disjoint `ranges` are cut out, `None`
+/// when a range holds it.
+pub(crate) fn shifted(ranges: &[Range<usize>], i: usize) -> Option<usize> {
+    let cut = ranges.iter().any(|r| r.contains(&i));
+    (!cut).then(|| cut_index(ranges, i))
+}
+
+/// Checks that `ranges` are sorted, disjoint and end within `limit`
+/// (empty ranges are allowed anywhere in order).
+fn check_ranges(
+    ranges: &[Range<usize>],
+    limit: usize,
+    what: &'static str,
+) -> Result<(), ProblemError> {
+    let mut floor = 0;
+    for r in ranges {
+        if r.start < floor || r.end < r.start || r.end > limit {
+            let index = if r.start < floor { r.start } else { r.end };
+            return Err(ProblemError::OutOfRange { what, index, limit });
+        }
+        floor = r.end;
+    }
+    Ok(())
 }
 
 /// `start + vals.len()` as the end of a patched range over `limit`
@@ -915,21 +994,29 @@ mod tests {
         p.set_row_range(1, b.start, &[1.0]).unwrap(); // B serves in slot 1
         p.add_eq_sparse(&[(b.start, 1.0), (b.start + 1, 1.0)], 1.0)
             .unwrap();
-        let full = p.solve(&opts).unwrap();
+        let mut full = p.solve(&opts).unwrap();
         assert!((full.objective() - (0.8 + 0.6 * 0.8)).abs() < 1e-9);
 
-        // Advance: slot 0 expired. Tombstone A (Σx = 1 → 0) and recycle
-        // its ring row in place as the incoming slot 2 — here a
-        // zero-capacity maintenance slot. No rows or columns move.
-        p.set_rhs(2, 0.0).unwrap(); // A's convexity row
-        p.set_rhs(0, 0.0).unwrap(); // ring 0 is now slot 2
-        p.set_row_range(0, a.start, &[0.0]).unwrap(); // A leaves the ring row
-        let advanced = p.solve(&opts).unwrap();
-        // The tombstone pins the whole dead block at zero ...
-        let x = advanced.x();
+        // Advance: slot 0 expired. A tombstone (Σx = 1 → 0) pins the
+        // whole dead block at zero without moving anything ...
+        let mut tombstoned = p.clone();
+        tombstoned.set_rhs(2, 0.0).unwrap();
+        let x = tombstoned.solve(&opts).unwrap().x().to_vec();
         assert!(x[a.start].abs() < 1e-12 && x[a.start + 1].abs() < 1e-12);
-        // ... and the optimum equals a fresh build of the truncated
-        // horizon (flow B alone on slots 1–2).
+        // ... but a block that leaves for good is cut out: its convexity
+        // row and its columns, which leave the ring row with them. Its
+        // ring row is recycled in place as the incoming slot 2, here a
+        // zero-capacity maintenance slot. The carried basis is cut in
+        // step.
+        let a_rows = 2..3;
+        let (rows, cols) = (std::slice::from_ref(&a_rows), std::slice::from_ref(&a));
+        p.remove_ranges(rows, cols).unwrap();
+        p.set_rhs(0, 0.0).unwrap(); // ring 0 is now slot 2
+        let mut basis = full.take_basis().expect("exportable");
+        basis.remove_ranges(rows, cols);
+        assert_eq!(basis.len(), p.num_constraints());
+        // The result *is* a fresh build of the advanced horizon (flow B
+        // alone on slots 1–2, its columns first) ...
         let mut fresh = Problem::maximize(vec![]);
         let fb = fresh.append_block(&[0.6, 0.0]).unwrap();
         fresh.add_le_sparse(&[], 0.0).unwrap();
@@ -937,8 +1024,13 @@ mod tests {
         fresh
             .add_eq_sparse(&[(fb.start, 1.0), (fb.start + 1, 1.0)], 1.0)
             .unwrap();
-        let rebuilt = fresh.solve(&opts).unwrap();
-        assert!((advanced.objective() - rebuilt.objective()).abs() < 1e-9);
+        assert_eq!(p, fresh);
+        // ... and solves from the cut basis to the cold solve's bits.
+        let warm = p.solve_warm(&opts, &basis).unwrap();
+        let cold = fresh.solve(&opts).unwrap();
+        assert!(warm.used_warm_start());
+        assert_eq!((warm.x(), warm.duals()), (cold.x(), cold.duals()));
+        assert!((warm.objective() - 0.6 * 0.8).abs() < 1e-9);
 
         // Rolling back the newest block really shrinks the problem back
         // to its pre-arrival state (truncate_rows then truncate_vars).
@@ -947,10 +1039,57 @@ mod tests {
         p.set_row_range(1, c.start, &[1.0]).unwrap();
         p.add_eq_sparse(&[(c.start, 1.0), (c.start + 1, 1.0)], 1.0)
             .unwrap();
-        p.truncate_rows(4);
-        p.set_row_range(1, c.start, &[0.0]).unwrap();
+        p.truncate_rows(3);
         p.truncate_vars(c.start);
         assert_eq!(p, before);
+    }
+
+    #[test]
+    fn removed_ranges_renumber_columns_rows_and_block_starts() {
+        let mut p = Problem::maximize(vec![]);
+        for width in [2, 3, 1, 2] {
+            let cols = p.append_block(&vec![1.0; width]).unwrap();
+            let ones: Vec<(usize, f64)> = cols.map(|j| (j, 1.0)).collect();
+            p.add_eq_sparse(&ones, 1.0).unwrap();
+        }
+        let all: Vec<(usize, f64)> = (0..8).map(|j| (j, j as f64 + 1.0)).collect();
+        p.add_le_sparse(&all, 9.0).unwrap();
+        assert_eq!(p.block_starts(), [0, 2, 5, 6]);
+        // Blocks 1 and 3 (columns 2..5 and 6..8, rows 1 and 3) go.
+        let mut cut = p.clone();
+        cut.remove_ranges(&[1..2, 3..4], &[2..5, 6..8]).unwrap();
+        assert_eq!(cut.num_vars(), 3);
+        assert_eq!(cut.block_starts(), [0, 2]);
+        let rows: Vec<(&[u32], &[f64])> = cut
+            .constraints()
+            .iter()
+            .map(|c| (c.support(), c.values()))
+            .collect();
+        let expected: [(&[u32], &[f64]); 3] = [
+            (&[0, 1], &[1.0, 1.0]),
+            (&[2], &[1.0]),
+            (&[0, 1, 2], &[1.0, 2.0, 6.0]),
+        ];
+        assert_eq!(rows, expected);
+        // Malformed lists are refused and leave the problem as it was.
+        for (rows, cols) in [
+            (vec![3..4, 1..2], vec![]),
+            (vec![0..1, 4..6], vec![]),
+            (vec![], vec![2..5, 4..6]),
+            (vec![], vec![0..1, 7..9]),
+        ] {
+            let before = p.clone();
+            assert!(matches!(
+                p.remove_ranges(&rows, &cols),
+                Err(ProblemError::OutOfRange { .. })
+            ));
+            assert_eq!(p, before);
+        }
+        // The tail case is a truncation; past the end it is a no-op.
+        let mut tail = p.clone();
+        tail.truncate_vars(9);
+        tail.truncate_rows(9);
+        assert_eq!(tail, p);
     }
 
     #[test]

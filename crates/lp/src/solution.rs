@@ -1,7 +1,7 @@
 //! Optimal solution returned by the solver, plus the [`Basis`] type that
 //! lets one solve warm-start the next.
 
-use crate::problem::Problem;
+use crate::problem::{shifted, Problem};
 use std::fmt;
 use std::ops::Range;
 
@@ -17,7 +17,7 @@ pub enum BasisVar {
     /// the row has one (equalities, rows whose right-hand side flips
     /// sign under normalization), its slack otherwise. Never exported by
     /// a solve; written by [`Basis::extend_logical`] and
-    /// [`Basis::release`] to say "nothing covers this row yet".
+    /// [`Basis::remove_ranges`] to say "nothing covers this row yet".
     Logical(usize),
 }
 
@@ -28,8 +28,8 @@ pub enum BasisVar {
 /// [`crate::Problem::solve_warm`] to restart on a related problem: a
 /// parameter sweep or adaptive re-solve where only coefficients moved,
 /// or — edited in step with the problem by [`Basis::extend_logical`],
-/// [`Basis::release`] and [`Basis::truncate`] — the same problem with
-/// rows and columns appended, recycled or removed. An exported basis
+/// [`Basis::remove_ranges`] and [`Basis::truncate`] — the same problem
+/// with rows and columns appended or removed. An exported basis
 /// never names an artificial variable; an edited one may, through
 /// [`BasisVar::Logical`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -60,23 +60,54 @@ impl Basis {
         self.slots.truncate(rows);
     }
 
-    /// Hands a recycled block back to its logicals: each of `rows` goes
-    /// to its [starting logical](BasisVar::Logical), and so does every
-    /// row whose basic variable is a structural column in `cols` (those
-    /// columns leave the basis). Exact when the block is dead — columns
-    /// zero outside `rows`, so its sub-basis is block-diagonal; otherwise
-    /// the solver's validation and repair decide what survives.
-    pub fn release(&mut self, rows: impl IntoIterator<Item = usize>, cols: Range<usize>) {
-        for (r, slot) in self.slots.iter_mut().enumerate() {
-            if matches!(*slot, BasisVar::Structural(j) if cols.contains(&j)) {
-                *slot = BasisVar::Logical(r);
+    /// The edit that goes with [`Problem::remove_ranges`]: drops the
+    /// rows in `rows` and the columns in `cols` (sorted, disjoint ranges)
+    /// and renumbers what is left. A removed row's slot goes, and so does
+    /// every removed column, slack or logical wherever it was basic. A
+    /// survivor whose slot went fills a slot left empty, and each slot
+    /// still empty takes the [starting logical](BasisVar::Logical) of a
+    /// row nothing covers: the rows of the empty slots first, then the
+    /// lowest (in a block-angular layout, the shared rows). Exact when
+    /// the removed columns are basic only in the removed rows; otherwise
+    /// the solver's repair and dual phase decide what survives.
+    pub fn remove_ranges(&mut self, rows: &[Range<usize>], cols: &[Range<usize>]) {
+        let row = |r: usize| shifted(rows, r);
+        let renumbered = |v: BasisVar| match v {
+            BasisVar::Structural(j) => shifted(cols, j).map(BasisVar::Structural),
+            BasisVar::Slack(r) => row(r).map(BasisVar::Slack),
+            BasisVar::Logical(r) => row(r).map(BasisVar::Logical),
+        };
+        let (mut kept, mut orphans, mut vacated) = (Vec::new(), Vec::new(), Vec::new());
+        for (r, &v) in self.slots.iter().enumerate() {
+            match (row(r), renumbered(v)) {
+                (Some(_), Some(v)) => kept.push(v),
+                (Some(r), None) => vacated.push(r),
+                (None, Some(v)) => orphans.push(v),
+                (None, None) => {}
             }
         }
-        for r in rows {
-            if let Some(slot) = self.slots.get_mut(r) {
-                *slot = BasisVar::Logical(r);
+        let rows_left = kept.len() + vacated.len();
+        kept.extend(orphans);
+        kept.truncate(rows_left);
+        let mut covered = vec![false; rows_left];
+        for v in &kept {
+            if let BasisVar::Slack(r) | BasisVar::Logical(r) = *v {
+                if let Some(c) = covered.get_mut(r) {
+                    *c = true;
+                }
             }
         }
+        // Each slot still empty leaves at least one row uncovered, so the
+        // search always finds one.
+        let mut rows_to_try = vacated.into_iter().chain(0..rows_left);
+        while kept.len() < rows_left {
+            let row = rows_to_try
+                .find(|&u| !covered[u])
+                .expect("an uncovered row");
+            covered[row] = true;
+            kept.push(BasisVar::Logical(row));
+        }
+        self.slots = kept;
     }
 
     /// The basic variable of each constraint row, in row order.

@@ -874,14 +874,14 @@ mod tests {
 
     #[test]
     fn tombstoned_block_forces_zero_and_stays_warm_startable() {
-        // The fleet's departure pattern: a block's Σx row drops to 0 and
-        // its objective is zeroed; the shape (and a cached basis of the
-        // shape) survives.
+        // A block's Σx row drops to 0 and its objective is zeroed: the
+        // block is forced to zero, and the shape (and a cached basis of
+        // the shape) survives.
         let mut p = block_angular(6, 5);
         let o = opts();
         let before = p.solve(&o).unwrap();
         let basis = before.basis().expect("exportable").clone();
-        let dead = 2usize; // tombstone block 2
+        let dead = 2usize; // zero block 2
         p.set_rhs(2 + dead, 0.0).unwrap(); // its Σx row (after 2 coupling rows)
         p.set_objective_range(dead * 5, &[0.0; 5]).unwrap();
         let warm = p.solve_warm(&o, &basis).unwrap();
@@ -964,25 +964,21 @@ mod tests {
 
     #[test]
     fn released_rows_restart_on_their_logicals() {
-        // The take-over edit: a tombstoned block's rows go back to their
-        // logicals and its columns leave the basis, then the block is
-        // rewritten for a new occupant.
+        // The departure edit: a block's Σx row and its columns leave the
+        // LP and the carried basis is cut in step. The shared rows the
+        // block's columns covered restart on their logicals, and the
+        // survivors restart from what is left.
         let o = opts();
         let mut p = block_angular(6, 5);
-        let dead = 2usize;
-        p.set_rhs(2 + dead, 0.0).unwrap();
-        p.set_objective_range(dead * 5, &[0.0; 5]).unwrap();
-        p.set_row_range(0, dead * 5, &[0.0; 5]).unwrap();
-        p.set_row_range(1, dead * 5, &[0.0; 5]).unwrap();
         let mut basis = p.solve(&o).unwrap().take_basis().expect("exportable");
-        p.set_rhs(2 + dead, 1.0).unwrap();
-        p.set_objective_range(dead * 5, &[0.9, 0.5, 0.7, 0.6, 0.8])
-            .unwrap();
-        p.set_row_range(0, dead * 5, &[0.3, 0.1, 0.2, 0.4, 0.5])
-            .unwrap();
-        p.set_row_range(1, dead * 5, &[0.2, 0.6, 0.1, 0.3, 0.2])
-            .unwrap();
-        basis.release([2 + dead], dead * 5..(dead + 1) * 5);
+        // Block 1's columns are basic in its Σx row and in capacity row 0.
+        let dead = 1usize;
+        let (row, block) = (2 + dead..3 + dead, dead * 5..(dead + 1) * 5);
+        let (rows, cols) = (std::slice::from_ref(&row), std::slice::from_ref(&block));
+        p.remove_ranges(rows, cols).unwrap();
+        basis.remove_ranges(rows, cols);
+        assert_eq!(basis.len(), p.num_constraints());
+        assert!(basis.slots().contains(&BasisVar::Logical(0)), "{basis}");
         let warm = p.solve_warm(&o, &basis).unwrap();
         let cold = p.solve(&o).unwrap();
         assert!(warm.used_warm_start());
@@ -1022,10 +1018,10 @@ mod tests {
         // The edit vocabulary, down to every row on its logical — which
         // is the cold start spelled out, and a warm start all the same.
         let mut logicals = basis.clone();
-        logicals.release([0], 0..0);
-        assert_eq!(logicals.to_string(), "[l0, x1, s2]");
-        logicals.release([], 1..2);
-        logicals.truncate(2);
+        logicals.truncate(1);
+        logicals.extend_logical(3);
+        assert_eq!(logicals.to_string(), "[x0, l1, l2]");
+        logicals.truncate(0);
         logicals.extend_logical(3);
         assert_eq!(logicals.to_string(), "[l0, l1, l2]");
         let spelled_out = edited.solve_warm_with(&o, &mut ws, &logicals).unwrap();

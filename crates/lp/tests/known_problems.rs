@@ -120,6 +120,26 @@ fn equality_system_with_unique_point() {
     assert!((s.objective() - 2.0).abs() < 1e-9);
 }
 
+/// A floor missed by 5e-8 — more than the solver's tolerance, less than
+/// the 1e-7 phase 1 once let pass — is a refusal, from the driver and the
+/// tableau alike. Accepted, the drive-out left a basic variable at −5e-8,
+/// and the vertex handed out missed the floor by that much.
+#[test]
+fn a_floor_missed_by_more_than_the_tolerance_is_refused() {
+    let mut p = Problem::maximize(vec![1.0, 0.5]);
+    p.add_le(vec![1.0, 1.0], 1.0).unwrap();
+    p.add_ge(vec![1.0, 0.0], 1.0 + 5e-8).unwrap();
+    assert!(matches!(
+        p.solve(&opts()),
+        Err(SolveError::Infeasible { .. })
+    ));
+    assert!(matches!(
+        dmc_lp_oracle::solve(&p),
+        Err(SolveError::Infeasible { .. })
+    ));
+    assert_feasibility_verdict(&p);
+}
+
 #[test]
 fn conflicting_equalities_infeasible() {
     let mut p = Problem::maximize(vec![1.0, 1.0]);

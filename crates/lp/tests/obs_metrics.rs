@@ -1,7 +1,7 @@
 //! Telemetry contract of the solver: metrics recorded per solve, spans
 //! measured in pivots, and identical numerics with obs on or off.
 
-use dmc_lp::{Problem, SolverOptions, Workspace};
+use dmc_lp::{Problem, SolveError, SolverOptions, Workspace};
 use dmc_obs::Obs;
 
 fn sample_problem() -> Problem {
@@ -198,6 +198,9 @@ fn phase_pivots_sum_to_the_iterations() {
     }
 }
 
+/// Every failed solve counts in `lp.errors`; a refusal (`Infeasible`)
+/// also counts in `lp.infeasible`, so an answer can be told from a
+/// failure. An unbounded objective is a failure of the other kind.
 #[test]
 fn infeasible_solves_count_as_errors() {
     let obs = Obs::enabled();
@@ -211,6 +214,16 @@ fn infeasible_solves_count_as_errors() {
     assert!(p.solve(&opts).is_err());
     let snap = obs.snapshot();
     assert_eq!(snap.counter("lp.errors"), Some(1));
+    assert_eq!(snap.counter("lp.infeasible"), Some(1));
     assert_eq!(snap.counter("lp.solves"), Some(1));
     assert_eq!(snap.counter("lp.pivot_rows"), None, "an Err adds no work");
+
+    let mut unbounded = Problem::maximize(vec![1.0, 1.0]);
+    unbounded.add_le(vec![1.0, -1.0], 1.0).expect("valid row");
+    let err = unbounded.solve(&opts).expect_err("unbounded");
+    assert!(matches!(err, SolveError::Unbounded), "{err:?}");
+    let snap = obs.snapshot();
+    assert_eq!(snap.counter("lp.errors"), Some(2));
+    assert_eq!(snap.counter("lp.infeasible"), Some(1), "not a refusal");
+    assert_eq!(snap.counter("lp.solves"), Some(2));
 }

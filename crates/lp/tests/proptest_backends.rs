@@ -17,10 +17,10 @@
 //! revive it) asserting sparse warm ≡ sparse cold **bitwise** and both
 //! ≡ dense to 1e-9. The edit-script property goes further: the LP is
 //! grown and shrunk the way the fleet's assembly does it (append a
-//! block, tombstone one, take a tombstone over, retune a capacity or a
-//! floor, truncate the last block) while one [`Basis`] is carried and
-//! edited in step, and every solve from it must equal the cold solve of
-//! the same problem bit for bit.
+//! block, cut departed blocks out, retune a capacity or a floor,
+//! truncate the last block) while one [`Basis`] is carried and edited in
+//! step, and every solve from it must equal the cold solve of the same
+//! problem bit for bit.
 //!
 //! Two properties pin the objective scale the solver and the oracle
 //! apply (the objective divided by the power of two at or below its
@@ -158,16 +158,10 @@ fn build_block_angular(
 /// Where one block of an [`EditedLp`] lives.
 struct Block {
     cols: Range<usize>,
+    /// Its floor row (if any) and its `Σx = 1` row, contiguous.
+    rows: Range<usize>,
     /// Stored negated (`add_ge`), like the fleet's floor rows.
     floor_row: Option<usize>,
-    eq_row: usize,
-    alive: bool,
-}
-
-impl Block {
-    fn rows(&self) -> impl Iterator<Item = usize> {
-        self.floor_row.into_iter().chain([self.eq_row])
-    }
 }
 
 /// A block-angular LP under the fleet assembly's edits, with the basis
@@ -197,88 +191,78 @@ impl EditedLp {
         (self.rng.unit() * n as f64) as usize % n.max(1)
     }
 
-    /// Writes a fresh occupant into `cols` (objective, coupling segments)
-    /// and returns its floor coefficients and a floor it can meet alone.
-    fn occupy(&mut self, cols: Range<usize>) -> (Vec<f64>, f64) {
-        let c: Vec<f64> = cols.clone().map(|_| 0.2 + self.rng.unit()).collect();
-        self.p.set_objective_range(cols.start, &c).unwrap();
-        for k in 0..self.couplings {
-            let seg: Vec<f64> = cols.clone().map(|_| 0.05 + self.rng.unit()).collect();
-            self.p.set_row_range(k, cols.start, &seg).unwrap();
-        }
-        let best = c.iter().fold(0.0f64, |a, &b| a.max(b));
-        let floor = best * 0.9 * self.rng.unit();
-        (c, floor)
-    }
-
     fn append(&mut self) {
         let width = 2 + self.pick(4);
-        let cols = self.p.append_block(&vec![0.0; width]).unwrap();
+        let c: Vec<f64> = (0..width).map(|_| 0.2 + self.rng.unit()).collect();
+        let cols = self.p.append_block(&c).unwrap();
         if self.blocks.is_empty() {
             for _ in 0..self.couplings {
                 let rhs = 1.0 + 2.0 * self.rng.unit();
                 self.p.add_le_sparse(&[], rhs).unwrap();
             }
         }
-        let (c, floor) = self.occupy(cols.clone());
+        for k in 0..self.couplings {
+            let seg: Vec<f64> = cols.clone().map(|_| 0.05 + self.rng.unit()).collect();
+            self.p.set_row_range(k, cols.start, &seg).unwrap();
+        }
+        let first_row = self.p.num_constraints();
+        let best = c.iter().fold(0.0f64, |a, &b| a.max(b));
+        let floor = best * 0.9 * self.rng.unit();
         let floor_row = (self.pick(2) == 1).then(|| {
             let entries: Vec<(usize, f64)> = cols.clone().zip(c).collect();
             self.p.add_ge_sparse(&entries, floor).unwrap();
-            self.p.num_constraints() - 1
+            first_row
         });
         let ones: Vec<(usize, f64)> = cols.clone().map(|j| (j, 1.0)).collect();
         self.p.add_eq_sparse(&ones, 1.0).unwrap();
-        let eq_row = self.p.num_constraints() - 1;
+        let rows = first_row..self.p.num_constraints();
         self.blocks.push(Block {
             cols,
+            rows,
             floor_row,
-            eq_row,
-            alive: true,
         });
         if let Some(basis) = &mut self.basis {
             basis.extend_logical(self.p.num_constraints());
         }
     }
 
-    fn tombstone(&mut self, i: usize) {
-        let zeros = vec![0.0; self.blocks[i].cols.len()];
-        let start = self.blocks[i].cols.start;
-        self.p.set_objective_range(start, &zeros).unwrap();
-        for k in 0..self.couplings {
-            self.p.set_row_range(k, start, &zeros).unwrap();
-        }
-        for row in self.blocks[i].rows() {
-            self.p.set_rhs(row, 0.0).unwrap();
-        }
-        self.blocks[i].alive = false; // the carried basis is left alone
-    }
-
-    fn take_over(&mut self, i: usize) {
-        let cols = self.blocks[i].cols.clone();
-        let (c, floor) = self.occupy(cols.clone());
-        if let Some(row) = self.blocks[i].floor_row {
-            let negated: Vec<f64> = c.iter().map(|v| -v).collect();
-            self.p.set_row_range(row, cols.start, &negated).unwrap();
-            self.p.set_rhs(row, -floor).unwrap();
-        }
-        self.p.set_rhs(self.blocks[i].eq_row, 1.0).unwrap();
+    /// Cuts the blocks `dead` (ascending indices) out of the LP and the
+    /// carried basis in one edit, and moves the later blocks down.
+    fn depart(&mut self, dead: &[usize]) {
+        let rows: Vec<Range<usize>> = dead.iter().map(|&i| self.blocks[i].rows.clone()).collect();
+        let cols: Vec<Range<usize>> = dead.iter().map(|&i| self.blocks[i].cols.clone()).collect();
+        self.p.remove_ranges(&rows, &cols).unwrap();
         if let Some(basis) = &mut self.basis {
-            basis.release(self.blocks[i].rows(), cols);
+            basis.remove_ranges(&rows, &cols);
         }
-        self.blocks[i].alive = true;
+        let (mut cut_rows, mut cut_cols, mut next) = (0, 0, 0);
+        let mut kept = Vec::with_capacity(self.blocks.len() - dead.len());
+        for (i, b) in std::mem::take(&mut self.blocks).into_iter().enumerate() {
+            if dead.get(next) == Some(&i) {
+                next += 1;
+                cut_rows += b.rows.len();
+                cut_cols += b.cols.len();
+                continue;
+            }
+            kept.push(Block {
+                cols: b.cols.start - cut_cols..b.cols.end - cut_cols,
+                rows: b.rows.start - cut_rows..b.rows.end - cut_rows,
+                floor_row: b.floor_row.map(|r| r - cut_rows),
+            });
+        }
+        self.blocks = kept;
     }
 
-    /// Removes the last block, rows and columns. The carried basis is
-    /// truncated with it; if a later optimum made one of the removed
-    /// columns basic in a surviving row, the solver must decline the
-    /// basis, not mis-map it.
+    /// Removes the last block, rows and columns, by truncation. The
+    /// carried basis is truncated with it; if a later optimum made one
+    /// of the removed columns basic in a surviving row, the solver must
+    /// decline the basis, not mis-map it.
     fn truncate(&mut self) {
         let last = self.blocks.pop().expect("called with ≥ 2 blocks");
-        let first_row = last.floor_row.unwrap_or(last.eq_row);
-        self.p.truncate_rows(first_row);
+        self.p.truncate_rows(last.rows.start);
         self.p.truncate_vars(last.cols.start);
         if let Some(basis) = &mut self.basis {
-            basis.truncate(first_row);
+            basis.truncate(last.rows.start);
         }
     }
 
@@ -286,12 +270,7 @@ impl EditedLp {
         let k = self.pick(self.couplings);
         let rhs = self.p.constraints()[k].rhs() * (0.5 + self.rng.unit());
         self.p.set_rhs(k, rhs).unwrap();
-        let floors: Vec<usize> = self
-            .blocks
-            .iter()
-            .filter(|b| b.alive)
-            .filter_map(|b| b.floor_row)
-            .collect();
+        let floors: Vec<usize> = self.blocks.iter().filter_map(|b| b.floor_row).collect();
         if !floors.is_empty() {
             let row = floors[self.pick(floors.len())];
             let rhs = self.p.constraints()[row].rhs() * (0.5 + self.rng.unit());
@@ -301,46 +280,40 @@ impl EditedLp {
 
     /// One random edit, mirrored on the carried basis.
     fn edit(&mut self) -> Edit {
-        let dead: Vec<usize> = (0..self.blocks.len())
-            .filter(|&i| !self.blocks[i].alive)
-            .collect();
-        let alive: Vec<usize> = (0..self.blocks.len())
-            .filter(|&i| self.blocks[i].alive)
-            .collect();
+        let n = self.blocks.len();
         match self.pick(6) {
             0 | 1 => {
                 self.append();
-                Edit::Candidate(self.blocks.len() - 1)
+                Edit::Candidate(n)
             }
-            2 if alive.len() > 1 => {
-                let i = alive[self.pick(alive.len())];
-                self.tombstone(i);
-                Edit::InPlace
+            2 | 3 if n > 1 => {
+                // One departure, or two in one cut while a block remains.
+                let first = self.pick(n);
+                let second = self.pick(n);
+                let mut dead = vec![first.min(second), first.max(second)];
+                dead.dedup();
+                if n - dead.len() < 1 {
+                    dead.truncate(1);
+                }
+                self.depart(&dead);
+                Edit::Survivors
             }
-            3 if !dead.is_empty() => {
-                let i = dead[self.pick(dead.len())];
-                self.take_over(i);
-                Edit::Candidate(i)
-            }
-            4 if self.blocks.len() > 1 => {
+            4 if n > 1 => {
                 self.truncate();
                 Edit::Truncated
             }
             _ => {
                 self.retune();
-                Edit::InPlace
+                Edit::Survivors
             }
         }
     }
 
-    /// The fleet's rollback of a refused candidate: an appended block is
-    /// truncated (the basis with it, back to what it was), a taken-over
-    /// tombstone is tombstoned again.
+    /// The fleet's rollback of a refused candidate: the appended block is
+    /// truncated, the basis with it, back to what it was.
     fn roll_back(&mut self, candidate: usize) {
         if candidate + 1 == self.blocks.len() && candidate > 0 {
             self.truncate();
-        } else if self.blocks.iter().filter(|b| b.alive).count() > 1 {
-            self.tombstone(candidate);
         }
     }
 }
@@ -348,20 +321,21 @@ impl EditedLp {
 /// What [`EditedLp::edit`] did.
 #[derive(Clone, Copy, PartialEq)]
 enum Edit {
-    /// Brought this block to life — the candidate a refusal rolls back.
+    /// Appended this block — the candidate a refusal rolls back.
     Candidate(usize),
-    /// A tombstone or a retune: the carried basis keeps its shape and its
-    /// columns, and what can make it infeasible is the right-hand side.
-    InPlace,
+    /// A departure or a retune: what is left re-solves from the carried
+    /// basis, and what can make it infeasible is the right-hand side or
+    /// the cut.
+    Survivors,
     /// Removed the last block.
     Truncated,
 }
 
-/// The departure re-solve starts from the carried basis: where a
-/// tombstone or a retune leaves it primal infeasible the solver's dual
-/// phase restores it, so nearly every such step whose problem is feasible
-/// reports a warm start (before the dual phase, nearly none did). The
-/// bit-equality of those solves with cold ones is
+/// The departure re-solve starts from the carried basis: where a cut or
+/// a retune leaves it primal infeasible the solver's dual phase restores
+/// it, so nearly every such step whose problem is feasible reports a
+/// warm start (before the dual phase, nearly none did). The bit-equality
+/// of those solves with cold ones is
 /// `edit_scripts_from_the_carried_basis_equal_cold`'s.
 #[test]
 fn in_place_edits_re_solve_from_the_carried_basis() {
@@ -378,7 +352,7 @@ fn in_place_edits_re_solve_from_the_carried_basis() {
             };
             match solved {
                 Ok(mut s) => {
-                    if edit == Edit::InPlace && lp.basis.is_some() {
+                    if edit == Edit::Survivors && lp.basis.is_some() {
                         in_place += 1;
                         warm_started += usize::from(s.used_warm_start());
                     }

@@ -3,7 +3,8 @@
 //! A [`Problem`] stores each row as its nonzeros only, and every mutator
 //! edits those pair lists in place: `append_block` touches no row,
 //! `set_row_range` splices a segment (the same pattern, a new one, all
-//! zeros, `-0.0`), `truncate_vars` cuts every row's tail. This suite
+//! zeros, `-0.0`), `remove_ranges` cuts row and column ranges out and
+//! renumbers what is left, `truncate_vars` cuts every row's tail. This suite
 //! runs random scripts of those edits on one long-lived problem while a
 //! plain dense model of the matrix is edited alongside, and after
 //! **every** step rebuilds the problem from the model with the dense
@@ -181,6 +182,56 @@ impl Script {
         self.block_starts.retain(|&s| s < n);
     }
 
+    /// Sorted, disjoint random ranges over `0..len` that leave at least
+    /// one index.
+    fn ranges(&mut self, len: usize) -> Vec<std::ops::Range<usize>> {
+        let mut out = Vec::new();
+        let mut at = 0;
+        let mut left = len;
+        while at < len && self.pick(3) > 0 {
+            let start = at + self.pick(len - at);
+            let end = (start + self.pick(3)).min(len);
+            if left - (end - start) < 1 {
+                break;
+            }
+            left -= end - start;
+            out.push(start..end);
+            at = end;
+        }
+        out
+    }
+
+    /// `remove_ranges` over random sorted row and column ranges (empty
+    /// ones included), mirrored on the model: the rows and columns go,
+    /// and every block start moves down past the removed columns below
+    /// it — onto the next survivor when its own columns went.
+    fn remove_ranges(&mut self) {
+        let rows = self.ranges(self.rows.len());
+        let cols = self.ranges(self.objective.len());
+        self.p.remove_ranges(&rows, &cols).unwrap();
+        let gone =
+            |ranges: &[std::ops::Range<usize>], i: usize| ranges.iter().any(|r| r.contains(&i));
+        let below = |j: usize| (0..j).filter(|&k| !gone(&cols, k)).count();
+        let keep = |v: &[f64]| -> Vec<f64> {
+            let kept = v.iter().enumerate().filter(|(j, _)| !gone(&cols, *j));
+            kept.map(|(_, &x)| x).collect()
+        };
+        self.objective = keep(&self.objective);
+        let mut i = 0;
+        self.rows.retain(|_| {
+            i += 1;
+            !gone(&rows, i - 1)
+        });
+        for row in &mut self.rows {
+            row.stored = keep(&row.stored);
+        }
+        let n = self.objective.len();
+        let mut starts: Vec<usize> = self.block_starts.iter().map(|&s| below(s)).collect();
+        starts.dedup();
+        starts.retain(|&s| s < n);
+        self.block_starts = starts;
+    }
+
     /// The closing edits: a box row over every column bounds the LP, and
     /// every right-hand side is retuned so one interior point satisfies
     /// its row — whatever the script did, the result has an optimum.
@@ -206,12 +257,13 @@ impl Script {
     }
 
     fn step(&mut self) {
-        match self.pick(10) {
+        match self.pick(11) {
             0 | 1 => self.append_block(),
             2 | 3 => self.add_random_row(),
             4..=6 => self.set_row_range(),
             7 => self.set_rhs(),
             8 => self.truncate_rows(),
+            9 => self.remove_ranges(),
             _ => self.truncate_vars(),
         }
     }

@@ -3,13 +3,13 @@
 //! `advance_to`s, each followed by two or three windowed offers (widths
 //! 1–4 slots, floors, buffers, narrow `m = 1` blocks, cost budgets) and,
 //! every other cycle, the departure of a seeded resident. Every
-//! completed or departed flow leaves a tombstone in the joint LP, so the
-//! core compacts its assembly many times over the run.
+//! completed or departed flow's block is cut out of the joint LP at the
+//! next solve, hundreds of times over the run.
 //!
 //! One file, three users: `tests/fleet_golden.rs` pins the verdict hash
 //! [`run`] returns, `tests/work_counts.rs` pins the solver's work on it,
-//! and `dmc-fleet`'s `schedule` tests hold the assembly's slot count to
-//! its compaction bound after every call. It names the fleet types
+//! and `dmc-fleet`'s `schedule` tests hold the LP to the roster's after
+//! every call. It names the fleet types
 //! through `super::`, so each includer imports them itself.
 
 use super::{

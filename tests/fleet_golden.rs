@@ -32,8 +32,15 @@
 //! is again the one-slot planner's, and so are their plans' last bits;
 //! every verdict is unchanged (`SERVICE_DECISION_HASH` and
 //! `SERVICE_WINDOWED` hold, and so does `SLIDING_HORIZON_VERDICTS`,
-//! recorded under the old floor, over which the new one compacts 226
+//! recorded under the old floor, over which the new one compacted 226
 //! times instead of 34).
+//!
+//! Since then a departed flow's block is cut out of the LP at the next
+//! solve, the carried basis with it, instead of staying as a tombstone
+//! until a compaction: the LP after every solve is the roster's, the
+//! same `Problem` the one-slot planner builds. Every literal here held
+//! through that change, `SERVICE_PLAN_BITS` and
+//! `SLIDING_HORIZON_VERDICTS` included.
 //!
 //! * **Instant plane** — a gridded [`FleetService`] over three 2-path
 //!   regions: plain (region-spanning), path-restricted and explicitly
@@ -49,10 +56,11 @@
 //!   decision/shuffle/advance and every surviving plan's bits.
 //! * **Reservation plane, long** — 400 slides of an 8-slot grid with
 //!   windowed offers and departures (`common/sliding_horizon.rs`),
-//!   through which the core compacts many times. Pinned: FNV-1a over
-//!   every verdict (decision kind and window, advance lists) — never a
-//!   plan's bits, which may move in their last bits when compaction
-//!   moves the column layout.
+//!   through which the core cuts hundreds of departed blocks out of
+//!   its LP. Pinned: FNV-1a over every verdict (decision kind and
+//!   window, advance lists) — never a plan's bits: on an LP this large,
+//!   ties below the solver's tolerance can leave the per-flow split
+//!   path-dependent in its last bits (`crates/fleet/src/joint.rs`).
 
 use deadline_multipath::fleet::{
     FleetConfig, FleetService, FlowRequest, ScheduleDecision, SchedulePlanner, ScheduleRequest,
@@ -244,8 +252,9 @@ fn seeded_script_reproduces_the_recorded_bits() {
     tick(&mut service, &mut seen);
     assert!(seen.shed > shed_before, "the throttle must shed again");
 
-    // Tick 7: churn on the warmed-up assemblies (tombstone reuse); the
-    // departs are capacity events that retry the shed queue.
+    // Tick 7: churn on the warmed-up assemblies (the departed blocks are
+    // cut out); the departs are capacity events that retry the shed
+    // queue.
     let leaving: Vec<u64> = seen.admitted.iter().copied().skip(1).step_by(4).collect();
     for flow in leaving {
         service.submit_depart(flow);

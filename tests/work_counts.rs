@@ -23,10 +23,12 @@
 //!   literals, equal at 1 and 4 workers. If greedy admissions solved to
 //!   the optimum again, `lp.feasibility_solves` would fall to 0 and the
 //!   phase-2 and phase-3 counts would rise.
-//! * **The reservation plane's LP stays near its roster's size** — a
-//!   long sliding-horizon script through a bare `SchedulePlanner` pins
-//!   `lp.pivot_rows` and `lp.solves`; compacting only at a floor that
-//!   scaled with the horizon more than doubled the pivot rows.
+//! * **The reservation plane's LP is its roster's** — a long
+//!   sliding-horizon script through a bare `SchedulePlanner` pins
+//!   `lp.pivot_rows`, `lp.solves` and `lp.infeasible` (the refused
+//!   windows); keeping departed blocks as tombstones until a compaction
+//!   floor cost half as many pivot rows again, and a floor that scaled
+//!   with the horizon more than three times as many.
 
 use std::collections::VecDeque;
 
@@ -296,15 +298,19 @@ fn contended_counts(workers: usize) -> Vec<(&'static str, u64)> {
     .collect()
 }
 
+/// The contended script's counts. While departed blocks stayed in the
+/// LP as tombstones the phase-1, phase-2, phase-3 and dual pivots were
+/// 5 306, 2 718, 7 327 and 1 065, with the same 682 solves, 507 of them
+/// verdicts.
 #[test]
 fn greedy_admission_asks_for_verdicts_at_any_worker_count() {
     let expected = vec![
         ("lp.solves", 682),
         ("lp.feasibility_solves", 507),
-        ("lp.phase1_pivots", 5_306),
-        ("lp.phase2_pivots", 2_718),
-        ("lp.phase3_pivots", 7_327),
-        ("lp.dual_pivots", 1_065),
+        ("lp.phase1_pivots", 5_313),
+        ("lp.phase2_pivots", 2_921),
+        ("lp.phase3_pivots", 6_779),
+        ("lp.dual_pivots", 982),
     ];
     for workers in [1, 4] {
         assert_eq!(contended_counts(workers), expected, "workers = {workers}");
@@ -313,21 +319,25 @@ fn greedy_admission_asks_for_verdicts_at_any_worker_count() {
 
 /// The long sliding-horizon script (`common/sliding_horizon.rs`: 400
 /// slides of an 8-slot grid, windowed offers and departures) solves
-/// 2 984 LPs in 1 574 020 pivot rows. While the core compacted only at
-/// 8 slots per slot of the horizon (64 here) the same script, with the
-/// same verdicts, solved as many LPs in 3 354 685 pivot rows: every
-/// pivot paid for dozens of tombstoned blocks. It pivots more often now
-/// (29 682 pivots against 25 153: an LP rebuilt by a compaction starts
-/// cold), on LPs less than half the size. That the assembly stays
-/// within `2·residents + COMPACT_MIN_SLOTS` slots after every call is
-/// asserted on the same script inside `dmc-fleet`, where the slot count
-/// is visible (`schedule::tests::a_long_sliding_horizon_compacts_often_and_stays_bounded`),
+/// 2 984 LPs in 993 581 pivot rows, 289 of them refused windows
+/// (`lp.infeasible`; `lp.errors` counts them too). Every departed block
+/// is cut out of the LP at the next solve and the carried basis is cut
+/// with it, so 2 983 solves start warm and the script pivots 19 655
+/// times. While departed blocks stayed as tombstones until the core
+/// compacted at 8 slots, the same script, with the same verdicts, took
+/// 1 574 020 pivot rows and 29 682 pivots (an LP rebuilt by a compaction
+/// started cold: 2 743 warm starts); while it compacted at 8 slots per
+/// slot of the horizon (64 here), 3 354 685 pivot rows. That the LP *is*
+/// the roster's after every call is asserted on the same script inside
+/// `dmc-fleet`, where the LP is visible
+/// (`schedule::tests::a_long_sliding_horizon_compacts_often_and_stays_bounded`),
 /// and by the core itself after every successful solve in debug builds.
 #[test]
 fn a_sliding_horizon_solves_lps_near_the_rosters_size() {
     let obs = Obs::enabled();
     sliding_horizon::run(fleet_config(&obs), |_| {});
     let snap = obs.snapshot();
-    let observed = [count(&snap, "lp.pivot_rows"), count(&snap, "lp.solves")];
-    assert_eq!(observed, [1_574_020, 2_984], "observed {observed:?}");
+    let names = ["lp.pivot_rows", "lp.solves", "lp.infeasible"];
+    let observed = names.map(|name| count(&snap, name));
+    assert_eq!(observed, [993_581, 2_984, 289], "observed {observed:?}");
 }
