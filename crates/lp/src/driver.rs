@@ -437,7 +437,9 @@ fn col_dot(lay: &Layout, kernel: &BlockPfi, yf: &[f64], y: &[f64], j: usize) -> 
 }
 
 /// Fills `out[cols]` with `weight[j] − y·A_j`: the structural part through
-/// the kernel's bulk pass, logical singletons directly.
+/// the kernel's bulk pass, logical singletons directly. Adds the rows the
+/// kernel streamed to `rc_rows`.
+#[allow(clippy::too_many_arguments)]
 fn fill_rc(
     rows: &[Constraint],
     lay: &Layout,
@@ -446,10 +448,12 @@ fn fill_rc(
     y: &[f64],
     cols: Range<usize>,
     out: &mut [f64],
+    rc_rows: &mut u64,
 ) {
     let s_hi = cols.end.min(lay.n);
     if cols.start < s_hi {
         kernel.fill_rc(rows, &lay.row_factor, weight, y, cols.start..s_hi, out);
+        *rc_rows += rows.len() as u64;
     }
     for (j, rc) in out
         .iter_mut()
@@ -546,6 +550,7 @@ fn price(
     // (Bland), driven by bulk rc fills; a clean full wrap visits
     // every column exactly once.
     let (face, rc_buf, candidates) = (&mut state.face, &mut state.rc, &mut state.candidates);
+    let rc_rows = &mut state.stats.rc_rows;
     if rc_buf.len() < enter_limit {
         rc_buf.resize(enter_limit, 0.0);
     }
@@ -570,7 +575,16 @@ fn price(
     'sections: for step in 0..n_sections {
         let s = (start_section + step) % n_sections;
         let (lo, hi) = state.sections[s];
-        fill_rc(rows, &state.lay, kernel, &state.cost, y, lo..hi, rc_buf);
+        fill_rc(
+            rows,
+            &state.lay,
+            kernel,
+            &state.cost,
+            y,
+            lo..hi,
+            rc_buf,
+            rc_rows,
+        );
         for (j, &rc) in rc_buf.iter().enumerate().take(hi).skip(lo) {
             let nonbasic = !state.in_basis[j];
             if collect_face {
@@ -803,13 +817,23 @@ fn restore_feasibility(
         rho[r] = 1.0;
         kernel.btran(rho);
         let (lay, neg_alpha) = (&state.lay, &mut state.face_queue.rc2);
-        fill_rc(rows, lay, kernel, &state.w2, rho, 0..art_start, neg_alpha);
+        let rc_rows = &mut state.stats.rc_rows;
+        fill_rc(
+            rows,
+            lay,
+            kernel,
+            &state.w2,
+            rho,
+            0..art_start,
+            neg_alpha,
+            rc_rows,
+        );
         for (yi, &b) in y.iter_mut().zip(&state.basis) {
             *yi = state.cost[b];
         }
         kernel.btran(y);
         let rc = &mut state.rc;
-        fill_rc(rows, lay, kernel, &state.cost, y, 0..art_start, rc);
+        fill_rc(rows, lay, kernel, &state.cost, y, 0..art_start, rc, rc_rows);
         // `−α_rj` and `max(−rc_j, 0)` of the columns that may enter.
         let eligible = || {
             (neg_alpha.iter().zip(rc.iter()).enumerate().take(art_start))
@@ -1039,13 +1063,29 @@ impl FaceQueue {
     /// Bulk secondary reduced costs over all columns (`rc2 = w2 − y₂ᵀA`),
     /// then the improving face members deduplicated by dot-product bits
     /// (keep max weight, then lowest index).
-    fn refill(&mut self, rows: &[Constraint], state: &DriverState, kernel: &BlockPfi, y2: &[f64]) {
+    fn refill(
+        &mut self,
+        rows: &[Constraint],
+        state: &DriverState,
+        kernel: &BlockPfi,
+        y2: &[f64],
+    ) -> u64 {
         let art_start = state.lay.art_start;
         let (w2, rc2) = (&state.w2, &mut self.rc2);
         if rc2.len() < art_start {
             rc2.resize(art_start, 0.0);
         }
-        fill_rc(rows, &state.lay, kernel, w2, y2, 0..art_start, rc2);
+        let mut rc_rows = 0;
+        fill_rc(
+            rows,
+            &state.lay,
+            kernel,
+            w2,
+            y2,
+            0..art_start,
+            rc2,
+            &mut rc_rows,
+        );
         self.queue.clear();
         // Dedup table keyed by the dot bits (w2 − rc2): duplicates of a
         // column produce identical dots; 0 is the empty sentinel.
@@ -1084,6 +1124,7 @@ impl FaceQueue {
         }
         // Table order depends on hashing; sort for a deterministic queue.
         self.queue.sort_unstable_by_key(|&(j, _)| j);
+        rc_rows
     }
 }
 
@@ -1191,7 +1232,7 @@ fn canonicalize(
             }
         }
         if pick.is_none() {
-            fq.refill(rows, state, kernel, y2);
+            state.stats.rc_rows += fq.refill(rows, state, kernel, y2);
             stale = false;
             for &(j, rc2j) in &fq.queue {
                 if rc2j > best {

@@ -770,6 +770,9 @@ impl Problem {
                 obs.counter("lp.factor_eta_visits")
                     .add(stats.factor_eta_visits);
             }
+            if stats.rc_rows > 0 {
+                obs.counter("lp.rc_rows").add(stats.rc_rows);
+            }
             if stats.phase1_early_exit {
                 obs.counter("lp.phase1_early_exits").inc();
             }

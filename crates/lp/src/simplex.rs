@@ -46,7 +46,8 @@ pub struct SolverOptions {
     /// for a verdict only),
     /// `lp.refactorizations`, `lp.factor_eta_visits` (etas the
     /// solve's factorizations examined, a deterministic work
-    /// count), `lp.phase1_early_exits`, warm-start counters, the
+    /// count), `lp.rc_rows` (rows the bulk reduced-cost fills streamed,
+    /// another; refused solves included), `lp.phase1_early_exits`, warm-start counters, the
     /// `lp.eta_len` histogram (iteration etas each refactorization
     /// discarded), and the span `lp.solve.revised`; the logical clock
     /// advances by one tick per pivot.
@@ -73,6 +74,9 @@ pub(crate) struct SolveStats {
     pub(crate) eta_lengths: Vec<u64>,
     /// Etas the factorizations examined while eliminating basic columns.
     pub(crate) factor_eta_visits: u64,
+    /// Rows the bulk reduced-cost fills streamed (one row list's length
+    /// per fill).
+    pub(crate) rc_rows: u64,
     /// Whether phase 1 exited as soon as the last artificial left the
     /// basis, skipping the final pricing wrap.
     pub(crate) phase1_early_exit: bool,
@@ -123,6 +127,7 @@ impl SolveStats {
         self.refactorizations = 0;
         self.eta_lengths.clear();
         self.factor_eta_visits = 0;
+        self.rc_rows = 0;
         self.phase1_early_exit = false;
         self.dual_pivots = 0;
         self.phase1_pivots = 0;

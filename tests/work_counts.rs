@@ -22,11 +22,12 @@
 //!   `lp.feasibility_solves` and the per-phase pivot counts as
 //!   literals, equal at 1 and 4 workers. If greedy admissions solved to
 //!   the optimum again, `lp.feasibility_solves` would fall to 0 and the
-//!   phase-2 and phase-3 counts would rise.
+//!   phase-2 and phase-3 counts would rise. `lp.rc_rows` (rows streamed
+//!   by the bulk reduced-cost fills) is pinned beside them.
 //! * **The reservation plane's LP is its roster's** — a long
 //!   sliding-horizon script through a bare `SchedulePlanner` pins
-//!   `lp.pivot_rows`, `lp.solves` and `lp.infeasible` (the refused
-//!   windows); keeping departed blocks as tombstones until a compaction
+//!   `lp.pivot_rows`, `lp.solves`, `lp.infeasible` (the refused
+//!   windows) and `lp.rc_rows`; keeping departed blocks as tombstones until a compaction
 //!   floor cost half as many pivot rows again, and a floor that scaled
 //!   with the horizon more than three times as many.
 
@@ -292,6 +293,7 @@ fn contended_counts(workers: usize) -> Vec<(&'static str, u64)> {
         "lp.phase2_pivots",
         "lp.phase3_pivots",
         "lp.dual_pivots",
+        "lp.rc_rows",
     ]
     .into_iter()
     .map(|name| (name, count(&snap, name)))
@@ -311,6 +313,7 @@ fn greedy_admission_asks_for_verdicts_at_any_worker_count() {
         ("lp.phase2_pivots", 2_921),
         ("lp.phase3_pivots", 6_779),
         ("lp.dual_pivots", 982),
+        ("lp.rc_rows", 3_867_208),
     ];
     for workers in [1, 4] {
         assert_eq!(contended_counts(workers), expected, "workers = {workers}");
@@ -337,7 +340,11 @@ fn a_sliding_horizon_solves_lps_near_the_rosters_size() {
     let obs = Obs::enabled();
     sliding_horizon::run(fleet_config(&obs), |_| {});
     let snap = obs.snapshot();
-    let names = ["lp.pivot_rows", "lp.solves", "lp.infeasible"];
+    let names = ["lp.pivot_rows", "lp.solves", "lp.infeasible", "lp.rc_rows"];
     let observed = names.map(|name| count(&snap, name));
-    assert_eq!(observed, [993_581, 2_984, 289], "observed {observed:?}");
+    assert_eq!(
+        observed,
+        [993_581, 2_984, 289, 1_684_630],
+        "observed {observed:?}"
+    );
 }
