@@ -110,7 +110,7 @@ const CANDIDATE_LIMIT: usize = 24;
 pub(crate) const SINGULAR_TOL: f64 = 1e-12;
 
 /// Sentinel for "row has no slack/artificial column".
-const NONE_COL: usize = usize::MAX;
+pub(crate) const NONE_COL: usize = usize::MAX;
 
 /// Row normalization and column layout of one solve; the coefficients
 /// themselves are the kernel's business.
@@ -130,8 +130,8 @@ pub(crate) struct Layout {
     /// Normalized right-hand side (non-negative).
     b: Vec<f64>,
     /// Slack / artificial column of each row ([`NONE_COL`] when absent).
-    slack_col: Vec<usize>,
-    art_col: Vec<usize>,
+    pub(crate) slack_col: Vec<usize>,
+    pub(crate) art_col: Vec<usize>,
     /// Row/value of each logical (slack or artificial) singleton column,
     /// indexed by `column − n`.
     pub(crate) logical_row: Vec<usize>,
@@ -274,7 +274,6 @@ pub(crate) fn solve(
     state.stats.reset();
     let rows = problem.constraints();
     state.lay.build(problem);
-    state.sections.clear();
     kernel.prepare(problem, &state.lay, &mut state.sections);
     state.face_fresh = false;
     let (m, art_start) = (state.lay.m, state.lay.art_start);
@@ -343,7 +342,7 @@ pub(crate) fn solve(
     run_phase(rows, state, kernel, options, Phase::Two, &mut scratch)?;
 
     // ---- Phase 3: canonicalize over the optimal face --------------------
-    canonicalize(rows, state, kernel, options, &mut scratch);
+    canonicalize(state, kernel, options, &mut scratch);
 
     // ---- Extraction from a fresh factorization of the final basis -------
     // Refactorizing here makes the result a function of the final basis
@@ -436,14 +435,27 @@ fn col_dot(lay: &Layout, kernel: &BlockPfi, yf: &[f64], y: &[f64], j: usize) -> 
     }
 }
 
+/// `weight[j] − y·A_j` for one column, structural or logical:
+/// [`fill_rc`]'s `out[j]` bit for bit.
+fn col_rc(lay: &Layout, kernel: &BlockPfi, weight: &[f64], y: &[f64], j: usize) -> f64 {
+    if j < lay.n {
+        kernel.col_rc(&lay.row_factor, weight[j], y, j)
+    } else {
+        let l = j - lay.n;
+        weight[j] - y[lay.logical_row[l]] * lay.logical_val[l]
+    }
+}
+
 /// Fills `out[cols]` with `weight[j] − y·A_j`: the structural part through
-/// the kernel's bulk pass, logical singletons directly. Adds the rows the
-/// kernel streamed to `rc_rows`.
+/// the kernel's bulk pass over the rows in `list` (ascending, and holding
+/// every row with an entry in `cols`), logical singletons directly. Adds
+/// the rows the kernel streamed to `rc_rows`.
 #[allow(clippy::too_many_arguments)]
 fn fill_rc(
     rows: &[Constraint],
     lay: &Layout,
     kernel: &BlockPfi,
+    list: &[u32],
     weight: &[f64],
     y: &[f64],
     cols: Range<usize>,
@@ -452,8 +464,16 @@ fn fill_rc(
 ) {
     let s_hi = cols.end.min(lay.n);
     if cols.start < s_hi {
-        kernel.fill_rc(rows, &lay.row_factor, weight, y, cols.start..s_hi, out);
-        *rc_rows += rows.len() as u64;
+        kernel.fill_rc(
+            rows,
+            list,
+            &lay.row_factor,
+            weight,
+            y,
+            cols.start..s_hi,
+            out,
+        );
+        *rc_rows += list.len() as u64;
     }
     for (j, rc) in out
         .iter_mut()
@@ -579,6 +599,7 @@ fn price(
             rows,
             &state.lay,
             kernel,
+            kernel.section_rows(s),
             &state.cost,
             y,
             lo..hi,
@@ -817,11 +838,12 @@ fn restore_feasibility(
         rho[r] = 1.0;
         kernel.btran(rho);
         let (lay, neg_alpha) = (&state.lay, &mut state.face_queue.rc2);
-        let rc_rows = &mut state.stats.rc_rows;
+        let (all, rc_rows) = (kernel.all_rows(), &mut state.stats.rc_rows);
         fill_rc(
             rows,
             lay,
             kernel,
+            all,
             &state.w2,
             rho,
             0..art_start,
@@ -833,7 +855,17 @@ fn restore_feasibility(
         }
         kernel.btran(y);
         let rc = &mut state.rc;
-        fill_rc(rows, lay, kernel, &state.cost, y, 0..art_start, rc, rc_rows);
+        fill_rc(
+            rows,
+            lay,
+            kernel,
+            all,
+            &state.cost,
+            y,
+            0..art_start,
+            rc,
+            rc_rows,
+        );
         // `−α_rj` and `max(−rc_j, 0)` of the columns that may enter.
         let eligible = || {
             (neg_alpha.iter().zip(rc.iter()).enumerate().take(art_start))
@@ -1060,32 +1092,17 @@ struct FaceQueue {
 }
 
 impl FaceQueue {
-    /// Bulk secondary reduced costs over all columns (`rc2 = w2 − y₂ᵀA`),
-    /// then the improving face members deduplicated by dot-product bits
-    /// (keep max weight, then lowest index).
-    fn refill(
-        &mut self,
-        rows: &[Constraint],
-        state: &DriverState,
-        kernel: &BlockPfi,
-        y2: &[f64],
-    ) -> u64 {
+    /// Secondary reduced costs (`rc2 = w2 − y₂ᵀA`) of the nonbasic face
+    /// columns, one column at a time through the kernel's CSC view (the
+    /// bulk fill's values bit for bit, at the face's cost), then the
+    /// improving ones deduplicated by dot-product bits (keep max weight,
+    /// then lowest index).
+    fn refill(&mut self, state: &DriverState, kernel: &BlockPfi, y2: &[f64]) {
         let art_start = state.lay.art_start;
         let (w2, rc2) = (&state.w2, &mut self.rc2);
         if rc2.len() < art_start {
             rc2.resize(art_start, 0.0);
         }
-        let mut rc_rows = 0;
-        fill_rc(
-            rows,
-            &state.lay,
-            kernel,
-            w2,
-            y2,
-            0..art_start,
-            rc2,
-            &mut rc_rows,
-        );
         self.queue.clear();
         // Dedup table keyed by the dot bits (w2 − rc2): duplicates of a
         // column produce identical dots; 0 is the empty sentinel.
@@ -1094,7 +1111,11 @@ impl FaceQueue {
         self.table.clear();
         self.table.resize(cap, (0, u32::MAX));
         for &j in &state.face {
-            if state.in_basis[j] || rc2[j] <= TOLERANCE {
+            if state.in_basis[j] {
+                continue;
+            }
+            rc2[j] = col_rc(&state.lay, kernel, w2, y2, j);
+            if rc2[j] <= TOLERANCE {
                 continue;
             }
             let key = (w2[j] - rc2[j]).to_bits().max(1);
@@ -1124,7 +1145,6 @@ impl FaceQueue {
         }
         // Table order depends on hashing; sort for a deterministic queue.
         self.queue.sort_unstable_by_key(|&(j, _)| j);
-        rc_rows
     }
 }
 
@@ -1151,7 +1171,6 @@ impl FaceQueue {
 /// already canonical (every warm re-solve after the first), the whole
 /// phase is one bulk pass that finds nothing.
 fn canonicalize(
-    rows: &[Constraint],
     state: &mut DriverState,
     kernel: &mut BlockPfi,
     options: &SolverOptions,
@@ -1232,7 +1251,7 @@ fn canonicalize(
             }
         }
         if pick.is_none() {
-            state.stats.rc_rows += fq.refill(rows, state, kernel, y2);
+            fq.refill(state, kernel, y2);
             stale = false;
             for &(j, rc2j) in &fq.queue {
                 if rc2j > best {

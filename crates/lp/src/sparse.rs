@@ -59,7 +59,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
 
-use crate::driver::{DriverState, Layout, SINGULAR_TOL};
+use crate::driver::{DriverState, Layout, NONE_COL, SINGULAR_TOL};
 use crate::problem::{Constraint, Problem};
 use crate::simplex::WarmStart;
 
@@ -96,6 +96,12 @@ pub(crate) struct BlockPfi {
     /// Block id of a row when its support stays within one block,
     /// [`COUPLING`] otherwise.
     row_local: Vec<u32>,
+    // --- row lists of the pricing sections ---
+    /// Every row (`0..m`), then each block-aligned section's rows.
+    section_rows: Vec<u32>,
+    /// The span of `section_rows` each pricing section streams, in the
+    /// order [`BlockPfi::prepare`] laid the sections out.
+    section_span: Vec<(usize, usize)>,
     // --- sparse eta file: factorization etas then iteration etas ---
     eta_pivot: Vec<u32>,
     eta_pivot_val: Vec<f64>,
@@ -134,14 +140,16 @@ impl BlockPfi {
     /// Builds the per-solve matrix view — the CSC copy, rows and columns
     /// classified by block — and fills `sections` with the pricing
     /// sections over `0..lay.art_start` in scan order, along the block
-    /// boundaries.
+    /// boundaries, recording the rows each can reach
+    /// ([`BlockPfi::section_rows`]).
     pub(crate) fn prepare(
         &mut self,
         problem: &Problem,
         lay: &Layout,
         sections: &mut Vec<(usize, usize)>,
     ) {
-        let (n, art_start) = (lay.n, lay.art_start);
+        let (m, n, art_start) = (lay.m, lay.n, lay.art_start);
+        sections.clear();
 
         // ---- CSC view over the structural columns (raw values) ----------
         self.col_ptr.clear();
@@ -209,7 +217,11 @@ impl BlockPfi {
             self.row_local.push(local);
         }
 
-        // ---- Pricing sections over 0..art_start -------------------------
+        // ---- Pricing sections over 0..art_start, and their rows ---------
+        // Every row first: the full-range passes stream them all.
+        self.section_rows.clear();
+        self.section_rows.extend(0..m as u32);
+        self.section_span.clear();
         if n_blocks > 1 {
             // Block-aligned: merge consecutive blocks into ≥ MIN_SECTION
             // chunks so each section prices whole per-flow blocks.
@@ -223,20 +235,71 @@ impl BlockPfi {
             if n > lo {
                 sections.push((lo, n));
             }
+            self.lay_section_rows(problem, sections);
             if art_start > n {
-                sections.push((n, art_start)); // logical columns
+                // Logical columns: the driver prices them without a row.
+                sections.push((n, art_start));
+                self.section_span.push((0, 0));
             }
         } else {
             // Uniform: `max(⌈art_start/PRICE_SECTIONS⌉, MIN_SECTION)`
-            // columns each.
+            // columns each, every one reached by every row.
             let width = art_start.div_ceil(PRICE_SECTIONS).max(MIN_SECTION);
             let mut lo = 0usize;
             while lo < art_start {
                 let hi = (lo + width).min(art_start);
                 sections.push((lo, hi));
+                self.section_span.push((0, m));
                 lo = hi;
             }
         }
+    }
+
+    /// Lays out the rows each block-aligned section of `sections` can
+    /// reach after the all-rows list: the coupling rows and the rows local
+    /// to the section's blocks, ascending. A row local to another block
+    /// has no entry in the section, and an empty row none anywhere, so a
+    /// fill over the list subtracts each column's entries in the order
+    /// the all-rows fill does.
+    fn lay_section_rows(&mut self, problem: &Problem, sections: &[(usize, usize)]) {
+        let m = self.row_local.len();
+        // The sections row `r` reaches: every one for a coupling row, the
+        // one holding its columns for a local row, none for an empty row.
+        let reached = |r: usize| match problem.constraints()[r].support().first() {
+            None => 0..0,
+            Some(_) if self.row_local[r] == COUPLING => 0..sections.len(),
+            Some(&j0) => {
+                let s = sections.partition_point(|&(_, hi)| hi <= j0 as usize);
+                s..s + 1
+            }
+        };
+        let mut at = vec![0usize; sections.len()];
+        for r in 0..m {
+            reached(r).for_each(|s| at[s] += 1);
+        }
+        let mut end = m;
+        for next in &mut at {
+            self.section_span.push((end, end + *next));
+            (*next, end) = (end, end + *next);
+        }
+        self.section_rows.resize(end, 0);
+        for r in 0..m {
+            for s in reached(r) {
+                self.section_rows[at[s]] = r as u32;
+                at[s] += 1;
+            }
+        }
+    }
+
+    /// The rows pricing section `s` can reach, ascending.
+    pub(crate) fn section_rows(&self, s: usize) -> &[u32] {
+        let (lo, hi) = self.section_span[s];
+        &self.section_rows[lo..hi]
+    }
+
+    /// Every row, ascending: the list of the full-range fills.
+    pub(crate) fn all_rows(&self) -> &[u32] {
+        &self.section_rows[..self.row_local.len()]
     }
 
     /// Writes the normalized column `j` into `out` (all `m` entries),
@@ -250,11 +313,17 @@ impl BlockPfi {
     }
 
     /// `out[j] = weight[j] − Σᵣ y[r]·row_factor[r]·A[r][j]` for `j` in
-    /// `cols` — the bulk reduced-cost fill, streaming each of the
-    /// problem's `rows` restricted to the range in `O(nnz in range)`.
+    /// `cols` — the bulk reduced-cost fill, streaming the problem's `rows`
+    /// named in `list` (ascending; a section's [`BlockPfi::section_rows`]
+    /// or [`BlockPfi::all_rows`]) restricted to the range, in
+    /// `O(nnz in range)`. Each `out[j]` is `weight[j]` less its column's
+    /// terms in ascending row order, exactly-zero multipliers skipped —
+    /// the order [`BlockPfi::col_rc`] subtracts them in.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn fill_rc(
         &self,
         rows: &[Constraint],
+        list: &[u32],
         row_factor: &[f64],
         weight: &[f64],
         y: &[f64],
@@ -262,12 +331,18 @@ impl BlockPfi {
         out: &mut [f64],
     ) {
         out[cols.clone()].copy_from_slice(&weight[cols.clone()]);
-        for (r, c) in rows.iter().enumerate() {
+        for &r in list {
+            let r = r as usize;
             let mult = y[r] * row_factor[r];
             // dmc-lint: allow(float-exact) axpy skip: an exactly-zero multiplier contributes nothing; a tolerance here would change results
             if mult != 0.0 {
+                let c = &rows[r];
                 let sup = c.support();
-                let start = sup.partition_point(|&j| (j as usize) < cols.start);
+                // A row local to the section's blocks starts inside it.
+                let start = match sup.first() {
+                    Some(&j0) if j0 as usize >= cols.start => 0,
+                    _ => sup.partition_point(|&j| (j as usize) < cols.start),
+                };
                 for (&j, &v) in sup[start..].iter().zip(&c.values()[start..]) {
                     let j = j as usize;
                     if j >= cols.end {
@@ -277,6 +352,23 @@ impl BlockPfi {
                 }
             }
         }
+    }
+
+    /// `weight − Σᵣ y[r]·row_factor[r]·A[r][j]` for the one column `j`
+    /// through the CSC view: [`BlockPfi::fill_rc`]'s `out[j]` bit for bit
+    /// (its entries in ascending row order, the same multiplier, the same
+    /// exact-zero skip).
+    pub(crate) fn col_rc(&self, row_factor: &[f64], weight: f64, y: &[f64], j: usize) -> f64 {
+        let mut rc = weight;
+        for idx in self.col_ptr[j]..self.col_ptr[j + 1] {
+            let r = self.col_rows[idx] as usize;
+            let mult = y[r] * row_factor[r];
+            // dmc-lint: allow(float-exact) the same exact-zero skip as `fill_rc`, so the two agree bit for bit
+            if mult != 0.0 {
+                rc -= mult * self.col_vals[idx];
+            }
+        }
+        rc
     }
 
     /// `Σᵣ yf[r]·A[r][j]` over the raw coefficients of column `j`.
@@ -415,17 +507,23 @@ impl BlockPfi {
         self.row_eta.resize(m, NO_ETA);
         self.eta_visits = 0;
 
-        // Deterministic block-local elimination order.
+        // Deterministic block-local elimination order: the basic logicals
+        // by row (a row's slack before its artificial), then the
+        // structural columns ascending — blocks are contiguous ascending
+        // column ranges, so that is (block, column) order.
         let mut order = std::mem::take(&mut self.order);
         order.clear();
-        order.extend_from_slice(&state.basis);
-        order.sort_unstable_by_key(|&c| {
-            if c >= lay.n {
-                (0u8, lay.logical_row[c - lay.n], c)
-            } else {
-                (1u8, self.col_block[c] as usize, c)
+        for r in 0..m {
+            for c in [lay.slack_col[r], lay.art_col[r]] {
+                if c != NONE_COL && state.in_basis[c] {
+                    order.push(c);
+                }
             }
-        });
+        }
+        let logicals = order.len();
+        order.extend(state.basis.iter().filter(|&&c| c < lay.n));
+        order[logicals..].sort_unstable();
+        debug_assert_eq!(order.len(), m);
 
         let mut deferred = std::mem::take(&mut self.deferred);
         deferred.clear();
@@ -483,6 +581,9 @@ impl BlockPfi {
     /// of `touched` and the eta this step appends are the full scan's bit
     /// for bit.
     fn eliminate_column(&mut self, lay: &Layout, col: usize, local_only: bool) -> bool {
+        if self.place_singleton(lay, col) {
+            return true;
+        }
         self.load_column(lay, col);
         // `touched[..queued]` have had their etas queued; an eta before
         // `next` has been passed.
@@ -502,6 +603,34 @@ impl BlockPfi {
             next = k + 1;
         }
         self.place_pivot(lay, col, local_only)
+    }
+
+    /// Pivots logical `col` on its own row when no eta has pivoted there
+    /// yet, and returns whether it did. No eta pivots on that row, so the
+    /// column reaches none and is its own eliminated vector; its home row
+    /// is the only row it touches, so every pass accepts the pivot there.
+    /// A `+1` singleton's eta would be the identity — FTRAN and BTRAN
+    /// through it multiply by exactly 1.0, and no fill passes through it —
+    /// so it records its row as pivoted and appends no eta.
+    fn place_singleton(&mut self, lay: &Layout, col: usize) -> bool {
+        let Some(l) = col.checked_sub(lay.n) else {
+            return false;
+        };
+        let r = lay.logical_row[l];
+        if self.pivoted[r] {
+            return false;
+        }
+        let val = lay.logical_val[l];
+        // dmc-lint: allow(float-exact) logical coefficients are exactly ±1; only +1 has the identity as its eta
+        if val != 1.0 {
+            self.row_eta[r] = self.eta_pivot.len() as u32;
+            self.eta_pivot.push(r as u32);
+            self.eta_pivot_val.push(1.0 / val);
+            self.eta_ptr.push(self.eta_rows.len());
+        }
+        self.pivoted[r] = true;
+        self.new_basis[r] = col;
+        true
     }
 
     /// Scatters column `col` (structural or logical, normalized) into the
@@ -657,6 +786,9 @@ mod tests {
     /// held to: every eta built so far, in file order, tested for a zero
     /// pivot entry.
     fn eliminate_full_scan(pfi: &mut BlockPfi, lay: &Layout, col: usize, local_only: bool) -> bool {
+        if pfi.place_singleton(lay, col) {
+            return true;
+        }
         pfi.load_column(lay, col);
         for k in 0..pfi.eta_pivot.len() {
             pfi.apply_eta(k);

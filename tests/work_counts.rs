@@ -313,7 +313,7 @@ fn greedy_admission_asks_for_verdicts_at_any_worker_count() {
         ("lp.phase2_pivots", 2_921),
         ("lp.phase3_pivots", 6_779),
         ("lp.dual_pivots", 982),
-        ("lp.rc_rows", 3_867_208),
+        ("lp.rc_rows", 610_696),
     ];
     for workers in [1, 4] {
         assert_eq!(contended_counts(workers), expected, "workers = {workers}");
@@ -344,7 +344,7 @@ fn a_sliding_horizon_solves_lps_near_the_rosters_size() {
     let observed = names.map(|name| count(&snap, name));
     assert_eq!(
         observed,
-        [993_581, 2_984, 289, 1_684_630],
+        [993_581, 2_984, 289, 597_755],
         "observed {observed:?}"
     );
 }
