@@ -154,7 +154,7 @@ impl Layout {
         for c in problem.constraints() {
             // Identical normalization arithmetic to the dense tableau:
             // scale by the row max, negate rows with negative RHS.
-            let scale = c.abs_max().max(c.rhs().abs()).max(1e-300);
+            let scale = c.scale();
             let negated = c.rhs() / scale < 0.0;
             if c.kind() == ConstraintKind::LessEq {
                 n_slack += 1;
@@ -1080,10 +1080,11 @@ fn drive_out_artificials(state: &mut DriverState, kernel: &mut BlockPfi, scratch
 }
 
 /// Candidate queue of the canonicalization phase: the improving face
-/// members of the last bulk pass, one per duplicate-column group.
+/// members of the last face pass, one per duplicate-column group.
 #[derive(Debug, Default)]
 struct FaceQueue {
-    /// Bulk secondary reduced costs over `0..art_start`.
+    /// Secondary reduced costs, indexed by column over `0..art_start`;
+    /// only the nonbasic face columns are written by a refill.
     rc2: Vec<f64>,
     /// `(column, rc2 at refill)`, ascending by column.
     queue: Vec<(usize, f64)>,
@@ -1160,16 +1161,18 @@ impl FaceQueue {
 /// (`y' = y + (rc_q/d_r)·eᵣB⁻¹` with `rc_q = 0`), so the face — the set
 /// of zero-reduced-cost columns — is **fixed** for the whole phase; the
 /// final pricing wrap of phase 2 collected it (`state.face`). Secondary
-/// reduced costs are computed in bulk (the kernel's row passes) and
-/// improving candidates are **deduplicated by their dot-product bit
-/// pattern**: these LPs carry many identical columns (every
+/// reduced costs are computed for the face columns alone, each through
+/// its own column of the kernel's CSC view — the value the bulk row fill
+/// would write there, bit for bit, without pricing the columns off the
+/// face — and improving candidates are **deduplicated by their
+/// dot-product bit pattern**: these LPs carry many identical columns (every
 /// blackhole-truncated combination shares one), duplicates produce
 /// bit-identical `y₂·A_j`, and only the highest-weight representative of
 /// a duplicate group can ever enter. The pruning is deterministic, so
 /// warm and cold solves still agree. A candidate queue then keeps full
 /// re-scans to the occasional refill. When the phase-2 endpoint is
 /// already canonical (every warm re-solve after the first), the whole
-/// phase is one bulk pass that finds nothing.
+/// phase is one face pass that finds nothing.
 fn canonicalize(
     state: &mut DriverState,
     kernel: &mut BlockPfi,
@@ -1319,9 +1322,13 @@ fn export_basis(state: &DriverState) -> Option<Basis> {
 /// different run with its blocks cleared.
 #[cfg(test)]
 pub(crate) mod contract {
-    use super::Goal;
-    use crate::simplex::DEGENERATE_SWITCH;
+    use super::{fill_rc, DriverState, FaceQueue, Goal};
+    use crate::simplex::{DEGENERATE_SWITCH, TOLERANCE};
+    use crate::sparse::BlockPfi;
     use crate::{Basis, Problem, SolveError, SolverOptions, Workspace};
+    use dmc_obs::fnv1a;
+    use dmc_stats::rng::{run_cases, SplitMix64};
+    use std::ops::Range;
 
     /// How a contract poses its problems to the driver.
     #[derive(Debug, Clone, Copy)]
@@ -1386,6 +1393,7 @@ pub(crate) mod contract {
                 workspace_survives_error_outcomes,
                 many_rows_solve_without_panicking,
                 no_constraint_rows,
+                the_face_refill_is_the_bulk_fill_at_every_face_column,
             );
         };
     }
@@ -1597,6 +1605,123 @@ pub(crate) mod contract {
         assert_eq!(warm.x(), cold.x());
         assert_eq!(warm.objective(), cold.objective());
         assert!((warm.objective() - 2.0).abs() < 1e-9);
+    }
+
+    /// A random block-angular LP shaped for the pricing sections' row
+    /// lists: 4–20 blocks of 3–14 columns (several sections of at least
+    /// 32 columns), and in shuffled order 1–4 coupling rows over random
+    /// columns of every block, 0–2 rows local to each block and 0–2 empty
+    /// rows. A third of the rows have a negative right-hand side (the
+    /// normalization negates them), and `≥` rows are stored negated.
+    pub(crate) fn random_sectioned_lp(rng: &mut SplitMix64) -> Problem {
+        let widths: Vec<usize> = (0..4 + rng.int(0..17))
+            .map(|_| 3 + rng.int(0..12))
+            .collect();
+        let starts: Vec<usize> = widths
+            .iter()
+            .scan(0, |at, &w| {
+                *at += w;
+                Some(*at - w)
+            })
+            .collect();
+        let n: usize = widths.iter().sum();
+        let mut rows: Vec<Vec<(usize, f64)>> = Vec::new();
+        // Each of `cols` with probability `1 − 1/keep`, at a value of
+        // either sign.
+        let row = |rng: &mut SplitMix64, cols: Range<usize>, keep: usize| {
+            let mut row = Vec::new();
+            for j in cols {
+                if rng.int(0..keep) != 0 {
+                    row.push((j, rng.f64(-2.0..2.0)));
+                }
+            }
+            row
+        };
+        for _ in 0..1 + rng.int(0..4) {
+            rows.push(row(rng, 0..n, 2));
+        }
+        for (&lo, &w) in starts.iter().zip(&widths) {
+            for _ in 0..rng.int(0..3) {
+                rows.push(row(rng, lo..lo + w, 3));
+            }
+        }
+        rows.extend((0..rng.int(0..3)).map(|_| Vec::new()));
+        for i in (1..rows.len()).rev() {
+            rows.swap(i, rng.int(0..i + 1));
+        }
+        let mut p = Problem::maximize((0..n).map(|_| rng.f64(-1.0..1.0)).collect());
+        for row in &rows {
+            let rhs = if rng.int(0..3) == 0 {
+                -rng.f64(0.1..3.0)
+            } else {
+                rng.f64(0.0..3.0)
+            };
+            match rng.int(0..3) {
+                0 => p.add_le_sparse(row, rhs),
+                1 => p.add_ge_sparse(row, rhs),
+                _ => p.add_eq_sparse(row, rhs),
+            }
+            .unwrap();
+        }
+        p.set_block_starts(starts).unwrap();
+        p
+    }
+
+    /// `len` values for a fill's multipliers or weights: a quarter exactly
+    /// 0.0, a tenth −0.0, the rest of either sign.
+    pub(crate) fn edge_values(rng: &mut SplitMix64, len: usize) -> Vec<f64> {
+        (0..len)
+            .map(|_| match rng.int(0..20) {
+                0..=4 => 0.0,
+                5 | 6 => -0.0,
+                _ => rng.f64(-2.0..2.0),
+            })
+            .collect()
+    }
+
+    /// Phase 3's refill prices the face one column at a time through the
+    /// CSC view: each nonbasic face column's secondary reduced cost is
+    /// the bulk all-rows fill's bit for bit (signed zeros included), and
+    /// the queue holds improving face columns at those values.
+    pub(crate) fn the_face_refill_is_the_bulk_fill_at_every_face_column(decl: Declaration) {
+        let seed = fnv1a(b"the_face_refill_is_the_bulk_fill_at_every_face_column");
+        let mut queued = 0;
+        run_cases(seed, 100, |rng| {
+            let p = decl.on(random_sectioned_lp(rng));
+            let (mut state, mut kernel) = (DriverState::default(), BlockPfi::default());
+            state.lay.build(&p);
+            kernel.prepare(&p, &state.lay, &mut state.sections);
+            let art_start = state.lay.art_start;
+            state.in_basis = (0..state.lay.ncols).map(|_| rng.int(0..4) == 0).collect();
+            state.face = (0..art_start).filter(|_| rng.int(0..4) != 0).collect();
+            state.w2 = edge_values(rng, art_start);
+            let y2 = edge_values(rng, state.lay.m);
+            let mut bulk = vec![f64::NAN; art_start];
+            let (lay, all) = (&state.lay, kernel.all_rows());
+            let rows = p.constraints();
+            fill_rc(
+                rows,
+                lay,
+                &kernel,
+                all,
+                &state.w2,
+                &y2,
+                0..art_start,
+                &mut bulk,
+                &mut 0,
+            );
+            let mut fq = FaceQueue::default();
+            fq.refill(&state, &kernel, &y2);
+            for &j in state.face.iter().filter(|&&j| !state.in_basis[j]) {
+                assert_eq!(fq.rc2[j].to_bits(), bulk[j].to_bits(), "column {j}");
+            }
+            for &(j, rc2) in &fq.queue {
+                assert!(state.face.contains(&j) && !state.in_basis[j], "column {j}");
+                assert!(rc2 > TOLERANCE && rc2.to_bits() == bulk[j].to_bits());
+            }
+            queued += fq.queue.len();
+        });
+        assert!(queued > 100, "{queued} columns queued");
     }
 
     /// A block-angular LP in the exact fleet shape: per-block `Σx = 1`

@@ -76,6 +76,13 @@ impl Constraint {
         self.vals.iter().fold(0.0, |acc, v| acc.max(v.abs()))
     }
 
+    /// The scale the solver equilibrates the row by: its largest
+    /// magnitude among the coefficients and the right-hand side, floored
+    /// at `1e-300` so an all-zero row still divides.
+    pub(crate) fn scale(&self) -> f64 {
+        self.abs_max().max(self.rhs.abs()).max(1e-300)
+    }
+
     /// Evaluates `coeffs · x - rhs` (positive means violated for `≤` rows).
     pub fn violation(&self, x: &[f64]) -> f64 {
         let lhs: f64 = self

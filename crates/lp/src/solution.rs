@@ -2,6 +2,7 @@
 //! lets one solve warm-start the next.
 
 use crate::problem::{shifted, Problem};
+use crate::simplex::TOLERANCE;
 use std::fmt;
 use std::ops::Range;
 
@@ -249,10 +250,12 @@ impl Solution {
     /// decomposition path does exactly that).
     ///
     /// Tolerances are scale-aware: a row may violate by at most
-    /// `tol × max(1, ‖row‖∞, |rhs|)` and the objective by
-    /// `tol × max(1, |objective|)`, with `tol = 1e-7` (looser than the
-    /// solver's 1e-9 pivot tolerance because violations are evaluated on
-    /// the *unequilibrated* rows).
+    /// `tol × scale`, where `scale = max(‖row‖∞, |rhs|)` (floored at
+    /// `1e-300`) is the factor the solver equilibrates the row by, and the
+    /// objective by `tol × max(1, |objective|)`, with
+    /// `tol = 2 ×` [`TOLERANCE`]: what the solver promises on an
+    /// equilibrated row (phase 1 accepts a residual up to the tolerance),
+    /// plus an equal allowance for the extraction's roundoff.
     ///
     /// # Errors
     ///
@@ -273,8 +276,21 @@ impl Solution {
     }
 }
 
-/// Relative tolerance of [`Solution::certify`].
-const CERTIFY_TOL: f64 = 1e-7;
+/// Relative tolerance of [`Solution::certify`]: what the solver promises
+/// on an equilibrated row, [`TOLERANCE`], plus an equal allowance for the
+/// roundoff of the extraction. Phase 1 declares a problem feasible when
+/// its artificials sum to at most `TOLERANCE` on the equilibrated rows,
+/// so a returned vertex may miss one row by up to `TOLERANCE × scale`
+/// (an empty `≥` row with a subnormal right-hand side does so, at
+/// `0.97 × TOLERANCE`, in the service's property tests). The final `x` is
+/// read from a fresh factorization of the final basis; its residual on
+/// every row with a nonzero coefficient stayed below `1e-12 × scale`
+/// over the whole test suite (debug builds certify every joint solve),
+/// so doubling `TOLERANCE` leaves that roundoff more than a thousandfold
+/// room while still refusing a row missed by twice what the solver
+/// allows — `1e-7`, the tolerance this replaced, let a row be missed by
+/// a hundred times that.
+const CERTIFY_TOL: f64 = 2.0 * TOLERANCE;
 
 /// The primal half of [`Solution::certify`]: `x` has the problem's
 /// dimension, is finite and non-negative, and meets every row, within
@@ -296,7 +312,7 @@ pub(crate) fn check_point(problem: &Problem, x: &[f64]) -> Result<(), String> {
         }
     }
     for (i, c) in problem.constraints().iter().enumerate() {
-        let scale = c.abs_max().max(c.rhs().abs()).max(1.0);
+        let scale = c.scale();
         let violation = c.violation(x);
         if violation > CERTIFY_TOL * scale {
             return Err(format!(
@@ -348,6 +364,26 @@ mod tests {
         // Non-finite coordinate.
         let s = Solution::new(vec![f64::NAN, 1.0], 0.0, vec![], 0, None, false);
         assert!(s.certify(&p).unwrap_err().contains("finite"));
+    }
+
+    /// A row is held to twice the solver's tolerance on its own scale,
+    /// not to `1e-7` on a scale of at least 1.
+    #[test]
+    fn certify_holds_rows_to_the_solvers_tolerance_at_their_scale() {
+        let mut p = Problem::maximize(vec![1.0, 0.0]);
+        p.add_le(vec![1.0, 0.0], 2.0).unwrap(); // scale 2
+        p.add_le(vec![0.0, 1e-3], 1e-3).unwrap(); // scale 1e-3
+        let at = |x: [f64; 2]| Solution::new(x.to_vec(), x[0], vec![], 0, None, false);
+        at([2.0 + 2.0 * TOLERANCE, 1.0])
+            .certify(&p)
+            .expect("within 2·tol·2");
+        let err = at([2.0 + 1e-8, 1.0]).certify(&p).unwrap_err();
+        assert!(err.contains("row 0"), "{err}");
+        at([2.0, 1.0 + TOLERANCE])
+            .certify(&p)
+            .expect("within 2·tol·1e-3");
+        let err = at([2.0, 1.0 + 1e-8]).certify(&p).unwrap_err();
+        assert!(err.contains("row 1"), "{err}");
     }
 
     #[test]

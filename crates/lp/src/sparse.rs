@@ -18,8 +18,9 @@
 //!   column operations (FTRAN of the entering column, factorization)
 //!   gather only actual entries.
 //! * **Sparse product-form basis inverse.** The basis "factorization" is
-//!   itself an eta file: one sparse Gauss–Jordan eta per basic column,
-//!   built in *block order* — logical singletons first, then each block's
+//!   itself an eta file: one sparse Gauss–Jordan eta per basic column
+//!   (but the `+1` singletons, below), built in *block order* — logical
+//!   singletons first, then each block's
 //!   structural columns pivoting on that block's own rows, and only the
 //!   columns that cannot pivot locally fall through to the coupling
 //!   rows. A block column's eliminated vector only ever touches its own
@@ -33,15 +34,26 @@
 //!   exactly those whose pivot entry is zero, which the full scan would
 //!   skip as well, and rows still join the eta in the order they are
 //!   first reached, so the file (and every FTRAN, BTRAN and solution bit
-//!   read from it) is the full scan's. Iteration pivots append further
-//!   sparse etas to the same file; FTRAN applies it forward, BTRAN
-//!   backward, each skipping etas whose pivot entry is zero.
+//!   read from it) is the full scan's. A logical on a row no eta has
+//!   pivoted on yet reaches no eta, so it takes its singleton eta
+//!   directly; and a **`+1` singleton** (a slack on a row the
+//!   normalization kept, every artificial) appends none at all — its eta
+//!   would be the identity, which FTRAN and BTRAN multiply through by
+//!   exactly 1.0 and no fill passes through — and only records its row
+//!   as pivoted. Iteration pivots append further sparse etas to the same
+//!   file; FTRAN applies it forward, BTRAN backward, each skipping etas
+//!   whose pivot entry is zero.
 //! * **Block-aligned pricing sections.** The sections handed to the
 //!   driver follow the declared block boundaries
 //!   ([`Problem::block_starts`]), so a pricing chunk scans per-flow blocks
-//!   independently: per-flow rows contribute only to their own block's
-//!   section and the bulk reduced-cost fill costs `O(nnz)` per full wrap
-//!   instead of `O(m·n)`.
+//!   independently. Each section carries the ascending list of the rows
+//!   that can reach it — the coupling rows and the rows local to its own
+//!   blocks — and its bulk reduced-cost fill streams only those: a row
+//!   local to another block has no entry in the section, so leaving it
+//!   out changes no bit. Every row is streamed by the sections it
+//!   reaches, and a full wrap costs `O(nnz)` plus the coupling rows once
+//!   per section, instead of `O(m)` rows per section. The full-range
+//!   passes (the dual phase) stream every row.
 //! * **Set-ordered, repairing factorization.** The pivot order is a
 //!   function of the basis *set*, and under `repair` a dependent column is
 //!   dropped and the row it leaves takes its logical — which is what lets
@@ -403,10 +415,13 @@ impl BlockPfi {
     /// again.
     ///
     /// The pivot ordering is a function of the basis *set* only (logical
-    /// singletons by row, then structural columns grouped by block in
-    /// column order, deferrals appended in that same order), so two solves
-    /// landing on the same final basis factorize identically — the
-    /// keystone of the bit-identical warm/cold guarantee.
+    /// singletons by row — one pass over the rows, a row's slack before
+    /// its artificial — then structural columns in column order, which is
+    /// grouped by block since blocks are contiguous column ranges,
+    /// deferrals appended in that same order), so two solves landing on
+    /// the same final basis factorize identically — the keystone of the
+    /// bit-identical warm/cold guarantee. A `+1` logical on an unpivoted
+    /// row appends no eta (see the module docs).
     pub(crate) fn factor(&mut self, state: &mut DriverState, repair: bool) -> bool {
         self.factor_with(state, repair, Self::eliminate_column)
     }
@@ -767,12 +782,12 @@ impl BlockPfi {
 #[cfg(test)]
 mod tests {
     use super::BlockPfi;
-    use crate::driver::contract::{block_angular, Declaration};
+    use crate::driver::contract::{block_angular, edge_values, random_sectioned_lp, Declaration};
     use crate::driver::{DriverState, Layout};
     use crate::simplex::WarmStart;
     use crate::{Basis, BasisVar, Problem, SolveError, SolverOptions, Workspace};
-    use dmc_obs::Obs;
-    use dmc_stats::rng::SplitMix64;
+    use dmc_obs::{fnv1a, Obs};
+    use dmc_stats::rng::{run_cases, SplitMix64};
 
     crate::driver::contract::contract_tests!(Declaration::Declared);
 
@@ -931,6 +946,142 @@ mod tests {
         }
         assert!(deferred >= 30, "{deferred} bases reached the deferred pass");
         assert!(dependent >= 30, "{dependent} bases dropped a duplicate");
+    }
+
+    /// The elimination step that gives a `+1` singleton its identity eta:
+    /// the full scan, every column pivoted by `place_pivot`.
+    fn eliminate_keeping_identities(
+        pfi: &mut BlockPfi,
+        lay: &Layout,
+        col: usize,
+        local_only: bool,
+    ) -> bool {
+        pfi.load_column(lay, col);
+        for k in 0..pfi.eta_pivot.len() {
+            pfi.apply_eta(k);
+        }
+        pfi.place_pivot(lay, col, local_only)
+    }
+
+    /// A `+1` singleton appends no eta, and the file is otherwise the one
+    /// that gives it the identity: FTRAN and BTRAN of random vectors
+    /// (exact zeros and −0.0 among their entries) agree bit for bit with
+    /// and without the identity etas, on random bases of random
+    /// block-angular LPs, repaired ones included.
+    #[test]
+    fn identity_etas_change_no_ftran_or_btran_bit() {
+        let mut rng = SplitMix64::new(0x1DE7);
+        let mut identities = 0;
+        for trial in 0..300 {
+            let p = random_block_lp(&mut rng);
+            let mut lay = Layout::default();
+            lay.build(&p);
+            let ncols = lay.n + lay.logical_row.len();
+            let mut keyed: Vec<(u64, usize)> = (0..ncols).map(|c| (rng.next_u64(), c)).collect();
+            keyed.sort_unstable();
+            let cols: Vec<usize> = keyed[..lay.m].iter().map(|&(_, c)| c).collect();
+            let (lean, lean_state, ok) = factor_by(&p, &cols, true, BlockPfi::eliminate_column);
+            let (kept, kept_state, kept_ok) =
+                factor_by(&p, &cols, true, eliminate_keeping_identities);
+            assert!(ok && kept_ok, "trial {trial}");
+            assert_eq!(lean_state.basis, kept_state.basis, "trial {trial}");
+            // The kept file less the identity etas of the rows that hold
+            // their own `+1` logical is the lean file.
+            let (piv, val, ptr, rows, vals) = eta_file(&kept);
+            let mut kept_less: EtaFile = (Vec::new(), Vec::new(), vec![0], rows, vals);
+            for k in 0..piv.len() {
+                let r = piv[k] as usize;
+                let l = kept_state.basis[r].checked_sub(lay.n);
+                if l.is_some_and(|l| lay.logical_row[l] == r && lay.logical_val[l] > 0.0) {
+                    assert_eq!(
+                        (val[k], ptr[k]),
+                        (1.0f64.to_bits(), ptr[k + 1]),
+                        "trial {trial}"
+                    );
+                    identities += 1;
+                } else {
+                    kept_less.0.push(piv[k]);
+                    kept_less.1.push(val[k]);
+                    kept_less.2.push(ptr[k + 1]);
+                }
+            }
+            assert_eq!(eta_file(&lean), kept_less, "trial {trial}");
+            for _ in 0..4 {
+                let v = edge_values(&mut rng, lay.m);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let (mut a, mut b) = (v.clone(), v.clone());
+                lean.ftran(&mut a);
+                kept.ftran(&mut b);
+                assert_eq!(bits(&a), bits(&b), "trial {trial}: FTRAN");
+                let (mut a, mut b) = (v.clone(), v);
+                lean.btran(&mut a);
+                kept.btran(&mut b);
+                assert_eq!(bits(&a), bits(&b), "trial {trial}: BTRAN");
+            }
+        }
+        assert!(identities >= 300, "{identities} identity etas left out");
+    }
+
+    /// The fill over a pricing section's row list against the fill over
+    /// every row, on random block-angular LPs with empty and negated
+    /// rows, and exact-zero and −0.0 multipliers and weights: every
+    /// reduced cost of the section bit for bit, and `col_rc`'s too. Each
+    /// list is ascending and holds every row with an entry in its
+    /// section; with the blocks cleared, each is every row.
+    #[test]
+    fn a_sections_rows_fill_it_as_every_row_does() {
+        let (mut sections_seen, mut shorter) = (0, 0);
+        let seed = fnv1a(b"a_sections_rows_fill_it_as_every_row_does");
+        run_cases(seed, 200, |rng| {
+            let declared = random_sectioned_lp(rng);
+            let mut cleared = declared.clone();
+            cleared.set_block_starts(Vec::new()).unwrap();
+            for (p, blocks) in [(&declared, true), (&cleared, false)] {
+                let mut lay = Layout::default();
+                lay.build(p);
+                let (mut pfi, mut sections) = (BlockPfi::default(), Vec::new());
+                pfi.prepare(p, &lay, &mut sections);
+                let (rows, n, rf) = (p.constraints(), lay.n, &lay.row_factor);
+                let y = edge_values(rng, lay.m);
+                let weight = edge_values(rng, n);
+                let mut all = vec![f64::NAN; n];
+                pfi.fill_rc(rows, pfi.all_rows(), rf, &weight, &y, 0..n, &mut all);
+                for (s, &(lo, hi)) in sections.iter().enumerate() {
+                    let hi = hi.min(n);
+                    if lo >= hi {
+                        continue;
+                    }
+                    let list = pfi.section_rows(s);
+                    assert!(list.windows(2).all(|w| w[0] < w[1]), "section {s}");
+                    for (r, c) in rows.iter().enumerate() {
+                        let reaches = c
+                            .support()
+                            .iter()
+                            .any(|&j| (lo..hi).contains(&(j as usize)));
+                        assert!(
+                            !reaches || list.contains(&(r as u32)),
+                            "row {r}, section {s}"
+                        );
+                    }
+                    if !blocks {
+                        assert_eq!(list, pfi.all_rows());
+                    }
+                    sections_seen += usize::from(blocks);
+                    shorter += usize::from(list.len() < lay.m);
+                    let mut out = vec![f64::NAN; n];
+                    pfi.fill_rc(rows, list, rf, &weight, &y, lo..hi, &mut out);
+                    for j in lo..hi {
+                        assert_eq!(out[j].to_bits(), all[j].to_bits(), "column {j}");
+                        let one = pfi.col_rc(rf, weight[j], &y, j);
+                        assert_eq!(one.to_bits(), all[j].to_bits(), "column {j}");
+                    }
+                }
+            }
+        });
+        assert!(
+            2 * shorter > sections_seen,
+            "{shorter} of {sections_seen} block-aligned sections list fewer rows than all"
+        );
     }
 
     /// `lp.factor_eta_visits` on `block_angular`'s optimal basis, re-solved
