@@ -799,11 +799,19 @@ mod tests {
 
     /// The full-scan elimination step, the oracle `eliminate_column` is
     /// held to: every eta built so far, in file order, tested for a zero
-    /// pivot entry.
+    /// pivot entry — under the same `+1` singleton rule.
     fn eliminate_full_scan(pfi: &mut BlockPfi, lay: &Layout, col: usize, local_only: bool) -> bool {
-        if pfi.place_singleton(lay, col) {
-            return true;
-        }
+        pfi.place_singleton(lay, col) || eliminate_keeping_identities(pfi, lay, col, local_only)
+    }
+
+    /// The full scan without the singleton rule: every column pivoted by
+    /// `place_pivot`, so a `+1` singleton gets its identity eta.
+    fn eliminate_keeping_identities(
+        pfi: &mut BlockPfi,
+        lay: &Layout,
+        col: usize,
+        local_only: bool,
+    ) -> bool {
         pfi.load_column(lay, col);
         for k in 0..pfi.eta_pivot.len() {
             pfi.apply_eta(k);
@@ -946,21 +954,6 @@ mod tests {
         }
         assert!(deferred >= 30, "{deferred} bases reached the deferred pass");
         assert!(dependent >= 30, "{dependent} bases dropped a duplicate");
-    }
-
-    /// The elimination step that gives a `+1` singleton its identity eta:
-    /// the full scan, every column pivoted by `place_pivot`.
-    fn eliminate_keeping_identities(
-        pfi: &mut BlockPfi,
-        lay: &Layout,
-        col: usize,
-        local_only: bool,
-    ) -> bool {
-        pfi.load_column(lay, col);
-        for k in 0..pfi.eta_pivot.len() {
-            pfi.apply_eta(k);
-        }
-        pfi.place_pivot(lay, col, local_only)
     }
 
     /// A `+1` singleton appends no eta, and the file is otherwise the one
