@@ -780,6 +780,9 @@ impl Problem {
             if stats.rc_rows > 0 {
                 obs.counter("lp.rc_rows").add(stats.rc_rows);
             }
+            // Every solve's structural width, refusals included: each
+            // O(n) pass of the solve pays for every column.
+            obs.counter("lp.columns").add(self.num_vars() as u64);
             if stats.phase1_early_exit {
                 obs.counter("lp.phase1_early_exits").inc();
             }

@@ -47,7 +47,9 @@ pub struct SolverOptions {
     /// `lp.refactorizations`, `lp.factor_eta_visits` (etas the
     /// solve's factorizations examined, a deterministic work
     /// count), `lp.rc_rows` (rows the bulk reduced-cost fills streamed,
-    /// another; refused solves included), `lp.phase1_early_exits`, warm-start counters, the
+    /// another; refused solves included), `lp.columns` (structural
+    /// columns summed over solves, refused ones included),
+    /// `lp.phase1_early_exits`, warm-start counters, the
     /// `lp.eta_len` histogram (iteration etas each refactorization
     /// discarded), and the span `lp.solve.revised`; the logical clock
     /// advances by one tick per pivot.

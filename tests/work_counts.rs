@@ -23,11 +23,12 @@
 //!   literals, equal at 1 and 4 workers. If greedy admissions solved to
 //!   the optimum again, `lp.feasibility_solves` would fall to 0 and the
 //!   phase-2 and phase-3 counts would rise. `lp.rc_rows` (rows streamed
-//!   by the bulk reduced-cost fills) is pinned beside them.
+//!   by the bulk reduced-cost fills) and `lp.columns` (the structural
+//!   columns of every solve, summed) are pinned beside them.
 //! * **The reservation plane's LP is its roster's** — a long
 //!   sliding-horizon script through a bare `SchedulePlanner` pins
 //!   `lp.pivot_rows`, `lp.solves`, `lp.infeasible` (the refused
-//!   windows) and `lp.rc_rows`; keeping departed blocks as tombstones until a compaction
+//!   windows), `lp.rc_rows` and `lp.columns`; keeping departed blocks as tombstones until a compaction
 //!   floor cost half as many pivot rows again, and a floor that scaled
 //!   with the horizon more than three times as many.
 
@@ -294,6 +295,7 @@ fn contended_counts(workers: usize) -> Vec<(&'static str, u64)> {
         "lp.phase3_pivots",
         "lp.dual_pivots",
         "lp.rc_rows",
+        "lp.columns",
     ]
     .into_iter()
     .map(|name| (name, count(&snap, name)))
@@ -314,6 +316,7 @@ fn greedy_admission_asks_for_verdicts_at_any_worker_count() {
         ("lp.phase3_pivots", 6_779),
         ("lp.dual_pivots", 982),
         ("lp.rc_rows", 610_696),
+        ("lp.columns", 550_655),
     ];
     for workers in [1, 4] {
         assert_eq!(contended_counts(workers), expected, "workers = {workers}");
@@ -340,11 +343,17 @@ fn a_sliding_horizon_solves_lps_near_the_rosters_size() {
     let obs = Obs::enabled();
     sliding_horizon::run(fleet_config(&obs), |_| {});
     let snap = obs.snapshot();
-    let names = ["lp.pivot_rows", "lp.solves", "lp.infeasible", "lp.rc_rows"];
+    let names = [
+        "lp.pivot_rows",
+        "lp.solves",
+        "lp.infeasible",
+        "lp.rc_rows",
+        "lp.columns",
+    ];
     let observed = names.map(|name| count(&snap, name));
     assert_eq!(
         observed,
-        [993_581, 2_984, 289, 597_755],
+        [993_581, 2_984, 289, 597_755, 470_588],
         "observed {observed:?}"
     );
 }
