@@ -236,6 +236,9 @@ pub(crate) struct DriverState {
     face: Vec<usize>,
     /// Whether `face` was completed by a full optimality wrap.
     face_fresh: bool,
+    /// Phase 3's membership flags of `face`, per column over
+    /// `0..art_start`: set beside every push.
+    on_face: Vec<bool>,
     /// Canonicalization weights per column, refilled per solve: among
     /// equally optimal vertices the solver prefers the one using the
     /// least capacity, so `w2[j] = 1/(1 + Σᵣ|Aᵣⱼ|)` plus a tiny
@@ -1208,6 +1211,11 @@ fn canonicalize(
     if state.face.is_empty() {
         return;
     }
+    state.on_face.clear();
+    state.on_face.resize(art_start, false);
+    for &j in &state.face {
+        state.on_face[j] = true;
+    }
     // Secondary weights: prefer the optimal vertex that uses the least
     // capacity — `w2[j]` decreases with the column's total (normalized)
     // mass — with a tiny deterministic jitter for strictness.
@@ -1285,7 +1293,8 @@ fn canonicalize(
         let pivot_ok = pivot(state, kernel, (q, r), d, step, true);
         *iterations += 1;
         state.stats.phase3_pivots += 1;
-        if leaving < art_start && !state.face.contains(&leaving) {
+        if leaving < art_start && !state.on_face[leaving] {
+            state.on_face[leaving] = true;
             state.face.push(leaving);
         }
         if !pivot_ok {
