@@ -176,6 +176,11 @@ pub(crate) struct Member {
     /// request names that the door rule of [`JointCore::member`] kept.
     pub(crate) paths: Option<Vec<usize>>,
     pub(crate) model: ScenarioModel,
+    /// The combinations the joint LP carries, ascending: the first of each
+    /// class of identical columns ([`distinct_combos`]). A later member of
+    /// a class is a duplicate column, left out of the LP and zero in the
+    /// resident's block.
+    pub(crate) kept: Vec<usize>,
 }
 
 impl Member {
@@ -197,6 +202,60 @@ impl Member {
             0
         }
     }
+
+    /// `coeffs` (one per combination) at the kept combinations: a
+    /// window slot's segment of the member's LP columns.
+    fn on_kept<'a>(&'a self, coeffs: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
+        self.kept.iter().map(|&j| coeffs[j])
+    }
+
+    /// Sorted `(combination, value)` triplets renumbered to the kept
+    /// combinations' positions; a dropped duplicate's entry goes.
+    fn kept_triplets(&self, triplets: impl Iterator<Item = (usize, f64)>) -> Vec<(usize, f64)> {
+        let position = |(j, v)| self.kept.binary_search(&j).ok().map(|c| (c, v));
+        triplets.filter_map(position).collect()
+    }
+
+    /// The member's slice of a joint `x` — `L` window-slot-major
+    /// segments over the kept combinations, then the carry levels — in
+    /// its full shape: each kept combination takes its column's value,
+    /// every later duplicate 0.
+    fn expand<'a>(&'a self, slice: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
+        let (n, width) = (self.model.num_combos(), self.kept.len());
+        let (assigned, carry) = slice.split_at(self.window().len() * width);
+        let segments = assigned.chunks(width).flat_map(move |seg| {
+            let mut next = self.kept.iter().zip(seg).peekable();
+            (0..n).map(move |j| next.next_if(|&(&k, _)| k == j).map_or(0.0, |(_, &v)| v))
+        });
+        segments.chain(carry.iter().copied())
+    }
+}
+
+/// The first combination of each class of identical LP columns, ascending.
+/// Two combinations are one class when their quality, cost and every
+/// path's usage agree bit for bit: every coefficient the joint LP writes
+/// for a combination is a product of one of these and a per-flow factor,
+/// so their columns are equal. `combo_coeffs` stops a combination's walk
+/// at the blackhole or a lossless stage, so every combination sharing
+/// that prefix is one class.
+pub(crate) fn distinct_combos(model: &ScenarioModel) -> Vec<usize> {
+    let paths = model.scenario().paths().len();
+    let key = |j: usize| {
+        let head = [model.quality_coeffs()[j], model.cost_coeffs()[j]];
+        let usage = (0..paths).map(move |k| model.usage_coeffs(k)[j]);
+        head.into_iter().chain(usage).map(f64::to_bits)
+    };
+    let mut order: Vec<usize> = (0..model.num_combos()).collect();
+    // Stable: within a class, ascending index, so the first is kept.
+    order.sort_by(|&a, &b| key(a).cmp(key(b)));
+    let mut kept: Vec<usize> = Vec::with_capacity(order.len());
+    for (i, &j) in order.iter().enumerate() {
+        if i == 0 || key(order[i - 1]).ne(key(j)) {
+            kept.push(j);
+        }
+    }
+    kept.sort_unstable();
+    kept
 }
 
 /// One resident of the roster: an admitted member, its slice of the
@@ -231,14 +290,15 @@ impl Resident {
     }
 
     /// Moves the resident to `fresh`, its slice of a new joint `x`. The
-    /// plan is rebuilt only when the block moved: `plan_for` is a pure
-    /// function of the model and the block, so an equal block, bit for
-    /// bit, has the plan already.
+    /// block and plan are rebuilt only when the expanded block moved:
+    /// `plan_for` is a pure function of the model and the block, so an
+    /// equal block, bit for bit, has the plan already, and the
+    /// comparison allocates nothing.
     fn refresh_from(&mut self, fresh: &[f64]) {
-        let bits = |v: &f64| v.to_bits();
-        if !self.block.iter().map(bits).eq(fresh.iter().map(bits)) {
+        let held = self.block.iter().map(|v| v.to_bits());
+        if !held.eq(self.member.expand(fresh).map(f64::to_bits)) {
             self.block.clear();
-            self.block.extend_from_slice(fresh);
+            self.block.extend(self.member.expand(fresh));
             self.plan = Resident::plan_for(&self.member, &self.block);
         }
     }
@@ -392,9 +452,11 @@ impl Assembly {
     /// Appends a flow's block (with the `S·K` shared capacity rows if it
     /// is the first) and writes every coefficient the flow has, its
     /// objective segment `w·λ·L·p` and its `λ·L·usage_k` segment in the
-    /// capacity rows of its window and [`Member::paths`] included.
+    /// capacity rows of its window and [`Member::paths`] included. A
+    /// window slot's segment holds the [`Member::kept`] combinations
+    /// only.
     fn place(&mut self, m: &Member) {
-        let n = m.model.num_combos();
+        let n = m.kept.len();
         let len = m.window().len();
         let carry = m.carry_vars();
         let g = 1.0 / len as f64;
@@ -405,7 +467,7 @@ impl Assembly {
         } * volume;
         self.seg.clear();
         for _ in 0..len {
-            let objective = m.model.quality_coeffs().iter().map(|p| weight * p);
+            let objective = m.on_kept(m.model.quality_coeffs()).map(|p| weight * p);
             self.seg.extend(objective);
         }
         self.seg.resize(self.seg.len() + carry, 0.0);
@@ -432,13 +494,13 @@ impl Assembly {
             (0..len).flat_map(shifted).collect()
         };
         if m.flow().cost_budget().is_finite() {
-            let entries = in_every_slot(m.model.cost_triplets().collect());
+            let entries = in_every_slot(m.kept_triplets(m.model.cost_triplets()));
             self.problem
                 .add_le_sparse(&entries, m.flow().cost_budget() / m.flow().data_rate())
                 .expect("valid cost row");
         }
         if m.flow().min_quality() > 0.0 {
-            let entries = in_every_slot(m.model.quality_triplets().collect());
+            let entries = in_every_slot(m.kept_triplets(m.model.quality_triplets()));
             self.problem
                 .add_ge_sparse(&entries, m.flow().min_quality())
                 .expect("valid floor row");
@@ -467,7 +529,7 @@ impl Assembly {
         let used = |k| local_path_index(m.paths.as_deref(), k).map(|lk| (k, lk));
         for (k, lk) in (0..self.n_paths).filter_map(used) {
             self.seg.clear();
-            let weighted = m.model.usage_coeffs(lk).iter().map(|u| volume * u);
+            let weighted = m.on_kept(m.model.usage_coeffs(lk)).map(|u| volume * u);
             self.seg.extend(weighted);
             for (i, s) in m.window().slots().enumerate() {
                 let row = self.cap_row(s, k);
@@ -727,10 +789,12 @@ impl JointCore {
             builder = builder.cost_budget(flow.cost_budget());
         }
         let scenario = builder.build().map_err(FleetError::Spec)?;
+        let model = self.flow_planner.model(&scenario);
         Ok(Member {
             id,
             paths: (flow.paths().is_some() || usable.len() < n).then_some(usable),
-            model: self.flow_planner.model(&scenario),
+            kept: distinct_combos(&model),
+            model,
             request,
         })
     }
@@ -877,7 +941,7 @@ impl JointCore {
                 }
                 self.stale = goal == Goal::Feasible;
                 for (i, member) in (residents..).zip(extras) {
-                    let block = slice(i).to_vec();
+                    let block: Vec<f64> = member.expand(slice(i)).collect();
                     let plan = Resident::plan_for(&member, &block);
                     self.flows.push(Resident {
                         member,
@@ -1027,6 +1091,7 @@ impl JointCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmc_lp::SolverOptions;
 
     /// The dense from-scratch oracle for the instant (`S = 1`, `L = 1`,
     /// no carry) joint LP — the pre-incremental assembly, kept to pin
@@ -1039,20 +1104,33 @@ mod tests {
     /// MaxQuality)` (single-flow parity), and with many flows the
     /// per-flow rows are grouped *per flow* in admission order, which is
     /// precisely the layout the assembly maintains.
+    ///
+    /// `columns` names the combinations each entry's block carries, in
+    /// column order: all of them for the paper's full-width LP, the
+    /// [`pairwise_classes`] for the assembly's.
     fn assemble_joint(
         objective: FleetObjective,
         paths: &[SharedPath],
         entries: &[&Member],
+        columns: impl Fn(&Member) -> Vec<usize>,
     ) -> Problem {
-        let total_vars: usize = entries.iter().map(|e| e.model.num_combos()).sum();
+        let columns: Vec<Vec<usize>> = entries.iter().map(|e| columns(e)).collect();
+        let total_vars: usize = columns.iter().map(Vec::len).sum();
+        let at = |coeffs: &[f64], cols: &[usize]| -> Vec<f64> {
+            cols.iter().map(|&j| coeffs[j]).collect()
+        };
         let mut c = Vec::with_capacity(total_vars);
-        for e in entries {
+        for (e, cols) in entries.iter().zip(&columns) {
             let w = match objective {
                 FleetObjective::WeightedFair => e.flow().priority(),
                 FleetObjective::MaxAdmitted | FleetObjective::MaxTotalQuality => 1.0,
             };
             let weight = w * e.flow().data_rate();
-            c.extend(e.model.quality_coeffs().iter().map(|p| weight * p));
+            c.extend(
+                at(e.model.quality_coeffs(), cols)
+                    .iter()
+                    .map(|p| weight * p),
+            );
         }
         let mut lp = Problem::maximize(c);
         // Shared capacity rows in bit/s: Σ_f λ_f·usage_f,k · x^f ≤ b_k. A
@@ -1060,11 +1138,14 @@ mod tests {
         // in the rows of the paths it does not use.
         for (k, path) in paths.iter().enumerate() {
             let mut row = Vec::with_capacity(total_vars);
-            for e in entries {
+            for (e, cols) in entries.iter().zip(&columns) {
                 let rate = e.flow().data_rate();
                 match local_path_index(e.paths.as_deref(), k) {
-                    Some(lk) => row.extend(e.model.usage_coeffs(lk).iter().map(|u| rate * u)),
-                    None => row.extend(std::iter::repeat_n(0.0, e.model.num_combos())),
+                    Some(lk) => {
+                        let usage = at(e.model.usage_coeffs(lk), cols);
+                        row.extend(usage.iter().map(|u| rate * u));
+                    }
+                    None => row.extend(std::iter::repeat_n(0.0, cols.len())),
                 }
             }
             lp.add_le(row, path.bandwidth).expect("dimensions match");
@@ -1073,18 +1154,18 @@ mod tests {
         // flow, like the assembly appends them.
         let mut offset = 0;
         let mut block_starts = Vec::with_capacity(entries.len());
-        for e in entries {
-            let n = e.model.num_combos();
+        for (e, cols) in entries.iter().zip(&columns) {
+            let n = cols.len();
             block_starts.push(offset);
             if e.flow().cost_budget().is_finite() {
                 let mut row = vec![0.0; total_vars];
-                row[offset..offset + n].copy_from_slice(e.model.cost_coeffs());
+                row[offset..offset + n].copy_from_slice(&at(e.model.cost_coeffs(), cols));
                 lp.add_le(row, e.flow().cost_budget() / e.flow().data_rate())
                     .expect("dimensions match");
             }
             if e.flow().min_quality() > 0.0 {
                 let mut row = vec![0.0; total_vars];
-                row[offset..offset + n].copy_from_slice(e.model.quality_coeffs());
+                row[offset..offset + n].copy_from_slice(&at(e.model.quality_coeffs(), cols));
                 lp.add_ge(row, e.flow().min_quality())
                     .expect("dimensions match");
             }
@@ -1098,6 +1179,32 @@ mod tests {
         lp.set_block_starts(block_starts)
             .expect("block starts are sorted and in range");
         lp
+    }
+
+    /// Every combination of a model, the paper's full-width block.
+    fn every_combo(m: &Member) -> Vec<usize> {
+        (0..m.model.num_combos()).collect()
+    }
+
+    /// Combination `j`'s column key as bits: quality, cost, then every
+    /// path's usage.
+    fn column_bits(model: &ScenarioModel, j: usize) -> Vec<u64> {
+        let usage = (0..model.scenario().paths().len()).map(|k| model.usage_coeffs(k)[j]);
+        [model.quality_coeffs()[j], model.cost_coeffs()[j]]
+            .into_iter()
+            .chain(usage)
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    /// The first combination of each class of identical columns, by an
+    /// O(n²) pairwise scan: `j` is kept when no lower index has its bits.
+    fn pairwise_classes(model: &ScenarioModel) -> Vec<usize> {
+        let n = model.num_combos();
+        let bits: Vec<Vec<u64>> = (0..n).map(|j| column_bits(model, j)).collect();
+        (0..n)
+            .filter(|&j| (0..j).all(|i| bits[i] != bits[j]))
+            .collect()
     }
 
     /// A candidate over `window`, with the next id and a fresh model.
@@ -1145,13 +1252,16 @@ mod tests {
                 .into_iter()
                 .map(|r| candidate(&mut core, r, SlotWindow::instant(0)))
                 .collect();
+            let duplicated = |m: &Member| m.kept.len() < m.model.num_combos();
+            assert!(members.iter().any(duplicated), "no duplicate columns");
             let mut assembly = Assembly::new(objective, 1, core.paths.len());
             for m in &members {
                 assembly.place(m);
             }
             assembly.bound_capacity(&core.grid, &core.paths, &core.maintenance);
             let entries: Vec<&Member> = members.iter().collect();
-            let oracle = assemble_joint(objective, &core.paths, &entries);
+            let classes = |m: &Member| pairwise_classes(&m.model);
+            let oracle = assemble_joint(objective, &core.paths, &entries, classes);
             // Objective, every constraint's coefficients, support, kind and
             // RHS, and the block starts.
             assert_eq!(assembly.problem, oracle, "{objective:?}");
@@ -1163,10 +1273,132 @@ mod tests {
         }
     }
 
+    /// On random scenarios — with and without the blackhole, lossless
+    /// and costed paths, a random-delay path, path subsets, 1–3
+    /// transmissions — a member keeps exactly the pairwise scan's
+    /// classes: every kept combination is the first of its class, every
+    /// dropped one is bitwise equal to a lower kept one, and no two kept
+    /// ones are equal.
+    #[test]
+    fn a_member_keeps_the_first_combination_of_each_class() {
+        let (mut dropped, mut whole) = (0, 0);
+        let seed = dmc_obs::fnv1a(b"a_member_keeps_the_first_combination_of_each_class");
+        dmc_stats::rng::run_cases(seed, 96, |rng| {
+            let random_delay = rng.int(0..4) == 0;
+            let mut paths: Vec<ScenarioPath> = (0..rng.int(1usize..5))
+                .map(|_| {
+                    let loss = if rng.bool() { 0.0 } else { rng.f64(0.01..0.3) };
+                    let cost = if rng.bool() { 0.0 } else { rng.f64(0.1..2.0) };
+                    let (bandwidth, delay) = (rng.f64(10e6..100e6), rng.f64(0.05..0.5));
+                    ScenarioPath::constant_with_cost(bandwidth, delay, loss, cost).unwrap()
+                })
+                .collect();
+            if random_delay {
+                let gamma = dmc_stats::ShiftedGamma::new(5.0, 0.002, 0.100).unwrap();
+                paths.push(ScenarioPath::new(30e6, Arc::new(gamma), 0.1, 0.0).unwrap());
+            }
+            let n_paths = paths.len();
+            let config = FleetConfig {
+                planner: dmc_core::PlannerConfig {
+                    blackhole: rng.bool(),
+                    ..Default::default()
+                },
+                ..FleetConfig::default()
+            };
+            let mut core = JointCore::new(paths, TimeGrid::new(1.0, 1).unwrap(), config).unwrap();
+            let m = if random_delay { 2 } else { 3 };
+            let mut flow = FlowRequest::new(rng.f64(1e6..20e6), rng.f64(0.2..1.5))
+                .unwrap()
+                .with_transmissions(rng.int(1..m + 1));
+            if rng.bool() {
+                let subset: Vec<usize> = (0..n_paths).filter(|_| rng.bool()).collect();
+                if !subset.is_empty() {
+                    flow = flow.with_paths(subset);
+                }
+            }
+            let member = candidate(&mut core, flow, SlotWindow::instant(0));
+            let model = &member.model;
+            let n = model.num_combos();
+            assert_eq!(
+                member.kept,
+                pairwise_classes(model),
+                "the pairwise scan's classes"
+            );
+            let bits: Vec<Vec<u64>> = (0..n).map(|j| column_bits(model, j)).collect();
+            for (c, &k) in member.kept.iter().enumerate() {
+                assert!((0..k).all(|i| bits[i] != bits[k]), "{k} is not first");
+                let later = &member.kept[c + 1..];
+                assert!(later.iter().all(|&l| bits[l] != bits[k]), "{k} kept twice");
+            }
+            for j in (0..n).filter(|j| member.kept.binary_search(j).is_err()) {
+                let head = member.kept.iter().find(|&&k| bits[k] == bits[j]);
+                assert!(head.is_some_and(|&k| k < j), "{j} has no kept head");
+            }
+            dropped += n - member.kept.len();
+            whole += usize::from(member.kept.len() == n);
+        });
+        assert!(dropped > 0 && whole > 0, "{dropped} dropped, {whole} whole");
+    }
+
+    /// On a fixture with duplicate columns, the production solver's
+    /// optimum of the paper's full-width LP leaves every later duplicate
+    /// at zero, and each resident's expanded block — and so its plan — is
+    /// that optimum's slice bit for bit.
+    #[test]
+    fn an_expanded_block_is_the_full_width_optimum() {
+        for objective in [FleetObjective::MaxAdmitted, FleetObjective::WeightedFair] {
+            let mut core = core(1, objective);
+            let requests = [
+                FlowRequest::new(30e6, 0.8).unwrap().with_min_quality(0.7),
+                FlowRequest::new(15e6, 1.0)
+                    .unwrap()
+                    .with_min_quality(0.5)
+                    .with_cost_budget(2.0)
+                    .with_priority(3.0),
+                FlowRequest::new(25e6, 0.9).unwrap().with_transmissions(3),
+                FlowRequest::new(12e6, 0.6).unwrap().with_paths(vec![1, 2]),
+            ];
+            let members: Vec<Member> = requests
+                .into_iter()
+                .map(|r| candidate(&mut core, r, SlotWindow::instant(0)))
+                .collect();
+            let dropped: usize = members
+                .iter()
+                .map(|m| m.model.num_combos() - m.kept.len())
+                .sum();
+            assert!(dropped > 0, "no duplicate columns");
+            let entries: Vec<&Member> = members.iter().collect();
+            let lp = assemble_joint(objective, &core.paths, &entries, every_combo);
+            let full = lp.solve(&SolverOptions::default()).expect("the fleet fits");
+            let admitted = core.admit_all(members, Goal::Optimal).expect("solves");
+            assert!(admitted.is_ok(), "the fleet fits");
+            let mut start = 0;
+            for r in core.residents() {
+                let n = r.member.model.num_combos();
+                let slice = &full.x()[start..start + n];
+                start += n;
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&r.block),
+                    bits(slice),
+                    "{objective:?}: {:?}",
+                    r.member.id
+                );
+                for j in (0..n).filter(|j| r.member.kept.binary_search(j).is_err()) {
+                    assert_eq!(slice[j].to_bits(), 0, "duplicate {j} carries mass");
+                }
+                let plan = Resident::plan_for(&r.member, slice);
+                assert_eq!(plan.quality().to_bits(), r.plan.quality().to_bits());
+            }
+            let joint = full.objective().to_bits();
+            assert_eq!(core.objective_value().to_bits(), joint, "{objective:?}");
+        }
+    }
+
     /// The dense tableau oracle's optimum of the LP `entries` assemble
     /// from scratch over the core's paths.
     fn tableau_optimum(core: &JointCore, entries: &[&Member]) -> Result<f64, SolveError> {
-        let lp = assemble_joint(core.config.objective, &core.paths, entries);
+        let lp = assemble_joint(core.config.objective, &core.paths, entries, every_combo);
         dmc_lp_oracle::solve(&lp).map(|optimum| optimum.objective)
     }
 

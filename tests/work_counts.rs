@@ -305,18 +305,22 @@ fn contended_counts(workers: usize) -> Vec<(&'static str, u64)> {
 /// The contended script's counts. While departed blocks stayed in the
 /// LP as tombstones the phase-1, phase-2, phase-3 and dual pivots were
 /// 5 306, 2 718, 7 327 and 1 065, with the same 682 solves, 507 of them
-/// verdicts.
+/// verdicts. While every combination had its own column, duplicates
+/// included, the solves carried 550 655 columns (−30.5 % now) and the
+/// fills streamed 610 696 rows, in 5 313, 2 921 and 6 779 phase-1,
+/// phase-2 and phase-3 pivots; the solves, verdicts and dual pivots are
+/// the same.
 #[test]
 fn greedy_admission_asks_for_verdicts_at_any_worker_count() {
     let expected = vec![
         ("lp.solves", 682),
         ("lp.feasibility_solves", 507),
-        ("lp.phase1_pivots", 5_313),
-        ("lp.phase2_pivots", 2_921),
-        ("lp.phase3_pivots", 6_779),
+        ("lp.phase1_pivots", 5_207),
+        ("lp.phase2_pivots", 2_851),
+        ("lp.phase3_pivots", 6_690),
         ("lp.dual_pivots", 982),
-        ("lp.rc_rows", 610_696),
-        ("lp.columns", 550_655),
+        ("lp.rc_rows", 533_928),
+        ("lp.columns", 382_465),
     ];
     for workers in [1, 4] {
         assert_eq!(contended_counts(workers), expected, "workers = {workers}");
@@ -325,10 +329,10 @@ fn greedy_admission_asks_for_verdicts_at_any_worker_count() {
 
 /// The long sliding-horizon script (`common/sliding_horizon.rs`: 400
 /// slides of an 8-slot grid, windowed offers and departures) solves
-/// 2 984 LPs in 993 581 pivot rows, 289 of them refused windows
+/// 2 984 LPs in 952 454 pivot rows, 289 of them refused windows
 /// (`lp.infeasible`; `lp.errors` counts them too). Every departed block
 /// is cut out of the LP at the next solve and the carried basis is cut
-/// with it, so 2 983 solves start warm and the script pivots 19 655
+/// with it, so 2 983 solves start warm and the script pivots 18 903
 /// times. While departed blocks stayed as tombstones until the core
 /// compacted at 8 slots, the same script, with the same verdicts, took
 /// 1 574 020 pivot rows and 29 682 pivots (an LP rebuilt by a compaction
@@ -338,6 +342,10 @@ fn greedy_admission_asks_for_verdicts_at_any_worker_count() {
 /// `dmc-fleet`, where the LP is visible
 /// (`schedule::tests::a_long_sliding_horizon_compacts_often_and_stays_bounded`),
 /// and by the core itself after every successful solve in debug builds.
+/// While every combination had its own column, duplicates included,
+/// the same solves carried 470 588 columns (283 792 now, −39.7 %) in
+/// 19 655 pivots and 993 581 pivot rows, and the fills streamed 597 755
+/// rows (497 095 now).
 #[test]
 fn a_sliding_horizon_solves_lps_near_the_rosters_size() {
     let obs = Obs::enabled();
@@ -353,7 +361,7 @@ fn a_sliding_horizon_solves_lps_near_the_rosters_size() {
     let observed = names.map(|name| count(&snap, name));
     assert_eq!(
         observed,
-        [993_581, 2_984, 289, 597_755, 470_588],
+        [952_454, 2_984, 289, 497_095, 283_792],
         "observed {observed:?}"
     );
 }
