@@ -69,8 +69,25 @@
 //! by the slot that takes over its ring position. Then one group of
 //! rows per block, in placement order: optional cost row, optional
 //! floor row, the `L` balance equalities (`Σx = 1` when `L = 1`), the
-//! buffer caps. A block's columns are its `L·n` window-slot-major
-//! assignment columns followed by its carry columns.
+//! buffer caps. A block's columns are its `L·n'` window-slot-major
+//! assignment columns — in each window slot one column per *distinct*
+//! combination, below — followed by its carry columns.
+//!
+//! # Distinct combinations
+//!
+//! The paper's LP has one variable per path×retransmission combination,
+//! but a combination's walk stops at the blackhole or after a lossless
+//! stage, so every combination sharing that prefix has the same quality,
+//! cost and usage, bit for bit: an identical column. [`JointCore::member`]
+//! classes a flow's combinations once ([`distinct_combos`]), and a block
+//! carries only the first combination of each class (`n'` of the `n`;
+//! 31–45 % of the columns are duplicates on the service and reservation
+//! workloads). A resident's block of `x` keeps the full `L·n` shape: a
+//! solved slice is expanded back, with 0 on every later duplicate. That
+//! is the full-width LP's own optimum, bit for bit: phase 3 leaves mass
+//! only on the lowest-index member of a duplicate group, and the final
+//! basis factorizes in column order, which dropping columns keeps
+//! (`tests::an_expanded_block_is_the_full_width_optimum`).
 //!
 //! # Maintained, not rebuilt
 //!
@@ -234,26 +251,31 @@ impl Member {
 /// The first combination of each class of identical LP columns, ascending.
 /// Two combinations are one class when their quality, cost and every
 /// path's usage agree bit for bit: every coefficient the joint LP writes
-/// for a combination is a product of one of these and a per-flow factor,
-/// so their columns are equal. `combo_coeffs` stops a combination's walk
+/// for a combination is one of these times a per-flow factor, or the
+/// balance rows' 1, so their columns are equal. `combo_coeffs` stops a combination's walk
 /// at the blackhole or a lossless stage, so every combination sharing
 /// that prefix is one class.
-pub(crate) fn distinct_combos(model: &ScenarioModel) -> Vec<usize> {
-    let paths = model.scenario().paths().len();
-    let key = |j: usize| {
-        let head = [model.quality_coeffs()[j], model.cost_coeffs()[j]];
-        let usage = (0..paths).map(move |k| model.usage_coeffs(k)[j]);
-        head.into_iter().chain(usage).map(f64::to_bits)
-    };
-    let mut order: Vec<usize> = (0..model.num_combos()).collect();
-    // Stable: within a class, ascending index, so the first is kept.
-    order.sort_by(|&a, &b| key(a).cmp(key(b)));
-    let mut kept: Vec<usize> = Vec::with_capacity(order.len());
-    for (i, &j) in order.iter().enumerate() {
-        if i == 0 || key(order[i - 1]).ne(key(j)) {
-            kept.push(j);
+fn distinct_combos(model: &ScenarioModel) -> Vec<usize> {
+    let (n, paths) = (model.num_combos(), model.scenario().paths().len());
+    // One row of key bits per combination: quality, cost, each usage.
+    let width = 2 + paths;
+    let mut keys = vec![0u64; n * width];
+    let columns = [model.quality_coeffs(), model.cost_coeffs()];
+    let usage = (0..paths).map(|k| model.usage_coeffs(k));
+    for (c, coeffs) in columns.into_iter().chain(usage).enumerate() {
+        for (j, v) in coeffs.iter().enumerate() {
+            keys[j * width + c] = v.to_bits();
         }
     }
+    let key = |j: usize| &keys[j * width..(j + 1) * width];
+    let mut order: Vec<usize> = (0..n).collect();
+    // Within a class, ascending index, so the first is kept.
+    order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
+    let heads = order
+        .iter()
+        .enumerate()
+        .filter(|&(i, &j)| i == 0 || key(order[i - 1]) != key(j));
+    let mut kept: Vec<usize> = heads.map(|(_, &j)| j).collect();
     kept.sort_unstable();
     kept
 }
@@ -268,7 +290,8 @@ pub(crate) struct Resident {
     /// The aggregate plan over the window: [`Resident::plan_for`] of
     /// `block`.
     pub(crate) plan: Plan,
-    /// `L·n` assignment values, window-slot-major, then the carry levels;
+    /// `L·n` assignment values, window-slot-major, then the carry levels
+    /// ([`Member::expand`]: every combination, a later duplicate at 0);
     /// always of the member's shape, so that `plan` is
     /// [`Resident::plan_for`] of it at every moment.
     block: Vec<f64>,
@@ -398,8 +421,9 @@ pub(crate) fn check_request_scale(request: &FlowRequest) -> Result<(), FleetErro
     Ok(())
 }
 
-/// One flow's block in the assembly: its `L·n` assignment columns
-/// (window-slot-major) plus its carry columns, and its own rows — the
+/// One flow's block in the assembly: its `L·n'` assignment columns
+/// (window-slot-major, one per kept combination) plus its carry columns,
+/// and its own rows — the
 /// optional cost and floor rows, the `L` balance rows and the buffer
 /// caps, contiguous after the shared ones.
 #[derive(Debug, Clone)]
@@ -755,7 +779,8 @@ impl JointCore {
     /// capacity row under the solver's tolerance. With no path left the
     /// flow plans on the blackhole alone, over one stand-in (the first
     /// path it names, failed) in no capacity row: refused with a floor,
-    /// admitted at quality 0 without.
+    /// admitted at quality 0 without. The model's combinations are
+    /// classed here, once per model ([`distinct_combos`]).
     pub(crate) fn member(
         &mut self,
         id: FlowId,
