@@ -42,6 +42,10 @@ use crate::random_delay::fill_random_coeffs;
 use crate::scenario::{Scenario, ScenarioPath};
 use crate::strategy::Strategy;
 use dmc_lp::{Basis, ConstraintKind, Problem, Solution, SolveError, SolverOptions, Workspace};
+#[expect(
+    clippy::disallowed_types,
+    reason = "the `shape_bases` cache below is key-lookup only: never iterated, so key order cannot reach results"
+)]
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -242,7 +246,10 @@ pub struct Planner {
     spare: (Vec<f64>, Vec<Vec<f64>>, Vec<f64>),
     // Warm-start state: last optimal basis per problem shape, plus
     // counters for observability (benchmarks, tests).
-    // dmc-lint: allow(det-unordered-map) key-lookup-only cache: get/insert/contains_key/len/clear, never iterated, so key order cannot reach results
+    #[expect(
+        clippy::disallowed_types,
+        reason = "key-lookup-only cache: get/insert/contains_key/len/clear, never iterated, so key order cannot reach results"
+    )]
     shape_bases: HashMap<ShapeKey, Basis>,
     warm_attempts: u64,
     warm_hits: u64,
@@ -723,7 +730,8 @@ impl ScenarioModel {
 fn nonzeros(v: &[f64]) -> impl Iterator<Item = (usize, f64)> + '_ {
     v.iter()
         .enumerate()
-        // dmc-lint: allow(float-exact) exact-zero sparsity filter: a stored 0.0 means structurally absent, not approximately small
+        // Exact-zero sparsity filter: a stored 0.0 means structurally absent,
+        // not approximately small.
         .filter(|(_, &x)| x != 0.0)
         .map(|(i, &x)| (i, x))
 }

@@ -56,7 +56,10 @@ pub(crate) const GRID_STEP: f64 = 1e-3;
 ///
 /// `usage` must arrive with one inner vector per path (cleared/overwritten
 /// here); the other buffers are cleared and refilled.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the model's input paths and every output buffer are separate borrows, refilled in place"
+)]
 pub(crate) fn fill_random_coeffs(
     paths: &[ScenarioPath],
     lifetime: f64,
@@ -194,7 +197,8 @@ fn joint_in_time_no_ack(
 ) -> f64 {
     let mut total = 0.0;
     for (k, &mass) in delay.pmf().iter().enumerate() {
-        // dmc-lint: allow(float-exact) a PMF bin with exactly zero mass is structurally empty; skipping it is lossless
+        // A PMF bin with exactly zero mass is structurally empty; skipping it
+        // is lossless.
         if mass == 0.0 {
             continue;
         }

@@ -144,6 +144,10 @@ impl ScenarioPath {
 
     /// The constant delay in seconds when this path is deterministic
     /// (its delay distribution has zero spread), else `None`.
+    #[expect(
+        clippy::float_cmp,
+        reason = "zero spread is exactly equal ends: any gap, however small, is a random path"
+    )]
     pub fn constant_delay(&self) -> Option<f64> {
         let (lo, hi) = (self.delay.min_delay(), self.delay.max_delay());
         (lo == hi).then_some(lo)

@@ -5,7 +5,10 @@
 //! `crates/lp/tests/row_storage.rs`) — where packaging used to cost one
 //! block per combination for the schedule alone (`num_combos + 3`).
 
-// dmc-lint: allow-file(unsafe-code) the block-counting global allocator below must implement GlobalAlloc (an unsafe trait); it only adds to a thread-local and defers to System
+#![expect(
+    unsafe_code,
+    reason = "the block-counting global allocator below must implement GlobalAlloc (an unsafe trait); it only adds to a thread-local and defers to System"
+)]
 
 use dmc_core::{Objective, Planner, Scenario, ScenarioModel, ScenarioPath};
 use std::alloc::{GlobalAlloc, Layout, System};

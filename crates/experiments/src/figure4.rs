@@ -64,7 +64,10 @@ pub fn measure(n: usize, m: usize, runs: usize, obs: &dmc_obs::Obs) -> TimingPoi
         let _ = Planner::with_config(config.clone()).plan(&scenario, Objective::MaxQuality);
     };
     build_and_solve(); // warm-up (page in, branch predictors)
-                       // dmc-lint: allow(det-wallclock) figure 4 measures wall-clock solve time by design; timings are reported, never fed back into planning
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "figure 4 measures wall-clock solve time by design; timings are reported, never fed back into planning"
+    )]
     let start = Instant::now();
     for _ in 0..runs {
         build_and_solve();

@@ -28,6 +28,11 @@
 //! * `--runs N` (or env `RUNS`) — timing repetitions (`figure4` only).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::unwrap_used, clippy::panic))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unreachable, clippy::todo, clippy::unimplemented)
+)]
 #![warn(missing_docs)]
 
 pub mod chaos;

@@ -204,7 +204,6 @@ pub fn run_plan(
 /// The body of [`run_plan`]: `lambda` is the generation rate, `lifetime`
 /// the receiver's deadline, `ack_path` the reverse path acknowledgments
 /// use.
-#[allow(clippy::too_many_arguments)]
 fn run_strategy(
     strategy: Strategy,
     timeouts: TimeoutPlan,

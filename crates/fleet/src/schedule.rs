@@ -890,7 +890,8 @@ impl SchedulePlanner {
     pub fn aggregate_quality(&self) -> f64 {
         let volume = |r: &Resident| r.member.flow().data_rate() * r.member.window().len() as f64;
         let vol: f64 = self.core.residents().iter().map(volume).sum();
-        // dmc-lint: allow(float-exact) vol is a sum of validated positive rates; it is exactly 0.0 iff the fleet is empty
+        // `vol` is a sum of validated positive rates; it is exactly 0.0 iff the
+        // fleet is empty.
         if vol == 0.0 {
             return 0.0;
         }

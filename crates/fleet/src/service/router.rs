@@ -636,6 +636,10 @@ impl FleetService {
             return;
         }
         let chunk = self.shards.len().div_ceil(workers);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "sanctioned deterministic shard pool; seq-sorted merge of independent shards, bit-identical at any worker count, pinned by crates/fleet/tests/service.rs"
+        )]
         std::thread::scope(|scope| {
             for shard_chunk in self.shards.chunks_mut(chunk) {
                 scope.spawn(move || {

@@ -96,7 +96,8 @@ impl Tableau {
                 continue;
             }
             let factor = self.at(r, pc);
-            // dmc-lint: allow(float-exact) row-elimination skip: an exactly-zero pivot-column entry leaves the row unchanged
+            // Row-elimination skip: an exactly-zero pivot-column entry leaves
+            // the row unchanged.
             if factor == 0.0 {
                 continue;
             }
@@ -125,7 +126,8 @@ impl Tableau {
         }
         for r in 0..self.rows {
             let cb = cost[self.basis[r]];
-            // dmc-lint: allow(float-exact) pricing skip: an exactly-zero basic cost contributes nothing to the reduced costs
+            // Pricing skip: an exactly-zero basic cost contributes nothing to
+            // the reduced costs.
             if cb == 0.0 {
                 continue;
             }

@@ -453,7 +453,10 @@ fn col_rc(lay: &Layout, kernel: &BlockPfi, weight: &[f64], y: &[f64], j: usize) 
 /// the kernel's bulk pass over the rows in `list` (ascending, and holding
 /// every row with an entry in `cols`), logical singletons directly. Adds
 /// the rows the kernel streamed to `rc_rows`.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is a separate borrow of the solver state; a struct bundling them would be built for this one call"
+)]
 fn fill_rc(
     rows: &[Constraint],
     lay: &Layout,

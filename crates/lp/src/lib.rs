@@ -149,6 +149,11 @@
 //!   `lp.dual_pivots` how often a repair or a dual pivot saved it).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::unwrap_used, clippy::panic))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unreachable, clippy::todo, clippy::unimplemented)
+)]
 #![warn(missing_docs)]
 
 mod driver;

@@ -219,7 +219,8 @@ impl Problem {
             return Err(ProblemError::NonFiniteCoefficient);
         }
         let sign = if negate { -1.0 } else { 1.0 };
-        // dmc-lint: allow(float-exact) exact-zero sparsity filter: a 0.0 coefficient is structurally absent, not approximately small
+        // Exact-zero sparsity filter: a 0.0 coefficient is structurally
+        // absent, not approximately small.
         let nonzero = entries.filter(|&(_, v)| v != 0.0);
         // Sized exactly: a row holds what it stores and no more.
         let nnz = nonzero.clone().count();
@@ -444,7 +445,8 @@ impl Problem {
         let fresh = vals
             .iter()
             .enumerate()
-            // dmc-lint: allow(float-exact) exact-zero sparsity filter: a 0.0 coefficient is structurally absent, not approximately small
+            // Exact-zero sparsity filter: a 0.0 coefficient is structurally
+            // absent, not approximately small.
             .filter(|(_, &v)| v != 0.0);
         c.cols
             .splice(lo..hi, fresh.clone().map(|(o, _)| (start + o) as u32));

@@ -331,7 +331,10 @@ impl BlockPfi {
     /// `O(nnz in range)`. Each `out[j]` is `weight[j]` less its column's
     /// terms in ascending row order, exactly-zero multipliers skipped —
     /// the order [`BlockPfi::col_rc`] subtracts them in.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the bulk pass borrows rows, row list, row scale, weights, duals, column range and output separately, as its one caller holds them"
+    )]
     pub(crate) fn fill_rc(
         &self,
         rows: &[Constraint],
@@ -346,7 +349,8 @@ impl BlockPfi {
         for &r in list {
             let r = r as usize;
             let mult = y[r] * row_factor[r];
-            // dmc-lint: allow(float-exact) axpy skip: an exactly-zero multiplier contributes nothing; a tolerance here would change results
+            // Axpy skip: an exactly-zero multiplier contributes nothing; a
+            // tolerance here would change results.
             if mult != 0.0 {
                 let c = &rows[r];
                 let sup = c.support();
@@ -375,7 +379,8 @@ impl BlockPfi {
         for idx in self.col_ptr[j]..self.col_ptr[j + 1] {
             let r = self.col_rows[idx] as usize;
             let mult = y[r] * row_factor[r];
-            // dmc-lint: allow(float-exact) the same exact-zero skip as `fill_rc`, so the two agree bit for bit
+            // The same exact-zero skip as `fill_rc`, so the two agree bit for
+            // bit.
             if mult != 0.0 {
                 rc -= mult * self.col_vals[idx];
             }
@@ -432,7 +437,8 @@ impl BlockPfi {
         for k in 0..self.eta_pivot.len() {
             let r = self.eta_pivot[k] as usize;
             let vr = v[r];
-            // dmc-lint: allow(float-exact) eta transform skip: an exactly-zero pivot component leaves the vector unchanged
+            // Eta transform skip: an exactly-zero pivot component leaves the
+            // vector unchanged.
             if vr != 0.0 {
                 for idx in self.eta_ptr[k]..self.eta_ptr[k + 1] {
                     v[self.eta_rows[idx] as usize] += self.eta_vals[idx] * vr;
@@ -460,7 +466,8 @@ impl BlockPfi {
         self.eta_pivot.push(r as u32);
         self.eta_pivot_val.push(inv);
         for (i, &di) in d.iter().enumerate() {
-            // dmc-lint: allow(float-exact) the eta column stores exact nonzeros only: a zero entry is structurally absent
+            // The eta column stores exact nonzeros only: a zero entry is
+            // structurally absent.
             if i != r && di != 0.0 {
                 self.eta_rows.push(i as u32);
                 self.eta_vals.push(-di * inv);
@@ -636,7 +643,10 @@ impl BlockPfi {
             return false;
         }
         let val = lay.logical_val[l];
-        // dmc-lint: allow(float-exact) logical coefficients are exactly ±1; only +1 has the identity as its eta
+        #[expect(
+            clippy::float_cmp,
+            reason = "logical coefficients are exactly ±1; only +1 has the identity as its eta"
+        )]
         if val != 1.0 {
             self.row_eta[r] = self.eta_pivot.len() as u32;
             self.eta_pivot.push(r as u32);
@@ -672,7 +682,8 @@ impl BlockPfi {
         self.eta_visits += 1;
         let r = self.eta_pivot[k] as usize;
         let vr = self.work[r];
-        // dmc-lint: allow(float-exact) eta transform skip: an exactly-zero pivot component leaves the vector unchanged
+        // Eta transform skip: an exactly-zero pivot component leaves the
+        // vector unchanged.
         if vr != 0.0 {
             for idx in self.eta_ptr[k]..self.eta_ptr[k + 1] {
                 let i = self.eta_rows[idx] as usize;
@@ -724,6 +735,10 @@ impl BlockPfi {
                 continue;
             }
             let a = work[r].abs();
+            #[expect(
+                clippy::float_cmp,
+                reason = "pivot tie-break: an exactly equal magnitude goes to the lowest row, so the pivot choice is deterministic"
+            )]
             if a > best_any || (a == best_any && r < any_row) {
                 best_any = a;
                 any_row = r;
@@ -732,6 +747,10 @@ impl BlockPfi {
                 Some(lr) => r == lr,
                 None => self.row_local[r] == home,
             };
+            #[expect(
+                clippy::float_cmp,
+                reason = "pivot tie-break: an exactly equal magnitude goes to the lowest row, so the pivot choice is deterministic"
+            )]
             if is_home && (a > best_local || (a == best_local && r < local_row)) {
                 best_local = a;
                 local_row = r;
@@ -760,7 +779,8 @@ impl BlockPfi {
             self.eta_pivot_val.push(inv);
             for &t in touched {
                 let i = t as usize;
-                // dmc-lint: allow(float-exact) elimination skip: an exactly-zero work entry produces no fill
+                // Elimination skip: an exactly-zero work entry produces no
+                // fill.
                 if i != pivot_row && work[i] != 0.0 {
                     self.eta_rows.push(t);
                     self.eta_vals.push(-work[i] * inv);

@@ -143,7 +143,7 @@ impl Script {
         let sign = if self.rows[row].ge { -1.0 } else { 1.0 };
         let vals: Vec<f64> = match self.pick(4) {
             // The same pattern with new values — a rescale.
-            // dmc-lint: allow(float-exact) the pattern of a row is its exact nonzeros
+            // The pattern of a row is its exact nonzeros.
             0 => old
                 .iter()
                 .map(|&v| if v != 0.0 { v * 1.5 } else { v })

@@ -5,7 +5,10 @@
 //! (5.3 MB) for 5 120 nonzeros, and every admitted flow re-allocated all
 //! of it.
 
-// dmc-lint: allow-file(unsafe-code) the byte-counting global allocator below must implement GlobalAlloc (an unsafe trait); it only adds to thread-locals and defers to System
+#![expect(
+    unsafe_code,
+    reason = "the byte-counting global allocator below must implement GlobalAlloc (an unsafe trait); it only adds to thread-locals and defers to System"
+)]
 
 use dmc_lp::{Constraint, Problem};
 use std::alloc::{GlobalAlloc, Layout, System};

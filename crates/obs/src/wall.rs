@@ -7,7 +7,10 @@
 //! an explicit profiler whose output goes to a human (stderr, a log) and
 //! **never** into a snapshot. Library crates must not use it.
 
-// dmc-lint: allow-file(det-wallclock) wallclock is quarantined here by design: WallProfiler is driver-only and its readings never enter a Snapshot or any hashed artifact
+#![expect(
+    clippy::disallowed_methods,
+    reason = "wallclock is quarantined here by design: WallProfiler is driver-only and its readings never enter a Snapshot or any hashed artifact"
+)]
 
 use std::time::Instant;
 

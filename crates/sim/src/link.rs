@@ -78,7 +78,8 @@ impl GilbertElliott {
                 return Err(format!("{name} must be in [0, 1], got {p}"));
             }
         }
-        // dmc-lint: allow(float-exact) degenerate-chain detection: both transition probabilities exactly zero means a frozen state, handled specially
+        // Degenerate-chain detection: both transition probabilities exactly
+        // zero means a frozen state, handled specially.
         if p_good_to_bad == 0.0 && p_bad_to_good == 0.0 {
             return Err("at least one transition probability must be positive".into());
         }

@@ -132,7 +132,8 @@ impl DiscreteDist {
         let n = self.pmf.len() + other.pmf.len() - 1;
         let mut pmf = vec![0.0; n];
         for (i, &a) in self.pmf.iter().enumerate() {
-            // dmc-lint: allow(float-exact) a PMF bin with exactly zero mass is structurally empty; skipping it is lossless
+            // A PMF bin with exactly zero mass is structurally empty; skipping
+            // it is lossless.
             if a == 0.0 {
                 continue;
             }

@@ -230,6 +230,10 @@ impl UniformDelay {
 
 impl Delay for UniformDelay {
     fn cdf(&self, t: f64) -> f64 {
+        #[expect(
+            clippy::float_cmp,
+            reason = "a zero-spread range is the step at `lo`: only exactly equal ends would divide by zero below"
+        )]
         if self.hi == self.lo {
             return if t >= self.lo { 1.0 } else { 0.0 };
         }

@@ -38,6 +38,11 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::unwrap_used, clippy::panic))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unreachable, clippy::todo, clippy::unimplemented)
+)]
 #![warn(missing_docs)]
 
 mod discrete;

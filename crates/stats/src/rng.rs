@@ -65,16 +65,16 @@ impl SplitMix64 {
     where
         T: Copy + TryInto<i128> + TryFrom<i128>,
     {
+        #[expect(clippy::unreachable, reason = "integers of up to 64 bits fit an i128")]
         let (Ok(start), Ok(end)) = (range.start.try_into(), range.end.try_into()) else {
-            // dmc-lint: allow(panic-hygiene) integers of up to 64 bits fit an i128
-            unreachable!("integer range beyond i128");
+            unreachable!("integer range beyond i128")
         };
         assert!(start < end, "empty integer range");
         // A span of at most 2⁶⁴ − 1: the ends are at most 64-bit.
         let offset = self.next_u64() % (end - start) as u64;
+        #[expect(clippy::unreachable, reason = "start + offset < end, which is a T")]
         let Ok(value) = T::try_from(start + i128::from(offset)) else {
-            // dmc-lint: allow(panic-hygiene) start + offset < end, which is a T
-            unreachable!("draw outside its range");
+            unreachable!("draw outside its range")
         };
         value
     }
@@ -108,8 +108,10 @@ pub fn run_cases(seed: u64, cases: u32, mut case: impl FnMut(&mut SplitMix64)) {
                 .map(String::as_str)
                 .or_else(|| payload.downcast_ref::<&str>().copied())
                 .unwrap_or("non-string panic");
-            // dmc-lint: allow(panic-hygiene) a failing case fails its test
-            panic!("case {k}/{cases} failed from stream state {state:#018x}: {message}");
+            #[expect(clippy::panic, reason = "a failing case fails its test")]
+            {
+                panic!("case {k}/{cases} failed from stream state {state:#018x}: {message}")
+            }
         }
     }
 }

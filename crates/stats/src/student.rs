@@ -70,11 +70,15 @@ fn betacf(a: f64, b: f64, x: f64) -> f64 {
 pub fn reg_inc_beta(a: f64, b: f64, x: f64) -> f64 {
     assert!(a > 0.0 && b > 0.0, "beta parameters must be positive");
     assert!((0.0..=1.0).contains(&x), "x must be in [0, 1], got {x}");
-    // dmc-lint: allow(float-exact) regularized incomplete beta: the exact endpoint x == 0 short-circuits to the exact value 0
+    // Regularized incomplete beta: the exact endpoint x == 0 short-circuits
+    // to the exact value 0.
     if x == 0.0 {
         return 0.0;
     }
-    // dmc-lint: allow(float-exact) regularized incomplete beta: the exact endpoint x == 1 short-circuits to the exact value 1
+    #[expect(
+        clippy::float_cmp,
+        reason = "regularized incomplete beta: the exact endpoint x == 1 short-circuits to the exact value 1"
+    )]
     if x == 1.0 {
         return 1.0;
     }

@@ -19,7 +19,6 @@
 //! | `dmc-proto` | [`proto`] | sender/receiver protocol state machines, acks, estimators |
 //! | `dmc-fleet` | [`fleet`] | multi-flow admission control + joint shared-capacity allocation; `fleet::service` shards it into capacity regions behind a wire front end |
 //! | `dmc-experiments` | [`experiments`] | regenerators for every table & figure of the paper |
-//! | `dmc-lint` | (dev tool, not re-exported) | dependency-free static analyzer enforcing the workspace's determinism, float-safety, and panic-hygiene invariants (`cargo run -p dmc-lint -- --deny`; rule catalogue and pragma syntax in `EXPERIMENTS.md`) |
 //!
 //! # Quick start
 //!
@@ -74,6 +73,11 @@
 //! `arch_check` CI gate).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::unwrap_used, clippy::panic))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unreachable, clippy::todo, clippy::unimplemented)
+)]
 #![warn(missing_docs)]
 
 pub use dmc_core as model;

@@ -9,7 +9,10 @@
 //!   with) must not allocate: instrumentation left compiled into the
 //!   solver's hot loops may cost a branch, never a malloc.
 
-// dmc-lint: allow-file(unsafe-code) the counting global allocator below must implement GlobalAlloc (an unsafe trait); it only increments a thread-local and defers to System
+#![expect(
+    unsafe_code,
+    reason = "the counting global allocator below must implement GlobalAlloc (an unsafe trait); it only increments a thread-local and defers to System"
+)]
 
 use deadline_multipath::experiments::chaos;
 use deadline_multipath::experiments::montecarlo::MonteCarloConfig;

@@ -449,3 +449,91 @@ fn mixed_scenarios_plan() {
         assert!(plan.strategy().is_well_formed(1e-7));
     });
 }
+
+/// The constant path `path` over `UniformDelay::new(d, d)` instead: a
+/// uniform range of zero spread at its delay `d`.
+fn zero_spread(path: &ScenarioPath) -> ScenarioPath {
+    let d = path.constant_delay().expect("a constant path");
+    ScenarioPath::new(
+        path.bandwidth(),
+        Arc::new(UniformDelay::new(d, d)),
+        path.loss(),
+        path.cost(),
+    )
+    .expect("valid path")
+}
+
+/// A uniform delay of zero spread is the constant delay `d` in every
+/// respect the planner reads: its cdf is the step at `d`, its path
+/// reports `constant_delay() == Some(d)`, and a scenario of such paths
+/// plans exactly as the same scenario built from `ScenarioPath::constant`,
+/// bit for bit. Both exact compares this rests on (`UniformDelay::cdf`'s
+/// equal ends, `ScenarioPath::constant_delay`'s zero spread) are
+/// expected `float_cmp` sites.
+#[test]
+fn a_zero_spread_uniform_path_plans_as_its_constant_path() {
+    let d = 0.400;
+    let step = UniformDelay::new(d, d);
+    for t in [0.0, d - 1e-12, f64::from_bits(d.to_bits() - 1)] {
+        assert_eq!(step.cdf(t).to_bits(), 0.0f64.to_bits(), "cdf({t})");
+    }
+    for t in [d, f64::from_bits(d.to_bits() + 1), d + 1.0] {
+        assert_eq!(step.cdf(t).to_bits(), 1.0f64.to_bits(), "cdf({t})");
+    }
+    let constant = ScenarioPath::constant(80e6, d, 0.2).expect("valid path");
+    assert_eq!(
+        zero_spread(&constant).constant_delay().map(f64::to_bits),
+        Some(d.to_bits())
+    );
+
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let timeouts = |plan: &Plan| -> Vec<Option<(u64, bool)>> {
+        (0..plan.schedule().num_combos())
+            .flat_map(|l| plan.schedule().stages(l).to_vec())
+            .map(|t| t.map(|t| (t.delay.to_bits(), t.retransmit)))
+            .collect()
+    };
+    for (lambda, delta) in [(40e6, 0.450), (90e6, 0.800), (140e6, 1.050)] {
+        let scenario = scenarios::table3_model_scenario(lambda, delta);
+        let all = scenario
+            .paths()
+            .iter()
+            .enumerate()
+            .fold(scenario.clone(), |s, (i, p)| {
+                s.with_path_replaced(i, zero_spread(p))
+            });
+        let first = scenario.with_path_replaced(0, zero_spread(&scenario.paths()[0]));
+        for objective in [
+            Objective::MaxQuality,
+            Objective::MinCost { min_quality: 0.5 },
+        ] {
+            let reference = &Planner::new().plan(&scenario, objective).expect("feasible");
+            for (label, uniform) in [("every path", &all), ("first path", &first)] {
+                let plan = &Planner::new().plan(uniform, objective).expect("feasible");
+                let at = format!("λ={lambda} δ={delta} {label} {objective:?}");
+                assert_eq!(
+                    bits(plan.strategy().x()),
+                    bits(reference.strategy().x()),
+                    "{at}: x"
+                );
+                assert_eq!(
+                    plan.quality().to_bits(),
+                    reference.quality().to_bits(),
+                    "{at}: quality"
+                );
+                assert_eq!(
+                    plan.cost_rate().to_bits(),
+                    reference.cost_rate().to_bits(),
+                    "{at}: cost"
+                );
+                assert_eq!(
+                    bits(plan.send_rates()),
+                    bits(reference.send_rates()),
+                    "{at}: send rates"
+                );
+                assert_eq!(timeouts(plan), timeouts(reference), "{at}: timeouts");
+                assert_eq!(plan.ack_path(), reference.ack_path(), "{at}: ack path");
+            }
+        }
+    }
+}
